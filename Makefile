@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt fmt-check lint lint-json bench-smoke bench-json bench-scaling examples scenario-smoke fuzz-smoke sweep-smoke serve-smoke quality-gate cover docs-check ci
+.PHONY: all build test test-race vet fmt fmt-check lint lint-json bench-smoke bench-json bench-scaling examples scenario-smoke fuzz-smoke sweep-smoke serve-smoke quality-gate cover docs-check benchmark-check deps-check ci
 
 all: build
 
@@ -152,4 +152,19 @@ docs-check:
 	fi
 	$(GO) run ./internal/docscheck README.md SCENARIOS.md PERFORMANCE.md
 
-ci: fmt-check vet lint build test bench-smoke sweep-smoke serve-smoke quality-gate docs-check
+# benchmark/ is a nested module (see BENCHMARK.json) that `go build ./...`
+# never sees, so an API removal in the root module can break it silently;
+# vet and test it from inside (~3 s).
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The root package is only the Engine: importers (the gateway, the
+# benchmark binary) must not link the experiment harness or the testing
+# and flag packages it pulls in.
+deps-check:
+	@bad="$$($(GO) list -deps optchain | grep -E '^(optchain/internal/bench|optchain/experiment|testing|flag)$$')"; \
+	if [ -n "$$bad" ]; then \
+		echo "package optchain must not depend on:"; echo "$$bad"; exit 1; \
+	fi
+
+ci: fmt-check vet lint build test bench-smoke sweep-smoke serve-smoke quality-gate docs-check benchmark-check deps-check

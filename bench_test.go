@@ -11,7 +11,6 @@ import (
 	"io"
 	"testing"
 
-	"optchain"
 	"optchain/internal/bench"
 	"optchain/internal/chain"
 	"optchain/internal/core"
@@ -22,6 +21,7 @@ import (
 	"optchain/internal/sim"
 	"optchain/internal/stats"
 	"optchain/internal/txgraph"
+	"optchain/internal/workload"
 )
 
 // benchHarness builds a reduced-scale harness per iteration batch.
@@ -248,12 +248,12 @@ func BenchmarkSimEndToEnd(b *testing.B) {
 	d := benchDataset(b, 10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := optchain.Simulate(sim.Config{
-			Dataset:    d,
+		res, err := sim.Run(sim.Config{
+			Source:     workload.FromDataset(d),
+			Txs:        d.Len(),
 			Shards:     8,
 			Validators: 32,
 			Rate:       2000,
-			Placer:     sim.PlacerOptChain,
 			Seed:       1,
 		})
 		if err != nil {

@@ -122,7 +122,7 @@ func run() int {
 	flag.Parse()
 
 	if *list {
-		fmt.Println(strings.Join(optchain.ExperimentNames(), "\n"))
+		fmt.Println(strings.Join(bench.Names(), "\n"))
 		return 0
 	}
 	if *listSweeps {
@@ -211,7 +211,7 @@ func run() int {
 		}
 	}
 
-	params := optchain.BenchParams{
+	params := bench.Params{
 		N:          *n,
 		TableN:     *tableN,
 		Seed:       *seed,
@@ -256,7 +256,7 @@ func run() int {
 		params.Workloads = specs
 	}
 
-	h := optchain.NewBenchHarness(params)
+	h := bench.NewHarness(params)
 
 	// One interrupt context for every mode: Ctrl-C cancels the experiment,
 	// sweep, or baseline run between cells instead of killing mid-write.
@@ -281,7 +281,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
 			return 1
 		}
-		err = optchain.WriteBenchBaseline(ctx, h, f)
+		err = bench.WriteBaselineJSON(ctx, h, f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -307,9 +307,11 @@ func run() int {
 		name = "all"
 	}
 	if name == "all" {
-		err = optchain.RunAllExperiments(ctx, h, os.Stdout)
+		err = bench.RunAll(ctx, h, os.Stdout)
+	} else if fn, ok := bench.Experiments[name]; ok {
+		err = fn(ctx, h, os.Stdout)
 	} else {
-		err = optchain.RunExperiment(ctx, h, name, os.Stdout)
+		err = fmt.Errorf("unknown experiment %q (have %v)", name, bench.Names())
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)

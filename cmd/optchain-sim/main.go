@@ -45,7 +45,7 @@ func run() int {
 	var (
 		n          = flag.Int("n", 0, "deprecated alias of -txs")
 		txs        = flag.Int("txs", 0, "number of transactions (default 60000)")
-		wl         = flag.String("workload", "", "workload spec (name, name:knob=value,..., mix:..., replay:... — see -list and SCENARIOS.md); streams instead of generating a dataset")
+		wl         = flag.String("workload", "", "workload spec (name, name:knob=value,..., mix:..., replay:... — see -list and SCENARIOS.md; default bitcoin)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		shards     = flag.Int("shards", 16, "number of shards")
 		validators = flag.Int("validators", 400, "validators per shard")
@@ -54,7 +54,7 @@ func run() int {
 		placer     = flag.String("placer", "", "deprecated alias for -strategy")
 		protocol   = flag.String("protocol", "omniledger", "commit protocol (see -list)")
 		exactL2S   = flag.Bool("exact-l2s", false, "use exact quadrature for the L2S score")
-		validate   = flag.Bool("validate-utxo", false, "strict in-order UTXO validation (see the SimConfig.ValidateUTXO docs)")
+		validate   = flag.Bool("validate-utxo", false, "strict in-order UTXO validation (see optchain.WithUTXOValidation)")
 		maxSim     = flag.Duration("max-sim-time", 20*time.Minute, "virtual-time cap")
 		progress   = flag.Bool("progress", false, "print live progress to stderr")
 		list       = flag.Bool("list", false, "list registered strategies and protocols, then exit")

@@ -174,8 +174,9 @@
 // resolve by name through open registries. RegisterStrategy,
 // RegisterProtocol, and RegisterWorkload add new ones, which become
 // selectable everywhere a name is accepted —
-// WithStrategy/WithProtocol/WithWorkload, SimConfig, and the
-// -strategy/-protocol/-workload flags of the cmd/ binaries; Strategies,
+// WithStrategy/WithProtocol/WithWorkload, the experiment package's sweep
+// cells, and the -strategy/-protocol/-workload flags of the cmd/ binaries;
+// Strategies,
 // Protocols, and Workloads enumerate what is registered (the experiment
 // package's RegisterReporter and RegisterSweep follow the same rules). The
 // built-ins are the paper's: "OptChain", "T2S", "Greedy", "Metis", and the

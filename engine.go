@@ -36,9 +36,6 @@ var (
 	ErrBadOption = errors.New("optchain: invalid option")
 	// ErrRunning reports a second concurrent Run on the same Engine.
 	ErrRunning = errors.New("optchain: engine run already in progress")
-	// ErrUnknownExperiment reports an experiment name RunExperiment does not
-	// know.
-	ErrUnknownExperiment = errors.New("optchain: unknown experiment")
 )
 
 // MetricsSnapshot is a point-in-time view of an Engine's progress: the
@@ -116,7 +113,6 @@ type Engine struct {
 	streamCap     int
 	progress      func(MetricsSnapshot)
 	progressEvery time.Duration
-	netCfg        NetConfig
 	shardCfg      ShardConfig
 	parallel      int // epoch worker count; 0 = serial placement
 	batch         int // PlaceStream/PlaceWorkload chunk size; 0 = DefaultBatchSize
@@ -178,8 +174,9 @@ func WithProtocol(name string) Option {
 }
 
 // WithDataset supplies the transaction stream for Run and for
-// dataset-backed streaming. Run without a dataset generates a default
-// synthetic stream (DatasetDefaults) on first use.
+// dataset-backed streaming. Run with neither a dataset nor a workload
+// streams the calibrated "bitcoin" scenario, which reproduces
+// GenerateDataset(DatasetDefaults()) transaction for transaction.
 func WithDataset(d *Dataset) Option {
 	return func(e *Engine) error {
 		if d == nil {
@@ -315,8 +312,11 @@ func WithExactL2S(on bool) Option {
 	return func(e *Engine) error { e.exactL2S = on; return nil }
 }
 
-// WithUTXOValidation enables strict in-order ledger validation during Run
-// (see SimConfig.ValidateUTXO).
+// WithUTXOValidation enables strict in-order ledger validation during Run,
+// with the full defer/reject/abort machinery. The default (off) is the
+// paper's regime: the replayed trace is globally valid, so spends resolve
+// optimistically when replay compresses parent-child spacing below block
+// time.
 func WithUTXOValidation(on bool) Option {
 	return func(e *Engine) error { e.validateUTXO = on; return nil }
 }
@@ -382,11 +382,6 @@ func WithProgressEvery(d time.Duration) Option {
 		e.progressEvery = d
 		return nil
 	}
-}
-
-// WithNetwork overrides the simulated network constants for Run.
-func WithNetwork(cfg NetConfig) Option {
-	return func(e *Engine) error { e.netCfg = cfg; return nil }
 }
 
 // WithShardTuning overrides the committee constants (block size, block
@@ -807,9 +802,13 @@ func (e *Engine) PlaceStream(txs iter.Seq[StreamTx]) (PlacementStats, error) {
 }
 
 // newWorkloadSource builds the engine's configured scenario for an n-long
-// stream.
+// stream — the calibrated bitcoin scenario when WithWorkload named none.
 func (e *Engine) newWorkloadSource(n int) (workload.Source, error) {
-	return workload.New(e.workloadName, workload.Params{
+	name := e.workloadName
+	if name == "" {
+		name = "bitcoin"
+	}
+	return workload.New(name, workload.Params{
 		N:      n,
 		Seed:   e.seed,
 		Shards: e.shards,
@@ -927,8 +926,8 @@ func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 	return e.snap
 }
 
-// defaultRunTxs sizes the generated dataset when Run is called on an
-// engine with neither WithDataset nor WithTxs.
+// defaultRunTxs sizes the stream when Run is called on an engine with
+// neither WithDataset nor WithTxs.
 const defaultRunTxs = 20_000
 
 // Run drives one full sharded-blockchain simulation (§V): committees on a
@@ -948,7 +947,6 @@ func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 		return nil, ErrRunning
 	}
 	e.running = true
-	d := e.dataset
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
@@ -956,11 +954,18 @@ func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 		e.mu.Unlock()
 	}()
 
-	var src workload.Source
+	// Exactly one Source feeds the simulation: the dataset replayed in
+	// memory, or the configured (default: bitcoin) scenario pulled one
+	// transaction per issue event, so nothing is materialized.
+	d := e.dataset
 	runTxs := e.txs
-	if e.workloadName != "" {
-		// Workload scenarios stream: the simulation pulls one transaction
-		// per issue event, so no Dataset is materialized.
+	var src workload.Source
+	if d != nil {
+		if runTxs == 0 {
+			runTxs = d.Len()
+		}
+		src = workload.FromDataset(d)
+	} else {
 		if runTxs == 0 {
 			runTxs = defaultRunTxs
 		}
@@ -972,51 +977,40 @@ func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 		// Released on every exit path: a cancelled or failed run must not
 		// leave a replay component's trace file open.
 		defer workload.Close(src)
-	} else if d == nil {
-		cfg := DatasetDefaults()
-		cfg.N = e.txs
-		if cfg.N == 0 {
-			cfg.N = defaultRunTxs
-		}
-		cfg.Seed = e.seed
-		var err error
-		d, err = GenerateDataset(cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.dataset = d
-		e.mu.Unlock()
 	}
 
 	part := e.metisPart
 	if part == nil && strings.EqualFold(e.strategy, "Metis") {
+		// Metis alone needs the whole stream up front, for its offline
+		// partition.
 		if d == nil {
-			return nil, fmt.Errorf("%w: the Metis strategy replays an offline partition and needs a materialized dataset, not a streaming workload", ErrBadOption)
-		}
-		n := e.txs
-		if n == 0 || n > d.Len() {
-			n = d.Len()
+			if e.workloadName != "" {
+				return nil, fmt.Errorf("%w: the Metis strategy replays an offline partition and needs a materialized dataset, not a streaming workload", ErrBadOption)
+			}
+			var err error
+			d, err = workload.Materialize(src, runTxs)
+			if err != nil {
+				return nil, err
+			}
+			src = workload.FromDataset(d)
 		}
 		var err error
-		part, err = PartitionTaN(d.Slice(n), e.shards, e.seed)
+		part, err = PartitionTaN(d.Slice(runTxs), e.shards, e.seed)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	simCfg := sim.Config{
-		Dataset:       d,
+	return sim.RunContext(ctx, sim.Config{
 		Source:        src,
 		Txs:           runTxs,
 		Shards:        e.shards,
 		Validators:    e.validators,
 		Rate:          e.rate,
-		Placer:        sim.PlacerKind(e.strategy),
+		Placer:        e.strategy,
 		MetisPart:     part,
-		Protocol:      sim.ProtocolKind(e.protocol),
+		Protocol:      e.protocol,
 		Clients:       e.clients,
-		Net:           e.netCfg,
 		Shard:         e.shardCfg,
 		Seed:          e.seed,
 		MaxSimTime:    e.maxSimTime,
@@ -1033,8 +1027,7 @@ func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 				e.progress(s)
 			}
 		},
-	}
-	return sim.RunContext(ctx, simCfg)
+	})
 }
 
 // DatasetStream adapts a dataset to the Engine's streaming interface: one

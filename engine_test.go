@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"optchain"
+	"optchain/internal/placement"
+	"optchain/internal/registry"
 )
 
 // fastEngineOpts shrinks the simulation for test speed: tiny committees and
@@ -304,11 +306,22 @@ func TestPlaceStreamMatchesBatchCrossShardFraction(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		batch, err := optchain.NewPlacer(optchain.Strategy(strategy), k, d)
+		// The reference: the bare registry strategy driven directly, with no
+		// Engine between the stream and the placer.
+		batch, err := registry.NewStrategy(strategy, registry.StrategyContext{
+			K: k, N: d.Len(),
+			OutCounts: func(v optchain.Node) int { return d.NumOutputs(int(v)) },
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		frac := optchain.CrossShardFraction(d, batch)
+		var cc placement.CrossCounter
+		var buf []optchain.Node
+		for i := 0; i < d.Len(); i++ {
+			buf = d.InputTxNodes(i, buf)
+			cc.Observe(batch.Assignment(), buf, batch.Place(optchain.Node(i), buf))
+		}
+		frac := cc.Fraction()
 
 		if stats.Placed != d.Len() {
 			t.Fatalf("%s: placed %d of %d", strategy, stats.Placed, d.Len())
@@ -444,14 +457,15 @@ func TestEngineRunMetisAutoPartition(t *testing.T) {
 	}
 }
 
-func TestSimulateContextCancelled(t *testing.T) {
+func TestEngineRunPreCancelled(t *testing.T) {
 	d := smallDataset(t, 2000)
+	eng, err := optchain.New(fastEngineOpts(d, "OptChain", 4, 500)...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := optchain.SimulateContext(ctx, optchain.SimConfig{
-		Dataset: d, Shards: 4, Validators: 8, Rate: 500,
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled simulate: %v", err)
+	if _, err := eng.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled run: %v", err)
 	}
 }

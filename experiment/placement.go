@@ -8,38 +8,30 @@ import (
 	"optchain/internal/core"
 	"optchain/internal/dataset"
 	"optchain/internal/placement"
+	"optchain/internal/registry"
 	"optchain/internal/txgraph"
 )
 
 // newPlacementStrategy builds one freshly initialized offline strategy for
-// a placement cell, so every cell owns its own state and cells run
-// concurrently.
-func (r *Runner) newPlacementStrategy(c Cell, n int) (placement.Placer, error) {
-	switch strings.ToLower(c.Strategy) {
-	case "metis":
+// a placement cell through the open registry, so every cell owns its own
+// state and cells run concurrently. Offline replay knows the whole stream:
+// out-degrees come from the materialized dataset, and Metis gets its
+// partition.
+func (r *Runner) newPlacementStrategy(c Cell, n int, d *dataset.Dataset) (placement.Placer, error) {
+	sc := registry.StrategyContext{
+		K:         c.Shards,
+		N:         n,
+		Alpha:     c.Alpha,
+		OutCounts: func(v txgraph.Node) int { return d.NumOutputs(int(v)) },
+	}
+	if strings.EqualFold(c.Strategy, "Metis") {
 		part, err := r.partition(n, c.Shards, c.Workload)
 		if err != nil {
 			return nil, err
 		}
-		return placement.NewMetisReplay(c.Shards, part), nil
-	case "greedy":
-		return placement.NewGreedy(c.Shards, n, core.DefaultCapacityEps), nil
-	case "omniledger":
-		return placement.NewRandom(c.Shards, n), nil
-	case "t2s":
-		d, err := r.dataset(n, c.Workload)
-		if err != nil {
-			return nil, err
-		}
-		alpha := c.Alpha
-		if alpha == 0 {
-			alpha = core.DefaultAlpha
-		}
-		t2s := core.NewT2SPlacer(c.Shards, n, alpha, core.DefaultCapacityEps)
-		t2s.Scores().SetOutCounts(func(v txgraph.Node) int { return d.NumOutputs(int(v)) })
-		return t2s, nil
+		sc.MetisPart = part
 	}
-	return nil, fmt.Errorf("%w: unknown placement strategy %q", ErrBadSweep, c.Strategy)
+	return registry.NewStrategy(c.Strategy, sc)
 }
 
 // crossFraction streams the dataset through a placer, counting cross-TXs
@@ -163,7 +155,7 @@ func (r *Runner) runPlacementCell(ctx context.Context, c Cell) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	p, err := r.newPlacementStrategy(c, n)
+	p, err := r.newPlacementStrategy(c, n, d)
 	if err != nil {
 		return Row{}, err
 	}

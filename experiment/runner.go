@@ -93,8 +93,8 @@ func NewRunner(p Params) *Runner {
 func (r *Runner) Params() Params { return r.p }
 
 // Dataset returns (generating once) the materialized experiment stream of
-// length n driven by the runner's default workload: the calibrated
-// synthetic generator, or Params.Workload materialized at that length.
+// length n driven by the runner's default workload: Params.Workload, or the
+// calibrated "bitcoin" scenario, materialized at that length.
 // Generation is deterministic per (n, Seed, Workload), so concurrent
 // callers always observe the same stream.
 func (r *Runner) Dataset(n int) (*dataset.Dataset, error) {
@@ -114,22 +114,15 @@ func (r *Runner) dataset(n int, spec string) (*dataset.Dataset, error) {
 	e.once.Do(func() {
 		wl := spec
 		if wl == "" {
-			wl = r.p.Workload
+			wl = r.p.WorkloadLabel()
 		}
-		if wl != "" {
-			src, err := workload.New(wl, workload.Params{N: n, Seed: r.p.Seed})
-			if err != nil {
-				e.err = err
-				return
-			}
-			defer workload.Close(src)
-			e.d, e.err = workload.Materialize(src, n)
+		src, err := workload.New(wl, workload.Params{N: n, Seed: r.p.Seed})
+		if err != nil {
+			e.err = err
 			return
 		}
-		cfg := dataset.DefaultConfig()
-		cfg.N = n
-		cfg.Seed = r.p.Seed
-		e.d, e.err = dataset.Generate(cfg)
+		defer workload.Close(src)
+		e.d, e.err = workload.Materialize(src, n)
 	})
 	return e.d, e.err
 }
@@ -329,8 +322,8 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 		Shards:     c.Shards,
 		Validators: r.p.Validators,
 		Rate:       c.Rate,
-		Placer:     sim.PlacerKind(c.Strategy),
-		Protocol:   sim.ProtocolKind(proto),
+		Placer:     c.Strategy,
+		Protocol:   proto,
 		Seed:       r.p.Seed,
 		MaxSimTime: 20 * time.Minute,
 		Alpha:      c.Alpha,
@@ -345,15 +338,16 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 		cfg.CommitWindow, cfg.QueueSampleEvery = r.windows(txs, c.Rate)
 	}
 
+	// One Source per cell: streamed cells build the scenario live (feedback
+	// reaches adversarial sources); the rest replay the runner's cached
+	// materialized stream, which Metis also partitions offline.
 	streamed := c.effectiveStreamed()
-	var src workload.Source
 	if streamed {
 		spec := c.Workload
 		if spec == "" {
 			spec = r.p.WorkloadLabel()
 		}
-		var err error
-		src, err = workload.New(spec, workload.Params{
+		src, err := workload.New(spec, workload.Params{
 			N:      txs,
 			Seed:   r.p.Seed,
 			Shards: c.Shards,
@@ -365,19 +359,15 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 		// leave a replay component's trace file open.
 		defer workload.Close(src)
 		cfg.Source = src
-		cfg.Txs = txs
 	} else {
 		d, err := r.dataset(txs, c.Workload)
 		if err != nil {
 			return Row{}, err
 		}
-		cfg.Dataset = d
-		if c.Txs != 0 {
-			cfg.Txs = c.Txs
-		}
+		cfg.Source = workload.FromDataset(d)
 		// EqualFold, not ==: strategy names resolve case-insensitively
 		// everywhere else, and "metis" must get its partition wired too.
-		if strings.EqualFold(c.Strategy, string(sim.PlacerMetis)) {
+		if strings.EqualFold(c.Strategy, "Metis") {
 			part, err := r.partition(txs, c.Shards, c.Workload)
 			if err != nil {
 				return Row{}, err
@@ -385,6 +375,7 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 			cfg.MetisPart = part
 		}
 	}
+	cfg.Txs = txs
 
 	res, err := sim.RunContext(ctx, cfg)
 	if err != nil {

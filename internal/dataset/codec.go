@@ -182,7 +182,6 @@ func (s *DecodeStream) Next(tx *StreamTx) bool {
 		tx.Value += int64(v)
 	}
 	tx.Outputs = int(nOut)
-	tx.Community = -1
 	s.outCounts = append(s.outCounts, int32(nOut))
 	s.i++
 	return true
@@ -203,7 +202,6 @@ func Decode(r io.Reader) (*Dataset, error) {
 	d := newDataset(hint)
 	var tx StreamTx
 	for s.Next(&tx) {
-		d.comm = append(d.comm, -1)
 		d.inTx = append(d.inTx, tx.InTx...)
 		d.inIdx = append(d.inIdx, tx.InIdx...)
 		d.inOff = append(d.inOff, int64(len(d.inTx)))

@@ -111,11 +111,9 @@ func (c *converter) add(txid string, inputs [][2]string, outVals []int64) error 
 	}
 	i := c.d.Len()
 	// Exact per-output values: append directly rather than through
-	// AppendTx's even-split convention, mirroring DecodeText. Referential
-	// integrity is already guaranteed: every c.inTx entry came from a
-	// c.pos lookup, and positions are always assigned before any later
-	// transaction can reference them.
-	c.d.comm = append(c.d.comm, -1)
+	// AppendTx's even-split convention. Referential integrity is already
+	// guaranteed: every c.inTx entry came from a c.pos lookup, and positions
+	// are always assigned before any later transaction can reference them.
 	c.d.inTx = append(c.d.inTx, c.inTx...)
 	c.d.inIdx = append(c.d.inIdx, c.inIdx...)
 	c.d.inOff = append(c.d.inOff, int64(len(c.d.inTx)))

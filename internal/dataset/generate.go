@@ -219,8 +219,8 @@ func Generate(cfg Config) (*Dataset, error) {
 	g := newGenerator(cfg)
 	d := newDataset(cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		ins, nOut, outSum, community := g.step(int32(i))
-		d.append(ins, nOut, outSum, community)
+		ins, nOut, outSum := g.step(int32(i))
+		d.append(ins, nOut, outSum)
 	}
 	return d, nil
 }
@@ -263,8 +263,6 @@ type StreamTx struct {
 	// recorded trace may split values arbitrarily); the generator Stream
 	// leaves it empty — its outputs always follow the SplitValue convention.
 	OutVals []int64
-	// Community is the generator community (entity) of the transaction.
-	Community int
 }
 
 // Next fills tx with the next transaction in stream order and reports
@@ -273,7 +271,7 @@ func (s *Stream) Next(tx *StreamTx) bool {
 	if s.i >= s.g.cfg.N {
 		return false
 	}
-	ins, nOut, outSum, community := s.g.step(int32(s.i))
+	ins, nOut, outSum := s.g.step(int32(s.i))
 	s.i++
 	tx.InTx = tx.InTx[:0]
 	tx.InIdx = tx.InIdx[:0]
@@ -284,21 +282,20 @@ func (s *Stream) Next(tx *StreamTx) bool {
 	}
 	tx.Outputs = nOut
 	tx.Value = outSum
-	tx.Community = community
 	return true
 }
 
 // step computes transaction i and registers its outputs in the pool. The
 // caller records the returned structure (Generate appends it to a Dataset;
 // Stream.Next hands it to the puller).
-func (g *generator) step(i int32) (ins []outRef, nOut int, outSum int64, community int) {
+func (g *generator) step(i int32) (ins []outRef, nOut int, outSum int64) {
 	// Retire one community round-robin to model entity churn; its unspent
 	// outputs remain in the global pool.
 	if int(i) > 0 && int(i)%g.cfg.TurnoverEvery == 0 {
 		g.comms[g.commCursor] = nil
 		g.commCursor = (g.commCursor + 1) % len(g.comms)
 	}
-	community = g.rng.Intn(len(g.comms))
+	community := g.rng.Intn(len(g.comms))
 	hub := int(i) > 0 && int(i)%g.cfg.HubEvery == 0
 
 	coinbase := g.live == 0 || int(i)%g.cfg.CoinbaseEvery == 0
@@ -346,7 +343,7 @@ func (g *generator) step(i int32) (ins []outRef, nOut int, outSum int64, communi
 		g.live++
 	}
 	g.maybeCompact()
-	return ins, nOut, outSum, community
+	return ins, nOut, outSum
 }
 
 func (g *generator) sampleInputs() int {
@@ -553,7 +550,6 @@ type Dataset struct {
 	inIdx  []uint32 // output index within the input transaction
 	outOff []int64  // n+1
 	outVal []int64
-	comm   []int16 // generator community of each tx (-1 when unknown/loaded)
 }
 
 func newDataset(n int) *Dataset {
@@ -563,7 +559,6 @@ func newDataset(n int) *Dataset {
 		inIdx:  make([]uint32, 0, n*2),
 		outOff: make([]int64, 1, n+1),
 		outVal: make([]int64, 0, n*2),
-		comm:   make([]int16, 0, n),
 	}
 }
 
@@ -601,7 +596,6 @@ func (d *Dataset) AppendTx(inTx []int32, inIdx []uint32, nOut int, outSum int64)
 			return fmt.Errorf("dataset: tx %d references output %d:%d out of range", i, inTx[j], inIdx[j])
 		}
 	}
-	d.comm = append(d.comm, -1)
 	d.inTx = append(d.inTx, inTx...)
 	d.inIdx = append(d.inIdx, inIdx...)
 	d.inOff = append(d.inOff, int64(len(d.inTx)))
@@ -632,8 +626,7 @@ func SplitValue(n int, total int64, fn func(idx uint32, val int64)) {
 	}
 }
 
-func (d *Dataset) append(ins []outRef, nOut int, outSum int64, community int) {
-	d.comm = append(d.comm, int16(community))
+func (d *Dataset) append(ins []outRef, nOut int, outSum int64) {
 	for _, r := range ins {
 		d.inTx = append(d.inTx, r.tx)
 		d.inIdx = append(d.inIdx, r.idx)
@@ -662,11 +655,6 @@ func (d *Dataset) NumOutputs(i int) int { return int(d.outOff[i+1] - d.outOff[i]
 
 // IsCoinbase reports whether transaction i has no inputs.
 func (d *Dataset) IsCoinbase(i int) bool { return d.NumInputs(i) == 0 }
-
-// Community returns the generator community (entity) of transaction i, or
-// -1 for datasets loaded from external sources. It is ground-truth metadata
-// for analysis and tests, never an input to placement algorithms.
-func (d *Dataset) Community(i int) int { return int(d.comm[i]) }
 
 // Tx materializes transaction i.
 func (d *Dataset) Tx(i int) *chain.Transaction {
@@ -741,7 +729,6 @@ func (d *Dataset) Slice(n int) *Dataset {
 		inIdx:  append([]uint32(nil), d.inIdx[:d.inOff[n]]...),
 		outOff: append([]int64(nil), d.outOff[:n+1]...),
 		outVal: append([]int64(nil), d.outVal[:d.outOff[n]]...),
-		comm:   append([]int16(nil), d.comm[:n]...),
 	}
 	return s
 }

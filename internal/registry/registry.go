@@ -3,8 +3,10 @@
 // at init time under the names the paper uses ("OptChain", "Greedy",
 // "omniledger", …); external packages add new ones with RegisterStrategy /
 // RegisterProtocol and they become selectable everywhere a name is accepted:
-// the optchain.Engine options, sim.Config, and the -strategy/-protocol flags
-// of the cmd/ binaries.
+// the optchain.Engine options, the experiment layer's sweep cells,
+// sim.Config, and the -strategy/-protocol flags of the cmd/ binaries.
+// NewStrategy and NewProtocol are the only construction path: nothing
+// outside this package (bar micro-benchmarks) calls a built-in constructor.
 //
 // Lookups are case-insensitive; Strategies and Protocols enumerate the
 // canonical display names.

@@ -29,42 +29,16 @@ import (
 	"optchain/internal/workload"
 )
 
-// PlacerKind selects the transaction placement strategy.
-type PlacerKind string
-
-// The strategies compared throughout §V.
-const (
-	PlacerOptChain PlacerKind = "OptChain"   // T2S + L2S temporal fitness (Alg. 1)
-	PlacerT2S      PlacerKind = "T2S"        // T2S only, capacity-bounded (§IV-B)
-	PlacerRandom   PlacerKind = "OmniLedger" // hash-based random placement
-	PlacerGreedy   PlacerKind = "Greedy"     // one-hop input coverage
-	PlacerMetis    PlacerKind = "Metis"      // offline Metis k-way replay
-)
-
-// ProtocolKind selects the cross-shard commit backend.
-type ProtocolKind string
-
-// Supported backends.
-const (
-	ProtoOmniLedger ProtocolKind = "omniledger"
-	ProtoRapidChain ProtocolKind = "rapidchain"
-)
-
 // Config parameterizes one simulation run.
 type Config struct {
-	// Dataset supplies the transaction stream; Txs limits to a prefix
-	// (0 = whole dataset).
-	Dataset *dataset.Dataset
-	Txs     int
-
-	// Source supplies the transaction stream as a streaming workload
-	// scenario instead of a materialized Dataset — exactly one of Dataset
-	// and Source may be set, and Source requires a positive Txs (the run
-	// length). Source runs pull one transaction per issue event (nothing is
-	// pre-built), honor each transaction's Gap so Markov-modulated
-	// scenarios shape real arrival processes, and feed every placement
-	// decision back to feedback-aware sources (workload.Observer).
+	// Source supplies the transaction stream and Txs its length; both are
+	// required. The run pulls one transaction per issue event (nothing is
+	// pre-built), honors each transaction's Gap so Markov-modulated scenarios
+	// shape real arrival processes, and feeds every placement decision back
+	// to feedback-aware sources (workload.Observer). A materialized Dataset
+	// is one more Source (workload.FromDataset).
 	Source workload.Source
+	Txs    int
 
 	// Shards and Validators shape the committees (paper: 4-16 shards, ~400
 	// validators each).
@@ -74,19 +48,20 @@ type Config struct {
 	// Rate is the offered load in transactions/second (paper: 2000-6000).
 	Rate float64
 
-	// Placer picks the placement strategy; MetisPart must hold the offline
-	// partition when Placer is PlacerMetis.
-	Placer    PlacerKind
+	// Placer names the placement strategy in the open registry (default
+	// "OptChain"); MetisPart must hold the offline partition when it is
+	// "Metis".
+	Placer    string
 	MetisPart []int32
 
-	// Protocol picks the cross-shard backend (default OmniLedger).
-	Protocol ProtocolKind
+	// Protocol names the cross-shard backend in the open registry (default
+	// "omniledger").
+	Protocol string
 
 	// Clients is the number of client nodes issuing transactions.
 	Clients int
 
-	// Net and Shard expose the network and committee constants.
-	Net   simnet.Config
+	// Shard exposes the committee constants.
 	Shard shard.Config
 
 	// Seed drives node placement and client jitter.
@@ -117,16 +92,6 @@ type Config struct {
 	L2SWght  float64
 	ExactL2S bool
 
-	// PrePlaceParallel switches a dataset run into the pipeline regime:
-	// the whole stream is placed before the first issue event — with one
-	// worker serially, with more through parallel placement epochs (see
-	// internal/placement) — and issue events read the pre-decided shards.
-	// Placement telemetry is frozen at time zero (no queue feedback), so
-	// results are comparable across worker counts but not bit-identical to
-	// the online default (0). Dataset runs only; > 1 requires a strategy
-	// with epoch support.
-	PrePlaceParallel int
-
 	// Progress, when non-nil, receives a Snapshot every ProgressEvery of
 	// virtual time (default 5 s) and once more when the run finishes. It is
 	// invoked on the simulation goroutine; implementations that share the
@@ -137,17 +102,11 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() error {
-	if c.Dataset == nil && c.Source == nil {
-		return errors.New("sim: Dataset or Source is required")
+	if c.Source == nil {
+		return errors.New("sim: Source is required")
 	}
-	if c.Dataset != nil && c.Source != nil {
-		return errors.New("sim: Dataset and Source are mutually exclusive")
-	}
-	if c.Source != nil && c.Txs <= 0 {
+	if c.Txs <= 0 {
 		return errors.New("sim: Source requires a positive Txs")
-	}
-	if c.Dataset != nil && (c.Txs <= 0 || c.Txs > c.Dataset.Len()) {
-		c.Txs = c.Dataset.Len()
 	}
 	if c.Shards <= 0 {
 		return errors.New("sim: Shards must be positive")
@@ -162,19 +121,10 @@ func (c *Config) fillDefaults() error {
 		return errors.New("sim: Rate must be positive")
 	}
 	if c.Placer == "" {
-		c.Placer = PlacerOptChain
-	}
-	if c.PrePlaceParallel < 0 {
-		return errors.New("sim: negative PrePlaceParallel")
-	}
-	if c.PrePlaceParallel > 0 && c.Source != nil {
-		return errors.New("sim: PrePlaceParallel requires a Dataset; a streaming Source has nothing to pre-place")
-	}
-	if c.Placer == PlacerMetis && len(c.MetisPart) < c.Txs {
-		return errors.New("sim: PlacerMetis requires MetisPart covering the stream")
+		c.Placer = "OptChain"
 	}
 	if c.Protocol == "" {
-		c.Protocol = ProtoOmniLedger
+		c.Protocol = "omniledger"
 	}
 	if c.Clients <= 0 {
 		c.Clients = 32
@@ -240,8 +190,8 @@ type Result struct {
 	// window [0.2·T, T] (T = issue duration): the steady-state service
 	// rate, robust to warm-up and drain edges.
 	SteadyTPS float64
-	// IssueSeconds is the offered-load duration: Total/Rate for dataset
-	// runs, the actual Gap-modulated issue span for streaming-source runs.
+	// IssueSeconds is the offered-load duration: the actual Gap-modulated
+	// span from the first issue to the last.
 	IssueSeconds float64
 
 	AvgLatency float64 // seconds
@@ -254,14 +204,6 @@ type Result struct {
 	CrossShard    int64
 	Retries       int64
 	Aborts        int64
-
-	// PrePlaceParallel echoes Config.PrePlaceParallel (0 = online
-	// placement); PrePlaceCrossChunkFraction is the fraction of input
-	// references parallel pre-placement could not see because they pointed
-	// into a concurrent chunk — the measured drift source, 0 below two
-	// workers.
-	PrePlaceParallel           int
-	PrePlaceCrossChunkFraction float64
 
 	WindowSeconds float64
 	WindowCommits []int64
@@ -312,23 +254,21 @@ type runner struct {
 	clients []simnet.NodeID
 	rng     *rand.Rand
 
-	// Streaming-source state (cfg.Source runs): the prefetched next
-	// transaction, the per-transaction output counts recorded so far (the
-	// placer's |Nout(v)| divisor), the optional feedback hook, the time of
-	// the last issue (the actual offered-load window end under Gap
-	// modulation), and the first source-validation failure, which aborts
-	// the run.
+	// Stream state: the prefetched next transaction, the per-transaction
+	// output counts recorded so far (the placer's |Nout(v)| divisor), the
+	// optional feedback and exact-transaction hooks, the time of the last
+	// issue (the actual offered-load window end under Gap modulation), and
+	// the first source-validation failure, which aborts the run.
 	srcPending workload.Tx
 	srcOuts    []int32
 	srcObs     workload.Observer
+	srcExact   exactSource
 	srcErr     error
 	lastIssue  time.Duration
 	perTx      time.Duration
 
-	scheduledAt  []time.Duration
-	decidedShard []int32
-	issued       []bool
-	issuedCount  int
+	scheduledAt []time.Duration
+	issuedCount int
 
 	committed  int
 	lastCommit time.Duration
@@ -338,11 +278,6 @@ type runner struct {
 	queues  *metrics.QueueTracker
 	cross   placement.CrossCounter
 	retries int64
-
-	// Pre-placement state (cfg.PrePlaceParallel > 0): decisions are made
-	// before the DES starts and issue events only read them.
-	prePlaced bool
-	preStats  placement.EpochStats
 
 	inputBuf []txgraph.Node
 }
@@ -361,7 +296,7 @@ func (r *runner) run() (*Result, error) {
 	n := cfg.Txs
 
 	r.sim = des.New()
-	r.net = simnet.New(r.sim, cfg.Net)
+	r.net = simnet.New(r.sim, simnet.Config{})
 
 	// Committees.
 	for i := 0; i < cfg.Shards; i++ {
@@ -371,11 +306,24 @@ func (r *runner) run() (*Result, error) {
 	}
 	r.clients = r.net.AddRandomNodes(cfg.Clients, r.rng)
 
-	// Placement strategy.
+	// Placement strategy, resolved through the open registry so externally
+	// registered strategies are selectable by name exactly like the
+	// built-ins.
 	r.tel = &liveTelemetry{runner: r}
-	placer, err := r.buildPlacer()
+	placer, err := registry.NewStrategy(cfg.Placer, registry.StrategyContext{
+		K: cfg.Shards,
+		N: cfg.Txs,
+		// Out-degrees are known only up to the issue frontier (0 = unknown
+		// engages the spenders-seen-so-far fallback).
+		OutCounts: func(v txgraph.Node) int { return int(r.srcOuts[v]) },
+		Alpha:     cfg.Alpha,
+		Weight:    cfg.L2SWght,
+		Telemetry: r.tel,
+		ExactL2S:  cfg.ExactL2S,
+		MetisPart: cfg.MetisPart,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	r.placer = placer
 
@@ -384,7 +332,7 @@ func (r *runner) run() (*Result, error) {
 	locate := func(id chain.TxID) int {
 		return r.placer.Assignment().ShardOf(txgraph.Node(dataset.Index(id)))
 	}
-	proto, err := registry.NewProtocol(string(cfg.Protocol), registry.ProtocolContext{
+	proto, err := registry.NewProtocol(cfg.Protocol, registry.ProtocolContext{
 		Sim:        r.sim,
 		Net:        r.net,
 		Shards:     r.shards,
@@ -396,37 +344,21 @@ func (r *runner) run() (*Result, error) {
 	}
 	r.proto = proto
 
-	// Issue clock: one event per transaction at i/rate. Placement is
-	// decided at the tick (the wallet knows its transaction up front, and
-	// decisions happen in stream order, matching §IV's online model);
-	// submission additionally waits until all parents have committed,
-	// since a wallet can only spend confirmed outputs.
+	// Issue clock: issue events are chained (each schedules the next after
+	// its Gap-scaled inter-arrival, nominally 1/rate), so the source is
+	// pulled one transaction at a time and nothing is materialized.
+	// Placement is decided at the tick (the wallet knows its transaction up
+	// front, and decisions happen in stream order, matching §IV's online
+	// model); ordering races with uncommitted parents are absorbed by the
+	// shards' orphan-pool deferral.
 	r.scheduledAt = make([]time.Duration, n)
-	r.decidedShard = make([]int32, n)
-	r.issued = make([]bool, n)
 	r.commitAt = make([]time.Duration, n)
 	r.perTx = time.Duration(float64(time.Second) / cfg.Rate)
-	if cfg.PrePlaceParallel > 0 {
-		if err := r.prePlace(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Source != nil {
-		// Streaming mode: issue events are chained (each schedules the
-		// next after its Gap-scaled inter-arrival), so the source is pulled
-		// one transaction at a time and nothing is materialized.
-		r.srcOuts = make([]int32, n)
-		r.srcObs, _ = cfg.Source.(workload.Observer)
-		if r.pullSource(0) {
-			r.scheduleSourceIssue(0, 0)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			i := i
-			at := time.Duration(i) * r.perTx
-			r.scheduledAt[i] = at
-			r.sim.ScheduleAt(at, "sim.issue", func(*des.Simulator) { r.decide(i) })
-		}
+	r.srcOuts = make([]int32, n)
+	r.srcObs, _ = cfg.Source.(workload.Observer)
+	r.srcExact, _ = cfg.Source.(exactSource)
+	if r.pullSource(0) {
+		r.scheduleSourceIssue(0, 0)
 	}
 
 	// Queue sampler.
@@ -470,14 +402,12 @@ func (r *runner) run() (*Result, error) {
 		// empty, so RunUntil returns clean; surface the source error.
 		return nil, fmt.Errorf("sim: %w", r.srcErr)
 	}
-	if cfg.Source != nil {
-		// Sources that can fail mid-stream (replay of a corrupt trace)
-		// report it through the Failer interface: surface it instead of
-		// passing the truncation off as a short run.
-		if f, ok := cfg.Source.(workload.Failer); ok {
-			if err := f.Err(); err != nil {
-				return nil, fmt.Errorf("sim: workload %s: %w", cfg.Source.Name(), err)
-			}
+	// Sources that can fail mid-stream (replay of a corrupt trace) report it
+	// through the Failer interface: surface it instead of passing the
+	// truncation off as a short run.
+	if f, ok := cfg.Source.(workload.Failer); ok {
+		if err := f.Err(); err != nil {
+			return nil, fmt.Errorf("sim: workload %s: %w", cfg.Source.Name(), err)
 		}
 	}
 
@@ -507,107 +437,25 @@ func (r *runner) snapshot(done bool) Snapshot {
 	}
 }
 
-// buildPlacer constructs the placement strategy for this run through the
-// open registry, so externally registered strategies are selectable by name
-// exactly like the built-ins.
-func (r *runner) buildPlacer() (placement.Placer, error) {
-	cfg := r.cfg
-	outCounts := func(v txgraph.Node) int { return cfg.Dataset.NumOutputs(int(v)) }
-	if cfg.Source != nil {
-		// Streaming mode: out-degrees are known only up to the issue
-		// frontier (0 = unknown engages the spenders-seen-so-far fallback).
-		outCounts = func(v txgraph.Node) int { return int(r.srcOuts[v]) }
-	}
-	p, err := registry.NewStrategy(string(cfg.Placer), registry.StrategyContext{
-		K:         cfg.Shards,
-		N:         cfg.Txs,
-		OutCounts: outCounts,
-		Alpha:     cfg.Alpha,
-		Weight:    cfg.L2SWght,
-		Telemetry: r.tel,
-		ExactL2S:  cfg.ExactL2S,
-		MetisPart: cfg.MetisPart,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	return p, nil
-}
-
-// prePlace decides the whole stream before the first issue event — the
-// pipeline regime where placement runs ahead of consensus. Telemetry is
-// frozen at time zero (empty queues, one representative client), so the
-// pass is deterministic; with more than one worker the stream is placed
-// in parallel epochs and the cross-chunk drift lands in the result.
-func (r *runner) prePlace() error {
-	cfg := r.cfg
-	n := cfg.Txs
-	r.tel.client = r.clients[0]
-	inputs := func(u int, buf []txgraph.Node) []txgraph.Node {
-		return cfg.Dataset.InputTxNodes(u, buf)
-	}
-	if w := cfg.PrePlaceParallel; w > 1 {
-		s, ok := r.placer.(placement.Sharder)
-		if !ok {
-			return fmt.Errorf("sim: PrePlaceParallel: strategy %s has no parallel epoch support", cfg.Placer)
-		}
-		fan := placement.NewFan(w)
-		r.preStats = fan.PlaceAll(s, n, prePlaceEpochTxs, inputs)
-	} else {
-		var buf []txgraph.Node
-		for i := 0; i < n; i++ {
-			buf = inputs(i, buf)
-			r.placer.Place(txgraph.Node(i), buf)
-		}
-	}
-	asn := r.placer.Assignment()
-	for i := 0; i < n; i++ {
-		r.decidedShard[i] = int32(asn.ShardOf(txgraph.Node(i)))
-	}
-	r.prePlaced = true
-	return nil
-}
-
-// prePlaceEpochTxs is the epoch size of parallel pre-placement — the
-// engine's default streaming chunk, so the sim's drift matches the
-// engine's at its default chunking.
-const prePlaceEpochTxs = 1024
-
-// decide runs the placement strategy for transaction i at its scheduled
-// issue tick (stream order, matching §IV's online model) and submits it.
-// Pre-placed runs skip the strategy call and read the decision made ahead
-// of time. Ordering races — a transaction reaching a shard before its
-// parent commits — are absorbed by the shards' orphan-pool deferral, as
-// in real mempools; only persistent failures surface as rejections and
-// retries.
-func (r *runner) decide(i int) {
-	client := r.clients[i%len(r.clients)]
-	r.tel.client = client
-
-	r.inputBuf = r.cfg.Dataset.InputTxNodes(i, r.inputBuf)
-	s := int(r.decidedShard[i])
-	if !r.prePlaced {
-		s = r.placer.Place(txgraph.Node(i), r.inputBuf)
-		r.decidedShard[i] = int32(s)
-	}
-	r.cross.Observe(r.placer.Assignment(), r.inputBuf, s)
-
-	r.issued[i] = true
-	r.issuedCount++
-	r.submit(i, client, r.cfg.Dataset.Tx(i), s, 0)
-}
-
-// pullSource prefetches stream transaction i and validates it. A malformed
-// transaction (a custom Source emitting zero outputs) records srcErr, which
-// aborts the run via the event-loop interrupt instead of panicking inside
-// the kernel.
+// pullSource prefetches stream transaction i and validates it the way
+// Engine.PlaceBatch validates its input: at least one output, and every
+// input spending an earlier stream transaction. A malformed transaction (a
+// custom Source) records srcErr, which aborts the run via the event-loop
+// interrupt instead of panicking inside the kernel or the placer.
 func (r *runner) pullSource(i int) bool {
 	if !r.cfg.Source.Next(&r.srcPending) {
 		return false
 	}
 	if r.srcPending.Outputs < 1 {
-		r.srcErr = fmt.Errorf("workload %s: tx %d has zero outputs", r.cfg.Source.Name(), i)
+		r.srcErr = fmt.Errorf("workload %s: tx %d has zero outputs: %w", r.cfg.Source.Name(), i, chain.ErrEmptyOutputs)
 		return false
+	}
+	for j, in := range r.srcPending.Inputs {
+		if in.Tx < 0 || in.Tx >= i {
+			r.srcErr = fmt.Errorf("workload %s: tx %d input %d spends tx %d, not an earlier transaction: %w",
+				r.cfg.Source.Name(), i, j, in.Tx, chain.ErrMissingUTXO)
+			return false
+		}
 	}
 	return true
 }
@@ -635,9 +483,10 @@ func (r *runner) issueFromSource(i int) {
 	r.scheduleSourceIssue(next, r.sim.Now()+time.Duration(gap*float64(r.perTx)))
 }
 
-// decideSource is decide for streaming-source runs: it places and submits
-// the prefetched transaction, materializing only that one transaction, and
-// feeds the decision back to feedback-aware sources.
+// decideSource runs the placement strategy for the prefetched transaction i
+// at its issue tick (stream order, matching §IV's online model) and submits
+// it, materializing only that one transaction, then feeds the decision back
+// to feedback-aware sources.
 func (r *runner) decideSource(i int) {
 	client := r.clients[i%len(r.clients)]
 	r.tel.client = client
@@ -661,12 +510,30 @@ func (r *runner) decideSource(i int) {
 	// path: the placer may consult the divisor for the new node.
 	r.srcOuts[i] = int32(src.Outputs)
 	s := r.placer.Place(txgraph.Node(i), r.inputBuf)
-	r.decidedShard[i] = int32(s)
 	r.cross.Observe(r.placer.Assignment(), r.inputBuf, s)
 	if r.srcObs != nil {
 		r.srcObs.Observe(i, s)
 	}
 
+	r.issuedCount++
+	r.submit(i, client, r.sourceTx(i), s, 0)
+}
+
+// exactSource is implemented by sources that hold the recorded chain
+// transaction itself (workload.FromDataset): a converted trace may split a
+// transaction's value across its outputs arbitrarily, which Tx.Value alone
+// cannot carry.
+type exactSource interface {
+	// ChainTx returns the transaction the last Next produced.
+	ChainTx() *chain.Transaction
+}
+
+// sourceTx materializes the prefetched stream transaction i for the ledger.
+func (r *runner) sourceTx(i int) *chain.Transaction {
+	if r.srcExact != nil {
+		return r.srcExact.ChainTx()
+	}
+	src := &r.srcPending
 	tx := &chain.Transaction{
 		ID:      chain.TxID(i + 1),
 		Inputs:  make([]chain.Outpoint, len(src.Inputs)),
@@ -680,10 +547,7 @@ func (r *runner) decideSource(i int) {
 	dataset.SplitValue(src.Outputs, src.Value, func(idx uint32, val int64) {
 		tx.Outputs[idx] = chain.Output{Value: val}
 	})
-
-	r.issued[i] = true
-	r.issuedCount++
-	r.submit(i, client, tx, s, 0)
+	return tx
 }
 
 // submit sends the transaction, retrying with backoff on rejection
@@ -718,7 +582,7 @@ func (r *runner) buildResult() *Result {
 	}
 	res := &Result{
 		Placer:          r.placer.Name(),
-		Protocol:        string(r.cfg.Protocol),
+		Protocol:        r.cfg.Protocol,
 		Shards:          r.cfg.Shards,
 		Rate:            r.cfg.Rate,
 		Total:           r.cfg.Txs,
@@ -732,9 +596,6 @@ func (r *runner) buildResult() *Result {
 		Aborts:          aborts,
 		Queues:          r.queues,
 		WindowSeconds:   r.cfg.CommitWindow.Seconds(),
-
-		PrePlaceParallel:           r.cfg.PrePlaceParallel,
-		PrePlaceCrossChunkFraction: r.preStats.CrossChunkFraction(),
 	}
 	if makespan > 0 {
 		res.ThroughputTPS = float64(r.committed) / makespan
@@ -755,8 +616,8 @@ func (r *runner) buildResult() *Result {
 	res.AvgConsensusSecs = consensusSum / float64(len(r.shards))
 
 	var commitTimes []time.Duration
-	for i, t := range r.commitAt {
-		if r.issued[i] && t > 0 {
+	for _, t := range r.commitAt {
+		if t > 0 {
 			commitTimes = append(commitTimes, t)
 		}
 	}
@@ -764,7 +625,7 @@ func (r *runner) buildResult() *Result {
 
 	res.IssueSeconds = float64(r.cfg.Txs) / r.cfg.Rate
 	issueEnd := time.Duration(res.IssueSeconds * float64(time.Second))
-	if r.cfg.Source != nil && r.lastIssue > 0 {
+	if r.lastIssue > 0 {
 		// Gap-modulated sources shape the real arrival process: measure the
 		// steady-state window against the actual offered-load span, not the
 		// nominal Txs/Rate, or burst scenarios would be charged for idle

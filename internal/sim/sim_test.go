@@ -7,6 +7,7 @@ import (
 	"optchain/internal/dataset"
 	"optchain/internal/metis"
 	"optchain/internal/shard"
+	"optchain/internal/workload"
 )
 
 // smallDataset is shared across tests (generation is deterministic).
@@ -24,9 +25,10 @@ func smallDataset(t *testing.T, n int) *dataset.Dataset {
 
 // fastConfig scales the simulation down for test speed: small committees
 // and blocks, high verify cost so consensus stays realistic.
-func fastConfig(d *dataset.Dataset, placer PlacerKind, shards int, rate float64) Config {
+func fastConfig(d *dataset.Dataset, placer string, shards int, rate float64) Config {
 	return Config{
-		Dataset:    d,
+		Source:     workload.FromDataset(d),
+		Txs:        d.Len(),
 		Shards:     shards,
 		Validators: 8,
 		Rate:       rate,
@@ -44,7 +46,7 @@ func fastConfig(d *dataset.Dataset, placer PlacerKind, shards int, rate float64)
 
 func TestRunCommitsEverythingOptChain(t *testing.T) {
 	d := smallDataset(t, 3000)
-	res, err := Run(fastConfig(d, PlacerOptChain, 4, 500))
+	res, err := Run(fastConfig(d, "OptChain", 4, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestRunAllPlacersCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []PlacerKind{PlacerOptChain, PlacerT2S, PlacerRandom, PlacerGreedy, PlacerMetis} {
+	for _, kind := range []string{"OptChain", "T2S", "OmniLedger", "Greedy", "Metis"} {
 		cfg := fastConfig(d, kind, 4, 400)
 		cfg.MetisPart = part
 		res, err := Run(cfg)
@@ -89,7 +91,7 @@ func TestRunAllPlacersCommit(t *testing.T) {
 		if res.Committed != res.Total {
 			t.Fatalf("%s committed %d of %d", kind, res.Committed, res.Total)
 		}
-		if res.Placer != string(kind) {
+		if res.Placer != kind {
 			t.Fatalf("placer name %q, want %q", res.Placer, kind)
 		}
 	}
@@ -97,11 +99,11 @@ func TestRunAllPlacersCommit(t *testing.T) {
 
 func TestOptChainBeatsRandomOnCrossAndLatency(t *testing.T) {
 	d := smallDataset(t, 4000)
-	oc, err := Run(fastConfig(d, PlacerOptChain, 4, 600))
+	oc, err := Run(fastConfig(d, "OptChain", 4, 600))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := Run(fastConfig(d, PlacerRandom, 4, 600))
+	rnd, err := Run(fastConfig(d, "OmniLedger", 4, 600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +120,8 @@ func TestOptChainBeatsRandomOnCrossAndLatency(t *testing.T) {
 
 func TestRapidChainBackendWorks(t *testing.T) {
 	d := smallDataset(t, 1500)
-	cfg := fastConfig(d, PlacerOptChain, 4, 400)
-	cfg.Protocol = ProtoRapidChain
+	cfg := fastConfig(d, "OptChain", 4, 400)
+	cfg.Protocol = "rapidchain"
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +129,7 @@ func TestRapidChainBackendWorks(t *testing.T) {
 	if res.Committed != res.Total {
 		t.Fatalf("committed %d of %d", res.Committed, res.Total)
 	}
-	if res.Protocol != string(ProtoRapidChain) {
+	if res.Protocol != "rapidchain" {
 		t.Fatalf("protocol = %q", res.Protocol)
 	}
 }
@@ -136,7 +138,7 @@ func TestOverloadBacklogsButCapStops(t *testing.T) {
 	// A rate far above the system's capacity with a short cap: the sim
 	// must stop at the cap and report partial commitment.
 	d := smallDataset(t, 4000)
-	cfg := fastConfig(d, PlacerRandom, 2, 100000)
+	cfg := fastConfig(d, "OmniLedger", 2, 100000)
 	cfg.MaxSimTime = 20 * time.Second
 	res, err := Run(cfg)
 	if err != nil {
@@ -152,11 +154,11 @@ func TestOverloadBacklogsButCapStops(t *testing.T) {
 
 func TestHigherRateDoesNotLowerThroughputOptChain(t *testing.T) {
 	d := smallDataset(t, 3000)
-	lo, err := Run(fastConfig(d, PlacerOptChain, 4, 200))
+	lo, err := Run(fastConfig(d, "OptChain", 4, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Run(fastConfig(d, PlacerOptChain, 4, 500))
+	hi, err := Run(fastConfig(d, "OptChain", 4, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +169,11 @@ func TestHigherRateDoesNotLowerThroughputOptChain(t *testing.T) {
 
 func TestMoreShardsReduceLatencyUnderLoad(t *testing.T) {
 	d := smallDataset(t, 3000)
-	few, err := Run(fastConfig(d, PlacerOptChain, 2, 500))
+	few, err := Run(fastConfig(d, "OptChain", 2, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Run(fastConfig(d, PlacerOptChain, 8, 500))
+	many, err := Run(fastConfig(d, "OptChain", 8, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,77 +184,34 @@ func TestMoreShardsReduceLatencyUnderLoad(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	d := smallDataset(t, 100)
-	if _, err := Run(Config{Shards: 2, Rate: 100}); err == nil {
-		t.Fatal("nil dataset accepted")
+	src := func() workload.Source { return workload.FromDataset(smallDataset(t, 100)) }
+	if _, err := Run(Config{Txs: 100, Shards: 2, Rate: 100}); err == nil {
+		t.Fatal("nil source accepted")
 	}
-	if _, err := Run(Config{Dataset: d, Rate: 100}); err == nil {
+	if _, err := Run(Config{Source: src(), Txs: 100, Rate: 100}); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if _, err := Run(Config{Dataset: d, Shards: 2}); err == nil {
+	if _, err := Run(Config{Source: src(), Txs: 100, Shards: 2}); err == nil {
 		t.Fatal("zero rate accepted")
 	}
-	if _, err := Run(Config{Dataset: d, Shards: 2, Rate: 10, Placer: PlacerMetis}); err == nil {
+	if _, err := Run(Config{Source: src(), Txs: 100, Shards: 2, Rate: 10, Placer: "Metis"}); err == nil {
 		t.Fatal("metis without partition accepted")
 	}
-	if _, err := Run(Config{Dataset: d, Shards: 2, Rate: 10, Placer: "bogus"}); err == nil {
+	if _, err := Run(Config{Source: src(), Txs: 100, Shards: 2, Rate: 10, Placer: "bogus"}); err == nil {
 		t.Fatal("bogus placer accepted")
 	}
-	if _, err := Run(Config{Dataset: d, Shards: 2, Rate: 10, Protocol: "bogus"}); err == nil {
+	if _, err := Run(Config{Source: src(), Txs: 100, Shards: 2, Rate: 10, Protocol: "bogus"}); err == nil {
 		t.Fatal("bogus protocol accepted")
-	}
-	if _, err := Run(Config{Dataset: d, Shards: 2, Rate: 10, PrePlaceParallel: -1}); err == nil {
-		t.Fatal("negative PrePlaceParallel accepted")
-	}
-	part := make([]int32, 100)
-	if _, err := Run(Config{Dataset: d, Shards: 2, Rate: 10, Placer: PlacerMetis,
-		MetisPart: part, PrePlaceParallel: 2}); err == nil {
-		t.Fatal("parallel pre-placement accepted for a strategy without epoch support")
-	}
-}
-
-// TestPrePlacedRunCommits: the pipeline regime (placement decided before
-// the first issue event) commits the full stream for both the serial and
-// the parallel pre-pass, runs are deterministic, and the parallel pass
-// reports its drift source.
-func TestPrePlacedRunCommits(t *testing.T) {
-	d := smallDataset(t, 2000)
-	for _, workers := range []int{1, 4} {
-		cfg := fastConfig(d, PlacerOptChain, 4, 500)
-		cfg.PrePlaceParallel = workers
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Committed != res.Total {
-			t.Fatalf("workers=%d: committed %d of %d", workers, res.Committed, res.Total)
-		}
-		if res.PrePlaceParallel != workers {
-			t.Fatalf("workers=%d: result echoes %d", workers, res.PrePlaceParallel)
-		}
-		if workers > 1 && res.PrePlaceCrossChunkFraction <= 0 {
-			t.Fatalf("workers=%d: no drift source recorded: %+v", workers, res)
-		}
-		if workers == 1 && res.PrePlaceCrossChunkFraction != 0 {
-			t.Fatalf("serial pre-pass reports drift: %+v", res)
-		}
-		res2, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res2.CrossFraction != res.CrossFraction || res2.AvgLatency != res.AvgLatency {
-			t.Fatalf("workers=%d: pre-placed run not deterministic: %+v vs %+v", workers, res, res2)
-		}
 	}
 }
 
 func TestDeterministicForSeed(t *testing.T) {
 	d := smallDataset(t, 800)
-	a, err := Run(fastConfig(d, PlacerOptChain, 4, 300))
+	a, err := Run(fastConfig(d, "OptChain", 4, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(fastConfig(d, PlacerOptChain, 4, 300))
+	b, err := Run(fastConfig(d, "OptChain", 4, 300))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,19 @@
 package sim
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"optchain/internal/chain"
 	"optchain/internal/shard"
 	"optchain/internal/workload"
 )
 
 // fastSourceConfig mirrors fastConfig for streaming-source runs.
-func fastSourceConfig(src workload.Source, txs int, placer PlacerKind, shards int, rate float64) Config {
+func fastSourceConfig(src workload.Source, txs int, placer string, shards int, rate float64) Config {
 	return Config{
 		Source:     src,
 		Txs:        txs,
@@ -44,7 +47,7 @@ func buildSource(t *testing.T, name string, n, shards int) workload.Source {
 func TestSourceRunCommitsEveryScenario(t *testing.T) {
 	const n, k = 2000, 4
 	for _, name := range workload.StandaloneNames() {
-		res, err := Run(fastSourceConfig(buildSource(t, name, n, k), n, PlacerOptChain, k, 500))
+		res, err := Run(fastSourceConfig(buildSource(t, name, n, k), n, "OptChain", k, 500))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -62,7 +65,7 @@ func TestSourceRunCommitsEveryScenario(t *testing.T) {
 func TestSourceRunDeterministic(t *testing.T) {
 	const n, k = 1500, 4
 	run := func() *Result {
-		res, err := Run(fastSourceConfig(buildSource(t, "hotspot", n, k), n, PlacerOptChain, k, 500))
+		res, err := Run(fastSourceConfig(buildSource(t, "hotspot", n, k), n, "OptChain", k, 500))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,46 +77,90 @@ func TestSourceRunDeterministic(t *testing.T) {
 	}
 }
 
-// zeroOutSource is a misbehaving custom Source: its second transaction
-// claims zero outputs.
-type zeroOutSource struct{ i int }
+// badSource is a misbehaving custom Source: its transaction at stream
+// position bad is replaced by the given malformed one.
+type badSource struct {
+	i, bad int
+	tx     workload.Tx
+}
 
-func (z *zeroOutSource) Name() string { return "zero-out" }
-func (z *zeroOutSource) Next(tx *workload.Tx) bool {
-	z.i++
+func (b *badSource) Name() string { return "bad" }
+func (b *badSource) Next(tx *workload.Tx) bool {
 	tx.Inputs = tx.Inputs[:0]
 	tx.Outputs = 2
 	tx.Value = 100
 	tx.Gap = 1
-	if z.i == 2 {
-		tx.Outputs = 0
+	if b.i == b.bad {
+		tx.Inputs = append(tx.Inputs, b.tx.Inputs...)
+		tx.Outputs = b.tx.Outputs
 	}
-	return z.i <= 10
+	b.i++
+	return b.i <= 10
 }
 
-// TestSourceZeroOutputsRejected: a custom Source emitting a zero-output
-// transaction aborts the run with a clear error instead of panicking the
-// event kernel with a divide-by-zero.
+// TestSourceZeroOutputsRejected: a custom Source emitting a malformed
+// transaction — zero outputs, an input spending a later transaction, a
+// negative input index — aborts the run with a typed error naming the
+// scenario, the transaction and the offending input, for every strategy,
+// instead of panicking the event kernel (divide-by-zero) or the placer
+// (index out of range).
 func TestSourceZeroOutputsRejected(t *testing.T) {
-	_, err := Run(fastSourceConfig(&zeroOutSource{}, 10, PlacerOptChain, 4, 500))
-	if err == nil || !strings.Contains(err.Error(), "zero outputs") {
-		t.Fatalf("err = %v, want a zero-outputs source error", err)
+	cases := []struct {
+		name string
+		bad  int
+		tx   workload.Tx
+		is   error
+		msg  string
+	}{
+		{"zero outputs", 1, workload.Tx{Outputs: 0}, chain.ErrEmptyOutputs, "workload bad: tx 1 has zero outputs"},
+		{"forward reference", 3, workload.Tx{Inputs: []workload.Input{{Tx: 0}, {Tx: 50}}, Outputs: 1}, chain.ErrMissingUTXO, "workload bad: tx 3 input 1 spends tx 50"},
+		{"self reference", 3, workload.Tx{Inputs: []workload.Input{{Tx: 3}}, Outputs: 1}, chain.ErrMissingUTXO, "workload bad: tx 3 input 0 spends tx 3"},
+		{"negative index", 0, workload.Tx{Inputs: []workload.Input{{Tx: -1}}, Outputs: 1}, chain.ErrMissingUTXO, "workload bad: tx 0 input 0 spends tx -1"},
+	}
+	for _, c := range cases {
+		for _, placer := range []string{"OptChain", "T2S", "Greedy", "OmniLedger"} {
+			_, err := Run(fastSourceConfig(&badSource{bad: c.bad, tx: c.tx}, 10, placer, 4, 500))
+			if !errors.Is(err, c.is) || !strings.Contains(err.Error(), c.msg) {
+				t.Errorf("%s/%s: err = %v, want %q wrapping %v", c.name, placer, err, c.msg, c.is)
+			}
+		}
 	}
 }
 
-// TestSourceConfigValidation: Source and Dataset are mutually exclusive and
-// Source requires Txs.
+// TestFromDatasetLossless pins the dataset adapter: replaying a
+// materialized stream through workload.FromDataset is the same run as
+// streaming the scenario itself — every latency sample, queue series and
+// window count — under both protocols.
+func TestFromDatasetLossless(t *testing.T) {
+	const n, k = 1500, 4
+	for _, name := range []string{"bitcoin", "hotspot", "drift"} {
+		d, err := workload.Materialize(buildSource(t, name, n, k), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, proto := range []string{"omniledger", "rapidchain"} {
+			run := func(src workload.Source) *Result {
+				cfg := fastSourceConfig(src, n, "OptChain", k, 500)
+				cfg.Protocol = proto
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, proto, err)
+				}
+				return res
+			}
+			live, replayed := run(buildSource(t, name, n, k)), run(workload.FromDataset(d))
+			if !reflect.DeepEqual(live, replayed) {
+				t.Errorf("%s/%s: replayed dataset diverges from the live source:\n live     %+v\n replayed %+v", name, proto, live, replayed)
+			}
+		}
+	}
+}
+
+// TestSourceConfigValidation: a Source requires Txs.
 func TestSourceConfigValidation(t *testing.T) {
 	src := buildSource(t, "burst", 100, 4)
 	if _, err := Run(Config{Source: src, Shards: 4, Rate: 100}); err == nil {
 		t.Fatal("Source without Txs accepted")
-	}
-	d := smallDataset(t, 100)
-	if _, err := Run(Config{Source: src, Dataset: d, Txs: 100, Shards: 4, Rate: 100}); err == nil {
-		t.Fatal("Source plus Dataset accepted")
-	}
-	if _, err := Run(Config{Shards: 4, Rate: 100}); err == nil {
-		t.Fatal("neither Source nor Dataset accepted")
 	}
 }
 
@@ -122,7 +169,7 @@ func TestSourceConfigValidation(t *testing.T) {
 // transactions arrive boost× faster).
 func TestSourceBurstShapesArrivals(t *testing.T) {
 	const n, k = 12_000, 4
-	cfg := fastSourceConfig(buildSource(t, "burst", n, k), n, PlacerOptChain, k, 2000)
+	cfg := fastSourceConfig(buildSource(t, "burst", n, k), n, "OptChain", k, 2000)
 	issueDone := time.Duration(-1)
 	cfg.ProgressEvery = 100 * time.Millisecond
 	cfg.Progress = func(s Snapshot) {

@@ -28,7 +28,9 @@
 // Sources are streaming: one transaction at a time, memory proportional to
 // live state (never the stream length), so million-user-scale runs do not
 // pre-build a Dataset. Materialize converts any source into a Dataset when
-// a full stream is genuinely needed (tangen, offline tables). The full spec
+// a full stream is genuinely needed (tangen, offline tables, Metis), and
+// FromDataset streams one back, so the simulator consumes nothing but a
+// Source. The full spec
 // grammar, every knob, and the determinism guarantees are documented in
 // SCENARIOS.md at the repository root.
 package workload
@@ -240,8 +242,8 @@ type regEntry struct {
 
 // Register adds a scenario under the given case-insensitive name, making it
 // selectable everywhere a workload name is accepted: optchain.WithWorkload,
-// sim.Config, and the -workload flags of the cmd/ binaries. Registering a
-// duplicate name returns ErrDuplicateName.
+// the experiment layer's sweep cells, and the -workload flags of the cmd/
+// binaries. Registering a duplicate name returns ErrDuplicateName.
 func Register(name string, f Factory) error {
 	name = strings.TrimSpace(name)
 	if name == "" {
@@ -399,7 +401,7 @@ func ParseSpec(spec string) (name string, knobs map[string]float64, err error) {
 // Materialize drains a source into a Dataset — for tangen, the offline
 // placement tables, and round-trip tests. It caps at n transactions
 // (<= 0 drains the source); streaming consumers (Engine.PlaceWorkload,
-// sim runs with Config.Source) never call it.
+// simulation runs) never call it.
 func Materialize(src Source, n int) (*dataset.Dataset, error) {
 	if src == nil {
 		return nil, fmt.Errorf("%w: nil source", ErrBadParam)

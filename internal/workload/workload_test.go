@@ -3,9 +3,11 @@ package workload
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"optchain/internal/chain"
 	"optchain/internal/dataset"
 )
 
@@ -278,6 +280,58 @@ func TestBitcoinMatchesGenerate(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("bitcoin scenario diverges from dataset.Generate for equal seeds")
+	}
+}
+
+// TestFromDatasetReplaysExactly: the dataset adapter streams a materialized
+// dataset back unchanged — re-materializing it re-encodes byte-for-byte —
+// and hands the simulator the recorded transaction itself, so per-output
+// values that do not follow the SplitValue convention (a converted real
+// trace) survive.
+func TestFromDatasetReplaysExactly(t *testing.T) {
+	const n = 2000
+	d, err := Materialize(build(t, "hotspot", Params{N: n, Seed: 3}), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Materialize(FromDataset(d), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := d.Encode(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("Materialize(FromDataset(d)) diverges from d")
+	}
+
+	// 3000000000|1900000000 is not an even split of 4900000000.
+	uneven, _, err := dataset.ConvertCSV(strings.NewReader(
+		"txid,inputs,outputs\naa01,,5000000000\nbb02,aa01:0,3000000000|1900000000\n"), dataset.ConvertConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := FromDataset(uneven)
+	var tx Tx
+	for i := 0; i < uneven.Len(); i++ {
+		if !src.Next(&tx) {
+			t.Fatalf("stream ended at %d of %d", i, uneven.Len())
+		}
+		want := uneven.Tx(i)
+		if tx.Outputs != len(want.Outputs) || tx.Value != want.OutputSum() || len(tx.Inputs) != len(want.Inputs) {
+			t.Fatalf("tx %d: streamed %+v, recorded %+v", i, tx, want)
+		}
+		got := src.(interface{ ChainTx() *chain.Transaction }).ChainTx()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("tx %d: ChainTx = %+v, recorded %+v", i, got, want)
+		}
+	}
+	if src.Next(&tx) {
+		t.Fatal("stream outlives the dataset")
 	}
 }
 

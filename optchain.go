@@ -1,11 +1,8 @@
 package optchain
 
 import (
-	"context"
-	"fmt"
 	"io"
 
-	"optchain/internal/bench"
 	"optchain/internal/core"
 	"optchain/internal/dataset"
 	"optchain/internal/metis"
@@ -13,7 +10,6 @@ import (
 	"optchain/internal/registry"
 	"optchain/internal/shard"
 	"optchain/internal/sim"
-	"optchain/internal/simnet"
 	"optchain/internal/txgraph"
 	"optchain/internal/workload"
 )
@@ -29,24 +25,17 @@ type (
 	Placer = placement.Placer
 	// Assignment records placement decisions.
 	Assignment = placement.Assignment
-	// SimConfig parameterizes an end-to-end simulation.
-	SimConfig = sim.Config
 	// SimResult carries a simulation's metrics.
 	SimResult = sim.Result
 	// TaNGraph is the Transactions-as-Nodes network.
 	TaNGraph = txgraph.Graph
 	// Node indexes a transaction in the TaN network / stream order.
 	Node = txgraph.Node
-	// BenchParams scales the experiment harness.
-	BenchParams = bench.Params
 	// Telemetry supplies client-observable shard load estimates to the
 	// L2S model.
 	Telemetry = core.Telemetry
-	// NetConfig exposes the simulated network constants (bandwidth,
-	// propagation) used by Engine.Run / Simulate.
-	NetConfig = simnet.Config
 	// ShardConfig exposes the committee constants (block size, block wait,
-	// consensus costs) used by Engine.Run / Simulate.
+	// consensus costs) used by Engine.Run.
 	ShardConfig = shard.Config
 )
 
@@ -79,8 +68,8 @@ type (
 
 // RegisterWorkload adds a workload scenario to the open registry under the
 // given case-insensitive name, making it selectable everywhere a workload
-// name is accepted: WithWorkload, SimConfig.Source construction, and the
-// -workload flags of the cmd/ binaries.
+// name is accepted: WithWorkload, the experiment layer's sweep cells, and
+// the -workload flags of the cmd/ binaries.
 func RegisterWorkload(name string, f WorkloadFactory) error {
 	return workload.Register(name, f)
 }
@@ -166,9 +155,9 @@ type (
 
 // RegisterStrategy adds a placement strategy to the open registry under the
 // given case-insensitive name, making it selectable everywhere a strategy
-// name is accepted: WithStrategy, SimConfig.Placer, and the -strategy flag
-// of cmd/optchain-sim. Registering a duplicate or empty name returns an
-// error.
+// name is accepted: WithStrategy, the experiment layer's sweep cells, and
+// the -strategy flag of cmd/optchain-sim. Registering a duplicate or empty
+// name returns an error.
 func RegisterStrategy(name string, f StrategyFactory) error {
 	return registry.RegisterStrategy(name, f)
 }
@@ -191,40 +180,6 @@ func HasStrategy(name string) bool { return registry.HasStrategy(name) }
 
 // HasProtocol reports whether name resolves to a registered protocol.
 func HasProtocol(name string) bool { return registry.HasProtocol(name) }
-
-// Strategy names a transaction placement algorithm.
-//
-// Deprecated: strategies are identified by plain registry names now (see
-// Strategies); the typed constants remain for one release.
-type Strategy = sim.PlacerKind
-
-// The built-in placement strategies from the paper's evaluation.
-const (
-	// StrategyOptChain is the full Temporal Fitness algorithm (Alg. 1).
-	StrategyOptChain = sim.PlacerOptChain
-	// StrategyT2S is the capacity-bounded T2S-only variant (§IV-B).
-	StrategyT2S = sim.PlacerT2S
-	// StrategyRandom is OmniLedger's hash-based placement.
-	StrategyRandom = sim.PlacerRandom
-	// StrategyGreedy is the one-hop input-coverage heuristic.
-	StrategyGreedy = sim.PlacerGreedy
-	// StrategyMetis replays an offline Metis k-way partition.
-	StrategyMetis = sim.PlacerMetis
-)
-
-// Protocol names a cross-shard commit backend.
-//
-// Deprecated: protocols are identified by plain registry names now (see
-// Protocols); the typed constants remain for one release.
-type Protocol = sim.ProtocolKind
-
-// The built-in commit backends.
-const (
-	// ProtocolOmniLedger is the client-driven atomic commit of §III-A.
-	ProtocolOmniLedger = sim.ProtoOmniLedger
-	// ProtocolRapidChain is the committee-driven yanking mechanism.
-	ProtocolRapidChain = sim.ProtoRapidChain
-)
 
 // DatasetDefaults returns the generator calibration used throughout the
 // benchmarks (TaN degree statistics matching the paper's Fig. 2).
@@ -258,47 +213,6 @@ func ConvertTraceJSON(r io.Reader, cfg TraceConvertConfig) (*Dataset, int64, err
 	return dataset.ConvertJSON(r, cfg)
 }
 
-// NewPlacer constructs a standalone placement strategy over k shards for
-// dataset d, resolved through the open registry. Unknown names return an
-// error wrapping ErrUnknownStrategy (this call used to panic).
-//
-// Deprecated: prefer an Engine with WithStrategy and WithDataset; the
-// Engine adds input validation, streaming statistics, and live metrics.
-func NewPlacer(s Strategy, k int, d *Dataset) (Placer, error) {
-	if d == nil {
-		return nil, fmt.Errorf("%w: NewPlacer: nil dataset", ErrBadOption)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("%w: NewPlacer: k = %d", ErrBadShard, k)
-	}
-	return registry.NewStrategy(string(s), registry.StrategyContext{
-		K: k, N: d.Len(),
-		OutCounts: func(v txgraph.Node) int { return d.NumOutputs(int(v)) },
-	})
-}
-
-// NewOptChainPlacer builds the full Temporal Fitness placer with a live
-// latency model fed by the given telemetry (nil telemetry degenerates to
-// pure T2S placement).
-//
-// Deprecated: prefer an Engine with WithStrategy("OptChain") and
-// WithTelemetry.
-func NewOptChainPlacer(k int, d *Dataset, tel Telemetry) (Placer, error) {
-	if d == nil {
-		return nil, fmt.Errorf("%w: NewOptChainPlacer: nil dataset", ErrBadOption)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("%w: NewOptChainPlacer: k = %d", ErrBadShard, k)
-	}
-	cfg := core.OptChainConfig{K: k, N: d.Len()}
-	if tel != nil {
-		cfg.Latency = core.FastL2S{Tel: tel}
-	}
-	p := core.NewOptChain(cfg)
-	p.Scores().SetOutCounts(func(v txgraph.Node) int { return d.NumOutputs(int(v)) })
-	return p, nil
-}
-
 // StaticTelemetry is a fixed-rate Telemetry for experimentation: Comm[i]
 // and Verify[i] are shard i's λc and λv in 1/seconds.
 type StaticTelemetry = core.StaticTelemetry
@@ -314,21 +228,6 @@ func PartitionTaN(d *Dataset, k int, seed int64) ([]int32, error) {
 	return metis.PartitionKWay(xadj, adj, k, &metis.Options{Seed: seed})
 }
 
-// NewMetisPlacer replays an offline partition as a placement strategy. Out
-// of range partition entries return ErrBadShard (they used to panic deep in
-// the stream).
-func NewMetisPlacer(k int, part []int32) (Placer, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("%w: NewMetisPlacer: k = %d", ErrBadShard, k)
-	}
-	for i, s := range part {
-		if s < 0 || int(s) >= k {
-			return nil, fmt.Errorf("%w: partition[%d] = %d not in [0, %d)", ErrBadShard, i, s, k)
-		}
-	}
-	return placement.NewMetisReplay(k, part), nil
-}
-
 // NewAssignment creates an empty placement record over k shards with a
 // capacity hint of n transactions — the bookkeeping a custom strategy
 // registered via RegisterStrategy embeds to satisfy the Placer interface.
@@ -337,64 +236,3 @@ func NewAssignment(k, n int) *Assignment { return placement.NewAssignment(k, n) 
 // CumulativeFraction converts a degree histogram into cumulative fractions
 // (Fig. 2's P(deg < d) curves).
 func CumulativeFraction(hist []int64) []float64 { return txgraph.CumulativeFraction(hist) }
-
-// CrossShardFraction streams the whole dataset through the placer and
-// returns the fraction of cross-shard transactions (§IV-A definition:
-// a transaction is cross-shard iff some input lives outside its shard).
-func CrossShardFraction(d *Dataset, p Placer) float64 {
-	cc := placement.CrossCounter{}
-	var buf []txgraph.Node
-	for i := 0; i < d.Len(); i++ {
-		buf = d.InputTxNodes(i, buf)
-		s := p.Place(txgraph.Node(i), buf)
-		cc.Observe(p.Assignment(), buf, s)
-	}
-	return cc.Fraction()
-}
-
-// Simulate runs one end-to-end sharded-blockchain simulation.
-//
-// Deprecated: prefer Engine.Run, which adds cancellation, progress
-// callbacks, and live metrics; Simulate remains as a thin wrapper.
-func Simulate(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
-
-// SimulateContext runs one simulation under a context: cancellation or
-// deadline expiry aborts the run promptly with the context's error.
-func SimulateContext(ctx context.Context, cfg SimConfig) (*SimResult, error) {
-	return sim.RunContext(ctx, cfg)
-}
-
-// NewBenchHarness prepares the experiment harness that regenerates the
-// paper's tables and figures; see ExperimentNames and RunExperiment. The
-// harness wraps the public optchain/experiment Runner — programmatic
-// consumers that want sweeps-as-data (streamed typed rows, pluggable
-// reporters) should use that package directly.
-func NewBenchHarness(p BenchParams) *bench.Harness { return bench.NewHarness(p) }
-
-// ExperimentNames lists the available experiments (table1, fig3, …).
-func ExperimentNames() []string { return bench.Names() }
-
-// RunExperiment executes one named experiment, writing its report to w.
-// Cancelling ctx stops the run mid-grid; rows already rendered stay on w.
-func RunExperiment(ctx context.Context, h *bench.Harness, name string, w io.Writer) error {
-	fn, ok := bench.Experiments[name]
-	if !ok {
-		return fmt.Errorf("%w: %q (have %v)", ErrUnknownExperiment, name, bench.Names())
-	}
-	return fn(ctx, h, w)
-}
-
-// RunAllExperiments executes every experiment in canonical order under ctx.
-func RunAllExperiments(ctx context.Context, h *bench.Harness, w io.Writer) error {
-	return bench.RunAll(ctx, h, w)
-}
-
-// WriteBenchBaseline measures the hot-path micro-benchmarks (T2S score
-// maintenance, full placement, the event kernel) and one quick end-to-end
-// simulation per strategy × protocol, then writes the machine-readable
-// JSON report tracked as BENCH_baseline.json (`make bench-json`). See
-// PERFORMANCE.md for the schema and how the numbers are used. Cancelling
-// ctx aborts between cells; no partial record is written.
-func WriteBenchBaseline(ctx context.Context, h *bench.Harness, w io.Writer) error {
-	return bench.WriteBaselineJSON(ctx, h, w)
-}

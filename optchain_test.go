@@ -20,20 +20,30 @@ func smallData(t *testing.T) *optchain.Dataset {
 	return d
 }
 
-func mustPlacer(t *testing.T, s optchain.Strategy, k int, d *optchain.Dataset) optchain.Placer {
+// placeAll streams the whole dataset through a fresh engine running the
+// named strategy over k shards and returns its statistics.
+func placeAll(t *testing.T, strategy string, k int, d *optchain.Dataset, opts ...optchain.Option) optchain.PlacementStats {
 	t.Helper()
-	p, err := optchain.NewPlacer(s, k, d)
+	eng, err := optchain.New(append([]optchain.Option{
+		optchain.WithStrategy(strategy),
+		optchain.WithShards(k),
+		optchain.WithDataset(d),
+	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	st, err := eng.PlaceStream(optchain.DatasetStream(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestFacadeCrossShardOrdering(t *testing.T) {
 	d := smallData(t)
 	const k = 8
-	oc := optchain.CrossShardFraction(d, mustPlacer(t, optchain.StrategyOptChain, k, d))
-	rnd := optchain.CrossShardFraction(d, mustPlacer(t, optchain.StrategyRandom, k, d))
+	oc := placeAll(t, "OptChain", k, d).CrossFraction
+	rnd := placeAll(t, "OmniLedger", k, d).CrossFraction
 	if oc >= rnd {
 		t.Fatalf("OptChain %.3f not below random %.3f", oc, rnd)
 	}
@@ -44,31 +54,32 @@ func TestFacadeCrossShardOrdering(t *testing.T) {
 
 func TestFacadeAllStrategiesConstruct(t *testing.T) {
 	d := smallData(t)
-	for _, s := range []optchain.Strategy{
-		optchain.StrategyOptChain, optchain.StrategyT2S,
-		optchain.StrategyRandom, optchain.StrategyGreedy,
-	} {
-		p := mustPlacer(t, s, 4, d)
-		if got := optchain.CrossShardFraction(d, p); got < 0 || got > 1 {
-			t.Fatalf("%s cross fraction %v", s, got)
+	for _, s := range []string{"OptChain", "T2S", "OmniLedger", "Greedy"} {
+		st := placeAll(t, s, 4, d)
+		if st.Placed != d.Len() || st.CrossFraction < 0 || st.CrossFraction > 1 {
+			t.Fatalf("%s: placed %d of %d, cross fraction %v", s, st.Placed, d.Len(), st.CrossFraction)
 		}
 	}
 }
 
 func TestFacadeNewPlacerErrors(t *testing.T) {
 	d := smallData(t)
-	if _, err := optchain.NewPlacer("nope", 4, d); !errors.Is(err, optchain.ErrUnknownStrategy) {
+	if _, err := optchain.New(optchain.WithStrategy("nope"), optchain.WithDataset(d)); !errors.Is(err, optchain.ErrUnknownStrategy) {
 		t.Fatalf("unknown strategy error = %v", err)
 	}
-	if _, err := optchain.NewPlacer(optchain.StrategyOptChain, 0, d); !errors.Is(err, optchain.ErrBadShard) {
+	if _, err := optchain.New(optchain.WithShards(0), optchain.WithDataset(d)); !errors.Is(err, optchain.ErrBadOption) {
 		t.Fatalf("k=0 error = %v", err)
 	}
-	if _, err := optchain.NewPlacer(optchain.StrategyOptChain, 4, nil); err == nil {
-		t.Fatal("nil dataset accepted")
+	if _, err := optchain.New(optchain.WithDataset(nil)); !errors.Is(err, optchain.ErrBadOption) {
+		t.Fatalf("nil dataset error = %v", err)
 	}
-	// Metis without a partition is constructible only through the Engine
-	// (which computes one) — the bare constructor must error, not panic.
-	if _, err := optchain.NewPlacer(optchain.StrategyMetis, 4, d); err == nil {
+	// Metis without a partition is runnable only through Engine.Run (which
+	// computes one) — streaming placement must error, not panic.
+	eng, err := optchain.New(optchain.WithStrategy("Metis"), optchain.WithShards(4), optchain.WithDataset(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Place(optchain.StreamTx{Outputs: 1}); err == nil {
 		t.Fatal("Metis without partition accepted")
 	}
 }
@@ -82,35 +93,34 @@ func TestFacadeMetisPartition(t *testing.T) {
 	if len(part) != d.Len() {
 		t.Fatalf("partition covers %d of %d", len(part), d.Len())
 	}
-	p, err := optchain.NewMetisPlacer(4, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac := optchain.CrossShardFraction(d, p)
-	if frac > 0.5 {
+	if frac := placeAll(t, "Metis", 4, d, optchain.WithMetisPartition(part)).CrossFraction; frac > 0.5 {
 		t.Fatalf("metis cross fraction %.3f too high", frac)
 	}
 }
 
 func TestFacadeMetisPlacerRejectsBadPartition(t *testing.T) {
-	if _, err := optchain.NewMetisPlacer(4, []int32{0, 1, 9}); !errors.Is(err, optchain.ErrBadShard) {
+	if _, err := optchain.New(optchain.WithStrategy("Metis"), optchain.WithShards(4),
+		optchain.WithMetisPartition([]int32{0, 1, 9})); !errors.Is(err, optchain.ErrBadShard) {
 		t.Fatalf("out-of-range partition error = %v", err)
 	}
-	if _, err := optchain.NewMetisPlacer(0, []int32{0}); !errors.Is(err, optchain.ErrBadShard) {
-		t.Fatalf("k=0 error = %v", err)
+	if _, err := optchain.New(optchain.WithStrategy("Metis"),
+		optchain.WithMetisPartition([]int32{0, -1})); !errors.Is(err, optchain.ErrBadShard) {
+		t.Fatalf("negative partition entry error = %v", err)
 	}
 }
 
 func TestFacadeSimulate(t *testing.T) {
 	d := smallData(t)
-	res, err := optchain.Simulate(optchain.SimConfig{
-		Dataset:    d,
-		Shards:     4,
-		Validators: 8,
-		Rate:       1000,
-		Placer:     optchain.StrategyOptChain,
-		Protocol:   optchain.ProtocolOmniLedger,
-	})
+	eng, err := optchain.New(
+		optchain.WithDataset(d),
+		optchain.WithShards(4),
+		optchain.WithValidators(8),
+		optchain.WithRate(1000),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +135,7 @@ func TestFacadeTelemetryPlacer(t *testing.T) {
 		Comm:   []float64{10, 10},
 		Verify: []float64{1, 0.01}, // shard 1 is slow
 	}
-	p, err := optchain.NewOptChainPlacer(2, d, tel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optchain.CrossShardFraction(d, p)
-	counts := p.Assignment().Counts()
+	counts := placeAll(t, "OptChain", 2, d, optchain.WithTelemetry(tel)).ShardCounts
 	if counts[1] >= counts[0] {
 		t.Fatalf("slow shard got %d of %d placements", counts[1], counts[0]+counts[1])
 	}
@@ -148,23 +153,5 @@ func TestFacadeDatasetRoundTrip(t *testing.T) {
 	}
 	if got.Len() != d.Len() {
 		t.Fatalf("round trip %d != %d", got.Len(), d.Len())
-	}
-}
-
-func TestFacadeExperiments(t *testing.T) {
-	names := optchain.ExperimentNames()
-	if len(names) == 0 {
-		t.Fatal("no experiments")
-	}
-	h := optchain.NewBenchHarness(optchain.BenchParams{Quick: true, N: 3000, TableN: 10000})
-	var buf bytes.Buffer
-	if err := optchain.RunExperiment(context.Background(), h, "fig2", &buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("fig2 produced no output")
-	}
-	if err := optchain.RunExperiment(context.Background(), h, "nope", &buf); err == nil {
-		t.Fatal("unknown experiment accepted")
 	}
 }
