@@ -88,12 +88,16 @@ scenario-smoke:
 	$(GO) run ./cmd/optchain-sim -workload "replay:smoke-replay.tan,mod=(burst:boost=4)" -txs 3000 -validators 8
 	rm -f smoke-replay.tan
 
-# Short fuzz passes: the dataset decoder (panic-safety + round-trip) and
-# the quality-gate row decoders (DecodeRows and the row-cache loader must
-# reject arbitrary bytes with ErrBadCache, never panic).
+# Short fuzz passes: the dataset decoder (panic-safety + round-trip), the
+# quality-gate row decoders (DecodeRows and the row-cache loader must
+# reject arbitrary bytes with ErrBadCache, never panic) and the gateway's
+# line codec against its oracle (the request scanner takes a line only as
+# json.Unmarshal would, the response encoder writes json.Encoder's bytes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzDiffRows -fuzztime 10s ./experiment
+	$(GO) test -run '^$$' -fuzz FuzzRequestLine -fuzztime 10s ./serve
+	$(GO) test -run '^$$' -fuzz FuzzResponseLine -fuzztime 10s ./serve
 
 # Tiny 2x2 streaming sweep through the JSONL reporter, validated with the
 # sweepcheck checker: the experiment layer's data path (streamed cells,

@@ -52,8 +52,8 @@ func run() error {
 		batch       = flag.Int("batch", 0, "engine batch size for parallel placement (0 = default)")
 		streamCap   = flag.Int("stream-cap", 1_000_000, "stream capacity hint (sizes per-shard budgets)")
 		seed        = flag.Int64("seed", 1, "engine seed")
-		queue       = flag.Int("queue", serve.DefaultQueueDepth, "ingest queue depth (admission-control bound)")
-		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max requests coalesced per engine batch")
+		queue       = flag.Int("queue", serve.DefaultQueueDepth, "ingest queue depth in request lines (admission-control bound)")
+		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max request lines per engine batch, and per window of a request body")
 		retryAfter  = flag.Duration("retry-after", serve.DefaultRetryAfter, "backoff advertised on 429 responses")
 		statePath   = flag.String("state", "", "state file: restore on start, snapshot periodically and on shutdown")
 		snapEvery   = flag.Duration("snapshot-every", serve.DefaultSnapshotEvery, "periodic snapshot cadence (needs -state)")

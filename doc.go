@@ -163,8 +163,10 @@
 // (ErrBadSnapshot / ErrSnapshotUnsupported report damage and
 // non-snapshottable strategies). The sibling package optchain/serve
 // builds the placement-router deployment on top: an HTTP gateway
-// (cmd/optchain-serve) with request coalescing into PlaceBatch, bounded
-// admission (429 + Retry-After), Prometheus /metrics, and periodic atomic
+// (cmd/optchain-serve) that places a request body a window at a time —
+// on the caller's goroutine when idle, else coalesced across clients into
+// PlaceBatch calls through a bounded queue — with line-counted admission
+// (429 + Retry-After), Prometheus /metrics, and periodic atomic
 // snapshots restored on restart — see PERFORMANCE.md's
 // "Serving placement".
 //

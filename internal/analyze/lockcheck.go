@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -10,8 +11,10 @@ import (
 // "// guarded by <mu>": every read or write of such a field must happen in
 // a scope that holds that mutex. Holding is tracked intra-procedurally with
 // a block-structured scan: <x>.mu.Lock() acquires, <x>.mu.Unlock() releases,
-// defer <x>.mu.Unlock() holds to function end, and a branch that unlocks and
-// returns does not release the fall-through path. Functions (or function
+// defer <x>.mu.Unlock() holds to function end, a branch that unlocks and
+// returns does not release the fall-through path, and an if on
+// <x>.mu.TryLock() holds the mutex where the call returned true (the body,
+// or with "!" the else branch and the path past a body that returns). Functions (or function
 // literals) whose contract is "caller holds the mutex" carry
 // //optchain:locked and are exempt; so are accesses through values the
 // function itself just constructed (not yet shared).
@@ -167,6 +170,32 @@ func (c *lockChecker) mutexOp(call *ast.CallExpr) (types.Object, string) {
 	return s.Obj(), method
 }
 
+// tryLocked marks the mutexes an if condition acquired with TryLock: in
+// onTrue those locked whenever cond is true (the call itself, or a conjunct
+// of &&), in onFalse those locked whenever it is false (the negated call,
+// or a disjunct of ||).
+func (c *lockChecker) tryLocked(cond ast.Expr, onTrue, onFalse objSet) {
+	switch e := ast.Unparen(cond).(type) {
+	case *ast.CallExpr:
+		if mu, method := c.mutexOp(e); method == "TryLock" {
+			onTrue[mu] = true
+		}
+	case *ast.UnaryExpr:
+		if e.Op == token.NOT {
+			c.tryLocked(e.X, onFalse, onTrue)
+		}
+	case *ast.BinaryExpr:
+		switch e.Op {
+		case token.LAND:
+			c.tryLocked(e.X, onTrue, newObjSet())
+			c.tryLocked(e.Y, onTrue, newObjSet())
+		case token.LOR:
+			c.tryLocked(e.X, newObjSet(), onFalse)
+			c.tryLocked(e.Y, newObjSet(), onFalse)
+		}
+	}
+}
+
 // scanBlock walks statements in order, threading the held-set. Returns true
 // when the block terminates (return/panic/goto): its lock-state changes then
 // never reach the code after the enclosing branch.
@@ -233,8 +262,9 @@ func (c *lockChecker) scanStmt(s ast.Stmt, held objSet) bool {
 		}
 		c.checkAccessesExpr(s.Cond, held)
 		bodyHeld := held.clone()
-		bodyTerm := c.scanBlock(s.Body, bodyHeld)
 		elseHeld := held.clone()
+		c.tryLocked(s.Cond, bodyHeld, elseHeld)
+		bodyTerm := c.scanBlock(s.Body, bodyHeld)
 		elseTerm := false
 		if s.Else != nil {
 			elseTerm = c.scanStmt(s.Else, elseHeld)

@@ -1,8 +1,8 @@
 // Package corpus exercises the lockcheck analyzer: "// guarded by <mu>"
 // fields must be accessed only while the named mutex is held, with the
 // lock-state scan understanding defer, early-return unlock branches,
-// constructors of not-yet-shared values, goroutines, and the
-// //optchain:locked caller-holds-the-lock contract.
+// constructors of not-yet-shared values, goroutines, TryLock conditions,
+// and the //optchain:locked caller-holds-the-lock contract.
 package corpus
 
 import "sync"
@@ -61,6 +61,24 @@ func (c *counter) AfterUnlock() int {
 	c.mu.Lock()
 	c.mu.Unlock()
 	return c.n // want "counter.AfterUnlock accesses c.n without holding mu"
+}
+
+// An if on TryLock holds the mutex exactly where the call returned true.
+func (c *counter) TryAdd(d int) bool {
+	if d != 0 && c.mu.TryLock() {
+		c.n += d
+		c.mu.Unlock()
+		return true
+	}
+	return c.n == 0 // want "counter.TryAdd accesses c.n without holding mu"
+}
+
+func (c *counter) TryGet() (int, bool) {
+	if !c.mu.TryLock() {
+		return c.n, false // want "counter.TryGet accesses c.n without holding mu"
+	}
+	defer c.mu.Unlock()
+	return c.n, true // the branch that lost the race returned
 }
 
 // addLocked is the documented caller-holds-the-lock contract.

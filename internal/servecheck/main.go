@@ -14,7 +14,7 @@
 //     whose parents name first-half ids — again matching the reference,
 //     proving decision continuity across the restart.
 //
-// It prints the tail of the enqueue-to-decision latency histogram (p50,
+// It prints the tail of the admission-to-decision latency histogram (p50,
 // p95, p99) so CI logs carry the serving-path numbers quoted in
 // PERFORMANCE.md.
 //
@@ -169,7 +169,7 @@ func run() error {
 
 	fmt.Printf("servecheck OK: %d txs over HTTP (%s, %d shards), restart restored %d placements, cross fraction %.3f\n",
 		*n, *spec, *shards, half, bStats.CrossFraction)
-	fmt.Printf("servecheck latency (enqueue to decision): p50 %s  p95 %s  p99 %s\n",
+	fmt.Printf("servecheck latency (admission to decision): p50 %s  p95 %s  p99 %s\n",
 		fmtSeconds(p50), fmtSeconds(p95), fmtSeconds(p99))
 	return nil
 }

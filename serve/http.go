@@ -1,29 +1,15 @@
 package serve
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 )
-
-// Maximum accepted length of one JSON request line.
-const maxLineBytes = 1 << 20
-
-// lineResult is one response line of the /v1/place stream. Successful lines
-// carry index and shard; failed lines carry the error, an HTTP-equivalent
-// code, and — for code 429 — the advertised backoff.
-type lineResult struct {
-	ID           string `json:"id,omitempty"`
-	Index        int    `json:"index"`
-	Shard        int    `json:"shard"`
-	Error        string `json:"error,omitempty"`
-	Code         int    `json:"code,omitempty"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
 
 // Handler returns the server's HTTP API:
 //
@@ -53,150 +39,174 @@ func errCode(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrBadConfig):
 		return http.StatusConflict
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
 	default:
 		return http.StatusBadRequest
 	}
 }
 
-// lineSlot is one request line's place in the response stream: either an
-// admitted request awaiting its decision or an already-known result
-// (admission rejection, malformed line). Keeping both in one ordered slice
-// guarantees response lines come out in request order even when failures
-// and in-flight placements interleave.
-type lineSlot struct {
-	p   *pending
-	res lineResult
+// scratch is what one /v1/place request works in: the body's line reader,
+// the window being decoded, the window's unit when it has to queue, and the
+// response buffer. Pooled, so a request allocates none of it.
+type scratch struct {
+	lr  lineReader
+	win window
+	u   *unit
+	out []byte
 }
 
+var scratchPool = sync.Pool{New: func() any { return &scratch{u: newUnit()} }}
+
 // handlePlace streams placement decisions for a JSON-lines request body.
-// Lines are admitted in order; up to MaxBatch admissions are in flight
-// before the handler starts collecting their decisions, so a single
-// connection feeds full batches to the dispatcher. Admission rejections
-// (queue full) fail only the rejected line — the client retries it after
-// Retry-After — while body-level defects (oversized line, malformed JSON)
-// fail that line with code 400.
+// Lines are decoded in order into windows of up to MaxBatch; each window is
+// admitted and placed as one unit and answered with one write, so a single
+// connection feeds full batches to the engine. Admission rejections (queue
+// full) fail only the lines the queue had no room for, the tail of the
+// window — the client retries them after Retry-After — while body-level
+// defects (oversized line, malformed JSON) fail that line with code 400.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
-	// The HTTP/1 server is half-duplex by default: writing the response
-	// aborts the unread request body, truncating long streams mid-line.
-	// Placement is a pipeline — decisions stream back while later lines are
-	// still arriving — so full duplex is required (a no-op on HTTP/2).
-	_ = http.NewResponseController(w).EnableFullDuplex()
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), maxLineBytes)
-	enc := json.NewEncoder(w)
+	sc := scratchPool.Get().(*scratch)
+	sc.lr.reset(r.Body)
+	win := &sc.win
 	flusher, _ := w.(http.Flusher)
-
-	window := s.cfg.MaxBatch
-	if window < 1 {
-		window = 1
-	}
 	var (
-		slots  []lineSlot
-		total  int
-		wrote  bool
-		status = http.StatusOK
+		total     int
+		wrote     bool
+		duplex    bool
+		abandoned bool
+		status    = http.StatusOK
 	)
-	flushWindow := func() {
-		for _, sl := range slots {
-			res := sl.res
-			if sl.p != nil {
-				res = s.await(ctx, sl.p)
+	defer func() {
+		s.met.http(status)
+		if !abandoned {
+			sc.lr.reset(nil)
+			win.reset()
+			scratchPool.Put(sc)
+		}
+	}()
+	// flush places the window and writes its response lines. It reports
+	// false when the request is over: the client is gone, or the wait for
+	// the dispatcher was abandoned and the window is still in its hands.
+	flush := func() bool {
+		if !duplex && sc.lr.err == nil {
+			// The HTTP/1 server is half-duplex by default: writing the
+			// response aborts the unread request body, truncating long
+			// streams mid-line. Placement is a pipeline — decisions stream
+			// back while later windows are still arriving — so a body that
+			// goes on needs full duplex (a no-op on HTTP/2).
+			_ = http.NewResponseController(w).EnableFullDuplex()
+			duplex = true
+		}
+		out, err := sc.out[:0], s.placeWindow(ctx, sc)
+		abandoned = err != nil
+		for i := range win.reqs {
+			res, lineErr := lineResult{ID: win.reqs[i].ID}, err
+			if !abandoned {
+				lineErr = win.res[i].err
+			}
+			if lineErr != nil {
+				res.Error, res.Code = lineErr.Error(), errCode(lineErr)
+				if res.Code == http.StatusTooManyRequests {
+					res.RetryAfterMS = s.cfg.RetryAfter.Milliseconds()
+				}
+			} else {
+				res.Index, res.Shard = win.res[i].index, win.res[i].shard
 			}
 			if total == 1 && res.Code != 0 && !wrote {
 				// A single-request body maps its outcome onto the HTTP status
 				// so plain callers need not parse error lines.
 				status = res.Code
 				if status == http.StatusTooManyRequests {
-					w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.RetryAfter)))
+					w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 				}
 				w.WriteHeader(status)
 			}
 			wrote = true
-			_ = enc.Encode(res)
+			out = appendLine(out, res)
 		}
-		slots = slots[:0]
+		sc.out = out
+		_, werr := w.Write(out)
 		if flusher != nil {
 			flusher.Flush()
 		}
+		if abandoned || werr != nil || ctx.Err() != nil {
+			return false
+		}
+		win.reset()
+		return true
 	}
 
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(trimSpace(line)) == 0 {
+	for {
+		line, tooLong, ok := sc.lr.next()
+		if !ok {
+			break
+		}
+		if !tooLong && skipSpace(line, 0) == len(line) {
 			continue
 		}
 		total++
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			slots = append(slots, lineSlot{res: lineResult{
-				Error: fmt.Sprintf("bad request line %d: %v", total, err),
-				Code:  http.StatusBadRequest,
-			}})
-			s.met.invalid()
+		var err error
+		if tooLong {
+			err = fmt.Errorf("longer than %d bytes", maxLineBytes)
 		} else {
-			p := &pending{ctx: ctx, req: req, enqueued: time.Now(), done: make(chan placeOutcome, 1)}
-			if err := s.enqueue(p); err != nil {
-				res := lineResult{ID: req.ID, Error: err.Error(), Code: errCode(err)}
-				if res.Code == http.StatusTooManyRequests {
-					res.RetryAfterMS = s.cfg.RetryAfter.Milliseconds()
-				}
-				slots = append(slots, lineSlot{res: res})
-			} else {
-				slots = append(slots, lineSlot{p: p})
-			}
+			err = win.decode(line)
 		}
-		if len(slots) >= window {
-			flushWindow()
-			if ctx.Err() != nil {
-				s.met.http(status)
-				return
-			}
+		if err != nil {
+			win.fail(fmt.Errorf("bad request line %d: %v", total, err))
+			s.met.invalid(1)
+		}
+		if len(win.reqs) >= s.cfg.MaxBatch && !flush() {
+			return
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.lr.err; err != io.EOF {
 		total++
-		slots = append(slots, lineSlot{res: lineResult{
-			Error: fmt.Sprintf("read body: %v", err),
-			Code:  http.StatusBadRequest,
-		}})
+		win.fail(fmt.Errorf("read body: %v", err))
 	}
 	if total == 0 {
-		http.Error(w, "serve: empty request body (want one JSON object per line)", http.StatusBadRequest)
-		s.met.http(http.StatusBadRequest)
+		status = http.StatusBadRequest
+		http.Error(w, "serve: empty request body (want one JSON object per line)", status)
 		return
 	}
-	if len(slots) > 0 {
-		flushWindow()
+	if len(win.reqs) > 0 {
+		flush()
 	}
-	s.met.http(status)
 }
 
-// await collects one admitted request's decision, honoring the request
-// context and server shutdown.
-func (s *Server) await(ctx context.Context, p *pending) lineResult {
-	select {
-	case o := <-p.done:
-		return outcomeLine(p.req.ID, o)
-	case <-s.dead:
-		select {
-		case o := <-p.done:
-			return outcomeLine(p.req.ID, o)
-		default:
-			return lineResult{ID: p.req.ID, Error: ErrServerClosed.Error(), Code: http.StatusServiceUnavailable}
+// placeWindow gets every line of sc's window its answer in win.res: placed
+// by this goroutine on an idle server, else admitted to the queue as one
+// unit — the prefix the queue has room for, the lines behind it rejected —
+// and awaited. It fails when the wait was abandoned (see await); the
+// window then still belongs to the dispatcher and no line of win.res may be
+// read.
+func (s *Server) placeWindow(ctx context.Context, sc *scratch) error {
+	win, t0 := &sc.win, s.clock()
+	placed, err := s.placeIdle(ctx, win.reqs, win.res, t0)
+	if placed {
+		return nil
+	}
+	admitted := 0
+	if err == nil {
+		u := sc.u
+		u.ctx, u.reqs, u.res, u.t0 = ctx, win.reqs, win.res, t0
+		admitted, err = s.enqueue(u)
+	}
+	rejected := 0
+	for i := admitted; i < len(win.res); i++ {
+		if o := &win.res[i]; o.err == nil {
+			o.err = err
+			rejected++
 		}
-	case <-ctx.Done():
-		// The dispatcher sees the same expired context and drops the
-		// request before placement; report the deadline to the client.
-		return lineResult{ID: p.req.ID, Error: ctx.Err().Error(), Code: http.StatusGatewayTimeout}
 	}
-}
-
-func outcomeLine(id string, o placeOutcome) lineResult {
-	if o.err != nil {
-		return lineResult{ID: id, Error: o.err.Error(), Code: errCode(o.err)}
+	if errors.Is(err, ErrQueueFull) {
+		s.met.reject(rejected)
 	}
-	return lineResult{ID: id, Index: o.index, Shard: o.shard}
+	if admitted == 0 {
+		return nil
+	}
+	return s.await(ctx, sc.u)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -242,15 +252,4 @@ func retryAfterSeconds(d time.Duration) int {
 		sec = 1
 	}
 	return sec
-}
-
-// trimSpace trims ASCII whitespace without allocating.
-func trimSpace(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r' || b[0] == '\n') {
-		b = b[1:]
-	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t' || b[len(b)-1] == '\r' || b[len(b)-1] == '\n') {
-		b = b[:len(b)-1]
-	}
-	return b
 }

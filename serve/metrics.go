@@ -23,10 +23,10 @@ var latencyBuckets = []float64{
 type metrics struct {
 	mu         sync.Mutex
 	httpByCode map[int]int64 // guarded by mu — HTTP responses by status code
-	placed     int64         // guarded by mu — requests answered with a decision
-	rejected   int64         // guarded by mu — admission-control rejections (429)
-	expired    int64         // guarded by mu — requests whose context expired while queued
-	invalids   int64         // guarded by mu — malformed / unresolvable requests
+	placed     int64         // guarded by mu — lines answered with a decision
+	rejected   int64         // guarded by mu — lines refused by admission control (429)
+	expired    int64         // guarded by mu — lines whose context expired while queued
+	invalids   int64         // guarded by mu — malformed / unresolvable lines
 	batches    int64         // guarded by mu — PlaceBatch calls issued
 	batchedTxs int64         // guarded by mu — transactions placed across all batches
 	latCounts  []int64       // guarded by mu — histogram bucket counts (+Inf last)
@@ -49,31 +49,33 @@ func (m *metrics) http(code int) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) place(lat time.Duration) {
+// place observes one answered unit: n lines, each decided lat after the unit
+// was admitted (one histogram update of weight n).
+func (m *metrics) place(n int, lat time.Duration) {
 	sec := lat.Seconds()
-	m.mu.Lock()
-	m.placed++
 	i := sort.SearchFloat64s(latencyBuckets, sec)
-	m.latCounts[i]++
-	m.latSum += sec
+	m.mu.Lock()
+	m.placed += int64(n)
+	m.latCounts[i] += int64(n)
+	m.latSum += sec * float64(n)
 	m.mu.Unlock()
 }
 
-func (m *metrics) reject() {
+func (m *metrics) reject(lines int) {
 	m.mu.Lock()
-	m.rejected++
+	m.rejected += int64(lines)
 	m.mu.Unlock()
 }
 
-func (m *metrics) expire() {
+func (m *metrics) expire(lines int) {
 	m.mu.Lock()
-	m.expired++
+	m.expired += int64(lines)
 	m.mu.Unlock()
 }
 
-func (m *metrics) invalid() {
+func (m *metrics) invalid(lines int) {
 	m.mu.Lock()
-	m.invalids++
+	m.invalids += int64(lines)
 	m.mu.Unlock()
 }
 
@@ -167,10 +169,10 @@ func (m *metrics) writeTo(w io.Writer, eng *optchain.Engine, queueDepth, queueCa
 	line("optchain_engine_cross_chunk_refs_total %d\n", st.CrossChunkRefs)
 
 	m.mu.Lock()
-	line("# HELP optchain_serve_queue_depth Requests currently waiting in the ingest queue.\n")
+	line("# HELP optchain_serve_queue_depth Request lines currently waiting in the ingest queue.\n")
 	line("# TYPE optchain_serve_queue_depth gauge\n")
 	line("optchain_serve_queue_depth %d\n", queueDepth)
-	line("# HELP optchain_serve_queue_capacity Ingest queue capacity (admission-control bound).\n")
+	line("# HELP optchain_serve_queue_capacity Ingest queue capacity in lines (admission-control bound).\n")
 	line("# TYPE optchain_serve_queue_capacity gauge\n")
 	line("optchain_serve_queue_capacity %d\n", queueCap)
 	line("# HELP optchain_serve_requests_total HTTP responses by status code.\n")
@@ -189,13 +191,13 @@ func (m *metrics) writeTo(w io.Writer, eng *optchain.Engine, queueDepth, queueCa
 	line("optchain_serve_lines_total{outcome=\"rejected\"} %d\n", m.rejected)
 	line("optchain_serve_lines_total{outcome=\"expired\"} %d\n", m.expired)
 	line("optchain_serve_lines_total{outcome=\"invalid\"} %d\n", m.invalids)
-	line("# HELP optchain_serve_batches_total PlaceBatch calls issued by the dispatcher.\n")
+	line("# HELP optchain_serve_batches_total PlaceBatch calls issued by the server.\n")
 	line("# TYPE optchain_serve_batches_total counter\n")
 	line("optchain_serve_batches_total %d\n", m.batches)
-	line("# HELP optchain_serve_batched_txs_total Transactions placed across all dispatcher batches.\n")
+	line("# HELP optchain_serve_batched_txs_total Transactions placed across all batches.\n")
 	line("# TYPE optchain_serve_batched_txs_total counter\n")
 	line("optchain_serve_batched_txs_total %d\n", m.batchedTxs)
-	line("# HELP optchain_serve_place_latency_seconds Enqueue-to-decision latency.\n")
+	line("# HELP optchain_serve_place_latency_seconds Admission-to-decision latency per line.\n")
 	line("# TYPE optchain_serve_place_latency_seconds histogram\n")
 	var cum int64
 	for i, bound := range latencyBuckets {

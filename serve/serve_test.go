@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -76,8 +77,14 @@ func postLines(t *testing.T, ts *httptest.Server, lines []string) (*http.Respons
 		t.Fatalf("POST /v1/place: %v", err)
 	}
 	defer resp.Body.Close()
+	return resp, decodeLines(t, resp.Body)
+}
+
+// decodeLines decodes a /v1/place response body line by line.
+func decodeLines(t *testing.T, body io.Reader) []resLine {
+	t.Helper()
 	var out []resLine
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
@@ -85,14 +92,15 @@ func postLines(t *testing.T, ts *httptest.Server, lines []string) (*http.Respons
 		}
 		var r resLine
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			t.Fatalf("bad response line %q: %v", sc.Text(), err)
+			t.Errorf("bad response line %q: %v", sc.Text(), err)
+			return out
 		}
 		out = append(out, r)
 	}
 	if err := sc.Err(); err != nil {
-		t.Fatalf("read response: %v", err)
+		t.Errorf("read response: %v", err)
 	}
-	return resp, out
+	return out
 }
 
 // reqLine renders one placement request as a JSON line.

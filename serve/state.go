@@ -32,8 +32,10 @@ const stateMaxBytes = 1 << 30
 
 // saveState writes the server's state (id map + engine snapshot) to
 // cfg.StatePath atomically: a temp file in the same directory, fsync, then
-// rename. Called only from the dispatcher goroutine or after it has been
-// joined, so the id map and the engine's batch boundary are consistent.
+// rename. The caller holds the engine-owner lock, so the id map and the
+// engine are at the same unit boundary.
+//
+//optchain:locked s.own held by Snapshot/Close.
 func (s *Server) saveState() error {
 	var buf bytes.Buffer
 	buf.WriteString(stateMagic)
@@ -114,6 +116,8 @@ func writeFileAtomic(path string, data []byte) error {
 // engine. Called from New before any goroutine starts; a missing file is
 // not an error (cold start), anything else defective fails with ErrBadState
 // so a corrupt file cannot silently cold-start a router mid-stream.
+//
+//optchain:locked called by New before the server is shared.
 func (s *Server) loadState(path string) error {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
