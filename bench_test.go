@@ -9,6 +9,7 @@ package optchain_test
 import (
 	"context"
 	"io"
+	"runtime"
 	"testing"
 
 	"optchain/internal/bench"
@@ -246,6 +247,9 @@ func BenchmarkL2SQuadrature(b *testing.B) {
 // cost behind every figure sweep cell.
 func BenchmarkSimEndToEnd(b *testing.B) {
 	d := benchDataset(b, 10_000)
+	var events uint64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(sim.Config{
@@ -262,6 +266,12 @@ func BenchmarkSimEndToEnd(b *testing.B) {
 		if res.Committed != d.Len() {
 			b.Fatalf("committed %d of %d", res.Committed, d.Len())
 		}
+		events += res.Events
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	txs := float64(b.N * d.Len())
 	b.ReportMetric(float64(d.Len()), "tx/op")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/txs, "allocs/tx")
+	b.ReportMetric(float64(events)/txs, "events/tx")
 }

@@ -3,6 +3,7 @@ package chain
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -149,9 +150,20 @@ func TestLedgerAbortReleasesLocks(t *testing.T) {
 	if err := l.Lock(2, op); err != nil {
 		t.Fatal(err)
 	}
+	// The ledger holds states by value: each transition below is visible
+	// only if it was written back to the map.
+	if l.HasUTXO(op[0]) {
+		t.Fatal("locked outpoint reads as unlocked")
+	}
 	l.Abort(2, op)
+	if v, ok := l.OutputValue(op[0]); !l.HasUTXO(op[0]) || !ok || v != 100 {
+		t.Fatalf("after abort: unlocked=%v live=%v value=%d", l.HasUTXO(op[0]), ok, v)
+	}
 	if err := l.Lock(3, op); err != nil {
-		t.Fatalf("lock after abort: %v", err)
+		t.Fatalf("lock by another spender after abort: %v", err)
+	}
+	if err := l.SpendLocked(2, op); !errors.Is(err, ErrNotLocked) {
+		t.Fatalf("aborted spender still holds the lock: %v", err)
 	}
 	// Abort by a non-holder must not release.
 	l.Abort(2, op)
@@ -272,5 +284,43 @@ func TestLedgerStatsCounters(t *testing.T) {
 	locks, aborts, commits := l.Stats()
 	if locks != 1 || aborts != 1 || commits != 1 {
 		t.Fatalf("stats = %d/%d/%d", locks, aborts, commits)
+	}
+}
+
+func TestGrouperSplit(t *testing.T) {
+	home := map[TxID]int{1: 0, 2: 1, 3: 0, 4: 2}
+	g := Grouper{Locate: func(id TxID) int { return home[id] }}
+	op := func(tx TxID, idx uint32) Outpoint { return Outpoint{Tx: tx, Index: idx} }
+
+	same := mkTx(9, []Outpoint{op(1, 0), op(3, 1)}, 5)
+	if got := g.Split(same, 0); got != nil {
+		t.Fatalf("same-shard split = %v, want nil", got)
+	}
+	if got := g.Split(mkTx(9, nil, 5), 0); got != nil {
+		t.Fatalf("coinbase split = %v, want nil", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { g.Split(same, 0) }); n != 0 {
+		t.Fatalf("same-shard split allocates %v times", n)
+	}
+
+	// One foreign shard is already cross-shard; groups come in
+	// first-appearance order with their outpoints in input order.
+	if got := g.Split(same, 1); len(got) != 1 || got[0].Shard != 0 || len(got[0].Ops) != 2 {
+		t.Fatalf("single foreign group = %v", got)
+	}
+	cross := mkTx(9, []Outpoint{op(2, 0), op(1, 0), op(4, 0), op(2, 1), op(3, 0)}, 5)
+	got := g.Split(cross, 0)
+	want := []InputGroup{
+		{Shard: 1, Ops: []Outpoint{op(2, 0), op(2, 1)}},
+		{Shard: 0, Ops: []Outpoint{op(1, 0), op(3, 0)}},
+		{Shard: 2, Ops: []Outpoint{op(4, 0)}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("groups = %v, want %v", got, want)
+	}
+	// The groups share one array but cannot grow into each other.
+	_ = append(got[0].Ops, op(7, 7))
+	if got[1].Ops[0] != op(1, 0) {
+		t.Fatal("appending to one group overwrote the next")
 	}
 }

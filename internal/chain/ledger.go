@@ -19,7 +19,9 @@ var (
 )
 
 // utxoState tracks one unspent output and, transiently, the cross-shard lock
-// holding it.
+// holding it. The ledger keeps it by value: a map without pointers in key or
+// element is one the garbage collector does not scan, and an output costs no
+// allocation of its own. Whoever changes a state writes it back.
 type utxoState struct {
 	value    int64
 	lockedBy TxID // 0 when unlocked; valid TxIDs are >= 1 in this codebase
@@ -34,7 +36,7 @@ type utxoState struct {
 // each shard's events run on a single logical timeline.
 type Ledger struct {
 	shard     int
-	utxos     map[Outpoint]*utxoState
+	utxos     map[Outpoint]utxoState
 	committed map[TxID]struct{}
 	height    int
 
@@ -51,7 +53,7 @@ type Ledger struct {
 func NewLedger(shard int) *Ledger {
 	return &Ledger{
 		shard:        shard,
-		utxos:        make(map[Outpoint]*utxoState),
+		utxos:        make(map[Outpoint]utxoState),
 		committed:    make(map[TxID]struct{}),
 		pendingSpend: make(map[Outpoint]TxID),
 	}
@@ -98,6 +100,7 @@ func (l *Ledger) Lock(spender TxID, ops []Outpoint) error {
 		switch st.lockedBy {
 		case 0:
 			st.lockedBy = spender
+			l.utxos[op] = st
 			locked = append(locked, op)
 		case spender:
 			// already ours; idempotent
@@ -114,6 +117,7 @@ func (l *Ledger) unlock(ops []Outpoint) {
 	for _, op := range ops {
 		if st, ok := l.utxos[op]; ok {
 			st.lockedBy = 0
+			l.utxos[op] = st
 		}
 	}
 }
@@ -124,6 +128,7 @@ func (l *Ledger) Abort(spender TxID, ops []Outpoint) {
 	for _, op := range ops {
 		if st, ok := l.utxos[op]; ok && st.lockedBy == spender {
 			st.lockedBy = 0
+			l.utxos[op] = st
 		}
 	}
 	l.aborts++
@@ -180,7 +185,7 @@ func (l *Ledger) AddOutputs(tx *Transaction) error {
 			delete(l.pendingSpend, op)
 			continue
 		}
-		l.utxos[op] = &utxoState{value: o.Value}
+		l.utxos[op] = utxoState{value: o.Value}
 	}
 	l.commits++
 	return nil
@@ -240,7 +245,7 @@ func (l *Ledger) ReleaseOptimistic(spender TxID, ops []Outpoint, value func(Outp
 				if value != nil {
 					v = value(op)
 				}
-				l.utxos[op] = &utxoState{value: v}
+				l.utxos[op] = utxoState{value: v}
 			}
 		}
 	}
@@ -257,7 +262,7 @@ func (l *Ledger) RestoreUTXO(op Outpoint, value int64) {
 	if _, ok := l.utxos[op]; ok {
 		return
 	}
-	l.utxos[op] = &utxoState{value: value}
+	l.utxos[op] = utxoState{value: value}
 }
 
 // OutputValue returns the value of a live outpoint, or false if absent.

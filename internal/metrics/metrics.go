@@ -5,19 +5,30 @@
 package metrics
 
 import (
+	"slices"
+	"sort"
 	"time"
 
 	"optchain/internal/stats"
 )
 
-// LatencyRecorder accumulates per-transaction confirmation latencies.
+// LatencyRecorder accumulates per-transaction confirmation latencies. It is
+// not safe for concurrent use; once recording has stopped and one
+// Percentile call has returned, concurrent readers are.
 type LatencyRecorder struct {
 	samples []float64 // seconds
+	sorted  []float64 // samples in ascending order; stale when shorter
+}
+
+// Reserve makes room for n samples.
+func (r *LatencyRecorder) Reserve(n int) {
+	r.samples = slices.Grow(r.samples, n)
 }
 
 // Observe records one confirmation latency.
 func (r *LatencyRecorder) Observe(d time.Duration) {
 	r.samples = append(r.samples, d.Seconds())
+	r.sorted = r.sorted[:0]
 }
 
 // Count returns the number of recorded samples.
@@ -26,8 +37,15 @@ func (r *LatencyRecorder) Count() int { return len(r.samples) }
 // Summary returns descriptive statistics in seconds.
 func (r *LatencyRecorder) Summary() stats.Summary { return stats.Summarize(r.samples) }
 
-// Percentile returns the p-th percentile latency in seconds.
-func (r *LatencyRecorder) Percentile(p float64) float64 { return stats.Percentile(r.samples, p) }
+// Percentile returns the p-th percentile latency in seconds. The sample is
+// sorted once, on the first call after an Observe.
+func (r *LatencyRecorder) Percentile(p float64) float64 {
+	if len(r.sorted) != len(r.samples) {
+		r.sorted = append(r.sorted[:0], r.samples...)
+		sort.Float64s(r.sorted)
+	}
+	return stats.PercentileSorted(r.sorted, p)
+}
 
 // CDF returns the empirical latency CDF with up to points entries (Fig. 10).
 func (r *LatencyRecorder) CDF(points int) []stats.CDFPoint {

@@ -3,6 +3,8 @@ package metrics
 import (
 	"testing"
 	"time"
+
+	"optchain/internal/stats"
 )
 
 func TestLatencyRecorder(t *testing.T) {
@@ -26,6 +28,28 @@ func TestLatencyRecorder(t *testing.T) {
 	cdf := r.CDF(4)
 	if len(cdf) != 4 || cdf[3].Fraction != 1 {
 		t.Fatalf("cdf = %v", cdf)
+	}
+}
+
+// Percentile sorts once and re-sorts after an Observe: it must read as a
+// fresh sort of the samples at every point, and leave the samples in
+// arrival order.
+func TestLatencyPercentileTracksObserve(t *testing.T) {
+	r := &LatencyRecorder{}
+	if got := r.Percentile(50); got != 0 {
+		t.Fatalf("empty P50 = %v", got)
+	}
+	r.Reserve(8)
+	for i, d := range []time.Duration{9, 3, 7, 1, 8, 2} {
+		r.Observe(d * time.Second)
+		for _, p := range []float64{0, 50, 99, 100} {
+			if got, want := r.Percentile(p), stats.Percentile(r.Samples(), p); got != want {
+				t.Fatalf("after %d samples P%v = %v, want %v", i+1, p, got, want)
+			}
+		}
+	}
+	if got := r.Samples(); got[0] != 9 || got[5] != 2 {
+		t.Fatalf("samples reordered: %v", got)
 	}
 }
 

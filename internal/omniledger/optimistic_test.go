@@ -72,8 +72,8 @@ func TestOptimisticDoubleSpendStillRejected(t *testing.T) {
 	for id := chain.TxID(10); id <= 11; id++ {
 		tx := mkTx(id, []chain.Outpoint{{Tx: 1, Index: 0}}, 90)
 		h.placed[tx.ID] = 1
-		h.proto.Submit(h.client, tx, 1, func(_ *des.Simulator, o Outcome) {
-			if o.OK {
+		h.proto.Submit(h.client, tx, 1, func(_ *des.Simulator, ok bool) {
+			if ok {
 				okCount++
 			}
 		})
@@ -100,8 +100,8 @@ func TestOptimisticAbortReleasesClaims(t *testing.T) {
 		id := id
 		tx := mkTx(id, []chain.Outpoint{{Tx: 1, Index: 0}}, 90)
 		h.placed[id] = 1
-		h.proto.Submit(h.client, tx, 1, func(_ *des.Simulator, o Outcome) {
-			if !o.OK {
+		h.proto.Submit(h.client, tx, 1, func(_ *des.Simulator, ok bool) {
+			if !ok {
 				lost = id
 			}
 		})
@@ -128,8 +128,8 @@ func TestOptimisticChainPipelinesWithinBlocks(t *testing.T) {
 	for id := chain.TxID(2); id <= depth; id++ {
 		tx := mkTx(id, []chain.Outpoint{{Tx: id - 1, Index: 0}}, 90)
 		h.placed[id] = 0
-		h.proto.Submit(h.client, tx, 0, func(s *des.Simulator, o Outcome) {
-			if o.OK {
+		h.proto.Submit(h.client, tx, 0, func(s *des.Simulator, ok bool) {
+			if ok {
 				committed++
 				last = s.Now()
 			}

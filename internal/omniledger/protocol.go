@@ -47,8 +47,8 @@ type Protocol struct {
 	sim    *des.Simulator
 	net    *simnet.Network
 	shards []*shard.Shard
-	// locate maps a transaction to the shard holding its outputs.
-	locate func(chain.TxID) int
+	// inputs groups a transaction's inputs by the shard holding them.
+	inputs chain.Grouper
 
 	// Counters for reports.
 	SameShard  int64
@@ -59,185 +59,220 @@ type Protocol struct {
 // New builds the protocol layer. locate must return the shard that manages
 // the outputs of a given (already placed) transaction.
 func New(sim *des.Simulator, net *simnet.Network, shards []*shard.Shard, locate func(chain.TxID) int) *Protocol {
-	return &Protocol{sim: sim, net: net, shards: shards, locate: locate}
+	return &Protocol{sim: sim, net: net, shards: shards, inputs: chain.Grouper{Locate: locate}}
 }
 
-// Outcome reports how a submission ended.
-type Outcome struct {
-	// OK is true when the transaction committed.
-	OK bool
-	// Cross is true when the transaction involved more than one shard.
-	Cross bool
+// Counters reports the running same-shard / cross-shard / abort tallies.
+func (p *Protocol) Counters() (same, cross, aborts int64) {
+	return p.SameShard, p.CrossShard, p.Aborts
 }
 
 // Submit runs the commit protocol for tx from the given client node, with
 // the output shard already chosen by the placement strategy. done fires
-// exactly once, when the client learns the outcome (commit ack or abort).
-func (p *Protocol) Submit(client simnet.NodeID, tx *chain.Transaction, outShard int, done func(sim *des.Simulator, out Outcome)) {
+// exactly once, when the client learns the outcome (commit ack or abort),
+// with whether the transaction committed.
+//
+//optchain:hotpath a same-shard transaction costs its sameTx and the two bound callbacks; only cross-shard ones group their inputs.
+func (p *Protocol) Submit(client simnet.NodeID, tx *chain.Transaction, outShard int, done func(sim *des.Simulator, ok bool)) {
 	if outShard < 0 || outShard >= len(p.shards) {
 		panic(fmt.Sprintf("omniledger: output shard %d of %d", outShard, len(p.shards)))
 	}
-	groups := p.groupInputs(tx)
-	cross := len(groups) > 1 || (len(groups) == 1 && groups[0].shard != outShard)
-	if !cross {
+	groups := p.inputs.Split(tx, outShard)
+	if groups == nil {
 		p.SameShard++
-		p.submitSameShard(client, tx, outShard, done)
+		//optchain:alloc-ok the one value a same-shard transaction lives in
+		t := &sameTx{p: p, client: client, tx: tx, sh: p.shards[outShard], done: done}
+		p.net.Send(client, t.sh.Leader, tx.SizeBytes(), "ol.sameshard", t.arrive)
 		return
 	}
 	p.CrossShard++
 	p.submitCross(client, tx, outShard, groups, done)
 }
 
-// inputGroup is the set of a transaction's inputs managed by one shard.
-type inputGroup struct {
-	shard int
-	ops   []chain.Outpoint
-}
-
-func (p *Protocol) groupInputs(tx *chain.Transaction) []inputGroup {
-	var groups []inputGroup
-outer:
-	for _, op := range tx.Inputs {
-		s := p.locate(op.Tx)
-		for i := range groups {
-			if groups[i].shard == s {
-				groups[i].ops = append(groups[i].ops, op)
-				continue outer
-			}
-		}
-		groups = append(groups, inputGroup{shard: s, ops: []chain.Outpoint{op}})
-	}
-	return groups
-}
-
-// submitSameShard sends the transaction to its single shard, which locks,
+// sameTx is a same-shard transaction in flight: its single shard locks,
 // spends, and credits outputs inside one block.
-func (p *Protocol) submitSameShard(client simnet.NodeID, tx *chain.Transaction, outShard int, done func(*des.Simulator, Outcome)) {
-	sh := p.shards[outShard]
-	size := tx.SizeBytes()
-	p.net.Send(client, sh.Leader, size, "ol.sameshard", func(*des.Simulator) {
-		sh.Enqueue(&shard.Item{
-			Tx:        tx.ID,
-			Bytes:     size,
-			Kind:      "same",
-			MaxDefers: 8,
-			Execute: func() error {
-				if !tx.IsCoinbase() {
-					if err := p.consume(sh, tx.ID, tx.Inputs); err != nil {
-						return err
-					}
-				}
-				return sh.Ledger().AddOutputs(tx)
-			},
-			Done: func(sim *des.Simulator, err error) {
-				p.net.Send(sh.Leader, client, AckBytes, "ol.ack", func(sim *des.Simulator) {
-					done(sim, Outcome{OK: err == nil})
-				})
-			},
-		})
-	})
+type sameTx struct {
+	p      *Protocol
+	client simnet.NodeID
+	tx     *chain.Transaction
+	sh     *shard.Shard
+	done   func(*des.Simulator, bool)
+	ok     bool
 }
 
-// submitCross runs Initialize → Lock → Commit/Abort.
-func (p *Protocol) submitCross(client simnet.NodeID, tx *chain.Transaction, outShard int, groups []inputGroup, done func(*des.Simulator, Outcome)) {
-	size := tx.SizeBytes()
-	pending := len(groups)
-	rejected := false
+//optchain:hotpath
+func (t *sameTx) arrive(*des.Simulator) {
+	t.sh.Enqueue(shard.Item{Tx: t.tx.ID, Bytes: t.tx.SizeBytes(), Kind: "same", MaxDefers: 8, Work: t})
+}
 
-	// Phase 3a: all proofs-of-acceptance collected — unlock-to-commit.
-	commit := func() {
-		// Finalize the input-side spends (the lock block already recorded
-		// them; this consumes the locks).
-		for _, g := range groups {
-			g := g
-			if g.shard == outShard {
-				continue
+// Execute implements shard.Work.
+//
+//optchain:hotpath
+func (t *sameTx) Execute() error {
+	if !t.tx.IsCoinbase() {
+		if err := t.p.consume(t.sh, t.tx.ID, t.tx.Inputs); err != nil {
+			return err
+		}
+	}
+	return t.sh.Ledger().AddOutputs(t.tx)
+}
+
+// Done implements shard.Work: the commit ack travels back.
+//
+//optchain:hotpath
+func (t *sameTx) Done(_ *des.Simulator, err error) {
+	t.ok = err == nil
+	t.p.net.Send(t.sh.Leader, t.client, AckBytes, "ol.ack", t.acked)
+}
+
+func (t *sameTx) acked(sim *des.Simulator) { t.done(sim, t.ok) }
+
+// crossTx is a cross-shard transaction in flight, Initialize → Lock →
+// Commit/Abort. It is also the work of its own unlock-to-commit item.
+type crossTx struct {
+	p        *Protocol
+	client   simnet.NodeID
+	tx       *chain.Transaction
+	outShard int
+	size     int
+	done     func(*des.Simulator, bool)
+
+	locks    []lockReq
+	pending  int // proofs still travelling
+	accepted int // proofs-of-acceptance received
+	ok       bool
+}
+
+// lockReq is the lock request one input shard serves for a crossTx, and the
+// work of its mempool item.
+type lockReq struct {
+	x *crossTx
+	chain.InputGroup
+	err error
+	// accepted numbers the proofs-of-acceptance in arrival order from 1 (0:
+	// none yet, or rejected); an abort releases the locks in that order.
+	accepted int
+}
+
+// submitCross runs phases 1+2: send lock requests; each input shard
+// validates in-block.
+func (p *Protocol) submitCross(client simnet.NodeID, tx *chain.Transaction, outShard int, groups []chain.InputGroup, done func(*des.Simulator, bool)) {
+	x := &crossTx{
+		p: p, client: client, tx: tx, outShard: outShard, size: tx.SizeBytes(), done: done,
+		locks: make([]lockReq, len(groups)), pending: len(groups),
+	}
+	for i, g := range groups {
+		l := &x.locks[i]
+		l.x, l.InputGroup = x, g
+		p.net.Send(client, p.shards[g.Shard].Leader, x.size, "ol.lock", l.arrive)
+	}
+}
+
+func (l *lockReq) arrive(*des.Simulator) {
+	l.x.p.shards[l.Shard].Enqueue(shard.Item{Tx: l.x.tx.ID, Bytes: l.x.size, Kind: "lock", MaxDefers: 8, Work: l})
+}
+
+// Execute implements shard.Work.
+func (l *lockReq) Execute() error {
+	return l.x.p.lockOrConsume(l.x.p.shards[l.Shard], l.x.tx.ID, l.Ops)
+}
+
+// Done implements shard.Work: proof-of-acceptance or -rejection travels
+// back.
+func (l *lockReq) Done(_ *des.Simulator, err error) {
+	l.err = err
+	l.x.p.net.Send(l.x.p.shards[l.Shard].Leader, l.x.client, ProofBytes, "ol.proof", l.proved)
+}
+
+func (l *lockReq) proved(sim *des.Simulator) {
+	x := l.x
+	if l.err == nil {
+		x.accepted++
+		l.accepted = x.accepted
+	}
+	x.pending--
+	if x.pending > 0 {
+		return
+	}
+	if x.accepted < len(x.locks) {
+		x.abort(sim)
+	} else {
+		x.commit()
+	}
+}
+
+// commit is phase 3a: all proofs-of-acceptance collected — unlock-to-commit.
+func (x *crossTx) commit() {
+	p := x.p
+	// Finalize the input-side spends (the lock block already recorded
+	// them; this consumes the locks).
+	for i := range x.locks {
+		if l := &x.locks[i]; l.Shard != x.outShard {
+			p.net.Send(x.client, p.shards[l.Shard].Leader, AckBytes, "ol.finalize", l.finalize)
+		}
+	}
+	p.net.Send(x.client, p.shards[x.outShard].Leader, x.commitSize(), "ol.commit", x.arrive)
+}
+
+func (x *crossTx) commitSize() int { return x.size + ProofBytes*len(x.locks) }
+
+func (l *lockReq) finalize(*des.Simulator) {
+	if !l.x.p.Optimistic {
+		_ = l.x.p.shards[l.Shard].Ledger().SpendLocked(l.x.tx.ID, l.Ops)
+	}
+}
+
+func (x *crossTx) arrive(*des.Simulator) {
+	x.p.shards[x.outShard].Enqueue(shard.Item{Tx: x.tx.ID, Bytes: x.commitSize(), Kind: "commit", Work: x})
+}
+
+// Execute implements shard.Work for the unlock-to-commit item.
+func (x *crossTx) Execute() error {
+	ledger := x.p.shards[x.outShard].Ledger()
+	// Inputs managed by the output shard itself were locked in the lock
+	// round; consume them now (optimistic mode already consumed them at
+	// lock time).
+	if !x.p.Optimistic {
+		for i := range x.locks {
+			if l := &x.locks[i]; l.Shard == x.outShard {
+				if err := ledger.SpendLocked(x.tx.ID, l.Ops); err != nil {
+					return err
+				}
 			}
-			p.net.Send(client, p.shards[g.shard].Leader, AckBytes, "ol.finalize", func(*des.Simulator) {
-				if !p.Optimistic {
-					_ = p.shards[g.shard].Ledger().SpendLocked(tx.ID, g.ops)
-				}
-			})
 		}
-		sh := p.shards[outShard]
-		commitSize := size + ProofBytes*len(groups)
-		p.net.Send(client, sh.Leader, commitSize, "ol.commit", func(*des.Simulator) {
-			sh.Enqueue(&shard.Item{
-				Tx:    tx.ID,
-				Bytes: commitSize,
-				Kind:  "commit",
-				Execute: func() error {
-					// Inputs managed by the output shard itself were locked
-					// in the lock round; consume them now (optimistic mode
-					// already consumed them at lock time).
-					if !p.Optimistic {
-						for _, g := range groups {
-							if g.shard == outShard {
-								if err := sh.Ledger().SpendLocked(tx.ID, g.ops); err != nil {
-									return err
-								}
-							}
-						}
-					}
-					return sh.Ledger().AddOutputs(tx)
-				},
-				Done: func(sim *des.Simulator, err error) {
-					p.net.Send(sh.Leader, client, AckBytes, "ol.ack", func(sim *des.Simulator) {
-						done(sim, Outcome{OK: err == nil, Cross: true})
-					})
-				},
-			})
-		})
 	}
+	return ledger.AddOutputs(x.tx)
+}
 
-	// Phase 3b: some shard rejected — unlock-to-abort the accepted locks.
-	abort := func(sim *des.Simulator, accepted []inputGroup) {
-		p.Aborts++
-		for _, g := range accepted {
-			g := g
-			p.net.Send(client, p.shards[g.shard].Leader, AckBytes, "ol.abort", func(*des.Simulator) {
-				if p.Optimistic {
-					p.shards[g.shard].Ledger().ReleaseOptimistic(tx.ID, g.ops, nil)
-				} else {
-					p.shards[g.shard].Ledger().Abort(tx.ID, g.ops)
-				}
-			})
+// Done implements shard.Work: the commit ack travels back.
+func (x *crossTx) Done(_ *des.Simulator, err error) {
+	x.ok = err == nil
+	x.p.net.Send(x.p.shards[x.outShard].Leader, x.client, AckBytes, "ol.ack", x.acked)
+}
+
+func (x *crossTx) acked(sim *des.Simulator) { x.done(sim, x.ok) }
+
+// abort is phase 3b: some shard rejected — unlock-to-abort the accepted
+// locks, in the order their proofs arrived.
+func (x *crossTx) abort(sim *des.Simulator) {
+	p := x.p
+	p.Aborts++
+	for n := 1; n <= x.accepted; n++ {
+		for i := range x.locks {
+			if l := &x.locks[i]; l.accepted == n {
+				p.net.Send(x.client, p.shards[l.Shard].Leader, AckBytes, "ol.abort", l.release)
+			}
 		}
-		done(sim, Outcome{OK: false, Cross: true})
 	}
+	x.done(sim, false)
+}
 
-	// Phases 1+2: send lock requests; each input shard validates in-block.
-	var accepted []inputGroup
-	for _, g := range groups {
-		g := g
-		sh := p.shards[g.shard]
-		p.net.Send(client, sh.Leader, size, "ol.lock", func(*des.Simulator) {
-			sh.Enqueue(&shard.Item{
-				Tx:        tx.ID,
-				Bytes:     size,
-				Kind:      "lock",
-				MaxDefers: 8,
-				Execute:   func() error { return p.lockOrConsume(sh, tx.ID, g.ops) },
-				Done: func(sim *des.Simulator, err error) {
-					// Proof-of-acceptance or -rejection travels back.
-					p.net.Send(sh.Leader, client, ProofBytes, "ol.proof", func(sim *des.Simulator) {
-						if err == nil {
-							accepted = append(accepted, g)
-						} else {
-							rejected = true
-						}
-						pending--
-						if pending == 0 {
-							if rejected {
-								abort(sim, accepted)
-							} else {
-								commit()
-							}
-						}
-					})
-				},
-			})
-		})
+func (l *lockReq) release(*des.Simulator) {
+	ledger := l.x.p.shards[l.Shard].Ledger()
+	if l.x.p.Optimistic {
+		ledger.ReleaseOptimistic(l.x.tx.ID, l.Ops, nil)
+	} else {
+		ledger.Abort(l.x.tx.ID, l.Ops)
 	}
 }
 

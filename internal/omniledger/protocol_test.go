@@ -42,12 +42,18 @@ func newHarness(t *testing.T, numShards int) *harness {
 
 // submit places and submits a transaction, returning a pointer that fills
 // with the outcome once the simulation runs.
-func (h *harness) submit(tx *chain.Transaction, outShard int) *Outcome {
+func (h *harness) submit(tx *chain.Transaction, outShard int) *outcome {
 	h.placed[tx.ID] = outShard
-	out := &Outcome{}
-	h.proto.Submit(h.client, tx, outShard, func(_ *des.Simulator, o Outcome) { *out = o })
+	out := &outcome{}
+	crossBefore := h.proto.CrossShard
+	h.proto.Submit(h.client, tx, outShard, func(_ *des.Simulator, ok bool) { out.OK = ok })
+	out.Cross = h.proto.CrossShard > crossBefore
 	return out
 }
+
+// outcome is what a test sees of one submission: whether it committed, and
+// whether the protocol counted it as cross-shard.
+type outcome struct{ OK, Cross bool }
 
 func mkTx(id chain.TxID, inputs []chain.Outpoint, values ...int64) *chain.Transaction {
 	outs := make([]chain.Output, len(values))
@@ -89,9 +95,9 @@ func TestCrossShardCommitMovesValue(t *testing.T) {
 	// Delay the child so parents are committed first.
 	h.sim.Schedule(10*time.Second, "issue-child", func(*des.Simulator) {
 		h.placed[child.ID] = 2
-		h.proto.Submit(h.client, child, 2, func(_ *des.Simulator, o Outcome) {
-			if !o.OK || !o.Cross {
-				t.Errorf("child outcome = %+v", o)
+		h.proto.Submit(h.client, child, 2, func(_ *des.Simulator, ok bool) {
+			if !ok {
+				t.Errorf("child did not commit")
 			}
 		})
 	})
@@ -125,11 +131,11 @@ func TestCrossShardRejectionAbortsAndUnlocks(t *testing.T) {
 	a := h.submit(mkTx(1, nil, 100), 0)
 	// Child spends a UTXO on shard 0 and a NONEXISTENT one on shard 1.
 	child := mkTx(3, []chain.Outpoint{{Tx: 1, Index: 0}, {Tx: 99, Index: 0}}, 10)
-	var got Outcome
+	var got *outcome
 	h.sim.Schedule(10*time.Second, "issue-child", func(*des.Simulator) {
 		h.placed[child.ID] = 1
 		h.placed[99] = 1
-		h.proto.Submit(h.client, child, 1, func(_ *des.Simulator, o Outcome) { got = o })
+		got = h.submit(child, 1)
 	})
 	if err := h.sim.Run(); err != nil {
 		t.Fatal(err)
@@ -162,16 +168,16 @@ func TestCrossLatencyExceedsSameShard(t *testing.T) {
 	issue := func() {
 		same := mkTx(3, []chain.Outpoint{{Tx: 1, Index: 0}}, 90)
 		h.placed[same.ID] = 0
-		h.proto.Submit(h.client, same, 0, func(s *des.Simulator, o Outcome) {
-			if !o.OK {
+		h.proto.Submit(h.client, same, 0, func(s *des.Simulator, ok bool) {
+			if !ok {
 				t.Error("same-shard failed")
 			}
 			sameAt = s.Now()
 		})
 		cross := mkTx(4, []chain.Outpoint{{Tx: 2, Index: 0}}, 90)
 		h.placed[cross.ID] = 0
-		h.proto.Submit(h.client, cross, 0, func(s *des.Simulator, o Outcome) {
-			if !o.OK {
+		h.proto.Submit(h.client, cross, 0, func(s *des.Simulator, ok bool) {
+			if !ok {
 				t.Error("cross-shard failed")
 			}
 			crossAt = s.Now()
@@ -199,8 +205,8 @@ func TestDoubleSpendAcrossClientsRejected(t *testing.T) {
 		for id := chain.TxID(10); id <= 11; id++ {
 			tx := mkTx(id, []chain.Outpoint{{Tx: 1, Index: 0}}, 90)
 			h.placed[tx.ID] = 1
-			h.proto.Submit(h.client, tx, 1, func(_ *des.Simulator, o Outcome) {
-				if o.OK {
+			h.proto.Submit(h.client, tx, 1, func(_ *des.Simulator, ok bool) {
+				if ok {
 					okCount++
 				}
 			})

@@ -34,7 +34,8 @@ type Protocol struct {
 	sim    *des.Simulator
 	net    *simnet.Network
 	shards []*shard.Shard
-	locate func(chain.TxID) int
+	// inputs groups a transaction's inputs by the shard holding them.
+	inputs chain.Grouper
 
 	SameShard  int64
 	CrossShard int64
@@ -44,184 +45,196 @@ type Protocol struct {
 // New builds the protocol layer; locate maps transactions to the shard
 // holding their outputs.
 func New(sim *des.Simulator, net *simnet.Network, shards []*shard.Shard, locate func(chain.TxID) int) *Protocol {
-	return &Protocol{sim: sim, net: net, shards: shards, locate: locate}
+	return &Protocol{sim: sim, net: net, shards: shards, inputs: chain.Grouper{Locate: locate}}
 }
 
-// Outcome mirrors the omniledger outcome shape.
-type Outcome struct {
-	OK    bool
-	Cross bool
+// Counters reports the running same-shard / cross-shard / abort tallies.
+func (p *Protocol) Counters() (same, cross, aborts int64) {
+	return p.SameShard, p.CrossShard, p.Aborts
+}
+
+// yankTx is a transaction in flight at its output committee, which
+// coordinates the yanking of remote inputs. It is also the work of its own
+// final commit item.
+type yankTx struct {
+	p        *Protocol
+	client   simnet.NodeID
+	tx       *chain.Transaction
+	outShard int
+	size     int
+	done     func(*des.Simulator, bool)
+
+	local   []chain.Outpoint // inputs the output shard manages itself
+	yanks   []yank           // one per remote input shard
+	pending int              // yank acks still travelling
+	yanked  int              // successful yanks acknowledged
+	ok      bool
+}
+
+// yank is the transfer of one remote shard's inputs for a yankTx, and the
+// work of its mempool item.
+type yank struct {
+	x *yankTx
+	chain.InputGroup
+	values []int64 // captured at yank time so an abort can restore them
+	err    error
+	// yanked numbers the successful yanks in ack-arrival order from 1 (0:
+	// none yet, or rejected); an abort returns them in that order.
+	yanked int
 }
 
 // Submit sends tx from client to its output shard, which coordinates
 // yanking of remote inputs. done fires once, when the client learns the
-// outcome.
-func (p *Protocol) Submit(client simnet.NodeID, tx *chain.Transaction, outShard int, done func(sim *des.Simulator, out Outcome)) {
+// outcome, with whether the transaction committed.
+//
+//optchain:hotpath a same-shard transaction costs its yankTx and the two bound callbacks.
+func (p *Protocol) Submit(client simnet.NodeID, tx *chain.Transaction, outShard int, done func(sim *des.Simulator, ok bool)) {
 	if outShard < 0 || outShard >= len(p.shards) {
 		panic(fmt.Sprintf("rapidchain: output shard %d of %d", outShard, len(p.shards)))
 	}
-	out := p.shards[outShard]
-	size := tx.SizeBytes()
-
-	groups := p.groupInputs(tx)
-	var remote []inputGroup
-	var local []chain.Outpoint
-	for _, g := range groups {
-		if g.shard == outShard {
-			local = append(local, g.ops...)
-		} else {
-			remote = append(remote, g)
-		}
-	}
-
-	if len(remote) == 0 {
-		p.SameShard++
-	} else {
+	//optchain:alloc-ok the one value a transaction lives in
+	x := &yankTx{p: p, client: client, tx: tx, outShard: outShard, size: tx.SizeBytes(), done: done, local: tx.Inputs}
+	if groups := p.inputs.Split(tx, outShard); groups != nil {
 		p.CrossShard++
-	}
-
-	// The client's only job: ship the transaction to the output committee.
-	p.net.Send(client, out.Leader, size, "rc.submit", func(*des.Simulator) {
-		p.coordinate(client, tx, outShard, local, remote, done)
-	})
-}
-
-type inputGroup struct {
-	shard  int
-	ops    []chain.Outpoint
-	values []int64 // captured at yank time so an abort can restore them
-}
-
-func (p *Protocol) groupInputs(tx *chain.Transaction) []inputGroup {
-	var groups []inputGroup
-outer:
-	for _, op := range tx.Inputs {
-		s := p.locate(op.Tx)
-		for i := range groups {
-			if groups[i].shard == s {
-				groups[i].ops = append(groups[i].ops, op)
-				continue outer
+		x.local = nil
+		//optchain:alloc-ok cross-shard only
+		x.yanks = make([]yank, 0, len(groups))
+		for _, g := range groups {
+			if g.Shard == outShard {
+				x.local = g.Ops
+			} else {
+				x.yanks = append(x.yanks, yank{x: x, InputGroup: g})
 			}
 		}
-		groups = append(groups, inputGroup{shard: s, ops: []chain.Outpoint{op}})
+	} else {
+		p.SameShard++
 	}
-	return groups
+	// The client's only job: ship the transaction to the output committee.
+	p.net.Send(client, p.shards[outShard].Leader, x.size, "rc.submit", x.coordinate)
 }
 
 // coordinate runs at the output shard leader.
-func (p *Protocol) coordinate(client simnet.NodeID, tx *chain.Transaction, outShard int, local []chain.Outpoint, remote []inputGroup, done func(*des.Simulator, Outcome)) {
-	out := p.shards[outShard]
-	size := tx.SizeBytes()
-	cross := len(remote) > 0
-
-	finalCommit := func() {
-		out.Enqueue(&shard.Item{
-			Tx:        tx.ID,
-			Bytes:     size + YankAckBytes*len(remote),
-			Kind:      "commit",
-			MaxDefers: 4,
-			Execute: func() error {
-				if len(local) > 0 {
-					if err := p.consume(out, tx.ID, local); err != nil {
-						return err
-					}
-				}
-				// Remote inputs were consumed at their home shard when
-				// yanked; their value arrives with the yank proof.
-				return out.Ledger().AddOutputs(tx)
-			},
-			Done: func(sim *des.Simulator, err error) {
-				p.net.Send(out.Leader, client, AckBytes, "rc.ack", func(sim *des.Simulator) {
-					done(sim, Outcome{OK: err == nil, Cross: cross})
-				})
-			},
-		})
-	}
-
-	if !cross {
-		finalCommit()
+func (x *yankTx) coordinate(*des.Simulator) {
+	if len(x.yanks) == 0 {
+		x.finalCommit()
 		return
 	}
-
-	pending := len(remote)
-	rejected := false
-	var yanked []*inputGroup
-	for i := range remote {
-		g := &remote[i]
-		in := p.shards[g.shard]
+	p := x.p
+	x.pending = len(x.yanks)
+	for i := range x.yanks {
+		y := &x.yanks[i]
 		// Inter-committee yank request.
-		p.net.Send(out.Leader, in.Leader, size, "rc.yank", func(*des.Simulator) {
-			in.Enqueue(&shard.Item{
-				Tx:        tx.ID,
-				Bytes:     size,
-				Kind:      "yank",
-				MaxDefers: 8,
-				Execute: func() error {
-					// Capture values so an abort can restore them, then
-					// lock and consume in one step: the UTXO leaves this
-					// shard with the yank proof.
-					vals := make([]int64, len(g.ops))
-					for i, op := range g.ops {
-						vals[i], _ = in.Ledger().OutputValue(op)
-					}
-					if err := p.consume(in, tx.ID, g.ops); err != nil {
-						return err
-					}
-					g.values = vals
-					return nil
-				},
-				Done: func(sim *des.Simulator, err error) {
-					p.net.Send(in.Leader, out.Leader, YankAckBytes, "rc.yankack", func(sim *des.Simulator) {
-						if err == nil {
-							yanked = append(yanked, g)
-						} else {
-							rejected = true
-						}
-						pending--
-						if pending > 0 {
-							return
-						}
-						if rejected {
-							p.abort(sim, out.Leader, client, tx, yanked, done)
-							return
-						}
-						finalCommit()
-					})
-				},
-			})
-		})
+		p.net.Send(p.shards[x.outShard].Leader, p.shards[y.Shard].Leader, x.size, "rc.yank", y.arrive)
 	}
 }
 
-// abort returns yanked UTXOs to their home shards (re-credit) and notifies
-// the client of failure. coordinator is the output shard's leader.
-func (p *Protocol) abort(sim *des.Simulator, coordinator, client simnet.NodeID, tx *chain.Transaction, yanked []*inputGroup, done func(*des.Simulator, Outcome)) {
-	p.Aborts++
-	for _, g := range yanked {
-		g := g
-		in := p.shards[g.shard]
-		p.net.Send(coordinator, in.Leader, AckBytes, "rc.unyank", func(*des.Simulator) {
-			// Restore the consumed outputs: the yank proof is void.
-			if p.Optimistic {
-				vals := g.values
-				in.Ledger().ReleaseOptimistic(tx.ID, g.ops, func(op chain.Outpoint) int64 {
-					for i, o := range g.ops {
-						if o == op {
-							return vals[i]
-						}
-					}
-					return 0
-				})
-				return
-			}
-			for i, op := range g.ops {
-				in.Ledger().RestoreUTXO(op, g.values[i])
-			}
-		})
-	}
-	p.net.Send(coordinator, client, AckBytes, "rc.nack", func(sim *des.Simulator) {
-		done(sim, Outcome{OK: false, Cross: true})
+func (x *yankTx) finalCommit() {
+	x.p.shards[x.outShard].Enqueue(shard.Item{
+		Tx: x.tx.ID, Bytes: x.size + YankAckBytes*len(x.yanks), Kind: "commit", MaxDefers: 4, Work: x,
 	})
+}
+
+// Execute implements shard.Work for the final commit item.
+func (x *yankTx) Execute() error {
+	out := x.p.shards[x.outShard]
+	if len(x.local) > 0 {
+		if err := x.p.consume(out, x.tx.ID, x.local); err != nil {
+			return err
+		}
+	}
+	// Remote inputs were consumed at their home shard when yanked; their
+	// value arrives with the yank proof.
+	return out.Ledger().AddOutputs(x.tx)
+}
+
+// Done implements shard.Work: the commit ack travels back.
+func (x *yankTx) Done(_ *des.Simulator, err error) {
+	x.ok = err == nil
+	x.p.net.Send(x.p.shards[x.outShard].Leader, x.client, AckBytes, "rc.ack", x.acked)
+}
+
+func (x *yankTx) acked(sim *des.Simulator) { x.done(sim, x.ok) }
+
+func (y *yank) arrive(*des.Simulator) {
+	y.x.p.shards[y.Shard].Enqueue(shard.Item{Tx: y.x.tx.ID, Bytes: y.x.size, Kind: "yank", MaxDefers: 8, Work: y})
+}
+
+// Execute implements shard.Work: capture values so an abort can restore
+// them, then lock and consume in one step: the UTXO leaves this shard with
+// the yank proof.
+func (y *yank) Execute() error {
+	in := y.x.p.shards[y.Shard]
+	if y.values == nil {
+		y.values = make([]int64, len(y.Ops))
+	}
+	for i, op := range y.Ops {
+		y.values[i], _ = in.Ledger().OutputValue(op)
+	}
+	return y.x.p.consume(in, y.x.tx.ID, y.Ops)
+}
+
+// Done implements shard.Work: the yank proof (or its refusal) travels to
+// the coordinating committee.
+func (y *yank) Done(_ *des.Simulator, err error) {
+	y.err = err
+	p := y.x.p
+	p.net.Send(p.shards[y.Shard].Leader, p.shards[y.x.outShard].Leader, YankAckBytes, "rc.yankack", y.acked)
+}
+
+func (y *yank) acked(sim *des.Simulator) {
+	x := y.x
+	if y.err == nil {
+		x.yanked++
+		y.yanked = x.yanked
+	}
+	x.pending--
+	if x.pending > 0 {
+		return
+	}
+	if x.yanked < len(x.yanks) {
+		x.abort()
+		return
+	}
+	x.finalCommit()
+}
+
+// abort returns yanked UTXOs to their home shards (re-credit), in the order
+// their acks arrived, and notifies the client of failure.
+func (x *yankTx) abort() {
+	p := x.p
+	p.Aborts++
+	coordinator := p.shards[x.outShard].Leader
+	for n := 1; n <= x.yanked; n++ {
+		for i := range x.yanks {
+			if y := &x.yanks[i]; y.yanked == n {
+				p.net.Send(coordinator, p.shards[y.Shard].Leader, AckBytes, "rc.unyank", y.restore)
+			}
+		}
+	}
+	p.net.Send(coordinator, x.client, AckBytes, "rc.nack", x.nacked)
+}
+
+func (x *yankTx) nacked(sim *des.Simulator) { x.done(sim, false) }
+
+// restore re-credits the consumed outputs: the yank proof is void.
+func (y *yank) restore(*des.Simulator) {
+	ledger := y.x.p.shards[y.Shard].Ledger()
+	if y.x.p.Optimistic {
+		ledger.ReleaseOptimistic(y.x.tx.ID, y.Ops, y.valueOf)
+		return
+	}
+	for i, op := range y.Ops {
+		ledger.RestoreUTXO(op, y.values[i])
+	}
+}
+
+func (y *yank) valueOf(op chain.Outpoint) int64 {
+	for i, o := range y.Ops {
+		if o == op {
+			return y.values[i]
+		}
+	}
+	return 0
 }
 
 // consume applies a spend under the configured validation mode.

@@ -36,12 +36,18 @@ func newHarness(t *testing.T, numShards int) *harness {
 	return h
 }
 
-func (h *harness) submit(tx *chain.Transaction, outShard int) *Outcome {
+func (h *harness) submit(tx *chain.Transaction, outShard int) *outcome {
 	h.placed[tx.ID] = outShard
-	out := &Outcome{}
-	h.proto.Submit(h.client, tx, outShard, func(_ *des.Simulator, o Outcome) { *out = o })
+	out := &outcome{}
+	crossBefore := h.proto.CrossShard
+	h.proto.Submit(h.client, tx, outShard, func(_ *des.Simulator, ok bool) { out.OK = ok })
+	out.Cross = h.proto.CrossShard > crossBefore
 	return out
 }
+
+// outcome is what a test sees of one submission: whether it committed, and
+// whether the protocol counted it as cross-shard.
+type outcome struct{ OK, Cross bool }
 
 func mkTx(id chain.TxID, inputs []chain.Outpoint, values ...int64) *chain.Transaction {
 	outs := make([]chain.Output, len(values))
@@ -68,11 +74,11 @@ func TestSameShardCommit(t *testing.T) {
 func TestYankMovesUTXOToOutputShard(t *testing.T) {
 	h := newHarness(t, 2)
 	a := h.submit(mkTx(1, nil, 100), 0)
-	var got Outcome
+	var got *outcome
 	h.sim.Schedule(10*time.Second, "child", func(*des.Simulator) {
 		child := mkTx(2, []chain.Outpoint{{Tx: 1, Index: 0}}, 95)
 		h.placed[child.ID] = 1
-		h.proto.Submit(h.client, child, 1, func(_ *des.Simulator, o Outcome) { got = o })
+		got = h.submit(child, 1)
 	})
 	if err := h.sim.Run(); err != nil {
 		t.Fatal(err)
@@ -97,13 +103,13 @@ func TestYankMovesUTXOToOutputShard(t *testing.T) {
 func TestYankRejectionAbortsAndRestores(t *testing.T) {
 	h := newHarness(t, 3)
 	a := h.submit(mkTx(1, nil, 100), 0)
-	var got Outcome
+	var got *outcome
 	h.sim.Schedule(10*time.Second, "child", func(*des.Simulator) {
 		// One good input at shard 0, one missing input at shard 1.
 		child := mkTx(3, []chain.Outpoint{{Tx: 1, Index: 0}, {Tx: 42, Index: 0}}, 10)
 		h.placed[child.ID] = 2
 		h.placed[42] = 1
-		h.proto.Submit(h.client, child, 2, func(_ *des.Simulator, o Outcome) { got = o })
+		got = h.submit(child, 2)
 	})
 	if err := h.sim.Run(); err != nil {
 		t.Fatal(err)
@@ -135,8 +141,8 @@ func TestConflictingYanksSingleWinner(t *testing.T) {
 		for id := chain.TxID(10); id <= 11; id++ {
 			tx := mkTx(id, []chain.Outpoint{{Tx: 1, Index: 0}}, 90)
 			h.placed[tx.ID] = 1
-			h.proto.Submit(h.client, tx, 1, func(_ *des.Simulator, o Outcome) {
-				if o.OK {
+			h.proto.Submit(h.client, tx, 1, func(_ *des.Simulator, ok bool) {
+				if ok {
 					okCount++
 				}
 			})

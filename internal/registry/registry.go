@@ -259,48 +259,22 @@ func init() {
 	})
 }
 
-// omniBackend adapts omniledger.Protocol to CommitBackend.
-type omniBackend struct{ p *omniledger.Protocol }
-
-func (b *omniBackend) Submit(client simnet.NodeID, tx *chain.Transaction, outShard int, done func(*des.Simulator, bool)) {
-	b.p.Submit(client, tx, outShard, func(sim *des.Simulator, o omniledger.Outcome) {
-		done(sim, o.OK)
-	})
-}
-
-func (b *omniBackend) Counters() (int64, int64, int64) {
-	return b.p.SameShard, b.p.CrossShard, b.p.Aborts
-}
-
-// rapidBackend adapts rapidchain.Protocol to CommitBackend.
-type rapidBackend struct{ p *rapidchain.Protocol }
-
-func (b *rapidBackend) Submit(client simnet.NodeID, tx *chain.Transaction, outShard int, done func(*des.Simulator, bool)) {
-	b.p.Submit(client, tx, outShard, func(sim *des.Simulator, o rapidchain.Outcome) {
-		done(sim, o.OK)
-	})
-}
-
-func (b *rapidBackend) Counters() (int64, int64, int64) {
-	return b.p.SameShard, b.p.CrossShard, b.p.Aborts
-}
-
 // Built-in protocols: the two cross-shard commit backends of §III/§V.
 func init() {
 	mustRegisterProtocol("omniledger", func(ctx ProtocolContext) (CommitBackend, error) {
 		p := omniledger.New(ctx.Sim, ctx.Net, ctx.Shards, ctx.Locate)
 		p.Optimistic = ctx.Optimistic
-		return &omniBackend{p: p}, nil
+		return p, nil
 	})
 	mustRegisterProtocol("rapidchain", func(ctx ProtocolContext) (CommitBackend, error) {
 		p := rapidchain.New(ctx.Sim, ctx.Net, ctx.Shards, ctx.Locate)
 		p.Optimistic = ctx.Optimistic
-		return &rapidBackend{p: p}, nil
+		return p, nil
 	})
 }
 
 // Compile-time interface compliance checks.
 var (
-	_ CommitBackend = (*omniBackend)(nil)
-	_ CommitBackend = (*rapidBackend)(nil)
+	_ CommitBackend = (*omniledger.Protocol)(nil)
+	_ CommitBackend = (*rapidchain.Protocol)(nil)
 )

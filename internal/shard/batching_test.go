@@ -16,7 +16,7 @@ func TestAdaptiveBatchingFillsBlocks(t *testing.T) {
 	// Offer a steady stream: 50 items per second for 40 seconds.
 	id := chain.TxID(1)
 	des.StartTicker(sim, 0, 20*time.Millisecond, "offer", func(sm *des.Simulator) bool {
-		s.Enqueue(&Item{Tx: id, Bytes: 400, Done: func(*des.Simulator, error) { committed++ }})
+		s.Enqueue(Item{Tx: id, Bytes: 400, Work: work{done: func(*des.Simulator, error) { committed++ }}})
 		id++
 		return sm.Now() < 40*time.Second
 	})
@@ -38,7 +38,7 @@ func TestAdaptiveBatchingFillsBlocks(t *testing.T) {
 func TestBatchWaitBounded(t *testing.T) {
 	sim, _, s := testShard(t, 8, Config{BlockTxs: 1000, MaxBlockWait: time.Second})
 	var at time.Duration
-	s.Enqueue(&Item{Tx: 1, Bytes: 100, Done: func(sm *des.Simulator, _ error) { at = sm.Now() }})
+	s.Enqueue(Item{Tx: 1, Bytes: 100, Work: work{done: func(sm *des.Simulator, _ error) { at = sm.Now() }}})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -54,18 +54,17 @@ func TestDeferralRetriesAcrossBlocks(t *testing.T) {
 	sim, _, s := testShard(t, 4, Config{BlockTxs: 4, MaxBlockWait: 100 * time.Millisecond})
 	attempts := 0
 	var gotErr error
-	s.Enqueue(&Item{
+	s.Enqueue(Item{
 		Tx:        1,
 		Bytes:     100,
 		MaxDefers: 3,
-		Execute: func() error {
+		Work: work{execute: func() error {
 			attempts++
 			if attempts < 3 {
 				return chain.ErrMissingUTXO
 			}
 			return nil
-		},
-		Done: func(_ *des.Simulator, err error) { gotErr = err },
+		}, done: func(_ *des.Simulator, err error) { gotErr = err }},
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -85,15 +84,14 @@ func TestDeferralExhaustionRejects(t *testing.T) {
 	sim, _, s := testShard(t, 4, Config{BlockTxs: 2, MaxBlockWait: 100 * time.Millisecond})
 	attempts := 0
 	var gotErr error
-	s.Enqueue(&Item{
+	s.Enqueue(Item{
 		Tx:        1,
 		Bytes:     100,
 		MaxDefers: 2,
-		Execute: func() error {
+		Work: work{execute: func() error {
 			attempts++
 			return chain.ErrMissingUTXO
-		},
-		Done: func(_ *des.Simulator, err error) { gotErr = err },
+		}, done: func(_ *des.Simulator, err error) { gotErr = err }},
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -114,7 +112,7 @@ func TestConsensusTelemetryUpdates(t *testing.T) {
 	sim, _, s := testShard(t, 32, Config{BlockTxs: 10, MaxBlockWait: 50 * time.Millisecond})
 	cold := s.RecentConsensusSeconds()
 	for i := 0; i < 30; i++ {
-		s.Enqueue(&Item{Tx: chain.TxID(i + 1), Bytes: 300})
+		s.Enqueue(Item{Tx: chain.TxID(i + 1), Bytes: 300})
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)

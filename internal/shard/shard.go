@@ -6,7 +6,10 @@
 // serialization), validators verify and vote, and a small certificate round
 // finalizes the block once a 2/3 quorum is reached.
 //
-// The shard is protocol-agnostic: work items carry closures, so the
+// The committee round is evaluated in closed form (see consensus.go): four
+// kernel events per block, not four per validator.
+//
+// The shard is protocol-agnostic: work items carry a Work value, so the
 // OmniLedger atomic-commit protocol and the RapidChain yanking protocol
 // compose on top without the shard knowing about locks or proofs.
 package shard
@@ -21,8 +24,24 @@ import (
 	"optchain/internal/stats"
 )
 
+// Work is what a mempool item does at block finality. The protocols
+// implement it on the per-transaction value they allocate anyway, so an
+// item costs no closure.
+type Work interface {
+	// Execute applies the item's ledger effect. It runs in block order when
+	// the block reaches finality; a non-nil error means the item was
+	// rejected (e.g. proof-of-rejection for a lock whose UTXOs are
+	// missing), or deferred to a later block while Item.MaxDefers lasts.
+	Execute() error
+	// Done is invoked exactly once, right after the Execute that settled
+	// the item, with its error. Typically it sends a message back to the
+	// client.
+	Done(sim *des.Simulator, err error)
+}
+
 // Item is one unit of mempool work: a same-shard transaction, a cross-shard
-// lock request, an unlock-to-commit, or a yank transfer.
+// lock request, an unlock-to-commit, or a yank transfer. The mempool holds
+// items by value.
 type Item struct {
 	// Tx is the transaction this work belongs to.
 	Tx chain.TxID
@@ -30,14 +49,8 @@ type Item struct {
 	Bytes int
 	// Kind labels the item for metrics ("same", "lock", "commit", "yank").
 	Kind string
-	// Execute applies the item's ledger effect. It runs exactly once, in
-	// block order, when the block reaches finality; a non-nil error means
-	// the item was rejected (e.g. proof-of-rejection for a lock whose
-	// UTXOs are missing).
-	Execute func() error
-	// Done is invoked right after Execute with its error, at block
-	// finality. Typically it sends a message back to the client.
-	Done func(sim *des.Simulator, err error)
+	// Work is the item's effect; nil occupies block space and does nothing.
+	Work Work
 
 	// MaxDefers allows a failing Execute to be re-enqueued (to a later
 	// block) this many times before the failure is reported through Done.
@@ -45,8 +58,7 @@ type Item struct {
 	// is still queued waits for a later block instead of being rejected.
 	MaxDefers int
 
-	enqueuedAt time.Duration
-	defers     int
+	defers int
 }
 
 // Config holds the committee and block parameters (§V-A defaults).
@@ -98,13 +110,15 @@ type Shard struct {
 	net    *simnet.Network
 	ledger *chain.Ledger
 
-	queue       []*Item
+	queue       []Item
 	queuedBytes int
+	round       round
 	busy        bool
 	idleTimer   des.Handle
 	timerArmed  bool
 
 	consensusTime *stats.EWMA
+	coldEstimate  float64     // consensusTime's value before the first block
 	arrivalRate   *stats.EWMA // items/second, per-block windows
 	arrivalCount  int
 	windowStart   time.Duration
@@ -144,7 +158,7 @@ func New(id int, sim *des.Simulator, net *simnet.Network, leader simnet.NodeID, 
 	if cfg.BlockOverheadBytes <= 0 {
 		cfg.BlockOverheadBytes = def.BlockOverheadBytes
 	}
-	return &Shard{
+	s := &Shard{
 		ID:            id,
 		Leader:        leader,
 		Validators:    validators,
@@ -155,6 +169,9 @@ func New(id int, sim *des.Simulator, net *simnet.Network, leader simnet.NodeID, 
 		consensusTime: stats.NewEWMA(0.3),
 		arrivalRate:   stats.NewEWMA(0.3),
 	}
+	s.coldEstimate = s.estimateConsensusSeconds()
+	s.initRound()
+	return s
 }
 
 // Ledger exposes the shard's UTXO state to the protocol layer.
@@ -167,12 +184,15 @@ func (s *Shard) QueueLen() int { return len(s.queue) }
 // Height returns the number of committed blocks.
 func (s *Shard) Height() int { return s.height }
 
+// BlockTxs returns the per-block transaction cap the shard resolved from
+// its Config.
+func (s *Shard) BlockTxs() int { return s.cfg.BlockTxs }
+
 // RecentConsensusSeconds returns the smoothed recent block consensus
 // latency, with a cold-start estimate derived from the network physics so
 // the very first placements aren't blind.
 func (s *Shard) RecentConsensusSeconds() float64 {
-	cold := s.estimateConsensusSeconds()
-	return s.consensusTime.Value(cold)
+	return s.consensusTime.Value(s.coldEstimate)
 }
 
 // estimateConsensusSeconds predicts consensus latency for a full block from
@@ -190,8 +210,9 @@ func (s *Shard) estimateConsensusSeconds() float64 {
 
 // Enqueue adds a work item to the mempool and starts consensus when a full
 // block is available (or arms the idle timer for a partial block).
-func (s *Shard) Enqueue(it *Item) {
-	it.enqueuedAt = s.sim.Now()
+//
+//optchain:hotpath the mempool grows amortized; an item is stored by value.
+func (s *Shard) Enqueue(it Item) {
 	s.queue = append(s.queue, it)
 	s.queuedBytes += it.Bytes
 	s.arrivalCount++
@@ -246,17 +267,20 @@ func (s *Shard) startBlock() {
 		s.timerArmed = false
 	}
 
-	batch := make([]*Item, 0, min(len(s.queue), s.cfg.BlockTxs))
+	// The batch is the head of the mempool, in place: later arrivals append
+	// past it (or to a grown copy), never into it.
+	n := 0
 	bytes := s.cfg.BlockOverheadBytes
-	for len(batch) < s.cfg.BlockTxs && len(s.queue) > len(batch) {
-		it := s.queue[len(batch)]
-		if len(batch) > 0 && bytes+it.Bytes > s.cfg.MaxBlockBytes {
+	for n < s.cfg.BlockTxs && n < len(s.queue) {
+		it := &s.queue[n]
+		if n > 0 && bytes+it.Bytes > s.cfg.MaxBlockBytes {
 			break
 		}
 		bytes += it.Bytes
-		batch = append(batch, it)
+		n++
 	}
-	s.queue = s.queue[len(batch):]
+	batch := s.queue[:n:n]
+	s.queue = s.queue[n:]
 	s.queuedBytes -= bytes - s.cfg.BlockOverheadBytes
 	s.BlocksCut++
 
@@ -266,21 +290,23 @@ func (s *Shard) startBlock() {
 	}
 	s.arrivalCount = 0
 	s.windowStart = start
-	s.runConsensus(batch, bytes, func(sim *des.Simulator) {
-		s.finalizeBlock(batch, start)
-	})
+	s.startRound(batch, bytes)
 }
 
-// finalizeBlock applies items in order, notifies their owners, and
-// immediately cuts the next block if work is waiting.
-func (s *Shard) finalizeBlock(batch []*Item, start time.Duration) {
-	s.consensusTime.Observe((s.sim.Now() - start).Seconds())
+// finalizeBlock applies the round's items in order, notifies their owners,
+// and immediately cuts the next block if work is waiting.
+//
+//optchain:hotpath the per-item loop of every block.
+func (s *Shard) finalizeBlock() {
+	batch := s.round.batch
+	s.round.batch = nil
+	s.consensusTime.Observe((s.sim.Now() - s.round.start).Seconds())
 	s.height++
 	s.ledger.CommitBlock(&chain.Block{Shard: s.ID, Height: s.height})
 	for _, it := range batch {
 		var err error
-		if it.Execute != nil {
-			err = it.Execute()
+		if it.Work != nil {
+			err = it.Work.Execute()
 		}
 		if err != nil && it.defers < it.MaxDefers {
 			// Orphan-pool behavior: try again in a later block.
@@ -297,8 +323,8 @@ func (s *Shard) finalizeBlock(batch []*Item, start time.Duration) {
 		} else {
 			s.CommittedItems++
 		}
-		if it.Done != nil {
-			it.Done(s.sim, err)
+		if it.Work != nil {
+			it.Work.Done(s.sim, err)
 		}
 	}
 	s.busy = false
@@ -309,11 +335,4 @@ func (s *Shard) finalizeBlock(batch []*Item, start time.Duration) {
 		return
 	}
 	s.maybeStart()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

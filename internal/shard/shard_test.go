@@ -26,20 +26,19 @@ func TestBlockCommitsAfterTimer(t *testing.T) {
 	sim, _, s := testShard(t, 16, Config{BlockTxs: 100, MaxBlockWait: 2 * time.Second})
 	var committedAt time.Duration
 	executed := false
-	s.Enqueue(&Item{
+	s.Enqueue(Item{
 		Tx:    1,
 		Bytes: 500,
 		Kind:  "same",
-		Execute: func() error {
+		Work: work{execute: func() error {
 			executed = true
 			return nil
-		},
-		Done: func(sim *des.Simulator, err error) {
+		}, done: func(sim *des.Simulator, err error) {
 			if err != nil {
 				t.Errorf("unexpected err: %v", err)
 			}
 			committedAt = sim.Now()
-		},
+		}},
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -60,7 +59,7 @@ func TestFullBlockStartsImmediately(t *testing.T) {
 	sim, _, s := testShard(t, 16, Config{BlockTxs: 10, MaxBlockWait: time.Hour})
 	done := 0
 	for i := 0; i < 10; i++ {
-		s.Enqueue(&Item{Tx: chain.TxID(i + 1), Bytes: 300, Done: func(*des.Simulator, error) { done++ }})
+		s.Enqueue(Item{Tx: chain.TxID(i + 1), Bytes: 300, Work: work{done: func(*des.Simulator, error) { done++ }}})
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -77,10 +76,14 @@ func TestItemsExecuteInFIFOOrderAcrossBlocks(t *testing.T) {
 	var order []int
 	for i := 0; i < 17; i++ {
 		i := i
-		s.Enqueue(&Item{Tx: chain.TxID(i + 1), Bytes: 100, Execute: func() error {
-			order = append(order, i)
-			return nil
-		}})
+		s.Enqueue(Item{
+			Tx:    chain.TxID(i + 1),
+			Bytes: 100,
+			Work: work{execute: func() error {
+				order = append(order, i)
+				return nil
+			}},
+		})
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -102,11 +105,10 @@ func TestRejectionPropagatesError(t *testing.T) {
 	sim, _, s := testShard(t, 8, Config{BlockTxs: 4, MaxBlockWait: 100 * time.Millisecond})
 	wantErr := errors.New("missing utxo")
 	var gotErr error
-	s.Enqueue(&Item{
-		Tx:      1,
-		Bytes:   100,
-		Execute: func() error { return wantErr },
-		Done:    func(_ *des.Simulator, err error) { gotErr = err },
+	s.Enqueue(Item{
+		Tx:    1,
+		Bytes: 100,
+		Work:  work{execute: func() error { return wantErr }, done: func(_ *des.Simulator, err error) { gotErr = err }},
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -123,7 +125,7 @@ func TestConsensusLatencyScalesWithBlockSize(t *testing.T) {
 	timeFor := func(bytes int) time.Duration {
 		sim, _, s := testShard(t, 64, Config{BlockTxs: 2, MaxBlockWait: 10 * time.Millisecond})
 		var at time.Duration
-		s.Enqueue(&Item{Tx: 1, Bytes: bytes, Done: func(sim *des.Simulator, _ error) { at = sim.Now() }})
+		s.Enqueue(Item{Tx: 1, Bytes: bytes, Work: work{done: func(sim *des.Simulator, _ error) { at = sim.Now() }}})
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +149,7 @@ func TestConsensusLatencyGrowsWithCommittee(t *testing.T) {
 	timeFor := func(v int) time.Duration {
 		sim, _, s := testShard(t, v, Config{BlockTxs: 2, MaxBlockWait: 10 * time.Millisecond})
 		var at time.Duration
-		s.Enqueue(&Item{Tx: 1, Bytes: 1 << 18, Done: func(sim *des.Simulator, _ error) { at = sim.Now() }})
+		s.Enqueue(Item{Tx: 1, Bytes: 1 << 18, Work: work{done: func(sim *des.Simulator, _ error) { at = sim.Now() }}})
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +163,7 @@ func TestConsensusLatencyGrowsWithCommittee(t *testing.T) {
 func TestZeroValidatorsDegenerate(t *testing.T) {
 	sim, _, s := testShard(t, 0, Config{BlockTxs: 1, MaxBlockWait: time.Second})
 	done := false
-	s.Enqueue(&Item{Tx: 1, Bytes: 100, Done: func(*des.Simulator, error) { done = true }})
+	s.Enqueue(Item{Tx: 1, Bytes: 100, Work: work{done: func(*des.Simulator, error) { done = true }}})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestQueueDrainsContinuously(t *testing.T) {
 	sim, _, s := testShard(t, 16, Config{BlockTxs: 10, MaxBlockWait: 500 * time.Millisecond})
 	committed := 0
 	for i := 0; i < 95; i++ {
-		s.Enqueue(&Item{Tx: chain.TxID(i + 1), Bytes: 500, Done: func(*des.Simulator, error) { committed++ }})
+		s.Enqueue(Item{Tx: chain.TxID(i + 1), Bytes: 500, Work: work{done: func(*des.Simulator, error) { committed++ }}})
 	}
 	if s.QueueLen() == 0 {
 		t.Fatal("queue should hold items before running")
@@ -198,7 +200,7 @@ func TestMaxBlockBytesCapsBatch(t *testing.T) {
 	})
 	committed := 0
 	for i := 0; i < 10; i++ {
-		s.Enqueue(&Item{Tx: chain.TxID(i + 1), Bytes: 1500, Done: func(*des.Simulator, error) { committed++ }})
+		s.Enqueue(Item{Tx: chain.TxID(i + 1), Bytes: 1500, Work: work{done: func(*des.Simulator, error) { committed++ }}})
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -217,5 +219,24 @@ func TestColdConsensusEstimatePositive(t *testing.T) {
 	est := s.RecentConsensusSeconds()
 	if est <= 0 || est > 120 {
 		t.Fatalf("cold estimate = %v s", est)
+	}
+}
+
+// work adapts a pair of closures, either of which may be nil, to Work.
+type work struct {
+	execute func() error
+	done    func(*des.Simulator, error)
+}
+
+func (w work) Execute() error {
+	if w.execute == nil {
+		return nil
+	}
+	return w.execute()
+}
+
+func (w work) Done(sim *des.Simulator, err error) {
+	if w.done != nil {
+		w.done(sim, err)
 	}
 }

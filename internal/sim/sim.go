@@ -211,11 +211,13 @@ type Result struct {
 	Queues *metrics.QueueTracker
 
 	// Diagnostics: total blocks cut, ledger items committed across shards,
-	// and the mean recent consensus latency.
+	// the mean recent consensus latency, and the kernel events the run
+	// executed.
 	BlocksCut        int64
 	ItemsCommitted   int64
 	ItemsDeferred    int64
 	AvgConsensusSecs float64
+	Events           uint64
 }
 
 // Run executes one simulation to completion (or the time cap). It is the
@@ -254,12 +256,16 @@ type runner struct {
 	clients []simnet.NodeID
 	rng     *rand.Rand
 
-	// Stream state: the prefetched next transaction, the per-transaction
-	// output counts recorded so far (the placer's |Nout(v)| divisor), the
-	// optional feedback and exact-transaction hooks, the time of the last
-	// issue (the actual offered-load window end under Gap modulation), and
-	// the first source-validation failure, which aborts the run.
+	// Stream state: the prefetched next transaction and its stream index,
+	// the one callback every issue event runs (a single issue is ever
+	// queued), the per-transaction output counts recorded so far (the
+	// placer's |Nout(v)| divisor), the optional feedback and
+	// exact-transaction hooks, the time of the last issue (the actual
+	// offered-load window end under Gap modulation), and the first
+	// source-validation failure, which aborts the run.
 	srcPending workload.Tx
+	srcIndex   int
+	issue      func(*des.Simulator)
 	srcOuts    []int32
 	srcObs     workload.Observer
 	srcExact   exactSource
@@ -280,15 +286,42 @@ type runner struct {
 	retries int64
 
 	inputBuf []txgraph.Node
+
+	// Ledger transactions and their input and output slices, carved from
+	// chunks: a transaction lives until its commit and is never resized.
+	txs  arena[chain.Transaction]
+	ins  arena[chain.Outpoint]
+	outs arena[chain.Output]
+}
+
+// arena hands out slices carved from chunks, turning one small allocation
+// per take into one large one per chunk. Nothing is returned to it: a chunk
+// is collected when the last slice carved from it is.
+type arena[T any] struct{ free []T }
+
+const arenaChunk = 1024
+
+//optchain:hotpath
+func (a *arena[T]) take(n int) []T {
+	if n > len(a.free) {
+		//optchain:alloc-ok one chunk per arenaChunk elements
+		a.free = make([]T, max(n, arenaChunk))
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
 }
 
 func newRunner(cfg Config) *runner {
-	return &runner{
+	r := &runner{
 		cfg:     cfg,
 		latency: &metrics.LatencyRecorder{},
 		queues:  &metrics.QueueTracker{},
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
+	r.latency.Reserve(cfg.Txs)
+	r.issue = func(*des.Simulator) { r.issueFromSource() }
+	return r
 }
 
 func (r *runner) run() (*Result, error) {
@@ -309,7 +342,7 @@ func (r *runner) run() (*Result, error) {
 	// Placement strategy, resolved through the open registry so externally
 	// registered strategies are selectable by name exactly like the
 	// built-ins.
-	r.tel = &liveTelemetry{runner: r}
+	r.tel = newLiveTelemetry(r)
 	placer, err := registry.NewStrategy(cfg.Placer, registry.StrategyContext{
 		K: cfg.Shards,
 		N: cfg.Txs,
@@ -465,14 +498,17 @@ func (r *runner) pullSource(i int) bool {
 func (r *runner) scheduleSourceIssue(i int, at time.Duration) {
 	r.scheduledAt[i] = at
 	r.lastIssue = at
-	r.sim.ScheduleAt(at, "sim.issue", func(*des.Simulator) { r.issueFromSource(i) })
+	r.srcIndex = i
+	r.sim.ScheduleAt(at, "sim.issue", r.issue)
 }
 
-// issueFromSource processes the prefetched transaction i, then prefetches
-// i+1 and chains its issue event one Gap-scaled inter-arrival later.
-func (r *runner) issueFromSource(i int) {
-	r.decideSource(i)
-	next := i + 1
+// issueFromSource processes the prefetched transaction, then prefetches the
+// next and chains its issue event one Gap-scaled inter-arrival later.
+//
+//optchain:hotpath once per transaction; the source, the placer and the protocol own what it allocates.
+func (r *runner) issueFromSource() {
+	r.decideSource(r.srcIndex)
+	next := r.srcIndex + 1
 	if next >= r.cfg.Txs || !r.pullSource(next) {
 		return
 	}
@@ -487,9 +523,11 @@ func (r *runner) issueFromSource(i int) {
 // at its issue tick (stream order, matching §IV's online model) and submits
 // it, materializing only that one transaction, then feeds the decision back
 // to feedback-aware sources.
+//
+//optchain:hotpath
 func (r *runner) decideSource(i int) {
-	client := r.clients[i%len(r.clients)]
-	r.tel.client = client
+	r.tel.client = i % len(r.clients)
+	client := r.clients[r.tel.client]
 	src := &r.srcPending
 
 	r.inputBuf = r.inputBuf[:0]
@@ -529,16 +567,17 @@ type exactSource interface {
 }
 
 // sourceTx materializes the prefetched stream transaction i for the ledger.
+//
+//optchain:hotpath carved from the runner's arenas.
 func (r *runner) sourceTx(i int) *chain.Transaction {
 	if r.srcExact != nil {
 		return r.srcExact.ChainTx()
 	}
 	src := &r.srcPending
-	tx := &chain.Transaction{
-		ID:      chain.TxID(i + 1),
-		Inputs:  make([]chain.Outpoint, len(src.Inputs)),
-		Outputs: make([]chain.Output, src.Outputs),
-	}
+	tx := &r.txs.take(1)[0]
+	tx.ID = chain.TxID(i + 1)
+	tx.Inputs = r.ins.take(len(src.Inputs))
+	tx.Outputs = r.outs.take(src.Outputs)
 	for j, in := range src.Inputs {
 		tx.Inputs[j] = chain.Outpoint{Tx: chain.TxID(in.Tx + 1), Index: in.Index}
 	}
@@ -552,7 +591,10 @@ func (r *runner) sourceTx(i int) *chain.Transaction {
 
 // submit sends the transaction, retrying with backoff on rejection
 // (transient ordering races, e.g. re-locks after an abort).
+//
+//optchain:hotpath
 func (r *runner) submit(i int, client simnet.NodeID, tx *chain.Transaction, s int, attempt int) {
+	//optchain:alloc-ok the per-attempt outcome callback: what the client remembers of a transaction in flight
 	r.proto.Submit(client, tx, s, func(sim *des.Simulator, ok bool) {
 		if ok {
 			r.onCommitted(i, sim.Now())
@@ -596,6 +638,7 @@ func (r *runner) buildResult() *Result {
 		Aborts:          aborts,
 		Queues:          r.queues,
 		WindowSeconds:   r.cfg.CommitWindow.Seconds(),
+		Events:          r.sim.Executed(),
 	}
 	if makespan > 0 {
 		res.ThroughputTPS = float64(r.committed) / makespan
@@ -615,7 +658,7 @@ func (r *runner) buildResult() *Result {
 	}
 	res.AvgConsensusSecs = consensusSum / float64(len(r.shards))
 
-	var commitTimes []time.Duration
+	commitTimes := make([]time.Duration, 0, r.cfg.Txs)
 	for _, t := range r.commitAt {
 		if t > 0 {
 			commitTimes = append(commitTimes, t)
@@ -654,28 +697,35 @@ func (r *runner) buildResult() *Result {
 // liveTelemetry implements core.Telemetry from live simulation state — the
 // client-observable estimates the paper's wallet uses (§IV-C).
 type liveTelemetry struct {
-	runner *runner
-	client simnet.NodeID
+	shards []*shard.Shard
+	// commRate[client][shard] is λc, a constant of the node placement.
+	commRate [][]float64
+	// client indexes the client issuing the transaction being placed.
+	client int
 }
 
-// CommRate implements core.Telemetry: λc = 1 / round-trip estimate between
-// the issuing client and the shard leader (propagation + ~500 B transfer).
-func (t *liveTelemetry) CommRate(shard int) float64 {
-	r := t.runner
-	rtt := 2*r.net.Latency(t.client, r.shards[shard].Leader) + r.net.TransferTime(500)
-	return stats.RateFromMean(rtt.Seconds())
+// newLiveTelemetry tabulates λc = 1 / round-trip estimate between each
+// client and each shard leader (propagation + ~500 B transfer).
+func newLiveTelemetry(r *runner) *liveTelemetry {
+	t := &liveTelemetry{shards: r.shards, commRate: make([][]float64, len(r.clients))}
+	for c, client := range r.clients {
+		t.commRate[c] = make([]float64, len(r.shards))
+		for s, sh := range r.shards {
+			rtt := 2*r.net.Latency(client, sh.Leader) + r.net.TransferTime(500)
+			t.commRate[c][s] = stats.RateFromMean(rtt.Seconds())
+		}
+	}
+	return t
 }
+
+// CommRate implements core.Telemetry.
+func (t *liveTelemetry) CommRate(shard int) float64 { return t.commRate[t.client][shard] }
 
 // VerifyRate implements core.Telemetry: λv from the shard's recent
 // consensus latency and its current queue depth.
 func (t *liveTelemetry) VerifyRate(shard int) float64 {
-	r := t.runner
-	sh := r.shards[shard]
-	blockTxs := r.cfg.Shard.BlockTxs
-	if blockTxs <= 0 {
-		blockTxs = 2000
-	}
-	return stats.VerificationRate(sh.RecentConsensusSeconds(), sh.QueueLen(), blockTxs)
+	sh := t.shards[shard]
+	return stats.VerificationRate(sh.RecentConsensusSeconds(), sh.QueueLen(), sh.BlockTxs())
 }
 
 // Compile-time interface compliance check.

@@ -21,7 +21,7 @@ func TestLiveTelemetryTracksQueues(t *testing.T) {
 	}
 	// Post-run, queues are drained: rates should be finite and positive.
 	tel := r.tel
-	tel.client = r.clients[0]
+	tel.client = 0
 	for s := 0; s < cfg.Shards; s++ {
 		if v := tel.VerifyRate(s); v <= 0 {
 			t.Fatalf("verify rate shard %d = %v", s, v)

@@ -126,40 +126,38 @@ func (n *Network) TransferTime(size int) time.Duration {
 // The message first waits for the sender's outbound link (transfers are
 // serialized per sender), then takes the link's propagation latency.
 // deliver runs at the receiver at arrival time.
+//
+//optchain:hotpath every protocol message of every simulated transaction.
 func (n *Network) Send(from, to NodeID, size int, name string, deliver func(*des.Simulator)) {
 	if int(from) >= len(n.nodes) || int(to) >= len(n.nodes) || from < 0 || to < 0 {
 		panic(fmt.Sprintf("simnet: send %d->%d outside %d nodes", from, to, len(n.nodes)))
 	}
-	now := n.sim.Now()
+	done := n.Occupy(from, n.sim.Now(), size, 1)
+	n.sim.ScheduleAt(done+n.Latency(from, to), name, deliver)
+}
+
+// Occupy queues count back-to-back transfers of size bytes on from's
+// outbound link, the first starting no earlier than at, counts them as sent
+// and returns when the last one has left the link. It is Send without the
+// delivery events, for a caller that derives the arrivals in closed form
+// (the committee round in package shard); at may lie in the future when
+// nothing else sends from that node in between.
+func (n *Network) Occupy(from NodeID, at time.Duration, size, count int) time.Duration {
 	sender := &n.nodes[from]
-	start := now
-	if sender.busyUntil > start {
-		start = sender.busyUntil
+	if sender.busyUntil > at {
+		at = sender.busyUntil
 	}
-	done := start + n.TransferTime(size)
-	sender.busyUntil = done
-	arrival := done + n.Latency(from, to)
-	n.Sent++
-	n.Bytes += int64(size)
-	n.sim.ScheduleAt(arrival, name, deliver)
+	sender.busyUntil = at + time.Duration(count)*n.TransferTime(size)
+	n.CountTraffic(size, count)
+	return sender.busyUntil
 }
 
-// ExpectedLatency returns the mean propagation delay from a node to a set
-// of peers — the client-side λc estimate source.
-func (n *Network) ExpectedLatency(from NodeID, peers []NodeID) time.Duration {
-	if len(peers) == 0 {
-		return n.cfg.BaseLatency
-	}
-	var total time.Duration
-	for _, p := range peers {
-		total += n.Latency(from, p)
-	}
-	return total / time.Duration(len(peers))
-}
+// BusyUntil returns when from's outbound link frees up.
+func (n *Network) BusyUntil(from NodeID) time.Duration { return n.nodes[from].busyUntil }
 
-// CountTraffic accounts size bytes of traffic that was scheduled outside
-// Send (e.g. analytically modelled pipelined broadcasts).
-func (n *Network) CountTraffic(size int) {
-	n.Sent++
-	n.Bytes += int64(size)
+// CountTraffic accounts count messages of size bytes that occupy no
+// sender's link (the analytically modelled pipelined broadcast).
+func (n *Network) CountTraffic(size, count int) {
+	n.Sent += int64(count)
+	n.Bytes += int64(count) * int64(size)
 }

@@ -119,7 +119,7 @@ func TestSendPanicsOnUnknownNodes(t *testing.T) {
 	net.Send(a, NodeID(99), 10, "bad", nil)
 }
 
-func TestCountersAndExpectedLatency(t *testing.T) {
+func TestCounters(t *testing.T) {
 	sim := des.New()
 	net := New(sim, DefaultConfig())
 	rng := rand.New(rand.NewSource(3))
@@ -129,12 +129,36 @@ func TestCountersAndExpectedLatency(t *testing.T) {
 	if net.Sent != 2 || net.Bytes != 300 {
 		t.Fatalf("counters = %d msgs / %d bytes", net.Sent, net.Bytes)
 	}
-	el := net.ExpectedLatency(ids[0], ids[1:])
-	if el <= 0 {
-		t.Fatalf("expected latency = %v", el)
+	net.CountTraffic(50, 3)
+	if net.Sent != 5 || net.Bytes != 450 {
+		t.Fatalf("counters after CountTraffic = %d msgs / %d bytes", net.Sent, net.Bytes)
 	}
-	if got := net.ExpectedLatency(ids[0], nil); got != DefaultConfig().BaseLatency {
-		t.Fatalf("empty peers latency = %v", got)
+}
+
+// Occupy is Send's link accounting: transfers queue behind each other from
+// the later of the given instant and the link's release, and a later Send
+// queues behind them.
+func TestOccupyQueuesLikeSend(t *testing.T) {
+	sim := des.New()
+	net := New(sim, DefaultConfig())
+	a, b := net.AddNode(0.1, 0.1), net.AddNode(0.2, 0.2)
+	one := net.TransferTime(1000)
+	if got := net.Occupy(a, time.Second, 1000, 3); got != time.Second+3*one {
+		t.Fatalf("three transfers from 1s end at %v, want %v", got, time.Second+3*one)
+	}
+	if got := net.Occupy(a, 0, 1000, 1); got != time.Second+4*one || net.BusyUntil(a) != got {
+		t.Fatalf("queued transfer ends at %v (link busy until %v), want %v", got, net.BusyUntil(a), time.Second+4*one)
+	}
+	if net.Sent != 4 || net.Bytes != 4000 {
+		t.Fatalf("counters = %d msgs / %d bytes", net.Sent, net.Bytes)
+	}
+	var at time.Duration
+	net.Send(a, b, 1000, "m", func(s *des.Simulator) { at = s.Now() })
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := time.Second + 5*one + net.Latency(a, b); at != want {
+		t.Fatalf("send behind occupied link arrived at %v, want %v", at, want)
 	}
 }
 

@@ -44,16 +44,17 @@ func Summarize(xs []float64) Summary {
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between order statistics. It sorts a copy.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	cp := make([]float64, len(xs))
 	copy(cp, xs)
 	sort.Float64s(cp)
-	return percentileSorted(cp, p)
+	return PercentileSorted(cp, p)
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
+// PercentileSorted is Percentile over a sample already in ascending order.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}
