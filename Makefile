@@ -92,12 +92,17 @@ scenario-smoke:
 # quality-gate row decoders (DecodeRows and the row-cache loader must
 # reject arbitrary bytes with ErrBadCache, never panic) and the gateway's
 # line codec against its oracle (the request scanner takes a line only as
-# json.Unmarshal would, the response encoder writes json.Encoder's bytes).
+# json.Unmarshal would, the response encoder writes json.Encoder's bytes),
+# and the two state decoders (an engine snapshot or a gateway state file is
+# refused with its typed error or restores a working engine; the seeds are
+# kilobytes long, so minimising every new input would eat the whole pass).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzDiffRows -fuzztime 10s ./experiment
 	$(GO) test -run '^$$' -fuzz FuzzRequestLine -fuzztime 10s ./serve
 	$(GO) test -run '^$$' -fuzz FuzzResponseLine -fuzztime 10s ./serve
+	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 10s -fuzzminimizetime 0 .
+	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s -fuzzminimizetime 0 ./serve
 
 # Tiny 2x2 streaming sweep through the JSONL reporter, validated with the
 # sweepcheck checker: the experiment layer's data path (streamed cells,

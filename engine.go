@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"optchain/internal/core"
 	"optchain/internal/placement"
 	"optchain/internal/registry"
 	"optchain/internal/sim"
@@ -74,6 +75,14 @@ type PlacementStats struct {
 	// engine's measured decision-drift source; it is always 0 at
 	// parallelism 1, where decisions are bit-identical to serial placement.
 	CrossChunkRefs int64
+	// SlabEntries is the number of sparse p'(v) entries the T2S index holds
+	// (0 for strategies without one).
+	SlabEntries int64
+	// StateBytes is the heap the engine's per-transaction state holds,
+	// computed from the capacities of its columns (output counts, shard
+	// assignment, and for T2S/OptChain the slab chunks, end offsets and
+	// out-degrees), not from the runtime's memory statistics.
+	StateBytes int64
 }
 
 // Engine is the package's main entry point: an online transaction-placement
@@ -137,11 +146,15 @@ type Engine struct {
 type Option func(*Engine) error
 
 // WithShards sets the number of shards (required to be >= 1; default 16,
-// the paper's largest configuration).
+// the paper's largest configuration). Placer state and snapshots store a
+// shard id in 2 bytes, so more than 65535 shards are rejected.
 func WithShards(k int) Option {
 	return func(e *Engine) error {
 		if k < 1 {
 			return fmt.Errorf("%w: WithShards(%d): need at least 1 shard", ErrBadOption, k)
+		}
+		if k > placement.MaxShards {
+			return fmt.Errorf("%w: WithShards(%d): at most %d shards", ErrBadOption, k, placement.MaxShards)
 		}
 		e.shards = k
 		return nil
@@ -540,6 +553,9 @@ func (e *Engine) ensurePlacerLocked() error {
 	}
 	e.placer = p
 	e.placerN = n
+	if cap(e.outs) < n {
+		e.outs = append(make([]int32, 0, n), e.outs...)
+	}
 	return nil
 }
 
@@ -894,7 +910,13 @@ func (e *Engine) Stats() PlacementStats {
 		CrossChunkRefs:    e.epoch.CrossChunkRefs,
 	}
 	if e.placer != nil {
-		st.ShardCounts = e.placer.Assignment().Counts()
+		asn := e.placer.Assignment()
+		st.ShardCounts = asn.Counts()
+		st.StateBytes = 4*int64(cap(e.outs)) + asn.Bytes()
+		if p, ok := e.placer.(interface{ Scores() *core.T2SIndex }); ok {
+			st.SlabEntries = int64(p.Scores().SlabLen())
+			st.StateBytes += p.Scores().Bytes()
+		}
 	}
 	return st
 }

@@ -38,6 +38,7 @@ func TestEngineOptionValidation(t *testing.T) {
 		want error
 	}{
 		{"zero shards", []optchain.Option{optchain.WithShards(0)}, optchain.ErrBadOption},
+		{"more shards than a 2-byte id names", []optchain.Option{optchain.WithShards(65536)}, optchain.ErrBadOption},
 		{"negative rate", []optchain.Option{optchain.WithRate(-5)}, optchain.ErrBadOption},
 		{"empty strategy", []optchain.Option{optchain.WithStrategy("")}, optchain.ErrBadOption},
 		{"bad alpha", []optchain.Option{optchain.WithAlpha(1.5)}, optchain.ErrBadOption},
@@ -62,6 +63,9 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 
 	// Valid options construct eagerly with no error.
+	if _, err := optchain.New(optchain.WithShards(65535)); err != nil {
+		t.Fatalf("the largest shard count: %v", err)
+	}
 	eng, err := optchain.New(optchain.WithStrategy("OptChain"), optchain.WithShards(16))
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // Sharder/EpochWorker contract). One epoch freezes the committed slab — it
 // is immutable between commits by construction, so workers read it without
 // coordination — and gives each worker a chunk-local extension arena:
-// its own slab columns, spans, out-degrees, decisions, and shard tallies.
+// its own slab columns, end offsets, out-degrees, decisions, and shard tallies.
 //
 // Divisor reconciliation: the online |Nout(v)| estimate counts spenders,
 // and spenders of a pre-chunk transaction can sit in any chunk. Each worker
@@ -32,11 +32,11 @@ type t2sWorker struct {
 	idx              *T2SIndex
 	base, start, end int
 
-	// Chunk-local extension of the frozen arena; span offsets are relative
-	// to wShards/wVals.
-	wShards []int32
+	// Chunk-local extension of the frozen arena: contiguous columns (they
+	// live for one epoch), wEnds[i+1] one past the i-th local vector.
+	wShards []uint16
 	wVals   []uint64
-	wSpans  []vecSpan
+	wEnds   []int
 	wDeg    []int32
 
 	dec    []int32 // decisions for [start, end), in order
@@ -71,7 +71,7 @@ func (t *T2SIndex) forkWorker(i, base, start, end int) *t2sWorker {
 	w.base, w.start, w.end = base, start, end
 	w.wShards = w.wShards[:0]
 	w.wVals = w.wVals[:0]
-	w.wSpans = w.wSpans[:0]
+	w.wEnds = append(w.wEnds[:0], 0)
 	w.wDeg = w.wDeg[:0]
 	w.dec = w.dec[:0]
 	w.counts = append(w.counts[:0], t.asn.CountsView()...)
@@ -97,9 +97,8 @@ func (w *t2sWorker) prepare(u txgraph.Node, inputs []txgraph.Node) []float64 {
 			// Placed by this worker: local degree, local vector.
 			li := iv - w.start
 			w.wDeg[li]++
-			sp := w.wSpans[li]
-			end := sp.off + int(sp.n)
-			w.tally.accumulate(w.wShards[sp.off:end], w.wVals[sp.off:end], t.divisor(v, w.wDeg[li]))
+			lo, hi := w.wEnds[li], w.wEnds[li+1]
+			w.tally.accumulate(w.wShards[lo:hi], w.wVals[lo:hi], t.divisor(v, w.wDeg[li]))
 		case iv >= w.base:
 			// Concurrent chunk: the spend still counts toward |Nout(v)|
 			// (reconciled at Join) but the vector is not visible yet.
@@ -123,33 +122,32 @@ func (w *t2sWorker) prepare(u txgraph.Node, inputs []txgraph.Node) []float64 {
 //optchain:hotpath one call per epoch transaction.
 func (w *t2sWorker) commit(u txgraph.Node, shard int) {
 	t := w.idx
-	off := len(w.wShards)
-	w.wShards, w.wVals = appendVector(
-		w.wShards, w.wVals, w.tally.pendS, w.tally.pendV,
-		int32(shard), t.alphaQ, t.truncQ)
-	w.wSpans = append(w.wSpans, vecSpan{off: off, n: int32(len(w.wShards) - off)})
+	shards, vals := w.tally.seal(uint16(shard), t.alphaQ, t.truncQ)
+	w.wShards = append(w.wShards, shards...)
+	w.wVals = append(w.wVals, vals...)
+	w.wEnds = append(w.wEnds, len(w.wShards))
 	w.wDeg = append(w.wDeg, 0)
 	w.dec = append(w.dec, int32(shard))
 	w.counts[shard]++
-	w.tally.hasPending = false
 }
 
 // joinWorkers folds the chunk-local arenas back into the shared index, in
-// chunk order: append each worker's slab extension (rebasing span offsets),
-// extend the degree array, then apply the worker's degree deltas — by then
+// chunk order: append each worker's vectors one by one (the same routine
+// Commit uses, so the slab is laid out as a serial run's would be), carry
+// the local degrees over, then apply the worker's degree deltas — by then
 // every node a delta references has been appended. The fold is pure
 // appends plus commutative integer adds, so the joined state depends only
 // on the epoch's inputs and partition, never on worker timing.
 func (t *T2SIndex) joinWorkers(ws []*t2sWorker) {
 	for _, w := range ws {
-		t.growSlab(len(w.wShards))
-		off0 := len(t.slabShards)
-		t.slabShards = append(t.slabShards, w.wShards...)
-		t.slabVals = append(t.slabVals, w.wVals...)
-		for _, sp := range w.wSpans {
-			t.spans = append(t.spans, vecSpan{off: off0 + sp.off, n: sp.n})
+		first := len(t.outDeg)
+		for i := range w.wDeg {
+			lo, hi := w.wEnds[i], w.wEnds[i+1]
+			if err := t.appendVec(w.wShards[lo:hi], w.wVals[lo:hi]); err != nil {
+				panic(err) // the Engine reports it as the batch's failure
+			}
 		}
-		t.outDeg = append(t.outDeg, w.wDeg...)
+		copy(t.outDeg[first:], w.wDeg)
 		for v, d := range w.degDelta {
 			t.outDeg[v] += d
 		}

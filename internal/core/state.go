@@ -1,127 +1,154 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"optchain/internal/placement"
 )
 
-// appendState serializes the index's complete incremental state: the slab
-// arena columns, the per-node span lengths (offsets are cumulative, so only
-// lengths are stored), and the online out-degrees. Configuration (alpha,
-// truncation, normalization) is construction input, not state — the restore
-// target must be built with the same parameters.
-func (t *T2SIndex) appendState(dst []byte) []byte {
+// The T2S state section is the assignment's shard column followed by the
+// index's four columns, each a uvarint count and that many little-endian
+// elements:
+//
+//	span lengths   2 B per transaction (entries of its p'(v), at most k)
+//	out-degrees    4 B per transaction
+//	slab shard ids 2 B per entry, vectors back to back, no chunk padding
+//	slab values    8 B per entry (Q32.32)
+//
+// Configuration (alpha, truncation, normalization) is construction input,
+// not state — the restore target must be built with the same parameters.
+
+// stateSize returns how many bytes writeState emits.
+func (t *T2SIndex) stateSize() int64 {
+	n := len(t.outDeg)
+	return t.asn.StateSize() +
+		placement.ColumnSize(n, 2) + placement.ColumnSize(n, 4) +
+		placement.ColumnSize(t.entries, 2) + placement.ColumnSize(t.entries, 8)
+}
+
+// writeState serializes the assignment and the index's complete incremental
+// state. The columns are written as they are held; only the span lengths
+// are computed, a block at a time, from the end offsets.
+func (t *T2SIndex) writeState(w *placement.StateWriter) {
 	if t.tally.hasPending {
 		panic(fmt.Sprintf("core: snapshot between Prepare(%d) and Commit", t.tally.pendingNode))
 	}
-	dst = placement.AppendInt32s(dst, t.slabShards)
-	dst = placement.AppendUint64s(dst, t.slabVals)
-	lens := make([]int32, len(t.spans))
-	for i, sp := range t.spans {
-		lens[i] = sp.n
+	t.asn.WriteState(w)
+	n := len(t.outDeg)
+	w.Uvarint(uint64(n))
+	var block [1024]uint16
+	for v := 0; v < n; {
+		m := min(n-v, len(block))
+		for i := range block[:m] {
+			shards, _ := t.vec(int32(v + i))
+			block[i] = uint16(len(shards))
+		}
+		w.Uint16s(block[:m])
+		v += m
 	}
-	dst = placement.AppendInt32s(dst, lens)
-	dst = placement.AppendInt32s(dst, t.outDeg)
-	return dst
+	w.Uvarint(uint64(n))
+	w.Int32s(t.outDeg)
+	w.Uvarint(uint64(t.entries))
+	for _, chunk := range t.slabS {
+		w.Uint16s(chunk)
+	}
+	w.Uvarint(uint64(t.entries))
+	for _, chunk := range t.slabV {
+		w.Uint64s(chunk)
+	}
 }
 
-// restoreState replaces a fresh index's state with an appendState section,
-// validating internal consistency: span lengths must tile the slab exactly,
-// the per-node columns must agree on the transaction count, and every slab
-// shard must be inside the assignment's range.
+// restoreState replaces a fresh index's state (and its assignment's) with a
+// writeState section, validating internal consistency: the per-node columns
+// must agree with each other and with the assignment on the transaction
+// count, span lengths must be at most k and tile the slab exactly, every
+// slab shard must be inside the assignment's range, and no out-degree may
+// be negative. Vectors are re-appended one by one, so the restored slab is
+// laid out by the same routine that built the original.
 func (t *T2SIndex) restoreState(r *placement.StateReader) error {
-	slabShards := r.Int32s()
-	slabVals := r.Uint64s()
-	lens := r.Int32s()
-	outDeg := r.Int32s()
+	if len(t.outDeg) != 0 || t.tally.hasPending {
+		return fmt.Errorf("core: restore into a non-empty T2S index (%d committed)", len(t.outDeg))
+	}
+	if err := t.asn.RestoreState(r); err != nil {
+		return err
+	}
+	lens := r.Column(2)
+	outDeg := r.Column(4)
+	slabShards := r.Column(2)
+	slabVals := r.Column(8)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if len(t.spans) != 0 || t.tally.hasPending {
-		return fmt.Errorf("core: restore into a non-empty T2S index (%d committed)", len(t.spans))
+	nodes, entries := len(lens)/2, len(slabShards)/2
+	if len(slabVals)/8 != entries {
+		return fmt.Errorf("core: slab columns disagree: %d shards, %d values", entries, len(slabVals)/8)
 	}
-	if len(slabShards) != len(slabVals) {
-		return fmt.Errorf("core: slab columns disagree: %d shards, %d values", len(slabShards), len(slabVals))
+	if len(outDeg)/4 != nodes {
+		return fmt.Errorf("core: per-node columns disagree: %d spans, %d out-degrees", nodes, len(outDeg)/4)
 	}
-	if len(lens) != len(outDeg) {
-		return fmt.Errorf("core: per-node columns disagree: %d spans, %d out-degrees", len(lens), len(outDeg))
+	if placed := t.asn.Len(); placed != nodes {
+		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, nodes)
 	}
-	k := int32(t.asn.K())
-	for i, s := range slabShards {
-		if s < 0 || s >= k {
-			return fmt.Errorf("core: slab entry %d names shard %d of %d", i, s, k)
-		}
-	}
-	spans := make([]vecSpan, len(lens))
+	t.Reserve(nodes, entries)
+	k := t.asn.K()
 	off := 0
-	for i, n := range lens {
-		if n < 0 || off+int(n) > len(slabShards) {
-			return fmt.Errorf("core: span %d (len %d at offset %d) exceeds slab length %d", i, n, off, len(slabShards))
+	for v := 0; v < nodes; v++ {
+		n := int(binary.LittleEndian.Uint16(lens[2*v:]))
+		if n > k {
+			return fmt.Errorf("core: span %d has %d entries, more than the %d shards", v, n, k)
 		}
-		spans[i] = vecSpan{off: off, n: n}
-		off += int(n)
+		if off+n > entries {
+			return fmt.Errorf("core: span %d (len %d at offset %d) exceeds slab length %d", v, n, off, entries)
+		}
+		shards, vals, err := t.extend(n)
+		if err != nil {
+			return err
+		}
+		srcS, srcV := slabShards[2*off:2*(off+n)], slabVals[8*off:8*(off+n)]
+		for i := range shards {
+			s := binary.LittleEndian.Uint16(srcS[2*i:])
+			if int(s) >= k {
+				return fmt.Errorf("core: slab entry %d names shard %d of %d", off+i, s, k)
+			}
+			shards[i] = s
+			vals[i] = binary.LittleEndian.Uint64(srcV[8*i:])
+		}
+		off += n
 	}
-	if off != len(slabShards) {
-		return fmt.Errorf("core: spans cover %d of %d slab entries", off, len(slabShards))
+	if off != entries {
+		return fmt.Errorf("core: spans cover %d of %d slab entries", off, entries)
 	}
-	for i, d := range outDeg {
+	for v := range t.outDeg {
+		d := int32(binary.LittleEndian.Uint32(outDeg[4*v:]))
 		if d < 0 {
-			return fmt.Errorf("core: negative out-degree %d at node %d", d, i)
+			return fmt.Errorf("core: negative out-degree %d at node %d", d, v)
 		}
+		t.outDeg[v] = d
 	}
-	t.slabShards = slabShards
-	t.slabVals = slabVals
-	t.spans = spans
-	t.outDeg = outDeg
-	t.workers = nil // chunk-local arenas are rebuilt on the next parallel epoch
 	return nil
 }
 
-// AppendState implements placement.Snapshotter: the assignment's decisions
+// StateSize implements placement.Snapshotter.
+func (p *T2SPlacer) StateSize() int64 { return p.idx.stateSize() }
+
+// WriteState implements placement.Snapshotter: the assignment's decisions
 // followed by the T2S index state.
-func (p *T2SPlacer) AppendState(dst []byte) []byte {
-	dst = p.idx.asn.AppendState(dst)
-	return p.idx.appendState(dst)
-}
+func (p *T2SPlacer) WriteState(w *placement.StateWriter) { p.idx.writeState(w) }
 
 // RestoreState implements placement.Snapshotter. The receiver must be fresh
 // and configured identically to the snapshot's producer.
-func (p *T2SPlacer) RestoreState(r *placement.StateReader) error {
-	if err := p.idx.asn.RestoreState(r); err != nil {
-		return err
-	}
-	if err := p.idx.restoreState(r); err != nil {
-		return err
-	}
-	if placed, spans := p.idx.asn.Len(), len(p.idx.spans); placed != spans {
-		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, spans)
-	}
-	p.workers = nil
-	return nil
-}
+func (p *T2SPlacer) RestoreState(r *placement.StateReader) error { return p.idx.restoreState(r) }
 
-// AppendState implements placement.Snapshotter. The L2S latency model is
+// StateSize implements placement.Snapshotter.
+func (p *OptChainPlacer) StateSize() int64 { return p.idx.stateSize() }
+
+// WriteState implements placement.Snapshotter. The L2S latency model is
 // live telemetry, not decision state: it re-attaches on the restored engine.
-func (p *OptChainPlacer) AppendState(dst []byte) []byte {
-	dst = p.idx.asn.AppendState(dst)
-	return p.idx.appendState(dst)
-}
+func (p *OptChainPlacer) WriteState(w *placement.StateWriter) { p.idx.writeState(w) }
 
 // RestoreState implements placement.Snapshotter.
-func (p *OptChainPlacer) RestoreState(r *placement.StateReader) error {
-	if err := p.idx.asn.RestoreState(r); err != nil {
-		return err
-	}
-	if err := p.idx.restoreState(r); err != nil {
-		return err
-	}
-	if placed, spans := p.idx.asn.Len(), len(p.idx.spans); placed != spans {
-		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, spans)
-	}
-	p.workers = nil
-	return nil
-}
+func (p *OptChainPlacer) RestoreState(r *placement.StateReader) error { return p.idx.restoreState(r) }
 
 // Compile-time interface compliance checks.
 var (

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -12,6 +14,22 @@ import (
 type snapPlacer interface {
 	placement.Placer
 	placement.Snapshotter
+}
+
+// stateOf serializes one Snapshotter section and checks that StateSize
+// predicted its length.
+func stateOf(t *testing.T, s placement.Snapshotter) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := placement.NewStateWriter(&buf)
+	s.WriteState(w)
+	if err := w.Flush(); err != nil {
+		t.Fatalf("write state: %v", err)
+	}
+	if int64(buf.Len()) != s.StateSize() || w.Len() != s.StateSize() {
+		t.Fatalf("StateSize %d, wrote %d (writer counted %d)", s.StateSize(), buf.Len(), w.Len())
+	}
+	return buf.Bytes()
 }
 
 // TestCoreSnapshotterRoundTrip: T2S and full OptChain snapshot mid-stream
@@ -45,7 +63,7 @@ func TestCoreSnapshotterRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			blob := cut.AppendState(nil)
+			blob := stateOf(t, cut)
 
 			fresh := mk()
 			r := placement.NewStateReader(blob)
@@ -69,51 +87,74 @@ func TestCoreSnapshotterRoundTrip(t *testing.T) {
 	}
 }
 
-// corruptSection builds a T2S state section (assignment column + index
-// columns) from raw parts, for defect injection.
-func corruptSection(asnShards, slabShards []int32, slabVals []uint64, lens, outDeg []int32) []byte {
-	var b []byte
-	b = placement.AppendInt32s(b, asnShards)
-	b = placement.AppendInt32s(b, slabShards)
-	b = placement.AppendUint64s(b, slabVals)
-	b = placement.AppendInt32s(b, lens)
-	b = placement.AppendInt32s(b, outDeg)
+// column encodes one length-prefixed column of little-endian elements.
+func column[T uint16 | int32 | uint64](b []byte, vals []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vals)))
+	for _, v := range vals {
+		switch v := any(v).(type) {
+		case uint16:
+			b = binary.LittleEndian.AppendUint16(b, v)
+		case int32:
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		case uint64:
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+	}
 	return b
+}
+
+// corruptSection builds a T2S state section (assignment column + index
+// columns, format version 2) from raw parts, for defect injection.
+func corruptSection(asnShards, lens []uint16, outDeg []int32, slabShards []uint16, slabVals []uint64) []byte {
+	b := column(nil, asnShards)
+	b = column(b, lens)
+	b = column(b, outDeg)
+	b = column(b, slabShards)
+	return column(b, slabVals)
 }
 
 func TestCoreRestoreDefects(t *testing.T) {
 	const k, n = 4, 16
+	one := []uint16{0} // one transaction, placed in shard 0
 	cases := map[string]struct {
 		blob []byte
 		want string
 	}{
 		"slab columns disagree": {
-			blob: corruptSection(nil, []int32{0}, nil, nil, nil),
+			blob: corruptSection(nil, nil, nil, []uint16{0}, nil),
 			want: "slab columns disagree",
 		},
 		"per-node columns disagree": {
-			blob: corruptSection(nil, nil, nil, []int32{0}, nil),
+			blob: corruptSection(one, []uint16{0}, nil, nil, nil),
 			want: "per-node columns disagree",
 		},
 		"slab shard out of range": {
-			blob: corruptSection(nil, []int32{9}, []uint64{1}, nil, nil),
+			blob: corruptSection(one, []uint16{1}, []int32{0}, []uint16{9}, []uint64{1}),
 			want: "names shard 9",
 		},
+		"span longer than k": {
+			blob: corruptSection(one, []uint16{k + 1}, []int32{0}, []uint16{0, 1, 2, 3, 0}, []uint64{1, 1, 1, 1, 1}),
+			want: "more than the 4 shards",
+		},
 		"span exceeds slab": {
-			blob: corruptSection(nil, []int32{0, 0}, []uint64{1, 1}, []int32{3}, []int32{0}),
+			blob: corruptSection(one, []uint16{3}, []int32{0}, []uint16{0, 0}, []uint64{1, 1}),
 			want: "exceeds slab length",
 		},
 		"spans undercover slab": {
-			blob: corruptSection(nil, []int32{0, 0}, []uint64{1, 1}, []int32{1}, []int32{0}),
+			blob: corruptSection(one, []uint16{1}, []int32{0}, []uint16{0, 0}, []uint64{1, 1}),
 			want: "cover 1 of 2",
 		},
 		"negative out-degree": {
-			blob: corruptSection(nil, []int32{0, 0}, []uint64{1, 1}, []int32{2}, []int32{-1}),
+			blob: corruptSection(one, []uint16{2}, []int32{-1}, []uint16{0, 1}, []uint64{1, 1}),
 			want: "negative out-degree",
 		},
 		"assignment and index disagree": {
-			blob: corruptSection([]int32{0}, nil, nil, nil, nil),
+			blob: corruptSection(one, nil, nil, nil, nil),
 			want: "assignment has 1 placements but the T2S index 0",
+		},
+		"assignment shard out of range": {
+			blob: corruptSection([]uint16{k}, nil, nil, nil, nil),
+			want: "in shard 4 of 4",
 		},
 		"truncated": {
 			blob: corruptSection(nil, nil, nil, nil, nil)[:2],
@@ -147,5 +188,5 @@ func TestSnapshotBetweenPrepareAndCommit(t *testing.T) {
 	asn := placement.NewAssignment(2, 4)
 	idx := NewT2SIndex(0.5, 0, asn, 4)
 	idx.Prepare(0, nil)
-	mustPanic(t, func() { idx.appendState(nil) })
+	mustPanic(t, func() { idx.writeState(placement.NewStateWriter(&bytes.Buffer{})) })
 }

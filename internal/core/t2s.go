@@ -8,16 +8,11 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"optchain/internal/placement"
 	"optchain/internal/txgraph"
 )
-
-// vecSpan locates one committed p'(v) vector inside the slab arena.
-type vecSpan struct {
-	off int   // first entry in the slab columns
-	n   int32 // entry count
-}
 
 // t2sTally is the dense-accumulation scratch state behind Prepare: the merge
 // buffer collecting Σ p'(v)/|Nout(v)|, the touched-shard list, the pending
@@ -29,10 +24,10 @@ type vecSpan struct {
 type t2sTally struct {
 	merge []uint64 // dense Q32.32 accumulation buffer
 	inUse []bool
-	order []int32 // shards touched by the current merge
+	order []uint16 // shards touched by the current merge
 
 	// pending holds p'(u) between Prepare and Commit, SoA, sorted by shard.
-	pendS       []int32
+	pendS       []uint16
 	pendV       []uint64
 	pendingNode txgraph.Node
 	hasPending  bool
@@ -51,7 +46,7 @@ func (t *t2sTally) init(k int) {
 // the inner loop is a widening multiply plus a saturating add.
 //
 //optchain:hotpath the T2S score maintenance inner loop (§IV-B).
-func (t *t2sTally) accumulate(shards []int32, vals []uint64, div int64) {
+func (t *t2sTally) accumulate(shards []uint16, vals []uint64, div int64) {
 	if div <= 1 {
 		// Divisor 1 is common (first spender, single-output parents) and the
 		// reciprocal would round every value down a quantum; add directly.
@@ -121,55 +116,48 @@ func (t *t2sTally) dense(counts []int64, normalize bool) []float64 {
 	return t.scores
 }
 
-// appendVector splices the α restart mass for the chosen shard into the
-// sorted pending vector (pendS/pendV), appends the result to the slab
-// columns, applies relative truncation, and returns the extended columns.
-// Shared by the serial Commit and the epoch workers' chunk-local commits.
+// seal turns the pending p'(u) into the vector Commit stores: it splices
+// the α restart mass for the chosen shard into the sorted pending columns,
+// applies relative truncation, and returns the result, which lives in the
+// pending buffers until the next Prepare. Shared by the serial Commit and
+// the epoch workers' chunk-local commits.
 //
-//optchain:hotpath one call per stream transaction; growth is amortized.
-func appendVector(dstS []int32, dstV []uint64, pendS []int32, pendV []uint64, shard int32, alphaQ, truncQ uint64) ([]int32, []uint64) {
-	off := len(dstS)
-	added := false
-	for i, s := range pendS {
-		v := pendV[i]
-		if !added {
-			if s == shard {
-				v = qSatAdd(v, alphaQ)
-				added = true
-			} else if s > shard {
-				dstS = append(dstS, shard)
-				dstV = append(dstV, alphaQ)
-				added = true
-			}
-		}
-		dstS = append(dstS, s)
-		dstV = append(dstV, v)
+//optchain:hotpath one call per stream transaction; the pending buffers reach k+1 entries once.
+func (t *t2sTally) seal(shard uint16, alphaQ, truncQ uint64) ([]uint16, []uint64) {
+	i := 0
+	for i < len(t.pendS) && t.pendS[i] < shard {
+		i++
 	}
-	if !added {
-		dstS = append(dstS, shard)
-		dstV = append(dstV, alphaQ)
+	if i < len(t.pendS) && t.pendS[i] == shard {
+		t.pendV[i] = qSatAdd(t.pendV[i], alphaQ)
+	} else {
+		t.pendS = append(t.pendS, 0)
+		t.pendV = append(t.pendV, 0)
+		copy(t.pendS[i+1:], t.pendS[i:])
+		copy(t.pendV[i+1:], t.pendV[i:])
+		t.pendS[i], t.pendV[i] = shard, alphaQ
 	}
 	if truncQ > 0 {
-		vec := dstV[off:]
 		var max uint64
-		for _, v := range vec {
+		for _, v := range t.pendV {
 			if v > max {
 				max = v
 			}
 		}
 		threshold := qMul(max, truncQ)
-		w := off
-		for i, v := range vec {
+		w := 0
+		for i, v := range t.pendV {
 			if v >= threshold {
-				dstS[w] = dstS[off+i]
-				dstV[w] = v
+				t.pendS[w] = t.pendS[i]
+				t.pendV[w] = v
 				w++
 			}
 		}
-		dstS = dstS[:w]
-		dstV = dstV[:w]
+		t.pendS = t.pendS[:w]
+		t.pendV = t.pendV[:w]
 	}
-	return dstS, dstV
+	t.hasPending = false
+	return t.pendS, t.pendV
 }
 
 // T2SIndex maintains the incremental T2S state of §IV-B: for every placed
@@ -186,14 +174,20 @@ func appendVector(dstS []int32, dstV []uint64, pendS []int32, pendV []uint64, sh
 // O(|Nin(u)|·k) worst case and O(k) on the scale-free TaN network.
 //
 // Storage: vectors are immutable once committed, so they all live in one
-// growable slab arena addressed by per-node (offset, length) spans. The
-// arena is struct-of-arrays — a shard column and a Q32.32 value column —
-// so the merge inner loop streams two dense homogeneous arrays instead of
-// 16-byte interleaved pairs, and score mass is fixed point (see fixed.go)
+// slab arena, struct-of-arrays — a 2-byte shard column and a Q32.32 value
+// column — so the merge inner loop streams two dense homogeneous arrays
+// instead of interleaved pairs, and score mass is fixed point (see fixed.go)
 // so accumulation is exact and the per-entry divide is a reciprocal
-// multiply. Steady state, Prepare and Commit allocate nothing — the slab
-// doubles amortized as the stream grows, and Reserve can pre-size it so
-// even that growth never happens on the hot path.
+// multiply. The arena is held in fixed-size chunks and addressed by one
+// cumulative end offset per node: a vector never straddles a chunk (one
+// that does not fit the current chunk starts the next), so a vector's start
+// is its predecessor's end or the base of the chunk its last entry is in,
+// whichever is larger. Growing the arena is allocating one more chunk:
+// nothing is copied and there is no doubling slack, so a placed transaction
+// holds 8 bytes of per-node columns here plus 10 bytes per entry of its
+// vector. Steady state, Prepare and Commit allocate nothing between chunk
+// boundaries, and Reserve can pre-allocate chunks so even that never
+// happens on the hot path.
 type T2SIndex struct {
 	alpha    float64
 	alphaQ   uint64  // α restart mass in Q32.32
@@ -217,10 +211,16 @@ type T2SIndex struct {
 	// so far (including the one being scored).
 	outCounts func(txgraph.Node) int
 
-	slabShards []int32  // arena shard column backing every committed p'(v)
-	slabVals   []uint64 // arena Q32.32 value column, same indexing
-	spans      []vecSpan
-	outDeg     []int32
+	// The arena: chunk c backs slab offsets [c<<chunkBits, (c+1)<<chunkBits)
+	// and its length is the filled prefix. Every chunk holds 1<<chunkBits
+	// entries, at least k, so any vector fits one.
+	chunkBits uint
+	slabS     [][]uint16 // shard column of every committed p'(v)
+	slabV     [][]uint64 // Q32.32 value column, same indexing
+	cur       int        // chunk the next vector is tried in first
+	entries   int        // vector entries held (slab offsets minus chunk-end padding)
+	ends      []uint32   // ends[0] = 0; ends[v+1] is the slab offset one past v's vector
+	outDeg    []int32
 
 	tally t2sTally
 
@@ -229,11 +229,26 @@ type T2SIndex struct {
 	workers []*t2sWorker
 }
 
+// minChunkBits sizes the arena's chunks for every shard count up to 4096:
+// 4096 entries are 8 KiB of shard ids and 32 KiB of values, both exact
+// allocator size classes, so an index of a few thousand transactions costs
+// tens of kilobytes and the unfilled tail of the last chunk never more.
+const minChunkBits = 12
+
+// slabLimit bounds slab offsets, which are stored as uint32 (a variable
+// only so that a test can reach the bound with a small stream).
+var slabLimit uint64 = 1 << 32
+
 // NewT2SIndex creates an index over the given assignment with damping
 // factor alpha (paper: 0.5) and relative truncation threshold truncate
 // (0 keeps vectors exact; ~1e-4 keeps them small with no measurable effect
-// on decisions).
+// on decisions). n is a capacity hint for the per-node columns. More than
+// placement.MaxShards shards do not fit the 2-byte shard column; callers
+// reject such a count before building an index.
 func NewT2SIndex(alpha, truncate float64, asn *placement.Assignment, n int) *T2SIndex {
+	if asn.K() > placement.MaxShards {
+		panic(fmt.Sprintf("core: %d shards exceed the T2S index's limit of %d", asn.K(), placement.MaxShards))
+	}
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.5
 	}
@@ -245,17 +260,16 @@ func NewT2SIndex(alpha, truncate float64, asn *placement.Assignment, n int) *T2S
 	}
 	alphaQ := qFromFloat(alpha)
 	t := &T2SIndex{
-		alpha:      alpha,
-		alphaQ:     alphaQ,
-		scaleQ:     qOne - alphaQ,
-		truncate:   truncate,
-		truncQ:     qFromFloat(truncate),
-		asn:        asn,
-		normalize:  true,
-		slabShards: make([]int32, 0, n),
-		slabVals:   make([]uint64, 0, n),
-		spans:      make([]vecSpan, 0, n),
-		outDeg:     make([]int32, 0, n),
+		alpha:     alpha,
+		alphaQ:    alphaQ,
+		scaleQ:    qOne - alphaQ,
+		truncate:  truncate,
+		truncQ:    qFromFloat(truncate),
+		asn:       asn,
+		normalize: true,
+		chunkBits: max(minChunkBits, uint(bits.Len(uint(asn.K()-1)))),
+		ends:      make([]uint32, 1, n+1),
+		outDeg:    make([]int32, 0, n),
 	}
 	t.tally.init(asn.K())
 	return t
@@ -272,74 +286,95 @@ func (t *T2SIndex) SetOutCounts(fn func(txgraph.Node) int) { t.outCounts = fn }
 // Alpha returns the damping factor.
 func (t *T2SIndex) Alpha() float64 { return t.alpha }
 
-// Reserve pre-sizes the arena for at least `nodes` more transactions whose
+// Reserve pre-sizes the index for at least `nodes` more transactions whose
 // committed vectors total at most `entries` more slab entries, so the
 // following Prepare/Commit calls allocate nothing at all. It is optional —
-// without it the arena doubles amortized — and exists for callers that need
-// a hard zero-allocation guarantee (latency-critical loops, allocation
-// budget tests).
+// without it a chunk is allocated whenever the last one fills — and exists
+// for callers that need a hard zero-allocation guarantee (latency-critical
+// loops, allocation budget tests).
 func (t *T2SIndex) Reserve(nodes, entries int) {
-	// spans and outDeg grow in lockstep but their capacities diverge under
-	// append (different element sizes land in different size classes), so
-	// each slice checks its own headroom.
-	if need := len(t.spans) + nodes; need > cap(t.spans) {
-		spans := make([]vecSpan, len(t.spans), need)
-		copy(spans, t.spans)
-		t.spans = spans
+	// ends and outDeg grow in lockstep but their capacities diverge under
+	// append (different lengths land in different size classes), so each
+	// slice checks its own headroom.
+	if need := len(t.ends) + nodes; need > cap(t.ends) {
+		t.ends = append(make([]uint32, 0, need), t.ends...)
 	}
 	if need := len(t.outDeg) + nodes; need > cap(t.outDeg) {
-		deg := make([]int32, len(t.outDeg), need)
-		copy(deg, t.outDeg)
-		t.outDeg = deg
+		t.outDeg = append(make([]int32, 0, need), t.outDeg...)
 	}
-	if need := len(t.slabShards) + entries; need > cap(t.slabShards) {
-		shards := make([]int32, len(t.slabShards), need)
-		copy(shards, t.slabShards)
-		t.slabShards = shards
+	// A chunk is left for the next one with fewer than k entries of it
+	// unfilled, so each is good for at least size-k+1 entries.
+	size := 1 << t.chunkBits
+	for spare := entries/(size-t.asn.K()+1) + 1; len(t.slabS) <= t.cur+spare; {
+		t.addChunk()
 	}
-	if need := len(t.slabVals) + entries; need > cap(t.slabVals) {
-		vals := make([]uint64, len(t.slabVals), need)
-		copy(vals, t.slabVals)
-		t.slabVals = vals
-	}
+}
+
+func (t *T2SIndex) addChunk() {
+	t.slabS = append(t.slabS, make([]uint16, 0, 1<<t.chunkBits))
+	t.slabV = append(t.slabV, make([]uint64, 0, 1<<t.chunkBits))
 }
 
 // vec returns the committed p'(v) columns (views into the slab; read-only).
-func (t *T2SIndex) vec(v txgraph.Node) ([]int32, []uint64) {
-	sp := t.spans[v]
-	end := sp.off + int(sp.n)
-	return t.slabShards[sp.off:end], t.slabVals[sp.off:end]
+//
+//optchain:hotpath one call per input of every stream transaction.
+func (t *T2SIndex) vec(v txgraph.Node) ([]uint16, []uint64) {
+	start, end := t.ends[v], t.ends[v+1]
+	if start == end {
+		return nil, nil
+	}
+	c := (end - 1) >> t.chunkBits
+	base := c << t.chunkBits
+	if start < base {
+		start = base // v did not fit its predecessor's chunk
+	}
+	return t.slabS[c][start-base : end-base], t.slabV[c][start-base : end-base]
 }
 
-// growSlab ensures room for need more entries, doubling so headroom after a
-// growth is proportional to the arena (keeps growth allocations amortized
-// O(1/len) per commit).
-func (t *T2SIndex) growSlab(need int) {
-	want := len(t.slabShards) + need
-	if want > cap(t.slabShards) {
-		newCap := 2 * cap(t.slabShards)
-		if newCap < want {
-			newCap = want
-		}
-		if newCap < 64 {
-			newCap = 64
-		}
-		shards := make([]int32, len(t.slabShards), newCap)
-		copy(shards, t.slabShards)
-		t.slabShards = shards
+// extend makes room for the next node's vector of n entries and returns the
+// columns to fill: in the current chunk, or in the next one when n entries
+// do not fit what is left of it. It records the node's end offset. Commit,
+// the epoch join and the snapshot restore all add vectors through here, so
+// there is one layout. It fails, changing nothing, when the vector would
+// end past the offsets ends can store.
+//
+//optchain:hotpath one call per stream transaction; a chunk is allocated once per 1<<chunkBits entries.
+func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
+	if len(t.slabS) == 0 {
+		t.addChunk()
 	}
-	if want > cap(t.slabVals) {
-		newCap := 2 * cap(t.slabVals)
-		if newCap < want {
-			newCap = want
-		}
-		if newCap < 64 {
-			newCap = 64
-		}
-		vals := make([]uint64, len(t.slabVals), newCap)
-		copy(vals, t.slabVals)
-		t.slabVals = vals
+	c, filled := t.cur, len(t.slabS[t.cur])
+	if filled+n > 1<<t.chunkBits {
+		c, filled = c+1, 0
 	}
+	end := uint64(c)<<t.chunkBits + uint64(filled+n)
+	if end > slabLimit {
+		//optchain:alloc-ok cold path: the error ends the stream
+		return nil, nil, fmt.Errorf("core: T2S slab is full: transaction %d would end at entry offset %d, past the limit of %d", len(t.outDeg), end, slabLimit)
+	}
+	if c == len(t.slabS) {
+		t.addChunk()
+	}
+	t.cur = c
+	t.slabS[c] = t.slabS[c][:filled+n]
+	t.slabV[c] = t.slabV[c][:filled+n]
+	t.entries += n
+	t.ends = append(t.ends, uint32(end))
+	t.outDeg = append(t.outDeg, 0)
+	return t.slabS[c][filled:], t.slabV[c][filled:], nil
+}
+
+// appendVec adds one finished vector as the next node's.
+//
+//optchain:hotpath one call per stream transaction.
+func (t *T2SIndex) appendVec(shards []uint16, vals []uint64) error {
+	dstS, dstV, err := t.extend(len(shards))
+	if err != nil {
+		return err
+	}
+	copy(dstS, shards)
+	copy(dstV, vals)
+	return nil
 }
 
 // divisor returns |Nout(v)| for one input: the configured output count when
@@ -365,8 +400,8 @@ func (t *T2SIndex) Prepare(u txgraph.Node, inputs []txgraph.Node) []float64 {
 	if t.tally.hasPending {
 		panic(fmt.Sprintf("core: Prepare(%d) before Commit(%d)", u, t.tally.pendingNode))
 	}
-	if int(u) != len(t.spans) {
-		panic(fmt.Sprintf("core: out-of-order Prepare(%d), expected %d", u, len(t.spans)))
+	if int(u) != len(t.outDeg) {
+		panic(fmt.Sprintf("core: out-of-order Prepare(%d), expected %d", u, len(t.outDeg)))
 	}
 
 	// Accumulate (1−α) Σ p'(v)/|Nout(v)| into the dense merge buffer,
@@ -385,19 +420,14 @@ func (t *T2SIndex) Prepare(u txgraph.Node, inputs []txgraph.Node) []float64 {
 // The caller is responsible for also recording the decision in the
 // Assignment (the placers in this package do both).
 //
-//optchain:hotpath one call per stream transaction; slab growth is amortized.
+//optchain:hotpath one call per stream transaction.
 func (t *T2SIndex) Commit(u txgraph.Node, shard int) {
 	if !t.tally.hasPending || t.tally.pendingNode != u {
 		panic(fmt.Sprintf("core: Commit(%d) without matching Prepare", u))
 	}
-	t.growSlab(len(t.tally.pendS) + 1)
-	off := len(t.slabShards)
-	t.slabShards, t.slabVals = appendVector(
-		t.slabShards, t.slabVals, t.tally.pendS, t.tally.pendV,
-		int32(shard), t.alphaQ, t.truncQ)
-	t.spans = append(t.spans, vecSpan{off: off, n: int32(len(t.slabShards) - off)})
-	t.outDeg = append(t.outDeg, 0)
-	t.tally.hasPending = false
+	if err := t.appendVec(t.tally.seal(uint16(shard), t.alphaQ, t.truncQ)); err != nil {
+		panic(err) // the Engine reports it as this transaction's failure
+	}
 }
 
 // Vector returns a copy of p'(v) for inspection, converted to float64.
@@ -414,12 +444,19 @@ func (t *T2SIndex) Vector(v txgraph.Node) map[int]float64 {
 func (t *T2SIndex) OutDegree(v txgraph.Node) int { return int(t.outDeg[v]) }
 
 // SlabLen reports how many sparse entries the arena currently holds
-// (diagnostics, memory accounting).
-func (t *T2SIndex) SlabLen() int { return len(t.slabShards) }
+// (diagnostics, memory accounting); chunk-end padding is not counted.
+func (t *T2SIndex) SlabLen() int { return t.entries }
+
+// Bytes reports the heap the index's columns hold, from their capacities:
+// 10 bytes per slab entry of every allocated chunk plus the per-node end
+// offsets and out-degrees.
+func (t *T2SIndex) Bytes() int64 {
+	return int64(len(t.slabS))*10<<t.chunkBits + 4*int64(cap(t.ends)) + 4*int64(cap(t.outDeg))
+}
 
 // sortShards is an allocation-free insertion sort for the small touched-
 // shard lists Prepare produces.
-func sortShards(a []int32) {
+func sortShards(a []uint16) {
 	for i := 1; i < len(a); i++ {
 		x := a[i]
 		j := i - 1

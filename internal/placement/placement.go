@@ -55,6 +55,10 @@ func (a *Assignment) K() int { return a.k }
 // Len returns the number of placed transactions.
 func (a *Assignment) Len() int { return len(a.shards) }
 
+// Bytes reports the heap the assignment's columns hold, from their
+// capacities.
+func (a *Assignment) Bytes() int64 { return 4*int64(cap(a.shards)) + 8*int64(cap(a.counts)) }
+
 // Place records transaction u in shard s. Transactions must be placed in
 // order (u equal to Len()); this catches protocol misuse early.
 //

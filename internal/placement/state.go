@@ -3,7 +3,15 @@ package placement
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"math/bits"
 )
+
+// MaxShards is the largest shard count whose state the snapshot format and
+// the T2S slab can hold: shard ids, and the length of a p'(v) vector (at
+// most one entry per shard), are stored 2 bytes wide.
+const MaxShards = 1<<16 - 1
 
 // Snapshotter is implemented by strategies whose complete decision state can
 // be serialized and later restored into a freshly constructed placer of the
@@ -12,43 +20,189 @@ import (
 // placer would have chosen for the same stream — the snapshot is the state,
 // not an approximation of it.
 //
-// AppendState appends a self-delimiting binary section to dst and returns
-// the extended slice; RestoreState consumes exactly one such section.
-// Strategies that replay immutable offline data (MetisReplay) do not
-// implement the interface — their state is their construction input.
+// WriteState emits one self-delimiting binary section of exactly StateSize
+// bytes; RestoreState consumes exactly one such section. Strategies that
+// replay immutable offline data (MetisReplay) do not implement the
+// interface — their state is their construction input.
 type Snapshotter interface {
-	// AppendState appends the strategy's complete decision state to dst.
-	AppendState(dst []byte) []byte
+	// StateSize returns how many bytes WriteState emits for the current
+	// state, computed from column lengths (nothing is encoded).
+	StateSize() int64
+	// WriteState writes the strategy's complete decision state to w.
+	WriteState(w *StateWriter)
 	// RestoreState replaces the receiver's state with a section produced by
-	// AppendState on an identically configured placer. The receiver must be
+	// WriteState on an identically configured placer. The receiver must be
 	// fresh (no placements); on error the receiver is unusable.
 	RestoreState(r *StateReader) error
 }
 
-// AppendUvarint appends v in unsigned varint encoding.
-func AppendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
+// UvarintLen returns how many bytes the unsigned varint encoding of v takes.
+func UvarintLen(v uint64) int64 { return int64(bits.Len64(v|1)+6) / 7 }
+
+// ColumnSize returns the encoded size of a length-prefixed column of n
+// elements of elemSize bytes each.
+func ColumnSize(n, elemSize int) int64 {
+	return UvarintLen(uint64(n)) + int64(n)*int64(elemSize)
 }
 
-// AppendInt32s appends a length-prefixed int32 column in little-endian.
-func AppendInt32s(dst []byte, vals []int32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vals)))
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+// stageBytes sizes the StateWriter's staging buffer: large enough that the
+// per-flush costs vanish, small enough to stay cache-resident while a column
+// is encoded, checksummed and handed on.
+const stageBytes = 64 << 10
+
+// StateWriter streams state sections to an io.Writer through one small
+// staging buffer, keeping a running CRC-32 (IEEE) and byte count of
+// everything written, so a snapshot of any size costs one fixed buffer and
+// each column is encoded exactly once. The first write error sticks: later
+// calls write nothing and Flush and Finish report it. It is itself an io.Writer, so a
+// section writer can be nested inside an envelope's.
+type StateWriter struct {
+	w   io.Writer
+	buf []byte // staged bytes, not yet checksummed or written
+	sum uint32
+	n   int64 // bytes accepted so far, staged ones included
+	err error
+}
+
+// NewStateWriter returns a writer streaming to w.
+func NewStateWriter(w io.Writer) *StateWriter {
+	return &StateWriter{w: w, buf: make([]byte, 0, stageBytes)}
+}
+
+// Len reports how many bytes have been written (staged bytes included).
+func (w *StateWriter) Len() int64 { return w.n }
+
+// Fail records err as the writer's error unless one is already recorded.
+func (w *StateWriter) Fail(err error) {
+	if w.err == nil {
+		w.err = err
 	}
-	return dst
 }
 
-// AppendUint64s appends a length-prefixed uint64 column in little-endian.
-func AppendUint64s(dst []byte, vals []uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vals)))
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
+// emit checksums p and hands it to the underlying writer.
+func (w *StateWriter) emit(p []byte) {
+	if w.err != nil || len(p) == 0 {
+		return
 	}
-	return dst
+	w.sum = crc32.Update(w.sum, crc32.IEEETable, p)
+	_, w.err = w.w.Write(p)
 }
 
-// StateReader consumes the sections AppendState producers emit. The first
+// Flush writes out the staged bytes and returns the writer's error.
+func (w *StateWriter) Flush() error {
+	w.emit(w.buf)
+	w.buf = w.buf[:0]
+	return w.err
+}
+
+// Finish appends the CRC-32 of everything written so far (4 bytes,
+// little-endian, not themselves checksummed), flushes, and returns the
+// writer's error.
+func (w *StateWriter) Finish() error {
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	var tail [4]byte
+	binary.LittleEndian.PutUint32(tail[:], w.sum)
+	w.n += int64(len(tail))
+	_, w.err = w.w.Write(tail[:])
+	return w.err
+}
+
+// grab returns staging space for as many of count size-byte elements as fit
+// (at least one), flushing first when the buffer is full.
+func (w *StateWriter) grab(size, count int) ([]byte, int) {
+	if cap(w.buf)-len(w.buf) < size {
+		w.Flush()
+	}
+	n := min(count, (cap(w.buf)-len(w.buf))/size)
+	lo := len(w.buf)
+	w.buf = w.buf[:lo+n*size]
+	w.n += int64(n * size)
+	return w.buf[lo:], n
+}
+
+// Write implements io.Writer: raw bytes, staged when small and passed
+// straight through (checksummed, not copied) when they would fill the
+// buffer anyway.
+func (w *StateWriter) Write(p []byte) (int, error) {
+	if len(p) >= cap(w.buf)-len(w.buf) {
+		w.Flush()
+		if len(p) >= cap(w.buf) {
+			w.emit(p)
+			w.n += int64(len(p))
+			return len(p), w.err
+		}
+	}
+	w.buf = append(w.buf, p...)
+	w.n += int64(len(p))
+	return len(p), w.err
+}
+
+// String writes the raw bytes of s.
+func (w *StateWriter) String(s string) {
+	for len(s) > 0 {
+		dst, n := w.grab(1, len(s))
+		copy(dst, s[:n])
+		s = s[n:]
+	}
+}
+
+// Uvarint writes v in unsigned varint encoding.
+func (w *StateWriter) Uvarint(v uint64) {
+	var tmp [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(tmp[:], v)
+	dst, _ := w.grab(n, 1)
+	copy(dst, tmp[:n])
+}
+
+// Uint16s writes vals as raw little-endian 2-byte elements. Like the other
+// element writers it emits no length prefix, so a column stored in several
+// pieces is one Uvarint count followed by one call per piece.
+func (w *StateWriter) Uint16s(vals []uint16) {
+	for len(vals) > 0 {
+		dst, n := w.grab(2, len(vals))
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint16(dst[2*i:], v)
+		}
+		vals = vals[n:]
+	}
+}
+
+// Shards writes in-range shard ids held as int32 2 bytes wide.
+func (w *StateWriter) Shards(vals []int32) {
+	for len(vals) > 0 {
+		dst, n := w.grab(2, len(vals))
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint16(dst[2*i:], uint16(v))
+		}
+		vals = vals[n:]
+	}
+}
+
+// Int32s writes vals as raw little-endian 4-byte elements.
+func (w *StateWriter) Int32s(vals []int32) {
+	for len(vals) > 0 {
+		dst, n := w.grab(4, len(vals))
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+		}
+		vals = vals[n:]
+	}
+}
+
+// Uint64s writes vals as raw little-endian 8-byte elements.
+func (w *StateWriter) Uint64s(vals []uint64) {
+	for len(vals) > 0 {
+		dst, n := w.grab(8, len(vals))
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(dst[8*i:], v)
+		}
+		vals = vals[n:]
+	}
+}
+
+// StateReader consumes the sections WriteState producers emit. The first
 // decoding defect sticks: every later read returns zero values and Err
 // reports the defect, so decoders can parse a whole section and check the
 // error once.
@@ -86,21 +240,6 @@ func (r *StateReader) Uvarint() uint64 {
 	return v
 }
 
-// count consumes a length prefix for elements of elemSize bytes, bounding it
-// by the remaining buffer so a corrupt prefix cannot force a huge
-// allocation.
-func (r *StateReader) count(elemSize int) int {
-	n := r.Uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n*uint64(elemSize) > uint64(len(r.buf)) {
-		r.fail("placement: column of %d entries exceeds %d remaining bytes", n, len(r.buf))
-		return 0
-	}
-	return int(n)
-}
-
 // Byte consumes one raw byte.
 func (r *StateReader) Byte() byte {
 	if r.err != nil {
@@ -129,56 +268,61 @@ func (r *StateReader) Bytes(n int) []byte {
 	return b
 }
 
-// Int32s consumes one length-prefixed int32 column.
-func (r *StateReader) Int32s() []int32 {
-	n := r.count(4)
+// Column consumes one length-prefixed column of elemSize-byte elements and
+// returns its raw little-endian bytes, a view into the buffer. The prefix
+// is bounded by the bytes that remain, so a corrupt one cannot force an
+// allocation: decoders size their arrays from len(column)/elemSize.
+func (r *StateReader) Column(elemSize int) []byte {
+	n := r.Uvarint()
 	if r.err != nil {
 		return nil
 	}
-	vals := make([]int32, n)
-	for i := range vals {
-		vals[i] = int32(binary.LittleEndian.Uint32(r.buf[4*i:]))
-	}
-	r.buf = r.buf[4*n:]
-	return vals
-}
-
-// Uint64s consumes one length-prefixed uint64 column.
-func (r *StateReader) Uint64s() []uint64 {
-	n := r.count(8)
-	if r.err != nil {
+	if n > uint64(len(r.buf)/elemSize) {
+		r.fail("placement: column of %d entries exceeds %d remaining bytes", n, len(r.buf))
 		return nil
 	}
-	vals := make([]uint64, n)
-	for i := range vals {
-		vals[i] = binary.LittleEndian.Uint64(r.buf[8*i:])
-	}
-	r.buf = r.buf[8*n:]
-	return vals
+	return r.Bytes(int(n) * elemSize)
 }
 
-// AppendState serializes the assignment: the per-transaction shard column
+// StateSize implements Snapshotter for the assignment: the
+// per-transaction shard column, 2 bytes a decision.
+func (a *Assignment) StateSize() int64 { return ColumnSize(len(a.shards), 2) }
+
+// WriteState serializes the assignment: the per-transaction shard column
 // (counts are derived on restore).
-func (a *Assignment) AppendState(dst []byte) []byte {
-	return AppendInt32s(dst, a.shards)
+func (a *Assignment) WriteState(w *StateWriter) {
+	if a.k > MaxShards {
+		w.Fail(fmt.Errorf("placement: %d shards do not fit the 2-byte shard column (at most %d)", a.k, MaxShards))
+		return
+	}
+	w.Uvarint(uint64(len(a.shards)))
+	w.Shards(a.shards)
 }
 
 // RestoreState replaces the assignment's decisions with a section produced
-// by AppendState. The receiver must be empty and keep its shard count; the
+// by WriteState. The receiver must be empty and keep its shard count; the
 // per-shard tallies are rebuilt, and any out-of-range shard fails.
 func (a *Assignment) RestoreState(r *StateReader) error {
-	shards := r.Int32s()
+	col := r.Column(2)
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if len(a.shards) != 0 {
 		return fmt.Errorf("placement: restore into a non-empty assignment (%d placed)", len(a.shards))
 	}
+	n := len(col) / 2
+	shards := a.shards
+	if cap(shards) < n {
+		shards = make([]int32, n)
+	}
+	shards = shards[:n]
 	counts := make([]int64, a.k)
-	for i, s := range shards {
-		if s < 0 || int(s) >= a.k {
+	for i := range shards {
+		s := int(binary.LittleEndian.Uint16(col[2*i:]))
+		if s >= a.k {
 			return fmt.Errorf("placement: snapshot places transaction %d in shard %d of %d", i, s, a.k)
 		}
+		shards[i] = int32(s)
 		counts[s]++
 	}
 	a.shards = shards
@@ -186,16 +330,22 @@ func (a *Assignment) RestoreState(r *StateReader) error {
 	return nil
 }
 
-// AppendState implements Snapshotter: the hash placement is stateless beyond
+// WriteState implements Snapshotter: the hash placement is stateless beyond
 // its recorded decisions.
-func (p *Random) AppendState(dst []byte) []byte { return p.a.AppendState(dst) }
+func (p *Random) WriteState(w *StateWriter) { p.a.WriteState(w) }
+
+// StateSize implements Snapshotter.
+func (p *Random) StateSize() int64 { return p.a.StateSize() }
 
 // RestoreState implements Snapshotter.
 func (p *Random) RestoreState(r *StateReader) error { return p.a.RestoreState(r) }
 
-// AppendState implements Snapshotter: greedy coverage is recomputed per
+// WriteState implements Snapshotter: greedy coverage is recomputed per
 // placement from the assignment, so the assignment is the whole state.
-func (g *Greedy) AppendState(dst []byte) []byte { return g.a.AppendState(dst) }
+func (g *Greedy) WriteState(w *StateWriter) { g.a.WriteState(w) }
+
+// StateSize implements Snapshotter.
+func (g *Greedy) StateSize() int64 { return g.a.StateSize() }
 
 // RestoreState implements Snapshotter.
 func (g *Greedy) RestoreState(r *StateReader) error { return g.a.RestoreState(r) }

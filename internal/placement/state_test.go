@@ -1,31 +1,77 @@
 package placement
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 
 	"optchain/internal/txgraph"
 )
 
-func TestStateReaderColumns(t *testing.T) {
-	var buf []byte
-	buf = AppendUvarint(buf, 300)
-	buf = AppendInt32s(buf, []int32{-1, 0, 1 << 30})
-	buf = AppendUint64s(buf, []uint64{0, 1, 1 << 60})
-	buf = append(buf, 0x7f)
-	buf = append(buf, "raw"...)
+// stateOf serializes one Snapshotter section and checks that StateSize
+// predicted its length.
+func stateOf(t *testing.T, s Snapshotter) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewStateWriter(&buf)
+	s.WriteState(w)
+	if err := w.Flush(); err != nil {
+		t.Fatalf("write state: %v", err)
+	}
+	if int64(buf.Len()) != s.StateSize() {
+		t.Fatalf("StateSize %d, wrote %d", s.StateSize(), buf.Len())
+	}
+	return buf.Bytes()
+}
 
-	r := NewStateReader(buf)
+// shardColumn encodes a 2-byte shard column by hand.
+func shardColumn(shards ...uint16) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(shards)))
+	for _, s := range shards {
+		b = binary.LittleEndian.AppendUint16(b, s)
+	}
+	return b
+}
+
+func TestStateReaderColumns(t *testing.T) {
+	var out bytes.Buffer
+	w := NewStateWriter(&out)
+	w.Uvarint(300)
+	w.Uvarint(3)
+	w.Int32s([]int32{-1, 0, 1 << 30})
+	w.Uvarint(3)
+	w.Uint64s([]uint64{0, 1, 1 << 60})
+	w.Uvarint(4)
+	w.Uint16s([]uint16{7, 65535})
+	w.Shards([]int32{0, 513}) // a column may be written in pieces
+	w.String("\x7f")
+	w.String("raw")
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := UvarintLen(300) + ColumnSize(3, 4) + ColumnSize(3, 8) + ColumnSize(4, 2) + 1 + 3
+	if w.Len() != want || int64(out.Len()) != want {
+		t.Fatalf("wrote %d bytes (writer counted %d), sizes add up to %d", out.Len(), w.Len(), want)
+	}
+
+	r := NewStateReader(out.Bytes())
 	if v := r.Uvarint(); v != 300 {
 		t.Fatalf("uvarint %d, want 300", v)
 	}
-	i32 := r.Int32s()
-	if len(i32) != 3 || i32[0] != -1 || i32[1] != 0 || i32[2] != 1<<30 {
-		t.Fatalf("int32 column %v", i32)
+	i32 := r.Column(4)
+	if len(i32) != 12 || int32(binary.LittleEndian.Uint32(i32)) != -1 || binary.LittleEndian.Uint32(i32[8:]) != 1<<30 {
+		t.Fatalf("int32 column % x", i32)
 	}
-	u64 := r.Uint64s()
-	if len(u64) != 3 || u64[0] != 0 || u64[1] != 1 || u64[2] != 1<<60 {
-		t.Fatalf("uint64 column %v", u64)
+	u64 := r.Column(8)
+	if len(u64) != 24 || binary.LittleEndian.Uint64(u64[16:]) != 1<<60 {
+		t.Fatalf("uint64 column % x", u64)
+	}
+	u16 := r.Column(2)
+	if !bytes.Equal(u16, []byte{7, 0, 0xff, 0xff, 0, 0, 1, 2}) {
+		t.Fatalf("uint16 column % x", u16)
 	}
 	if b := r.Byte(); b != 0x7f {
 		t.Fatalf("byte %#x, want 0x7f", b)
@@ -35,6 +81,78 @@ func TestStateReaderColumns(t *testing.T) {
 	}
 	if r.Err() != nil || r.Len() != 0 {
 		t.Fatalf("clean decode: err=%v, %d bytes left", r.Err(), r.Len())
+	}
+}
+
+// TestStateWriterStreams: columns larger than the staging buffer reach the
+// destination whole and in order, the running checksum covers every byte
+// but its own four, a nested writer passes large blocks through, and the
+// first write error sticks.
+func TestStateWriterStreams(t *testing.T) {
+	vals := make([]uint64, 3*stageBytes/8+5)
+	for i := range vals {
+		vals[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	var inner, outer bytes.Buffer
+	env := NewStateWriter(&outer)
+	env.String("envelope")
+	for _, dst := range []*StateWriter{NewStateWriter(&inner), NewStateWriter(env)} {
+		dst.Uvarint(uint64(len(vals)))
+		dst.Uint64s(vals)
+		dst.String("\t")
+		if err := dst.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if want := ColumnSize(len(vals), 8) + 1 + 4; dst.Len() != want {
+			t.Fatalf("writer counted %d bytes, want %d", dst.Len(), want)
+		}
+	}
+	if err := env.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	section := inner.Bytes()
+	body, sum := section[:len(section)-4], binary.LittleEndian.Uint32(section[len(section)-4:])
+	if crc32.ChecksumIEEE(body) != sum {
+		t.Fatal("section checksum does not cover its body")
+	}
+	col := NewStateReader(body).Column(8)
+	for i, v := range vals {
+		if binary.LittleEndian.Uint64(col[8*i:]) != v {
+			t.Fatalf("element %d differs after streaming", i)
+		}
+	}
+	whole := outer.Bytes()
+	if !bytes.Equal(whole[len("envelope"):len(whole)-4], section) {
+		t.Fatal("nested section differs from the stand-alone one")
+	}
+	if crc32.ChecksumIEEE(whole[:len(whole)-4]) != binary.LittleEndian.Uint32(whole[len(whole)-4:]) {
+		t.Fatal("envelope checksum does not cover the nested section")
+	}
+
+	boom := errors.New("disk full")
+	w := NewStateWriter(failingWriter{boom})
+	w.Uint64s(vals)
+	w.String("x")
+	if err := w.Finish(); err != boom || w.Flush() != boom {
+		t.Fatalf("write error not kept: Finish %v, then Flush %v", err, w.Flush())
+	}
+	w = NewStateWriter(&bytes.Buffer{})
+	w.Fail(boom)
+	w.Fail(errors.New("later"))
+	if w.Flush() != boom {
+		t.Fatalf("Fail did not stick: %v", w.Flush())
+	}
+}
+
+type failingWriter struct{ err error }
+
+func (f failingWriter) Write([]byte) (int, error) { return 0, f.err }
+
+func TestUvarintLen(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<32 - 1, 1 << 62, 1<<64 - 1} {
+		if got, want := UvarintLen(v), int64(len(binary.AppendUvarint(nil, v))); got != want {
+			t.Errorf("UvarintLen(%d) = %d, want %d", v, got, want)
+		}
 	}
 }
 
@@ -50,8 +168,8 @@ func TestStateReaderDefects(t *testing.T) {
 	t.Run("oversized column prefix", func(t *testing.T) {
 		// A corrupt length prefix claiming ~2^61 entries must fail the bound
 		// check, not attempt the allocation.
-		r := NewStateReader(AppendUvarint(nil, 1<<61))
-		if r.Int32s() != nil || r.Err() == nil {
+		r := NewStateReader(binary.AppendUvarint(nil, 1<<61))
+		if r.Column(4) != nil || r.Err() == nil {
 			t.Fatal("oversized prefix accepted")
 		}
 		if !strings.Contains(r.Err().Error(), "exceeds") {
@@ -84,7 +202,7 @@ func TestStateReaderDefects(t *testing.T) {
 			t.Fatal("no defect recorded")
 		}
 		// Every later read is a zero-value no-op reporting the first defect.
-		if r.Byte() != 0 || r.Int32s() != nil || r.Uint64s() != nil || r.Bytes(1) != nil {
+		if r.Byte() != 0 || r.Column(4) != nil || r.Column(8) != nil || r.Bytes(1) != nil {
 			t.Fatal("reads after a defect returned data")
 		}
 		if r.Err() != first {
@@ -99,7 +217,7 @@ func TestAssignmentStateRoundTrip(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.Place(txgraph.Node(i), i%k)
 	}
-	blob := a.AppendState(nil)
+	blob := stateOf(t, a)
 
 	b := NewAssignment(k, n)
 	r := NewStateReader(blob)
@@ -129,22 +247,29 @@ func TestAssignmentRestoreDefects(t *testing.T) {
 	t.Run("non-empty receiver", func(t *testing.T) {
 		a := NewAssignment(2, 4)
 		a.Place(0, 1)
-		err := a.RestoreState(NewStateReader(AppendInt32s(nil, []int32{0})))
+		err := a.RestoreState(NewStateReader(shardColumn(0)))
 		if err == nil || !strings.Contains(err.Error(), "non-empty") {
 			t.Fatalf("restore into non-empty assignment: %v", err)
 		}
 	})
 	t.Run("shard out of range", func(t *testing.T) {
 		a := NewAssignment(3, 4)
-		err := a.RestoreState(NewStateReader(AppendInt32s(nil, []int32{0, 7})))
+		err := a.RestoreState(NewStateReader(shardColumn(0, 7)))
 		if err == nil || !strings.Contains(err.Error(), "shard 7") {
 			t.Fatalf("out-of-range shard: %v", err)
 		}
 	})
 	t.Run("truncated section", func(t *testing.T) {
-		blob := AppendInt32s(nil, []int32{0, 1})
+		blob := shardColumn(0, 1)
 		if err := NewAssignment(2, 4).RestoreState(NewStateReader(blob[:len(blob)-1])); err == nil {
 			t.Fatal("truncated section accepted")
+		}
+	})
+	t.Run("too many shards to write", func(t *testing.T) {
+		w := NewStateWriter(&bytes.Buffer{})
+		NewAssignment(MaxShards+1, 0).WriteState(w)
+		if err := w.Flush(); err == nil || !strings.Contains(err.Error(), "2-byte shard column") {
+			t.Fatalf("assignment over %d shards written: %v", MaxShards+1, err)
 		}
 	})
 }
@@ -198,7 +323,7 @@ func TestBaselineSnapshotters(t *testing.T) {
 					}
 				}
 			}
-			blob := cut.AppendState(nil)
+			blob := stateOf(t, cut)
 
 			fresh := mk()
 			r := NewStateReader(blob)

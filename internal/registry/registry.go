@@ -185,8 +185,8 @@ func NewStrategy(name string, ctx StrategyContext) (placement.Placer, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownStrategy, name, strings.Join(Strategies(), ", "))
 	}
-	if ctx.K < 1 {
-		return nil, fmt.Errorf("registry: strategy %q: need at least 1 shard, got %d", name, ctx.K)
+	if ctx.K < 1 || ctx.K > placement.MaxShards {
+		return nil, fmt.Errorf("registry: strategy %q: need 1 to %d shards, got %d", name, placement.MaxShards, ctx.K)
 	}
 	return f(ctx)
 }

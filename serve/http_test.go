@@ -156,6 +156,14 @@ func TestMetricsExposition(t *testing.T) {
 	if v, ok := scrapeMetric(t, ts, "optchain_serve_place_latency_seconds_count"); !ok || v != 50 {
 		t.Errorf("latency count = %g, want 50", v)
 	}
+	// 50 coinbase transactions: one slab entry and 16 bytes of columns each,
+	// at the very least.
+	if v, ok := scrapeMetric(t, ts, "optchain_engine_slab_entries"); !ok || v != 50 {
+		t.Errorf("optchain_engine_slab_entries = %g, want 50", v)
+	}
+	if v, ok := scrapeMetric(t, ts, "optchain_engine_state_bytes"); !ok || v < 50*(16+10) {
+		t.Errorf("optchain_engine_state_bytes = %g, want at least %d", v, 50*(16+10))
+	}
 }
 
 func TestHealthzLifecycle(t *testing.T) {

@@ -34,6 +34,8 @@ type metrics struct {
 	snapshots  int64         // guarded by mu — state snapshots written
 	snapErrors int64         // guarded by mu — failed snapshot attempts
 	lastSnap   time.Time     // guarded by mu — completion time of the last snapshot
+	snapBytes  int64         // guarded by mu — size of the last state file written
+	snapTook   time.Duration // guarded by mu — how long writing it held the engine
 }
 
 func newMetrics() *metrics {
@@ -86,10 +88,11 @@ func (m *metrics) batch(txs int) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) snapshot() {
+func (m *metrics) snapshot(bytes int64, took time.Duration) {
 	m.mu.Lock()
 	m.snapshots++
 	m.lastSnap = time.Now()
+	m.snapBytes, m.snapTook = bytes, took
 	m.mu.Unlock()
 }
 
@@ -167,6 +170,12 @@ func (m *metrics) writeTo(w io.Writer, eng *optchain.Engine, queueDepth, queueCa
 	line("# HELP optchain_engine_cross_chunk_refs_total Parallel input references that crossed concurrent chunks.\n")
 	line("# TYPE optchain_engine_cross_chunk_refs_total counter\n")
 	line("optchain_engine_cross_chunk_refs_total %d\n", st.CrossChunkRefs)
+	line("# HELP optchain_engine_slab_entries Sparse score-vector entries the T2S index holds.\n")
+	line("# TYPE optchain_engine_slab_entries gauge\n")
+	line("optchain_engine_slab_entries %d\n", st.SlabEntries)
+	line("# HELP optchain_engine_state_bytes Heap held by the engine's per-transaction columns (computed from their capacities).\n")
+	line("# TYPE optchain_engine_state_bytes gauge\n")
+	line("optchain_engine_state_bytes %d\n", st.StateBytes)
 
 	m.mu.Lock()
 	line("# HELP optchain_serve_queue_depth Request lines currently waiting in the ingest queue.\n")
@@ -218,6 +227,12 @@ func (m *metrics) writeTo(w io.Writer, eng *optchain.Engine, queueDepth, queueCa
 		line("# HELP optchain_serve_last_snapshot_unix_seconds Completion time of the last snapshot.\n")
 		line("# TYPE optchain_serve_last_snapshot_unix_seconds gauge\n")
 		line("optchain_serve_last_snapshot_unix_seconds %d\n", m.lastSnap.Unix())
+		line("# HELP optchain_serve_last_snapshot_bytes Size of the last state file written.\n")
+		line("# TYPE optchain_serve_last_snapshot_bytes gauge\n")
+		line("optchain_serve_last_snapshot_bytes %d\n", m.snapBytes)
+		line("# HELP optchain_serve_last_snapshot_seconds Time the last snapshot took, during which placement waited.\n")
+		line("# TYPE optchain_serve_last_snapshot_seconds gauge\n")
+		line("optchain_serve_last_snapshot_seconds %g\n", m.snapTook.Seconds())
 	}
 	m.mu.Unlock()
 

@@ -7,7 +7,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"time"
+
+	"optchain/internal/placement"
 )
 
 // State-file envelope: the server's id map wrapped around the engine's own
@@ -20,96 +22,111 @@ import (
 //	uvarint id count, then per id (sorted by stream index):
 //	    uvarint len(id), id bytes, uvarint stream index
 //	uvarint engine snapshot length, engine snapshot bytes (see
-//	    optchain.Engine.WriteSnapshot)
+//	    optchain.Engine.WriteSnapshot; snapshot format version 2)
 //	4-byte little-endian CRC-32 (IEEE) of all preceding bytes
+//
+// The envelope is unchanged since its first version, but the engine section
+// inside it is not: a file written before snapshot format 2 fails to load
+// with ErrBadState naming the engine snapshot's version. Remove it to start
+// cold, or place the stream again.
 const (
 	stateMagic   = "OPTCSRV1"
 	stateVersion = 1
 )
 
-// stateMaxBytes bounds how much loadState will read from disk.
-const stateMaxBytes = 1 << 30
+// stateMaxBytes bounds how much loadState will read from disk, and
+// therefore how much saveState will write. (A variable only so that a test
+// can reach the bound with a small stream.)
+var stateMaxBytes int64 = 1 << 30
 
 // saveState writes the server's state (id map + engine snapshot) to
 // cfg.StatePath atomically: a temp file in the same directory, fsync, then
 // rename. The caller holds the engine-owner lock, so the id map and the
-// engine are at the same unit boundary.
+// engine are at the same unit boundary, and placement waits for the write:
+// the envelope and the engine's columns stream to the file through one
+// checksumming writer, never gathered in memory. A state larger than
+// loadState accepts is refused before anything is written.
 //
 //optchain:locked s.own held by Snapshot/Close.
 func (s *Server) saveState() error {
-	var buf bytes.Buffer
-	buf.WriteString(stateMagic)
-	var scratch []byte
-	scratch = binary.AppendUvarint(scratch[:0], stateVersion)
-	buf.Write(scratch)
-
-	type idEntry struct {
-		id  string
-		idx int
-	}
-	entries := make([]idEntry, 0, len(s.ids))
-	for id, idx := range s.ids {
-		entries = append(entries, idEntry{id, idx})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].idx < entries[j].idx })
-	scratch = binary.AppendUvarint(scratch[:0], uint64(len(entries)))
-	buf.Write(scratch)
-	for _, e := range entries {
-		scratch = binary.AppendUvarint(scratch[:0], uint64(len(e.id)))
-		buf.Write(scratch)
-		buf.WriteString(e.id)
-		scratch = binary.AppendUvarint(scratch[:0], uint64(e.idx))
-		buf.Write(scratch)
-	}
-
-	var engineSnap bytes.Buffer
-	if err := s.eng.WriteSnapshot(&engineSnap); err != nil {
-		s.met.snapshotError()
-		return fmt.Errorf("%w: engine snapshot: %v", ErrBadState, err)
-	}
-	scratch = binary.AppendUvarint(scratch[:0], uint64(engineSnap.Len()))
-	buf.Write(scratch)
-	buf.Write(engineSnap.Bytes())
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(crc[:])
-
-	if err := writeFileAtomic(s.cfg.StatePath, buf.Bytes()); err != nil {
+	start := time.Now()
+	size, err := s.writeState()
+	if err != nil {
 		s.met.snapshotError()
 		return fmt.Errorf("%w: %v", ErrBadState, err)
 	}
-	s.met.snapshot()
+	s.met.snapshot(size, time.Since(start))
 	return nil
 }
 
-// writeFileAtomic writes data to path via a same-directory temp file and
-// rename, so readers never observe a partial state file.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// writeState is saveState's file handling; it returns the bytes written.
+//
+//optchain:locked s.own held by saveState's callers.
+func (s *Server) writeState() (int64, error) {
+	snapBytes, err := s.eng.SnapshotSize()
 	if err != nil {
-		return err
+		return 0, fmt.Errorf("engine snapshot: %v", err)
 	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	size := int64(len(stateMagic)) + placement.UvarintLen(stateVersion) + placement.UvarintLen(uint64(len(s.ids))) +
+		placement.UvarintLen(uint64(snapBytes)) + snapBytes + 4
+	// Ids in stream order without a sort: position -> id, "" marking a
+	// position placed without one (an empty id is never registered).
+	var order []string
+	if len(s.ids) > 0 {
+		order = make([]string, s.nextIndex)
+	}
+	for id, idx := range s.ids {
+		if idx >= len(order) {
+			return 0, fmt.Errorf("id %q names stream position %d of %d", id, idx, len(order))
+		}
+		order[idx] = id
+		size += placement.UvarintLen(uint64(len(id))) + int64(len(id)) + placement.UvarintLen(uint64(idx))
+	}
+	if size > stateMaxBytes {
+		return 0, fmt.Errorf("the state takes %d bytes, more than the %d a state file may", size, stateMaxBytes)
+	}
+
+	f, err := os.CreateTemp(filepath.Dir(s.cfg.StatePath), filepath.Base(s.cfg.StatePath)+".tmp*")
+	if err != nil {
+		return 0, err
+	}
+	fail := func(err error) (int64, error) {
+		f.Close() // a second Close is harmless
+		os.Remove(f.Name())
+		return 0, err
+	}
+	w := placement.NewStateWriter(f)
+	w.String(stateMagic)
+	w.Uvarint(stateVersion)
+	w.Uvarint(uint64(len(s.ids)))
+	for idx, id := range order {
+		if id != "" {
+			w.Uvarint(uint64(len(id)))
+			w.String(id)
+			w.Uvarint(uint64(idx))
+		}
+	}
+	w.Uvarint(uint64(snapBytes))
+	if err := s.eng.WriteSnapshot(w); err != nil {
+		return fail(fmt.Errorf("engine snapshot: %v", err))
+	}
+	if err := w.Finish(); err != nil {
+		return fail(err)
+	}
+	if w.Len() != size {
+		// Someone placed on the engine behind the server's back.
+		return fail(fmt.Errorf("wrote %d bytes where the state added up to %d", w.Len(), size))
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+		return fail(err)
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+		return fail(err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
+	if err := os.Rename(f.Name(), s.cfg.StatePath); err != nil {
+		return fail(err)
 	}
-	return nil
+	return size, nil
 }
 
 // loadState restores a saveState file into the server's id map and the
@@ -119,16 +136,24 @@ func writeFileAtomic(path string, data []byte) error {
 //
 //optchain:locked called by New before the server is shared.
 func (s *Server) loadState(path string) error {
-	data, err := os.ReadFile(path)
+	if info, err := os.Stat(path); err == nil && info.Size() > stateMaxBytes {
+		return fmt.Errorf("%w: %s exceeds %d bytes", ErrBadState, path, stateMaxBytes)
+	}
+	data, err := os.ReadFile(path) // one buffer, sized from the file
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadState, err)
 	}
-	if len(data) > stateMaxBytes {
-		return fmt.Errorf("%w: %s exceeds %d bytes", ErrBadState, path, stateMaxBytes)
-	}
+	return s.decodeState(data, path)
+}
+
+// decodeState is loadState past the file system: data is the whole state
+// file, path names it in errors.
+//
+//optchain:locked called by New before the server is shared.
+func (s *Server) decodeState(data []byte, path string) error {
 	if len(data) < len(stateMagic)+4 || string(data[:len(stateMagic)]) != stateMagic {
 		return fmt.Errorf("%w: %s is not a serve state file (bad magic)", ErrBadState, path)
 	}
@@ -149,7 +174,7 @@ func (s *Server) loadState(path string) error {
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadState, path, err)
 	}
-	if count > uint64(len(rest)) {
+	if count > uint64(len(rest)/2) { // an id takes at least a length and an index
 		return fmt.Errorf("%w: %s declares %d ids in %d bytes", ErrBadState, path, count, len(rest))
 	}
 	ids := make(map[string]int, count)
@@ -159,8 +184,8 @@ func (s *Server) loadState(path string) error {
 		if err != nil {
 			return fmt.Errorf("%w: %s id %d: %v", ErrBadState, path, i, err)
 		}
-		if n > uint64(len(rest)) {
-			return fmt.Errorf("%w: %s id %d truncated", ErrBadState, path, i)
+		if n == 0 || n > uint64(len(rest)) {
+			return fmt.Errorf("%w: %s id %d empty or truncated", ErrBadState, path, i)
 		}
 		id := string(rest[:n])
 		rest = rest[n:]

@@ -157,8 +157,15 @@ func TestSnapshotEndpointAndPeriodic(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/snapshot: status %d", resp.StatusCode)
 	}
-	if _, err := os.Stat(statePath); err != nil {
+	info, err := os.Stat(statePath)
+	if err != nil {
 		t.Fatalf("on-demand snapshot missing: %v", err)
+	}
+	if v, ok := scrapeMetric(t, ts, "optchain_serve_last_snapshot_bytes"); !ok || v != float64(info.Size()) {
+		t.Errorf("optchain_serve_last_snapshot_bytes = %g, the file has %d", v, info.Size())
+	}
+	if v, ok := scrapeMetric(t, ts, "optchain_serve_last_snapshot_seconds"); !ok || v <= 0 {
+		t.Errorf("optchain_serve_last_snapshot_seconds = %g, want the time the snapshot took", v)
 	}
 
 	// The periodic snapshotter must write on its own cadence too.

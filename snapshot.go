@@ -27,16 +27,91 @@ var (
 // snapMagic identifies an Engine snapshot stream; snapVersion versions the
 // layout that follows it. The whole stream (magic through payload) is
 // covered by a trailing CRC-32 so truncation and corruption fail loudly.
+//
+// Format version 2, every integer a uvarint unless a width is given and
+// every column a uvarint count followed by that many little-endian elements:
+//
+//	magic "OPTCHSNP", version (2)
+//	fingerprint: len(strategy), strategy (lower case), shards, alpha bits,
+//	    L2S weight bits, exactL2S (1 B), capacity hint
+//	placed, cross total, cross count, epoch placed / input refs / cross-chunk refs
+//	output counts         4 B per transaction
+//	strategy state: shard of each transaction, 2 B each; then for T2S and
+//	    OptChain the index columns (see internal/core/state.go): span
+//	    lengths 2 B and out-degrees 4 B per transaction, slab shard ids 2 B
+//	    and values 8 B per entry
+//	CRC-32 (IEEE) of all preceding bytes, 4 B little-endian
+//
+// These are the columns the engine holds, each written once through a small
+// staging buffer, so a snapshot costs no memory proportional to the state.
+// Version 1 (4-byte shard ids and span lengths) is not read: a v1 stream
+// fails with ErrBadSnapshot naming the version, and its owner starts cold
+// or places the stream again.
 const (
 	snapMagic   = "OPTCHSNP"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // snapMaxBytes bounds how much ReadSnapshot will buffer — a corrupt length
-// field must not translate into an unbounded allocation. 1 GiB of snapshot
-// corresponds to hundreds of millions of placed transactions, far beyond a
-// single engine's working range.
-const snapMaxBytes = 1 << 30
+// field must not translate into an unbounded allocation — and therefore how
+// much WriteSnapshot will write: 1 GiB of snapshot is some thirty million
+// placed transactions. (A variable only so that a test can reach the bound
+// with a small stream.)
+var snapMaxBytes int64 = 1 << 30
+
+// snapshotPlanLocked prepares a snapshot of the engine as it is now: the
+// strategy's state exporter, the encoded bytes that precede the columns,
+// and the exact length of the whole stream, from column lengths alone.
+//
+//optchain:locked e.mu held by WriteSnapshot/SnapshotSize.
+func (e *Engine) snapshotPlanLocked() (snap placement.Snapshotter, head []byte, size int64, err error) {
+	if e.running {
+		return nil, nil, 0, ErrRunning
+	}
+	if err := e.ensurePlacerLocked(); err != nil {
+		return nil, nil, 0, err
+	}
+	snap, ok := e.placer.(placement.Snapshotter)
+	if !ok {
+		return nil, nil, 0, fmt.Errorf("%w: %q", ErrSnapshotUnsupported, e.strategy)
+	}
+	name := strings.ToLower(e.strategy)
+	head = make([]byte, 0, 128+len(name))
+	head = append(head, snapMagic...)
+	head = binary.AppendUvarint(head, snapVersion)
+	head = binary.AppendUvarint(head, uint64(len(name)))
+	head = append(head, name...)
+	head = binary.AppendUvarint(head, uint64(e.shards))
+	head = binary.AppendUvarint(head, math.Float64bits(e.alpha))
+	head = binary.AppendUvarint(head, math.Float64bits(e.l2sWeight))
+	if e.exactL2S {
+		head = append(head, 1)
+	} else {
+		head = append(head, 0)
+	}
+	head = binary.AppendUvarint(head, uint64(e.placerN))
+	head = binary.AppendUvarint(head, uint64(e.placed))
+	head = binary.AppendUvarint(head, uint64(e.cross.Total))
+	head = binary.AppendUvarint(head, uint64(e.cross.Cross))
+	head = binary.AppendUvarint(head, uint64(e.epoch.Placed))
+	head = binary.AppendUvarint(head, uint64(e.epoch.InputRefs))
+	head = binary.AppendUvarint(head, uint64(e.epoch.CrossChunkRefs))
+	size = int64(len(head)) + placement.ColumnSize(len(e.outs), 4) + snap.StateSize() + 4
+	if size > snapMaxBytes {
+		return nil, nil, 0, fmt.Errorf("%w: the state takes %d bytes, more than the %d a snapshot may", ErrBadSnapshot, size, snapMaxBytes)
+	}
+	return snap, head, size, nil
+}
+
+// SnapshotSize returns the exact length of the stream WriteSnapshot would
+// write now, computed from the lengths of the state's columns, and fails
+// exactly when WriteSnapshot would fail before writing.
+func (e *Engine) SnapshotSize() (int64, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, _, size, err := e.snapshotPlanLocked()
+	return size, err
+}
 
 // WriteSnapshot serializes the engine's complete streaming-placement state
 // — the strategy's decision state (for OptChain/T2S the slab-backed p'(v)
@@ -50,50 +125,53 @@ const snapMaxBytes = 1 << 30
 // taken under the engine lock at a batch boundary — but must not be inside
 // Run (ErrRunning). Strategies without state export (Metis replay, custom
 // registrations not implementing the snapshot contract) fail with
-// ErrSnapshotUnsupported.
+// ErrSnapshotUnsupported. A state whose stream would be longer than
+// ReadSnapshot accepts fails with ErrBadSnapshot before a byte is written
+// (SnapshotSize reports the length in advance).
 func (e *Engine) WriteSnapshot(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.running {
-		return ErrRunning
-	}
-	if err := e.ensurePlacerLocked(); err != nil {
+	snap, head, size, err := e.snapshotPlanLocked()
+	if err != nil {
 		return err
 	}
-	snap, ok := e.placer.(placement.Snapshotter)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrSnapshotUnsupported, e.strategy)
-	}
-
-	buf := make([]byte, 0, 64+4*len(e.outs))
-	buf = append(buf, snapMagic...)
-	buf = binary.AppendUvarint(buf, snapVersion)
-	name := strings.ToLower(e.strategy)
-	buf = binary.AppendUvarint(buf, uint64(len(name)))
-	buf = append(buf, name...)
-	buf = binary.AppendUvarint(buf, uint64(e.shards))
-	buf = binary.AppendUvarint(buf, math.Float64bits(e.alpha))
-	buf = binary.AppendUvarint(buf, math.Float64bits(e.l2sWeight))
-	if e.exactL2S {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(e.placerN))
-	buf = binary.AppendUvarint(buf, uint64(e.placed))
-	buf = placement.AppendInt32s(buf, e.outs)
-	buf = binary.AppendUvarint(buf, uint64(e.cross.Total))
-	buf = binary.AppendUvarint(buf, uint64(e.cross.Cross))
-	buf = binary.AppendUvarint(buf, uint64(e.epoch.Placed))
-	buf = binary.AppendUvarint(buf, uint64(e.epoch.InputRefs))
-	buf = binary.AppendUvarint(buf, uint64(e.epoch.CrossChunkRefs))
-	buf = snap.AppendState(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-
-	if _, err := w.Write(buf); err != nil {
+	sw := placement.NewStateWriter(w)
+	sw.Write(head)
+	sw.Uvarint(uint64(len(e.outs)))
+	sw.Int32s(e.outs)
+	snap.WriteState(sw)
+	if err := sw.Finish(); err != nil {
 		return fmt.Errorf("%w: write: %v", ErrBadSnapshot, err)
 	}
+	if sw.Len() != size {
+		return fmt.Errorf("%w: wrote %d bytes where the columns add up to %d", ErrBadSnapshot, sw.Len(), size)
+	}
 	return nil
+}
+
+// readSnapshotBytes reads all of r, into a buffer allocated once at the
+// right size when r knows how much it holds (bytes.Reader, bytes.Buffer,
+// strings.Reader).
+func readSnapshotBytes(r io.Reader) ([]byte, error) {
+	if sized, ok := r.(interface{ Len() int }); ok {
+		n := sized.Len()
+		if int64(n) > snapMaxBytes {
+			return nil, fmt.Errorf("%w: exceeds %d bytes", ErrBadSnapshot, snapMaxBytes)
+		}
+		data := make([]byte, n)
+		if _, err := io.ReadFull(r, data); err != nil {
+			return nil, fmt.Errorf("%w: read: %v", ErrBadSnapshot, err)
+		}
+		return data, nil
+	}
+	data, err := io.ReadAll(io.LimitReader(r, snapMaxBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("%w: read: %v", ErrBadSnapshot, err)
+	}
+	if int64(len(data)) > snapMaxBytes {
+		return nil, fmt.Errorf("%w: exceeds %d bytes", ErrBadSnapshot, snapMaxBytes)
+	}
+	return data, nil
 }
 
 // ReadSnapshot restores the state WriteSnapshot captured into this engine,
@@ -103,18 +181,15 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 // where the snapshot left off: Stats reflects the restored counters and
 // subsequent decisions are bit-identical to the uninterrupted engine's.
 //
-// Any defect — truncation, checksum mismatch, an unknown version, a
-// configuration fingerprint that does not match this engine — fails with
-// ErrBadSnapshot naming the disagreement; the engine is left unused only on
-// fingerprint errors detected before state adoption, and must be discarded
-// after a mid-restore failure.
+// Any defect — truncation, checksum mismatch, another format version (a
+// version 1 stream included), a configuration fingerprint that does not
+// match this engine — fails with ErrBadSnapshot naming the disagreement;
+// the engine is left unused only on fingerprint errors detected before
+// state adoption, and must be discarded after a mid-restore failure.
 func (e *Engine) ReadSnapshot(r io.Reader) error {
-	data, err := io.ReadAll(io.LimitReader(r, snapMaxBytes+1))
+	data, err := readSnapshotBytes(r)
 	if err != nil {
-		return fmt.Errorf("%w: read: %v", ErrBadSnapshot, err)
-	}
-	if len(data) > snapMaxBytes {
-		return fmt.Errorf("%w: exceeds %d bytes", ErrBadSnapshot, snapMaxBytes)
+		return err
 	}
 	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
 		return fmt.Errorf("%w: not an engine snapshot (bad magic)", ErrBadSnapshot)
@@ -138,12 +213,12 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 	exact := sr.Byte()
 	capN := sr.Uvarint()
 	placed := sr.Uvarint()
-	outs := sr.Int32s()
 	crossTotal := sr.Uvarint()
 	crossCross := sr.Uvarint()
 	epPlaced := sr.Uvarint()
 	epInputs := sr.Uvarint()
 	epCross := sr.Uvarint()
+	outs := sr.Column(4)
 	if err := sr.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
@@ -159,7 +234,7 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 	switch {
 	case name != strings.ToLower(e.strategy):
 		return fmt.Errorf("%w: snapshot strategy %q, engine %q", ErrBadSnapshot, name, e.strategy)
-	case int(shards) != e.shards:
+	case shards != uint64(e.shards):
 		return fmt.Errorf("%w: snapshot has %d shards, engine %d", ErrBadSnapshot, shards, e.shards)
 	case alphaBits != math.Float64bits(e.alpha):
 		return fmt.Errorf("%w: snapshot alpha %v, engine %v", ErrBadSnapshot, math.Float64frombits(alphaBits), e.alpha)
@@ -167,8 +242,8 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("%w: snapshot L2S weight %v, engine %v", ErrBadSnapshot, math.Float64frombits(weightBits), e.l2sWeight)
 	case (exact == 1) != e.exactL2S:
 		return fmt.Errorf("%w: snapshot exactL2S=%v, engine %v", ErrBadSnapshot, exact == 1, e.exactL2S)
-	case uint64(len(outs)) != placed:
-		return fmt.Errorf("%w: %d output counts for %d placed transactions", ErrBadSnapshot, len(outs), placed)
+	case uint64(len(outs)/4) != placed:
+		return fmt.Errorf("%w: %d output counts for %d placed transactions", ErrBadSnapshot, len(outs)/4, placed)
 	case crossCross > crossTotal:
 		return fmt.Errorf("%w: cross count %d exceeds total %d", ErrBadSnapshot, crossCross, crossTotal)
 	}
@@ -178,7 +253,14 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 		}
 	} else {
 		// The capacity hint sizes per-shard budgets (T2S/Greedy); rebuild
-		// the placer with the producer's value so the bounds agree.
+		// the placer with the producer's value so the bounds agree. It
+		// also sizes the per-transaction columns, so nothing larger is
+		// taken from the stream than this engine's own capacity or the
+		// transactions the stream demonstrably holds.
+		if capN > max(uint64(e.streamCap), placed) {
+			return fmt.Errorf("%w: snapshot capacity hint %d exceeds this engine's stream capacity %d and the %d placed transactions",
+				ErrBadSnapshot, capN, e.streamCap, placed)
+		}
 		e.streamCap = int(capN)
 	}
 	if err := e.ensurePlacerLocked(); err != nil {
@@ -198,7 +280,10 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("%w: strategy state has %d placements, header says %d", ErrBadSnapshot, got, placed)
 	}
 	e.placed = int(placed)
-	e.outs = outs
+	e.outs = e.outs[:0]
+	for i := 0; i < len(outs); i += 4 {
+		e.outs = append(e.outs, int32(binary.LittleEndian.Uint32(outs[i:])))
+	}
 	e.cross = placement.CrossCounter{Total: int64(crossTotal), Cross: int64(crossCross)}
 	e.epoch = placement.EpochStats{Placed: int64(epPlaced), InputRefs: int64(epInputs), CrossChunkRefs: int64(epCross)}
 	e.fan = nil

@@ -1,0 +1,166 @@
+package optchain
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
+	"math"
+	"strings"
+	"testing"
+)
+
+// formatEngine builds the engine the format tests snapshot and restore.
+func formatEngine(t testing.TB, capacity int) *Engine {
+	t.Helper()
+	e, err := New(WithShards(8), WithStreamCapacity(capacity))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// chainStream is n transactions, each spending its two predecessors.
+func chainStream(n int) []StreamTx {
+	txs := make([]StreamTx, n)
+	for i := range txs {
+		for j := max(0, i-2); j < i; j++ {
+			txs[i].Inputs = append(txs[i].Inputs, j)
+		}
+		txs[i].Outputs = 2
+	}
+	return txs
+}
+
+// TestSnapshotSizeIsExact: SnapshotSize predicts WriteSnapshot's stream to
+// the byte, before the first placement and after, and a reader that cannot
+// say how much it holds restores the same state as one that can.
+func TestSnapshotSizeIsExact(t *testing.T) {
+	const n = 500
+	e := formatEngine(t, n)
+	for _, placed := range []int{0, n} {
+		if _, err := e.PlaceBatch(chainStream(n)[e.Stats().Placed:placed], nil); err != nil {
+			t.Fatal(err)
+		}
+		size, err := e.SnapshotSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := e.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if int64(snap.Len()) != size {
+			t.Fatalf("%d placed: SnapshotSize %d, WriteSnapshot wrote %d", placed, size, snap.Len())
+		}
+		for name, r := range map[string]io.Reader{
+			"sized":   bytes.NewReader(snap.Bytes()),
+			"unsized": io.MultiReader(bytes.NewReader(snap.Bytes())),
+		} {
+			fresh := formatEngine(t, n)
+			if err := fresh.ReadSnapshot(r); err != nil {
+				t.Fatalf("%d placed, %s reader: %v", placed, name, err)
+			}
+			if got, want := fresh.Stats(), e.Stats(); got.Placed != want.Placed || got.Cross != want.Cross ||
+				got.SlabEntries != want.SlabEntries {
+				t.Fatalf("%d placed, %s reader: restored %+v, want %+v", placed, name, got, want)
+			}
+		}
+	}
+	if st := e.Stats(); st.SlabEntries < n || st.StateBytes < 16*n+10*st.SlabEntries {
+		t.Fatalf("Stats of a filled engine: %d slab entries, %d state bytes", st.SlabEntries, st.StateBytes)
+	}
+}
+
+// TestSnapshotWriterHonoursReaderLimit: a state whose stream ReadSnapshot
+// would refuse is refused by WriteSnapshot and SnapshotSize too, before a
+// byte is written, so nobody saves a snapshot that can never be loaded.
+func TestSnapshotWriterHonoursReaderLimit(t *testing.T) {
+	defer func(old int64) { snapMaxBytes = old }(snapMaxBytes)
+	const n = 200
+	e := formatEngine(t, n)
+	if _, err := e.PlaceBatch(chainStream(n), nil); err != nil {
+		t.Fatal(err)
+	}
+	size, err := e.SnapshotSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	snapMaxBytes = size
+	if err := e.WriteSnapshot(&snap); err != nil {
+		t.Fatalf("a snapshot of exactly the limit: %v", err)
+	}
+	if err := formatEngine(t, n).ReadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("reading a snapshot of exactly the limit: %v", err)
+	}
+
+	snapMaxBytes = size - 1
+	var none bytes.Buffer
+	if err := e.WriteSnapshot(&none); !errors.Is(err, ErrBadSnapshot) || none.Len() != 0 {
+		t.Fatalf("oversized WriteSnapshot: err=%v after writing %d bytes, want ErrBadSnapshot and nothing", err, none.Len())
+	}
+	if _, err := e.SnapshotSize(); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("oversized SnapshotSize: err=%v, want ErrBadSnapshot", err)
+	}
+	for name, r := range map[string]io.Reader{
+		"sized":   bytes.NewReader(snap.Bytes()),
+		"unsized": io.MultiReader(bytes.NewReader(snap.Bytes())),
+	} {
+		if err := formatEngine(t, n).ReadSnapshot(r); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("oversized ReadSnapshot (%s reader): %v", name, err)
+		}
+	}
+}
+
+// seal appends the CRC-32 a snapshot stream ends with.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// TestSnapshotVersion1Rejected: a well-formed stream of the previous format
+// (4-byte shard ids and span lengths) fails with ErrBadSnapshot naming its
+// version; there is no second reader.
+func TestSnapshotVersion1Rejected(t *testing.T) {
+	// An empty OptChain engine over 8 shards, exactly as version 1 wrote it.
+	v1 := []byte(snapMagic)
+	v1 = binary.AppendUvarint(v1, 1)
+	v1 = binary.AppendUvarint(v1, uint64(len("optchain")))
+	v1 = append(v1, "optchain"...)
+	v1 = binary.AppendUvarint(v1, 8)
+	v1 = binary.AppendUvarint(v1, math.Float64bits(0))
+	v1 = binary.AppendUvarint(v1, math.Float64bits(0))
+	v1 = append(v1, 0)               // exactL2S
+	v1 = binary.AppendUvarint(v1, 0) // capacity hint
+	v1 = binary.AppendUvarint(v1, 0) // placed
+	v1 = binary.AppendUvarint(v1, 0) // output counts: empty column
+	v1 = append(v1, 0, 0, 0, 0, 0)   // cross and epoch counters
+	v1 = append(v1, 0, 0, 0, 0, 0)   // assignment, slab shards, slab values, span lengths, out-degrees
+	err := formatEngine(t, 0).ReadSnapshot(bytes.NewReader(seal(v1)))
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("version 1 stream: %v", err)
+	}
+}
+
+// TestSnapshotCapacityHintBounded: the capacity hint sizes the restored
+// engine's columns, so a stream may not ask for more than the restoring
+// engine was configured for or than it demonstrably holds.
+func TestSnapshotCapacityHintBounded(t *testing.T) {
+	const n = 64
+	src := formatEngine(t, 1<<20)
+	if _, err := src.PlaceBatch(chainStream(n), nil); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := src.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := formatEngine(t, 1<<20).ReadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("same capacity: %v", err)
+	}
+	err := formatEngine(t, 0).ReadSnapshot(bytes.NewReader(snap.Bytes()))
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "capacity hint") {
+		t.Fatalf("hint of 2^20 into an engine without one, 64 placed: %v", err)
+	}
+}

@@ -1,0 +1,139 @@
+package optchain_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"testing"
+
+	"optchain"
+)
+
+// The three stream shapes the benchmark places (benchmark/run.go).
+var benchmarkSpecs = []string{
+	"bitcoin",
+	"hotspot",
+	"mix:bitcoin=0.6,hotspot=0.25,adversarial=0.05,adversarial=0.05,adversarial=0.05",
+}
+
+const (
+	fuzzShards = 16
+	fuzzTxs    = 400 // stream length, and every fuzz engine's capacity
+	fuzzCut    = 250 // transactions placed before the snapshot
+)
+
+func fuzzEngine(t testing.TB) *optchain.Engine {
+	t.Helper()
+	e, err := optchain.New(optchain.WithShards(fuzzShards), optchain.WithStreamCapacity(fuzzTxs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// fuzzStream materializes one of the benchmark's stream shapes.
+func fuzzStream(t testing.TB, spec string) []optchain.StreamTx {
+	t.Helper()
+	d, err := optchain.MaterializeWorkload(spec, optchain.WorkloadParams{N: fuzzTxs, Seed: 1, Shards: fuzzShards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txs []optchain.StreamTx
+	for tx := range optchain.DatasetStream(d) {
+		txs = append(txs, tx)
+	}
+	return txs
+}
+
+// continuation is what an uninterrupted engine decided after the point a
+// seed snapshot was taken at.
+type continuation struct {
+	rest []optchain.StreamTx
+	want []int
+}
+
+// FuzzReadSnapshot feeds ReadSnapshot arbitrary bytes, as given and with
+// the trailing checksum recomputed so that mutations reach the column
+// decoders. A stream is either refused with ErrBadSnapshot or restores an
+// engine that works: a genuine snapshot continues exactly as the engine
+// that wrote it, and any other accepted state survives its own round trip
+// (write, read, same next decisions). Nothing panics, and nothing is
+// allocated from a length the stream merely claims: every engine here has
+// room for 400 transactions, so a claim that got through would be felt.
+func FuzzReadSnapshot(f *testing.F) {
+	known := map[string]continuation{}
+	for _, spec := range benchmarkSpecs {
+		txs := fuzzStream(f, spec)
+		e := fuzzEngine(f)
+		if _, err := e.PlaceBatch(txs[:fuzzCut], nil); err != nil {
+			f.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := e.WriteSnapshot(&snap); err != nil {
+			f.Fatal(err)
+		}
+		want, err := e.PlaceBatch(txs[fuzzCut:], nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		known[snap.String()] = continuation{txs[fuzzCut:], want}
+		f.Add(snap.Bytes())
+	}
+	var empty bytes.Buffer
+	if err := fuzzEngine(f).WriteSnapshot(&empty); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty.Bytes())
+	f.Add([]byte("OPTCHSNP"))
+
+	check := func(t *testing.T, data []byte) {
+		e := fuzzEngine(t)
+		if err := e.ReadSnapshot(bytes.NewReader(data)); err != nil {
+			if !errors.Is(err, optchain.ErrBadSnapshot) {
+				t.Fatalf("ReadSnapshot failed with something other than ErrBadSnapshot: %v", err)
+			}
+			return
+		}
+		if c, ok := known[string(data)]; ok {
+			got, err := e.PlaceBatch(c.rest, nil)
+			if err != nil {
+				t.Fatalf("restored engine: %v", err)
+			}
+			for i := range c.want {
+				if got[i] != c.want[i] {
+					t.Fatalf("restored engine chose shard %d for transaction %d, the uninterrupted one %d", got[i], fuzzCut+i, c.want[i])
+				}
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := e.WriteSnapshot(&again); err != nil {
+			t.Fatalf("an accepted state cannot be written back: %v", err)
+		}
+		twin := fuzzEngine(t)
+		if err := twin.ReadSnapshot(&again); err != nil {
+			t.Fatalf("an accepted state does not survive its own round trip: %v", err)
+		}
+		for i, placed := 0, e.Stats().Placed; i < 8; i++ {
+			tx := optchain.StreamTx{Outputs: 2}
+			if u := placed + i; u > 0 {
+				tx.Inputs = []int{u - 1, u / 2}
+			}
+			a, errA := e.Place(tx)
+			b, errB := twin.Place(tx)
+			if errA != nil || errB != nil || a != b {
+				t.Fatalf("after an accepted state, placement %d: %d (%v) against %d (%v) from its round trip", i, a, errA, b, errB)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check(t, data)
+		if len(data) >= 4 {
+			resealed := bytes.Clone(data)
+			body := resealed[:len(resealed)-4]
+			binary.LittleEndian.PutUint32(resealed[len(body):], crc32.ChecksumIEEE(body))
+			check(t, resealed)
+		}
+	})
+}
