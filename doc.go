@@ -31,6 +31,18 @@
 //	if err != nil { ... }
 //	shard, err := eng.Place(optchain.StreamTx{Inputs: []int{3, 7}, Outputs: 2})
 //
+// Outputs is how many outputs the transaction creates. It is the divisor of
+// the T2S score its spenders inherit, and the point at which the engine
+// forgets it: once as many distinct transactions have spent from it as it
+// declared outputs, nothing in a valid UTXO stream can name it again, so
+// its score vector is dropped and its slot reused (state and snapshots then
+// follow the unspent set, not the stream's length). Outputs: 0 means
+// unknown and opts the transaction out: it is scored by spenders seen so
+// far and never retired. A later reference to a retired transaction — a
+// stream spending more outputs than were declared — is still placed and
+// still counts as cross-shard where it is, but inherits no score from that
+// parent, and PlacementStats.RetiredRefs counts it.
+//
 // Whole streams route through PlaceStream; a generated or loaded Dataset
 // adapts with DatasetStream:
 //

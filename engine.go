@@ -51,7 +51,10 @@ type MetricsSnapshot = sim.Snapshot
 // creates. Inputs may repeat (one transaction spending several outputs of
 // the same parent); the Engine deduplicates them. Outputs of 0 means
 // unknown — the T2S score then falls back to the spenders-seen-so-far
-// divisor.
+// divisor, and the transaction is never retired. A transaction with a
+// known count is retired (its score vector dropped, its memory reused) once
+// that many distinct transactions have spent from it; a later input naming
+// it is still placed, and counted in PlacementStats.RetiredRefs.
 type StreamTx struct {
 	Inputs  []int
 	Outputs int
@@ -76,13 +79,24 @@ type PlacementStats struct {
 	// parallelism 1, where decisions are bit-identical to serial placement.
 	CrossChunkRefs int64
 	// SlabEntries is the number of sparse p'(v) entries the T2S index holds
-	// (0 for strategies without one).
+	// now, in the vectors of transactions that still have an unspent output
+	// (0 for strategies without an index).
 	SlabEntries int64
-	// StateBytes is the heap the engine's per-transaction state holds,
+	// StateBytes is the heap the engine's per-transaction state holds now,
 	// computed from the capacities of its columns (output counts, shard
-	// assignment, and for T2S/OptChain the slab chunks, end offsets and
-	// out-degrees), not from the runtime's memory statistics.
+	// assignment, and for T2S/OptChain the slab chunks with their free
+	// slots, the node records and the free-list heads), not from the
+	// runtime's memory statistics.
 	StateBytes int64
+	// RetiredTxs counts transactions whose declared outputs have all been
+	// spent, so that the T2S index dropped their p'(v). A transaction placed
+	// with Outputs 0 (unknown) is never retired.
+	RetiredTxs int64
+	// RetiredRefs counts input references that named a retired transaction:
+	// the stream spent more of its outputs than it declared. Such a
+	// reference is placed and counts toward the cross-shard statistics, but
+	// contributes no score mass. It is 0 on a valid UTXO stream.
+	RetiredRefs int64
 }
 
 // Engine is the package's main entry point: an online transaction-placement
@@ -914,8 +928,10 @@ func (e *Engine) Stats() PlacementStats {
 		st.ShardCounts = asn.Counts()
 		st.StateBytes = 4*int64(cap(e.outs)) + asn.Bytes()
 		if p, ok := e.placer.(interface{ Scores() *core.T2SIndex }); ok {
-			st.SlabEntries = int64(p.Scores().SlabLen())
-			st.StateBytes += p.Scores().Bytes()
+			idx := p.Scores()
+			st.SlabEntries = int64(idx.SlabLen())
+			st.StateBytes += idx.Bytes()
+			st.RetiredTxs, st.RetiredRefs = idx.Retired()
 		}
 	}
 	return st

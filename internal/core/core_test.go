@@ -12,10 +12,13 @@ import (
 
 // referenceT2S is an independent, dense re-implementation of the paper's
 // incremental rule used to validate T2SIndex: it stores full k-vectors and
-// applies p'(u) = (1−α)Σ p'(v)/outdeg(v,u), p'(u)[s] += α on placement.
+// applies p'(u) = (1−α)Σ p'(v)/|Nout(v)|, p'(u)[s] += α on placement, with
+// |Nout(v)| the output count when outs knows it and the spenders so far
+// otherwise. It never forgets a vector.
 type referenceT2S struct {
 	alpha  float64
 	k      int
+	outs   func(txgraph.Node) int // nil: always the spenders-so-far divisor
 	vecs   [][]float64
 	outDeg []int
 }
@@ -24,8 +27,12 @@ func (r *referenceT2S) place(inputs []txgraph.Node, counts []int64) (scores []fl
 	p := make([]float64, r.k)
 	for _, v := range inputs {
 		r.outDeg[v]++
+		div := r.outDeg[v]
+		if r.outs != nil && r.outs(v) > 0 {
+			div = r.outs(v)
+		}
 		for i := 0; i < r.k; i++ {
-			p[i] += r.vecs[v][i] / float64(r.outDeg[v])
+			p[i] += r.vecs[v][i] / float64(div)
 		}
 	}
 	for i := range p {
@@ -44,39 +51,81 @@ func (r *referenceT2S) place(inputs []txgraph.Node, counts []int64) (scores []fl
 	}
 }
 
+// TestT2SIndexMatchesDenseReference: on valid UTXO streams the index, which
+// drops p'(v) the moment the last output of v is spent, scores every
+// transaction as the reference that keeps everything does, and every vector
+// it dropped belongs to a transaction no later input names. So forgetting
+// is exact, not approximate.
 func TestT2SIndexMatchesDenseReference(t *testing.T) {
-	const k, n = 5, 4000
-	cfg := dataset.DefaultConfig()
-	cfg.N = n
-	cfg.Seed = 21
-	d, err := dataset.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asn := placement.NewAssignment(k, n)
-	idx := NewT2SIndex(0.5, 0 /* exact */, asn, n)
-	ref := &referenceT2S{alpha: 0.5, k: k}
-	rng := rand.New(rand.NewSource(3))
-
-	var buf []txgraph.Node
-	for i := 0; i < n; i++ {
-		buf = d.InputTxNodes(i, buf)
-		got := idx.Prepare(txgraph.Node(i), buf)
-		want, commit := ref.place(buf, asn.Counts())
-		for j := 0; j < k; j++ {
-			// The index carries score mass in Q32.32 fixed point (quantum
-			// 2^-32 ≈ 2.3e-10, see fixed.go); the dense float64 reference
-			// does not, so agreement is bounded by accumulated quantization,
-			// not machine epsilon. The (1−α)/|Nout| damping keeps the
-			// accumulated error orders of magnitude below this tolerance.
-			if math.Abs(got[j]-want[j]) > 1e-6*(1+math.Abs(want[j])) {
-				t.Fatalf("tx %d shard %d: incremental %g, reference %g", i, j, got[j], want[j])
+	const n = 4000
+	for _, tc := range []struct {
+		name   string
+		k      int
+		counts bool
+	}{{"k=5 spenders so far", 5, false}, {"k=5 output counts", 5, true}, {"k=16 output counts", 16, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := tc.k
+			cfg := dataset.DefaultConfig()
+			cfg.N = n
+			cfg.Seed = 21
+			d, err := dataset.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		s := rng.Intn(k) // arbitrary placements exercise all code paths
-		idx.Commit(txgraph.Node(i), s)
-		asn.Place(txgraph.Node(i), s)
-		commit(s)
+			asn := placement.NewAssignment(k, n)
+			idx := NewT2SIndex(0.5, 0 /* exact */, asn, n)
+			ref := &referenceT2S{alpha: 0.5, k: k}
+			if tc.counts {
+				ref.outs = func(v txgraph.Node) int { return d.NumOutputs(int(v)) }
+				idx.SetOutCounts(ref.outs)
+			}
+			rng := rand.New(rand.NewSource(3))
+			retired := make([]bool, n)
+
+			var buf []txgraph.Node
+			for i := 0; i < n; i++ {
+				buf = d.InputTxNodes(i, buf)
+				for _, v := range buf {
+					if retired[v] {
+						t.Fatalf("tx %d names %d, whose vector was dropped", i, v)
+					}
+				}
+				got := idx.Prepare(txgraph.Node(i), buf)
+				want, commit := ref.place(buf, asn.Counts())
+				for j := 0; j < k; j++ {
+					// The index carries score mass in Q32.32 fixed point (quantum
+					// 2^-32 ≈ 2.3e-10, see fixed.go); the dense float64 reference
+					// does not, so agreement is bounded by accumulated quantization,
+					// not machine epsilon. The (1−α)/|Nout| damping keeps the
+					// accumulated error orders of magnitude below this tolerance.
+					if math.Abs(got[j]-want[j]) > 1e-6*(1+math.Abs(want[j])) {
+						t.Fatalf("tx %d shard %d: incremental %g, reference %g", i, j, got[j], want[j])
+					}
+				}
+				for _, v := range buf {
+					if shards, _ := idx.vec(v); len(shards) == 0 {
+						retired[v] = true
+					}
+				}
+				s := rng.Intn(k) // arbitrary placements exercise all code paths
+				idx.Commit(txgraph.Node(i), s)
+				asn.Place(txgraph.Node(i), s)
+				commit(s)
+			}
+			dropped := 0
+			for _, r := range retired {
+				if r {
+					dropped++
+				}
+			}
+			txs, refs := idx.Retired()
+			if int(txs) != dropped || refs != 0 {
+				t.Fatalf("index counts %d retired and %d late references; %d vectors are gone", txs, refs, dropped)
+			}
+			if tc.counts && dropped < n/2 || !tc.counts && dropped != 0 {
+				t.Fatalf("%d of %d vectors dropped (output counts known: %v)", dropped, n, tc.counts)
+			}
+		})
 	}
 }
 

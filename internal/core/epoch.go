@@ -26,6 +26,11 @@ import (
 // joined); the worker counts them so drift is measured, never assumed.
 // With one worker that window is empty and every arithmetic step matches
 // the serial path bit for bit.
+//
+// Nothing is retired inside an epoch: workers read the frozen arena, and a
+// node whose last output an epoch spends is retired at Join, when its
+// degree is folded in. On a stream that spends no more outputs than were
+// declared nothing names such a node again, so decisions are unaffected.
 
 // t2sWorker is one worker's chunk-local T2S state for the current epoch.
 type t2sWorker struct {
@@ -57,6 +62,17 @@ func newT2SWorker(idx *T2SIndex) *t2sWorker {
 	}
 	w.tally.init(idx.asn.K())
 	return w
+}
+
+// divisor returns |Nout(v)| for one input of an epoch worker: the output
+// count when known, otherwise the online spenders-so-far estimate deg.
+func (t *T2SIndex) divisor(v txgraph.Node, deg int32) int64 {
+	if t.outCounts != nil {
+		if c := t.outCounts(v); c > 0 {
+			return int64(c)
+		}
+	}
+	return int64(deg)
 }
 
 // forkWorker returns the i-th cached worker, reset for an epoch over
@@ -108,7 +124,7 @@ func (w *t2sWorker) prepare(u txgraph.Node, inputs []txgraph.Node) []float64 {
 			// Pre-epoch: frozen vector; degree = frozen + our own spends.
 			w.degDelta[v]++
 			shards, vals := t.vec(v)
-			w.tally.accumulate(shards, vals, t.divisor(v, t.outDeg[v]+w.degDelta[v]))
+			w.tally.accumulate(shards, vals, t.divisor(v, t.nodes[v].deg+w.degDelta[v]))
 		}
 	}
 	w.tally.finish(u, t.scaleQ)
@@ -132,24 +148,28 @@ func (w *t2sWorker) commit(u txgraph.Node, shard int) {
 }
 
 // joinWorkers folds the chunk-local arenas back into the shared index, in
-// chunk order: append each worker's vectors one by one (the same routine
-// Commit uses, so the slab is laid out as a serial run's would be), carry
-// the local degrees over, then apply the worker's degree deltas — by then
-// every node a delta references has been appended. The fold is pure
-// appends plus commutative integer adds, so the joined state depends only
-// on the epoch's inputs and partition, never on worker timing.
+// chunk order: add each worker's vectors one by one (the same routine
+// Commit uses), carry the local degrees over, then apply the worker's
+// degree deltas — by then every node a delta references has been added.
+// The fold is appends, slot reuse and commutative integer adds, so the
+// joined vectors, degrees and liveness depend only on the epoch's inputs
+// and partition, never on worker timing (which free slot a length reuses
+// first can differ; layout never enters the arithmetic).
 func (t *T2SIndex) joinWorkers(ws []*t2sWorker) {
 	for _, w := range ws {
-		first := len(t.outDeg)
+		first := len(t.nodes)
 		for i := range w.wDeg {
 			lo, hi := w.wEnds[i], w.wEnds[i+1]
 			if err := t.appendVec(w.wShards[lo:hi], w.wVals[lo:hi]); err != nil {
 				panic(err) // the Engine reports it as the batch's failure
 			}
 		}
-		copy(t.outDeg[first:], w.wDeg)
+		for i, d := range w.wDeg {
+			t.addSpenders(txgraph.Node(first+i), d)
+		}
+		//optchain:unordered degrees and counters add up commutatively; the order only picks which of two equally long free slots is reused first
 		for v, d := range w.degDelta {
-			t.outDeg[v] += d
+			t.addSpenders(v, d)
 		}
 	}
 }

@@ -44,7 +44,11 @@ func serialCoreDecisions(p placement.Placer, n int) []int {
 
 // With one worker the cross-chunk window is empty, so epoch placement must
 // be bit-identical to serial Place for both T2S and full OptChain — same
-// decisions AND identical post-epoch score state (checked through Vector).
+// decisions AND identical post-epoch score state (checked through Vector) —
+// with the spenders-so-far divisor and with declared output counts. Three
+// outputs are what the chained stream spends of a transaction at most, so
+// the serial index retires a transaction at its third spender and the
+// epochs at the join that follows it: the same transactions, in the end.
 func TestEpochOneWorkerBitIdenticalToSerial(t *testing.T) {
 	const n, k = 700, 8
 	type mk struct {
@@ -52,12 +56,26 @@ func TestEpochOneWorkerBitIdenticalToSerial(t *testing.T) {
 		make func() placement.Sharder
 		idx  func(placement.Sharder) *T2SIndex
 	}
+	three := func(txgraph.Node) int { return 3 }
+	t2s := func(outs func(txgraph.Node) int) func() placement.Sharder {
+		return func() placement.Sharder {
+			p := NewT2SPlacer(k, n, 0.5, 0.1)
+			p.Scores().SetOutCounts(outs)
+			return p
+		}
+	}
+	optChain := func(outs func(txgraph.Node) int) func() placement.Sharder {
+		return func() placement.Sharder {
+			p := NewOptChain(OptChainConfig{K: k, N: n, Latency: FastL2S{Tel: epochTel(k)}})
+			p.Scores().SetOutCounts(outs)
+			return p
+		}
+	}
+	t2sIdx := func(s placement.Sharder) *T2SIndex { return s.(*T2SPlacer).Scores() }
+	optIdx := func(s placement.Sharder) *T2SIndex { return s.(*OptChainPlacer).Scores() }
 	cases := []mk{
-		{"T2S", func() placement.Sharder { return NewT2SPlacer(k, n, 0.5, 0.1) },
-			func(s placement.Sharder) *T2SIndex { return s.(*T2SPlacer).Scores() }},
-		{"OptChain", func() placement.Sharder {
-			return NewOptChain(OptChainConfig{K: k, N: n, Latency: FastL2S{Tel: epochTel(k)}})
-		}, func(s placement.Sharder) *T2SIndex { return s.(*OptChainPlacer).Scores() }},
+		{"T2S", t2s(nil), t2sIdx}, {"OptChain", optChain(nil), optIdx},
+		{"T2S/outputs", t2s(three), t2sIdx}, {"OptChain/outputs", optChain(three), optIdx},
 	}
 	for _, c := range cases {
 		serial := c.make()
@@ -81,8 +99,8 @@ func TestEpochOneWorkerBitIdenticalToSerial(t *testing.T) {
 		si, pi := c.idx(serial), c.idx(par)
 		for u := 0; u < n; u++ {
 			v := txgraph.Node(u)
-			if si.outDeg[u] != pi.outDeg[u] {
-				t.Fatalf("%s: outDeg[%d] differs: serial=%d epoch=%d", c.name, u, si.outDeg[u], pi.outDeg[u])
+			if si.OutDegree(v) != pi.OutDegree(v) {
+				t.Fatalf("%s: out-degree of %d differs: serial=%d epoch=%d", c.name, u, si.OutDegree(v), pi.OutDegree(v))
 			}
 			ss, sv := si.vec(v)
 			ps, pv := pi.vec(v)
@@ -95,6 +113,11 @@ func TestEpochOneWorkerBitIdenticalToSerial(t *testing.T) {
 						c.name, u, i, ss[i], sv[i], ps[i], pv[i])
 				}
 			}
+		}
+		st, sr := si.Retired()
+		pt, pr := pi.Retired()
+		if st != pt || sr != 0 || pr != 0 || (st == 0) != (c.name == "T2S" || c.name == "OptChain") {
+			t.Fatalf("%s: serial retired %d (%d late references), epochs %d (%d)", c.name, st, sr, pt, pr)
 		}
 	}
 }
@@ -139,6 +162,7 @@ func TestEpochParallelDeterministic(t *testing.T) {
 func TestEpochInterleavesWithSerialPlace(t *testing.T) {
 	const n, k = 300, 4
 	p := NewT2SPlacer(k, n, 0.5, 0.1)
+	p.Scores().SetOutCounts(func(txgraph.Node) int { return 2 })
 	fan := placement.NewFan(2)
 	var buf []txgraph.Node
 
@@ -164,11 +188,26 @@ func TestEpochInterleavesWithSerialPlace(t *testing.T) {
 	if total != n {
 		t.Fatalf("shard counts sum to %d, want %d", total, n)
 	}
-	// Every transaction with spenders has a positive recorded out-degree.
+	// Every transaction with spenders has a positive recorded out-degree,
+	// and the retirement counters are what the degrees say they are however
+	// the spenders arrived: the stream spends three outputs of most
+	// transactions and each declared two.
 	idx := p.Scores()
+	var txs, refs int64
 	for u := 0; u+1 < n; u++ {
-		if idx.outDeg[u] <= 0 {
-			t.Fatalf("outDeg[%d] = %d after mixed stream", u, idx.outDeg[u])
+		d := idx.OutDegree(txgraph.Node(u))
+		if d <= 0 {
+			t.Fatalf("out-degree of %d is %d after mixed stream", u, d)
 		}
+		if d >= 2 {
+			txs++
+			refs += int64(d - 2)
+			if len(idx.Vector(txgraph.Node(u))) != 0 {
+				t.Fatalf("transaction %d has %d spenders of 2 outputs and still a vector", u, d)
+			}
+		}
+	}
+	if gt, gr := idx.Retired(); gt != txs || gr != refs || refs == 0 {
+		t.Fatalf("retired %d, late references %d; the degrees say %d and %d", gt, gr, txs, refs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"optchain/internal/placement"
+	"optchain/internal/txgraph"
 )
 
 func TestSortShards(t *testing.T) {
@@ -151,11 +152,15 @@ func TestT2SOutCountsDivisorDilutesFanout(t *testing.T) {
 
 // Steady-state Prepare+Commit must not allocate: the slab arena, the
 // pending buffer, and the dense score buffers are all reused. Reserve
-// pre-sizes the arena so even amortized growth is off the table.
+// pre-sizes the arena so even amortized growth is off the table. Every
+// transaction declares two outputs and is named by up to three later ones,
+// so the measured calls retire vectors, reuse their slots and count late
+// references too; the free lists are threaded through the arena itself.
 func TestT2SPrepareCommitZeroAllocs(t *testing.T) {
 	const k = 16
 	asn := placement.NewAssignment(k, 1<<16)
 	idx := NewT2SIndex(0.5, DefaultTruncate, asn, 256)
+	idx.SetOutCounts(func(txgraph.Node) int { return 2 })
 	// Warm up: seed a coinbase plus a short chain so Prepare has real
 	// sparse vectors to merge.
 	idx.Prepare(0, nil)
@@ -181,5 +186,8 @@ func TestT2SPrepareCommitZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Prepare+Commit allocates %.1f allocs/op, want 0", allocs)
+	}
+	if txs, refs := idx.Retired(); txs < runs || refs < runs/4 || freeSlots(idx) == 0 {
+		t.Fatalf("the measured stream retired %d transactions, named %d of them again and left %d slots free", txs, refs, freeSlots(idx))
 	}
 }

@@ -144,6 +144,10 @@ func TestCoreRestoreDefects(t *testing.T) {
 			blob: corruptSection(one, []uint16{1}, []int32{0}, []uint16{0, 0}, []uint64{1, 1}),
 			want: "cover 1 of 2",
 		},
+		"vector shards out of order": {
+			blob: corruptSection(one, []uint16{2}, []int32{0}, []uint16{1, 1}, []uint64{1, 1}),
+			want: "after shard 1 of the same vector",
+		},
 		"negative out-degree": {
 			blob: corruptSection(one, []uint16{2}, []int32{-1}, []uint16{0, 1}, []uint64{1, 1}),
 			want: "negative out-degree",
@@ -170,6 +174,46 @@ func TestCoreRestoreDefects(t *testing.T) {
 			}
 		})
 	}
+
+	// What the restore's retirement step accepts. Three transactions in
+	// shard 0 declaring 1, 2 and 0 (unknown) outputs.
+	outs := []int{1, 2, 0}
+	restore := func(t *testing.T, lens []uint16, outDeg []int32, slabShards []uint16, slabVals []uint64) *T2SIndex {
+		t.Helper()
+		p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
+		p.idx.SetOutCounts(func(v txgraph.Node) int { return outs[v] })
+		if err := p.RestoreState(placement.NewStateReader(corruptSection([]uint16{0, 0, 0}, lens, outDeg, slabShards, slabVals))); err != nil {
+			t.Fatal(err)
+		}
+		return p.idx
+	}
+	t.Run("spent out on an empty span", func(t *testing.T) {
+		// What an index that retires writes: no span for the spent-out 0, and
+		// its third spender counted as two late references.
+		idx := restore(t, []uint16{0, 1, 1}, []int32{3, 1, 7}, []uint16{0, 0}, []uint64{5, 6})
+		if txs, refs := idx.Retired(); txs != 1 || refs != 2 || idx.SlabLen() != 2 || freeSlots(idx) != 0 {
+			t.Fatalf("%d retired, %d late references, %d entries, %d free slots: want 1, 2, 2, 0", txs, refs, idx.SlabLen(), freeSlots(idx))
+		}
+	})
+	t.Run("live span of a spent-out node is dropped", func(t *testing.T) {
+		// What an index that never retired wrote: 0 and 1 have had all their
+		// spenders and still carry vectors; 2 never says how many it can have.
+		idx := restore(t, []uint16{2, 1, 1}, []int32{1, 2, 9}, []uint16{0, 3, 0, 0}, []uint64{5, 6, 7, 8})
+		if txs, refs := idx.Retired(); txs != 2 || refs != 0 || idx.SlabLen() != 1 {
+			t.Fatalf("%d retired, %d late references, %d entries held: want 2, 0, 1", txs, refs, idx.SlabLen())
+		}
+		if len(idx.Vector(0)) != 0 || len(idx.Vector(1)) != 0 || idx.Vector(2)[0] == 0 || idx.OutDegree(1) != 2 {
+			t.Fatalf("vectors %v %v %v, out-degree of 1 %d", idx.Vector(0), idx.Vector(1), idx.Vector(2), idx.OutDegree(1))
+		}
+		// The dropped spans were still checked like any other.
+		p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
+		p.idx.SetOutCounts(func(v txgraph.Node) int { return outs[v] })
+		err := p.RestoreState(placement.NewStateReader(corruptSection([]uint16{0, 0, 0},
+			[]uint16{2, 1, 1}, []int32{1, 2, 9}, []uint16{0, 9, 0, 0}, []uint64{5, 6, 7, 8})))
+		if err == nil || !strings.Contains(err.Error(), "names shard 9") {
+			t.Fatalf("bad shard in a dropped span: %v", err)
+		}
+	})
 
 	t.Run("non-empty receiver", func(t *testing.T) {
 		p := NewOptChain(OptChainConfig{K: k, N: n})

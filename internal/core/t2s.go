@@ -71,6 +71,35 @@ func (t *t2sTally) accumulate(shards []uint16, vals []uint64, div int64) {
 	}
 }
 
+// single is accumulate and finish for a transaction with one input: the
+// parent's vector is sorted and has no shard twice, so nothing is merged
+// and it is scaled straight into the pending columns, entry for entry what
+// the dense buffer would have produced.
+//
+//optchain:hotpath one call per single-input stream transaction, about half of them.
+func (t *t2sTally) single(u txgraph.Node, shards []uint16, vals []uint64, div int64, scaleQ uint64) {
+	t.pendS = t.pendS[:0]
+	t.pendV = t.pendV[:0]
+	if div <= 1 {
+		for i, s := range shards {
+			if v := qMul(vals[i], scaleQ); v > 0 {
+				t.pendS = append(t.pendS, s)
+				t.pendV = append(t.pendV, v)
+			}
+		}
+	} else {
+		r := qRecip(uint64(div))
+		for i, s := range shards {
+			if v := qMul(qDivRecip(vals[i], r), scaleQ); v > 0 {
+				t.pendS = append(t.pendS, s)
+				t.pendV = append(t.pendV, v)
+			}
+		}
+	}
+	t.pendingNode = u
+	t.hasPending = true
+}
+
 // finish scales the merged mass by (1−α) and freezes it as the pending
 // sparse vector for u, sorted by shard, dropping entries quantized to zero.
 //
@@ -178,16 +207,29 @@ func (t *t2sTally) seal(shard uint16, alphaQ, truncQ uint64) ([]uint16, []uint64
 // column — so the merge inner loop streams two dense homogeneous arrays
 // instead of interleaved pairs, and score mass is fixed point (see fixed.go)
 // so accumulation is exact and the per-entry divide is a reciprocal
-// multiply. The arena is held in fixed-size chunks and addressed by one
-// cumulative end offset per node: a vector never straddles a chunk (one
-// that does not fit the current chunk starts the next), so a vector's start
-// is its predecessor's end or the base of the chunk its last entry is in,
-// whichever is larger. Growing the arena is allocating one more chunk:
-// nothing is copied and there is no doubling slack, so a placed transaction
-// holds 8 bytes of per-node columns here plus 10 bytes per entry of its
-// vector. Steady state, Prepare and Commit allocate nothing between chunk
-// boundaries, and Reserve can pre-allocate chunks so even that never
-// happens on the hot path.
+// multiply. The arena is held in fixed-size chunks; a vector never straddles
+// a chunk (one that does not fit the current chunk starts the next), and
+// each node records where its vector starts and how long it is. Growing the
+// arena is allocating one more chunk: nothing is copied and there is no
+// doubling slack.
+//
+// Retirement: in the UTXO model a transaction whose outputs are all spent
+// can never be named again, so its vector is dead weight. When the
+// spenders of v reach its known output count, Prepare retires v: the slot
+// goes on a free list for its length, the span becomes empty, and the next
+// vector of that length reuses the slot before the arena is extended. The
+// arena therefore grows with the live set, not with the stream. A node
+// whose output count is unknown (0) is never retired. A reference to a
+// retired node — legal only in a stream that spends more outputs than a
+// transaction declared — contributes no score mass and is counted
+// (Retired). Liveness is a function of the out-degree and output count
+// alone, so a restored index (which re-derives it) decides as the
+// uninterrupted one does.
+//
+// A placed transaction holds one 12-byte node record here plus 10 bytes per
+// entry of its vector while it is live. Steady state, Prepare and Commit
+// allocate nothing between chunk boundaries, and Reserve can pre-allocate
+// chunks so even that never happens on the hot path.
 type T2SIndex struct {
 	alpha    float64
 	alphaQ   uint64  // α restart mass in Q32.32
@@ -208,19 +250,31 @@ type T2SIndex struct {
 	// immediately discounts wide fan-out transactions (batch payouts)
 	// whose thousands of recipients should not all follow the payer's
 	// shard. When nil, the divisor is the number of distinct spenders seen
-	// so far (including the one being scored).
+	// so far (including the one being scored). The serial path reads it
+	// once per node, when the node is committed, and keeps the count in the
+	// node record (t2sNode.outs); epoch workers ask it at every spend.
 	outCounts func(txgraph.Node) int
 
 	// The arena: chunk c backs slab offsets [c<<chunkBits, (c+1)<<chunkBits)
-	// and its length is the filled prefix. Every chunk holds 1<<chunkBits
-	// entries, at least k, so any vector fits one.
+	// and its length is the prefix handed out so far (live vectors and free
+	// slots). Every chunk holds 1<<chunkBits entries, at least k, so any
+	// vector fits one.
 	chunkBits uint
 	slabS     [][]uint16 // shard column of every committed p'(v)
 	slabV     [][]uint64 // Q32.32 value column, same indexing
-	cur       int        // chunk the next vector is tried in first
-	entries   int        // vector entries held (slab offsets minus chunk-end padding)
-	ends      []uint32   // ends[0] = 0; ends[v+1] is the slab offset one past v's vector
-	outDeg    []int32
+	cur       int        // chunk a vector with no free slot to reuse is tried in first
+	entries   int        // entries of live vectors (free slots and chunk-end padding excluded)
+	committed int        // entries of every vector ever added, retired ones included
+	nodes     []t2sNode
+
+	// free[n] is the offset of the most recently retired n-entry slot, or
+	// noSlot; a free slot's first value holds the offset of the next one.
+	// The lists live inside the arena, so retiring and reusing allocate
+	// nothing, and reuse is LIFO: the slot Commit takes is most often the
+	// one Prepare just read.
+	free []uint32
+
+	retiredTxs, retiredRefs int64
 
 	tally t2sTally
 
@@ -228,6 +282,23 @@ type T2SIndex struct {
 	// parallel batches reuse their chunk-local arenas (epoch.go).
 	workers []*t2sWorker
 }
+
+// t2sNode is what the index holds per transaction: where p'(v) is, how many
+// distinct spenders v has had, and how many it can have. One record is one
+// cache line touched per input.
+type t2sNode struct {
+	off  uint32 // slab offset of the first entry of p'(v)
+	deg  int32  // |Nout(v)| so far: distinct spenders seen
+	n    uint16 // entries of p'(v); 0 once v is retired
+	outs uint16 // output count of v: 0 unknown, manyOuts "ask outCounts"
+}
+
+// manyOuts marks an output count too large for the node record.
+const manyOuts = 1<<16 - 1
+
+// noSlot ends a free list. No vector starts there: slabLimit keeps every
+// offset below it.
+const noSlot = ^uint32(0)
 
 // minChunkBits sizes the arena's chunks for every shard count up to 4096:
 // 4096 entries are 8 KiB of shard ids and 32 KiB of values, both exact
@@ -237,12 +308,12 @@ const minChunkBits = 12
 
 // slabLimit bounds slab offsets, which are stored as uint32 (a variable
 // only so that a test can reach the bound with a small stream).
-var slabLimit uint64 = 1 << 32
+var slabLimit uint64 = 1<<32 - 1
 
 // NewT2SIndex creates an index over the given assignment with damping
 // factor alpha (paper: 0.5) and relative truncation threshold truncate
 // (0 keeps vectors exact; ~1e-4 keeps them small with no measurable effect
-// on decisions). n is a capacity hint for the per-node columns. More than
+// on decisions). n is a capacity hint for the per-node column. More than
 // placement.MaxShards shards do not fit the 2-byte shard column; callers
 // reject such a count before building an index.
 func NewT2SIndex(alpha, truncate float64, asn *placement.Assignment, n int) *T2SIndex {
@@ -268,8 +339,11 @@ func NewT2SIndex(alpha, truncate float64, asn *placement.Assignment, n int) *T2S
 		asn:       asn,
 		normalize: true,
 		chunkBits: max(minChunkBits, uint(bits.Len(uint(asn.K()-1)))),
-		ends:      make([]uint32, 1, n+1),
-		outDeg:    make([]int32, 0, n),
+		nodes:     make([]t2sNode, 0, n),
+		free:      make([]uint32, asn.K()+1),
+	}
+	for i := range t.free {
+		t.free[i] = noSlot
 	}
 	t.tally.init(asn.K())
 	return t
@@ -279,8 +353,10 @@ func NewT2SIndex(alpha, truncate float64, asn *placement.Assignment, n int) *T2S
 func (t *T2SIndex) SetNormalize(on bool) { t.normalize = on }
 
 // SetOutCounts installs an output-count source used as the |Nout(v)|
-// divisor (see the outCounts field). Passing nil restores the
-// spenders-so-far divisor.
+// divisor and as the point at which v is retired (see the outCounts field).
+// Passing nil restores the spenders-so-far divisor, under which nothing is
+// retired. Install it before the first Prepare: nodes committed earlier
+// keep the counts they were committed with.
 func (t *T2SIndex) SetOutCounts(fn func(txgraph.Node) int) { t.outCounts = fn }
 
 // Alpha returns the damping factor.
@@ -293,14 +369,8 @@ func (t *T2SIndex) Alpha() float64 { return t.alpha }
 // for callers that need a hard zero-allocation guarantee (latency-critical
 // loops, allocation budget tests).
 func (t *T2SIndex) Reserve(nodes, entries int) {
-	// ends and outDeg grow in lockstep but their capacities diverge under
-	// append (different lengths land in different size classes), so each
-	// slice checks its own headroom.
-	if need := len(t.ends) + nodes; need > cap(t.ends) {
-		t.ends = append(make([]uint32, 0, need), t.ends...)
-	}
-	if need := len(t.outDeg) + nodes; need > cap(t.outDeg) {
-		t.outDeg = append(make([]int32, 0, need), t.outDeg...)
+	if need := len(t.nodes) + nodes; need > cap(t.nodes) {
+		t.nodes = append(make([]t2sNode, 0, need), t.nodes...)
 	}
 	// A chunk is left for the next one with fewer than k entries of it
 	// unfilled, so each is good for at least size-k+1 entries.
@@ -315,31 +385,99 @@ func (t *T2SIndex) addChunk() {
 	t.slabV = append(t.slabV, make([]uint64, 0, 1<<t.chunkBits))
 }
 
-// vec returns the committed p'(v) columns (views into the slab; read-only).
+// slot returns the columns of the n-entry slot at slab offset off.
 //
 //optchain:hotpath one call per input of every stream transaction.
+func (t *T2SIndex) slot(off uint32, n int) ([]uint16, []uint64) {
+	c, o := off>>t.chunkBits, int(off&(1<<t.chunkBits-1))
+	return t.slabS[c][o : o+n], t.slabV[c][o : o+n]
+}
+
+// vec returns the committed p'(v) columns (views into the slab; read-only),
+// empty once v is retired.
 func (t *T2SIndex) vec(v txgraph.Node) ([]uint16, []uint64) {
-	start, end := t.ends[v], t.ends[v+1]
-	if start == end {
+	nd := &t.nodes[v]
+	if nd.n == 0 {
 		return nil, nil
 	}
-	c := (end - 1) >> t.chunkBits
-	base := c << t.chunkBits
-	if start < base {
-		start = base // v did not fit its predecessor's chunk
+	return t.slot(nd.off, int(nd.n))
+}
+
+// outCount returns the output count the node record of v stands for: 0
+// when unknown.
+//
+//optchain:hotpath one call per input of every stream transaction.
+func (t *T2SIndex) outCount(v txgraph.Node, outs uint16) int32 {
+	if outs == manyOuts {
+		return int32(t.outCounts(v))
 	}
-	return t.slabS[c][start-base : end-base], t.slabV[c][start-base : end-base]
+	return int32(outs)
+}
+
+// retire drops the vector of v, whose last output has just been spent: its
+// slot heads the free list for its length and its span becomes empty.
+//
+//optchain:hotpath once per transaction whose outputs are all spent.
+func (t *T2SIndex) retire(nd *t2sNode) {
+	t.retiredTxs++
+	n := nd.n
+	if n == 0 {
+		return
+	}
+	_, vals := t.slot(nd.off, 1)
+	vals[0] = uint64(t.free[n])
+	t.free[n] = nd.off
+	t.entries -= int(n)
+	nd.n = 0
+}
+
+// addSpenders folds d more spenders of v into its degree in one step, as
+// the epoch join and the snapshot restore do: v is retired if that spends
+// its last output, and spenders past the last output are counted as
+// Prepare counts them, so liveness and the counters are functions of the
+// degrees and output counts alone.
+func (t *T2SIndex) addSpenders(v txgraph.Node, d int32) {
+	nd := &t.nodes[v]
+	before := nd.deg
+	nd.deg += d
+	outs := t.outCount(v, nd.outs)
+	if outs == 0 || nd.deg < outs {
+		return
+	}
+	if before < outs {
+		t.retire(nd)
+		before = outs
+	}
+	t.retiredRefs += int64(nd.deg - before)
 }
 
 // extend makes room for the next node's vector of n entries and returns the
-// columns to fill: in the current chunk, or in the next one when n entries
-// do not fit what is left of it. It records the node's end offset. Commit,
-// the epoch join and the snapshot restore all add vectors through here, so
-// there is one layout. It fails, changing nothing, when the vector would
-// end past the offsets ends can store.
+// columns to fill: the most recently retired slot of that length when there
+// is one, else the current chunk, or the next one when n entries do not fit
+// what is left of it. It appends the node's record. Commit, the epoch join
+// and the snapshot restore all add vectors through here, so there is one
+// layout. It fails, changing nothing, when the vector would end past the
+// offsets a record can store.
 //
 //optchain:hotpath one call per stream transaction; a chunk is allocated once per 1<<chunkBits entries.
 func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
+	nd := t2sNode{n: uint16(n)}
+	if t.outCounts != nil {
+		nd.outs = uint16(min(max(t.outCounts(txgraph.Node(len(t.nodes))), 0), manyOuts))
+	}
+	if n == 0 {
+		t.nodes = append(t.nodes, nd)
+		return nil, nil, nil
+	}
+	if off := t.free[n]; off != noSlot {
+		shards, vals := t.slot(off, n)
+		t.free[n] = uint32(vals[0])
+		nd.off = off
+		t.nodes = append(t.nodes, nd)
+		t.entries += n
+		t.committed += n
+		return shards, vals, nil
+	}
 	if len(t.slabS) == 0 {
 		t.addChunk()
 	}
@@ -347,10 +485,10 @@ func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
 	if filled+n > 1<<t.chunkBits {
 		c, filled = c+1, 0
 	}
-	end := uint64(c)<<t.chunkBits + uint64(filled+n)
-	if end > slabLimit {
+	start := uint64(c)<<t.chunkBits + uint64(filled)
+	if start+uint64(n) > slabLimit {
 		//optchain:alloc-ok cold path: the error ends the stream
-		return nil, nil, fmt.Errorf("core: T2S slab is full: transaction %d would end at entry offset %d, past the limit of %d", len(t.outDeg), end, slabLimit)
+		return nil, nil, fmt.Errorf("core: T2S slab is full: transaction %d would end at entry offset %d, past the limit of %d", len(t.nodes), start+uint64(n), slabLimit)
 	}
 	if c == len(t.slabS) {
 		t.addChunk()
@@ -358,9 +496,10 @@ func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
 	t.cur = c
 	t.slabS[c] = t.slabS[c][:filled+n]
 	t.slabV[c] = t.slabV[c][:filled+n]
+	nd.off = uint32(start)
+	t.nodes = append(t.nodes, nd)
 	t.entries += n
-	t.ends = append(t.ends, uint32(end))
-	t.outDeg = append(t.outDeg, 0)
+	t.committed += n
 	return t.slabS[c][filled:], t.slabV[c][filled:], nil
 }
 
@@ -377,46 +516,57 @@ func (t *T2SIndex) appendVec(shards []uint16, vals []uint64) error {
 	return nil
 }
 
-// divisor returns |Nout(v)| for one input: the configured output count when
-// available, otherwise the online spenders-so-far estimate deg.
-func (t *T2SIndex) divisor(v txgraph.Node, deg int32) int64 {
-	div := int64(deg)
-	if t.outCounts != nil {
-		if c := t.outCounts(v); c > 0 {
-			div = int64(c)
-		}
-	}
-	return div
-}
-
 // Prepare computes p'(u) for the next transaction u and returns the dense
 // normalized score vector p(u) (valid until the next Prepare call). It also
 // advances the out-degree of each input to include u, matching the online
-// random-walk interpretation. Prepare must be followed by exactly one
-// Commit for the same node.
+// random-walk interpretation, and retires an input whose outputs are now
+// all spent. Prepare must be followed by exactly one Commit for the same
+// node.
 //
 //optchain:hotpath the T2S score maintenance loop (§IV-B).
 func (t *T2SIndex) Prepare(u txgraph.Node, inputs []txgraph.Node) []float64 {
 	if t.tally.hasPending {
 		panic(fmt.Sprintf("core: Prepare(%d) before Commit(%d)", u, t.tally.pendingNode))
 	}
-	if int(u) != len(t.outDeg) {
-		panic(fmt.Sprintf("core: out-of-order Prepare(%d), expected %d", u, len(t.outDeg)))
+	if int(u) != len(t.nodes) {
+		panic(fmt.Sprintf("core: out-of-order Prepare(%d), expected %d", u, len(t.nodes)))
 	}
 
 	// Accumulate (1−α) Σ p'(v)/|Nout(v)| into the dense merge buffer,
 	// tracking which shards were touched.
 	for _, v := range inputs {
-		t.outDeg[v]++ // u is now a spender of v
-		shards, vals := t.vec(v)
-		t.tally.accumulate(shards, vals, t.divisor(v, t.outDeg[v]))
+		nd := &t.nodes[v]
+		nd.deg++ // u is now a spender of v
+		div := nd.deg
+		outs := t.outCount(v, nd.outs)
+		if outs > 0 {
+			if nd.deg > outs {
+				t.retiredRefs++ // an earlier spender took the last output
+				continue
+			}
+			div = outs
+		}
+		if nd.n != 0 {
+			shards, vals := t.slot(nd.off, int(nd.n))
+			if len(inputs) == 1 {
+				t.tally.single(u, shards, vals, int64(div), t.scaleQ)
+				if nd.deg == outs {
+					t.retire(nd)
+				}
+				return t.tally.dense(t.asn.CountsView(), t.normalize)
+			}
+			t.tally.accumulate(shards, vals, int64(div))
+		}
+		if nd.deg == outs {
+			t.retire(nd)
+		}
 	}
 	t.tally.finish(u, t.scaleQ)
 	return t.tally.dense(t.asn.CountsView(), t.normalize)
 }
 
 // Commit finalizes the placement of the prepared node into shard s: it adds
-// the α restart mass at s, truncates, and appends p'(u) to the slab arena.
+// the α restart mass at s, truncates, and stores p'(u) in the slab arena.
 // The caller is responsible for also recording the decision in the
 // Assignment (the placers in this package do both).
 //
@@ -430,7 +580,8 @@ func (t *T2SIndex) Commit(u txgraph.Node, shard int) {
 	}
 }
 
-// Vector returns a copy of p'(v) for inspection, converted to float64.
+// Vector returns a copy of p'(v) for inspection, converted to float64;
+// empty once v is retired.
 func (t *T2SIndex) Vector(v txgraph.Node) map[int]float64 {
 	shards, vals := t.vec(v)
 	out := make(map[int]float64, len(shards))
@@ -441,17 +592,30 @@ func (t *T2SIndex) Vector(v txgraph.Node) map[int]float64 {
 }
 
 // OutDegree returns the current online out-degree of v.
-func (t *T2SIndex) OutDegree(v txgraph.Node) int { return int(t.outDeg[v]) }
+func (t *T2SIndex) OutDegree(v txgraph.Node) int { return int(t.nodes[v].deg) }
 
-// SlabLen reports how many sparse entries the arena currently holds
-// (diagnostics, memory accounting); chunk-end padding is not counted.
+// SlabLen reports how many sparse entries the live vectors hold now
+// (diagnostics, memory accounting, the snapshot's slab columns); retired
+// vectors, free slots and chunk-end padding are not counted.
 func (t *T2SIndex) SlabLen() int { return t.entries }
 
+// Committed reports how many entries all vectors added so far held,
+// retired ones included: what SlabLen would be if nothing were retired.
+// A restored index counts from what it loaded.
+func (t *T2SIndex) Committed() int { return t.committed }
+
+// Retired reports how many transactions have had every declared output
+// spent and their vectors dropped, and how many input references named
+// such a transaction afterwards (a stream spending more outputs than were
+// declared); those references contributed no score mass.
+func (t *T2SIndex) Retired() (txs, refs int64) { return t.retiredTxs, t.retiredRefs }
+
 // Bytes reports the heap the index's columns hold, from their capacities:
-// 10 bytes per slab entry of every allocated chunk plus the per-node end
-// offsets and out-degrees.
+// 10 bytes per slab entry of every allocated chunk (live vectors, free
+// slots and unfilled tails alike), the node records and the free-list
+// heads.
 func (t *T2SIndex) Bytes() int64 {
-	return int64(len(t.slabS))*10<<t.chunkBits + 4*int64(cap(t.ends)) + 4*int64(cap(t.outDeg))
+	return int64(len(t.slabS))*10<<t.chunkBits + 12*int64(cap(t.nodes)) + 4*int64(cap(t.free))
 }
 
 // sortShards is an allocation-free insertion sort for the small touched-

@@ -196,6 +196,14 @@ type generator struct {
 	spent []bool   // parallel to pool
 	live  int
 
+	// Scratch reused from one transaction or compaction to the next: the
+	// inputs step returns (its callers copy them out before the next step),
+	// and the buffers maybeCompact swaps the pool into.
+	ins        []outRef
+	sparePool  []outRef
+	spareSpent []bool
+	remap      []int
+
 	comms      [][]int // per community: pool indices of outputs it created
 	commCursor int     // round-robin turnover position
 }
@@ -287,7 +295,8 @@ func (s *Stream) Next(tx *StreamTx) bool {
 
 // step computes transaction i and registers its outputs in the pool. The
 // caller records the returned structure (Generate appends it to a Dataset;
-// Stream.Next hands it to the puller).
+// Stream.Next hands it to the puller) before it calls step again: ins is
+// the generator's own buffer.
 func (g *generator) step(i int32) (ins []outRef, nOut int, outSum int64) {
 	// Retire one community round-robin to model entity churn; its unspent
 	// outputs remain in the global pool.
@@ -377,7 +386,7 @@ func (g *generator) sampleOutputs() int {
 // transaction's own outputs cannot be selected because they are appended
 // only after selection.
 func (g *generator) takeInputs(n, community int) []outRef {
-	out := make([]outRef, 0, n)
+	out := g.ins[:0]
 	spentPayment := false
 	for len(out) < n && g.live > 0 {
 		i := -1
@@ -416,6 +425,7 @@ func (g *generator) takeInputs(n, community int) []outRef {
 			}
 		}
 	}
+	g.ins = out
 	return out
 }
 
@@ -513,13 +523,24 @@ func (g *generator) pickUnspent() int {
 
 // maybeCompact rebuilds the pool (preserving creation order) once mostly
 // spent, keeping memory proportional to the live UTXO set. Community lists
-// reference pool indices, so they are remapped in the same pass.
+// reference pool indices, so they are remapped in the same pass. The pool
+// is copied into the buffer the previous compaction vacated, sized for
+// twice the live set (the length at which the next compaction is due), so
+// neither the copy nor the appends that follow it allocate while the live
+// set holds its size.
 func (g *generator) maybeCompact() {
 	if len(g.pool) < 4096 || g.live*2 > len(g.pool) {
 		return
 	}
-	remap := make([]int, len(g.pool))
-	newPool := make([]outRef, 0, g.live)
+	if cap(g.remap) < len(g.pool) {
+		g.remap = make([]int, len(g.pool))
+	}
+	remap := g.remap[:len(g.pool)]
+	if cap(g.sparePool) < 2*g.live || cap(g.spareSpent) < 2*g.live {
+		g.sparePool = make([]outRef, 0, 2*g.live)
+		g.spareSpent = make([]bool, 0, 2*g.live)
+	}
+	newPool := g.sparePool[:0]
 	for i, r := range g.pool {
 		if g.spent[i] {
 			remap[i] = -1
@@ -537,8 +558,10 @@ func (g *generator) maybeCompact() {
 		}
 		g.comms[c] = kept
 	}
-	g.pool = newPool
-	g.spent = make([]bool, len(newPool))
+	newSpent := g.spareSpent[:len(newPool)]
+	clear(newSpent)
+	g.sparePool, g.pool = g.pool, newPool
+	g.spareSpent, g.spent = g.spent, newSpent
 }
 
 // Dataset is a columnar, immutable transaction stream. Transaction i has

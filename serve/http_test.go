@@ -156,13 +156,32 @@ func TestMetricsExposition(t *testing.T) {
 	if v, ok := scrapeMetric(t, ts, "optchain_serve_place_latency_seconds_count"); !ok || v != 50 {
 		t.Errorf("latency count = %g, want 50", v)
 	}
-	// 50 coinbase transactions: one slab entry and 16 bytes of columns each,
+	// 50 coinbase transactions: one slab entry and 20 bytes of columns each,
 	// at the very least.
 	if v, ok := scrapeMetric(t, ts, "optchain_engine_slab_entries"); !ok || v != 50 {
 		t.Errorf("optchain_engine_slab_entries = %g, want 50", v)
 	}
-	if v, ok := scrapeMetric(t, ts, "optchain_engine_state_bytes"); !ok || v < 50*(16+10) {
-		t.Errorf("optchain_engine_state_bytes = %g, want at least %d", v, 50*(16+10))
+	if v, ok := scrapeMetric(t, ts, "optchain_engine_state_bytes"); !ok || v < 50*(20+10) {
+		t.Errorf("optchain_engine_state_bytes = %g, want at least %d", v, 50*(20+10))
+	}
+
+	// Line 0 declared two outputs: its second spender retires it, and the
+	// third is placed all the same and counted.
+	for i := 0; i < 3; i++ {
+		line := reqLine(t, serve.Request{Inputs: []int{0}, Outputs: 1})
+		if resp, _ := postLines(t, ts, []string{line}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("spender %d: status %d", i, resp.StatusCode)
+		}
+	}
+	for series, want := range map[string]float64{
+		"optchain_engine_placed_total":       53,
+		"optchain_engine_slab_entries":       52,
+		"optchain_engine_retired_txs":        1,
+		"optchain_engine_retired_refs_total": 1,
+	} {
+		if got, ok := scrapeMetric(t, ts, series); !ok || got != want {
+			t.Errorf("%s = %g (present %v), want %g", series, got, ok, want)
+		}
 	}
 }
 

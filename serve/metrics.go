@@ -170,12 +170,18 @@ func (m *metrics) writeTo(w io.Writer, eng *optchain.Engine, queueDepth, queueCa
 	line("# HELP optchain_engine_cross_chunk_refs_total Parallel input references that crossed concurrent chunks.\n")
 	line("# TYPE optchain_engine_cross_chunk_refs_total counter\n")
 	line("optchain_engine_cross_chunk_refs_total %d\n", st.CrossChunkRefs)
-	line("# HELP optchain_engine_slab_entries Sparse score-vector entries the T2S index holds.\n")
+	line("# HELP optchain_engine_slab_entries Sparse score-vector entries the T2S index holds now, for transactions with an unspent output.\n")
 	line("# TYPE optchain_engine_slab_entries gauge\n")
 	line("optchain_engine_slab_entries %d\n", st.SlabEntries)
 	line("# HELP optchain_engine_state_bytes Heap held by the engine's per-transaction columns (computed from their capacities).\n")
 	line("# TYPE optchain_engine_state_bytes gauge\n")
 	line("optchain_engine_state_bytes %d\n", st.StateBytes)
+	line("# HELP optchain_engine_retired_txs Transactions whose declared outputs are all spent and whose score vector was dropped.\n")
+	line("# TYPE optchain_engine_retired_txs gauge\n")
+	line("optchain_engine_retired_txs %d\n", st.RetiredTxs)
+	line("# HELP optchain_engine_retired_refs_total Input references that named a retired transaction (more spenders than declared outputs); each was placed with no score mass from that parent.\n")
+	line("# TYPE optchain_engine_retired_refs_total counter\n")
+	line("optchain_engine_retired_refs_total %d\n", st.RetiredRefs)
 
 	m.mu.Lock()
 	line("# HELP optchain_serve_queue_depth Request lines currently waiting in the ingest queue.\n")

@@ -39,11 +39,15 @@ var (
 //	strategy state: shard of each transaction, 2 B each; then for T2S and
 //	    OptChain the index columns (see internal/core/state.go): span
 //	    lengths 2 B and out-degrees 4 B per transaction, slab shard ids 2 B
-//	    and values 8 B per entry
+//	    and values 8 B per entry of the vectors still held (a retired
+//	    transaction has span length 0 and no entries)
 //	CRC-32 (IEEE) of all preceding bytes, 4 B little-endian
 //
 // These are the columns the engine holds, each written once through a small
 // staging buffer, so a snapshot costs no memory proportional to the state.
+// A stream written before transactions were retired carries every vector;
+// it is read all the same, and the restore drops the vectors of
+// transactions whose outputs are all spent.
 // Version 1 (4-byte shard ids and span lengths) is not read: a v1 stream
 // fails with ErrBadSnapshot naming the version, and its owner starts cold
 // or places the stream again.
@@ -270,6 +274,16 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrSnapshotUnsupported, e.strategy)
 	}
+	// The output counts go in first: the T2S restore asks for them to tell
+	// which transactions are already fully spent.
+	if n := len(outs) / 4; cap(e.outs) < n {
+		e.outs = make([]int32, n)
+	} else {
+		e.outs = e.outs[:n]
+	}
+	for i := range e.outs {
+		e.outs[i] = int32(binary.LittleEndian.Uint32(outs[4*i:]))
+	}
 	if err := snap.RestoreState(sr); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
@@ -280,10 +294,6 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("%w: strategy state has %d placements, header says %d", ErrBadSnapshot, got, placed)
 	}
 	e.placed = int(placed)
-	e.outs = e.outs[:0]
-	for i := 0; i < len(outs); i += 4 {
-		e.outs = append(e.outs, int32(binary.LittleEndian.Uint32(outs[i:])))
-	}
 	e.cross = placement.CrossCounter{Total: int64(crossTotal), Cross: int64(crossCross)}
 	e.epoch = placement.EpochStats{Placed: int64(epPlaced), InputRefs: int64(epInputs), CrossChunkRefs: int64(epCross)}
 	e.fan = nil

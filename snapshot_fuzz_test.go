@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"optchain"
@@ -53,6 +54,48 @@ type continuation struct {
 	want []int
 }
 
+// allLiveSnapshot is the bitcoin stream's first fuzzCut transactions as the
+// commit before retirement snapshotted them (format 2, 250 slab entries,
+// the vectors of the 160 fully spent transactions included).
+const allLiveSnapshot = "testdata/snapshot_pr21_bitcoin_250.bin"
+
+// TestAllLiveSnapshotLoadsAndSheds: a snapshot written before transactions
+// were retired restores into exactly the state the engine now holds at
+// that point — the dead vectors are dropped on load — and the next
+// snapshot is byte for byte the one an engine that never restarted writes.
+func TestAllLiveSnapshotLoadsAndSheds(t *testing.T) {
+	old, err := os.ReadFile(allLiveSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := fuzzStream(t, "bitcoin")
+	direct, restored := fuzzEngine(t), fuzzEngine(t)
+	if _, err := direct.PlaceBatch(txs[:fuzzCut], nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ReadSnapshot(bytes.NewReader(old)); err != nil {
+		t.Fatal(err)
+	}
+	got, want := restored.Stats(), direct.Stats()
+	if want.RetiredTxs == 0 || want.SlabEntries >= fuzzCut {
+		t.Fatalf("nothing to shed: %d retired, %d entries held", want.RetiredTxs, want.SlabEntries)
+	}
+	if got.SlabEntries != want.SlabEntries || got.RetiredTxs != want.RetiredTxs || got.RetiredRefs != 0 {
+		t.Fatalf("restored %d entries, %d retired, %d late references; the engine itself holds %d, %d, 0",
+			got.SlabEntries, got.RetiredTxs, got.RetiredRefs, want.SlabEntries, want.RetiredTxs)
+	}
+	var a, b bytes.Buffer
+	if err := restored.WriteSnapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.WriteSnapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) || a.Len() >= len(old) {
+		t.Fatalf("snapshot after the restore: %d bytes, the uninterrupted engine's %d, the old file %d", a.Len(), b.Len(), len(old))
+	}
+}
+
 // FuzzReadSnapshot feeds ReadSnapshot arbitrary bytes, as given and with
 // the trailing checksum recomputed so that mutations reach the column
 // decoders. A stream is either refused with ErrBadSnapshot or restores an
@@ -79,6 +122,16 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		known[snap.String()] = continuation{txs[fuzzCut:], want}
 		f.Add(snap.Bytes())
+		if spec == "bitcoin" {
+			// The same prefix as snapshotted before transactions were ever
+			// retired: every vector is still in it, and it continues the same.
+			old, err := os.ReadFile(allLiveSnapshot)
+			if err != nil {
+				f.Fatal(err)
+			}
+			known[string(old)] = continuation{txs[fuzzCut:], want}
+			f.Add(old)
+		}
 	}
 	var empty bytes.Buffer
 	if err := fuzzEngine(f).WriteSnapshot(&empty); err != nil {

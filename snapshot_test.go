@@ -282,3 +282,103 @@ func TestSnapshotCorruption(t *testing.T) {
 		})
 	}
 }
+
+// TestOverSpendingStreamIsPlacedAndCounted: a stream may name a parent more
+// often than the parent declared outputs (the Engine API does not check
+// spends against a ledger). The parent is retired by the spender that takes
+// its last declared output; every later reference is still placed, still
+// counts for the cross-shard statistics, gives the child no score mass from
+// that parent (it decides as it would without the input), and is counted.
+// None of it depends on where a snapshot was taken: an engine restored
+// between the retirement and the late references decides, counts and
+// snapshots exactly as the uninterrupted one.
+func TestOverSpendingStreamIsPlacedAndCounted(t *testing.T) {
+	const late = 40
+	head := []optchain.StreamTx{
+		{Outputs: 1},                      // 0: one output ...
+		{Outputs: 2},                      // 1
+		{Outputs: 0},                      // 2: unknown count, never retired
+		{Inputs: []int{0, 1}, Outputs: 1}, // 3: ... spent here: 0 is retired
+		{Inputs: []int{2}, Outputs: 1},    // 4
+	}
+	var tail, bare []optchain.StreamTx
+	for i := 0; i < late; i++ {
+		tail = append(tail, optchain.StreamTx{Inputs: []int{0}, Outputs: 1}) // 0 again: over-spent
+		bare = append(bare, optchain.StreamTx{Outputs: 1})
+	}
+	tail = append(tail, optchain.StreamTx{Inputs: []int{0, 2, 2}, Outputs: 1}) // beside a live parent
+	bare = append(bare, optchain.StreamTx{Inputs: []int{2}, Outputs: 1})
+	n := len(head) + len(tail)
+
+	for _, strategy := range []string{"OptChain", "T2S"} {
+		t.Run(strategy, func(t *testing.T) {
+			whole, cut, twin := snapshotEngine(t, strategy, n), snapshotEngine(t, strategy, n), snapshotEngine(t, strategy, n)
+			for _, e := range []*optchain.Engine{whole, cut, twin} {
+				if _, err := e.PlaceBatch(head, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := whole.Stats(); st.RetiredTxs != 1 || st.RetiredRefs != 0 {
+				t.Fatalf("after the head: %d retired, %d late references, want 1 and 0", st.RetiredTxs, st.RetiredRefs)
+			}
+			crossAfterHead := whole.Stats().Cross
+			var snap bytes.Buffer
+			if err := cut.WriteSnapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			restored := snapshotEngine(t, strategy, n)
+			if err := restored.ReadSnapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+
+			want, err := whole.PlaceBatch(tail, nil)
+			if err != nil {
+				t.Fatalf("over-spending references must be placed: %v", err)
+			}
+			got, err := restored.PlaceBatch(tail, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			noInput, err := twin.PlaceBatch(bare, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			asn := whole.Assignment()
+			cross := crossAfterHead
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("late reference %d: the restored engine chose %d, the uninterrupted one %d", i, got[i], want[i])
+				}
+				if noInput[i] != want[i] {
+					t.Fatalf("late reference %d chose %d, the same transaction without its retired parent %d: the parent still carried score mass", i, want[i], noInput[i])
+				}
+				for _, in := range tail[i].Inputs {
+					if asn.ShardOf(optchain.Node(in)) != want[i] {
+						cross++ // the retired parent's shard still counts
+						break
+					}
+				}
+			}
+			if got := whole.Stats().Cross; got != cross || cross == crossAfterHead {
+				t.Fatalf("%d cross-shard transactions, want %d (%d before the late references)", got, cross, crossAfterHead)
+			}
+			a, b := whole.Stats(), restored.Stats()
+			if a.RetiredTxs != 1 || a.RetiredRefs != late+1 {
+				t.Fatalf("%d retired, %d late references, want 1 and %d", a.RetiredTxs, a.RetiredRefs, late+1)
+			}
+			if b.RetiredTxs != a.RetiredTxs || b.RetiredRefs != a.RetiredRefs || b.Cross != a.Cross || b.SlabEntries != a.SlabEntries {
+				t.Fatalf("restored engine's stats %+v, the uninterrupted one's %+v", b, a)
+			}
+			var endA, endB bytes.Buffer
+			if err := whole.WriteSnapshot(&endA); err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.WriteSnapshot(&endB); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(endA.Bytes(), endB.Bytes()) {
+				t.Fatal("the two engines' final snapshots differ")
+			}
+		})
+	}
+}
