@@ -8,6 +8,7 @@ package optchain_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -153,6 +154,56 @@ func BenchmarkPlaceT2S(b *testing.B) {
 		p.Scores().SetOutCounts(func(v txgraph.Node) int { return d.NumOutputs(int(v)) })
 		return p
 	})
+}
+
+// flatLatency answers 0 without being core.ZeroLatency, which keeps the
+// placer on its dense select over all k shards.
+type flatLatency struct{}
+
+func (flatLatency) ProofLatency(int, []int) float64 { return 0 }
+
+func (flatLatency) ProofLatencies(dst []float64, _ []int) { clear(dst) }
+
+// BenchmarkPlaceOptChainSelect prices the two selects of OptChainPlacer on
+// one stream: over the support of p'(u) (no telemetry) and over all k
+// candidates (what a telemetry-bearing model needs). Same decisions; the
+// difference between the rows of one k is the select.
+func BenchmarkPlaceOptChainSelect(b *testing.B) {
+	for _, k := range []int{16, 64} {
+		for _, sel := range []struct {
+			name string
+			lat  core.LatencyModel
+		}{{"support", nil}, {"dense", flatLatency{}}} {
+			b.Run(fmt.Sprintf("%s/k=%d", sel.name, k), func(b *testing.B) {
+				benchPlacer(b, func(d *dataset.Dataset) placement.Placer {
+					p := core.NewOptChain(core.OptChainConfig{K: k, N: d.Len(), Latency: sel.lat})
+					p.Scores().SetOutCounts(func(v txgraph.Node) int { return d.NumOutputs(int(v)) })
+					return p
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkDedupeInputs prices txgraph.Deduper on the usual two inputs, on
+// sixteen (just past the switch from scanning to the table) and on a
+// 300-input hub, a third of each list repeats.
+func BenchmarkDedupeInputs(b *testing.B) {
+	for _, n := range []int{2, 16, 300} {
+		b.Run(fmt.Sprintf("inputs=%d", n), func(b *testing.B) {
+			ins := make([]txgraph.Node, n)
+			for i := range ins {
+				ins[i] = txgraph.Node(i - i%3*(i/2) + 1_000_000)
+			}
+			buf := make([]txgraph.Node, 0, n)
+			var d txgraph.Deduper
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = d.Compact(append(buf[:0], ins...), 0)
+			}
+			b.ReportMetric(float64(len(buf)), "distinct")
+		})
+	}
 }
 
 // --- Micro-benchmarks: substrates ---

@@ -147,6 +147,7 @@ type Engine struct {
 	outs       []int32                // guarded by mu
 	cross      placement.CrossCounter // guarded by mu
 	inputBuf   []txgraph.Node         // guarded by mu
+	dedupe     txgraph.Deduper        // guarded by mu
 	snap       MetricsSnapshot        // guarded by mu
 	running    bool                   // guarded by mu
 	fan        *placement.Fan         // guarded by mu
@@ -322,7 +323,10 @@ func WithAlpha(alpha float64) Option {
 }
 
 // WithL2SWeight sets the L2S coefficient in the Temporal Fitness score
-// (default 0.01).
+// (default 0.01). A weight of 0 is accepted and means that default, not "no
+// L2S term": the strategy context and the placer both read 0 as unset. To
+// place without the latency term, configure no telemetry (streaming mode) or
+// use the "T2S" strategy.
 func WithL2SWeight(w float64) Option {
 	return func(e *Engine) error {
 		if w < 0 {
@@ -651,27 +655,11 @@ func (e *Engine) placeBatchEpochLocked(sh placement.Sharder, txs []StreamTx, sha
 	var badErr error
 	e.batchNodes = e.batchNodes[:0]
 	e.batchSpans = e.batchSpans[:0]
-scan:
 	for i := range txs {
-		u := base + i
 		off := len(e.batchNodes)
-		for _, in := range txs[i].Inputs {
-			if in < 0 || in >= u {
-				badErr = fmt.Errorf("%w: transaction %d spends %d", ErrBadInput, u, in)
-				n = i
-				break scan
-			}
-			v := txgraph.Node(in)
-			dup := false
-			for _, seen := range e.batchNodes[off:] {
-				if seen == v {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				e.batchNodes = append(e.batchNodes, v)
-			}
+		if e.batchNodes, badErr = e.appendInputsLocked(e.batchNodes, base+i, txs[i].Inputs); badErr != nil {
+			n = i
+			break
 		}
 		e.batchSpans = append(e.batchSpans, [2]int{off, len(e.batchNodes)})
 	}
@@ -720,28 +708,33 @@ func (e *Engine) epochGuarded(sh placement.Sharder, n int, fn placement.InputsFu
 	return e.fan.PlaceEpoch(sh, n, fn), nil
 }
 
+// appendInputsLocked appends to dst the distinct transactions that stream
+// transaction u spends, in the order it first names them, refusing an input
+// that is not an earlier transaction.
+//
+//optchain:locked e.mu held by Place/PlaceBatch.
+//optchain:hotpath one call per stream transaction.
+func (e *Engine) appendInputsLocked(dst []txgraph.Node, u int, inputs []int) ([]txgraph.Node, error) {
+	from := len(dst)
+	for _, in := range inputs {
+		if in < 0 || in >= u {
+			//optchain:alloc-ok the error ends the batch
+			return dst[:from], fmt.Errorf("%w: transaction %d spends %d", ErrBadInput, u, in)
+		}
+		dst = append(dst, txgraph.Node(in))
+	}
+	return e.dedupe.Compact(dst, from), nil
+}
+
 // placeOneLocked validates, deduplicates, and places one transaction.
 // The placer is initialized.
 //
 //optchain:locked e.mu held by Place/PlaceBatch.
 func (e *Engine) placeOneLocked(tx StreamTx) (int, error) {
 	u := e.placed
-	e.inputBuf = e.inputBuf[:0]
-	for _, in := range tx.Inputs {
-		if in < 0 || in >= u {
-			return -1, fmt.Errorf("%w: transaction %d spends %d", ErrBadInput, u, in)
-		}
-		v := txgraph.Node(in)
-		dup := false
-		for _, seen := range e.inputBuf {
-			if seen == v {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			e.inputBuf = append(e.inputBuf, v)
-		}
+	var err error
+	if e.inputBuf, err = e.appendInputsLocked(e.inputBuf[:0], u, tx.Inputs); err != nil {
+		return -1, err
 	}
 	e.outs = append(e.outs, int32(tx.Outputs))
 	s, err := e.placeGuarded(txgraph.Node(u))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -471,5 +472,34 @@ func TestEngineRunPreCancelled(t *testing.T) {
 	cancel()
 	if _, err := eng.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run: %v", err)
+	}
+}
+
+// WithL2SWeight(0) is accepted and means the default weight, not "no L2S
+// term": 64 coinbase transactions, which only the latency term and the
+// tallies can tell apart, go where the default and an explicit 0.01 send
+// them, and never to the shard whose telemetry says 100 s.
+func TestL2SWeightZeroMeansDefault(t *testing.T) {
+	tel := optchain.StaticTelemetry{Comm: []float64{10, 10, 10, 10}, Verify: []float64{0.5, 0.5, 0.5, 0.01}}
+	place := func(opts ...optchain.Option) []int {
+		eng, err := optchain.New(append([]optchain.Option{optchain.WithShards(4), optchain.WithTelemetry(tel)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards, err := eng.PlaceBatch(make([]optchain.StreamTx, 64), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shards
+	}
+	byDefault := place()
+	if zero := place(optchain.WithL2SWeight(0)); !slices.Equal(zero, byDefault) {
+		t.Fatalf("WithL2SWeight(0) placed %v, the default weight %v", zero, byDefault)
+	}
+	if explicit := place(optchain.WithL2SWeight(0.01)); !slices.Equal(explicit, byDefault) {
+		t.Fatalf("WithL2SWeight(0.01) placed %v, the default weight %v", explicit, byDefault)
+	}
+	if slices.Contains(byDefault, 3) {
+		t.Fatalf("the slow shard was chosen: %v", byDefault)
 	}
 }

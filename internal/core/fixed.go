@@ -49,10 +49,23 @@ func qMul(a, b uint64) uint64 {
 
 // qRecip returns the 0.64 fixed-point reciprocal ⌊(2^64−1)/d⌋ used by
 // qDivRecip. d must be ≥ 2 (d == 1 callers skip the multiply entirely —
-// the reciprocal of 1 would round every value down by one quantum).
+// the reciprocal of 1 would round every value down by one quantum). The
+// divisor is an output count, almost always a handful, so small ones are a
+// table load instead of a 64-bit divide.
 func qRecip(d uint64) uint64 {
+	if d < uint64(len(qRecipSmall)) {
+		return qRecipSmall[d]
+	}
 	return ^uint64(0) / d
 }
+
+// qRecipSmall[d] is ⌊(2^64−1)/d⌋ for 1 ≤ d < 32 (entry 0 is never read).
+var qRecipSmall = func() (tab [32]uint64) {
+	for d := 1; d < len(tab); d++ {
+		tab[d] = ^uint64(0) / uint64(d)
+	}
+	return tab
+}()
 
 // qDivRecip divides a Q32.32 value by the integer whose qRecip is r: the
 // high word of the widening multiply is ⌊v·r/2^64⌋ ≈ v/d.

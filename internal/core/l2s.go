@@ -46,6 +46,15 @@ func (s StaticTelemetry) VerifyRate(shard int) float64 { return s.Verify[shard] 
 //
 // For coinbase transactions this degenerates to the output shard's expected
 // latency — pure temporal balancing, as the paper intends.
+//
+// Shard independence: ZeroLatency, the model of every placer built without
+// telemetry (the gateway, offline placement, the Engine without
+// WithTelemetry), gives the same E(j) for every j, so the term cannot change
+// the argmax of Alg. 1. OptChainPlacer recognises that model by its type and
+// decides over the support of p'(u) instead of over all k shards: it never
+// asks the model anything and never looks up the input shards. ExactL2S and
+// FastL2S depend on j through the commit round, and any other implementation
+// is taken to; for those the placer evaluates all k candidates.
 type LatencyModel interface {
 	ProofLatency(j int, inputShards []int) float64
 }
@@ -64,7 +73,8 @@ type BatchLatency interface {
 }
 
 // ZeroLatency ignores load entirely (E(j) = 0); it degenerates OptChain to
-// a pure T2S argmax and exists for ablations.
+// a pure T2S argmax. It is what a placer without telemetry runs with, and
+// the one shard-independent model (see LatencyModel).
 type ZeroLatency struct{}
 
 // ProofLatency implements LatencyModel.

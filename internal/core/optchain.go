@@ -101,6 +101,10 @@ type OptChainPlacer struct {
 	latB   BatchLatency // non-nil when lat supports batched evaluation
 	weight float64
 
+	// uniform: E(j) is the same for every shard (see LatencyModel), so the
+	// L2S term cannot change the argmax and Place decides over the support
+	// of p'(u) alone. shardBuf and latBuf serve only the other models.
+	uniform  bool
 	shardBuf []int
 	latBuf   []float64         // reusable E(j) buffer, one slot per shard
 	workers  []*optChainWorker // epoch worker cache (epoch.go)
@@ -117,7 +121,9 @@ type OptChainConfig struct {
 	// Truncate is the relative sparse-vector truncation threshold
 	// (0 < x < 1); negative means exact (no truncation).
 	Truncate float64
-	// Latency estimates E(j); defaults to ZeroLatency (pure T2S) when nil.
+	// Latency estimates E(j); defaults to ZeroLatency (pure T2S) when nil,
+	// under which the placer decides over the support of p'(u) alone (see
+	// LatencyModel).
 	Latency LatencyModel
 	// NormalizeScores divides p'(u)[i] by |Si| as the paper's formula
 	// writes. Off by default for the temporal-fitness placer: with a fixed
@@ -151,13 +157,20 @@ func NewOptChain(cfg OptChainConfig) *OptChainPlacer {
 	idx := NewT2SIndex(cfg.Alpha, cfg.Truncate, asn, cfg.N)
 	idx.SetNormalize(cfg.NormalizeScores)
 	latB, _ := cfg.Latency.(BatchLatency)
-	return &OptChainPlacer{
+	p := &OptChainPlacer{
 		idx:    idx,
 		lat:    cfg.Latency,
 		latB:   latB,
 		weight: cfg.Weight,
-		latBuf: make([]float64, cfg.K),
 	}
+	// A weight that is not finite turns w·0 into NaN for every candidate;
+	// such a placer keeps the dense loop so that it goes on deciding as it did.
+	if _, zero := cfg.Latency.(ZeroLatency); zero && cfg.Weight*0 == 0 {
+		p.uniform = true
+	} else {
+		p.latBuf = make([]float64, cfg.K)
+	}
+	return p
 }
 
 // selectShard evaluates Alg. 1 lines 4-9: fill lat with E(j) for every
@@ -165,7 +178,10 @@ func NewOptChain(cfg OptChainConfig) *OptChainPlacer {
 // j-independent lock round out of the candidate loop — then run the fitness
 // argmax as one pass over the shard tallies, seeded with shard 0 so the
 // loop body carries no best==-1 branch and never re-reads counts for the
-// incumbent. Shared by the serial path and the epoch workers.
+// incumbent. It runs under every model that can tell shards apart — the
+// simulator's live L2S, WithTelemetry — and in the epoch workers; a placer
+// without telemetry decides through selectSupport, and the differential
+// tests hold the two equal.
 //
 //optchain:hotpath one call per stream transaction.
 func (p *OptChainPlacer) selectShard(scores []float64, counts []int64, inputShards []int, lat []float64) int {
@@ -188,14 +204,61 @@ func (p *OptChainPlacer) selectShard(scores []float64, counts []int64, inputShar
 	return best
 }
 
+// selectSupport is selectShard when E(j) does not depend on j: the fitness
+// order is then the score order, every score outside the support of p'(u)
+// is 0 and every one inside it is positive, so the dense argmax is the
+// argmax over the pending entries — by score, then fewer transactions, then
+// lower shard (the entries ascend by shard) — and the least-loaded shard
+// when there are none. The floats compared are the ones the dense loop
+// compares, so masses that collapse in float64 tie here as they do there.
+// Under normalization a supported shard that is still empty scores 0 like
+// the unsupported ones and is left to the fallback.
+//
+//optchain:hotpath one call per stream transaction without telemetry.
+func (p *OptChainPlacer) selectSupport(counts []int64) int {
+	t := &p.idx.tally
+	best := -1
+	var bestScore float64
+	var bestCount int64
+	for i, s := range t.pendS {
+		c := counts[s]
+		score := qToFloat(t.pendV[i])
+		if p.idx.normalize {
+			if c == 0 {
+				continue
+			}
+			score /= float64(c)
+		}
+		if best < 0 || score > bestScore || (score == bestScore && c < bestCount) {
+			best, bestScore, bestCount = int(s), score, c
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	best = 0
+	for j, c := range counts {
+		if c < counts[best] {
+			best = j
+		}
+	}
+	return best
+}
+
 // Place implements placement.Placer: Alg. 1 of the paper.
 //
 //optchain:hotpath one call per stream transaction.
 func (p *OptChainPlacer) Place(u txgraph.Node, inputs []txgraph.Node) int {
-	scores := p.idx.Prepare(u, inputs) // lines 2-3
 	asn := p.idx.asn
-	p.shardBuf = asn.InputShards(inputs, p.shardBuf)
-	best := p.selectShard(scores, asn.CountsView(), p.shardBuf, p.latBuf) // lines 4-9
+	var best int
+	if p.uniform {
+		p.idx.prepareVector(u, inputs) // lines 2-3
+		best = p.selectSupport(asn.CountsView())
+	} else {
+		scores := p.idx.Prepare(u, inputs) // lines 2-3
+		p.shardBuf = asn.InputShards(inputs, p.shardBuf)
+		best = p.selectShard(scores, asn.CountsView(), p.shardBuf, p.latBuf) // lines 4-9
+	}
 	p.idx.Commit(u, best)
 	asn.Place(u, best) // line 10
 	return best

@@ -1,27 +1,12 @@
 package core
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"optchain/internal/placement"
 	"optchain/internal/txgraph"
 )
-
-func TestSortShards(t *testing.T) {
-	a := []uint16{5, 1, 9, 3, 7, 3}
-	sortShards(a)
-	if !sort.SliceIsSorted(a, func(i, j int) bool { return a[i] < a[j] }) {
-		t.Fatalf("not sorted: %v", a)
-	}
-	sortShards(nil)
-	one := []uint16{2}
-	sortShards(one)
-	if one[0] != 2 {
-		t.Fatalf("single element changed: %v", one)
-	}
-}
 
 // The commit path must keep each slab vector sorted by shard with the α
 // restart mass inserted at its sorted position, whether or not the chosen
@@ -167,7 +152,7 @@ func TestT2SPrepareCommitZeroAllocs(t *testing.T) {
 	idx.Commit(0, 0)
 	asn.Place(0, 0)
 	// 512 warm transactions saturate the sparse support (bounded by k) so
-	// the pending/order buffers reach their steady-state capacity before
+	// the pending buffers reach their steady-state capacity before
 	// measurement starts.
 	next := int32(1)
 	for ; next < 512; next++ {

@@ -15,16 +15,15 @@ import (
 )
 
 // t2sTally is the dense-accumulation scratch state behind Prepare: the merge
-// buffer collecting Σ p'(v)/|Nout(v)|, the touched-shard list, the pending
-// sparse vector held between Prepare and Commit, and the dense float score
-// output. It is factored out of T2SIndex so the parallel epoch workers
+// buffer collecting Σ p'(v)/|Nout(v)|, the set of shards it touched, the
+// pending sparse vector held between Prepare and Commit, and the dense float
+// score output. It is factored out of T2SIndex so the parallel epoch workers
 // (epoch.go) run the exact same arithmetic over their chunk-local state —
 // bit-identical accumulation is what makes parallelism=1 indistinguishable
 // from the serial path.
 type t2sTally struct {
-	merge []uint64 // dense Q32.32 accumulation buffer
-	inUse []bool
-	order []uint16 // shards touched by the current merge
+	merge   []uint64 // dense Q32.32 accumulation buffer, all zero between merges
+	touched []uint64 // bit s of word s/64: shard s took mass in the current merge
 
 	// pending holds p'(u) between Prepare and Commit, SoA, sorted by shard.
 	pendS       []uint16
@@ -37,7 +36,7 @@ type t2sTally struct {
 
 func (t *t2sTally) init(k int) {
 	t.merge = make([]uint64, k)
-	t.inUse = make([]bool, k)
+	t.touched = make([]uint64, (k+63)/64)
 	t.scores = make([]float64, k)
 }
 
@@ -51,22 +50,14 @@ func (t *t2sTally) accumulate(shards []uint16, vals []uint64, div int64) {
 		// Divisor 1 is common (first spender, single-output parents) and the
 		// reciprocal would round every value down a quantum; add directly.
 		for i, s := range shards {
-			if !t.inUse[s] {
-				t.inUse[s] = true
-				t.merge[s] = 0
-				t.order = append(t.order, s)
-			}
+			t.touched[s>>6] |= 1 << (s & 63)
 			t.merge[s] = qSatAdd(t.merge[s], vals[i])
 		}
 		return
 	}
 	r := qRecip(uint64(div))
 	for i, s := range shards {
-		if !t.inUse[s] {
-			t.inUse[s] = true
-			t.merge[s] = 0
-			t.order = append(t.order, s)
-		}
+		t.touched[s>>6] |= 1 << (s & 63)
 		t.merge[s] = qSatAdd(t.merge[s], qDivRecip(vals[i], r))
 	}
 }
@@ -101,25 +92,26 @@ func (t *t2sTally) single(u txgraph.Node, shards []uint16, vals []uint64, div in
 }
 
 // finish scales the merged mass by (1−α) and freezes it as the pending
-// sparse vector for u, sorted by shard, dropping entries quantized to zero.
+// sparse vector for u, dropping entries quantized to zero. Walking the
+// touched words bit by bit visits the shards in ascending order, so the
+// vector comes out sorted with nothing to sort, and the walk hands the merge
+// buffer back zeroed.
 //
-//optchain:hotpath one call per stream transaction.
+//optchain:hotpath one call per stream transaction with two or more inputs.
 func (t *t2sTally) finish(u txgraph.Node, scaleQ uint64) {
 	t.pendS = t.pendS[:0]
 	t.pendV = t.pendV[:0]
-	// The touched-shard list is tiny (bounded by k, typically a handful);
-	// a branch-predictable insertion sort over the raw int32s beats
-	// sort.Slice's closure and interface dispatch.
-	sortShards(t.order)
-	for _, s := range t.order {
-		if v := qMul(t.merge[s], scaleQ); v > 0 {
-			t.pendS = append(t.pendS, s)
-			t.pendV = append(t.pendV, v)
+	for w, word := range t.touched {
+		for ; word != 0; word &= word - 1 {
+			s := w<<6 | bits.TrailingZeros64(word)
+			if v := qMul(t.merge[s], scaleQ); v > 0 {
+				t.pendS = append(t.pendS, uint16(s))
+				t.pendV = append(t.pendV, v)
+			}
+			t.merge[s] = 0
 		}
-		t.inUse[s] = false
-		t.merge[s] = 0
+		t.touched[w] = 0
 	}
-	t.order = t.order[:0]
 	t.pendingNode = u
 	t.hasPending = true
 }
@@ -525,6 +517,17 @@ func (t *T2SIndex) appendVec(shards []uint16, vals []uint64) error {
 //
 //optchain:hotpath the T2S score maintenance loop (§IV-B).
 func (t *T2SIndex) Prepare(u txgraph.Node, inputs []txgraph.Node) []float64 {
+	t.prepareVector(u, inputs)
+	return t.tally.dense(t.asn.CountsView(), t.normalize)
+}
+
+// prepareVector is Prepare without the dense expansion: p'(u) is left
+// pending as the sparse vector (tally.pendS/pendV, ascending by shard, every
+// value positive), which is all that a caller deciding over the support of
+// p'(u) reads and all that Commit stores.
+//
+//optchain:hotpath the T2S score maintenance loop (§IV-B).
+func (t *T2SIndex) prepareVector(u txgraph.Node, inputs []txgraph.Node) {
 	if t.tally.hasPending {
 		panic(fmt.Sprintf("core: Prepare(%d) before Commit(%d)", u, t.tally.pendingNode))
 	}
@@ -553,7 +556,7 @@ func (t *T2SIndex) Prepare(u txgraph.Node, inputs []txgraph.Node) []float64 {
 				if nd.deg == outs {
 					t.retire(nd)
 				}
-				return t.tally.dense(t.asn.CountsView(), t.normalize)
+				return
 			}
 			t.tally.accumulate(shards, vals, int64(div))
 		}
@@ -562,7 +565,6 @@ func (t *T2SIndex) Prepare(u txgraph.Node, inputs []txgraph.Node) []float64 {
 		}
 	}
 	t.tally.finish(u, t.scaleQ)
-	return t.tally.dense(t.asn.CountsView(), t.normalize)
 }
 
 // Commit finalizes the placement of the prepared node into shard s: it adds
@@ -616,18 +618,4 @@ func (t *T2SIndex) Retired() (txs, refs int64) { return t.retiredTxs, t.retiredR
 // heads.
 func (t *T2SIndex) Bytes() int64 {
 	return int64(len(t.slabS))*10<<t.chunkBits + 12*int64(cap(t.nodes)) + 4*int64(cap(t.free))
-}
-
-// sortShards is an allocation-free insertion sort for the small touched-
-// shard lists Prepare produces.
-func sortShards(a []uint16) {
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > x {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
-	}
 }

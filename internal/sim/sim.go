@@ -286,6 +286,7 @@ type runner struct {
 	retries int64
 
 	inputBuf []txgraph.Node
+	dedupe   txgraph.Deduper
 
 	// Ledger transactions and their input and output slices, carved from
 	// chunks: a transaction lives until its commit and is never resized.
@@ -532,18 +533,9 @@ func (r *runner) decideSource(i int) {
 
 	r.inputBuf = r.inputBuf[:0]
 	for _, in := range src.Inputs {
-		v := txgraph.Node(in.Tx)
-		dup := false
-		for _, seen := range r.inputBuf {
-			if seen == v {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			r.inputBuf = append(r.inputBuf, v)
-		}
+		r.inputBuf = append(r.inputBuf, txgraph.Node(in.Tx))
 	}
+	r.inputBuf = r.dedupe.Compact(r.inputBuf, 0)
 	// Record |Nout(i)| before placing, mirroring the Engine's streaming
 	// path: the placer may consult the divisor for the new node.
 	r.srcOuts[i] = int32(src.Outputs)

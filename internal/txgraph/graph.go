@@ -25,6 +25,7 @@ type Graph struct {
 	inOff   []int64 // inOff[u]..inOff[u+1] indexes inEdges; len = n+1
 	inEdges []Node  // deduplicated input transactions, arrival order preserved
 	outDeg  []int32 // number of distinct spenders seen so far
+	dedupe  Deduper
 }
 
 // New returns an empty graph with capacity hints for n nodes and e edges.
@@ -45,26 +46,18 @@ func (g *Graph) NumEdges() int64 { return int64(len(g.inEdges)) }
 
 // AddNode appends the next transaction, whose deduplicated input set is
 // inputs (they may contain duplicates; they are deduplicated here). All
-// inputs must reference already-added nodes. It returns the new node's id.
+// inputs must reference already-added nodes; a list with one that does not
+// is refused whole. It returns the new node's id.
 func (g *Graph) AddNode(inputs []Node) (Node, error) {
 	id := Node(len(g.outDeg))
 	start := len(g.inEdges)
 	for _, v := range inputs {
 		if v >= id || v < 0 {
-			g.inEdges = g.inEdges[:start]
 			return 0, fmt.Errorf("node %d input %d: %w", id, v, ErrForwardEdge)
 		}
-		dup := false
-		for _, seen := range g.inEdges[start:] {
-			if seen == v {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		g.inEdges = append(g.inEdges, v)
+	}
+	g.inEdges = g.dedupe.Compact(append(g.inEdges, inputs...), start)
+	for _, v := range g.inEdges[start:] {
 		g.outDeg[v]++
 	}
 	g.inOff = append(g.inOff, int64(len(g.inEdges)))
