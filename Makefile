@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt fmt-check lint lint-json bench-smoke bench-json bench-scaling examples scenario-smoke fuzz-smoke sweep-smoke serve-smoke quality-gate cover docs-check benchmark-check deps-check ci
+.PHONY: all build test test-race vet fmt fmt-check lint lint-json bench-smoke bench-json examples scenario-smoke fuzz-smoke sweep-smoke serve-smoke quality-gate cover docs-check benchmark-check deps-check ci
 
 all: build
 
@@ -25,8 +25,8 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific contract enforcement: the optchain-lint suite (determinism,
-# hotpath, lockcheck, apierrors, forkpurity, spawncheck, ctxcheck,
-# atomiccheck — see PERFORMANCE.md "Static analysis & contracts").
+# hotpath, lockcheck, apierrors, spawncheck, ctxcheck, atomiccheck — see
+# PERFORMANCE.md "Static analysis & contracts").
 # staticcheck and govulncheck run when installed (CI installs pinned
 # versions; locally they are optional extras, not requirements).
 lint:
@@ -63,13 +63,6 @@ bench-smoke:
 # uploads the file as an artifact; see PERFORMANCE.md.
 bench-json:
 	$(GO) run ./cmd/optchain-bench -quick -baseline-json BENCH_baseline.json
-
-# Concurrent-placement scaling curve: the parallel-quality sweep reports
-# decision drift per epoch worker count; the throughput side of the curve
-# (ns/tx, speedup vs one worker) is the Parallel section bench-json writes
-# into BENCH_baseline.json.
-bench-scaling:
-	$(GO) run ./cmd/optchain-bench -quick -sweep parallel-quality -reporter text
 
 # Build (not run) every example and cmd binary.
 examples:
@@ -140,8 +133,8 @@ quality-gate:
 	$(GO) run ./cmd/optchain-bench -quick -sweep quality -reporter jsonl -cache qg-cache -out qg-cold.jsonl \
 		&& $(GO) run ./cmd/optchain-bench -quick -sweep quality -reporter jsonl -cache qg-cache -out qg-warm.jsonl \
 		&& $(GO) run ./internal/sweepcheck -cache -rows 8 qg-cache/rows.jsonl \
-		&& $(GO) run ./cmd/optchain-bench -diff -tol-tps 0 -tol-cross 0 -tol-crosschunk 0 qg-cold.jsonl qg-warm.jsonl \
-		&& $(GO) run ./cmd/optchain-bench -diff -allow-missing -tol-tps 0.1 -tol-cross 0.1 -tol-crosschunk 0.1 BENCH_baseline.json qg-warm.jsonl \
+		&& $(GO) run ./cmd/optchain-bench -diff -tol-tps 0 -tol-cross 0 qg-cold.jsonl qg-warm.jsonl \
+		&& $(GO) run ./cmd/optchain-bench -diff -allow-missing -tol-tps 0.1 -tol-cross 0.1 BENCH_baseline.json qg-warm.jsonl \
 		|| rc=$$?; \
 	rm -rf qg-cache qg-cold.jsonl qg-warm.jsonl; exit $$rc
 

@@ -35,9 +35,9 @@
 //
 // -diff OLD NEW joins two row files on cell ID — jsonl sweep output, a row
 // cache, or a BENCH_baseline.json record — classifies each quality metric
-// against relative tolerances (-tol-tps, -tol-cross, -tol-crosschunk,
-// -tol-nstx), prints the verdict table, and exits non-zero on any
-// regression; `make quality-gate` wires this into CI. The `diff` reporter
+// against relative tolerances (-tol-tps, -tol-cross, -tol-nstx), prints
+// the verdict table, and exits non-zero on any regression; `make
+// quality-gate` wires this into CI. The `diff` reporter
 // (-reporter "diff:old=FILE,tps=0.05") gates a live sweep the same way.
 //
 // The -strategies, -protocol, -workload, and -workloads flags resolve
@@ -63,7 +63,7 @@
 // -baseline-json FILE measures the hot-path micro-benchmarks and one quick
 // simulation per strategy × protocol, and writes the machine-readable
 // performance record tracked as BENCH_baseline.json (`make bench-json`),
-// schema v4. -cpuprofile/-memprofile/-trace capture runtime profiles of
+// schema v6. -cpuprofile/-memprofile/-trace capture runtime profiles of
 // any run (see PERFORMANCE.md).
 package main
 
@@ -74,7 +74,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"time"
 
@@ -98,7 +97,6 @@ func run() int {
 		diffMode   = flag.Bool("diff", false, "compare two row files (OLD NEW as positional args; jsonl sweep output, a row cache, or BENCH_baseline.json) and exit non-zero on quality regression")
 		tolTPS     = flag.Float64("tol-tps", 0.05, "-diff relative tolerance on steady_tps (regresses downward)")
 		tolCross   = flag.Float64("tol-cross", 0.05, "-diff relative tolerance on cross_fraction (regresses upward)")
-		tolChunk   = flag.Float64("tol-crosschunk", 0.05, "-diff relative tolerance on cross_chunk_fraction (regresses upward)")
 		tolNsTx    = flag.Float64("tol-nstx", 0, "-diff relative tolerance on wall ns/tx (0 = not compared; host noise)")
 		allowMiss  = flag.Bool("allow-missing", false, "-diff: accept cells present in OLD but absent from NEW (gating a subset run against a fuller baseline)")
 		listSweeps = flag.Bool("list-sweeps", false, "list registered sweeps and reporters, then exit")
@@ -169,15 +167,14 @@ func run() int {
 			}
 		}
 		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: optchain-bench -diff [-tol-tps F] [-tol-cross F] [-tol-crosschunk F] [-tol-nstx F] [-allow-missing] OLD NEW")
+			fmt.Fprintln(os.Stderr, "usage: optchain-bench -diff [-tol-tps F] [-tol-cross F] [-tol-nstx F] [-allow-missing] OLD NEW")
 			return 2
 		}
 		tol := experiment.Tolerances{
-			SteadyTPS:          *tolTPS,
-			CrossFraction:      *tolCross,
-			CrossChunkFraction: *tolChunk,
-			NsPerTx:            *tolNsTx,
-			AllowMissing:       *allowMiss,
+			SteadyTPS:     *tolTPS,
+			CrossFraction: *tolCross,
+			NsPerTx:       *tolNsTx,
+			AllowMissing:  *allowMiss,
 		}
 		return runDiff(flag.Arg(0), flag.Arg(1), tol)
 	}
@@ -353,11 +350,6 @@ func runSweep(ctx context.Context, h interface {
 	s, err := experiment.BuildSweep(name, h.Params())
 	if err != nil {
 		return err
-	}
-	// A parallelism sweep on a one-core host can only show a flat speedup
-	// curve; say so up front instead of letting the numbers mislead.
-	if len(s.Parallelisms) > 0 && runtime.GOMAXPROCS(0) == 1 {
-		fmt.Fprintf(os.Stderr, "optchain-bench: warning: %s\n", bench.SingleCoreNote)
 	}
 	if reporterSpec == "" {
 		reporterSpec = "text"

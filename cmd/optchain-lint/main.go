@@ -1,6 +1,6 @@
 // Command optchain-lint runs the repository's custom static-analysis suite
 // (internal/analyze): determinism, hotpath, lockcheck, apierrors, and the
-// concurrency-contract pack — forkpurity, spawncheck, ctxcheck, atomiccheck.
+// concurrency-contract pack — spawncheck, ctxcheck, atomiccheck.
 // It exits non-zero when any contract is violated, so `make lint` and CI can
 // gate on it.
 //

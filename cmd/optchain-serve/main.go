@@ -43,20 +43,18 @@ func main() {
 
 func run() error {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
-		shards      = flag.Int("shards", 16, "shard count")
-		strategy    = flag.String("strategy", "OptChain", "placement strategy (OptChain, T2S, Greedy, OmniLedger)")
-		alpha       = flag.Float64("alpha", 0, "T2S damping factor (0 = engine default)")
-		l2sWeight   = flag.Float64("l2s-weight", 0, "L2S weight in temporal fitness (0 = engine default)")
-		parallelism = flag.Int("parallelism", 1, "placement parallelism (epoch-partitioned)")
-		batch       = flag.Int("batch", 0, "engine batch size for parallel placement (0 = default)")
-		streamCap   = flag.Int("stream-cap", 1_000_000, "stream capacity hint (sizes per-shard budgets)")
-		seed        = flag.Int64("seed", 1, "engine seed")
-		queue       = flag.Int("queue", serve.DefaultQueueDepth, "ingest queue depth in request lines (admission-control bound)")
-		maxBatch    = flag.Int("max-batch", serve.DefaultMaxBatch, "max request lines per engine batch, and per window of a request body")
-		retryAfter  = flag.Duration("retry-after", serve.DefaultRetryAfter, "backoff advertised on 429 responses")
-		statePath   = flag.String("state", "", "state file: restore on start, snapshot periodically and on shutdown")
-		snapEvery   = flag.Duration("snapshot-every", serve.DefaultSnapshotEvery, "periodic snapshot cadence (needs -state)")
+		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
+		shards     = flag.Int("shards", 16, "shard count")
+		strategy   = flag.String("strategy", "OptChain", "placement strategy (OptChain, T2S, Greedy, OmniLedger)")
+		alpha      = flag.Float64("alpha", 0, "T2S damping factor (0 = engine default)")
+		l2sWeight  = flag.Float64("l2s-weight", 0, "L2S weight in temporal fitness (0 = engine default)")
+		streamCap  = flag.Int("stream-cap", 1_000_000, "stream capacity hint (sizes per-shard budgets)")
+		seed       = flag.Int64("seed", 1, "engine seed")
+		queue      = flag.Int("queue", serve.DefaultQueueDepth, "ingest queue depth in request lines (admission-control bound)")
+		maxBatch   = flag.Int("max-batch", serve.DefaultMaxBatch, "max request lines per engine batch, and per window of a request body")
+		retryAfter = flag.Duration("retry-after", serve.DefaultRetryAfter, "backoff advertised on 429 responses")
+		statePath  = flag.String("state", "", "state file: restore on start, snapshot periodically and on shutdown")
+		snapEvery  = flag.Duration("snapshot-every", serve.DefaultSnapshotEvery, "periodic snapshot cadence (needs -state)")
 	)
 	flag.Parse()
 
@@ -66,17 +64,13 @@ func run() error {
 		optchain.WithStreamCapacity(*streamCap),
 		optchain.WithSeed(*seed),
 	}
-	if *alpha > 0 {
+	// Any value but the 0 that means "default" goes to the engine, which
+	// refuses one out of range instead of serving with the default.
+	if *alpha != 0 {
 		opts = append(opts, optchain.WithAlpha(*alpha))
 	}
-	if *l2sWeight > 0 {
+	if *l2sWeight != 0 {
 		opts = append(opts, optchain.WithL2SWeight(*l2sWeight))
-	}
-	if *parallelism > 1 {
-		opts = append(opts, optchain.WithParallelism(*parallelism))
-	}
-	if *batch > 0 {
-		opts = append(opts, optchain.WithBatchSize(*batch))
 	}
 	eng, err := optchain.New(opts...)
 	if err != nil {

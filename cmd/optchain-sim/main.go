@@ -43,7 +43,6 @@ func main() {
 
 func run() int {
 	var (
-		n          = flag.Int("n", 0, "deprecated alias of -txs")
 		txs        = flag.Int("txs", 0, "number of transactions (default 60000)")
 		wl         = flag.String("workload", "", "workload spec (name, name:knob=value,..., mix:..., replay:... — see -list and SCENARIOS.md; default bitcoin)")
 		seed       = flag.Int64("seed", 1, "random seed")
@@ -51,7 +50,6 @@ func run() int {
 		validators = flag.Int("validators", 400, "validators per shard")
 		rate       = flag.Float64("rate", 4000, "offered load, tx/s")
 		strategy   = flag.String("strategy", "OptChain", "placement strategy (see -list)")
-		placer     = flag.String("placer", "", "deprecated alias for -strategy")
 		protocol   = flag.String("protocol", "omniledger", "commit protocol (see -list)")
 		exactL2S   = flag.Bool("exact-l2s", false, "use exact quadrature for the L2S score")
 		validate   = flag.Bool("validate-utxo", false, "strict in-order UTXO validation (see optchain.WithUTXOValidation)")
@@ -70,24 +68,8 @@ func run() int {
 		return 0
 	}
 	count := 60_000
-	switch {
-	case *txs > 0 && *n > 0 && *txs != *n:
-		fmt.Fprintf(os.Stderr, "optchain-sim: -n %d conflicts with -txs %d (drop the deprecated -n)\n", *n, *txs)
-		return 2
-	case *txs > 0:
+	if *txs > 0 {
 		count = *txs
-	case *n > 0:
-		count = *n
-	}
-	if *placer != "" {
-		strategySet := false
-		flag.Visit(func(f *flag.Flag) { strategySet = strategySet || f.Name == "strategy" })
-		if strategySet && !strings.EqualFold(*placer, *strategy) {
-			fmt.Fprintf(os.Stderr, "optchain-sim: -placer %q conflicts with -strategy %q (drop the deprecated -placer)\n",
-				*placer, *strategy)
-			return 2
-		}
-		*strategy = *placer
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

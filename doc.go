@@ -56,27 +56,13 @@
 //
 //	shards, err := eng.PlaceBatch(txs, shards)
 //
-// (PlaceStream batches internally, so it gets the same amortization;
-// WithBatchSize tunes the chunk size from its DefaultBatchSize.)
-// WithParallelism fans batches out across worker goroutines in
-// deterministic placement epochs — WithParallelism(0) resolves to
-// GOMAXPROCS, and one worker is bit-identical to the serial engine. With
-// more workers a chunk cannot see decisions made concurrently by earlier
-// chunks of the same epoch; that drift source is measured, not assumed:
-// PlacementStats reports ParallelInputRefs and CrossChunkRefs, and the
-// "parallel-quality" sweep tracks the resulting cross-shard delta against
-// the serial baseline. Strategies without epoch support (Metis replay)
-// fall back to the serial path transparently:
-//
-//	eng, err := optchain.New(
-//	    optchain.WithShards(16),
-//	    optchain.WithParallelism(0), // fan out across GOMAXPROCS
-//	    optchain.WithBatchSize(4096),
-//	)
+// (PlaceStream batches internally in chunks of DefaultBatchSize, so it gets
+// the same amortization.) Placement is serial: every decision reads where
+// the transaction's inputs were placed.
 //
 // The placement and simulation hot paths are allocation-free steady-state;
-// see PERFORMANCE.md for the inventory, baseline numbers, the concurrent
-// placement design, and profiling flags.
+// see PERFORMANCE.md for the inventory, baseline numbers, why placement is
+// serial, and profiling flags.
 //
 // Engine.Run drives the paper's full end-to-end evaluation (§V) — sharded
 // committees on a simulated network, clients replaying the stream at a

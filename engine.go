@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -69,15 +68,6 @@ type PlacementStats struct {
 	CrossFraction float64
 	// ShardCounts is the per-shard transaction tally.
 	ShardCounts []int64
-	// ParallelInputRefs counts input references seen by parallel placement
-	// epochs (WithParallelism); 0 on the serial path.
-	ParallelInputRefs int64
-	// CrossChunkRefs counts the subset of ParallelInputRefs that pointed at
-	// a transaction being placed concurrently by another chunk of the same
-	// epoch. Those references contribute no score mass, so this is the
-	// engine's measured decision-drift source; it is always 0 at
-	// parallelism 1, where decisions are bit-identical to serial placement.
-	CrossChunkRefs int64
 	// SlabEntries is the number of sparse p'(v) entries the T2S index holds
 	// now, in the vectors of transactions that still have an unspent output
 	// (0 for strategies without an index).
@@ -137,23 +127,17 @@ type Engine struct {
 	progress      func(MetricsSnapshot)
 	progressEvery time.Duration
 	shardCfg      ShardConfig
-	parallel      int // epoch worker count; 0 = serial placement
-	batch         int // PlaceStream/PlaceWorkload chunk size; 0 = DefaultBatchSize
 
-	mu         sync.Mutex
-	placer     Placer                 // guarded by mu
-	placerN    int                    // guarded by mu — capacity hint the placer was built with
-	placed     int                    // guarded by mu
-	outs       []int32                // guarded by mu
-	cross      placement.CrossCounter // guarded by mu
-	inputBuf   []txgraph.Node         // guarded by mu
-	dedupe     txgraph.Deduper        // guarded by mu
-	snap       MetricsSnapshot        // guarded by mu
-	running    bool                   // guarded by mu
-	fan        *placement.Fan         // guarded by mu
-	epoch      placement.EpochStats   // guarded by mu
-	batchNodes []txgraph.Node         // guarded by mu
-	batchSpans [][2]int               // guarded by mu
+	mu       sync.Mutex
+	placer   Placer                 // guarded by mu
+	placerN  int                    // guarded by mu — capacity hint the placer was built with
+	placed   int                    // guarded by mu
+	outs     []int32                // guarded by mu
+	cross    placement.CrossCounter // guarded by mu
+	inputBuf []txgraph.Node         // guarded by mu
+	dedupe   txgraph.Deduper        // guarded by mu
+	snap     MetricsSnapshot        // guarded by mu
+	running  bool                   // guarded by mu
 }
 
 // Option configures an Engine under construction. Options validate eagerly:
@@ -314,7 +298,7 @@ func WithTelemetry(tel Telemetry) Option {
 // WithAlpha sets the PageRank damping factor (0 < alpha <= 1; default 0.5).
 func WithAlpha(alpha float64) Option {
 	return func(e *Engine) error {
-		if alpha <= 0 || alpha > 1 {
+		if !(alpha > 0 && alpha <= 1) {
 			return fmt.Errorf("%w: WithAlpha(%v): need 0 < alpha <= 1", ErrBadOption, alpha)
 		}
 		e.alpha = alpha
@@ -329,7 +313,7 @@ func WithAlpha(alpha float64) Option {
 // use the "T2S" strategy.
 func WithL2SWeight(w float64) Option {
 	return func(e *Engine) error {
-		if w < 0 {
+		if !(w >= 0) {
 			return fmt.Errorf("%w: WithL2SWeight(%v)", ErrBadOption, w)
 		}
 		e.l2sWeight = w
@@ -421,45 +405,15 @@ func WithShardTuning(cfg ShardConfig) Option {
 	return func(e *Engine) error { e.shardCfg = cfg; return nil }
 }
 
-// WithParallelism routes PlaceBatch (and therefore PlaceStream and
-// PlaceWorkload) through parallel placement epochs with n workers: each
-// batch is split into contiguous chunks placed concurrently against a
-// frozen snapshot of the strategy state, then merged deterministically in
-// chunk order. Output order and engine semantics are unchanged; decision
-// quality can drift because a chunk cannot see decisions made concurrently
-// by earlier chunks of the same epoch — the drift source is measured and
-// reported as PlacementStats.CrossChunkRefs, and with n == 1 decisions are
-// bit-identical to the serial path.
-//
-// n == 0 resolves to runtime.GOMAXPROCS(0); n < 0 fails New with
-// ErrBadOption. Without this option placement stays serial. Strategies
-// that cannot partition their state (Metis replay, custom registrations
-// without epoch support) fall back to the serial path transparently.
+// WithParallelism is accepted for compatibility and changes nothing:
+// placement is serial, because each decision reads the decisions of the
+// transactions it spends from. n < 0 still fails New with ErrBadOption;
+// any other n yields an engine identical to one built without the option.
 func WithParallelism(n int) Option {
 	return func(e *Engine) error {
 		if n < 0 {
 			return fmt.Errorf("%w: WithParallelism(%d)", ErrBadOption, n)
 		}
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		e.parallel = n
-		return nil
-	}
-}
-
-// WithBatchSize sets how many stream transactions PlaceStream and
-// PlaceWorkload group per PlaceBatch call (default DefaultBatchSize).
-// Larger batches amortize the per-batch lock and snapshot refresh and give
-// parallel epochs longer chunks; smaller batches keep progress snapshots
-// fresh and, under WithParallelism, bound how much concurrent state a
-// chunk cannot see. n <= 0 fails New with ErrBadOption.
-func WithBatchSize(n int) Option {
-	return func(e *Engine) error {
-		if n <= 0 {
-			return fmt.Errorf("%w: WithBatchSize(%d): batch size must be positive", ErrBadOption, n)
-		}
-		e.batch = n
 		return nil
 	}
 }
@@ -618,11 +572,6 @@ func (e *Engine) PlaceBatch(txs []StreamTx, shards []int) ([]int, error) {
 	if err := e.ensurePlacerLocked(); err != nil {
 		return shards, err
 	}
-	if e.parallel > 0 && len(txs) > 0 {
-		if sh, ok := e.placer.(placement.Sharder); ok {
-			return e.placeBatchEpochLocked(sh, txs, shards)
-		}
-	}
 	for i := range txs {
 		s, err := e.placeOneLocked(txs[i])
 		if err != nil {
@@ -635,77 +584,6 @@ func (e *Engine) PlaceBatch(txs []StreamTx, shards []int) ([]int, error) {
 	}
 	e.refreshStreamSnapshotLocked()
 	return shards, nil
-}
-
-// placeBatchEpochLocked places one batch as a parallel epoch (see
-// internal/placement): inputs are validated and deduplicated into a flat
-// arena up front, the batch's output counts are published before fan-out
-// (workers read them through the outCounts closure), the epoch fans the
-// chunks across the configured workers, and after the deterministic join
-// the engine replays cross-shard accounting in stream order. On an invalid
-// transaction the valid prefix still places — the serial partial-failure
-// contract — and the error names the failing position. A panicking
-// strategy aborts before the join, so the shared state stays at the
-// pre-batch prefix.
-//
-//optchain:locked e.mu held by PlaceBatch.
-func (e *Engine) placeBatchEpochLocked(sh placement.Sharder, txs []StreamTx, shards []int) ([]int, error) {
-	base := e.placed
-	n := len(txs)
-	var badErr error
-	e.batchNodes = e.batchNodes[:0]
-	e.batchSpans = e.batchSpans[:0]
-	for i := range txs {
-		off := len(e.batchNodes)
-		if e.batchNodes, badErr = e.appendInputsLocked(e.batchNodes, base+i, txs[i].Inputs); badErr != nil {
-			n = i
-			break
-		}
-		e.batchSpans = append(e.batchSpans, [2]int{off, len(e.batchNodes)})
-	}
-	if n > 0 {
-		for i := 0; i < n; i++ {
-			e.outs = append(e.outs, int32(txs[i].Outputs))
-		}
-		if e.fan == nil || e.fan.Workers() != e.parallel {
-			e.fan = placement.NewFan(e.parallel)
-		}
-		nodes, spans := e.batchNodes, e.batchSpans
-		stats, err := e.epochGuarded(sh, n, func(u int, buf []txgraph.Node) []txgraph.Node {
-			sp := spans[u-base]
-			return append(buf, nodes[sp[0]:sp[1]]...)
-		})
-		if err != nil {
-			e.outs = e.outs[:base]
-			e.refreshStreamSnapshotLocked()
-			return shards, err
-		}
-		e.epoch.Add(stats)
-		asn := e.placer.Assignment()
-		for i := 0; i < n; i++ {
-			sp := e.batchSpans[i]
-			s := asn.ShardOf(txgraph.Node(base + i))
-			e.cross.Observe(asn, e.batchNodes[sp[0]:sp[1]], s)
-			shards = append(shards, s)
-		}
-		e.placed += n
-	}
-	e.refreshStreamSnapshotLocked()
-	return shards, badErr
-}
-
-// epochGuarded runs one placement epoch, converting a panicking strategy
-// into an error (mirroring placeGuarded). A worker panic surfaces before
-// the join, so no partial epoch ever reaches the shared state.
-//
-//optchain:locked e.mu held by placeBatchEpochLocked.
-func (e *Engine) epochGuarded(sh placement.Sharder, n int, fn placement.InputsFunc) (stats placement.EpochStats, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("optchain: strategy %q failed during a parallel epoch: %v", e.strategy, p)
-		}
-	}()
-	return e.fan.PlaceEpoch(sh, n, fn), nil
 }
 
 // appendInputsLocked appends to dst the distinct transactions that stream
@@ -779,19 +657,10 @@ func (e *Engine) placeGuarded(u txgraph.Node) (s int, err error) {
 }
 
 // DefaultBatchSize is how many stream transactions PlaceStream and
-// PlaceWorkload group per PlaceBatch call when WithBatchSize is not set —
-// large enough to amortize the per-batch lock and snapshot refresh and to
-// give parallel epochs full-length chunks (see the batch-size sweep in the
-// parallel_place benchmark), small enough to keep progress fresh.
+// PlaceWorkload group per PlaceBatch call: large enough to amortize the
+// per-batch lock and snapshot refresh, small enough to keep progress fresh.
+// Chunking never changes a decision.
 const DefaultBatchSize = 1024
-
-// batchSize resolves the configured chunk size (immutable after New).
-func (e *Engine) batchSize() int {
-	if e.batch > 0 {
-		return e.batch
-	}
-	return DefaultBatchSize
-}
 
 // PlaceStream drains an online transaction stream through the engine and
 // returns the cumulative placement statistics. Transactions are grouped
@@ -799,8 +668,7 @@ func (e *Engine) batchSize() int {
 // Place once per transaction. On error the stats cover the transactions
 // placed before the failure.
 func (e *Engine) PlaceStream(txs iter.Seq[StreamTx]) (PlacementStats, error) {
-	chunk := e.batchSize()
-	buf := make([]StreamTx, 0, chunk)
+	buf := make([]StreamTx, 0, DefaultBatchSize)
 	var shards []int
 	flush := func() error {
 		var err error
@@ -810,7 +678,7 @@ func (e *Engine) PlaceStream(txs iter.Seq[StreamTx]) (PlacementStats, error) {
 	}
 	for tx := range txs {
 		buf = append(buf, tx)
-		if len(buf) == chunk {
+		if len(buf) == DefaultBatchSize {
 			if err := flush(); err != nil {
 				return e.Stats(), err
 			}
@@ -870,13 +738,12 @@ func (e *Engine) PlaceWorkload(n int) (PlacementStats, error) {
 		e.streamCap = base + n
 	}
 	e.mu.Unlock()
-	chunk := e.batchSize()
-	buf := make([]StreamTx, 0, chunk)
+	buf := make([]StreamTx, 0, DefaultBatchSize)
 	var shards []int
 	var tx workload.Tx
 	for placed := 0; placed < n; {
 		buf = buf[:0]
-		for len(buf) < chunk && placed+len(buf) < n && src.Next(&tx) {
+		for len(buf) < DefaultBatchSize && placed+len(buf) < n && src.Next(&tx) {
 			ins := make([]int, len(tx.Inputs))
 			for j, in := range tx.Inputs {
 				ins[j] = base + in.Tx
@@ -910,11 +777,9 @@ func (e *Engine) Stats() PlacementStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := PlacementStats{
-		Placed:            e.placed,
-		Cross:             e.cross.Cross,
-		CrossFraction:     e.cross.Fraction(),
-		ParallelInputRefs: e.epoch.InputRefs,
-		CrossChunkRefs:    e.epoch.CrossChunkRefs,
+		Placed:        e.placed,
+		Cross:         e.cross.Cross,
+		CrossFraction: e.cross.Fraction(),
 	}
 	if e.placer != nil {
 		asn := e.placer.Assignment()

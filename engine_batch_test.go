@@ -1,10 +1,14 @@
 package optchain_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"optchain"
@@ -154,21 +158,17 @@ func wideStream(n int) (raw, distinct []optchain.StreamTx) {
 	return raw, distinct
 }
 
-// The Engine's input handling against the scan it replaced, on every path
-// that has one (Place, PlaceBatch, a two-worker epoch): a stream with wide,
-// repetitive input lists is placed as the same stream with the repeats
-// already removed, and a list holding a negative, self or forward input is
-// refused naming the transaction and the first such input, with nothing
-// placed.
+// The Engine's input handling against the scan it replaced, through Place
+// and PlaceBatch: a stream with wide, repetitive input lists is placed as
+// the same stream with the repeats already removed, and a list holding a
+// negative, self or forward input is refused naming the transaction and the
+// first such input, with nothing placed.
 func TestEngineDedupesWideInputsAndRefusesAtFirstBadInput(t *testing.T) {
 	const n = 500
 	raw, distinct := wideStream(n)
 	rng := rand.New(rand.NewSource(7))
-	for _, path := range []string{"Place", "PlaceBatch", "epoch"} {
+	for _, path := range []string{"Place", "PlaceBatch"} {
 		opts := []optchain.Option{optchain.WithShards(16), optchain.WithStreamCapacity(n)}
-		if path == "epoch" {
-			opts = append(opts, optchain.WithParallelism(2))
-		}
 		ref, err := optchain.New(opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -265,5 +265,144 @@ func TestEnginePlaceWideInputsZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(runs, placeBatch); allocs != 0 {
 		t.Errorf("PlaceBatch of a %d-input transaction: %.2f allocs, want 0", len(wide), allocs)
+	}
+}
+
+// Concurrent readers of an engine that is placing batches (Stats,
+// MetricsSnapshot, CrossShardFraction from other goroutines) must be
+// race-free; run under -race in CI.
+func TestParallelPlaceBatchRaceStress(t *testing.T) {
+	d := smallData(t)
+	txs := collectStream(d)
+	eng, err := optchain.New(optchain.WithShards(8), optchain.WithDataset(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				_ = eng.MetricsSnapshot()
+				_ = eng.Stats()
+				_ = eng.CrossShardFraction()
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+
+	var buf []int
+	for lo := 0; lo < len(txs); {
+		hi := min(lo+256, len(txs))
+		if buf, err = eng.PlaceBatch(txs[lo:hi], buf); err != nil {
+			close(done)
+			wg.Wait()
+			t.Fatalf("PlaceBatch: %v", err)
+		}
+		lo = hi
+	}
+	close(done)
+	wg.Wait()
+
+	if st := eng.Stats(); st.Placed != len(txs) {
+		t.Fatalf("placed %d, want %d", st.Placed, len(txs))
+	}
+}
+
+// WithParallelism is kept for callers that still pass it and changes
+// nothing: over several DefaultBatchSize batches of the benchmark's mix-ids
+// stream, every accepted worker count makes the decisions, reports the
+// Stats and writes the snapshot bytes of an engine built without it. A
+// negative count is still refused.
+func TestWithParallelismIsANoOp(t *testing.T) {
+	const n = 3*optchain.DefaultBatchSize + 100
+	run := func(extra ...optchain.Option) ([]int, optchain.PlacementStats, []byte) {
+		t.Helper()
+		eng, err := optchain.New(append([]optchain.Option{
+			optchain.WithShards(16), optchain.WithStreamCapacity(n),
+			optchain.WithWorkload(benchmarkSpecs[2], nil),
+		}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := eng.PlaceWorkload(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asn := eng.Assignment()
+		decisions := make([]int, st.Placed)
+		for i := range decisions {
+			decisions[i] = asn.ShardOf(optchain.Node(i))
+		}
+		var snap bytes.Buffer
+		if err := eng.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return decisions, st, snap.Bytes()
+	}
+	want, wantStats, wantSnap := run()
+	if len(want) != n {
+		t.Fatalf("placed %d of %d", len(want), n)
+	}
+	for _, workers := range []int{0, 1, runtime.NumCPU()} {
+		got, stats, snap := run(optchain.WithParallelism(workers))
+		if !slices.Equal(got, want) {
+			t.Errorf("WithParallelism(%d): decisions differ from the engine without it", workers)
+		}
+		if !reflect.DeepEqual(stats, wantStats) {
+			t.Errorf("WithParallelism(%d): stats %+v, without it %+v", workers, stats, wantStats)
+		}
+		if !bytes.Equal(snap, wantSnap) {
+			t.Errorf("WithParallelism(%d): the snapshot differs from the engine without it", workers)
+		}
+	}
+	if _, err := optchain.New(optchain.WithParallelism(-1)); !errors.Is(err, optchain.ErrBadOption) {
+		t.Fatalf("WithParallelism(-1): err = %v, want ErrBadOption", err)
+	}
+}
+
+// How a stream is cut into PlaceBatch calls never changes a decision:
+// PlaceStream's DefaultBatchSize chunks and batches of 1, 7, 333 and more
+// than the whole stream place it the same.
+func TestBatchSizeDoesNotChangeSerialDecisions(t *testing.T) {
+	d := smallDataset(t, 2000)
+	txs := collectStream(d)
+	newEngine := func() *optchain.Engine {
+		eng, err := optchain.New(optchain.WithShards(8), optchain.WithDataset(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	ref := newEngine()
+	want, err := ref.PlaceStream(optchain.DatasetStream(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bs := range []int{1, 7, 333, 5000} {
+		eng := newEngine()
+		var got []int
+		for lo := 0; lo < len(txs); lo += bs {
+			shards, err := eng.PlaceBatch(txs[lo:min(lo+bs, len(txs))], nil)
+			if err != nil {
+				t.Fatalf("batch size %d: %v", bs, err)
+			}
+			got = append(got, shards...)
+		}
+		for i, s := range got {
+			if w := ref.Assignment().ShardOf(optchain.Node(i)); s != w {
+				t.Fatalf("batch size %d: transaction %d placed in %d, by PlaceStream in %d", bs, i, s, w)
+			}
+		}
+		if st := eng.Stats(); len(got) != len(txs) || !reflect.DeepEqual(st, want) {
+			t.Fatalf("batch size %d: %d placed, stats %+v; PlaceStream %+v", bs, len(got), st, want)
+		}
 	}
 }

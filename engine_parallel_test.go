@@ -2,15 +2,14 @@ package optchain_test
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"optchain"
 )
 
-// WithParallelism(1) must make bit-identical decisions to the serial engine:
-// one worker means the cross-chunk window is empty, so the epoch path runs
-// the same arithmetic over the same state.
+// WithParallelism(1) makes bit-identical decisions to the engine built
+// without it, for every built-in online strategy, whether the stream goes
+// through PlaceStream or one PlaceBatch call.
 func TestParallelismOneMatchesSerial(t *testing.T) {
 	d := smallData(t)
 	txs := collectStream(d)
@@ -35,32 +34,27 @@ func TestParallelismOneMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: serial PlaceBatch: %v", strategy, err)
 		}
 
-		par := newEngine(optchain.WithParallelism(1), optchain.WithBatchSize(193))
+		par := newEngine(optchain.WithParallelism(1))
 		st, err := par.PlaceStream(optchain.DatasetStream(d))
 		if err != nil {
-			t.Fatalf("%s: parallel PlaceStream: %v", strategy, err)
-		}
-		if st.CrossChunkRefs != 0 {
-			t.Fatalf("%s: parallelism 1 reported %d cross-chunk refs", strategy, st.CrossChunkRefs)
+			t.Fatalf("%s: PlaceStream with WithParallelism(1): %v", strategy, err)
 		}
 		asn := par.Assignment()
 		for i := range want {
 			if got := asn.ShardOf(optchain.Node(i)); got != want[i] {
-				t.Fatalf("%s: decision %d differs: parallel=%d serial=%d", strategy, i, got, want[i])
+				t.Fatalf("%s: decision %d differs: WithParallelism(1)=%d serial=%d", strategy, i, got, want[i])
 			}
 		}
 		ss := serial.Stats()
 		if st.Placed != ss.Placed || st.Cross != ss.Cross {
-			t.Fatalf("%s: stats diverge: parallel=%+v serial=%+v", strategy, st, ss)
+			t.Fatalf("%s: stats diverge: WithParallelism(1)=%+v serial=%+v", strategy, st, ss)
 		}
 	}
 }
 
-// At parallelism > 1 decisions may drift — a chunk cannot see concurrent
-// placements — but the drift source is measured and the resulting quality
-// stays close to serial: the cross-shard fraction delta is bounded by the
-// (small) fraction of references that were cross-chunk, plus slack for
-// knock-on divergence.
+// Placement is serial whatever WithParallelism asks for, so a 4-worker
+// engine's cross-shard fraction drifts from the plain engine's by exactly
+// nothing, and two such runs make the same decisions.
 func TestParallelQualityDriftBounded(t *testing.T) {
 	d := smallData(t)
 	const k = 8
@@ -74,124 +68,44 @@ func TestParallelQualityDriftBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	par, err := optchain.New(
-		optchain.WithShards(k),
-		optchain.WithDataset(d),
-		optchain.WithParallelism(4),
-	)
-	if err != nil {
-		t.Fatal(err)
+	newPar := func() (*optchain.Engine, optchain.PlacementStats) {
+		eng, err := optchain.New(
+			optchain.WithShards(k),
+			optchain.WithDataset(d),
+			optchain.WithParallelism(4),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := eng.PlaceStream(optchain.DatasetStream(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, st
 	}
-	sp, err := par.PlaceStream(optchain.DatasetStream(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	par, sp := newPar()
 	if sp.Placed != ss.Placed {
-		t.Fatalf("parallel placed %d, serial %d", sp.Placed, ss.Placed)
+		t.Fatalf("WithParallelism(4) placed %d, serial %d", sp.Placed, ss.Placed)
 	}
-	if sp.ParallelInputRefs == 0 {
-		t.Fatal("parallel run counted no input references")
-	}
-	if sp.CrossChunkRefs > sp.ParallelInputRefs {
-		t.Fatalf("cross-chunk refs %d exceed total %d", sp.CrossChunkRefs, sp.ParallelInputRefs)
-	}
-	crossChunkFrac := float64(sp.CrossChunkRefs) / float64(sp.ParallelInputRefs)
-	delta := sp.CrossFraction - ss.CrossFraction
-	if delta < 0 {
-		delta = -delta
-	}
-	// Refs hidden inside an epoch are the only information loss; each can
-	// flip at most its own transaction's cross-shard status, so the fraction
-	// delta is bounded by the cross-chunk ref fraction (×2 slack for
-	// knock-on divergence of later decisions).
-	if bound := 2*crossChunkFrac + 0.02; delta > bound {
-		t.Fatalf("cross fraction drift %.4f exceeds bound %.4f (serial %.4f, parallel %.4f, cross-chunk frac %.4f)",
-			delta, bound, ss.CrossFraction, sp.CrossFraction, crossChunkFrac)
+	if sp.Cross != ss.Cross || sp.CrossFraction != ss.CrossFraction {
+		t.Fatalf("cross fraction drift: serial %.4f (%d), WithParallelism(4) %.4f (%d)",
+			ss.CrossFraction, ss.Cross, sp.CrossFraction, sp.Cross)
 	}
 
-	// Determinism at fixed parallelism: a second identical run reproduces
-	// the decisions exactly.
-	par2, err := optchain.New(
-		optchain.WithShards(k),
-		optchain.WithDataset(d),
-		optchain.WithParallelism(4),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp2, err := par2.PlaceStream(optchain.DatasetStream(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp2.Cross != sp.Cross || sp2.CrossChunkRefs != sp.CrossChunkRefs {
-		t.Fatalf("identical parallel runs diverge: %+v vs %+v", sp, sp2)
+	par2, sp2 := newPar()
+	if sp2.Cross != sp.Cross {
+		t.Fatalf("identical WithParallelism(4) runs diverge: %+v vs %+v", sp, sp2)
 	}
 	a1, a2 := par.Assignment(), par2.Assignment()
 	for u := 0; u < sp.Placed; u++ {
 		if a1.ShardOf(optchain.Node(u)) != a2.ShardOf(optchain.Node(u)) {
-			t.Fatalf("decision %d differs between identical parallel runs", u)
+			t.Fatalf("decision %d differs between identical WithParallelism(4) runs", u)
 		}
 	}
 }
 
-// Concurrent PlaceBatch and snapshot reads must be race-free while epochs
-// fan out internally (run under -race in CI).
-func TestParallelPlaceBatchRaceStress(t *testing.T) {
-	d := smallData(t)
-	txs := collectStream(d)
-	eng, err := optchain.New(
-		optchain.WithShards(8),
-		optchain.WithDataset(d),
-		optchain.WithParallelism(4),
-		optchain.WithBatchSize(256),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				_ = eng.MetricsSnapshot()
-				_ = eng.Stats()
-				_ = eng.CrossShardFraction()
-			}
-		}()
-	}
-
-	var buf []int
-	for lo := 0; lo < len(txs); {
-		hi := lo + 256
-		if hi > len(txs) {
-			hi = len(txs)
-		}
-		if buf, err = eng.PlaceBatch(txs[lo:hi], buf); err != nil {
-			close(done)
-			wg.Wait()
-			t.Fatalf("PlaceBatch: %v", err)
-		}
-		lo = hi
-	}
-	close(done)
-	wg.Wait()
-
-	if st := eng.Stats(); st.Placed != len(txs) {
-		t.Fatalf("placed %d, want %d", st.Placed, len(txs))
-	}
-}
-
-// The epoch path preserves the serial partial-failure contract: a bad
-// transaction mid-batch places the valid prefix, reports the absolute
+// An engine built with WithParallelism keeps the partial-failure contract:
+// a bad transaction mid-batch places the valid prefix, reports the absolute
 // position, and leaves the engine usable.
 func TestParallelPartialFailure(t *testing.T) {
 	eng, err := optchain.New(
@@ -222,8 +136,8 @@ func TestParallelPartialFailure(t *testing.T) {
 	}
 }
 
-// Strategies without epoch support (Metis replays a fixed partition) fall
-// back to the serial path transparently under WithParallelism.
+// Metis replays its fixed partition under WithParallelism like any other
+// strategy: the option changes no decision.
 func TestParallelismFallsBackForMetis(t *testing.T) {
 	part := make([]int32, 64)
 	for i := range part {
@@ -251,54 +165,15 @@ func TestParallelismFallsBackForMetis(t *testing.T) {
 			t.Fatalf("decision %d = %d, want partition value %d", i, s, part[i])
 		}
 	}
-	if st := eng.Stats(); st.ParallelInputRefs != 0 {
-		t.Fatalf("serial fallback still counted %d parallel refs", st.ParallelInputRefs)
-	}
 }
 
-// Option validation: negative parallelism and non-positive batch sizes fail
-// New eagerly with ErrBadOption; parallelism 0 resolves to GOMAXPROCS.
+// Option validation: negative parallelism fails New eagerly with
+// ErrBadOption; zero is accepted.
 func TestParallelOptionValidation(t *testing.T) {
 	if _, err := optchain.New(optchain.WithParallelism(-1)); !errors.Is(err, optchain.ErrBadOption) {
 		t.Fatalf("WithParallelism(-1): err = %v, want ErrBadOption", err)
 	}
-	if _, err := optchain.New(optchain.WithBatchSize(0)); !errors.Is(err, optchain.ErrBadOption) {
-		t.Fatalf("WithBatchSize(0): err = %v, want ErrBadOption", err)
-	}
-	if _, err := optchain.New(optchain.WithBatchSize(-5)); !errors.Is(err, optchain.ErrBadOption) {
-		t.Fatalf("WithBatchSize(-5): err = %v, want ErrBadOption", err)
-	}
-	if _, err := optchain.New(optchain.WithParallelism(0), optchain.WithBatchSize(1)); err != nil {
-		t.Fatalf("valid options rejected: %v", err)
-	}
-}
-
-// WithBatchSize changes chunking only, never decisions, on the serial path.
-func TestBatchSizeDoesNotChangeSerialDecisions(t *testing.T) {
-	d := smallDataset(t, 2000)
-	newEngine := func(opts ...optchain.Option) *optchain.Engine {
-		eng, err := optchain.New(append([]optchain.Option{
-			optchain.WithShards(8),
-			optchain.WithDataset(d),
-		}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	ref := newEngine()
-	want, err := ref.PlaceStream(optchain.DatasetStream(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bs := range []int{1, 7, 333, 5000} {
-		eng := newEngine(optchain.WithBatchSize(bs))
-		got, err := eng.PlaceStream(optchain.DatasetStream(d))
-		if err != nil {
-			t.Fatalf("batch size %d: %v", bs, err)
-		}
-		if got.Placed != want.Placed || got.Cross != want.Cross {
-			t.Fatalf("batch size %d changed decisions: %+v vs %+v", bs, got, want)
-		}
+	if _, err := optchain.New(optchain.WithParallelism(0)); err != nil {
+		t.Fatalf("WithParallelism(0) rejected: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -43,7 +44,9 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"negative rate", []optchain.Option{optchain.WithRate(-5)}, optchain.ErrBadOption},
 		{"empty strategy", []optchain.Option{optchain.WithStrategy("")}, optchain.ErrBadOption},
 		{"bad alpha", []optchain.Option{optchain.WithAlpha(1.5)}, optchain.ErrBadOption},
+		{"NaN alpha", []optchain.Option{optchain.WithAlpha(math.NaN())}, optchain.ErrBadOption},
 		{"negative weight", []optchain.Option{optchain.WithL2SWeight(-1)}, optchain.ErrBadOption},
+		{"NaN weight", []optchain.Option{optchain.WithL2SWeight(math.NaN())}, optchain.ErrBadOption},
 		{"nil dataset", []optchain.Option{optchain.WithDataset(nil)}, optchain.ErrBadOption},
 		{"negative txs", []optchain.Option{optchain.WithTxs(-1)}, optchain.ErrBadOption},
 		{"zero progress cadence", []optchain.Option{optchain.WithProgressEvery(0)}, optchain.ErrBadOption},

@@ -12,10 +12,9 @@ import (
 // changes. v2 added the per-workload-scenario Scenarios section; v3
 // recorded the workload spec on every simulation row; v4 moved the writer
 // onto the experiment Reporter path — every row carries its stable cell ID
-// and the record names the reporter that produced it; v5 added the
-// Parallel scaling section (concurrent placement throughput and decision
-// quality per worker count).
-const BaselineSchema = "optchain-bench-baseline/v5"
+// and the record names the reporter that produced it; v5 added a parallel
+// placement scaling section, which v6 removed with parallel placement.
+const BaselineSchema = "optchain-bench-baseline/v6"
 
 // BaselineReporterName is the provenance string stamped into Baseline
 // records produced by this package's baseline reporter.
@@ -42,40 +41,6 @@ type Baseline struct {
 	// bursts, drift, and attack is tracked PR over PR alongside the
 	// single-trace numbers.
 	Scenarios []BaselineSim `json:"scenarios"`
-	// Parallel is the concurrent-placement scaling section (v5): one row
-	// per worker count, measuring epoch-replay throughput and the decision
-	// quality delta against the serial replay of the same stream. Speedup
-	// is relative to the Workers=1 row, so the curve reads directly;
-	// GOMAXPROCS above records how many cores the host could actually give
-	// the fan-out.
-	Parallel []BaselineParallel `json:"parallel"`
-	// ParallelNote qualifies the Parallel section when the host cannot
-	// demonstrate scaling — set to an explicit warning when GOMAXPROCS is 1
-	// (the speedup column then measures fan-out overhead, not parallelism).
-	// Empty on multi-core hosts; optional within schema v5.
-	ParallelNote string `json:"parallel_note,omitempty"`
-}
-
-// BaselineParallel is one worker count of the parallel placement scaling
-// curve.
-type BaselineParallel struct {
-	// Workers is the epoch fan-out width.
-	Workers int `json:"workers"`
-	// NsPerTx and TxsPerSec are the replay cost per transaction.
-	NsPerTx   float64 `json:"ns_per_tx"`
-	TxsPerSec float64 `json:"txs_per_sec"`
-	// AllocsPerOp is steady-state allocations per transaction (0 expected).
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Speedup is TxsPerSec relative to this record's Workers=1 row.
-	Speedup float64 `json:"speedup"`
-	// CrossFraction is the replay's resulting cross-shard fraction;
-	// QualityDelta is CrossFraction minus the serial replay's fraction
-	// (positive = worse than serial), the measured decision drift.
-	CrossFraction float64 `json:"cross_fraction"`
-	QualityDelta  float64 `json:"quality_delta_vs_serial"`
-	// CrossChunkFraction is the fraction of input references hidden by
-	// concurrent chunks — the drift source QualityDelta quantifies.
-	CrossChunkFraction float64 `json:"cross_chunk_fraction"`
 }
 
 // BaselineItem is one micro-benchmark: per-unit timing and allocation cost
@@ -141,7 +106,6 @@ func NewBaselineReporter(w io.Writer) *BaselineReporter {
 			Micro:      []BaselineItem{},
 			Sim:        []BaselineSim{},
 			Scenarios:  []BaselineSim{},
-			Parallel:   []BaselineParallel{},
 		},
 		Stamp: true,
 	}
@@ -166,14 +130,6 @@ func newBaselineFromOpts(w io.Writer, opts map[string]string) (Reporter, error) 
 // SetMicro attaches the micro-benchmark section (collected by
 // internal/bench, which owns the testing.Benchmark harness).
 func (b *BaselineReporter) SetMicro(items []BaselineItem) { b.b.Micro = items }
-
-// SetParallel attaches the concurrent-placement scaling section (collected
-// by internal/bench alongside the micro rows).
-func (b *BaselineReporter) SetParallel(items []BaselineParallel) { b.b.Parallel = items }
-
-// SetParallelNote attaches a host qualification to the Parallel section
-// (e.g. the single-core warning; see Baseline.ParallelNote).
-func (b *BaselineReporter) SetParallelNote(note string) { b.b.ParallelNote = note }
 
 // Baseline returns the record accumulated so far — for callers that want
 // the data without writing it (End writes).

@@ -20,15 +20,12 @@ func init() {
 // regression, in its better direction an improvement, anything inside the
 // band unchanged. Zero tolerances demand exact reproduction — the setting
 // the golden-row tests use. Directions: steady_tps regresses downward;
-// cross_fraction, cross_chunk_fraction, and ns/tx regress upward.
+// cross_fraction and ns/tx regress upward.
 type Tolerances struct {
 	// SteadyTPS bounds the relative drop in steady-state throughput.
 	SteadyTPS float64
 	// CrossFraction bounds the relative rise in cross-shard fraction.
 	CrossFraction float64
-	// CrossChunkFraction bounds the relative rise in the parallel decision
-	// drift source.
-	CrossChunkFraction float64
 	// NsPerTx bounds the relative rise in wall nanoseconds per transaction
 	// (WallSeconds over Total). It is host noise, so it is opt-in: zero or
 	// negative disables the comparison entirely instead of demanding exact
@@ -43,7 +40,7 @@ type Tolerances struct {
 // DefaultTolerances are the loose CI-gate defaults: 5% on the quality
 // metrics, wall time not compared.
 func DefaultTolerances() Tolerances {
-	return Tolerances{SteadyTPS: 0.05, CrossFraction: 0.05, CrossChunkFraction: 0.05}
+	return Tolerances{SteadyTPS: 0.05, CrossFraction: 0.05}
 }
 
 // Verdict classifies one metric delta (and, per cell, the worst of its
@@ -61,8 +58,7 @@ const (
 
 // MetricDelta is one compared metric of one joined cell.
 type MetricDelta struct {
-	// Metric is the column name (steady_tps, cross_fraction,
-	// cross_chunk_fraction, ns_per_tx).
+	// Metric is the column name (steady_tps, cross_fraction, ns_per_tx).
 	Metric string `json:"metric"`
 	// Old and New are the two values.
 	Old float64 `json:"old"`
@@ -161,7 +157,6 @@ func diffCell(old, new Row, tol Tolerances) CellDiff {
 	d.Metrics = append(d.Metrics,
 		classify("steady_tps", old.SteadyTPS, new.SteadyTPS, tol.SteadyTPS, true),
 		classify("cross_fraction", old.CrossFraction, new.CrossFraction, tol.CrossFraction, false),
-		classify("cross_chunk_fraction", old.CrossChunkFraction, new.CrossChunkFraction, tol.CrossChunkFraction, false),
 	)
 	if tol.NsPerTx > 0 {
 		d.Metrics = append(d.Metrics, classify("ns_per_tx", nsPerTx(old), nsPerTx(new), tol.NsPerTx, false))
@@ -276,8 +271,8 @@ func (d *DiffReport) Render(w io.Writer) error {
 	if d.Tol.NsPerTx > 0 {
 		nstx = ftol(d.Tol.NsPerTx)
 	}
-	if _, err := fmt.Fprintf(w, "quality diff (tol: steady_tps=%s cross_fraction=%s cross_chunk_fraction=%s ns_per_tx=%s)\n",
-		ftol(d.Tol.SteadyTPS), ftol(d.Tol.CrossFraction), ftol(d.Tol.CrossChunkFraction), nstx); err != nil {
+	if _, err := fmt.Fprintf(w, "quality diff (tol: steady_tps=%s cross_fraction=%s ns_per_tx=%s)\n",
+		ftol(d.Tol.SteadyTPS), ftol(d.Tol.CrossFraction), nstx); err != nil {
 		return err
 	}
 	for _, c := range d.Cells {
@@ -469,10 +464,10 @@ type diffReporter struct {
 }
 
 // newDiffReporter is the registry factory. Knobs: old=FILE (required),
-// tps=, cross=, crosschunk=, nstx= (relative tolerances; see Tolerances),
-// missing=on to allow cells absent from the sweep.
+// tps=, cross=, nstx= (relative tolerances; see Tolerances), missing=on to
+// allow cells absent from the sweep.
 func newDiffReporter(w io.Writer, opts map[string]string) (Reporter, error) {
-	if err := checkReporterOpts("diff", opts, "old", "tps", "cross", "crosschunk", "nstx", "missing"); err != nil {
+	if err := checkReporterOpts("diff", opts, "old", "tps", "cross", "nstx", "missing"); err != nil {
 		return nil, err
 	}
 	path, ok := opts["old"]
@@ -486,7 +481,6 @@ func newDiffReporter(w io.Writer, opts map[string]string) (Reporter, error) {
 	}{
 		{"tps", &tol.SteadyTPS},
 		{"cross", &tol.CrossFraction},
-		{"crosschunk", &tol.CrossChunkFraction},
 		{"nstx", &tol.NsPerTx},
 	} {
 		v, ok := opts[knob.key]

@@ -38,7 +38,7 @@ func metricVerdict(t *testing.T, rep *experiment.DiffReport, id, metric string) 
 }
 
 func TestDiffClassification(t *testing.T) {
-	tol := experiment.Tolerances{SteadyTPS: 0.05, CrossFraction: 0.05, CrossChunkFraction: 0.05}
+	tol := experiment.Tolerances{SteadyTPS: 0.05, CrossFraction: 0.05}
 	old := []experiment.Row{
 		qrow("a", 1000, 0.5), // tps drops 10%: regressed
 		qrow("b", 1000, 0.5), // tps rises 10%: improved
@@ -357,7 +357,7 @@ func TestDiffReporterOptionValidation(t *testing.T) {
 		})
 	}
 	// The happy spec parses, with every knob set.
-	if _, err := experiment.NewReporter("diff:old="+old+",tps=0.1,cross=0.2,crosschunk=0.3,nstx=0.4,missing=on", io.Discard); err != nil {
+	if _, err := experiment.NewReporter("diff:old="+old+",tps=0.1,cross=0.2,nstx=0.4,missing=on", io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }

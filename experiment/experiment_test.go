@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -103,14 +102,6 @@ func TestSweepValidation(t *testing.T) {
 			Shards: []int{2}, Rates: []float64{100}, Warm: 50},
 		"l2s weight on placement cells": {Name: "x", Kind: experiment.KindPlacement,
 			Strategies: []string{"T2S"}, Shards: []int{2}, L2SWeights: []float64{0.1}},
-		"parallelism on sim cells": {Name: "x", Strategies: []string{"OptChain"},
-			Shards: []int{2}, Rates: []float64{100}, Parallelisms: []int{2}},
-		"parallelism on metis": {Name: "x", Kind: experiment.KindPlacement,
-			Strategies: []string{"Metis"}, Shards: []int{2}, Parallelisms: []int{2}},
-		"parallelism + warm": {Name: "x", Kind: experiment.KindPlacement,
-			Strategies: []string{"T2S"}, Shards: []int{2}, Warm: 50, Parallelisms: []int{2}},
-		"negative parallelism": {Name: "x", Kind: experiment.KindPlacement,
-			Strategies: []string{"T2S"}, Shards: []int{2}, Parallelisms: []int{-1}},
 	} {
 		if _, err := r.Collect(context.Background(), s); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -343,58 +334,6 @@ func TestPlacementSweep(t *testing.T) {
 	})
 	if !errors.Is(err, experiment.ErrBadSweep) {
 		t.Fatalf("whole-stream warm start: err = %v", err)
-	}
-}
-
-// TestParallelPlacementSweep: the Parallelisms axis replays placement cells
-// through parallel epochs — worker count 1 reproduces the serial replay
-// bit-identically, larger counts report their measured drift source.
-func TestParallelPlacementSweep(t *testing.T) {
-	r := experiment.NewRunner(quickParams())
-	s := experiment.Sweep{
-		Name:         "parquality",
-		Kind:         experiment.KindPlacement,
-		Strategies:   []string{"T2S", "Greedy"},
-		Shards:       []int{4},
-		Parallelisms: []int{0, 1, 4},
-	}
-	rows, err := r.Collect(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byKey := map[string]experiment.Row{}
-	for _, row := range rows {
-		byKey[row.Strategy+"/"+strconv.Itoa(row.Parallelism)] = row
-		if row.Parallelism > 0 && !strings.Contains(row.ID, "/par") {
-			t.Fatalf("parallel row id %q lacks /par", row.ID)
-		}
-		if row.Parallelism <= 1 && row.CrossChunkFraction != 0 {
-			t.Fatalf("row %s reports cross-chunk drift without concurrency: %+v", row.ID, row)
-		}
-	}
-	for _, strat := range []string{"T2S", "Greedy"} {
-		serial, one, four := byKey[strat+"/0"], byKey[strat+"/1"], byKey[strat+"/4"]
-		if serial.Cross == 0 {
-			t.Fatalf("%s serial row degenerate: %+v", strat, serial)
-		}
-		// One worker = empty cross-chunk window = the serial decisions.
-		if one.Cross != serial.Cross || one.CrossFraction != serial.CrossFraction {
-			t.Fatalf("%s parallelism 1 diverges from serial: %+v vs %+v", strat, one, serial)
-		}
-		if four.CrossChunkFraction <= 0 || four.CrossChunkFraction >= 1 {
-			t.Fatalf("%s parallelism 4 cross-chunk fraction = %v", strat, four.CrossChunkFraction)
-		}
-		drift := four.CrossFraction - serial.CrossFraction
-		if drift < 0 {
-			drift = -drift
-		}
-		if bound := 2*four.CrossChunkFraction + 0.02; drift > bound {
-			t.Fatalf("%s parallel drift %v exceeds bound %v (serial %v, parallel %v)",
-				strat, drift, bound, serial.CrossFraction, four.CrossFraction)
-		}
 	}
 }
 

@@ -88,52 +88,9 @@ func (w *warmPlacer) Place(u txgraph.Node, inputs []txgraph.Node) int {
 	return s
 }
 
-// parallelEpochTxs is the epoch size of parallel placement replays — the
-// engine's DefaultBatchSize, so sweep cells measure the same drift the
-// streaming engine exhibits at its default chunking.
-const parallelEpochTxs = 1024
-
-// replayParallel streams the dataset through a Sharder in parallel
-// placement epochs, then counts cross-shard transactions in a serial
-// post-pass over the final assignment (epoch workers decide chunk-locally,
-// so the per-transaction observation the serial replay does inline happens
-// here after the fact, against identical decisions).
-func replayParallel(ctx context.Context, d *dataset.Dataset, s placement.Sharder, workers int) (placement.CrossCounter, placement.EpochStats, error) {
-	fan := placement.NewFan(workers)
-	inputs := func(u int, buf []txgraph.Node) []txgraph.Node { return d.InputTxNodes(u, buf) }
-	var es placement.EpochStats
-	n := d.Len()
-	for done := 0; done < n; {
-		if err := ctx.Err(); err != nil {
-			return placement.CrossCounter{}, es, err
-		}
-		step := parallelEpochTxs
-		if n-done < step {
-			step = n - done
-		}
-		es.Add(fan.PlaceEpoch(s, step, inputs))
-		done += step
-	}
-	cc := placement.CrossCounter{}
-	asn := s.Assignment()
-	var buf []txgraph.Node
-	for i := 0; i < n; i++ {
-		if i&8191 == 0 {
-			if err := ctx.Err(); err != nil {
-				return cc, es, err
-			}
-		}
-		buf = d.InputTxNodes(i, buf)
-		cc.Observe(asn, buf, asn.ShardOf(txgraph.Node(i)))
-	}
-	return cc, es, nil
-}
-
 // runPlacementCell executes one offline placement-replay cell: the whole
 // stream placed into empty shards (optionally after a Metis warm start),
 // counting cross-shard transactions — Tables I-II and the α ablation.
-// Cells with Parallelism > 1 replay through parallel placement epochs
-// instead, quantifying concurrent decision drift against the serial rows.
 // The context is checked between phases and during the replay; the
 // singleflight dataset/partition builds themselves run to completion (a
 // second caller may need the artifact), so cancellation latency is
@@ -163,30 +120,6 @@ func (r *Runner) runPlacementCell(ctx context.Context, c Cell) (Row, error) {
 	if wl == "" {
 		wl = r.p.WorkloadLabel()
 	}
-	if c.Parallelism > 1 {
-		s, ok := p.(placement.Sharder)
-		if !ok {
-			// validCell screens the known-serial strategies; this guards
-			// future strategies that lack epoch support.
-			return Row{}, fmt.Errorf("%w: strategy %q has no parallel epoch support", ErrBadSweep, c.Strategy)
-		}
-		cc, es, err := replayParallel(ctx, d, s, c.Parallelism)
-		if err != nil {
-			return Row{}, err
-		}
-		return Row{
-			Kind:               KindPlacement,
-			Strategy:           c.Strategy,
-			Shards:             c.Shards,
-			Workload:           wl,
-			Txs:                n,
-			Tag:                c.Tag,
-			CrossFraction:      cc.Fraction(),
-			Cross:              cc.Cross,
-			Parallelism:        c.Parallelism,
-			CrossChunkFraction: es.CrossChunkFraction(),
-		}, nil
-	}
 	from := 0
 	if c.Warm > 0 {
 		if err := ctx.Err(); err != nil {
@@ -212,6 +145,5 @@ func (r *Runner) runPlacementCell(ctx context.Context, c Cell) (Row, error) {
 		Tag:           c.Tag,
 		CrossFraction: cc.Fraction(),
 		Cross:         cc.Cross,
-		Parallelism:   c.Parallelism,
 	}, nil
 }

@@ -118,8 +118,7 @@ func TestReporterEquivalence(t *testing.T) {
 	// Every canonical numeric field must agree across the three sinks.
 	numeric := []string{"shards", "rate", "total", "committed", "steady_tps",
 		"throughput_tps", "avg_latency_sec", "max_latency_sec", "p50_sec",
-		"p99_sec", "retries", "aborts", "peak_queue", "cross_fraction", "cross",
-		"parallelism", "cross_chunk_fraction"}
+		"p99_sec", "retries", "aborts", "peak_queue", "cross_fraction", "cross"}
 	stringly := []string{"id", "sweep", "strategy", "protocol", "workload", "streamed"}
 	for i := range jsonRows {
 		for _, f := range numeric {

@@ -56,14 +56,13 @@ var textCols = map[string]int{
 	"id": -62, "strategy": -11, "protocol": -11, "shards": 7, "rate": 9,
 	"workload": -24, "streamed": 9, "committed": 10, "steady_tps": 19,
 	"avg_latency_sec": 19, "cross_fraction": 20, "peak_queue": 10, "cross": 9,
-	"parallelism": 12, "cross_chunk_fraction": 21,
 }
 
 // textOrder fixes the column order.
 var textOrder = []string{
 	"id", "strategy", "protocol", "shards", "rate", "workload", "streamed",
 	"committed", "steady_tps", "avg_latency_sec", "cross_fraction",
-	"peak_queue", "cross", "parallelism", "cross_chunk_fraction",
+	"peak_queue", "cross",
 }
 
 func (t *textReporter) Begin(s Sweep, p Params) error {

@@ -54,13 +54,6 @@ type Row struct {
 	// report the raw count over their measured window (Table II's metric).
 	CrossFraction float64 `json:"cross_fraction"`
 	Cross         int64   `json:"cross,omitempty"`
-	// Parallelism echoes the cell's epoch worker count (0 for serial
-	// replay); CrossChunkFraction is the fraction of input references the
-	// parallel replay could not see because they pointed into a concurrent
-	// chunk — the measured decision-drift source, 0 for serial cells and
-	// for Parallelism 1.
-	Parallelism        int     `json:"parallelism,omitempty"`
-	CrossChunkFraction float64 `json:"cross_chunk_fraction,omitempty"`
 
 	// WallSeconds is the host time the cell took to execute (0 when the
 	// row was served from the runner's cache).
@@ -115,7 +108,5 @@ func (r Row) Fields() []Field {
 		{"peak_queue", strconv.Itoa(r.PeakQueue)},
 		{"cross_fraction", fnum(r.CrossFraction)},
 		{"cross", strconv.FormatInt(r.Cross, 10)},
-		{"parallelism", strconv.Itoa(r.Parallelism)},
-		{"cross_chunk_fraction", fnum(r.CrossChunkFraction)},
 	}
 }

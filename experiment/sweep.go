@@ -64,13 +64,6 @@ type Cell struct {
 	// an offline partition of the full graph); such cells materialize and
 	// report Streamed=false in their row.
 	Streamed bool `json:"streamed,omitempty"`
-	// Parallelism replays a placement cell through parallel placement
-	// epochs with that many workers (see optchain.WithParallelism), so the
-	// decision-quality drift of concurrent placement is swept against the
-	// serial baseline (Parallelism 0 or 1). Placement cells only, and only
-	// for strategies with epoch support — Metis replay and warm starts are
-	// inherently serial and are rejected.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Tag distinguishes otherwise-identical variants in cell IDs.
 	Tag string `json:"tag,omitempty"`
 	// NoCache forces the cell to execute even when an identical cell is
@@ -130,9 +123,6 @@ func (c Cell) id(p Params) string {
 	if c.effectiveStreamed() {
 		b.WriteString("/streamed")
 	}
-	if c.Parallelism > 0 {
-		fmt.Fprintf(&b, "/par%d", c.Parallelism)
-	}
 	if c.Tag != "" {
 		b.WriteString("/tag=")
 		b.WriteString(c.Tag)
@@ -149,7 +139,7 @@ func (c Cell) effectiveStreamed() bool {
 
 // Sweep is a declarative experiment grid: either axis lists expanded as a
 // cross product in canonical order (workloads, strategies, protocols,
-// shards, rates, alphas, weights, parallelisms — outermost first), or an
+// shards, rates, alphas, weights — outermost first), or an
 // explicit Cells list. The zero value of every axis inherits the runner's Params default.
 type Sweep struct {
 	// Name labels the sweep in reports and row identity.
@@ -176,10 +166,6 @@ type Sweep struct {
 	Alphas []float64 `json:"alphas,omitempty"`
 	// L2SWeights is the Temporal Fitness coefficient axis for sim sweeps.
 	L2SWeights []float64 `json:"l2s_weights,omitempty"`
-	// Parallelisms is the epoch worker-count axis for placement sweeps
-	// (0 entries mean serial replay), sweeping concurrent decision drift
-	// against the serial baseline.
-	Parallelisms []int `json:"parallelisms,omitempty"`
 
 	// Txs, Warm, Tag, and Streaming apply to every generated cell (see the
 	// Cell fields of the same names). Streaming additionally defaults to
@@ -219,12 +205,6 @@ func validCell(c Cell, p Params) error {
 	}
 	switch kind {
 	case KindSim:
-		if c.Parallelism != 0 {
-			// The simulation places one transaction per issue event; batch
-			// parallelism has no meaning there (yet), so reject instead of
-			// minting a cell ID that claims an inert parameter.
-			return fmt.Errorf("%w: Parallelism applies to placement cells, not sim cells", ErrBadSweep)
-		}
 		if !registry.HasStrategy(c.Strategy) {
 			return fmt.Errorf("%w: unknown strategy %q (registered: %s)",
 				ErrBadSweep, c.Strategy, strings.Join(registry.Strategies(), ", "))
@@ -259,17 +239,6 @@ func validCell(c Cell, p Params) error {
 		if c.Streamed {
 			return fmt.Errorf("%w: Streamed applies to sim cells; offline placement replays a materialized stream", ErrBadSweep)
 		}
-		if c.Parallelism < 0 {
-			return fmt.Errorf("%w: Parallelism %d: worker count cannot be negative", ErrBadSweep, c.Parallelism)
-		}
-		if c.Parallelism > 1 {
-			if strings.EqualFold(c.Strategy, "Metis") {
-				return fmt.Errorf("%w: Parallelism applies to epoch-capable strategies; Metis replays a fixed partition serially", ErrBadSweep)
-			}
-			if c.Warm > 0 {
-				return fmt.Errorf("%w: Warm and Parallelism are exclusive; the warm-start replay is inherently serial", ErrBadSweep)
-			}
-		}
 	default:
 		return fmt.Errorf("%w: unknown cell kind %q", ErrBadSweep, kind)
 	}
@@ -296,7 +265,7 @@ func (s Sweep) expand(p Params) ([]Cell, error) {
 		switch {
 		case len(s.Strategies) > 0, len(s.Protocols) > 0, len(s.Shards) > 0,
 			len(s.Rates) > 0, len(s.Workloads) > 0, len(s.Alphas) > 0,
-			len(s.L2SWeights) > 0, len(s.Parallelisms) > 0:
+			len(s.L2SWeights) > 0:
 			return nil, fmt.Errorf("%w: sweep %q sets axis fields alongside explicit Cells; put the values on the cells", ErrBadSweep, s.Name)
 		case s.Txs != 0, s.Warm != 0, s.Tag != "", s.Streaming, s.Kind != "":
 			return nil, fmt.Errorf("%w: sweep %q sets cell defaults (Kind/Txs/Warm/Tag/Streaming) alongside explicit Cells; put them on the cells", ErrBadSweep, s.Name)
@@ -345,10 +314,6 @@ func (s Sweep) expand(p Params) ([]Cell, error) {
 		if len(weights) == 0 {
 			weights = []float64{0}
 		}
-		parallelisms := s.Parallelisms
-		if len(parallelisms) == 0 {
-			parallelisms = []int{0}
-		}
 		streaming := s.Streaming || p.Streaming
 		for _, wl := range workloads {
 			for _, strat := range strategies {
@@ -357,24 +322,21 @@ func (s Sweep) expand(p Params) ([]Cell, error) {
 						for _, r := range rates {
 							for _, a := range alphas {
 								for _, w := range weights {
-									for _, par := range parallelisms {
-										cells = append(cells, Cell{
-											Kind:        kind,
-											Strategy:    strat,
-											Protocol:    proto,
-											Shards:      k,
-											Rate:        r,
-											Workload:    wl,
-											Txs:         s.Txs,
-											Warm:        s.Warm,
-											Alpha:       a,
-											L2SWeight:   w,
-											Streamed:    streaming && kind == KindSim,
-											Parallelism: par,
-											Tag:         s.Tag,
-											NoCache:     s.Uncached,
-										})
-									}
+									cells = append(cells, Cell{
+										Kind:      kind,
+										Strategy:  strat,
+										Protocol:  proto,
+										Shards:    k,
+										Rate:      r,
+										Workload:  wl,
+										Txs:       s.Txs,
+										Warm:      s.Warm,
+										Alpha:     a,
+										L2SWeight: w,
+										Streamed:  streaming && kind == KindSim,
+										Tag:       s.Tag,
+										NoCache:   s.Uncached,
+									})
 								}
 							}
 						}

@@ -1,12 +1,11 @@
-// Package analyze is the repository's static-analysis layer: eight custom
+// Package analyze is the repository's static-analysis layer: seven custom
 // analyzers that machine-check the contracts the rest of the codebase only
 // documents — bit-reproducible placement (determinism), allocation-free hot
 // paths (hotpath), mutex discipline on shared engine state (lockcheck), the
 // typed-error surface of the exported API (apierrors), and the
-// concurrency-contract pack: copy-don't-alias worker construction
-// (forkpurity), joined-and-recovered goroutines (spawncheck), caller-context
-// propagation (ctxcheck), and all-or-nothing sync/atomic field access
-// (atomiccheck).
+// concurrency-contract pack: joined-and-recovered goroutines (spawncheck),
+// caller-context propagation (ctxcheck), and all-or-nothing sync/atomic
+// field access (atomiccheck).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, diagnostics, an analysistest-style corpus runner) but is
@@ -25,8 +24,6 @@
 //	                        amortized growth)
 //	//optchain:fatal        deliberate panic in exported API: an invariant
 //	                        guard for programmer error, never user input
-//	//optchain:fork         constructor builds per-worker state and must obey
-//	                        forkpurity's copy-don't-alias contract
 //	//optchain:detached     this goroutine is deliberately fire-and-forget
 //	//optchain:background   this context.Background() is a documented root,
 //	                        not a severed caller context
@@ -138,7 +135,6 @@ func Verbs() []string {
 		"background",
 		"detached",
 		"fatal",
-		"fork",
 		"hotpath",
 		"locked",
 		"unordered",
@@ -153,7 +149,7 @@ var markerRe = regexp.MustCompile(`optchain:([a-z-]+)`)
 // guardedRe extracts the mutex path from a "guarded by <mu>" field comment.
 // The path may be dotted ("guarded by parent.mu"): a field of this struct
 // followed by field selections, for state guarded by an owning struct's
-// mutex (the engine/worker shape parallel placement uses).
+// mutex.
 var guardedRe = regexp.MustCompile(`guarded by (\w+(?:\.\w+)*)`)
 
 // Annotations indexes the marker comments of a package by file line, so

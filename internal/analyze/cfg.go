@@ -8,7 +8,7 @@ package analyze
 // just constructed" exemption — a freshly built struct is not yet visible to
 // other goroutines, so its guarded/atomic fields may be touched bare. Both
 // pieces were extracted from lockcheck when the concurrency-contract pack
-// (forkpurity, spawncheck, ctxcheck, atomiccheck) arrived.
+// (spawncheck, ctxcheck, atomiccheck) arrived.
 
 import (
 	"go/ast"

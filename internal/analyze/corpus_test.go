@@ -91,7 +91,6 @@ func TestDeterminismCorpus(t *testing.T) { runCorpus(t, Determinism, "determinis
 func TestHotpathCorpus(t *testing.T)     { runCorpus(t, Hotpath, "hotpath") }
 func TestLockcheckCorpus(t *testing.T)   { runCorpus(t, Lockcheck, "lockcheck") }
 func TestAPIErrorsCorpus(t *testing.T)   { runCorpus(t, APIErrors, "apierrors") }
-func TestForkpurityCorpus(t *testing.T)  { runCorpus(t, Forkpurity, "forkpurity") }
 func TestSpawncheckCorpus(t *testing.T)  { runCorpus(t, Spawncheck, "spawncheck") }
 func TestCtxcheckCorpus(t *testing.T)    { runCorpus(t, Ctxcheck, "ctxcheck") }
 func TestAtomiccheckCorpus(t *testing.T) { runCorpus(t, Atomiccheck, "atomiccheck") }

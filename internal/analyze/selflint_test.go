@@ -61,11 +61,9 @@ func TestPolicyRouting(t *testing.T) {
 		{"optchain/serve", "lockcheck", true},
 		// The concurrency-contract pack routes everywhere; spawncheck and
 		// ctxcheck additionally no-op inside package main at run time.
-		{"optchain", "forkpurity", true},
 		{"optchain", "spawncheck", true},
 		{"optchain", "ctxcheck", true},
 		{"optchain", "atomiccheck", true},
-		{"optchain/internal/placement", "forkpurity", true},
 		{"optchain/internal/bench", "ctxcheck", true},
 		{"optchain/cmd/optchain-bench", "spawncheck", true},
 		{"optchain/internal/analyze", "atomiccheck", true},

@@ -10,7 +10,8 @@ import (
 // paired with an Add in the spawning function, or a result delivered over a
 // channel (send or close) — and its body must recover panics so they can be
 // re-raised on the joining goroutine instead of crashing the process from a
-// worker (the placement.Fan runChunk pattern). Documented fire-and-forget
+// worker (the pattern of the serve dispatcher and experiment.Runner.Stream's
+// cell workers). Documented fire-and-forget
 // goroutines carry //optchain:detached with a justification and are exempt,
 // as is package main, where process lifetime is the join.
 //
@@ -81,7 +82,7 @@ func checkSpawn(pass *Pass, decls map[types.Object]*ast.FuncDecl, encl *ast.Func
 		pass.Reportf(g.Pos(), "%s calls Done in a spawned goroutine but never Add before spawning; Add must precede the spawn on the joining side", name)
 	}
 	if !hasRecover(pass, body) {
-		pass.Reportf(g.Pos(), "%s spawns a goroutine that does not recover panics; capture them and re-raise on the joining goroutine (see placement.Fan), or annotate //optchain:detached with a justification", name)
+		pass.Reportf(g.Pos(), "%s spawns a goroutine that does not recover panics; capture them and re-raise on the joining goroutine (see experiment.Runner.Stream), or annotate //optchain:detached with a justification", name)
 	}
 }
 

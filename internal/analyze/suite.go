@@ -7,7 +7,6 @@ func All() []*Analyzer {
 		Atomiccheck,
 		Ctxcheck,
 		Determinism,
-		Forkpurity,
 		Hotpath,
 		Lockcheck,
 		Spawncheck,
@@ -52,7 +51,7 @@ func inList(path string, list []string) bool {
 
 // For selects which analyzers apply to a package. Annotation- and
 // structure-driven checks (hotpath, lockcheck, and the concurrency-contract
-// pack: forkpurity, spawncheck, ctxcheck, atomiccheck) run everywhere — they
+// pack: spawncheck, ctxcheck, atomiccheck) run everywhere — they
 // fire only on annotated or structurally implicated code, and spawncheck and
 // ctxcheck exempt package main themselves — while the policy gates
 // determinism to decision packages and apierrors to the public surface.

@@ -11,8 +11,8 @@ type task struct {
 	panicked any
 }
 
-// runTask is the joined, panic-safe named-function worker (the
-// placement.Fan runChunk pattern).
+// runTask is the joined, panic-safe named-function worker (the pattern of
+// experiment.Runner.Stream's cell workers, as a named function).
 func runTask(t *task) {
 	defer func() {
 		t.panicked = recover()

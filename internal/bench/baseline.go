@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"io"
-	"runtime"
 	"testing"
 
 	"optchain/experiment"
@@ -218,15 +217,7 @@ func collectBaselineInto(ctx context.Context, h *Harness, rep *experiment.Baseli
 	if err != nil {
 		return err
 	}
-	parRows, parItem, err := collectParallel(h)
-	if err != nil {
-		return err
-	}
-	rep.SetMicro(append(micro, parItem))
-	rep.SetParallel(parRows)
-	if runtime.GOMAXPROCS(0) == 1 {
-		rep.SetParallelNote(SingleCoreNote)
-	}
+	rep.SetMicro(micro)
 	simSweep := BaselineSimSweep(h.Params())
 	if err := rep.Begin(simSweep, h.Params()); err != nil {
 		return err

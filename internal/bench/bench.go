@@ -258,7 +258,6 @@ func init() {
 		{"table1", TableISweep},
 		{"table2", TableIISweep},
 		{"alpha", AlphaSweep},
-		{"parallel-quality", ParallelQualitySweep},
 		{"quality", QualitySweep},
 		{"weight", WeightSweep},
 		{"backend", BackendSweep},

@@ -101,7 +101,7 @@ func TestBaselineHasScenarioSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Schema != BaselineSchema || !strings.HasSuffix(b.Schema, "/v5") {
+	if b.Schema != BaselineSchema || !strings.HasSuffix(b.Schema, "/v6") {
 		t.Fatalf("schema = %q", b.Schema)
 	}
 	if b.Reporter != experiment.BaselineReporterName {
@@ -117,35 +117,6 @@ func TestBaselineHasScenarioSection(t *testing.T) {
 		if c.CellID == "" || !strings.Contains(c.CellID, "streamed") {
 			t.Fatalf("scenario cell missing stable cell id: %+v", c)
 		}
-	}
-	// v5: the Parallel scaling section, with the workers=1 anchor row and
-	// speedups expressed relative to it, plus the parallel_place micro row
-	// at the host's GOMAXPROCS width.
-	if len(b.Parallel) < 4 {
-		t.Fatalf("parallel section rows = %d", len(b.Parallel))
-	}
-	if b.Parallel[0].Workers != 1 || b.Parallel[0].Speedup != 1 {
-		t.Fatalf("parallel anchor row: %+v", b.Parallel[0])
-	}
-	for _, row := range b.Parallel {
-		if row.TxsPerSec <= 0 || row.Speedup <= 0 {
-			t.Fatalf("degenerate parallel row: %+v", row)
-		}
-		if row.Workers < 2 && (row.QualityDelta != 0 || row.CrossChunkFraction != 0) {
-			t.Fatalf("serial-equivalent row reports drift: %+v", row)
-		}
-		if row.Workers >= 2 && row.CrossChunkFraction <= 0 {
-			t.Fatalf("concurrent row reports no drift source: %+v", row)
-		}
-	}
-	var foundParallelMicro bool
-	for _, m := range b.Micro {
-		if m.Name == "parallel_place" {
-			foundParallelMicro = m.NsPerOp > 0 && m.Unit == "tx"
-		}
-	}
-	if !foundParallelMicro {
-		t.Fatal("micro section missing parallel_place row")
 	}
 	// v3: every Sim-section row records the workload spec driving it.
 	// v4: it additionally carries the stable cell ID.

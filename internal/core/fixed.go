@@ -9,8 +9,7 @@ import "math/bits"
 // exact. Fixed point buys the hot path two things floating point cannot:
 //
 //   - Accumulation is exact integer addition, so merge order never changes
-//     the result — the property the parallel epoch reconciliation (epoch.go)
-//     relies on to keep worker-local and serial accumulation bit-identical.
+//     the result.
 //   - The per-entry divide by |Nout(v)| becomes a multiply by a per-input
 //     64-bit reciprocal (one integer division per *input*, one widening
 //     multiply per *entry*), removing the fdiv from the innermost loop.

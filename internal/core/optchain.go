@@ -25,9 +25,8 @@ const (
 // bound as Greedy. Ties (including all coinbase transactions, whose score
 // vector is empty) go to the least-loaded eligible shard.
 type T2SPlacer struct {
-	idx     *T2SIndex
-	cap     int64
-	workers []*t2sPlacerWorker // epoch worker cache (epoch.go)
+	idx *T2SIndex
+	cap int64
 }
 
 // NewT2SPlacer creates a T2S-based placer over k shards for an expected
@@ -42,9 +41,7 @@ func NewT2SPlacer(k, n int, alpha, eps float64) *T2SPlacer {
 
 // selectShard is the capacity-bounded argmax fused with the least-loaded
 // fallback in one pass over the shard tallies, so a fully saturated stream
-// costs no second traversal. Shared by the serial path (live tallies) and
-// the epoch workers (chunk-local tallies) so both make identical decisions
-// from identical state.
+// costs no second traversal.
 //
 //optchain:hotpath one call per stream transaction.
 func (p *T2SPlacer) selectShard(scores []float64, counts []int64) int {
@@ -106,8 +103,7 @@ type OptChainPlacer struct {
 	// of p'(u) alone. shardBuf and latBuf serve only the other models.
 	uniform  bool
 	shardBuf []int
-	latBuf   []float64         // reusable E(j) buffer, one slot per shard
-	workers  []*optChainWorker // epoch worker cache (epoch.go)
+	latBuf   []float64 // reusable E(j) buffer, one slot per shard
 }
 
 // OptChainConfig parameterizes NewOptChain. Zero fields take the paper's
@@ -179,9 +175,8 @@ func NewOptChain(cfg OptChainConfig) *OptChainPlacer {
 // argmax as one pass over the shard tallies, seeded with shard 0 so the
 // loop body carries no best==-1 branch and never re-reads counts for the
 // incumbent. It runs under every model that can tell shards apart — the
-// simulator's live L2S, WithTelemetry — and in the epoch workers; a placer
-// without telemetry decides through selectSupport, and the differential
-// tests hold the two equal.
+// simulator's live L2S, WithTelemetry; a placer without telemetry decides
+// through selectSupport, and the differential tests hold the two equal.
 //
 //optchain:hotpath one call per stream transaction.
 func (p *OptChainPlacer) selectShard(scores []float64, counts []int64, inputShards []int, lat []float64) int {

@@ -172,7 +172,8 @@ func (m *sortMerge) finish(scaleQ uint64) (pendS []uint16, pendV []uint64) {
 
 // The bitmask merge at and around the word boundaries: same pending vector
 // as the sort-based merge, merge after merge on one tally, with the scratch
-// handed back clean each time.
+// handed back clean each time. A round with one input also goes through
+// the one-input path, which must produce the same vector without merging.
 func TestBitmaskMergeMatchesSortMerge(t *testing.T) {
 	for _, k := range []int{1, 63, 64, 65, 100, 4096} {
 		rng := rand.New(rand.NewSource(int64(k)))
@@ -181,10 +182,13 @@ func TestBitmaskMergeMatchesSortMerge(t *testing.T) {
 		if want := (k + 63) / 64; len(tally.touched) != want {
 			t.Fatalf("k=%d: %d mask words, want %d", k, len(tally.touched), want)
 		}
+		var one t2sTally
+		one.init(k)
 		ref := sortMerge{merge: make([]uint64, k), inUse: make([]bool, k)}
 		scaleQ := qOne / 2
 		for round := 0; round < 300; round++ {
-			for in := rng.Intn(6); in >= 0; in-- {
+			inputs := rng.Intn(6) + 1
+			for in := inputs - 1; in >= 0; in-- {
 				// One input vector: distinct shards, ascending as the slab
 				// holds them, the edges of every word among them.
 				var shards []uint16
@@ -205,12 +209,18 @@ func TestBitmaskMergeMatchesSortMerge(t *testing.T) {
 				div := int64(rng.Intn(40)) // 0 and 1 add directly; both sides of the reciprocal table
 				tally.accumulate(shards, vals, div)
 				ref.accumulate(shards, vals, div)
+				if inputs == 1 {
+					one.single(int32(round), shards, vals, div, scaleQ)
+				}
 			}
 			tally.finish(int32(round), scaleQ)
 			tally.hasPending = false
 			wantS, wantV := ref.finish(scaleQ)
 			if !slices.Equal(tally.pendS, wantS) || !slices.Equal(tally.pendV, wantV) {
 				t.Fatalf("k=%d round %d: bitmask merge %v %v, sort merge %v %v", k, round, tally.pendS, tally.pendV, wantS, wantV)
+			}
+			if inputs == 1 && (!slices.Equal(one.pendS, wantS) || !slices.Equal(one.pendV, wantV)) {
+				t.Fatalf("k=%d round %d: one-input path %v %v, merge %v %v", k, round, one.pendS, one.pendV, wantS, wantV)
 			}
 			if i := slices.IndexFunc(tally.merge, func(v uint64) bool { return v != 0 }); i >= 0 {
 				t.Fatalf("k=%d round %d: merge[%d] = %d left behind", k, round, i, tally.merge[i])

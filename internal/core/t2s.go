@@ -17,10 +17,8 @@ import (
 // t2sTally is the dense-accumulation scratch state behind Prepare: the merge
 // buffer collecting Σ p'(v)/|Nout(v)|, the set of shards it touched, the
 // pending sparse vector held between Prepare and Commit, and the dense float
-// score output. It is factored out of T2SIndex so the parallel epoch workers
-// (epoch.go) run the exact same arithmetic over their chunk-local state —
-// bit-identical accumulation is what makes parallelism=1 indistinguishable
-// from the serial path.
+// score output. It holds no per-transaction state, so the merge can be
+// tested on its own.
 type t2sTally struct {
 	merge   []uint64 // dense Q32.32 accumulation buffer, all zero between merges
 	touched []uint64 // bit s of word s/64: shard s took mass in the current merge
@@ -140,8 +138,7 @@ func (t *t2sTally) dense(counts []int64, normalize bool) []float64 {
 // seal turns the pending p'(u) into the vector Commit stores: it splices
 // the α restart mass for the chosen shard into the sorted pending columns,
 // applies relative truncation, and returns the result, which lives in the
-// pending buffers until the next Prepare. Shared by the serial Commit and
-// the epoch workers' chunk-local commits.
+// pending buffers until the next Prepare.
 //
 //optchain:hotpath one call per stream transaction; the pending buffers reach k+1 entries once.
 func (t *t2sTally) seal(shard uint16, alphaQ, truncQ uint64) ([]uint16, []uint64) {
@@ -242,9 +239,9 @@ type T2SIndex struct {
 	// immediately discounts wide fan-out transactions (batch payouts)
 	// whose thousands of recipients should not all follow the payer's
 	// shard. When nil, the divisor is the number of distinct spenders seen
-	// so far (including the one being scored). The serial path reads it
-	// once per node, when the node is committed, and keeps the count in the
-	// node record (t2sNode.outs); epoch workers ask it at every spend.
+	// so far (including the one being scored). It is read once per node,
+	// when the node is committed, and the count kept in the node record
+	// (t2sNode.outs).
 	outCounts func(txgraph.Node) int
 
 	// The arena: chunk c backs slab offsets [c<<chunkBits, (c+1)<<chunkBits)
@@ -269,10 +266,6 @@ type T2SIndex struct {
 	retiredTxs, retiredRefs int64
 
 	tally t2sTally
-
-	// workers caches the epoch workers created by forkWorker so repeated
-	// parallel batches reuse their chunk-local arenas (epoch.go).
-	workers []*t2sWorker
 }
 
 // t2sNode is what the index holds per transaction: where p'(v) is, how many
@@ -424,10 +417,10 @@ func (t *T2SIndex) retire(nd *t2sNode) {
 }
 
 // addSpenders folds d more spenders of v into its degree in one step, as
-// the epoch join and the snapshot restore do: v is retired if that spends
-// its last output, and spenders past the last output are counted as
-// Prepare counts them, so liveness and the counters are functions of the
-// degrees and output counts alone.
+// the snapshot restore does: v is retired if that spends its last output,
+// and spenders past the last output are counted as Prepare counts them, so
+// liveness and the counters are functions of the degrees and output counts
+// alone.
 func (t *T2SIndex) addSpenders(v txgraph.Node, d int32) {
 	nd := &t.nodes[v]
 	before := nd.deg
@@ -446,10 +439,10 @@ func (t *T2SIndex) addSpenders(v txgraph.Node, d int32) {
 // extend makes room for the next node's vector of n entries and returns the
 // columns to fill: the most recently retired slot of that length when there
 // is one, else the current chunk, or the next one when n entries do not fit
-// what is left of it. It appends the node's record. Commit, the epoch join
-// and the snapshot restore all add vectors through here, so there is one
-// layout. It fails, changing nothing, when the vector would end past the
-// offsets a record can store.
+// what is left of it. It appends the node's record. Commit and the snapshot
+// restore both add vectors through here, so there is one layout. It fails,
+// changing nothing, when the vector would end past the offsets a record can
+// store.
 //
 //optchain:hotpath one call per stream transaction; a chunk is allocated once per 1<<chunkBits entries.
 func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {

@@ -85,8 +85,7 @@ func (a *Assignment) Count(s int) int64 { return a.counts[s] }
 
 // CountsView returns the live per-shard tally backing the assignment. The
 // returned slice is owned by the Assignment: callers must treat it as
-// read-only and must not hold it across Place calls that could be
-// concurrent. It exists so per-transaction argmax scans avoid k accessor
+// read-only. It exists so per-transaction argmax scans avoid k accessor
 // calls (and their bounds checks) on the placement hot path.
 func (a *Assignment) CountsView() []int64 { return a.counts }
 
@@ -182,8 +181,7 @@ func (c *CrossCounter) Fraction() float64 {
 
 // Random is OmniLedger's default placement: shard = hash(txid) mod k.
 type Random struct {
-	a       *Assignment
-	workers []*randomWorker // epoch worker cache (parallel.go)
+	a *Assignment
 }
 
 // NewRandom returns a hash-based random placer for k shards and n expected
@@ -216,8 +214,7 @@ func (r *Random) Name() string { return "OmniLedger" }
 type Greedy struct {
 	a        *Assignment
 	cap      int64
-	coverage []int           // reusable per-Place input-coverage tally
-	workers  []*greedyWorker // epoch worker cache (parallel.go)
+	coverage []int // reusable per-Place input-coverage tally
 }
 
 // NewGreedy returns a greedy placer for k shards over an expected stream of

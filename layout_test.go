@@ -26,69 +26,53 @@ func t2sIndex(t *testing.T, e *Engine) *core.T2SIndex {
 // TestPlacementFingerprint pins what a change to how placer state is laid
 // out or forgotten must not move: every decision, the cross-shard count and
 // the number of slab entries ever committed, on the benchmark's three
-// stream shapes, for both T2S-backed strategies, serial and through
-// two-worker epochs. Those values were recorded at the commit before the
-// index went to end offsets, 2-byte shard ids and a chunked slab;
-// placement is deterministic, so any difference is a behaviour change, not
-// noise. held= is what the index still holds of those entries now that a
-// transaction is retired when its last declared output is spent (serially
-// by the spender, under epochs at the join): forgetting is exact on these
-// streams, so it moved nothing else.
+// stream shapes, for both T2S-backed strategies. Those values were recorded
+// at the commit before the index went to end offsets, 2-byte shard ids and
+// a chunked slab; placement is deterministic, so any difference is a
+// behaviour change, not noise. held= is what the index still holds of those
+// entries now that a transaction is retired when its last declared output
+// is spent: forgetting is exact on these streams, so it moved nothing else.
 func TestPlacementFingerprint(t *testing.T) {
 	if testing.Short() {
-		t.Skip("12 placement passes of 200k transactions")
+		t.Skip("6 placement passes of 200k transactions")
 	}
 	const txs, shards = 200_000, 16
 	want := map[string]string{
-		"bitcoin/OptChain/0": "0xc60cb6482dd76c03 cross=13688 slab=310576 held=74983",
-		"bitcoin/OptChain/2": "0x52ae264bfd33d8b6 cross=74819 slab=746282 held=182222",
-		"bitcoin/T2S/0":      "0xf8f94be27a496985 cross=30296 slab=584284 held=145530",
-		"bitcoin/T2S/2":      "0x5d5321aff0613660 cross=74753 slab=746514 held=182533",
-		"hotspot/OptChain/0": "0xe5fc7f2249a0f1fa cross=10582 slab=511278 held=109879",
-		"hotspot/OptChain/2": "0x473eded261187c4b cross=45152 slab=1005663 held=215533",
-		"hotspot/T2S/0":      "0xecf876d1070986aa cross=92758 slab=2208402 held=468918",
-		"hotspot/T2S/2":      "0x8e52c2fbbc668d0c cross=103500 slab=1778586 held=387206",
-		"mix-ids/OptChain/0": "0x664d4d853b87bf6 cross=41962 slab=513200 held=89617",
-		"mix-ids/OptChain/2": "0xd1defe19f95828f5 cross=92221 slab=854361 held=183843",
-		"mix-ids/T2S/0":      "0x4d7436f181105547 cross=64399 slab=786609 held=174458",
-		"mix-ids/T2S/2":      "0xa235ae5ed46eafe6 cross=98583 slab=913148 held=200968",
+		"bitcoin/OptChain": "0xc60cb6482dd76c03 cross=13688 slab=310576 held=74983",
+		"bitcoin/T2S":      "0xf8f94be27a496985 cross=30296 slab=584284 held=145530",
+		"hotspot/OptChain": "0xe5fc7f2249a0f1fa cross=10582 slab=511278 held=109879",
+		"hotspot/T2S":      "0xecf876d1070986aa cross=92758 slab=2208402 held=468918",
+		"mix-ids/OptChain": "0x664d4d853b87bf6 cross=41962 slab=513200 held=89617",
+		"mix-ids/T2S":      "0x4d7436f181105547 cross=64399 slab=786609 held=174458",
 	}
 	for _, w := range []struct{ name, spec string }{
 		{"bitcoin", "bitcoin"}, {"hotspot", "hotspot"}, {"mix-ids", mixIDsSpec},
 	} {
 		for _, strategy := range []string{"OptChain", "T2S"} {
-			for _, workers := range []int{0, 2} {
-				id := fmt.Sprintf("%s/%s/%d", w.name, strategy, workers)
-				opts := []Option{
-					WithShards(shards), WithStrategy(strategy), WithSeed(3),
-					WithWorkload(w.spec, nil), WithStreamCapacity(txs),
-				}
-				if workers > 0 {
-					opts = append(opts, WithParallelism(workers))
-				}
-				e, err := New(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := e.PlaceWorkload(txs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Placed != txs {
-					t.Fatalf("%s: placed %d of %d", id, st.Placed, txs)
-				}
-				h := fnv.New64a()
-				asn := e.Assignment()
-				var b [4]byte
-				for i := 0; i < txs; i++ {
-					binary.LittleEndian.PutUint32(b[:], uint32(asn.ShardOf(Node(i))))
-					h.Write(b[:])
-				}
-				idx := t2sIndex(t, e)
-				got := fmt.Sprintf("%#x cross=%d slab=%d held=%d", h.Sum64(), st.Cross, idx.Committed(), idx.SlabLen())
-				if got != want[id] {
-					t.Errorf("%s: got %s, want %s", id, got, want[id])
-				}
+			id := w.name + "/" + strategy
+			e, err := New(WithShards(shards), WithStrategy(strategy), WithSeed(3),
+				WithWorkload(w.spec, nil), WithStreamCapacity(txs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := e.PlaceWorkload(txs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Placed != txs {
+				t.Fatalf("%s: placed %d of %d", id, st.Placed, txs)
+			}
+			h := fnv.New64a()
+			asn := e.Assignment()
+			var b [4]byte
+			for i := 0; i < txs; i++ {
+				binary.LittleEndian.PutUint32(b[:], uint32(asn.ShardOf(Node(i))))
+				h.Write(b[:])
+			}
+			idx := t2sIndex(t, e)
+			got := fmt.Sprintf("%#x cross=%d slab=%d held=%d", h.Sum64(), st.Cross, idx.Committed(), idx.SlabLen())
+			if got != want[id] {
+				t.Errorf("%s: got %s, want %s", id, got, want[id])
 			}
 		}
 	}

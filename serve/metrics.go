@@ -164,12 +164,6 @@ func (m *metrics) writeTo(w io.Writer, eng *optchain.Engine, queueDepth, queueCa
 	for shard, n := range st.ShardCounts {
 		line("optchain_engine_shard_txs{shard=\"%d\"} %d\n", shard, n)
 	}
-	line("# HELP optchain_engine_parallel_input_refs_total Input references seen by parallel placement epochs.\n")
-	line("# TYPE optchain_engine_parallel_input_refs_total counter\n")
-	line("optchain_engine_parallel_input_refs_total %d\n", st.ParallelInputRefs)
-	line("# HELP optchain_engine_cross_chunk_refs_total Parallel input references that crossed concurrent chunks.\n")
-	line("# TYPE optchain_engine_cross_chunk_refs_total counter\n")
-	line("optchain_engine_cross_chunk_refs_total %d\n", st.CrossChunkRefs)
 	line("# HELP optchain_engine_slab_entries Sparse score-vector entries the T2S index holds now, for transactions with an unspent output.\n")
 	line("# TYPE optchain_engine_slab_entries gauge\n")
 	line("optchain_engine_slab_entries %d\n", st.SlabEntries)

@@ -666,7 +666,7 @@ func (s *Server) Close(ctx context.Context) error {
 	p := s.panicked
 	s.mu.Unlock()
 	if p != nil {
-		panic(p) //optchain:fatal re-raise a dispatcher panic on the joining goroutine (placement.Fan contract)
+		panic(p) //optchain:fatal re-raise a dispatcher panic on the joining goroutine (as experiment.Runner.Stream re-raises a cell's)
 	}
 	if s.cfg.StatePath != "" {
 		s.own.Lock()

@@ -34,7 +34,7 @@ var (
 //	magic "OPTCHSNP", version (2)
 //	fingerprint: len(strategy), strategy (lower case), shards, alpha bits,
 //	    L2S weight bits, exactL2S (1 B), capacity hint
-//	placed, cross total, cross count, epoch placed / input refs / cross-chunk refs
+//	placed, cross total, cross count, three reserved counters (written 0)
 //	output counts         4 B per transaction
 //	strategy state: shard of each transaction, 2 B each; then for T2S and
 //	    OptChain the index columns (see internal/core/state.go): span
@@ -47,7 +47,9 @@ var (
 // staging buffer, so a snapshot costs no memory proportional to the state.
 // A stream written before transactions were retired carries every vector;
 // it is read all the same, and the restore drops the vectors of
-// transactions whose outputs are all spent.
+// transactions whose outputs are all spent. The reserved counters held
+// parallel-placement statistics when the engine had parallel placement;
+// they are read and discarded.
 // Version 1 (4-byte shard ids and span lengths) is not read: a v1 stream
 // fails with ErrBadSnapshot naming the version, and its owner starts cold
 // or places the stream again.
@@ -97,9 +99,7 @@ func (e *Engine) snapshotPlanLocked() (snap placement.Snapshotter, head []byte, 
 	head = binary.AppendUvarint(head, uint64(e.placed))
 	head = binary.AppendUvarint(head, uint64(e.cross.Total))
 	head = binary.AppendUvarint(head, uint64(e.cross.Cross))
-	head = binary.AppendUvarint(head, uint64(e.epoch.Placed))
-	head = binary.AppendUvarint(head, uint64(e.epoch.InputRefs))
-	head = binary.AppendUvarint(head, uint64(e.epoch.CrossChunkRefs))
+	head = append(head, 0, 0, 0) // the reserved counters
 	size = int64(len(head)) + placement.ColumnSize(len(e.outs), 4) + snap.StateSize() + 4
 	if size > snapMaxBytes {
 		return nil, nil, 0, fmt.Errorf("%w: the state takes %d bytes, more than the %d a snapshot may", ErrBadSnapshot, size, snapMaxBytes)
@@ -120,10 +120,10 @@ func (e *Engine) SnapshotSize() (int64, error) {
 // WriteSnapshot serializes the engine's complete streaming-placement state
 // — the strategy's decision state (for OptChain/T2S the slab-backed p'(v)
 // index and the shard assignment), the per-transaction output counts, and
-// the cross-shard and parallel-epoch counters — as one versioned,
-// checksummed binary stream. A restored engine (see ReadSnapshot) makes
-// bit-identical decisions on the rest of the stream, so a placement router
-// can restart without replaying history.
+// the cross-shard counters — as one versioned, checksummed binary stream.
+// A restored engine (see ReadSnapshot) makes bit-identical decisions on the
+// rest of the stream, so a placement router can restart without replaying
+// history.
 //
 // The engine may have in-flight Place/PlaceBatch callers — the snapshot is
 // taken under the engine lock at a batch boundary — but must not be inside
@@ -219,9 +219,9 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 	placed := sr.Uvarint()
 	crossTotal := sr.Uvarint()
 	crossCross := sr.Uvarint()
-	epPlaced := sr.Uvarint()
-	epInputs := sr.Uvarint()
-	epCross := sr.Uvarint()
+	for range 3 { // the reserved counters
+		sr.Uvarint()
+	}
 	outs := sr.Column(4)
 	if err := sr.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
@@ -295,8 +295,6 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 	}
 	e.placed = int(placed)
 	e.cross = placement.CrossCounter{Total: int64(crossTotal), Cross: int64(crossCross)}
-	e.epoch = placement.EpochStats{Placed: int64(epPlaced), InputRefs: int64(epInputs), CrossChunkRefs: int64(epCross)}
-	e.fan = nil
 	e.refreshStreamSnapshotLocked()
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"hash/fnv"
 	"os"
 	"testing"
 
@@ -96,6 +97,58 @@ func TestAllLiveSnapshotLoadsAndSheds(t *testing.T) {
 	}
 }
 
+// parallelSnapshot is the bitcoin stream's first 300 transactions as an
+// engine placing them through two-worker epochs in batches of 64 wrote
+// them, before parallel placement was removed: format 2, with the three
+// header counters that engine kept non-zero. Restored into a serial engine
+// at that commit, it placed the next 1,000 transactions of the same stream
+// into parallelSnapshotNext, with parallelSnapshotCross cross-shard
+// transactions in all.
+const (
+	parallelSnapshot      = "testdata/snapshot_pr24_parallel_bitcoin_300.bin"
+	parallelSnapshotNext  = 0x7841e87ff4bc380b // FNV-64a of the 1,000 shards, 4 bytes each, little-endian
+	parallelSnapshotCross = 311
+)
+
+// TestParallelSnapshotLoads: a snapshot whose reserved header counters are
+// not zero loads, and the engine goes on deciding as the engine that
+// restored it when those counters still meant something.
+func TestParallelSnapshotLoads(t *testing.T) {
+	old, err := os.ReadFile(parallelSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := optchain.MaterializeWorkload("bitcoin", optchain.WorkloadParams{N: 1300, Seed: 1, Shards: fuzzShards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txs []optchain.StreamTx
+	for tx := range optchain.DatasetStream(d) {
+		txs = append(txs, tx)
+	}
+	e := fuzzEngine(t)
+	if err := e.ReadSnapshot(bytes.NewReader(old)); err != nil {
+		t.Fatal(err)
+	}
+	if placed := e.Stats().Placed; placed != 300 {
+		t.Fatalf("restored %d placements, want 300", placed)
+	}
+	got, err := e.PlaceBatch(txs[300:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [4]byte
+	for _, s := range got {
+		binary.LittleEndian.PutUint32(b[:], uint32(s))
+		h.Write(b[:])
+	}
+	if sum, cross := h.Sum64(), e.Stats().Cross; sum != parallelSnapshotNext || cross != parallelSnapshotCross {
+		t.Fatalf("the next %d decisions hash to %#x with %d cross-shard in all, want %#x and %d",
+			len(got), sum, cross, uint64(parallelSnapshotNext), parallelSnapshotCross)
+	}
+}
+
 // FuzzReadSnapshot feeds ReadSnapshot arbitrary bytes, as given and with
 // the trailing checksum recomputed so that mutations reach the column
 // decoders. A stream is either refused with ErrBadSnapshot or restores an
@@ -139,6 +192,11 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	f.Add(empty.Bytes())
 	f.Add([]byte("OPTCHSNP"))
+	parallel, err := os.ReadFile(parallelSnapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parallel)
 
 	check := func(t *testing.T, data []byte) {
 		e := fuzzEngine(t)

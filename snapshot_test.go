@@ -107,15 +107,16 @@ func TestSnapshotRoundTripDecisionFidelity(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripParallel proves fidelity holds through the parallel
-// epoch path too, as long as both runs use the same batch boundaries.
+// TestSnapshotRoundTripParallel proves fidelity holds for engines built
+// with WithParallelism too: the snapshot a 2-worker engine writes restores
+// into another and continues with the uninterrupted run's decisions.
 func TestSnapshotRoundTripParallel(t *testing.T) {
 	const n = 2000
 	txs := snapshotStream(t, n, 8)
 	half := n / 2
-	par := []optchain.Option{optchain.WithParallelism(2), optchain.WithBatchSize(256)}
+	par := optchain.WithParallelism(2)
 
-	a := snapshotEngine(t, "OptChain", n, par...)
+	a := snapshotEngine(t, "OptChain", n, par)
 	if _, err := a.PlaceBatch(txs[:half], nil); err != nil {
 		t.Fatalf("A first half: %v", err)
 	}
@@ -124,7 +125,7 @@ func TestSnapshotRoundTripParallel(t *testing.T) {
 		t.Fatalf("A second half: %v", err)
 	}
 
-	b := snapshotEngine(t, "OptChain", n, par...)
+	b := snapshotEngine(t, "OptChain", n, par)
 	if _, err := b.PlaceBatch(txs[:half], nil); err != nil {
 		t.Fatalf("B first half: %v", err)
 	}
@@ -132,7 +133,7 @@ func TestSnapshotRoundTripParallel(t *testing.T) {
 	if err := b.WriteSnapshot(&snap); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	c := snapshotEngine(t, "OptChain", n, par...)
+	c := snapshotEngine(t, "OptChain", n, par)
 	if err := c.ReadSnapshot(&snap); err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
@@ -142,12 +143,11 @@ func TestSnapshotRoundTripParallel(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("parallel restore diverges at %d: %d vs %d", half+i, got[i], want[i])
+			t.Fatalf("restore diverges at %d: %d vs %d", half+i, got[i], want[i])
 		}
 	}
-	if as, cs := a.Stats(), c.Stats(); as.ParallelInputRefs != cs.ParallelInputRefs ||
-		as.CrossChunkRefs != cs.CrossChunkRefs {
-		t.Fatalf("epoch counters diverge: %+v vs %+v", as, cs)
+	if as, cs := a.Stats(), c.Stats(); as.Placed != cs.Placed || as.Cross != cs.Cross {
+		t.Fatalf("final stats diverge: uninterrupted %+v, restored %+v", as, cs)
 	}
 }
 
