@@ -86,9 +86,10 @@ scenario-smoke:
 # reject arbitrary bytes with ErrBadCache, never panic) and the gateway's
 # line codec against its oracle (the request scanner takes a line only as
 # json.Unmarshal would, the response encoder writes json.Encoder's bytes),
-# and the two state decoders (an engine snapshot or a gateway state file is
+# the two state decoders (an engine snapshot or a gateway state file is
 # refused with its typed error or restores a working engine; the seeds are
-# kilobytes long, so minimising every new input would eat the whole pass).
+# kilobytes long, so minimising every new input would eat the whole pass),
+# and the generators' log-uniform age draw against math.Pow bit for bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzDiffRows -fuzztime 10s ./experiment
@@ -96,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzResponseLine -fuzztime 10s ./serve
 	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 10s -fuzzminimizetime 0 .
 	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s -fuzzminimizetime 0 ./serve
+	$(GO) test -run '^$$' -fuzz FuzzLogUniformAge -fuzztime 10s ./internal/stats
 
 # Tiny 2x2 streaming sweep through the JSONL reporter, validated with the
 # sweepcheck checker: the experiment layer's data path (streamed cells,

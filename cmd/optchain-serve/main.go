@@ -48,7 +48,7 @@ func run() error {
 		strategy   = flag.String("strategy", "OptChain", "placement strategy (OptChain, T2S, Greedy, OmniLedger)")
 		alpha      = flag.Float64("alpha", 0, "T2S damping factor (0 = engine default)")
 		l2sWeight  = flag.Float64("l2s-weight", 0, "L2S weight in temporal fitness (0 = engine default)")
-		streamCap  = flag.Int("stream-cap", 1_000_000, "stream capacity hint (sizes per-shard budgets)")
+		streamCap  = flag.Int("stream-cap", 1_000_000, "stream capacity hint (sizes columns and, until the stream outgrows it, per-shard budgets)")
 		seed       = flag.Int64("seed", 1, "engine seed")
 		queue      = flag.Int("queue", serve.DefaultQueueDepth, "ingest queue depth in request lines (admission-control bound)")
 		maxBatch   = flag.Int("max-batch", serve.DefaultMaxBatch, "max request lines per engine batch, and per window of a request body")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -68,6 +69,10 @@ type PlacementStats struct {
 	CrossFraction float64
 	// ShardCounts is the per-shard transaction tally.
 	ShardCounts []int64
+	// MaxShardShare is the largest shard's tally over the mean tally: 1 is
+	// a perfectly balanced placement, k is everything in one shard (0
+	// before the first placement).
+	MaxShardShare float64
 	// SlabEntries is the number of sparse p'(v) entries the T2S index holds
 	// now, in the vectors of transactions that still have an unspent output
 	// (0 for strategies without an index).
@@ -367,8 +372,10 @@ func WithMetisPartition(part []int32) Option {
 }
 
 // WithStreamCapacity hints the expected stream length for streaming-mode
-// placement without a dataset (capacity-bounded strategies size their
-// per-shard budget from it).
+// placement without a dataset. Columns are sized from it, and
+// capacity-bounded strategies (T2S, Greedy) take their per-shard budget
+// from it while the stream is within it; past it, or without it, the
+// budget grows with the transactions placed.
 func WithStreamCapacity(n int) Option {
 	return func(e *Engine) error {
 		if n < 0 {
@@ -784,6 +791,9 @@ func (e *Engine) Stats() PlacementStats {
 	if e.placer != nil {
 		asn := e.placer.Assignment()
 		st.ShardCounts = asn.Counts()
+		if n := asn.Len(); n > 0 {
+			st.MaxShardShare = float64(slices.Max(st.ShardCounts)) * float64(asn.K()) / float64(n)
+		}
 		st.StateBytes = 4*int64(cap(e.outs)) + asn.Bytes()
 		if p, ok := e.placer.(interface{ Scores() *core.T2SIndex }); ok {
 			idx := p.Scores()

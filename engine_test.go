@@ -506,3 +506,49 @@ func TestL2SWeightZeroMeansDefault(t *testing.T) {
 		t.Fatalf("the slow shard was chosen: %v", byDefault)
 	}
 }
+
+// placeChain places an n-transaction chain (each spending the one before)
+// on 4 shards and returns the engine's statistics.
+func placeChain(t *testing.T, strategy string, n int, opts ...optchain.Option) optchain.PlacementStats {
+	t.Helper()
+	eng, err := optchain.New(append([]optchain.Option{optchain.WithShards(4), optchain.WithStrategy(strategy)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := make([]optchain.StreamTx, n)
+	for i := range txs {
+		txs[i].Outputs = 1
+		if i > 0 {
+			txs[i].Inputs = []int{i - 1}
+		}
+	}
+	if _, err := eng.PlaceBatch(txs, nil); err != nil {
+		t.Fatal(err)
+	}
+	return eng.Stats()
+}
+
+// The capacity-bounded strategies take their bound from the larger of the
+// stream-length hint and the transactions placed so far plus one. Without a
+// hint the bound used to be 1 per shard, so after k transactions every
+// decision was the least-loaded fallback: a chain went round-robin (cross
+// 0.975 at 40 transactions). Now the bound grows with the stream. A short
+// chain still has to leave a shard that holds its (1+ε)·n/k share, but a
+// long one stays in runs; a hint that covers the stream decides as before.
+func TestCapacityBoundGrowsWithoutHint(t *testing.T) {
+	for _, strategy := range []string{"T2S", "Greedy"} {
+		if st := placeChain(t, strategy, 40); math.Abs(st.CrossFraction-0.9) > 1e-9 {
+			t.Errorf("%s, 40-chain without a hint: cross %.3f, want 0.900", strategy, st.CrossFraction)
+		}
+		st := placeChain(t, strategy, 4000)
+		if st.CrossFraction > 0.04 {
+			t.Errorf("%s, 4000-chain without a hint: cross %.3f, want <= 0.04", strategy, st.CrossFraction)
+		}
+		if limit := int64(4000 * 1.1 / 4); slices.Max(st.ShardCounts) > limit {
+			t.Errorf("%s, 4000-chain without a hint: shards %v exceed %d", strategy, st.ShardCounts, limit)
+		}
+		if st := placeChain(t, strategy, 40, optchain.WithStreamCapacity(1000)); st.Cross != 0 {
+			t.Errorf("%s, 40-chain with a 1000 hint: %d cross, want 0", strategy, st.Cross)
+		}
+	}
+}

@@ -193,3 +193,34 @@ func TestWorkloadAdversarialBeatsRandomBaseline(t *testing.T) {
 		t.Fatalf("adversarial cross fraction %.3f, want >= 0.5", adv)
 	}
 }
+
+// TestMaxShardShareWithoutTelemetry pins how balanced each placer leaves the
+// bitcoin stream at k=16 over 200k transactions without telemetry. OptChain
+// has no capacity bound there: with E(j) the same for every shard, Alg. 1 is
+// an uncapped T2S argmax and piles ~92% of the stream into one shard. The
+// ranges are wide enough for float noise and narrow enough that bounding
+// OptChain shows up here as a deliberate diff.
+func TestMaxShardShareWithoutTelemetry(t *testing.T) {
+	for _, c := range []struct {
+		strategy string
+		lo, hi   float64
+	}{
+		{"OptChain", 14.5, 15.0},
+		{"T2S", 1.05, 1.1 + 1e-9},
+		{"Greedy", 1.0, 1.01},
+	} {
+		eng, err := optchain.New(optchain.WithShards(16), optchain.WithStrategy(c.strategy),
+			optchain.WithWorkload("bitcoin", nil), optchain.WithStreamCapacity(200_000), optchain.WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := eng.PlaceWorkload(200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: max shard share %.4f", c.strategy, st.MaxShardShare)
+		if st.MaxShardShare < c.lo || st.MaxShardShare > c.hi {
+			t.Errorf("%s: max shard share %.4f, want [%g, %g]", c.strategy, st.MaxShardShare, c.lo, c.hi)
+		}
+	}
+}

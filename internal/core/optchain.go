@@ -22,11 +22,12 @@ const (
 
 // T2SPlacer is the paper's "T2S-based" strategy (§IV-B, Tables I-II):
 // place u into argmax_i p(u)[i], subject to the same (1+ε)⌊n/k⌋ capacity
-// bound as Greedy. Ties (including all coinbase transactions, whose score
-// vector is empty) go to the least-loaded eligible shard.
+// bound as Greedy (placement.Capacity). Ties (including all coinbase
+// transactions, whose score vector is empty) go to the least-loaded eligible
+// shard.
 type T2SPlacer struct {
 	idx *T2SIndex
-	cap int64
+	cap placement.Capacity
 }
 
 // NewT2SPlacer creates a T2S-based placer over k shards for an expected
@@ -35,7 +36,7 @@ func NewT2SPlacer(k, n int, alpha, eps float64) *T2SPlacer {
 	asn := placement.NewAssignment(k, n)
 	return &T2SPlacer{
 		idx: NewT2SIndex(alpha, DefaultTruncate, asn, n),
-		cap: placement.CapacityBound(n, k, eps),
+		cap: placement.NewCapacity(n, k, eps),
 	}
 }
 
@@ -44,7 +45,7 @@ func NewT2SPlacer(k, n int, alpha, eps float64) *T2SPlacer {
 // costs no second traversal.
 //
 //optchain:hotpath one call per stream transaction.
-func (p *T2SPlacer) selectShard(scores []float64, counts []int64) int {
+func (p *T2SPlacer) selectShard(scores []float64, counts []int64, bound int64) int {
 	best := -1
 	var bestCount int64
 	var bestVal float64
@@ -54,7 +55,7 @@ func (p *T2SPlacer) selectShard(scores []float64, counts []int64) int {
 		if c < leastCount {
 			least, leastCount = j, c
 		}
-		if c >= p.cap {
+		if c >= bound {
 			continue
 		}
 		if best == -1 || scores[j] > bestVal ||
@@ -74,7 +75,7 @@ func (p *T2SPlacer) selectShard(scores []float64, counts []int64) int {
 func (p *T2SPlacer) Place(u txgraph.Node, inputs []txgraph.Node) int {
 	scores := p.idx.Prepare(u, inputs)
 	asn := p.idx.asn
-	best := p.selectShard(scores, asn.CountsView())
+	best := p.selectShard(scores, asn.CountsView(), p.cap.Bound(asn.Len()))
 	p.idx.Commit(u, best)
 	asn.Place(u, best)
 	return best

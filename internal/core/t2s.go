@@ -298,13 +298,10 @@ var slabLimit uint64 = 1<<32 - 1
 // NewT2SIndex creates an index over the given assignment with damping
 // factor alpha (paper: 0.5) and relative truncation threshold truncate
 // (0 keeps vectors exact; ~1e-4 keeps them small with no measurable effect
-// on decisions). n is a capacity hint for the per-node column. More than
-// placement.MaxShards shards do not fit the 2-byte shard column; callers
-// reject such a count before building an index.
+// on decisions). n is a capacity hint for the per-node column. The
+// assignment holds at most placement.MaxShards shards, which is what the
+// index's 2-byte shard entries can name.
 func NewT2SIndex(alpha, truncate float64, asn *placement.Assignment, n int) *T2SIndex {
-	if asn.K() > placement.MaxShards {
-		panic(fmt.Sprintf("core: %d shards exceed the T2S index's limit of %d", asn.K(), placement.MaxShards))
-	}
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.5
 	}

@@ -14,7 +14,6 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"optchain/internal/chain"
@@ -464,7 +463,7 @@ func (g *generator) pickFromCommunity(c int) int {
 			return -1
 		}
 		for tries := 0; tries < 12; tries++ {
-			age := int(math.Pow(float64(len(list)), g.rng.Float64()))
+			age := stats.LogUniformAge(len(list), g.rng.Float64())
 			j := len(list) - age
 			if j < 0 {
 				j = 0
@@ -499,7 +498,7 @@ func (g *generator) pickUnspent() int {
 		return -1
 	}
 	for tries := 0; tries < 24; tries++ {
-		age := int(math.Pow(float64(n), g.rng.Float64()))
+		age := stats.LogUniformAge(n, g.rng.Float64())
 		i := n - age
 		if i < 0 {
 			i = 0

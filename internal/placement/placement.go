@@ -26,16 +26,21 @@ type Placer interface {
 	Name() string
 }
 
-// Assignment records which shard each transaction was placed into.
+// Assignment records which shard each transaction was placed into, 2 bytes
+// a decision.
 type Assignment struct {
 	k      int
-	shards []int32
+	shards []uint16
 	counts []int64
 }
 
 // NewAssignment creates an empty assignment over k shards with a capacity
-// hint of n transactions.
+// hint of n transactions. More than MaxShards shards do not fit the 2-byte
+// shard column; callers reject such a count before building one.
 func NewAssignment(k, n int) *Assignment {
+	if k > MaxShards {
+		panic(fmt.Sprintf("placement: %d shards exceed the 2-byte shard column's limit of %d", k, MaxShards))
+	}
 	if k < 1 {
 		k = 1
 	}
@@ -44,7 +49,7 @@ func NewAssignment(k, n int) *Assignment {
 	}
 	return &Assignment{
 		k:      k,
-		shards: make([]int32, 0, n),
+		shards: make([]uint16, 0, n),
 		counts: make([]int64, k),
 	}
 }
@@ -57,7 +62,7 @@ func (a *Assignment) Len() int { return len(a.shards) }
 
 // Bytes reports the heap the assignment's columns hold, from their
 // capacities.
-func (a *Assignment) Bytes() int64 { return 4*int64(cap(a.shards)) + 8*int64(cap(a.counts)) }
+func (a *Assignment) Bytes() int64 { return 2*int64(cap(a.shards)) + 8*int64(cap(a.counts)) }
 
 // Place records transaction u in shard s. Transactions must be placed in
 // order (u equal to Len()); this catches protocol misuse early.
@@ -70,7 +75,7 @@ func (a *Assignment) Place(u txgraph.Node, s int) {
 	if s < 0 || s >= a.k {
 		panic(fmt.Sprintf("placement: shard %d out of range [0,%d)", s, a.k))
 	}
-	a.shards = append(a.shards, int32(s))
+	a.shards = append(a.shards, uint16(s))
 	a.counts[s]++
 }
 
@@ -102,6 +107,35 @@ func CapacityBound(n, k int, eps float64) int64 {
 		capPerShard = 1
 	}
 	return capPerShard
+}
+
+// Capacity is the online form of CapacityBound: the bound over the larger
+// of the stream-length hint and the transactions placed so far plus one.
+// While the hint covers the stream it is the hint's bound, unchanged; past
+// it, or with no hint at all, the bound grows with the stream instead of
+// pinning every shard at its hint share (which makes every later decision
+// the least-loaded fallback).
+type Capacity struct {
+	hint, k int
+	eps     float64
+	bound   int64 // the hint's bound
+}
+
+// NewCapacity returns the bound for k shards, a hint of n transactions and
+// imbalance tolerance eps.
+func NewCapacity(n, k int, eps float64) Capacity {
+	return Capacity{hint: n, k: k, eps: eps, bound: CapacityBound(n, k, eps)}
+}
+
+// Bound returns the per-shard capacity for the next transaction when placed
+// transactions precede it.
+//
+//optchain:hotpath one call per stream transaction.
+func (c Capacity) Bound(placed int) int64 {
+	if placed < c.hint {
+		return c.bound
+	}
+	return CapacityBound(placed+1, c.k, c.eps)
 }
 
 // Counts returns a copy of all shard sizes.
@@ -206,14 +240,14 @@ func (r *Random) Assignment() *Assignment { return r.a }
 func (r *Random) Name() string { return "OmniLedger" }
 
 // Greedy places a transaction in the shard holding the most of its inputs,
-// subject to the capacity bound (1+eps)·⌊n/k⌋ from §IV-B. Note: the paper's
-// text literally says to *maximize* f(u,j) = |Sin(u)\Sj|, which would
-// maximize uncovered inputs and contradicts its own description ("the
-// greedy solution will help reduce the number of cross-TXs"); we implement
-// the evident intent of maximizing coverage.
+// subject to the capacity bound (1+eps)·⌊n/k⌋ from §IV-B (see Capacity).
+// Note: the paper's text literally says to *maximize* f(u,j) = |Sin(u)\Sj|,
+// which would maximize uncovered inputs and contradicts its own description
+// ("the greedy solution will help reduce the number of cross-TXs"); we
+// implement the evident intent of maximizing coverage.
 type Greedy struct {
 	a        *Assignment
-	cap      int64
+	cap      Capacity
 	coverage []int // reusable per-Place input-coverage tally
 }
 
@@ -223,7 +257,7 @@ func NewGreedy(k, n int, eps float64) *Greedy {
 	a := NewAssignment(k, n)
 	return &Greedy{
 		a:        a,
-		cap:      CapacityBound(n, k, eps),
+		cap:      NewCapacity(n, k, eps),
 		coverage: make([]int, a.k),
 	}
 }
@@ -239,6 +273,7 @@ func (g *Greedy) Place(u txgraph.Node, inputs []txgraph.Node) int {
 	for _, v := range inputs {
 		g.coverage[g.a.shards[v]]++
 	}
+	bound := g.cap.Bound(len(g.a.shards))
 	best := -1
 	bestCov := 0
 	var bestCount int64
@@ -248,7 +283,7 @@ func (g *Greedy) Place(u txgraph.Node, inputs []txgraph.Node) int {
 		if c < leastCount {
 			least, leastCount = j, c
 		}
-		if c >= g.cap {
+		if c >= bound {
 			continue
 		}
 		if best == -1 || g.coverage[j] > bestCov ||
@@ -257,8 +292,8 @@ func (g *Greedy) Place(u txgraph.Node, inputs []txgraph.Node) int {
 		}
 	}
 	if best == -1 {
-		// Every shard is at capacity (possible only when n was
-		// underestimated); fall back to the least loaded.
+		// Every shard is at capacity (possible only when rounding leaves
+		// the bound below the mean); fall back to the least loaded.
 		best = least
 	}
 	g.a.Place(u, best)

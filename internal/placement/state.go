@@ -169,17 +169,6 @@ func (w *StateWriter) Uint16s(vals []uint16) {
 	}
 }
 
-// Shards writes in-range shard ids held as int32 2 bytes wide.
-func (w *StateWriter) Shards(vals []int32) {
-	for len(vals) > 0 {
-		dst, n := w.grab(2, len(vals))
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint16(dst[2*i:], uint16(v))
-		}
-		vals = vals[n:]
-	}
-}
-
 // Int32s writes vals as raw little-endian 4-byte elements.
 func (w *StateWriter) Int32s(vals []int32) {
 	for len(vals) > 0 {
@@ -291,12 +280,8 @@ func (a *Assignment) StateSize() int64 { return ColumnSize(len(a.shards), 2) }
 // WriteState serializes the assignment: the per-transaction shard column
 // (counts are derived on restore).
 func (a *Assignment) WriteState(w *StateWriter) {
-	if a.k > MaxShards {
-		w.Fail(fmt.Errorf("placement: %d shards do not fit the 2-byte shard column (at most %d)", a.k, MaxShards))
-		return
-	}
 	w.Uvarint(uint64(len(a.shards)))
-	w.Shards(a.shards)
+	w.Uint16s(a.shards)
 }
 
 // RestoreState replaces the assignment's decisions with a section produced
@@ -313,16 +298,16 @@ func (a *Assignment) RestoreState(r *StateReader) error {
 	n := len(col) / 2
 	shards := a.shards
 	if cap(shards) < n {
-		shards = make([]int32, n)
+		shards = make([]uint16, n)
 	}
 	shards = shards[:n]
 	counts := make([]int64, a.k)
 	for i := range shards {
-		s := int(binary.LittleEndian.Uint16(col[2*i:]))
-		if s >= a.k {
+		s := binary.LittleEndian.Uint16(col[2*i:])
+		if int(s) >= a.k {
 			return fmt.Errorf("placement: snapshot places transaction %d in shard %d of %d", i, s, a.k)
 		}
-		shards[i] = int32(s)
+		shards[i] = s
 		counts[s]++
 	}
 	a.shards = shards

@@ -1,10 +1,10 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 
 	"optchain/internal/dataset"
+	"optchain/internal/stats"
 )
 
 // outpoint is one spendable output tracked by a scenario generator. Every
@@ -62,7 +62,7 @@ func (r *ring) popBiased(rng *rand.Rand) (outpoint, bool) {
 	if n == 0 {
 		return outpoint{}, false
 	}
-	age := int(math.Pow(float64(n), rng.Float64()))
+	age := stats.LogUniformAge(n, rng.Float64())
 	j := n - age
 	if j < 0 {
 		j = 0

@@ -231,6 +231,8 @@ func PartitionTaN(d *Dataset, k int, seed int64) ([]int32, error) {
 // NewAssignment creates an empty placement record over k shards with a
 // capacity hint of n transactions — the bookkeeping a custom strategy
 // registered via RegisterStrategy embeds to satisfy the Placer interface.
+// It panics for more than 65535 shards; a strategy context never carries
+// that many.
 func NewAssignment(k, n int) *Assignment { return placement.NewAssignment(k, n) }
 
 // CumulativeFraction converts a degree histogram into cumulative fractions

@@ -156,13 +156,16 @@ func TestMetricsExposition(t *testing.T) {
 	if v, ok := scrapeMetric(t, ts, "optchain_serve_place_latency_seconds_count"); !ok || v != 50 {
 		t.Errorf("latency count = %g, want 50", v)
 	}
-	// 50 coinbase transactions: one slab entry and 20 bytes of columns each,
-	// at the very least.
+	// 50 coinbase transactions: one slab entry and 18 bytes of columns each,
+	// at the very least, spread as evenly as 50 allows (7 in the largest shard).
 	if v, ok := scrapeMetric(t, ts, "optchain_engine_slab_entries"); !ok || v != 50 {
 		t.Errorf("optchain_engine_slab_entries = %g, want 50", v)
 	}
-	if v, ok := scrapeMetric(t, ts, "optchain_engine_state_bytes"); !ok || v < 50*(20+10) {
-		t.Errorf("optchain_engine_state_bytes = %g, want at least %d", v, 50*(20+10))
+	if v, ok := scrapeMetric(t, ts, "optchain_engine_state_bytes"); !ok || v < 50*(18+10) {
+		t.Errorf("optchain_engine_state_bytes = %g, want at least %d", v, 50*(18+10))
+	}
+	if v, ok := scrapeMetric(t, ts, "optchain_engine_max_shard_share"); !ok || v != 7*testShards/50.0 {
+		t.Errorf("optchain_engine_max_shard_share = %g, want %g", v, 7*testShards/50.0)
 	}
 
 	// Line 0 declared two outputs: its second spender retires it, and the

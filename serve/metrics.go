@@ -164,6 +164,9 @@ func (m *metrics) writeTo(w io.Writer, eng *optchain.Engine, queueDepth, queueCa
 	for shard, n := range st.ShardCounts {
 		line("optchain_engine_shard_txs{shard=\"%d\"} %d\n", shard, n)
 	}
+	line("# HELP optchain_engine_max_shard_share Largest shard's transaction count over the mean shard's (1 is balanced).\n")
+	line("# TYPE optchain_engine_max_shard_share gauge\n")
+	line("optchain_engine_max_shard_share %g\n", st.MaxShardShare)
 	line("# HELP optchain_engine_slab_entries Sparse score-vector entries the T2S index holds now, for transactions with an unspent output.\n")
 	line("# TYPE optchain_engine_slab_entries gauge\n")
 	line("optchain_engine_slab_entries %d\n", st.SlabEntries)
