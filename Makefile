@@ -97,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzResponseLine -fuzztime 10s ./serve
 	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 10s -fuzzminimizetime 0 .
 	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s -fuzzminimizetime 0 ./serve
+	$(GO) test -run '^$$' -fuzz FuzzRestoreState -fuzztime 10s -fuzzminimizetime 0 ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLogUniformAge -fuzztime 10s ./internal/stats
 
 # Tiny 2x2 streaming sweep through the JSONL reporter, validated with the

@@ -7,12 +7,14 @@
 package optchain_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"runtime"
 	"testing"
 
+	"optchain"
 	"optchain/internal/bench"
 	"optchain/internal/chain"
 	"optchain/internal/core"
@@ -202,6 +204,50 @@ func BenchmarkDedupeInputs(b *testing.B) {
 				buf = d.Compact(append(buf[:0], ins...), 0)
 			}
 			b.ReportMetric(float64(len(buf)), "distinct")
+		})
+	}
+}
+
+// BenchmarkSnapshot prices the two halves of a restart on 200k placed
+// transactions of the benchmark's three streams: write is WriteSnapshot into
+// a reused buffer, read is a fresh engine plus ReadSnapshot of those bytes.
+// ns/tx is per placed transaction.
+func BenchmarkSnapshot(b *testing.B) {
+	const txs = 200_000
+	for i, name := range []string{"bitcoin", "hotspot", "mix-ids"} {
+		opts := []optchain.Option{optchain.WithShards(16), optchain.WithSeed(1),
+			optchain.WithWorkload(benchmarkSpecs[i], nil), optchain.WithStreamCapacity(txs)}
+		e, err := optchain.New(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.PlaceWorkload(txs); err != nil {
+			b.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := e.WriteSnapshot(&snap); err != nil {
+			b.Fatal(err)
+		}
+		b.Run("write/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				snap.Reset()
+				if err := e.WriteSnapshot(&snap); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/txs, "ns/tx")
+		})
+		b.Run("read/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fresh, err := optchain.New(opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := fresh.ReadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/txs, "ns/tx")
 		})
 	}
 }

@@ -18,7 +18,7 @@ type snapPlacer interface {
 
 // stateOf serializes one Snapshotter section and checks that StateSize
 // predicted its length.
-func stateOf(t *testing.T, s placement.Snapshotter) []byte {
+func stateOf(t testing.TB, s placement.Snapshotter) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := placement.NewStateWriter(&buf)

@@ -413,33 +413,13 @@ func (t *T2SIndex) retire(nd *t2sNode) {
 	nd.n = 0
 }
 
-// addSpenders folds d more spenders of v into its degree in one step, as
-// the snapshot restore does: v is retired if that spends its last output,
-// and spenders past the last output are counted as Prepare counts them, so
-// liveness and the counters are functions of the degrees and output counts
-// alone.
-func (t *T2SIndex) addSpenders(v txgraph.Node, d int32) {
-	nd := &t.nodes[v]
-	before := nd.deg
-	nd.deg += d
-	outs := t.outCount(v, nd.outs)
-	if outs == 0 || nd.deg < outs {
-		return
-	}
-	if before < outs {
-		t.retire(nd)
-		before = outs
-	}
-	t.retiredRefs += int64(nd.deg - before)
-}
-
 // extend makes room for the next node's vector of n entries and returns the
 // columns to fill: the most recently retired slot of that length when there
 // is one, else the current chunk, or the next one when n entries do not fit
-// what is left of it. It appends the node's record. Commit and the snapshot
-// restore both add vectors through here, so there is one layout. It fails,
-// changing nothing, when the vector would end past the offsets a record can
-// store.
+// what is left of it. It appends the node's record. Commit adds every vector
+// through here; the snapshot restore reproduces the layout this gives when
+// no slot is free (restoreState). It fails, changing nothing, when the
+// vector would end past the offsets a record can store.
 //
 //optchain:hotpath one call per stream transaction; a chunk is allocated once per 1<<chunkBits entries.
 func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
+	"unsafe"
 )
 
 // MaxShards is the largest shard count whose state the snapshot format and
@@ -156,40 +157,40 @@ func (w *StateWriter) Uvarint(v uint64) {
 	copy(dst, tmp[:n])
 }
 
+// littleEndian reports whether the host stores integers little-endian, so
+// that a column's memory is its encoding.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// bytesOf is the memory of vals.
+func bytesOf[T uint16 | int32 | uint64](vals []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*int(unsafe.Sizeof(T(0))))
+}
+
+// writeElems writes vals as raw little-endian elements: on a little-endian
+// host their memory in one Write (staged when small, checksummed and passed
+// through when large), elsewhere an element at a time.
+func writeElems[T uint16 | int32 | uint64](w *StateWriter, vals []T) {
+	if littleEndian {
+		w.Write(bytesOf(vals))
+		return
+	}
+	var b [8]byte
+	for _, v := range vals {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		w.Write(b[:unsafe.Sizeof(v)])
+	}
+}
+
 // Uint16s writes vals as raw little-endian 2-byte elements. Like the other
 // element writers it emits no length prefix, so a column stored in several
 // pieces is one Uvarint count followed by one call per piece.
-func (w *StateWriter) Uint16s(vals []uint16) {
-	for len(vals) > 0 {
-		dst, n := w.grab(2, len(vals))
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint16(dst[2*i:], v)
-		}
-		vals = vals[n:]
-	}
-}
+func (w *StateWriter) Uint16s(vals []uint16) { writeElems(w, vals) }
 
 // Int32s writes vals as raw little-endian 4-byte elements.
-func (w *StateWriter) Int32s(vals []int32) {
-	for len(vals) > 0 {
-		dst, n := w.grab(4, len(vals))
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
-		}
-		vals = vals[n:]
-	}
-}
+func (w *StateWriter) Int32s(vals []int32) { writeElems(w, vals) }
 
 // Uint64s writes vals as raw little-endian 8-byte elements.
-func (w *StateWriter) Uint64s(vals []uint64) {
-	for len(vals) > 0 {
-		dst, n := w.grab(8, len(vals))
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint64(dst[8*i:], v)
-		}
-		vals = vals[n:]
-	}
-}
+func (w *StateWriter) Uint64s(vals []uint64) { writeElems(w, vals) }
 
 // StateReader consumes the sections WriteState producers emit. The first
 // decoding defect sticks: every later read returns zero values and Err
@@ -301,13 +302,16 @@ func (a *Assignment) RestoreState(r *StateReader) error {
 		shards = make([]uint16, n)
 	}
 	shards = shards[:n]
+	copy(bytesOf(shards), col) // the decoded column, on a little-endian host
 	counts := make([]int64, a.k)
-	for i := range shards {
-		s := binary.LittleEndian.Uint16(col[2*i:])
+	for i, s := range shards {
+		if !littleEndian {
+			s = binary.LittleEndian.Uint16(col[2*i:])
+			shards[i] = s
+		}
 		if int(s) >= a.k {
 			return fmt.Errorf("placement: snapshot places transaction %d in shard %d of %d", i, s, a.k)
 		}
-		shards[i] = s
 		counts[s]++
 	}
 	a.shards = shards

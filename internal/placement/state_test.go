@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
 
@@ -345,5 +346,59 @@ func TestBaselineSnapshotters(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestColumnsOnEitherByteOrder: the element writers and the assignment's
+// decoder give the same bytes and the same state whether they take a
+// column's memory as its encoding (a little-endian host) or encode and
+// decode it an element at a time (any other host), for columns smaller and
+// larger than the staging buffer and elements with their high bit set.
+func TestColumnsOnEitherByteOrder(t *testing.T) {
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	big := make([]uint64, stageBytes/8+3)
+	for i := range big {
+		big[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	a := NewAssignment(65535, 0)
+	for i := range 5000 {
+		a.Place(txgraph.Node(i), i*7919%65535)
+	}
+	write := func() []byte {
+		var out bytes.Buffer
+		w := NewStateWriter(&out)
+		w.Int32s([]int32{-1, 0, 1 << 30, -1 << 31})
+		w.Uint16s([]uint16{7, 65535})
+		w.Uint64s(big)
+		a.WriteState(w)
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	restore := func(blob []byte) (*Assignment, error) {
+		b := NewAssignment(65535, 0)
+		return b, b.RestoreState(NewStateReader(blob))
+	}
+	littleEndian = true
+	native := write()
+	littleEndian = false
+	if portable := write(); !bytes.Equal(native, portable) {
+		t.Fatal("the element-at-a-time writers encode differently")
+	}
+	section := stateOf(t, a)
+	for _, le := range []bool{true, false} {
+		littleEndian = le
+		b, err := restore(section)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(b.shards, a.shards) || !slices.Equal(b.counts, a.counts) {
+			t.Fatalf("littleEndian=%v: restored assignment differs", le)
+		}
+		bad := shardColumn(3, 65535, 1)
+		if _, err := restore(bad); err == nil || !strings.Contains(err.Error(), "transaction 1 in shard 65535") {
+			t.Fatalf("littleEndian=%v: out-of-range shard: %v", le, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package optchain
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"unsafe"
 
 	"optchain/internal/placement"
 )
@@ -43,8 +45,10 @@ var (
 //	    transaction has span length 0 and no entries)
 //	CRC-32 (IEEE) of all preceding bytes, 4 B little-endian
 //
-// These are the columns the engine holds, each written once through a small
-// staging buffer, so a snapshot costs no memory proportional to the state.
+// These are the columns the engine holds, each handed to the writer a block
+// at a time through one small staging buffer (on a little-endian host a
+// block is the column's own memory, and a large one is passed through
+// whole), so a snapshot costs no memory proportional to the state.
 // A stream written before transactions were retired carries every vector;
 // it is read all the same, and the restore drops the vectors of
 // transactions whose outputs are all spent. The reserved counters held
@@ -190,11 +194,55 @@ func readSnapshotBytes(r io.Reader) ([]byte, error) {
 // match this engine — fails with ErrBadSnapshot naming the disagreement;
 // the engine is left unused only on fingerprint errors detected before
 // state adoption, and must be discarded after a mid-restore failure.
+//
+// A *bytes.Reader or *bytes.Buffer is read where its bytes lie, without a
+// copy; nothing of them is kept once ReadSnapshot returns.
 func (e *Engine) ReadSnapshot(r io.Reader) error {
+	switch r.(type) {
+	case *bytes.Reader, *bytes.Buffer:
+		src := r.(interface {
+			io.WriterTo
+			Len() int
+		})
+		if int64(src.Len()) > snapMaxBytes {
+			return fmt.Errorf("%w: exceeds %d bytes", ErrBadSnapshot, snapMaxBytes)
+		}
+		sink := inPlace{e: e, want: src.Len()}
+		if sink.want == 0 {
+			return e.readSnapshot(nil)
+		}
+		if _, err := src.WriteTo(&sink); err == nil {
+			return sink.err
+		}
+		// The sink refused bytes that came in pieces: they are unread, and
+		// copied below.
+	}
 	data, err := readSnapshotBytes(r)
 	if err != nil {
 		return err
 	}
+	return e.readSnapshot(data)
+}
+
+// inPlace restores a snapshot inside the one Write a *bytes.Reader's or
+// *bytes.Buffer's WriteTo hands all its unread bytes to. Bytes that come in
+// pieces are refused unread, and ReadSnapshot copies them instead.
+type inPlace struct {
+	e    *Engine
+	want int
+	err  error // the restore's
+}
+
+func (s *inPlace) Write(p []byte) (int, error) {
+	if len(p) != s.want {
+		return 0, io.ErrShortWrite
+	}
+	s.err = s.e.readSnapshot(p)
+	return len(p), nil
+}
+
+// readSnapshot is ReadSnapshot on the whole stream, which it only reads.
+func (e *Engine) readSnapshot(data []byte) error {
 	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
 		return fmt.Errorf("%w: not an engine snapshot (bad magic)", ErrBadSnapshot)
 	}
@@ -281,8 +329,12 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 	} else {
 		e.outs = e.outs[:n]
 	}
-	for i := range e.outs {
-		e.outs[i] = int32(binary.LittleEndian.Uint32(outs[4*i:]))
+	if littleEndian {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(e.outs))), len(outs)), outs)
+	} else {
+		for i := range e.outs {
+			e.outs[i] = int32(binary.LittleEndian.Uint32(outs[4*i:]))
+		}
 	}
 	if err := snap.RestoreState(sr); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
@@ -298,6 +350,10 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 	e.refreshStreamSnapshotLocked()
 	return nil
 }
+
+// littleEndian reports whether the host stores integers little-endian, so
+// that the output-count column's bytes are the column's memory.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // readStateString consumes n raw bytes from the reader as a string.
 func readStateString(sr *placement.StateReader, n uint64) (string, error) {

@@ -170,3 +170,78 @@ func TestSnapshotCapacityHintBounded(t *testing.T) {
 		t.Fatalf("hint of 2^20 into an engine without one, 64 placed: %v", err)
 	}
 }
+
+// TestReadSnapshotInPlace: a snapshot in a *bytes.Reader or *bytes.Buffer is
+// restored where its bytes lie, the reader left drained as a copying read
+// leaves it, and nothing of the bytes is kept: overwriting them afterwards
+// changes nothing the engine writes or decides. Any other reader is copied
+// from, bytes a WriteTo would hand over in pieces are refused unread, and
+// the output counts decode the same on a host of either byte order.
+func TestReadSnapshotInPlace(t *testing.T) {
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	const n, cut = 500, 300
+	txs := chainStream(n)
+	src := formatEngine(t, n)
+	if _, err := src.PlaceBatch(txs[:cut], nil); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := src.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	want, err := src.PlaceBatch(txs[cut:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, le := range []bool{true, false} {
+		littleEndian = le
+		for _, kind := range []string{"bytes.Reader", "bytes.Buffer", "io.Reader"} {
+			data := bytes.Clone(snap.Bytes())
+			var r io.Reader
+			left := func() int { return 0 }
+			switch kind {
+			case "bytes.Reader":
+				br := bytes.NewReader(data)
+				r, left = br, br.Len
+			case "bytes.Buffer":
+				bb := bytes.NewBuffer(data)
+				r, left = bb, bb.Len
+			default:
+				r = struct{ io.Reader }{bytes.NewReader(data)}
+			}
+			e := formatEngine(t, n)
+			if err := e.ReadSnapshot(r); err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			if left() != 0 {
+				t.Fatalf("%s: %d bytes left unread", kind, left())
+			}
+			for i := range data {
+				data[i] = 0xa5
+			}
+			var again bytes.Buffer
+			if err := e.WriteSnapshot(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+				t.Fatalf("%s, littleEndian=%v: the restored engine writes a different snapshot once its source is overwritten", kind, le)
+			}
+			got, err := e.PlaceBatch(txs[cut:], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s, littleEndian=%v: transaction %d placed in %d, the uninterrupted engine %d", kind, le, cut+i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if err := formatEngine(t, n).ReadSnapshot(bytes.NewReader(nil)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("empty reader: %v", err)
+	}
+	sink := inPlace{e: formatEngine(t, n), want: snap.Len()}
+	if m, err := sink.Write(snap.Bytes()[:10]); m != 0 || err == nil || sink.e.Stats().Placed != 0 {
+		t.Fatalf("a piece of a snapshot: wrote %d, %v, restored %d placements", m, err, sink.e.Stats().Placed)
+	}
+}
