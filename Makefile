@@ -89,7 +89,8 @@ scenario-smoke:
 # the two state decoders (an engine snapshot or a gateway state file is
 # refused with its typed error or restores a working engine; the seeds are
 # kilobytes long, so minimising every new input would eat the whole pass),
-# and the generators' log-uniform age draw against int(math.Pow).
+# the generators' log-uniform age draw against int(math.Pow), and the
+# placers' support select against Alg. 1's dense select.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzDiffRows -fuzztime 10s ./experiment
@@ -99,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s -fuzzminimizetime 0 ./serve
 	$(GO) test -run '^$$' -fuzz FuzzRestoreState -fuzztime 10s -fuzzminimizetime 0 ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLogUniformAge -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzSelect -fuzztime 10s ./internal/core
 
 # Tiny 2x2 streaming sweep through the JSONL reporter, validated with the
 # sweepcheck checker: the experiment layer's data path (streamed cells,

@@ -73,18 +73,11 @@ func (w *warmPlacer) Place(u txgraph.Node, inputs []txgraph.Node) int {
 	s := int(w.part[u])
 	// T2S-based strategies must also thread the replayed decisions through
 	// their score index.
-	switch p := w.Placer.(type) {
-	case *core.T2SPlacer:
+	if p, ok := w.Placer.(*core.OptChainPlacer); ok {
 		p.Scores().Prepare(u, inputs)
 		p.Scores().Commit(u, s)
-		p.Assignment().Place(u, s)
-	case *core.OptChainPlacer:
-		p.Scores().Prepare(u, inputs)
-		p.Scores().Commit(u, s)
-		p.Assignment().Place(u, s)
-	default:
-		p.Assignment().Place(u, s)
 	}
+	w.Placer.Assignment().Place(u, s)
 	return s
 }
 

@@ -56,7 +56,7 @@ func freeSlots(idx *T2SIndex) int {
 func TestChunkedSlabDenseVectors(t *testing.T) {
 	const k, n, cut = 64, 400, 250
 	outs := func(v txgraph.Node) int { return int(v%2) * k }
-	build := func(chunkBits uint) (*T2SPlacer, *T2SIndex) {
+	build := func(chunkBits uint) (*OptChainPlacer, *T2SIndex) {
 		p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
 		p.idx.truncQ = 0 // keep every entry: the vectors stay dense
 		p.idx.SetOutCounts(outs)

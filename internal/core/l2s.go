@@ -49,12 +49,14 @@ func (s StaticTelemetry) VerifyRate(shard int) float64 { return s.Verify[shard] 
 //
 // Shard independence: ZeroLatency, the model of every placer built without
 // telemetry (the gateway, offline placement, the Engine without
-// WithTelemetry), gives the same E(j) for every j, so the term cannot change
-// the argmax of Alg. 1. OptChainPlacer recognises that model by its type and
-// decides over the support of p'(u) instead of over all k shards: it never
-// asks the model anything and never looks up the input shards. ExactL2S and
-// FastL2S depend on j through the commit round, and any other implementation
-// is taken to; for those the placer evaluates all k candidates.
+// WithTelemetry, the T2S-based placer always), gives the same E(j) for every
+// j, so the term cannot change the argmax of Alg. 1. OptChainPlacer
+// recognises that model by its type and decides over the support of p'(u),
+// under the T2S placer's capacity bound when it has one, instead of over all
+// k shards: it never asks the model anything and never looks up the input
+// shards. ExactL2S and FastL2S depend on j through the commit round, and any
+// other implementation is taken to; for those the placer evaluates all k
+// candidates, with no capacity bound, as Alg. 1 does.
 type LatencyModel interface {
 	ProofLatency(j int, inputShards []int) float64
 }
@@ -73,8 +75,9 @@ type BatchLatency interface {
 }
 
 // ZeroLatency ignores load entirely (E(j) = 0); it degenerates OptChain to
-// a pure T2S argmax. It is what a placer without telemetry runs with, and
-// the one shard-independent model (see LatencyModel).
+// the T2S argmax without its capacity bound. It is what a placer without
+// telemetry runs with, and the one shard-independent model (see
+// LatencyModel).
 type ZeroLatency struct{}
 
 // ProofLatency implements LatencyModel.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"optchain/internal/placement"
 	"optchain/internal/txgraph"
 )
@@ -20,84 +22,21 @@ const (
 	DefaultTruncate = 1e-4
 )
 
-// T2SPlacer is the paper's "T2S-based" strategy (§IV-B, Tables I-II):
-// place u into argmax_i p(u)[i], subject to the same (1+ε)⌊n/k⌋ capacity
-// bound as Greedy (placement.Capacity). Ties (including all coinbase
-// transactions, whose score vector is empty) go to the least-loaded eligible
-// shard.
-type T2SPlacer struct {
-	idx *T2SIndex
-	cap placement.Capacity
-}
-
-// NewT2SPlacer creates a T2S-based placer over k shards for an expected
-// stream of n transactions.
-func NewT2SPlacer(k, n int, alpha, eps float64) *T2SPlacer {
-	asn := placement.NewAssignment(k, n)
-	return &T2SPlacer{
-		idx: NewT2SIndex(alpha, DefaultTruncate, asn, n),
-		cap: placement.NewCapacity(n, k, eps),
-	}
-}
-
-// selectShard is the capacity-bounded argmax fused with the least-loaded
-// fallback in one pass over the shard tallies, so a fully saturated stream
-// costs no second traversal.
-//
-//optchain:hotpath one call per stream transaction.
-func (p *T2SPlacer) selectShard(scores []float64, counts []int64, bound int64) int {
-	best := -1
-	var bestCount int64
-	var bestVal float64
-	least := 0
-	leastCount := counts[0]
-	for j, c := range counts {
-		if c < leastCount {
-			least, leastCount = j, c
-		}
-		if c >= bound {
-			continue
-		}
-		if best == -1 || scores[j] > bestVal ||
-			(scores[j] == bestVal && c < bestCount) {
-			best, bestVal, bestCount = j, scores[j], c
-		}
-	}
-	if best == -1 {
-		best = least
-	}
-	return best
-}
-
-// Place implements placement.Placer.
-//
-//optchain:hotpath one call per stream transaction.
-func (p *T2SPlacer) Place(u txgraph.Node, inputs []txgraph.Node) int {
-	scores := p.idx.Prepare(u, inputs)
-	asn := p.idx.asn
-	best := p.selectShard(scores, asn.CountsView(), p.cap.Bound(asn.Len()))
-	p.idx.Commit(u, best)
-	asn.Place(u, best)
-	return best
-}
-
-// Assignment implements placement.Placer.
-func (p *T2SPlacer) Assignment() *placement.Assignment { return p.idx.asn }
-
-// Name implements placement.Placer.
-func (p *T2SPlacer) Name() string { return "T2S" }
-
-// Scores exposes the T2S index (ablations, inspection).
-func (p *T2SPlacer) Scores() *T2SIndex { return p.idx }
-
-// OptChainPlacer is the full OptChain algorithm (Alg. 1): Temporal Fitness
-// placement combining the T2S score with the L2S latency estimate,
-// su = argmax_j p(u)[j] − w·E(j).
+// OptChainPlacer is the placement rule of the paper, Alg. 1: Temporal
+// Fitness placement combining the T2S score with the L2S latency estimate,
+// su = argmax_j p(u)[j] − w·E(j). The paper's T2S-based placer (§IV-B) is
+// the same rule with E(j) ≡ 0, normalised scores and a capacity bound
+// (NewT2SPlacer); it is the only placer type in this package.
 type OptChainPlacer struct {
 	idx    *T2SIndex
 	lat    LatencyModel
 	latB   BatchLatency // non-nil when lat supports batched evaluation
 	weight float64
+	name   string
+
+	// cap, when set, bounds every shard at cap.Bound (the T2S-based placer);
+	// without it no shard is ever full.
+	cap *placement.Capacity
 
 	// uniform: E(j) is the same for every shard (see LatencyModel), so the
 	// L2S term cannot change the argmax and Place decides over the support
@@ -109,6 +48,12 @@ type OptChainPlacer struct {
 
 // OptChainConfig parameterizes NewOptChain. Zero fields take the paper's
 // defaults.
+//
+// The placer scores with the raw p'(u)[j], not p'(u)[j]/|Sj| as the paper's
+// formula writes: with a fixed weight the normalised score decays as shards
+// grow (∝1/|Sj|) while E(j) stays in seconds, so the fitness would
+// degenerate to pure load balancing over time. The raw p' keeps the two
+// terms on comparable scales; the L2S term carries the balancing duty.
 type OptChainConfig struct {
 	K     int // number of shards (required)
 	N     int // expected stream length (capacity hint only)
@@ -122,15 +67,6 @@ type OptChainConfig struct {
 	// under which the placer decides over the support of p'(u) alone (see
 	// LatencyModel).
 	Latency LatencyModel
-	// NormalizeScores divides p'(u)[i] by |Si| as the paper's formula
-	// writes. Off by default for the temporal-fitness placer: with a fixed
-	// weight, the normalized score's magnitude decays as shards grow
-	// (∝1/|Si|) while E(j) stays in seconds, so the fitness degenerates to
-	// pure load balancing over time. Un-normalized p' keeps the two terms
-	// on comparable scales at every stream position; the L2S term carries
-	// the balancing duty the normalization was doubling up on. The
-	// normalization ablation is exercised in the benchmark harness.
-	NormalizeScores bool
 }
 
 // NewOptChain builds the full placer.
@@ -152,13 +88,14 @@ func NewOptChain(cfg OptChainConfig) *OptChainPlacer {
 	}
 	asn := placement.NewAssignment(cfg.K, cfg.N)
 	idx := NewT2SIndex(cfg.Alpha, cfg.Truncate, asn, cfg.N)
-	idx.SetNormalize(cfg.NormalizeScores)
+	idx.SetNormalize(false)
 	latB, _ := cfg.Latency.(BatchLatency)
 	p := &OptChainPlacer{
 		idx:    idx,
 		lat:    cfg.Latency,
 		latB:   latB,
 		weight: cfg.Weight,
+		name:   "OptChain",
 	}
 	// A weight that is not finite turns w·0 into NaN for every candidate;
 	// such a placer keeps the dense loop so that it goes on deciding as it did.
@@ -170,14 +107,43 @@ func NewOptChain(cfg OptChainConfig) *OptChainPlacer {
 	return p
 }
 
+// NewT2SPlacer creates the paper's "T2S-based" placer (§IV-B, Tables I-II)
+// over k shards for an expected stream of n transactions: Alg. 1 with
+// E(j) ≡ 0 and scores p(u)[j] = p'(u)[j]/|Sj|, where a shard holding the
+// (1+eps)·n/k bound takes no more transactions (placement.Capacity, as for
+// Greedy). A transaction with no eligible scored shard (every coinbase
+// transaction, whose score vector is empty) goes to the least-loaded one.
+func NewT2SPlacer(k, n int, alpha, eps float64) *OptChainPlacer {
+	p := NewOptChain(OptChainConfig{K: k, N: n, Alpha: alpha})
+	p.idx.SetNormalize(true)
+	p.name = "T2S"
+	c := placement.NewCapacity(n, k, eps)
+	p.cap = &c
+	return p
+}
+
+// outranks is the order in which every select of this package ranks
+// candidate shard j against the incumbent: the higher score (fitness)
+// first, then the shard that holds fewer transactions. Both loops visit
+// candidates by ascending shard and replace the incumbent only with one
+// that strictly outranks it, so the last rule, the lower shard, needs no
+// comparison. When no shard is eligible, the least-loaded one is taken, the
+// lowest among equals: the same order over scores that are all zero. The
+// tally is read only on a score tie, which keeps the load out of the dense
+// loop's common path.
+func outranks(score, bestScore float64, counts []int64, j int, bestCount int64) bool {
+	return score > bestScore || (score == bestScore && counts[j] < bestCount)
+}
+
 // selectShard evaluates Alg. 1 lines 4-9: fill lat with E(j) for every
 // candidate — in one batched call when the model supports it, hoisting the
 // j-independent lock round out of the candidate loop — then run the fitness
 // argmax as one pass over the shard tallies, seeded with shard 0 so the
 // loop body carries no best==-1 branch and never re-reads counts for the
 // incumbent. It runs under every model that can tell shards apart — the
-// simulator's live L2S, WithTelemetry; a placer without telemetry decides
-// through selectSupport, and the differential tests hold the two equal.
+// simulator's live L2S, WithTelemetry — and, as Alg. 1, has no capacity
+// bound; a placer without telemetry decides through selectSupport, and the
+// differential tests hold the two equal.
 //
 //optchain:hotpath one call per stream transaction.
 func (p *OptChainPlacer) selectShard(scores []float64, counts []int64, inputShards []int, lat []float64) int {
@@ -192,40 +158,43 @@ func (p *OptChainPlacer) selectShard(scores []float64, counts []int64, inputShar
 	bestFit := scores[0] - p.weight*lat[0]
 	bestCount := counts[0]
 	for j := 1; j < len(counts); j++ {
-		fit := scores[j] - p.weight*lat[j]
-		if fit > bestFit || (fit == bestFit && counts[j] < bestCount) {
+		if fit := scores[j] - p.weight*lat[j]; outranks(fit, bestFit, counts, j, bestCount) {
 			best, bestFit, bestCount = j, fit, counts[j]
 		}
 	}
 	return best
 }
 
-// selectSupport is selectShard when E(j) does not depend on j: the fitness
-// order is then the score order, every score outside the support of p'(u)
-// is 0 and every one inside it is positive, so the dense argmax is the
-// argmax over the pending entries — by score, then fewer transactions, then
-// lower shard (the entries ascend by shard) — and the least-loaded shard
-// when there are none. The floats compared are the ones the dense loop
-// compares, so masses that collapse in float64 tie here as they do there.
-// Under normalization a supported shard that is still empty scores 0 like
-// the unsupported ones and is left to the fallback.
+// selectSupport is the argmax of Alg. 1 over the shards holding fewer than
+// bound transactions when E(j) does not depend on j: the fitness order is
+// then the score order, every score outside the support of p'(u) (the
+// pending vector of t) is 0 and every one inside it is positive, so the
+// dense argmax is the best eligible pending entry (by outranks; the entries
+// ascend by shard) and the least-loaded shard when there is none. That
+// shard is eligible whenever any shard is, so the fallback is the dense
+// capped argmax's too. The floats compared are the ones the dense loop
+// compares (t2sTally.dense), so masses that collapse in float64 tie here as
+// they do there. Under normalization a supported shard that is still empty
+// scores 0 like the unsupported ones and is left to the fallback.
 //
 //optchain:hotpath one call per stream transaction without telemetry.
-func (p *OptChainPlacer) selectSupport(counts []int64) int {
-	t := &p.idx.tally
+func selectSupport(t *t2sTally, counts []int64, bound int64, normalize bool) int {
 	best := -1
 	var bestScore float64
 	var bestCount int64
 	for i, s := range t.pendS {
 		c := counts[s]
+		if c >= bound {
+			continue
+		}
 		score := qToFloat(t.pendV[i])
-		if p.idx.normalize {
+		if normalize {
 			if c == 0 {
 				continue
 			}
 			score /= float64(c)
 		}
-		if best < 0 || score > bestScore || (score == bestScore && c < bestCount) {
+		if best < 0 || outranks(score, bestScore, counts, int(s), bestCount) {
 			best, bestScore, bestCount = int(s), score, c
 		}
 	}
@@ -248,8 +217,12 @@ func (p *OptChainPlacer) Place(u txgraph.Node, inputs []txgraph.Node) int {
 	asn := p.idx.asn
 	var best int
 	if p.uniform {
+		bound := int64(math.MaxInt64)
+		if p.cap != nil {
+			bound = p.cap.Bound(asn.Len())
+		}
 		p.idx.prepareVector(u, inputs) // lines 2-3
-		best = p.selectSupport(asn.CountsView())
+		best = selectSupport(&p.idx.tally, asn.CountsView(), bound, p.idx.normalize)
 	} else {
 		scores := p.idx.Prepare(u, inputs) // lines 2-3
 		p.shardBuf = asn.InputShards(inputs, p.shardBuf)
@@ -263,14 +236,10 @@ func (p *OptChainPlacer) Place(u txgraph.Node, inputs []txgraph.Node) int {
 // Assignment implements placement.Placer.
 func (p *OptChainPlacer) Assignment() *placement.Assignment { return p.idx.asn }
 
-// Name implements placement.Placer.
-func (p *OptChainPlacer) Name() string { return "OptChain" }
+// Name implements placement.Placer: "OptChain", or "T2S" for NewT2SPlacer's.
+func (p *OptChainPlacer) Name() string { return p.name }
 
 // Scores exposes the T2S index for inspection (examples, debugging).
 func (p *OptChainPlacer) Scores() *T2SIndex { return p.idx }
 
-// Compile-time interface compliance checks.
-var (
-	_ placement.Placer = (*T2SPlacer)(nil)
-	_ placement.Placer = (*OptChainPlacer)(nil)
-)
+var _ placement.Placer = (*OptChainPlacer)(nil)

@@ -1,12 +1,49 @@
-package core_test
+package core
 
 import (
 	"testing"
 
-	"optchain/internal/core"
 	"optchain/internal/txgraph"
 	"optchain/internal/workload"
 )
+
+// benchmarkStreams are the stream shapes of the repository benchmark's three
+// workloads.
+var benchmarkStreams = []struct{ name, spec string }{
+	{"bitcoin", "bitcoin"},
+	{"hotspot", "hotspot"},
+	{"mix-ids", "mix:bitcoin=0.6,hotspot=0.25,adversarial=0.05,adversarial=0.05,adversarial=0.05"},
+}
+
+// streamInputs generates txs transactions of spec for 16 shards (seed 5) and
+// returns the deduplicated inputs of transaction u as
+// nodes[offs[u]:offs[u+1]] and its output count as outs[u].
+func streamInputs(t *testing.T, spec string, txs int) (nodes []txgraph.Node, offs, outs []int) {
+	t.Helper()
+	src, err := workload.New(spec, workload.Params{N: txs, Seed: 5, Shards: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer workload.Close(src)
+	var (
+		dedupe txgraph.Deduper
+		tx     workload.Tx
+	)
+	offs = []int{0}
+	for len(outs) < txs && src.Next(&tx) {
+		from := len(nodes)
+		for _, in := range tx.Inputs {
+			nodes = append(nodes, txgraph.Node(in.Tx))
+		}
+		nodes = dedupe.Compact(nodes, from)
+		offs = append(offs, len(nodes))
+		outs = append(outs, tx.Outputs)
+	}
+	if len(outs) != txs {
+		t.Fatalf("%s: stream ended after %d transactions", spec, len(outs))
+	}
+	return nodes, offs, outs
+}
 
 // TestSupportSelectMatchesDenseOnStreams places the benchmark's three stream
 // shapes twice, once deciding over the support of p'(u) and once with the
@@ -18,40 +55,13 @@ func TestSupportSelectMatchesDenseOnStreams(t *testing.T) {
 		t.Skip("30 placement passes of 200k transactions")
 	}
 	const txs = 200_000
-	for _, w := range []struct{ name, spec string }{
-		{"bitcoin", "bitcoin"},
-		{"hotspot", "hotspot"},
-		{"mix-ids", "mix:bitcoin=0.6,hotspot=0.25,adversarial=0.05,adversarial=0.05,adversarial=0.05"},
-	} {
-		src, err := workload.New(w.spec, workload.Params{N: txs, Seed: 5, Shards: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var (
-			dedupe txgraph.Deduper
-			nodes  []txgraph.Node
-			offs   = []int{0}
-			outs   []int
-			tx     workload.Tx
-		)
-		for len(outs) < txs && src.Next(&tx) {
-			from := len(nodes)
-			for _, in := range tx.Inputs {
-				nodes = append(nodes, txgraph.Node(in.Tx))
-			}
-			nodes = dedupe.Compact(nodes, from)
-			offs = append(offs, len(nodes))
-			outs = append(outs, tx.Outputs)
-		}
-		workload.Close(src)
-		if len(outs) != txs {
-			t.Fatalf("%s: stream ended after %d transactions", w.name, len(outs))
-		}
+	for _, w := range benchmarkStreams {
+		nodes, offs, outs := streamInputs(t, w.spec, txs)
 		outCounts := func(v txgraph.Node) int { return outs[v] }
 
 		for _, k := range []int{1, 2, 16, 64, 100} {
-			support := core.NewOptChain(core.OptChainConfig{K: k, N: txs})
-			dense := core.NewOptChain(core.OptChainConfig{K: k, N: txs, Latency: core.FlatLatency{}})
+			support := NewOptChain(OptChainConfig{K: k, N: txs})
+			dense := NewOptChain(OptChainConfig{K: k, N: txs, Latency: flatLatency{}})
 			support.Scores().SetOutCounts(outCounts)
 			dense.Scores().SetOutCounts(outCounts)
 			for u := 0; u < txs; u++ {

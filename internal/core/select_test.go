@@ -1,107 +1,127 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// FlatLatency answers 0 like ZeroLatency but is not it, so a placer built
-// with it keeps the dense select over all k candidates: the oracle the
-// support select is held to (exported for select_stream_test.go).
-type FlatLatency struct{}
+// flatLatency answers 0 like ZeroLatency but is not it, so a placer built
+// with it keeps the dense select over all k candidates.
+type flatLatency struct{}
 
-func (FlatLatency) ProofLatency(int, []int) float64 { return 0 }
+func (flatLatency) ProofLatency(int, []int) float64 { return 0 }
 
 func TestSelectPathFollowsLatencyModel(t *testing.T) {
 	tel := StaticTelemetry{Comm: []float64{1, 1}, Verify: []float64{1, 1}}
 	for _, c := range []struct {
 		name    string
-		cfg     OptChainConfig
+		p       *OptChainPlacer
 		uniform bool
 	}{
-		{"no model", OptChainConfig{K: 2}, true},
-		{"ZeroLatency", OptChainConfig{K: 2, Latency: ZeroLatency{}}, true},
-		{"normalized", OptChainConfig{K: 2, NormalizeScores: true}, true},
-		{"FastL2S", OptChainConfig{K: 2, Latency: FastL2S{Tel: tel}}, false},
-		{"ExactL2S", OptChainConfig{K: 2, Latency: ExactL2S{Tel: tel}}, false},
-		{"a model outside the package", OptChainConfig{K: 2, Latency: FlatLatency{}}, false},
+		{"no model", NewOptChain(OptChainConfig{K: 2}), true},
+		{"ZeroLatency", NewOptChain(OptChainConfig{K: 2, Latency: ZeroLatency{}}), true},
+		{"T2S", NewT2SPlacer(2, 0, DefaultAlpha, 0.1), true},
+		{"FastL2S", NewOptChain(OptChainConfig{K: 2, Latency: FastL2S{Tel: tel}}), false},
+		{"ExactL2S", NewOptChain(OptChainConfig{K: 2, Latency: ExactL2S{Tel: tel}}), false},
+		{"a model outside the package", NewOptChain(OptChainConfig{K: 2, Latency: flatLatency{}}), false},
 	} {
-		p := NewOptChain(c.cfg)
-		if p.uniform != c.uniform {
-			t.Errorf("%s: uniform = %v, want %v", c.name, p.uniform, c.uniform)
+		if c.p.uniform != c.uniform {
+			t.Errorf("%s: uniform = %v, want %v", c.name, c.p.uniform, c.uniform)
 		}
 		// The support select reads no E(j) buffer; the dense one needs it.
-		if (p.latBuf == nil) != c.uniform {
-			t.Errorf("%s: latBuf %v", c.name, p.latBuf)
+		if (c.p.latBuf == nil) != c.uniform {
+			t.Errorf("%s: latBuf %v", c.name, c.p.latBuf)
 		}
 	}
 }
 
-// selectBoth hands the same pending vector and shard tallies to the support
-// select and to the dense select and returns both answers.
-func selectBoth(k int, normalize bool, pendS []uint16, pendV []uint64, counts []int64) (support, dense int) {
-	sp := NewOptChain(OptChainConfig{K: k, NormalizeScores: normalize})
-	dp := NewOptChain(OptChainConfig{K: k, NormalizeScores: normalize, Latency: FlatLatency{}})
-	for _, p := range []*OptChainPlacer{sp, dp} {
-		p.idx.tally.pendS = append(p.idx.tally.pendS[:0], pendS...)
-		p.idx.tally.pendV = append(p.idx.tally.pendV[:0], pendV...)
+// none is the bound of a placer without one.
+const none = math.MaxInt64
+
+// selectAll hands the same pending vector and shard tallies to the support
+// select, to Alg. 1's dense select (alg1Select) and, when no shard can be
+// full, to the dense fitness loop, and returns their answers.
+func selectAll(normalize bool, bound int64, pendS []uint16, pendV []uint64, counts []int64) []int {
+	var t t2sTally
+	t.init(len(counts))
+	t.pendS, t.pendV = pendS, pendV
+	scores := t.dense(counts, normalize)
+	got := []int{selectSupport(&t, counts, bound, normalize), alg1Select(scores, counts, bound)}
+	if bound == none {
+		dp := NewOptChain(OptChainConfig{K: len(counts), Latency: flatLatency{}})
+		got = append(got, dp.selectShard(scores, counts, nil, dp.latBuf))
 	}
-	scores := dp.idx.tally.dense(counts, normalize)
-	return sp.selectSupport(counts), dp.selectShard(scores, counts, nil, dp.latBuf)
+	return got
 }
 
-// The tie rules, case by case: both selects must give the stated shard.
+// The tie rules and the bound, case by case: every select must give the
+// stated shard.
 func TestSelectTieRules(t *testing.T) {
 	const big = uint64(1) << 60 // qToFloat keeps 53 bits: big and big+1 collapse
 	for _, c := range []struct {
 		name      string
 		normalize bool
+		bound     int64
 		pendS     []uint16
 		pendV     []uint64
 		counts    []int64
 		want      int
 	}{
-		{"highest score wins over a lighter shard", false,
+		{"highest score wins over a lighter shard", false, none,
 			[]uint16{1, 3}, []uint64{5, 9}, []int64{0, 0, 0, 7}, 3},
-		{"equal scores: fewer transactions", false,
+		{"equal scores: fewer transactions", false, none,
 			[]uint16{0, 2, 3}, []uint64{9, 9, 9}, []int64{4, 0, 2, 3}, 2},
-		{"equal scores and counts: lower shard", false,
+		{"equal scores and counts: lower shard", false, none,
 			[]uint16{1, 2, 3}, []uint64{9, 9, 9}, []int64{0, 5, 5, 5}, 1},
-		{"one quantum of mass beats every empty shard", false,
+		{"one quantum of mass beats every empty shard", false, none,
 			[]uint16{3}, []uint64{1}, []int64{0, 0, 0, 1 << 40}, 3},
-		{"empty support: least loaded", false,
+		{"empty support: least loaded", false, none,
 			nil, nil, []int64{3, 2, 1, 2}, 2},
-		{"empty support: least loaded, lowest shard", false,
+		{"empty support: least loaded, lowest shard", false, none,
 			nil, nil, []int64{3, 1, 1, 1}, 1},
-		{"empty support, all equal: shard 0", false,
+		{"empty support, all equal: shard 0", false, none,
 			nil, nil, []int64{0, 0, 0, 0}, 0},
-		{"masses that collapse in float64 tie, count decides", false,
+		{"masses that collapse in float64 tie, count decides", false, none,
 			[]uint16{0, 1}, []uint64{big + 1, big}, []int64{2, 1}, 1},
-		{"saturated masses tie, lower shard", false,
+		{"saturated masses tie, lower shard", false, none,
 			[]uint16{1, 2}, []uint64{^uint64(0), ^uint64(0) - 1}, []int64{0, 3, 3}, 1},
-		{"normalized: mass per transaction", true,
+		{"normalized: mass per transaction", true, none,
 			[]uint16{0, 1}, []uint64{8, 6}, []int64{4, 2}, 1},
-		{"normalized: a supported empty shard scores 0 like the rest", true,
+		{"normalized: a supported empty shard scores 0 like the rest", true, none,
 			[]uint16{0, 2}, []uint64{8, 6}, []int64{0, 0, 3}, 2},
-		{"normalized: only empty shards supported, least loaded", true,
+		{"normalized: only empty shards supported, least loaded", true, none,
 			[]uint16{1}, []uint64{8}, []int64{2, 0, 1}, 1},
+		{"the top scorer is capped", false, 7,
+			[]uint16{1, 3}, []uint64{5, 9}, []int64{0, 0, 0, 7}, 1},
+		{"every supported shard is capped: least loaded", false, 4,
+			[]uint16{0, 1}, []uint64{9, 9}, []int64{4, 5, 2, 3}, 2},
+		{"normalized: the scored shard is capped, the empty one falls back", true, 3,
+			[]uint16{1, 2}, []uint64{8, 8}, []int64{0, 3, 0}, 0},
+		{"every shard is capped: least loaded", true, 4,
+			[]uint16{0, 2}, []uint64{9, 9}, []int64{5, 4, 4}, 1},
 	} {
-		support, dense := selectBoth(len(c.counts), c.normalize, c.pendS, c.pendV, c.counts)
-		if support != c.want || dense != c.want {
-			t.Errorf("%s: support select %d, dense select %d, want %d", c.name, support, dense, c.want)
+		for i, got := range selectAll(c.normalize, c.bound, c.pendS, c.pendV, c.counts) {
+			if got != c.want {
+				t.Errorf("%s: the %s select gives %d, want %d", c.name, []string{"support", "Alg. 1", "dense"}[i], got, c.want)
+			}
 		}
 	}
 }
 
-// Random pending vectors and tallies, drawn from few distinct values so that
-// ties at every level are the rule and not the exception.
+// Random pending vectors, tallies and bounds, drawn from few distinct values
+// so that ties at every level are the rule and not the exception.
 func TestSelectSupportMatchesDenseRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	masses := []uint64{1, 2, 1 << 31, 1 << 32, 1<<60 - 1, 1 << 60, 1<<60 + 1, ^uint64(0) - 1, ^uint64(0)}
 	for round := 0; round < 20000; round++ {
 		k := []int{1, 2, 3, 16, 64, 100}[rng.Intn(6)]
 		normalize := rng.Intn(4) == 0
+		bound := int64(none)
+		if rng.Intn(2) == 0 {
+			bound = int64(rng.Intn(4))
+		}
 		counts := make([]int64, k)
 		for j := range counts {
 			counts[j] = int64(rng.Intn(3))
@@ -118,11 +138,50 @@ func TestSelectSupportMatchesDenseRandom(t *testing.T) {
 				pendV = append(pendV, masses[rng.Intn(len(masses))])
 			}
 		}
-		if support, dense := selectBoth(k, normalize, pendS, pendV, counts); support != dense {
-			t.Fatalf("k=%d normalize=%v shards=%v masses=%v counts=%v: support select %d, dense select %d",
-				k, normalize, pendS, pendV, counts, support, dense)
+		if got := selectAll(normalize, bound, pendS, pendV, counts); slices.Min(got) != slices.Max(got) {
+			t.Fatalf("k=%d normalize=%v bound=%d shards=%v masses=%v counts=%v: support, Alg. 1 and dense selects give %v",
+				k, normalize, bound, pendS, pendV, counts, got)
 		}
 	}
+}
+
+// FuzzSelect: for any k <= 64, pending vector, tallies, bound and
+// normalisation the support select is Alg. 1's dense select. Each byte of
+// data draws one shard's tally (its low bits, or a huge count) and whether
+// and with which mass the shard is in the support.
+func FuzzSelect(f *testing.F) {
+	f.Add(uint8(15), int64(none), false, []byte{0x10, 0x21, 0x32, 0x43})
+	f.Add(uint8(3), int64(2), true, []byte{0x81, 0x12, 0xff, 0x02})
+	f.Add(uint8(63), int64(1), false, []byte("every shard at the bound"))
+	masses := []uint64{1, 2, 1 << 32, 1<<60 - 1, 1 << 60, 1<<60 + 1, ^uint64(0) - 1, ^uint64(0)}
+	f.Fuzz(func(t *testing.T, k uint8, bound int64, normalize bool, data []byte) {
+		n := int(k)%64 + 1
+		counts := make([]int64, n)
+		var pendS []uint16
+		var pendV []uint64
+		for j := range counts {
+			var b byte
+			if j < len(data) {
+				b = data[j]
+			}
+			counts[j] = int64(b & 3)
+			if b&4 != 0 {
+				counts[j] = math.MaxInt64 - int64(b)
+			}
+			if b&8 != 0 {
+				pendS = append(pendS, uint16(j))
+				pendV = append(pendV, masses[b>>5])
+			}
+		}
+		var tally t2sTally
+		tally.init(n)
+		tally.pendS, tally.pendV = pendS, pendV
+		scores := tally.dense(counts, normalize)
+		if got, want := selectSupport(&tally, counts, bound, normalize), alg1Select(scores, counts, bound); got != want {
+			t.Fatalf("bound=%d normalize=%v shards=%v masses=%v counts=%v: support select %d, Alg. 1 %d",
+				bound, normalize, pendS, pendV, counts, got, want)
+		}
+	})
 }
 
 // sortMerge is the merge the bitmask walk replaced, kept as its oracle: a

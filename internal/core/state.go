@@ -208,17 +208,6 @@ func (t *T2SIndex) fillChunk(c, filled int, shards, vals []byte) {
 }
 
 // StateSize implements placement.Snapshotter.
-func (p *T2SPlacer) StateSize() int64 { return p.idx.stateSize() }
-
-// WriteState implements placement.Snapshotter: the assignment's decisions
-// followed by the T2S index state.
-func (p *T2SPlacer) WriteState(w *placement.StateWriter) { p.idx.writeState(w) }
-
-// RestoreState implements placement.Snapshotter. The receiver must be fresh
-// and configured identically to the snapshot's producer.
-func (p *T2SPlacer) RestoreState(r *placement.StateReader) error { return p.idx.restoreState(r) }
-
-// StateSize implements placement.Snapshotter.
 func (p *OptChainPlacer) StateSize() int64 { return p.idx.stateSize() }
 
 // WriteState implements placement.Snapshotter. The L2S latency model is
@@ -228,8 +217,4 @@ func (p *OptChainPlacer) WriteState(w *placement.StateWriter) { p.idx.writeState
 // RestoreState implements placement.Snapshotter.
 func (p *OptChainPlacer) RestoreState(r *placement.StateReader) error { return p.idx.restoreState(r) }
 
-// Compile-time interface compliance checks.
-var (
-	_ placement.Snapshotter = (*T2SPlacer)(nil)
-	_ placement.Snapshotter = (*OptChainPlacer)(nil)
-)
+var _ placement.Snapshotter = (*OptChainPlacer)(nil)
