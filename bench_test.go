@@ -23,7 +23,6 @@ import (
 	"optchain/internal/metis"
 	"optchain/internal/placement"
 	"optchain/internal/sim"
-	"optchain/internal/stats"
 	"optchain/internal/txgraph"
 	"optchain/internal/workload"
 )
@@ -86,30 +85,7 @@ func BenchmarkPlaceOptChain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		p := core.NewOptChain(core.OptChainConfig{K: 16, N: d.Len(), Latency: core.FastL2S{Tel: tel}})
-		p.Scores().SetOutCounts(func(v txgraph.Node) int { return d.NumOutputs(int(v)) })
-		var buf []txgraph.Node
-		b.StartTimer()
-		for j := 0; j < d.Len(); j++ {
-			buf = d.InputTxNodes(j, buf)
-			p.Place(txgraph.Node(j), buf)
-		}
-	}
-	b.ReportMetric(float64(d.Len()), "tx/op")
-}
-
-// BenchmarkPlaceOptChainExactL2S isolates the exact-quadrature L2S cost —
-// the reason FastL2S is the simulation default.
-func BenchmarkPlaceOptChainExactL2S(b *testing.B) {
-	d := benchDataset(b, 5_000)
-	tel := core.StaticTelemetry{Comm: make([]float64, 16), Verify: make([]float64, 16)}
-	for i := range tel.Comm {
-		tel.Comm[i], tel.Verify[i] = 10, 0.5
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p := core.NewOptChain(core.OptChainConfig{K: 16, N: d.Len(), Latency: core.ExactL2S{Tel: tel}})
+		p := core.NewOptChain(core.OptChainConfig{K: 16, N: d.Len(), Telemetry: tel})
 		p.Scores().SetOutCounts(func(v txgraph.Node) int { return d.NumOutputs(int(v)) })
 		var buf []txgraph.Node
 		b.StartTimer()
@@ -158,13 +134,11 @@ func BenchmarkPlaceT2S(b *testing.B) {
 	})
 }
 
-// flatLatency answers 0 without being core.ZeroLatency, which keeps the
-// placer on its dense select over all k shards.
-type flatLatency struct{}
-
-func (flatLatency) ProofLatency(int, []int) float64 { return 0 }
-
-func (flatLatency) ProofLatencies(dst []float64, _ []int) { clear(dst) }
+// flatLatency is telemetry with degenerate rates: E(j) = 0 for every shard,
+// as without telemetry, but the placer keeps its dense select over all k.
+func flatLatency(k int) core.Telemetry {
+	return core.StaticTelemetry{Comm: make([]float64, k), Verify: make([]float64, k)}
+}
 
 // BenchmarkPlaceOptChainSelect prices the two selects of OptChainPlacer on
 // one stream: over the support of p'(u) (no telemetry) and over all k
@@ -174,11 +148,11 @@ func BenchmarkPlaceOptChainSelect(b *testing.B) {
 	for _, k := range []int{16, 64} {
 		for _, sel := range []struct {
 			name string
-			lat  core.LatencyModel
-		}{{"support", nil}, {"dense", flatLatency{}}} {
+			tel  core.Telemetry
+		}{{"support", nil}, {"dense", flatLatency(k)}} {
 			b.Run(fmt.Sprintf("%s/k=%d", sel.name, k), func(b *testing.B) {
 				benchPlacer(b, func(d *dataset.Dataset) placement.Placer {
-					p := core.NewOptChain(core.OptChainConfig{K: k, N: d.Len(), Latency: sel.lat})
+					p := core.NewOptChain(core.OptChainConfig{K: k, N: d.Len(), Telemetry: sel.tel})
 					p.Scores().SetOutCounts(func(v txgraph.Node) int { return d.NumOutputs(int(v)) })
 					return p
 				})
@@ -327,17 +301,6 @@ func BenchmarkDESThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(1e6, "events/op")
-}
-
-func BenchmarkL2SQuadrature(b *testing.B) {
-	hs := []stats.Hypoexponential2{
-		{Lc: 10, Lv: 0.5}, {Lc: 8, Lv: 0.7}, {Lc: 12, Lv: 0.3},
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := stats.L2S(hs); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkSimEndToEnd measures one full small simulation — the unit of

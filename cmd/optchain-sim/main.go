@@ -51,7 +51,6 @@ func run() int {
 		rate       = flag.Float64("rate", 4000, "offered load, tx/s")
 		strategy   = flag.String("strategy", "OptChain", "placement strategy (see -list)")
 		protocol   = flag.String("protocol", "omniledger", "commit protocol (see -list)")
-		exactL2S   = flag.Bool("exact-l2s", false, "use exact quadrature for the L2S score")
 		validate   = flag.Bool("validate-utxo", false, "strict in-order UTXO validation (see optchain.WithUTXOValidation)")
 		maxSim     = flag.Duration("max-sim-time", 20*time.Minute, "virtual-time cap")
 		progress   = flag.Bool("progress", false, "print live progress to stderr")
@@ -94,7 +93,6 @@ func run() int {
 		optchain.WithStrategy(*strategy),
 		optchain.WithProtocol(*protocol),
 		optchain.WithSeed(*seed),
-		optchain.WithExactL2S(*exactL2S),
 		optchain.WithUTXOValidation(*validate),
 		optchain.WithMaxSimTime(*maxSim),
 	}

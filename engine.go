@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -123,7 +124,6 @@ type Engine struct {
 	tel           Telemetry
 	alpha         float64
 	l2sWeight     float64
-	exactL2S      bool
 	validateUTXO  bool
 	maxSimTime    time.Duration
 	metisPart     []int32
@@ -311,24 +311,18 @@ func WithAlpha(alpha float64) Option {
 }
 
 // WithL2SWeight sets the L2S coefficient in the Temporal Fitness score
-// (default 0.01). A weight of 0 is accepted and means that default, not "no
-// L2S term": the strategy context and the placer both read 0 as unset. To
-// place without the latency term, configure no telemetry (streaming mode) or
-// use the "T2S" strategy.
+// (default 0.01); it must be finite and not negative. A weight of 0 is
+// accepted and means that default, not "no L2S term": the strategy context
+// and the placer both read 0 as unset. To place without the latency term,
+// configure no telemetry (streaming mode) or use the "T2S" strategy.
 func WithL2SWeight(w float64) Option {
 	return func(e *Engine) error {
-		if !(w >= 0) {
+		if !(w >= 0 && w <= math.MaxFloat64) {
 			return fmt.Errorf("%w: WithL2SWeight(%v)", ErrBadOption, w)
 		}
 		e.l2sWeight = w
 		return nil
 	}
-}
-
-// WithExactL2S selects exact quadrature over the fast closed form for the
-// L2S estimate.
-func WithExactL2S(on bool) Option {
-	return func(e *Engine) error { e.exactL2S = on; return nil }
 }
 
 // WithUTXOValidation enables strict in-order ledger validation during Run,
@@ -523,7 +517,6 @@ func (e *Engine) ensurePlacerLocked() error {
 		Alpha:     e.alpha,
 		Weight:    e.l2sWeight,
 		Telemetry: e.tel,
-		ExactL2S:  e.exactL2S,
 		MetisPart: e.metisPart,
 	})
 	if err != nil {
@@ -920,7 +913,6 @@ func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 		ValidateUTXO:  e.validateUTXO,
 		Alpha:         e.alpha,
 		L2SWght:       e.l2sWeight,
-		ExactL2S:      e.exactL2S,
 		ProgressEvery: e.progressEvery,
 		Progress: func(s sim.Snapshot) {
 			e.mu.Lock()

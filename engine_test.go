@@ -47,6 +47,7 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"NaN alpha", []optchain.Option{optchain.WithAlpha(math.NaN())}, optchain.ErrBadOption},
 		{"negative weight", []optchain.Option{optchain.WithL2SWeight(-1)}, optchain.ErrBadOption},
 		{"NaN weight", []optchain.Option{optchain.WithL2SWeight(math.NaN())}, optchain.ErrBadOption},
+		{"infinite weight", []optchain.Option{optchain.WithL2SWeight(math.Inf(1))}, optchain.ErrBadOption},
 		{"nil dataset", []optchain.Option{optchain.WithDataset(nil)}, optchain.ErrBadOption},
 		{"negative txs", []optchain.Option{optchain.WithTxs(-1)}, optchain.ErrBadOption},
 		{"zero progress cadence", []optchain.Option{optchain.WithProgressEvery(0)}, optchain.ErrBadOption},

@@ -126,7 +126,7 @@ func collectMicro(h *Harness) ([]BaselineItem, error) {
 			return p
 		}),
 		baselinePlaceBench("optchain_place", d, func() placement.Placer {
-			p := core.NewOptChain(core.OptChainConfig{K: 16, N: d.Len(), Latency: core.FastL2S{Tel: tel}})
+			p := core.NewOptChain(core.OptChainConfig{K: 16, N: d.Len(), Telemetry: tel})
 			p.Scores().SetOutCounts(outCounts)
 			return p
 		}),

@@ -18,14 +18,21 @@ import (
 // for an empty shard, and the raw p'(u)[j] for a placer that does not
 // normalise. u goes to the argmax of the fitness p(u)[j] − w·E(j) over the
 // shards below the bound (lines 4-9, alg1Select), and placing it at s adds α
-// to p'(u)[s] (line 10).
+// to p'(u)[s] (line 10). E(j) is the two-phase latency with its lock round,
+// as printed (see Telemetry):
+//
+//	E(j) = max_{i∈Sin} mean(i) + mean(j),   mean(i) = 1/λc_i + 1/λv_i
+//
+// and 0 without telemetry. The placer drops the lock round, which is the
+// same for every j; the oracle keeps it, so that every step shows dropping
+// it is exact.
 type alg1 struct {
 	k         int
 	alpha, w  float64
 	normalize bool
-	eps       float64 // capacity tolerance ε; negative: no bound
-	hint      int     // expected stream length n
-	lat       LatencyModel
+	eps       float64   // capacity tolerance ε; negative: no bound
+	hint      int       // expected stream length n
+	tel       Telemetry // nil: E(j) = 0
 	outs      []int
 
 	vecs   [][]float64
@@ -40,9 +47,11 @@ type alg1 struct {
 // plus one.
 func (a *alg1) prepare(inputs []txgraph.Node) (fit []float64, bound int64) {
 	a.p = make([]float64, a.k)
-	var inShards []int
+	var lock float64 // the lock round: the slowest input shard
 	for _, v := range inputs {
-		inShards = append(inShards, a.shard[v])
+		if a.tel != nil {
+			lock = max(lock, shardMean(a.tel, a.shard[v]))
+		}
 		a.deg[v]++
 		div := a.outs[v]
 		if div == 0 {
@@ -67,7 +76,9 @@ func (a *alg1) prepare(inputs []txgraph.Node) (fit []float64, bound int64) {
 				fit[j] = a.p[j] / float64(a.counts[j])
 			}
 		}
-		fit[j] -= a.w * a.lat.ProofLatency(j, inShards)
+		if a.tel != nil {
+			fit[j] -= a.w * (lock + shardMean(a.tel, j))
+		}
 	}
 	bound = math.MaxInt64
 	if a.eps >= 0 {
@@ -131,16 +142,16 @@ func TestAlg1OracleOnStreams(t *testing.T) {
 			name      string
 			normalize bool
 			eps       float64
-			lat       LatencyModel
+			tel       Telemetry
 			build     func(n int) *OptChainPlacer
 		}{
-			{"OptChain", false, -1, ZeroLatency{}, func(n int) *OptChainPlacer {
+			{"OptChain", false, -1, nil, func(n int) *OptChainPlacer {
 				return NewOptChain(OptChainConfig{K: k, N: n, Truncate: -1})
 			}},
-			{"OptChain/L2S", false, -1, FastL2S{Tel: tel}, func(n int) *OptChainPlacer {
-				return NewOptChain(OptChainConfig{K: k, N: n, Truncate: -1, Latency: FastL2S{Tel: tel}})
+			{"OptChain/L2S", false, -1, tel, func(n int) *OptChainPlacer {
+				return NewOptChain(OptChainConfig{K: k, N: n, Truncate: -1, Telemetry: tel})
 			}},
-			{"T2S", true, 0.1, ZeroLatency{}, func(n int) *OptChainPlacer {
+			{"T2S", true, 0.1, nil, func(n int) *OptChainPlacer {
 				p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
 				p.idx.truncate, p.idx.truncQ = 0, 0
 				return p
@@ -150,7 +161,7 @@ func TestAlg1OracleOnStreams(t *testing.T) {
 				p := c.build(hint)
 				p.idx.SetOutCounts(func(v txgraph.Node) int { return outs[v] })
 				a := &alg1{k: k, alpha: DefaultAlpha, w: DefaultWeight, normalize: c.normalize,
-					eps: c.eps, hint: hint, lat: c.lat, outs: outs, counts: make([]int64, k)}
+					eps: c.eps, hint: hint, tel: c.tel, outs: outs, counts: make([]int64, k)}
 				near, widest := 0, 0.0
 				for u := 0; u < txs; u++ {
 					in := nodes[offs[u]:offs[u+1]]

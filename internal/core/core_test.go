@@ -332,15 +332,16 @@ func TestOptChainLatencyAversion(t *testing.T) {
 		Verify: []float64{0.001, 10, 10},
 	}
 	oc := NewOptChain(OptChainConfig{
-		K: k, N: 100, Latency: FastL2S{Tel: tel},
+		K: k, N: 100, Telemetry: tel,
 	})
 	// Seed a tx in shard 0 by hand to give T2S a pull toward it.
 	oc.idx.Prepare(0, nil)
 	oc.idx.Commit(0, 0)
 	oc.Assignment().Place(0, 0)
-	// A spender of tx 0: T2S says shard 0. The lock round pays shard 0's
-	// 1000 s verification either way, but committing there doubles it;
-	// the commit-round penalty (0.01·1000 = 10) dwarfs any T2S score (≤1).
+	// A spender of tx 0: T2S says shard 0. Its lock round waits on shard
+	// 0's 1000 s verification wherever it commits, but committing there
+	// waits on it twice: the commit-round penalty (0.01·1000 = 10) dwarfs
+	// any T2S score (≤1).
 	s := oc.Place(1, []txgraph.Node{0})
 	if s == 0 {
 		t.Fatal("OptChain placed into the slow shard despite L2S")
@@ -355,7 +356,7 @@ func TestOptChainBalancesUnrelatedStreams(t *testing.T) {
 		Comm:   []float64{10, 10, 10, 10},
 		Verify: []float64{1, 1, 1, 1},
 	}
-	oc := NewOptChain(OptChainConfig{K: k, N: n, Latency: FastL2S{Tel: tel}})
+	oc := NewOptChain(OptChainConfig{K: k, N: n, Telemetry: tel})
 	for u := txgraph.Node(0); u < n; u++ {
 		oc.Place(u, nil)
 	}
@@ -366,51 +367,18 @@ func TestOptChainBalancesUnrelatedStreams(t *testing.T) {
 	}
 }
 
-func TestExactAndFastL2SProperties(t *testing.T) {
+// TestShardMeanDegenerateRates: shardMean is the commit-round mean
+// 1/λc + 1/λv, larger for a slower shard, and 0 for a shard whose rates are
+// not positive.
+func TestShardMeanDegenerateRates(t *testing.T) {
 	tel := StaticTelemetry{
-		Comm:   []float64{10, 10, 10, 10},
-		Verify: []float64{2.0, 0.5, 1.0, 0.25},
+		Comm:   []float64{10, 10, 0, 10, -1},
+		Verify: []float64{2, 0.25, 1, 0, 1},
 	}
-	exact := ExactL2S{Tel: tel}
-	fast := FastL2S{Tel: tel}
-	inputSets := [][]int{nil, {0}, {1}, {2}, {3}, {0, 1}, {2, 3}, {0, 1, 2, 3}}
-	for _, in := range inputSets {
-		for j := 0; j < 4; j++ {
-			e := exact.ProofLatency(j, in)
-			f := fast.ProofLatency(j, in)
-			// Fast is a documented lower bound of exact (E[max] >= max E).
-			if f > e+1e-6 {
-				t.Fatalf("fast %g exceeds exact %g for inputs %v, j=%d", f, e, in, j)
-			}
-			// Singleton input sets have no max effect: values must match.
-			if len(in) <= 1 && math.Abs(e-f) > 1e-3*(1+e) {
-				t.Fatalf("singleton mismatch: exact %g fast %g (inputs %v, j=%d)", e, f, in, j)
-			}
+	for s, want := range []float64{0.1 + 0.5, 0.1 + 4, 0, 0, 0} {
+		if got := shardMean(tel, s); got != want {
+			t.Errorf("shard %d: shardMean = %g, want %g", s, got, want)
 		}
-	}
-	// Both must rank output shards identically given fixed inputs: slower
-	// commit shard => larger E(j).
-	in := []int{0}
-	for _, m := range []LatencyModel{exact, fast} {
-		if !(m.ProofLatency(3, in) > m.ProofLatency(1, in)) {
-			t.Fatalf("%T does not rank slow commit shard above fast one", m)
-		}
-	}
-	// Adding input shards never decreases E(j) under either model.
-	for _, m := range []LatencyModel{exact, fast} {
-		if m.ProofLatency(1, []int{0, 3}) < m.ProofLatency(1, []int{0})-1e-9 {
-			t.Fatalf("%T not monotone in the input set", m)
-		}
-	}
-}
-
-func TestExactL2SDegenerateRates(t *testing.T) {
-	tel := StaticTelemetry{Comm: []float64{0}, Verify: []float64{1}}
-	if got := (ExactL2S{Tel: tel}).ProofLatency(0, []int{0}); got != 0 {
-		t.Fatalf("degenerate rates produced %g, want 0", got)
-	}
-	if got := (FastL2S{Tel: tel}).ProofLatency(0, []int{0}); got != 0 {
-		t.Fatalf("fast degenerate rates produced %g, want 0", got)
 	}
 }
 

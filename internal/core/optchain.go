@@ -29,21 +29,13 @@ const (
 // (NewT2SPlacer); it is the only placer type in this package.
 type OptChainPlacer struct {
 	idx    *T2SIndex
-	lat    LatencyModel
-	latB   BatchLatency // non-nil when lat supports batched evaluation
+	tel    Telemetry // nil: E(j) ≡ 0, and Place decides over the support of p'(u)
 	weight float64
 	name   string
 
 	// cap, when set, bounds every shard at cap.Bound (the T2S-based placer);
 	// without it no shard is ever full.
 	cap *placement.Capacity
-
-	// uniform: E(j) is the same for every shard (see LatencyModel), so the
-	// L2S term cannot change the argmax and Place decides over the support
-	// of p'(u) alone. shardBuf and latBuf serve only the other models.
-	uniform  bool
-	shardBuf []int
-	latBuf   []float64 // reusable E(j) buffer, one slot per shard
 }
 
 // OptChainConfig parameterizes NewOptChain. Zero fields take the paper's
@@ -58,15 +50,17 @@ type OptChainConfig struct {
 	K     int // number of shards (required)
 	N     int // expected stream length (capacity hint only)
 	Alpha float64
-	// Weight is the L2S coefficient (paper: 0.01).
+	// Weight is the L2S coefficient (paper: 0.01); it must be finite.
 	Weight float64
 	// Truncate is the relative sparse-vector truncation threshold
 	// (0 < x < 1); negative means exact (no truncation).
 	Truncate float64
-	// Latency estimates E(j); defaults to ZeroLatency (pure T2S) when nil,
-	// under which the placer decides over the support of p'(u) alone (see
-	// LatencyModel).
-	Latency LatencyModel
+	// Telemetry supplies the shard rates E(j) is read from: the
+	// commit-round mean 1/λc_j + 1/λv_j (see Telemetry). Nil means no
+	// telemetry: E(j) is the same for every shard, so the L2S term cannot
+	// change the argmax and the placer decides over the support of p'(u)
+	// alone.
+	Telemetry Telemetry
 }
 
 // NewOptChain builds the full placer.
@@ -83,28 +77,15 @@ func NewOptChain(cfg OptChainConfig) *OptChainPlacer {
 	case cfg.Truncate < 0:
 		cfg.Truncate = 0
 	}
-	if cfg.Latency == nil {
-		cfg.Latency = ZeroLatency{}
-	}
 	asn := placement.NewAssignment(cfg.K, cfg.N)
 	idx := NewT2SIndex(cfg.Alpha, cfg.Truncate, asn, cfg.N)
 	idx.SetNormalize(false)
-	latB, _ := cfg.Latency.(BatchLatency)
-	p := &OptChainPlacer{
+	return &OptChainPlacer{
 		idx:    idx,
-		lat:    cfg.Latency,
-		latB:   latB,
+		tel:    cfg.Telemetry,
 		weight: cfg.Weight,
 		name:   "OptChain",
 	}
-	// A weight that is not finite turns w·0 into NaN for every candidate;
-	// such a placer keeps the dense loop so that it goes on deciding as it did.
-	if _, zero := cfg.Latency.(ZeroLatency); zero && cfg.Weight*0 == 0 {
-		p.uniform = true
-	} else {
-		p.latBuf = make([]float64, cfg.K)
-	}
-	return p
 }
 
 // NewT2SPlacer creates the paper's "T2S-based" placer (§IV-B, Tables I-II)
@@ -135,30 +116,21 @@ func outranks(score, bestScore float64, counts []int64, j int, bestCount int64) 
 	return score > bestScore || (score == bestScore && counts[j] < bestCount)
 }
 
-// selectShard evaluates Alg. 1 lines 4-9: fill lat with E(j) for every
-// candidate — in one batched call when the model supports it, hoisting the
-// j-independent lock round out of the candidate loop — then run the fitness
-// argmax as one pass over the shard tallies, seeded with shard 0 so the
-// loop body carries no best==-1 branch and never re-reads counts for the
-// incumbent. It runs under every model that can tell shards apart — the
-// simulator's live L2S, WithTelemetry — and, as Alg. 1, has no capacity
-// bound; a placer without telemetry decides through selectSupport, and the
-// differential tests hold the two equal.
+// selectShard evaluates Alg. 1 lines 4-9 with telemetry: the fitness
+// scores[j] − w·E(j), E(j) the commit-round mean of shard j (see
+// Telemetry), maximised in one pass over the shard tallies, seeded with
+// shard 0 so the loop body carries no best==-1 branch and never re-reads
+// counts for the incumbent. As Alg. 1, it has no capacity bound; a placer
+// without telemetry decides through selectSupport, and the differential
+// tests hold the two equal.
 //
-//optchain:hotpath one call per stream transaction.
-func (p *OptChainPlacer) selectShard(scores []float64, counts []int64, inputShards []int, lat []float64) int {
-	if p.latB != nil {
-		p.latB.ProofLatencies(lat, inputShards)
-	} else {
-		for j := range lat {
-			lat[j] = p.lat.ProofLatency(j, inputShards)
-		}
-	}
+//optchain:hotpath one call per stream transaction with telemetry.
+func (p *OptChainPlacer) selectShard(scores []float64, counts []int64) int {
 	best := 0
-	bestFit := scores[0] - p.weight*lat[0]
+	bestFit := scores[0] - p.weight*shardMean(p.tel, 0)
 	bestCount := counts[0]
 	for j := 1; j < len(counts); j++ {
-		if fit := scores[j] - p.weight*lat[j]; outranks(fit, bestFit, counts, j, bestCount) {
+		if fit := scores[j] - p.weight*shardMean(p.tel, j); outranks(fit, bestFit, counts, j, bestCount) {
 			best, bestFit, bestCount = j, fit, counts[j]
 		}
 	}
@@ -216,7 +188,7 @@ func selectSupport(t *t2sTally, counts []int64, bound int64, normalize bool) int
 func (p *OptChainPlacer) Place(u txgraph.Node, inputs []txgraph.Node) int {
 	asn := p.idx.asn
 	var best int
-	if p.uniform {
+	if p.tel == nil {
 		bound := int64(math.MaxInt64)
 		if p.cap != nil {
 			bound = p.cap.Bound(asn.Len())
@@ -224,9 +196,8 @@ func (p *OptChainPlacer) Place(u txgraph.Node, inputs []txgraph.Node) int {
 		p.idx.prepareVector(u, inputs) // lines 2-3
 		best = selectSupport(&p.idx.tally, asn.CountsView(), bound, p.idx.normalize)
 	} else {
-		scores := p.idx.Prepare(u, inputs) // lines 2-3
-		p.shardBuf = asn.InputShards(inputs, p.shardBuf)
-		best = p.selectShard(scores, asn.CountsView(), p.shardBuf, p.latBuf) // lines 4-9
+		scores := p.idx.Prepare(u, inputs)             // lines 2-3
+		best = p.selectShard(scores, asn.CountsView()) // lines 4-9
 	}
 	p.idx.Commit(u, best)
 	asn.Place(u, best) // line 10

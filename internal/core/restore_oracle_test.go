@@ -317,7 +317,7 @@ func engineSection(t testing.TB, snap []byte) (shards int, outs []int, section [
 	shards = int(r.Uvarint())
 	r.Uvarint() // alpha
 	r.Uvarint() // L2S weight
-	r.Byte()    // exact L2S
+	r.Byte()    // reserved
 	for range 7 {
 		r.Uvarint() // capacity hint, placed, cross total and count, three reserved
 	}

@@ -61,7 +61,7 @@ func TestSupportSelectMatchesDenseOnStreams(t *testing.T) {
 
 		for _, k := range []int{1, 2, 16, 64, 100} {
 			support := NewOptChain(OptChainConfig{K: k, N: txs})
-			dense := NewOptChain(OptChainConfig{K: k, N: txs, Latency: flatLatency{}})
+			dense := NewOptChain(OptChainConfig{K: k, N: txs, Telemetry: flatLatency(k)})
 			support.Scores().SetOutCounts(outCounts)
 			dense.Scores().SetOutCounts(outCounts)
 			for u := 0; u < txs; u++ {

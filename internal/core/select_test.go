@@ -7,32 +7,27 @@ import (
 	"testing"
 )
 
-// flatLatency answers 0 like ZeroLatency but is not it, so a placer built
-// with it keeps the dense select over all k candidates.
-type flatLatency struct{}
-
-func (flatLatency) ProofLatency(int, []int) float64 { return 0 }
+// flatLatency is telemetry with degenerate rates: E(j) = 0 for every shard,
+// as without telemetry, but a placer built with it keeps the dense select
+// over all k candidates.
+func flatLatency(k int) StaticTelemetry {
+	return StaticTelemetry{Comm: make([]float64, k), Verify: make([]float64, k)}
+}
 
 func TestSelectPathFollowsLatencyModel(t *testing.T) {
 	tel := StaticTelemetry{Comm: []float64{1, 1}, Verify: []float64{1, 1}}
 	for _, c := range []struct {
 		name    string
 		p       *OptChainPlacer
-		uniform bool
+		support bool
 	}{
-		{"no model", NewOptChain(OptChainConfig{K: 2}), true},
-		{"ZeroLatency", NewOptChain(OptChainConfig{K: 2, Latency: ZeroLatency{}}), true},
+		{"no telemetry", NewOptChain(OptChainConfig{K: 2}), true},
 		{"T2S", NewT2SPlacer(2, 0, DefaultAlpha, 0.1), true},
-		{"FastL2S", NewOptChain(OptChainConfig{K: 2, Latency: FastL2S{Tel: tel}}), false},
-		{"ExactL2S", NewOptChain(OptChainConfig{K: 2, Latency: ExactL2S{Tel: tel}}), false},
-		{"a model outside the package", NewOptChain(OptChainConfig{K: 2, Latency: flatLatency{}}), false},
+		{"telemetry", NewOptChain(OptChainConfig{K: 2, Telemetry: tel}), false},
+		{"zero rates", NewOptChain(OptChainConfig{K: 2, Telemetry: flatLatency(2)}), false},
 	} {
-		if c.p.uniform != c.uniform {
-			t.Errorf("%s: uniform = %v, want %v", c.name, c.p.uniform, c.uniform)
-		}
-		// The support select reads no E(j) buffer; the dense one needs it.
-		if (c.p.latBuf == nil) != c.uniform {
-			t.Errorf("%s: latBuf %v", c.name, c.p.latBuf)
+		if support := c.p.tel == nil; support != c.support {
+			t.Errorf("%s: decides over the support = %v, want %v", c.name, support, c.support)
 		}
 	}
 }
@@ -50,8 +45,8 @@ func selectAll(normalize bool, bound int64, pendS []uint16, pendV []uint64, coun
 	scores := t.dense(counts, normalize)
 	got := []int{selectSupport(&t, counts, bound, normalize), alg1Select(scores, counts, bound)}
 	if bound == none {
-		dp := NewOptChain(OptChainConfig{K: len(counts), Latency: flatLatency{}})
-		got = append(got, dp.selectShard(scores, counts, nil, dp.latBuf))
+		dp := NewOptChain(OptChainConfig{K: len(counts), Telemetry: flatLatency(len(counts))})
+		got = append(got, dp.selectShard(scores, counts))
 	}
 	return got
 }

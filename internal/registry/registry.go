@@ -62,9 +62,6 @@ type StrategyContext struct {
 	// Telemetry supplies client-observable shard load estimates; nil
 	// degenerates latency-aware strategies to their pure-T2S form.
 	Telemetry core.Telemetry
-	// ExactL2S selects exact quadrature over the fast closed form for the
-	// L2S estimate.
-	ExactL2S bool
 	// MetisPart holds an offline partition for replay strategies.
 	MetisPart []int32
 }
@@ -219,19 +216,12 @@ func mustRegisterProtocol(name string, f ProtocolFactory) {
 // evaluation, under the names its figures use.
 func init() {
 	mustRegisterStrategy("OptChain", func(ctx StrategyContext) (placement.Placer, error) {
-		cfg := core.OptChainConfig{
+		p := core.NewOptChain(core.OptChainConfig{
 			K: ctx.K, N: ctx.N,
-			Alpha:  ctx.Alpha,
-			Weight: ctx.Weight,
-		}
-		if ctx.Telemetry != nil {
-			if ctx.ExactL2S {
-				cfg.Latency = core.ExactL2S{Tel: ctx.Telemetry}
-			} else {
-				cfg.Latency = core.FastL2S{Tel: ctx.Telemetry}
-			}
-		}
-		p := core.NewOptChain(cfg)
+			Alpha:     ctx.Alpha,
+			Weight:    ctx.Weight,
+			Telemetry: ctx.Telemetry,
+		})
 		p.Scores().SetOutCounts(ctx.OutCounts)
 		return p, nil
 	})

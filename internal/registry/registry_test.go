@@ -128,14 +128,12 @@ func TestBuiltinProtocolsBuild(t *testing.T) {
 		}
 	}
 	tel := core.StaticTelemetry{Comm: []float64{10, 10}, Verify: []float64{1, 1}}
-	for _, exact := range []bool{false, true} {
-		p, err := NewStrategy("OptChain", StrategyContext{K: 2, N: 4, Telemetry: tel, ExactL2S: exact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := p.Place(0, nil); s < 0 || s >= 2 {
-			t.Errorf("exact=%v: first transaction placed in shard %d", exact, s)
-		}
+	p, err := NewStrategy("OptChain", StrategyContext{K: 2, N: 4, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Place(0, nil); s < 0 || s >= 2 {
+		t.Errorf("first transaction placed in shard %d", s)
 	}
 }
 

@@ -88,9 +88,8 @@ type Config struct {
 	ValidateUTXO bool
 
 	// OptChain knobs (defaults are the paper's).
-	Alpha    float64
-	L2SWght  float64
-	ExactL2S bool
+	Alpha   float64
+	L2SWght float64
 
 	// Progress, when non-nil, receives a Snapshot every ProgressEvery of
 	// virtual time (default 5 s) and once more when the run finishes. It is
@@ -353,7 +352,6 @@ func (r *runner) run() (*Result, error) {
 		Alpha:     cfg.Alpha,
 		Weight:    cfg.L2SWght,
 		Telemetry: r.tel,
-		ExactL2S:  cfg.ExactL2S,
 		MetisPart: cfg.MetisPart,
 	})
 	if err != nil {

@@ -84,19 +84,6 @@ func TestValidateUTXOModeCommits(t *testing.T) {
 	}
 }
 
-func TestExactL2SModeRuns(t *testing.T) {
-	d := smallDataset(t, 800)
-	cfg := fastConfig(d, "OptChain", 2, 200)
-	cfg.ExactL2S = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Committed != res.Total {
-		t.Fatalf("committed %d of %d", res.Committed, res.Total)
-	}
-}
-
 func TestCrossFractionConsistentWithProtocolCounters(t *testing.T) {
 	d := smallDataset(t, 2000)
 	res, err := Run(fastConfig(d, "OmniLedger", 4, 400))

@@ -1,3 +1,8 @@
+// Package stats provides the estimators behind OptChain's Latency-to-Shard
+// (L2S) score (paper §IV-C): the smoothed communication and verification
+// rates a client observes per shard. Beside them it holds the random
+// samplers of the synthetic dataset generator and the summary statistics
+// of the benchmark harness.
 package stats
 
 import "math"

@@ -1,11 +1,14 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4})

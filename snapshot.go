@@ -35,7 +35,8 @@ var (
 //
 //	magic "OPTCHSNP", version (2)
 //	fingerprint: len(strategy), strategy (lower case), shards, alpha bits,
-//	    L2S weight bits, exactL2S (1 B), capacity hint
+//	    L2S weight bits, a reserved byte (written 0; 0 or 1 read), capacity
+//	    hint
 //	placed, cross total, cross count, three reserved counters (written 0)
 //	output counts         4 B per transaction
 //	strategy state: shard of each transaction, 2 B each; then for T2S and
@@ -53,7 +54,10 @@ var (
 // it is read all the same, and the restore drops the vectors of
 // transactions whose outputs are all spent. The reserved counters held
 // parallel-placement statistics when the engine had parallel placement;
-// they are read and discarded.
+// they are read and discarded. The reserved byte flagged an engine that
+// computed the L2S lock round by quadrature; the lock round cannot change a
+// decision (see core.Telemetry), so a stream with it set restores and
+// decides as one without.
 // Version 1 (4-byte shard ids and span lengths) is not read: a v1 stream
 // fails with ErrBadSnapshot naming the version, and its owner starts cold
 // or places the stream again.
@@ -94,11 +98,7 @@ func (e *Engine) snapshotPlanLocked() (snap placement.Snapshotter, head []byte, 
 	head = binary.AppendUvarint(head, uint64(e.shards))
 	head = binary.AppendUvarint(head, math.Float64bits(e.alpha))
 	head = binary.AppendUvarint(head, math.Float64bits(e.l2sWeight))
-	if e.exactL2S {
-		head = append(head, 1)
-	} else {
-		head = append(head, 0)
-	}
+	head = append(head, 0) // the reserved byte
 	head = binary.AppendUvarint(head, uint64(e.placerN))
 	head = binary.AppendUvarint(head, uint64(e.placed))
 	head = binary.AppendUvarint(head, uint64(e.cross.Total))
@@ -262,7 +262,7 @@ func (e *Engine) readSnapshot(data []byte) error {
 	shards := sr.Uvarint()
 	alphaBits := sr.Uvarint()
 	weightBits := sr.Uvarint()
-	exact := sr.Byte()
+	reserved := sr.Byte()
 	capN := sr.Uvarint()
 	placed := sr.Uvarint()
 	crossTotal := sr.Uvarint()
@@ -292,8 +292,8 @@ func (e *Engine) readSnapshot(data []byte) error {
 		return fmt.Errorf("%w: snapshot alpha %v, engine %v", ErrBadSnapshot, math.Float64frombits(alphaBits), e.alpha)
 	case weightBits != math.Float64bits(e.l2sWeight):
 		return fmt.Errorf("%w: snapshot L2S weight %v, engine %v", ErrBadSnapshot, math.Float64frombits(weightBits), e.l2sWeight)
-	case (exact == 1) != e.exactL2S:
-		return fmt.Errorf("%w: snapshot exactL2S=%v, engine %v", ErrBadSnapshot, exact == 1, e.exactL2S)
+	case reserved > 1:
+		return fmt.Errorf("%w: reserved header byte %d, want 0 or 1", ErrBadSnapshot, reserved)
 	case uint64(len(outs)/4) != placed:
 		return fmt.Errorf("%w: %d output counts for %d placed transactions", ErrBadSnapshot, len(outs)/4, placed)
 	case crossCross > crossTotal:

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -137,7 +138,7 @@ func TestSnapshotVersion1Rejected(t *testing.T) {
 	v1 = binary.AppendUvarint(v1, 8)
 	v1 = binary.AppendUvarint(v1, math.Float64bits(0))
 	v1 = binary.AppendUvarint(v1, math.Float64bits(0))
-	v1 = append(v1, 0)               // exactL2S
+	v1 = append(v1, 0)               // reserved
 	v1 = binary.AppendUvarint(v1, 0) // capacity hint
 	v1 = binary.AppendUvarint(v1, 0) // placed
 	v1 = binary.AppendUvarint(v1, 0) // output counts: empty column
@@ -146,6 +147,59 @@ func TestSnapshotVersion1Rejected(t *testing.T) {
 	err := formatEngine(t, 0).ReadSnapshot(bytes.NewReader(seal(v1)))
 	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1, want 2") {
 		t.Fatalf("version 1 stream: %v", err)
+	}
+}
+
+// TestSnapshotReservedByte: the writer writes the header's reserved byte
+// as 0; a stream carrying 1 (written by an engine that computed the L2S
+// lock round by quadrature) restores and decides as one carrying 0, and any
+// larger value is refused.
+func TestSnapshotReservedByte(t *testing.T) {
+	const n = 300
+	stream := chainStream(n + 100)
+	src := formatEngine(t, n)
+	if _, err := src.PlaceBatch(stream[:n], nil); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := src.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	at := len(snapMagic)
+	for _, v := range []uint64{snapVersion, uint64(len("optchain"))} {
+		at += len(binary.AppendUvarint(nil, v))
+	}
+	at += len("optchain")
+	for _, v := range []uint64{8, math.Float64bits(src.alpha), math.Float64bits(src.l2sWeight)} {
+		at += len(binary.AppendUvarint(nil, v))
+	}
+	body := snap.Bytes()[:snap.Len()-4]
+	if body[at] != 0 {
+		t.Fatalf("the writer wrote reserved byte %d, want 0", body[at])
+	}
+	var want []int
+	for _, b := range []byte{0, 1, 2, 0xff} {
+		body[at] = b
+		e := formatEngine(t, n)
+		err := e.ReadSnapshot(bytes.NewReader(seal(bytes.Clone(body))))
+		if b > 1 {
+			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "reserved header byte") {
+				t.Fatalf("reserved byte %d: %v", b, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("reserved byte %d: %v", b, err)
+		}
+		got, err := e.PlaceBatch(stream[n:], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("reserved byte %d: next decisions %v, want %v", b, got, want)
+		}
 	}
 }
 
