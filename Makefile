@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt fmt-check lint lint-json bench-smoke bench-json examples scenario-smoke fuzz-smoke sweep-smoke serve-smoke quality-gate cover docs-check benchmark-check deps-check ci
+.PHONY: all build test test-race vet fmt fmt-check lint lint-json bench-smoke quality-ledger examples scenario-smoke fuzz-smoke sweep-smoke serve-smoke quality-gate cover docs-check benchmark-check deps-check ci
 
 all: build
 
@@ -58,11 +58,17 @@ fmt-check:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Machine-readable performance record: hot-path micro-benchmarks (ns/op,
-# allocs/op) plus quick per-strategy×protocol simulation throughput. CI
-# uploads the file as an artifact; see PERFORMANCE.md.
-bench-json:
-	$(GO) run ./cmd/optchain-bench -quick -baseline-json BENCH_baseline.json
+# Regenerate the committed quality ledger BENCH_quality.jsonl: the
+# `quality` sweep's rows at -quick, run cold into a throwaway row cache and
+# then resumed from it, so every row is cache-served (wall_seconds 0) and
+# regenerating on an unchanged tree leaves the file byte-identical. Commit
+# the result only with a change meant to move placement quality.
+quality-ledger:
+	@tmp="$$(mktemp -d)"; rc=0; \
+	$(GO) run ./cmd/optchain-bench -quick -sweep quality -reporter jsonl -cache "$$tmp/cache" -out "$$tmp/cold.jsonl" \
+		&& $(GO) run ./cmd/optchain-bench -quick -sweep quality -reporter jsonl -cache "$$tmp/cache" -out BENCH_quality.jsonl \
+		|| rc=$$?; \
+	rm -rf "$$tmp"; exit $$rc
 
 # Build (not run) every example and cmd binary.
 examples:
@@ -128,9 +134,10 @@ serve-smoke:
 #      cache file: header line, pure cell rows, zero wall clocks);
 #   3. cold vs resumed rows must match at zero tolerance — the cache must
 #      reproduce execution exactly, not approximately;
-#   4. the resumed rows gate against the committed BENCH_baseline.json
-#      quality columns at loose 10% tolerances (-allow-missing skips the
-#      baseline's scenario cells, which this sweep does not run).
+#   4. the resumed rows gate against the committed BENCH_quality.jsonl
+#      ledger at loose 10% tolerances. sweepcheck holds the ledger to the
+#      sweep's 8 rows and -diff (no -allow-missing) requires every ledger
+#      cell in the run, so a cell dropped from either side fails too.
 # Any regression exits non-zero and fails CI.
 quality-gate:
 	@rc=0; \
@@ -139,7 +146,8 @@ quality-gate:
 		&& $(GO) run ./cmd/optchain-bench -quick -sweep quality -reporter jsonl -cache qg-cache -out qg-warm.jsonl \
 		&& $(GO) run ./internal/sweepcheck -cache -rows 8 qg-cache/rows.jsonl \
 		&& $(GO) run ./cmd/optchain-bench -diff -tol-tps 0 -tol-cross 0 qg-cold.jsonl qg-warm.jsonl \
-		&& $(GO) run ./cmd/optchain-bench -diff -allow-missing -tol-tps 0.1 -tol-cross 0.1 BENCH_baseline.json qg-warm.jsonl \
+		&& $(GO) run ./internal/sweepcheck -rows 8 BENCH_quality.jsonl \
+		&& $(GO) run ./cmd/optchain-bench -diff -tol-tps 0.1 -tol-cross 0.1 BENCH_quality.jsonl qg-warm.jsonl \
 		|| rc=$$?; \
 	rm -rf qg-cache qg-cold.jsonl qg-warm.jsonl; exit $$rc
 
@@ -167,11 +175,16 @@ benchmark-check:
 
 # The root package is only the Engine: importers (the gateway, the
 # benchmark binary) must not link the experiment harness or the testing
-# and flag packages it pulls in.
+# and flag packages it pulls in. Nothing under ./cmd, the gateway or the
+# experiment layer links testing either.
 deps-check:
 	@bad="$$($(GO) list -deps optchain | grep -E '^(optchain/internal/bench|optchain/experiment|testing|flag)$$')"; \
 	if [ -n "$$bad" ]; then \
 		echo "package optchain must not depend on:"; echo "$$bad"; exit 1; \
+	fi
+	@bad="$$($(GO) list -deps ./cmd/... ./serve ./experiment | grep -E '^testing$$')"; \
+	if [ -n "$$bad" ]; then \
+		echo "./cmd/..., ./serve and ./experiment must not depend on: testing"; exit 1; \
 	fi
 
 ci: fmt-check vet lint build test bench-smoke sweep-smoke serve-smoke quality-gate docs-check benchmark-check deps-check

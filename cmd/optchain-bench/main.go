@@ -25,7 +25,7 @@
 //	optchain-bench -quick -sweep grid -stream -workload "mix:burst=0.5,bitcoin=0.5"
 //	optchain-bench -sweep grid -reporter jsonl -out grid.jsonl -cache .sweep-cache
 //	optchain-bench -diff old.jsonl new.jsonl
-//	optchain-bench -diff -allow-missing -tol-tps 0.1 BENCH_baseline.json new.jsonl
+//	optchain-bench -diff -tol-tps 0.1 -tol-cross 0.1 BENCH_quality.jsonl new.jsonl
 //
 // -cache DIR persists every completed row as JSONL keyed by its stable
 // cell ID; re-running the same sweep (or an interrupted one) serves cached
@@ -33,12 +33,11 @@
 // corrupt cache or one written under a different seed fails loudly with
 // ErrBadCache rather than silently recomputing.
 //
-// -diff OLD NEW joins two row files on cell ID — jsonl sweep output, a row
-// cache, or a BENCH_baseline.json record — classifies each quality metric
-// against relative tolerances (-tol-tps, -tol-cross, -tol-nstx), prints
-// the verdict table, and exits non-zero on any regression; `make
-// quality-gate` wires this into CI. The `diff` reporter
-// (-reporter "diff:old=FILE,tps=0.05") gates a live sweep the same way.
+// -diff OLD NEW joins two row files on cell ID — jsonl sweep output (such
+// as the committed BENCH_quality.jsonl ledger) or a row cache — classifies
+// each quality metric against relative tolerances (-tol-tps, -tol-cross,
+// -tol-nstx), prints the verdict table, and exits non-zero on any
+// regression; `make quality-gate` wires this into CI.
 //
 // The -strategies, -protocol, -workload, and -workloads flags resolve
 // through the open registries, so strategies/protocols/workloads added with
@@ -56,15 +55,12 @@
 // drift Gap shaping) bends the figures too. Metis cells still materialize
 // (the offline partition needs the full graph) and say so in their rows.
 // -workloads (plural) instead picks the scenario SET the `scenarios`
-// experiment and the baseline's per-scenario section stream; entries are
-// ','-separated, or ';'-separated when a spec itself contains commas
-// (separators inside parentheses never split a spec).
+// experiment streams; entries are ','-separated, or ';'-separated when a
+// spec itself contains commas (separators inside parentheses never split a
+// spec).
 //
-// -baseline-json FILE measures the hot-path micro-benchmarks and one quick
-// simulation per strategy × protocol, and writes the machine-readable
-// performance record tracked as BENCH_baseline.json (`make bench-json`),
-// schema v6. -cpuprofile/-memprofile/-trace capture runtime profiles of
-// any run (see PERFORMANCE.md).
+// -cpuprofile/-memprofile/-trace capture runtime profiles of any run (see
+// PERFORMANCE.md).
 package main
 
 import (
@@ -84,90 +80,98 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run parses args over its own flag set and executes one mode, returning
+// the process exit code: 0 on success, 1 when the run or comparison fails,
+// 2 on a usage error. A usage error is reported before any output file is
+// created.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("optchain-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp        = flag.String("experiment", "", "paper-layout experiment to run ('all' or a name; default 'all' unless -sweep is given)")
-		sweep      = flag.String("sweep", "", "registered sweep to stream through -reporter (see -list-sweeps)")
-		reporter   = flag.String("reporter", "", "reporter spec for -sweep: name[:key=value,...] (text, jsonl, csv, baseline, diff; default text)")
-		out        = flag.String("out", "", "output file for -sweep (default stdout)")
-		cacheDir   = flag.String("cache", "", "row-cache directory for -sweep: completed rows persist keyed by cell ID and re-runs resume instead of re-simulating")
-		diffMode   = flag.Bool("diff", false, "compare two row files (OLD NEW as positional args; jsonl sweep output, a row cache, or BENCH_baseline.json) and exit non-zero on quality regression")
-		tolTPS     = flag.Float64("tol-tps", 0.05, "-diff relative tolerance on steady_tps (regresses downward)")
-		tolCross   = flag.Float64("tol-cross", 0.05, "-diff relative tolerance on cross_fraction (regresses upward)")
-		tolNsTx    = flag.Float64("tol-nstx", 0, "-diff relative tolerance on wall ns/tx (0 = not compared; host noise)")
-		allowMiss  = flag.Bool("allow-missing", false, "-diff: accept cells present in OLD but absent from NEW (gating a subset run against a fuller baseline)")
-		listSweeps = flag.Bool("list-sweeps", false, "list registered sweeps and reporters, then exit")
-		stream     = flag.Bool("stream", false, "drive simulation sweeps from streaming workload sources (no materialization; Metis cells still materialize)")
-		n          = flag.Int("n", 60_000, "transactions per simulation run")
-		tableN     = flag.Int("table-n", 200_000, "transactions for offline tables")
-		seed       = flag.Int64("seed", 1, "random seed")
-		validators = flag.Int("validators", 400, "validators per shard committee")
-		workers    = flag.Int("workers", 0, "parallel simulation workers (0 = NumCPU)")
-		quick      = flag.Bool("quick", false, "shrink all grids for a fast smoke pass")
-		protocol   = flag.String("protocol", "", "commit protocol for the sweeps (default omniledger)")
-		strategies = flag.String("strategies", "", "comma-separated strategy set for the figures (default: paper's four)")
-		wl         = flag.String("workload", "", "workload spec driving every figure/table/ablation sweep (default: calibrated bitcoin generator)")
-		workloads  = flag.String("workloads", "", "workload-scenario set for the scenarios experiment and baseline; ','-separated, or ';'-separated when a spec contains commas (a trailing ';' forces that mode); default: all standalone registered")
-		list       = flag.Bool("list", false, "list experiment names and exit")
-		baseline   = flag.String("baseline-json", "", "measure hot paths and write the JSON performance record to this file instead of running experiments")
-		mergeCache = flag.String("merge-cache", "", "merge row caches: write the union of the positional input rows.jsonl files to this path (inputs must share seed/validators; diverging duplicate cells fail)")
+		exp        = fs.String("experiment", "", "paper-layout experiment to run ('all' or a name; default 'all' unless -sweep is given)")
+		sweep      = fs.String("sweep", "", "registered sweep to stream through -reporter (see -list-sweeps)")
+		reporter   = fs.String("reporter", "", "reporter spec for -sweep: name[:key=value,...] (text, jsonl, csv; default text)")
+		out        = fs.String("out", "", "output file for -sweep (default stdout)")
+		cacheDir   = fs.String("cache", "", "row-cache directory for -sweep: completed rows persist keyed by cell ID and re-runs resume instead of re-simulating")
+		diffMode   = fs.Bool("diff", false, "compare two row files (OLD NEW as positional args; jsonl sweep output or a row cache) and exit non-zero on quality regression")
+		tolTPS     = fs.Float64("tol-tps", 0.05, "-diff relative tolerance on steady_tps (regresses downward)")
+		tolCross   = fs.Float64("tol-cross", 0.05, "-diff relative tolerance on cross_fraction (regresses upward)")
+		tolNsTx    = fs.Float64("tol-nstx", 0, "-diff relative tolerance on wall ns/tx (0 = not compared; host noise)")
+		allowMiss  = fs.Bool("allow-missing", false, "-diff: accept cells present in OLD but absent from NEW (gating a subset run against a fuller row set)")
+		listSweeps = fs.Bool("list-sweeps", false, "list registered sweeps and reporters, then exit")
+		stream     = fs.Bool("stream", false, "drive simulation sweeps from streaming workload sources (no materialization; Metis cells still materialize)")
+		n          = fs.Int("n", 60_000, "transactions per simulation run")
+		tableN     = fs.Int("table-n", 200_000, "transactions for offline tables")
+		seed       = fs.Int64("seed", 1, "random seed")
+		validators = fs.Int("validators", 400, "validators per shard committee")
+		workers    = fs.Int("workers", 0, "parallel simulation workers (0 = NumCPU)")
+		quick      = fs.Bool("quick", false, "shrink all grids for a fast smoke pass")
+		protocol   = fs.String("protocol", "", "commit protocol for the sweeps (default omniledger)")
+		strategies = fs.String("strategies", "", "comma-separated strategy set for the figures (default: paper's four)")
+		wl         = fs.String("workload", "", "workload spec driving every figure/table/ablation sweep (default: calibrated bitcoin generator)")
+		workloads  = fs.String("workloads", "", "workload-scenario set for the scenarios experiment; ','-separated, or ';'-separated when a spec contains commas (a trailing ';' forces that mode); default: all standalone registered")
+		list       = fs.Bool("list", false, "list experiment names and exit")
+		mergeCache = fs.String("merge-cache", "", "merge row caches: write the union of the positional input rows.jsonl files to this path (inputs must share seed/validators; diverging duplicate cells fail)")
 	)
 	var prof profiling.Config
-	prof.AddFlags(flag.CommandLine)
-	flag.Parse()
+	prof.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
+	// Reporter knobs without a sweep would be silently inert; fail first,
+	// before any mode (the offline ones included) runs or writes a file.
+	if *sweep == "" {
+		for _, f := range []struct{ name, val string }{{"-reporter", *reporter}, {"-out", *out}, {"-cache", *cacheDir}} {
+			if f.val != "" {
+				fmt.Fprintf(stderr, "optchain-bench: %s %q requires -sweep (see -list-sweeps)\n", f.name, f.val)
+				return 2
+			}
+		}
+	}
 	if *list {
-		fmt.Println(strings.Join(bench.Names(), "\n"))
+		fmt.Fprintln(stdout, strings.Join(bench.Names(), "\n"))
 		return 0
 	}
 	if *listSweeps {
-		fmt.Println("sweeps:")
+		fmt.Fprintln(stdout, "sweeps:")
 		for _, name := range experiment.SweepNames() {
-			fmt.Printf("  %-12s %s\n", name, experiment.SweepDescription(name))
+			fmt.Fprintf(stdout, "  %-12s %s\n", name, experiment.SweepDescription(name))
 		}
-		fmt.Printf("reporters: %s\n", strings.Join(experiment.Reporters(), " "))
+		fmt.Fprintf(stdout, "reporters: %s\n", strings.Join(experiment.Reporters(), " "))
 		return 0
 	}
+	// -merge-cache and -diff are offline file operations; combining one with
+	// a run mode (or with each other) would leave one of the two silently
+	// undone.
+	runModes := []setFlag{{"-sweep", *sweep != ""}, {"-experiment", *exp != ""}, {"-stream", *stream}}
 	if *mergeCache != "" {
-		// -merge-cache is an offline file operation; combining it with a
-		// run or comparison mode would leave one of the two silently undone.
-		for flagName, set := range map[string]bool{
-			"-sweep": *sweep != "", "-experiment": *exp != "", "-baseline-json": *baseline != "",
-			"-cache": *cacheDir != "", "-stream": *stream, "-diff": *diffMode,
-		} {
-			if set {
-				fmt.Fprintf(os.Stderr, "optchain-bench: %s and -merge-cache are mutually exclusive\n", flagName)
-				return 2
-			}
-		}
-		if flag.NArg() < 1 {
-			fmt.Fprintln(os.Stderr, "usage: optchain-bench -merge-cache OUT IN1 [IN2 ...]")
+		if conflict(stderr, "-merge-cache", append(runModes, setFlag{"-diff", *diffMode})...) {
 			return 2
 		}
-		if err := experiment.MergeCacheFiles(*mergeCache, flag.Args()...); err != nil {
-			fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
+		if fs.NArg() < 1 {
+			fmt.Fprintln(stderr, "usage: optchain-bench -merge-cache OUT IN1 [IN2 ...]")
+			return 2
+		}
+		if err := experiment.MergeCacheFiles(*mergeCache, fs.Args()...); err != nil {
+			fmt.Fprintf(stderr, "optchain-bench: %v\n", err)
 			return 1
 		}
-		fmt.Printf("merged %d cache file(s) into %s\n", flag.NArg(), *mergeCache)
+		fmt.Fprintf(stdout, "merged %d cache file(s) into %s\n", fs.NArg(), *mergeCache)
 		return 0
 	}
 	if *diffMode {
-		// -diff is an offline comparison; combining it with a run mode
-		// would leave one of the two silently undone.
-		for flagName, set := range map[string]bool{
-			"-sweep": *sweep != "", "-experiment": *exp != "", "-baseline-json": *baseline != "",
-			"-cache": *cacheDir != "", "-stream": *stream,
-		} {
-			if set {
-				fmt.Fprintf(os.Stderr, "optchain-bench: %s and -diff are mutually exclusive\n", flagName)
-				return 2
-			}
+		if conflict(stderr, "-diff", runModes...) {
+			return 2
 		}
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: optchain-bench -diff [-tol-tps F] [-tol-cross F] [-tol-nstx F] [-allow-missing] OLD NEW")
+		if fs.NArg() != 2 {
+			fmt.Fprintln(stderr, "usage: optchain-bench -diff [-tol-tps F] [-tol-cross F] [-tol-nstx F] [-allow-missing] OLD NEW")
 			return 2
 		}
 		tol := experiment.Tolerances{
@@ -176,36 +180,11 @@ func run() int {
 			NsPerTx:       *tolNsTx,
 			AllowMissing:  *allowMiss,
 		}
-		return runDiff(flag.Arg(0), flag.Arg(1), tol)
-	}
-	// Reporter knobs without a sweep would be silently inert; fail instead.
-	if *sweep == "" {
-		for flagName, val := range map[string]string{"-reporter": *reporter, "-out": *out, "-cache": *cacheDir} {
-			if val != "" {
-				fmt.Fprintf(os.Stderr, "optchain-bench: %s %q requires -sweep (see -list-sweeps)\n", flagName, val)
-				return 2
-			}
-		}
+		return runDiff(stdout, stderr, fs.Arg(0), fs.Arg(1), tol)
 	}
 	if *sweep != "" && *exp != "" {
-		fmt.Fprintln(os.Stderr, "optchain-bench: -sweep and -experiment are mutually exclusive")
+		fmt.Fprintln(stderr, "optchain-bench: -sweep and -experiment are mutually exclusive")
 		return 2
-	}
-	if *baseline != "" {
-		// -baseline-json replaces the run; silently dropping a requested
-		// sweep or experiment would leave the user believing it executed,
-		// and -stream is inert in the baseline sections.
-		switch {
-		case *sweep != "":
-			fmt.Fprintln(os.Stderr, "optchain-bench: -sweep and -baseline-json are mutually exclusive")
-			return 2
-		case *exp != "":
-			fmt.Fprintln(os.Stderr, "optchain-bench: -experiment and -baseline-json are mutually exclusive")
-			return 2
-		case *stream:
-			fmt.Fprintln(os.Stderr, "optchain-bench: -stream does not apply to -baseline-json (the baseline sections fix their own streaming mode)")
-			return 2
-		}
 	}
 
 	params := bench.Params{
@@ -220,7 +199,7 @@ func run() int {
 	}
 	if *protocol != "" {
 		if !optchain.HasProtocol(*protocol) {
-			fmt.Fprintf(os.Stderr, "unknown protocol %q; registered: %s\n",
+			fmt.Fprintf(stderr, "unknown protocol %q; registered: %s\n",
 				*protocol, strings.Join(optchain.Protocols(), " "))
 			return 2
 		}
@@ -230,7 +209,7 @@ func run() int {
 		for _, name := range strings.Split(*strategies, ",") {
 			name = strings.TrimSpace(name)
 			if !optchain.HasStrategy(name) {
-				fmt.Fprintf(os.Stderr, "unknown strategy %q; registered: %s\n",
+				fmt.Fprintf(stderr, "unknown strategy %q; registered: %s\n",
 					name, strings.Join(optchain.Strategies(), " "))
 				return 2
 			}
@@ -239,7 +218,7 @@ func run() int {
 	}
 	if *wl != "" {
 		if _, _, err := optchain.ParseWorkloadSpec(*wl); err != nil {
-			fmt.Fprintf(os.Stderr, "optchain-bench: -workload: %v\n", err)
+			fmt.Fprintf(stderr, "optchain-bench: -workload: %v\n", err)
 			return 2
 		}
 		params.Workload = *wl
@@ -247,7 +226,7 @@ func run() int {
 	if *workloads != "" {
 		specs, err := optchain.SplitWorkloadList(*workloads)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "optchain-bench: -workloads: %v\n", err)
+			fmt.Fprintf(stderr, "optchain-bench: -workloads: %v\n", err)
 			return 2
 		}
 		params.Workloads = specs
@@ -255,47 +234,29 @@ func run() int {
 
 	h := bench.NewHarness(params)
 
-	// One interrupt context for every mode: Ctrl-C cancels the experiment,
-	// sweep, or baseline run between cells instead of killing mid-write.
+	// One interrupt context for every mode: Ctrl-C cancels the experiment
+	// or sweep between cells instead of killing mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
+		fmt.Fprintf(stderr, "optchain-bench: %v\n", err)
 		return 2
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
+			fmt.Fprintf(stderr, "optchain-bench: %v\n", err)
 		}
 	}()
 
 	start := time.Now()
-	if *baseline != "" {
-		f, err := os.Create(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
-			return 1
-		}
-		err = bench.WriteBaselineJSON(ctx, h, f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s in %.1fs\n", *baseline, time.Since(start).Seconds())
-		return 0
-	}
-
 	if *sweep != "" {
-		if err := runSweep(ctx, h, *sweep, *reporter, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
+		if err := runSweep(ctx, h, stdout, *sweep, *reporter, *out); err != nil {
+			fmt.Fprintf(stderr, "optchain-bench: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "done in %.1fs\n", time.Since(start).Seconds())
+		fmt.Fprintf(stderr, "done in %.1fs\n", time.Since(start).Seconds())
 		return 0
 	}
 
@@ -304,37 +265,54 @@ func run() int {
 		name = "all"
 	}
 	if name == "all" {
-		err = bench.RunAll(ctx, h, os.Stdout)
+		err = bench.RunAll(ctx, h, stdout)
 	} else if fn, ok := bench.Experiments[name]; ok {
-		err = fn(ctx, h, os.Stdout)
+		err = fn(ctx, h, stdout)
 	} else {
 		err = fmt.Errorf("unknown experiment %q (have %v)", name, bench.Names())
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
+		fmt.Fprintf(stderr, "optchain-bench: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "done in %.1fs\n", time.Since(start).Seconds())
+	fmt.Fprintf(stderr, "done in %.1fs\n", time.Since(start).Seconds())
 	return 0
+}
+
+// setFlag is one command-line flag and whether the user set it.
+type setFlag struct {
+	name string
+	set  bool
+}
+
+// conflict reports the first set flag as mutually exclusive with mode.
+func conflict(stderr io.Writer, mode string, flags ...setFlag) bool {
+	for _, f := range flags {
+		if f.set {
+			fmt.Fprintf(stderr, "optchain-bench: %s and %s are mutually exclusive\n", f.name, mode)
+			return true
+		}
+	}
+	return false
 }
 
 // runDiff joins two row files on cell identity, renders the verdict table,
 // and returns the process exit code: 0 when the gate passes, 1 on a
 // quality regression (or unusable input), so CI can gate directly on
 // `optchain-bench -diff old.jsonl new.jsonl`.
-func runDiff(oldPath, newPath string, tol experiment.Tolerances) int {
+func runDiff(stdout, stderr io.Writer, oldPath, newPath string, tol experiment.Tolerances) int {
 	rep, err := experiment.DiffFiles(oldPath, newPath, tol)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "optchain-bench: -diff: %v\n", err)
+		fmt.Fprintf(stderr, "optchain-bench: -diff: %v\n", err)
 		return 1
 	}
-	fmt.Printf("quality diff: old=%s new=%s\n", oldPath, newPath)
-	if err := rep.Render(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "optchain-bench: -diff: %v\n", err)
+	fmt.Fprintf(stdout, "quality diff: old=%s new=%s\n", oldPath, newPath)
+	if err := rep.Render(stdout); err != nil {
+		fmt.Fprintf(stderr, "optchain-bench: -diff: %v\n", err)
 		return 1
 	}
 	if err := rep.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "optchain-bench: %v\n", err)
+		fmt.Fprintf(stderr, "optchain-bench: %v\n", err)
 		return 1
 	}
 	return 0
@@ -346,7 +324,7 @@ func runDiff(oldPath, newPath string, tol experiment.Tolerances) int {
 func runSweep(ctx context.Context, h interface {
 	Report(ctx context.Context, s experiment.Sweep, rep experiment.Reporter) error
 	Params() experiment.Params
-}, name, reporterSpec, outPath string) (err error) {
+}, stdout io.Writer, name, reporterSpec, outPath string) (err error) {
 	s, err := experiment.BuildSweep(name, h.Params())
 	if err != nil {
 		return err
@@ -359,7 +337,7 @@ func runSweep(ctx context.Context, h interface {
 	if _, err := experiment.NewReporter(reporterSpec, io.Discard); err != nil {
 		return err
 	}
-	w := os.Stdout
+	w := stdout
 	if outPath != "" {
 		f, ferr := os.Create(outPath)
 		if ferr != nil {

@@ -118,9 +118,9 @@
 // (StandaloneWorkloads excludes the ones needing spec arguments). Every
 // scenario is selectable by the -workload flags of optchain-sim, tangen,
 // and tanstats, drives every optchain-bench figure/table/ablation sweep
-// via -workload, is swept by the "scenarios" experiment, and is tracked
-// per-PR in BENCH_baseline.json (every simulation row records its workload
-// spec). MaterializeWorkload converts any scenario into a Dataset when a
+// via -workload, and is swept by the "scenarios" experiment, whose rows
+// (each recording its workload spec) are pinned by golden fixtures.
+// MaterializeWorkload converts any scenario into a Dataset when a
 // full stream is genuinely needed.
 //
 // # Experiments: declarative sweeps
@@ -129,7 +129,7 @@
 // declarative Sweep value (axes over shards, rate, strategy, protocol, and
 // full workload specs — or an explicit cell list) executed by a Runner
 // that streams typed Rows as cells complete into pluggable Reporter sinks
-// (text, jsonl, csv, and the BENCH_baseline.json writer are built in):
+// (text, jsonl and csv are built in):
 //
 //	r := experiment.NewRunner(experiment.Params{N: 60_000, Seed: 1})
 //	sweep := experiment.Sweep{

@@ -10,10 +10,6 @@ import (
 	"strings"
 )
 
-func init() {
-	mustRegisterReporter("diff", newDiffReporter)
-}
-
 // Tolerances are the per-metric relative tolerances Diff classifies
 // against. Each is a fraction of the old value (0.05 = 5%): a metric
 // moving in its worse direction by more than the tolerance is a
@@ -34,7 +30,7 @@ type Tolerances struct {
 	NsPerTx float64
 	// AllowMissing accepts cells present in the old rows but absent from
 	// the new — the setting for gating a subset run against a fuller
-	// baseline. When false, a missing cell fails the gate.
+	// row set. When false, a missing cell fails the gate.
 	AllowMissing bool
 }
 
@@ -311,20 +307,18 @@ func (d *DiffReport) Render(w io.Writer) error {
 	return err
 }
 
-// DecodeRows reads a row set for diffing from any of the three on-disk
-// forms the toolchain writes:
+// DecodeRows reads a row set for diffing from either on-disk form the
+// toolchain writes:
 //
-//   - raw JSONL sweep output (the jsonl reporter): one Row object per value;
+//   - raw JSONL sweep output (the jsonl reporter, and the committed
+//     BENCH_quality.jsonl ledger): one Row object per value;
 //   - a row-cache file (Params.CacheDir): a CacheSchema header line, then
-//     rows;
-//   - a BENCH_baseline.json record (the baseline reporter, current schema
-//     only): the Sim and Scenarios sections convert to rows joined on
-//     their recorded cell_id.
+//     rows.
 //
 // Malformed input — undecodable values, rows without a cell ID, duplicate
-// cell IDs, unknown or mixed schema versions, trailing data after a
-// baseline record — fails with ErrBadCache; DecodeRows never panics on
-// arbitrary bytes (fuzzed by FuzzDiffRows).
+// cell IDs, a first value carrying any schema but the current CacheSchema
+// — fails with ErrBadCache; DecodeRows never panics on arbitrary bytes
+// (fuzzed by FuzzDiffRows).
 func DecodeRows(r io.Reader) ([]Row, error) {
 	dec := json.NewDecoder(r)
 	var out []Row
@@ -344,26 +338,10 @@ func DecodeRows(r io.Reader) ([]Row, error) {
 			// which produces the row-shaped error.
 			_ = json.Unmarshal(raw, &probe)
 			switch {
-			case strings.HasPrefix(probe.Schema, "optchain-rowcache/"):
-				if probe.Schema != CacheSchema {
-					return nil, fmt.Errorf("%w: cache schema %q, want %q", ErrBadCache, probe.Schema, CacheSchema)
-				}
+			case probe.Schema == CacheSchema:
 				continue // header consumed; the remaining values are rows
-			case strings.HasPrefix(probe.Schema, "optchain-bench-baseline/"):
-				if probe.Schema != BaselineSchema {
-					return nil, fmt.Errorf("%w: baseline schema %q, want %q (regenerate with make bench-json)",
-						ErrBadCache, probe.Schema, BaselineSchema)
-				}
-				var b Baseline
-				if err := json.Unmarshal(raw, &b); err != nil {
-					return nil, fmt.Errorf("%w: baseline record: %v", ErrBadCache, err)
-				}
-				if dec.More() {
-					return nil, fmt.Errorf("%w: trailing data after the baseline record", ErrBadCache)
-				}
-				return baselineRows(b, seen)
 			case probe.Schema != "":
-				return nil, fmt.Errorf("%w: unknown schema %q", ErrBadCache, probe.Schema)
+				return nil, fmt.Errorf("%w: unknown schema %q, want %q or none", ErrBadCache, probe.Schema, CacheSchema)
 			}
 		}
 		var row Row
@@ -378,48 +356,6 @@ func DecodeRows(r io.Reader) ([]Row, error) {
 		}
 		seen[row.ID] = true
 		out = append(out, row)
-	}
-	return out, nil
-}
-
-// baselineRows converts a baseline record's quality columns into rows: the
-// Sim section materialized, the Scenarios section streamed, each joined by
-// its recorded cell_id.
-func baselineRows(b Baseline, seen map[string]bool) ([]Row, error) {
-	var out []Row
-	add := func(section string, streamed bool, cells []BaselineSim) error {
-		for i, s := range cells {
-			if s.CellID == "" {
-				return fmt.Errorf("%w: baseline %s[%d] has no cell_id", ErrBadCache, section, i)
-			}
-			if seen[s.CellID] {
-				return fmt.Errorf("%w: duplicate cell %q", ErrBadCache, s.CellID)
-			}
-			seen[s.CellID] = true
-			out = append(out, Row{
-				ID:            s.CellID,
-				Kind:          KindSim,
-				Strategy:      s.Strategy,
-				Protocol:      s.Protocol,
-				Shards:        s.Shards,
-				Rate:          s.Rate,
-				Workload:      s.Workload,
-				Txs:           s.Txs,
-				Streamed:      streamed,
-				Total:         s.Txs,
-				Committed:     s.Committed,
-				SteadyTPS:     s.SteadyTPS,
-				CrossFraction: s.CrossFraction,
-				WallSeconds:   s.WallSeconds,
-			})
-		}
-		return nil
-	}
-	if err := add("sim", false, b.Sim); err != nil {
-		return nil, err
-	}
-	if err := add("scenarios", true, b.Scenarios); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -453,85 +389,4 @@ func DiffFiles(oldPath, newPath string, tol Tolerances) (*DiffReport, error) {
 		return nil, err
 	}
 	return Diff(old, new, tol)
-}
-
-// diffReporter is the "diff" reporter: it gates a live sweep against a
-// stored row set. The old rows load at construction (old=FILE, any form
-// DecodeRows accepts), each streamed row accumulates, and End renders the
-// verdict table and returns the gate verdict — a regression makes
-// Runner.Report (and so `optchain-bench -sweep ... -reporter diff:...`)
-// fail with ErrQualityRegression.
-type diffReporter struct {
-	w    io.Writer
-	old  []Row
-	tol  Tolerances
-	rows []Row
-}
-
-// newDiffReporter is the registry factory. Knobs: old=FILE (required),
-// tps=, cross=, nstx= (relative tolerances; see Tolerances), missing=on to
-// allow cells absent from the sweep.
-func newDiffReporter(w io.Writer, opts map[string]string) (Reporter, error) {
-	if err := checkReporterOpts("diff", opts, "old", "tps", "cross", "nstx", "missing"); err != nil {
-		return nil, err
-	}
-	path, ok := opts["old"]
-	if !ok || path == "" {
-		return nil, fmt.Errorf("%w: reporter %q requires old=FILE (the stored rows to gate against)", ErrBadReporterOption, "diff")
-	}
-	tol := DefaultTolerances()
-	for _, knob := range []struct {
-		key string
-		dst *float64
-	}{
-		{"tps", &tol.SteadyTPS},
-		{"cross", &tol.CrossFraction},
-		{"nstx", &tol.NsPerTx},
-	} {
-		v, ok := opts[knob.key]
-		if !ok {
-			continue
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
-			return nil, fmt.Errorf("%w: reporter %q option %s=%q (want a non-negative relative tolerance)",
-				ErrBadReporterOption, "diff", knob.key, v)
-		}
-		*knob.dst = f
-	}
-	if v, ok := opts["missing"]; ok {
-		on, err := onOff("diff", "missing", v)
-		if err != nil {
-			return nil, err
-		}
-		tol.AllowMissing = on
-	}
-	old, err := DecodeRowsFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &diffReporter{w: w, old: old, tol: tol}, nil
-}
-
-func (d *diffReporter) Begin(s Sweep, p Params) error { return nil }
-
-func (d *diffReporter) Row(r Row) error {
-	d.rows = append(d.rows, r)
-	return nil
-}
-
-func (d *diffReporter) End() error {
-	if len(d.rows) == 0 {
-		// A failed or cancelled sweep flushed nothing; the sweep error is
-		// the story, not a vacuous diff.
-		return nil
-	}
-	rep, err := Diff(d.old, d.rows, d.tol)
-	if err != nil {
-		return err
-	}
-	if err := rep.Render(d.w); err != nil {
-		return err
-	}
-	return rep.Err()
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -211,8 +210,8 @@ func TestDiffRejectsBadRowSets(t *testing.T) {
 
 // TestDiffInjectedRegression is the gate's acceptance demo: perturbing one
 // real sweep row's steady-tps beyond tolerance turns a passing diff into
-// ErrQualityRegression, both through Diff and through the diff reporter
-// gating a live sweep (the `optchain-bench -reporter diff:...` path).
+// ErrQualityRegression, whether the perturbed side is the new run or the
+// stored record it is gated against.
 func TestDiffInjectedRegression(t *testing.T) {
 	r := experiment.NewRunner(quickParams())
 	rows, err := r.Collect(context.Background(), tinySweep())
@@ -248,29 +247,21 @@ func TestDiffInjectedRegression(t *testing.T) {
 		t.Fatalf("verdict table does not show the regression:\n%s", out)
 	}
 
-	// The reporter path: gate a live sweep against a stored row set whose
-	// recorded throughput is 20% higher than reality for one cell.
+	// A stored row set whose recorded throughput is 25% above a fresh run
+	// of the same sweep for one cell gates that run as a regression.
 	inflated := make([]experiment.Row, len(rows))
 	copy(inflated, rows)
 	inflated[1].SteadyTPS *= 1.25
-	dir := t.TempDir()
-	writeRowsFile(t, filepath.Join(dir, "old.jsonl"), inflated)
-	gate, err := experiment.NewReporter("diff:old="+filepath.Join(dir, "old.jsonl"), io.Discard)
+	live, err := r.Collect(context.Background(), tinySweep())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Report(context.Background(), tinySweep(), gate); !errors.Is(err, experiment.ErrQualityRegression) {
-		t.Fatalf("diff reporter gate: %v, want ErrQualityRegression", err)
-	}
-
-	// And against the honest record, the same sweep passes.
-	writeRowsFile(t, filepath.Join(dir, "honest.jsonl"), rows)
-	gate, err = experiment.NewReporter("diff:old="+filepath.Join(dir, "honest.jsonl"), io.Discard)
+	rep, err = experiment.Diff(inflated, live, experiment.DefaultTolerances())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Report(context.Background(), tinySweep(), gate); err != nil {
-		t.Fatalf("diff reporter against honest record: %v", err)
+	if err := rep.Err(); !errors.Is(err, experiment.ErrQualityRegression) {
+		t.Fatalf("gate against an inflated record: %v, want ErrQualityRegression", err)
 	}
 }
 
@@ -297,27 +288,13 @@ func TestDecodeRowsForms(t *testing.T) {
 	cacheFile := `{"schema":"optchain-rowcache/v1","seed":1,"validators":4,"n":1200,"table_n":3000,"protocol":"omniledger"}
 {"id":"a","kind":"sim","strategy":"OptChain","shards":2,"workload":"w","txs":10,"streamed":false,"cross_fraction":0.5,"steady_tps":100,"wall_seconds":0}
 `
-	baseline, err := json.Marshal(experiment.Baseline{
-		Schema: experiment.BaselineSchema,
-		Sim: []experiment.BaselineSim{
-			{CellID: "a", Strategy: "OptChain", Protocol: "omniledger", Shards: 2, Workload: "w", Txs: 10, SteadyTPS: 100, CrossFraction: 0.5},
-		},
-		Scenarios: []experiment.BaselineSim{
-			{CellID: "s", Strategy: "OptChain", Protocol: "omniledger", Shards: 8, Workload: "hotspot", Txs: 10, SteadyTPS: 50, CrossFraction: 0.4},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for name, tc := range map[string]struct {
 		in   string
 		ids  []string
 		tps0 float64
 	}{
-		"jsonl":    {in: jsonl, ids: []string{"a", "b"}, tps0: 100},
-		"cache":    {in: cacheFile, ids: []string{"a"}, tps0: 100},
-		"baseline": {in: string(baseline), ids: []string{"a", "s"}, tps0: 100},
+		"jsonl": {in: jsonl, ids: []string{"a", "b"}, tps0: 100},
+		"cache": {in: cacheFile, ids: []string{"a"}, tps0: 100},
 	} {
 		t.Run(name, func(t *testing.T) {
 			rows, err := experiment.DecodeRows(strings.NewReader(tc.in))
@@ -337,16 +314,11 @@ func TestDecodeRowsForms(t *testing.T) {
 			}
 		})
 	}
-
-	// Baseline scenario rows decode as streamed, sim rows as materialized.
-	rows, err := experiment.DecodeRows(bytes.NewReader(baseline))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].Streamed || !rows[1].Streamed {
-		t.Fatalf("baseline streamed markers: sim=%v scenarios=%v", rows[0].Streamed, rows[1].Streamed)
-	}
 }
+
+// baselineV6 is a record of the retired BENCH_baseline.json format: its
+// schema is unknown to DecodeRows, so it is refused, never read as rows.
+const baselineV6 = `{"schema":"optchain-bench-baseline/v6","micro":[],"sim":[{"cell_id":"a","steady_tps":1}],"scenarios":[]}`
 
 func TestDecodeRowsRejectsMalformed(t *testing.T) {
 	for name, in := range map[string]string{
@@ -356,40 +328,20 @@ func TestDecodeRowsRejectsMalformed(t *testing.T) {
 		"unknown schema":         `{"schema":"optchain-somethingelse/v1"}`,
 		"old cache schema":       `{"schema":"optchain-rowcache/v0"}`,
 		"old baseline schema":    `{"schema":"optchain-bench-baseline/v3"}`,
-		"trailing after record":  `{"schema":"` + experiment.BaselineSchema + `","sim":[{"cell_id":"a"}]}` + "\n" + `{"id":"b"}`,
-		"baseline row sans cell": `{"schema":"` + experiment.BaselineSchema + `","sim":[{"strategy":"OptChain"}]}`,
+		"baseline record v6":     baselineV6,
+		"trailing after record":  baselineV6 + "\n" + `{"id":"b"}`,
+		"baseline row sans cell": `{"schema":"optchain-bench-baseline/v6","sim":[{"strategy":"OptChain"}]}`,
 		"truncated value":        `{"id":"a","steady_tps":`,
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := experiment.DecodeRows(strings.NewReader(in)); !errors.Is(err, experiment.ErrBadCache) {
+			_, err := experiment.DecodeRows(strings.NewReader(in))
+			if !errors.Is(err, experiment.ErrBadCache) {
 				t.Fatalf("err = %v, want ErrBadCache", err)
 			}
-		})
-	}
-}
-
-func TestDiffReporterOptionValidation(t *testing.T) {
-	dir := t.TempDir()
-	old := filepath.Join(dir, "old.jsonl")
-	writeRowsFile(t, old, []experiment.Row{qrow("a", 100, 0.5)})
-	for name, spec := range map[string]string{
-		"no old file":       "diff",
-		"empty old":         "diff:old=",
-		"unknown option":    "diff:old=" + old + ",bogus=1",
-		"bad tolerance":     "diff:old=" + old + ",tps=abc",
-		"negative":          "diff:old=" + old + ",cross=-0.1",
-		"bad missing":       "diff:old=" + old + ",missing=maybe",
-		"unreadable source": "diff:old=" + filepath.Join(dir, "absent.jsonl"),
-	} {
-		t.Run(name, func(t *testing.T) {
-			if _, err := experiment.NewReporter(spec, io.Discard); err == nil {
-				t.Fatalf("spec %q accepted", spec)
+			if strings.HasPrefix(in, `{"schema":"optchain-bench-baseline/`) && !strings.Contains(err.Error(), "unknown schema") {
+				t.Fatalf("retired baseline record refused for the wrong reason: %v", err)
 			}
 		})
-	}
-	// The happy spec parses, with every knob set.
-	if _, err := experiment.NewReporter("diff:old="+old+",tps=0.1,cross=0.2,nstx=0.4,missing=on", io.Discard); err != nil {
-		t.Fatal(err)
 	}
 }
 

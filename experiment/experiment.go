@@ -20,8 +20,8 @@
 // RegisterWorkload:
 //
 //   - RegisterReporter: result sinks. Built-ins: "text" (aligned table),
-//     "jsonl" (one JSON object per row), "csv", and "baseline" (the
-//     BENCH_baseline.json writer, schema v4).
+//     "jsonl" (one JSON object per row: the form of the committed
+//     BENCH_quality.jsonl ledger), and "csv".
 //   - RegisterSweep: named sweep definitions, selectable from
 //     cmd/optchain-bench via -sweep / -list-sweeps. internal/bench
 //     registers the paper's grids (grid, peak, scenarios, table1, ...).
@@ -113,9 +113,9 @@ type Params struct {
 	// Strategies overrides the default strategy axis (default: OptChain,
 	// OmniLedger, Metis, Greedy — the paper's four).
 	Strategies []string
-	// Workloads overrides the scenario set of the `scenarios` sweep and the
-	// baseline's per-scenario section (default: every standalone registered
-	// workload scenario). Entries may be full workload specs.
+	// Workloads overrides the scenario set of the `scenarios` sweep
+	// (default: every standalone registered workload scenario). Entries may
+	// be full workload specs.
 	Workloads []string
 	// Workload is the default workload spec driving cells that don't pin
 	// one: a spec ("hotspot:exp=1.5", "mix:bitcoin=0.7,hotspot=0.3",

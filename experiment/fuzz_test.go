@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzDiffRows fuzzes the two row decoders behind the quality gate —
-// DecodeRows (jsonl / row-cache / baseline forms) and the cache loader —
+// DecodeRows (jsonl and row-cache forms) and the cache loader —
 // with arbitrary bytes. The contract under fuzzing: never panic, and every
 // accepted input decodes to rows with non-empty unique cell IDs; everything
 // else fails with ErrBadCache. Wired into `make fuzz-smoke`.
@@ -18,10 +18,10 @@ func FuzzDiffRows(f *testing.F) {
 	f.Add([]byte("{\"id\":\"a\"}\n{\"id\":\"b\"}\n"))
 	f.Add([]byte("{\"id\":\"a\"}\n{\"id\":\"a\"}\n")) // duplicate cell IDs
 	f.Add([]byte("{\"schema\":\"optchain-rowcache/v1\",\"seed\":1,\"validators\":4}\n{\"id\":\"a\",\"wall_seconds\":0}\n"))
-	f.Add([]byte("{\"schema\":\"optchain-rowcache/v0\"}\n"))                                                // stale cache schema
-	f.Add([]byte("{\"schema\":\"" + BaselineSchema + "\",\"sim\":[{\"cell_id\":\"a\",\"steady_tps\":1}]}")) // current baseline
-	f.Add([]byte("{\"schema\":\"optchain-bench-baseline/v3\",\"sim\":[]}"))                                 // mixed/stale baseline schema
-	f.Add([]byte("{\"id\":\"a\",\"steady_tps\":"))                                                          // truncated mid-value
+	f.Add([]byte("{\"schema\":\"optchain-rowcache/v0\"}\n"))                                                    // stale cache schema
+	f.Add([]byte("{\"schema\":\"optchain-bench-baseline/v6\",\"sim\":[{\"cell_id\":\"a\",\"steady_tps\":1}]}")) // retired baseline record: refused
+	f.Add([]byte("{\"schema\":\"optchain-bench-baseline/v3\",\"sim\":[]}"))                                     // older baseline record: refused
+	f.Add([]byte("{\"id\":\"a\",\"steady_tps\":"))                                                              // truncated mid-value
 	f.Add([]byte("{\"id\":\"a\"}\ngarbage"))
 	f.Add([]byte("null\n{\"id\":\"a\"}"))
 

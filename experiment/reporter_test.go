@@ -14,7 +14,7 @@ import (
 )
 
 func TestReporterRegistry(t *testing.T) {
-	for _, want := range []string{"text", "jsonl", "csv", "baseline"} {
+	for _, want := range []string{"text", "jsonl", "csv"} {
 		if !experiment.HasReporter(want) {
 			t.Fatalf("built-in reporter %q missing (have %v)", want, experiment.Reporters())
 		}
@@ -25,19 +25,26 @@ func TestReporterRegistry(t *testing.T) {
 	if err := experiment.RegisterReporter("text", nil); err == nil {
 		t.Fatal("duplicate/nil registration accepted")
 	}
+	// The retired baseline record writer and live-sweep diff gate are gone:
+	// rows go out as jsonl and are gated with Diff (optchain-bench -diff).
+	for _, gone := range []string{"baseline", "diff:old=rows.jsonl"} {
+		if _, err := experiment.NewReporter(gone, &strings.Builder{}); !errors.Is(err, experiment.ErrUnknownReporter) {
+			t.Fatalf("NewReporter(%q) err = %v, want ErrUnknownReporter", gone, err)
+		}
+	}
 }
 
 // TestReporterKnobValidation: unknown reporter options fail loudly instead
 // of being silently inert.
 func TestReporterKnobValidation(t *testing.T) {
 	var sb strings.Builder
-	for _, spec := range []string{"jsonl:compact=yes", "csv:sep=tab", "text:width=9", "baseline:nope=1", "csv:header=maybe"} {
+	for _, spec := range []string{"jsonl:compact=yes", "csv:sep=tab", "text:width=9", "text:header=maybe", "csv:header=maybe"} {
 		if _, err := experiment.NewReporter(spec, &sb); !errors.Is(err, experiment.ErrBadReporterOption) {
 			t.Errorf("NewReporter(%q) err = %v, want ErrBadReporterOption", spec, err)
 		}
 	}
 	// Valid knobs parse.
-	for _, spec := range []string{"csv:header=off", "text:header=off", "baseline:stamp=off"} {
+	for _, spec := range []string{"csv:header=off", "text:header=off", "jsonl"} {
 		if _, err := experiment.NewReporter(spec, &sb); err != nil {
 			t.Errorf("NewReporter(%q): %v", spec, err)
 		}
@@ -173,57 +180,6 @@ func parseNum(t *testing.T, field, s string) float64 {
 		t.Fatalf("field %s value %q: %v", field, s, err)
 	}
 	return f
-}
-
-// TestBaselineReporterRouting: streamed rows land in the Scenarios
-// section, materialized rows in Sim, each with a stable cell ID and the
-// reporter provenance stamped at schema v4.
-func TestBaselineReporterRouting(t *testing.T) {
-	r := experiment.NewRunner(quickParams())
-	var sb strings.Builder
-	rep := experiment.NewBaselineReporter(&sb)
-	rep.Stamp = false
-
-	s := tinySweep()
-	if err := r.Report(context.Background(), s, rep); err != nil {
-		t.Fatal(err)
-	}
-	streamed := experiment.Sweep{
-		Name:       "streamed",
-		Strategies: []string{"OptChain"},
-		Shards:     []int{2},
-		Rates:      []float64{800},
-		Workloads:  []string{"hotspot"},
-		Streaming:  true,
-	}
-	// Begin/Row via Report again: End re-writes, so decode the last record.
-	if err := r.Report(context.Background(), streamed, rep); err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(strings.NewReader(sb.String()))
-	var b experiment.Baseline
-	for dec.More() {
-		if err := dec.Decode(&b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if b.Schema != experiment.BaselineSchema || b.Reporter != experiment.BaselineReporterName {
-		t.Fatalf("schema %q reporter %q", b.Schema, b.Reporter)
-	}
-	if b.GeneratedAt != "" {
-		t.Fatalf("stamp off but generated_at = %q", b.GeneratedAt)
-	}
-	if len(b.Sim) != 4 || len(b.Scenarios) != 1 {
-		t.Fatalf("sections: sim=%d scenarios=%d", len(b.Sim), len(b.Scenarios))
-	}
-	for _, cell := range append(append([]experiment.BaselineSim{}, b.Sim...), b.Scenarios...) {
-		if cell.CellID == "" {
-			t.Fatalf("cell missing id: %+v", cell)
-		}
-	}
-	if b.Scenarios[0].Workload != "hotspot" {
-		t.Fatalf("scenario cell: %+v", b.Scenarios[0])
-	}
 }
 
 func TestSweepRegistry(t *testing.T) {

@@ -19,9 +19,6 @@ func init() {
 	mustRegisterReporter("csv", func(w io.Writer, opts map[string]string) (Reporter, error) {
 		return newCSVReporter(w, opts)
 	})
-	mustRegisterReporter("baseline", func(w io.Writer, opts map[string]string) (Reporter, error) {
-		return newBaselineFromOpts(w, opts)
-	})
 }
 
 // textReporter renders rows as an aligned table — the human-readable

@@ -451,7 +451,7 @@ func (r *Runner) Stream(ctx context.Context, s Sweep) iter.Seq2[Row, error] {
 		if workers > n {
 			workers = n
 		}
-		if workers < 1 || s.Serial {
+		if workers < 1 {
 			workers = 1
 		}
 		for w := 0; w < workers; w++ {

@@ -67,7 +67,7 @@ type Cell struct {
 	// Tag distinguishes otherwise-identical variants in cell IDs.
 	Tag string `json:"tag,omitempty"`
 	// NoCache forces the cell to execute even when an identical cell is
-	// cached — for wall-clock measurements (the baseline sections).
+	// cached — for wall-clock measurements.
 	NoCache bool `json:"-"`
 }
 
@@ -186,10 +186,6 @@ type Sweep struct {
 	// Uncached forces every cell to execute even when cached — for
 	// wall-clock measurements.
 	Uncached bool `json:"-"`
-	// Serial runs the sweep's cells one at a time regardless of the worker
-	// budget, so per-cell wall clocks are not distorted by contention (the
-	// baseline sections use it).
-	Serial bool `json:"-"`
 }
 
 // placementStrategies is the offline placement vocabulary of Tables I-II.

@@ -11,7 +11,7 @@
 // Figs. 4-10 present as different views — an `all` run pays for the sweep
 // once. The same sweep definitions are registered by name
 // (experiment.RegisterSweep), so cmd/optchain-bench -sweep streams them
-// through any registered reporter (text, jsonl, csv, baseline) instead of
+// through any registered reporter (text, jsonl, csv) instead of
 // the paper layouts.
 package bench
 
@@ -242,6 +242,33 @@ func SmokeSweep(p Params) experiment.Sweep {
 		Rates:       []float64{800},
 		Txs:         4000,
 		Streaming:   true,
+	}
+}
+
+// QualitySweep is the cell set `make quality-gate` runs and the committed
+// BENCH_quality.jsonl ledger pins: one cell per strategy x protocol at 8
+// shards / 2000 tps on the harness's default workload, canonical order
+// (protocol outer, strategy inner). The gate compares deterministic
+// quality metrics (steady_tps, cross_fraction), not wall clocks, so the
+// cells cache and run in parallel; the gate's second run is the
+// resumed-from-cache proof.
+func QualitySweep(p Params) experiment.Sweep {
+	var cells []experiment.Cell
+	for _, proto := range []string{"omniledger", "rapidchain"} {
+		for _, s := range placers(p) {
+			cells = append(cells, experiment.Cell{
+				Kind:     experiment.KindSim,
+				Strategy: s,
+				Protocol: proto,
+				Shards:   8,
+				Rate:     2000,
+			})
+		}
+	}
+	return experiment.Sweep{
+		Name:        "quality",
+		Description: "strategy x protocol cells for the placement-quality gate and its BENCH_quality.jsonl ledger (make quality-gate)",
+		Cells:       cells,
 	}
 }
 

@@ -95,44 +95,6 @@ func TestScenarioCellsCacheAndMetisMaterializes(t *testing.T) {
 	}
 }
 
-func TestBaselineHasScenarioSection(t *testing.T) {
-	h := NewHarness(Params{Quick: true, N: 1200, Seed: 1, Workloads: []string{"hotspot"}})
-	b, err := CollectBaseline(context.Background(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Schema != BaselineSchema || !strings.HasSuffix(b.Schema, "/v6") {
-		t.Fatalf("schema = %q", b.Schema)
-	}
-	if b.Reporter != experiment.BaselineReporterName {
-		t.Fatalf("reporter provenance = %q", b.Reporter)
-	}
-	if len(b.Scenarios) != 2 {
-		t.Fatalf("scenario cells = %d, want OptChain+OmniLedger on hotspot", len(b.Scenarios))
-	}
-	for _, c := range b.Scenarios {
-		if c.Workload != "hotspot" || c.Committed == 0 || c.SteadyTPS <= 0 {
-			t.Fatalf("degenerate scenario cell: %+v", c)
-		}
-		if c.CellID == "" || !strings.Contains(c.CellID, "streamed") {
-			t.Fatalf("scenario cell missing stable cell id: %+v", c)
-		}
-	}
-	// v3: every Sim-section row records the workload spec driving it.
-	// v4: it additionally carries the stable cell ID.
-	for _, c := range b.Sim {
-		if c.Workload != "bitcoin" {
-			t.Fatalf("sim cell missing workload spec: %+v", c)
-		}
-		if c.CellID == "" {
-			t.Fatalf("sim cell missing cell id: %+v", c)
-		}
-		if c.WallSeconds <= 0 {
-			t.Fatalf("uncached baseline cell has no wall clock: %+v", c)
-		}
-	}
-}
-
 func TestTableIQuick(t *testing.T) {
 	h := quickHarness()
 	var buf bytes.Buffer

@@ -118,23 +118,40 @@ func alg1Select(fit []float64, counts []int64, bound int64) int {
 	return best
 }
 
+// loadTelemetry is telemetry with load feedback: shard j verifies at
+// λv(j) = 1/(0.5 + counts[j]/100), so its mean grows by a second for every
+// hundred transactions placed in it. counts is the oracle's tally, which is
+// the placer's too, because the oracle commits the kernel's decision every
+// step; both read it before that step's commit. Static telemetry fills the
+// fastest shards whatever the weight of E(j); this one makes the weight
+// decide where the placer trades locality for load.
+type loadTelemetry struct{ counts []int64 }
+
+func (l loadTelemetry) CommRate(int) float64 { return 2 }
+
+func (l loadTelemetry) VerifyRate(j int) float64 { return 1 / (0.5 + float64(l.counts[j])/100) }
+
 // TestAlg1OracleOnStreams holds both placers (OptChain: raw scores, no
 // bound; T2S: normalised, capped) to alg1 on the benchmark's stream shapes
-// at k=16, with a covering hint and with none, and OptChain once more with
-// an E(j) that depends on j (the dense select). The oracle commits the
-// kernel's decision every step, so a divergence does not compound. A step
-// where they differ is allowed only when the kernel's shard is below the
-// bound and the oracle ranks it below its own choice by a positive fitness
-// gap of at most eps: a Q32.32-vs-float64 near-tie. An exact float64 tie
-// must be broken as the tie rules say.
+// at k=16, with a covering hint and with none, and OptChain twice more with
+// an E(j) that depends on j (the dense select): static rates, and rates
+// that fall as a shard fills. The oracle commits the kernel's decision
+// every step, so a divergence does not compound. A step where they differ
+// is allowed only when the kernel's shard is below the bound and the
+// oracle ranks it below its own choice by a positive fitness gap of at
+// most eps: a Q32.32-vs-float64 near-tie. An exact float64 tie must be
+// broken as the tie rules say.
 func TestAlg1OracleOnStreams(t *testing.T) {
 	if testing.Short() {
-		t.Skip("18 placement passes of 50k transactions")
+		t.Skip("24 placement passes of 50k transactions")
 	}
 	const k, txs, eps = 16, 50_000, 1e-9 // eps: about four Q32.32 quanta
 	tel := StaticTelemetry{Comm: make([]float64, k), Verify: make([]float64, k)}
 	for j := range tel.Comm {
 		tel.Comm[j], tel.Verify[j] = 2, 0.5+0.1*float64(j%5)
+	}
+	optChain := func(n int, tel Telemetry) *OptChainPlacer {
+		return NewOptChain(OptChainConfig{K: k, N: n, Truncate: -1, Telemetry: tel})
 	}
 	for _, w := range benchmarkStreams {
 		nodes, offs, outs := streamInputs(t, w.spec, txs)
@@ -142,26 +159,26 @@ func TestAlg1OracleOnStreams(t *testing.T) {
 			name      string
 			normalize bool
 			eps       float64
-			tel       Telemetry
-			build     func(n int) *OptChainPlacer
+			tel       func(counts []int64) Telemetry
+			build     func(n int, tel Telemetry) *OptChainPlacer
 		}{
-			{"OptChain", false, -1, nil, func(n int) *OptChainPlacer {
-				return NewOptChain(OptChainConfig{K: k, N: n, Truncate: -1})
-			}},
-			{"OptChain/L2S", false, -1, tel, func(n int) *OptChainPlacer {
-				return NewOptChain(OptChainConfig{K: k, N: n, Truncate: -1, Telemetry: tel})
-			}},
-			{"T2S", true, 0.1, nil, func(n int) *OptChainPlacer {
+			{"OptChain", false, -1, nil, optChain},
+			{"OptChain/L2S", false, -1, func([]int64) Telemetry { return tel }, optChain},
+			{"OptChain/L2S-load", false, -1, func(counts []int64) Telemetry { return loadTelemetry{counts} }, optChain},
+			{"T2S", true, 0.1, nil, func(n int, _ Telemetry) *OptChainPlacer {
 				p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
 				p.idx.truncate, p.idx.truncQ = 0, 0
 				return p
 			}},
 		} {
 			for _, hint := range []int{txs, 0} {
-				p := c.build(hint)
-				p.idx.SetOutCounts(func(v txgraph.Node) int { return outs[v] })
 				a := &alg1{k: k, alpha: DefaultAlpha, w: DefaultWeight, normalize: c.normalize,
-					eps: c.eps, hint: hint, tel: c.tel, outs: outs, counts: make([]int64, k)}
+					eps: c.eps, hint: hint, outs: outs, counts: make([]int64, k)}
+				if c.tel != nil {
+					a.tel = c.tel(a.counts)
+				}
+				p := c.build(hint, a.tel)
+				p.idx.SetOutCounts(func(v txgraph.Node) int { return outs[v] })
 				near, widest := 0, 0.0
 				for u := 0; u < txs; u++ {
 					in := nodes[offs[u]:offs[u+1]]
