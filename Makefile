@@ -111,12 +111,18 @@ fuzz-smoke:
 # Tiny 2x2 streaming sweep through the JSONL reporter, validated with the
 # sweepcheck checker: the experiment layer's data path (streamed cells,
 # stable row identity, machine-readable output) stays working, not just
-# compilable.
+# compilable. Then the quick Table I sweep through the fidelity reporter,
+# which must print the four k=16 claims with paper value, ours and ratio.
 sweep-smoke:
 	@rc=0; \
 	$(GO) run ./cmd/optchain-bench -quick -sweep smoke -reporter jsonl -out sweep-smoke.jsonl \
-		&& $(GO) run ./internal/sweepcheck -rows 4 -streamed sweep-smoke.jsonl || rc=$$?; \
-	rm -f sweep-smoke.jsonl; exit $$rc
+		&& $(GO) run ./internal/sweepcheck -rows 4 -streamed sweep-smoke.jsonl \
+		&& $(GO) run ./cmd/optchain-bench -quick -sweep table1 -reporter fidelity -out sweep-fidelity.txt \
+		&& cat sweep-fidelity.txt \
+		&& n="$$(grep -cE '^table1/.* [0-9.]+ +[0-9.]+ +[0-9.]+$$' sweep-fidelity.txt)" \
+		&& { [ "$$n" = 4 ] || { echo "fidelity: $$n Table I claims with paper/ours/ratio, want 4"; false; }; } \
+		|| rc=$$?; \
+	rm -f sweep-smoke.jsonl sweep-fidelity.txt; exit $$rc
 
 # HTTP gateway smoke (see PERFORMANCE.md "Serving placement"): servecheck
 # drives the serve package end to end over a real TCP listener — place a

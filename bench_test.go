@@ -1,21 +1,19 @@
-// Benchmarks: one testing.B target per table and figure of the paper's
-// evaluation (each regenerates the corresponding experiment at reduced
-// scale; run cmd/optchain-bench for the full-scale reports), plus
-// micro-benchmarks of the hot paths: T2S score
-// maintenance, placement strategies, the ledger, the partitioner, and the
-// event kernel.
+// Benchmarks: every registered sweep behind the paper's evaluation at
+// reduced scale (BenchmarkSweep), plus micro-benchmarks of the hot paths:
+// T2S score maintenance, placement strategies, the ledger, the partitioner,
+// and the event kernel.
 package optchain_test
 
 import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 
 	"optchain"
-	"optchain/internal/bench"
+	"optchain/experiment"
+	_ "optchain/internal/bench" // registers the paper's sweeps
 	"optchain/internal/chain"
 	"optchain/internal/core"
 	"optchain/internal/dataset"
@@ -27,39 +25,25 @@ import (
 	"optchain/internal/workload"
 )
 
-// benchHarness builds a reduced-scale harness per iteration batch.
-func benchHarness() *bench.Harness {
-	return bench.NewHarness(bench.Params{Quick: true, N: 4000, TableN: 20000, Seed: 1})
-}
-
-func runExperiment(b *testing.B, name string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		if err := bench.Experiments[name](context.Background(), h, io.Discard); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSweep runs every registered sweep at reduced scale, one
+// sub-benchmark per sweep (run cmd/optchain-bench -sweep NAME for the
+// full-scale rows).
+func BenchmarkSweep(b *testing.B) {
+	for _, name := range experiment.SweepNames() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := experiment.NewRunner(experiment.Params{Quick: true, N: 4000, TableN: 20000, Seed: 1})
+				s, err := experiment.BuildSweep(name, r.Params())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.Collect(context.Background(), s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// --- One benchmark per paper table/figure ---
-
-func BenchmarkFig2TaNStats(b *testing.B)         { runExperiment(b, "fig2") }
-func BenchmarkTableICrossTxScratch(b *testing.B) { runExperiment(b, "table1") }
-func BenchmarkTableIICrossTxWarm(b *testing.B)   { runExperiment(b, "table2") }
-func BenchmarkFig3Sweep(b *testing.B)            { runExperiment(b, "fig3") }
-func BenchmarkFig4Throughput(b *testing.B)       { runExperiment(b, "fig4") }
-func BenchmarkFig5CommitTimeline(b *testing.B)   { runExperiment(b, "fig5") }
-func BenchmarkFig6QueueSizes(b *testing.B)       { runExperiment(b, "fig6") }
-func BenchmarkFig7QueueRatio(b *testing.B)       { runExperiment(b, "fig7") }
-func BenchmarkFig8AvgLatency(b *testing.B)       { runExperiment(b, "fig8") }
-func BenchmarkFig9MaxLatency(b *testing.B)       { runExperiment(b, "fig9") }
-func BenchmarkFig10LatencyCDF(b *testing.B)      { runExperiment(b, "fig10") }
-func BenchmarkFig11Scalability(b *testing.B)     { runExperiment(b, "fig11") }
-func BenchmarkAblationL2S(b *testing.B)          { runExperiment(b, "ablation-l2s") }
-func BenchmarkAblationAlpha(b *testing.B)        { runExperiment(b, "ablation-alpha") }
-func BenchmarkAblationWeight(b *testing.B)       { runExperiment(b, "ablation-weight") }
-func BenchmarkAblationBackend(b *testing.B)      { runExperiment(b, "ablation-backend") }
 
 // --- Micro-benchmarks: placement hot paths ---
 

@@ -1,27 +1,20 @@
-// Command optchain-bench is a thin driver over the optchain/experiment
-// sweep layer. It runs either the paper-layout experiment reports
-// (-experiment: the tables and figures of the OptChain paper's evaluation,
-// ICDCS 2019 §IV-B and §V) or any registered sweep through any registered
-// reporter (-sweep/-reporter: results as streamed data rather than
-// paper-shaped text).
+// Command optchain-bench runs the registered sweeps of the optchain/experiment
+// layer: the cells behind the OptChain paper's evaluation (ICDCS 2019
+// §IV-B and §V), its ablations and the workload-scenario lab, streamed as
+// rows through any registered reporter (text, jsonl, csv, or fidelity, which
+// sets every figure the paper quotes beside our value and the ratio).
 //
 // Usage:
 //
-//	optchain-bench -experiment all
-//	optchain-bench -experiment table1 -table-n 500000
-//	optchain-bench -experiment fig3 -n 100000 -validators 400
-//	optchain-bench -experiment fig3 -protocol rapidchain
-//	optchain-bench -experiment fig4 -strategies OptChain,OmniLedger
-//	optchain-bench -experiment fig5 -workload mix:bitcoin=0.7,hotspot=0.3
-//	optchain-bench -experiment fig5 -workload "replay:trace.tan,mod=(burst:boost=4)" -stream
-//	optchain-bench -experiment scenarios                     # workload lab
-//	optchain-bench -experiment scenarios -workloads "hotspot;adversarial"
-//	optchain-bench -quick -experiment all       # fast smoke pass
-//
 //	optchain-bench -list-sweeps
+//	optchain-bench -sweep table1 -reporter fidelity
+//	optchain-bench -sweep peak -reporter fidelity -n 100000
 //	optchain-bench -sweep grid -reporter jsonl -out grid.jsonl
-//	optchain-bench -sweep peak -reporter csv
-//	optchain-bench -sweep smoke -reporter text
+//	optchain-bench -sweep grid -protocol rapidchain -strategies OptChain,OmniLedger
+//	optchain-bench -sweep peak -reporter csv -workload mix:bitcoin=0.7,hotspot=0.3
+//	optchain-bench -sweep peak -workload "replay:trace.tan,mod=(burst:boost=4)" -stream
+//	optchain-bench -sweep scenarios                          # workload lab
+//	optchain-bench -sweep scenarios -workloads "hotspot;adversarial"
 //	optchain-bench -quick -sweep grid -stream -workload "mix:burst=0.5,bitcoin=0.5"
 //	optchain-bench -sweep grid -reporter jsonl -out grid.jsonl -cache .sweep-cache
 //	optchain-bench -diff old.jsonl new.jsonl
@@ -43,21 +36,19 @@
 // through the open registries, so strategies/protocols/workloads added with
 // optchain.RegisterStrategy / RegisterProtocol / RegisterWorkload are
 // selectable here too; -sweep and -reporter resolve through
-// experiment.RegisterSweep / RegisterReporter the same way. Experiment
-// names: fig2 table1 table2 fig3..fig11 scenarios
-// ablation-{l2s,alpha,weight,backend}.
+// experiment.RegisterSweep / RegisterReporter the same way.
 //
-// -workload selects the stream driving EVERY figure, table, and ablation
-// sweep: any workload spec (see SCENARIOS.md for the grammar). By default
-// it is materialized at each experiment's stream length; with -stream the
-// simulation sweeps pull it one transaction per issue event instead —
-// nothing is materialized, so `mix:`/`replay:` arrival modulation (burst,
-// drift Gap shaping) bends the figures too. Metis cells still materialize
-// (the offline partition needs the full graph) and say so in their rows.
-// -workloads (plural) instead picks the scenario SET the `scenarios`
-// experiment streams; entries are ','-separated, or ';'-separated when a
-// spec itself contains commas (separators inside parentheses never split a
-// spec).
+// -workload selects the stream driving every cell that does not pin one:
+// any workload spec (see SCENARIOS.md for the grammar). By default it is
+// materialized at each cell's stream length; with -stream the simulation
+// cells pull it one transaction per issue event instead — nothing is
+// materialized, so `mix:`/`replay:` arrival modulation (burst, drift Gap
+// shaping) bends the rows too. Metis cells still materialize (the offline
+// partition needs the full graph) and say so in their rows. -workloads
+// (plural) instead picks the scenario SET of -sweep scenarios, and is
+// refused with any other sweep; entries are ','-separated, or
+// ';'-separated when a spec itself contains commas (separators inside
+// parentheses never split a spec).
 //
 // -cpuprofile/-memprofile/-trace capture runtime profiles of any run (see
 // PERFORMANCE.md).
@@ -75,7 +66,7 @@ import (
 
 	"optchain"
 	"optchain/experiment"
-	"optchain/internal/bench"
+	_ "optchain/internal/bench" // registers the paper's sweeps and the fidelity reporter
 	"optchain/internal/profiling"
 )
 
@@ -91,9 +82,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("optchain-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp        = fs.String("experiment", "", "paper-layout experiment to run ('all' or a name; default 'all' unless -sweep is given)")
 		sweep      = fs.String("sweep", "", "registered sweep to stream through -reporter (see -list-sweeps)")
-		reporter   = fs.String("reporter", "", "reporter spec for -sweep: name[:key=value,...] (text, jsonl, csv; default text)")
+		reporter   = fs.String("reporter", "", "reporter spec for -sweep: name[:key=value,...] (text, jsonl, csv, fidelity; default text)")
 		out        = fs.String("out", "", "output file for -sweep (default stdout)")
 		cacheDir   = fs.String("cache", "", "row-cache directory for -sweep: completed rows persist keyed by cell ID and re-runs resume instead of re-simulating")
 		diffMode   = fs.Bool("diff", false, "compare two row files (OLD NEW as positional args; jsonl sweep output or a row cache) and exit non-zero on quality regression")
@@ -110,10 +100,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers    = fs.Int("workers", 0, "parallel simulation workers (0 = NumCPU)")
 		quick      = fs.Bool("quick", false, "shrink all grids for a fast smoke pass")
 		protocol   = fs.String("protocol", "", "commit protocol for the sweeps (default omniledger)")
-		strategies = fs.String("strategies", "", "comma-separated strategy set for the figures (default: paper's four)")
-		wl         = fs.String("workload", "", "workload spec driving every figure/table/ablation sweep (default: calibrated bitcoin generator)")
-		workloads  = fs.String("workloads", "", "workload-scenario set for the scenarios experiment; ','-separated, or ';'-separated when a spec contains commas (a trailing ';' forces that mode); default: all standalone registered")
-		list       = fs.Bool("list", false, "list experiment names and exit")
+		strategies = fs.String("strategies", "", "comma-separated strategy set for the sweeps that compare the default set (default: paper's four)")
+		wl         = fs.String("workload", "", "workload spec driving every cell that does not pin one (default: calibrated bitcoin generator)")
+		workloads  = fs.String("workloads", "", "workload-scenario set for -sweep scenarios; ','-separated, or ';'-separated when a spec contains commas (a trailing ';' forces that mode); default: all standalone registered")
 		mergeCache = fs.String("merge-cache", "", "merge row caches: write the union of the positional input rows.jsonl files to this path (inputs must share seed/validators; diverging duplicate cells fail)")
 	)
 	var prof profiling.Config
@@ -135,9 +124,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if *list {
-		fmt.Fprintln(stdout, strings.Join(bench.Names(), "\n"))
-		return 0
+	if *workloads != "" && !strings.EqualFold(strings.TrimSpace(*sweep), "scenarios") {
+		fmt.Fprintf(stderr, "optchain-bench: -workloads %q applies to -sweep scenarios only\n", *workloads)
+		return 2
 	}
 	if *listSweeps {
 		fmt.Fprintln(stdout, "sweeps:")
@@ -150,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// -merge-cache and -diff are offline file operations; combining one with
 	// a run mode (or with each other) would leave one of the two silently
 	// undone.
-	runModes := []setFlag{{"-sweep", *sweep != ""}, {"-experiment", *exp != ""}, {"-stream", *stream}}
+	runModes := []setFlag{{"-sweep", *sweep != ""}, {"-stream", *stream}}
 	if *mergeCache != "" {
 		if conflict(stderr, "-merge-cache", append(runModes, setFlag{"-diff", *diffMode})...) {
 			return 2
@@ -182,12 +171,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return runDiff(stdout, stderr, fs.Arg(0), fs.Arg(1), tol)
 	}
-	if *sweep != "" && *exp != "" {
-		fmt.Fprintln(stderr, "optchain-bench: -sweep and -experiment are mutually exclusive")
+	if *sweep == "" {
+		fmt.Fprintln(stderr, "optchain-bench: no mode given: -sweep NAME (see -list-sweeps), -diff OLD NEW or -merge-cache OUT IN...")
 		return 2
 	}
 
-	params := bench.Params{
+	params := experiment.Params{
 		N:          *n,
 		TableN:     *tableN,
 		Seed:       *seed,
@@ -232,10 +221,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		params.Workloads = specs
 	}
 
-	h := bench.NewHarness(params)
-
-	// One interrupt context for every mode: Ctrl-C cancels the experiment
-	// or sweep between cells instead of killing mid-write.
+	// Ctrl-C cancels the sweep between cells instead of killing mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -251,27 +237,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 
 	start := time.Now()
-	if *sweep != "" {
-		if err := runSweep(ctx, h, stdout, *sweep, *reporter, *out); err != nil {
-			fmt.Fprintf(stderr, "optchain-bench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "done in %.1fs\n", time.Since(start).Seconds())
-		return 0
-	}
-
-	name := *exp
-	if name == "" {
-		name = "all"
-	}
-	if name == "all" {
-		err = bench.RunAll(ctx, h, stdout)
-	} else if fn, ok := bench.Experiments[name]; ok {
-		err = fn(ctx, h, stdout)
-	} else {
-		err = fmt.Errorf("unknown experiment %q (have %v)", name, bench.Names())
-	}
-	if err != nil {
+	if err := runSweep(ctx, experiment.NewRunner(params), stdout, *sweep, *reporter, *out); err != nil {
 		fmt.Fprintf(stderr, "optchain-bench: %v\n", err)
 		return 1
 	}
@@ -321,11 +287,8 @@ func runDiff(stdout, stderr io.Writer, oldPath, newPath string, tol experiment.T
 // runSweep streams one registered sweep through the selected reporter.
 // Cancelling ctx (Ctrl-C) stops the sweep; rows completed before the
 // interrupt are flushed to the reporter before the error is reported.
-func runSweep(ctx context.Context, h interface {
-	Report(ctx context.Context, s experiment.Sweep, rep experiment.Reporter) error
-	Params() experiment.Params
-}, stdout io.Writer, name, reporterSpec, outPath string) (err error) {
-	s, err := experiment.BuildSweep(name, h.Params())
+func runSweep(ctx context.Context, r *experiment.Runner, stdout io.Writer, name, reporterSpec, outPath string) (err error) {
+	s, err := experiment.BuildSweep(name, r.Params())
 	if err != nil {
 		return err
 	}
@@ -356,5 +319,5 @@ func runSweep(ctx context.Context, h interface {
 	if err != nil {
 		return err
 	}
-	return h.Report(ctx, s, rep)
+	return r.Report(ctx, s, rep)
 }

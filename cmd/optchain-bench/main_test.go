@@ -13,6 +13,8 @@ import (
 // refuses exits 2 before any mode runs, so neither -out nor a -merge-cache
 // target is created. The offline modes (-diff, -merge-cache) used to return
 // before the "requires -sweep" check, silently dropping -out and -reporter.
+// The rows naming -experiment and -list pin that the removed paper-layout
+// mode is refused, not silently run as something else.
 func TestRejectedCombinationsWriteNothing(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "r.txt")
@@ -38,7 +40,9 @@ func TestRejectedCombinationsWriteNothing(t *testing.T) {
 		"unknown protocol":             {"-sweep", "smoke", "-protocol", "nope", "-out", out},
 		"unknown strategy":             {"-sweep", "smoke", "-strategies", "OptChain,Nope", "-out", out},
 		"bad workload":                 {"-sweep", "smoke", "-workload", "hotspt:exp=1.5", "-out", out},
-		"bad workload list":            {"-sweep", "smoke", "-workloads", "hotspot;(", "-out", out},
+		"bad workload list":            {"-sweep", "scenarios", "-workloads", "hotspot;(", "-out", out},
+		"workloads without scenarios":  {"-quick", "-sweep", "smoke", "-workloads", "hotspot", "-reporter", "csv", "-out", out},
+		"no mode":                      {"-quick", "-n", "100"},
 		"unknown flag":                 {"-baseline-json", out},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -73,8 +77,8 @@ func TestOfflineModes(t *testing.T) {
 		{[]string{"-diff", "-tol-tps", "0.1", old, worse}, 1, "REGRESSED"},
 		{[]string{"-diff", "-tol-tps", "0.25", old, worse}, 0, "1 unchanged"},
 		{[]string{"-diff", old, filepath.Join(dir, "absent.jsonl")}, 1, ""},
-		{[]string{"-list"}, 0, "table1"},
 		{[]string{"-list-sweeps"}, 0, "quality"},
+		{[]string{"-list-sweeps"}, 0, "fidelity"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stdout.String(), tc.out) {

@@ -146,10 +146,12 @@
 // workload sources — `mix:` and `replay:` arrival modulation bends the
 // figure grids without materializing anything (Metis cells still
 // materialize, and their rows say so). The paper's own figures, tables,
-// and ablations are thin sweep definitions over this API, registered by
-// name (experiment.RegisterSweep) and runnable from cmd/optchain-bench via
-// -sweep/-reporter/-list-sweeps; see the experiment package documentation
-// and PERFORMANCE.md's "Running experiments".
+// and ablations are sweep definitions over this API, registered by name
+// (experiment.RegisterSweep) and runnable from cmd/optchain-bench via
+// -sweep/-reporter/-list-sweeps; its `fidelity` reporter prints every
+// figure the paper quotes beside our value and the ratio (Fig. 2's TaN
+// census is cmd/tanstats). See the experiment package documentation and
+// PERFORMANCE.md's "Running experiments".
 //
 // # State snapshots and serving
 //

@@ -3,8 +3,9 @@
 // strategy, commit protocol, workload spec), executed by a Runner that
 // streams typed Rows as cells complete into pluggable Reporter sinks.
 //
-// The paper's evidence is its sweep figures (Tables I-II, Figs. 2-11);
-// internal/bench renders those exact layouts, but the machinery that runs
+// The paper's evidence is its sweep figures (Tables I-II, Figs. 3-11);
+// internal/bench registers the sweeps behind them and a reporter that sets
+// the paper's quoted figures beside our rows, but the machinery that runs
 // them is this package — open, so sweeps compose and results are data:
 //
 //	r := experiment.NewRunner(experiment.Params{N: 60_000, Seed: 1})
@@ -130,11 +131,11 @@ type Params struct {
 	// is appended to CacheDir/rows.jsonl keyed by its stable cell ID, and
 	// re-runs serve cached rows instead of re-simulating — an interrupted
 	// grid resumes where it died. Cached rows are flat data: WallSeconds is
-	// zeroed and Row.Result is nil (the figure renderers need Result and
-	// keep using the in-memory cache). The file binds to Seed and
-	// Validators; opening it under different values fails with ErrBadCache,
-	// as does any corrupt or truncated line — damage is loud, never a
-	// silent recompute. Empty disables persistence.
+	// zeroed and Row.Result is nil (a reporter reading Result, such as the
+	// fidelity reporter's within-10 s share, sees nil on a served row). The
+	// file binds to Seed and Validators; opening it under different values
+	// fails with ErrBadCache, as does any corrupt or truncated line —
+	// damage is loud, never a silent recompute. Empty disables persistence.
 	CacheDir string
 }
 

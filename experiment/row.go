@@ -63,8 +63,9 @@ type Row struct {
 	WallSeconds float64 `json:"wall_seconds"`
 
 	// Result is the full simulation record (window timelines, queue series,
-	// latency CDF) for figure rendering. Nil for placement cells. Not
-	// serialized: reporters carry the flat fields above.
+	// latency CDF) for in-process reporters. Nil for placement cells and
+	// for rows served from the persistent row cache. Not serialized:
+	// reporters carry the flat fields above.
 	Result *sim.Result `json:"-"`
 	// Cell is the resolved cell that produced the row. Not serialized.
 	Cell Cell `json:"-"`

@@ -425,7 +425,7 @@ func (r *Runner) Stream(ctx context.Context, s Sweep) iter.Seq2[Row, error] {
 			// Documented nil-ctx convenience: run the sweep uncancellable.
 			ctx = context.Background() //optchain:background
 		}
-		cells, err := s.expand(r.p)
+		cells, err := s.Expand(r.p)
 		if err != nil {
 			yield(Row{}, err)
 			return

@@ -178,7 +178,7 @@ type Sweep struct {
 	// Cells, when non-empty, is the explicit cell list. It must not be
 	// combined with the axis or cell-default fields above — every knob of
 	// an explicit cell lives on the cell, and a sweep-level value that
-	// silently did nothing would be a misconfiguration trap, so expand
+	// silently did nothing would be a misconfiguration trap, so Expand
 	// rejects the combination. (Params.Streaming still applies only through
 	// per-cell Streamed for explicit cells.)
 	Cells []Cell `json:"cells,omitempty"`
@@ -249,9 +249,11 @@ func validCell(c Cell, p Params) error {
 	return nil
 }
 
-// expand resolves the sweep into its canonical cell list, validating every
-// name against the open registries.
-func (s Sweep) expand(p Params) ([]Cell, error) {
+// Expand resolves the sweep into the canonical cell list a Runner under p
+// executes (unset Params take their defaults), validating every name
+// against the open registries. It runs nothing.
+func (s Sweep) Expand(p Params) ([]Cell, error) {
+	p.fillDefaults()
 	if s.Name == "" {
 		return nil, fmt.Errorf("%w: sweep has no name", ErrBadSweep)
 	}
@@ -267,7 +269,7 @@ func (s Sweep) expand(p Params) ([]Cell, error) {
 			return nil, fmt.Errorf("%w: sweep %q sets cell defaults (Kind/Txs/Warm/Tag/Streaming) alongside explicit Cells; put them on the cells", ErrBadSweep, s.Name)
 		}
 	}
-	// Copy the explicit cell list before normalizing: expand fills Kind and
+	// Copy the explicit cell list before normalizing: Expand fills Kind and
 	// applies the sticky Uncached flag, and writing those through to the
 	// caller's backing array would be a hidden side effect of a public API.
 	cells := append([]Cell(nil), s.Cells...)

@@ -1,25 +1,15 @@
-// Package bench regenerates every table and figure of the paper's
-// evaluation (§IV-B Tables I-II, §V Figs. 2-11) plus four ablations (L2S
-// on/off, α sensitivity, L2S weight, protocol backend). Each experiment
-// prints rows/series in the same layout the paper reports, so
-// paper-vs-measured comparison is line-by-line.
-//
-// The execution machinery lives in the public optchain/experiment package:
-// every experiment here is a thin declarative Sweep definition plus a
-// paper-layout renderer over the typed rows. Because the Runner memoizes
-// cells by identity, the Fig. 3 grid produces the simulation results that
-// Figs. 4-10 present as different views — an `all` run pays for the sweep
-// once. The same sweep definitions are registered by name
-// (experiment.RegisterSweep), so cmd/optchain-bench -sweep streams them
-// through any registered reporter (text, jsonl, csv) instead of
-// the paper layouts.
+// Package bench registers the sweeps behind the paper's evaluation
+// (§IV-B Tables I-II, §V Figs. 3-11), four ablations (L2S on/off, α
+// sensitivity, L2S weight, protocol backend), the workload-scenario lab,
+// the CI smoke sweep and the quality-gate sweep, plus the `fidelity`
+// reporter that sets the figures the paper quotes beside our rows (see
+// fidelity.go). Everything runs through the public optchain/experiment
+// package: cmd/optchain-bench -sweep NAME streams a sweep through any
+// registered reporter (text, jsonl, csv, fidelity). Fig. 2's TaN census is
+// cmd/tanstats.
 package bench
 
 import (
-	"context"
-	"fmt"
-	"io"
-	"sort"
 	"strings"
 
 	"optchain/experiment"
@@ -29,22 +19,6 @@ import (
 // Params scales the experiments (alias of experiment.Params; see that type
 // for field documentation).
 type Params = experiment.Params
-
-// Harness owns sweep execution and the shared caches — a thin wrapper
-// around the public experiment.Runner that adds the paper's named
-// experiments.
-type Harness struct {
-	*experiment.Runner
-}
-
-// NewHarness prepares a harness with the given parameters.
-func NewHarness(p Params) *Harness {
-	return &Harness{Runner: experiment.NewRunner(p)}
-}
-
-// workloadLabel names the stream driving the figure/table sweeps — the
-// selected workload spec, or the calibrated default.
-func (h *Harness) workloadLabel() string { return h.Params().WorkloadLabel() }
 
 // simGrids returns the shard and rate grids for simulation experiments.
 func simGrids(p Params) (shards []int, rates []float64) {
@@ -72,46 +46,11 @@ func placers(p Params) []string {
 }
 
 // maxGrid returns the largest shard count and rate of the sweep — the
-// configuration Figs. 5-7 and 10 single out (paper: 16 shards, 6000 tps).
+// configuration Figs. 5-7 and 10 single out, the paper's 16 shards at
+// 6000 tps at full scale.
 func maxGrid(p Params) (int, float64) {
 	shards, rates := simGrids(p)
 	return shards[len(shards)-1], rates[len(rates)-1]
-}
-
-// simCell is the canonical grid cell: the runner-default protocol and
-// stream length, streamed when the harness runs in streaming mode.
-func simCell(p Params, strategy string, k int, rate float64) experiment.Cell {
-	return experiment.Cell{
-		Kind:     experiment.KindSim,
-		Strategy: strategy,
-		Shards:   k,
-		Rate:     rate,
-		Streamed: p.Streaming,
-	}
-}
-
-// row executes (or reads from cache) one canonical grid cell.
-func (h *Harness) row(ctx context.Context, strategy string, k int, rate float64) (experiment.Row, error) {
-	return h.Cell(ctx, simCell(h.Params(), strategy, k, rate))
-}
-
-// scenarioRow executes (or reads from cache) one streamed scenario cell.
-func (h *Harness) scenarioRow(ctx context.Context, spec, strategy string, shards int, rate float64) (experiment.Row, error) {
-	return h.Cell(ctx, experiment.Cell{
-		Kind:     experiment.KindSim,
-		Strategy: strategy,
-		Shards:   shards,
-		Rate:     rate,
-		Workload: spec,
-		Streamed: true,
-	})
-}
-
-// warm pre-executes a sweep across the worker budget so the sequential
-// render loop below it reads every cell from cache.
-func (h *Harness) warm(ctx context.Context, s experiment.Sweep) error {
-	_, err := h.Collect(ctx, s)
-	return err
 }
 
 // GridSweep is the full Fig. 3 sweep: every (strategy, shards, rate) cell
@@ -296,54 +235,4 @@ func init() {
 			return build(p), nil
 		})
 	}
-}
-
-// Experiments maps CLI names to paper-layout renderers. Every renderer
-// threads the caller's context into its cells, so cancelling it (Ctrl-C in
-// cmd/optchain-bench) stops mid-grid instead of finishing the sweep.
-var Experiments = map[string]func(ctx context.Context, h *Harness, w io.Writer) error{
-	"fig2":             Fig2,
-	"table1":           TableI,
-	"table2":           TableII,
-	"fig3":             Fig3,
-	"fig4":             Fig4,
-	"fig5":             Fig5,
-	"fig6":             Fig6,
-	"fig7":             Fig7,
-	"fig8":             Fig8,
-	"fig9":             Fig9,
-	"fig10":            Fig10,
-	"fig11":            Fig11,
-	"scenarios":        Scenarios,
-	"ablation-l2s":     AblationL2S,
-	"ablation-alpha":   AblationAlpha,
-	"ablation-weight":  AblationWeight,
-	"ablation-backend": AblationBackend,
-}
-
-// Names returns the experiment names in canonical order.
-func Names() []string {
-	names := make([]string, 0, len(Experiments))
-	for n := range Experiments {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// RunAll executes every experiment in canonical order.
-func RunAll(ctx context.Context, h *Harness, w io.Writer) error {
-	order := []string{
-		"fig2", "table1", "table2",
-		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"scenarios",
-		"ablation-l2s", "ablation-alpha", "ablation-weight", "ablation-backend",
-	}
-	for _, name := range order {
-		if err := Experiments[name](ctx, h, w); err != nil {
-			return fmt.Errorf("bench: %s: %w", name, err)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
 }

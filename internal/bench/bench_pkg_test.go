@@ -3,33 +3,18 @@ package bench
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"optchain/experiment"
+	"optchain/internal/metrics"
+	"optchain/internal/sim"
 )
 
-func quickHarness() *Harness {
-	return NewHarness(Params{Quick: true, N: 4000, TableN: 20000, Seed: 1})
-}
-
-func TestNamesCoversAll(t *testing.T) {
-	names := Names()
-	if len(names) != len(Experiments) {
-		t.Fatalf("Names() returned %d of %d", len(names), len(Experiments))
-	}
-	for _, want := range []string{"table1", "table2", "fig2", "fig3", "fig11", "ablation-weight"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("experiment %q missing", want)
-		}
-	}
+func quickRunner() *experiment.Runner {
+	return experiment.NewRunner(Params{Quick: true, N: 4000, TableN: 20000, Seed: 1})
 }
 
 func TestSweepsRegistered(t *testing.T) {
@@ -43,30 +28,71 @@ func TestSweepsRegistered(t *testing.T) {
 	}
 }
 
-func TestScenariosQuick(t *testing.T) {
-	h := NewHarness(Params{Quick: true, N: 2000, Seed: 1, Workloads: []string{"hotspot", "adversarial"}})
-	var buf bytes.Buffer
-	if err := Scenarios(context.Background(), h, &buf); err != nil {
-		t.Fatal(err)
+// TestPaperSweepsQuick: every registered sweep builds at -quick scale and
+// yields rows, each carrying its sweep name and the metrics of its kind.
+func TestPaperSweepsQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweeps in -short mode")
 	}
-	out := buf.String()
-	for _, want := range []string{"hotspot", "adversarial", "OptChain", "OmniLedger"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("scenarios report missing %q:\n%s", want, out)
+	r := quickRunner()
+	for _, name := range experiment.SweepNames() {
+		s, err := experiment.BuildSweep(name, r.Params())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rows, err := r.Collect(context.Background(), s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(rows) == 0 {
+			t.Fatalf("%s: no rows", name)
+		}
+		for _, row := range rows {
+			if row.Sweep != name {
+				t.Fatalf("%s: row %s names sweep %q", name, row.ID, row.Sweep)
+			}
+			if row.Kind == experiment.KindSim && (row.Committed == 0 || row.Result == nil) {
+				t.Fatalf("%s: degenerate sim row %+v", name, row)
+			}
 		}
 	}
-	if strings.Contains(out, "Metis") {
-		t.Fatalf("scenarios report includes Metis, which cannot stream:\n%s", out)
+}
+
+func TestScenariosQuick(t *testing.T) {
+	r := experiment.NewRunner(Params{Quick: true, N: 2000, Seed: 1, Workloads: []string{"hotspot", "adversarial"}})
+	rows, err := r.Collect(context.Background(), ScenariosSweep(r.Params()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var workloads, strategies []string
+	for _, row := range rows {
+		if strings.EqualFold(row.Strategy, "Metis") {
+			t.Fatalf("scenarios sweep includes Metis, which cannot stream: %+v", row)
+		}
+		if !slices.Contains(workloads, row.Workload) {
+			workloads = append(workloads, row.Workload)
+		}
+		if !slices.Contains(strategies, row.Strategy) {
+			strategies = append(strategies, row.Strategy)
+		}
+	}
+	if !slices.Equal(workloads, []string{"hotspot", "adversarial"}) {
+		t.Fatalf("scenario rows name workloads %v", workloads)
+	}
+	for _, want := range []string{"OptChain", "OmniLedger"} {
+		if !slices.Contains(strategies, want) {
+			t.Fatalf("scenario rows lack %s (have %v)", want, strategies)
+		}
 	}
 }
 
 func TestScenarioCellsCacheAndMetisMaterializes(t *testing.T) {
-	h := NewHarness(Params{Quick: true, N: 1500, Seed: 1})
+	r := experiment.NewRunner(Params{Quick: true, N: 1500, Seed: 1})
 	cell := experiment.Cell{
 		Kind: experiment.KindSim, Strategy: "OptChain", Shards: 4, Rate: 1000,
 		Workload: "burst", Streamed: true,
 	}
-	a, err := h.Cell(context.Background(), cell)
+	a, err := r.Cell(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +102,7 @@ func TestScenarioCellsCacheAndMetisMaterializes(t *testing.T) {
 	if a.WallSeconds <= 0 {
 		t.Fatalf("first execution has no wall clock: %+v", a)
 	}
-	b, err := h.Cell(context.Background(), cell)
+	b, err := r.Cell(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +110,7 @@ func TestScenarioCellsCacheAndMetisMaterializes(t *testing.T) {
 		t.Fatalf("second Cell call did not hit the cache: %+v vs %+v", a, b)
 	}
 	// A Metis cell inside a streaming sweep materializes — and says so.
-	m, err := h.Cell(context.Background(), experiment.Cell{
+	m, err := r.Cell(context.Background(), experiment.Cell{
 		Kind: experiment.KindSim, Strategy: "Metis", Shards: 4, Rate: 1000, Streamed: true,
 	})
 	if err != nil {
@@ -95,87 +121,14 @@ func TestScenarioCellsCacheAndMetisMaterializes(t *testing.T) {
 	}
 }
 
-func TestTableIQuick(t *testing.T) {
-	h := quickHarness()
-	var buf bytes.Buffer
-	if err := TableI(context.Background(), h, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Table I", "Metis", "Greedy", "OmniLedger", "T2S"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-	// Two shard-count rows in quick mode.
-	if strings.Count(out, "\n") < 5 {
-		t.Fatalf("too few rows:\n%s", out)
-	}
-}
-
-func TestTableIIQuick(t *testing.T) {
-	h := quickHarness()
-	var buf bytes.Buffer
-	if err := TableII(context.Background(), h, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "warm start") {
-		t.Fatalf("output:\n%s", buf.String())
-	}
-}
-
-func TestFig2Quick(t *testing.T) {
-	h := quickHarness()
-	var buf bytes.Buffer
-	if err := Fig2(context.Background(), h, &buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"avg-degree", "P(in<3)", "prefix"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("output missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
-func TestSimFiguresQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep in -short mode")
-	}
-	h := quickHarness()
-	for _, name := range []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"} {
-		var buf bytes.Buffer
-		if err := Experiments[name](context.Background(), h, &buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if buf.Len() == 0 {
-			t.Fatalf("%s produced no output", name)
-		}
-	}
-}
-
-func TestAblationsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablations in -short mode")
-	}
-	h := quickHarness()
-	for _, name := range []string{"ablation-l2s", "ablation-alpha", "ablation-weight", "ablation-backend"} {
-		var buf bytes.Buffer
-		if err := Experiments[name](context.Background(), h, &buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.Contains(buf.String(), "Ablation") {
-			t.Fatalf("%s output:\n%s", name, buf.String())
-		}
-	}
-}
-
 func TestRunCacheReusesResults(t *testing.T) {
-	h := quickHarness()
-	a, err := h.row(context.Background(), "OmniLedger", 4, 1000)
+	r := quickRunner()
+	cell := experiment.Cell{Kind: experiment.KindSim, Strategy: "OmniLedger", Shards: 4, Rate: 1000}
+	a, err := r.Cell(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.row(context.Background(), "OmniLedger", 4, 1000)
+	b, err := r.Cell(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,19 +138,19 @@ func TestRunCacheReusesResults(t *testing.T) {
 }
 
 func TestDatasetCacheKeyedByLength(t *testing.T) {
-	h := quickHarness()
-	a, err := h.Dataset(1000)
+	r := quickRunner()
+	a, err := r.Dataset(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.Dataset(1000)
+	b, err := r.Dataset(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("dataset cache miss")
 	}
-	c, err := h.Dataset(2000)
+	c, err := r.Dataset(2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +160,11 @@ func TestDatasetCacheKeyedByLength(t *testing.T) {
 }
 
 // TestWorkloadThreadsThroughSweeps: Params.Workload swaps the stream under
-// every experiment — the materialized dataset is the selected scenario and
-// the reports say so.
+// every sweep — the materialized dataset is the selected scenario and every
+// row names it.
 func TestWorkloadThreadsThroughSweeps(t *testing.T) {
 	const spec = "mix:bitcoin=0.7,hotspot=0.3"
-	h := NewHarness(Params{
+	r := experiment.NewRunner(Params{
 		Quick:      true,
 		N:          1500,
 		TableN:     4000,
@@ -219,7 +172,7 @@ func TestWorkloadThreadsThroughSweeps(t *testing.T) {
 		Workload:   spec,
 		Strategies: []string{"OptChain", "OmniLedger"},
 	})
-	d, err := h.Dataset(1500)
+	d, err := r.Dataset(1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +180,7 @@ func TestWorkloadThreadsThroughSweeps(t *testing.T) {
 		t.Fatalf("materialized workload length = %d", d.Len())
 	}
 	// The mix stream must differ from the calibrated default generator.
-	plain := NewHarness(Params{Quick: true, N: 1500, Seed: 1})
+	plain := experiment.NewRunner(Params{Quick: true, N: 1500, Seed: 1})
 	pd, err := plain.Dataset(1500)
 	if err != nil {
 		t.Fatal(err)
@@ -242,25 +195,28 @@ func TestWorkloadThreadsThroughSweeps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	for _, name := range []string{"fig5", "table1", "ablation-alpha"} {
-		var buf bytes.Buffer
-		if err := Experiments[name](context.Background(), h, &buf); err != nil {
-			t.Fatalf("%s with workload: %v", name, err)
+	for _, build := range []func(Params) experiment.Sweep{PeakSweep, TableISweep, AlphaSweep} {
+		s := build(r.Params())
+		rows, err := r.Collect(context.Background(), s)
+		if err != nil {
+			t.Fatalf("%s with workload: %v", s.Name, err)
 		}
-		if !strings.Contains(buf.String(), "workload="+spec) {
-			t.Fatalf("%s report does not name the workload:\n%s", name, buf.String())
+		for _, row := range rows {
+			if row.Workload != spec {
+				t.Fatalf("%s row %s ran workload %q, want %q", s.Name, row.ID, row.Workload, spec)
+			}
 		}
 	}
 }
 
 // TestStreamingGridSweep: the acceptance scenario — a `mix:`-modulated
-// fig5-style peak sweep runs end-to-end streamed, without materializing
-// the workload, and its rows say they streamed.
+// peak sweep runs end-to-end streamed, without materializing the workload,
+// and its rows say they streamed.
 func TestStreamingGridSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	h := NewHarness(Params{
+	r := experiment.NewRunner(Params{
 		Quick:      true,
 		N:          1500,
 		Seed:       1,
@@ -268,7 +224,7 @@ func TestStreamingGridSweep(t *testing.T) {
 		Streaming:  true,
 		Strategies: []string{"OptChain", "OmniLedger"},
 	})
-	rows, err := h.Collect(context.Background(), PeakSweep(h.Params()))
+	rows, err := r.Collect(context.Background(), PeakSweep(r.Params()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,12 +242,145 @@ func TestStreamingGridSweep(t *testing.T) {
 			t.Fatalf("row does not name the workload spec: %+v", row)
 		}
 	}
-	// Fig5 renders from the same streamed cells.
+}
+
+// TestClaimsNameSweepCells: every claim of the fidelity table names exactly
+// one cell of its registered sweep at full scale (a lead, one cell for each
+// side) and a metric that rows of the cell's kind carry, so the table
+// cannot drift from the sweeps it reads.
+func TestClaimsNameSweepCells(t *testing.T) {
+	columns := map[string]bool{}
+	for _, f := range (experiment.Row{}).Fields() {
+		columns[f.Name] = true
+	}
+	ids := map[string]bool{}
+	for _, c := range claims {
+		if ids[c.id] {
+			t.Errorf("claim id %s repeats", c.id)
+		}
+		ids[c.id] = true
+		if _, ok := claimMetrics[c.metric]; !ok || (c.metric != "within_10s" && !columns[c.metric]) {
+			t.Errorf("%s: metric %q is not a row column", c.id, c.metric)
+		}
+		s, err := experiment.BuildSweep(c.sweep, Params{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.id, err)
+		}
+		if s.Name != c.sweep {
+			t.Errorf("%s: sweep %q names its rows %q", c.id, c.sweep, s.Name)
+		}
+		cells, err := s.Expand(Params{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.id, err)
+		}
+		sides := []string{c.strategy}
+		if c.over != "" {
+			sides = append(sides, c.over)
+		}
+		for _, strategy := range sides {
+			var match []experiment.Cell
+			for _, cell := range cells {
+				if strings.EqualFold(cell.Strategy, strategy) && cell.Shards == c.shards && cell.Rate == c.rate {
+					match = append(match, cell)
+				}
+			}
+			if len(match) != 1 {
+				t.Errorf("%s: %d cells of sweep %s are %s k=%d r=%g, want 1", c.id, len(match), c.sweep, strategy, c.shards, c.rate)
+				continue
+			}
+			if match[0].Kind == experiment.KindPlacement && c.metric != "cross_fraction" {
+				t.Errorf("%s: placement rows do not carry %s", c.id, c.metric)
+			}
+		}
+	}
+}
+
+// TestFidelityReporter pins the reporter on hand-built rows: a claim prints
+// paper, ours and ours/paper; a lead is the relative excess of one cell
+// over the other; a claim whose cell (or either side of a lead) is not in
+// the run is not printed; a within-10 s share on a row without its
+// simulation record (a cache-served row) prints "-".
+func TestFidelityReporter(t *testing.T) {
+	within := &metrics.LatencyRecorder{}
+	for _, s := range []time.Duration{5, 8, 12, 20} {
+		within.Observe(s * time.Second)
+	}
+	peak := func(strategy string, tps float64, res *sim.Result) experiment.Row {
+		return experiment.Row{Sweep: "peak", Kind: experiment.KindSim, Strategy: strategy, Shards: 16, Rate: 6000,
+			SteadyTPS: tps, PeakQueue: 88_000, MaxLatencySec: 50.45, Result: res}
+	}
+	rows := []experiment.Row{
+		{Sweep: "table1", Kind: experiment.KindPlacement, Strategy: "Metis", Shards: 16, CrossFraction: 0.094},
+		{Sweep: "table1", Kind: experiment.KindPlacement, Strategy: "Greedy", Shards: 4, CrossFraction: 0.2},
+		peak("OptChain", 1200, nil),
+		peak("OmniLedger", 1000, nil),
+		peak("Metis", 900, &sim.Result{Latencies: within}),
+	}
 	var buf bytes.Buffer
-	if err := Fig5(context.Background(), h, &buf); err != nil {
+	rep, err := experiment.NewReporter("fidelity", &buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Fig. 5") {
-		t.Fatalf("fig5 output:\n%s", buf.String())
+	if err := rep.Begin(experiment.Sweep{Name: "peak"}, Params{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if err := rep.Row(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rep.End(); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 3 && strings.Contains(f[0], "/") {
+			got[f[0]] = f[len(f)-3:]
+		}
+	}
+	want := map[string][]string{
+		"table1/Metis":         {"0.047", "0.094", "2.000"},
+		"fig4/over-OmniLedger": {"0.344", "0.2", "0.581"},
+		"fig4/over-Metis":      {"0.305", "0.333333", "1.093"},
+		"fig6/OptChain":        {"44000", "88000", "2.000"},
+		"fig6/OmniLedger":      {"499000", "88000", "0.176"},
+		"fig6/Metis":           {"507000", "88000", "0.174"},
+		"fig9/OptChain":        {"100.9", "50.45", "0.500"},
+		"fig9/OmniLedger":      {"1309.5", "50.45", "0.039"},
+		"fig9/Metis":           {"1345.9", "50.45", "0.037"},
+		"fig10/OptChain":       {"0.7", "-", "-"},
+		"fig10/OmniLedger":     {"0.079", "-", "-"},
+		"fig10/Metis":          {"0.024", "0.5", "20.833"},
+	}
+	for id, w := range want {
+		if !slices.Equal(got[id], w) {
+			t.Errorf("%s: paper/ours/ratio %v, want %v", id, got[id], w)
+		}
+	}
+	for id := range got {
+		if _, ok := want[id]; !ok {
+			t.Errorf("%s printed, but its cell is not in the run", id)
+		}
+	}
+	if t.Failed() {
+		t.Logf("output:\n%s", buf.String())
+	}
+
+	buf.Reset()
+	rep, err = experiment.NewReporter("fidelity", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Begin(experiment.Sweep{Name: "smoke"}, Params{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.End(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "no claim names a cell of this sweep") {
+		t.Fatalf("a run without claims says nothing:\n%s", buf.String())
+	}
+	if _, err := experiment.NewReporter("fidelity:header=off", &buf); err == nil {
+		t.Fatal("fidelity accepted an option")
 	}
 }
