@@ -1,7 +1,7 @@
 // Package metrics provides the collectors behind the paper's evaluation
 // figures: per-transaction latency (Figs. 3, 8, 9, 10), committed-per-window
-// timelines (Fig. 5), and per-shard queue-size series with max/min ratios
-// (Figs. 6, 7).
+// timelines (Fig. 5), and per-shard queue-size series with their max and
+// min (Fig. 6).
 package metrics
 
 import (
@@ -45,11 +45,6 @@ func (r *LatencyRecorder) Percentile(p float64) float64 {
 		sort.Float64s(r.sorted)
 	}
 	return stats.PercentileSorted(r.sorted, p)
-}
-
-// CDF returns the empirical latency CDF with up to points entries (Fig. 10).
-func (r *LatencyRecorder) CDF(points int) []stats.CDFPoint {
-	return stats.EmpiricalCDF(r.samples, points)
 }
 
 // FractionWithin returns the fraction of transactions confirmed within d
@@ -116,22 +111,6 @@ func (q *QueueTracker) MaxMin() (maxs, mins []int) {
 		maxs[i], mins[i] = mx, mn
 	}
 	return maxs, mins
-}
-
-// Ratio returns the max/min queue-size ratio per sample (Fig. 7). Empty
-// minimum queues are clamped to 1 so the ratio stays finite, matching how
-// such plots are drawn.
-func (q *QueueTracker) Ratio() []float64 {
-	maxs, mins := q.MaxMin()
-	out := make([]float64, len(maxs))
-	for i := range maxs {
-		mn := mins[i]
-		if mn < 1 {
-			mn = 1
-		}
-		out[i] = float64(maxs[i]) / float64(mn)
-	}
-	return out
 }
 
 // PeakMax returns the largest queue length ever observed on any shard.

@@ -25,10 +25,6 @@ func TestLatencyRecorder(t *testing.T) {
 	if got := r.FractionWithin(2 * time.Second); got != 0.5 {
 		t.Fatalf("FractionWithin(2s) = %v", got)
 	}
-	cdf := r.CDF(4)
-	if len(cdf) != 4 || cdf[3].Fraction != 1 {
-		t.Fatalf("cdf = %v", cdf)
-	}
 }
 
 // Percentile sorts once and re-sorts after an Observe: it must read as a
@@ -90,13 +86,6 @@ func TestQueueTracker(t *testing.T) {
 	}
 	if maxs[1] != 2 || mins[1] != 2 {
 		t.Fatalf("sample 1 max/min = %d/%d", maxs[1], mins[1])
-	}
-	ratios := q.Ratio()
-	if ratios[0] != 10 { // min clamped to 1
-		t.Fatalf("ratio[0] = %v", ratios[0])
-	}
-	if ratios[1] != 1 {
-		t.Fatalf("ratio[1] = %v", ratios[1])
 	}
 	if q.PeakMax() != 10 {
 		t.Fatalf("peak = %d", q.PeakMax())

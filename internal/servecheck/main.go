@@ -12,11 +12,15 @@
 //  4. the server shuts down, writing its final state snapshot;
 //  5. a fresh server restores the snapshot and places the second half —
 //     whose parents name first-half ids — again matching the reference,
-//     proving decision continuity across the restart.
+//     proving decision continuity across the restart;
+//  6. a third server places the whole stream again, one line per POST over
+//     one keep-alive connection: each decision must match the reference,
+//     each answer must come in one framed write (Content-Length, not
+//     chunked), and every unit must have been placed by its caller.
 //
-// It prints the tail of the admission-to-decision latency histogram (p50,
-// p95, p99) so CI logs carry the serving-path numbers quoted in
-// PERFORMANCE.md.
+// It prints the tail of the bulk admission-to-decision latency histogram
+// (p50, p95, p99) and the one-line round trips (p50, p99), so CI logs carry
+// the serving-path numbers quoted in PERFORMANCE.md.
 //
 // Usage:
 //
@@ -25,17 +29,21 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"optchain"
@@ -167,10 +175,45 @@ func run() error {
 			refStats.Placed, refStats.Cross, bStats.Placed, bStats.Cross)
 	}
 
-	fmt.Printf("servecheck OK: %d txs over HTTP (%s, %d shards), restart restored %d placements, cross fraction %.3f\n",
-		*n, *spec, *shards, half, bStats.CrossFraction)
-	fmt.Printf("servecheck latency (admission to decision): p50 %s  p95 %s  p99 %s\n",
+	// Generation C: the whole stream again, one line per POST.
+	engC, err := newEngine(*n, *shards)
+	if err != nil {
+		return err
+	}
+	srvC, err := serve.New(serve.Config{Engine: engC})
+	if err != nil {
+		return err
+	}
+	gaC, err := startHTTP(srvC)
+	if err != nil {
+		return err
+	}
+	rtts, err := placeRPC(gaC.url, txs, want)
+	if err != nil {
+		return fmt.Errorf("rpc: %w", err)
+	}
+	if metrics, err = scrape(gaC.url); err != nil {
+		return err
+	}
+	for series, wantV := range map[string]float64{
+		`optchain_serve_lines_total{outcome="placed"}`: float64(*n),
+		`optchain_serve_units_total{path="caller"}`:    float64(*n),
+		`optchain_serve_units_total{path="queued"}`:    0,
+	} {
+		if got, ok := metrics[series]; !ok || got != wantV {
+			return fmt.Errorf("rpc /metrics %s = %g (present=%v), want %g", series, got, ok, wantV)
+		}
+	}
+	if err := gaC.stop(srvC); err != nil {
+		return fmt.Errorf("rpc shutdown: %w", err)
+	}
+
+	fmt.Printf("servecheck OK: %d txs over HTTP (%s, %d shards), restart restored %d placements, cross fraction %.3f; %d one-line POSTs over one connection\n",
+		*n, *spec, *shards, half, bStats.CrossFraction, *n)
+	fmt.Printf("servecheck latency (bulk, admission to decision): p50 %s  p95 %s  p99 %s\n",
 		fmtSeconds(p50), fmtSeconds(p95), fmtSeconds(p99))
+	fmt.Printf("servecheck latency (rpc, round trip):             p50 %s  p99 %s\n",
+		rtts[len(rtts)/2].Round(time.Microsecond), rtts[len(rtts)*99/100].Round(time.Microsecond))
 	return nil
 }
 
@@ -221,24 +264,42 @@ func (g *gateway) stop(s *serve.Server) error {
 	return s.Close(ctx)
 }
 
-// placeRange posts txs[from:to] as one JSONL stream — every input referenced
-// through its parent id — and checks each response line against the
+// requestLine renders txs[i] as a request line with every input referenced
+// through its parent id.
+func requestLine(txs []optchain.StreamTx, i int) ([]byte, error) {
+	req := serve.Request{ID: "t" + strconv.Itoa(i), Outputs: txs[i].Outputs}
+	for _, in := range txs[i].Inputs {
+		req.Parents = append(req.Parents, "t"+strconv.Itoa(in))
+	}
+	line, err := json.Marshal(req)
+	return append(line, '\n'), err
+}
+
+// checkDecision compares the answer for stream position pos with the
 // reference decisions.
+func checkDecision(r resultLine, pos int, want []int) error {
+	if r.Error != "" {
+		return fmt.Errorf("tx %d rejected: %s", pos, r.Error)
+	}
+	if r.Index != pos || r.Shard != want[pos] {
+		return fmt.Errorf("tx %d placed (index %d, shard %d), reference says (index %d, shard %d) — decisions diverged",
+			pos, r.Index, r.Shard, pos, want[pos])
+	}
+	return nil
+}
+
+// placeRange posts txs[from:to] as one JSONL stream and checks each
+// response line against the reference decisions.
 func placeRange(url string, txs []optchain.StreamTx, from, to int, want []int) error {
-	var body strings.Builder
+	var body bytes.Buffer
 	for i := from; i < to; i++ {
-		req := serve.Request{ID: "t" + strconv.Itoa(i), Outputs: txs[i].Outputs}
-		for _, in := range txs[i].Inputs {
-			req.Parents = append(req.Parents, "t"+strconv.Itoa(in))
-		}
-		line, err := json.Marshal(req)
+		line, err := requestLine(txs, i)
 		if err != nil {
 			return err
 		}
 		body.Write(line)
-		body.WriteByte('\n')
 	}
-	resp, err := http.Post(url+"/v1/place", "application/x-ndjson", strings.NewReader(body.String()))
+	resp, err := http.Post(url+"/v1/place", "application/x-ndjson", &body)
 	if err != nil {
 		return err
 	}
@@ -254,12 +315,8 @@ func placeRange(url string, txs []optchain.StreamTx, from, to int, want []int) e
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
 			return fmt.Errorf("response line %d: %w", pos-from, err)
 		}
-		if r.Error != "" {
-			return fmt.Errorf("tx %d rejected: %s", pos, r.Error)
-		}
-		if r.Index != pos || r.Shard != want[pos] {
-			return fmt.Errorf("tx %d placed (index %d, shard %d), reference says (index %d, shard %d) — decisions diverged",
-				pos, r.Index, r.Shard, pos, want[pos])
+		if err := checkDecision(r, pos, want); err != nil {
+			return err
 		}
 		pos++
 	}
@@ -270,6 +327,57 @@ func placeRange(url string, txs []optchain.StreamTx, from, to int, want []int) e
 		return fmt.Errorf("answered %d lines, want %d", pos-from, to-from)
 	}
 	return nil
+}
+
+// placeRPC posts txs one line per request over one keep-alive connection,
+// checks each answer against the reference and that it came in one framed
+// write, and returns the round trips, sorted.
+func placeRPC(url string, txs []optchain.StreamTx, want []int) ([]time.Duration, error) {
+	var dials atomic.Int64
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		var d net.Dialer
+		return d.DialContext(ctx, network, addr)
+	}}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	rtts := make([]time.Duration, len(txs))
+	for i := range txs {
+		line, err := requestLine(txs, i)
+		if err != nil {
+			return nil, err
+		}
+		t0 := time.Now()
+		resp, err := client.Post(url+"/v1/place", "application/x-ndjson", bytes.NewReader(line))
+		if err != nil {
+			return nil, err
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		rtts[i] = time.Since(t0)
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("tx %d: status %d", i, resp.StatusCode)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			return nil, fmt.Errorf("tx %d: answered with Content-Length %d and Transfer-Encoding %v, want one framed write of %d bytes",
+				i, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		var r resultLine
+		if err := json.Unmarshal(body, &r); err != nil {
+			return nil, fmt.Errorf("tx %d: %w", i, err)
+		}
+		if err := checkDecision(r, i, want); err != nil {
+			return nil, err
+		}
+	}
+	if d := dials.Load(); d != 1 {
+		return nil, fmt.Errorf("%d POSTs took %d connections, want one kept alive", len(txs), d)
+	}
+	slices.Sort(rtts)
+	return rtts, nil
 }
 
 // scrape fetches /metrics and parses every series into a map keyed by the

@@ -71,36 +71,6 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// CDFPoint is one point of an empirical cumulative distribution.
-type CDFPoint struct {
-	X        float64 // value
-	Fraction float64 // P(sample <= X)
-}
-
-// EmpiricalCDF returns the empirical CDF of xs evaluated at up to points
-// evenly spaced quantiles (plus the max). It sorts a copy.
-func EmpiricalCDF(xs []float64, points int) []CDFPoint {
-	if len(xs) == 0 || points <= 0 {
-		return nil
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if points > len(cp) {
-		points = len(cp)
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 1; i <= points; i++ {
-		frac := float64(i) / float64(points)
-		idx := int(frac*float64(len(cp))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out = append(out, CDFPoint{X: cp[idx], Fraction: frac})
-	}
-	return out
-}
-
 // FractionBelow returns the fraction of xs that are <= limit.
 func FractionBelow(xs []float64, limit float64) float64 {
 	if len(xs) == 0 {

@@ -61,22 +61,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestEmpiricalCDF(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	cdf := EmpiricalCDF(xs, 4)
-	if len(cdf) != 4 {
-		t.Fatalf("len = %d", len(cdf))
-	}
-	if cdf[len(cdf)-1].X != 4 || cdf[len(cdf)-1].Fraction != 1 {
-		t.Fatalf("last point = %+v", cdf[len(cdf)-1])
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].X < cdf[i-1].X || cdf[i].Fraction < cdf[i-1].Fraction {
-			t.Fatalf("CDF not monotone: %+v", cdf)
-		}
-	}
-}
-
 func TestFractionBelow(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if got := FractionBelow(xs, 2.5); got != 0.5 {

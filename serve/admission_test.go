@@ -166,6 +166,12 @@ func TestAdmissionControl(t *testing.T) {
 	if v, ok := scrapeMetric(t, ts, `optchain_serve_lines_total{outcome="rejected"}`); !ok || v != 2 {
 		t.Fatalf("rejected counter %g, want 2", v)
 	}
+	// The pin was placed by its caller; the four it held up were queued.
+	for path, want := range map[string]float64{"caller": 1, "queued": queueDepth} {
+		if v, ok := scrapeMetric(t, ts, `optchain_serve_units_total{path="`+path+`"}`); !ok || v != want {
+			t.Errorf("%s units %g, want %g", path, v, want)
+		}
+	}
 }
 
 // TestQueuedContextExpiry: a request whose context dies while queued is

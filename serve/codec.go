@@ -72,6 +72,12 @@ func (lr *lineReader) next() (line []byte, tooLong, ok bool) {
 	}
 }
 
+// drained reports, without reading, whether the stream has ended cleanly
+// and every byte read from it has been returned as a line: next has nothing
+// left to return. net/http hands out the end of a body of known length
+// together with its last bytes.
+func (lr *lineReader) drained() bool { return lr.err == io.EOF && lr.lo == lr.hi }
+
 // fill reads more of the stream behind buf[lo:hi], making room first by
 // moving the unread bytes to the front or, when they fill the buffer, by
 // doubling it.

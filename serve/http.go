@@ -14,9 +14,11 @@ import (
 // Handler returns the server's HTTP API:
 //
 //	POST /v1/place    — placement requests, one JSON object per line
-//	                    (JSON-lines); the response streams one decision
-//	                    line per request, in order. A single-line request
-//	                    maps its outcome onto the HTTP status (429 with
+//	                    (JSON-lines); the response carries one decision
+//	                    line per request, in order, a window at a time;
+//	                    a body answered in one window carries a
+//	                    Content-Length. A single-line request maps its
+//	                    outcome onto the HTTP status (429 with
 //	                    Retry-After on queue-full, 400, 503, 504).
 //	GET  /metrics     — Prometheus text exposition
 //	GET  /healthz     — liveness: 200 while serving, 503 after Close
@@ -58,13 +60,24 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{u: newUnit()} }}
 
+// textPlain is the Content-Type of a /v1/place answer sent in one framed
+// write: what net/http sniffs from decision lines when it sets the type
+// itself. It goes into the header map as is, so a request allocates no
+// value for it; every request shares it, so nothing may change it.
+var textPlain = []string{"text/plain; charset=utf-8"}
+
 // handlePlace streams placement decisions for a JSON-lines request body.
 // Lines are decoded in order into windows of up to MaxBatch; each window is
 // admitted and placed as one unit and answered with one write, so a single
-// connection feeds full batches to the engine. Admission rejections (queue
-// full) fail only the lines the queue had no room for, the tail of the
-// window — the client retries them after Retry-After — while body-level
-// defects (oversized line, malformed JSON) fail that line with code 400.
+// connection feeds full batches to the engine. A window the body goes on
+// after is flushed at once, so a client that waits for a window's answers
+// before it sends more gets them. The last window, read once the body has
+// ended, is not flushed: net/http sends it as the handler returns, and when
+// it is the body's only write it goes out with a Content-Length instead of
+// chunked. Admission rejections (queue full) fail only the lines the queue
+// had no room for, the tail of the window — the client retries them after
+// Retry-After — while body-level defects (oversized line, malformed JSON)
+// fail that line with code 400.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	sc := scratchPool.Get().(*scratch)
@@ -86,10 +99,11 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 			scratchPool.Put(sc)
 		}
 	}()
-	// flush places the window and writes its response lines. It reports
+	// answer places the window and writes its response lines. It reports
 	// false when the request is over: the client is gone, or the wait for
 	// the dispatcher was abandoned and the window is still in its hands.
-	flush := func() bool {
+	answer := func() bool {
+		last := sc.lr.drained()
 		if !duplex && sc.lr.err == nil {
 			// The HTTP/1 server is half-duplex by default: writing the
 			// response aborts the unread request body, truncating long
@@ -114,21 +128,30 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 			} else {
 				res.Index, res.Shard = win.res[i].index, win.res[i].shard
 			}
-			if total == 1 && res.Code != 0 && !wrote {
+			if total == 1 && res.Code != 0 {
 				// A single-request body maps its outcome onto the HTTP status
 				// so plain callers need not parse error lines.
 				status = res.Code
+			}
+			out = appendLine(out, res)
+		}
+		sc.out = out
+		if !wrote {
+			h := w.Header()
+			if last {
+				h["Content-Type"] = textPlain
+				h.Set("Content-Length", strconv.Itoa(len(out)))
+			}
+			if status != http.StatusOK {
 				if status == http.StatusTooManyRequests {
-					w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+					h.Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 				}
 				w.WriteHeader(status)
 			}
 			wrote = true
-			out = appendLine(out, res)
 		}
-		sc.out = out
 		_, werr := w.Write(out)
-		if flusher != nil {
+		if !last && flusher != nil {
 			flusher.Flush()
 		}
 		if abandoned || werr != nil || ctx.Err() != nil {
@@ -157,7 +180,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 			win.fail(fmt.Errorf("bad request line %d: %v", total, err))
 			s.met.invalid(1)
 		}
-		if len(win.reqs) >= s.cfg.MaxBatch && !flush() {
+		if len(win.reqs) >= s.cfg.MaxBatch && !answer() {
 			return
 		}
 	}
@@ -171,7 +194,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(win.reqs) > 0 {
-		flush()
+		answer()
 	}
 }
 

@@ -1,12 +1,17 @@
 package serve_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"optchain/serve"
 )
@@ -85,6 +90,170 @@ func TestPlaceBadLines(t *testing.T) {
 				t.Fatalf("response %+v, want error line with code %d", out, c.wantCode)
 			}
 		})
+	}
+}
+
+// postRaw POSTs body to /v1/place and returns the response with its body
+// read in full.
+func postRaw(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/place", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/place: %v", err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read response: %v", err)
+	}
+	return resp, out
+}
+
+// framed fails t unless resp carried its whole body out in one framed
+// write: a Content-Length of len(body), no chunking, and the type net/http
+// sniffs from decision lines.
+func framed(t *testing.T, resp *http.Response, body []byte) {
+	t.Helper()
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v; want %d and none", resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; charset=utf-8" {
+		t.Errorf("Content-Type %q, want text/plain; charset=utf-8", ct)
+	}
+}
+
+// TestPlaceFraming: a body whose last window holds all its lines is
+// answered in one framed write; a body of several windows streams chunked,
+// window by window, with the same bytes; and a single line still maps its
+// outcome onto the HTTP status.
+func TestPlaceFraming(t *testing.T) {
+	const maxBatch = 8
+	body := func(n int) string {
+		lines := make([]string, n)
+		for i := range lines {
+			lines[i] = fmt.Sprintf(`{"id":"t%d","outputs":1}`, i)
+		}
+		return strings.Join(lines, "\n") + "\n"
+	}
+
+	t.Run("one line", func(t *testing.T) {
+		_, ts := newServer(t, serve.Config{MaxBatch: maxBatch})
+		resp, out := postRaw(t, ts.URL, `{"id":"genesis","outputs":2}`)
+		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(out), `{"id":"genesis","index":0,`) {
+			t.Fatalf("status %d, body %q", resp.StatusCode, out)
+		}
+		framed(t, resp, out)
+	})
+
+	t.Run("one full window", func(t *testing.T) {
+		_, ts := newServer(t, serve.Config{MaxBatch: maxBatch})
+		resp, out := postRaw(t, ts.URL, body(maxBatch))
+		if resp.StatusCode != http.StatusOK || strings.Count(string(out), "\n") != maxBatch {
+			t.Fatalf("status %d, body %q", resp.StatusCode, out)
+		}
+		framed(t, resp, out)
+	})
+
+	t.Run("three windows", func(t *testing.T) {
+		const n = 2*maxBatch + 3
+		_, windowed := newServer(t, serve.Config{MaxBatch: maxBatch})
+		resp, out := postRaw(t, windowed.URL, body(n))
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != -1 || !slices.Equal(resp.TransferEncoding, []string{"chunked"}) {
+			t.Fatalf("status %d, Content-Length %d, Transfer-Encoding %v; want 200 streamed chunked",
+				resp.StatusCode, resp.ContentLength, resp.TransferEncoding)
+		}
+		_, whole := newServer(t, serve.Config{})
+		oneResp, oneOut := postRaw(t, whole.URL, body(n))
+		framed(t, oneResp, oneOut)
+		if string(out) != string(oneOut) {
+			t.Fatalf("three windows answered\n%s\none window answered\n%s", out, oneOut)
+		}
+	})
+
+	t.Run("bad line", func(t *testing.T) {
+		_, ts := newServer(t, serve.Config{MaxBatch: maxBatch})
+		resp, out := postRaw(t, ts.URL, `{"outputs":`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), `"code":400`) {
+			t.Fatalf("status %d, body %q; want a 400 error line", resp.StatusCode, out)
+		}
+		framed(t, resp, out)
+	})
+
+	t.Run("queue full", func(t *testing.T) {
+		s, ts, entered, gate := newGatedServer(t, serve.Config{QueueDepth: 1, MaxBatch: 1, RetryAfter: 2 * time.Second})
+		placed := make(chan error, 2)
+		place := func(id string) {
+			_, err := s.Place(context.Background(), serve.Request{ID: id, Outputs: 1})
+			placed <- err
+		}
+		go place("pin")
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the pinning request never reached the engine")
+		}
+		go place("queued")
+		waitQueueDepth(t, s, 1)
+		resp, out := postRaw(t, ts.URL, `{"id":"shed","outputs":1}`)
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "2" || !strings.Contains(string(out), `"code":429`) {
+			t.Fatalf("status %d, Retry-After %q, body %q; want 429 after 2s", resp.StatusCode, resp.Header.Get("Retry-After"), out)
+		}
+		framed(t, resp, out)
+		close(gate)
+		for range 2 {
+			if err := <-placed; err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestPlaceInteractiveFullDuplex: a client that sends a window, waits for
+// its answers and only then sends the next gets every window answered while
+// its body is still open. A server that held a full window back to learn
+// whether more lines follow would deadlock this exchange.
+func TestPlaceInteractiveFullDuplex(t *testing.T) {
+	const maxBatch, windows = 16, 3
+	_, ts := newServer(t, serve.Config{MaxBatch: maxBatch})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/place", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sendWindow := func(w int) {
+		for i := w * maxBatch; i < (w+1)*maxBatch; i++ {
+			if _, err := fmt.Fprintf(pw, `{"id":"t%d","outputs":1}`+"\n", i); err != nil {
+				t.Errorf("write line %d: %v", i, err)
+				return
+			}
+		}
+	}
+	go sendWindow(0)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	rd := bufio.NewReader(resp.Body)
+	for w := 0; w < windows; w++ {
+		if w > 0 {
+			go sendWindow(w)
+		}
+		for i := w * maxBatch; i < (w+1)*maxBatch; i++ {
+			line, err := rd.ReadString('\n')
+			if err != nil {
+				t.Fatalf("window %d: answer %d: %v", w, i, err)
+			}
+			if want := fmt.Sprintf(`{"id":"t%d","index":%d,`, i, i); !strings.HasPrefix(line, want) {
+				t.Fatalf("answer %q, want it to start %s", line, want)
+			}
+		}
+	}
+	pw.Close()
+	if rest, err := io.ReadAll(rd); err != nil || len(rest) != 0 {
+		t.Fatalf("after the body closed: %q, %v; want a clean end", rest, err)
 	}
 }
 
@@ -181,6 +350,9 @@ func TestMetricsExposition(t *testing.T) {
 		"optchain_engine_slab_entries":       52,
 		"optchain_engine_retired_txs":        1,
 		"optchain_engine_retired_refs_total": 1,
+		// Four requests on an idle server: each window placed by its caller.
+		`optchain_serve_units_total{path="caller"}`: 4,
+		`optchain_serve_units_total{path="queued"}`: 0,
 	} {
 		if got, ok := scrapeMetric(t, ts, series); !ok || got != want {
 			t.Errorf("%s = %g (present %v), want %g", series, got, ok, want)

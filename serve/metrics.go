@@ -18,6 +18,13 @@ var latencyBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
+// Who placed a unit: the goroutine that brought it, on an idle server, or
+// the dispatcher, after it queued.
+const (
+	byCaller = iota
+	byDispatcher
+)
+
 // metrics aggregates the server-side counters exposed on /metrics alongside
 // the engine's own placement statistics.
 type metrics struct {
@@ -29,6 +36,7 @@ type metrics struct {
 	invalids   int64         // guarded by mu — malformed / unresolvable lines
 	batches    int64         // guarded by mu — PlaceBatch calls issued
 	batchedTxs int64         // guarded by mu — transactions placed across all batches
+	units      [2]int64      // guarded by mu — units placed, by byCaller / byDispatcher
 	latCounts  []int64       // guarded by mu — histogram bucket counts (+Inf last)
 	latSum     float64       // guarded by mu — histogram sum, seconds
 	snapshots  int64         // guarded by mu — state snapshots written
@@ -51,12 +59,14 @@ func (m *metrics) http(code int) {
 	m.mu.Unlock()
 }
 
-// place observes one answered unit: n lines, each decided lat after the unit
-// was admitted (one histogram update of weight n).
-func (m *metrics) place(n int, lat time.Duration) {
+// place observes one answered unit that by (byCaller or byDispatcher)
+// placed: n lines, each decided lat after the unit was admitted (one
+// histogram update of weight n).
+func (m *metrics) place(by, n int, lat time.Duration) {
 	sec := lat.Seconds()
 	i := sort.SearchFloat64s(latencyBuckets, sec)
 	m.mu.Lock()
+	m.units[by]++
 	m.placed += int64(n)
 	m.latCounts[i] += int64(n)
 	m.latSum += sec * float64(n)
@@ -209,6 +219,10 @@ func (m *metrics) writeTo(w io.Writer, eng *optchain.Engine, queueDepth, queueCa
 	line("# HELP optchain_serve_batched_txs_total Transactions placed across all batches.\n")
 	line("# TYPE optchain_serve_batched_txs_total counter\n")
 	line("optchain_serve_batched_txs_total %d\n", m.batchedTxs)
+	line("# HELP optchain_serve_units_total Units placed (a Place call, or a window of a /v1/place body): by their caller on an idle server, or by the dispatcher after queueing.\n")
+	line("# TYPE optchain_serve_units_total counter\n")
+	line("optchain_serve_units_total{path=\"caller\"} %d\n", m.units[byCaller])
+	line("optchain_serve_units_total{path=\"queued\"} %d\n", m.units[byDispatcher])
 	line("# HELP optchain_serve_place_latency_seconds Admission-to-decision latency per line.\n")
 	line("# TYPE optchain_serve_place_latency_seconds histogram\n")
 	var cum int64

@@ -11,7 +11,10 @@
 // bodies a window of up to MaxBatch lines at a time (codec.go: a scanner for
 // the documented request grammar, with encoding/json behind it for every
 // other line) and hand each window over as one unit: one admission, one
-// answer, one response write. Exactly one goroutine at a time places on the
+// answer, one response write. A window the body goes on after is flushed
+// at once; the last one goes out as the handler returns, framed with a
+// Content-Length when it is the body's only write, so a one-line request
+// costs one response write. Exactly one goroutine at a time places on the
 // engine, the holder of the engine-owner lock. On an idle server — nothing
 // queued, nobody placing — that is the caller itself, an HTTP handler or a
 // Place call, with no hand-off at all; otherwise the unit goes into a
@@ -331,7 +334,7 @@ func (s *Server) placeIdle(ctx context.Context, reqs []Request, res []outcome, t
 	}
 	s.stage(ctx, reqs, res)
 	base, shards, err := s.commit()
-	s.met.place(s.settle(reqs, res, base, shards, err), s.clock()-t0)
+	s.met.place(byCaller, s.settle(reqs, res, base, shards, err), s.clock()-t0)
 	return true, nil
 }
 
@@ -421,7 +424,7 @@ func (s *Server) placeQueued(first *unit) (next *unit) {
 	base, shards, err := s.commit()
 	now := s.clock()
 	for _, u := range batch {
-		s.met.place(s.settle(u.reqs, u.res, base, shards, err), now-u.t0)
+		s.met.place(byDispatcher, s.settle(u.reqs, u.res, base, shards, err), now-u.t0)
 		u.done <- struct{}{}
 	}
 	clear(batch)
