@@ -88,7 +88,7 @@ scenario-smoke:
 	rm -f smoke-replay.tan
 
 # Short fuzz passes: the dataset decoder (panic-safety + round-trip), the
-# quality-gate row decoders (DecodeRows and the row-cache loader must
+# one row-file reader (DecodeRows and the row cache's header binding must
 # reject arbitrary bytes with ErrBadCache, never panic) and the gateway's
 # line codec against its oracle (the request scanner takes a line only as
 # json.Unmarshal would, the response encoder writes json.Encoder's bytes),
@@ -108,21 +108,24 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLogUniformAge -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzSelect -fuzztime 10s ./internal/core
 
-# Tiny 2x2 streaming sweep through the JSONL reporter, validated with the
-# sweepcheck checker: the experiment layer's data path (streamed cells,
-# stable row identity, machine-readable output) stays working, not just
-# compilable. Then the quick Table I sweep through the fidelity reporter,
-# which must print the four k=16 claims with paper value, ours and ratio.
+# Tiny 2x2 streaming sweep through the JSONL reporter into a fresh row
+# cache, then an exact -diff of the cache file against the jsonl output:
+# both row files read back through DecodeRows and hold the same cells with
+# the same metrics, so the experiment layer's data path (streamed cells,
+# stable row identity, machine-readable output, the cache) stays working,
+# not just compilable. Then the quick Table I sweep through the fidelity
+# reporter, which must print the four k=16 claims with paper value, ours
+# and ratio.
 sweep-smoke:
-	@rc=0; \
-	$(GO) run ./cmd/optchain-bench -quick -sweep smoke -reporter jsonl -out sweep-smoke.jsonl \
-		&& $(GO) run ./internal/sweepcheck -rows 4 -streamed sweep-smoke.jsonl \
+	@tmp="$$(mktemp -d)"; rc=0; \
+	$(GO) run ./cmd/optchain-bench -quick -sweep smoke -reporter jsonl -cache "$$tmp" -out sweep-smoke.jsonl \
+		&& $(GO) run ./cmd/optchain-bench -diff -tol-tps 0 -tol-cross 0 "$$tmp/rows.jsonl" sweep-smoke.jsonl \
 		&& $(GO) run ./cmd/optchain-bench -quick -sweep table1 -reporter fidelity -out sweep-fidelity.txt \
 		&& cat sweep-fidelity.txt \
 		&& n="$$(grep -cE '^table1/.* [0-9.]+ +[0-9.]+ +[0-9.]+$$' sweep-fidelity.txt)" \
 		&& { [ "$$n" = 4 ] || { echo "fidelity: $$n Table I claims with paper/ours/ratio, want 4"; false; }; } \
 		|| rc=$$?; \
-	rm -f sweep-smoke.jsonl sweep-fidelity.txt; exit $$rc
+	rm -rf "$$tmp" sweep-smoke.jsonl sweep-fidelity.txt; exit $$rc
 
 # HTTP gateway smoke (see PERFORMANCE.md "Serving placement"): servecheck
 # drives the serve package end to end over a real TCP listener — place a
@@ -134,25 +137,26 @@ serve-smoke:
 	$(GO) run ./internal/servecheck
 
 # Placement-quality gate (see PERFORMANCE.md "Quality gates"). Four checks
-# in one pipeline:
-#   1. the quality sweep runs cold into a fresh row cache;
-#   2. it runs again resumed from that cache (sweepcheck validates the
-#      cache file: header line, pure cell rows, zero wall clocks);
+# in one pipeline, every row file read through DecodeRows:
+#   1. the quality sweep runs cold into a fresh row cache, then again
+#      resumed from that cache;
+#   2. the cache file must hold exactly the cold run's cells with the same
+#      metrics (a zero-tolerance -diff; the cache's header and pure cell
+#      entries are the row cache's own tests);
 #   3. cold vs resumed rows must match at zero tolerance — the cache must
 #      reproduce execution exactly, not approximately;
 #   4. the resumed rows gate against the committed BENCH_quality.jsonl
-#      ledger at loose 10% tolerances. sweepcheck holds the ledger to the
-#      sweep's 8 rows and -diff (no -allow-missing) requires every ledger
-#      cell in the run, so a cell dropped from either side fails too.
+#      ledger at loose 10% tolerances. -diff (no -allow-missing) fails on a
+#      cell only one side holds, so a ledger line deleted, added or
+#      duplicated fails as a regression does.
 # Any regression exits non-zero and fails CI.
 quality-gate:
 	@rc=0; \
 	rm -rf qg-cache qg-cold.jsonl qg-warm.jsonl; \
 	$(GO) run ./cmd/optchain-bench -quick -sweep quality -reporter jsonl -cache qg-cache -out qg-cold.jsonl \
 		&& $(GO) run ./cmd/optchain-bench -quick -sweep quality -reporter jsonl -cache qg-cache -out qg-warm.jsonl \
-		&& $(GO) run ./internal/sweepcheck -cache -rows 8 qg-cache/rows.jsonl \
+		&& $(GO) run ./cmd/optchain-bench -diff -tol-tps 0 -tol-cross 0 qg-cold.jsonl qg-cache/rows.jsonl \
 		&& $(GO) run ./cmd/optchain-bench -diff -tol-tps 0 -tol-cross 0 qg-cold.jsonl qg-warm.jsonl \
-		&& $(GO) run ./internal/sweepcheck -rows 8 BENCH_quality.jsonl \
 		&& $(GO) run ./cmd/optchain-bench -diff -tol-tps 0.1 -tol-cross 0.1 BENCH_quality.jsonl qg-warm.jsonl \
 		|| rc=$$?; \
 	rm -rf qg-cache qg-cold.jsonl qg-warm.jsonl; exit $$rc

@@ -27,10 +27,12 @@
 // ErrBadCache rather than silently recomputing.
 //
 // -diff OLD NEW joins two row files on cell ID — jsonl sweep output (such
-// as the committed BENCH_quality.jsonl ledger) or a row cache — classifies
-// each quality metric against relative tolerances (-tol-tps, -tol-cross,
-// -tol-nstx), prints the verdict table, and exits non-zero on any
-// regression; `make quality-gate` wires this into CI.
+// as the committed BENCH_quality.jsonl ledger) or a row cache, both read by
+// experiment.DecodeRows — classifies each quality metric against relative
+// tolerances (-tol-tps, -tol-cross, -tol-nstx), prints the verdict table,
+// and exits non-zero on any regression and on any cell only one file holds
+// (-allow-missing accepts cells only OLD holds); `make sweep-smoke` and
+// `make quality-gate` wire this into CI.
 //
 // The -strategies, -protocol, -workload, and -workloads flags resolve
 // through the open registries, so strategies/protocols/workloads added with
@@ -83,10 +85,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		sweep      = fs.String("sweep", "", "registered sweep to stream through -reporter (see -list-sweeps)")
-		reporter   = fs.String("reporter", "", "reporter spec for -sweep: name[:key=value,...] (text, jsonl, csv, fidelity; default text)")
+		reporter   = fs.String("reporter", "", "reporter for -sweep (text, jsonl, csv, fidelity; default text)")
 		out        = fs.String("out", "", "output file for -sweep (default stdout)")
 		cacheDir   = fs.String("cache", "", "row-cache directory for -sweep: completed rows persist keyed by cell ID and re-runs resume instead of re-simulating")
-		diffMode   = fs.Bool("diff", false, "compare two row files (OLD NEW as positional args; jsonl sweep output or a row cache) and exit non-zero on quality regression")
+		diffMode   = fs.Bool("diff", false, "compare two row files (OLD NEW as positional args; jsonl sweep output or a row cache) and exit non-zero on quality regression or a cell only one file holds")
 		tolTPS     = fs.Float64("tol-tps", 0.05, "-diff relative tolerance on steady_tps (regresses downward)")
 		tolCross   = fs.Float64("tol-cross", 0.05, "-diff relative tolerance on cross_fraction (regresses upward)")
 		tolNsTx    = fs.Float64("tol-nstx", 0, "-diff relative tolerance on wall ns/tx (0 = not compared; host noise)")
@@ -103,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		strategies = fs.String("strategies", "", "comma-separated strategy set for the sweeps that compare the default set (default: paper's four)")
 		wl         = fs.String("workload", "", "workload spec driving every cell that does not pin one (default: calibrated bitcoin generator)")
 		workloads  = fs.String("workloads", "", "workload-scenario set for -sweep scenarios; ','-separated, or ';'-separated when a spec contains commas (a trailing ';' forces that mode); default: all standalone registered")
-		mergeCache = fs.String("merge-cache", "", "merge row caches: write the union of the positional input rows.jsonl files to this path (inputs must share seed/validators; diverging duplicate cells fail)")
 	)
 	var prof profiling.Config
 	prof.AddFlags(fs)
@@ -136,27 +137,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "reporters: %s\n", strings.Join(experiment.Reporters(), " "))
 		return 0
 	}
-	// -merge-cache and -diff are offline file operations; combining one with
-	// a run mode (or with each other) would leave one of the two silently
-	// undone.
-	runModes := []setFlag{{"-sweep", *sweep != ""}, {"-stream", *stream}}
-	if *mergeCache != "" {
-		if conflict(stderr, "-merge-cache", append(runModes, setFlag{"-diff", *diffMode})...) {
-			return 2
-		}
-		if fs.NArg() < 1 {
-			fmt.Fprintln(stderr, "usage: optchain-bench -merge-cache OUT IN1 [IN2 ...]")
-			return 2
-		}
-		if err := experiment.MergeCacheFiles(*mergeCache, fs.Args()...); err != nil {
-			fmt.Fprintf(stderr, "optchain-bench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "merged %d cache file(s) into %s\n", fs.NArg(), *mergeCache)
-		return 0
-	}
+	// -diff is an offline file operation; combining it with a run mode
+	// would leave one of the two silently undone.
 	if *diffMode {
-		if conflict(stderr, "-diff", runModes...) {
+		if conflict(stderr, "-diff", setFlag{"-sweep", *sweep != ""}, setFlag{"-stream", *stream}) {
 			return 2
 		}
 		if fs.NArg() != 2 {
@@ -172,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runDiff(stdout, stderr, fs.Arg(0), fs.Arg(1), tol)
 	}
 	if *sweep == "" {
-		fmt.Fprintln(stderr, "optchain-bench: no mode given: -sweep NAME (see -list-sweeps), -diff OLD NEW or -merge-cache OUT IN...")
+		fmt.Fprintln(stderr, "optchain-bench: no mode given: -sweep NAME (see -list-sweeps) or -diff OLD NEW")
 		return 2
 	}
 
@@ -287,17 +271,17 @@ func runDiff(stdout, stderr io.Writer, oldPath, newPath string, tol experiment.T
 // runSweep streams one registered sweep through the selected reporter.
 // Cancelling ctx (Ctrl-C) stops the sweep; rows completed before the
 // interrupt are flushed to the reporter before the error is reported.
-func runSweep(ctx context.Context, r *experiment.Runner, stdout io.Writer, name, reporterSpec, outPath string) (err error) {
+func runSweep(ctx context.Context, r *experiment.Runner, stdout io.Writer, name, reporter, outPath string) (err error) {
 	s, err := experiment.BuildSweep(name, r.Params())
 	if err != nil {
 		return err
 	}
-	if reporterSpec == "" {
-		reporterSpec = "text"
+	if reporter == "" {
+		reporter = "text"
 	}
-	// Validate the whole reporter spec — name AND option values — before
-	// touching -out: a typo must not truncate an existing results file.
-	if _, err := experiment.NewReporter(reporterSpec, io.Discard); err != nil {
+	// Validate the reporter name before touching -out: a typo must not
+	// truncate an existing results file.
+	if _, err := experiment.NewReporter(reporter, io.Discard); err != nil {
 		return err
 	}
 	w := stdout
@@ -315,7 +299,7 @@ func runSweep(ctx context.Context, r *experiment.Runner, stdout io.Writer, name,
 		}()
 		w = f
 	}
-	rep, err := experiment.NewReporter(reporterSpec, w)
+	rep, err := experiment.NewReporter(reporter, w)
 	if err != nil {
 		return err
 	}

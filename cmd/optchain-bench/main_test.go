@@ -10,11 +10,12 @@ import (
 )
 
 // TestRejectedCombinationsWriteNothing: every flag combination the driver
-// refuses exits 2 before any mode runs, so neither -out nor a -merge-cache
-// target is created. The offline modes (-diff, -merge-cache) used to return
-// before the "requires -sweep" check, silently dropping -out and -reporter.
-// The rows naming -experiment and -list pin that the removed paper-layout
-// mode is refused, not silently run as something else.
+// refuses exits 2 before any mode runs, so no output file is created. The
+// offline -diff mode used to return before the "requires -sweep" check,
+// silently dropping -out and -reporter. The rows naming -experiment and
+// -list pin that the removed paper-layout mode is refused, not silently run
+// as something else; the -merge-cache rows do the same for the removed
+// cache merge.
 func TestRejectedCombinationsWriteNothing(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "r.txt")
@@ -88,10 +89,12 @@ func TestOfflineModes(t *testing.T) {
 	}
 }
 
-// TestSweepCacheMergeDiff drives the run path end to end on the tiny smoke
-// sweep: a cached jsonl run, a second run served from the cache, a merge of
-// the cache file, and an exact diff of the two outputs.
-func TestSweepCacheMergeDiff(t *testing.T) {
+// TestSweepCacheDiff drives the run path end to end on the tiny smoke
+// sweep: a cached jsonl run, a second run served from the cache, and exact
+// diffs of the two outputs and of the cache file. Used as the ledger, the
+// cold rows with one line deleted or one line added (a fresh cell ID) fail
+// the exact diff: it passes only on equal cell sets.
+func TestSweepCacheDiff(t *testing.T) {
 	dir := t.TempDir()
 	cache := filepath.Join(dir, "cache")
 	cold, warm := filepath.Join(dir, "cold.jsonl"), filepath.Join(dir, "warm.jsonl")
@@ -102,15 +105,38 @@ func TestSweepCacheMergeDiff(t *testing.T) {
 			t.Fatalf("%v: exit %d (stderr %q)", args, code, stderr.String())
 		}
 	}
-	merged := filepath.Join(dir, "merged.jsonl")
-	for _, args := range [][]string{
-		{"-merge-cache", merged, filepath.Join(cache, "rows.jsonl")},
-		{"-diff", "-tol-tps", "0", "-tol-cross", "0", cold, warm},
-		{"-diff", "-tol-tps", "0", "-tol-cross", "0", merged, warm},
+	data, err := os.ReadFile(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+	deleted := filepath.Join(dir, "deleted.jsonl")
+	extra := filepath.Join(dir, "extra.jsonl")
+	fresh := `{"id":"sim:fresh/cell","steady_tps":100,"cross_fraction":0.1}` + "\n"
+	for path, content := range map[string]string{
+		deleted: strings.Join(lines[1:], ""),
+		extra:   string(data) + fresh,
+	} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exact := []string{"-diff", "-tol-tps", "0", "-tol-cross", "0"}
+	for _, tc := range []struct {
+		old, new string
+		code     int
+		out      string
+	}{
+		{cold, warm, 0, "0 missing, 0 new"},
+		{filepath.Join(cache, "rows.jsonl"), warm, 0, "0 missing, 0 new"},
+		{deleted, warm, 1, "NEW"},
+		{extra, warm, 1, "MISSING"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("%v: exit %d (stdout %q, stderr %q)", args, code, stdout.String(), stderr.String())
+		args := append(append([]string{}, exact...), tc.old, tc.new)
+		if code := run(args, &stdout, &stderr); code != tc.code || !strings.Contains(stdout.String(), tc.out) {
+			t.Fatalf("%v: exit %d, want %d; stdout %q lacks %q (stderr %q)",
+				args, code, tc.code, stdout.String(), tc.out, stderr.String())
 		}
 	}
 	var stdout, stderr bytes.Buffer

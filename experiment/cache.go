@@ -1,10 +1,8 @@
 package experiment
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,8 +11,8 @@ import (
 // CacheSchema versions the on-disk row-cache layout (see Params.CacheDir).
 // A cache file is one JSONL stream: a header line carrying this schema tag
 // and the parameters the rows were produced under, then one completed Row
-// per line in completion order. Loading a file with any other schema tag
-// fails with ErrBadCache.
+// per line in completion order — a row file DecodeRows reads like any
+// other. Loading a file with any other schema tag fails with ErrBadCache.
 const CacheSchema = "optchain-rowcache/v1"
 
 // cacheFileName is the row file inside Params.CacheDir.
@@ -62,8 +60,10 @@ type rowCache struct {
 }
 
 // openRowCache opens (creating if absent) the cache file under dir and
-// loads its rows. Any malformed content — bad header, corrupt or truncated
-// line, duplicate cell ID, parameter mismatch — fails with ErrBadCache.
+// reads its rows through decodeRows. Any malformed content — bad header,
+// corrupt or truncated line, duplicate cell ID, parameter mismatch — fails
+// with ErrBadCache naming the last intact cell: a poisoned cache must fail
+// loudly, not silently recompute.
 func openRowCache(dir string, p Params) (*rowCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("%w: create cache dir: %v", ErrBadCache, err)
@@ -72,14 +72,19 @@ func openRowCache(dir string, p Params) (*rowCache, error) {
 	want := newCacheHeader(p)
 	c := &rowCache{path: path, rows: make(map[string]Row)}
 	if data, err := os.Open(path); err == nil {
-		rows, lerr := loadCacheRows(data, want)
-		if cerr := data.Close(); lerr == nil && cerr != nil {
-			lerr = fmt.Errorf("%w: close %s: %v", ErrBadCache, path, cerr)
+		h, rows, derr := decodeRows(data)
+		if cerr := data.Close(); derr == nil && cerr != nil {
+			derr = fmt.Errorf("%w: close %s: %v", ErrBadCache, path, cerr)
 		}
-		if lerr != nil {
-			return nil, fmt.Errorf("%s: %w", path, lerr)
+		if derr == nil {
+			derr = want.bind(h, len(rows))
 		}
-		c.rows = rows
+		if derr != nil {
+			return nil, fmt.Errorf("%s: %w", path, derr)
+		}
+		for _, row := range rows {
+			c.rows[row.ID] = row
+		}
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("%w: open %s: %v", ErrBadCache, path, err)
 	}
@@ -90,7 +95,7 @@ func openRowCache(dir string, p Params) (*rowCache, error) {
 	c.f = f
 	if len(c.rows) == 0 {
 		// Fresh (or empty) file: write the header line. An existing
-		// non-empty file already validated its header in loadCacheRows.
+		// non-empty file already passed bind.
 		if fi, err := f.Stat(); err == nil && fi.Size() == 0 {
 			line, merr := json.Marshal(want)
 			if merr != nil {
@@ -106,55 +111,18 @@ func openRowCache(dir string, p Params) (*rowCache, error) {
 	return c, nil
 }
 
-// loadCacheRows decodes one cache file: the header line (validated against
-// want), then one Row per line. Every defect is an ErrBadCache naming the
-// line and, when known, the cell ID involved — a poisoned cache must fail
-// loudly, not silently recompute.
-func loadCacheRows(r io.Reader, want cacheHeader) (map[string]Row, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("%w: read header: %v", ErrBadCache, err)
-		}
-		// Empty file: treated as fresh (the caller writes the header).
-		return make(map[string]Row), nil
-	}
-	var h cacheHeader
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil || h.Schema == "" {
-		return nil, fmt.Errorf("%w: line 1 is not a cache header (want schema %q)", ErrBadCache, CacheSchema)
-	}
-	if h.Schema != CacheSchema {
-		return nil, fmt.Errorf("%w: schema %q, want %q", ErrBadCache, h.Schema, CacheSchema)
-	}
-	if h.Seed != want.Seed || h.Validators != want.Validators {
-		return nil, fmt.Errorf("%w: cache written under seed=%d validators=%d, runner has seed=%d validators=%d",
+// bind checks that a decoded cache file (its header, nil when it has none,
+// and its row count) belongs to a runner writing want: rows need a header,
+// and the header's seed and validators must match. An empty file is fresh.
+func (want cacheHeader) bind(h *cacheHeader, rows int) error {
+	switch {
+	case h == nil && rows > 0:
+		return fmt.Errorf("%w: value 1 is not a cache header (want schema %q)", ErrBadCache, CacheSchema)
+	case h != nil && (h.Seed != want.Seed || h.Validators != want.Validators):
+		return fmt.Errorf("%w: cache written under seed=%d validators=%d, runner has seed=%d validators=%d",
 			ErrBadCache, h.Seed, h.Validators, want.Seed, want.Validators)
 	}
-	rows := make(map[string]Row)
-	lastID := ""
-	for line := 2; sc.Scan(); line++ {
-		text := sc.Bytes()
-		if len(text) == 0 {
-			continue
-		}
-		var row Row
-		if err := json.Unmarshal(text, &row); err != nil {
-			return nil, fmt.Errorf("%w: line %d corrupt (after cell %q): %v", ErrBadCache, line, lastID, err)
-		}
-		if row.ID == "" {
-			return nil, fmt.Errorf("%w: line %d has no cell ID (after cell %q)", ErrBadCache, line, lastID)
-		}
-		if _, dup := rows[row.ID]; dup {
-			return nil, fmt.Errorf("%w: line %d duplicates cell %q", ErrBadCache, line, row.ID)
-		}
-		rows[row.ID] = row
-		lastID = row.ID
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%w: read after cell %q: %v", ErrBadCache, lastID, err)
-	}
-	return rows, nil
+	return nil
 }
 
 // get returns the cached row for a cell ID, if present.

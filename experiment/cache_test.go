@@ -108,6 +108,23 @@ func TestCacheResumeIdentity(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("interrupted+resumed cache differs from uninterrupted cache:\n--- uninterrupted ---\n%s--- resumed ---\n%s", a, b)
 	}
+	// The file is a header line, then pure cell data: no sweep identity and
+	// no host-noise wall clock on any entry, so that bytes are comparable.
+	if !bytes.HasPrefix(a, []byte(`{"schema":"`+experiment.CacheSchema+`"`)) {
+		t.Fatalf("cache file does not open with a %s header:\n%s", experiment.CacheSchema, a)
+	}
+	entries, err := experiment.DecodeRows(bytes.NewReader(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(resumeSweep().Cells) {
+		t.Fatalf("cache holds %d entries, want %d", len(entries), len(resumeSweep().Cells))
+	}
+	for _, e := range entries {
+		if e.Sweep != "" || e.WallSeconds != 0 {
+			t.Fatalf("cache entry %s carries sweep %q, wall_seconds %v; want neither", e.ID, e.Sweep, e.WallSeconds)
+		}
+	}
 	if len(got) != len(want) {
 		t.Fatalf("resumed rows = %d, want %d", len(got), len(want))
 	}

@@ -30,7 +30,8 @@ type Tolerances struct {
 	NsPerTx float64
 	// AllowMissing accepts cells present in the old rows but absent from
 	// the new — the setting for gating a subset run against a fuller
-	// row set. When false, a missing cell fails the gate.
+	// row set. When false, a missing cell fails the gate. A cell present
+	// only in the new rows fails the gate either way.
 	AllowMissing bool
 }
 
@@ -222,9 +223,11 @@ func (d *DiffReport) Counts() (regressed, improved, unchanged int) {
 	return regressed, improved, unchanged
 }
 
-// Err is the gate verdict: nil when no joined cell regressed and no cell
-// is missing (or missing cells are allowed); otherwise an error wrapping
-// ErrQualityRegression naming the first offending cell.
+// Err is the gate verdict: nil when no joined cell regressed, no cell is
+// missing (or missing cells are allowed) and no cell is new; otherwise an
+// error wrapping ErrQualityRegression naming the first offending cell. With
+// AllowMissing off, a passing report means both row sets hold exactly the
+// same cells.
 func (d *DiffReport) Err() error {
 	regressed, _, _ := d.Counts()
 	if regressed > 0 {
@@ -241,6 +244,10 @@ func (d *DiffReport) Err() error {
 	if len(d.Missing) > 0 && !d.Tol.AllowMissing {
 		return fmt.Errorf("%w: %d cell(s) missing from the new rows (first: %s)",
 			ErrQualityRegression, len(d.Missing), d.Missing[0])
+	}
+	if len(d.New) > 0 {
+		return fmt.Errorf("%w: %d cell(s) only in the new rows (first: %s); the old rows do not gate them",
+			ErrQualityRegression, len(d.New), d.New[0])
 	}
 	return nil
 }
@@ -307,57 +314,73 @@ func (d *DiffReport) Render(w io.Writer) error {
 	return err
 }
 
-// DecodeRows reads a row set for diffing from either on-disk form the
-// toolchain writes:
+// DecodeRows reads a row set from either on-disk form the toolchain
+// writes, and is the only reader of either:
 //
-//   - raw JSONL sweep output (the jsonl reporter, and the committed
-//     BENCH_quality.jsonl ledger): one Row object per value;
+//   - raw JSONL sweep output (the jsonl reporter, the golden fixtures and
+//     the committed BENCH_quality.jsonl ledger): one Row object per value;
 //   - a row-cache file (Params.CacheDir): a CacheSchema header line, then
 //     rows.
 //
 // Malformed input — undecodable values, rows without a cell ID, duplicate
 // cell IDs, a first value carrying any schema but the current CacheSchema
-// — fails with ErrBadCache; DecodeRows never panics on arbitrary bytes
-// (fuzzed by FuzzDiffRows).
+// — fails with ErrBadCache naming the last intact cell; DecodeRows never
+// panics on arbitrary bytes (fuzzed by FuzzDiffRows).
 func DecodeRows(r io.Reader) ([]Row, error) {
+	_, rows, err := decodeRows(r)
+	return rows, err
+}
+
+// decodeRows is DecodeRows returning the row-cache header too: nil for
+// JSONL rows and for empty input.
+func decodeRows(r io.Reader) (*cacheHeader, []Row, error) {
 	dec := json.NewDecoder(r)
-	var out []Row
+	var (
+		header *cacheHeader
+		out    []Row
+		last   string // the last intact cell, where damage starts
+	)
 	seen := make(map[string]bool)
 	for value := 1; ; value++ {
 		var raw json.RawMessage
 		if err := dec.Decode(&raw); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("%w: value %d: %v", ErrBadCache, value, err)
+			if value == 1 {
+				return nil, nil, fmt.Errorf("%w: value 1 is not a row and not a cache header: %v", ErrBadCache, err)
+			}
+			return nil, nil, fmt.Errorf("%w: value %d corrupt (after cell %q): %v", ErrBadCache, value, last, err)
 		}
 		if value == 1 {
-			var probe struct {
-				Schema string `json:"schema"`
-			}
 			// A non-object first value falls through to the row branch,
 			// which produces the row-shaped error.
-			_ = json.Unmarshal(raw, &probe)
+			var h cacheHeader
+			herr := json.Unmarshal(raw, &h)
 			switch {
-			case probe.Schema == CacheSchema:
-				continue // header consumed; the remaining values are rows
-			case probe.Schema != "":
-				return nil, fmt.Errorf("%w: unknown schema %q, want %q or none", ErrBadCache, probe.Schema, CacheSchema)
+			case h.Schema == CacheSchema && herr != nil:
+				return nil, nil, fmt.Errorf("%w: malformed cache header: %v", ErrBadCache, herr)
+			case h.Schema == CacheSchema:
+				header = &h
+				continue // the remaining values are rows
+			case h.Schema != "":
+				return nil, nil, fmt.Errorf("%w: unknown schema %q, want %q or none", ErrBadCache, h.Schema, CacheSchema)
 			}
 		}
 		var row Row
 		if err := json.Unmarshal(raw, &row); err != nil {
-			return nil, fmt.Errorf("%w: value %d is not a row: %v", ErrBadCache, value, err)
+			return nil, nil, fmt.Errorf("%w: value %d is not a row (after cell %q): %v", ErrBadCache, value, last, err)
 		}
 		if row.ID == "" {
-			return nil, fmt.Errorf("%w: value %d has no cell ID", ErrBadCache, value)
+			return nil, nil, fmt.Errorf("%w: value %d has no cell ID (after cell %q)", ErrBadCache, value, last)
 		}
 		if seen[row.ID] {
-			return nil, fmt.Errorf("%w: duplicate cell %q", ErrBadCache, row.ID)
+			return nil, nil, fmt.Errorf("%w: value %d duplicates cell %q", ErrBadCache, value, row.ID)
 		}
 		seen[row.ID] = true
 		out = append(out, row)
+		last = row.ID
 	}
-	return out, nil
+	return header, out, nil
 }
 
 // DecodeRowsFile reads one row file (see DecodeRows for the accepted

@@ -166,29 +166,47 @@ func TestDiffNsPerTxOptIn(t *testing.T) {
 	}
 }
 
+// TestDiffMissingAndNewCells: a cell only the old rows hold fails the gate
+// unless AllowMissing is set; a cell only the new rows hold fails it either
+// way, so a strict diff passes only on equal cell sets.
 func TestDiffMissingAndNewCells(t *testing.T) {
-	old := []experiment.Row{qrow("a", 1000, 0.5), qrow("gone", 1000, 0.5)}
-	new := []experiment.Row{qrow("a", 1000, 0.5), qrow("fresh", 1000, 0.5)}
+	a, gone, fresh := qrow("a", 1000, 0.5), qrow("gone", 1000, 0.5), qrow("fresh", 1000, 0.5)
+	strictTol := experiment.DefaultTolerances()
+	allowTol := strictTol
+	allowTol.AllowMissing = true
 
-	strict, err := experiment.Diff(old, new, experiment.DefaultTolerances())
+	strict, err := experiment.Diff([]experiment.Row{a, gone}, []experiment.Row{a, fresh}, strictTol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(strict.Missing) != 1 || strict.Missing[0] != "gone" || len(strict.New) != 1 || strict.New[0] != "fresh" {
 		t.Fatalf("missing/new = %v / %v", strict.Missing, strict.New)
 	}
-	if err := strict.Err(); !errors.Is(err, experiment.ErrQualityRegression) || !strings.Contains(err.Error(), "gone") {
-		t.Fatalf("missing cell under strict tolerances: %v", err)
-	}
 
-	tol := experiment.DefaultTolerances()
-	tol.AllowMissing = true
-	loose, err := experiment.Diff(old, new, tol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loose.Err(); err != nil {
-		t.Fatalf("missing cell with AllowMissing: %v", err)
+	for _, tc := range []struct {
+		name     string
+		old, new []experiment.Row
+		tol      experiment.Tolerances
+		offender string // "" passes the gate
+	}{
+		{"missing, strict", []experiment.Row{a, gone}, []experiment.Row{a}, strictTol, "gone"},
+		{"missing, allowed", []experiment.Row{a, gone}, []experiment.Row{a}, allowTol, ""},
+		{"new, strict", []experiment.Row{a}, []experiment.Row{a, fresh}, strictTol, "fresh"},
+		{"new, missing allowed", []experiment.Row{a}, []experiment.Row{a, fresh}, allowTol, "fresh"},
+		{"both, strict", []experiment.Row{a, gone}, []experiment.Row{a, fresh}, strictTol, "gone"},
+		{"both, missing allowed", []experiment.Row{a, gone}, []experiment.Row{a, fresh}, allowTol, "fresh"},
+	} {
+		rep, err := experiment.Diff(tc.old, tc.new, tc.tol)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		err = rep.Err()
+		switch {
+		case tc.offender == "" && err != nil:
+			t.Fatalf("%s: %v, want a pass", tc.name, err)
+		case tc.offender != "" && (!errors.Is(err, experiment.ErrQualityRegression) || !strings.Contains(err.Error(), tc.offender)):
+			t.Fatalf("%s: %v, want ErrQualityRegression naming %q", tc.name, err, tc.offender)
+		}
 	}
 }
 

@@ -20,9 +20,9 @@
 // Three registries mirror optchain.RegisterStrategy / RegisterProtocol /
 // RegisterWorkload:
 //
-//   - RegisterReporter: result sinks. Built-ins: "text" (aligned table),
-//     "jsonl" (one JSON object per row: the form of the committed
-//     BENCH_quality.jsonl ledger), and "csv".
+//   - RegisterReporter: result sinks, selected by bare name. Built-ins:
+//     "text" (aligned table), "jsonl" (one JSON object per row: the form of
+//     the committed BENCH_quality.jsonl ledger), and "csv".
 //   - RegisterSweep: named sweep definitions, selectable from
 //     cmd/optchain-bench via -sweep / -list-sweeps. internal/bench
 //     registers the paper's grids (grid, peak, scenarios, table1, ...).
@@ -53,6 +53,14 @@
 // the figure grids too. The Metis strategy is the exception: it replays an
 // offline partition of the full graph, so its cells materialize the
 // workload regardless, and the row says so (Row.Streamed=false).
+//
+// # Row files
+//
+// jsonl reporter output, the golden fixtures, the BENCH_quality.jsonl
+// ledger and the row cache (Params.CacheDir) are one format: Rows, one per
+// line, the cache's behind a CacheSchema header. DecodeRows is its only
+// reader and Diff its only comparator; a strict Diff (no AllowMissing)
+// passes only when both sides hold the same cells.
 package experiment
 
 import (
@@ -67,9 +75,6 @@ var (
 	ErrBadSweep = errors.New("experiment: invalid sweep")
 	// ErrUnknownReporter reports a reporter name with no registered factory.
 	ErrUnknownReporter = errors.New("experiment: unknown reporter")
-	// ErrBadReporterOption reports a reporter option the named reporter does
-	// not take — misspelled knobs fail instead of being silently inert.
-	ErrBadReporterOption = errors.New("experiment: invalid reporter option")
 	// ErrUnknownSweep reports a sweep name with no registered builder.
 	ErrUnknownSweep = errors.New("experiment: unknown sweep")
 	// ErrBadRegistration reports an invalid registry call (empty name, nil
@@ -83,8 +88,8 @@ var (
 	ErrBadCache = errors.New("experiment: bad row cache")
 	// ErrQualityRegression reports a quality-gate failure: Diff found at
 	// least one joined cell whose metrics moved in the worse direction
-	// beyond tolerance, or cells missing from the new run when the
-	// tolerances require full coverage.
+	// beyond tolerance, a cell only the new run has, or cells missing from
+	// the new run when the tolerances require full coverage.
 	ErrQualityRegression = errors.New("experiment: placement quality regression")
 )
 

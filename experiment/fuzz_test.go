@@ -3,15 +3,15 @@ package experiment
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 )
 
-// FuzzDiffRows fuzzes the two row decoders behind the quality gate —
-// DecodeRows (jsonl and row-cache forms) and the cache loader —
-// with arbitrary bytes. The contract under fuzzing: never panic, and every
-// accepted input decodes to rows with non-empty unique cell IDs; everything
-// else fails with ErrBadCache. Wired into `make fuzz-smoke`.
+// FuzzDiffRows fuzzes the one row reader — decodeRows, behind DecodeRows,
+// -diff and the row cache (jsonl and row-cache forms) — together with the
+// cache's header binding, on arbitrary bytes. The contract under fuzzing:
+// never panic, and every accepted input decodes to rows with non-empty
+// unique cell IDs; every refusal, by the decoder or the binding, is an
+// ErrBadCache. Wired into `make fuzz-smoke`.
 func FuzzDiffRows(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("{\"id\":\"a\",\"kind\":\"sim\",\"steady_tps\":100,\"cross_fraction\":0.5,\"wall_seconds\":1,\"streamed\":false}\n"))
@@ -24,29 +24,40 @@ func FuzzDiffRows(f *testing.F) {
 	f.Add([]byte("{\"id\":\"a\",\"steady_tps\":"))                                                              // truncated mid-value
 	f.Add([]byte("{\"id\":\"a\"}\ngarbage"))
 	f.Add([]byte("null\n{\"id\":\"a\"}"))
+	f.Add([]byte("{\"schema\":\"optchain-rowcache/v1\",\"seed\":2,\"validators\":4}\n{\"id\":\"a\"}\n")) // header of another seed
+	f.Add([]byte("{\"schema\":\"optchain-rowcache/v1\",\"seed\":\"x\"}\n"))                              // malformed header
+	f.Add([]byte("{\"schema\":\"optchain-rowcache/v1\",\"seed\":1,\"validators\":5}\n"))                 // header of another committee size
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows, err := DecodeRows(bytes.NewReader(data))
+		h, rows, err := decodeRows(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadCache) {
-				t.Fatalf("DecodeRows error outside ErrBadCache: %v", err)
+				t.Fatalf("decodeRows error outside ErrBadCache: %v", err)
 			}
-		} else {
-			seen := map[string]bool{}
-			for i, r := range rows {
-				if r.ID == "" {
-					t.Fatalf("accepted row %d has no cell ID", i)
-				}
-				if seen[r.ID] {
-					t.Fatalf("accepted duplicate cell %q", r.ID)
-				}
-				seen[r.ID] = true
-			}
+			return
 		}
-
+		seen := map[string]bool{}
+		for i, r := range rows {
+			if r.ID == "" {
+				t.Fatalf("accepted row %d has no cell ID", i)
+			}
+			if seen[r.ID] {
+				t.Fatalf("accepted duplicate cell %q", r.ID)
+			}
+			seen[r.ID] = true
+		}
+		if h != nil && h.Schema != CacheSchema {
+			t.Fatalf("accepted cache header with schema %q", h.Schema)
+		}
 		want := newCacheHeader(Params{Seed: 1, Validators: 4})
-		if _, err := loadCacheRows(strings.NewReader(string(data)), want); err != nil && !errors.Is(err, ErrBadCache) {
-			t.Fatalf("loadCacheRows error outside ErrBadCache: %v", err)
+		err = want.bind(h, len(rows))
+		switch {
+		case err != nil && !errors.Is(err, ErrBadCache):
+			t.Fatalf("bind error outside ErrBadCache: %v", err)
+		case err == nil && h == nil && len(rows) > 0:
+			t.Fatal("rows without a cache header bound to the cache")
+		case err == nil && h != nil && (h.Seed != want.Seed || h.Validators != want.Validators):
+			t.Fatalf("header seed=%d validators=%d bound to seed=%d validators=%d", h.Seed, h.Validators, want.Seed, want.Validators)
 		}
 	})
 }

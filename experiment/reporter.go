@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,11 +24,8 @@ type Reporter interface {
 	End() error
 }
 
-// ReporterFactory builds a reporter writing to w. opts carries the
-// reporter's knobs (from a "name:key=value,..." spec); factories MUST
-// reject unknown keys with an error wrapping ErrBadReporterOption, so
-// misspelled knobs fail instead of being silently inert.
-type ReporterFactory func(w io.Writer, opts map[string]string) (Reporter, error)
+// ReporterFactory builds a reporter writing to w.
+type ReporterFactory func(w io.Writer) Reporter
 
 var (
 	repMu      sync.RWMutex
@@ -91,72 +87,15 @@ func HasReporter(name string) bool {
 	return ok
 }
 
-// ParseReporterSpec splits a reporter spec "name[:key=value,...]" into the
-// registry name and its option map. The name is validated against the
-// registry; option keys are validated later, by the named factory.
-func ParseReporterSpec(spec string) (string, map[string]string, error) {
-	s := strings.TrimSpace(spec)
-	name, rest, found := strings.Cut(s, ":")
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return "", nil, fmt.Errorf("%w: empty reporter spec", ErrUnknownReporter)
-	}
-	if !HasReporter(name) {
-		return "", nil, fmt.Errorf("%w %q (registered: %s)",
+// NewReporter builds the reporter registered under name writing to w.
+// Unknown names fail with ErrUnknownReporter listing the registry.
+func NewReporter(name string, w io.Writer) (Reporter, error) {
+	repMu.RLock()
+	e, ok := repEntries[strings.ToLower(strings.TrimSpace(name))]
+	repMu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w %q (registered: %s)",
 			ErrUnknownReporter, name, strings.Join(Reporters(), ", "))
 	}
-	var opts map[string]string
-	if found && strings.TrimSpace(rest) != "" {
-		opts = make(map[string]string)
-		for _, tok := range strings.Split(rest, ",") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
-			}
-			k, v, ok := strings.Cut(tok, "=")
-			if !ok || strings.TrimSpace(k) == "" {
-				return "", nil, fmt.Errorf("%w: reporter %q option %q is not key=value",
-					ErrBadReporterOption, name, tok)
-			}
-			opts[strings.TrimSpace(k)] = strings.TrimSpace(v)
-		}
-	}
-	return name, opts, nil
-}
-
-// NewReporter builds a registered reporter from a spec ("jsonl",
-// "csv:header=off") writing to w. Unknown names list the registry; unknown
-// option keys fail with ErrBadReporterOption.
-func NewReporter(spec string, w io.Writer) (Reporter, error) {
-	name, opts, err := ParseReporterSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	repMu.RLock()
-	e := repEntries[strings.ToLower(name)]
-	repMu.RUnlock()
-	return e.factory(w, opts)
-}
-
-// checkReporterOpts rejects option keys outside the reporter's allowed set.
-// Unknown keys are collected and sorted so the error text is identical
-// regardless of map iteration order.
-func checkReporterOpts(reporter string, opts map[string]string, allowed ...string) error {
-	var unknown []string
-	for k := range opts {
-		if !slices.Contains(allowed, k) {
-			unknown = append(unknown, k)
-		}
-	}
-	sort.Strings(unknown)
-	if len(unknown) > 0 {
-		sort.Strings(allowed)
-		have := "it takes none"
-		if len(allowed) > 0 {
-			have = "it takes: " + strings.Join(allowed, ", ")
-		}
-		return fmt.Errorf("%w: reporter %q has no option %q (%s)",
-			ErrBadReporterOption, reporter, unknown[0], have)
-	}
-	return nil
+	return e.factory(w), nil
 }

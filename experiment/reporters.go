@@ -6,18 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 )
 
 func init() {
-	mustRegisterReporter("text", func(w io.Writer, opts map[string]string) (Reporter, error) {
-		return newTextReporter(w, opts)
+	mustRegisterReporter("text", func(w io.Writer) Reporter {
+		return &textReporter{w: bufio.NewWriter(w)}
 	})
-	mustRegisterReporter("jsonl", func(w io.Writer, opts map[string]string) (Reporter, error) {
-		return newJSONLReporter(w, opts)
+	mustRegisterReporter("jsonl", func(w io.Writer) Reporter {
+		bw := bufio.NewWriter(w)
+		return &jsonlReporter{w: bw, enc: json.NewEncoder(bw)}
 	})
-	mustRegisterReporter("csv", func(w io.Writer, opts map[string]string) (Reporter, error) {
-		return newCSVReporter(w, opts)
+	mustRegisterReporter("csv", func(w io.Writer) Reporter {
+		return &csvReporter{w: csv.NewWriter(w)}
 	})
 }
 
@@ -26,22 +26,6 @@ func init() {
 type textReporter struct {
 	w      *bufio.Writer
 	header bool // header printed?
-	noHead bool // header=off
-}
-
-func newTextReporter(w io.Writer, opts map[string]string) (Reporter, error) {
-	if err := checkReporterOpts("text", opts, "header"); err != nil {
-		return nil, err
-	}
-	r := &textReporter{w: bufio.NewWriter(w)}
-	if v, ok := opts["header"]; ok {
-		on, err := onOff("text", "header", v)
-		if err != nil {
-			return nil, err
-		}
-		r.noHead = !on
-	}
-	return r, nil
 }
 
 // textCols is the column subset the text table shows (the full field set
@@ -75,7 +59,7 @@ func (t *textReporter) Row(r Row) error {
 	for _, f := range r.Fields() {
 		fields[f.Name] = f.Value
 	}
-	if !t.header && !t.noHead {
+	if !t.header {
 		t.header = true
 		for _, name := range textOrder {
 			fmt.Fprintf(t.w, "%*s ", textCols[name], name)
@@ -92,18 +76,10 @@ func (t *textReporter) Row(r Row) error {
 func (t *textReporter) End() error { return t.w.Flush() }
 
 // jsonlReporter emits one self-describing JSON object per row — the
-// machine-readable streaming form (validated in CI by internal/sweepcheck).
+// machine-readable streaming form, read back by DecodeRows.
 type jsonlReporter struct {
 	w   *bufio.Writer
 	enc *json.Encoder
-}
-
-func newJSONLReporter(w io.Writer, opts map[string]string) (Reporter, error) {
-	if err := checkReporterOpts("jsonl", opts); err != nil {
-		return nil, err
-	}
-	bw := bufio.NewWriter(w)
-	return &jsonlReporter{w: bw, enc: json.NewEncoder(bw)}, nil
 }
 
 func (j *jsonlReporter) Begin(s Sweep, p Params) error { return nil }
@@ -117,29 +93,13 @@ func (j *jsonlReporter) End() error { return j.w.Flush() }
 type csvReporter struct {
 	w      *csv.Writer
 	header bool
-	noHead bool
-}
-
-func newCSVReporter(w io.Writer, opts map[string]string) (Reporter, error) {
-	if err := checkReporterOpts("csv", opts, "header"); err != nil {
-		return nil, err
-	}
-	r := &csvReporter{w: csv.NewWriter(w)}
-	if v, ok := opts["header"]; ok {
-		on, err := onOff("csv", "header", v)
-		if err != nil {
-			return nil, err
-		}
-		r.noHead = !on
-	}
-	return r, nil
 }
 
 func (c *csvReporter) Begin(s Sweep, p Params) error { return nil }
 
 func (c *csvReporter) Row(r Row) error {
 	fields := r.Fields()
-	if !c.header && !c.noHead {
+	if !c.header {
 		c.header = true
 		names := make([]string, len(fields))
 		for i, f := range fields {
@@ -159,19 +119,4 @@ func (c *csvReporter) Row(r Row) error {
 func (c *csvReporter) End() error {
 	c.w.Flush()
 	return c.w.Error()
-}
-
-// onOff parses a boolean reporter option ("on"/"off"/"true"/"false").
-func onOff(reporter, key, v string) (bool, error) {
-	switch v {
-	case "on", "true", "1":
-		return true, nil
-	case "off", "false", "0":
-		return false, nil
-	}
-	if b, err := strconv.ParseBool(v); err == nil {
-		return b, nil
-	}
-	return false, fmt.Errorf("%w: reporter %q option %s=%q (want on/off)",
-		ErrBadReporterOption, reporter, key, v)
 }

@@ -295,21 +295,12 @@ func (r *Runner) runCell(ctx context.Context, c Cell) (Row, error) {
 	}
 }
 
-// windows scales the Fig. 5 commit window and the queue-sampling cadence
-// with the run length: the paper's 50 s windows suit 10M-transaction runs;
-// shorter streams need proportionally finer buckets to draw the same
-// curves.
-func (r *Runner) windows(n int, rate float64) (window, sample time.Duration) {
-	issue := time.Duration(float64(n) / rate * float64(time.Second))
-	window = issue / 12
-	if window < time.Second {
-		window = time.Second
-	}
-	sample = issue / 25
-	if sample < 500*time.Millisecond {
-		sample = 500 * time.Millisecond
-	}
-	return window, sample
+// queueSampleEvery scales the queue-sampling cadence with the run length:
+// the simulator's 10 s default suits 10M-transaction runs; shorter streams
+// need proportionally finer samples to draw the same Fig. 6 curves.
+func (r *Runner) queueSampleEvery(n int, rate float64) time.Duration {
+	span := time.Duration(float64(n) / rate * float64(time.Second))
+	return max(span/25, 500*time.Millisecond)
 }
 
 // runSimCell executes one end-to-end simulation cell.
@@ -331,11 +322,11 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 	}
 	txs := c.Txs
 	if txs == 0 {
-		// Default-length cells scale the commit window and queue-sampling
-		// cadence with the run length; explicit-Txs cells (the Fig. 11
-		// saturation runs) keep the simulator's fixed defaults.
+		// Default-length cells scale the queue-sampling cadence with the
+		// run length; explicit-Txs cells (the Fig. 11 saturation runs) keep
+		// the simulator's fixed default.
 		txs = r.p.N
-		cfg.CommitWindow, cfg.QueueSampleEvery = r.windows(txs, c.Rate)
+		cfg.QueueSampleEvery = r.queueSampleEvery(txs, c.Rate)
 	}
 
 	// One Source per cell: streamed cells build the scenario live (feedback

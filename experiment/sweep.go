@@ -44,8 +44,8 @@ type Cell struct {
 	Workload string `json:"workload,omitempty"`
 	// Txs overrides the stream length. Zero means the runner default
 	// (Params.N for sim cells, Params.TableN for placement cells) with
-	// commit windows scaled to the run length; explicit values run with the
-	// simulator's fixed defaults (the Fig. 11 saturation regime).
+	// the queue-sampling cadence scaled to the run length; explicit values run
+	// with the simulator's fixed defaults (the Fig. 11 saturation regime).
 	Txs int `json:"txs,omitempty"`
 	// Warm makes a placement cell replay the Metis partition for the first
 	// Warm transactions before handing the stream to Strategy — Table II's
@@ -104,9 +104,9 @@ func (c Cell) id(p Params) string {
 	if c.Txs != 0 {
 		fmt.Fprintf(&b, "/n%d", c.Txs)
 	} else if kind == KindSim {
-		// Default-length sim cells scale commit windows with Params.N; an
-		// explicit Txs of the same value runs fixed windows, so the two must
-		// never share a cache slot.
+		// Default-length sim cells scale the queue-sampling cadence (and so
+		// peak_queue) with Params.N; an explicit Txs of the same value runs
+		// the fixed cadence, so the two must never share a cache slot.
 		fmt.Fprintf(&b, "/n%d/scaledwin", p.N)
 	} else {
 		fmt.Fprintf(&b, "/n%d", p.TableN)

@@ -81,11 +81,8 @@ var claimMetrics = map[string]func(experiment.Row) (float64, bool){
 }
 
 func init() {
-	err := experiment.RegisterReporter("fidelity", func(w io.Writer, opts map[string]string) (experiment.Reporter, error) {
-		if len(opts) > 0 {
-			return nil, fmt.Errorf("%w: reporter \"fidelity\" takes no options", experiment.ErrBadReporterOption)
-		}
-		return &fidelityReporter{w: bufio.NewWriter(w), got: make([][2]reading, len(claims))}, nil
+	err := experiment.RegisterReporter("fidelity", func(w io.Writer) experiment.Reporter {
+		return &fidelityReporter{w: bufio.NewWriter(w), got: make([][2]reading, len(claims))}
 	})
 	if err != nil {
 		panic(err) //optchain:fatal duplicate built-in registration is a programmer error caught at init

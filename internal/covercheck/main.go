@@ -1,6 +1,6 @@
 // Command covercheck enforces per-package statement-coverage floors over a
 // merged `go test -coverprofile` file, in the same leaf-tool spirit as
-// internal/sweepcheck: `make cover` produces cover.out across the module
+// internal/docscheck: `make cover` produces cover.out across the module
 // and this checker fails the build when any package drops below its
 // committed floor in COVERAGE_floors.txt.
 //

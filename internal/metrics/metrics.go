@@ -1,7 +1,6 @@
 // Package metrics provides the collectors behind the paper's evaluation
-// figures: per-transaction latency (Figs. 3, 8, 9, 10), committed-per-window
-// timelines (Fig. 5), and per-shard queue-size series with their max and
-// min (Fig. 6).
+// figures: per-transaction latency (Figs. 3, 8, 9, 10) and per-shard
+// queue-size series with their max and min (Fig. 6).
 package metrics
 
 import (
@@ -55,26 +54,6 @@ func (r *LatencyRecorder) FractionWithin(d time.Duration) float64 {
 
 // Samples returns the raw latencies in seconds (read-only view).
 func (r *LatencyRecorder) Samples() []float64 { return r.samples }
-
-// WindowCounts buckets event times into fixed windows and returns the count
-// per window — the Fig. 5 committed-transactions timeline. Times need not
-// be sorted.
-func WindowCounts(times []time.Duration, window time.Duration) []int64 {
-	if window <= 0 || len(times) == 0 {
-		return nil
-	}
-	var maxT time.Duration
-	for _, t := range times {
-		if t > maxT {
-			maxT = t
-		}
-	}
-	buckets := make([]int64, int(maxT/window)+1)
-	for _, t := range times {
-		buckets[int(t/window)]++
-	}
-	return buckets
-}
 
 // QueueTracker samples per-shard queue lengths over time.
 type QueueTracker struct {

@@ -49,30 +49,6 @@ func TestLatencyPercentileTracksObserve(t *testing.T) {
 	}
 }
 
-func TestWindowCounts(t *testing.T) {
-	times := []time.Duration{
-		1 * time.Second, 2 * time.Second, // window 0
-		51 * time.Second,                     // window 1
-		149 * time.Second, 101 * time.Second, // window 2 (unsorted input)
-	}
-	got := WindowCounts(times, 50*time.Second)
-	want := []int64{2, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("windows = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("windows = %v, want %v", got, want)
-		}
-	}
-	if WindowCounts(nil, time.Second) != nil {
-		t.Fatal("empty times must yield nil")
-	}
-	if WindowCounts(times, 0) != nil {
-		t.Fatal("zero window must yield nil")
-	}
-}
-
 func TestQueueTracker(t *testing.T) {
 	q := &QueueTracker{}
 	lens := []int{5, 10, 0}

@@ -1,5 +1,5 @@
 // Command servecheck is the serve-smoke recipe behind `make serve-smoke`
-// (wired into `make ci`), in the same spirit as internal/sweepcheck: it
+// (wired into `make ci`), in the same spirit as internal/docscheck: it
 // exercises the HTTP placement gateway end to end over a real TCP listener
 // and fails the build if any step regresses. One run proves the whole
 // serving contract:

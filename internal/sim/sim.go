@@ -4,8 +4,7 @@
 // pluggable placement strategy deciding each transaction's output shard,
 // and a pluggable cross-shard commit protocol (OmniLedger atomic commit or
 // RapidChain yanking). It records the metrics behind every figure:
-// confirmation latency, throughput, committed-per-window timeline, and
-// per-shard queue series.
+// confirmation latency, throughput, and per-shard queue series.
 package sim
 
 import (
@@ -69,8 +68,6 @@ type Config struct {
 
 	// QueueSampleEvery sets the queue-size sampling cadence (Figs. 6-7).
 	QueueSampleEvery time.Duration
-	// CommitWindow sets the Fig. 5 histogram window (paper: 50 s).
-	CommitWindow time.Duration
 
 	// RetryDelay is the client backoff after a rejected transaction; it
 	// doubles per attempt up to 16×.
@@ -130,9 +127,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.QueueSampleEvery <= 0 {
 		c.QueueSampleEvery = 10 * time.Second
-	}
-	if c.CommitWindow <= 0 {
-		c.CommitWindow = 50 * time.Second
 	}
 	if c.RetryDelay <= 0 {
 		c.RetryDelay = 2 * time.Second
@@ -203,9 +197,6 @@ type Result struct {
 	CrossShard    int64
 	Retries       int64
 	Aborts        int64
-
-	WindowSeconds float64
-	WindowCommits []int64
 
 	Queues *metrics.QueueTracker
 
@@ -627,7 +618,6 @@ func (r *runner) buildResult() *Result {
 		Retries:         r.retries,
 		Aborts:          aborts,
 		Queues:          r.queues,
-		WindowSeconds:   r.cfg.CommitWindow.Seconds(),
 		Events:          r.sim.Executed(),
 	}
 	if makespan > 0 {
@@ -654,7 +644,6 @@ func (r *runner) buildResult() *Result {
 			commitTimes = append(commitTimes, t)
 		}
 	}
-	res.WindowCommits = metrics.WindowCounts(commitTimes, r.cfg.CommitWindow)
 
 	res.IssueSeconds = float64(r.cfg.Txs) / r.cfg.Rate
 	issueEnd := time.Duration(res.IssueSeconds * float64(time.Second))

@@ -27,7 +27,6 @@ func fastSourceConfig(src workload.Source, txs int, placer string, shards int, r
 			MaxBlockWait: 500 * time.Millisecond,
 		},
 		QueueSampleEvery: 2 * time.Second,
-		CommitWindow:     5 * time.Second,
 		Seed:             7,
 	}
 }

@@ -32,23 +32,6 @@ func TestLiveTelemetryTracksQueues(t *testing.T) {
 	}
 }
 
-func TestResultWindowCommitsCoverAllCommits(t *testing.T) {
-	d := smallDataset(t, 2000)
-	cfg := fastConfig(d, "OptChain", 4, 500)
-	cfg.CommitWindow = 2 * time.Second
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, c := range res.WindowCommits {
-		total += c
-	}
-	if total != int64(res.Committed) {
-		t.Fatalf("window commits sum %d != committed %d", total, res.Committed)
-	}
-}
-
 func TestResultSteadyTPSBounded(t *testing.T) {
 	d := smallDataset(t, 3000)
 	res, err := Run(fastConfig(d, "OptChain", 4, 500))
