@@ -1,8 +1,11 @@
-# Developer targets; CI (.github/workflows/ci.yml) runs `make ci`.
+# Developer targets; CI (.github/workflows/ci.yml) runs `make ci`. The
+# gateway's end-to-end checks (restore across a restart, /metrics, one-line
+# POSTs over one kept-alive connection) are serve's own tests, run by
+# `make test`.
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt fmt-check lint lint-json bench-smoke quality-ledger examples scenario-smoke fuzz-smoke sweep-smoke serve-smoke quality-gate cover docs-check benchmark-check deps-check ci
+.PHONY: all build test test-race vet fmt fmt-check lint bench-smoke quality-ledger examples scenario-smoke fuzz-smoke sweep-smoke quality-gate cover docs-check benchmark-check deps-check ci
 
 all: build
 
@@ -26,7 +29,8 @@ vet:
 
 # Repo-specific contract enforcement: the optchain-lint suite (determinism,
 # hotpath, lockcheck, apierrors, spawncheck, ctxcheck, atomiccheck — see
-# PERFORMANCE.md "Static analysis & contracts").
+# PERFORMANCE.md "Static analysis & contracts"), which prints one
+# file:line:col line per finding and fails on any; CI runs this target.
 # staticcheck and govulncheck run when installed (CI installs pinned
 # versions; locally they are optional extras, not requirements).
 lint:
@@ -37,13 +41,6 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		echo "govulncheck ./..."; govulncheck ./...; \
 	else echo "govulncheck not installed; skipping (CI runs it)"; fi
-
-# Machine-readable lint report (schema optchain-lint/v1): same findings as
-# `make lint`, rendered as stable JSON in lint-findings.json. CI archives
-# the file as an artifact and fails on a non-empty findings array. Exits
-# non-zero when there are findings, like lint.
-lint-json:
-	$(GO) run ./cmd/optchain-lint -json -out lint-findings.json ./...
 
 fmt:
 	gofmt -w .
@@ -127,15 +124,6 @@ sweep-smoke:
 		|| rc=$$?; \
 	rm -rf "$$tmp" sweep-smoke.jsonl sweep-fidelity.txt; exit $$rc
 
-# HTTP gateway smoke (see PERFORMANCE.md "Serving placement"): servecheck
-# drives the serve package end to end over a real TCP listener — place a
-# workload over /v1/place with parent-id references, scrape /metrics, shut
-# down (writing the final state snapshot), restart with restore, and place
-# the rest — asserting every decision matches an uninterrupted reference
-# run. It prints the serving-path tail latencies into the CI log.
-serve-smoke:
-	$(GO) run ./internal/servecheck
-
 # Placement-quality gate (see PERFORMANCE.md "Quality gates"). Four checks
 # in one pipeline, every row file read through DecodeRows:
 #   1. the quality sweep runs cold into a fresh row cache, then again
@@ -197,4 +185,4 @@ deps-check:
 		echo "./cmd/..., ./serve and ./experiment must not depend on: testing"; exit 1; \
 	fi
 
-ci: fmt-check vet lint build test bench-smoke sweep-smoke serve-smoke quality-gate docs-check benchmark-check deps-check
+ci: fmt-check vet lint build test bench-smoke sweep-smoke quality-gate docs-check benchmark-check deps-check

@@ -34,11 +34,15 @@
 // (-allow-missing accepts cells only OLD holds); `make sweep-smoke` and
 // `make quality-gate` wire this into CI.
 //
-// The -strategies, -protocol, -workload, and -workloads flags resolve
-// through the open registries, so strategies/protocols/workloads added with
-// optchain.RegisterStrategy / RegisterProtocol / RegisterWorkload are
-// selectable here too; -sweep and -reporter resolve through
-// experiment.RegisterSweep / RegisterReporter the same way.
+// The -strategies, -protocol, -workload, -workloads, -sweep and -reporter
+// flags resolve through the registries' one name table, so strategies,
+// protocols, workloads, sweeps and reporters added with
+// optchain.RegisterStrategy / RegisterProtocol / RegisterWorkload or
+// experiment.RegisterSweep / RegisterReporter are selectable here too.
+// Names match case-insensitively and rows carry the registered spelling,
+// so -protocol OmniLedger writes the same cell IDs as -protocol omniledger;
+// an unknown name exits 2 (1 for -sweep and -reporter) listing the
+// registered set.
 //
 // -workload selects the stream driving every cell that does not pin one:
 // any workload spec (see SCENARIOS.md for the grammar). By default it is
@@ -171,22 +175,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CacheDir:   *cacheDir,
 	}
 	if *protocol != "" {
-		if !optchain.HasProtocol(*protocol) {
-			fmt.Fprintf(stderr, "unknown protocol %q; registered: %s\n",
-				*protocol, strings.Join(optchain.Protocols(), " "))
+		if err := optchain.CheckProtocol(*protocol); err != nil {
+			fmt.Fprintf(stderr, "optchain-bench: -protocol: %v\n", err)
 			return 2
 		}
 		params.Protocol = *protocol
 	}
 	if *strategies != "" {
 		for _, name := range strings.Split(*strategies, ",") {
-			name = strings.TrimSpace(name)
-			if !optchain.HasStrategy(name) {
-				fmt.Fprintf(stderr, "unknown strategy %q; registered: %s\n",
-					name, strings.Join(optchain.Strategies(), " "))
+			if err := optchain.CheckStrategy(name); err != nil {
+				fmt.Fprintf(stderr, "optchain-bench: -strategies: %v\n", err)
 				return 2
 			}
-			params.Strategies = append(params.Strategies, name)
+			params.Strategies = append(params.Strategies, strings.TrimSpace(name))
 		}
 	}
 	if *wl != "" {

@@ -2,85 +2,44 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"go/token"
-	"os"
-	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
-
-	"optchain/internal/analyze"
 )
 
-// TestJSONByteStable: the -json document must be byte-identical across runs
-// on an unchanged tree — CI archives it and diffs against the previous
-// artifact, so any nondeterminism (map order, absolute paths, timestamps)
-// would show up as spurious churn.
-func TestJSONByteStable(t *testing.T) {
+// TestRunExitCodes: a clean package exits 0 and prints nothing, a package
+// with findings exits 1 and prints one `file:line:col: message [analyzer]`
+// line per finding, and a pattern that fails to load exits 2.
+func TestRunExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("package load in -short mode")
 	}
-	render := func() []byte {
+	lint := func(pattern string) (int, string, string) {
 		var out, errBuf bytes.Buffer
-		code := run(&out, &errBuf, []string{"-json", "../../internal/des"})
-		if code == 2 {
-			t.Fatalf("lint errored: %s", errBuf.String())
-		}
-		return out.Bytes()
+		code := run(&out, &errBuf, []string{pattern})
+		return code, out.String(), errBuf.String()
 	}
-	a, b := render(), render()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("two -json runs differ:\n--- first\n%s\n--- second\n%s", a, b)
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(a, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, a)
-	}
-	if rep.Schema != "optchain-lint/v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if rep.Findings == nil {
-		t.Fatal("findings must be [] even when clean, never null")
-	}
-}
 
-// TestWriteJSONPaths: finding paths are repo-relative with forward slashes,
-// so the same tree produces the same report on any host or OS.
-func TestWriteJSONPaths(t *testing.T) {
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
+	if code, out, stderr := lint("../../internal/des"); code != 0 || out != "" || stderr != "" {
+		t.Errorf("clean package: exit %d, stdout %q, stderr %q; want 0 and no output", code, out, stderr)
 	}
-	diags := []analyze.Diagnostic{
-		{
-			Analyzer: "spawncheck",
-			Pos: token.Position{
-				Filename: filepath.Join(cwd, "sub", "dir", "f.go"),
-				Line:     7,
-				Column:   3,
-			},
-			Message: "spawns an unjoined goroutine",
-		},
+
+	code, out, stderr := lint("../../internal/analyze/testdata/spawncheck")
+	if code != 1 || !strings.Contains(stderr, "finding(s)") {
+		t.Errorf("package with findings: exit %d, stderr %q; want 1 and a finding count", code, stderr)
 	}
-	var buf bytes.Buffer
-	if err := writeJSON(&buf, diags); err != nil {
-		t.Fatal(err)
+	finding := regexp.MustCompile(`^\S+/corpus\.go:\d+:\d+: \S.* \[spawncheck\]$`)
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	for _, line := range lines {
+		if !finding.MatchString(line) {
+			t.Errorf("finding line %q is not file:line:col: message [analyzer]", line)
+		}
 	}
-	var rep jsonReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatal(err)
+	if out == "" {
+		t.Error("package with findings printed none")
 	}
-	if len(rep.Findings) != 1 {
-		t.Fatalf("findings = %+v", rep.Findings)
-	}
-	f := rep.Findings[0]
-	if f.File != "sub/dir/f.go" {
-		t.Fatalf("file = %q, want repo-relative slash path", f.File)
-	}
-	if f.Analyzer != "spawncheck" || f.Line != 7 || f.Col != 3 {
-		t.Fatalf("finding = %+v", f)
-	}
-	if strings.Contains(buf.String(), cwd) {
-		t.Fatalf("report leaks the absolute tree location:\n%s", buf.String())
+
+	if code, _, stderr := lint("../../no/such/package"); code != 2 || stderr == "" {
+		t.Errorf("unloadable pattern: exit %d, stderr %q; want 2 and an error", code, stderr)
 	}
 }

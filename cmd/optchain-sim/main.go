@@ -1,8 +1,11 @@
 // Command optchain-sim runs a single sharded-blockchain simulation and
 // prints its metrics: throughput, latency distribution, cross-shard
-// fraction, queue behavior. Strategies and protocols are resolved through
-// the open registry, so anything added with optchain.RegisterStrategy /
-// RegisterProtocol is selectable by name. Ctrl-C cancels a run cleanly.
+// fraction, queue behavior. Strategies, protocols and workload scenarios
+// resolve by name through the registries' one name table (case-insensitive,
+// names drawn from [A-Za-z0-9._-]), so anything added with
+// optchain.RegisterStrategy / RegisterProtocol / RegisterWorkload is
+// selectable here; an unknown name fails listing the registered set. Ctrl-C
+// cancels a run cleanly.
 //
 // Usage:
 //

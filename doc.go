@@ -177,17 +177,23 @@
 // # Registries
 //
 // Strategies, protocols, workload scenarios, reporters, and named sweeps
-// resolve by name through open registries. RegisterStrategy,
-// RegisterProtocol, and RegisterWorkload add new ones, which become
-// selectable everywhere a name is accepted —
-// WithStrategy/WithProtocol/WithWorkload, the experiment package's sweep
-// cells, and the -strategy/-protocol/-workload flags of the cmd/ binaries;
-// Strategies,
-// Protocols, and Workloads enumerate what is registered (the experiment
-// package's RegisterReporter and RegisterSweep follow the same rules). The
-// built-ins are the paper's: "OptChain", "T2S", "Greedy", "Metis", and the
-// hash-random "OmniLedger" placement, over the "omniledger" and
-// "rapidchain" commit backends.
+// resolve by name through one name table (internal/names), so all five
+// follow the same rules: names match case-insensitively, are drawn from
+// [A-Za-z0-9._-] (the workload spec grammar, the -strategies list and cell
+// IDs use every other character as a separator), and are registered once
+// with a non-nil factory; a refused registration wraps ErrBadRegistration,
+// and an unknown name fails with the registry's sentinel
+// (ErrUnknownStrategy, ErrUnknownProtocol, ErrUnknownWorkload, …) listing
+// the registered set. RegisterStrategy, RegisterProtocol and
+// RegisterWorkload add new ones, which become selectable everywhere a name
+// is accepted — WithStrategy/WithProtocol/WithWorkload, the experiment
+// package's sweep cells, and the -strategy/-protocol/-workload flags of the
+// cmd/ binaries; Strategies, Protocols and Workloads enumerate what is
+// registered, and CheckStrategy/CheckProtocol validate a name. The
+// experiment package's RegisterReporter and RegisterSweep are tables of the
+// same kind. The built-ins are the paper's: "OptChain", "T2S", "Greedy",
+// "Metis", and the hash-random "OmniLedger" placement, over the
+// "omniledger" and "rapidchain" commit backends.
 //
 // Constructors validate eagerly and return typed errors
 // (ErrUnknownStrategy, ErrBadShard, ErrBadOption, …) — no exported call

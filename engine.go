@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"optchain/internal/core"
+	"optchain/internal/names"
 	"optchain/internal/placement"
 	"optchain/internal/registry"
 	"optchain/internal/sim"
@@ -28,6 +29,10 @@ var (
 	// ErrUnknownWorkload reports a workload scenario name with no
 	// registered factory.
 	ErrUnknownWorkload = workload.ErrUnknownWorkload
+	// ErrBadRegistration reports a refused RegisterStrategy,
+	// RegisterProtocol or RegisterWorkload: an empty, duplicate or
+	// ill-formed name, or a nil factory.
+	ErrBadRegistration = names.ErrBadRegistration
 	// ErrBadShard reports a shard index outside [0, K).
 	ErrBadShard = errors.New("optchain: shard index out of range")
 	// ErrBadInput reports a stream transaction whose input refers to a
@@ -437,13 +442,11 @@ func New(opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if !registry.HasStrategy(e.strategy) {
-		return nil, fmt.Errorf("%w %q (have %s)",
-			ErrUnknownStrategy, e.strategy, strings.Join(Strategies(), ", "))
+	if err := CheckStrategy(e.strategy); err != nil {
+		return nil, err
 	}
-	if !registry.HasProtocol(e.protocol) {
-		return nil, fmt.Errorf("%w %q (have %s)",
-			ErrUnknownProtocol, e.protocol, strings.Join(Protocols(), ", "))
+	if err := CheckProtocol(e.protocol); err != nil {
+		return nil, err
 	}
 	if e.txs != 0 && e.dataset != nil && e.txs > e.dataset.Len() {
 		return nil, fmt.Errorf("%w: WithTxs(%d) exceeds dataset length %d",

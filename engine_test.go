@@ -105,24 +105,18 @@ func TestRegistryEnumerationAndDuplicates(t *testing.T) {
 		t.Fatalf("protocols = %v", protocols)
 	}
 
-	if err := optchain.RegisterStrategy("", nil); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if err := optchain.RegisterStrategy("test-nil-factory", nil); err == nil {
-		t.Fatal("nil factory accepted")
-	}
 	// Duplicate detection is case-insensitive.
 	err := optchain.RegisterStrategy("OPTCHAIN", func(optchain.StrategyContext) (optchain.Placer, error) {
 		return nil, nil
 	})
-	if err == nil {
-		t.Fatal("duplicate strategy name accepted")
+	if !errors.Is(err, optchain.ErrBadRegistration) {
+		t.Fatalf("duplicate strategy name: %v, want ErrBadRegistration", err)
 	}
 	err = optchain.RegisterProtocol("omniledger", func(optchain.ProtocolContext) (optchain.CommitBackend, error) {
 		return nil, nil
 	})
-	if err == nil {
-		t.Fatal("duplicate protocol name accepted")
+	if !errors.Is(err, optchain.ErrBadRegistration) {
+		t.Fatalf("duplicate protocol name: %v, want ErrBadRegistration", err)
 	}
 }
 

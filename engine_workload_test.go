@@ -3,6 +3,7 @@ package optchain_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -34,19 +35,23 @@ func TestWithWorkloadValidation(t *testing.T) {
 
 func TestWorkloadsRegistered(t *testing.T) {
 	names := optchain.Workloads()
-	if len(names) < 7 {
-		t.Fatalf("Workloads() = %v, want >= 7", names)
-	}
 	for _, n := range []string{"bitcoin", "hotspot", "burst", "adversarial", "drift", "mix", "replay"} {
-		if !optchain.HasWorkload(n) {
-			t.Errorf("HasWorkload(%q) = false", n)
+		if !slices.Contains(names, n) {
+			t.Errorf("Workloads() = %v, missing %q", names, n)
 		}
 	}
 	// replay needs a trace-file argument, so it is not standalone.
-	for _, n := range optchain.StandaloneWorkloads() {
-		if n == "replay" {
-			t.Fatal("StandaloneWorkloads includes replay")
-		}
+	if slices.Contains(optchain.StandaloneWorkloads(), "replay") {
+		t.Fatal("StandaloneWorkloads includes replay")
+	}
+	// A name the spec grammar would split ("team" with knob "a") could
+	// never be resolved, so it is refused at registration.
+	f := func(optchain.WorkloadParams) (optchain.WorkloadSource, error) { return nil, nil }
+	if err := optchain.RegisterWorkload("team:a", f); !errors.Is(err, optchain.ErrBadRegistration) {
+		t.Fatalf(`RegisterWorkload("team:a") = %v, want ErrBadRegistration`, err)
+	}
+	if slices.Contains(optchain.Workloads(), "team:a") {
+		t.Fatal("a refused name is listed")
 	}
 }
 

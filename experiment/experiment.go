@@ -17,8 +17,12 @@
 //	}
 //	for row, err := range r.Stream(ctx, sweep) { ... }
 //
-// Three registries mirror optchain.RegisterStrategy / RegisterProtocol /
-// RegisterWorkload:
+// Two registries sit beside optchain.RegisterStrategy / RegisterProtocol /
+// RegisterWorkload, and all five are the same name table (internal/names):
+// names match case-insensitively and are drawn from [A-Za-z0-9._-], a
+// refused registration wraps ErrBadRegistration, and an unknown name fails
+// with the registry's sentinel (ErrUnknownReporter, ErrUnknownSweep, …)
+// listing the registered set.
 //
 //   - RegisterReporter: result sinks, selected by bare name. Built-ins:
 //     "text" (aligned table), "jsonl" (one JSON object per row: the form of
@@ -27,8 +31,10 @@
 //     cmd/optchain-bench via -sweep / -list-sweeps. internal/bench
 //     registers the paper's grids (grid, peak, scenarios, table1, ...).
 //   - Strategy/protocol/workload names inside a Sweep resolve through the
-//     existing open registries, so externally registered extensions sweep
-//     exactly like built-ins.
+//     engine's registries, so externally registered extensions sweep
+//     exactly like built-ins. A cell takes the registered spelling of its
+//     strategy and protocol before its ID and row are built, so "optchain"
+//     and "OptChain" name the same cell.
 //
 // # Execution model
 //
@@ -66,6 +72,8 @@ package experiment
 import (
 	"errors"
 	"runtime"
+
+	"optchain/internal/names"
 )
 
 // Typed errors. Match with errors.Is.
@@ -77,9 +85,11 @@ var (
 	ErrUnknownReporter = errors.New("experiment: unknown reporter")
 	// ErrUnknownSweep reports a sweep name with no registered builder.
 	ErrUnknownSweep = errors.New("experiment: unknown sweep")
-	// ErrBadRegistration reports an invalid registry call (empty name, nil
-	// factory or builder, duplicate name) for reporters and sweeps.
-	ErrBadRegistration = errors.New("experiment: invalid registration")
+	// ErrBadRegistration reports an invalid registry call (empty name, a
+	// character outside [A-Za-z0-9._-], nil factory or builder, duplicate
+	// name). It is names.ErrBadRegistration, which every registry in the
+	// module wraps.
+	ErrBadRegistration = names.ErrBadRegistration
 	// ErrBadCache reports an unusable row cache or diff input: a corrupt or
 	// truncated cache line, a duplicate cell ID, a schema mismatch, or a
 	// cache written under different parameters (seed, validators). Damage is

@@ -59,6 +59,38 @@ func TestStreamCanonicalOrderAndIdentity(t *testing.T) {
 	}
 }
 
+// TestNameSpellingKeepsCellIdentity: names resolve case-insensitively, so
+// a sweep spelling them otherwise must run the same cells under the same
+// IDs and rows as the registered spelling, or a -diff between the two
+// joins nothing and the row cache never hits.
+func TestNameSpellingKeepsCellIdentity(t *testing.T) {
+	canon, err := experiment.NewRunner(quickParams()).Collect(context.Background(), tinySweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := quickParams()
+	p.Protocol = "OmniLedger"
+	s := tinySweep()
+	s.Strategies = []string{"optchain", " OMNILEDGER "}
+	spelled, err := experiment.NewRunner(p).Collect(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spelled) != len(canon) {
+		t.Fatalf("%d rows, want %d", len(spelled), len(canon))
+	}
+	for i := range canon {
+		a, b := canon[i], spelled[i]
+		a.WallSeconds, b.WallSeconds, a.Result, b.Result = 0, 0, nil, nil
+		if a != b {
+			t.Errorf("row %d under other spellings:\n%+v\nwant\n%+v", i, b, a)
+		}
+	}
+	if id := spelled[0].ID; !strings.HasPrefix(id, "sim:OptChain/omniledger/k2/") {
+		t.Errorf("cell ID %q, want the registered spellings", id)
+	}
+}
+
 // TestDeterministicAcrossScheduling: a parallel sweep and a serial sweep of
 // the same cells produce identical rows — row identity and values are
 // independent of worker scheduling.

@@ -1,11 +1,9 @@
 package experiment
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"strings"
-	"sync"
+
+	"optchain/internal/names"
 )
 
 // Reporter is a sweep result sink. The Runner drives it through Report:
@@ -27,75 +25,26 @@ type Reporter interface {
 // ReporterFactory builds a reporter writing to w.
 type ReporterFactory func(w io.Writer) Reporter
 
-var (
-	repMu      sync.RWMutex
-	repEntries = make(map[string]repEntry) // keyed by lower-cased name
-)
-
-type repEntry struct {
-	display string
-	factory ReporterFactory
-}
+var reporters = names.New[ReporterFactory](ErrUnknownReporter)
 
 // RegisterReporter adds a reporter to the open registry under the given
-// case-insensitive name, making it selectable everywhere a reporter name
-// is accepted (NewReporter, cmd/optchain-bench -reporter). Registering a
-// duplicate or empty name, or a nil factory, returns an error — the same
-// rules as optchain.RegisterStrategy.
+// name, making it selectable everywhere a reporter name is accepted
+// (NewReporter, cmd/optchain-bench -reporter). The naming rules are those of
+// every registry (see names.Table); a refused registration wraps
+// ErrBadRegistration.
 func RegisterReporter(name string, f ReporterFactory) error {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return fmt.Errorf("%w: empty reporter name", ErrBadRegistration)
-	}
-	if f == nil {
-		return fmt.Errorf("%w: nil reporter factory for %q", ErrBadRegistration, name)
-	}
-	key := strings.ToLower(name)
-	repMu.Lock()
-	defer repMu.Unlock()
-	if prev, ok := repEntries[key]; ok {
-		return fmt.Errorf("%w: reporter %q already registered", ErrBadRegistration, prev.display)
-	}
-	repEntries[key] = repEntry{display: name, factory: f}
-	return nil
-}
-
-// mustRegisterReporter registers a built-in; failure is a programming error.
-func mustRegisterReporter(name string, f ReporterFactory) {
-	if err := RegisterReporter(name, f); err != nil {
-		panic(err)
-	}
+	return reporters.Register(name, f)
 }
 
 // Reporters enumerates the registered reporter names, sorted.
-func Reporters() []string {
-	repMu.RLock()
-	defer repMu.RUnlock()
-	out := make([]string, 0, len(repEntries))
-	for _, e := range repEntries {
-		out = append(out, e.display)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// HasReporter reports whether name resolves to a registered reporter.
-func HasReporter(name string) bool {
-	repMu.RLock()
-	defer repMu.RUnlock()
-	_, ok := repEntries[strings.ToLower(strings.TrimSpace(name))]
-	return ok
-}
+func Reporters() []string { return reporters.Names() }
 
 // NewReporter builds the reporter registered under name writing to w.
 // Unknown names fail with ErrUnknownReporter listing the registry.
 func NewReporter(name string, w io.Writer) (Reporter, error) {
-	repMu.RLock()
-	e, ok := repEntries[strings.ToLower(strings.TrimSpace(name))]
-	repMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q (registered: %s)",
-			ErrUnknownReporter, name, strings.Join(Reporters(), ", "))
+	f, _, err := reporters.Get(name)
+	if err != nil {
+		return nil, err
 	}
-	return e.factory(w), nil
+	return f(w), nil
 }

@@ -14,15 +14,9 @@ import (
 
 func TestReporterRegistry(t *testing.T) {
 	for _, want := range []string{"text", "jsonl", "csv"} {
-		if !experiment.HasReporter(want) {
-			t.Fatalf("built-in reporter %q missing (have %v)", want, experiment.Reporters())
+		if _, err := experiment.NewReporter(want, &strings.Builder{}); err != nil {
+			t.Fatalf("built-in reporter %q: %v", want, err)
 		}
-	}
-	if _, err := experiment.NewReporter("nope", &strings.Builder{}); !errors.Is(err, experiment.ErrUnknownReporter) {
-		t.Fatalf("unknown reporter err = %v", err)
-	}
-	if err := experiment.RegisterReporter("text", nil); err == nil {
-		t.Fatal("duplicate/nil registration accepted")
 	}
 	// The retired baseline record writer and live-sweep diff gate are gone:
 	// rows go out as jsonl and are gated with Diff (optchain-bench -diff).
@@ -182,8 +176,8 @@ func parseNum(t *testing.T, field, s string) float64 {
 }
 
 func TestSweepRegistry(t *testing.T) {
-	if err := experiment.RegisterSweep("", "", nil); err == nil {
-		t.Fatal("empty sweep registration accepted")
+	if err := experiment.RegisterSweep("tiny", "", nil); !errors.Is(err, experiment.ErrBadRegistration) {
+		t.Fatalf("nil builder err = %v, want ErrBadRegistration", err)
 	}
 	if _, err := experiment.BuildSweep("definitely-not-registered", quickParams()); !errors.Is(err, experiment.ErrUnknownSweep) {
 		t.Fatalf("err = %v", err)

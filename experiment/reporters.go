@@ -9,14 +9,14 @@ import (
 )
 
 func init() {
-	mustRegisterReporter("text", func(w io.Writer) Reporter {
+	reporters.Must("text", func(w io.Writer) Reporter {
 		return &textReporter{w: bufio.NewWriter(w)}
 	})
-	mustRegisterReporter("jsonl", func(w io.Writer) Reporter {
+	reporters.Must("jsonl", func(w io.Writer) Reporter {
 		bw := bufio.NewWriter(w)
 		return &jsonlReporter{w: bw, enc: json.NewEncoder(bw)}
 	})
-	mustRegisterReporter("csv", func(w io.Writer) Reporter {
+	reporters.Must("csv", func(w io.Writer) Reporter {
 		return &csvReporter{w: csv.NewWriter(w)}
 	})
 }

@@ -170,10 +170,8 @@ func (r *Runner) partition(n, k int, spec string) ([]int32, error) {
 // execution and share its row. The row's sweep identity fields (Sweep,
 // Index) are zero; Stream fills them per sweep.
 func (r *Runner) Cell(ctx context.Context, c Cell) (Row, error) {
-	if c.Kind == "" {
-		c.Kind = KindSim
-	}
-	if err := validCell(c, r.p); err != nil {
+	c, err := resolveCell(c, r.p)
+	if err != nil {
 		return Row{}, err
 	}
 	id := c.id(r.p)

@@ -188,65 +188,67 @@ type Sweep struct {
 	Uncached bool `json:"-"`
 }
 
-// placementStrategies is the offline placement vocabulary of Tables I-II.
+// placementStrategies is the offline placement vocabulary of Tables I-II,
+// in registered spelling.
 var placementStrategies = map[string]bool{
-	"metis": true, "greedy": true, "omniledger": true, "t2s": true,
+	"Metis": true, "Greedy": true, "OmniLedger": true, "T2S": true,
 }
 
-// validCell validates one cell against the open registries.
-func validCell(c Cell, p Params) error {
-	kind := c.Kind
-	if kind == "" {
-		kind = KindSim
+// resolveCell validates one cell against the open registries and returns it
+// with Strategy and (for sim cells) Protocol in their registered spelling,
+// so a name's casing never reaches the cell's ID or row.
+func resolveCell(c Cell, p Params) (Cell, error) {
+	if c.Kind == "" {
+		c.Kind = KindSim
 	}
-	switch kind {
+	strategy, err := registry.StrategyName(c.Strategy)
+	if err != nil {
+		return c, fmt.Errorf("%w: %w", ErrBadSweep, err)
+	}
+	c.Strategy = strategy
+	switch c.Kind {
 	case KindSim:
-		if !registry.HasStrategy(c.Strategy) {
-			return fmt.Errorf("%w: unknown strategy %q (registered: %s)",
-				ErrBadSweep, c.Strategy, strings.Join(registry.Strategies(), ", "))
-		}
 		proto := c.Protocol
 		if proto == "" {
 			proto = p.Protocol
 		}
-		if !registry.HasProtocol(proto) {
-			return fmt.Errorf("%w: unknown protocol %q (registered: %s)",
-				ErrBadSweep, proto, strings.Join(registry.Protocols(), ", "))
+		if c.Protocol, err = registry.ProtocolName(proto); err != nil {
+			return c, fmt.Errorf("%w: %w", ErrBadSweep, err)
 		}
 		if c.Rate <= 0 {
-			return fmt.Errorf("%w: cell %s: rate must be positive", ErrBadSweep, c.Strategy)
+			return c, fmt.Errorf("%w: cell %s: rate must be positive", ErrBadSweep, c.Strategy)
 		}
 		if c.Warm > 0 {
 			// Silently ignoring a knob the kind cannot apply would let the
 			// row's identity claim a parameter that never took effect.
-			return fmt.Errorf("%w: Warm applies to placement cells, not sim cells", ErrBadSweep)
+			return c, fmt.Errorf("%w: Warm applies to placement cells, not sim cells", ErrBadSweep)
 		}
 	case KindPlacement:
-		if !placementStrategies[strings.ToLower(c.Strategy)] {
-			return fmt.Errorf("%w: placement cells compare the offline vocabulary (Metis, Greedy, OmniLedger, T2S), not %q",
+		if !placementStrategies[c.Strategy] {
+			return c, fmt.Errorf("%w: placement cells compare the offline vocabulary (Metis, Greedy, OmniLedger, T2S), not %q",
 				ErrBadSweep, c.Strategy)
 		}
 		if c.L2SWeight != 0 {
-			return fmt.Errorf("%w: L2SWeight applies to sim cells; offline placement has no latency term", ErrBadSweep)
+			return c, fmt.Errorf("%w: L2SWeight applies to sim cells; offline placement has no latency term", ErrBadSweep)
 		}
 		if c.Rate != 0 {
-			return fmt.Errorf("%w: Rate applies to sim cells; offline placement has no arrival process", ErrBadSweep)
+			return c, fmt.Errorf("%w: Rate applies to sim cells; offline placement has no arrival process", ErrBadSweep)
 		}
 		if c.Streamed {
-			return fmt.Errorf("%w: Streamed applies to sim cells; offline placement replays a materialized stream", ErrBadSweep)
+			return c, fmt.Errorf("%w: Streamed applies to sim cells; offline placement replays a materialized stream", ErrBadSweep)
 		}
 	default:
-		return fmt.Errorf("%w: unknown cell kind %q", ErrBadSweep, kind)
+		return c, fmt.Errorf("%w: unknown cell kind %q", ErrBadSweep, c.Kind)
 	}
 	if c.Shards < 1 {
-		return fmt.Errorf("%w: cell %s: need at least 1 shard", ErrBadSweep, c.Strategy)
+		return c, fmt.Errorf("%w: cell %s: need at least 1 shard", ErrBadSweep, c.Strategy)
 	}
 	if wl := c.Workload; wl != "" {
 		if _, err := workload.Parse(wl); err != nil {
-			return fmt.Errorf("%w: cell workload %q: %v", ErrBadSweep, wl, err)
+			return c, fmt.Errorf("%w: cell workload %q: %v", ErrBadSweep, wl, err)
 		}
 	}
-	return nil
+	return c, nil
 }
 
 // Expand resolves the sweep into the canonical cell list a Runner under p
@@ -344,15 +346,14 @@ func (s Sweep) Expand(p Params) ([]Cell, error) {
 		}
 	}
 	for i := range cells {
-		if cells[i].Kind == "" {
-			cells[i].Kind = KindSim
-		}
 		if s.Uncached {
 			cells[i].NoCache = true
 		}
-		if err := validCell(cells[i], p); err != nil {
+		c, err := resolveCell(cells[i], p)
+		if err != nil {
 			return nil, fmt.Errorf("sweep %q cell %d: %w", s.Name, i, err)
 		}
+		cells[i] = c
 	}
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("%w: sweep %q expands to zero cells", ErrBadSweep, s.Name)

@@ -2,9 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
+
+	"optchain/internal/names"
 )
 
 // SweepBuilder materializes a named sweep definition against the
@@ -12,38 +11,24 @@ import (
 // axes default from Params.Strategies, and so on).
 type SweepBuilder func(p Params) (Sweep, error)
 
-var (
-	swMu      sync.RWMutex
-	swEntries = make(map[string]sweepEntry) // keyed by lower-cased name
-)
-
-type sweepEntry struct {
-	display     string
+type sweepDef struct {
 	description string
 	build       SweepBuilder
 }
 
+var sweeps = names.New[sweepDef](ErrUnknownSweep)
+
 // RegisterSweep adds a named sweep definition to the open registry, making
 // it selectable from cmd/optchain-bench -sweep (and enumerable with
 // -list-sweeps). internal/bench registers the paper's grids; externally
-// defined sweeps register here exactly like built-ins. The same naming
-// rules as RegisterStrategy apply.
+// defined sweeps register here exactly like built-ins. The naming rules are
+// those of every registry (see names.Table); a refused registration, a nil
+// builder included, wraps ErrBadRegistration.
 func RegisterSweep(name, description string, build SweepBuilder) error {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return fmt.Errorf("%w: empty sweep name", ErrBadRegistration)
-	}
 	if build == nil {
 		return fmt.Errorf("%w: nil sweep builder for %q", ErrBadRegistration, name)
 	}
-	key := strings.ToLower(name)
-	swMu.Lock()
-	defer swMu.Unlock()
-	if prev, ok := swEntries[key]; ok {
-		return fmt.Errorf("%w: sweep %q already registered", ErrBadRegistration, prev.display)
-	}
-	swEntries[key] = sweepEntry{display: name, description: description, build: build}
-	return nil
+	return sweeps.Register(name, sweepDef{description, build})
 }
 
 // MustRegisterSweep registers a built-in; failure is a programming error.
@@ -54,43 +39,22 @@ func MustRegisterSweep(name, description string, build SweepBuilder) {
 }
 
 // SweepNames enumerates the registered sweep names, sorted.
-func SweepNames() []string {
-	swMu.RLock()
-	defer swMu.RUnlock()
-	out := make([]string, 0, len(swEntries))
-	for _, e := range swEntries {
-		out = append(out, e.display)
-	}
-	sort.Strings(out)
-	return out
-}
+func SweepNames() []string { return sweeps.Names() }
 
 // SweepDescription returns the registered one-line description for name
 // ("" when unknown).
 func SweepDescription(name string) string {
-	swMu.RLock()
-	defer swMu.RUnlock()
-	return swEntries[strings.ToLower(strings.TrimSpace(name))].description
+	d, _, _ := sweeps.Get(name)
+	return d.description
 }
 
-// HasSweep reports whether name resolves to a registered sweep.
-func HasSweep(name string) bool {
-	swMu.RLock()
-	defer swMu.RUnlock()
-	_, ok := swEntries[strings.ToLower(strings.TrimSpace(name))]
-	return ok
-}
-
-// BuildSweep materializes the named sweep against p. Unknown names list
-// the registry.
+// BuildSweep materializes the named sweep against p. Unknown names fail
+// with ErrUnknownSweep listing the registry.
 func BuildSweep(name string, p Params) (Sweep, error) {
-	swMu.RLock()
-	e, ok := swEntries[strings.ToLower(strings.TrimSpace(name))]
-	swMu.RUnlock()
-	if !ok {
-		return Sweep{}, fmt.Errorf("%w %q (registered: %s)",
-			ErrUnknownSweep, name, strings.Join(SweepNames(), ", "))
+	d, _, err := sweeps.Get(name)
+	if err != nil {
+		return Sweep{}, err
 	}
 	p.fillDefaults()
-	return e.build(p)
+	return d.build(p)
 }

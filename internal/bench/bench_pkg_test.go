@@ -19,7 +19,7 @@ func quickRunner() *experiment.Runner {
 
 func TestSweepsRegistered(t *testing.T) {
 	for _, want := range []string{"grid", "peak", "saturation", "scenarios", "smoke", "table1", "table2", "alpha", "weight", "backend", "l2s"} {
-		if !experiment.HasSweep(want) {
+		if !slices.Contains(experiment.SweepNames(), want) {
 			t.Fatalf("sweep %q not registered (have %v)", want, experiment.SweepNames())
 		}
 		if experiment.SweepDescription(want) == "" {

@@ -8,20 +8,19 @@
 // NewStrategy and NewProtocol are the only construction path: nothing
 // outside this package (bar micro-benchmarks) calls a built-in constructor.
 //
-// Lookups are case-insensitive; Strategies and Protocols enumerate the
-// canonical display names.
+// Both registries are internal/names tables: lookups are case-insensitive,
+// names are drawn from [A-Za-z0-9._-], and Strategies and Protocols
+// enumerate the registered spellings.
 package registry
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"optchain/internal/chain"
 	"optchain/internal/core"
 	"optchain/internal/des"
+	"optchain/internal/names"
 	"optchain/internal/omniledger"
 	"optchain/internal/placement"
 	"optchain/internal/rapidchain"
@@ -30,18 +29,13 @@ import (
 	"optchain/internal/txgraph"
 )
 
-// Typed lookup and registration errors. Callers match them with errors.Is.
+// Typed lookup errors. Callers match them with errors.Is; a refused
+// registration wraps names.ErrBadRegistration.
 var (
 	// ErrUnknownStrategy is returned when a strategy name has no factory.
 	ErrUnknownStrategy = errors.New("unknown placement strategy")
 	// ErrUnknownProtocol is returned when a protocol name has no factory.
 	ErrUnknownProtocol = errors.New("unknown commit protocol")
-	// ErrDuplicateName is returned when registering an already-taken name.
-	ErrDuplicateName = errors.New("name already registered")
-	// ErrEmptyName is returned when registering with an empty name.
-	ErrEmptyName = errors.New("empty registration name")
-	// ErrNilFactory is returned when registering a nil factory.
-	ErrNilFactory = errors.New("nil factory")
 )
 
 // StrategyContext carries everything a placement strategy may need at
@@ -94,93 +88,49 @@ type ProtocolContext struct {
 // ProtocolFactory builds a commit backend from a context.
 type ProtocolFactory func(ctx ProtocolContext) (CommitBackend, error)
 
-// table is one name-indexed registry (strategies or protocols).
-type table[F any] struct {
-	mu      sync.RWMutex
-	entries map[string]entry[F] // keyed by lower-cased name
-}
-
-type entry[F any] struct {
-	display string
-	factory F
-}
-
-func newTable[F any]() *table[F] {
-	return &table[F]{entries: make(map[string]entry[F])}
-}
-
-func (t *table[F]) register(name string, f F, nilF bool) error {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return ErrEmptyName
-	}
-	if nilF {
-		return ErrNilFactory
-	}
-	key := strings.ToLower(name)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if prev, ok := t.entries[key]; ok {
-		return fmt.Errorf("%w: %q", ErrDuplicateName, prev.display)
-	}
-	t.entries[key] = entry[F]{display: name, factory: f}
-	return nil
-}
-
-func (t *table[F]) lookup(name string) (F, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	e, ok := t.entries[strings.ToLower(strings.TrimSpace(name))]
-	return e.factory, ok
-}
-
-func (t *table[F]) names() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, e.display)
-	}
-	sort.Strings(out)
-	return out
-}
-
 var (
-	strategies = newTable[StrategyFactory]()
-	protocols  = newTable[ProtocolFactory]()
+	strategies = names.New[StrategyFactory](ErrUnknownStrategy)
+	protocols  = names.New[ProtocolFactory](ErrUnknownProtocol)
 )
 
-// RegisterStrategy adds a placement strategy under the given name. Names
-// are case-insensitive and must be unique; registering a duplicate returns
-// ErrDuplicateName.
+// RegisterStrategy adds a placement strategy under the given name, under
+// the rules of names.Table: case-insensitive, unique, [A-Za-z0-9._-].
 func RegisterStrategy(name string, f StrategyFactory) error {
-	return strategies.register(name, f, f == nil)
+	return strategies.Register(name, f)
 }
 
 // RegisterProtocol adds a commit protocol under the given name, with the
-// same uniqueness rules as RegisterStrategy.
+// same rules as RegisterStrategy.
 func RegisterProtocol(name string, f ProtocolFactory) error {
-	return protocols.register(name, f, f == nil)
+	return protocols.Register(name, f)
 }
 
 // Strategies returns the registered strategy names, sorted.
-func Strategies() []string { return strategies.names() }
+func Strategies() []string { return strategies.Names() }
 
 // Protocols returns the registered protocol names, sorted.
-func Protocols() []string { return protocols.names() }
+func Protocols() []string { return protocols.Names() }
 
-// HasStrategy reports whether name resolves to a registered strategy.
-func HasStrategy(name string) bool { _, ok := strategies.lookup(name); return ok }
+// StrategyName returns the registered spelling of a strategy name, or an
+// error wrapping ErrUnknownStrategy that lists the registered names.
+func StrategyName(name string) (string, error) {
+	_, canon, err := strategies.Get(name)
+	return canon, err
+}
 
-// HasProtocol reports whether name resolves to a registered protocol.
-func HasProtocol(name string) bool { _, ok := protocols.lookup(name); return ok }
+// ProtocolName returns the registered spelling of a protocol name, or an
+// error wrapping ErrUnknownProtocol that lists the registered names.
+func ProtocolName(name string) (string, error) {
+	_, canon, err := protocols.Get(name)
+	return canon, err
+}
 
 // NewStrategy builds the named strategy. Unknown names return an error
 // wrapping ErrUnknownStrategy that lists the registered names.
 func NewStrategy(name string, ctx StrategyContext) (placement.Placer, error) {
-	f, ok := strategies.lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownStrategy, name, strings.Join(Strategies(), ", "))
+	f, _, err := strategies.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	if ctx.K < 1 || ctx.K > placement.MaxShards {
 		return nil, fmt.Errorf("registry: strategy %q: need 1 to %d shards, got %d", name, placement.MaxShards, ctx.K)
@@ -191,31 +141,17 @@ func NewStrategy(name string, ctx StrategyContext) (placement.Placer, error) {
 // NewProtocol builds the named protocol backend. Unknown names return an
 // error wrapping ErrUnknownProtocol that lists the registered names.
 func NewProtocol(name string, ctx ProtocolContext) (CommitBackend, error) {
-	f, ok := protocols.lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownProtocol, name, strings.Join(Protocols(), ", "))
+	f, _, err := protocols.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(ctx)
-}
-
-// mustRegisterStrategy registers a built-in; a failure is a programming
-// error (duplicate built-in name), so it panics at init time.
-func mustRegisterStrategy(name string, f StrategyFactory) {
-	if err := RegisterStrategy(name, f); err != nil {
-		panic(fmt.Sprintf("registry: built-in strategy %q: %v", name, err))
-	}
-}
-
-func mustRegisterProtocol(name string, f ProtocolFactory) {
-	if err := RegisterProtocol(name, f); err != nil {
-		panic(fmt.Sprintf("registry: built-in protocol %q: %v", name, err))
-	}
 }
 
 // Built-in strategies: the five placement algorithms of the paper's
 // evaluation, under the names its figures use.
 func init() {
-	mustRegisterStrategy("OptChain", func(ctx StrategyContext) (placement.Placer, error) {
+	strategies.Must("OptChain", func(ctx StrategyContext) (placement.Placer, error) {
 		p := core.NewOptChain(core.OptChainConfig{
 			K: ctx.K, N: ctx.N,
 			Alpha:     ctx.Alpha,
@@ -225,7 +161,7 @@ func init() {
 		p.Scores().SetOutCounts(ctx.OutCounts)
 		return p, nil
 	})
-	mustRegisterStrategy("T2S", func(ctx StrategyContext) (placement.Placer, error) {
+	strategies.Must("T2S", func(ctx StrategyContext) (placement.Placer, error) {
 		alpha := ctx.Alpha
 		if alpha == 0 {
 			alpha = core.DefaultAlpha
@@ -234,13 +170,13 @@ func init() {
 		p.Scores().SetOutCounts(ctx.OutCounts)
 		return p, nil
 	})
-	mustRegisterStrategy("OmniLedger", func(ctx StrategyContext) (placement.Placer, error) {
+	strategies.Must("OmniLedger", func(ctx StrategyContext) (placement.Placer, error) {
 		return placement.NewRandom(ctx.K, ctx.N), nil
 	})
-	mustRegisterStrategy("Greedy", func(ctx StrategyContext) (placement.Placer, error) {
+	strategies.Must("Greedy", func(ctx StrategyContext) (placement.Placer, error) {
 		return placement.NewGreedy(ctx.K, ctx.N, core.DefaultCapacityEps), nil
 	})
-	mustRegisterStrategy("Metis", func(ctx StrategyContext) (placement.Placer, error) {
+	strategies.Must("Metis", func(ctx StrategyContext) (placement.Placer, error) {
 		if len(ctx.MetisPart) < ctx.N {
 			return nil, fmt.Errorf("registry: Metis replay needs a partition covering the stream (%d entries for %d transactions)",
 				len(ctx.MetisPart), ctx.N)
@@ -251,12 +187,12 @@ func init() {
 
 // Built-in protocols: the two cross-shard commit backends of §III/§V.
 func init() {
-	mustRegisterProtocol("omniledger", func(ctx ProtocolContext) (CommitBackend, error) {
+	protocols.Must("omniledger", func(ctx ProtocolContext) (CommitBackend, error) {
 		p := omniledger.New(ctx.Sim, ctx.Net, ctx.Shards, ctx.Locate)
 		p.Optimistic = ctx.Optimistic
 		return p, nil
 	})
-	mustRegisterProtocol("rapidchain", func(ctx ProtocolContext) (CommitBackend, error) {
+	protocols.Must("rapidchain", func(ctx ProtocolContext) (CommitBackend, error) {
 		p := rapidchain.New(ctx.Sim, ctx.Net, ctx.Shards, ctx.Locate)
 		p.Optimistic = ctx.Optimistic
 		return p, nil

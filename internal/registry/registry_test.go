@@ -8,39 +8,23 @@ import (
 	"optchain/internal/chain"
 	"optchain/internal/core"
 	"optchain/internal/des"
+	"optchain/internal/names"
 	"optchain/internal/placement"
 	"optchain/internal/simnet"
 	"optchain/internal/txgraph"
 )
 
+// TestRegisterRejectsBadEntries: both registries are names tables (whose
+// rules names_test.go covers), wired to refuse a built-in's name under
+// another casing.
 func TestRegisterRejectsBadEntries(t *testing.T) {
 	strategy := func(StrategyContext) (placement.Placer, error) { return placement.NewRandom(1, 0), nil }
 	protocol := func(ProtocolContext) (CommitBackend, error) { return nil, nil }
-	cases := []struct {
-		what      string
-		got, want error
-	}{
-		{"fresh strategy", RegisterStrategy("registry-test-fresh", strategy), nil},
-		{"fresh protocol", RegisterProtocol("registry-test-fresh", protocol), nil},
-		{"strategy re-registered under another casing", RegisterStrategy("Registry-Test-FRESH", strategy), ErrDuplicateName},
-		{"protocol re-registered under another casing", RegisterProtocol("Registry-Test-FRESH", protocol), ErrDuplicateName},
-		{"built-in strategy, padded", RegisterStrategy(" optchain ", strategy), ErrDuplicateName},
-		{"built-in protocol, padded", RegisterProtocol(" OmniLedger ", protocol), ErrDuplicateName},
-		{"empty strategy name", RegisterStrategy("", strategy), ErrEmptyName},
-		{"blank protocol name", RegisterProtocol("   ", protocol), ErrEmptyName},
-		{"nil strategy factory", RegisterStrategy("registry-test-nil", nil), ErrNilFactory},
-		{"nil protocol factory", RegisterProtocol("registry-test-nil", nil), ErrNilFactory},
+	if err := RegisterStrategy("optchain", strategy); !errors.Is(err, names.ErrBadRegistration) {
+		t.Errorf("strategy re-registered under another casing: %v", err)
 	}
-	for _, c := range cases {
-		if !errors.Is(c.got, c.want) {
-			t.Errorf("%s: err = %v, want %v", c.what, c.got, c.want)
-		}
-	}
-	if !HasStrategy("REGISTRY-test-fresh") || !HasProtocol("registry-TEST-fresh") {
-		t.Error("a registered name does not resolve case-insensitively")
-	}
-	if HasStrategy("registry-test-nil") || HasProtocol("registry-test-nil") {
-		t.Error("a rejected registration left an entry behind")
+	if err := RegisterProtocol("OmniLedger", protocol); !errors.Is(err, names.ErrBadRegistration) {
+		t.Errorf("protocol re-registered under another casing: %v", err)
 	}
 }
 
@@ -65,6 +49,15 @@ func TestUnknownNamesListTheRegisteredSet(t *testing.T) {
 	}
 	if _, err := NewStrategy("OptChain", StrategyContext{K: 0}); err == nil {
 		t.Error("a strategy over zero shards was built")
+	}
+	if name, err := StrategyName(" optchain "); name != "OptChain" || err != nil {
+		t.Errorf("StrategyName(optchain) = %q, %v; want the registered spelling", name, err)
+	}
+	if name, err := ProtocolName("OmniLedger"); name != "omniledger" || err != nil {
+		t.Errorf("ProtocolName(OmniLedger) = %q, %v; want the registered spelling", name, err)
+	}
+	if _, err := ProtocolName("nope"); !errors.Is(err, ErrUnknownProtocol) {
+		t.Errorf("ProtocolName(nope) = %v", err)
 	}
 }
 

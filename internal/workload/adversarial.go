@@ -61,7 +61,7 @@ const observeLag = 1024
 const advShardRing = 4096
 
 func init() {
-	mustRegister("adversarial", newAdversarial)
+	scenarios.Must("adversarial", newAdversarial)
 }
 
 func newAdversarial(p Params) (Source, error) {

@@ -23,7 +23,7 @@ type bitcoinSource struct {
 }
 
 func init() {
-	mustRegister("bitcoin", newBitcoin)
+	scenarios.Must("bitcoin", newBitcoin)
 }
 
 func newBitcoin(p Params) (Source, error) {

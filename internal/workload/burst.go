@@ -33,7 +33,7 @@ type burstSource struct {
 }
 
 func init() {
-	mustRegister("burst", newBurst)
+	scenarios.Must("burst", newBurst)
 }
 
 func newBurst(p Params) (Source, error) {

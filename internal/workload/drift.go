@@ -33,7 +33,7 @@ type driftSource struct {
 }
 
 func init() {
-	mustRegister("drift", newDrift)
+	scenarios.Must("drift", newDrift)
 }
 
 // driftCommRing bounds each community's spendable working set.

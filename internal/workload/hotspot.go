@@ -30,7 +30,7 @@ type hotspotSource struct {
 }
 
 func init() {
-	mustRegister("hotspot", newHotspot)
+	scenarios.Must("hotspot", newHotspot)
 }
 
 // hotspotWalletRing bounds each wallet's spendable working set.

@@ -118,7 +118,7 @@ const mixSeedStride = 1_000_000_007
 const mixWindowDefault = 1 << 20
 
 func init() {
-	mustRegisterComposite("mix", newMix, false)
+	scenarios.Must("mix", newMix)
 }
 
 // mixComponents extracts the ordered (spec, weight) list: explicit Args in

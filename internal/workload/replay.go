@@ -51,7 +51,7 @@ type replaySource struct {
 }
 
 func init() {
-	mustRegisterComposite("replay", newReplay, true)
+	scenarios.Must("replay", newReplay)
 }
 
 func newReplay(p Params) (Source, error) {

@@ -26,7 +26,7 @@ import (
 // in Args — composite scenarios (mix, replay) read their components, trace
 // paths, and modulator specs from there.
 type Spec struct {
-	// Name is the registered scenario name (validated by Parse).
+	// Name is the scenario name in its registered spelling.
 	Name string
 	// Knobs holds the numeric name=value arguments.
 	Knobs map[string]float64
@@ -186,9 +186,9 @@ func Parse(spec string) (Spec, error) {
 	if name == "" {
 		return Spec{}, fmt.Errorf("%w: spec %q has no scenario name", ErrBadParam, spec)
 	}
-	if !Has(name) {
-		return Spec{}, fmt.Errorf("%w %q in spec %q (registered scenarios: %s)",
-			ErrUnknownWorkload, name, spec, strings.Join(Names(), ", "))
+	_, name, err := scenarios.Get(name)
+	if err != nil {
+		return Spec{}, err
 	}
 	out := Spec{Name: name}
 	if !found || strings.TrimSpace(rest) == "" {

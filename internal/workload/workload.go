@@ -1,7 +1,7 @@
 // Package workload is the pluggable scenario layer: named transaction-stream
 // generators behind a streaming Source interface, resolved through an open
-// registry exactly like placement strategies and commit protocols (see
-// internal/registry). The paper evaluates placement on a single
+// registry, the same name table as placement strategies and commit
+// protocols (see internal/names). The paper evaluates placement on a single
 // Bitcoin-trace-shaped stream (§V); Ren & Ward ("Transaction Placement in
 // Sharded Blockchains", 2021) show placement quality diverges sharply under
 // skewed and bursty workloads, so every sweep and baseline can now be run
@@ -42,12 +42,13 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"optchain/internal/dataset"
+	"optchain/internal/names"
 )
 
-// Typed errors. Callers match them with errors.Is.
+// Typed errors. Callers match them with errors.Is; a refused registration
+// wraps names.ErrBadRegistration.
 var (
 	// ErrUnknownWorkload reports a scenario name with no registered factory.
 	ErrUnknownWorkload = errors.New("unknown workload scenario")
@@ -57,12 +58,6 @@ var (
 	// window could not cover a back-reference in the stream (a mix component
 	// spending an output older than its window). Raise the window knob.
 	ErrWindowExceeded = errors.New("workload: translation window exceeded")
-	// ErrDuplicateName is returned when registering an already-taken name.
-	ErrDuplicateName = errors.New("workload: name already registered")
-	// ErrEmptyName is returned when registering with an empty name.
-	ErrEmptyName = errors.New("workload: empty registration name")
-	// ErrNilFactory is returned when registering a nil factory.
-	ErrNilFactory = errors.New("workload: nil factory")
 )
 
 // Input references one output of an earlier stream transaction: output slot
@@ -228,115 +223,29 @@ func checkArgs(scenario string, p Params, allowed ...string) error {
 // Factory builds a scenario source from parameters.
 type Factory func(p Params) (Source, error)
 
-var (
-	regMu   sync.RWMutex
-	entries = make(map[string]regEntry) // keyed by lower-cased name
-)
+var scenarios = names.New[Factory](ErrUnknownWorkload)
 
-type regEntry struct {
-	display   string
-	factory   Factory
-	composite bool // consumes structured spec arguments (mix, replay)
-	needsArgs bool // cannot build from bare Params (replay needs a trace file)
-}
-
-// Register adds a scenario under the given case-insensitive name, making it
-// selectable everywhere a workload name is accepted: optchain.WithWorkload,
-// the experiment layer's sweep cells, and the -workload flags of the cmd/
-// binaries. Registering a duplicate name returns ErrDuplicateName.
-func Register(name string, f Factory) error {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return ErrEmptyName
-	}
-	if f == nil {
-		return ErrNilFactory
-	}
-	key := strings.ToLower(name)
-	regMu.Lock()
-	defer regMu.Unlock()
-	if prev, ok := entries[key]; ok {
-		return fmt.Errorf("%w: %q", ErrDuplicateName, prev.display)
-	}
-	entries[key] = regEntry{display: name, factory: f}
-	return nil
-}
-
-// mustRegister registers a built-in; failure is a programming error.
-func mustRegister(name string, f Factory) {
-	if err := Register(name, f); err != nil {
-		panic(fmt.Sprintf("workload: built-in scenario %q: %v", name, err))
-	}
-}
-
-// mustRegisterComposite registers a built-in that consumes structured spec
-// arguments (mix components, replay's trace path) rather than only numeric
-// knobs. needsArgs additionally marks it unbuildable from bare Params
-// (replay needs a trace file), which excludes it from StandaloneNames and
-// thus from default scenario sweeps.
-func mustRegisterComposite(name string, f Factory, needsArgs bool) {
-	mustRegister(name, f)
-	key := strings.ToLower(name)
-	regMu.Lock()
-	e := entries[key]
-	e.composite = true
-	e.needsArgs = needsArgs
-	entries[key] = e
-	regMu.Unlock()
-}
-
-// isComposite reports whether the named scenario consumes structured spec
-// arguments.
-func isComposite(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return entries[strings.ToLower(strings.TrimSpace(name))].composite
-}
+// Register adds a scenario under the given name, making it selectable
+// everywhere a workload name is accepted: optchain.WithWorkload, the
+// experiment layer's sweep cells, and the -workload flags of the cmd/
+// binaries. The rules are names.Table's: case-insensitive, unique,
+// [A-Za-z0-9._-].
+func Register(name string, f Factory) error { return scenarios.Register(name, f) }
 
 // Names returns the registered scenario names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, e.display)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return scenarios.Names() }
 
 // StandaloneNames returns the registered scenarios that build from bare
-// Params — every scenario except the ones needing spec arguments (replay,
-// which needs a trace file). Default scenario sweeps cover exactly this set.
+// Params — every scenario except replay, which needs a trace file. Default
+// scenario sweeps cover exactly this set.
 func StandaloneNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.needsArgs {
-			out = append(out, e.display)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return slices.DeleteFunc(Names(), func(n string) bool { return n == "replay" })
 }
 
-// Standalone reports whether the named scenario builds from bare Params
-// (false for replay, which needs a trace file argument).
-func Standalone(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := entries[strings.ToLower(strings.TrimSpace(name))]
-	return ok && !e.needsArgs
-}
-
-// Has reports whether name resolves to a registered scenario.
-func Has(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := entries[strings.ToLower(strings.TrimSpace(name))]
-	return ok
-}
+// composite reports whether the named built-in consumes structured spec
+// arguments (mix components, replay's trace path) rather than only numeric
+// knobs. name is a registered spelling.
+func composite(name string) bool { return name == "mix" || name == "replay" }
 
 // New builds a scenario from a spec — either a bare registered name
 // ("hotspot") or a full spec string with arguments
@@ -363,10 +272,11 @@ func New(spec string, p Params) (Source, error) {
 	if len(ps.Args) > 0 {
 		p.Args = append(append([]Arg(nil), p.Args...), ps.Args...)
 	}
-	regMu.RLock()
-	e := entries[strings.ToLower(ps.Name)] // Parse validated the name
-	regMu.RUnlock()
-	return e.factory(p.fillDefaults())
+	f, _, err := scenarios.Get(ps.Name)
+	if err != nil {
+		return nil, err
+	}
+	return f(p.fillDefaults())
 }
 
 // ParseSpec splits a workload spec "name[:arg,...]" into the scenario name
@@ -382,7 +292,7 @@ func ParseSpec(spec string) (name string, knobs map[string]float64, err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	if !isComposite(s.Name) {
+	if !composite(s.Name) {
 		for _, a := range s.Args {
 			if a.IsNum && simpleKey(a.Key) {
 				continue

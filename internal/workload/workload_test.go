@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"optchain/internal/chain"
 	"optchain/internal/dataset"
+	"optchain/internal/names"
 )
 
 // drain copies n transactions out of a source (deep-copying reused slices).
@@ -34,26 +36,20 @@ func build(t *testing.T, name string, p Params) Source {
 }
 
 func TestRegistryEnumeratesScenarios(t *testing.T) {
-	names := Names()
-	if len(names) < 5 {
-		t.Fatalf("Names() = %v, want >= 5 scenarios", names)
-	}
-	for _, want := range []string{"bitcoin", "hotspot", "burst", "adversarial", "drift"} {
-		if !Has(want) {
-			t.Errorf("Has(%q) = false", want)
+	all := Names()
+	for _, want := range []string{"adversarial", "bitcoin", "burst", "drift", "hotspot", "mix", "replay"} {
+		if !slices.Contains(all, want) {
+			t.Errorf("Names() = %v, missing %q", all, want)
 		}
+	}
+	if got := StandaloneNames(); slices.Contains(got, "replay") || len(got) != len(all)-1 {
+		t.Errorf("StandaloneNames() = %v, want every scenario but replay", got)
 	}
 	if _, err := New("no-such-scenario", Params{}); !errors.Is(err, ErrUnknownWorkload) {
 		t.Fatalf("New(unknown) error = %v, want ErrUnknownWorkload", err)
 	}
-	if err := Register("bitcoin", func(Params) (Source, error) { return nil, nil }); !errors.Is(err, ErrDuplicateName) {
-		t.Fatalf("duplicate Register error = %v", err)
-	}
-	if err := Register("", func(Params) (Source, error) { return nil, nil }); !errors.Is(err, ErrEmptyName) {
-		t.Fatalf("empty Register error = %v", err)
-	}
-	if err := Register("x-nil", nil); !errors.Is(err, ErrNilFactory) {
-		t.Fatalf("nil-factory Register error = %v", err)
+	if err := Register("Bitcoin", newBitcoin); !errors.Is(err, names.ErrBadRegistration) {
+		t.Fatalf("duplicate Register error = %v, want names.ErrBadRegistration", err)
 	}
 }
 

@@ -67,9 +67,9 @@ type (
 )
 
 // RegisterWorkload adds a workload scenario to the open registry under the
-// given case-insensitive name, making it selectable everywhere a workload
-// name is accepted: WithWorkload, the experiment layer's sweep cells, and
-// the -workload flags of the cmd/ binaries.
+// given name, making it selectable everywhere a workload name is accepted:
+// WithWorkload, the experiment layer's sweep cells, and the -workload flags
+// of the cmd/ binaries. The naming rules are RegisterStrategy's.
 func RegisterWorkload(name string, f WorkloadFactory) error {
 	return workload.Register(name, f)
 }
@@ -82,9 +82,6 @@ func Workloads() []string { return workload.Names() }
 // (replay, which needs a trace file). Default scenario sweeps cover this
 // set.
 func StandaloneWorkloads() []string { return workload.StandaloneNames() }
-
-// HasWorkload reports whether name resolves to a registered scenario.
-func HasWorkload(name string) bool { return workload.Has(name) }
 
 // NewWorkloadSource builds a scenario from a bare name or a full workload
 // spec ("mix:bitcoin=0.7,hotspot=0.3") — the streaming form consumers drive
@@ -154,10 +151,11 @@ type (
 )
 
 // RegisterStrategy adds a placement strategy to the open registry under the
-// given case-insensitive name, making it selectable everywhere a strategy
-// name is accepted: WithStrategy, the experiment layer's sweep cells, and
-// the -strategy flag of cmd/optchain-sim. Registering a duplicate or empty
-// name returns an error.
+// given name, making it selectable everywhere a strategy name is accepted:
+// WithStrategy, the experiment layer's sweep cells, and the -strategy flag
+// of cmd/optchain-sim. Names are matched case-insensitively and drawn from
+// [A-Za-z0-9._-]; an empty, duplicate or ill-formed name, or a nil factory,
+// returns an error wrapping ErrBadRegistration.
 func RegisterStrategy(name string, f StrategyFactory) error {
 	return registry.RegisterStrategy(name, f)
 }
@@ -174,12 +172,15 @@ func Strategies() []string { return registry.Strategies() }
 // Protocols enumerates the registered commit protocols, sorted.
 func Protocols() []string { return registry.Protocols() }
 
-// HasStrategy reports whether name resolves to a registered strategy,
-// under the registry's case-insensitive matching rules.
-func HasStrategy(name string) bool { return registry.HasStrategy(name) }
+// CheckStrategy returns nil when name resolves to a registered strategy,
+// under the registry's case-insensitive matching rules, and otherwise an
+// error wrapping ErrUnknownStrategy that lists the registered set.
+func CheckStrategy(name string) error { _, err := registry.StrategyName(name); return err }
 
-// HasProtocol reports whether name resolves to a registered protocol.
-func HasProtocol(name string) bool { return registry.HasProtocol(name) }
+// CheckProtocol returns nil when name resolves to a registered protocol,
+// and otherwise an error wrapping ErrUnknownProtocol that lists the
+// registered set.
+func CheckProtocol(name string) error { _, err := registry.ProtocolName(name); return err }
 
 // DatasetDefaults returns the generator calibration used throughout the
 // benchmarks (TaN degree statistics matching the paper's Fig. 2).

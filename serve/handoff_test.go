@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,10 +33,11 @@ func positionalLines(t *testing.T, txs []optchain.StreamTx) []string {
 	return lines
 }
 
-// TestEveryHandOffPlacesTheSameStream sends one stream three ways — a Place
-// call per line, 1024-line windows of one POST, 7-line POSTs over four
-// connections at once — and holds every line to the reference PlaceBatch
-// decision and an index of its own.
+// TestEveryHandOffPlacesTheSameStream sends one stream four ways — a Place
+// call per line, 1024-line windows of one POST, one-line POSTs over one
+// kept-alive connection, 7-line POSTs over four connections at once — and
+// holds every line to the reference PlaceBatch decision and an index of its
+// own.
 func TestEveryHandOffPlacesTheSameStream(t *testing.T) {
 	const n = 3000
 	txs := mixStream(t, n)
@@ -74,6 +77,54 @@ func TestEveryHandOffPlacesTheSameStream(t *testing.T) {
 		}
 		if v, _ := scrapeMetric(t, ts, "optchain_serve_batches_total"); v != 3 {
 			t.Errorf("%g batches for %d lines of one body, want 3 (two full windows and the rest)", v, n)
+		}
+	})
+
+	// One transaction per POST, every input named by its parent id, all on
+	// one kept-alive connection: each answer is one framed write (a
+	// Content-Length body, not chunked) and each window is placed by its
+	// caller, never queued.
+	t.Run("one-line POSTs over one kept-alive connection", func(t *testing.T) {
+		_, ts := newServer(t, serve.Config{Engine: newEngine(t, n)})
+		var dials atomic.Int64
+		tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dials.Add(1)
+			var d net.Dialer
+			return d.DialContext(ctx, network, addr)
+		}}
+		defer tr.CloseIdleConnections()
+		hc := &http.Client{Transport: tr}
+		for i, line := range asLines(t, txs, 0, n) {
+			resp, err := hc.Post(ts.URL+"/v1/place", "application/x-ndjson", strings.NewReader(line))
+			if err != nil {
+				t.Fatalf("POST %d: %v", i, err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST %d: status %d, %v", i, resp.StatusCode, err)
+			}
+			if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+				t.Fatalf("POST %d answered with Content-Length %d and Transfer-Encoding %v, want one framed write of %d bytes",
+					i, resp.ContentLength, resp.TransferEncoding, len(body))
+			}
+			out := decodeLines(t, bytes.NewReader(body))
+			if len(out) != 1 || out[0].Error != "" {
+				t.Fatalf("POST %d answered %+v", i, out)
+			}
+			check(t, i, out[0].Index, out[0].Shard)
+		}
+		if d := dials.Load(); d != 1 {
+			t.Errorf("%d POSTs took %d connections, want one kept alive", n, d)
+		}
+		for series, want := range map[string]float64{
+			`optchain_serve_lines_total{outcome="placed"}`: n,
+			`optchain_serve_units_total{path="caller"}`:    n,
+			`optchain_serve_units_total{path="queued"}`:    0,
+		} {
+			if got, ok := scrapeMetric(t, ts, series); !ok || got != want {
+				t.Errorf("%s = %g (present %v), want %g", series, got, ok, want)
+			}
 		}
 	})
 

@@ -307,6 +307,7 @@ func TestMetricsExposition(t *testing.T) {
 		"optchain_engine_placed_total":                           50,
 		`optchain_serve_lines_total{outcome="placed"}`:           50,
 		`optchain_serve_lines_total{outcome="rejected"}`:         0,
+		`optchain_serve_lines_total{outcome="invalid"}`:          0,
 		"optchain_serve_queue_capacity":                          float64(serve.DefaultQueueDepth),
 		`optchain_serve_place_latency_seconds_bucket{le="+Inf"}`: 50,
 	}
