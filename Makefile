@@ -16,9 +16,9 @@ test:
 	$(GO) test ./...
 
 # Race detector across the whole module — including the experiment layer's
-# Runner fan-out and cancellation paths, and the analyzer corpus + self-lint
-# suites in internal/analyze (nothing there is -short-gated, so the corpora
-# run under -race here too). -failfast stops on the first racy package; the
+# Runner fan-out and cancellation paths, and the three analyzer corpora +
+# self-lint suite in internal/analyze (nothing there is -short-gated, so
+# the corpora run under -race here too). -failfast stops on the first racy package; the
 # timeout converts a goroutine deadlock into a stack dump instead of a hung
 # CI job.
 test-race:
@@ -27,10 +27,10 @@ test-race:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific contract enforcement: the optchain-lint suite (determinism,
-# hotpath, lockcheck, apierrors, spawncheck, ctxcheck, atomiccheck — see
-# PERFORMANCE.md "Static analysis & contracts"), which prints one
-# file:line:col line per finding and fails on any; CI runs this target.
+# Repo-specific contract enforcement: the optchain-lint suite (hotpath,
+# lockcheck, spawncheck — see PERFORMANCE.md "Static analysis &
+# contracts"), which prints one file:line:col line per finding and fails
+# on any; CI runs this target.
 # staticcheck and govulncheck run when installed (CI installs pinned
 # versions; locally they are optional extras, not requirements).
 lint:

@@ -1,6 +1,5 @@
 // Command optchain-lint runs the repository's custom static-analysis suite
-// (internal/analyze): determinism, hotpath, lockcheck, apierrors, and the
-// concurrency-contract pack — spawncheck, ctxcheck, atomiccheck.
+// (internal/analyze): hotpath, lockcheck and spawncheck.
 // It prints one `file:line:col: message [analyzer]` line per finding and
 // exits non-zero when any contract is violated, so `make lint` and CI can
 // gate on it.

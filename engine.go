@@ -838,7 +838,7 @@ const defaultRunTxs = 20_000
 func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 	if ctx == nil {
 		// Documented nil-ctx convenience: run to completion, uncancellable.
-		ctx = context.Background() //optchain:background
+		ctx = context.Background()
 	}
 	e.mu.Lock()
 	if e.running {

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"optchain"
 	"optchain/experiment"
+	"optchain/internal/txgraph"
 )
 
 // quickParams keeps every test sweep small and fast.
@@ -178,9 +181,15 @@ func TestStreamCancellationMidSweep(t *testing.T) {
 	if len(rows) < 2 || len(rows) >= 32 {
 		t.Fatalf("rows before cancel = %d", len(rows))
 	}
-	// The iterator waits for in-flight workers before returning, so the
-	// goroutine count settles back to the baseline (+1 slack for unrelated
-	// runtime goroutines; a worker-pool leak would add Workers=2 or more).
+	assertNoLeak(t, before)
+}
+
+// assertNoLeak fails the test if the goroutine count does not settle back
+// to before. The iterator waits for in-flight workers before returning, so
+// the count settles to the baseline (+1 slack for unrelated runtime
+// goroutines; a worker-pool leak would add Workers=2 or more).
+func assertNoLeak(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before+1 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -192,6 +201,51 @@ func TestStreamCancellationMidSweep(t *testing.T) {
 		buf = buf[:runtime.Stack(buf, true)]
 		t.Fatalf("goroutines leaked: %d -> %d\n%s", before, g, buf)
 	}
+}
+
+// panicSentinel is the value panickingPlacer panics with.
+type panicSentinel struct{}
+
+// panickingPlacer panics on its first decision.
+type panickingPlacer struct{ a *optchain.Assignment }
+
+func (p *panickingPlacer) Place(txgraph.Node, []txgraph.Node) int { panic(panicSentinel{}) }
+func (p *panickingPlacer) Assignment() *optchain.Assignment       { return p.a }
+func (p *panickingPlacer) Name() string                           { return "test-panics" }
+
+var registerPanicking = sync.OnceValue(func() error {
+	return optchain.RegisterStrategy("test-panics", func(ctx optchain.StrategyContext) (optchain.Placer, error) {
+		return &panickingPlacer{a: optchain.NewAssignment(ctx.K, ctx.N)}, nil
+	})
+})
+
+// TestStreamReraisesCellPanic: a cell that panics on a worker goroutine
+// must not kill the process from there. Stream recovers it and re-raises
+// it on the consuming goroutine, where the caller can recover it, and no
+// worker outlives the call. The cell is a sim cell: the simulator calls
+// the strategy directly, while placement cells take only the offline
+// vocabulary.
+func TestStreamReraisesCellPanic(t *testing.T) {
+	if err := registerPanicking(); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	s := experiment.Sweep{
+		Name:       "panics",
+		Strategies: []string{"test-panics"},
+		Shards:     []int{2},
+		Rates:      []float64{800},
+		Uncached:   true,
+	}
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		experiment.NewRunner(quickParams()).Collect(context.Background(), s)
+		return nil
+	}()
+	if _, ok := got.(panicSentinel); !ok {
+		t.Fatalf("recovered %v (%T), want the cell's panicSentinel", got, got)
+	}
+	assertNoLeak(t, before)
 }
 
 // TestStreamBreakStopsRemainingCells: breaking out of the row iteration

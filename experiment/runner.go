@@ -271,14 +271,14 @@ func (r *Runner) cachedExecute(ctx context.Context, c Cell, id string) (Row, err
 
 // executeCell runs one cell for real and stamps its identity.
 func (r *Runner) executeCell(ctx context.Context, c Cell, id string) (Row, error) {
-	start := time.Now() //optchain:wallclock telemetry: WallSeconds reports cost, never feeds a decision
+	start := time.Now() // telemetry: WallSeconds reports cost, never feeds a decision
 	row, err := r.runCell(ctx, c)
 	if err != nil {
 		return Row{}, err
 	}
 	row.ID = id
 	row.Cell = c
-	row.WallSeconds = time.Since(start).Seconds() //optchain:wallclock telemetry only
+	row.WallSeconds = time.Since(start).Seconds() // telemetry only
 
 	return row, nil
 }
@@ -412,7 +412,7 @@ func (r *Runner) Stream(ctx context.Context, s Sweep) iter.Seq2[Row, error] {
 	return func(yield func(Row, error) bool) {
 		if ctx == nil {
 			// Documented nil-ctx convenience: run the sweep uncancellable.
-			ctx = context.Background() //optchain:background
+			ctx = context.Background()
 		}
 		cells, err := s.Expand(r.p)
 		if err != nil {
@@ -490,7 +490,7 @@ func (r *Runner) Stream(ctx context.Context, s Sweep) iter.Seq2[Row, error] {
 			if panics[i] != nil {
 				// Re-raise a captured worker panic on the consuming
 				// goroutine — forwarding, not a new failure mode.
-				panic(panics[i]) //optchain:fatal
+				panic(panics[i])
 			}
 			if errs[i] != nil {
 				yield(Row{}, fmt.Errorf("sweep %q cell %d (%s): %w", s.Name, i, cells[i].id(r.p), errs[i]))

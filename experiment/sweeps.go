@@ -34,7 +34,7 @@ func RegisterSweep(name, description string, build SweepBuilder) error {
 // MustRegisterSweep registers a built-in; failure is a programming error.
 func MustRegisterSweep(name, description string, build SweepBuilder) {
 	if err := RegisterSweep(name, description, build); err != nil {
-		panic(err) //optchain:fatal duplicate built-in registration is a programmer error caught at init
+		panic(err) // duplicate built-in registration is a programmer error caught at init
 	}
 }
 

@@ -1,11 +1,9 @@
-// Package analyze is the repository's static-analysis layer: seven custom
-// analyzers that machine-check the contracts the rest of the codebase only
-// documents — bit-reproducible placement (determinism), allocation-free hot
-// paths (hotpath), mutex discipline on shared engine state (lockcheck), the
-// typed-error surface of the exported API (apierrors), and the
-// concurrency-contract pack: joined-and-recovered goroutines (spawncheck),
-// caller-context propagation (ctxcheck), and all-or-nothing sync/atomic
-// field access (atomiccheck).
+// Package analyze is the repository's static-analysis layer: three custom
+// analyzers that machine-check contracts no test holds — allocation-free
+// hot paths (hotpath), mutex discipline on shared engine state (lockcheck),
+// and joined-and-recovered goroutines (spawncheck). The contracts a test
+// does hold (bit-reproducible placement, typed API errors, caller-context
+// propagation) are left to those tests; PERFORMANCE.md names them.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, diagnostics, an analysistest-style corpus runner) but is
@@ -18,15 +16,9 @@
 //
 //	//optchain:hotpath      function must not allocate steady-state
 //	//optchain:locked       function's contract is "caller holds the mutex"
-//	//optchain:wallclock    this line's time.Now/Since is telemetry, not input
-//	//optchain:unordered    this map range is order-insensitive by construction
 //	//optchain:alloc-ok     deliberate allocation on a hot path (cold branch,
 //	                        amortized growth)
-//	//optchain:fatal        deliberate panic in exported API: an invariant
-//	                        guard for programmer error, never user input
 //	//optchain:detached     this goroutine is deliberately fire-and-forget
-//	//optchain:background   this context.Background() is a documented root,
-//	                        not a severed caller context
 //	// guarded by <mu>      struct field only touched while <mu> is held
 //
 // Each marker must carry a justification in the rest of the comment; the
@@ -132,13 +124,9 @@ func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 func Verbs() []string {
 	return []string{
 		"alloc-ok",
-		"background",
 		"detached",
-		"fatal",
 		"hotpath",
 		"locked",
-		"unordered",
-		"wallclock",
 	}
 }
 
@@ -244,19 +232,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// isPkgFunc reports whether the call invokes the package-level function
-// pkgPath.name (not a method).
-func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
 }
 
 // isBuiltin reports whether the call invokes the named builtin (append,

@@ -1,14 +1,12 @@
 package analyze
 
-// CFG-lite helpers shared by the flow-sensitive analyzers.
+// CFG-lite helpers for lockcheck's flow-sensitive scan.
 //
 // The suite deliberately has no real control-flow graph (no x/tools/go/cfg):
 // lockcheck's block-structured scan threads an object-keyed boolean state
-// through statements, and several analyzers share the "value this function
-// just constructed" exemption — a freshly built struct is not yet visible to
-// other goroutines, so its guarded/atomic fields may be touched bare. Both
-// pieces were extracted from lockcheck when the concurrency-contract pack
-// (spawncheck, ctxcheck, atomiccheck) arrived.
+// through statements, and exempts values the function just constructed — a
+// freshly built struct is not yet visible to other goroutines, so its
+// guarded fields may be touched bare.
 
 import (
 	"go/ast"
@@ -54,8 +52,8 @@ func intersect(dst, a, b objSet) {
 
 // freshLocals records the locals of body that are initialized from composite
 // literals or new(): values the function itself just constructed, not yet
-// shared with any other goroutine, so contract checks on their fields
-// (lockcheck's guards, atomiccheck's atomic fields) do not apply.
+// shared with any other goroutine, so lockcheck's guards on their fields
+// do not apply.
 func freshLocals(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
 	fresh := make(map[types.Object]bool)
 	ast.Inspect(body, func(n ast.Node) bool {

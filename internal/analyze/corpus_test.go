@@ -87,10 +87,6 @@ func runCorpus(t *testing.T, a *Analyzer, dir string) {
 	}
 }
 
-func TestDeterminismCorpus(t *testing.T) { runCorpus(t, Determinism, "determinism") }
-func TestHotpathCorpus(t *testing.T)     { runCorpus(t, Hotpath, "hotpath") }
-func TestLockcheckCorpus(t *testing.T)   { runCorpus(t, Lockcheck, "lockcheck") }
-func TestAPIErrorsCorpus(t *testing.T)   { runCorpus(t, APIErrors, "apierrors") }
-func TestSpawncheckCorpus(t *testing.T)  { runCorpus(t, Spawncheck, "spawncheck") }
-func TestCtxcheckCorpus(t *testing.T)    { runCorpus(t, Ctxcheck, "ctxcheck") }
-func TestAtomiccheckCorpus(t *testing.T) { runCorpus(t, Atomiccheck, "atomiccheck") }
+func TestHotpathCorpus(t *testing.T)    { runCorpus(t, Hotpath, "hotpath") }
+func TestLockcheckCorpus(t *testing.T)  { runCorpus(t, Lockcheck, "lockcheck") }
+func TestSpawncheckCorpus(t *testing.T) { runCorpus(t, Spawncheck, "spawncheck") }

@@ -85,7 +85,7 @@ func init() {
 		return &fidelityReporter{w: bufio.NewWriter(w), got: make([][2]reading, len(claims))}
 	})
 	if err != nil {
-		panic(err) //optchain:fatal duplicate built-in registration is a programmer error caught at init
+		panic(err) // duplicate built-in registration is a programmer error caught at init
 	}
 }
 

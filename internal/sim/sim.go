@@ -213,7 +213,7 @@ type Result struct {
 // Run executes one simulation to completion (or the time cap). It is the
 // deliberate no-context convenience over RunContext.
 func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg) //optchain:background
+	return RunContext(context.Background(), cfg)
 }
 
 // RunContext executes one simulation under a context: cancellation or

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"optchain/internal/chain"
+	"optchain/internal/dataset"
 )
 
 // adversarial is a worst-case workload: an attacker who watches where
@@ -167,7 +168,7 @@ func (a *advSource) Next(tx *Tx) bool {
 		tx.Outputs = a.fanout
 		tx.Value = coinbaseValue
 		outs = make([]outpoint, 0, tx.Outputs)
-		outValues(tx.Outputs, tx.Value, func(idx uint32, val int64) {
+		dataset.SplitValue(tx.Outputs, tx.Value, func(idx uint32, val int64) {
 			outs = append(outs, outpoint{tx: i, idx: idx, val: val})
 		})
 	} else {
@@ -180,7 +181,7 @@ func (a *advSource) Next(tx *Tx) bool {
 		tx.Outputs = 2
 		tx.Value = inSum
 		outs = make([]outpoint, 0, tx.Outputs)
-		outValues(tx.Outputs, tx.Value, func(idx uint32, val int64) {
+		dataset.SplitValue(tx.Outputs, tx.Value, func(idx uint32, val int64) {
 			outs = append(outs, outpoint{tx: i, idx: idx, val: val})
 		})
 	}

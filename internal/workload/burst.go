@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+
+	"optchain/internal/dataset"
 )
 
 // burst is a Markov-modulated workload: the stream alternates between calm
@@ -96,7 +98,7 @@ func (b *burstSource) Next(tx *Tx) bool {
 		// Mint liquidity into the active pool.
 		tx.Outputs = b.fanout
 		tx.Value = coinbaseValue
-		outValues(tx.Outputs, tx.Value, func(idx uint32, val int64) {
+		dataset.SplitValue(tx.Outputs, tx.Value, func(idx uint32, val int64) {
 			pool.push(outpoint{tx: i, idx: idx, val: val})
 		})
 		return true
@@ -113,7 +115,7 @@ func (b *burstSource) Next(tx *Tx) bool {
 	}
 	tx.Outputs = 2
 	tx.Value = inSum
-	outValues(tx.Outputs, tx.Value, func(idx uint32, val int64) {
+	dataset.SplitValue(tx.Outputs, tx.Value, func(idx uint32, val int64) {
 		pool.push(outpoint{tx: i, idx: idx, val: val})
 	})
 	return true

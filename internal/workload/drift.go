@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+
+	"optchain/internal/dataset"
 )
 
 // drift models community structure that rotates over time. Between
@@ -106,7 +108,7 @@ func (d *driftSource) Next(tx *Tx) bool {
 	if pool.len() == 0 {
 		tx.Outputs = d.fanout
 		tx.Value = coinbaseValue
-		outValues(tx.Outputs, tx.Value, func(idx uint32, val int64) {
+		dataset.SplitValue(tx.Outputs, tx.Value, func(idx uint32, val int64) {
 			pool.push(outpoint{tx: i, idx: idx, val: val})
 		})
 		return true
@@ -123,7 +125,7 @@ func (d *driftSource) Next(tx *Tx) bool {
 	}
 	tx.Outputs = 2
 	tx.Value = inSum
-	outValues(tx.Outputs, tx.Value, func(idx uint32, val int64) {
+	dataset.SplitValue(tx.Outputs, tx.Value, func(idx uint32, val int64) {
 		pool.push(outpoint{tx: i, idx: idx, val: val})
 	})
 	return true

@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+
+	"optchain/internal/dataset"
 )
 
 // hotspot models Zipf-skewed wallet popularity: a handful of hot wallets
@@ -91,7 +93,7 @@ func (h *hotspotSource) Next(tx *Tx) bool {
 		// exchange withdrawal / faucet) fans out into the sender's wallet.
 		tx.Outputs = h.fanout
 		tx.Value = coinbaseValue
-		outValues(tx.Outputs, tx.Value, func(idx uint32, val int64) {
+		dataset.SplitValue(tx.Outputs, tx.Value, func(idx uint32, val int64) {
 			own.push(outpoint{tx: i, idx: idx, val: val})
 		})
 		return true
@@ -111,7 +113,7 @@ func (h *hotspotSource) Next(tx *Tx) bool {
 	tx.Outputs = 2
 	tx.Value = inSum
 	slot := 0
-	outValues(tx.Outputs, tx.Value, func(idx uint32, val int64) {
+	dataset.SplitValue(tx.Outputs, tx.Value, func(idx uint32, val int64) {
 		owner := receiver
 		if slot == 1 {
 			owner = sender

@@ -3,7 +3,6 @@ package workload
 import (
 	"math/rand"
 
-	"optchain/internal/dataset"
 	"optchain/internal/stats"
 )
 
@@ -71,11 +70,4 @@ func (r *ring) popBiased(rng *rand.Rand) (outpoint, bool) {
 	copy(r.buf[j:], r.buf[j+1:])
 	r.buf = r.buf[:n-1]
 	return o, true
-}
-
-// outValues invokes fn with each output slot's value under the canonical
-// even split (dataset.SplitValue) — generators register ring entries with
-// exactly the values the materialized or simulated transaction will carry.
-func outValues(n int, total int64, fn func(idx uint32, val int64)) {
-	dataset.SplitValue(n, total, fn)
 }

@@ -209,7 +209,7 @@ func TestScenarioValidity(t *testing.T) {
 			if len(tx.Inputs) > 0 && tx.Value > inSum {
 				t.Fatalf("%s: tx %d creates value (in=%d out=%d)", name, i, inSum, tx.Value)
 			}
-			outValues(tx.Outputs, tx.Value, func(idx uint32, val int64) {
+			dataset.SplitValue(tx.Outputs, tx.Value, func(idx uint32, val int64) {
 				valueOf[Input{Tx: i, Index: idx}] = val
 			})
 			outsOf = append(outsOf, tx.Outputs)

@@ -189,10 +189,24 @@ func TestQueuedContextExpiry(t *testing.T) {
 		t.Fatal("dispatcher never reached the engine")
 	}
 
+	// Place the expired request on its own goroutine: a Place that ignores
+	// its context blocks behind the pinned dispatcher, and must fail the
+	// test in seconds rather than hang it until go test's timeout.
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Place(expired, serve.Request{ID: "late", Outputs: 1}); !errors.Is(err, serve.ErrBadRequest) || !strings.Contains(err.Error(), "context canceled") {
-		t.Fatalf("expired request: %v, want ErrBadRequest wrapping context cancellation", err)
+	late := make(chan error, 1)
+	go func() {
+		_, err := s.Place(expired, serve.Request{ID: "late", Outputs: 1})
+		late <- err
+	}()
+	select {
+	case err := <-late:
+		if !errors.Is(err, serve.ErrBadRequest) || !strings.Contains(err.Error(), "context canceled") {
+			t.Fatalf("expired request: %v, want ErrBadRequest wrapping context cancellation", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(gate) // let the dispatcher drain so cleanup can close the server
+		t.Fatal("expired request still blocked after 5s: Place ignored its context")
 	}
 
 	close(gate)

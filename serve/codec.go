@@ -357,7 +357,7 @@ func appendLine(dst []byte, res lineResult) []byte {
 		b, err := json.Marshal(res)
 		if err != nil {
 			// Strings and integers always marshal.
-			panic("serve: " + err.Error()) //optchain:fatal unreachable: lineResult holds only strings and integers
+			panic("serve: " + err.Error()) // unreachable: lineResult holds only strings and integers
 		}
 		return append(append(dst, b...), '\n')
 	}

@@ -669,7 +669,7 @@ func (s *Server) Close(ctx context.Context) error {
 	p := s.panicked
 	s.mu.Unlock()
 	if p != nil {
-		panic(p) //optchain:fatal re-raise a dispatcher panic on the joining goroutine (as experiment.Runner.Stream re-raises a cell's)
+		panic(p) // re-raise a dispatcher panic on the joining goroutine (as experiment.Runner.Stream re-raises a cell's)
 	}
 	if s.cfg.StatePath != "" {
 		s.own.Lock()
