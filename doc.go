@@ -36,9 +36,11 @@
 // forgets it: once as many distinct transactions have spent from it as it
 // declared outputs, nothing in a valid UTXO stream can name it again, so
 // its score vector is dropped and its slot reused (state and snapshots then
-// follow the unspent set, not the stream's length). Outputs: 0 means
+// follow the unspent set, not the stream's length). The count itself is
+// kept once, in the T2S index's record of the transaction. Outputs: 0 means
 // unknown and opts the transaction out: it is scored by spenders seen so
-// far and never retired. A later reference to a retired transaction — a
+// far and never retired; a negative count, or one above math.MaxInt32, is
+// refused with ErrBadInput. A later reference to a retired transaction — a
 // stream spending more outputs than were declared — is still placed and
 // still counts as cross-shard where it is, but inherits no score from that
 // parent, and PlacementStats.RetiredRefs counts it.

@@ -36,8 +36,9 @@ var (
 	// ErrBadShard reports a shard index outside [0, K).
 	ErrBadShard = errors.New("optchain: shard index out of range")
 	// ErrBadInput reports a stream transaction whose input refers to a
-	// transaction that has not been placed yet (or to itself).
-	ErrBadInput = errors.New("optchain: input refers to an unplaced transaction")
+	// transaction that has not been placed yet (or to itself), or whose
+	// output count is negative or above math.MaxInt32.
+	ErrBadInput = errors.New("optchain: invalid stream transaction")
 	// ErrBadOption reports an invalid functional-option value.
 	ErrBadOption = errors.New("optchain: invalid option")
 	// ErrRunning reports a second concurrent Run on the same Engine.
@@ -59,7 +60,9 @@ type MetricsSnapshot = sim.Snapshot
 // divisor, and the transaction is never retired. A transaction with a
 // known count is retired (its score vector dropped, its memory reused) once
 // that many distinct transactions have spent from it; a later input naming
-// it is still placed, and counted in PlacementStats.RetiredRefs.
+// it is still placed, and counted in PlacementStats.RetiredRefs. Outputs
+// must lie in [0, math.MaxInt32]: a transaction outside that range is
+// refused with ErrBadInput and takes no stream position.
 type StreamTx struct {
 	Inputs  []int
 	Outputs int
@@ -83,10 +86,11 @@ type PlacementStats struct {
 	// (0 for strategies without an index).
 	SlabEntries int64
 	// StateBytes is the heap the engine's per-transaction state holds now,
-	// computed from the capacities of its columns (output counts, shard
-	// assignment, and for T2S/OptChain the slab chunks with their free
-	// slots, the node records and the free-list heads), not from the
-	// runtime's memory statistics.
+	// computed from the capacities of its columns (the shard assignment, and
+	// for T2S/OptChain the slab chunks with their free slots, the node
+	// records, which carry the output counts, the counts too large for a
+	// record and the free-list heads), not from the runtime's memory
+	// statistics. The engine keeps no per-transaction column of its own.
 	StateBytes int64
 	// RetiredTxs counts transactions whose declared outputs have all been
 	// spent, so that the T2S index dropped their p'(v). A transaction placed
@@ -141,7 +145,7 @@ type Engine struct {
 	placer   Placer                 // guarded by mu
 	placerN  int                    // guarded by mu — capacity hint the placer was built with
 	placed   int                    // guarded by mu
-	outs     []int32                // guarded by mu
+	txOuts   int                    // guarded by mu — output count of the transaction being placed
 	cross    placement.CrossCounter // guarded by mu
 	inputBuf []txgraph.Node         // guarded by mu
 	dedupe   txgraph.Deduper        // guarded by mu
@@ -503,7 +507,15 @@ func (e *Engine) ensurePlacerLocked() error {
 	if n == 0 && e.dataset != nil {
 		n = e.dataset.Len()
 	}
-	outCounts := func(v txgraph.Node) int { return int(e.outs[v]) }
+	// A stream's counts are known one transaction at a time: the source
+	// answers for the transaction being placed, and the T2S index keeps
+	// each count from there.
+	outCounts := func(v txgraph.Node) int {
+		if int(v) == e.placed {
+			return e.txOuts
+		}
+		return 0
+	}
 	if e.dataset != nil {
 		d := e.dataset
 		outCounts = func(v txgraph.Node) int {
@@ -527,9 +539,6 @@ func (e *Engine) ensurePlacerLocked() error {
 	}
 	e.placer = p
 	e.placerN = n
-	if cap(e.outs) < n {
-		e.outs = append(make([]int32, 0, n), e.outs...)
-	}
 	return nil
 }
 
@@ -612,18 +621,19 @@ func (e *Engine) appendInputsLocked(dst []txgraph.Node, u int, inputs []int) ([]
 //optchain:locked e.mu held by Place/PlaceBatch.
 func (e *Engine) placeOneLocked(tx StreamTx) (int, error) {
 	u := e.placed
+	if tx.Outputs < 0 || tx.Outputs > math.MaxInt32 {
+		return -1, fmt.Errorf("%w: transaction %d declares %d outputs, outside [0, %d]", ErrBadInput, u, tx.Outputs, math.MaxInt32)
+	}
 	var err error
 	if e.inputBuf, err = e.appendInputsLocked(e.inputBuf[:0], u, tx.Inputs); err != nil {
 		return -1, err
 	}
-	e.outs = append(e.outs, int32(tx.Outputs))
+	e.txOuts = tx.Outputs
 	s, err := e.placeGuarded(txgraph.Node(u))
 	if err != nil {
-		e.outs = e.outs[:u]
 		return -1, err
 	}
 	if s < 0 || s >= e.shards {
-		e.outs = e.outs[:u]
 		return -1, fmt.Errorf("%w: strategy %q chose shard %d of %d for transaction %d",
 			ErrBadShard, e.strategy, s, e.shards, u)
 	}
@@ -787,15 +797,25 @@ func (e *Engine) Stats() PlacementStats {
 		asn := e.placer.Assignment()
 		st.ShardCounts = asn.Counts()
 		st.MaxShardShare = asn.MaxShare()
-		st.StateBytes = 4*int64(cap(e.outs)) + asn.Bytes()
-		if p, ok := e.placer.(interface{ Scores() *core.T2SIndex }); ok {
-			idx := p.Scores()
+		st.StateBytes = asn.Bytes()
+		if idx := e.indexLocked(); idx != nil {
 			st.SlabEntries = int64(idx.SlabLen())
 			st.StateBytes += idx.Bytes()
 			st.RetiredTxs, st.RetiredRefs = idx.Retired()
 		}
 	}
 	return st
+}
+
+// indexLocked returns the T2S index of the engine's strategy: nil before
+// the first placement and for strategies without one.
+//
+//optchain:locked e.mu held by Stats and the snapshot methods.
+func (e *Engine) indexLocked() *core.T2SIndex {
+	if p, ok := e.placer.(interface{ Scores() *core.T2SIndex }); ok {
+		return p.Scores()
+	}
+	return nil
 }
 
 // Assignment exposes the streaming-mode placement decisions (nil before

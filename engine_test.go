@@ -1,11 +1,13 @@
 package optchain_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -373,6 +375,65 @@ func TestEnginePlaceValidatesInputs(t *testing.T) {
 	}
 	if got := eng.Stats().Placed; got != 2 {
 		t.Fatalf("placed = %d", got)
+	}
+}
+
+// TestEngineRefusesImpossibleOutputCounts: a negative output count, or one
+// past what an int32 holds, is refused with ErrBadInput naming the stream
+// position, by Place and inside a PlaceBatch, and leaves the engine as it
+// was: the next transaction takes the refused one's position, and the
+// engine decides, counts and snapshots as one that never saw it.
+func TestEngineRefusesImpossibleOutputCounts(t *testing.T) {
+	huge := int64(3_000_000_000)
+	for _, bad := range []int{-3, int(huge)} {
+		mk := func() *optchain.Engine {
+			e, err := optchain.New(optchain.WithShards(4), optchain.WithStreamCapacity(16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.PlaceBatch([]optchain.StreamTx{{Outputs: 2}, {Inputs: []int{0}, Outputs: 1}}, nil); err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		eng, ref := mk(), mk()
+		refused := func(err error, u int) {
+			t.Helper()
+			want := fmt.Sprintf("%v: transaction %d declares %d outputs", optchain.ErrBadInput, u, bad)
+			if !errors.Is(err, optchain.ErrBadInput) || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("%d outputs: %v, want ErrBadInput beginning %q", bad, err, want)
+			}
+		}
+		_, err := eng.Place(optchain.StreamTx{Inputs: []int{0}, Outputs: bad})
+		refused(err, 2)
+		if st := eng.Stats(); st.Placed != 2 {
+			t.Fatalf("%d outputs: %d placed after the refusal, want 2", bad, st.Placed)
+		}
+		shards, err := eng.PlaceBatch([]optchain.StreamTx{{Inputs: []int{1}, Outputs: 1}, {Inputs: []int{0}, Outputs: bad}}, nil)
+		refused(err, 3)
+		want, errRef := ref.PlaceBatch([]optchain.StreamTx{{Inputs: []int{1}, Outputs: 1}}, nil)
+		if errRef != nil || len(shards) != 1 || shards[0] != want[0] {
+			t.Fatalf("%d outputs: the batch placed %v before its refusal, an engine without it %v (%v)", bad, shards, want, errRef)
+		}
+		next := optchain.StreamTx{Inputs: []int{0, 2}, Outputs: 1}
+		a, errA := eng.Place(next)
+		b, errB := ref.Place(next)
+		if errA != nil || errB != nil || a != b {
+			t.Fatalf("%d outputs: the next transaction placed in %d (%v), without the refusals in %d (%v)", bad, a, errA, b, errB)
+		}
+		if got, want := eng.Stats(), ref.Stats(); got.Placed != 4 || got.RetiredTxs != want.RetiredTxs || got.SlabEntries != want.SlabEntries || got.Cross != want.Cross {
+			t.Fatalf("%d outputs: stats %+v, without the refusals %+v", bad, got, want)
+		}
+		var snapA, snapB bytes.Buffer
+		if err := eng.WriteSnapshot(&snapA); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.WriteSnapshot(&snapB); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snapA.Bytes(), snapB.Bytes()) {
+			t.Fatalf("%d outputs: the snapshot differs from an engine's that never saw the refused transactions", bad)
+		}
 	}
 }
 

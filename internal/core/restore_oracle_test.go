@@ -17,8 +17,9 @@ import (
 // every vector is re-added through extend, the routine Commit lays vectors
 // out with, and its out-degree is then folded in by addSpenders, which
 // retires the node (freeing the slot it was just given) when that spends
-// its last output. It is the reference restoreState is held to.
-func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
+// its last output. Each count is read from outs as extend reads a source.
+// It is the reference RestoreState is held to.
+func (t *T2SIndex) restoreStateOracle(r *placement.StateReader, outs []byte) error {
 	if len(t.nodes) != 0 || t.tally.hasPending {
 		return fmt.Errorf("core: restore into a non-empty T2S index (%d committed)", len(t.nodes))
 	}
@@ -42,6 +43,14 @@ func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
 	if placed := t.asn.Len(); placed != nodes {
 		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, nodes)
 	}
+	if outs == nil {
+		outs = t.askOutCounts(nodes)
+	} else if len(outs) != 4*nodes {
+		return fmt.Errorf("core: %d bytes of output counts for %d transactions", len(outs), nodes)
+	}
+	src := t.outCounts
+	defer func() { t.outCounts = src }()
+	t.outCounts = func(v txgraph.Node) int { return int(int32(binary.LittleEndian.Uint32(outs[4*v:]))) }
 	t.Reserve(nodes, entries)
 	k := t.asn.K()
 	off := 0
@@ -101,8 +110,9 @@ func (t *T2SIndex) addSpenders(v txgraph.Node, d int32) {
 }
 
 // sameLogical fails unless both indexes hold the same node count, live
-// vectors, out-degrees and output counts, entry counters, retired counters
-// and assignment; where each laid its slab out is free to differ.
+// vectors, out-degrees and output counts (the large ones included), entry
+// counters, retired counters and assignment; where each laid its slab out
+// is free to differ.
 func sameLogical(t testing.TB, got, want *T2SIndex) {
 	t.Helper()
 	if len(got.nodes) != len(want.nodes) || got.entries != want.entries || got.committed != want.committed {
@@ -111,6 +121,9 @@ func sameLogical(t testing.TB, got, want *T2SIndex) {
 	}
 	if got.retiredTxs != want.retiredTxs || got.retiredRefs != want.retiredRefs {
 		t.Fatalf("retired %d txs / %d refs, want %d / %d", got.retiredTxs, got.retiredRefs, want.retiredTxs, want.retiredRefs)
+	}
+	if !slices.Equal(got.bigOuts, want.bigOuts) {
+		t.Fatalf("large output counts %v, want %v", got.bigOuts, want.bigOuts)
 	}
 	for v := range want.nodes {
 		g, w := got.nodes[v], want.nodes[v]
@@ -153,15 +166,16 @@ func sameState(t testing.TB, got, want *T2SIndex) {
 	}
 }
 
-// restoreBoth restores one section through restoreState and through the
-// oracle into two fresh indexes built by mk, and fails unless both accept
-// or refuse it with the same error and consume the same bytes.
-func restoreBoth(t testing.TB, mk func() *T2SIndex, section []byte) (got, want *T2SIndex, err error) {
+// restoreBoth restores one section with the output counts outs through
+// RestoreState and through the oracle into two fresh indexes built by mk,
+// and fails unless both accept or refuse it with the same error and consume
+// the same bytes.
+func restoreBoth(t testing.TB, mk func() *T2SIndex, section, outs []byte) (got, want *T2SIndex, err error) {
 	t.Helper()
 	got, want = mk(), mk()
 	rg, rw := placement.NewStateReader(section), placement.NewStateReader(section)
-	err = got.restoreState(rg)
-	errW := want.restoreStateOracle(rw)
+	err = got.RestoreState(rg, outs)
+	errW := want.restoreStateOracle(rw, outs)
 	if fmt.Sprint(err) != fmt.Sprint(errW) {
 		t.Fatalf("restore: %v; the oracle: %v", err, errW)
 	}
@@ -201,13 +215,40 @@ func streamOf(t testing.TB, spec string, txs, k int) (inputs func(u int) []txgra
 	return func(u int) []txgraph.Node { return nodes[offs[u]:offs[u+1]] }, outs
 }
 
+// countColumn is the elements of an output-count column holding outs.
+func countColumn(outs []int) []byte {
+	var b []byte
+	for _, o := range outs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(int32(o)))
+	}
+	return b
+}
+
+// outsOf writes an index's output-count column and returns its elements.
+func outsOf(t testing.TB, idx *T2SIndex) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := placement.NewStateWriter(&buf)
+	idx.WriteOutCounts(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := placement.NewStateReader(buf.Bytes())
+	col := r.Column(4)
+	if r.Err() != nil || r.Len() != 0 || len(col) != 4*len(idx.nodes) {
+		t.Fatalf("an output-count column of %d bytes for %d nodes (%v, %d left over)", len(col), len(idx.nodes), r.Err(), r.Len())
+	}
+	return col
+}
+
 const mixIDsSpec = "mix:bitcoin=0.6,hotspot=0.25,adversarial=0.05,adversarial=0.05,adversarial=0.05"
 
 // TestRestoreMatchesOracle: on snapshots of the benchmark's three streams,
 // at k = 16 and 64, cut before the first transaction, after it, with the
-// current chunk part filled, and at 200k, the one-pass restore builds
+// current chunk part filled, and at 200k, the two-pass restore builds
 // exactly the index the vector-by-vector one builds: node records, chunks,
-// current chunk, free lists, counters and assignment. A writer that retires
+// current chunk, free lists, counters and assignment. The output counts
+// come from the placer's own count column, which holds the stream's. A writer that retires
 // leaves no span on a spent-out node, so there the oracle frees nothing and
 // the layouts agree to the slot. Sections only an older writer or a corrupt
 // file holds are below.
@@ -222,11 +263,7 @@ func TestRestoreMatchesOracle(t *testing.T) {
 		for _, k := range []int{16, 64} {
 			inputs, outs := streamOf(t, w.spec, txs, k)
 			outCounts := func(v txgraph.Node) int { return outs[v] }
-			mk := func() *T2SIndex {
-				p := NewOptChain(OptChainConfig{K: k, N: txs})
-				p.Scores().SetOutCounts(outCounts)
-				return p.Scores()
-			}
+			mk := func() *T2SIndex { return NewOptChain(OptChainConfig{K: k, N: txs}).Scores() }
 			p := NewOptChain(OptChainConfig{K: k, N: txs})
 			p.Scores().SetOutCounts(outCounts)
 			midChunk, u := false, 0
@@ -235,7 +272,11 @@ func TestRestoreMatchesOracle(t *testing.T) {
 					p.Place(txgraph.Node(u), inputs(u))
 				}
 				id := fmt.Sprintf("%s k=%d cut=%d", w.name, k, cut)
-				got, want, err := restoreBoth(t, mk, stateOf(t, p))
+				col := outsOf(t, p.idx)
+				if !bytes.Equal(col, countColumn(outs[:cut])) {
+					t.Fatalf("%s: the placer's output-count column is not the stream's counts", id)
+				}
+				got, want, err := restoreBoth(t, mk, stateOf(t, p), col)
 				if err != nil {
 					t.Fatalf("%s: %v", id, err)
 				}
@@ -256,27 +297,24 @@ func TestRestoreMatchesOracle(t *testing.T) {
 
 // TestRestoreOracleSections holds the two restores together on sections no
 // stream here produces: output counts past what the node record holds
-// (asked of the source again, and never confused with their low 16 bits),
-// negative ones (unknown), nodes spent out exactly and past their count,
+// (kept beside it, and never confused with their low 16 bits), negative
+// ones (unknown, and written back as 0), nodes spent out exactly and past
+// their count,
 // and spans of spent-out nodes that an older writer kept. There the oracle
 // lays the dead vector out and frees it, the one-pass restore never lays it
 // out, so only the logical state is compared, and the packed layout is
 // held to what it must be.
 func TestRestoreOracleSections(t *testing.T) {
 	const k = 4
-	outs := []int{70_000, -3, manyOuts, 1 << 20, 2, 0, 2, 3}
-	mk := func() *T2SIndex {
-		p := NewT2SPlacer(k, 16, DefaultAlpha, 0.1)
-		p.idx.SetOutCounts(func(v txgraph.Node) int { return outs[v] })
-		return p.idx
-	}
+	outs := countColumn([]int{70_000, -3, manyOuts, 1 << 20, 2, 0, 2, 3})
+	mk := func() *T2SIndex { return NewT2SPlacer(k, 16, DefaultAlpha, 0.1).idx }
 	asn := []uint16{0, 1, 2, 3, 0, 1, 2, 3}
 	// 0 has had 4464 = 70000 mod 2^16 spenders and 3 as many as a record
 	// can count, both live; 2, 4 and 7 are spent out exactly (their spans
 	// gone), 6 past its count.
 	degs := []int32{4464, 9, manyOuts, manyOuts, 2, 5, 4, 3}
 	got, want, err := restoreBoth(t, mk, corruptSection(asn,
-		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, degs, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}))
+		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, degs, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}), outs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,13 +322,19 @@ func TestRestoreOracleSections(t *testing.T) {
 	if txs, refs := got.Retired(); txs != 4 || refs != 2 || got.entries != 5 || got.nodes[0].n != 1 || got.nodes[3].n != 1 {
 		t.Fatalf("%d retired, %d late references, %d entries held, spans %+v", txs, refs, got.entries, got.nodes)
 	}
+	if back, want := outsOf(t, got), countColumn([]int{70_000, 0, manyOuts, 1 << 20, 2, 0, 2, 3}); !bytes.Equal(back, want) {
+		t.Fatalf("output counts written back as %v, want %v", back, want)
+	}
+	if len(got.bigOuts) != 3 || got.outCount(0, got.nodes[0].outs) != 70_000 || got.outCount(2, got.nodes[2].outs) != manyOuts {
+		t.Fatalf("large output counts %v", got.bigOuts)
+	}
 
 	// The same nodes with every span still in the section: 2, 4, 6 and 7 are
 	// dropped on load.
 	section := corruptSection(asn,
 		[]uint16{1, 2, 1, 1, 2, 1, 1, 3}, degs,
 		[]uint16{0, 0, 1, 2, 3, 0, 3, 1, 2, 0, 1, 2}, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	got, want, err = restoreBoth(t, mk, section)
+	got, want, err = restoreBoth(t, mk, section, outs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +352,9 @@ func TestRestoreOracleSections(t *testing.T) {
 }
 
 // engineSection reads an engine snapshot (format 2) far enough to return
-// its shard count, its output counts and the strategy's state section.
-func engineSection(t testing.TB, snap []byte) (shards int, outs []int, section []byte) {
+// its shard count, the elements of its output-count column and the
+// strategy's state section.
+func engineSection(t testing.TB, snap []byte) (shards int, outs, section []byte) {
 	t.Helper()
 	r := placement.NewStateReader(snap[len("OPTCHSNP") : len(snap)-4])
 	r.Uvarint()               // format version
@@ -321,12 +366,9 @@ func engineSection(t testing.TB, snap []byte) (shards int, outs []int, section [
 	for range 7 {
 		r.Uvarint() // capacity hint, placed, cross total and count, three reserved
 	}
-	col := r.Column(4)
+	outs = r.Column(4)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < len(col); i += 4 {
-		outs = append(outs, int(int32(binary.LittleEndian.Uint32(col[i:]))))
 	}
 	return shards, outs, snap[len(snap)-4-r.Len() : len(snap)-4]
 }
@@ -351,12 +393,7 @@ func TestRestoreOracleAllLiveFixtures(t *testing.T) {
 		"hotspot_200": serveFile[bytes.Index(serveFile, []byte("OPTCHSNP")) : len(serveFile)-4],
 	} {
 		k, outs, section := engineSection(t, snap)
-		outCounts := func(v txgraph.Node) int {
-			if int(v) < len(outs) {
-				return outs[v]
-			}
-			return 1
-		}
+		outCounts := func(txgraph.Node) int { return 1 } // asked only about the transactions placed after the restore
 		var a, b *OptChainPlacer
 		mk := func() *T2SIndex {
 			p := NewOptChain(OptChainConfig{K: k, N: 400})
@@ -368,7 +405,7 @@ func TestRestoreOracleAllLiveFixtures(t *testing.T) {
 			}
 			return p.Scores()
 		}
-		got, want, err := restoreBoth(t, mk, section)
+		got, want, err := restoreBoth(t, mk, section, outs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -403,8 +440,8 @@ func arena(idx *T2SIndex) int {
 }
 
 // FuzzRestoreState reads arbitrary bytes as an output-count column followed
-// by a T2S state section and restores the section both ways, with those
-// output counts. The two must refuse the same inputs with the same error
+// by a T2S state section and restores the section both ways, handing each
+// the column. The two must refuse the same inputs with the same error
 // text and accept the same ones into the same state: the same layout when
 // no spent-out node carries a span, the same vectors and counters always.
 func FuzzRestoreState(f *testing.F) {
@@ -416,24 +453,27 @@ func FuzzRestoreState(f *testing.F) {
 		for u := 0; u < cut; u++ {
 			p.Place(txgraph.Node(u), inputs(u))
 		}
-		var col []int32
-		for _, o := range outs[:cut] {
-			col = append(col, int32(o))
+		var col bytes.Buffer
+		w := placement.NewStateWriter(&col)
+		p.idx.WriteOutCounts(w)
+		if err := w.Flush(); err != nil {
+			f.Fatal(err)
 		}
-		f.Add(append(column(nil, col), stateOf(f, p)...))
+		f.Add(append(col.Bytes(), stateOf(f, p)...))
 	}
 	engine, err := os.ReadFile("../../testdata/snapshot_pr21_bitcoin_250.bin")
 	if err != nil {
 		f.Fatal(err)
 	}
 	_, outs, section := engineSection(f, engine)
-	col := make([]int32, len(outs))
-	for i, o := range outs {
-		col[i] = int32(o)
-	}
-	f.Add(append(column(nil, col), section...))
+	f.Add(append(binary.AppendUvarint(nil, uint64(len(outs)/4)), append(outs, section...)...))
 	f.Add(append(column(nil, []int32{70_000, -3, 2}), corruptSection([]uint16{0, 1, 2},
 		[]uint16{1, 2, 1}, []int32{4464, 9, 2}, []uint16{0, 0, 1, 2}, []uint64{1, 2, 3, 4})...))
+	// Two defects, the first one a second-pass one: refused naming the first.
+	f.Add(append(column(nil, []int32{0, 0}), corruptSection([]uint16{0, 0},
+		[]uint16{2, 3}, []int32{0, 0}, []uint16{1, 1}, []uint64{1, 1})...))
+	f.Add(append(column(nil, []int32{70_000, -3, manyOuts, 1 << 20, 2, 0, 2, 3}), corruptSection([]uint16{0, 1, 2, 3, 0, 1, 2, 3},
+		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, []int32{4464, 9, manyOuts, manyOuts, 2, 5, 4, 3}, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5})...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := placement.NewStateReader(data)
@@ -441,17 +481,8 @@ func FuzzRestoreState(f *testing.F) {
 		if r.Err() != nil {
 			return
 		}
-		mk := func() *T2SIndex {
-			p := NewT2SPlacer(k, txs, DefaultAlpha, 0.1)
-			p.idx.SetOutCounts(func(v txgraph.Node) int {
-				if 4*int(v) < len(col) {
-					return int(int32(binary.LittleEndian.Uint32(col[4*v:])))
-				}
-				return 0
-			})
-			return p.idx
-		}
-		got, want, err := restoreBoth(t, mk, data[len(data)-r.Len():])
+		mk := func() *T2SIndex { return NewT2SPlacer(k, txs, DefaultAlpha, 0.1).idx }
+		got, want, err := restoreBoth(t, mk, data[len(data)-r.Len():], col)
 		if err != nil {
 			return
 		}
@@ -463,9 +494,9 @@ func FuzzRestoreState(f *testing.F) {
 	})
 }
 
-// BenchmarkRestoreState prices the T2S restore alone, one-pass against the
-// oracle, on a 200k-transaction mix-ids section at k = 16 (ns/tx is per
-// restored transaction).
+// BenchmarkRestoreState prices the T2S restore alone, two-pass against the
+// oracle, on a 200k-transaction mix-ids section at k = 16, the output-count
+// column included (ns/tx is per restored transaction).
 func BenchmarkRestoreState(b *testing.B) {
 	const k, txs = 16, 200_000
 	inputs, outs := streamOf(b, mixIDsSpec, txs, k)
@@ -481,15 +512,15 @@ func BenchmarkRestoreState(b *testing.B) {
 	if err := w.Flush(); err != nil {
 		b.Fatal(err)
 	}
+	col := outsOf(b, p.idx)
 	for _, r := range []struct {
 		name    string
-		restore func(*T2SIndex, *placement.StateReader) error
-	}{{"one-pass", (*T2SIndex).restoreState}, {"oracle", (*T2SIndex).restoreStateOracle}} {
+		restore func(*T2SIndex, *placement.StateReader, []byte) error
+	}{{"two-pass", (*T2SIndex).RestoreState}, {"oracle", (*T2SIndex).restoreStateOracle}} {
 		b.Run(r.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				idx := NewT2SIndex(DefaultAlpha, 0, placement.NewAssignment(k, txs), txs)
-				idx.SetOutCounts(outCounts)
-				if err := r.restore(idx, placement.NewStateReader(buf.Bytes())); err != nil {
+				if err := r.restore(idx, placement.NewStateReader(buf.Bytes()), col); err != nil {
 					b.Fatal(err)
 				}
 			}

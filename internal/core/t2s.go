@@ -7,8 +7,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"optchain/internal/placement"
 	"optchain/internal/txgraph"
@@ -216,7 +219,8 @@ func (t *t2sTally) seal(shard uint16, alphaQ, truncQ uint64) ([]uint16, []uint64
 // uninterrupted one does.
 //
 // A placed transaction holds one 12-byte node record here plus 10 bytes per
-// entry of its vector while it is live. Steady state, Prepare and Commit
+// entry of its vector while it is live (and 8 bytes more if it declared
+// manyOuts outputs or more). Steady state, Prepare and Commit
 // allocate nothing between chunk boundaries, and Reserve can pre-allocate
 // chunks so even that never happens on the hot path.
 type T2SIndex struct {
@@ -239,10 +243,14 @@ type T2SIndex struct {
 	// immediately discounts wide fan-out transactions (batch payouts)
 	// whose thousands of recipients should not all follow the payer's
 	// shard. When nil, the divisor is the number of distinct spenders seen
-	// so far (including the one being scored). It is read once per node,
-	// when the node is committed, and the count kept in the node record
-	// (t2sNode.outs).
+	// so far (including the one being scored). It is asked only about the
+	// node being committed, once, and the count kept from then on: in the
+	// node record (t2sNode.outs), or in bigOuts when it does not fit there.
 	outCounts func(txgraph.Node) int
+
+	// bigOuts holds, ascending by node, the counts whose record says
+	// manyOuts; a snapshot writes every count, so it never shrinks.
+	bigOuts []bigOut
 
 	// The arena: chunk c backs slab offsets [c<<chunkBits, (c+1)<<chunkBits)
 	// and its length is the prefix handed out so far (live vectors and free
@@ -275,11 +283,17 @@ type t2sNode struct {
 	off  uint32 // slab offset of the first entry of p'(v)
 	deg  int32  // |Nout(v)| so far: distinct spenders seen
 	n    uint16 // entries of p'(v); 0 once v is retired
-	outs uint16 // output count of v: 0 unknown, manyOuts "ask outCounts"
+	outs uint16 // output count of v: 0 unknown, manyOuts "see bigOuts"
 }
 
 // manyOuts marks an output count too large for the node record.
 const manyOuts = 1<<16 - 1
+
+// bigOut is the output count of a node whose record says manyOuts.
+type bigOut struct {
+	v    txgraph.Node
+	outs int32
+}
 
 // noSlot ends a free list. No vector starts there: slabLimit keeps every
 // offset below it.
@@ -336,9 +350,11 @@ func (t *T2SIndex) SetNormalize(on bool) { t.normalize = on }
 
 // SetOutCounts installs an output-count source used as the |Nout(v)|
 // divisor and as the point at which v is retired (see the outCounts field).
-// Passing nil restores the spenders-so-far divisor, under which nothing is
-// retired. Install it before the first Prepare: nodes committed earlier
-// keep the counts they were committed with.
+// The index asks it only about the transaction being committed, so a source
+// that knows only the current transaction's count is enough. Passing nil
+// restores the spenders-so-far divisor, under which nothing is retired.
+// Install it before the first Prepare: nodes committed earlier keep the
+// counts they were committed with.
 func (t *T2SIndex) SetOutCounts(fn func(txgraph.Node) int) { t.outCounts = fn }
 
 // Alpha returns the damping factor.
@@ -391,9 +407,29 @@ func (t *T2SIndex) vec(v txgraph.Node) ([]uint16, []uint64) {
 //optchain:hotpath one call per input of every stream transaction.
 func (t *T2SIndex) outCount(v txgraph.Node, outs uint16) int32 {
 	if outs == manyOuts {
-		return int32(t.outCounts(v))
+		return t.bigOut(v)
 	}
 	return int32(outs)
+}
+
+// bigOut looks up the output count of v in bigOuts, where its record sent
+// the reader.
+func (t *T2SIndex) bigOut(v txgraph.Node) int32 {
+	i, _ := slices.BinarySearchFunc(t.bigOuts, v, func(b bigOut, v txgraph.Node) int { return cmp.Compare(b.v, v) })
+	return t.bigOuts[i].outs
+}
+
+// keepOuts returns the node record's form of the output count of v and
+// keeps a count too large for it in bigOuts. A negative count is unknown,
+// and one past what an int32 holds is clamped to it.
+//
+//optchain:hotpath one call per stream transaction.
+func (t *T2SIndex) keepOuts(v txgraph.Node, outs int) uint16 {
+	if outs < manyOuts {
+		return uint16(max(outs, 0))
+	}
+	t.bigOuts = append(t.bigOuts, bigOut{v: v, outs: int32(min(outs, math.MaxInt32))})
+	return manyOuts
 }
 
 // retire drops the vector of v, whose last output has just been spent: its
@@ -418,14 +454,15 @@ func (t *T2SIndex) retire(nd *t2sNode) {
 // is one, else the current chunk, or the next one when n entries do not fit
 // what is left of it. It appends the node's record. Commit adds every vector
 // through here; the snapshot restore reproduces the layout this gives when
-// no slot is free (restoreState). It fails, changing nothing, when the
+// no slot is free (RestoreState). It fails, changing nothing, when the
 // vector would end past the offsets a record can store.
 //
 //optchain:hotpath one call per stream transaction; a chunk is allocated once per 1<<chunkBits entries.
 func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
 	nd := t2sNode{n: uint16(n)}
 	if t.outCounts != nil {
-		nd.outs = uint16(min(max(t.outCounts(txgraph.Node(len(t.nodes))), 0), manyOuts))
+		v := txgraph.Node(len(t.nodes))
+		nd.outs = t.keepOuts(v, t.outCounts(v))
 	}
 	if n == 0 {
 		t.nodes = append(t.nodes, nd)
@@ -584,8 +621,8 @@ func (t *T2SIndex) Retired() (txs, refs int64) { return t.retiredTxs, t.retiredR
 
 // Bytes reports the heap the index's columns hold, from their capacities:
 // 10 bytes per slab entry of every allocated chunk (live vectors, free
-// slots and unfilled tails alike), the node records and the free-list
-// heads.
+// slots and unfilled tails alike), the node records, the large output
+// counts and the free-list heads.
 func (t *T2SIndex) Bytes() int64 {
-	return int64(len(t.slabS))*10<<t.chunkBits + 12*int64(cap(t.nodes)) + 4*int64(cap(t.free))
+	return int64(len(t.slabS))*10<<t.chunkBits + 12*int64(cap(t.nodes)) + 8*int64(cap(t.bigOuts)) + 4*int64(cap(t.free))
 }

@@ -110,7 +110,10 @@ type Shard struct {
 	net    *simnet.Network
 	ledger *chain.Ledger
 
+	// queue[head:] is the mempool, queue[:head] the blocks cut from it since
+	// compact last moved it to the front: cutting strands no capacity.
 	queue       []Item
+	head        int
 	queuedBytes int
 	round       round
 	busy        bool
@@ -179,7 +182,7 @@ func (s *Shard) Ledger() *chain.Ledger { return s.ledger }
 
 // QueueLen returns the current mempool length — the client-observable load
 // signal feeding the L2S verification-rate estimate.
-func (s *Shard) QueueLen() int { return len(s.queue) }
+func (s *Shard) QueueLen() int { return len(s.queue) - s.head }
 
 // Height returns the number of committed blocks.
 func (s *Shard) Height() int { return s.height }
@@ -220,10 +223,10 @@ func (s *Shard) Enqueue(it Item) {
 }
 
 func (s *Shard) maybeStart() {
-	if s.busy || len(s.queue) == 0 {
+	if s.busy || s.QueueLen() == 0 {
 		return
 	}
-	if len(s.queue) >= s.cfg.BlockTxs || s.queuedBytes >= s.cfg.MaxBlockBytes-s.cfg.BlockOverheadBytes {
+	if s.QueueLen() >= s.cfg.BlockTxs || s.queuedBytes >= s.cfg.MaxBlockBytes-s.cfg.BlockOverheadBytes {
 		s.startBlock()
 		return
 	}
@@ -231,7 +234,7 @@ func (s *Shard) maybeStart() {
 		s.timerArmed = true
 		s.idleTimer = s.sim.Schedule(s.batchWait(), "shard.blockTimer", func(*des.Simulator) {
 			s.timerArmed = false
-			if !s.busy && len(s.queue) > 0 {
+			if !s.busy && s.QueueLen() > 0 {
 				s.startBlock()
 			}
 		})
@@ -248,7 +251,7 @@ func (s *Shard) batchWait() time.Duration {
 	if rate <= 0 {
 		return s.cfg.MaxBlockWait
 	}
-	missing := float64(s.cfg.BlockTxs - len(s.queue))
+	missing := float64(s.cfg.BlockTxs - s.QueueLen())
 	wait := time.Duration(missing / rate * float64(time.Second))
 	if wait > s.cfg.MaxBlockWait {
 		return s.cfg.MaxBlockWait
@@ -269,18 +272,19 @@ func (s *Shard) startBlock() {
 
 	// The batch is the head of the mempool, in place: later arrivals append
 	// past it (or to a grown copy), never into it.
+	waiting := s.queue[s.head:]
 	n := 0
 	bytes := s.cfg.BlockOverheadBytes
-	for n < s.cfg.BlockTxs && n < len(s.queue) {
-		it := &s.queue[n]
+	for n < s.cfg.BlockTxs && n < len(waiting) {
+		it := &waiting[n]
 		if n > 0 && bytes+it.Bytes > s.cfg.MaxBlockBytes {
 			break
 		}
 		bytes += it.Bytes
 		n++
 	}
-	batch := s.queue[:n:n]
-	s.queue = s.queue[n:]
+	batch := waiting[:n:n]
+	s.head += n
 	s.queuedBytes -= bytes - s.cfg.BlockOverheadBytes
 	s.BlocksCut++
 
@@ -327,12 +331,25 @@ func (s *Shard) finalizeBlock() {
 			it.Work.Done(s.sim, err)
 		}
 	}
+	s.compact()
 	s.busy = false
 	// Block production continues immediately when a full block is waiting;
 	// otherwise the adaptive batch timer (see batchWait) decides.
-	if len(s.queue) >= s.cfg.BlockTxs || s.queuedBytes >= s.cfg.MaxBlockBytes-s.cfg.BlockOverheadBytes {
+	if s.QueueLen() >= s.cfg.BlockTxs || s.queuedBytes >= s.cfg.MaxBlockBytes-s.cfg.BlockOverheadBytes {
 		s.startBlock()
 		return
 	}
 	s.maybeStart()
+}
+
+// compact moves the waiting items to the front once the executed ones ahead
+// of them are as many, so each move is paid for by an executed item. It runs
+// only after a block has executed: until then the block aliases the buffer.
+func (s *Shard) compact() {
+	if live := len(s.queue) - s.head; s.head >= live {
+		copy(s.queue, s.queue[s.head:])
+		clear(s.queue[live:])
+		s.queue = s.queue[:live]
+		s.head = 0
+	}
 }

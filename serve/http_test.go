@@ -93,6 +93,33 @@ func TestPlaceBadLines(t *testing.T) {
 	}
 }
 
+// TestPlaceOutputsBound: a line declaring more outputs than the engine
+// accepts is answered 400 in its place, and the lines around it, in the
+// same coalesced batch, are placed as if it had not been sent.
+func TestPlaceOutputsBound(t *testing.T) {
+	s, ts := newServer(t, serve.Config{})
+	resp, out := postLines(t, ts, []string{
+		`{"id":"a","outputs":2}`,
+		`{"id":"big","outputs":3000000000}`,
+		`{"id":"b","parents":["a"],"outputs":1}`,
+	})
+	if resp.StatusCode != http.StatusOK || len(out) != 3 {
+		t.Fatalf("status %d, %d response lines", resp.StatusCode, len(out))
+	}
+	if out[1].Error == "" || out[1].Code != http.StatusBadRequest {
+		t.Fatalf("the oversized line was answered %+v, want a 400", out[1])
+	}
+	if out[0].Error != "" || out[2].Error != "" || out[0].Index != 0 || out[2].Index != 1 {
+		t.Fatalf("its neighbours were answered %+v and %+v, want indexes 0 and 1", out[0], out[2])
+	}
+	if st := s.Engine().Stats(); st.Placed != 2 {
+		t.Fatalf("engine placed %d, want 2", st.Placed)
+	}
+	if _, out := postLines(t, ts, []string{`{"parents":["big"],"outputs":1}`}); len(out) != 1 || out[0].Code != http.StatusBadRequest {
+		t.Fatalf("the refused line's id was registered: %+v", out)
+	}
+}
+
 // postRaw POSTs body to /v1/place and returns the response with its body
 // read in full.
 func postRaw(t *testing.T, url, body string) (*http.Response, []byte) {

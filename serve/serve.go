@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -51,7 +52,8 @@ var (
 	// Retry-After).
 	ErrQueueFull = errors.New("serve: ingest queue full")
 	// ErrBadRequest reports a malformed or unsatisfiable placement request
-	// (unknown parent id, duplicate id, input position out of range).
+	// (unknown parent id, duplicate id, input position out of range, an
+	// output count outside [0, math.MaxInt32]).
 	ErrBadRequest = errors.New("serve: bad request")
 	// ErrBadState reports a corrupt, truncated, or incompatible state file.
 	ErrBadState = errors.New("serve: invalid state file")
@@ -548,7 +550,8 @@ func (s *Server) settle(reqs []Request, res []outcome, base int, shards []int, e
 }
 
 // resolve translates one request into a StreamTx for stream position idx:
-// absolute Inputs are range-checked, Parents resolve through the id map
+// the output count is range-checked as the engine checks it, absolute
+// Inputs are range-checked, Parents resolve through the id map
 // (including ids registered earlier in the same batch), and a duplicate ID
 // is rejected before it can shadow the earlier transaction. The Engine does
 // not retain StreamTx.Inputs, so they are the request's own slice or, with
@@ -557,8 +560,9 @@ func (s *Server) settle(reqs []Request, res []outcome, base int, shards []int, e
 //optchain:locked s.own held by stage's callers.
 func (s *Server) resolve(req *Request, idx int) (optchain.StreamTx, error) {
 	tx := optchain.StreamTx{Inputs: req.Inputs, Outputs: req.Outputs}
-	if req.Outputs < 0 {
-		return tx, fmt.Errorf("%w: negative outputs %d", ErrBadRequest, req.Outputs)
+	if req.Outputs < 0 || req.Outputs > math.MaxInt32 {
+		// The engine refuses these too, but by stopping the batch there.
+		return tx, fmt.Errorf("%w: outputs %d not in [0, %d]", ErrBadRequest, req.Outputs, math.MaxInt32)
 	}
 	if req.ID != "" {
 		if prev, dup := s.ids[req.ID]; dup {

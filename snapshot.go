@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"strings"
-	"unsafe"
 
 	"optchain/internal/placement"
 )
@@ -38,7 +37,8 @@ var (
 //	    L2S weight bits, a reserved byte (written 0; 0 or 1 read), capacity
 //	    hint
 //	placed, cross total, cross count, three reserved counters (written 0)
-//	output counts         4 B per transaction
+//	output counts         4 B per transaction (0 for strategies that keep
+//	    none: Greedy, OmniLedger)
 //	strategy state: shard of each transaction, 2 B each; then for T2S and
 //	    OptChain the index columns (see internal/core/state.go): span
 //	    lengths 2 B and out-degrees 4 B per transaction, slab shard ids 2 B
@@ -46,10 +46,15 @@ var (
 //	    transaction has span length 0 and no entries)
 //	CRC-32 (IEEE) of all preceding bytes, 4 B little-endian
 //
-// These are the columns the engine holds, each handed to the writer a block
-// at a time through one small staging buffer (on a little-endian host a
-// block is the column's own memory, and a large one is passed through
-// whole), so a snapshot costs no memory proportional to the state.
+// These are the state's columns, each handed to the writer a block at a
+// time through one small staging buffer (on a little-endian host a block is
+// the column's own memory, and a large one is passed through whole), so a
+// snapshot costs no memory proportional to the state. The output counts
+// are kept only in the T2S index's node records (a count of 65535 or more
+// in a table beside them): the writer gathers their column from there a
+// block at a time, and the reader hands it to the index's restore. A
+// negative count, which a stream written before the engine refused them
+// may carry, reads as 0 (unknown) and is written back as 0.
 // A stream written before transactions were retired carries every vector;
 // it is read all the same, and the restore drops the vectors of
 // transactions whose outputs are all spent. The reserved counters held
@@ -104,7 +109,7 @@ func (e *Engine) snapshotPlanLocked() (snap placement.Snapshotter, head []byte, 
 	head = binary.AppendUvarint(head, uint64(e.cross.Total))
 	head = binary.AppendUvarint(head, uint64(e.cross.Cross))
 	head = append(head, 0, 0, 0) // the reserved counters
-	size = int64(len(head)) + placement.ColumnSize(len(e.outs), 4) + snap.StateSize() + 4
+	size = int64(len(head)) + placement.ColumnSize(e.placed, 4) + snap.StateSize() + 4
 	if size > snapMaxBytes {
 		return nil, nil, 0, fmt.Errorf("%w: the state takes %d bytes, more than the %d a snapshot may", ErrBadSnapshot, size, snapMaxBytes)
 	}
@@ -123,7 +128,7 @@ func (e *Engine) SnapshotSize() (int64, error) {
 
 // WriteSnapshot serializes the engine's complete streaming-placement state
 // — the strategy's decision state (for OptChain/T2S the slab-backed p'(v)
-// index and the shard assignment), the per-transaction output counts, and
+// index and the shard assignment), the output counts the index keeps, and
 // the cross-shard counters — as one versioned, checksummed binary stream.
 // A restored engine (see ReadSnapshot) makes bit-identical decisions on the
 // rest of the stream, so a placement router can restart without replaying
@@ -145,8 +150,15 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	}
 	sw := placement.NewStateWriter(w)
 	sw.Write(head)
-	sw.Uvarint(uint64(len(e.outs)))
-	sw.Int32s(e.outs)
+	if idx := e.indexLocked(); idx != nil {
+		idx.WriteOutCounts(sw)
+	} else {
+		sw.Uvarint(uint64(e.placed))
+		var zeros [1024]int32
+		for left := e.placed; left > 0; left -= len(zeros) {
+			sw.Int32s(zeros[:min(left, len(zeros))])
+		}
+	}
 	snap.WriteState(sw)
 	if err := sw.Finish(); err != nil {
 		return fmt.Errorf("%w: write: %v", ErrBadSnapshot, err)
@@ -322,21 +334,15 @@ func (e *Engine) readSnapshot(data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrSnapshotUnsupported, e.strategy)
 	}
-	// The output counts go in first: the T2S restore asks for them to tell
-	// which transactions are already fully spent.
-	if n := len(outs) / 4; cap(e.outs) < n {
-		e.outs = make([]int32, n)
+	// The T2S restore takes the output counts along: it keeps them, and
+	// tells by them which transactions are already fully spent. Other
+	// strategies keep none.
+	if idx := e.indexLocked(); idx != nil {
+		err = idx.RestoreState(sr, outs)
 	} else {
-		e.outs = e.outs[:n]
+		err = snap.RestoreState(sr)
 	}
-	if littleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(e.outs))), len(outs)), outs)
-	} else {
-		for i := range e.outs {
-			e.outs[i] = int32(binary.LittleEndian.Uint32(outs[4*i:]))
-		}
-	}
-	if err := snap.RestoreState(sr); err != nil {
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	if sr.Len() != 0 {
@@ -350,10 +356,6 @@ func (e *Engine) readSnapshot(data []byte) error {
 	e.refreshStreamSnapshotLocked()
 	return nil
 }
-
-// littleEndian reports whether the host stores integers little-endian, so
-// that the output-count column's bytes are the column's memory.
-var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // readStateString consumes n raw bytes from the reader as a string.
 func readStateString(sr *placement.StateReader, n uint64) (string, error) {

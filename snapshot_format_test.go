@@ -75,7 +75,7 @@ func TestSnapshotSizeIsExact(t *testing.T) {
 	if st.RetiredTxs != n-2 || st.RetiredRefs != 0 || st.SlabEntries < 2 || st.SlabEntries > 2*8 {
 		t.Fatalf("Stats of a filled engine: %d retired, %d late references, %d slab entries held", st.RetiredTxs, st.RetiredRefs, st.SlabEntries)
 	}
-	if st.StateBytes < 20*n+10*st.SlabEntries {
+	if st.StateBytes < 16*n+10*st.SlabEntries {
 		t.Fatalf("Stats of a filled engine: %d state bytes for %d transactions and %d entries", st.StateBytes, n, st.SlabEntries)
 	}
 }
@@ -229,10 +229,8 @@ func TestSnapshotCapacityHintBounded(t *testing.T) {
 // restored where its bytes lie, the reader left drained as a copying read
 // leaves it, and nothing of the bytes is kept: overwriting them afterwards
 // changes nothing the engine writes or decides. Any other reader is copied
-// from, bytes a WriteTo would hand over in pieces are refused unread, and
-// the output counts decode the same on a host of either byte order.
+// from, and bytes a WriteTo would hand over in pieces are refused unread.
 func TestReadSnapshotInPlace(t *testing.T) {
-	defer func(le bool) { littleEndian = le }(littleEndian)
 	const n, cut = 500, 300
 	txs := chainStream(n)
 	src := formatEngine(t, n)
@@ -247,47 +245,44 @@ func TestReadSnapshotInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, le := range []bool{true, false} {
-		littleEndian = le
-		for _, kind := range []string{"bytes.Reader", "bytes.Buffer", "io.Reader"} {
-			data := bytes.Clone(snap.Bytes())
-			var r io.Reader
-			left := func() int { return 0 }
-			switch kind {
-			case "bytes.Reader":
-				br := bytes.NewReader(data)
-				r, left = br, br.Len
-			case "bytes.Buffer":
-				bb := bytes.NewBuffer(data)
-				r, left = bb, bb.Len
-			default:
-				r = struct{ io.Reader }{bytes.NewReader(data)}
-			}
-			e := formatEngine(t, n)
-			if err := e.ReadSnapshot(r); err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			if left() != 0 {
-				t.Fatalf("%s: %d bytes left unread", kind, left())
-			}
-			for i := range data {
-				data[i] = 0xa5
-			}
-			var again bytes.Buffer
-			if err := e.WriteSnapshot(&again); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(again.Bytes(), snap.Bytes()) {
-				t.Fatalf("%s, littleEndian=%v: the restored engine writes a different snapshot once its source is overwritten", kind, le)
-			}
-			got, err := e.PlaceBatch(txs[cut:], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s, littleEndian=%v: transaction %d placed in %d, the uninterrupted engine %d", kind, le, cut+i, got[i], want[i])
-				}
+	for _, kind := range []string{"bytes.Reader", "bytes.Buffer", "io.Reader"} {
+		data := bytes.Clone(snap.Bytes())
+		var r io.Reader
+		left := func() int { return 0 }
+		switch kind {
+		case "bytes.Reader":
+			br := bytes.NewReader(data)
+			r, left = br, br.Len
+		case "bytes.Buffer":
+			bb := bytes.NewBuffer(data)
+			r, left = bb, bb.Len
+		default:
+			r = struct{ io.Reader }{bytes.NewReader(data)}
+		}
+		e := formatEngine(t, n)
+		if err := e.ReadSnapshot(r); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if left() != 0 {
+			t.Fatalf("%s: %d bytes left unread", kind, left())
+		}
+		for i := range data {
+			data[i] = 0xa5
+		}
+		var again bytes.Buffer
+		if err := e.WriteSnapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+			t.Fatalf("%s: the restored engine writes a different snapshot once its source is overwritten", kind)
+		}
+		got, err := e.PlaceBatch(txs[cut:], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: transaction %d placed in %d, the uninterrupted engine %d", kind, cut+i, got[i], want[i])
 			}
 		}
 	}

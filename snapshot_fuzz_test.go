@@ -186,6 +186,25 @@ func FuzzReadSnapshot(f *testing.F) {
 			f.Add(old)
 		}
 	}
+	// A transaction with more outputs than a node record counts, half spent.
+	wide := []optchain.StreamTx{{Outputs: 70_000}}
+	for u := 1; u < fuzzTxs; u++ {
+		wide = append(wide, optchain.StreamTx{Inputs: []int{0, u / 2}, Outputs: 2})
+	}
+	e := fuzzEngine(f)
+	if _, err := e.PlaceBatch(wide[:fuzzCut], nil); err != nil {
+		f.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := e.WriteSnapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	want, err := e.PlaceBatch(wide[fuzzCut:], nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	known[snap.String()] = continuation{wide[fuzzCut:], want}
+	f.Add(snap.Bytes())
 	var empty bytes.Buffer
 	if err := fuzzEngine(f).WriteSnapshot(&empty); err != nil {
 		f.Fatal(err)

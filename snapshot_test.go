@@ -3,6 +3,7 @@ package optchain_test
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"optchain"
@@ -368,6 +369,80 @@ func TestOverSpendingStreamIsPlacedAndCounted(t *testing.T) {
 			}
 			if b.RetiredTxs != a.RetiredTxs || b.RetiredRefs != a.RetiredRefs || b.Cross != a.Cross || b.SlabEntries != a.SlabEntries {
 				t.Fatalf("restored engine's stats %+v, the uninterrupted one's %+v", b, a)
+			}
+			var endA, endB bytes.Buffer
+			if err := whole.WriteSnapshot(&endA); err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.WriteSnapshot(&endB); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(endA.Bytes(), endB.Bytes()) {
+				t.Fatal("the two engines' final snapshots differ")
+			}
+		})
+	}
+}
+
+// TestSnapshotLargeOutputCount: a transaction declaring 70,000 outputs,
+// more than a T2S node record can count, keeps its count across a snapshot
+// taken when 40,000 of them are spent. The restored engine writes the bytes
+// it read, then spends the other 30,000 and three more alongside the engine
+// that wrote them: the same decisions, the transaction retired at its
+// 70,000th spender on both, the three over-spends counted on both.
+func TestSnapshotLargeOutputCount(t *testing.T) {
+	const outs, before, after, over = 70_000, 40_000, 30_000, 3
+	txs := []optchain.StreamTx{{Outputs: outs}, {Inputs: []int{0}, Outputs: 1}}
+	for u := 2; len(txs) < 1+outs+over; u++ {
+		tx := optchain.StreamTx{Inputs: []int{0, u - 1}, Outputs: 1}
+		if len(txs) > outs {
+			tx.Outputs = 0
+		}
+		txs = append(txs, tx)
+	}
+	cut := 1 + before
+	for _, strategy := range []string{"OptChain", "T2S"} {
+		t.Run(strategy, func(t *testing.T) {
+			whole := snapshotEngine(t, strategy, len(txs))
+			if _, err := whole.PlaceBatch(txs[:cut], nil); err != nil {
+				t.Fatal(err)
+			}
+			var snap bytes.Buffer
+			if err := whole.WriteSnapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			restored := snapshotEngine(t, strategy, len(txs))
+			if err := restored.ReadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			var again bytes.Buffer
+			if err := restored.WriteSnapshot(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+				t.Fatal("the restored engine writes a snapshot that differs from the one it read")
+			}
+			for _, part := range [][]optchain.StreamTx{txs[cut : cut+after], txs[cut+after:]} {
+				want, err := whole.PlaceBatch(part, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := restored.PlaceBatch(part, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatal("the restored engine decides otherwise than the one that wrote its snapshot")
+				}
+				a, b := whole.Stats(), restored.Stats()
+				if a.RetiredTxs != b.RetiredTxs || a.RetiredRefs != b.RetiredRefs || a.SlabEntries != b.SlabEntries || a.Cross != b.Cross {
+					t.Fatalf("stats %+v after the restore, %+v without it", b, a)
+				}
+			}
+			// The wide transaction and its 70,000 one-output spenders have had
+			// every output spent, and the over-spends named it after.
+			if st := whole.Stats(); st.RetiredTxs != 1+outs || st.RetiredRefs != over {
+				t.Fatalf("%d retired, %d late references; want %d and %d", st.RetiredTxs, st.RetiredRefs, 1+outs, over)
 			}
 			var endA, endB bytes.Buffer
 			if err := whole.WriteSnapshot(&endA); err != nil {
