@@ -1,11 +1,13 @@
 # Developer targets; CI (.github/workflows/ci.yml) runs `make ci`. The
 # gateway's end-to-end checks (restore across a restart, /metrics, one-line
 # POSTs over one kept-alive connection) are serve's own tests, run by
-# `make test`.
+# `make test`, as are the worked examples (the Example functions, checked
+# against their Output blocks) and the markdown link check over README,
+# SCENARIOS and PERFORMANCE (TestDocLinks).
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt fmt-check lint bench-smoke quality-ledger examples scenario-smoke fuzz-smoke sweep-smoke quality-gate cover docs-check benchmark-check deps-check ci
+.PHONY: all build test test-race vet fmt fmt-check lint bench-smoke quality-ledger scenario-smoke fuzz-smoke sweep-smoke quality-gate cover benchmark-check deps-check ci
 
 all: build
 
@@ -66,10 +68,6 @@ quality-ledger:
 		&& $(GO) run ./cmd/optchain-bench -quick -sweep quality -reporter jsonl -cache "$$tmp/cache" -out BENCH_quality.jsonl \
 		|| rc=$$?; \
 	rm -rf "$$tmp"; exit $$rc
-
-# Build (not run) every example and cmd binary.
-examples:
-	$(GO) build ./examples/... ./cmd/...
 
 # Every workload scenario must run end-to-end through a small simulation —
 # including a composed mix and a recorded-trace replay.
@@ -157,14 +155,6 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./internal/covercheck -profile cover.out -floors COVERAGE_floors.txt
 
-# Documentation hygiene: examples stay gofmt-clean and the markdown surface
-# (README, SCENARIOS, PERFORMANCE) has no broken relative links.
-docs-check:
-	@out="$$(gofmt -l examples)"; if [ -n "$$out" ]; then \
-		echo "gofmt needed on:"; echo "$$out"; exit 1; \
-	fi
-	$(GO) run ./internal/docscheck README.md SCENARIOS.md PERFORMANCE.md
-
 # benchmark/ is a nested module (see BENCHMARK.json) that `go build ./...`
 # never sees, so an API removal in the root module can break it silently;
 # vet and test it from inside (~3 s).
@@ -185,4 +175,4 @@ deps-check:
 		echo "./cmd/..., ./serve and ./experiment must not depend on: testing"; exit 1; \
 	fi
 
-ci: fmt-check vet lint build test bench-smoke sweep-smoke quality-gate docs-check benchmark-check deps-check
+ci: fmt-check vet lint build test bench-smoke sweep-smoke quality-gate benchmark-check deps-check

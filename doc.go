@@ -213,9 +213,13 @@
 // format with ConvertTraceCSV / ConvertTraceJSON (cmd/tangen
 // -from-csv/-from-json) and feed the replay scenario directly.
 //
-// The runnable programs under cmd/ and the worked examples under examples/
-// show the full surface; examples/quickstart is the canonical snippet and
-// examples/workload shows scenario composition and trace replay. README.md,
+// The runnable programs under cmd/ show the full surface. The worked
+// examples are this package's Example functions, which go test runs and
+// checks: Example is the canonical snippet, ExampleEngine_Run the §V
+// simulation, ExamplePartitionTaN the offline Metis comparison,
+// ExampleWithTelemetry wallet placement, ExampleWithWorkload scenario
+// composition and trace replay, and the experiment package's
+// ExampleRunner_Stream a streamed sweep. README.md,
 // SCENARIOS.md, and PERFORMANCE.md at the repository root cover the
 // project-level view, the workload spec grammar, and the performance
 // inventory respectively.

@@ -198,10 +198,14 @@ func WithProtocol(name string) Option {
 	}
 }
 
-// WithDataset supplies the transaction stream for Run and for
-// dataset-backed streaming. Run with neither a dataset nor a workload
-// streams the calibrated "bitcoin" scenario, which reproduces
-// GenerateDataset(DatasetDefaults()) transaction for transaction.
+// WithDataset supplies the transaction stream for Run (and the offline
+// partition a Metis Run computes from it), and sizes the streaming
+// placer's capacity when WithStreamCapacity does not. Place and PlaceBatch
+// take each output count from the StreamTx they place, never from
+// the dataset; DatasetStream carries the dataset's counts. Run with
+// neither a dataset nor a workload streams the calibrated "bitcoin"
+// scenario, which reproduces GenerateDataset(DatasetDefaults())
+// transaction for transaction.
 func WithDataset(d *Dataset) Option {
 	return func(e *Engine) error {
 		if d == nil {
@@ -507,23 +511,14 @@ func (e *Engine) ensurePlacerLocked() error {
 	if n == 0 && e.dataset != nil {
 		n = e.dataset.Len()
 	}
-	// A stream's counts are known one transaction at a time: the source
-	// answers for the transaction being placed, and the T2S index keeps
-	// each count from there.
+	// Every engine, dataset-backed or not, takes a count from the
+	// StreamTx it places: the source answers for the transaction being
+	// placed, and the T2S index keeps each count from there.
 	outCounts := func(v txgraph.Node) int {
 		if int(v) == e.placed {
 			return e.txOuts
 		}
 		return 0
-	}
-	if e.dataset != nil {
-		d := e.dataset
-		outCounts = func(v txgraph.Node) int {
-			if int(v) < d.Len() {
-				return d.NumOutputs(int(v))
-			}
-			return 0
-		}
 	}
 	p, err := registry.NewStrategy(e.strategy, registry.StrategyContext{
 		K:         e.shards,

@@ -437,6 +437,41 @@ func TestEngineRefusesImpossibleOutputCounts(t *testing.T) {
 	}
 }
 
+// A WithDataset engine takes each output count from the StreamTx it places,
+// as a streaming engine does, also past the dataset's end: ten dataset
+// transactions and a chain of 100 one-output children retire and snapshot
+// alike on both.
+func TestDatasetEngineTakesCountsFromTheStream(t *testing.T) {
+	d := smallDataset(t, 10)
+	txs := collectStream(d)
+	for i := range 100 {
+		txs = append(txs, optchain.StreamTx{Inputs: []int{d.Len() - 1 + i}, Outputs: 1})
+	}
+	place := func(opt optchain.Option) (optchain.PlacementStats, []byte) {
+		eng, err := optchain.New(optchain.WithShards(4), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.PlaceBatch(txs, nil); err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := eng.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Stats(), snap.Bytes()
+	}
+	got, gotSnap := place(optchain.WithDataset(d))
+	want, wantSnap := place(optchain.WithStreamCapacity(d.Len()))
+	if got.SlabEntries != want.SlabEntries || got.RetiredTxs != want.RetiredTxs {
+		t.Fatalf("dataset engine holds %d entries and retired %d; a streaming engine %d and %d",
+			got.SlabEntries, got.RetiredTxs, want.SlabEntries, want.RetiredTxs)
+	}
+	if !bytes.Equal(gotSnap, wantSnap) {
+		t.Fatal("the dataset engine's snapshot differs from the streaming engine's")
+	}
+}
+
 // badShardPlacer returns an out-of-range shard without recording it —
 // the worst-behaved custom strategy the Engine must survive.
 type badShardPlacer struct{ a *optchain.Assignment }

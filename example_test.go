@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"optchain"
@@ -48,8 +50,11 @@ func Example() {
 	// random placement makes most transactions cross-shard: true
 }
 
-// Run the full end-to-end simulation (§V) under a cancellable context.
+// Run the full end-to-end simulation (§V) under a cancellable context,
+// with a progress callback that receives live commit counts every second
+// of virtual time and once more when the run finishes.
 func ExampleEngine_Run() {
+	var reports []optchain.MetricsSnapshot
 	eng, err := optchain.New(
 		optchain.WithStrategy("OptChain"),
 		optchain.WithShards(4),
@@ -60,6 +65,10 @@ func ExampleEngine_Run() {
 			BlockTxs:     100,
 			MaxBlockWait: 500 * time.Millisecond,
 		}),
+		optchain.WithProgress(func(s optchain.MetricsSnapshot) {
+			reports = append(reports, s)
+		}),
+		optchain.WithProgressEvery(time.Second),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -70,9 +79,146 @@ func ExampleEngine_Run() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	last := reports[len(reports)-1]
 	fmt.Printf("committed everything: %v\n", res.Committed == res.Total)
+	fmt.Printf("progress reported while running: %v\n", len(reports) > 1 && !reports[0].Done)
+	fmt.Printf("the last report closes the run: %v\n", last.Done && last.Committed == res.Total)
 	// Output:
 	// committed everything: true
+	// progress reported while running: true
+	// the last report closes the run: true
+}
+
+// The §IV-B comparison between offline graph partitioning and online
+// placement. Metis k-way sees the whole TaN network at once and minimizes
+// edge cut under a balance constraint; the Metis strategy replays its
+// partition through the same online interface as the others. Its shards
+// are balanced over the whole stream but not over time: the transactions
+// that arrive together land together, the temporal imbalance the paper
+// blames for its latency (Figs. 5-9). OptChain here runs without
+// telemetry, so nothing holds its shards level: it cuts even fewer edges
+// than Metis and is the most unbalanced strategy of all.
+func ExamplePartitionTaN() {
+	cfg := optchain.DatasetDefaults()
+	cfg.N = 20_000
+	data, err := optchain.GenerateDataset(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	const shards = 16
+	part, err := optchain.PartitionTaN(data, shards, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// busiest divides the stream into ten arrival epochs and returns, for
+	// each, the share of its transactions that its busiest shard received.
+	busiest := func(a *optchain.Assignment) []float64 {
+		epoch := data.Len() / 10
+		shares := make([]float64, 10)
+		for e := range shares {
+			counts := make([]int, shards)
+			for i := e * epoch; i < (e+1)*epoch; i++ {
+				counts[a.ShardOf(optchain.Node(i))]++
+			}
+			shares[e] = float64(slices.Max(counts)) / float64(epoch)
+		}
+		return shares
+	}
+	stats := map[string]optchain.PlacementStats{}
+	epochShares := map[string][]float64{}
+	for _, strategy := range []string{"Metis", "OptChain", "Greedy", "OmniLedger"} {
+		eng, err := optchain.New(
+			optchain.WithStrategy(strategy),
+			optchain.WithShards(shards),
+			optchain.WithDataset(data),
+			optchain.WithMetisPartition(part), // read by Metis alone
+		)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if stats[strategy], err = eng.PlaceStream(optchain.DatasetStream(data)); err != nil {
+			log.Fatal(err)
+		}
+		epochShares[strategy] = busiest(eng.Assignment())
+	}
+
+	metis, opt := stats["Metis"], stats["OptChain"]
+	fmt.Printf("Metis cuts fewer edges than online Greedy and random placement: %v\n",
+		metis.CrossFraction < stats["Greedy"].CrossFraction &&
+			metis.CrossFraction < stats["OmniLedger"].CrossFraction)
+	fmt.Printf("OptChain without telemetry cuts fewer still: %v\n",
+		opt.CrossFraction < metis.CrossFraction)
+	fmt.Printf("Metis keeps its shard totals within 10%% of the mean: %v\n",
+		metis.MaxShardShare < 1.1)
+	fmt.Printf("yet in every epoch its busiest shard takes over twice a balanced share: %v\n",
+		slices.Min(epochShares["Metis"]) > 2.0/shards)
+	fmt.Printf("random placement stays level in every epoch: %v\n",
+		slices.Max(epochShares["OmniLedger"]) < 1.5/shards)
+	fmt.Printf("OptChain without telemetry is the most unbalanced: %v\n",
+		opt.MaxShardShare > 2*max(metis.MaxShardShare,
+			stats["Greedy"].MaxShardShare, stats["OmniLedger"].MaxShardShare))
+	// Output:
+	// Metis cuts fewer edges than online Greedy and random placement: true
+	// OptChain without telemetry cuts fewer still: true
+	// Metis keeps its shard totals within 10% of the mean: true
+	// yet in every epoch its busiest shard takes over twice a balanced share: true
+	// random placement stays level in every epoch: true
+	// OptChain without telemetry is the most unbalanced: true
+}
+
+// The paper's deployment story (§III-C): OptChain runs in the user's
+// wallet, not in consensus, and scores each shard's Temporal Fitness from
+// the shard telemetry the wallet observes. T2S pulls a transaction toward
+// the shards holding its inputs; L2S pushes it away from a congested one.
+func ExampleWithTelemetry() {
+	cfg := optchain.DatasetDefaults()
+	cfg.N = 20_000
+	data, err := optchain.GenerateDataset(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	place := func(tel optchain.Telemetry) optchain.PlacementStats {
+		eng, err := optchain.New(
+			optchain.WithStrategy("OptChain"),
+			optchain.WithShards(4),
+			optchain.WithDataset(data),
+			optchain.WithTelemetry(tel),
+		)
+		if err != nil {
+			log.Fatal(err)
+		}
+		stats, err := eng.PlaceStream(optchain.DatasetStream(data))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return stats
+	}
+	// Rates are in 1/seconds: ~100 ms round trips to every shard, and 2 s
+	// expected verification on every shard, or 20 s on a congested shard 0.
+	balanced := place(optchain.StaticTelemetry{
+		Comm:   []float64{10, 10, 10, 10},
+		Verify: []float64{0.5, 0.5, 0.5, 0.5},
+	})
+	congested := place(optchain.StaticTelemetry{
+		Comm:   []float64{10, 10, 10, 10},
+		Verify: []float64{0.05, 0.5, 0.5, 0.5},
+	})
+
+	fmt.Printf("the congested shard receives under 1%% of the transactions: %v\n",
+		congested.ShardCounts[0] < int64(data.Len()/100))
+	fmt.Printf("the cross-shard fraction moves by under a percentage point: %v\n",
+		math.Abs(congested.CrossFraction-balanced.CrossFraction) < 0.01)
+	// Static telemetry gives no feedback: a shard's load never raises its
+	// expected verification time, so T2S is free to concentrate related
+	// lineages. In Run, queue growth feeds back through the same L2S term.
+	fmt.Printf("static telemetry leaves over half on one shard: %v\n",
+		slices.Max(balanced.ShardCounts) > int64(data.Len()/2))
+	// Output:
+	// the congested shard receives under 1% of the transactions: true
+	// the cross-shard fraction moves by under a percentage point: true
+	// static telemetry leaves over half on one shard: true
 }
 
 // Add a placement strategy to the open registry; it becomes selectable by

@@ -1,8 +1,8 @@
 // Command covercheck enforces per-package statement-coverage floors over a
-// merged `go test -coverprofile` file, in the same leaf-tool spirit as
-// internal/docscheck: `make cover` produces cover.out across the module
-// and this checker fails the build when any package drops below its
-// committed floor in COVERAGE_floors.txt.
+// merged `go test -coverprofile` file: `make cover` produces cover.out
+// across the module and this checker fails the build when any package
+// drops below its committed floor in COVERAGE_floors.txt. It is a command
+// rather than a test because a test cannot check its own run's coverage.
 //
 // Usage:
 //

@@ -47,13 +47,13 @@ type StrategyContext struct {
 	// N is the expected stream length — a capacity hint, not a cap.
 	N int
 	// OutCounts, when non-nil, supplies |Nout(v)| for the T2S divisor
-	// (the number of outputs transaction v created). On an Engine placing
-	// a stream it answers only for the transaction being placed, while its
-	// Place runs, and 0 (unknown) for any other: the engine keeps no
-	// per-transaction column, so a strategy that needs a count later
-	// records it when asked, as the T2S index does. A dataset-backed
-	// Engine and the simulator pass sources that answer for any
-	// transaction.
+	// (the number of outputs transaction v created). A strategy may ask
+	// it only for the transaction being placed, while its Place runs; an
+	// answer for any other transaction is unspecified, and an Engine
+	// answers 0 (unknown). Every Engine, with or without WithDataset,
+	// answers with the Outputs of the StreamTx it is placing, so a
+	// strategy that needs a count later records it when asked, as the
+	// T2S index does.
 	OutCounts func(v txgraph.Node) int
 	// Alpha is the PageRank damping factor (0 = paper default 0.5).
 	Alpha float64

@@ -137,9 +137,9 @@ func MaterializeWorkload(spec string, p WorkloadParams) (*Dataset, error) {
 type (
 	// StrategyContext carries what a placement strategy may need at
 	// construction time (shard count, stream-length hint, telemetry, …).
-	// Its OutCounts source, on an Engine placing a stream, answers only for
-	// the transaction being placed: a strategy that needs a count later
-	// records it when asked.
+	// Its OutCounts source answers only for the transaction being placed,
+	// with that StreamTx's Outputs on every Engine, WithDataset or not: a
+	// strategy that needs a count later records it when asked.
 	StrategyContext = registry.StrategyContext
 	// StrategyFactory builds a placement strategy from a context.
 	StrategyFactory = registry.StrategyFactory
