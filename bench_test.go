@@ -250,11 +250,23 @@ func BenchmarkMetisPartition(b *testing.B) {
 
 func BenchmarkLedgerSameShardCommit(b *testing.B) {
 	d := benchDataset(b, 20_000)
+	txs := make([]*chain.Transaction, d.Len())
+	var tx dataset.Tx
+	for j := range txs {
+		d.ReadTx(j, &tx)
+		ct := &chain.Transaction{ID: d.TxID(j)}
+		for _, in := range tx.Inputs {
+			ct.Inputs = append(ct.Inputs, chain.Outpoint{Tx: d.TxID(in.Tx), Index: in.Index})
+		}
+		for _, v := range tx.OutVals {
+			ct.Outputs = append(ct.Outputs, chain.Output{Value: v})
+		}
+		txs[j] = ct
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l := chain.NewLedger(0)
-		for j := 0; j < d.Len(); j++ {
-			tx := d.Tx(j)
+		for _, tx := range txs {
 			if !tx.IsCoinbase() {
 				if err := l.LockAndSpend(tx.ID, tx.Inputs); err != nil {
 					b.Fatal(err)

@@ -1,18 +1,19 @@
 // Command tangen produces transaction datasets in the binary stream format
-// understood by the rest of the toolchain (.tan). Three sources:
+// understood by the rest of the toolchain (.tan). Two sources:
 //
-//   - the calibrated Bitcoin-like generator (default; TaN-network
-//     statistics of the paper's Fig. 2),
-//   - any registered workload scenario via -workload (hotspot, burst,
-//     adversarial, drift, mix compositions, ... — see -list), with knobs
-//     passed inline,
+//   - any registered workload scenario via -workload (default `bitcoin`,
+//     the calibrated Bitcoin-like generator with the TaN-network
+//     statistics of the paper's Fig. 2; hotspot, burst, adversarial,
+//     drift, mix compositions, ... — see -list), with knobs passed inline,
 //   - a real Bitcoin trace excerpt via -from-csv / -from-json: txid-keyed
 //     extracts are rewritten to positional references and validated, so
-//     published trace excerpts feed `replay:` directly.
+//     published trace excerpts feed `replay:` directly, recorded
+//     per-output values included.
 //
 // Usage:
 //
 //	tangen -n 1000000 -seed 7 -o txs.tan
+//	tangen -workload "bitcoin:communities=16,intra=0.8" -n 200000 -o clustered.tan
 //	tangen -workload "hotspot:exp=1.5" -n 200000 -o hot.tan
 //	tangen -workload adversarial -shards 16 -n 100000 -o adv.tan
 //	tangen -workload "mix:bitcoin=0.7,hotspot=0.3" -n 500000 -o mixed.tan
@@ -31,11 +32,11 @@
 // txid; -skip-foreign drops them instead (the spend is treated as
 // externally funded), keeping the excerpt's internal lineage intact.
 //
-// The dedicated -communities/-intra/-hub-every/-hub-fanout flags apply to
-// the default Bitcoin generator only; scenario generators take their knobs
-// through the -workload spec. Feedback-aware scenarios (adversarial)
-// materialize against their hash-placement fallback — the assignment
-// OmniLedger would produce for -shards shards.
+// Every generator takes its knobs through the -workload spec (the bitcoin
+// generator's are communities, intra, hubevery and hubfanout).
+// Feedback-aware scenarios (adversarial) materialize against their
+// hash-placement fallback — the assignment OmniLedger would produce for
+// -shards shards.
 package main
 
 import (
@@ -56,15 +57,11 @@ func run() int {
 		n           = flag.Int("n", 100_000, "number of transactions")
 		seed        = flag.Int64("seed", 1, "random seed")
 		out         = flag.String("o", "", "output file (default stdout)")
-		wl          = flag.String("workload", "", "workload scenario name[:knob=value,...] (default: calibrated bitcoin generator)")
+		wl          = flag.String("workload", "bitcoin", "workload scenario name[:knob=value,...]")
 		fromCSV     = flag.String("from-csv", "", "convert a txid-keyed CSV trace excerpt to .tan instead of generating")
 		fromJSON    = flag.String("from-json", "", "convert a JSON/JSONL trace excerpt to .tan instead of generating")
 		skipForeign = flag.Bool("skip-foreign", false, "drop inputs referencing transactions outside the excerpt (default: error naming the txid)")
 		shards      = flag.Int("shards", 16, "shard-count hint for feedback-aware workloads")
-		comms       = flag.Int("communities", 64, "active wallet communities (bitcoin generator)")
-		intra       = flag.Float64("intra", 1.0, "probability an input is drawn from the owner community (bitcoin generator)")
-		hubEvery    = flag.Int("hub-every", 250, "hub (batch payer) cadence in transactions (bitcoin generator)")
-		hubFanout   = flag.Int("hub-fanout", 60, "hub transaction output bound (bitcoin generator)")
 		list        = flag.Bool("list", false, "list registered workload scenarios, then exit")
 	)
 	flag.Parse()
@@ -77,10 +74,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "tangen: -from-csv and -from-json are mutually exclusive")
 		return 2
 	}
-	if (*fromCSV != "" || *fromJSON != "") && *wl != "" {
-		fmt.Fprintln(os.Stderr, "tangen: -workload does not combine with a trace conversion")
-		return 2
-	}
 	if *skipForeign && *fromCSV == "" && *fromJSON == "" {
 		fmt.Fprintln(os.Stderr, "tangen: -skip-foreign requires -from-csv or -from-json")
 		return 2
@@ -91,7 +84,7 @@ func run() int {
 		inert := ""
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "n", "seed", "shards", "communities", "intra", "hub-every", "hub-fanout":
+			case "n", "seed", "shards", "workload":
 				inert = f.Name
 			}
 		})
@@ -103,10 +96,9 @@ func run() int {
 
 	var d *optchain.Dataset
 	var err error
-	switch {
-	case *fromCSV != "" || *fromJSON != "":
+	if *fromCSV != "" || *fromJSON != "" {
 		d, err = convertTrace(*fromCSV, *fromJSON, *skipForeign)
-	case *wl != "":
+	} else {
 		// The full spec passes through unchanged, so mix compositions and
 		// replay arguments materialize exactly as they would stream.
 		d, err = optchain.MaterializeWorkload(*wl, optchain.WorkloadParams{
@@ -114,15 +106,6 @@ func run() int {
 			Seed:   *seed,
 			Shards: *shards,
 		})
-	default:
-		cfg := optchain.DatasetDefaults()
-		cfg.N = *n
-		cfg.Seed = *seed
-		cfg.Communities = *comms
-		cfg.IntraProb = *intra
-		cfg.HubEvery = *hubEvery
-		cfg.HubFanout = *hubFanout
-		d, err = optchain.GenerateDataset(cfg)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tangen: %v\n", err)

@@ -5,11 +5,12 @@
 // Usage:
 //
 //	tanstats -i txs.tan
-//	tanstats -n 200000                  # generate on the fly
+//	tanstats -n 200000                  # generate the bitcoin stream on the fly
 //	tanstats -workload hotspot -n 50000 # characterize a scenario stream
 //	tanstats -workload "mix:bitcoin=0.8,hotspot=0.2" -n 50000
 //
-// -workload takes any workload spec (see SCENARIOS.md for the grammar).
+// -workload takes any workload spec (default `bitcoin`, the calibrated
+// generator; see SCENARIOS.md for the grammar).
 package main
 
 import (
@@ -29,15 +30,13 @@ func run() int {
 		in     = flag.String("i", "", "input dataset file (omit to generate)")
 		n      = flag.Int("n", 200_000, "transactions to generate when -i is not set")
 		seed   = flag.Int64("seed", 1, "generation seed")
-		wl     = flag.String("workload", "", "workload scenario name[:knob=value,...] to characterize (default: calibrated bitcoin generator)")
+		wl     = flag.String("workload", "bitcoin", "workload scenario name[:knob=value,...] to characterize when -i is not set")
 		shards = flag.Int("shards", 16, "shard-count hint for feedback-aware workloads")
 	)
 	flag.Parse()
 
 	var d *optchain.Dataset
-	var err error
-	switch {
-	case *in != "":
+	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tanstats: %v\n", err)
@@ -49,19 +48,11 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "tanstats: %v\n", err)
 			return 1
 		}
-	case *wl != "":
+	} else {
+		var err error
 		d, err = optchain.MaterializeWorkload(*wl, optchain.WorkloadParams{
 			N: *n, Seed: *seed, Shards: *shards,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tanstats: %v\n", err)
-			return 1
-		}
-	default:
-		cfg := optchain.DatasetDefaults()
-		cfg.N = *n
-		cfg.Seed = *seed
-		d, err = optchain.GenerateDataset(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tanstats: %v\n", err)
 			return 1

@@ -129,7 +129,6 @@ type Engine struct {
 	rate          float64
 	seed          int64
 	validators    int
-	clients       int
 	tel           Telemetry
 	alpha         float64
 	l2sWeight     float64
@@ -288,18 +287,6 @@ func WithValidators(n int) Option {
 			return fmt.Errorf("%w: WithValidators(%d)", ErrBadOption, n)
 		}
 		e.validators = n
-		return nil
-	}
-}
-
-// WithClients sets the number of client nodes issuing transactions during
-// Run (default 32).
-func WithClients(n int) Option {
-	return func(e *Engine) error {
-		if n < 1 {
-			return fmt.Errorf("%w: WithClients(%d)", ErrBadOption, n)
-		}
-		e.clients = n
 		return nil
 	}
 }
@@ -824,13 +811,6 @@ func (e *Engine) Assignment() *Assignment {
 	return e.placer.Assignment()
 }
 
-// CrossShardFraction returns the streaming-mode cross-shard fraction.
-func (e *Engine) CrossShardFraction() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cross.Fraction()
-}
-
 // MetricsSnapshot returns the engine's latest progress snapshot. During
 // Run it is refreshed every progress tick, so other goroutines can watch a
 // long simulation live; in streaming mode it reflects the placed stream.
@@ -924,7 +904,6 @@ func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 		Placer:        e.strategy,
 		MetisPart:     part,
 		Protocol:      e.protocol,
-		Clients:       e.clients,
 		Shard:         e.shardCfg,
 		Seed:          e.seed,
 		MaxSimTime:    e.maxSimTime,

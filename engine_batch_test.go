@@ -268,9 +268,9 @@ func TestEnginePlaceWideInputsZeroAllocs(t *testing.T) {
 	}
 }
 
-// Concurrent readers of an engine that is placing batches (Stats,
-// MetricsSnapshot, CrossShardFraction from other goroutines) must be
-// race-free; run under -race in CI.
+// Concurrent readers of an engine that is placing batches (Stats and
+// MetricsSnapshot from other goroutines) must be race-free; run under
+// -race in CI.
 func TestParallelPlaceBatchRaceStress(t *testing.T) {
 	d := smallData(t)
 	txs := collectStream(d)
@@ -288,7 +288,6 @@ func TestParallelPlaceBatchRaceStress(t *testing.T) {
 			for {
 				_ = eng.MetricsSnapshot()
 				_ = eng.Stats()
-				_ = eng.CrossShardFraction()
 				select {
 				case <-done:
 					return

@@ -25,7 +25,6 @@ func fastEngineOpts(d *optchain.Dataset, strategy string, shards int, rate float
 		optchain.WithStrategy(strategy),
 		optchain.WithShards(shards),
 		optchain.WithValidators(8),
-		optchain.WithClients(8),
 		optchain.WithRate(rate),
 		optchain.WithSeed(7),
 		optchain.WithShardTuning(optchain.ShardConfig{
@@ -293,7 +292,7 @@ func TestEngineRejectsConcurrentRuns(t *testing.T) {
 	}
 }
 
-func TestPlaceStreamMatchesBatchCrossShardFraction(t *testing.T) {
+func TestPlaceStreamMatchesBatchCrossFraction(t *testing.T) {
 	d := smallData(t)
 	const k = 8
 

@@ -36,7 +36,10 @@ type Row struct {
 	// Tag echoes the cell tag, when set.
 	Tag string `json:"tag,omitempty"`
 
-	// Simulation metrics (KindSim).
+	// Simulation metrics (KindSim). SteadyTPS is sim.Result.SteadyTPS:
+	// commits over [0.2·T + P50, T + P50] (T = issue duration), which is
+	// not a steady rate when that span holds only a few block intervals
+	// (small Txs).
 	Total         int     `json:"total,omitempty"`
 	Committed     int     `json:"committed,omitempty"`
 	SteadyTPS     float64 `json:"steady_tps,omitempty"`

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary stream format (all integers unsigned varints unless noted):
@@ -106,11 +107,7 @@ func NewDecodeStream(r io.Reader) (*DecodeStream, error) {
 	// The count is still attacker-controlled at this point: a 10-byte
 	// stream claiming 2^31 transactions must not preallocate gigabytes.
 	// Cap the capacity hint; state grows as real data arrives.
-	hint := int(n64)
-	if hint > 1<<20 {
-		hint = 1 << 20
-	}
-	return &DecodeStream{br: br, n: int(n64), outCounts: make([]int32, 0, hint)}, nil
+	return &DecodeStream{br: br, n: int(n64), outCounts: make([]int32, 0, min(n64, 1<<20))}, nil
 }
 
 // N returns the transaction count the stream header declares.
@@ -120,11 +117,12 @@ func (s *DecodeStream) N() int { return s.n }
 // returning false with a nil Err means the declared count was delivered.
 func (s *DecodeStream) Err() error { return s.err }
 
-// Next fills tx with the next transaction (InTx/InIdx/Outputs/Value, plus
-// the exact per-output values in OutVals) and reports whether one was
-// produced. The slices are owned by the caller-provided tx and reused
-// between calls. A malformed transaction stops the stream; see Err.
-func (s *DecodeStream) Next(tx *StreamTx) bool {
+// Next fills tx with the next transaction (its inputs, output count, exact
+// per-output values in OutVals with their sum in Value, and a nominal Gap)
+// and reports whether one was produced. The slices are owned by the
+// caller-provided tx and reused between calls. A transaction AppendTx would
+// refuse stops the stream, as does a malformed encoding; see Err.
+func (s *DecodeStream) Next(tx *Tx) bool {
 	if s.err != nil || s.i >= s.n {
 		return false
 	}
@@ -141,32 +139,23 @@ func (s *DecodeStream) Next(tx *StreamTx) bool {
 	if nIn > maxPerTxCount {
 		return fail("tx %d: implausible input count %d (max %d)", i, nIn, maxPerTxCount)
 	}
-	tx.InTx = tx.InTx[:0]
-	tx.InIdx = tx.InIdx[:0]
+	tx.Inputs = tx.Inputs[:0]
 	for j := uint64(0); j < nIn; j++ {
 		txi, err := get()
 		if err != nil {
 			return fail("tx %d input: %v", i, err)
 		}
-		if txi >= uint64(i) {
-			return fail("tx %d references future tx %d", i, txi)
-		}
 		oi, err := get()
 		if err != nil {
 			return fail("tx %d input idx: %v", i, err)
 		}
-		if oi >= uint64(s.outCounts[txi]) {
-			return fail("tx %d references output %d:%d out of range", i, txi, oi)
-		}
-		tx.InTx = append(tx.InTx, int32(txi))
-		tx.InIdx = append(tx.InIdx, uint32(oi))
+		// Clamped, so that an index past the int and uint32 ranges fails
+		// check as out of range instead of wrapping into it.
+		tx.Inputs = append(tx.Inputs, Input{Tx: int(min(txi, math.MaxInt32)), Index: uint32(min(oi, math.MaxUint32))})
 	}
 	nOut, err := get()
 	if err != nil {
 		return fail("tx %d outputs: %v", i, err)
-	}
-	if nOut == 0 {
-		return fail("tx %d has zero outputs", i)
 	}
 	if nOut > maxPerTxCount {
 		return fail("tx %d: implausible output count %d (max %d)", i, nOut, maxPerTxCount)
@@ -178,35 +167,35 @@ func (s *DecodeStream) Next(tx *StreamTx) bool {
 		if err != nil {
 			return fail("tx %d value: %v", i, err)
 		}
+		// A value above MaxInt64 wraps negative here, and check refuses it.
 		tx.OutVals = append(tx.OutVals, int64(v))
 		tx.Value += int64(v)
 	}
 	tx.Outputs = int(nOut)
+	tx.Gap = 1
+	if err := tx.check(i, s.numOutputs); err != nil {
+		return fail("%v", err)
+	}
 	s.outCounts = append(s.outCounts, int32(nOut))
 	s.i++
 	return true
 }
 
-// Decode reads a dataset written by Encode. It validates referential
-// integrity: inputs must reference earlier transactions and existing output
-// indices.
+func (s *DecodeStream) numOutputs(i int) int { return int(s.outCounts[i]) }
+
+// Decode reads a dataset written by Encode, refusing what DecodeStream
+// refuses.
 func Decode(r io.Reader) (*Dataset, error) {
 	s, err := NewDecodeStream(r)
 	if err != nil {
 		return nil, err
 	}
-	hint := s.n
-	if hint > 1<<20 {
-		hint = 1 << 20
-	}
-	d := newDataset(hint)
-	var tx StreamTx
+	d := New(min(s.n, 1<<20))
+	var tx Tx
 	for s.Next(&tx) {
-		d.inTx = append(d.inTx, tx.InTx...)
-		d.inIdx = append(d.inIdx, tx.InIdx...)
-		d.inOff = append(d.inOff, int64(len(d.inTx)))
-		d.outVal = append(d.outVal, tx.OutVals...)
-		d.outOff = append(d.outOff, int64(len(d.outVal)))
+		if err := d.AppendTx(&tx); err != nil {
+			return nil, err
+		}
 	}
 	if err := s.Err(); err != nil {
 		return nil, err

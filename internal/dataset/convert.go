@@ -62,8 +62,7 @@ type converter struct {
 	pos map[string]int32 // txid -> stream position
 	// Foreign counts the inputs dropped under SkipForeign.
 	foreign int64
-	inTx    []int32
-	inIdx   []uint32
+	tx      Tx
 }
 
 func newConverter(cfg ConvertConfig) *converter {
@@ -71,7 +70,8 @@ func newConverter(cfg ConvertConfig) *converter {
 }
 
 // add appends one transaction identified by txid, spending the given
-// (parent txid, vout) outpoints and creating outputs with the given values.
+// (parent txid, vout) outpoints and creating outputs with the given values,
+// which the dataset keeps exactly.
 func (c *converter) add(txid string, inputs [][2]string, outVals []int64) error {
 	txid = strings.TrimSpace(txid)
 	if txid == "" {
@@ -80,8 +80,8 @@ func (c *converter) add(txid string, inputs [][2]string, outVals []int64) error 
 	if _, dup := c.pos[txid]; dup {
 		return fmt.Errorf("%w: duplicate txid %q", ErrBadFormat, txid)
 	}
-	c.inTx = c.inTx[:0]
-	c.inIdx = c.inIdx[:0]
+	tx := &c.tx
+	tx.Inputs = tx.Inputs[:0]
 	for _, in := range inputs {
 		// The vout must parse even for foreign inputs: garbage there means
 		// the excerpt is malformed, not merely cut, and SkipForeign must
@@ -103,27 +103,19 @@ func (c *converter) add(txid string, inputs [][2]string, outVals []int64) error 
 			return fmt.Errorf("%w: tx %q spends %s:%d but %q has %d outputs",
 				ErrBadFormat, txid, in[0], vout, in[0], c.d.NumOutputs(int(parent)))
 		}
-		c.inTx = append(c.inTx, parent)
-		c.inIdx = append(c.inIdx, uint32(vout))
+		tx.Inputs = append(tx.Inputs, Input{Tx: int(parent), Index: uint32(vout)})
 	}
 	if len(outVals) == 0 {
 		return fmt.Errorf("%w: tx %q has no outputs", ErrBadFormat, txid)
 	}
-	i := c.d.Len()
-	// Exact per-output values: append directly rather than through
-	// AppendTx's even-split convention. Referential integrity is already
-	// guaranteed: every c.inTx entry came from a c.pos lookup, and positions
-	// are always assigned before any later transaction can reference them.
-	c.d.inTx = append(c.d.inTx, c.inTx...)
-	c.d.inIdx = append(c.d.inIdx, c.inIdx...)
-	c.d.inOff = append(c.d.inOff, int64(len(c.d.inTx)))
+	tx.OutVals, tx.Outputs, tx.Value = outVals, len(outVals), 0
 	for _, v := range outVals {
-		if v < 0 {
-			return fmt.Errorf("%w: tx %q has a negative output value %d", ErrBadFormat, txid, v)
-		}
-		c.d.outVal = append(c.d.outVal, v)
+		tx.Value += v
 	}
-	c.d.outOff = append(c.d.outOff, int64(len(c.d.outVal)))
+	i := c.d.Len()
+	if err := c.d.AppendTx(tx); err != nil {
+		return fmt.Errorf("%w: tx %q: %v", ErrBadFormat, txid, err)
+	}
 	c.pos[txid] = int32(i)
 	return nil
 }

@@ -31,11 +31,10 @@ func TestConvertCSV(t *testing.T) {
 		t.Fatalf("tx1: ins=%d outs=%d", d.NumInputs(1), d.NumOutputs(1))
 	}
 	// Exact per-output values survive (no even-split convention).
-	if v := d.Tx(1).Outputs[0].Value; v != 3000000000 {
-		t.Fatalf("tx1 out0 = %d", v)
-	}
-	if v := d.Tx(1).Outputs[1].Value; v != 1900000000 {
-		t.Fatalf("tx1 out1 = %d", v)
+	var tx Tx
+	d.ReadTx(1, &tx)
+	if len(tx.OutVals) != 2 || tx.OutVals[0] != 3000000000 || tx.OutVals[1] != 1900000000 || tx.Value != 4900000000 {
+		t.Fatalf("tx1 values = %v (sum %d)", tx.OutVals, tx.Value)
 	}
 	if d.NumInputs(2) != 2 {
 		t.Fatalf("tx2 ins = %d", d.NumInputs(2))

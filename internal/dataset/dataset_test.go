@@ -37,6 +37,21 @@ func TestGenerateBasicShape(t *testing.T) {
 	}
 }
 
+// chainTx builds the ledger transaction of dataset transaction i from
+// ReadTx.
+func chainTx(d *Dataset, i int) *chain.Transaction {
+	var tx Tx
+	d.ReadTx(i, &tx)
+	ct := &chain.Transaction{ID: d.TxID(i)}
+	for _, in := range tx.Inputs {
+		ct.Inputs = append(ct.Inputs, chain.Outpoint{Tx: d.TxID(in.Tx), Index: in.Index})
+	}
+	for _, v := range tx.OutVals {
+		ct.Outputs = append(ct.Outputs, chain.Output{Value: v})
+	}
+	return ct
+}
+
 func TestGenerateReferentialIntegrity(t *testing.T) {
 	d := genSmall(t, 3000, 7)
 	type key struct {
@@ -67,7 +82,7 @@ func TestGenerateValueConservation(t *testing.T) {
 	// Replay through a single ledger: every tx must validate.
 	l := chain.NewLedger(0)
 	for i := 0; i < d.Len(); i++ {
-		tx := d.Tx(i)
+		tx := chainTx(d, i)
 		if err := chain.CheckValues(tx, l.OutputValue); err != nil {
 			t.Fatalf("tx %d: %v", i, err)
 		}
@@ -140,7 +155,6 @@ func TestGenerateMatchesPaperDegreeShape(t *testing.T) {
 func TestGenerateCoinbaseCadence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 10_000
-	cfg.CoinbaseEvery = 250
 	d, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +166,8 @@ func TestGenerateCoinbaseCadence(t *testing.T) {
 		}
 	}
 	// At least one per cadence window; extras allowed during warm-up.
-	if coinbases < 40 {
-		t.Fatalf("coinbases = %d, want >= 40", coinbases)
+	if coinbases < cfg.N/coinbaseEvery {
+		t.Fatalf("coinbases = %d, want >= %d", coinbases, cfg.N/coinbaseEvery)
 	}
 	if coinbases > d.Len()/10 {
 		t.Fatalf("coinbases = %d, too many (pool keeps draining)", coinbases)
@@ -162,16 +176,14 @@ func TestGenerateCoinbaseCadence(t *testing.T) {
 
 func TestTxMaterialization(t *testing.T) {
 	d := genSmall(t, 500, 2)
+	var tx Tx
 	for i := 0; i < 20; i++ {
-		tx := d.Tx(i)
-		if tx.ID != chain.TxID(i+1) {
-			t.Fatalf("tx %d has ID %d", i, tx.ID)
-		}
-		if len(tx.Inputs) != d.NumInputs(i) || len(tx.Outputs) != d.NumOutputs(i) {
+		d.ReadTx(i, &tx)
+		if len(tx.Inputs) != d.NumInputs(i) || tx.Outputs != d.NumOutputs(i) || len(tx.OutVals) != tx.Outputs {
 			t.Fatalf("tx %d arity mismatch", i)
 		}
-		if Index(tx.ID) != i {
-			t.Fatalf("Index(TxID) = %d, want %d", Index(tx.ID), i)
+		if Index(d.TxID(i)) != i {
+			t.Fatalf("Index(TxID) = %d, want %d", Index(d.TxID(i)), i)
 		}
 	}
 }
@@ -273,10 +285,9 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PSingleInput = 0.9
-	cfg.PDoubleInput = 0.9
+	cfg.IntraProb = 1.5
 	if _, err := Generate(cfg); err == nil {
-		t.Fatal("invalid probability mixture accepted")
+		t.Fatal("IntraProb above 1 accepted")
 	}
 }
 
@@ -326,7 +337,7 @@ func TestDecodeStreamMatchesDecode(t *testing.T) {
 		t.Fatalf("N() = %d, want %d", s.N(), d.Len())
 	}
 	re := New(d.Len())
-	var tx StreamTx
+	var tx Tx
 	for s.Next(&tx) {
 		var sum int64
 		for _, v := range tx.OutVals {
@@ -335,7 +346,7 @@ func TestDecodeStreamMatchesDecode(t *testing.T) {
 		if sum != tx.Value {
 			t.Fatalf("OutVals sum %d != Value %d", sum, tx.Value)
 		}
-		if err := re.AppendTx(tx.InTx, tx.InIdx, tx.Outputs, tx.Value); err != nil {
+		if err := re.AppendTx(&tx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +377,7 @@ func TestDecodeStreamSurfacesTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tx StreamTx
+	var tx Tx
 	n := 0
 	for s.Next(&tx) {
 		n++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -50,26 +51,60 @@ func TestDecodeImplausibleCounts(t *testing.T) {
 
 func TestAppendTxValidates(t *testing.T) {
 	d := New(4)
-	if err := d.AppendTx(nil, nil, 2, 100); err != nil {
+	if err := d.AppendTx(&Tx{Outputs: 2, Value: 100}); err != nil {
 		t.Fatalf("coinbase append: %v", err)
 	}
-	if err := d.AppendTx([]int32{0}, []uint32{1}, 1, 40); err != nil {
+	if err := d.AppendTx(&Tx{Inputs: []Input{{Tx: 0, Index: 1}}, Outputs: 1, Value: 40}); err != nil {
 		t.Fatalf("spend append: %v", err)
 	}
-	if err := d.AppendTx([]int32{5}, []uint32{0}, 1, 1); err == nil {
-		t.Fatal("future reference accepted")
+	if err := d.AppendTx(&Tx{Inputs: []Input{{Tx: 0}}, Outputs: 2, Value: 5, OutVals: []int64{4, 1}}); err != nil {
+		t.Fatalf("exact-values append: %v", err)
 	}
-	if err := d.AppendTx([]int32{0}, []uint32{9}, 1, 1); err == nil {
-		t.Fatal("out-of-range output slot accepted")
+	for name, tx := range map[string]Tx{
+		"future reference":         {Inputs: []Input{{Tx: 5}}, Outputs: 1, Value: 1},
+		"negative reference":       {Inputs: []Input{{Tx: -1}}, Outputs: 1, Value: 1},
+		"out-of-range output slot": {Inputs: []Input{{Tx: 0, Index: 9}}, Outputs: 1, Value: 1},
+		"zero outputs":             {},
+		"negative sum":             {Outputs: 1, Value: -1},
+		"values for other outputs": {Outputs: 2, Value: 1, OutVals: []int64{1}},
+		"values off the sum":       {Outputs: 2, Value: 7, OutVals: []int64{4, 1}},
+		"negative value":           {Outputs: 2, Value: 0, OutVals: []int64{1, -1}},
+		"values overflowing int64": {Outputs: 2, Value: math.MinInt64, OutVals: []int64{math.MaxInt64, 1}},
+	} {
+		if err := d.AppendTx(&tx); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if err := d.AppendTx(nil, nil, 0, 0); err == nil {
-		t.Fatal("zero outputs accepted")
+	var got Tx
+	d.ReadTx(2, &got)
+	if d.Len() != 3 || d.NumOutputs(0) != 2 || d.NumInputs(1) != 1 || got.Value != 5 || got.OutVals[0] != 4 {
+		t.Fatalf("built dataset shape wrong: len=%d, tx 2 = %+v", d.Len(), got)
 	}
-	if err := d.AppendTx([]int32{0}, nil, 1, 1); err == nil {
-		t.Fatal("mismatched input slices accepted")
+}
+
+// TestDecodeRefusesWrappingValues: a value above math.MaxInt64 would read
+// back negative, and values whose sum overflows int64 would wrap the
+// transaction's Value; Decode and DecodeStream refuse both.
+func TestDecodeRefusesWrappingValues(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"value 2^63":        craft(1, 0, 1, 1<<63),
+		"value 2^64-1":      craft(1, 0, 1, math.MaxUint64),
+		"sum past MaxInt64": craft(1, 0, 2, math.MaxInt64, 1),
+	} {
+		if d, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: Decode = %v, %v; want ErrBadFormat", name, d, err)
+		}
+		s, err := NewDecodeStream(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tx Tx
+		if s.Next(&tx) || !errors.Is(s.Err(), ErrBadFormat) {
+			t.Errorf("%s: DecodeStream delivered %+v, Err %v", name, tx, s.Err())
+		}
 	}
-	if d.Len() != 2 || d.NumOutputs(0) != 2 || d.NumInputs(1) != 1 {
-		t.Fatalf("built dataset shape wrong: len=%d", d.Len())
+	if _, err := Decode(bytes.NewReader(craft(1, 0, 2, math.MaxInt64-1, 1))); err != nil {
+		t.Fatalf("a sum of exactly MaxInt64 refused: %v", err)
 	}
 }
 
@@ -93,6 +128,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(craft(1, 1<<60))
 	f.Add(craft(1 << 62))
 	f.Add(craft(3, 0, 1, 42, 1, 0, 0, 1, 7))
+	f.Add(craft(1, 0, 1, 1<<63))
+	f.Add(craft(1, 0, 2, math.MaxInt64, 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(bytes.NewReader(data))

@@ -14,6 +14,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"optchain/internal/chain"
@@ -22,36 +23,15 @@ import (
 )
 
 // Config parameterizes the generator. Zero fields are filled from
-// DefaultConfig by Generate.
+// DefaultConfig by Generate. The degree and value calibration behind the
+// paper's Fig. 2 statistics is fixed (the constants below); Config holds
+// only the stream length, the seed and the community structure the
+// `bitcoin` workload's knobs set.
 type Config struct {
 	// N is the number of transactions to generate.
 	N int
 	// Seed makes generation reproducible.
 	Seed int64
-
-	// CoinbaseEvery emits a mining-reward transaction every that many
-	// transactions (a block cadence proxy). Additional coinbases are
-	// emitted whenever the UTXO pool runs dry, which concentrates them at
-	// the start of the stream — mirroring Bitcoin's early history and the
-	// paper's Fig. 2c observation.
-	CoinbaseEvery int
-	// CoinbaseValue is the minted value per coinbase output.
-	CoinbaseValue int64
-
-	// Input-count mixture: P(1), P(2), and a power-law tail on
-	// [3, MaxInputs] with exponent InTailExp for the remainder.
-	PSingleInput, PDoubleInput float64
-	InTailExp                  float64
-	MaxInputs                  int
-
-	// Output-count mixture, same shape.
-	PSingleOutput, PDoubleOutput float64
-	OutTailExp                   float64
-	MaxOutputs                   int
-
-	// FeePerMille is the fee retained per transaction, in 1/1000 of the
-	// input sum.
-	FeePerMille int64
 
 	// Communities models wallet/entity clustering: at any time this many
 	// communities are active; each transaction belongs to one and, with
@@ -62,14 +42,11 @@ type Config struct {
 	// Greedy cannot see. Setting Communities to 1 disables clustering.
 	Communities int
 	// IntraProb is the probability an input is drawn from the
-	// transaction's own community (default 0.8).
+	// transaction's own community (default 1.0).
 	IntraProb float64
-	// TurnoverEvery retires one community (round-robin) every that many
-	// transactions, modelling entity churn (default 2000).
-	TurnoverEvery int
 
 	// HubEvery emits a hub transaction every that many transactions
-	// (default 150). Hubs model the high-fan-out payers that dominate the
+	// (default 250). Hubs model the high-fan-out payers that dominate the
 	// early Bitcoin economy (mining-pool payouts, faucets, exchanges,
 	// SatoshiDice): they consolidate many of their own outputs and create a
 	// large batch of outputs whose OWNERSHIP is scattered across
@@ -78,33 +55,52 @@ type Config struct {
 	// while T2S's 1/|Nout| dilution keeps the recipient's lineage at home.
 	HubEvery int
 	// HubFanout bounds a hub transaction's output count: sampled uniformly
-	// in [HubFanout/4, HubFanout] (default 200).
+	// in [HubFanout/4, HubFanout] (default 60).
 	HubFanout int
 }
 
-// DefaultConfig returns the calibration used throughout the benchmarks.
-// With it the generated TaN network has mean degree ≈ 2.3 and degree tails
-// matching the paper's Fig. 2 within a few percent (see generator tests).
+// The fixed calibration. With it the generated TaN network has mean degree
+// ≈ 2.3 and degree tails matching the paper's Fig. 2 within a few percent
+// (see the generator tests).
+const (
+	// coinbaseEvery emits a mining-reward transaction every that many
+	// transactions (a block cadence proxy). Additional coinbases are
+	// emitted whenever the UTXO pool runs dry, which concentrates them at
+	// the start of the stream — mirroring Bitcoin's early history and the
+	// paper's Fig. 2c observation.
+	coinbaseEvery = 500
+	// coinbaseValue is the minted value per coinbase: 50 BTC in satoshi.
+	coinbaseValue = 50_0000_0000
+
+	// Input-count mixture: P(1), P(2), and a power-law tail on
+	// [3, maxInputs] with exponent inTailExp for the remainder.
+	pSingleInput, pDoubleInput = 0.55, 0.34
+	inTailExp                  = 1.7
+	maxInputs                  = 300
+
+	// Output-count mixture, same shape.
+	pSingleOutput, pDoubleOutput = 0.28, 0.48
+	outTailExp                   = 2.3
+	maxOutputs                   = 1000
+
+	// feePerMille is the fee retained per transaction, in 1/1000 of the
+	// input sum.
+	feePerMille = 2
+
+	// turnoverEvery retires one community (round-robin) every that many
+	// transactions, modelling entity churn.
+	turnoverEvery = 2000
+)
+
+// DefaultConfig returns the configuration used throughout the benchmarks.
 func DefaultConfig() Config {
 	return Config{
-		N:             100_000,
-		Seed:          1,
-		CoinbaseEvery: 500,
-		CoinbaseValue: 50_0000_0000, // 50 BTC in satoshi
-		PSingleInput:  0.55,
-		PDoubleInput:  0.34,
-		InTailExp:     1.7,
-		MaxInputs:     300,
-		PSingleOutput: 0.28,
-		PDoubleOutput: 0.48,
-		OutTailExp:    2.3,
-		MaxOutputs:    1000,
-		FeePerMille:   2,
-		Communities:   64,
-		IntraProb:     1.0,
-		TurnoverEvery: 2000,
-		HubEvery:      250,
-		HubFanout:     60,
+		N:           100_000,
+		Seed:        1,
+		Communities: 64,
+		IntraProb:   1.0,
+		HubEvery:    250,
+		HubFanout:   60,
 	}
 }
 
@@ -113,47 +109,11 @@ func (c *Config) fillDefaults() {
 	if c.N <= 0 {
 		c.N = d.N
 	}
-	if c.CoinbaseEvery <= 0 {
-		c.CoinbaseEvery = d.CoinbaseEvery
-	}
-	if c.CoinbaseValue <= 0 {
-		c.CoinbaseValue = d.CoinbaseValue
-	}
-	if c.PSingleInput <= 0 {
-		c.PSingleInput = d.PSingleInput
-	}
-	if c.PDoubleInput <= 0 {
-		c.PDoubleInput = d.PDoubleInput
-	}
-	if c.InTailExp <= 1 {
-		c.InTailExp = d.InTailExp
-	}
-	if c.MaxInputs <= 0 {
-		c.MaxInputs = d.MaxInputs
-	}
-	if c.PSingleOutput <= 0 {
-		c.PSingleOutput = d.PSingleOutput
-	}
-	if c.PDoubleOutput <= 0 {
-		c.PDoubleOutput = d.PDoubleOutput
-	}
-	if c.OutTailExp <= 1 {
-		c.OutTailExp = d.OutTailExp
-	}
-	if c.MaxOutputs <= 0 {
-		c.MaxOutputs = d.MaxOutputs
-	}
-	if c.FeePerMille <= 0 {
-		c.FeePerMille = d.FeePerMille
-	}
 	if c.Communities <= 0 {
 		c.Communities = d.Communities
 	}
 	if c.IntraProb <= 0 {
 		c.IntraProb = d.IntraProb
-	}
-	if c.TurnoverEvery <= 0 {
-		c.TurnoverEvery = d.TurnoverEvery
 	}
 	if c.HubEvery <= 0 {
 		c.HubEvery = d.HubEvery
@@ -163,14 +123,8 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Validate rejects probability mixtures that don't fit in [0,1].
+// Validate rejects an IntraProb above 1.
 func (c Config) Validate() error {
-	if c.PSingleInput+c.PDoubleInput > 1 {
-		return errors.New("dataset: input probabilities exceed 1")
-	}
-	if c.PSingleOutput+c.PDoubleOutput > 1 {
-		return errors.New("dataset: output probabilities exceed 1")
-	}
 	if c.IntraProb > 1 {
 		return errors.New("dataset: IntraProb exceeds 1")
 	}
@@ -211,32 +165,31 @@ func newGenerator(cfg Config) *generator {
 	return &generator{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		inTail:  stats.NewPowerLaw(cfg.InTailExp, cfg.MaxInputs-2),
-		outTail: stats.NewPowerLaw(cfg.OutTailExp, cfg.MaxOutputs-2),
+		inTail:  stats.NewPowerLaw(inTailExp, maxInputs-2),
+		outTail: stats.NewPowerLaw(outTailExp, maxOutputs-2),
 		comms:   make([][]int, cfg.Communities),
 	}
 }
 
-// Generate produces a synthetic dataset.
+// Generate produces a synthetic dataset: a Stream drained through AppendTx.
 func Generate(cfg Config) (*Dataset, error) {
-	cfg.fillDefaults()
-	if err := cfg.Validate(); err != nil {
+	s, err := NewStream(cfg)
+	if err != nil {
 		return nil, err
 	}
-	g := newGenerator(cfg)
-	d := newDataset(cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		ins, nOut, outSum := g.step(int32(i))
-		d.append(ins, nOut, outSum)
+	d := New(s.N())
+	var tx Tx
+	for s.Next(&tx) {
+		if err := d.AppendTx(&tx); err != nil {
+			return nil, err
+		}
 	}
 	return d, nil
 }
 
-// Stream is the incremental form of Generate: it emits the same calibrated
+// Stream is the incremental form of Generate: it emits the calibrated
 // transaction stream one transaction at a time, with memory proportional to
-// the live UTXO set rather than the stream length. Draining a Stream built
-// from a Config reproduces Generate(cfg) exactly, transaction for
-// transaction (same RNG consumption order).
+// the live UTXO set rather than the stream length.
 type Stream struct {
 	g *generator
 	i int
@@ -254,59 +207,115 @@ func NewStream(cfg Config) (*Stream, error) {
 // N returns the configured stream length.
 func (s *Stream) N() int { return s.g.cfg.N }
 
-// StreamTx is one transaction pulled from a Stream. The input slices are
-// owned by the Stream and reused between Next calls; callers copy what they
-// keep.
-type StreamTx struct {
-	// InTx / InIdx are parallel: input j spends output InIdx[j] of the
-	// earlier stream transaction InTx[j].
-	InTx  []int32
-	InIdx []uint32
+// Input references one output of an earlier stream transaction: output slot
+// Index of the transaction at stream position Tx.
+type Input struct {
+	Tx    int
+	Index uint32
+}
+
+// Tx is one stream transaction, the one shape every source fills: the
+// generator Stream, DecodeStream, Dataset.ReadTx and the workload
+// scenarios. Placement only needs the stream graph (which parents each
+// transaction spends, how many outputs it creates); the simulator
+// additionally consumes Value, OutVals and Gap.
+type Tx struct {
+	// Inputs lists the outputs this transaction spends. Empty means
+	// coinbase. Inputs never repeat an outpoint (sources must not
+	// double-spend), but several may share the same parent Tx.
+	Inputs []Input
 	// Outputs is the number of outputs created (>= 1).
 	Outputs int
 	// Value is the total value of the created outputs.
 	Value int64
-	// OutVals holds the exact per-output values. DecodeStream fills it (a
-	// recorded trace may split values arbitrarily); the generator Stream
-	// leaves it empty — its outputs always follow the SplitValue convention.
+	// OutVals holds one value per output when the source knows them
+	// exactly (a recorded trace may split its value arbitrarily); then
+	// Value is their sum. Empty means the SplitValue convention: Value
+	// split evenly, the remainder on output 0.
 	OutVals []int64
+	// Gap scales the inter-arrival time before this transaction relative to
+	// the nominal 1/rate spacing. Zero means 1 (nominal); burst scenarios
+	// use values < 1 during flash crowds.
+	Gap float64
+}
+
+// check validates tx as stream transaction i, where outs answers the output
+// count of each earlier transaction: every input spends an existing output
+// of an earlier transaction, there is at least one output, OutVals is empty
+// or holds one value per output, and every value lies in [0, MaxInt64]
+// with a sum that does too and equals Value.
+func (tx *Tx) check(i int, outs func(int) int) error {
+	for _, in := range tx.Inputs {
+		if in.Tx < 0 || in.Tx >= i {
+			return fmt.Errorf("tx %d references future tx %d", i, in.Tx)
+		}
+		if int64(in.Index) >= int64(outs(in.Tx)) {
+			return fmt.Errorf("tx %d references output %d:%d out of range", i, in.Tx, in.Index)
+		}
+	}
+	if tx.Outputs < 1 {
+		return fmt.Errorf("tx %d has zero outputs", i)
+	}
+	if len(tx.OutVals) == 0 {
+		if tx.Value < 0 {
+			return fmt.Errorf("tx %d: negative output sum %d", i, tx.Value)
+		}
+		return nil
+	}
+	if len(tx.OutVals) != tx.Outputs {
+		return fmt.Errorf("tx %d: %d output values for %d outputs", i, len(tx.OutVals), tx.Outputs)
+	}
+	var sum int64
+	for j, v := range tx.OutVals {
+		if v < 0 {
+			return fmt.Errorf("tx %d: output %d value is negative or above %d", i, j, int64(math.MaxInt64))
+		}
+		if v > math.MaxInt64-sum {
+			return fmt.Errorf("tx %d: output values overflow int64", i)
+		}
+		sum += v
+	}
+	if sum != tx.Value {
+		return fmt.Errorf("tx %d: Value %d is not the sum %d of its output values", i, tx.Value, sum)
+	}
+	return nil
 }
 
 // Next fills tx with the next transaction in stream order and reports
 // whether one was produced (false once N transactions have been emitted).
-func (s *Stream) Next(tx *StreamTx) bool {
+// The generator's outputs follow the SplitValue convention, so OutVals is
+// left empty; Gap is nominal.
+func (s *Stream) Next(tx *Tx) bool {
 	if s.i >= s.g.cfg.N {
 		return false
 	}
 	ins, nOut, outSum := s.g.step(int32(s.i))
 	s.i++
-	tx.InTx = tx.InTx[:0]
-	tx.InIdx = tx.InIdx[:0]
-	tx.OutVals = tx.OutVals[:0]
+	tx.Inputs = tx.Inputs[:0]
 	for _, r := range ins {
-		tx.InTx = append(tx.InTx, r.tx)
-		tx.InIdx = append(tx.InIdx, r.idx)
+		tx.Inputs = append(tx.Inputs, Input{Tx: int(r.tx), Index: r.idx})
 	}
 	tx.Outputs = nOut
 	tx.Value = outSum
+	tx.OutVals = tx.OutVals[:0]
+	tx.Gap = 1
 	return true
 }
 
-// step computes transaction i and registers its outputs in the pool. The
-// caller records the returned structure (Generate appends it to a Dataset;
-// Stream.Next hands it to the puller) before it calls step again: ins is
-// the generator's own buffer.
+// step computes transaction i and registers its outputs in the pool.
+// Stream.Next copies the returned structure out before it calls step
+// again: ins is the generator's own buffer.
 func (g *generator) step(i int32) (ins []outRef, nOut int, outSum int64) {
 	// Retire one community round-robin to model entity churn; its unspent
 	// outputs remain in the global pool.
-	if int(i) > 0 && int(i)%g.cfg.TurnoverEvery == 0 {
+	if int(i) > 0 && int(i)%turnoverEvery == 0 {
 		g.comms[g.commCursor] = nil
 		g.commCursor = (g.commCursor + 1) % len(g.comms)
 	}
 	community := g.rng.Intn(len(g.comms))
 	hub := int(i) > 0 && int(i)%g.cfg.HubEvery == 0
 
-	coinbase := g.live == 0 || int(i)%g.cfg.CoinbaseEvery == 0
+	coinbase := g.live == 0 || int(i)%coinbaseEvery == 0
 	if !coinbase {
 		nIn := g.sampleInputs()
 		if hub {
@@ -327,9 +336,9 @@ func (g *generator) step(i int32) (ins []outRef, nOut int, outSum int64) {
 		nOut = g.cfg.HubFanout/4 + g.rng.Intn(g.cfg.HubFanout*3/4+1)
 	}
 	if coinbase {
-		outSum = g.cfg.CoinbaseValue
+		outSum = coinbaseValue
 	} else {
-		outSum = inSum - inSum*g.cfg.FeePerMille/1000
+		outSum = inSum - inSum*feePerMille/1000
 	}
 	// Register the new outputs in the pool. Ordinary outputs are owned by
 	// the creating community; hub outputs are payments owned by random
@@ -357,9 +366,9 @@ func (g *generator) step(i int32) (ins []outRef, nOut int, outSum int64) {
 func (g *generator) sampleInputs() int {
 	u := g.rng.Float64()
 	switch {
-	case u < g.cfg.PSingleInput:
+	case u < pSingleInput:
 		return 1
-	case u < g.cfg.PSingleInput+g.cfg.PDoubleInput:
+	case u < pSingleInput+pDoubleInput:
 		return 2
 	default:
 		return 2 + g.inTail.Sample(g.rng)
@@ -369,9 +378,9 @@ func (g *generator) sampleInputs() int {
 func (g *generator) sampleOutputs() int {
 	u := g.rng.Float64()
 	switch {
-	case u < g.cfg.PSingleOutput:
+	case u < pSingleOutput:
 		return 1
-	case u < g.cfg.PSingleOutput+g.cfg.PDoubleOutput:
+	case u < pSingleOutput+pDoubleOutput:
 		return 2
 	default:
 		return 2 + g.outTail.Sample(g.rng)
@@ -563,7 +572,7 @@ func (g *generator) maybeCompact() {
 	g.spareSpent, g.spent = g.spent, newSpent
 }
 
-// Dataset is a columnar, immutable transaction stream. Transaction i has
+// Dataset is a columnar, append-only transaction stream. Transaction i has
 // chain ID i+1 (IDs are 1-based so that 0 can serve as a "no transaction"
 // sentinel in ledger lock bookkeeping).
 type Dataset struct {
@@ -574,7 +583,12 @@ type Dataset struct {
 	outVal []int64
 }
 
-func newDataset(n int) *Dataset {
+// New returns an empty dataset with a capacity hint of n transactions.
+// AppendTx fills it (Generate, Decode, the trace converters and
+// internal/workload.Materialize all build through it) and ReadTx reads it
+// back.
+func New(n int) *Dataset {
+	n = max(n, 0)
 	return &Dataset{
 		inOff:  make([]int64, 1, n+1),
 		inTx:   make([]int32, 0, n*2),
@@ -584,55 +598,54 @@ func newDataset(n int) *Dataset {
 	}
 }
 
-// New returns an empty dataset with a capacity hint of n transactions — the
-// builder surface through which workload scenarios materialize streams (see
-// internal/workload.Materialize).
-func New(n int) *Dataset {
-	if n < 0 {
-		n = 0
+// AppendTx appends tx as the next transaction. Its outputs take OutVals
+// when set and otherwise split Value by the SplitValue convention. It
+// refuses a transaction whose inputs do not spend existing outputs of
+// earlier transactions, that creates no output, or whose values are
+// negative, overflow int64 or do not add up to Value.
+func (d *Dataset) AppendTx(tx *Tx) error {
+	if err := tx.check(d.Len(), d.NumOutputs); err != nil {
+		return fmt.Errorf("dataset: %w", err)
 	}
-	return newDataset(n)
-}
-
-// AppendTx appends one transaction: input j spends output inIdx[j] of the
-// earlier transaction inTx[j], and nOut outputs share outSum (split evenly,
-// remainder on the first). It enforces the same referential integrity as
-// Decode: inputs must reference earlier transactions and existing output
-// slots, and every transaction creates at least one output.
-func (d *Dataset) AppendTx(inTx []int32, inIdx []uint32, nOut int, outSum int64) error {
-	i := d.Len()
-	if len(inTx) != len(inIdx) {
-		return fmt.Errorf("dataset: tx %d: %d input txs vs %d input indices", i, len(inTx), len(inIdx))
+	for _, in := range tx.Inputs {
+		d.inTx = append(d.inTx, int32(in.Tx))
+		d.inIdx = append(d.inIdx, in.Index)
 	}
-	if nOut < 1 {
-		return fmt.Errorf("dataset: tx %d has zero outputs", i)
-	}
-	if outSum < 0 {
-		return fmt.Errorf("dataset: tx %d: negative output sum %d", i, outSum)
-	}
-	for j := range inTx {
-		if inTx[j] < 0 || int(inTx[j]) >= i {
-			return fmt.Errorf("dataset: tx %d references future tx %d", i, inTx[j])
-		}
-		if int(inIdx[j]) >= d.NumOutputs(int(inTx[j])) {
-			return fmt.Errorf("dataset: tx %d references output %d:%d out of range", i, inTx[j], inIdx[j])
-		}
-	}
-	d.inTx = append(d.inTx, inTx...)
-	d.inIdx = append(d.inIdx, inIdx...)
 	d.inOff = append(d.inOff, int64(len(d.inTx)))
-	SplitValue(nOut, outSum, func(_ uint32, val int64) {
-		d.outVal = append(d.outVal, val)
-	})
+	if len(tx.OutVals) > 0 {
+		d.outVal = append(d.outVal, tx.OutVals...)
+	} else {
+		SplitValue(tx.Outputs, tx.Value, func(_ uint32, val int64) {
+			d.outVal = append(d.outVal, val)
+		})
+	}
 	d.outOff = append(d.outOff, int64(len(d.outVal)))
 	return nil
+}
+
+// ReadTx fills tx with transaction i as it was appended: its inputs, its
+// exact per-output values in OutVals, their sum in Value, and a nominal
+// Gap. The slices are tx's own, reused between calls.
+func (d *Dataset) ReadTx(i int, tx *Tx) {
+	tx.Inputs = tx.Inputs[:0]
+	for j := d.inOff[i]; j < d.inOff[i+1]; j++ {
+		tx.Inputs = append(tx.Inputs, Input{Tx: int(d.inTx[j]), Index: d.inIdx[j]})
+	}
+	tx.OutVals = append(tx.OutVals[:0], d.outVal[d.outOff[i]:d.outOff[i+1]]...)
+	tx.Outputs = len(tx.OutVals)
+	tx.Value = 0
+	for _, v := range tx.OutVals {
+		tx.Value += v
+	}
+	tx.Gap = 1
 }
 
 // SplitValue distributes total across n output slots: an even split with
 // the remainder on slot 0. This is the single value convention shared by
 // the generator, AppendTx, the workload scenario rings, and the streaming
-// simulator — every consumer must see identical per-output values whether
-// a stream is materialized or simulated live.
+// simulator for every Tx without OutVals — every consumer must see
+// identical per-output values whether a stream is materialized or
+// simulated live.
 func SplitValue(n int, total int64, fn func(idx uint32, val int64)) {
 	if n <= 0 {
 		return
@@ -646,18 +659,6 @@ func SplitValue(n int, total int64, fn func(idx uint32, val int64)) {
 		}
 		fn(uint32(o), v)
 	}
-}
-
-func (d *Dataset) append(ins []outRef, nOut int, outSum int64) {
-	for _, r := range ins {
-		d.inTx = append(d.inTx, r.tx)
-		d.inIdx = append(d.inIdx, r.idx)
-	}
-	d.inOff = append(d.inOff, int64(len(d.inTx)))
-	SplitValue(nOut, outSum, func(_ uint32, val int64) {
-		d.outVal = append(d.outVal, val)
-	})
-	d.outOff = append(d.outOff, int64(len(d.outVal)))
 }
 
 // Len returns the number of transactions.
@@ -678,29 +679,6 @@ func (d *Dataset) NumOutputs(i int) int { return int(d.outOff[i+1] - d.outOff[i]
 // IsCoinbase reports whether transaction i has no inputs.
 func (d *Dataset) IsCoinbase(i int) bool { return d.NumInputs(i) == 0 }
 
-// Tx materializes transaction i.
-func (d *Dataset) Tx(i int) *chain.Transaction {
-	nIn := d.NumInputs(i)
-	nOut := d.NumOutputs(i)
-	tx := &chain.Transaction{
-		ID:      d.TxID(i),
-		Inputs:  make([]chain.Outpoint, nIn),
-		Outputs: make([]chain.Output, nOut),
-	}
-	base := d.inOff[i]
-	for j := 0; j < nIn; j++ {
-		tx.Inputs[j] = chain.Outpoint{
-			Tx:    chain.TxID(d.inTx[base+int64(j)] + 1),
-			Index: d.inIdx[base+int64(j)],
-		}
-	}
-	vbase := d.outOff[i]
-	for j := 0; j < nOut; j++ {
-		tx.Outputs[j] = chain.Output{Value: d.outVal[vbase+int64(j)]}
-	}
-	return tx
-}
-
 // InputTxNodes appends the deduplicated input transaction indices of
 // transaction i to buf and returns it. The order is first-appearance.
 func (d *Dataset) InputTxNodes(i int, buf []txgraph.Node) []txgraph.Node {
@@ -718,12 +696,6 @@ func (d *Dataset) InputTxNodes(i int, buf []txgraph.Node) []txgraph.Node {
 		}
 	}
 	return buf
-}
-
-// SizeBytes estimates the serialized size of transaction i using the same
-// model as chain.Transaction.SizeBytes.
-func (d *Dataset) SizeBytes(i int) int {
-	return 10 + 148*d.NumInputs(i) + 34*d.NumOutputs(i)
 }
 
 // BuildGraph constructs the TaN network of the whole dataset.

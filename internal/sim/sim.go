@@ -28,6 +28,10 @@ import (
 	"optchain/internal/workload"
 )
 
+// retryDelay is the client backoff after a rejected transaction; it doubles
+// per attempt up to 16×.
+const retryDelay = 2 * time.Second
+
 // Config parameterizes one simulation run.
 type Config struct {
 	// Source supplies the transaction stream and Txs its length; both are
@@ -68,10 +72,6 @@ type Config struct {
 
 	// QueueSampleEvery sets the queue-size sampling cadence (Figs. 6-7).
 	QueueSampleEvery time.Duration
-
-	// RetryDelay is the client backoff after a rejected transaction; it
-	// doubles per attempt up to 16×.
-	RetryDelay time.Duration
 
 	// MaxSimTime aborts a run whose backlog never drains (the run is
 	// reported with its partial commit count).
@@ -128,9 +128,6 @@ func (c *Config) fillDefaults() error {
 	if c.QueueSampleEvery <= 0 {
 		c.QueueSampleEvery = 10 * time.Second
 	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 2 * time.Second
-	}
 	if c.MaxSimTime <= 0 {
 		// Issue time plus a generous drain allowance.
 		c.MaxSimTime = time.Duration(float64(c.Txs)/c.Rate*float64(time.Second)) + 30*time.Minute
@@ -179,9 +176,14 @@ type Result struct {
 	// (negligible at the paper's 10M-transaction scale); SteadyTPS
 	// corrects for that.
 	ThroughputTPS float64
-	// SteadyTPS is the commit rate over the central portion of the issue
-	// window [0.2·T, T] (T = issue duration): the steady-state service
-	// rate, robust to warm-up and drain edges.
+	// SteadyTPS is the commit rate over the issue window [0.2·T, T]
+	// (T = issue duration) shifted by the median confirmation latency,
+	// that is over [0.2·T + P50, T + P50], so that commits are compared
+	// with the issues that produced them: the steady-state service rate,
+	// robust to warm-up and drain edges. When that 0.8·T span covers only
+	// a few block intervals (1.6 s at 2000 transactions and 1000 tx/s), a
+	// block falling in or out of it moves the rate by tens of percent, and
+	// the number is not a steady rate.
 	SteadyTPS float64
 	// IssueSeconds is the offered-load duration: the actual Gap-modulated
 	// span from the first issue to the last.
@@ -246,19 +248,16 @@ type runner struct {
 	clients []simnet.NodeID
 	rng     *rand.Rand
 
-	// Stream state: the prefetched next transaction and its stream index,
+	// Stream state: the prefetched next transaction and its stream index
+	// (while it is placed, its Outputs answer the placer's |Nout| query),
 	// the one callback every issue event runs (a single issue is ever
-	// queued), the per-transaction output counts recorded so far (the
-	// placer's |Nout(v)| divisor), the optional feedback and
-	// exact-transaction hooks, the time of the last issue (the actual
-	// offered-load window end under Gap modulation), and the first
+	// queued), the optional feedback hook, the time of the last issue (the
+	// actual offered-load window end under Gap modulation), and the first
 	// source-validation failure, which aborts the run.
 	srcPending workload.Tx
 	srcIndex   int
 	issue      func(*des.Simulator)
-	srcOuts    []int32
 	srcObs     workload.Observer
-	srcExact   exactSource
 	srcErr     error
 	lastIssue  time.Duration
 	perTx      time.Duration
@@ -337,9 +336,14 @@ func (r *runner) run() (*Result, error) {
 	placer, err := registry.NewStrategy(cfg.Placer, registry.StrategyContext{
 		K: cfg.Shards,
 		N: cfg.Txs,
-		// Out-degrees are known only up to the issue frontier (0 = unknown
-		// engages the spenders-seen-so-far fallback).
-		OutCounts: func(v txgraph.Node) int { return int(r.srcOuts[v]) },
+		// Asked only for the transaction being placed (see
+		// registry.StrategyContext.OutCounts), which is the prefetched one.
+		OutCounts: func(v txgraph.Node) int {
+			if int(v) == r.srcIndex {
+				return r.srcPending.Outputs
+			}
+			return 0
+		},
 		Alpha:     cfg.Alpha,
 		Weight:    cfg.L2SWght,
 		Telemetry: r.tel,
@@ -377,9 +381,7 @@ func (r *runner) run() (*Result, error) {
 	r.scheduledAt = make([]time.Duration, n)
 	r.commitAt = make([]time.Duration, n)
 	r.perTx = time.Duration(float64(time.Second) / cfg.Rate)
-	r.srcOuts = make([]int32, n)
 	r.srcObs, _ = cfg.Source.(workload.Observer)
-	r.srcExact, _ = cfg.Source.(exactSource)
 	if r.pullSource(0) {
 		r.scheduleSourceIssue(0, 0)
 	}
@@ -462,7 +464,8 @@ func (r *runner) snapshot(done bool) Snapshot {
 
 // pullSource prefetches stream transaction i and validates it the way
 // Engine.PlaceBatch validates its input: at least one output, and every
-// input spending an earlier stream transaction. A malformed transaction (a
+// input spending an earlier stream transaction; and OutVals either empty or
+// one value per output, as sourceTx needs. A malformed transaction (a
 // custom Source) records srcErr, which aborts the run via the event-loop
 // interrupt instead of panicking inside the kernel or the placer.
 func (r *runner) pullSource(i int) bool {
@@ -471,6 +474,11 @@ func (r *runner) pullSource(i int) bool {
 	}
 	if r.srcPending.Outputs < 1 {
 		r.srcErr = fmt.Errorf("workload %s: tx %d has zero outputs: %w", r.cfg.Source.Name(), i, chain.ErrEmptyOutputs)
+		return false
+	}
+	if n := len(r.srcPending.OutVals); n != 0 && n != r.srcPending.Outputs {
+		r.srcErr = fmt.Errorf("workload %s: tx %d has %d output values for %d outputs",
+			r.cfg.Source.Name(), i, n, r.srcPending.Outputs)
 		return false
 	}
 	for j, in := range r.srcPending.Inputs {
@@ -525,9 +533,6 @@ func (r *runner) decideSource(i int) {
 		r.inputBuf = append(r.inputBuf, txgraph.Node(in.Tx))
 	}
 	r.inputBuf = r.dedupe.Compact(r.inputBuf, 0)
-	// Record |Nout(i)| before placing, mirroring the Engine's streaming
-	// path: the placer may consult the divisor for the new node.
-	r.srcOuts[i] = int32(src.Outputs)
 	s := r.placer.Place(txgraph.Node(i), r.inputBuf)
 	r.cross.Observe(r.placer.Assignment(), r.inputBuf, s)
 	if r.srcObs != nil {
@@ -538,22 +543,10 @@ func (r *runner) decideSource(i int) {
 	r.submit(i, client, r.sourceTx(i), s, 0)
 }
 
-// exactSource is implemented by sources that hold the recorded chain
-// transaction itself (workload.FromDataset): a converted trace may split a
-// transaction's value across its outputs arbitrarily, which Tx.Value alone
-// cannot carry.
-type exactSource interface {
-	// ChainTx returns the transaction the last Next produced.
-	ChainTx() *chain.Transaction
-}
-
 // sourceTx materializes the prefetched stream transaction i for the ledger.
 //
 //optchain:hotpath carved from the runner's arenas.
 func (r *runner) sourceTx(i int) *chain.Transaction {
-	if r.srcExact != nil {
-		return r.srcExact.ChainTx()
-	}
 	src := &r.srcPending
 	tx := &r.txs.take(1)[0]
 	tx.ID = chain.TxID(i + 1)
@@ -562,8 +555,15 @@ func (r *runner) sourceTx(i int) *chain.Transaction {
 	for j, in := range src.Inputs {
 		tx.Inputs[j] = chain.Outpoint{Tx: chain.TxID(in.Tx + 1), Index: in.Index}
 	}
-	// The shared split convention (dataset.SplitValue) keeps ledger values
-	// identical whether a scenario is streamed or materialized.
+	// Recorded values as they are; otherwise the shared split convention
+	// (dataset.SplitValue), which keeps ledger values identical whether a
+	// scenario is streamed or materialized.
+	if len(src.OutVals) > 0 {
+		for j, v := range src.OutVals {
+			tx.Outputs[j] = chain.Output{Value: v}
+		}
+		return tx
+	}
 	dataset.SplitValue(src.Outputs, src.Value, func(idx uint32, val int64) {
 		tx.Outputs[idx] = chain.Output{Value: val}
 	})
@@ -582,7 +582,7 @@ func (r *runner) submit(i int, client simnet.NodeID, tx *chain.Transaction, s in
 			return
 		}
 		r.retries++
-		delay := r.cfg.RetryDelay << uint(min(attempt, 4))
+		delay := retryDelay << uint(min(attempt, 4))
 		sim.Schedule(delay, "sim.retry", func(*des.Simulator) {
 			r.submit(i, client, tx, s, attempt+1)
 		})

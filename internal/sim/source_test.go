@@ -1,13 +1,17 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"optchain/internal/chain"
+	"optchain/internal/dataset"
 	"optchain/internal/shard"
 	"optchain/internal/workload"
 )
@@ -88,10 +92,12 @@ func (b *badSource) Next(tx *workload.Tx) bool {
 	tx.Inputs = tx.Inputs[:0]
 	tx.Outputs = 2
 	tx.Value = 100
+	tx.OutVals = tx.OutVals[:0]
 	tx.Gap = 1
 	if b.i == b.bad {
 		tx.Inputs = append(tx.Inputs, b.tx.Inputs...)
 		tx.Outputs = b.tx.Outputs
+		tx.OutVals = append(tx.OutVals, b.tx.OutVals...)
 	}
 	b.i++
 	return b.i <= 10
@@ -99,10 +105,12 @@ func (b *badSource) Next(tx *workload.Tx) bool {
 
 // TestSourceZeroOutputsRejected: a custom Source emitting a malformed
 // transaction — zero outputs, an input spending a later transaction, a
-// negative input index — aborts the run with a typed error naming the
-// scenario, the transaction and the offending input, for every strategy,
-// instead of panicking the event kernel (divide-by-zero) or the placer
-// (index out of range).
+// negative input index, output values that do not match the output
+// count — aborts the run with an error naming the scenario, the
+// transaction and the offending input (wrapping the chain error that names
+// the fault, where one does), for every strategy, instead of panicking the
+// event kernel (divide-by-zero), the placer (index out of range) or the
+// ledger build.
 func TestSourceZeroOutputsRejected(t *testing.T) {
 	cases := []struct {
 		name string
@@ -115,11 +123,12 @@ func TestSourceZeroOutputsRejected(t *testing.T) {
 		{"forward reference", 3, workload.Tx{Inputs: []workload.Input{{Tx: 0}, {Tx: 50}}, Outputs: 1}, chain.ErrMissingUTXO, "workload bad: tx 3 input 1 spends tx 50"},
 		{"self reference", 3, workload.Tx{Inputs: []workload.Input{{Tx: 3}}, Outputs: 1}, chain.ErrMissingUTXO, "workload bad: tx 3 input 0 spends tx 3"},
 		{"negative index", 0, workload.Tx{Inputs: []workload.Input{{Tx: -1}}, Outputs: 1}, chain.ErrMissingUTXO, "workload bad: tx 0 input 0 spends tx -1"},
+		{"output values", 2, workload.Tx{Outputs: 2, OutVals: []int64{100}}, nil, "workload bad: tx 2 has 1 output values for 2 outputs"},
 	}
 	for _, c := range cases {
 		for _, placer := range []string{"OptChain", "T2S", "Greedy", "OmniLedger"} {
 			_, err := Run(fastSourceConfig(&badSource{bad: c.bad, tx: c.tx}, 10, placer, 4, 500))
-			if !errors.Is(err, c.is) || !strings.Contains(err.Error(), c.msg) {
+			if err == nil || c.is != nil && !errors.Is(err, c.is) || !strings.Contains(err.Error(), c.msg) {
 				t.Errorf("%s/%s: err = %v, want %q wrapping %v", c.name, placer, err, c.msg, c.is)
 			}
 		}
@@ -150,6 +159,51 @@ func TestFromDatasetLossless(t *testing.T) {
 			live, replayed := run(buildSource(t, name, n, k)), run(workload.FromDataset(d))
 			if !reflect.DeepEqual(live, replayed) {
 				t.Errorf("%s/%s: replayed dataset diverges from the live source:\n live     %+v\n replayed %+v", name, proto, live, replayed)
+			}
+		}
+	}
+}
+
+// TestLedgerKeepsRecordedValues: a converted trace whose values are not an
+// even split (SCENARIOS.md's excerpt: 4900000000 as 3000000000|1900000000)
+// reaches the simulator's ledger with its recorded values, whether it
+// arrives as a Dataset (workload.FromDataset) or as a .tan trace (replay:).
+func TestLedgerKeepsRecordedValues(t *testing.T) {
+	d, _, err := dataset.ConvertCSV(strings.NewReader(
+		"txid,inputs,outputs\naa01,,5000000000\nbb02,aa01:0,3000000000|1900000000\n"), dataset.ConvertConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := d.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "real.tan")
+	if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]workload.Source{
+		"FromDataset": workload.FromDataset(d),
+		"replay":      buildSource(t, "replay:"+path, 2, 2),
+	} {
+		cfg := fastSourceConfig(src, 2, "OptChain", 2, 500)
+		if err := cfg.fillDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		r := newRunner(cfg)
+		if _, err := r.run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for idx, want := range []int64{3000000000, 1900000000} {
+			op := chain.Outpoint{Tx: d.TxID(1), Index: uint32(idx)}
+			var got []int64
+			for _, sh := range r.shards {
+				if v, ok := sh.Ledger().OutputValue(op); ok {
+					got = append(got, v)
+				}
+			}
+			if len(got) != 1 || got[0] != want {
+				t.Errorf("%s: ledger holds output %d at %v, want %d", name, idx, got, want)
 			}
 		}
 	}

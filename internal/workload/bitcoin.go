@@ -17,10 +17,7 @@ import (
 //	intra        probability an input is drawn from the owner community (1.0)
 //	hubevery     hub (batch payer) cadence in transactions (250)
 //	hubfanout    hub transaction output bound (60)
-type bitcoinSource struct {
-	s  *dataset.Stream
-	st dataset.StreamTx
-}
+type bitcoinSource struct{ *dataset.Stream }
 
 func init() {
 	scenarios.Must("bitcoin", newBitcoin)
@@ -44,21 +41,7 @@ func newBitcoin(p Params) (Source, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadParam, err)
 	}
-	return &bitcoinSource{s: s}, nil
+	return bitcoinSource{s}, nil
 }
 
-func (b *bitcoinSource) Name() string { return "bitcoin" }
-
-func (b *bitcoinSource) Next(tx *Tx) bool {
-	if !b.s.Next(&b.st) {
-		return false
-	}
-	tx.Inputs = tx.Inputs[:0]
-	for j := range b.st.InTx {
-		tx.Inputs = append(tx.Inputs, Input{Tx: int(b.st.InTx[j]), Index: b.st.InIdx[j]})
-	}
-	tx.Outputs = b.st.Outputs
-	tx.Value = b.st.Value
-	tx.Gap = 1
-	return true
-}
+func (bitcoinSource) Name() string { return "bitcoin" }

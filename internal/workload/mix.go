@@ -262,6 +262,7 @@ func (m *mixSource) Next(tx *Tx) bool {
 	}
 	for len(m.alive) > 0 {
 		c := m.pick()
+		m.scratch.OutVals = m.scratch.OutVals[:0]
 		if !c.src.Next(&m.scratch) {
 			m.kill(c)
 			continue
@@ -278,6 +279,7 @@ func (m *mixSource) Next(tx *Tx) bool {
 		}
 		tx.Outputs = m.scratch.Outputs
 		tx.Value = m.scratch.Value
+		tx.OutVals = append(tx.OutVals[:0], m.scratch.OutVals...)
 		tx.Gap = m.scratch.Gap
 		c.push(int32(m.i), m.window)
 		if m.track {

@@ -12,10 +12,10 @@ import (
 // from a real Bitcoin extract) through the incremental dataset decoder —
 // one transaction per Next call, nothing materialized — and optionally
 // superimposes an arrival Modulator (burst flash crowds, diurnal drift) on
-// the real trace structure. Unmodulated at speed 1, the replayed stream
-// reproduces the trace's transaction order exactly: materializing it
-// re-encodes byte-for-byte for any trace following the SplitValue output
-// convention (everything tangen writes).
+// the real trace structure. Each transaction carries the trace's recorded
+// per-output values (Tx.OutVals), so unmodulated at speed 1 materializing
+// the replayed stream re-encodes the trace byte for byte, and the
+// simulator's ledger holds the recorded values.
 //
 // Spec syntax (see Parse): the trace path is the positional argument or
 // file=; mod= takes a modulator spec, parenthesized when it has knobs:
@@ -47,7 +47,6 @@ type replaySource struct {
 	n, i  int
 	err   error
 	done  bool
-	st    dataset.StreamTx
 }
 
 func init() {
@@ -138,17 +137,11 @@ func (r *replaySource) Next(tx *Tx) bool {
 		r.close()
 		return false
 	}
-	if !r.ds.Next(&r.st) {
+	if !r.ds.Next(tx) {
 		r.err = r.ds.Err()
 		r.close()
 		return false
 	}
-	tx.Inputs = tx.Inputs[:0]
-	for j := range r.st.InTx {
-		tx.Inputs = append(tx.Inputs, Input{Tx: int(r.st.InTx[j]), Index: r.st.InIdx[j]})
-	}
-	tx.Outputs = r.st.Outputs
-	tx.Value = r.st.Value
 	gap := 1.0
 	if r.mod != nil {
 		gap = r.mod.Step()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"optchain/internal/dataset"
@@ -55,6 +56,35 @@ func TestReplayRoundTrip(t *testing.T) {
 		if tx.Gap != 1 {
 			t.Fatalf("unmodulated replay emitted gap %v", tx.Gap)
 		}
+	}
+}
+
+// TestReplayKeepsRecordedValues: a converted trace whose values are not an
+// even split goes Encode -> replay: -> Materialize -> Encode byte for byte,
+// and each replayed transaction carries its recorded OutVals.
+func TestReplayKeepsRecordedValues(t *testing.T) {
+	var want bytes.Buffer
+	if err := convertExcerpt(t).Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "real.tan")
+	if err := os.WriteFile(path, want.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Materialize(build(t, "replay:"+path, Params{Seed: 1}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := d.Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("replayed excerpt re-encodes differently from the recording")
+	}
+	txs := drain(t, build(t, "replay:"+path, Params{Seed: 1}), 3)
+	if len(txs) != 2 || !slices.Equal(txs[1].OutVals, []int64{3000000000, 1900000000}) {
+		t.Fatalf("replayed %+v, want tx 1 with OutVals 3000000000|1900000000", txs)
 	}
 }
 

@@ -60,38 +60,24 @@ var (
 	ErrWindowExceeded = errors.New("workload: translation window exceeded")
 )
 
-// Input references one output of an earlier stream transaction: output slot
-// Index of the transaction at stream position Tx.
-type Input struct {
-	Tx    int
-	Index uint32
-}
-
-// Tx is one generated transaction. Placement only needs the stream graph
-// (which parents each transaction spends, how many outputs it creates); the
-// simulator additionally consumes Value and Gap.
-type Tx struct {
-	// Inputs lists the outputs this transaction spends. Empty means
-	// coinbase. Inputs never repeat an outpoint (sources must not
-	// double-spend), but several may share the same parent Tx.
-	Inputs []Input
-	// Outputs is the number of outputs created (>= 1).
-	Outputs int
-	// Value is the total value of the created outputs.
-	Value int64
-	// Gap scales the inter-arrival time before this transaction relative to
-	// the nominal 1/rate spacing. Zero means 1 (nominal); burst scenarios
-	// use values < 1 during flash crowds.
-	Gap float64
-}
+// Input and Tx are the one stream transaction shape, defined by
+// internal/dataset (see dataset.Tx) so that a recorded trace, a generator
+// and a materialized Dataset fill it without a copy between packages.
+type (
+	Input = dataset.Input
+	Tx    = dataset.Tx
+)
 
 // Source is a streaming transaction generator. Implementations must be
 // deterministic per Params.Seed and must never materialize the full stream:
 // state is bounded by the live output set, not the stream length.
 type Source interface {
 	// Next fills tx with the next transaction in stream order and reports
-	// whether one was produced. The Inputs slice is owned by the source and
-	// reused between calls; callers copy what they keep.
+	// whether one was produced. The tx slices are reused between calls;
+	// callers copy what they keep. A source that knows exact per-output
+	// values sets OutVals; one that never does leaves it as it found it,
+	// so a driver that hands one Tx to several sources (mix) empties
+	// OutVals before each call.
 	Next(tx *Tx) bool
 	// Name returns the registered scenario name.
 	Name() string
@@ -309,32 +295,21 @@ func ParseSpec(spec string) (name string, knobs map[string]float64, err error) {
 }
 
 // Materialize drains a source into a Dataset — for tangen, the offline
-// placement tables, and round-trip tests. It caps at n transactions
+// placement tables, and round-trip tests — keeping each transaction's
+// OutVals when the source sets them. It caps at n transactions
 // (<= 0 drains the source); streaming consumers (Engine.PlaceWorkload,
 // simulation runs) never call it.
 func Materialize(src Source, n int) (*dataset.Dataset, error) {
 	if src == nil {
 		return nil, fmt.Errorf("%w: nil source", ErrBadParam)
 	}
-	cap := n
-	if cap < 0 {
-		cap = 0
-	}
-	d := dataset.New(cap)
+	d := dataset.New(n)
 	var tx Tx
-	var inTx []int32
-	var inIdx []uint32
 	for i := 0; n <= 0 || i < n; i++ {
 		if !src.Next(&tx) {
 			break
 		}
-		inTx = inTx[:0]
-		inIdx = inIdx[:0]
-		for _, in := range tx.Inputs {
-			inTx = append(inTx, int32(in.Tx))
-			inIdx = append(inIdx, in.Index)
-		}
-		if err := d.AppendTx(inTx, inIdx, tx.Outputs, tx.Value); err != nil {
+		if err := d.AppendTx(&tx); err != nil {
 			return nil, fmt.Errorf("workload %s: %w", src.Name(), err)
 		}
 	}

@@ -3,12 +3,10 @@ package workload
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
-	"optchain/internal/chain"
 	"optchain/internal/dataset"
 	"optchain/internal/names"
 )
@@ -21,6 +19,7 @@ func drain(t *testing.T, src Source, n int) []Tx {
 	for len(out) < n && src.Next(&tx) {
 		cp := tx
 		cp.Inputs = append([]Input(nil), tx.Inputs...)
+		cp.OutVals = append([]int64(nil), tx.OutVals...)
 		out = append(out, cp)
 	}
 	return out
@@ -281,9 +280,9 @@ func TestBitcoinMatchesGenerate(t *testing.T) {
 
 // TestFromDatasetReplaysExactly: the dataset adapter streams a materialized
 // dataset back unchanged — re-materializing it re-encodes byte-for-byte —
-// and hands the simulator the recorded transaction itself, so per-output
-// values that do not follow the SplitValue convention (a converted real
-// trace) survive.
+// and each transaction carries its recorded per-output values, so values
+// that do not follow the SplitValue convention (a converted real trace)
+// survive.
 func TestFromDatasetReplaysExactly(t *testing.T) {
 	const n = 2000
 	d, err := Materialize(build(t, "hotspot", Params{N: n, Seed: 3}), n)
@@ -305,30 +304,32 @@ func TestFromDatasetReplaysExactly(t *testing.T) {
 		t.Fatal("Materialize(FromDataset(d)) diverges from d")
 	}
 
-	// 3000000000|1900000000 is not an even split of 4900000000.
-	uneven, _, err := dataset.ConvertCSV(strings.NewReader(
+	uneven := convertExcerpt(t)
+	txs := drain(t, FromDataset(uneven), uneven.Len()+1)
+	if len(txs) != uneven.Len() {
+		t.Fatalf("streamed %d of %d transactions", len(txs), uneven.Len())
+	}
+	for i, tx := range txs {
+		if tx.Outputs != uneven.NumOutputs(i) || len(tx.Inputs) != uneven.NumInputs(i) || tx.Gap != 1 {
+			t.Fatalf("tx %d: streamed %+v", i, tx)
+		}
+	}
+	if got := txs[1]; !slices.Equal(got.OutVals, []int64{3000000000, 1900000000}) || got.Value != 4900000000 {
+		t.Fatalf("tx 1: OutVals %v, Value %d; recorded 3000000000|1900000000", got.OutVals, got.Value)
+	}
+}
+
+// convertExcerpt converts SCENARIOS.md's two-transaction excerpt, whose
+// second transaction splits 4900000000 as 3000000000|1900000000, not
+// evenly.
+func convertExcerpt(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	d, _, err := dataset.ConvertCSV(strings.NewReader(
 		"txid,inputs,outputs\naa01,,5000000000\nbb02,aa01:0,3000000000|1900000000\n"), dataset.ConvertConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := FromDataset(uneven)
-	var tx Tx
-	for i := 0; i < uneven.Len(); i++ {
-		if !src.Next(&tx) {
-			t.Fatalf("stream ended at %d of %d", i, uneven.Len())
-		}
-		want := uneven.Tx(i)
-		if tx.Outputs != len(want.Outputs) || tx.Value != want.OutputSum() || len(tx.Inputs) != len(want.Inputs) {
-			t.Fatalf("tx %d: streamed %+v, recorded %+v", i, tx, want)
-		}
-		got := src.(interface{ ChainTx() *chain.Transaction }).ChainTx()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("tx %d: ChainTx = %+v, recorded %+v", i, got, want)
-		}
-	}
-	if src.Next(&tx) {
-		t.Fatal("stream outlives the dataset")
-	}
+	return d
 }
 
 // TestAdversarialSpansShards: with placement feedback, almost every
