@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -302,13 +303,14 @@ func TestRetireThenReuseInOnePlacement(t *testing.T) {
 	}
 }
 
-// TestEmptyIndexState: an index that has placed nothing snapshots to four
-// empty columns and restores to an index that places from the start.
+// TestEmptyIndexState: an index that has placed nothing snapshots to empty
+// columns (the out-degrees' with a zero byte length besides its zero count)
+// and restores to an index that places from the start.
 func TestEmptyIndexState(t *testing.T) {
 	p := NewOptChain(OptChainConfig{K: 4})
 	blob := stateOf(t, p)
-	if len(blob) != 5 {
-		t.Fatalf("empty state is %d bytes, want 5 zero counts", len(blob))
+	if !bytes.Equal(blob, make([]byte, 6)) {
+		t.Fatalf("empty state is % x, want 6 zero bytes", blob)
 	}
 	fresh := NewOptChain(OptChainConfig{K: 4})
 	if err := fresh.RestoreState(placement.NewStateReader(blob)); err != nil {

@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"optchain/internal/placement"
@@ -16,79 +17,122 @@ import (
 // restoreStateOracle is the restore as it was before it became one pass:
 // every vector is re-added through extend, the routine Commit lays vectors
 // out with, and its out-degree is then folded in by addSpenders, which
-// retires the node (freeing the slot it was just given) when that spends
-// its last output. Each count is read from outs as extend reads a source.
-// It is the reference RestoreState is held to.
-func (t *T2SIndex) restoreStateOracle(r *placement.StateReader, outs []byte) error {
+// retires the node when that spends its last output. Each count is read
+// from outs as extend reads a source. It slices the columns off with the
+// section reader but decodes their elements itself, a node at a time, the
+// counts through oracleCount. It is the reference RestoreState is held to.
+func (t *T2SIndex) restoreStateOracle(r *placement.StateReader, outs *placement.Counts) error {
 	if len(t.nodes) != 0 || t.tally.hasPending {
 		return fmt.Errorf("core: restore into a non-empty T2S index (%d committed)", len(t.nodes))
 	}
 	if err := t.asn.RestoreState(r); err != nil {
 		return err
 	}
-	lens := r.Column(2)
-	outDeg := r.Column(4)
-	slabShards := r.Column(2)
+	k := t.asn.K()
+	width := 1
+	if k > 255 {
+		width = 2
+	}
+	elem := func(col []byte, i int) int {
+		if width == 1 {
+			return int(col[i])
+		}
+		return int(binary.LittleEndian.Uint16(col[2*i:]))
+	}
+	lens := r.Column(width)
+	degs := r.Counts()
+	slabShards := r.Column(width)
 	slabVals := r.Column(8)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	nodes, entries := len(lens)/2, len(slabShards)/2
+	nodes, entries := len(lens)/width, len(slabShards)/width
 	if len(slabVals)/8 != entries {
 		return fmt.Errorf("core: slab columns disagree: %d shards, %d values", entries, len(slabVals)/8)
 	}
-	if len(outDeg)/4 != nodes {
-		return fmt.Errorf("core: per-node columns disagree: %d spans, %d out-degrees", nodes, len(outDeg)/4)
+	if degs.N != nodes {
+		return fmt.Errorf("core: per-node columns disagree: %d spans, %d out-degrees", nodes, degs.N)
 	}
 	if placed := t.asn.Len(); placed != nodes {
 		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, nodes)
 	}
 	if outs == nil {
 		outs = t.askOutCounts(nodes)
-	} else if len(outs) != 4*nodes {
-		return fmt.Errorf("core: %d bytes of output counts for %d transactions", len(outs), nodes)
+	} else if outs.N != nodes {
+		return fmt.Errorf("core: %d output counts for %d transactions", outs.N, nodes)
 	}
 	src := t.outCounts
 	defer func() { t.outCounts = src }()
-	t.outCounts = func(v txgraph.Node) int { return int(int32(binary.LittleEndian.Uint32(outs[4*v:]))) }
+	var count uint64
+	t.outCounts = func(txgraph.Node) int { return int(count) }
 	t.Reserve(nodes, entries)
-	k := t.asn.K()
-	off := 0
+	off, dp, op := 0, 0, 0
 	for v := 0; v < nodes; v++ {
-		n := int(binary.LittleEndian.Uint16(lens[2*v:]))
+		n := elem(lens, v)
 		if n > k {
 			return fmt.Errorf("core: span %d has %d entries, more than the %d shards", v, n, k)
 		}
 		if off+n > entries {
 			return fmt.Errorf("core: span %d (len %d at offset %d) exceeds slab length %d", v, n, off, entries)
 		}
-		d := int32(binary.LittleEndian.Uint32(outDeg[4*v:]))
-		if d < 0 {
-			return fmt.Errorf("core: negative out-degree %d at node %d", d, v)
+		d, next, why := oracleCount(degs.Data, dp)
+		if why != "" {
+			return fmt.Errorf("core: out-degree of node %d: %s", v, why)
+		}
+		dp = next
+		if count, next, why = oracleCount(outs.Data, op); why != "" {
+			return fmt.Errorf("core: output count of node %d: %s", v, why)
+		}
+		op = next
+		if count > 0 && count <= d && n > 0 {
+			return fmt.Errorf("core: node %d has had %d spenders of its %d outputs but keeps a span of %d entries", v, d, count, n)
 		}
 		shards, vals, err := t.extend(n)
 		if err != nil {
 			return err
 		}
-		srcS, srcV := slabShards[2*off:2*(off+n)], slabVals[8*off:8*(off+n)]
 		for i := range shards {
-			s := binary.LittleEndian.Uint16(srcS[2*i:])
-			if int(s) >= k {
+			s := elem(slabShards, off+i)
+			if s >= k {
 				return fmt.Errorf("core: slab entry %d names shard %d of %d", off+i, s, k)
 			}
-			if i > 0 && s <= shards[i-1] {
+			if i > 0 && s <= int(shards[i-1]) {
 				return fmt.Errorf("core: slab entry %d names shard %d after shard %d of the same vector", off+i, s, shards[i-1])
 			}
-			shards[i] = s
-			vals[i] = binary.LittleEndian.Uint64(srcV[8*i:])
+			shards[i] = uint16(s)
+			vals[i] = binary.LittleEndian.Uint64(slabVals[8*(off+i):])
 		}
 		off += n
-		t.addSpenders(txgraph.Node(v), d)
+		t.addSpenders(txgraph.Node(v), int32(d))
+	}
+	if dp != len(degs.Data) {
+		return fmt.Errorf("core: out-degree column holds %d bytes past its %d values", len(degs.Data)-dp, nodes)
+	}
+	if op != len(outs.Data) {
+		return fmt.Errorf("core: output-count column holds %d bytes past its %d values", len(outs.Data)-op, nodes)
 	}
 	if off != entries {
 		return fmt.Errorf("core: spans cover %d of %d slab entries", off, entries)
 	}
 	return nil
+}
+
+// oracleCount decodes the count at b[at] in one plain pass: a uvarint, then
+// the rules a count column's values keep, in order. It returns the value,
+// the offset past it and, for a defect, why.
+func oracleCount(b []byte, at int) (uint64, int, string) {
+	v, n := binary.Uvarint(b[min(at, len(b)):])
+	switch {
+	case n == 0:
+		return 0, at, "truncated uvarint"
+	case n < 0:
+		return 0, at, "uvarint overflows 64 bits"
+	case n > 1 && b[at+n-1] == 0:
+		return 0, at, "non-minimal uvarint"
+	case v > math.MaxInt32:
+		return 0, at, fmt.Sprintf("%d exceeds %d", v, math.MaxInt32)
+	}
+	return v, at + n, ""
 }
 
 // addSpenders folds d more spenders of v into its degree in one step: v is
@@ -98,6 +142,7 @@ func (t *T2SIndex) addSpenders(v txgraph.Node, d int32) {
 	nd := &t.nodes[v]
 	before := nd.deg
 	nd.deg += d
+	t.wideDegs += placement.UvarintLen(uint64(nd.deg)) - placement.UvarintLen(uint64(before))
 	outs := t.outCount(v, nd.outs)
 	if outs == 0 || nd.deg < outs {
 		return
@@ -111,13 +156,17 @@ func (t *T2SIndex) addSpenders(v txgraph.Node, d int32) {
 
 // sameLogical fails unless both indexes hold the same node count, live
 // vectors, out-degrees and output counts (the large ones included), entry
-// counters, retired counters and assignment; where each laid its slab out
-// is free to differ.
+// counters, retired counters, uvarint byte totals and assignment; where
+// each laid its slab out is free to differ.
 func sameLogical(t testing.TB, got, want *T2SIndex) {
 	t.Helper()
 	if len(got.nodes) != len(want.nodes) || got.entries != want.entries || got.committed != want.committed {
 		t.Fatalf("%d nodes, %d entries held, %d committed; want %d, %d, %d",
 			len(got.nodes), got.entries, got.committed, len(want.nodes), want.entries, want.committed)
+	}
+	if got.wideOuts != want.wideOuts || got.wideDegs != want.wideDegs {
+		t.Fatalf("output counts and out-degrees take %d and %d bytes past one a node, want %d and %d",
+			got.wideOuts, got.wideDegs, want.wideOuts, want.wideDegs)
 	}
 	if got.retiredTxs != want.retiredTxs || got.retiredRefs != want.retiredRefs {
 		t.Fatalf("retired %d txs / %d refs, want %d / %d", got.retiredTxs, got.retiredRefs, want.retiredTxs, want.retiredRefs)
@@ -170,7 +219,7 @@ func sameState(t testing.TB, got, want *T2SIndex) {
 // RestoreState and through the oracle into two fresh indexes built by mk,
 // and fails unless both accept or refuse it with the same error and consume
 // the same bytes.
-func restoreBoth(t testing.TB, mk func() *T2SIndex, section, outs []byte) (got, want *T2SIndex, err error) {
+func restoreBoth(t testing.TB, mk func() *T2SIndex, section []byte, outs *placement.Counts) (got, want *T2SIndex, err error) {
 	t.Helper()
 	got, want = mk(), mk()
 	rg, rw := placement.NewStateReader(section), placement.NewStateReader(section)
@@ -215,17 +264,18 @@ func streamOf(t testing.TB, spec string, txs, k int) (inputs func(u int) []txgra
 	return func(u int) []txgraph.Node { return nodes[offs[u]:offs[u+1]] }, outs
 }
 
-// countColumn is the elements of an output-count column holding outs.
+// countColumn is the values of a count column holding outs.
 func countColumn(outs []int) []byte {
 	var b []byte
 	for _, o := range outs {
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(o)))
+		b = binary.AppendUvarint(b, uint64(o))
 	}
 	return b
 }
 
-// outsOf writes an index's output-count column and returns its elements.
-func outsOf(t testing.TB, idx *T2SIndex) []byte {
+// outsOf writes an index's output-count column, checks that OutCountsSize
+// predicted its length, and returns it as RestoreState takes it.
+func outsOf(t testing.TB, idx *T2SIndex) *placement.Counts {
 	t.Helper()
 	var buf bytes.Buffer
 	w := placement.NewStateWriter(&buf)
@@ -233,12 +283,15 @@ func outsOf(t testing.TB, idx *T2SIndex) []byte {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := placement.NewStateReader(buf.Bytes())
-	col := r.Column(4)
-	if r.Err() != nil || r.Len() != 0 || len(col) != 4*len(idx.nodes) {
-		t.Fatalf("an output-count column of %d bytes for %d nodes (%v, %d left over)", len(col), len(idx.nodes), r.Err(), r.Len())
+	if int64(buf.Len()) != idx.OutCountsSize() {
+		t.Fatalf("OutCountsSize %d, WriteOutCounts wrote %d", idx.OutCountsSize(), buf.Len())
 	}
-	return col
+	r := placement.NewStateReader(buf.Bytes())
+	col := r.Counts()
+	if r.Err() != nil || r.Len() != 0 || col.N != len(idx.nodes) {
+		t.Fatalf("an output-count column of %d values for %d nodes (%v, %d left over)", col.N, len(idx.nodes), r.Err(), r.Len())
+	}
+	return &col
 }
 
 const mixIDsSpec = "mix:bitcoin=0.6,hotspot=0.25,adversarial=0.05,adversarial=0.05,adversarial=0.05"
@@ -273,7 +326,7 @@ func TestRestoreMatchesOracle(t *testing.T) {
 				}
 				id := fmt.Sprintf("%s k=%d cut=%d", w.name, k, cut)
 				col := outsOf(t, p.idx)
-				if !bytes.Equal(col, countColumn(outs[:cut])) {
+				if !bytes.Equal(col.Data, countColumn(outs[:cut])) {
 					t.Fatalf("%s: the placer's output-count column is not the stream's counts", id)
 				}
 				got, want, err := restoreBoth(t, mk, stateOf(t, p), col)
@@ -281,8 +334,9 @@ func TestRestoreMatchesOracle(t *testing.T) {
 					t.Fatalf("%s: %v", id, err)
 				}
 				sameState(t, got, want)
-				if got.entries != p.idx.entries || got.retiredTxs != p.idx.retiredTxs {
-					t.Fatalf("%s: restored %d entries, %d retired; the placer holds %d, %d", id, got.entries, got.retiredTxs, p.idx.entries, p.idx.retiredTxs)
+				if got.entries != p.idx.entries || got.retiredTxs != p.idx.retiredTxs || got.wideOuts != p.idx.wideOuts || got.wideDegs != p.idx.wideDegs {
+					t.Fatalf("%s: restored %d entries, %d retired, %d and %d wide count bytes; the placer holds %d, %d, %d, %d", id,
+						got.entries, got.retiredTxs, got.wideOuts, got.wideDegs, p.idx.entries, p.idx.retiredTxs, p.idx.wideOuts, p.idx.wideDegs)
 				}
 				if n := len(got.slabS[got.cur]); got.cur > 0 && n > 0 && n < 1<<got.chunkBits {
 					midChunk = true
@@ -296,25 +350,22 @@ func TestRestoreMatchesOracle(t *testing.T) {
 }
 
 // TestRestoreOracleSections holds the two restores together on sections no
-// stream here produces: output counts past what the node record holds
-// (kept beside it, and never confused with their low 16 bits), negative
-// ones (unknown, and written back as 0), nodes spent out exactly and past
-// their count,
-// and spans of spent-out nodes that an older writer kept. There the oracle
-// lays the dead vector out and frees it, the one-pass restore never lays it
-// out, so only the logical state is compared, and the packed layout is
-// held to what it must be.
+// stream here produces: output counts and out-degrees of several uvarint
+// bytes, counts past what the node record holds (kept beside it, and never
+// confused with their low 16 bits), nodes spent out exactly and past their
+// count, and a span kept for a spent-out node, which both refuse.
 func TestRestoreOracleSections(t *testing.T) {
 	const k = 4
-	outs := countColumn([]int{70_000, -3, manyOuts, 1 << 20, 2, 0, 2, 3})
+	outs := countColumn([]int{70_000, 300, manyOuts, 1 << 20, 2, 0, 2, 3})
 	mk := func() *T2SIndex { return NewT2SPlacer(k, 16, DefaultAlpha, 0.1).idx }
 	asn := []uint16{0, 1, 2, 3, 0, 1, 2, 3}
 	// 0 has had 4464 = 70000 mod 2^16 spenders and 3 as many as a record
 	// can count, both live; 2, 4 and 7 are spent out exactly (their spans
 	// gone), 6 past its count.
-	degs := []int32{4464, 9, manyOuts, manyOuts, 2, 5, 4, 3}
+	degs := counts(4464, 9, manyOuts, manyOuts, 2, 5, 4, 3)
+	col := &placement.Counts{N: 8, Data: outs}
 	got, want, err := restoreBoth(t, mk, corruptSection(asn,
-		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, degs, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}), outs)
+		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, degs, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,132 +373,54 @@ func TestRestoreOracleSections(t *testing.T) {
 	if txs, refs := got.Retired(); txs != 4 || refs != 2 || got.entries != 5 || got.nodes[0].n != 1 || got.nodes[3].n != 1 {
 		t.Fatalf("%d retired, %d late references, %d entries held, spans %+v", txs, refs, got.entries, got.nodes)
 	}
-	if back, want := outsOf(t, got), countColumn([]int{70_000, 0, manyOuts, 1 << 20, 2, 0, 2, 3}); !bytes.Equal(back, want) {
-		t.Fatalf("output counts written back as %v, want %v", back, want)
+	if back := outsOf(t, got); !bytes.Equal(back.Data, outs) {
+		t.Fatalf("output counts written back as % x, want % x", back.Data, outs)
 	}
 	if len(got.bigOuts) != 3 || got.outCount(0, got.nodes[0].outs) != 70_000 || got.outCount(2, got.nodes[2].outs) != manyOuts {
 		t.Fatalf("large output counts %v", got.bigOuts)
 	}
+	// 70000, 2^20 and 65535 take 3 bytes, 300 two; 4464 two, 65535 three.
+	if got.wideOuts != 2+2+2+1 || got.wideDegs != 1+2+2 {
+		t.Fatalf("output counts take %d bytes past one a node, out-degrees %d: want 7 and 5", got.wideOuts, got.wideDegs)
+	}
 
-	// The same nodes with every span still in the section: 2, 4, 6 and 7 are
-	// dropped on load.
+	// The same nodes with every span still in the section: the first spent-out
+	// node that keeps one is named.
 	section := corruptSection(asn,
 		[]uint16{1, 2, 1, 1, 2, 1, 1, 3}, degs,
 		[]uint16{0, 0, 1, 2, 3, 0, 3, 1, 2, 0, 1, 2}, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	got, want, err = restoreBoth(t, mk, section, outs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameLogical(t, got, want)
-	var offs []uint32
-	for _, nd := range got.nodes {
-		if nd.n != 0 {
-			offs = append(offs, nd.off)
-		}
-	}
-	if !slices.Equal(offs, []uint32{0, 1, 3, 4}) || len(got.slabS[0]) != 5 || freeSlots(got) != 0 || freeSlots(want) == 0 {
-		t.Fatalf("live vectors at %v in a chunk of %d, %d free slots (the oracle %d): want 0 1 3 4, 5, 0, some",
-			offs, len(got.slabS[0]), freeSlots(got), freeSlots(want))
+	if _, _, err = restoreBoth(t, mk, section, col); err == nil || !strings.Contains(err.Error(), "node 2 has had 65535 spenders of its 65535 outputs but keeps a span of 1 entries") {
+		t.Fatalf("a span of a spent-out node: %v", err)
 	}
 }
 
-// engineSection reads an engine snapshot (format 2) far enough to return
-// its shard count, the elements of its output-count column and the
-// strategy's state section.
-func engineSection(t testing.TB, snap []byte) (shards int, outs, section []byte) {
-	t.Helper()
-	r := placement.NewStateReader(snap[len("OPTCHSNP") : len(snap)-4])
-	r.Uvarint()               // format version
-	r.Bytes(int(r.Uvarint())) // strategy
-	shards = int(r.Uvarint())
-	r.Uvarint() // alpha
-	r.Uvarint() // L2S weight
-	r.Byte()    // reserved
-	for range 7 {
-		r.Uvarint() // capacity hint, placed, cross total and count, three reserved
+// wideStream is n transactions whose first declares 70,000 outputs and is
+// spent by every later one, each of which declares two and spends its
+// predecessor: an output count and an out-degree of several uvarint bytes.
+func wideStream(n int) (inputs func(u int) []txgraph.Node, outs []int) {
+	outs = make([]int, n)
+	outs[0] = 70_000
+	for u := 1; u < n; u++ {
+		outs[u] = 2
 	}
-	outs = r.Column(4)
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return shards, outs, snap[len(snap)-4-r.Len() : len(snap)-4]
-}
-
-// TestRestoreOracleAllLiveFixtures: the two snapshots written before
-// transactions were retired carry the vectors of spent-out transactions.
-// Restored both ways, they hold the same vectors and counters, and both
-// indexes go on to make the same decisions. The layouts differ, and the
-// test says how: the oracle leaves the dead vectors' slots behind (free, or
-// reused by later vectors of their length), the one-pass restore packs.
-func TestRestoreOracleAllLiveFixtures(t *testing.T) {
-	engine, err := os.ReadFile("../../testdata/snapshot_pr21_bitcoin_250.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveFile, err := os.ReadFile("../../serve/testdata/state_pr21_hotspot_200.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, snap := range map[string][]byte{
-		"bitcoin_250": engine,
-		"hotspot_200": serveFile[bytes.Index(serveFile, []byte("OPTCHSNP")) : len(serveFile)-4],
-	} {
-		k, outs, section := engineSection(t, snap)
-		outCounts := func(txgraph.Node) int { return 1 } // asked only about the transactions placed after the restore
-		var a, b *OptChainPlacer
-		mk := func() *T2SIndex {
-			p := NewOptChain(OptChainConfig{K: k, N: 400})
-			p.Scores().SetOutCounts(outCounts)
-			if a == nil {
-				a = p
-			} else {
-				b = p
-			}
-			return p.Scores()
+	return func(u int) []txgraph.Node {
+		switch u {
+		case 0:
+			return nil
+		case 1:
+			return []txgraph.Node{0}
 		}
-		got, want, err := restoreBoth(t, mk, section, outs)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		sameLogical(t, got, want)
-		if got.committed == got.entries {
-			t.Fatalf("%s: no spent-out span in the fixture", name)
-		}
-		t.Logf("%s: %d of %d entries live; the oracle's arena spans %d entries with %d slots free, the one-pass restore's %d with none",
-			name, got.entries, got.committed, arena(want), freeSlots(want), arena(got))
-		placed := len(got.nodes)
-		for u := placed; u < placed+200; u++ {
-			in := []txgraph.Node{txgraph.Node(u - 1)}
-			if v := u * 7 % placed; v != u-1 {
-				in = append(in, txgraph.Node(v))
-			}
-			if x, y := a.Place(txgraph.Node(u), in), b.Place(txgraph.Node(u), in); x != y {
-				t.Fatalf("%s: transaction %d placed in shard %d after the one-pass restore, %d after the oracle", name, u, x, y)
-			}
-		}
-		sameLogical(t, got, want)
-	}
-}
-
-// arena counts the slab entries handed out: live vectors, free slots and
-// chunk-end padding.
-func arena(idx *T2SIndex) int {
-	n := 0
-	for _, c := range idx.slabS {
-		n += len(c)
-	}
-	return n
+		return []txgraph.Node{0, txgraph.Node(u - 1)}
+	}, outs
 }
 
 // FuzzRestoreState reads arbitrary bytes as an output-count column followed
 // by a T2S state section and restores the section both ways, handing each
 // the column. The two must refuse the same inputs with the same error
-// text and accept the same ones into the same state: the same layout when
-// no spent-out node carries a span, the same vectors and counters always.
+// text and accept the same ones into the same state, to the layout.
 func FuzzRestoreState(f *testing.F) {
 	const k, txs, cut = 16, 400, 250
-	for _, spec := range []string{"bitcoin", "hotspot", mixIDsSpec} {
-		inputs, outs := streamOf(f, spec, txs, k)
+	seed := func(inputs func(int) []txgraph.Node, outs []int) {
 		p := NewOptChain(OptChainConfig{K: k, N: txs})
 		p.Scores().SetOutCounts(func(v txgraph.Node) int { return outs[v] })
 		for u := 0; u < cut; u++ {
@@ -461,36 +434,30 @@ func FuzzRestoreState(f *testing.F) {
 		}
 		f.Add(append(col.Bytes(), stateOf(f, p)...))
 	}
-	engine, err := os.ReadFile("../../testdata/snapshot_pr21_bitcoin_250.bin")
-	if err != nil {
-		f.Fatal(err)
+	for _, spec := range []string{"bitcoin", "hotspot", mixIDsSpec} {
+		seed(streamOf(f, spec, txs, k))
 	}
-	_, outs, section := engineSection(f, engine)
-	f.Add(append(binary.AppendUvarint(nil, uint64(len(outs)/4)), append(outs, section...)...))
-	f.Add(append(column(nil, []int32{70_000, -3, 2}), corruptSection([]uint16{0, 1, 2},
-		[]uint16{1, 2, 1}, []int32{4464, 9, 2}, []uint16{0, 0, 1, 2}, []uint64{1, 2, 3, 4})...))
+	seed(wideStream(txs))
+	f.Add(append(counts(70_000, 300, 2), corruptSection([]uint16{0, 1, 2},
+		[]uint16{1, 2, 1}, counts(4464, 9, 2), []uint16{0, 0, 1, 2}, []uint64{1, 2, 3, 4})...))
 	// Two defects, the first one a second-pass one: refused naming the first.
-	f.Add(append(column(nil, []int32{0, 0}), corruptSection([]uint16{0, 0},
-		[]uint16{2, 3}, []int32{0, 0}, []uint16{1, 1}, []uint64{1, 1})...))
-	f.Add(append(column(nil, []int32{70_000, -3, manyOuts, 1 << 20, 2, 0, 2, 3}), corruptSection([]uint16{0, 1, 2, 3, 0, 1, 2, 3},
-		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, []int32{4464, 9, manyOuts, manyOuts, 2, 5, 4, 3}, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5})...))
+	f.Add(append(counts(0, 0), corruptSection([]uint16{0, 0},
+		[]uint16{2, 3}, counts(0, 0), []uint16{1, 1}, []uint64{1, 1})...))
+	f.Add(append(counts(70_000, 300, manyOuts, 1<<20, 2, 0, 2, 3), corruptSection([]uint16{0, 1, 2, 3, 0, 1, 2, 3},
+		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, counts(4464, 9, manyOuts, manyOuts, 2, 5, 4, 3), []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5})...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := placement.NewStateReader(data)
-		col := r.Column(4)
+		col := r.Counts()
 		if r.Err() != nil {
 			return
 		}
 		mk := func() *T2SIndex { return NewT2SPlacer(k, txs, DefaultAlpha, 0.1).idx }
-		got, want, err := restoreBoth(t, mk, data[len(data)-r.Len():], col)
+		got, want, err := restoreBoth(t, mk, data[len(data)-r.Len():], &col)
 		if err != nil {
 			return
 		}
-		if got.committed == got.entries {
-			sameState(t, got, want)
-		} else {
-			sameLogical(t, got, want)
-		}
+		sameState(t, got, want)
 	})
 }
 
@@ -515,7 +482,7 @@ func BenchmarkRestoreState(b *testing.B) {
 	col := outsOf(b, p.idx)
 	for _, r := range []struct {
 		name    string
-		restore func(*T2SIndex, *placement.StateReader, []byte) error
+		restore func(*T2SIndex, *placement.StateReader, *placement.Counts) error
 	}{{"two-pass", (*T2SIndex).RestoreState}, {"oracle", (*T2SIndex).restoreStateOracle}} {
 		b.Run(r.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

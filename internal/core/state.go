@@ -11,59 +11,83 @@ import (
 )
 
 // The T2S state section is the assignment's shard column followed by the
-// index's four columns, each a uvarint count and that many little-endian
-// elements:
+// index's four columns. Shard ids and span lengths take
+// placement.ShardWidth(k) bytes each (1 when k <= 255, else 2); a
+// fixed-width column is a uvarint count and that many little-endian
+// elements, a count column a uvarint count, a uvarint byte length and that
+// many uvarints:
 //
-//	span lengths   2 B per transaction (entries of its p'(v), at most k;
-//	               0 for a retired transaction)
-//	out-degrees    4 B per transaction
-//	slab shard ids 2 B per entry, live vectors back to back in transaction
-//	               order: no free slots, no chunk padding
+//	span lengths   1 or 2 B per transaction (entries of its p'(v), at most
+//	               k; 0 for a retired transaction)
+//	out-degrees    a count column, one uvarint per transaction (1 B below
+//	               128)
+//	slab shard ids 1 or 2 B per entry, live vectors back to back in
+//	               transaction order: no free slots, no chunk padding
 //	slab values    8 B per entry (Q32.32)
 //
 // Configuration (alpha, truncation, normalization, the output-count source)
 // is construction input, not state — the restore target must be built with
 // the same parameters. Which slots are free is not state either: a restored
 // index is packed. The output counts the index keeps are state, but they
-// travel in a column of their own (WriteOutCounts), which an engine
+// travel in a count column of their own (WriteOutCounts), which an engine
 // snapshot carries ahead of this section and hands back to RestoreState.
+// The byte lengths of both count columns are kept as running totals
+// (wideOuts, wideDegs), so a section's size takes no pass over the state.
 
 // stateSize returns how many bytes writeState emits.
 func (t *T2SIndex) stateSize() int64 {
-	n := len(t.nodes)
+	n, width := len(t.nodes), placement.ShardWidth(t.asn.K())
 	return t.asn.StateSize() +
-		placement.ColumnSize(n, 2) + placement.ColumnSize(n, 4) +
-		placement.ColumnSize(t.entries, 2) + placement.ColumnSize(t.entries, 8)
+		placement.ColumnSize(n, width) + placement.CountsSize(n, int64(n)+t.wideDegs) +
+		placement.ColumnSize(t.entries, width) + placement.ColumnSize(t.entries, 8)
 }
 
+// recordBlock is how many node records a per-node column is encoded from
+// at a time, straight into the writer's staging space: at 5 bytes a count
+// at most, 20 KiB of it.
+const recordBlock = 4096
+
 // writeState serializes the assignment and the index's complete incremental
-// state. Each column is gathered from the node records, or through them
-// from the slab, a block at a time: four walks over the records, none over
-// the arena's free slots.
+// state. Each column is encoded from the node records, or gathered through
+// them from the slab, a block at a time: four walks over the records, none
+// over the arena's free slots.
 func (t *T2SIndex) writeState(w *placement.StateWriter) {
 	if t.tally.hasPending {
 		panic(fmt.Sprintf("core: snapshot between Prepare(%d) and Commit", t.tally.pendingNode))
 	}
 	t.asn.WriteState(w)
+	width := placement.ShardWidth(t.asn.K())
 	w.Uvarint(uint64(len(t.nodes)))
-	var lens [1024]uint16
-	for recs := range slices.Chunk(t.nodes, len(lens)) {
-		for i, nd := range recs {
-			lens[i] = nd.n
+	for recs := range slices.Chunk(t.nodes, recordBlock) {
+		b := w.Stage(width * len(recs))
+		if width == 1 {
+			for i, nd := range recs {
+				b[i] = byte(nd.n)
+			}
+		} else {
+			for i, nd := range recs {
+				binary.LittleEndian.PutUint16(b[2*i:], nd.n)
+			}
 		}
-		w.Uint16s(lens[:len(recs)])
+		w.Commit(len(b))
 	}
 	w.Uvarint(uint64(len(t.nodes)))
-	var degs [1024]int32
-	for recs := range slices.Chunk(t.nodes, len(degs)) {
-		for i, nd := range recs {
-			degs[i] = nd.deg
+	w.Uvarint(uint64(int64(len(t.nodes)) + t.wideDegs))
+	for recs := range slices.Chunk(t.nodes, recordBlock) {
+		b, at := w.Stage(binary.MaxVarintLen32*len(recs)), 0
+		for _, nd := range recs {
+			if nd.deg < 0x80 {
+				b[at] = byte(nd.deg)
+				at++
+			} else {
+				at += placement.PutCount(b[at:], uint32(nd.deg))
+			}
 		}
-		w.Int32s(degs[:len(recs)])
+		w.Commit(at)
 	}
 	blockS, blockV := [2048]uint16{}, [1024]uint64{}
 	w.Uvarint(uint64(t.entries))
-	gather(t, t.slabS, blockS[:], w.Uint16s)
+	gather(t, t.slabS, blockS[:], func(s []uint16) { w.Shards(s, width) })
 	w.Uvarint(uint64(t.entries))
 	gather(t, t.slabV, blockV[:], w.Uint64s)
 }
@@ -105,142 +129,150 @@ func gather[T uint16 | uint64](t *T2SIndex, column [][]T, block []T, write func(
 	write(block[:fill])
 }
 
+// OutCountsSize returns how many bytes WriteOutCounts emits.
+func (t *T2SIndex) OutCountsSize() int64 {
+	return placement.CountsSize(len(t.nodes), int64(len(t.nodes))+t.wideOuts)
+}
+
 // WriteOutCounts writes the output count of every committed transaction as
-// one column (a uvarint count, then an int32 per transaction, in node
-// order), gathered from the node records a block at a time, a record that
-// says manyOuts taking its count from bigOuts. A count the source gave as
-// negative was kept, and is written, as 0 (unknown).
+// one count column (a uvarint count, a uvarint byte length, then a uvarint
+// per transaction, in node order), encoded from the node records a block
+// at a time, a record that says manyOuts taking its count from bigOuts. A
+// count the source gave as negative was kept, and is written, as 0
+// (unknown).
 func (t *T2SIndex) WriteOutCounts(w *placement.StateWriter) {
 	w.Uvarint(uint64(len(t.nodes)))
-	var block [1024]int32
+	w.Uvarint(uint64(int64(len(t.nodes)) + t.wideOuts))
 	big := t.bigOuts
-	for recs := range slices.Chunk(t.nodes, len(block)) {
-		for i, nd := range recs {
-			block[i] = int32(nd.outs)
-			if nd.outs == manyOuts {
-				block[i], big = big[0].outs, big[1:]
+	for recs := range slices.Chunk(t.nodes, recordBlock) {
+		b, at := w.Stage(binary.MaxVarintLen32*len(recs)), 0
+		for _, nd := range recs {
+			if nd.outs < 0x80 {
+				b[at] = byte(nd.outs)
+				at++
+				continue
 			}
+			count := uint32(nd.outs)
+			if nd.outs == manyOuts {
+				count, big = uint32(big[0].outs), big[1:]
+			}
+			at += placement.PutCount(b[at:], count)
 		}
-		w.Int32s(block[:len(recs)])
+		w.Commit(at)
 	}
 }
 
 // RestoreState replaces a fresh index's state (and its assignment's) with a
-// writeState section, the output counts taken from outs, the elements of a
-// WriteOutCounts column; with outs nil they are asked of the index's source,
-// which must then answer for every transaction (a dataset's does).
+// writeState section, the output counts taken from outs, a WriteOutCounts
+// column; with outs nil they are asked of the index's source, which must
+// then answer for every transaction (a dataset's does).
 //
 // It validates the section's internal consistency as it restores it: the
 // per-node columns must agree with each other, with the output counts and
-// with the assignment on the transaction count, span lengths
-// must be at most k and tile the slab exactly, every vector's shards must
-// ascend inside the assignment's range, and no out-degree may be negative.
-// A node whose out-degree already covers its output count is restored
-// retired, its span (an older writer kept one) checked and dropped, so
-// liveness is what the uninterrupted index holds. Live vectors are laid out
-// as extend lays them out with no free slot, back to back, one that does
-// not fit its chunk starting the next; a run of them adjacent in the
-// section and in a chunk is one copy.
+// with the assignment on the transaction count, every count must be a
+// minimal uvarint of at most math.MaxInt32 and the count columns must hold
+// nothing past their values, span lengths must be at most k and tile the
+// slab exactly, every vector's shards must ascend inside the assignment's
+// range, and a node whose out-degree already covers its output count
+// (restored retired) must have no span. Vectors are laid out as extend
+// lays them out with no free slot, back to back, one that does not fit
+// its chunk starting the next; a run of them in a chunk is one copy.
 //
-// It runs over blocks of spanBlock nodes, in two passes each. The first
-// builds every record from the per-node columns, with nothing that depends
-// on whether the node is live but the retired counters, added
-// arithmetically, and collects the nodes that have a span. The second
+// It runs over blocks of spanBlock nodes, in two passes each, once the
+// block's counts are decoded. The first builds every record from the
+// per-node columns, with nothing that depends on whether the node is live
+// but the retired counters, added arithmetically, and collects the nodes
+// that have a span. The second
 // validates and lays out those spans alone, in node order. A defect the
 // first pass finds ends it, and is reported only once the second has
 // checked the spans before it, so a section is refused naming the node or
 // entry a single pass over the nodes would name.
-func (t *T2SIndex) RestoreState(r *placement.StateReader, outs []byte) error {
+func (t *T2SIndex) RestoreState(r *placement.StateReader, outs *placement.Counts) error {
 	if len(t.nodes) != 0 || t.tally.hasPending {
 		return fmt.Errorf("core: restore into a non-empty T2S index (%d committed)", len(t.nodes))
 	}
 	if err := t.asn.RestoreState(r); err != nil {
 		return err
 	}
-	lens, outDeg, slabShards, slabVals := r.Column(2), r.Column(4), r.Column(2), r.Column(8)
+	k, width := t.asn.K(), placement.ShardWidth(t.asn.K())
+	lens, degs, slabShards, slabVals := r.Column(width), r.Counts(), r.Column(width), r.Column(8)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	nodes, entries := len(lens)/2, len(slabShards)/2
+	nodes, entries := len(lens)/width, len(slabShards)/width
 	if len(slabVals)/8 != entries {
 		return fmt.Errorf("core: slab columns disagree: %d shards, %d values", entries, len(slabVals)/8)
 	}
-	if len(outDeg)/4 != nodes {
-		return fmt.Errorf("core: per-node columns disagree: %d spans, %d out-degrees", nodes, len(outDeg)/4)
+	if degs.N != nodes {
+		return fmt.Errorf("core: per-node columns disagree: %d spans, %d out-degrees", nodes, degs.N)
 	}
 	if placed := t.asn.Len(); placed != nodes {
 		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, nodes)
 	}
 	if outs == nil {
 		outs = t.askOutCounts(nodes)
-	} else if len(outs) != 4*nodes {
-		return fmt.Errorf("core: %d bytes of output counts for %d transactions", len(outs), nodes)
+	} else if outs.N != nodes {
+		return fmt.Errorf("core: %d output counts for %d transactions", outs.N, nodes)
 	}
 	t.Reserve(nodes, entries) // every chunk the layout reaches
 	t.nodes = t.nodes[:nodes]
-	k, size := t.asn.K(), 1<<t.chunkBits
-	c, filled, run := 0, 0, 0 // section entries [run, at) are live and end at filled in chunk c
+	size := 1 << t.chunkBits
+	c, filled, run := 0, 0, 0 // section entries [run, at) are laid out in chunk c and end at filled
 	off, at := 0, 0           // section offset of the next span: in the first pass, in the second
+	dp, op := 0, 0            // offsets of the next out-degree and output count
 	var retiredTxs, retiredRefs int64
 	defer func() { t.retiredTxs, t.retiredRefs = t.retiredTxs+retiredTxs, t.retiredRefs+retiredRefs }()
 	var spans [spanBlock]int32
+	var bDegs, bOuts [spanBlock]uint32
 	for base := 0; base < nodes; base += spanBlock {
 		recs := t.nodes[base:min(base+spanBlock, nodes)]
-		bLens, bDegs, bOuts := lens[2*base:2*(base+len(recs))], outDeg[4*base:4*(base+len(recs))], outs[4*base:4*(base+len(recs))]
-		m := 0 // spans[:m]: 2i+1 for the block's i-th node if it has a span and is spent out, 2i if it is live
+		m := 0 // spans[:m]: the block's nodes that have a span
 		var defect error
+		// The block's counts first, as far as they decode: the out-degrees
+		// of its first nDeg nodes and the output counts of its first nOut.
+		nDeg := placement.DecodeCounts(bDegs[:len(recs)], degs.Data, &dp)
+		nOut := placement.DecodeCounts(bOuts[:len(recs)], outs.Data, &op)
 		for i := range recs {
-			n := int(binary.LittleEndian.Uint16(bLens[2*i:]))
-			deg := int32(binary.LittleEndian.Uint32(bDegs[4*i:]))
-			if n > k || off+n > entries || deg < 0 {
-				defect = nodeDefect(base+i, n, k, off, entries, deg)
+			n := int(placement.Shard(lens, base+i, width))
+			d, o := int32(bDegs[i]), int32(bOuts[i])
+			// dead is 1 when 0 < o <= d, read off two sign bits: as a branch
+			// it would mispredict on about every other node.
+			dead := int32(uint32(-o)>>31) &^ int32(uint32(d-o)>>31)
+			if n > k || off+n > entries || i >= nDeg || i >= nOut || dead != 0 && n != 0 {
+				defect = nodeDefect(base+i, n, k, off, entries, d, o, i >= nDeg, i >= nOut, degs.Data, dp, outs.Data, op)
 				break
 			}
-			count := int32(binary.LittleEndian.Uint32(bOuts[4*i:]))
-			// dead is 1 when 0 < o <= deg, read off two sign bits: as a branch
-			// it would mispredict on about every other node.
-			o := max(count, 0)
-			dead := int32(uint32(-o)>>31) &^ int32(uint32(deg-o)>>31)
 			retiredTxs += int64(dead)
-			retiredRefs += int64(dead * (deg - o))
+			retiredRefs += int64(dead * (d - o))
 			// The record holds the section's span length until the second
-			// pass lays the span out or drops it.
-			recs[i] = t2sNode{deg: deg, n: uint16(n), outs: t.keepOuts(txgraph.Node(base+i), int(count))}
-			spans[m] = int32(i)<<1 | dead
+			// pass lays the span out.
+			recs[i] = t2sNode{deg: d, n: uint16(n), outs: t.keepOuts(txgraph.Node(base+i), int(o))}
+			spans[m] = int32(i)
 			m += min(n, 1)
 			off += n
 		}
-		for _, sp := range spans[:m] {
-			v, nd := base+int(sp>>1), &recs[sp>>1]
+		for _, i := range spans[:m] {
+			v, nd := base+int(i), &recs[i]
 			n := int(nd.n)
-			if sp&1 == 0 {
-				if filled+n > size {
-					t.fillChunk(c, filled, slabShards[2*run:2*at], slabVals[8*run:8*at])
-					c, filled, run = c+1, 0, at
-				}
-				start := uint64(c)<<t.chunkBits + uint64(filled)
-				if start+uint64(n) > slabLimit {
-					return fmt.Errorf("core: T2S slab is full: transaction %d would end at entry offset %d, past the limit of %d", v, start+uint64(n), slabLimit)
-				}
-				nd.off = uint32(start)
-				filled += n
-				t.entries += n
-			} else {
-				nd.n = 0
+			if filled+n > size {
+				t.fillChunk(c, filled, width, slabShards[width*run:width*at], slabVals[8*run:8*at])
+				c, filled, run = c+1, 0, at
 			}
-			for i, prev := at, -1; i < at+n; i++ {
-				s := int(binary.LittleEndian.Uint16(slabShards[2*i:]))
+			start := uint64(c)<<t.chunkBits + uint64(filled)
+			if start+uint64(n) > slabLimit {
+				return fmt.Errorf("core: T2S slab is full: transaction %d would end at entry offset %d, past the limit of %d", v, start+uint64(n), slabLimit)
+			}
+			nd.off = uint32(start)
+			filled += n
+			for j, prev := at, -1; j < at+n; j++ {
+				s := int(placement.Shard(slabShards, j, width))
 				if s >= k {
-					return fmt.Errorf("core: slab entry %d names shard %d of %d", i, s, k)
+					return fmt.Errorf("core: slab entry %d names shard %d of %d", j, s, k)
 				}
 				if s <= prev {
-					return fmt.Errorf("core: slab entry %d names shard %d after shard %d of the same vector", i, s, prev)
+					return fmt.Errorf("core: slab entry %d names shard %d after shard %d of the same vector", j, s, prev)
 				}
 				prev = s
-			}
-			if sp&1 != 0 {
-				t.fillChunk(c, filled, slabShards[2*run:2*at], slabVals[8*run:8*at])
-				run = at + n
 			}
 			at += n
 		}
@@ -248,25 +280,39 @@ func (t *T2SIndex) RestoreState(r *placement.StateReader, outs []byte) error {
 			return defect
 		}
 	}
+	if dp != len(degs.Data) {
+		return fmt.Errorf("core: out-degree column holds %d bytes past its %d values", len(degs.Data)-dp, nodes)
+	}
+	if op != len(outs.Data) {
+		return fmt.Errorf("core: output-count column holds %d bytes past its %d values", len(outs.Data)-op, nodes)
+	}
 	if off != entries {
 		return fmt.Errorf("core: spans cover %d of %d slab entries", off, entries)
 	}
-	t.fillChunk(c, filled, slabShards[2*run:2*at], slabVals[8*run:8*at])
+	t.fillChunk(c, filled, width, slabShards[width*run:width*at], slabVals[8*run:8*at])
 	t.cur = c
+	t.entries = entries
 	t.committed += entries
+	t.wideDegs = int64(len(degs.Data) - nodes)
 	return nil
 }
 
 // nodeDefect names the first defect of node v's per-node columns: a span
-// longer than k, a span past the slab's end, or a negative out-degree.
-func nodeDefect(v, n, k, off, entries int, deg int32) error {
+// longer than k or past the slab's end, an out-degree or output count that
+// is no count (badDeg, badOut: the one at degs[dp] or outs[op] is not), or
+// a span kept for a node whose outputs are all spent.
+func nodeDefect(v, n, k, off, entries int, deg, count int32, badDeg, badOut bool, degs []byte, dp int, outs []byte, op int) error {
 	switch {
 	case n > k:
 		return fmt.Errorf("core: span %d has %d entries, more than the %d shards", v, n, k)
 	case off+n > entries:
 		return fmt.Errorf("core: span %d (len %d at offset %d) exceeds slab length %d", v, n, off, entries)
+	case badDeg:
+		return fmt.Errorf("core: out-degree of node %d: %s", v, placement.CountDefect(degs, dp))
+	case badOut:
+		return fmt.Errorf("core: output count of node %d: %s", v, placement.CountDefect(outs, op))
 	default:
-		return fmt.Errorf("core: negative out-degree %d at node %d", deg, v)
+		return fmt.Errorf("core: node %d has had %d spenders of its %d outputs but keeps a span of %d entries", v, deg, count, n)
 	}
 }
 
@@ -278,23 +324,32 @@ const spanBlock = 256
 // askOutCounts builds the output-count column of a restore that was handed
 // none, asking the index's source about each of the first nodes
 // transactions; every count is 0 (unknown) without a source.
-func (t *T2SIndex) askOutCounts(nodes int) []byte {
-	col := make([]byte, 4*nodes)
-	if t.outCounts != nil {
-		for v := range nodes {
-			count := min(max(t.outCounts(txgraph.Node(v)), 0), math.MaxInt32)
-			binary.LittleEndian.PutUint32(col[4*v:], uint32(count))
+func (t *T2SIndex) askOutCounts(nodes int) *placement.Counts {
+	col := &placement.Counts{N: nodes, Data: make([]byte, 0, nodes)}
+	for v := range nodes {
+		count := 0
+		if t.outCounts != nil {
+			count = min(max(t.outCounts(txgraph.Node(v)), 0), math.MaxInt32)
 		}
+		col.Data = binary.AppendUvarint(col.Data, uint64(count))
 	}
 	return col
 }
 
-// fillChunk decodes a run of section entries into chunk c, ending at filled.
-func (t *T2SIndex) fillChunk(c, filled int, shards, vals []byte) {
+// fillChunk decodes a run of section entries, shard ids width bytes each,
+// into chunk c, ending at filled.
+func (t *T2SIndex) fillChunk(c, filled, width int, shards, vals []byte) {
+	n := len(vals) / 8
 	t.slabS[c], t.slabV[c] = t.slabS[c][:filled], t.slabV[c][:filled]
-	dstS, dstV := t.slabS[c][filled-len(shards)/2:], t.slabV[c][filled-len(shards)/2:]
-	for i := range dstS {
-		dstS[i] = binary.LittleEndian.Uint16(shards[2*i:])
+	dstS, dstV := t.slabS[c][filled-n:], t.slabV[c][filled-n:]
+	if width == 1 {
+		placement.Widen(dstS, shards)
+	} else {
+		for i := range dstS {
+			dstS[i] = binary.LittleEndian.Uint16(shards[2*i:])
+		}
+	}
+	for i := range dstV {
 		dstV[i] = binary.LittleEndian.Uint64(vals[8*i:])
 	}
 }

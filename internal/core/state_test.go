@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -87,15 +88,15 @@ func TestCoreSnapshotterRoundTrip(t *testing.T) {
 	}
 }
 
-// column encodes one length-prefixed column of little-endian elements.
-func column[T uint16 | int32 | uint64](b []byte, vals []T) []byte {
+// column encodes one length-prefixed column of elements: shard ids and
+// span lengths 1 byte each (a section over at most 255 shards), values 8
+// bytes little-endian.
+func column[T uint16 | uint64](b []byte, vals []T) []byte {
 	b = binary.AppendUvarint(b, uint64(len(vals)))
 	for _, v := range vals {
 		switch v := any(v).(type) {
 		case uint16:
-			b = binary.LittleEndian.AppendUint16(b, v)
-		case int32:
-			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+			b = append(b, byte(v))
 		case uint64:
 			b = binary.LittleEndian.AppendUint64(b, v)
 		}
@@ -103,12 +104,40 @@ func column[T uint16 | int32 | uint64](b []byte, vals []T) []byte {
 	return b
 }
 
-// corruptSection builds a T2S state section (assignment column + index
-// columns, format version 2) from raw parts, for defect injection.
-func corruptSection(asnShards, lens []uint16, outDeg []int32, slabShards []uint16, slabVals []uint64) []byte {
+// counts encodes a count column holding vals.
+func counts(vals ...uint64) []byte {
+	var data []byte
+	for _, v := range vals {
+		data = binary.AppendUvarint(data, v)
+	}
+	return rawCounts(len(vals), data...)
+}
+
+// rawCounts encodes a count column that claims n values in data.
+func rawCounts(n int, data ...byte) []byte {
+	b := binary.AppendUvarint(nil, uint64(n))
+	b = binary.AppendUvarint(b, uint64(len(data)))
+	return append(b, data...)
+}
+
+// countsOf reads an encoded count column back as RestoreState takes it.
+func countsOf(t testing.TB, col []byte) *placement.Counts {
+	t.Helper()
+	r := placement.NewStateReader(col)
+	c := r.Counts()
+	if r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("count column % x: %v, %d bytes left over", col, r.Err(), r.Len())
+	}
+	return &c
+}
+
+// corruptSection builds a T2S state section over at most 255 shards
+// (assignment column + index columns, format version 3) from raw parts,
+// the out-degrees an encoded count column, for defect injection.
+func corruptSection(asnShards, lens []uint16, degs []byte, slabShards []uint16, slabVals []uint64) []byte {
 	b := column(nil, asnShards)
 	b = column(b, lens)
-	b = column(b, outDeg)
+	b = append(b, degs...)
 	b = column(b, slabShards)
 	return column(b, slabVals)
 }
@@ -118,111 +147,186 @@ func TestCoreRestoreDefects(t *testing.T) {
 	one := []uint16{0} // one transaction, placed in shard 0
 	cases := map[string]struct {
 		blob []byte
+		outs []byte // the output-count column, when not asked of the source
 		want string
 	}{
 		"slab columns disagree": {
-			blob: corruptSection(nil, nil, nil, []uint16{0}, nil),
+			blob: corruptSection(nil, nil, counts(), []uint16{0}, nil),
 			want: "slab columns disagree",
 		},
 		"per-node columns disagree": {
-			blob: corruptSection(one, []uint16{0}, nil, nil, nil),
+			blob: corruptSection(one, []uint16{0}, counts(), nil, nil),
 			want: "per-node columns disagree",
 		},
 		"slab shard out of range": {
-			blob: corruptSection(one, []uint16{1}, []int32{0}, []uint16{9}, []uint64{1}),
+			blob: corruptSection(one, []uint16{1}, counts(0), []uint16{9}, []uint64{1}),
 			want: "names shard 9",
 		},
 		"span longer than k": {
-			blob: corruptSection(one, []uint16{k + 1}, []int32{0}, []uint16{0, 1, 2, 3, 0}, []uint64{1, 1, 1, 1, 1}),
+			blob: corruptSection(one, []uint16{k + 1}, counts(0), []uint16{0, 1, 2, 3, 0}, []uint64{1, 1, 1, 1, 1}),
 			want: "more than the 4 shards",
 		},
 		"span exceeds slab": {
-			blob: corruptSection(one, []uint16{3}, []int32{0}, []uint16{0, 0}, []uint64{1, 1}),
+			blob: corruptSection(one, []uint16{3}, counts(0), []uint16{0, 0}, []uint64{1, 1}),
 			want: "exceeds slab length",
 		},
 		"spans undercover slab": {
-			blob: corruptSection(one, []uint16{1}, []int32{0}, []uint16{0, 0}, []uint64{1, 1}),
+			blob: corruptSection(one, []uint16{1}, counts(0), []uint16{0, 0}, []uint64{1, 1}),
 			want: "cover 1 of 2",
 		},
 		"vector shards out of order": {
-			blob: corruptSection(one, []uint16{2}, []int32{0}, []uint16{1, 1}, []uint64{1, 1}),
+			blob: corruptSection(one, []uint16{2}, counts(0), []uint16{1, 1}, []uint64{1, 1}),
 			want: "after shard 1 of the same vector",
 		},
+		"out-degree above MaxInt32": {
+			blob: corruptSection(one, []uint16{2}, counts(math.MaxInt32+1), []uint16{0, 1}, []uint64{1, 1}),
+			want: "out-degree of node 0: 2147483648 exceeds 2147483647",
+		},
 		"negative out-degree": {
-			blob: corruptSection(one, []uint16{2}, []int32{-1}, []uint16{0, 1}, []uint64{1, 1}),
-			want: "negative out-degree",
+			// What a writer that cast a negative int64 to uint64 would emit.
+			blob: corruptSection(one, []uint16{2}, counts(math.MaxUint64), []uint16{0, 1}, []uint64{1, 1}),
+			want: "out-degree of node 0: 18446744073709551615 exceeds 2147483647",
+		},
+		"truncated out-degree": {
+			blob: corruptSection([]uint16{0, 0}, []uint16{0, 0}, rawCounts(2, 5, 0x80), nil, nil),
+			want: "out-degree of node 1: truncated uvarint",
+		},
+		"out-degree over 10 bytes": {
+			blob: corruptSection(one, []uint16{0}, rawCounts(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), nil, nil),
+			want: "out-degree of node 0: uvarint overflows 64 bits",
+		},
+		"out-degree overflows 64 bits": {
+			blob: corruptSection(one, []uint16{0}, rawCounts(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02), nil, nil),
+			want: "out-degree of node 0: uvarint overflows 64 bits",
+		},
+		"non-minimal out-degree": {
+			blob: corruptSection(one, []uint16{0}, rawCounts(1, 0x83, 0x00), nil, nil),
+			want: "out-degree of node 0: non-minimal uvarint",
+		},
+		"more out-degrees than bytes": {
+			blob: corruptSection(one, []uint16{0}, rawCounts(2, 0), nil, nil),
+			want: "count column of 2 values in 1 bytes",
+		},
+		"out-degree column longer than its values": {
+			blob: corruptSection(one, []uint16{0}, rawCounts(1, 0, 0), nil, nil),
+			want: "out-degree column holds 1 bytes past its 1 values",
+		},
+		"output count above MaxInt32": {
+			blob: corruptSection([]uint16{0, 0}, []uint16{0, 0}, counts(0, 0), nil, nil),
+			outs: counts(3, 1<<40),
+			want: "output count of node 1: 1099511627776 exceeds 2147483647",
+		},
+		"truncated output count": {
+			blob: corruptSection(one, []uint16{0}, counts(0), nil, nil),
+			outs: rawCounts(1, 0xff),
+			want: "output count of node 0: truncated uvarint",
+		},
+		"non-minimal output count": {
+			blob: corruptSection(one, []uint16{0}, counts(0), nil, nil),
+			outs: rawCounts(1, 0x80, 0x80, 0x00),
+			want: "output count of node 0: non-minimal uvarint",
+		},
+		"output counts for another transaction count": {
+			blob: corruptSection(one, []uint16{0}, counts(0), nil, nil),
+			outs: counts(1, 1),
+			want: "2 output counts for 1 transactions",
+		},
+		"output-count column longer than its values": {
+			blob: corruptSection(one, []uint16{0}, counts(0), nil, nil),
+			outs: rawCounts(1, 1, 7),
+			want: "output-count column holds 1 bytes past its 1 values",
+		},
+		"span of a spent-out node": {
+			// 1 has had both its spenders and still carries a vector: a writer
+			// that retires never leaves one.
+			blob: corruptSection([]uint16{0, 0}, []uint16{1, 1}, counts(0, 2), []uint16{0, 3}, []uint64{5, 6}),
+			outs: counts(2, 2),
+			want: "node 1 has had 2 spenders of its 2 outputs but keeps a span of 1 entries",
 		},
 		"assignment and index disagree": {
-			blob: corruptSection(one, nil, nil, nil, nil),
+			blob: corruptSection(one, nil, counts(), nil, nil),
 			want: "assignment has 1 placements but the T2S index 0",
 		},
 		"assignment shard out of range": {
-			blob: corruptSection([]uint16{k}, nil, nil, nil, nil),
+			blob: corruptSection([]uint16{k}, nil, counts(), nil, nil),
 			want: "in shard 4 of 4",
 		},
 		"truncated": {
-			blob: corruptSection(nil, nil, nil, nil, nil)[:2],
+			blob: corruptSection(nil, nil, counts(), nil, nil)[:2],
 			want: "truncated",
 		},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
-			err := p.RestoreState(placement.NewStateReader(tc.blob))
+			var err error
+			if tc.outs == nil {
+				err = p.RestoreState(placement.NewStateReader(tc.blob))
+			} else {
+				err = p.idx.RestoreState(placement.NewStateReader(tc.blob), countsOf(t, tc.outs))
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err=%v, want substring %q", err, tc.want)
 			}
 		})
 	}
 
-	// What the restore's retirement step accepts. Three transactions in
-	// shard 0 declaring 1, 2 and 0 (unknown) outputs.
-	outs := []int{1, 2, 0}
-	restore := func(t *testing.T, lens []uint16, outDeg []int32, slabShards []uint16, slabVals []uint64) *T2SIndex {
-		t.Helper()
+	t.Run("spent out on an empty span", func(t *testing.T) {
+		// What an index that retires writes: three transactions in shard 0
+		// declaring 1, 2 and 0 (unknown) outputs; no span for the spent-out
+		// 0, and its third spender counted as two late references.
 		p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
-		p.idx.SetOutCounts(func(v txgraph.Node) int { return outs[v] })
-		if err := p.RestoreState(placement.NewStateReader(corruptSection([]uint16{0, 0, 0}, lens, outDeg, slabShards, slabVals))); err != nil {
+		section := corruptSection([]uint16{0, 0, 0}, []uint16{0, 1, 1}, counts(3, 1, 7), []uint16{0, 0}, []uint64{5, 6})
+		if err := p.idx.RestoreState(placement.NewStateReader(section), countsOf(t, counts(1, 2, 0))); err != nil {
 			t.Fatal(err)
 		}
-		return p.idx
-	}
-	t.Run("spent out on an empty span", func(t *testing.T) {
-		// What an index that retires writes: no span for the spent-out 0, and
-		// its third spender counted as two late references.
-		idx := restore(t, []uint16{0, 1, 1}, []int32{3, 1, 7}, []uint16{0, 0}, []uint64{5, 6})
-		if txs, refs := idx.Retired(); txs != 1 || refs != 2 || idx.SlabLen() != 2 || freeSlots(idx) != 0 {
-			t.Fatalf("%d retired, %d late references, %d entries, %d free slots: want 1, 2, 2, 0", txs, refs, idx.SlabLen(), freeSlots(idx))
-		}
-	})
-	t.Run("live span of a spent-out node is dropped", func(t *testing.T) {
-		// What an index that never retired wrote: 0 and 1 have had all their
-		// spenders and still carry vectors; 2 never says how many it can have.
-		idx := restore(t, []uint16{2, 1, 1}, []int32{1, 2, 9}, []uint16{0, 3, 0, 0}, []uint64{5, 6, 7, 8})
-		if txs, refs := idx.Retired(); txs != 2 || refs != 0 || idx.SlabLen() != 1 {
-			t.Fatalf("%d retired, %d late references, %d entries held: want 2, 0, 1", txs, refs, idx.SlabLen())
-		}
-		if len(idx.Vector(0)) != 0 || len(idx.Vector(1)) != 0 || idx.Vector(2)[0] == 0 || idx.OutDegree(1) != 2 {
-			t.Fatalf("vectors %v %v %v, out-degree of 1 %d", idx.Vector(0), idx.Vector(1), idx.Vector(2), idx.OutDegree(1))
-		}
-		// The dropped spans were still checked like any other.
-		p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
-		p.idx.SetOutCounts(func(v txgraph.Node) int { return outs[v] })
-		err := p.RestoreState(placement.NewStateReader(corruptSection([]uint16{0, 0, 0},
-			[]uint16{2, 1, 1}, []int32{1, 2, 9}, []uint16{0, 9, 0, 0}, []uint64{5, 6, 7, 8})))
-		if err == nil || !strings.Contains(err.Error(), "names shard 9") {
-			t.Fatalf("bad shard in a dropped span: %v", err)
+		if txs, refs := p.idx.Retired(); txs != 1 || refs != 2 || p.idx.SlabLen() != 2 || freeSlots(p.idx) != 0 {
+			t.Fatalf("%d retired, %d late references, %d entries, %d free slots: want 1, 2, 2, 0", txs, refs, p.idx.SlabLen(), freeSlots(p.idx))
 		}
 	})
 
 	t.Run("non-empty receiver", func(t *testing.T) {
 		p := NewOptChain(OptChainConfig{K: k, N: n})
 		p.Place(0, nil)
-		err := p.RestoreState(placement.NewStateReader(corruptSection(nil, nil, nil, nil, nil)))
+		err := p.RestoreState(placement.NewStateReader(corruptSection(nil, nil, counts(), nil, nil)))
 		if err == nil || !strings.Contains(err.Error(), "non-empty") {
 			t.Fatalf("restore into placed-into placer: %v", err)
 		}
 	})
+}
+
+// TestShardWidthBoundary: over 255 shards a section stores shard ids and
+// span lengths a byte each, over 256 two bytes each; at both a vector over
+// every shard (span length k, shard id k-1) survives the round trip, and
+// the section is the size the widths make it.
+func TestShardWidthBoundary(t *testing.T) {
+	for _, k := range []int{255, 256} {
+		p := NewT2SPlacer(k, 0, DefaultAlpha, 0.1)
+		shards, vals := make([]uint16, k), make([]uint64, k)
+		for i := range shards {
+			shards[i], vals[i] = uint16(i), uint64(i+1)
+		}
+		if err := p.idx.appendVec(shards, vals); err != nil {
+			t.Fatal(err)
+		}
+		p.idx.asn.Place(0, k-1)
+		section := stateOf(t, p)
+		width := int64(placement.ShardWidth(k))
+		// Assignment and span lengths: a count and one element each; one
+		// 1-byte out-degree; k shard ids and k values, each behind a 2-byte
+		// count.
+		if want := 2*(1+width) + 3 + (2 + width*int64(k)) + (2 + 8*int64(k)); int64(len(section)) != want {
+			t.Fatalf("k=%d: a %d-byte section, want %d", k, len(section), want)
+		}
+		fresh := NewT2SPlacer(k, 0, DefaultAlpha, 0.1)
+		if err := fresh.RestoreState(placement.NewStateReader(section)); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		sameVectors(t, fresh.idx, p.idx)
+		if fresh.Assignment().ShardOf(0) != k-1 {
+			t.Fatalf("k=%d: transaction 0 restored in shard %d", k, fresh.Assignment().ShardOf(0))
+		}
+	}
 }
 
 // TestSnapshotBetweenPrepareAndCommit: serializing between Prepare and

@@ -273,6 +273,13 @@ type T2SIndex struct {
 
 	retiredTxs, retiredRefs int64
 
+	// wideOuts and wideDegs are the bytes the output counts and the
+	// out-degrees of all nodes take as uvarints beyond one a node, so that
+	// a snapshot's size is known without a pass over the records: a count
+	// is fixed when its node is committed, and an out-degree takes a byte
+	// more only when it reaches 2^7, 2^14, and so on.
+	wideOuts, wideDegs int64
+
 	tally t2sTally
 }
 
@@ -419,17 +426,29 @@ func (t *T2SIndex) bigOut(v txgraph.Node) int32 {
 	return t.bigOuts[i].outs
 }
 
-// keepOuts returns the node record's form of the output count of v and
-// keeps a count too large for it in bigOuts. A negative count is unknown,
-// and one past what an int32 holds is clamped to it.
+// keepOuts returns the node record's form of the output count of v, keeps a
+// count too large for it in bigOuts, and adds the bytes the count takes as
+// a uvarint past one to wideOuts. A negative count is unknown, and one past
+// what an int32 holds is clamped to it.
 //
 //optchain:hotpath one call per stream transaction.
 func (t *T2SIndex) keepOuts(v txgraph.Node, outs int) uint16 {
-	if outs < manyOuts {
+	if outs < 1<<7 {
 		return uint16(max(outs, 0))
 	}
-	t.bigOuts = append(t.bigOuts, bigOut{v: v, outs: int32(min(outs, math.MaxInt32))})
+	outs = min(outs, math.MaxInt32)
+	t.wideOuts += placement.UvarintLen(uint64(outs)) - 1
+	if outs < manyOuts {
+		return uint16(outs)
+	}
+	t.bigOuts = append(t.bigOuts, bigOut{v: v, outs: int32(outs)})
 	return manyOuts
+}
+
+// widenDeg counts the byte more that an out-degree of deg, a multiple of
+// 2^7, may take as a uvarint than deg-1 did.
+func (t *T2SIndex) widenDeg(deg int32) {
+	t.wideDegs += placement.UvarintLen(uint64(deg)) - placement.UvarintLen(uint64(deg-1))
 }
 
 // retire drops the vector of v, whose last output has just been spent: its
@@ -547,6 +566,9 @@ func (t *T2SIndex) prepareVector(u txgraph.Node, inputs []txgraph.Node) {
 	for _, v := range inputs {
 		nd := &t.nodes[v]
 		nd.deg++ // u is now a spender of v
+		if nd.deg&(1<<7-1) == 0 {
+			t.widenDeg(nd.deg)
+		}
 		div := nd.deg
 		outs := t.outCount(v, nd.outs)
 		if outs > 0 {

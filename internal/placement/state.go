@@ -5,14 +5,25 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/bits"
 	"unsafe"
 )
 
 // MaxShards is the largest shard count whose state the snapshot format and
 // the T2S slab can hold: shard ids, and the length of a p'(v) vector (at
-// most one entry per shard), are stored 2 bytes wide.
+// most one entry per shard), are stored at most 2 bytes wide.
 const MaxShards = 1<<16 - 1
+
+// ShardWidth returns how many bytes a snapshot of k shards stores each
+// shard id and span length in: 1 when k <= 255 (ids below k and lengths up
+// to k fit a byte), else 2.
+func ShardWidth(k int) int {
+	if k <= 255 {
+		return 1
+	}
+	return 2
+}
 
 // Snapshotter is implemented by strategies whose complete decision state can
 // be serialized and later restored into a freshly constructed placer of the
@@ -44,6 +55,13 @@ func UvarintLen(v uint64) int64 { return int64(bits.Len64(v|1)+6) / 7 }
 // elements of elemSize bytes each.
 func ColumnSize(n, elemSize int) int64 {
 	return UvarintLen(uint64(n)) + int64(n)*int64(elemSize)
+}
+
+// CountsSize returns the encoded size of a count column of n values that
+// take size bytes as uvarints: the element count, the byte length, the
+// values.
+func CountsSize(n int, size int64) int64 {
+	return UvarintLen(uint64(n)) + UvarintLen(uint64(size)) + size
 }
 
 // stageBytes sizes the StateWriter's staging buffer: large enough that the
@@ -110,17 +128,21 @@ func (w *StateWriter) Finish() error {
 	return w.err
 }
 
-// grab returns staging space for as many of count size-byte elements as fit
-// (at least one), flushing first when the buffer is full.
-func (w *StateWriter) grab(size, count int) ([]byte, int) {
-	if cap(w.buf)-len(w.buf) < size {
+// Stage returns n bytes of staging space, flushing first when fewer are
+// free; n may be at most 64 KiB, the staging buffer's size. The caller
+// encodes into it and hands the number of bytes it used to Commit, so a
+// column is encoded straight from where its values are kept.
+func (w *StateWriter) Stage(n int) []byte {
+	if cap(w.buf)-len(w.buf) < n {
 		w.Flush()
 	}
-	n := min(count, (cap(w.buf)-len(w.buf))/size)
-	lo := len(w.buf)
-	w.buf = w.buf[:lo+n*size]
-	w.n += int64(n * size)
-	return w.buf[lo:], n
+	return w.buf[len(w.buf) : len(w.buf)+n]
+}
+
+// Commit adds the first n bytes of the space Stage returned to the stream.
+func (w *StateWriter) Commit(n int) {
+	w.buf = w.buf[:len(w.buf)+n]
+	w.n += int64(n)
 }
 
 // Write implements io.Writer: raw bytes, staged when small and passed
@@ -143,18 +165,16 @@ func (w *StateWriter) Write(p []byte) (int, error) {
 // String writes the raw bytes of s.
 func (w *StateWriter) String(s string) {
 	for len(s) > 0 {
-		dst, n := w.grab(1, len(s))
-		copy(dst, s[:n])
-		s = s[n:]
+		dst := w.Stage(min(len(s), stageBytes))
+		copy(dst, s)
+		w.Commit(len(dst))
+		s = s[len(dst):]
 	}
 }
 
 // Uvarint writes v in unsigned varint encoding.
 func (w *StateWriter) Uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	dst, _ := w.grab(n, 1)
-	copy(dst, tmp[:n])
+	w.Commit(binary.PutUvarint(w.Stage(binary.MaxVarintLen64), v))
 }
 
 // littleEndian reports whether the host stores integers little-endian, so
@@ -162,14 +182,14 @@ func (w *StateWriter) Uvarint(v uint64) {
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // bytesOf is the memory of vals.
-func bytesOf[T uint16 | int32 | uint64](vals []T) []byte {
+func bytesOf[T uint16 | uint64](vals []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*int(unsafe.Sizeof(T(0))))
 }
 
 // writeElems writes vals as raw little-endian elements: on a little-endian
 // host their memory in one Write (staged when small, checksummed and passed
 // through when large), elsewhere an element at a time.
-func writeElems[T uint16 | int32 | uint64](w *StateWriter, vals []T) {
+func writeElems[T uint16 | uint64](w *StateWriter, vals []T) {
 	if littleEndian {
 		w.Write(bytesOf(vals))
 		return
@@ -186,8 +206,65 @@ func writeElems[T uint16 | int32 | uint64](w *StateWriter, vals []T) {
 // pieces is one Uvarint count followed by one call per piece.
 func (w *StateWriter) Uint16s(vals []uint16) { writeElems(w, vals) }
 
-// Int32s writes vals as raw little-endian 4-byte elements.
-func (w *StateWriter) Int32s(vals []int32) { writeElems(w, vals) }
+// Shards writes shard ids or span lengths width bytes each (ShardWidth): 2
+// as Uint16s does, 1 as the low byte of each value, which must be below
+// 256.
+func (w *StateWriter) Shards(vals []uint16, width int) {
+	if width != 1 {
+		w.Uint16s(vals)
+		return
+	}
+	for len(vals) > 0 {
+		dst := w.Stage(min(len(vals), stageBytes))
+		narrow(dst, vals)
+		w.Commit(len(dst))
+		vals = vals[len(dst):]
+	}
+}
+
+// narrow stores the low byte of each of the first len(dst) values of src
+// in dst, eight at a time.
+func narrow(dst []byte, src []uint16) {
+	src = src[:len(dst)]
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		s, d := src[i:i+8:i+8], dst[i:i+8:i+8]
+		d[0], d[1], d[2], d[3] = byte(s[0]), byte(s[1]), byte(s[2]), byte(s[3])
+		d[4], d[5], d[6], d[7] = byte(s[4]), byte(s[5]), byte(s[6]), byte(s[7])
+	}
+	for ; i < len(src); i++ {
+		dst[i] = byte(src[i])
+	}
+}
+
+// Widen stores each byte of src, a column of 1-byte shard ids or span
+// lengths, in the first len(src) elements of dst, eight at a time.
+func Widen(dst []uint16, src []byte) {
+	dst = dst[:len(src)]
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		s, d := src[i:i+8:i+8], dst[i:i+8:i+8]
+		d[0], d[1], d[2], d[3] = uint16(s[0]), uint16(s[1]), uint16(s[2]), uint16(s[3])
+		d[4], d[5], d[6], d[7] = uint16(s[4]), uint16(s[5]), uint16(s[6]), uint16(s[7])
+	}
+	for ; i < len(src); i++ {
+		dst[i] = uint16(src[i])
+	}
+}
+
+// PutCount encodes v, a value of a count column (see StateReader.Counts),
+// as an unsigned varint at the start of b, which must have room for
+// binary.MaxVarintLen32 bytes, and returns its length.
+func PutCount(b []byte, v uint32) int {
+	i := 0
+	for v >= 0x80 {
+		b[i] = byte(v) | 0x80
+		v >>= 7
+		i++
+	}
+	b[i] = byte(v)
+	return i + 1
+}
 
 // Uint64s writes vals as raw little-endian 8-byte elements.
 func (w *StateWriter) Uint64s(vals []uint64) { writeElems(w, vals) }
@@ -216,14 +293,23 @@ func (r *StateReader) fail(format string, args ...any) {
 	}
 }
 
-// Uvarint consumes one unsigned varint.
+// Uvarint consumes one unsigned varint. An encoding longer than its value
+// needs is a defect, so that an accepted section is the one its state
+// writes.
 func (r *StateReader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
+	switch {
+	case n == 0:
 		r.fail("placement: truncated varint")
+		return 0
+	case n < 0:
+		r.fail("placement: varint overflows 64 bits")
+		return 0
+	case n > 1 && r.buf[n-1] == 0:
+		r.fail("placement: non-minimal varint")
 		return 0
 	}
 	r.buf = r.buf[n:]
@@ -274,38 +360,135 @@ func (r *StateReader) Column(elemSize int) []byte {
 	return r.Bytes(int(n) * elemSize)
 }
 
+// Counts is a count column as the reader found it, undecoded: N unsigned
+// varints, each at most math.MaxInt32, back to back in Data.
+// DecodeCounts decodes them a block at a time.
+type Counts struct {
+	N    int
+	Data []byte
+}
+
+// Counts consumes one count column: a uvarint element count, a uvarint
+// byte length, then the values. It returns the values undecoded, a view
+// into the buffer; the byte length is bounded by the bytes that remain and
+// the element count by the byte length (a value takes at least a byte), so
+// a corrupt prefix cannot force an allocation.
+func (r *StateReader) Counts() Counts {
+	n, size := r.Uvarint(), r.Uvarint()
+	if r.err != nil {
+		return Counts{}
+	}
+	if size > uint64(len(r.buf)) {
+		r.fail("placement: count column of %d bytes exceeds %d remaining bytes", size, len(r.buf))
+		return Counts{}
+	}
+	if n > size {
+		r.fail("placement: count column of %d values in %d bytes", n, size)
+		return Counts{}
+	}
+	return Counts{N: int(n), Data: r.Bytes(int(size))}
+}
+
+// DecodeCounts decodes values of a count column from b[*at] on into dst,
+// advancing *at past each, and returns how many it decoded: len(dst), or
+// fewer when it stops at a value that is no count, *at then on that value.
+// Eight values of one byte each are decoded at once.
+func DecodeCounts(dst []uint32, b []byte, at *int) int {
+	i, p := 0, *at
+	for ; i+8 <= len(dst) && p+8 <= len(b); i, p = i+8, p+8 {
+		w := binary.LittleEndian.Uint64(b[p:])
+		if w&0x8080808080808080 != 0 {
+			break
+		}
+		d := dst[i : i+8 : i+8]
+		d[0], d[1], d[2], d[3] = uint32(w&0x7f), uint32(w>>8&0x7f), uint32(w>>16&0x7f), uint32(w>>24&0x7f)
+		d[4], d[5], d[6], d[7] = uint32(w>>32&0x7f), uint32(w>>40&0x7f), uint32(w>>48&0x7f), uint32(w>>56)
+	}
+	for ; i < len(dst); i++ {
+		v, next, ok := nextCount(b, p)
+		if !ok {
+			break
+		}
+		dst[i], p = v, next
+	}
+	*at = p
+	return i
+}
+
+// nextCount decodes the value of a count column that starts at b[at]: it
+// returns the value and the offset past it, or ok false when no value up
+// to math.MaxInt32, minimally encoded, starts there (CountDefect says why).
+func nextCount(b []byte, at int) (v uint32, next int, ok bool) {
+	if at < len(b) && b[at] < 0x80 {
+		return uint32(b[at]), at + 1, true
+	}
+	u, n, why := countAt(b, at)
+	if why != "" {
+		return 0, at, false
+	}
+	return uint32(u), at + n, true
+}
+
+// CountDefect names why no count starts at b[at].
+func CountDefect(b []byte, at int) string {
+	_, _, why := countAt(b, at)
+	return why
+}
+
+// countAt decodes the uvarint at b[at] and checks it is a count: why is
+// empty for one, else names the rule it breaks.
+func countAt(b []byte, at int) (v uint64, n int, why string) {
+	v, n = binary.Uvarint(b[min(at, len(b)):])
+	switch {
+	case n == 0:
+		why = "truncated uvarint"
+	case n < 0:
+		why = "uvarint overflows 64 bits"
+	case n > 1 && b[at+n-1] == 0:
+		why = "non-minimal uvarint"
+	case v > math.MaxInt32:
+		why = fmt.Sprintf("%d exceeds %d", v, math.MaxInt32)
+	}
+	return v, n, why
+}
+
 // StateSize implements Snapshotter for the assignment: the
-// per-transaction shard column, 2 bytes a decision.
-func (a *Assignment) StateSize() int64 { return ColumnSize(len(a.shards), 2) }
+// per-transaction shard column, ShardWidth(k) bytes a decision.
+func (a *Assignment) StateSize() int64 { return ColumnSize(len(a.shards), ShardWidth(a.k)) }
 
 // WriteState serializes the assignment: the per-transaction shard column
 // (counts are derived on restore).
 func (a *Assignment) WriteState(w *StateWriter) {
 	w.Uvarint(uint64(len(a.shards)))
-	w.Uint16s(a.shards)
+	w.Shards(a.shards, ShardWidth(a.k))
 }
 
 // RestoreState replaces the assignment's decisions with a section produced
 // by WriteState. The receiver must be empty and keep its shard count; the
 // per-shard tallies are rebuilt, and any out-of-range shard fails.
 func (a *Assignment) RestoreState(r *StateReader) error {
-	col := r.Column(2)
+	width := ShardWidth(a.k)
+	col := r.Column(width)
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if len(a.shards) != 0 {
 		return fmt.Errorf("placement: restore into a non-empty assignment (%d placed)", len(a.shards))
 	}
-	n := len(col) / 2
+	n := len(col) / width
 	shards := a.shards
 	if cap(shards) < n {
 		shards = make([]uint16, n)
 	}
 	shards = shards[:n]
-	copy(bytesOf(shards), col) // the decoded column, on a little-endian host
 	counts := make([]int64, a.k)
+	if width == 1 {
+		Widen(shards, col)
+	} else {
+		copy(bytesOf(shards), col) // the decoded column, on a little-endian host
+	}
 	for i, s := range shards {
-		if !littleEndian {
+		if !littleEndian && width == 2 {
 			s = binary.LittleEndian.Uint16(col[2*i:])
 			shards[i] = s
 		}
@@ -317,6 +500,15 @@ func (a *Assignment) RestoreState(r *StateReader) error {
 	a.shards = shards
 	a.counts = counts
 	return nil
+}
+
+// Shard returns element i of a column of width-byte shard ids or span
+// lengths (ShardWidth).
+func Shard(col []byte, i, width int) uint16 {
+	if width == 1 {
+		return uint16(col[i])
+	}
+	return binary.LittleEndian.Uint16(col[2*i:])
 }
 
 // WriteState implements Snapshotter: the hash placement is stateless beyond

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -29,32 +30,51 @@ func stateOf(t *testing.T, s Snapshotter) []byte {
 	return buf.Bytes()
 }
 
-// shardColumn encodes a 2-byte shard column by hand.
-func shardColumn(shards ...uint16) []byte {
+// shardColumn encodes a shard column of width-byte elements by hand.
+func shardColumn(width int, shards ...uint16) []byte {
 	b := binary.AppendUvarint(nil, uint64(len(shards)))
 	for _, s := range shards {
-		b = binary.LittleEndian.AppendUint16(b, s)
+		b = binary.LittleEndian.AppendUint16(b, s)[:len(b)+width]
 	}
 	return b
+}
+
+// putCounts writes vals as the values of a count column, a block at a
+// time through the writer's staging space.
+func putCounts(w *StateWriter, vals []uint32) {
+	for len(vals) > 0 {
+		m := min(len(vals), 4096)
+		b, at := w.Stage(binary.MaxVarintLen32*m), 0
+		for _, v := range vals[:m] {
+			at += PutCount(b[at:], v)
+		}
+		w.Commit(at)
+		vals = vals[m:]
+	}
 }
 
 func TestStateReaderColumns(t *testing.T) {
 	var out bytes.Buffer
 	w := NewStateWriter(&out)
 	w.Uvarint(300)
-	w.Uvarint(3)
-	w.Int32s([]int32{-1, 0, 1 << 30})
+	counts := []uint32{0, 127, 128, 1 << 20, math.MaxInt32}
+	w.Uvarint(uint64(len(counts)))
+	w.Uvarint(1 + 1 + 2 + 3 + 5)
+	putCounts(w, counts[:2])
+	putCounts(w, counts[2:]) // a column may be written in pieces
 	w.Uvarint(3)
 	w.Uint64s([]uint64{0, 1, 1 << 60})
 	w.Uvarint(4)
 	w.Uint16s([]uint16{7, 65535})
-	w.Uint16s([]uint16{0, 513}) // a column may be written in pieces
+	w.Shards([]uint16{0, 513}, 2)
+	w.Uvarint(3)
+	w.Shards([]uint16{0, 7, 255}, 1)
 	w.String("\x7f")
 	w.String("raw")
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := UvarintLen(300) + ColumnSize(3, 4) + ColumnSize(3, 8) + ColumnSize(4, 2) + 1 + 3
+	want := UvarintLen(300) + CountsSize(len(counts), 12) + ColumnSize(3, 8) + ColumnSize(4, 2) + ColumnSize(3, 1) + 1 + 3
 	if w.Len() != want || int64(out.Len()) != want {
 		t.Fatalf("wrote %d bytes (writer counted %d), sizes add up to %d", out.Len(), w.Len(), want)
 	}
@@ -63,9 +83,22 @@ func TestStateReaderColumns(t *testing.T) {
 	if v := r.Uvarint(); v != 300 {
 		t.Fatalf("uvarint %d, want 300", v)
 	}
-	i32 := r.Column(4)
-	if len(i32) != 12 || int32(binary.LittleEndian.Uint32(i32)) != -1 || binary.LittleEndian.Uint32(i32[8:]) != 1<<30 {
-		t.Fatalf("int32 column % x", i32)
+	col := r.Counts()
+	if col.N != len(counts) || len(col.Data) != 12 {
+		t.Fatalf("count column of %d values in %d bytes", col.N, len(col.Data))
+	}
+	for i, at := 0, 0; i <= col.N; i++ {
+		v, next, ok := nextCount(col.Data, at)
+		if i == col.N {
+			if ok || CountDefect(col.Data, at) != "truncated uvarint" {
+				t.Fatalf("a count past the column's end: %d, %v (%s)", v, ok, CountDefect(col.Data, at))
+			}
+			break
+		}
+		if !ok || v != counts[i] {
+			t.Fatalf("count %d: %d (%v), want %d", i, v, ok, counts[i])
+		}
+		at = next
 	}
 	u64 := r.Column(8)
 	if len(u64) != 24 || binary.LittleEndian.Uint64(u64[16:]) != 1<<60 {
@@ -74,6 +107,9 @@ func TestStateReaderColumns(t *testing.T) {
 	u16 := r.Column(2)
 	if !bytes.Equal(u16, []byte{7, 0, 0xff, 0xff, 0, 0, 1, 2}) {
 		t.Fatalf("uint16 column % x", u16)
+	}
+	if u8 := r.Column(1); !bytes.Equal(u8, []byte{0, 7, 0xff}) || Shard(u8, 2, 1) != 255 || Shard(u16, 1, 2) != 65535 {
+		t.Fatalf("1-byte shard column % x", u8)
 	}
 	if b := r.Byte(); b != 0x7f {
 		t.Fatalf("byte %#x, want 0x7f", b)
@@ -86,8 +122,8 @@ func TestStateReaderColumns(t *testing.T) {
 	}
 }
 
-// TestStateWriterStreams: columns larger than the staging buffer reach the
-// destination whole and in order, the running checksum covers every byte
+// TestStateWriterStreams: columns larger than the staging buffer, fixed
+// width or uvarints, reach the destination whole and in order, the running checksum covers every byte
 // but its own four, a nested writer passes large blocks through, and the
 // first write error sticks.
 func TestStateWriterStreams(t *testing.T) {
@@ -129,6 +165,32 @@ func TestStateWriterStreams(t *testing.T) {
 	}
 	if crc32.ChecksumIEEE(whole[:len(whole)-4]) != binary.LittleEndian.Uint32(whole[len(whole)-4:]) {
 		t.Fatal("envelope checksum does not cover the nested section")
+	}
+
+	// A count column of more bytes than the staging buffer holds, its
+	// values from 1 to 5 bytes long.
+	counts := make([]uint32, stageBytes/2)
+	size := int64(0)
+	for i := range counts {
+		counts[i] = uint32(i*i*2654435761) >> (i % 32) & math.MaxInt32
+		size += UvarintLen(uint64(counts[i]))
+	}
+	var cb bytes.Buffer
+	cw := NewStateWriter(&cb)
+	cw.Uvarint(uint64(len(counts)))
+	cw.Uvarint(uint64(size))
+	putCounts(cw, counts)
+	if err := cw.Flush(); err != nil || cw.Len() != CountsSize(len(counts), size) || int64(cb.Len()) != cw.Len() || size <= stageBytes {
+		t.Fatalf("count column: %v, wrote %d (writer counted %d), want %d past the %d staged", err, cb.Len(), cw.Len(), CountsSize(len(counts), size), stageBytes)
+	}
+	cr := NewStateReader(cb.Bytes())
+	cc := cr.Counts()
+	for i, at := 0, 0; i < len(counts); i++ {
+		v, next, ok := nextCount(cc.Data, at)
+		if !ok || v != counts[i] {
+			t.Fatalf("count %d came back as %d (%v), want %d", i, v, ok, counts[i])
+		}
+		at = next
 	}
 
 	boom := errors.New("disk full")
@@ -190,6 +252,25 @@ func TestStateReaderDefects(t *testing.T) {
 			t.Fatal("negative Bytes accepted")
 		}
 	})
+	t.Run("non-minimal varint", func(t *testing.T) {
+		// 1 in two bytes: a value the writer never encodes so.
+		r := NewStateReader([]byte{0x81, 0x00})
+		if r.Uvarint() != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), "non-minimal") {
+			t.Fatalf("non-minimal varint: err=%v", r.Err())
+		}
+	})
+	t.Run("count column longer than the section", func(t *testing.T) {
+		r := NewStateReader([]byte{1, 2, 0})
+		if col := r.Counts(); col.Data != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "exceeds 1 remaining") {
+			t.Fatalf("count column of 2 bytes in 1: err=%v", r.Err())
+		}
+	})
+	t.Run("more counts than bytes", func(t *testing.T) {
+		r := NewStateReader([]byte{3, 2, 0, 0})
+		if col := r.Counts(); col.Data != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "3 values in 2 bytes") {
+			t.Fatalf("3 counts in 2 bytes: err=%v", r.Err())
+		}
+	})
 	t.Run("byte at end", func(t *testing.T) {
 		r := NewStateReader(nil)
 		if r.Byte() != 0 || r.Err() == nil {
@@ -204,13 +285,94 @@ func TestStateReaderDefects(t *testing.T) {
 			t.Fatal("no defect recorded")
 		}
 		// Every later read is a zero-value no-op reporting the first defect.
-		if r.Byte() != 0 || r.Column(4) != nil || r.Column(8) != nil || r.Bytes(1) != nil {
+		if r.Byte() != 0 || r.Column(4) != nil || r.Column(8) != nil || r.Bytes(1) != nil || r.Counts().Data != nil {
 			t.Fatal("reads after a defect returned data")
 		}
 		if r.Err() != first {
 			t.Fatalf("error replaced: %v -> %v", first, r.Err())
 		}
 	})
+}
+
+// TestNextCount: a count is a minimal uvarint of at most math.MaxInt32;
+// anything else is refused, and CountDefect says why.
+func TestNextCount(t *testing.T) {
+	for _, tc := range []struct {
+		b    []byte
+		want uint32
+		why  string // empty for a count
+	}{
+		{[]byte{0}, 0, ""},
+		{[]byte{0x7f}, 127, ""},
+		{[]byte{0x80, 0x01}, 128, ""},
+		{binary.AppendUvarint(nil, 70_000), 70_000, ""},
+		{binary.AppendUvarint(nil, math.MaxInt32), math.MaxInt32, ""},
+		{nil, 0, "truncated uvarint"},
+		{[]byte{0x80}, 0, "truncated uvarint"},
+		{[]byte{0xff, 0xff}, 0, "truncated uvarint"},
+		{[]byte{0x80, 0x00}, 0, "non-minimal uvarint"},
+		{[]byte{0xff, 0x80, 0x00}, 0, "non-minimal uvarint"},
+		{binary.AppendUvarint(nil, math.MaxInt32+1), 0, "2147483648 exceeds 2147483647"},
+		{binary.AppendUvarint(nil, 1<<63), 0, "9223372036854775808 exceeds 2147483647"},
+		{append(bytes.Repeat([]byte{0xff}, 9), 0x02), 0, "uvarint overflows 64 bits"},
+		{append(bytes.Repeat([]byte{0x80}, 10), 0x01), 0, "uvarint overflows 64 bits"},
+	} {
+		// The count is read where it starts, behind another one.
+		b := append([]byte{5}, tc.b...)
+		v, next, ok := nextCount(b, 1)
+		if tc.why == "" {
+			if !ok || v != tc.want || next != len(b) {
+				t.Errorf("% x: %d, next %d, %v; want %d, %d", tc.b, v, next, ok, tc.want, len(b))
+			}
+			continue
+		}
+		if ok || next != 1 {
+			t.Errorf("% x: accepted as %d, next %d", tc.b, v, next)
+		}
+		if why := CountDefect(b, 1); why != tc.why {
+			t.Errorf("% x: %q, want %q", tc.b, why, tc.why)
+		}
+	}
+}
+
+// TestDecodeCounts: a block of counts decodes eight one-byte values at a
+// time and any other value alone, to the same values nextCount gives, and
+// stops on the first value that is no count, there.
+func TestDecodeCounts(t *testing.T) {
+	var vals []uint32
+	var b []byte
+	for i := range 300 {
+		v := uint32(i % 97)
+		if i%41 == 40 {
+			v = uint32(i) << (i % 23) & math.MaxInt32
+		}
+		vals = append(vals, v)
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	for _, block := range []int{1, 7, 8, 9, 64, 300} {
+		at := 0
+		for lo := 0; lo < len(vals); lo += block {
+			dst := make([]uint32, min(block, len(vals)-lo))
+			if n := DecodeCounts(dst, b, &at); n != len(dst) || !slices.Equal(dst, vals[lo:lo+n]) {
+				t.Fatalf("blocks of %d, from %d: %d decoded, %v, want %v", block, lo, n, dst, vals[lo:lo+len(dst)])
+			}
+		}
+		if at != len(b) {
+			t.Fatalf("blocks of %d: stopped at %d of %d bytes", block, at, len(b))
+		}
+	}
+	// A non-minimal value after eleven good ones.
+	bad := append(bytes.Repeat([]byte{3}, 11), 0x85, 0x00, 1)
+	dst := make([]uint32, 14)
+	at := 0
+	if n := DecodeCounts(dst, bad, &at); n != 11 || at != 11 || CountDefect(bad, at) != "non-minimal uvarint" {
+		t.Fatalf("%d decoded, stopped at %d (%s), want 11 at 11", n, at, CountDefect(bad, at))
+	}
+	// Fewer bytes than values.
+	at = 0
+	if n := DecodeCounts(dst, bad[:5], &at); n != 5 || at != 5 {
+		t.Fatalf("%d decoded from 5 bytes, stopped at %d", n, at)
+	}
 }
 
 func TestAssignmentStateRoundTrip(t *testing.T) {
@@ -249,20 +411,20 @@ func TestAssignmentRestoreDefects(t *testing.T) {
 	t.Run("non-empty receiver", func(t *testing.T) {
 		a := NewAssignment(2, 4)
 		a.Place(0, 1)
-		err := a.RestoreState(NewStateReader(shardColumn(0)))
+		err := a.RestoreState(NewStateReader(shardColumn(1, 0)))
 		if err == nil || !strings.Contains(err.Error(), "non-empty") {
 			t.Fatalf("restore into non-empty assignment: %v", err)
 		}
 	})
 	t.Run("shard out of range", func(t *testing.T) {
 		a := NewAssignment(3, 4)
-		err := a.RestoreState(NewStateReader(shardColumn(0, 7)))
+		err := a.RestoreState(NewStateReader(shardColumn(1, 0, 7)))
 		if err == nil || !strings.Contains(err.Error(), "shard 7") {
 			t.Fatalf("out-of-range shard: %v", err)
 		}
 	})
 	t.Run("truncated section", func(t *testing.T) {
-		blob := shardColumn(0, 1)
+		blob := shardColumn(1, 0, 1)
 		if err := NewAssignment(2, 4).RestoreState(NewStateReader(blob[:len(blob)-1])); err == nil {
 			t.Fatal("truncated section accepted")
 		}
@@ -367,7 +529,7 @@ func TestColumnsOnEitherByteOrder(t *testing.T) {
 	write := func() []byte {
 		var out bytes.Buffer
 		w := NewStateWriter(&out)
-		w.Int32s([]int32{-1, 0, 1 << 30, -1 << 31})
+		w.Shards([]uint16{7, 255}, 1)
 		w.Uint16s([]uint16{7, 65535})
 		w.Uint64s(big)
 		a.WriteState(w)
@@ -396,7 +558,7 @@ func TestColumnsOnEitherByteOrder(t *testing.T) {
 		if !slices.Equal(b.shards, a.shards) || !slices.Equal(b.counts, a.counts) {
 			t.Fatalf("littleEndian=%v: restored assignment differs", le)
 		}
-		bad := shardColumn(3, 65535, 1)
+		bad := shardColumn(2, 3, 65535, 1)
 		if _, err := restore(bad); err == nil || !strings.Contains(err.Error(), "transaction 1 in shard 65535") {
 			t.Fatalf("littleEndian=%v: out-of-range shard: %v", le, err)
 		}

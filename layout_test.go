@@ -33,21 +33,23 @@ func t2sIndex(t *testing.T, e *Engine) *core.T2SIndex {
 // behaviour change, not noise. held= is what the index still holds of those
 // entries now that a transaction is retired when its last declared output
 // is spent: forgetting is exact on these streams, so it moved nothing else.
-// snap= is the FNV-64 of the engine's format-2 snapshot, recorded before the
-// column writers and the restore were rebuilt, and an engine restored from
-// that snapshot must write the same bytes back.
+// snap= is the FNV-64 of the engine's snapshot, re-recorded once when
+// format 3 replaced format 2 (uvarint counts and out-degrees, 1-byte shard
+// ids and span lengths at these 16 shards) with every other field
+// unchanged, and an engine restored from that snapshot must write the same
+// bytes back.
 func TestPlacementFingerprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("6 placement passes of 200k transactions")
 	}
 	const txs, shards = 200_000, 16
 	want := map[string]string{
-		"bitcoin/OptChain": "0xc60cb6482dd76c03 cross=13688 slab=310576 held=74983 snap=0x606df03b5315e0c4",
-		"bitcoin/T2S":      "0xf8f94be27a496985 cross=30296 slab=584284 held=145530 snap=0x9756f8906fb8d8b2",
-		"hotspot/OptChain": "0xe5fc7f2249a0f1fa cross=10582 slab=511278 held=109879 snap=0xbc99b88ccef50fac",
-		"hotspot/T2S":      "0xecf876d1070986aa cross=92758 slab=2208402 held=468918 snap=0x4647e00a42744b7e",
-		"mix-ids/OptChain": "0x664d4d853b87bf6 cross=41962 slab=513200 held=89617 snap=0x38c1d5cd24e2742b",
-		"mix-ids/T2S":      "0x4d7436f181105547 cross=64399 slab=786609 held=174458 snap=0xef107488adf6e7d1",
+		"bitcoin/OptChain": "0xc60cb6482dd76c03 cross=13688 slab=310576 held=74983 snap=0x805205d4dde8259c",
+		"bitcoin/T2S":      "0xf8f94be27a496985 cross=30296 slab=584284 held=145530 snap=0xdd53110b073b13d5",
+		"hotspot/OptChain": "0xe5fc7f2249a0f1fa cross=10582 slab=511278 held=109879 snap=0x61cb09ef9b420d2b",
+		"hotspot/T2S":      "0xecf876d1070986aa cross=92758 slab=2208402 held=468918 snap=0x67b2a67413fac776",
+		"mix-ids/OptChain": "0x664d4d853b87bf6 cross=41962 slab=513200 held=89617 snap=0x93da2222472ce923",
+		"mix-ids/T2S":      "0x4d7436f181105547 cross=64399 slab=786609 held=174458 snap=0xa05cca2bfa9ad422",
 	}
 	for _, w := range []struct{ name, spec string }{
 		{"bitcoin", "bitcoin"}, {"hotspot", "hotspot"}, {"mix-ids", mixIDsSpec},

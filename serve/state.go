@@ -22,11 +22,11 @@ import (
 //	uvarint id count, then per id (sorted by stream index):
 //	    uvarint len(id), id bytes, uvarint stream index
 //	uvarint engine snapshot length, engine snapshot bytes (see
-//	    optchain.Engine.WriteSnapshot; snapshot format version 2)
+//	    optchain.Engine.WriteSnapshot; snapshot format version 3)
 //	4-byte little-endian CRC-32 (IEEE) of all preceding bytes
 //
 // The envelope is unchanged since its first version, but the engine section
-// inside it is not: a file written before snapshot format 2 fails to load
+// inside it is not: a file written before snapshot format 3 fails to load
 // with ErrBadState naming the engine snapshot's version. Remove it to start
 // cold, or place the stream again.
 const (

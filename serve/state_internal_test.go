@@ -109,17 +109,42 @@ func FuzzLoadState(f *testing.F) {
 		}
 		known[string(data)] = continuation{reqs[fuzzCut:], want}
 		f.Add(data)
-		if shape.spec == "hotspot" {
-			// The same lines in a state file written before the engine ever
-			// retired a transaction: it loads, and continues the same.
-			old, err := os.ReadFile("testdata/state_pr21_hotspot_200.bin")
-			if err != nil {
+	}
+	// A line of 70,000 outputs that every later one spends: an output count
+	// of three uvarint bytes and an out-degree of two in the engine section.
+	path := filepath.Join(f.TempDir(), "wide.bin")
+	s := fuzzServer(f, path)
+	var rest []Request
+	var want []Response
+	for i := range fuzzLines {
+		req := Request{ID: fmt.Sprintf("w-%d", i), Outputs: 2}
+		if i == 0 {
+			req.Outputs = 70_000
+		} else {
+			req.Parents = []string{"w-0", fmt.Sprintf("w-%d", i/2)}
+		}
+		if i == fuzzCut {
+			if err := s.Snapshot(ctx); err != nil {
 				f.Fatal(err)
 			}
-			known[string(old)] = continuation{reqs[fuzzCut:], want}
-			f.Add(old)
+		}
+		res, err := s.Place(ctx, req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if i >= fuzzCut {
+			rest, want = append(rest, req), append(want, res)
 		}
 	}
+	wide, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Close(ctx); err != nil {
+		f.Fatal(err)
+	}
+	known[string(wide)] = continuation{rest, want}
+	f.Add(wide)
 	f.Add([]byte(stateMagic))
 
 	check := func(t *testing.T, data []byte) {

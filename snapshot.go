@@ -29,53 +29,52 @@ var (
 // layout that follows it. The whole stream (magic through payload) is
 // covered by a trailing CRC-32 so truncation and corruption fail loudly.
 //
-// Format version 2, every integer a uvarint unless a width is given and
-// every column a uvarint count followed by that many little-endian elements:
+// Format version 3, every integer a minimal uvarint unless a width is
+// given. A fixed-width column is a uvarint count followed by that many
+// little-endian elements; a count column is a uvarint count, a uvarint
+// byte length, then that many uvarints, each at most math.MaxInt32, so a
+// reader can slice it off without decoding it. Shard ids and span lengths
+// take 1 byte when the shard count is at most 255, else 2:
 //
-//	magic "OPTCHSNP", version (2)
+//	magic "OPTCHSNP", version (3)
 //	fingerprint: len(strategy), strategy (lower case), shards, alpha bits,
-//	    L2S weight bits, a reserved byte (written 0; 0 or 1 read), capacity
-//	    hint
-//	placed, cross total, cross count, three reserved counters (written 0)
-//	output counts         4 B per transaction (0 for strategies that keep
-//	    none: Greedy, OmniLedger)
-//	strategy state: shard of each transaction, 2 B each; then for T2S and
-//	    OptChain the index columns (see internal/core/state.go): span
-//	    lengths 2 B and out-degrees 4 B per transaction, slab shard ids 2 B
-//	    and values 8 B per entry of the vectors still held (a retired
-//	    transaction has span length 0 and no entries)
+//	    L2S weight bits, capacity hint
+//	placed, cross total, cross count
+//	output counts         a count column, one per transaction (all 0 for
+//	    strategies that keep none: Greedy, OmniLedger)
+//	strategy state: shard of each transaction, 1 or 2 B each; then for T2S
+//	    and OptChain the index columns (see internal/core/state.go): span
+//	    lengths 1 or 2 B and out-degrees a count column, one per
+//	    transaction, slab shard ids 1 or 2 B and values 8 B per entry of the
+//	    vectors still held (a retired transaction has span length 0 and no
+//	    entries)
 //	CRC-32 (IEEE) of all preceding bytes, 4 B little-endian
 //
 // These are the state's columns, each handed to the writer a block at a
-// time through one small staging buffer (on a little-endian host a block is
-// the column's own memory, and a large one is passed through whole), so a
-// snapshot costs no memory proportional to the state. The output counts
-// are kept only in the T2S index's node records (a count of 65535 or more
-// in a table beside them): the writer gathers their column from there a
-// block at a time, and the reader hands it to the index's restore. A
-// negative count, which a stream written before the engine refused them
-// may carry, reads as 0 (unknown) and is written back as 0.
-// A stream written before transactions were retired carries every vector;
-// it is read all the same, and the restore drops the vectors of
-// transactions whose outputs are all spent. The reserved counters held
-// parallel-placement statistics when the engine had parallel placement;
-// they are read and discarded. The reserved byte flagged an engine that
-// computed the L2S lock round by quadrature; the lock round cannot change a
-// decision (see core.Telemetry), so a stream with it set restores and
-// decides as one without.
-// Version 1 (4-byte shard ids and span lengths) is not read: a v1 stream
-// fails with ErrBadSnapshot naming the version, and its owner starts cold
+// time through one small staging buffer (on a little-endian host a block
+// of 2- or 8-byte elements is the column's own memory, and a large one is
+// passed through whole), so a snapshot costs no memory proportional to the
+// state. The output counts are kept only in the T2S index's node records
+// (a count of 65535 or more in a table beside them): the writer gathers
+// their column from there a block at a time, and the reader hands it to
+// the index's restore. The byte lengths of the two count columns are
+// running totals the index keeps, so SnapshotSize is exact without a pass
+// over the state.
+// Versions 1 and 2 (fixed-width counts and out-degrees, 2-byte shard ids
+// and span lengths, reserved header fields) are not read: such a stream
+// fails with ErrBadSnapshot naming its version, and its owner starts cold
 // or places the stream again.
 const (
 	snapMagic   = "OPTCHSNP"
-	snapVersion = 2
+	snapVersion = 3
 )
 
 // snapMaxBytes bounds how much ReadSnapshot will buffer — a corrupt length
 // field must not translate into an unbounded allocation — and therefore how
-// much WriteSnapshot will write: 1 GiB of snapshot is some thirty million
-// placed transactions. (A variable only so that a test can reach the bound
-// with a small stream.)
+// much WriteSnapshot will write: 1 GiB of snapshot is some 130 million
+// placed transactions at the 7-8 bytes each the benchmark's streams take
+// at 16 shards. (A variable only so that a test can reach the bound with a
+// small stream.)
 var snapMaxBytes int64 = 1 << 30
 
 // snapshotPlanLocked prepares a snapshot of the engine as it is now: the
@@ -103,13 +102,15 @@ func (e *Engine) snapshotPlanLocked() (snap placement.Snapshotter, head []byte, 
 	head = binary.AppendUvarint(head, uint64(e.shards))
 	head = binary.AppendUvarint(head, math.Float64bits(e.alpha))
 	head = binary.AppendUvarint(head, math.Float64bits(e.l2sWeight))
-	head = append(head, 0) // the reserved byte
 	head = binary.AppendUvarint(head, uint64(e.placerN))
 	head = binary.AppendUvarint(head, uint64(e.placed))
 	head = binary.AppendUvarint(head, uint64(e.cross.Total))
 	head = binary.AppendUvarint(head, uint64(e.cross.Cross))
-	head = append(head, 0, 0, 0) // the reserved counters
-	size = int64(len(head)) + placement.ColumnSize(e.placed, 4) + snap.StateSize() + 4
+	outs := placement.CountsSize(e.placed, int64(e.placed)) // a zero byte each
+	if idx := e.indexLocked(); idx != nil {
+		outs = idx.OutCountsSize()
+	}
+	size = int64(len(head)) + outs + snap.StateSize() + 4
 	if size > snapMaxBytes {
 		return nil, nil, 0, fmt.Errorf("%w: the state takes %d bytes, more than the %d a snapshot may", ErrBadSnapshot, size, snapMaxBytes)
 	}
@@ -154,9 +155,10 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 		idx.WriteOutCounts(sw)
 	} else {
 		sw.Uvarint(uint64(e.placed))
-		var zeros [1024]int32
+		sw.Uvarint(uint64(e.placed))
+		var zeros [1024]byte
 		for left := e.placed; left > 0; left -= len(zeros) {
-			sw.Int32s(zeros[:min(left, len(zeros))])
+			sw.Write(zeros[:min(left, len(zeros))])
 		}
 	}
 	snap.WriteState(sw)
@@ -202,7 +204,7 @@ func readSnapshotBytes(r io.Reader) ([]byte, error) {
 // subsequent decisions are bit-identical to the uninterrupted engine's.
 //
 // Any defect — truncation, checksum mismatch, another format version (a
-// version 1 stream included), a configuration fingerprint that does not
+// version 1 or 2 stream included), a configuration fingerprint that does not
 // match this engine — fails with ErrBadSnapshot naming the disagreement;
 // the engine is left unused only on fingerprint errors detected before
 // state adoption, and must be discarded after a mid-restore failure.
@@ -274,15 +276,11 @@ func (e *Engine) readSnapshot(data []byte) error {
 	shards := sr.Uvarint()
 	alphaBits := sr.Uvarint()
 	weightBits := sr.Uvarint()
-	reserved := sr.Byte()
 	capN := sr.Uvarint()
 	placed := sr.Uvarint()
 	crossTotal := sr.Uvarint()
 	crossCross := sr.Uvarint()
-	for range 3 { // the reserved counters
-		sr.Uvarint()
-	}
-	outs := sr.Column(4)
+	outs := sr.Counts()
 	if err := sr.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
@@ -304,10 +302,8 @@ func (e *Engine) readSnapshot(data []byte) error {
 		return fmt.Errorf("%w: snapshot alpha %v, engine %v", ErrBadSnapshot, math.Float64frombits(alphaBits), e.alpha)
 	case weightBits != math.Float64bits(e.l2sWeight):
 		return fmt.Errorf("%w: snapshot L2S weight %v, engine %v", ErrBadSnapshot, math.Float64frombits(weightBits), e.l2sWeight)
-	case reserved > 1:
-		return fmt.Errorf("%w: reserved header byte %d, want 0 or 1", ErrBadSnapshot, reserved)
-	case uint64(len(outs)/4) != placed:
-		return fmt.Errorf("%w: %d output counts for %d placed transactions", ErrBadSnapshot, len(outs)/4, placed)
+	case uint64(outs.N) != placed:
+		return fmt.Errorf("%w: %d output counts for %d placed transactions", ErrBadSnapshot, outs.N, placed)
 	case crossCross > crossTotal:
 		return fmt.Errorf("%w: cross count %d exceeds total %d", ErrBadSnapshot, crossCross, crossTotal)
 	}
@@ -336,9 +332,11 @@ func (e *Engine) readSnapshot(data []byte) error {
 	}
 	// The T2S restore takes the output counts along: it keeps them, and
 	// tells by them which transactions are already fully spent. Other
-	// strategies keep none.
+	// strategies keep none, and their writers write every count as 0.
 	if idx := e.indexLocked(); idx != nil {
-		err = idx.RestoreState(sr, outs)
+		err = idx.RestoreState(sr, &outs)
+	} else if len(bytes.TrimLeft(outs.Data, "\x00")) != 0 || len(outs.Data) != outs.N {
+		err = fmt.Errorf("%q keeps no output counts, and its column holds more than a zero byte for each of %d transactions", e.strategy, outs.N)
 	} else {
 		err = snap.RestoreState(sr)
 	}

@@ -78,6 +78,41 @@ func TestSnapshotSizeIsExact(t *testing.T) {
 	if st.StateBytes < 16*n+10*st.SlabEntries {
 		t.Fatalf("Stats of a filled engine: %d state bytes for %d transactions and %d entries", st.StateBytes, n, st.SlabEntries)
 	}
+
+	// A transaction of 70,000 outputs (3 uvarint bytes) that every later one
+	// spends: its out-degree takes a second byte at 128 spenders and a third
+	// at 16,384, and the size stays exact on either side of both, written
+	// and restored.
+	const wide = 16_400
+	txs := make([]StreamTx, wide)
+	txs[0].Outputs = 70_000
+	for u := 1; u < wide; u++ {
+		txs[u] = StreamTx{Inputs: []int{0}, Outputs: 1}
+	}
+	e = formatEngine(t, wide)
+	for _, placed := range []int{128, 129, 130, 16_384, 16_385, 16_386, wide} {
+		if _, err := e.PlaceBatch(txs[e.Stats().Placed:placed], nil); err != nil {
+			t.Fatal(err)
+		}
+		size, err := e.SnapshotSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := e.WriteSnapshot(&snap); err != nil {
+			t.Fatalf("%d placed: %v", placed, err)
+		}
+		if int64(snap.Len()) != size {
+			t.Fatalf("%d placed: SnapshotSize %d, WriteSnapshot wrote %d", placed, size, snap.Len())
+		}
+		fresh := formatEngine(t, wide)
+		if err := fresh.ReadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatalf("%d placed: %v", placed, err)
+		}
+		if again, err := fresh.SnapshotSize(); err != nil || again != size {
+			t.Fatalf("%d placed: the restored engine's SnapshotSize is %d (%v), want %d", placed, again, err, size)
+		}
+	}
 }
 
 // TestSnapshotWriterHonoursReaderLimit: a state whose stream ReadSnapshot
@@ -126,9 +161,10 @@ func seal(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
-// TestSnapshotVersion1Rejected: a well-formed stream of the previous format
+// TestSnapshotVersion1Rejected: a well-formed stream of the first format
 // (4-byte shard ids and span lengths) fails with ErrBadSnapshot naming its
-// version; there is no second reader.
+// version; there is no second reader. (The committed format-2 streams are
+// refused the same way: TestFormat2SnapshotsRefused.)
 func TestSnapshotVersion1Rejected(t *testing.T) {
 	// An empty OptChain engine over 8 shards, exactly as version 1 wrote it.
 	v1 := []byte(snapMagic)
@@ -145,60 +181,118 @@ func TestSnapshotVersion1Rejected(t *testing.T) {
 	v1 = append(v1, 0, 0, 0, 0, 0)   // cross and epoch counters
 	v1 = append(v1, 0, 0, 0, 0, 0)   // assignment, slab shards, slab values, span lengths, out-degrees
 	err := formatEngine(t, 0).ReadSnapshot(bytes.NewReader(seal(v1)))
-	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1, want 2") {
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1, want 3") {
 		t.Fatalf("version 1 stream: %v", err)
 	}
 }
 
-// TestSnapshotReservedByte: the writer writes the header's reserved byte
-// as 0; a stream carrying 1 (written by an engine that computed the L2S
-// lock round by quadrature) restores and decides as one carrying 0, and any
-// larger value is refused.
-func TestSnapshotReservedByte(t *testing.T) {
-	const n = 300
-	stream := chainStream(n + 100)
-	src := formatEngine(t, n)
-	if _, err := src.PlaceBatch(stream[:n], nil); err != nil {
-		t.Fatal(err)
+// countCol encodes a count column holding vals.
+func countCol(vals ...uint64) []byte {
+	var data []byte
+	for _, v := range vals {
+		data = binary.AppendUvarint(data, v)
 	}
-	var snap bytes.Buffer
-	if err := src.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
+	return rawCountCol(len(vals), data...)
+}
+
+// rawCountCol encodes a count column that claims n values in data.
+func rawCountCol(n int, data ...byte) []byte {
+	b := binary.AppendUvarint(nil, uint64(n))
+	b = binary.AppendUvarint(b, uint64(len(data)))
+	return append(b, data...)
+}
+
+// byteCol encodes a column of 1-byte shard ids or span lengths.
+func byteCol(vals ...byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(vals))), vals...)
+}
+
+// handSnapshot assembles a format-3 stream for an engine configured as e,
+// holding the given placed transactions, from the output-count column outs
+// and the strategy's state section.
+func handSnapshot(e *Engine, placed int, outs, section []byte) []byte {
+	b := []byte(snapMagic)
+	b = binary.AppendUvarint(b, snapVersion)
+	name := strings.ToLower(e.strategy)
+	b = binary.AppendUvarint(b, uint64(len(name)))
+	b = append(b, name...)
+	b = binary.AppendUvarint(b, uint64(e.shards))
+	b = binary.AppendUvarint(b, math.Float64bits(e.alpha))
+	b = binary.AppendUvarint(b, math.Float64bits(e.l2sWeight))
+	b = binary.AppendUvarint(b, uint64(placed)) // capacity hint
+	b = binary.AppendUvarint(b, uint64(placed))
+	b = append(b, 0, 0) // cross total and count
+	b = append(b, outs...)
+	return seal(append(b, section...))
+}
+
+// TestSnapshotColumnDefects: ReadSnapshot refuses, with ErrBadSnapshot
+// naming the node or entry, every defect of the count columns and the
+// narrow shard columns a format-3 stream can carry. The base stream is two
+// transactions in shard 0 of 8, each declaring 2 outputs, the second
+// spending the first; each case changes one part of it.
+func TestSnapshotColumnDefects(t *testing.T) {
+	const q1 = 1 << 32 // 1.0 in Q32.32
+	vals := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 2), q1), q1)
+	type parts struct{ outs, asn, lens, degs, slab []byte }
+	base := parts{
+		outs: countCol(2, 2),
+		asn:  byteCol(0, 0),
+		lens: byteCol(1, 1),
+		degs: countCol(1, 0),
+		slab: byteCol(0, 0),
 	}
-	at := len(snapMagic)
-	for _, v := range []uint64{snapVersion, uint64(len("optchain"))} {
-		at += len(binary.AppendUvarint(nil, v))
+	build := func(p parts) []byte {
+		section := slices.Concat(p.asn, p.lens, p.degs, p.slab, vals)
+		return handSnapshot(formatEngine(t, 2), 2, p.outs, section)
 	}
-	at += len("optchain")
-	for _, v := range []uint64{8, math.Float64bits(src.alpha), math.Float64bits(src.l2sWeight)} {
-		at += len(binary.AppendUvarint(nil, v))
+	if err := formatEngine(t, 2).ReadSnapshot(bytes.NewReader(build(base))); err != nil {
+		t.Fatalf("the base stream: %v", err)
 	}
-	body := snap.Bytes()[:snap.Len()-4]
-	if body[at] != 0 {
-		t.Fatalf("the writer wrote reserved byte %d, want 0", body[at])
-	}
-	var want []int
-	for _, b := range []byte{0, 1, 2, 0xff} {
-		body[at] = b
-		e := formatEngine(t, n)
-		err := e.ReadSnapshot(bytes.NewReader(seal(bytes.Clone(body))))
-		if b > 1 {
-			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "reserved header byte") {
-				t.Fatalf("reserved byte %d: %v", b, err)
-			}
-			continue
+	for name, tc := range map[string]struct {
+		edit func(*parts)
+		want string
+	}{
+		"truncated output count": {func(p *parts) { p.outs = rawCountCol(2, 2, 0x80) }, "output count of node 1: truncated uvarint"},
+		"output count over 10 bytes": {func(p *parts) {
+			p.outs = rawCountCol(2, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
+		}, "output count of node 1: uvarint overflows 64 bits"},
+		"output count overflows":   {func(p *parts) { p.outs = rawCountCol(2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 2) }, "output count of node 0: uvarint overflows 64 bits"},
+		"non-minimal output count": {func(p *parts) { p.outs = rawCountCol(2, 0x82, 0x00, 2) }, "output count of node 0: non-minimal uvarint"},
+		"output count above MaxInt32": {func(p *parts) { p.outs = countCol(2, math.MaxInt32+1) },
+			"output count of node 1: 2147483648 exceeds 2147483647"},
+		"out-degree above MaxInt32":  {func(p *parts) { p.degs = countCol(1, 1<<40) }, "out-degree of node 1: 1099511627776 exceeds 2147483647"},
+		"non-minimal out-degree":     {func(p *parts) { p.degs = rawCountCol(2, 0x81, 0x80, 0x00, 0) }, "out-degree of node 0: non-minimal uvarint"},
+		"truncated out-degree":       {func(p *parts) { p.degs = rawCountCol(2, 1, 0xc0) }, "out-degree of node 1: truncated uvarint"},
+		"fewer counts than bytes":    {func(p *parts) { p.outs = rawCountCol(2, 2, 2, 2) }, "output-count column holds 1 bytes past its 2 values"},
+		"more counts than bytes":     {func(p *parts) { p.outs = rawCountCol(2, 2) }, "count column of 2 values in 1 bytes"},
+		"out-degrees past the nodes": {func(p *parts) { p.degs = rawCountCol(2, 1, 0, 0) }, "out-degree column holds 1 bytes past its 2 values"},
+		"assignment shard of k":      {func(p *parts) { p.asn = byteCol(0, 8) }, "transaction 1 in shard 8 of 8"},
+		"slab shard of k":            {func(p *parts) { p.slab = byteCol(0, 200) }, "slab entry 1 names shard 200 of 8"},
+		"span longer than k":         {func(p *parts) { p.lens = byteCol(9, 1) }, "span 0 has 9 entries, more than the 8 shards"},
+		"span on a spent-out node":   {func(p *parts) { p.degs = countCol(2, 0) }, "node 0 has had 2 spenders of its 2 outputs but keeps a span of 1 entries"},
+	} {
+		p := base
+		tc.edit(&p)
+		err := formatEngine(t, 2).ReadSnapshot(bytes.NewReader(build(p)))
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want ErrBadSnapshot naming %q", name, err, tc.want)
 		}
-		if err != nil {
-			t.Fatalf("reserved byte %d: %v", b, err)
-		}
-		got, err := e.PlaceBatch(stream[n:], nil)
+	}
+
+	// A strategy that keeps no output counts writes every one as 0, and
+	// takes no other.
+	greedy := func() *Engine {
+		e, err := New(WithShards(8), WithStrategy("Greedy"), WithStreamCapacity(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want == nil {
-			want = got
-		} else if !slices.Equal(got, want) {
-			t.Fatalf("reserved byte %d: next decisions %v, want %v", b, got, want)
+		return e
+	}
+	for outs, want := range map[string]string{string(countCol(0, 0)): "", string(countCol(0, 1)): "keeps no output counts", string(rawCountCol(2, 0, 0, 0)): "keeps no output counts"} {
+		err := greedy().ReadSnapshot(bytes.NewReader(handSnapshot(greedy(), 2, []byte(outs), byteCol(0, 1))))
+		if want == "" && err != nil || want != "" && (!errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want)) {
+			t.Errorf("Greedy with output counts % x: %v, want %q", outs, err, want)
 		}
 	}
 }

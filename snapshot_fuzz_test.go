@@ -5,11 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"hash/fnv"
 	"os"
+	"strings"
 	"testing"
 
 	"optchain"
+	"optchain/serve"
 )
 
 // The three stream shapes the benchmark places (benchmark/run.go).
@@ -55,97 +56,41 @@ type continuation struct {
 	want []int
 }
 
-// allLiveSnapshot is the bitcoin stream's first fuzzCut transactions as the
-// commit before retirement snapshotted them (format 2, 250 slab entries,
-// the vectors of the 160 fully spent transactions included).
-const allLiveSnapshot = "testdata/snapshot_pr21_bitcoin_250.bin"
-
-// TestAllLiveSnapshotLoadsAndSheds: a snapshot written before transactions
-// were retired restores into exactly the state the engine now holds at
-// that point — the dead vectors are dropped on load — and the next
-// snapshot is byte for byte the one an engine that never restarted writes.
-func TestAllLiveSnapshotLoadsAndSheds(t *testing.T) {
-	old, err := os.ReadFile(allLiveSnapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	txs := fuzzStream(t, "bitcoin")
-	direct, restored := fuzzEngine(t), fuzzEngine(t)
-	if _, err := direct.PlaceBatch(txs[:fuzzCut], nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.ReadSnapshot(bytes.NewReader(old)); err != nil {
-		t.Fatal(err)
-	}
-	got, want := restored.Stats(), direct.Stats()
-	if want.RetiredTxs == 0 || want.SlabEntries >= fuzzCut {
-		t.Fatalf("nothing to shed: %d retired, %d entries held", want.RetiredTxs, want.SlabEntries)
-	}
-	if got.SlabEntries != want.SlabEntries || got.RetiredTxs != want.RetiredTxs || got.RetiredRefs != 0 {
-		t.Fatalf("restored %d entries, %d retired, %d late references; the engine itself holds %d, %d, 0",
-			got.SlabEntries, got.RetiredTxs, got.RetiredRefs, want.SlabEntries, want.RetiredTxs)
-	}
-	var a, b bytes.Buffer
-	if err := restored.WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := direct.WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) || a.Len() >= len(old) {
-		t.Fatalf("snapshot after the restore: %d bytes, the uninterrupted engine's %d, the old file %d", a.Len(), b.Len(), len(old))
-	}
+// format2Files are the format-2 streams committed before format 3: the
+// bitcoin stream's first fuzzCut transactions as snapshotted before
+// transactions were retired, its first 300 as an engine with parallel
+// placement wrote them (reserved header counters non-zero), and a serve
+// state file wrapping the hotspot stream's first 200 lines.
+var format2Files = []struct {
+	name, path string
+	serve      bool
+}{
+	{"all_live_bitcoin_250", "testdata/snapshot_pr21_bitcoin_250.bin", false},
+	{"parallel_bitcoin_300", "testdata/snapshot_pr24_parallel_bitcoin_300.bin", false},
+	{"serve_hotspot_200", "serve/testdata/state_pr21_hotspot_200.bin", true},
 }
 
-// parallelSnapshot is the bitcoin stream's first 300 transactions as an
-// engine placing them through two-worker epochs in batches of 64 wrote
-// them, before parallel placement was removed: format 2, with the three
-// header counters that engine kept non-zero. Restored into a serial engine
-// at that commit, it placed the next 1,000 transactions of the same stream
-// into parallelSnapshotNext, with parallelSnapshotCross cross-shard
-// transactions in all.
-const (
-	parallelSnapshot      = "testdata/snapshot_pr24_parallel_bitcoin_300.bin"
-	parallelSnapshotNext  = 0x7841e87ff4bc380b // FNV-64a of the 1,000 shards, 4 bytes each, little-endian
-	parallelSnapshotCross = 311
-)
-
-// TestParallelSnapshotLoads: a snapshot whose reserved header counters are
-// not zero loads, and the engine goes on deciding as the engine that
-// restored it when those counters still meant something.
-func TestParallelSnapshotLoads(t *testing.T) {
-	old, err := os.ReadFile(parallelSnapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := optchain.MaterializeWorkload("bitcoin", optchain.WorkloadParams{N: 1300, Seed: 1, Shards: fuzzShards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var txs []optchain.StreamTx
-	for tx := range optchain.DatasetStream(d) {
-		txs = append(txs, tx)
-	}
-	e := fuzzEngine(t)
-	if err := e.ReadSnapshot(bytes.NewReader(old)); err != nil {
-		t.Fatal(err)
-	}
-	if placed := e.Stats().Placed; placed != 300 {
-		t.Fatalf("restored %d placements, want 300", placed)
-	}
-	got, err := e.PlaceBatch(txs[300:], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := fnv.New64a()
-	var b [4]byte
-	for _, s := range got {
-		binary.LittleEndian.PutUint32(b[:], uint32(s))
-		h.Write(b[:])
-	}
-	if sum, cross := h.Sum64(), e.Stats().Cross; sum != parallelSnapshotNext || cross != parallelSnapshotCross {
-		t.Fatalf("the next %d decisions hash to %#x with %d cross-shard in all, want %#x and %d",
-			len(got), sum, cross, uint64(parallelSnapshotNext), parallelSnapshotCross)
+// TestFormat2SnapshotsRefused: each committed format-2 stream is refused
+// naming its version, ReadSnapshot with ErrBadSnapshot and a serve state
+// file with ErrBadState; there is no second reader.
+func TestFormat2SnapshotsRefused(t *testing.T) {
+	for _, f := range format2Files {
+		t.Run(f.name, func(t *testing.T) {
+			data, err := os.ReadFile(f.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := optchain.ErrBadSnapshot
+			if f.serve {
+				want = serve.ErrBadState
+				_, err = serve.New(serve.Config{Engine: fuzzEngine(t), StatePath: f.path, SnapshotEvery: -1})
+			} else {
+				err = fuzzEngine(t).ReadSnapshot(bytes.NewReader(data))
+			}
+			if !errors.Is(err, want) || !strings.Contains(err.Error(), "version 2, want 3") {
+				t.Errorf("%s: %v, want %v naming version 2", f.path, err, want)
+			}
+		})
 	}
 }
 
@@ -153,8 +98,9 @@ func TestParallelSnapshotLoads(t *testing.T) {
 // the trailing checksum recomputed so that mutations reach the column
 // decoders. A stream is either refused with ErrBadSnapshot or restores an
 // engine that works: a genuine snapshot continues exactly as the engine
-// that wrote it, and any other accepted state survives its own round trip
-// (write, read, same next decisions). Nothing panics, and nothing is
+// that wrote it, and any other accepted stream is the one its state writes,
+// byte for byte, and survives its own round trip (write, read, same next
+// decisions). Nothing panics, and nothing is
 // allocated from a length the stream merely claims: every engine here has
 // room for 400 transactions, so a claim that got through would be felt.
 func FuzzReadSnapshot(f *testing.F) {
@@ -175,18 +121,9 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		known[snap.String()] = continuation{txs[fuzzCut:], want}
 		f.Add(snap.Bytes())
-		if spec == "bitcoin" {
-			// The same prefix as snapshotted before transactions were ever
-			// retired: every vector is still in it, and it continues the same.
-			old, err := os.ReadFile(allLiveSnapshot)
-			if err != nil {
-				f.Fatal(err)
-			}
-			known[string(old)] = continuation{txs[fuzzCut:], want}
-			f.Add(old)
-		}
 	}
-	// A transaction with more outputs than a node record counts, half spent.
+	// A transaction with more outputs than a node record counts, half spent:
+	// an output count of three uvarint bytes and an out-degree of two.
 	wide := []optchain.StreamTx{{Outputs: 70_000}}
 	for u := 1; u < fuzzTxs; u++ {
 		wide = append(wide, optchain.StreamTx{Inputs: []int{0, u / 2}, Outputs: 2})
@@ -211,11 +148,15 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	f.Add(empty.Bytes())
 	f.Add([]byte("OPTCHSNP"))
-	parallel, err := os.ReadFile(parallelSnapshot)
-	if err != nil {
-		f.Fatal(err)
+	// Format-2 streams: refused as they are, and, their version byte mutated,
+	// columns of the old widths under the new rules.
+	for _, old := range format2Files[:2] {
+		data, err := os.ReadFile(old.path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	f.Add(parallel)
 
 	check := func(t *testing.T, data []byte) {
 		e := fuzzEngine(t)
@@ -240,6 +181,9 @@ func FuzzReadSnapshot(f *testing.F) {
 		var again bytes.Buffer
 		if err := e.WriteSnapshot(&again); err != nil {
 			t.Fatalf("an accepted state cannot be written back: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("an accepted stream of %d bytes is written back as %d different ones", len(data), again.Len())
 		}
 		twin := fuzzEngine(t)
 		if err := twin.ReadSnapshot(&again); err != nil {
