@@ -87,11 +87,14 @@ scenario-smoke:
 # reject arbitrary bytes with ErrBadCache, never panic) and the gateway's
 # line codec against its oracle (the request scanner takes a line only as
 # json.Unmarshal would, the response encoder writes json.Encoder's bytes),
-# the two state decoders (an engine snapshot or a gateway state file is
-# refused with its typed error or restores a working engine; the seeds are
-# kilobytes long, so minimising every new input would eat the whole pass),
-# the generators' log-uniform age draw against int(math.Pow), and the
-# placers' support select against Alg. 1's dense select.
+# the two state decoders (an engine snapshot, read into an OptChain, a
+# Greedy and an OmniLedger engine, or a gateway state file, whose envelope
+# takes uvarints by the snapshot's rules, is refused with its typed error
+# or restores a working engine; the seeds are kilobytes long, so minimising
+# every new input would eat the whole pass), the T2S restore against its
+# vector-by-vector oracle (both reading the output counts from the
+# section), the generators' log-uniform age draw against int(math.Pow),
+# and the placers' support select against Alg. 1's dense select.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzDiffRows -fuzztime 10s ./experiment

@@ -163,11 +163,11 @@
 // freshly constructed engine of identical configuration, after which
 // every subsequent decision is bit-identical to the uninterrupted run's
 // (ErrBadSnapshot / ErrSnapshotUnsupported report damage and
-// non-snapshottable strategies). The stream (format version 3, laid out
+// non-snapshottable strategies). The stream (format version 4, laid out
 // in snapshot.go) is the engine's columns written once through a small
 // buffer, counts as uvarints and shard ids a byte wide up to 255 shards;
 // SnapshotSize gives its exact length beforehand, it may not exceed
-// 1 GiB, and a version 1 or 2 stream is refused, not converted. The
+// 1 GiB, and a stream of versions 1 to 3 is refused, not converted. The
 // sibling package optchain/serve
 // builds the placement-router deployment on top: an HTTP gateway
 // (cmd/optchain-serve) that places a request body a window at a time —

@@ -780,24 +780,14 @@ func (e *Engine) Stats() PlacementStats {
 		st.ShardCounts = asn.Counts()
 		st.MaxShardShare = asn.MaxShare()
 		st.StateBytes = asn.Bytes()
-		if idx := e.indexLocked(); idx != nil {
+		if p, ok := e.placer.(interface{ Scores() *core.T2SIndex }); ok {
+			idx := p.Scores()
 			st.SlabEntries = int64(idx.SlabLen())
 			st.StateBytes += idx.Bytes()
 			st.RetiredTxs, st.RetiredRefs = idx.Retired()
 		}
 	}
 	return st
-}
-
-// indexLocked returns the T2S index of the engine's strategy: nil before
-// the first placement and for strategies without one.
-//
-//optchain:locked e.mu held by Stats and the snapshot methods.
-func (e *Engine) indexLocked() *core.T2SIndex {
-	if p, ok := e.placer.(interface{ Scores() *core.T2SIndex }); ok {
-		return p.Scores()
-	}
-	return nil
 }
 
 // Assignment exposes the streaming-mode placement decisions (nil before

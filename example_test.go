@@ -150,7 +150,7 @@ func ExamplePartitionTaN() {
 	fmt.Printf("OptChain without telemetry cuts fewer still: %v\n",
 		opt.CrossFraction < metis.CrossFraction)
 	fmt.Printf("Metis keeps its shard totals within 10%% of the mean: %v\n",
-		metis.MaxShardShare < 1.1)
+		metis.MaxShardShare <= 1.1)
 	fmt.Printf("yet in every epoch its busiest shard takes over twice a balanced share: %v\n",
 		slices.Min(epochShares["Metis"]) > 2.0/shards)
 	fmt.Printf("random placement stays level in every epoch: %v\n",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -505,5 +506,29 @@ func TestMetisCaseInsensitive(t *testing.T) {
 	}
 	if row.Committed == 0 {
 		t.Fatalf("degenerate metis row: %+v", row)
+	}
+}
+
+// TestPartitionMatchesPartitionTaN: the sweeps and optchain.PartitionTaN
+// (which Engine.Run's Metis runs use) compute one partition: the same
+// stream, shard count and seed give the same shard for every transaction.
+func TestPartitionMatchesPartitionTaN(t *testing.T) {
+	const n, k = 3000, 8
+	r := experiment.NewRunner(quickParams())
+	got, err := r.Partition(n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := r.Params()
+	d, err := optchain.MaterializeWorkload(p.WorkloadLabel(), optchain.WorkloadParams{N: n, Seed: p.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := optchain.PartitionTaN(d, k, p.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("Runner.Partition and PartitionTaN partition the same stream differently")
 	}
 }

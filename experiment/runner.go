@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"optchain/internal/dataset"
-	"optchain/internal/metis"
+	"optchain/internal/registry"
 	"optchain/internal/sim"
 	"optchain/internal/workload"
 )
@@ -153,13 +153,7 @@ func (r *Runner) partition(n, k int, spec string) ([]int32, error) {
 		}
 		r.graphs.Lock()
 		defer r.graphs.Unlock()
-		g, err := d.BuildGraph()
-		if err != nil {
-			e.err = err
-			return
-		}
-		xadj, adj := g.UndirectedCSR()
-		e.part, e.err = metis.PartitionKWay(xadj, adj, k, &metis.Options{Seed: r.p.Seed, Imbalance: 0.1})
+		e.part, e.err = registry.MetisPartition(d, k, r.p.Seed)
 	})
 	return e.part, e.err
 }

@@ -304,13 +304,13 @@ func TestRetireThenReuseInOnePlacement(t *testing.T) {
 }
 
 // TestEmptyIndexState: an index that has placed nothing snapshots to empty
-// columns (the out-degrees' with a zero byte length besides its zero count)
-// and restores to an index that places from the start.
+// columns (the two count columns with a zero byte length besides their zero
+// count) and restores to an index that places from the start.
 func TestEmptyIndexState(t *testing.T) {
 	p := NewOptChain(OptChainConfig{K: 4})
 	blob := stateOf(t, p)
-	if !bytes.Equal(blob, make([]byte, 6)) {
-		t.Fatalf("empty state is % x, want 6 zero bytes", blob)
+	if !bytes.Equal(blob, make([]byte, 8)) {
+		t.Fatalf("empty state is % x, want 8 zero bytes", blob)
 	}
 	fresh := NewOptChain(OptChainConfig{K: 4})
 	if err := fresh.RestoreState(placement.NewStateReader(blob)); err != nil {

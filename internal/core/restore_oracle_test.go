@@ -18,13 +18,15 @@ import (
 // every vector is re-added through extend, the routine Commit lays vectors
 // out with, and its out-degree is then folded in by addSpenders, which
 // retires the node when that spends its last output. Each count is read
-// from outs as extend reads a source. It slices the columns off with the
-// section reader but decodes their elements itself, a node at a time, the
-// counts through oracleCount. It is the reference RestoreState is held to.
-func (t *T2SIndex) restoreStateOracle(r *placement.StateReader, outs *placement.Counts) error {
+// from the section's output-count column as extend reads a source. It
+// slices the columns off with the section reader but decodes their elements
+// itself, a node at a time, the counts through oracleCount. It is the
+// reference restoreState is held to.
+func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
 	if len(t.nodes) != 0 || t.tally.hasPending {
 		return fmt.Errorf("core: restore into a non-empty T2S index (%d committed)", len(t.nodes))
 	}
+	outs := r.Counts()
 	if err := t.asn.RestoreState(r); err != nil {
 		return err
 	}
@@ -56,9 +58,7 @@ func (t *T2SIndex) restoreStateOracle(r *placement.StateReader, outs *placement.
 	if placed := t.asn.Len(); placed != nodes {
 		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, nodes)
 	}
-	if outs == nil {
-		outs = t.askOutCounts(nodes)
-	} else if outs.N != nodes {
+	if outs.N != nodes {
 		return fmt.Errorf("core: %d output counts for %d transactions", outs.N, nodes)
 	}
 	src := t.outCounts
@@ -215,16 +215,15 @@ func sameState(t testing.TB, got, want *T2SIndex) {
 	}
 }
 
-// restoreBoth restores one section with the output counts outs through
-// RestoreState and through the oracle into two fresh indexes built by mk,
-// and fails unless both accept or refuse it with the same error and consume
-// the same bytes.
-func restoreBoth(t testing.TB, mk func() *T2SIndex, section []byte, outs *placement.Counts) (got, want *T2SIndex, err error) {
+// restoreBoth restores one section through restoreState and through the
+// oracle into two fresh indexes built by mk, and fails unless both accept
+// or refuse it with the same error and consume the same bytes.
+func restoreBoth(t testing.TB, mk func() *T2SIndex, section []byte) (got, want *T2SIndex, err error) {
 	t.Helper()
 	got, want = mk(), mk()
 	rg, rw := placement.NewStateReader(section), placement.NewStateReader(section)
-	err = got.RestoreState(rg, outs)
-	errW := want.restoreStateOracle(rw, outs)
+	err = got.restoreState(rg)
+	errW := want.restoreStateOracle(rw)
 	if fmt.Sprint(err) != fmt.Sprint(errW) {
 		t.Fatalf("restore: %v; the oracle: %v", err, errW)
 	}
@@ -273,25 +272,25 @@ func countColumn(outs []int) []byte {
 	return b
 }
 
-// outsOf writes an index's output-count column, checks that OutCountsSize
-// predicted its length, and returns it as RestoreState takes it.
-func outsOf(t testing.TB, idx *T2SIndex) *placement.Counts {
+// outsOf writes an index's section, checks that stateSize predicted its
+// length, and returns the values of its output-count column.
+func outsOf(t testing.TB, idx *T2SIndex) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := placement.NewStateWriter(&buf)
-	idx.WriteOutCounts(w)
+	idx.writeState(w)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if int64(buf.Len()) != idx.OutCountsSize() {
-		t.Fatalf("OutCountsSize %d, WriteOutCounts wrote %d", idx.OutCountsSize(), buf.Len())
+	if int64(buf.Len()) != idx.stateSize() {
+		t.Fatalf("stateSize %d, writeState wrote %d", idx.stateSize(), buf.Len())
 	}
 	r := placement.NewStateReader(buf.Bytes())
 	col := r.Counts()
-	if r.Err() != nil || r.Len() != 0 || col.N != len(idx.nodes) {
-		t.Fatalf("an output-count column of %d values for %d nodes (%v, %d left over)", col.N, len(idx.nodes), r.Err(), r.Len())
+	if r.Err() != nil || col.N != len(idx.nodes) {
+		t.Fatalf("an output-count column of %d values for %d nodes (%v)", col.N, len(idx.nodes), r.Err())
 	}
-	return &col
+	return col.Data
 }
 
 const mixIDsSpec = "mix:bitcoin=0.6,hotspot=0.25,adversarial=0.05,adversarial=0.05,adversarial=0.05"
@@ -301,7 +300,7 @@ const mixIDsSpec = "mix:bitcoin=0.6,hotspot=0.25,adversarial=0.05,adversarial=0.
 // current chunk part filled, and at 200k, the two-pass restore builds
 // exactly the index the vector-by-vector one builds: node records, chunks,
 // current chunk, free lists, counters and assignment. The output counts
-// come from the placer's own count column, which holds the stream's. A writer that retires
+// come from the section's own count column, which holds the stream's. A writer that retires
 // leaves no span on a spent-out node, so there the oracle frees nothing and
 // the layouts agree to the slot. Sections only an older writer or a corrupt
 // file holds are below.
@@ -325,11 +324,10 @@ func TestRestoreMatchesOracle(t *testing.T) {
 					p.Place(txgraph.Node(u), inputs(u))
 				}
 				id := fmt.Sprintf("%s k=%d cut=%d", w.name, k, cut)
-				col := outsOf(t, p.idx)
-				if !bytes.Equal(col.Data, countColumn(outs[:cut])) {
+				if !bytes.Equal(outsOf(t, p.idx), countColumn(outs[:cut])) {
 					t.Fatalf("%s: the placer's output-count column is not the stream's counts", id)
 				}
-				got, want, err := restoreBoth(t, mk, stateOf(t, p), col)
+				got, want, err := restoreBoth(t, mk, stateOf(t, p))
 				if err != nil {
 					t.Fatalf("%s: %v", id, err)
 				}
@@ -356,16 +354,16 @@ func TestRestoreMatchesOracle(t *testing.T) {
 // count, and a span kept for a spent-out node, which both refuse.
 func TestRestoreOracleSections(t *testing.T) {
 	const k = 4
-	outs := countColumn([]int{70_000, 300, manyOuts, 1 << 20, 2, 0, 2, 3})
+	outs := []int{70_000, 300, manyOuts, 1 << 20, 2, 0, 2, 3}
+	col := counts(70_000, 300, manyOuts, 1<<20, 2, 0, 2, 3)
 	mk := func() *T2SIndex { return NewT2SPlacer(k, 16, DefaultAlpha, 0.1).idx }
 	asn := []uint16{0, 1, 2, 3, 0, 1, 2, 3}
 	// 0 has had 4464 = 70000 mod 2^16 spenders and 3 as many as a record
 	// can count, both live; 2, 4 and 7 are spent out exactly (their spans
 	// gone), 6 past its count.
 	degs := counts(4464, 9, manyOuts, manyOuts, 2, 5, 4, 3)
-	col := &placement.Counts{N: 8, Data: outs}
-	got, want, err := restoreBoth(t, mk, corruptSection(asn,
-		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, degs, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}), col)
+	got, want, err := restoreBoth(t, mk, corruptSection(col, asn,
+		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, degs, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +371,8 @@ func TestRestoreOracleSections(t *testing.T) {
 	if txs, refs := got.Retired(); txs != 4 || refs != 2 || got.entries != 5 || got.nodes[0].n != 1 || got.nodes[3].n != 1 {
 		t.Fatalf("%d retired, %d late references, %d entries held, spans %+v", txs, refs, got.entries, got.nodes)
 	}
-	if back := outsOf(t, got); !bytes.Equal(back.Data, outs) {
-		t.Fatalf("output counts written back as % x, want % x", back.Data, outs)
+	if back := outsOf(t, got); !bytes.Equal(back, countColumn(outs)) {
+		t.Fatalf("output counts written back as % x, want % x", back, countColumn(outs))
 	}
 	if len(got.bigOuts) != 3 || got.outCount(0, got.nodes[0].outs) != 70_000 || got.outCount(2, got.nodes[2].outs) != manyOuts {
 		t.Fatalf("large output counts %v", got.bigOuts)
@@ -386,10 +384,10 @@ func TestRestoreOracleSections(t *testing.T) {
 
 	// The same nodes with every span still in the section: the first spent-out
 	// node that keeps one is named.
-	section := corruptSection(asn,
+	section := corruptSection(col, asn,
 		[]uint16{1, 2, 1, 1, 2, 1, 1, 3}, degs,
 		[]uint16{0, 0, 1, 2, 3, 0, 3, 1, 2, 0, 1, 2}, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	if _, _, err = restoreBoth(t, mk, section, col); err == nil || !strings.Contains(err.Error(), "node 2 has had 65535 spenders of its 65535 outputs but keeps a span of 1 entries") {
+	if _, _, err = restoreBoth(t, mk, section); err == nil || !strings.Contains(err.Error(), "node 2 has had 65535 spenders of its 65535 outputs but keeps a span of 1 entries") {
 		t.Fatalf("a span of a spent-out node: %v", err)
 	}
 }
@@ -414,10 +412,9 @@ func wideStream(n int) (inputs func(u int) []txgraph.Node, outs []int) {
 	}, outs
 }
 
-// FuzzRestoreState reads arbitrary bytes as an output-count column followed
-// by a T2S state section and restores the section both ways, handing each
-// the column. The two must refuse the same inputs with the same error
-// text and accept the same ones into the same state, to the layout.
+// FuzzRestoreState reads arbitrary bytes as a T2S state section and
+// restores it both ways. The two must refuse the same inputs with the same
+// error text and accept the same ones into the same state, to the layout.
 func FuzzRestoreState(f *testing.F) {
 	const k, txs, cut = 16, 400, 250
 	seed := func(inputs func(int) []txgraph.Node, outs []int) {
@@ -426,34 +423,23 @@ func FuzzRestoreState(f *testing.F) {
 		for u := 0; u < cut; u++ {
 			p.Place(txgraph.Node(u), inputs(u))
 		}
-		var col bytes.Buffer
-		w := placement.NewStateWriter(&col)
-		p.idx.WriteOutCounts(w)
-		if err := w.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(append(col.Bytes(), stateOf(f, p)...))
+		f.Add(stateOf(f, p))
 	}
 	for _, spec := range []string{"bitcoin", "hotspot", mixIDsSpec} {
 		seed(streamOf(f, spec, txs, k))
 	}
 	seed(wideStream(txs))
-	f.Add(append(counts(70_000, 300, 2), corruptSection([]uint16{0, 1, 2},
-		[]uint16{1, 2, 1}, counts(4464, 9, 2), []uint16{0, 0, 1, 2}, []uint64{1, 2, 3, 4})...))
+	f.Add(corruptSection(counts(70_000, 300, 2), []uint16{0, 1, 2},
+		[]uint16{1, 2, 1}, counts(4464, 9, 2), []uint16{0, 0, 1, 2}, []uint64{1, 2, 3, 4}))
 	// Two defects, the first one a second-pass one: refused naming the first.
-	f.Add(append(counts(0, 0), corruptSection([]uint16{0, 0},
-		[]uint16{2, 3}, counts(0, 0), []uint16{1, 1}, []uint64{1, 1})...))
-	f.Add(append(counts(70_000, 300, manyOuts, 1<<20, 2, 0, 2, 3), corruptSection([]uint16{0, 1, 2, 3, 0, 1, 2, 3},
-		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, counts(4464, 9, manyOuts, manyOuts, 2, 5, 4, 3), []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5})...))
+	f.Add(corruptSection(counts(0, 0), []uint16{0, 0},
+		[]uint16{2, 3}, counts(0, 0), []uint16{1, 1}, []uint64{1, 1}))
+	f.Add(corruptSection(counts(70_000, 300, manyOuts, 1<<20, 2, 0, 2, 3), []uint16{0, 1, 2, 3, 0, 1, 2, 3},
+		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, counts(4464, 9, manyOuts, manyOuts, 2, 5, 4, 3), []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := placement.NewStateReader(data)
-		col := r.Counts()
-		if r.Err() != nil {
-			return
-		}
 		mk := func() *T2SIndex { return NewT2SPlacer(k, txs, DefaultAlpha, 0.1).idx }
-		got, want, err := restoreBoth(t, mk, data[len(data)-r.Len():], &col)
+		got, want, err := restoreBoth(t, mk, data)
 		if err != nil {
 			return
 		}
@@ -462,8 +448,8 @@ func FuzzRestoreState(f *testing.F) {
 }
 
 // BenchmarkRestoreState prices the T2S restore alone, two-pass against the
-// oracle, on a 200k-transaction mix-ids section at k = 16, the output-count
-// column included (ns/tx is per restored transaction).
+// oracle, on a 200k-transaction mix-ids section at k = 16 (ns/tx is per
+// restored transaction).
 func BenchmarkRestoreState(b *testing.B) {
 	const k, txs = 16, 200_000
 	inputs, outs := streamOf(b, mixIDsSpec, txs, k)
@@ -479,15 +465,14 @@ func BenchmarkRestoreState(b *testing.B) {
 	if err := w.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	col := outsOf(b, p.idx)
 	for _, r := range []struct {
 		name    string
-		restore func(*T2SIndex, *placement.StateReader, *placement.Counts) error
-	}{{"two-pass", (*T2SIndex).RestoreState}, {"oracle", (*T2SIndex).restoreStateOracle}} {
+		restore func(*T2SIndex, *placement.StateReader) error
+	}{{"two-pass", (*T2SIndex).restoreState}, {"oracle", (*T2SIndex).restoreStateOracle}} {
 		b.Run(r.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				idx := NewT2SIndex(DefaultAlpha, 0, placement.NewAssignment(k, txs), txs)
-				if err := r.restore(idx, placement.NewStateReader(buf.Bytes()), col); err != nil {
+				if err := r.restore(idx, placement.NewStateReader(buf.Bytes())); err != nil {
 					b.Fatal(err)
 				}
 			}

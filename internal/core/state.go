@@ -3,20 +3,22 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 
 	"optchain/internal/placement"
 	"optchain/internal/txgraph"
 )
 
-// The T2S state section is the assignment's shard column followed by the
-// index's four columns. Shard ids and span lengths take
-// placement.ShardWidth(k) bytes each (1 when k <= 255, else 2); a
-// fixed-width column is a uvarint count and that many little-endian
-// elements, a count column a uvarint count, a uvarint byte length and that
-// many uvarints:
+// The T2S state section is the index's output-count column, the
+// assignment's shard column, then the index's other four columns. Shard ids
+// and span lengths take placement.ShardWidth(k) bytes each (1 when k <= 255,
+// else 2); a fixed-width column is a uvarint count and that many
+// little-endian elements, a count column a uvarint count, a uvarint byte
+// length and that many uvarints:
 //
+//	output counts  a count column, one uvarint per transaction (1 B below
+//	               128; 0 for a count the source did not know)
+//	shards         the assignment: 1 or 2 B per transaction
 //	span lengths   1 or 2 B per transaction (entries of its p'(v), at most
 //	               k; 0 for a retired transaction)
 //	out-degrees    a count column, one uvarint per transaction (1 B below
@@ -28,16 +30,16 @@ import (
 // Configuration (alpha, truncation, normalization, the output-count source)
 // is construction input, not state — the restore target must be built with
 // the same parameters. Which slots are free is not state either: a restored
-// index is packed. The output counts the index keeps are state, but they
-// travel in a count column of their own (WriteOutCounts), which an engine
-// snapshot carries ahead of this section and hands back to RestoreState.
-// The byte lengths of both count columns are kept as running totals
-// (wideOuts, wideDegs), so a section's size takes no pass over the state.
+// index is packed. The output counts are state: Alg. 1 divides p'(v) by
+// them, and they tell which transactions are spent out, so the restore
+// takes them from the section and never asks the source. The byte lengths
+// of both count columns are kept as running totals (wideOuts, wideDegs), so
+// a section's size takes no pass over the state.
 
 // stateSize returns how many bytes writeState emits.
 func (t *T2SIndex) stateSize() int64 {
 	n, width := len(t.nodes), placement.ShardWidth(t.asn.K())
-	return t.asn.StateSize() +
+	return placement.CountsSize(n, int64(n)+t.wideOuts) + t.asn.StateSize() +
 		placement.ColumnSize(n, width) + placement.CountsSize(n, int64(n)+t.wideDegs) +
 		placement.ColumnSize(t.entries, width) + placement.ColumnSize(t.entries, 8)
 }
@@ -47,14 +49,15 @@ func (t *T2SIndex) stateSize() int64 {
 // at most, 20 KiB of it.
 const recordBlock = 4096
 
-// writeState serializes the assignment and the index's complete incremental
-// state. Each column is encoded from the node records, or gathered through
-// them from the slab, a block at a time: four walks over the records, none
-// over the arena's free slots.
+// writeState serializes the index's complete incremental state and the
+// assignment. Each column is encoded from the node records, or gathered
+// through them from the slab, a block at a time: five walks over the
+// records, none over the arena's free slots.
 func (t *T2SIndex) writeState(w *placement.StateWriter) {
 	if t.tally.hasPending {
 		panic(fmt.Sprintf("core: snapshot between Prepare(%d) and Commit", t.tally.pendingNode))
 	}
+	t.writeOutCounts(w)
 	t.asn.WriteState(w)
 	width := placement.ShardWidth(t.asn.K())
 	w.Uvarint(uint64(len(t.nodes)))
@@ -129,18 +132,12 @@ func gather[T uint16 | uint64](t *T2SIndex, column [][]T, block []T, write func(
 	write(block[:fill])
 }
 
-// OutCountsSize returns how many bytes WriteOutCounts emits.
-func (t *T2SIndex) OutCountsSize() int64 {
-	return placement.CountsSize(len(t.nodes), int64(len(t.nodes))+t.wideOuts)
-}
-
-// WriteOutCounts writes the output count of every committed transaction as
-// one count column (a uvarint count, a uvarint byte length, then a uvarint
-// per transaction, in node order), encoded from the node records a block
+// writeOutCounts writes the output count of every committed transaction as
+// one count column, in node order, encoded from the node records a block
 // at a time, a record that says manyOuts taking its count from bigOuts. A
 // count the source gave as negative was kept, and is written, as 0
 // (unknown).
-func (t *T2SIndex) WriteOutCounts(w *placement.StateWriter) {
+func (t *T2SIndex) writeOutCounts(w *placement.StateWriter) {
 	w.Uvarint(uint64(len(t.nodes)))
 	w.Uvarint(uint64(int64(len(t.nodes)) + t.wideOuts))
 	big := t.bigOuts
@@ -162,10 +159,8 @@ func (t *T2SIndex) WriteOutCounts(w *placement.StateWriter) {
 	}
 }
 
-// RestoreState replaces a fresh index's state (and its assignment's) with a
-// writeState section, the output counts taken from outs, a WriteOutCounts
-// column; with outs nil they are asked of the index's source, which must
-// then answer for every transaction (a dataset's does).
+// restoreState replaces a fresh index's state (and its assignment's) with a
+// writeState section.
 //
 // It validates the section's internal consistency as it restores it: the
 // per-node columns must agree with each other, with the output counts and
@@ -187,10 +182,11 @@ func (t *T2SIndex) WriteOutCounts(w *placement.StateWriter) {
 // first pass finds ends it, and is reported only once the second has
 // checked the spans before it, so a section is refused naming the node or
 // entry a single pass over the nodes would name.
-func (t *T2SIndex) RestoreState(r *placement.StateReader, outs *placement.Counts) error {
+func (t *T2SIndex) restoreState(r *placement.StateReader) error {
 	if len(t.nodes) != 0 || t.tally.hasPending {
 		return fmt.Errorf("core: restore into a non-empty T2S index (%d committed)", len(t.nodes))
 	}
+	outs := r.Counts()
 	if err := t.asn.RestoreState(r); err != nil {
 		return err
 	}
@@ -209,9 +205,7 @@ func (t *T2SIndex) RestoreState(r *placement.StateReader, outs *placement.Counts
 	if placed := t.asn.Len(); placed != nodes {
 		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, nodes)
 	}
-	if outs == nil {
-		outs = t.askOutCounts(nodes)
-	} else if outs.N != nodes {
+	if outs.N != nodes {
 		return fmt.Errorf("core: %d output counts for %d transactions", outs.N, nodes)
 	}
 	t.Reserve(nodes, entries) // every chunk the layout reaches
@@ -321,21 +315,6 @@ func nodeDefect(v, n, k, off, entries int, deg, count int32, badDeg, badOut bool
 // and column bytes still in cache.
 const spanBlock = 256
 
-// askOutCounts builds the output-count column of a restore that was handed
-// none, asking the index's source about each of the first nodes
-// transactions; every count is 0 (unknown) without a source.
-func (t *T2SIndex) askOutCounts(nodes int) *placement.Counts {
-	col := &placement.Counts{N: nodes, Data: make([]byte, 0, nodes)}
-	for v := range nodes {
-		count := 0
-		if t.outCounts != nil {
-			count = min(max(t.outCounts(txgraph.Node(v)), 0), math.MaxInt32)
-		}
-		col.Data = binary.AppendUvarint(col.Data, uint64(count))
-	}
-	return col
-}
-
 // fillChunk decodes a run of section entries, shard ids width bytes each,
 // into chunk c, ending at filled.
 func (t *T2SIndex) fillChunk(c, filled, width int, shards, vals []byte) {
@@ -361,11 +340,7 @@ func (p *OptChainPlacer) StateSize() int64 { return p.idx.stateSize() }
 // live telemetry, not decision state: it re-attaches on the restored engine.
 func (p *OptChainPlacer) WriteState(w *placement.StateWriter) { p.idx.writeState(w) }
 
-// RestoreState implements placement.Snapshotter, with the output counts
-// asked of the index's source (see T2SIndex.RestoreState); an engine hands
-// its snapshot's count column to the index instead.
-func (p *OptChainPlacer) RestoreState(r *placement.StateReader) error {
-	return p.idx.RestoreState(r, nil)
-}
+// RestoreState implements placement.Snapshotter (see T2SIndex.restoreState).
+func (p *OptChainPlacer) RestoreState(r *placement.StateReader) error { return p.idx.restoreState(r) }
 
 var _ placement.Snapshotter = (*OptChainPlacer)(nil)

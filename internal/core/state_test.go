@@ -120,22 +120,12 @@ func rawCounts(n int, data ...byte) []byte {
 	return append(b, data...)
 }
 
-// countsOf reads an encoded count column back as RestoreState takes it.
-func countsOf(t testing.TB, col []byte) *placement.Counts {
-	t.Helper()
-	r := placement.NewStateReader(col)
-	c := r.Counts()
-	if r.Err() != nil || r.Len() != 0 {
-		t.Fatalf("count column % x: %v, %d bytes left over", col, r.Err(), r.Len())
-	}
-	return &c
-}
-
 // corruptSection builds a T2S state section over at most 255 shards
-// (assignment column + index columns, format version 3) from raw parts,
-// the out-degrees an encoded count column, for defect injection.
-func corruptSection(asnShards, lens []uint16, degs []byte, slabShards []uint16, slabVals []uint64) []byte {
-	b := column(nil, asnShards)
+// (output counts, assignment column, index columns) from raw parts, the
+// output counts and out-degrees encoded count columns, for defect
+// injection.
+func corruptSection(outs []byte, asnShards, lens []uint16, degs []byte, slabShards []uint16, slabVals []uint64) []byte {
+	b := column(outs, asnShards)
 	b = column(b, lens)
 	b = append(b, degs...)
 	b = column(b, slabShards)
@@ -147,124 +137,112 @@ func TestCoreRestoreDefects(t *testing.T) {
 	one := []uint16{0} // one transaction, placed in shard 0
 	cases := map[string]struct {
 		blob []byte
-		outs []byte // the output-count column, when not asked of the source
 		want string
 	}{
 		"slab columns disagree": {
-			blob: corruptSection(nil, nil, counts(), []uint16{0}, nil),
+			blob: corruptSection(counts(), nil, nil, counts(), []uint16{0}, nil),
 			want: "slab columns disagree",
 		},
 		"per-node columns disagree": {
-			blob: corruptSection(one, []uint16{0}, counts(), nil, nil),
+			blob: corruptSection(counts(0), one, []uint16{0}, counts(), nil, nil),
 			want: "per-node columns disagree",
 		},
 		"slab shard out of range": {
-			blob: corruptSection(one, []uint16{1}, counts(0), []uint16{9}, []uint64{1}),
+			blob: corruptSection(counts(0), one, []uint16{1}, counts(0), []uint16{9}, []uint64{1}),
 			want: "names shard 9",
 		},
 		"span longer than k": {
-			blob: corruptSection(one, []uint16{k + 1}, counts(0), []uint16{0, 1, 2, 3, 0}, []uint64{1, 1, 1, 1, 1}),
+			blob: corruptSection(counts(0), one, []uint16{k + 1}, counts(0), []uint16{0, 1, 2, 3, 0}, []uint64{1, 1, 1, 1, 1}),
 			want: "more than the 4 shards",
 		},
 		"span exceeds slab": {
-			blob: corruptSection(one, []uint16{3}, counts(0), []uint16{0, 0}, []uint64{1, 1}),
+			blob: corruptSection(counts(0), one, []uint16{3}, counts(0), []uint16{0, 0}, []uint64{1, 1}),
 			want: "exceeds slab length",
 		},
 		"spans undercover slab": {
-			blob: corruptSection(one, []uint16{1}, counts(0), []uint16{0, 0}, []uint64{1, 1}),
+			blob: corruptSection(counts(0), one, []uint16{1}, counts(0), []uint16{0, 0}, []uint64{1, 1}),
 			want: "cover 1 of 2",
 		},
 		"vector shards out of order": {
-			blob: corruptSection(one, []uint16{2}, counts(0), []uint16{1, 1}, []uint64{1, 1}),
+			blob: corruptSection(counts(0), one, []uint16{2}, counts(0), []uint16{1, 1}, []uint64{1, 1}),
 			want: "after shard 1 of the same vector",
 		},
 		"out-degree above MaxInt32": {
-			blob: corruptSection(one, []uint16{2}, counts(math.MaxInt32+1), []uint16{0, 1}, []uint64{1, 1}),
+			blob: corruptSection(counts(0), one, []uint16{2}, counts(math.MaxInt32+1), []uint16{0, 1}, []uint64{1, 1}),
 			want: "out-degree of node 0: 2147483648 exceeds 2147483647",
 		},
 		"negative out-degree": {
 			// What a writer that cast a negative int64 to uint64 would emit.
-			blob: corruptSection(one, []uint16{2}, counts(math.MaxUint64), []uint16{0, 1}, []uint64{1, 1}),
+			blob: corruptSection(counts(0), one, []uint16{2}, counts(math.MaxUint64), []uint16{0, 1}, []uint64{1, 1}),
 			want: "out-degree of node 0: 18446744073709551615 exceeds 2147483647",
 		},
 		"truncated out-degree": {
-			blob: corruptSection([]uint16{0, 0}, []uint16{0, 0}, rawCounts(2, 5, 0x80), nil, nil),
+			blob: corruptSection(counts(0, 0), []uint16{0, 0}, []uint16{0, 0}, rawCounts(2, 5, 0x80), nil, nil),
 			want: "out-degree of node 1: truncated uvarint",
 		},
 		"out-degree over 10 bytes": {
-			blob: corruptSection(one, []uint16{0}, rawCounts(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), nil, nil),
+			blob: corruptSection(counts(0), one, []uint16{0}, rawCounts(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), nil, nil),
 			want: "out-degree of node 0: uvarint overflows 64 bits",
 		},
 		"out-degree overflows 64 bits": {
-			blob: corruptSection(one, []uint16{0}, rawCounts(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02), nil, nil),
+			blob: corruptSection(counts(0), one, []uint16{0}, rawCounts(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02), nil, nil),
 			want: "out-degree of node 0: uvarint overflows 64 bits",
 		},
 		"non-minimal out-degree": {
-			blob: corruptSection(one, []uint16{0}, rawCounts(1, 0x83, 0x00), nil, nil),
+			blob: corruptSection(counts(0), one, []uint16{0}, rawCounts(1, 0x83, 0x00), nil, nil),
 			want: "out-degree of node 0: non-minimal uvarint",
 		},
 		"more out-degrees than bytes": {
-			blob: corruptSection(one, []uint16{0}, rawCounts(2, 0), nil, nil),
+			blob: corruptSection(counts(0), one, []uint16{0}, rawCounts(2, 0), nil, nil),
 			want: "count column of 2 values in 1 bytes",
 		},
 		"out-degree column longer than its values": {
-			blob: corruptSection(one, []uint16{0}, rawCounts(1, 0, 0), nil, nil),
+			blob: corruptSection(counts(0), one, []uint16{0}, rawCounts(1, 0, 0), nil, nil),
 			want: "out-degree column holds 1 bytes past its 1 values",
 		},
 		"output count above MaxInt32": {
-			blob: corruptSection([]uint16{0, 0}, []uint16{0, 0}, counts(0, 0), nil, nil),
-			outs: counts(3, 1<<40),
+			blob: corruptSection(counts(3, 1<<40), []uint16{0, 0}, []uint16{0, 0}, counts(0, 0), nil, nil),
 			want: "output count of node 1: 1099511627776 exceeds 2147483647",
 		},
 		"truncated output count": {
-			blob: corruptSection(one, []uint16{0}, counts(0), nil, nil),
-			outs: rawCounts(1, 0xff),
+			blob: corruptSection(rawCounts(1, 0xff), one, []uint16{0}, counts(0), nil, nil),
 			want: "output count of node 0: truncated uvarint",
 		},
 		"non-minimal output count": {
-			blob: corruptSection(one, []uint16{0}, counts(0), nil, nil),
-			outs: rawCounts(1, 0x80, 0x80, 0x00),
+			blob: corruptSection(rawCounts(1, 0x80, 0x80, 0x00), one, []uint16{0}, counts(0), nil, nil),
 			want: "output count of node 0: non-minimal uvarint",
 		},
 		"output counts for another transaction count": {
-			blob: corruptSection(one, []uint16{0}, counts(0), nil, nil),
-			outs: counts(1, 1),
+			blob: corruptSection(counts(1, 1), one, []uint16{0}, counts(0), nil, nil),
 			want: "2 output counts for 1 transactions",
 		},
 		"output-count column longer than its values": {
-			blob: corruptSection(one, []uint16{0}, counts(0), nil, nil),
-			outs: rawCounts(1, 1, 7),
+			blob: corruptSection(rawCounts(1, 1, 7), one, []uint16{0}, counts(0), nil, nil),
 			want: "output-count column holds 1 bytes past its 1 values",
 		},
 		"span of a spent-out node": {
 			// 1 has had both its spenders and still carries a vector: a writer
 			// that retires never leaves one.
-			blob: corruptSection([]uint16{0, 0}, []uint16{1, 1}, counts(0, 2), []uint16{0, 3}, []uint64{5, 6}),
-			outs: counts(2, 2),
+			blob: corruptSection(counts(2, 2), []uint16{0, 0}, []uint16{1, 1}, counts(0, 2), []uint16{0, 3}, []uint64{5, 6}),
 			want: "node 1 has had 2 spenders of its 2 outputs but keeps a span of 1 entries",
 		},
 		"assignment and index disagree": {
-			blob: corruptSection(one, nil, counts(), nil, nil),
+			blob: corruptSection(counts(0), one, nil, counts(), nil, nil),
 			want: "assignment has 1 placements but the T2S index 0",
 		},
 		"assignment shard out of range": {
-			blob: corruptSection([]uint16{k}, nil, counts(), nil, nil),
+			blob: corruptSection(counts(0), []uint16{k}, nil, counts(), nil, nil),
 			want: "in shard 4 of 4",
 		},
 		"truncated": {
-			blob: corruptSection(nil, nil, counts(), nil, nil)[:2],
+			blob: corruptSection(counts(), nil, nil, counts(), nil, nil)[:2],
 			want: "truncated",
 		},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
-			var err error
-			if tc.outs == nil {
-				err = p.RestoreState(placement.NewStateReader(tc.blob))
-			} else {
-				err = p.idx.RestoreState(placement.NewStateReader(tc.blob), countsOf(t, tc.outs))
-			}
+			err := p.RestoreState(placement.NewStateReader(tc.blob))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err=%v, want substring %q", err, tc.want)
 			}
@@ -276,8 +254,8 @@ func TestCoreRestoreDefects(t *testing.T) {
 		// declaring 1, 2 and 0 (unknown) outputs; no span for the spent-out
 		// 0, and its third spender counted as two late references.
 		p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
-		section := corruptSection([]uint16{0, 0, 0}, []uint16{0, 1, 1}, counts(3, 1, 7), []uint16{0, 0}, []uint64{5, 6})
-		if err := p.idx.RestoreState(placement.NewStateReader(section), countsOf(t, counts(1, 2, 0))); err != nil {
+		section := corruptSection(counts(1, 2, 0), []uint16{0, 0, 0}, []uint16{0, 1, 1}, counts(3, 1, 7), []uint16{0, 0}, []uint64{5, 6})
+		if err := p.RestoreState(placement.NewStateReader(section)); err != nil {
 			t.Fatal(err)
 		}
 		if txs, refs := p.idx.Retired(); txs != 1 || refs != 2 || p.idx.SlabLen() != 2 || freeSlots(p.idx) != 0 {
@@ -288,7 +266,7 @@ func TestCoreRestoreDefects(t *testing.T) {
 	t.Run("non-empty receiver", func(t *testing.T) {
 		p := NewOptChain(OptChainConfig{K: k, N: n})
 		p.Place(0, nil)
-		err := p.RestoreState(placement.NewStateReader(corruptSection(nil, nil, counts(), nil, nil)))
+		err := p.RestoreState(placement.NewStateReader(corruptSection(counts(), nil, nil, counts(), nil, nil)))
 		if err == nil || !strings.Contains(err.Error(), "non-empty") {
 			t.Fatalf("restore into placed-into placer: %v", err)
 		}
@@ -313,9 +291,9 @@ func TestShardWidthBoundary(t *testing.T) {
 		section := stateOf(t, p)
 		width := int64(placement.ShardWidth(k))
 		// Assignment and span lengths: a count and one element each; one
-		// 1-byte out-degree; k shard ids and k values, each behind a 2-byte
-		// count.
-		if want := 2*(1+width) + 3 + (2 + width*int64(k)) + (2 + 8*int64(k)); int64(len(section)) != want {
+		// 1-byte output count and one 1-byte out-degree; k shard ids and k
+		// values, each behind a 2-byte count.
+		if want := 2*(1+width) + 2*3 + (2 + width*int64(k)) + (2 + 8*int64(k)); int64(len(section)) != want {
 			t.Fatalf("k=%d: a %d-byte section, want %d", k, len(section), want)
 		}
 		fresh := NewT2SPlacer(k, 0, DefaultAlpha, 0.1)

@@ -316,20 +316,6 @@ func (r *StateReader) Uvarint() uint64 {
 	return v
 }
 
-// Byte consumes one raw byte.
-func (r *StateReader) Byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) == 0 {
-		r.fail("placement: truncated byte")
-		return 0
-	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b
-}
-
 // Bytes consumes n raw bytes.
 func (r *StateReader) Bytes(n int) []byte {
 	if r.err != nil {

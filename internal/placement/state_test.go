@@ -69,12 +69,11 @@ func TestStateReaderColumns(t *testing.T) {
 	w.Shards([]uint16{0, 513}, 2)
 	w.Uvarint(3)
 	w.Shards([]uint16{0, 7, 255}, 1)
-	w.String("\x7f")
 	w.String("raw")
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := UvarintLen(300) + CountsSize(len(counts), 12) + ColumnSize(3, 8) + ColumnSize(4, 2) + ColumnSize(3, 1) + 1 + 3
+	want := UvarintLen(300) + CountsSize(len(counts), 12) + ColumnSize(3, 8) + ColumnSize(4, 2) + ColumnSize(3, 1) + 3
 	if w.Len() != want || int64(out.Len()) != want {
 		t.Fatalf("wrote %d bytes (writer counted %d), sizes add up to %d", out.Len(), w.Len(), want)
 	}
@@ -110,9 +109,6 @@ func TestStateReaderColumns(t *testing.T) {
 	}
 	if u8 := r.Column(1); !bytes.Equal(u8, []byte{0, 7, 0xff}) || Shard(u8, 2, 1) != 255 || Shard(u16, 1, 2) != 65535 {
 		t.Fatalf("1-byte shard column % x", u8)
-	}
-	if b := r.Byte(); b != 0x7f {
-		t.Fatalf("byte %#x, want 0x7f", b)
 	}
 	if b := r.Bytes(3); string(b) != "raw" {
 		t.Fatalf("bytes %q, want raw", b)
@@ -271,12 +267,6 @@ func TestStateReaderDefects(t *testing.T) {
 			t.Fatalf("3 counts in 2 bytes: err=%v", r.Err())
 		}
 	})
-	t.Run("byte at end", func(t *testing.T) {
-		r := NewStateReader(nil)
-		if r.Byte() != 0 || r.Err() == nil {
-			t.Fatal("Byte past end accepted")
-		}
-	})
 	t.Run("errors stick", func(t *testing.T) {
 		r := NewStateReader([]byte{0x80})
 		r.Uvarint()
@@ -285,7 +275,7 @@ func TestStateReaderDefects(t *testing.T) {
 			t.Fatal("no defect recorded")
 		}
 		// Every later read is a zero-value no-op reporting the first defect.
-		if r.Byte() != 0 || r.Column(4) != nil || r.Column(8) != nil || r.Bytes(1) != nil || r.Counts().Data != nil {
+		if r.Column(4) != nil || r.Column(8) != nil || r.Bytes(1) != nil || r.Counts().Data != nil {
 			t.Fatal("reads after a defect returned data")
 		}
 		if r.Err() != first {

@@ -19,7 +19,9 @@ import (
 
 	"optchain/internal/chain"
 	"optchain/internal/core"
+	"optchain/internal/dataset"
 	"optchain/internal/des"
+	"optchain/internal/metis"
 	"optchain/internal/names"
 	"optchain/internal/omniledger"
 	"optchain/internal/placement"
@@ -189,6 +191,20 @@ func init() {
 		}
 		return placement.NewMetisReplay(ctx.K, ctx.MetisPart), nil
 	})
+}
+
+// MetisPartition is the offline partition the "Metis" strategy replays: a
+// multilevel k-way partition of d's TaN network, deterministic per seed,
+// whose parts stay within the (1+ε) bound T2S and Greedy cap shards at
+// (core.DefaultCapacityEps). Every entry point that runs Metis takes its
+// partition from here, so the strategy replays one partition everywhere.
+func MetisPartition(d *dataset.Dataset, k int, seed int64) ([]int32, error) {
+	g, err := d.BuildGraph()
+	if err != nil {
+		return nil, err
+	}
+	xadj, adj := g.UndirectedCSR()
+	return metis.PartitionKWay(xadj, adj, k, &metis.Options{Seed: seed, Imbalance: core.DefaultCapacityEps})
 }
 
 // Built-in protocols: the two cross-shard commit backends of §III/§V.

@@ -1,12 +1,15 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"optchain/internal/chain"
 	"optchain/internal/core"
+	"optchain/internal/dataset"
 	"optchain/internal/des"
 	"optchain/internal/names"
 	"optchain/internal/placement"
@@ -136,5 +139,97 @@ func TestMetisRejectsShortPartition(t *testing.T) {
 	}
 	if _, err := NewStrategy("Metis", StrategyContext{K: 4, N: 10}); err == nil {
 		t.Fatal("a missing partition accepted")
+	}
+}
+
+// TestSnapshotKeepsOutputCounts: a T2S-backed placer told each output count
+// only while it places that transaction, as an engine and the simulator
+// tell it, round-trips through WriteState/RestoreState mid-stream and ends
+// with the uninterrupted placer's retirements, slab and decisions. The
+// counts are the section's: a restore that asked the source for them would
+// get 0 (unknown) for every placed transaction and never retire one.
+func TestSnapshotKeepsOutputCounts(t *testing.T) {
+	const k, n, cut = 4, 200, 100
+	for _, strategy := range []string{"OptChain", "T2S"} {
+		// A chain: each transaction declares one output and spends its
+		// predecessor's.
+		build := func(placed *int) placement.Placer {
+			p, err := NewStrategy(strategy, StrategyContext{K: k, N: n, OutCounts: func(v txgraph.Node) int {
+				if int(v) == *placed {
+					return 1
+				}
+				return 0
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		place := func(p placement.Placer, placed *int, to int) {
+			for ; *placed < to; *placed++ {
+				var inputs []txgraph.Node
+				if *placed > 0 {
+					inputs = []txgraph.Node{txgraph.Node(*placed - 1)}
+				}
+				p.Place(txgraph.Node(*placed), inputs)
+			}
+		}
+		var atRef, atCut, atFresh int
+		ref, cutP := build(&atRef), build(&atCut)
+		place(ref, &atRef, n)
+		place(cutP, &atCut, cut)
+		var section bytes.Buffer
+		w := placement.NewStateWriter(&section)
+		cutP.(placement.Snapshotter).WriteState(w)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		fresh := build(&atFresh)
+		if err := fresh.(placement.Snapshotter).RestoreState(placement.NewStateReader(section.Bytes())); err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		atFresh = cut
+		place(fresh, &atFresh, n)
+
+		idx := func(p placement.Placer) *core.T2SIndex { return p.(interface{ Scores() *core.T2SIndex }).Scores() }
+		wantTxs, _ := idx(ref).Retired()
+		gotTxs, _ := idx(fresh).Retired()
+		if wantTxs != n-1 || gotTxs != wantTxs || idx(fresh).SlabLen() != idx(ref).SlabLen() {
+			t.Fatalf("%s: restored placer retired %d and holds %d slab entries; the uninterrupted one %d and %d (want %d retired)",
+				strategy, gotTxs, idx(fresh).SlabLen(), wantTxs, idx(ref).SlabLen(), n-1)
+		}
+		for v := range n {
+			if a, b := fresh.Assignment().ShardOf(txgraph.Node(v)), ref.Assignment().ShardOf(txgraph.Node(v)); a != b {
+				t.Fatalf("%s: transaction %d in shard %d, uninterrupted %d", strategy, v, a, b)
+			}
+		}
+	}
+}
+
+// TestMetisPartitionBalance: the partition the Metis strategy replays
+// covers the stream, is deterministic per seed, and keeps every part
+// within the (1+ε) bound T2S and Greedy cap shards at.
+func TestMetisPartitionBalance(t *testing.T) {
+	const n, k = 4000, 8
+	cfg := dataset.DefaultConfig()
+	cfg.N = n
+	d, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := MetisPartition(d, k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := MetisPartition(d, k, 1)
+	if err != nil || !slices.Equal(part, again) {
+		t.Fatalf("a second partition with the same seed differs (%v)", err)
+	}
+	sizes := make([]int, k)
+	for _, s := range part {
+		sizes[s]++
+	}
+	if bound := int(float64(n) / k * (1 + core.DefaultCapacityEps)); len(part) != n || slices.Max(sizes) > bound {
+		t.Fatalf("%d parts for %d transactions, sizes %v, bound %d", len(part), n, sizes, bound)
 	}
 }

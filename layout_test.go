@@ -33,23 +33,25 @@ func t2sIndex(t *testing.T, e *Engine) *core.T2SIndex {
 // behaviour change, not noise. held= is what the index still holds of those
 // entries now that a transaction is retired when its last declared output
 // is spent: forgetting is exact on these streams, so it moved nothing else.
-// snap= is the FNV-64 of the engine's snapshot, re-recorded once when
-// format 3 replaced format 2 (uvarint counts and out-degrees, 1-byte shard
-// ids and span lengths at these 16 shards) with every other field
-// unchanged, and an engine restored from that snapshot must write the same
-// bytes back.
+// snap= is the FNV-64 of the engine's snapshot, re-recorded when format 3
+// replaced format 2 (uvarint counts and out-degrees, 1-byte shard ids and
+// span lengths at these 16 shards) with every other field unchanged, and
+// again when format 4 moved the output counts into the T2S section: only
+// the version byte changed, and with it set back to 3 each stream hashes
+// to its format-3 value. An engine restored from that snapshot must write
+// the same bytes back.
 func TestPlacementFingerprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("6 placement passes of 200k transactions")
 	}
 	const txs, shards = 200_000, 16
 	want := map[string]string{
-		"bitcoin/OptChain": "0xc60cb6482dd76c03 cross=13688 slab=310576 held=74983 snap=0x805205d4dde8259c",
-		"bitcoin/T2S":      "0xf8f94be27a496985 cross=30296 slab=584284 held=145530 snap=0xdd53110b073b13d5",
-		"hotspot/OptChain": "0xe5fc7f2249a0f1fa cross=10582 slab=511278 held=109879 snap=0x61cb09ef9b420d2b",
-		"hotspot/T2S":      "0xecf876d1070986aa cross=92758 slab=2208402 held=468918 snap=0x67b2a67413fac776",
-		"mix-ids/OptChain": "0x664d4d853b87bf6 cross=41962 slab=513200 held=89617 snap=0x93da2222472ce923",
-		"mix-ids/T2S":      "0x4d7436f181105547 cross=64399 slab=786609 held=174458 snap=0xa05cca2bfa9ad422",
+		"bitcoin/OptChain": "0xc60cb6482dd76c03 cross=13688 slab=310576 held=74983 snap=0x13d466b8d7fe451b",
+		"bitcoin/T2S":      "0xf8f94be27a496985 cross=30296 slab=584284 held=145530 snap=0x7a0e2cd18444b114",
+		"hotspot/OptChain": "0xe5fc7f2249a0f1fa cross=10582 slab=511278 held=109879 snap=0x96e726e795e6b028",
+		"hotspot/T2S":      "0xecf876d1070986aa cross=92758 slab=2208402 held=468918 snap=0x2f62dd1d8a4de113",
+		"mix-ids/OptChain": "0x664d4d853b87bf6 cross=41962 slab=513200 held=89617 snap=0x3208bffbb7beb9a7",
+		"mix-ids/T2S":      "0x4d7436f181105547 cross=64399 slab=786609 held=174458 snap=0x807dbe050804f956",
 	}
 	for _, w := range []struct{ name, spec string }{
 		{"bitcoin", "bitcoin"}, {"hotspot", "hotspot"}, {"mix-ids", mixIDsSpec},

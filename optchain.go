@@ -5,7 +5,6 @@ import (
 
 	"optchain/internal/core"
 	"optchain/internal/dataset"
-	"optchain/internal/metis"
 	"optchain/internal/placement"
 	"optchain/internal/registry"
 	"optchain/internal/shard"
@@ -222,14 +221,11 @@ func ConvertTraceJSON(r io.Reader, cfg TraceConvertConfig) (*Dataset, int64, err
 type StaticTelemetry = core.StaticTelemetry
 
 // PartitionTaN runs the Metis-style multilevel k-way partitioner over the
-// dataset's TaN network and returns one shard id per transaction.
+// dataset's TaN network and returns one shard id per transaction: the
+// partition the "Metis" strategy replays, each part within 10% of an even
+// share (the ε of the T2S and Greedy capacity bound).
 func PartitionTaN(d *Dataset, k int, seed int64) ([]int32, error) {
-	g, err := d.BuildGraph()
-	if err != nil {
-		return nil, err
-	}
-	xadj, adj := g.UndirectedCSR()
-	return metis.PartitionKWay(xadj, adj, k, &metis.Options{Seed: seed})
+	return registry.MetisPartition(d, k, seed)
 }
 
 // NewAssignment creates an empty placement record over k shards with a

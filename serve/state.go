@@ -22,13 +22,15 @@ import (
 //	uvarint id count, then per id (sorted by stream index):
 //	    uvarint len(id), id bytes, uvarint stream index
 //	uvarint engine snapshot length, engine snapshot bytes (see
-//	    optchain.Engine.WriteSnapshot; snapshot format version 3)
+//	    optchain.Engine.WriteSnapshot; snapshot format version 4)
 //	4-byte little-endian CRC-32 (IEEE) of all preceding bytes
 //
-// The envelope is unchanged since its first version, but the engine section
-// inside it is not: a file written before snapshot format 3 fails to load
-// with ErrBadState naming the engine snapshot's version. Remove it to start
-// cold, or place the stream again.
+// Every uvarint, the envelope's and the engine section's, is read through
+// placement.StateReader, so one encoded longer than its value needs is a
+// defect. The envelope is unchanged since its first version, but the
+// engine section inside it is not: a file written before snapshot format 4
+// fails to load with ErrBadState naming the engine snapshot's version.
+// Remove it to start cold, or place the stream again.
 const (
 	stateMagic   = "OPTCSRV1"
 	stateVersion = 1
@@ -162,36 +164,31 @@ func (s *Server) decodeState(data []byte, path string) error {
 		return fmt.Errorf("%w: %s checksum mismatch (corrupt or truncated)", ErrBadState, path)
 	}
 
-	rest := body[len(stateMagic):]
-	version, rest, err := takeUvarint(rest)
-	if err != nil {
+	r := placement.NewStateReader(body[len(stateMagic):])
+	version := r.Uvarint()
+	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadState, path, err)
 	}
 	if version != stateVersion {
 		return fmt.Errorf("%w: %s version %d, want %d", ErrBadState, path, version, stateVersion)
 	}
-	count, rest, err := takeUvarint(rest)
-	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrBadState, path, err)
-	}
-	if count > uint64(len(rest)/2) { // an id takes at least a length and an index
-		return fmt.Errorf("%w: %s declares %d ids in %d bytes", ErrBadState, path, count, len(rest))
+	// A defect in the id count leaves it 0 and sticks: snapLen reports it.
+	count := r.Uvarint()
+	if count > uint64(r.Len()/2) { // an id takes at least a length and an index
+		return fmt.Errorf("%w: %s declares %d ids in %d bytes", ErrBadState, path, count, r.Len())
 	}
 	ids := make(map[string]int, count)
 	for i := uint64(0); i < count; i++ {
-		var n uint64
-		n, rest, err = takeUvarint(rest)
-		if err != nil {
+		n := r.Uvarint()
+		if err := r.Err(); err != nil {
 			return fmt.Errorf("%w: %s id %d: %v", ErrBadState, path, i, err)
 		}
-		if n == 0 || n > uint64(len(rest)) {
+		if n == 0 || n > uint64(r.Len()) {
 			return fmt.Errorf("%w: %s id %d empty or truncated", ErrBadState, path, i)
 		}
-		id := string(rest[:n])
-		rest = rest[n:]
-		var idx uint64
-		idx, rest, err = takeUvarint(rest)
-		if err != nil {
+		id := string(r.Bytes(int(n)))
+		idx := r.Uvarint()
+		if err := r.Err(); err != nil {
 			return fmt.Errorf("%w: %s id %q index: %v", ErrBadState, path, id, err)
 		}
 		if _, dup := ids[id]; dup {
@@ -199,13 +196,14 @@ func (s *Server) decodeState(data []byte, path string) error {
 		}
 		ids[id] = int(idx)
 	}
-	snapLen, rest, err := takeUvarint(rest)
-	if err != nil {
+	snapLen := r.Uvarint()
+	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadState, path, err)
 	}
-	if snapLen != uint64(len(rest)) {
-		return fmt.Errorf("%w: %s engine snapshot length %d, %d bytes remain", ErrBadState, path, snapLen, len(rest))
+	if snapLen != uint64(r.Len()) {
+		return fmt.Errorf("%w: %s engine snapshot length %d, %d bytes remain", ErrBadState, path, snapLen, r.Len())
 	}
+	rest := r.Bytes(r.Len())
 	if err := s.eng.ReadSnapshot(bytes.NewReader(rest)); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadState, path, err)
 	}
@@ -217,13 +215,4 @@ func (s *Server) decodeState(data []byte, path string) error {
 	}
 	s.ids = ids
 	return nil
-}
-
-// takeUvarint consumes one uvarint from b.
-func takeUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("truncated varint")
-	}
-	return v, b[n:], nil
 }

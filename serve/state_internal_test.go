@@ -145,6 +145,7 @@ func FuzzLoadState(f *testing.F) {
 	}
 	known[string(wide)] = continuation{rest, want}
 	f.Add(wide)
+	f.Add(widenUvarint(wide, len(stateMagic)))
 	f.Add([]byte(stateMagic))
 
 	check := func(t *testing.T, data []byte) {
@@ -277,5 +278,49 @@ func TestLoadStateValidatesIdTable(t *testing.T) {
 			t.Errorf("%s: err=%v, want ErrBadState mentioning %q", name, err, tc.want)
 		}
 		s.Close(context.Background())
+	}
+}
+
+// widenUvarint rewrites the one-byte uvarint at data[at] of a state file as
+// the two bytes 0x80|v, 0x00 (the same value, encoded longer than it needs)
+// and recomputes the envelope's checksum.
+func widenUvarint(data []byte, at int) []byte {
+	b := append(append(append([]byte(nil), data[:at]...), data[at]|0x80, 0), data[at+1:len(data)-4]...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestLoadStateRefusesNonMinimalUvarints: the envelope's uvarints are read
+// by the rules the engine section's are, so a state file whose version or
+// id count is encoded longer than it needs (0x81 0x00 for 1) is refused
+// with ErrBadState, though its checksum holds.
+func TestLoadStateRefusesNonMinimalUvarints(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "state.bin")
+	s := fuzzServer(t, path)
+	for _, req := range fuzzRequests(t, "hotspot", true)[:20] {
+		if _, err := s.Place(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, at := range map[string]int{"as written": -1, "version": len(stateMagic), "id count": len(stateMagic) + 1} {
+		file, want := data, ""
+		if at >= 0 {
+			file, want = widenUvarint(data, at), "non-minimal varint"
+		}
+		r := fuzzServer(t, "")
+		r.own.Lock()
+		err := r.decodeState(file, name)
+		r.own.Unlock()
+		r.Close(ctx)
+		if want == "" && err != nil || want != "" && (!errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), want)) {
+			t.Errorf("%s: %v, want %q", name, err, want)
+		}
 	}
 }

@@ -29,22 +29,22 @@ var (
 // layout that follows it. The whole stream (magic through payload) is
 // covered by a trailing CRC-32 so truncation and corruption fail loudly.
 //
-// Format version 3, every integer a minimal uvarint unless a width is
+// Format version 4, every integer a minimal uvarint unless a width is
 // given. A fixed-width column is a uvarint count followed by that many
 // little-endian elements; a count column is a uvarint count, a uvarint
 // byte length, then that many uvarints, each at most math.MaxInt32, so a
 // reader can slice it off without decoding it. Shard ids and span lengths
 // take 1 byte when the shard count is at most 255, else 2:
 //
-//	magic "OPTCHSNP", version (3)
+//	magic "OPTCHSNP", version (4)
 //	fingerprint: len(strategy), strategy (lower case), shards, alpha bits,
 //	    L2S weight bits, capacity hint
 //	placed, cross total, cross count
-//	output counts         a count column, one per transaction (all 0 for
-//	    strategies that keep none: Greedy, OmniLedger)
-//	strategy state: shard of each transaction, 1 or 2 B each; then for T2S
-//	    and OptChain the index columns (see internal/core/state.go): span
-//	    lengths 1 or 2 B and out-degrees a count column, one per
+//	strategy state, the placer's placement.Snapshotter section: for
+//	    Greedy and OmniLedger the shard of each transaction, 1 or 2 B each;
+//	    for T2S and OptChain the index's section (see
+//	    internal/core/state.go): output counts and out-degrees as count
+//	    columns, one per transaction, shards and span lengths 1 or 2 B per
 //	    transaction, slab shard ids 1 or 2 B and values 8 B per entry of the
 //	    vectors still held (a retired transaction has span length 0 and no
 //	    entries)
@@ -54,19 +54,17 @@ var (
 // time through one small staging buffer (on a little-endian host a block
 // of 2- or 8-byte elements is the column's own memory, and a large one is
 // passed through whole), so a snapshot costs no memory proportional to the
-// state. The output counts are kept only in the T2S index's node records
-// (a count of 65535 or more in a table beside them): the writer gathers
-// their column from there a block at a time, and the reader hands it to
-// the index's restore. The byte lengths of the two count columns are
-// running totals the index keeps, so SnapshotSize is exact without a pass
-// over the state.
-// Versions 1 and 2 (fixed-width counts and out-degrees, 2-byte shard ids
-// and span lengths, reserved header fields) are not read: such a stream
-// fails with ErrBadSnapshot naming its version, and its owner starts cold
-// or places the stream again.
+// state. The section's size comes from column lengths and the running byte
+// totals the T2S index keeps of its count columns, so SnapshotSize is
+// exact without a pass over the state.
+// For T2S and OptChain every byte after the version is what version 3
+// wrote; version 3 carried an output-count column in the header for every
+// strategy (zeros for Greedy and OmniLedger). Versions 1 to 3 are not
+// read: such a stream fails with ErrBadSnapshot naming its version, and
+// its owner starts cold or places the stream again.
 const (
 	snapMagic   = "OPTCHSNP"
-	snapVersion = 3
+	snapVersion = 4
 )
 
 // snapMaxBytes bounds how much ReadSnapshot will buffer — a corrupt length
@@ -106,11 +104,7 @@ func (e *Engine) snapshotPlanLocked() (snap placement.Snapshotter, head []byte, 
 	head = binary.AppendUvarint(head, uint64(e.placed))
 	head = binary.AppendUvarint(head, uint64(e.cross.Total))
 	head = binary.AppendUvarint(head, uint64(e.cross.Cross))
-	outs := placement.CountsSize(e.placed, int64(e.placed)) // a zero byte each
-	if idx := e.indexLocked(); idx != nil {
-		outs = idx.OutCountsSize()
-	}
-	size = int64(len(head)) + outs + snap.StateSize() + 4
+	size = int64(len(head)) + snap.StateSize() + 4
 	if size > snapMaxBytes {
 		return nil, nil, 0, fmt.Errorf("%w: the state takes %d bytes, more than the %d a snapshot may", ErrBadSnapshot, size, snapMaxBytes)
 	}
@@ -129,8 +123,8 @@ func (e *Engine) SnapshotSize() (int64, error) {
 
 // WriteSnapshot serializes the engine's complete streaming-placement state
 // — the strategy's decision state (for OptChain/T2S the slab-backed p'(v)
-// index and the shard assignment), the output counts the index keeps, and
-// the cross-shard counters — as one versioned, checksummed binary stream.
+// index with the output counts it keeps, and the shard assignment) and the
+// cross-shard counters — as one versioned, checksummed binary stream.
 // A restored engine (see ReadSnapshot) makes bit-identical decisions on the
 // rest of the stream, so a placement router can restart without replaying
 // history.
@@ -151,16 +145,6 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	}
 	sw := placement.NewStateWriter(w)
 	sw.Write(head)
-	if idx := e.indexLocked(); idx != nil {
-		idx.WriteOutCounts(sw)
-	} else {
-		sw.Uvarint(uint64(e.placed))
-		sw.Uvarint(uint64(e.placed))
-		var zeros [1024]byte
-		for left := e.placed; left > 0; left -= len(zeros) {
-			sw.Write(zeros[:min(left, len(zeros))])
-		}
-	}
 	snap.WriteState(sw)
 	if err := sw.Finish(); err != nil {
 		return fmt.Errorf("%w: write: %v", ErrBadSnapshot, err)
@@ -171,31 +155,6 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// readSnapshotBytes reads all of r, into a buffer allocated once at the
-// right size when r knows how much it holds (bytes.Reader, bytes.Buffer,
-// strings.Reader).
-func readSnapshotBytes(r io.Reader) ([]byte, error) {
-	if sized, ok := r.(interface{ Len() int }); ok {
-		n := sized.Len()
-		if int64(n) > snapMaxBytes {
-			return nil, fmt.Errorf("%w: exceeds %d bytes", ErrBadSnapshot, snapMaxBytes)
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, fmt.Errorf("%w: read: %v", ErrBadSnapshot, err)
-		}
-		return data, nil
-	}
-	data, err := io.ReadAll(io.LimitReader(r, snapMaxBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("%w: read: %v", ErrBadSnapshot, err)
-	}
-	if int64(len(data)) > snapMaxBytes {
-		return nil, fmt.Errorf("%w: exceeds %d bytes", ErrBadSnapshot, snapMaxBytes)
-	}
-	return data, nil
-}
-
 // ReadSnapshot restores the state WriteSnapshot captured into this engine,
 // which must be freshly constructed — same strategy, shard count, alpha,
 // and L2S weight as the snapshot's producer, with no transactions placed
@@ -204,13 +163,14 @@ func readSnapshotBytes(r io.Reader) ([]byte, error) {
 // subsequent decisions are bit-identical to the uninterrupted engine's.
 //
 // Any defect — truncation, checksum mismatch, another format version (a
-// version 1 or 2 stream included), a configuration fingerprint that does not
-// match this engine — fails with ErrBadSnapshot naming the disagreement;
+// stream of versions 1 to 3 included), a configuration fingerprint that
+// does not match this engine — fails with ErrBadSnapshot naming the disagreement;
 // the engine is left unused only on fingerprint errors detected before
 // state adoption, and must be discarded after a mid-restore failure.
 //
 // A *bytes.Reader or *bytes.Buffer is read where its bytes lie, without a
-// copy; nothing of them is kept once ReadSnapshot returns.
+// copy; any other reader is read whole, up to the size limit. Nothing of
+// the bytes is kept once ReadSnapshot returns.
 func (e *Engine) ReadSnapshot(r io.Reader) error {
 	switch r.(type) {
 	case *bytes.Reader, *bytes.Buffer:
@@ -231,9 +191,12 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 		// The sink refused bytes that came in pieces: they are unread, and
 		// copied below.
 	}
-	data, err := readSnapshotBytes(r)
+	data, err := io.ReadAll(io.LimitReader(r, snapMaxBytes+1))
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: read: %v", ErrBadSnapshot, err)
+	}
+	if int64(len(data)) > snapMaxBytes {
+		return fmt.Errorf("%w: exceeds %d bytes", ErrBadSnapshot, snapMaxBytes)
 	}
 	return e.readSnapshot(data)
 }
@@ -280,7 +243,6 @@ func (e *Engine) readSnapshot(data []byte) error {
 	placed := sr.Uvarint()
 	crossTotal := sr.Uvarint()
 	crossCross := sr.Uvarint()
-	outs := sr.Counts()
 	if err := sr.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
@@ -302,10 +264,11 @@ func (e *Engine) readSnapshot(data []byte) error {
 		return fmt.Errorf("%w: snapshot alpha %v, engine %v", ErrBadSnapshot, math.Float64frombits(alphaBits), e.alpha)
 	case weightBits != math.Float64bits(e.l2sWeight):
 		return fmt.Errorf("%w: snapshot L2S weight %v, engine %v", ErrBadSnapshot, math.Float64frombits(weightBits), e.l2sWeight)
-	case uint64(outs.N) != placed:
-		return fmt.Errorf("%w: %d output counts for %d placed transactions", ErrBadSnapshot, outs.N, placed)
 	case crossCross > crossTotal:
 		return fmt.Errorf("%w: cross count %d exceeds total %d", ErrBadSnapshot, crossCross, crossTotal)
+	case placed > uint64(sr.Len()):
+		// Every strategy's section takes at least a byte per transaction.
+		return fmt.Errorf("%w: %d placed transactions in %d bytes of strategy state", ErrBadSnapshot, placed, sr.Len())
 	}
 	if e.dataset != nil {
 		if n := e.dataset.Len(); uint64(n) != capN {
@@ -330,17 +293,7 @@ func (e *Engine) readSnapshot(data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrSnapshotUnsupported, e.strategy)
 	}
-	// The T2S restore takes the output counts along: it keeps them, and
-	// tells by them which transactions are already fully spent. Other
-	// strategies keep none, and their writers write every count as 0.
-	if idx := e.indexLocked(); idx != nil {
-		err = idx.RestoreState(sr, &outs)
-	} else if len(bytes.TrimLeft(outs.Data, "\x00")) != 0 || len(outs.Data) != outs.N {
-		err = fmt.Errorf("%q keeps no output counts, and its column holds more than a zero byte for each of %d transactions", e.strategy, outs.N)
-	} else {
-		err = snap.RestoreState(sr)
-	}
-	if err != nil {
+	if err := snap.RestoreState(sr); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	if sr.Len() != 0 {

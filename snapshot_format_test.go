@@ -163,8 +163,9 @@ func seal(body []byte) []byte {
 
 // TestSnapshotVersion1Rejected: a well-formed stream of the first format
 // (4-byte shard ids and span lengths) fails with ErrBadSnapshot naming its
-// version; there is no second reader. (The committed format-2 streams are
-// refused the same way: TestFormat2SnapshotsRefused.)
+// version; there is no second reader. (The committed format-2 streams and
+// format-3 ones are refused the same way: TestFormat2SnapshotsRefused,
+// TestSnapshotVersion3Rejected.)
 func TestSnapshotVersion1Rejected(t *testing.T) {
 	// An empty OptChain engine over 8 shards, exactly as version 1 wrote it.
 	v1 := []byte(snapMagic)
@@ -181,7 +182,7 @@ func TestSnapshotVersion1Rejected(t *testing.T) {
 	v1 = append(v1, 0, 0, 0, 0, 0)   // cross and epoch counters
 	v1 = append(v1, 0, 0, 0, 0, 0)   // assignment, slab shards, slab values, span lengths, out-degrees
 	err := formatEngine(t, 0).ReadSnapshot(bytes.NewReader(seal(v1)))
-	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1, want 3") {
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1, want 4") {
 		t.Fatalf("version 1 stream: %v", err)
 	}
 }
@@ -207,10 +208,10 @@ func byteCol(vals ...byte) []byte {
 	return append(binary.AppendUvarint(nil, uint64(len(vals))), vals...)
 }
 
-// handSnapshot assembles a format-3 stream for an engine configured as e,
-// holding the given placed transactions, from the output-count column outs
-// and the strategy's state section.
-func handSnapshot(e *Engine, placed int, outs, section []byte) []byte {
+// handSnapshot assembles a format-4 stream for an engine configured as e,
+// holding the given placed transactions, around the strategy's state
+// section.
+func handSnapshot(e *Engine, placed int, section []byte) []byte {
 	b := []byte(snapMagic)
 	b = binary.AppendUvarint(b, snapVersion)
 	name := strings.ToLower(e.strategy)
@@ -222,13 +223,12 @@ func handSnapshot(e *Engine, placed int, outs, section []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(placed)) // capacity hint
 	b = binary.AppendUvarint(b, uint64(placed))
 	b = append(b, 0, 0) // cross total and count
-	b = append(b, outs...)
 	return seal(append(b, section...))
 }
 
 // TestSnapshotColumnDefects: ReadSnapshot refuses, with ErrBadSnapshot
 // naming the node or entry, every defect of the count columns and the
-// narrow shard columns a format-3 stream can carry. The base stream is two
+// narrow shard columns a format-4 stream can carry. The base stream is two
 // transactions in shard 0 of 8, each declaring 2 outputs, the second
 // spending the first; each case changes one part of it.
 func TestSnapshotColumnDefects(t *testing.T) {
@@ -243,8 +243,8 @@ func TestSnapshotColumnDefects(t *testing.T) {
 		slab: byteCol(0, 0),
 	}
 	build := func(p parts) []byte {
-		section := slices.Concat(p.asn, p.lens, p.degs, p.slab, vals)
-		return handSnapshot(formatEngine(t, 2), 2, p.outs, section)
+		section := slices.Concat(p.outs, p.asn, p.lens, p.degs, p.slab, vals)
+		return handSnapshot(formatEngine(t, 2), 2, section)
 	}
 	if err := formatEngine(t, 2).ReadSnapshot(bytes.NewReader(build(base))); err != nil {
 		t.Fatalf("the base stream: %v", err)
@@ -280,19 +280,103 @@ func TestSnapshotColumnDefects(t *testing.T) {
 		}
 	}
 
-	// A strategy that keeps no output counts writes every one as 0, and
-	// takes no other.
-	greedy := func() *Engine {
-		e, err := New(WithShards(8), WithStrategy("Greedy"), WithStreamCapacity(2))
+	// A header that claims more transactions than the state has bytes
+	// for is refused before anything is sized from it.
+	huge := handSnapshot(formatEngine(t, 2), 1<<40, slices.Concat(base.outs, base.asn, base.lens, base.degs, base.slab, vals))
+	if err := formatEngine(t, 2).ReadSnapshot(bytes.NewReader(huge)); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "1099511627776 placed transactions in") {
+		t.Errorf("a header claiming 2^40 placed transactions: %v", err)
+	}
+}
+
+// TestSnapshotVersion3Rejected: a format-3 stream, here a T2S engine's
+// format-4 stream with its version rewritten to 3 (every later byte is
+// what format 3 wrote), is refused naming its version.
+func TestSnapshotVersion3Rejected(t *testing.T) {
+	const n = 200
+	e, err := New(WithShards(8), WithStrategy("T2S"), WithStreamCapacity(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.PlaceBatch(chainStream(n), nil); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := e.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	v3 := bytes.Clone(snap.Bytes())
+	v3[len(snapMagic)] = 3
+	fresh, err := New(WithShards(8), WithStrategy("T2S"), WithStreamCapacity(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fresh.ReadSnapshot(bytes.NewReader(seal(v3[:len(v3)-4])))
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 3, want 4") {
+		t.Fatalf("format-3 stream: %v", err)
+	}
+}
+
+// TestAssignmentOnlySnapshots: a Greedy or OmniLedger engine's format-4
+// stream is the header, the shard column and the checksum, nothing else;
+// it restores an engine that writes the same bytes back and continues the
+// stream as the uninterrupted engine does. The same stream with format 3's
+// zero count column ahead of the shard column is refused.
+func TestAssignmentOnlySnapshots(t *testing.T) {
+	const n, cut = 400, 250
+	txs := chainStream(n)
+	for _, strategy := range []string{"Greedy", "OmniLedger"} {
+		mk := func() *Engine {
+			e, err := New(WithShards(8), WithStrategy(strategy), WithStreamCapacity(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		e := mk()
+		placed, err := e.PlaceBatch(txs[:cut], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e
-	}
-	for outs, want := range map[string]string{string(countCol(0, 0)): "", string(countCol(0, 1)): "keeps no output counts", string(rawCountCol(2, 0, 0, 0)): "keeps no output counts"} {
-		err := greedy().ReadSnapshot(bytes.NewReader(handSnapshot(greedy(), 2, []byte(outs), byteCol(0, 1))))
-		if want == "" && err != nil || want != "" && (!errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want)) {
-			t.Errorf("Greedy with output counts % x: %v, want %q", outs, err, want)
+		var snap bytes.Buffer
+		if err := e.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		shards := make([]byte, cut)
+		for i, s := range placed {
+			shards[i] = byte(s)
+		}
+		col := byteCol(shards...)
+		if body := snap.Bytes()[:snap.Len()-4]; !bytes.HasSuffix(body, col) {
+			t.Fatalf("%s: the stream does not end in its shard column", strategy)
+		}
+		head := snap.Len() - 4 - len(col)
+		if size, err := e.SnapshotSize(); err != nil || size != int64(snap.Len()) || head > 64 {
+			t.Fatalf("%s: SnapshotSize %d (%v) for a %d-byte stream with a %d-byte header", strategy, size, err, snap.Len(), head)
+		}
+		want, err := e.PlaceBatch(txs[cut:], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		fresh := mk()
+		if err := fresh.ReadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		var again bytes.Buffer
+		if err := fresh.WriteSnapshot(&again); err != nil || !bytes.Equal(again.Bytes(), snap.Bytes()) {
+			t.Fatalf("%s: the restored engine writes a different stream back (%v)", strategy, err)
+		}
+		got, err := fresh.PlaceBatch(txs[cut:], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: the restored engine places the rest as %v, the uninterrupted one as %v", strategy, got, want)
+		}
+
+		withCounts := slices.Concat(snap.Bytes()[:head], rawCountCol(cut, make([]byte, cut)...), col)
+		if err := mk().ReadSnapshot(bytes.NewReader(seal(withCounts))); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("%s: a shard column behind a count column: %v", strategy, err)
 		}
 	}
 }

@@ -26,9 +26,14 @@ const (
 	fuzzCut    = 250 // transactions placed before the snapshot
 )
 
-func fuzzEngine(t testing.TB) *optchain.Engine {
+// fuzzStrategies are the strategies FuzzReadSnapshot restores into: the
+// T2S section's (OptChain's) and the assignment-only one (Greedy's and
+// OmniLedger's).
+var fuzzStrategies = []string{"OptChain", "Greedy", "OmniLedger"}
+
+func fuzzEngine(t testing.TB, strategy string) *optchain.Engine {
 	t.Helper()
-	e, err := optchain.New(optchain.WithShards(fuzzShards), optchain.WithStreamCapacity(fuzzTxs))
+	e, err := optchain.New(optchain.WithShards(fuzzShards), optchain.WithStrategy(strategy), optchain.WithStreamCapacity(fuzzTxs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +88,11 @@ func TestFormat2SnapshotsRefused(t *testing.T) {
 			want := optchain.ErrBadSnapshot
 			if f.serve {
 				want = serve.ErrBadState
-				_, err = serve.New(serve.Config{Engine: fuzzEngine(t), StatePath: f.path, SnapshotEvery: -1})
+				_, err = serve.New(serve.Config{Engine: fuzzEngine(t, "OptChain"), StatePath: f.path, SnapshotEvery: -1})
 			} else {
-				err = fuzzEngine(t).ReadSnapshot(bytes.NewReader(data))
+				err = fuzzEngine(t, "OptChain").ReadSnapshot(bytes.NewReader(data))
 			}
-			if !errors.Is(err, want) || !strings.Contains(err.Error(), "version 2, want 3") {
+			if !errors.Is(err, want) || !strings.Contains(err.Error(), "version 2, want 4") {
 				t.Errorf("%s: %v, want %v naming version 2", f.path, err, want)
 			}
 		})
@@ -96,18 +101,18 @@ func TestFormat2SnapshotsRefused(t *testing.T) {
 
 // FuzzReadSnapshot feeds ReadSnapshot arbitrary bytes, as given and with
 // the trailing checksum recomputed so that mutations reach the column
-// decoders. A stream is either refused with ErrBadSnapshot or restores an
-// engine that works: a genuine snapshot continues exactly as the engine
-// that wrote it, and any other accepted stream is the one its state writes,
+// decoders, restoring into an engine of each of fuzzStrategies. A stream
+// is either refused with ErrBadSnapshot or restores an engine that works:
+// a genuine snapshot continues exactly as the engine that wrote it, and
+// any other accepted stream is the one its state writes,
 // byte for byte, and survives its own round trip (write, read, same next
 // decisions). Nothing panics, and nothing is
 // allocated from a length the stream merely claims: every engine here has
 // room for 400 transactions, so a claim that got through would be felt.
 func FuzzReadSnapshot(f *testing.F) {
 	known := map[string]continuation{}
-	for _, spec := range benchmarkSpecs {
-		txs := fuzzStream(f, spec)
-		e := fuzzEngine(f)
+	seed := func(strategy string, txs []optchain.StreamTx) {
+		e := fuzzEngine(f, strategy)
 		if _, err := e.PlaceBatch(txs[:fuzzCut], nil); err != nil {
 			f.Fatal(err)
 		}
@@ -122,28 +127,21 @@ func FuzzReadSnapshot(f *testing.F) {
 		known[snap.String()] = continuation{txs[fuzzCut:], want}
 		f.Add(snap.Bytes())
 	}
+	for _, spec := range benchmarkSpecs {
+		seed("OptChain", fuzzStream(f, spec))
+	}
 	// A transaction with more outputs than a node record counts, half spent:
 	// an output count of three uvarint bytes and an out-degree of two.
 	wide := []optchain.StreamTx{{Outputs: 70_000}}
 	for u := 1; u < fuzzTxs; u++ {
 		wide = append(wide, optchain.StreamTx{Inputs: []int{0, u / 2}, Outputs: 2})
 	}
-	e := fuzzEngine(f)
-	if _, err := e.PlaceBatch(wide[:fuzzCut], nil); err != nil {
-		f.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := e.WriteSnapshot(&snap); err != nil {
-		f.Fatal(err)
-	}
-	want, err := e.PlaceBatch(wide[fuzzCut:], nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	known[snap.String()] = continuation{wide[fuzzCut:], want}
-	f.Add(snap.Bytes())
+	seed("OptChain", wide)
+	// Sections that are only the assignment.
+	seed("Greedy", fuzzStream(f, benchmarkSpecs[0]))
+	seed("OmniLedger", fuzzStream(f, benchmarkSpecs[2]))
 	var empty bytes.Buffer
-	if err := fuzzEngine(f).WriteSnapshot(&empty); err != nil {
+	if err := fuzzEngine(f, "OptChain").WriteSnapshot(&empty); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
@@ -158,8 +156,8 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Add(data)
 	}
 
-	check := func(t *testing.T, data []byte) {
-		e := fuzzEngine(t)
+	check := func(t *testing.T, strategy string, data []byte) {
+		e := fuzzEngine(t, strategy)
 		if err := e.ReadSnapshot(bytes.NewReader(data)); err != nil {
 			if !errors.Is(err, optchain.ErrBadSnapshot) {
 				t.Fatalf("ReadSnapshot failed with something other than ErrBadSnapshot: %v", err)
@@ -185,7 +183,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if !bytes.Equal(again.Bytes(), data) {
 			t.Fatalf("an accepted stream of %d bytes is written back as %d different ones", len(data), again.Len())
 		}
-		twin := fuzzEngine(t)
+		twin := fuzzEngine(t, strategy)
 		if err := twin.ReadSnapshot(&again); err != nil {
 			t.Fatalf("an accepted state does not survive its own round trip: %v", err)
 		}
@@ -202,12 +200,17 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check(t, data)
+		var resealed []byte
 		if len(data) >= 4 {
-			resealed := bytes.Clone(data)
+			resealed = bytes.Clone(data)
 			body := resealed[:len(resealed)-4]
 			binary.LittleEndian.PutUint32(resealed[len(body):], crc32.ChecksumIEEE(body))
-			check(t, resealed)
+		}
+		for _, strategy := range fuzzStrategies {
+			check(t, strategy, data)
+			if resealed != nil {
+				check(t, strategy, resealed)
+			}
 		}
 	})
 }
