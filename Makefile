@@ -106,14 +106,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLogUniformAge -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzSelect -fuzztime 10s ./internal/core
 
-# Tiny 2x2 streaming sweep through the JSONL reporter into a fresh row
-# cache, then an exact -diff of the cache file against the jsonl output:
-# both row files read back through DecodeRows and hold the same cells with
-# the same metrics, so the experiment layer's data path (streamed cells,
-# stable row identity, machine-readable output, the cache) stays working,
-# not just compilable. Then the quick Table I sweep through the fidelity
-# reporter, which must print the four k=16 claims with paper value, ours
-# and ratio.
+# Tiny 2x2 sweep through the JSONL reporter into a fresh row cache, then
+# an exact -diff of the cache file against the jsonl output: both row
+# files read back through DecodeRows and hold the same cells with the same
+# metrics, so the experiment layer's data path (cells streaming their
+# workload, stable row identity, machine-readable output, the cache) stays
+# working, not just compilable. Then the quick Table I sweep through the
+# fidelity reporter, which must print the four k=16 claims with paper
+# value, ours and ratio.
 sweep-smoke:
 	@tmp="$$(mktemp -d)"; rc=0; \
 	$(GO) run ./cmd/optchain-bench -quick -sweep smoke -reporter jsonl -cache "$$tmp" -out sweep-smoke.jsonl \

@@ -12,10 +12,10 @@
 //	optchain-bench -sweep grid -reporter jsonl -out grid.jsonl
 //	optchain-bench -sweep grid -protocol rapidchain -strategies OptChain,OmniLedger
 //	optchain-bench -sweep peak -reporter csv -workload mix:bitcoin=0.7,hotspot=0.3
-//	optchain-bench -sweep peak -workload "replay:trace.tan,mod=(burst:boost=4)" -stream
+//	optchain-bench -sweep peak -workload "replay:trace.tan,mod=(burst:boost=4)"
 //	optchain-bench -sweep scenarios                          # workload lab
 //	optchain-bench -sweep scenarios -workloads "hotspot;adversarial"
-//	optchain-bench -quick -sweep grid -stream -workload "mix:burst=0.5,bitcoin=0.5"
+//	optchain-bench -quick -sweep grid -workload "mix:burst=0.5,bitcoin=0.5"
 //	optchain-bench -sweep grid -reporter jsonl -out grid.jsonl -cache .sweep-cache
 //	optchain-bench -diff old.jsonl new.jsonl
 //	optchain-bench -diff -tol-tps 0.1 -tol-cross 0.1 BENCH_quality.jsonl new.jsonl
@@ -45,12 +45,12 @@
 // registered set.
 //
 // -workload selects the stream driving every cell that does not pin one:
-// any workload spec (see SCENARIOS.md for the grammar). By default it is
-// materialized at each cell's stream length; with -stream the simulation
-// cells pull it one transaction per issue event instead — nothing is
-// materialized, so `mix:`/`replay:` arrival modulation (burst, drift Gap
-// shaping) bends the rows too. Metis cells still materialize (the offline
-// partition needs the full graph) and say so in their rows. -workloads
+// any workload spec (see SCENARIOS.md for the grammar). Simulation cells
+// pull it one transaction per issue event, so `mix:`/`replay:` arrival
+// modulation (burst, drift Gap shaping) and adversarial feedback bend the
+// rows too. Metis cells and the offline tables materialize it at the
+// cell's stream length (the offline partition needs the full graph), and
+// a Metis cell replays it at nominal spacing. -workloads
 // (plural) instead picks the scenario SET of -sweep scenarios, and is
 // refused with any other sweep; entries are ','-separated, or
 // ';'-separated when a spec itself contains commas (separators inside
@@ -98,7 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tolNsTx    = fs.Float64("tol-nstx", 0, "-diff relative tolerance on wall ns/tx (0 = not compared; host noise)")
 		allowMiss  = fs.Bool("allow-missing", false, "-diff: accept cells present in OLD but absent from NEW (gating a subset run against a fuller row set)")
 		listSweeps = fs.Bool("list-sweeps", false, "list registered sweeps and reporters, then exit")
-		stream     = fs.Bool("stream", false, "drive simulation sweeps from streaming workload sources (no materialization; Metis cells still materialize)")
 		n          = fs.Int("n", 60_000, "transactions per simulation run")
 		tableN     = fs.Int("table-n", 200_000, "transactions for offline tables")
 		seed       = fs.Int64("seed", 1, "random seed")
@@ -144,7 +143,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// -diff is an offline file operation; combining it with a run mode
 	// would leave one of the two silently undone.
 	if *diffMode {
-		if conflict(stderr, "-diff", setFlag{"-sweep", *sweep != ""}, setFlag{"-stream", *stream}) {
+		if *sweep != "" {
+			fmt.Fprintln(stderr, "optchain-bench: -sweep and -diff are mutually exclusive")
 			return 2
 		}
 		if fs.NArg() != 2 {
@@ -171,7 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Validators: *validators,
 		Workers:    *workers,
 		Quick:      *quick,
-		Streaming:  *stream,
 		CacheDir:   *cacheDir,
 	}
 	if *protocol != "" {
@@ -228,23 +227,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "done in %.1fs\n", time.Since(start).Seconds())
 	return 0
-}
-
-// setFlag is one command-line flag and whether the user set it.
-type setFlag struct {
-	name string
-	set  bool
-}
-
-// conflict reports the first set flag as mutually exclusive with mode.
-func conflict(stderr io.Writer, mode string, flags ...setFlag) bool {
-	for _, f := range flags {
-		if f.set {
-			fmt.Fprintf(stderr, "optchain-bench: %s and %s are mutually exclusive\n", f.name, mode)
-			return true
-		}
-	}
-	return false
 }
 
 // runDiff joins two row files on cell identity, renders the verdict table,

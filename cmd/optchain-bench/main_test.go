@@ -15,7 +15,8 @@ import (
 // silently dropping -out and -reporter. The rows naming -experiment and
 // -list pin that the removed paper-layout mode is refused, not silently run
 // as something else; the -merge-cache rows do the same for the removed
-// cache merge.
+// cache merge, and the -stream rows for the removed streaming switch
+// (every non-Metis sim cell streams).
 func TestRejectedCombinationsWriteNothing(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "r.txt")

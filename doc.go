@@ -144,16 +144,16 @@
 //
 // Rows arrive in canonical cell order with stable identity regardless of
 // worker scheduling; cancelling the context stops the sweep promptly with
-// partial rows flushed. Sweep.Streaming drives cells from streaming
-// workload sources — `mix:` and `replay:` arrival modulation bends the
-// figure grids without materializing anything (Metis cells still
-// materialize, and their rows say so). The paper's own figures, tables,
-// and ablations are sweep definitions over this API, registered by name
-// (experiment.RegisterSweep) and runnable from cmd/optchain-bench via
-// -sweep/-reporter/-list-sweeps; its `fidelity` reporter prints every
-// figure the paper quotes beside our value and the ratio (Fig. 2's TaN
-// census is cmd/tanstats). See the experiment package documentation and
-// PERFORMANCE.md's "Running experiments".
+// partial rows flushed. Every simulation cell but Metis's pulls its
+// workload one transaction per issue event, so `mix:` and `replay:` arrival
+// modulation and adversarial feedback bend the figure grids (Metis cells
+// replay a materialized stream for their offline partition). The paper's
+// own figures, tables, and ablations are sweep definitions over this API,
+// registered by name (experiment.RegisterSweep) and runnable from
+// cmd/optchain-bench via -sweep/-reporter/-list-sweeps; its `fidelity`
+// reporter prints every figure the paper quotes beside our value and the
+// ratio (Fig. 2's TaN census is cmd/tanstats). See the experiment package
+// documentation and PERFORMANCE.md's "Running experiments".
 //
 // # State snapshots and serving
 //

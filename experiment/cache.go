@@ -13,7 +13,11 @@ import (
 // and the parameters the rows were produced under, then one completed Row
 // per line in completion order — a row file DecodeRows reads like any
 // other. Loading a file with any other schema tag fails with ErrBadCache.
-const CacheSchema = "optchain-rowcache/v1"
+//
+// v2: a sim cell's ID names the stream it ran, and every non-Metis sim
+// cell streams its workload. A v1 file may hold a materialized burst or
+// adversarial row under the ID a streamed one now has, so it is refused.
+const CacheSchema = "optchain-rowcache/v2"
 
 // cacheFileName is the row file inside Params.CacheDir.
 const cacheFileName = "rows.jsonl"

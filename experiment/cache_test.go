@@ -253,6 +253,12 @@ func TestCachePoisoning(t *testing.T) {
 			content: "{\"schema\":\"optchain-rowcache/v0\"}\n",
 			needle:  "schema",
 		},
+		"v1 cache": {
+			// A v1 file may hold a materialized row under the ID of a
+			// streamed cell: refused, never served.
+			content: strings.Replace(valid, experiment.CacheSchema, "optchain-rowcache/v1", 1),
+			needle:  `"optchain-rowcache/v1"`,
+		},
 		"not a header": {
 			content: "garbage first line\n",
 			needle:  "not a cache header",

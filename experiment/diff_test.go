@@ -300,11 +300,11 @@ func writeRowsFile(t *testing.T, path string, rows []experiment.Row) {
 }
 
 func TestDecodeRowsForms(t *testing.T) {
-	jsonl := `{"id":"a","kind":"sim","strategy":"OptChain","shards":2,"workload":"w","txs":10,"streamed":false,"cross_fraction":0.5,"steady_tps":100,"wall_seconds":1}
-{"id":"b","kind":"sim","strategy":"OptChain","shards":4,"workload":"w","txs":10,"streamed":false,"cross_fraction":0.4,"steady_tps":200,"wall_seconds":1}
+	jsonl := `{"id":"a","kind":"sim","strategy":"OptChain","shards":2,"workload":"w","txs":10,"cross_fraction":0.5,"steady_tps":100,"wall_seconds":1}
+{"id":"b","kind":"sim","strategy":"OptChain","shards":4,"workload":"w","txs":10,"cross_fraction":0.4,"steady_tps":200,"wall_seconds":1}
 `
-	cacheFile := `{"schema":"optchain-rowcache/v1","seed":1,"validators":4,"n":1200,"table_n":3000,"protocol":"omniledger"}
-{"id":"a","kind":"sim","strategy":"OptChain","shards":2,"workload":"w","txs":10,"streamed":false,"cross_fraction":0.5,"steady_tps":100,"wall_seconds":0}
+	cacheFile := `{"schema":"optchain-rowcache/v2","seed":1,"validators":4,"n":1200,"table_n":3000,"protocol":"omniledger"}
+{"id":"a","kind":"sim","strategy":"OptChain","shards":2,"workload":"w","txs":10,"cross_fraction":0.5,"steady_tps":100,"wall_seconds":0}
 `
 	for name, tc := range map[string]struct {
 		in   string
@@ -345,6 +345,7 @@ func TestDecodeRowsRejectsMalformed(t *testing.T) {
 		"duplicate ids":          `{"id":"a"}` + "\n" + `{"id":"a"}`,
 		"unknown schema":         `{"schema":"optchain-somethingelse/v1"}`,
 		"old cache schema":       `{"schema":"optchain-rowcache/v0"}`,
+		"v1 cache schema":        "{\"schema\":\"optchain-rowcache/v1\",\"seed\":1,\"validators\":4}\n{\"id\":\"a\"}",
 		"old baseline schema":    `{"schema":"optchain-bench-baseline/v3"}`,
 		"baseline record v6":     baselineV6,
 		"trailing after record":  baselineV6 + "\n" + `{"id":"b"}`,
@@ -358,6 +359,9 @@ func TestDecodeRowsRejectsMalformed(t *testing.T) {
 			}
 			if strings.HasPrefix(in, `{"schema":"optchain-bench-baseline/`) && !strings.Contains(err.Error(), "unknown schema") {
 				t.Fatalf("retired baseline record refused for the wrong reason: %v", err)
+			}
+			if name == "v1 cache schema" && !strings.Contains(err.Error(), `"optchain-rowcache/v1"`) {
+				t.Fatalf("v1 cache refused without naming its schema: %v", err)
 			}
 		})
 	}

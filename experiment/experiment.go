@@ -47,18 +47,17 @@
 // already delivered remain valid, and Report flushes them to the reporter
 // before returning the cancellation error.
 //
-// Expensive shared artifacts — materialized datasets and Metis partitions —
-// are built once per key behind a singleflight cache inside the Runner, so
-// concurrent cells needing the same dataset block on one computation.
+// # Where a cell's transactions come from
 //
-// # Streaming sweeps
-//
-// Sweep.Streaming drives every cell from a workload.Source pulled one
-// transaction per issue event — nothing is materialized, so `mix:` and
-// `replay:` specs with arrival modulation (burst/drift Gap shaping) bend
-// the figure grids too. The Metis strategy is the exception: it replays an
-// offline partition of the full graph, so its cells materialize the
-// workload regardless, and the row says so (Row.Streamed=false).
+// A sim cell pulls its workload from workload.New one transaction per
+// issue event, so arrival modulation (burst, drift Gap shaping) and
+// placement feedback (adversarial sources) reach the simulator as they do
+// in optchain-sim. Metis cells are the exception: the offline partition
+// needs the whole graph, so they replay a materialized stream at nominal
+// spacing. Placement cells place a materialized stream offline. Materialized
+// streams and Metis partitions are built once per (length, spec) behind a
+// singleflight cache inside the Runner, so concurrent cells needing the
+// same one block on one computation.
 //
 // # Row files
 //
@@ -138,10 +137,6 @@ type Params struct {
 	// "replay:trace.tan") used in place of the calibrated Bitcoin-like
 	// generator. Empty selects the calibrated default.
 	Workload string
-	// Streaming makes sim sweeps drive their cells from streaming workload
-	// sources instead of materialized datasets (see the package comment;
-	// Sweep.Streaming pins it per sweep).
-	Streaming bool
 	// CacheDir enables the persistent row cache: every completed cell's Row
 	// is appended to CacheDir/rows.jsonl keyed by its stable cell ID, and
 	// re-runs serve cached rows instead of re-simulating — an interrupted
@@ -207,4 +202,13 @@ func (p Params) WorkloadLabel() string {
 		return "bitcoin"
 	}
 	return p.Workload
+}
+
+// workloadOf resolves a cell's workload spec: spec itself, or the
+// WorkloadLabel default when it is empty.
+func (p Params) workloadOf(spec string) string {
+	if spec == "" {
+		return p.WorkloadLabel()
+	}
+	return spec
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +11,9 @@ import (
 
 	"optchain"
 	"optchain/experiment"
+	"optchain/internal/sim"
 	"optchain/internal/txgraph"
+	"optchain/internal/workload"
 )
 
 // quickParams keeps every test sweep small and fast.
@@ -132,7 +133,7 @@ func TestSweepValidation(t *testing.T) {
 		"placement vocab":  {Name: "x", Kind: experiment.KindPlacement, Strategies: []string{"OptChain"}, Shards: []int{2}},
 		"cells + axis": {Name: "x", Shards: []int{2},
 			Cells: []experiment.Cell{{Strategy: "OptChain", Shards: 2, Rate: 100}}},
-		"cells + cell defaults": {Name: "x", Streaming: true,
+		"cells + cell defaults": {Name: "x", Txs: 100,
 			Cells: []experiment.Cell{{Strategy: "OptChain", Shards: 2, Rate: 100}}},
 		"warm on sim cells": {Name: "x", Strategies: []string{"OptChain"},
 			Shards: []int{2}, Rates: []float64{100}, Warm: 50},
@@ -347,30 +348,93 @@ func (c *cancelAfter) Row(r experiment.Row) error {
 	return nil
 }
 
-// TestStreamingCellsDoNotLeakSources: a streamed replay cell holds a trace
-// file open; cancellation mid-sweep must release it (close happens on the
-// cell's exit path). We can't portably count FDs, so this exercises the
-// path and relies on the deferred Close — a panic or deadlock would fail.
+// TestStreamingSweepRuns: a sim cell under a non-default workload runs
+// that spec, its row and ID name it, and the ID carries no stream suffix:
+// every non-Metis sim cell streams. The deprecated Sweep.Streaming is
+// inert, so setting it runs the same cell.
 func TestStreamingSweepRuns(t *testing.T) {
-	p := quickParams()
-	r := experiment.NewRunner(p)
+	r := experiment.NewRunner(quickParams())
 	s := experiment.Sweep{
 		Name:       "streamed",
 		Strategies: []string{"OptChain"},
 		Shards:     []int{2},
 		Rates:      []float64{800},
 		Workloads:  []string{"hotspot:exp=1.3"},
-		Streaming:  true,
 	}
 	rows, err := r.Collect(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rows[0].Streamed || rows[0].Workload != "hotspot:exp=1.3" {
+	if rows[0].Workload != "hotspot:exp=1.3" || !strings.Contains(rows[0].ID, "/wl=hotspot:exp=1.3/") {
 		t.Fatalf("row: %+v", rows[0])
 	}
-	if !strings.Contains(rows[0].ID, "/streamed") {
-		t.Fatalf("streamed cell id: %q", rows[0].ID)
+	if strings.Contains(rows[0].ID, "streamed") {
+		t.Fatalf("cell id carries a stream suffix: %q", rows[0].ID)
+	}
+	s.Streaming = true
+	again, err := r.Collect(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0].ID != rows[0].ID || again[0].WallSeconds != 0 {
+		t.Fatalf("Sweep.Streaming changed the cell: %q (wall %v), want the cached %q",
+			again[0].ID, again[0].WallSeconds, rows[0].ID)
+	}
+}
+
+// TestSimCellsStreamTheirWorkload: a sim cell runs its spec live, as
+// optchain-sim does, so a burst's arrival spacing and an attacker's view of
+// the placement reach the simulator. Each row equals a direct sim.Run over
+// workload.New of the same spec, length, seed and shards. A replay of the
+// materialized stream at nominal spacing loses both: burst latency and the
+// adversarial mix's cross fraction move.
+func TestSimCellsStreamTheirWorkload(t *testing.T) {
+	p := quickParams()
+	r := experiment.NewRunner(p)
+	const k, rate = 4, 1000
+	for _, spec := range []string{"burst", "mix:bitcoin=0.6,hotspot=0.25,adversarial=0.15"} {
+		row, err := r.Cell(context.Background(), experiment.Cell{
+			Strategy: "OptChain", Shards: k, Rate: rate, Workload: spec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := workload.New(spec, workload.Params{N: p.N, Seed: p.Seed, Shards: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run(sim.Config{
+			Source: src, Txs: p.N, Shards: k, Validators: p.Validators, Rate: rate,
+			Placer: "OptChain", Protocol: "omniledger", Seed: p.Seed,
+		})
+		workload.Close(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.CrossFraction != want.CrossFraction || row.AvgLatencySec != want.AvgLatency ||
+			row.P99Sec != want.P99 || row.SteadyTPS != want.SteadyTPS {
+			t.Errorf("%s: cell cross %v avg %v p99 %v steady %v; streamed run cross %v avg %v p99 %v steady %v", spec,
+				row.CrossFraction, row.AvgLatencySec, row.P99Sec, row.SteadyTPS,
+				want.CrossFraction, want.AvgLatency, want.P99, want.SteadyTPS)
+		}
+	}
+}
+
+// TestMetisCellReplaysMaterializedStream: a Metis cell still materializes
+// its workload for the offline partition and replays it at nominal
+// spacing, so its row under burst is the one that path gives (values
+// recorded from it before the other sim cells streamed).
+func TestMetisCellReplaysMaterializedStream(t *testing.T) {
+	row, err := experiment.NewRunner(quickParams()).Cell(context.Background(), experiment.Cell{
+		Strategy: "Metis", Shards: 4, Rate: 1000, Workload: "burst",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [...]float64{row.CrossFraction, row.AvgLatencySec, row.P99Sec, row.SteadyTPS}
+	want := [...]float64{0.17583333333333334, 2.6120853700124984, 5.20767499032, 1031.067556296914}
+	if got != want {
+		t.Fatalf("Metis burst cell (cross, avg, p99, steady) = %v, want %v", got, want)
 	}
 }
 
@@ -506,29 +570,5 @@ func TestMetisCaseInsensitive(t *testing.T) {
 	}
 	if row.Committed == 0 {
 		t.Fatalf("degenerate metis row: %+v", row)
-	}
-}
-
-// TestPartitionMatchesPartitionTaN: the sweeps and optchain.PartitionTaN
-// (which Engine.Run's Metis runs use) compute one partition: the same
-// stream, shard count and seed give the same shard for every transaction.
-func TestPartitionMatchesPartitionTaN(t *testing.T) {
-	const n, k = 3000, 8
-	r := experiment.NewRunner(quickParams())
-	got, err := r.Partition(n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := r.Params()
-	d, err := optchain.MaterializeWorkload(p.WorkloadLabel(), optchain.WorkloadParams{N: n, Seed: p.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := optchain.PartitionTaN(d, k, p.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatal("Runner.Partition and PartitionTaN partition the same stream differently")
 	}
 }

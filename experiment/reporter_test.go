@@ -119,7 +119,7 @@ func TestReporterEquivalence(t *testing.T) {
 	numeric := []string{"shards", "rate", "total", "committed", "steady_tps",
 		"throughput_tps", "avg_latency_sec", "max_latency_sec", "p50_sec",
 		"p99_sec", "retries", "aborts", "peak_queue", "cross_fraction", "cross"}
-	stringly := []string{"id", "sweep", "strategy", "protocol", "workload", "streamed"}
+	stringly := []string{"id", "sweep", "strategy", "protocol", "workload"}
 	for i := range jsonRows {
 		for _, f := range numeric {
 			jv := jsonNum(t, jsonRows[i], f)
@@ -135,9 +135,6 @@ func TestReporterEquivalence(t *testing.T) {
 		}
 		for _, f := range stringly {
 			js, _ := jsonRows[i][f].(string)
-			if f == "streamed" {
-				js = strconv.FormatBool(jsonRows[i][f] == true)
-			}
 			if js != csvRows[i][f] {
 				t.Fatalf("row %d field %s: jsonl %q vs csv %q", i, f, js, csvRows[i][f])
 			}

@@ -29,10 +29,6 @@ type Row struct {
 	Rate     float64 `json:"rate,omitempty"`
 	Workload string  `json:"workload"`
 	Txs      int     `json:"txs"`
-	// Streamed reports whether the cell's workload was streamed (pulled one
-	// transaction per issue event) or materialized. Metis cells inside a
-	// streaming sweep materialize, and this field says so.
-	Streamed bool `json:"streamed"`
 	// Tag echoes the cell tag, when set.
 	Tag string `json:"tag,omitempty"`
 
@@ -101,7 +97,6 @@ func (r Row) Fields() []Field {
 		{"rate", fnum(r.Rate)},
 		{"workload", r.Workload},
 		{"txs", strconv.Itoa(r.Txs)},
-		{"streamed", strconv.FormatBool(r.Streamed)},
 		{"total", strconv.Itoa(r.Total)},
 		{"committed", strconv.Itoa(r.Committed)},
 		{"steady_tps", fnum(r.SteadyTPS)},

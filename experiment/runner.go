@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +45,7 @@ type Runner struct {
 
 type dataKey struct {
 	n    int
-	spec string // workload spec ("" = Params.Workload or the calibrated default)
+	spec string // resolved workload spec (Params.workloadOf)
 }
 
 type partKey struct {
@@ -92,18 +91,13 @@ func NewRunner(p Params) *Runner {
 // Params returns the effective (default-filled) parameters.
 func (r *Runner) Params() Params { return r.p }
 
-// Dataset returns (generating once) the materialized experiment stream of
-// length n driven by the runner's default workload: Params.Workload, or the
-// calibrated "bitcoin" scenario, materialized at that length.
-// Generation is deterministic per (n, Seed, Workload), so concurrent
-// callers always observe the same stream.
-func (r *Runner) Dataset(n int) (*dataset.Dataset, error) {
-	return r.dataset(n, "")
-}
-
-// dataset is Dataset with a per-cell workload-spec override.
+// dataset returns (materializing once) the first n transactions of the
+// workload spec ("" is the runner's default, Params.WorkloadLabel). The
+// cache is keyed by the resolved spec, so "" and its spelled-out default
+// share one stream. Generation is deterministic per (n, Seed, spec), so
+// concurrent callers always observe the same stream.
 func (r *Runner) dataset(n int, spec string) (*dataset.Dataset, error) {
-	key := dataKey{n: n, spec: spec}
+	key := dataKey{n: n, spec: r.p.workloadOf(spec)}
 	r.mu.Lock()
 	e, ok := r.data[key]
 	if !ok {
@@ -112,11 +106,7 @@ func (r *Runner) dataset(n int, spec string) (*dataset.Dataset, error) {
 	}
 	r.mu.Unlock()
 	e.once.Do(func() {
-		wl := spec
-		if wl == "" {
-			wl = r.p.WorkloadLabel()
-		}
-		src, err := workload.New(wl, workload.Params{N: n, Seed: r.p.Seed})
+		src, err := workload.New(key.spec, workload.Params{N: n, Seed: r.p.Seed})
 		if err != nil {
 			e.err = err
 			return
@@ -127,17 +117,12 @@ func (r *Runner) dataset(n int, spec string) (*dataset.Dataset, error) {
 	return e.d, e.err
 }
 
-// Partition returns (computing once) a Metis k-way partition of the first
-// n transactions' TaN network under the runner's default workload.
-// Distinct (n, k) keys partition in parallel; each partition is
+// partition returns (computing once) a Metis k-way partition of the TaN
+// network of dataset(n, spec), keyed like it by the resolved spec.
+// Distinct keys partition one at a time (see graphs); each partition is
 // deterministic per Seed.
-func (r *Runner) Partition(n, k int) ([]int32, error) {
-	return r.partition(n, k, "")
-}
-
-// partition is Partition with a per-cell workload-spec override.
 func (r *Runner) partition(n, k int, spec string) ([]int32, error) {
-	key := partKey{n: n, k: k, spec: spec}
+	key := partKey{n: n, k: k, spec: r.p.workloadOf(spec)}
 	r.mu.Lock()
 	e, ok := r.parts[key]
 	if !ok {
@@ -146,7 +131,7 @@ func (r *Runner) partition(n, k int, spec string) ([]int32, error) {
 	}
 	r.mu.Unlock()
 	e.once.Do(func() {
-		d, err := r.dataset(n, spec)
+		d, err := r.dataset(n, key.spec)
 		if err != nil {
 			e.err = err
 			return
@@ -321,15 +306,24 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 		cfg.QueueSampleEvery = r.queueSampleEvery(txs, c.Rate)
 	}
 
-	// One Source per cell: streamed cells build the scenario live (feedback
-	// reaches adversarial sources); the rest replay the runner's cached
-	// materialized stream, which Metis also partitions offline.
-	streamed := c.effectiveStreamed()
-	if streamed {
-		spec := c.Workload
-		if spec == "" {
-			spec = r.p.WorkloadLabel()
+	// One Source per cell. A Metis cell replays an offline partition of the
+	// whole graph, so it materializes the stream and replays it at nominal
+	// spacing (Gap 1, no placement feedback). Every other cell pulls its
+	// workload live, one transaction per issue event, with the source's
+	// arrival spacing and feedback.
+	spec := r.p.workloadOf(c.Workload)
+	if c.Strategy == "Metis" {
+		d, err := r.dataset(txs, spec)
+		if err != nil {
+			return Row{}, err
 		}
+		part, err := r.partition(txs, c.Shards, spec)
+		if err != nil {
+			return Row{}, err
+		}
+		cfg.Source = workload.FromDataset(d)
+		cfg.MetisPart = part
+	} else {
 		src, err := workload.New(spec, workload.Params{
 			N:      txs,
 			Seed:   r.p.Seed,
@@ -342,21 +336,6 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 		// leave a replay component's trace file open.
 		defer workload.Close(src)
 		cfg.Source = src
-	} else {
-		d, err := r.dataset(txs, c.Workload)
-		if err != nil {
-			return Row{}, err
-		}
-		cfg.Source = workload.FromDataset(d)
-		// EqualFold, not ==: strategy names resolve case-insensitively
-		// everywhere else, and "metis" must get its partition wired too.
-		if strings.EqualFold(c.Strategy, "Metis") {
-			part, err := r.partition(txs, c.Shards, c.Workload)
-			if err != nil {
-				return Row{}, err
-			}
-			cfg.MetisPart = part
-		}
 	}
 	cfg.Txs = txs
 
@@ -364,19 +343,14 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	wl := c.Workload
-	if wl == "" {
-		wl = r.p.WorkloadLabel()
-	}
 	return Row{
 		Kind:          KindSim,
 		Strategy:      c.Strategy,
 		Protocol:      proto,
 		Shards:        c.Shards,
 		Rate:          c.Rate,
-		Workload:      wl,
+		Workload:      spec,
 		Txs:           txs,
-		Streamed:      streamed,
 		Tag:           c.Tag,
 		Total:         res.Total,
 		Committed:     res.Committed,

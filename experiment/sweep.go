@@ -59,11 +59,6 @@ type Cell struct {
 	// paper's 0.01). Sim cells only; offline placement has no latency
 	// term, so a placement cell with L2SWeight set is rejected.
 	L2SWeight float64 `json:"l2s_weight,omitempty"`
-	// Streamed drives the cell from a streaming workload source instead of
-	// a materialized dataset. The Metis strategy cannot stream (it replays
-	// an offline partition of the full graph); such cells materialize and
-	// report Streamed=false in their row.
-	Streamed bool `json:"streamed,omitempty"`
 	// Tag distinguishes otherwise-identical variants in cell IDs.
 	Tag string `json:"tag,omitempty"`
 	// NoCache forces the cell to execute even when an identical cell is
@@ -95,12 +90,8 @@ func (c Cell) id(p Params) string {
 	if kind == KindSim {
 		fmt.Fprintf(&b, "/r%s", strconv.FormatFloat(c.Rate, 'g', -1, 64))
 	}
-	wl := c.Workload
-	if wl == "" {
-		wl = p.WorkloadLabel()
-	}
 	b.WriteString("/wl=")
-	b.WriteString(wl)
+	b.WriteString(p.workloadOf(c.Workload))
 	if c.Txs != 0 {
 		fmt.Fprintf(&b, "/n%d", c.Txs)
 	} else if kind == KindSim {
@@ -120,21 +111,11 @@ func (c Cell) id(p Params) string {
 	if c.L2SWeight != 0 {
 		fmt.Fprintf(&b, "/w%s", strconv.FormatFloat(c.L2SWeight, 'g', -1, 64))
 	}
-	if c.effectiveStreamed() {
-		b.WriteString("/streamed")
-	}
 	if c.Tag != "" {
 		b.WriteString("/tag=")
 		b.WriteString(c.Tag)
 	}
 	return b.String()
-}
-
-// effectiveStreamed reports whether the cell actually streams: Metis
-// replays an offline partition of the materialized graph, so Metis cells
-// materialize even inside a streaming sweep.
-func (c Cell) effectiveStreamed() bool {
-	return c.Streamed && !strings.EqualFold(c.Strategy, "Metis")
 }
 
 // Sweep is a declarative experiment grid: either axis lists expanded as a
@@ -167,20 +148,22 @@ type Sweep struct {
 	// L2SWeights is the Temporal Fitness coefficient axis for sim sweeps.
 	L2SWeights []float64 `json:"l2s_weights,omitempty"`
 
-	// Txs, Warm, Tag, and Streaming apply to every generated cell (see the
-	// Cell fields of the same names). Streaming additionally defaults to
-	// Params.Streaming.
-	Txs       int    `json:"txs,omitempty"`
-	Warm      int    `json:"warm,omitempty"`
-	Tag       string `json:"tag,omitempty"`
-	Streaming bool   `json:"streaming,omitempty"`
+	// Txs, Warm and Tag apply to every generated cell (see the Cell fields
+	// of the same names).
+	Txs  int    `json:"txs,omitempty"`
+	Warm int    `json:"warm,omitempty"`
+	Tag  string `json:"tag,omitempty"`
+
+	// Streaming has no effect.
+	//
+	// Deprecated: every non-Metis sim cell streams its workload.
+	Streaming bool `json:"streaming,omitempty"`
 
 	// Cells, when non-empty, is the explicit cell list. It must not be
 	// combined with the axis or cell-default fields above — every knob of
 	// an explicit cell lives on the cell, and a sweep-level value that
 	// silently did nothing would be a misconfiguration trap, so Expand
-	// rejects the combination. (Params.Streaming still applies only through
-	// per-cell Streamed for explicit cells.)
+	// rejects the combination.
 	Cells []Cell `json:"cells,omitempty"`
 
 	// Uncached forces every cell to execute even when cached — for
@@ -234,9 +217,6 @@ func resolveCell(c Cell, p Params) (Cell, error) {
 		if c.Rate != 0 {
 			return c, fmt.Errorf("%w: Rate applies to sim cells; offline placement has no arrival process", ErrBadSweep)
 		}
-		if c.Streamed {
-			return c, fmt.Errorf("%w: Streamed applies to sim cells; offline placement replays a materialized stream", ErrBadSweep)
-		}
 	default:
 		return c, fmt.Errorf("%w: unknown cell kind %q", ErrBadSweep, c.Kind)
 	}
@@ -267,8 +247,8 @@ func (s Sweep) Expand(p Params) ([]Cell, error) {
 			len(s.Rates) > 0, len(s.Workloads) > 0, len(s.Alphas) > 0,
 			len(s.L2SWeights) > 0:
 			return nil, fmt.Errorf("%w: sweep %q sets axis fields alongside explicit Cells; put the values on the cells", ErrBadSweep, s.Name)
-		case s.Txs != 0, s.Warm != 0, s.Tag != "", s.Streaming, s.Kind != "":
-			return nil, fmt.Errorf("%w: sweep %q sets cell defaults (Kind/Txs/Warm/Tag/Streaming) alongside explicit Cells; put them on the cells", ErrBadSweep, s.Name)
+		case s.Txs != 0, s.Warm != 0, s.Tag != "", s.Kind != "":
+			return nil, fmt.Errorf("%w: sweep %q sets cell defaults (Kind/Txs/Warm/Tag) alongside explicit Cells; put them on the cells", ErrBadSweep, s.Name)
 		}
 	}
 	// Copy the explicit cell list before normalizing: Expand fills Kind and
@@ -314,7 +294,6 @@ func (s Sweep) Expand(p Params) ([]Cell, error) {
 		if len(weights) == 0 {
 			weights = []float64{0}
 		}
-		streaming := s.Streaming || p.Streaming
 		for _, wl := range workloads {
 			for _, strat := range strategies {
 				for _, proto := range protocols {
@@ -333,7 +312,6 @@ func (s Sweep) Expand(p Params) ([]Cell, error) {
 										Warm:      s.Warm,
 										Alpha:     a,
 										L2SWeight: w,
-										Streamed:  streaming && kind == KindSim,
 										Tag:       s.Tag,
 										NoCache:   s.Uncached,
 									})

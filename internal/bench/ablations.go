@@ -55,7 +55,6 @@ func BackendSweep(p Params) experiment.Sweep {
 				Protocol: proto,
 				Shards:   k,
 				Rate:     r,
-				Streamed: p.Streaming,
 			})
 		}
 	}

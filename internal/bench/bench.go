@@ -102,7 +102,6 @@ func SaturationSweep(p Params) experiment.Sweep {
 			Shards:   k,
 			Rate:     offered,
 			Txs:      n,
-			Streamed: p.Streaming,
 		})
 	}
 	return experiment.Sweep{
@@ -125,7 +124,8 @@ func scenarioNames(p Params) []string {
 
 // scenarioPlacers is the strategy set compared per scenario. Metis is
 // excluded even when configured: it replays an offline partition of a
-// materialized graph, which contradicts a streaming scenario by definition.
+// materialized graph at nominal spacing, so a scenario's arrival shaping
+// and feedback never reach it.
 func scenarioPlacers(p Params) []string {
 	var out []string
 	for _, s := range placers(p) {
@@ -146,8 +146,7 @@ func scenarioGrid(p Params) (int, float64) {
 }
 
 // ScenariosSweep compares the placement strategies across every workload
-// scenario, streamed — the dimension the paper's single-trace evaluation
-// lacks.
+// scenario — the dimension the paper's single-trace evaluation lacks.
 func ScenariosSweep(p Params) experiment.Sweep {
 	shards, rate := scenarioGrid(p)
 	var cells []experiment.Cell
@@ -159,7 +158,6 @@ func ScenariosSweep(p Params) experiment.Sweep {
 				Shards:   shards,
 				Rate:     rate,
 				Workload: name,
-				Streamed: true,
 			})
 		}
 	}
@@ -170,17 +168,16 @@ func ScenariosSweep(p Params) experiment.Sweep {
 	}
 }
 
-// SmokeSweep is the tiny streaming sweep CI pushes through the JSONL
-// reporter (`make sweep-smoke`): 2 strategies x 2 shard counts, streamed.
+// SmokeSweep is the tiny sweep CI pushes through the JSONL reporter
+// (`make sweep-smoke`): 2 strategies x 2 shard counts.
 func SmokeSweep(p Params) experiment.Sweep {
 	return experiment.Sweep{
 		Name:        "smoke",
-		Description: "tiny 2x2 streaming sweep for CI smoke validation",
+		Description: "tiny 2x2 sweep for CI smoke validation",
 		Strategies:  []string{"OptChain", "OmniLedger"},
 		Shards:      []int{2, 4},
 		Rates:       []float64{800},
 		Txs:         4000,
-		Streaming:   true,
 	}
 }
 

@@ -90,14 +90,11 @@ func TestScenarioCellsCacheAndMetisMaterializes(t *testing.T) {
 	r := experiment.NewRunner(Params{Quick: true, N: 1500, Seed: 1})
 	cell := experiment.Cell{
 		Kind: experiment.KindSim, Strategy: "OptChain", Shards: 4, Rate: 1000,
-		Workload: "burst", Streamed: true,
+		Workload: "burst",
 	}
 	a, err := r.Cell(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !a.Streamed {
-		t.Fatalf("streamed scenario cell reported Streamed=false: %+v", a)
 	}
 	if a.WallSeconds <= 0 {
 		t.Fatalf("first execution has no wall clock: %+v", a)
@@ -109,15 +106,15 @@ func TestScenarioCellsCacheAndMetisMaterializes(t *testing.T) {
 	if b.WallSeconds != 0 || b.SteadyTPS != a.SteadyTPS {
 		t.Fatalf("second Cell call did not hit the cache: %+v vs %+v", a, b)
 	}
-	// A Metis cell inside a streaming sweep materializes — and says so.
+	// A Metis cell materializes the stream for its offline partition.
 	m, err := r.Cell(context.Background(), experiment.Cell{
-		Kind: experiment.KindSim, Strategy: "Metis", Shards: 4, Rate: 1000, Streamed: true,
+		Kind: experiment.KindSim, Strategy: "Metis", Shards: 4, Rate: 1000, Workload: "burst",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Streamed {
-		t.Fatalf("Metis cell claims to have streamed: %+v", m)
+	if m.Committed == 0 || m.Workload != "burst" {
+		t.Fatalf("degenerate Metis row: %+v", m)
 	}
 }
 
@@ -137,32 +134,13 @@ func TestRunCacheReusesResults(t *testing.T) {
 	}
 }
 
-func TestDatasetCacheKeyedByLength(t *testing.T) {
-	r := quickRunner()
-	a, err := r.Dataset(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.Dataset(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("dataset cache miss")
-	}
-	c, err := r.Dataset(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a || c.Len() != 2000 {
-		t.Fatal("wrong dataset for different length")
-	}
-}
-
 // TestWorkloadThreadsThroughSweeps: Params.Workload swaps the stream under
-// every sweep — the materialized dataset is the selected scenario and every
-// row names it.
+// every sweep, and every row names it. (That the materialized stream is the
+// selected scenario is experiment's TestDatasetIsTheWorkload.)
 func TestWorkloadThreadsThroughSweeps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep in -short mode")
+	}
 	const spec = "mix:bitcoin=0.7,hotspot=0.3"
 	r := experiment.NewRunner(Params{
 		Quick:      true,
@@ -172,29 +150,6 @@ func TestWorkloadThreadsThroughSweeps(t *testing.T) {
 		Workload:   spec,
 		Strategies: []string{"OptChain", "OmniLedger"},
 	})
-	d, err := r.Dataset(1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 1500 {
-		t.Fatalf("materialized workload length = %d", d.Len())
-	}
-	// The mix stream must differ from the calibrated default generator.
-	plain := experiment.NewRunner(Params{Quick: true, N: 1500, Seed: 1})
-	pd, err := plain.Dataset(1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := 0; i < d.Len() && same; i++ {
-		same = d.NumInputs(i) == pd.NumInputs(i) && d.NumOutputs(i) == pd.NumOutputs(i)
-	}
-	if same {
-		t.Fatal("workload dataset is identical to the calibrated default")
-	}
-	if testing.Short() {
-		t.Skip("simulation sweep in -short mode")
-	}
 	for _, build := range []func(Params) experiment.Sweep{PeakSweep, TableISweep, AlphaSweep} {
 		s := build(r.Params())
 		rows, err := r.Collect(context.Background(), s)
@@ -210,8 +165,8 @@ func TestWorkloadThreadsThroughSweeps(t *testing.T) {
 }
 
 // TestStreamingGridSweep: the acceptance scenario — a `mix:`-modulated
-// peak sweep runs end-to-end streamed, without materializing the workload,
-// and its rows say they streamed.
+// peak sweep runs end-to-end with the workload streamed, and its rows name
+// the spec.
 func TestStreamingGridSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
@@ -221,7 +176,6 @@ func TestStreamingGridSweep(t *testing.T) {
 		N:          1500,
 		Seed:       1,
 		Workload:   "mix:burst=0.5,bitcoin=0.5",
-		Streaming:  true,
 		Strategies: []string{"OptChain", "OmniLedger"},
 	})
 	rows, err := r.Collect(context.Background(), PeakSweep(r.Params()))
@@ -232,9 +186,6 @@ func TestStreamingGridSweep(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, row := range rows {
-		if !row.Streamed {
-			t.Fatalf("streaming sweep produced materialized row: %+v", row)
-		}
 		if row.Committed == 0 {
 			t.Fatalf("degenerate streamed row: %+v", row)
 		}
