@@ -87,10 +87,11 @@ type PlacementStats struct {
 	SlabEntries int64
 	// StateBytes is the heap the engine's per-transaction state holds now,
 	// computed from the capacities of its columns (the shard assignment, and
-	// for T2S/OptChain the slab chunks with their free slots, the node
-	// records, which carry the output counts, the counts too large for a
-	// record and the free-list heads), not from the runtime's memory
-	// statistics. The engine keeps no per-transaction column of its own.
+	// for T2S/OptChain the slab chunks with their free slots, a 4-byte word
+	// per transaction, the chunks of 12-byte records of the transactions
+	// that are not spent out, the counts too large for a record and the
+	// free-list heads), not from the runtime's memory statistics. The
+	// engine keeps no per-transaction column of its own.
 	StateBytes int64
 	// RetiredTxs counts transactions whose declared outputs have all been
 	// spent, so that the T2S index dropped their p'(v). A transaction placed

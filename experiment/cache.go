@@ -17,7 +17,12 @@ import (
 // v2: a sim cell's ID names the stream it ran, and every non-Metis sim
 // cell streams its workload. A v1 file may hold a materialized burst or
 // adversarial row under the ID a streamed one now has, so it is refused.
-const CacheSchema = "optchain-rowcache/v2"
+//
+// v3: a materialized stream (a Metis sim cell's, a placement cell's) is
+// generated for the cell's shard count when its workload is shard-aware
+// (adversarial, or a mix with an adversarial component). A v1 or v2 file
+// may hold such a row computed on the 16-shard stream, so it is refused.
+const CacheSchema = "optchain-rowcache/v3"
 
 // cacheFileName is the row file inside Params.CacheDir.
 const cacheFileName = "rows.jsonl"

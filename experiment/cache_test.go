@@ -259,6 +259,12 @@ func TestCachePoisoning(t *testing.T) {
 			content: strings.Replace(valid, experiment.CacheSchema, "optchain-rowcache/v1", 1),
 			needle:  `"optchain-rowcache/v1"`,
 		},
+		"v2 cache": {
+			// A v2 file may hold a Metis or placement row of an
+			// adversarial stream aimed at 16 shards: refused, never served.
+			content: strings.Replace(valid, experiment.CacheSchema, "optchain-rowcache/v2", 1),
+			needle:  `"optchain-rowcache/v2"`,
+		},
 		"not a header": {
 			content: "garbage first line\n",
 			needle:  "not a cache header",

@@ -11,6 +11,8 @@ import (
 
 	"optchain"
 	"optchain/experiment"
+	"optchain/internal/placement"
+	"optchain/internal/registry"
 	"optchain/internal/sim"
 	"optchain/internal/txgraph"
 	"optchain/internal/workload"
@@ -435,6 +437,64 @@ func TestMetisCellReplaysMaterializedStream(t *testing.T) {
 	want := [...]float64{0.17583333333333334, 2.6120853700124984, 5.20767499032, 1031.067556296914}
 	if got != want {
 		t.Fatalf("Metis burst cell (cross, avg, p99, steady) = %v, want %v", got, want)
+	}
+}
+
+// TestShardAwareCellsMaterializeAtTheirShards: a Metis sim cell and a
+// placement cell under adversarial at k=4 run the stream the workload
+// generates for 4 shards (the adversary aims its inputs at the shards),
+// not the default 16's: each equals a direct run over workload.New(spec,
+// {N, Seed, Shards: 4}).
+func TestShardAwareCellsMaterializeAtTheirShards(t *testing.T) {
+	p := quickParams()
+	r := experiment.NewRunner(p)
+	const k, rate, spec = 4, 1000, "adversarial"
+	n := p.TableN
+	d, err := optchain.MaterializeWorkload(spec, optchain.WorkloadParams{N: n, Seed: p.Seed, Shards: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	row, err := r.Cell(context.Background(), experiment.Cell{Strategy: "Metis", Shards: k, Rate: rate, Workload: spec, Txs: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := registry.MetisPartition(d, k, p.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run(sim.Config{
+		Source: workload.FromDataset(d), MetisPart: part, Txs: n, Shards: k, Validators: p.Validators,
+		Rate: rate, Placer: "Metis", Protocol: "omniledger", Seed: p.Seed, MaxSimTime: 20 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.CrossFraction != want.CrossFraction || row.AvgLatencySec != want.AvgLatency ||
+		row.P99Sec != want.P99 || row.SteadyTPS != want.SteadyTPS {
+		t.Errorf("Metis cell cross %v avg %v p99 %v steady %v; a run over the 4-shard stream cross %v avg %v p99 %v steady %v",
+			row.CrossFraction, row.AvgLatencySec, row.P99Sec, row.SteadyTPS,
+			want.CrossFraction, want.AvgLatency, want.P99, want.SteadyTPS)
+	}
+
+	row, err = r.Cell(context.Background(), experiment.Cell{Kind: experiment.KindPlacement, Strategy: "T2S", Shards: k, Workload: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := registry.NewStrategy("T2S", registry.StrategyContext{
+		K: k, N: n, OutCounts: func(v txgraph.Node) int { return d.NumOutputs(int(v)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cc placement.CrossCounter
+	var buf []txgraph.Node
+	for i := 0; i < n; i++ {
+		buf = d.InputTxNodes(i, buf)
+		cc.Observe(pl.Assignment(), buf, pl.Place(txgraph.Node(i), buf))
+	}
+	if row.Cross != cc.Cross || row.CrossFraction != cc.Fraction() {
+		t.Errorf("T2S placement cell: %d cross (%v); a run over the 4-shard stream: %d (%v)", row.Cross, row.CrossFraction, cc.Cross, cc.Fraction())
 	}
 }
 

@@ -101,7 +101,7 @@ func (r *Runner) runPlacementCell(ctx context.Context, c Cell) (Row, error) {
 	if err := ctx.Err(); err != nil {
 		return Row{}, err
 	}
-	d, err := r.dataset(n, c.Workload)
+	d, err := r.dataset(n, c.Shards, c.Workload)
 	if err != nil {
 		return Row{}, err
 	}

@@ -44,8 +44,9 @@ type Runner struct {
 }
 
 type dataKey struct {
-	n    int
-	spec string // resolved workload spec (Params.workloadOf)
+	n      int
+	spec   string // resolved workload spec (Params.workloadOf)
+	shards int    // the cell's shard count for a shard-aware spec, else 0
 }
 
 type partKey struct {
@@ -92,12 +93,17 @@ func NewRunner(p Params) *Runner {
 func (r *Runner) Params() Params { return r.p }
 
 // dataset returns (materializing once) the first n transactions of the
-// workload spec ("" is the runner's default, Params.WorkloadLabel). The
-// cache is keyed by the resolved spec, so "" and its spelled-out default
-// share one stream. Generation is deterministic per (n, Seed, spec), so
-// concurrent callers always observe the same stream.
-func (r *Runner) dataset(n int, spec string) (*dataset.Dataset, error) {
+// workload spec ("" is the runner's default, Params.WorkloadLabel) as a
+// cell over k shards sees them. The cache is keyed by the resolved spec,
+// so "" and its spelled-out default share one stream, and by k only for a
+// shard-aware spec (workload.ShardAware: adversarial aims at the shards),
+// so one stream serves every k of the others. Generation is deterministic
+// per key and Seed, so concurrent callers always observe the same stream.
+func (r *Runner) dataset(n, k int, spec string) (*dataset.Dataset, error) {
 	key := dataKey{n: n, spec: r.p.workloadOf(spec)}
+	if workload.ShardAware(key.spec) {
+		key.shards = k
+	}
 	r.mu.Lock()
 	e, ok := r.data[key]
 	if !ok {
@@ -106,7 +112,7 @@ func (r *Runner) dataset(n int, spec string) (*dataset.Dataset, error) {
 	}
 	r.mu.Unlock()
 	e.once.Do(func() {
-		src, err := workload.New(key.spec, workload.Params{N: n, Seed: r.p.Seed})
+		src, err := workload.New(key.spec, workload.Params{N: n, Seed: r.p.Seed, Shards: key.shards})
 		if err != nil {
 			e.err = err
 			return
@@ -131,7 +137,7 @@ func (r *Runner) partition(n, k int, spec string) ([]int32, error) {
 	}
 	r.mu.Unlock()
 	e.once.Do(func() {
-		d, err := r.dataset(n, key.spec)
+		d, err := r.dataset(n, k, key.spec)
 		if err != nil {
 			e.err = err
 			return
@@ -313,7 +319,7 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 	// arrival spacing and feedback.
 	spec := r.p.workloadOf(c.Workload)
 	if c.Strategy == "Metis" {
-		d, err := r.dataset(txs, spec)
+		d, err := r.dataset(txs, c.Shards, spec)
 		if err != nil {
 			return Row{}, err
 		}

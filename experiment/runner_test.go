@@ -11,18 +11,18 @@ import (
 // length, and another length gets its own stream of that length.
 func TestDatasetCacheKeyedByLength(t *testing.T) {
 	r := NewRunner(Params{Quick: true, N: 4000, TableN: 20000, Seed: 1})
-	a, err := r.dataset(1000, "")
+	a, err := r.dataset(1000, 16, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.dataset(1000, "")
+	b, err := r.dataset(1000, 16, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("dataset cache miss")
 	}
-	c, err := r.dataset(2000, "")
+	c, err := r.dataset(2000, 16, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func TestDatasetCacheKeyedByLength(t *testing.T) {
 func TestDatasetCacheKeyedByResolvedSpec(t *testing.T) {
 	const n, k = 1000, 4
 	r := NewRunner(Params{Quick: true, Seed: 1})
-	a, err := r.dataset(n, "")
+	a, err := r.dataset(n, k, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.dataset(n, r.p.WorkloadLabel())
+	b, err := r.dataset(n, k, r.p.WorkloadLabel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDatasetCacheKeyedByResolvedSpec(t *testing.T) {
 // for the selected scenario at the asked length.
 func TestDatasetIsTheWorkload(t *testing.T) {
 	r := NewRunner(Params{Quick: true, N: 1500, TableN: 4000, Seed: 1, Workload: "mix:bitcoin=0.7,hotspot=0.3"})
-	d, err := r.dataset(1500, "")
+	d, err := r.dataset(1500, 16, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDatasetIsTheWorkload(t *testing.T) {
 	}
 	// The mix stream must differ from the calibrated default generator.
 	plain := NewRunner(Params{Quick: true, N: 1500, Seed: 1})
-	pd, err := plain.dataset(1500, "")
+	pd, err := plain.dataset(1500, 16, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,5 +111,45 @@ func TestPartitionMatchesPartitionTaN(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatal("Runner.partition and PartitionTaN partition the same stream differently")
+	}
+}
+
+// TestDatasetCacheKeyedByShardsWhenShardAware: a shard-blind stream is
+// materialized once for every shard count; an adversarial one once per
+// shard count, each the stream the workload generates for that count.
+func TestDatasetCacheKeyedByShardsWhenShardAware(t *testing.T) {
+	const n = 3000
+	r := NewRunner(Params{Quick: true, Seed: 1})
+	a, err := r.dataset(n, 4, "bitcoin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.dataset(n, 16, "bitcoin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("a shard-blind stream was materialized once per shard count")
+	}
+	for _, k := range []int{4, 16} {
+		got, err := r.dataset(n, k, "adversarial")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := optchain.MaterializeWorkload("adversarial", optchain.WorkloadParams{N: n, Seed: 1, Shards: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gotIn, wantIn []int32
+		for i := 0; i < n; i++ {
+			gotIn = append(gotIn, got.InputTxNodes(i, nil)...)
+			wantIn = append(wantIn, want.InputTxNodes(i, nil)...)
+		}
+		if !slices.Equal(gotIn, wantIn) {
+			t.Fatalf("k=%d: the cached adversarial stream is not the one generated for %d shards", k, k)
+		}
+	}
+	if len(r.data) != 3 {
+		t.Fatalf("%d streams cached, want 3", len(r.data))
 	}
 }

@@ -14,17 +14,17 @@ import (
 // and entry counts; how each laid its slab out is free to differ.
 func sameVectors(t *testing.T, got, want *T2SIndex) {
 	t.Helper()
-	if len(got.nodes) != len(want.nodes) || got.SlabLen() != want.SlabLen() {
-		t.Fatalf("%d nodes / %d entries, want %d / %d", len(got.nodes), got.SlabLen(), len(want.nodes), want.SlabLen())
+	if len(got.words) != len(want.words) || got.SlabLen() != want.SlabLen() {
+		t.Fatalf("%d nodes / %d entries, want %d / %d", len(got.words), got.SlabLen(), len(want.words), want.SlabLen())
 	}
-	for v := range want.nodes {
+	for v := range want.words {
 		gs, gv := got.vec(txgraph.Node(v))
 		ws, wv := want.vec(txgraph.Node(v))
 		if !slices.Equal(gs, ws) || !slices.Equal(gv, wv) {
 			t.Fatalf("node %d: vector %v %v, want %v %v", v, gs, gv, ws, wv)
 		}
-		if got.OutDegree(txgraph.Node(v)) != want.OutDegree(txgraph.Node(v)) {
-			t.Fatalf("node %d: out-degree %d, want %d", v, got.OutDegree(txgraph.Node(v)), want.OutDegree(txgraph.Node(v)))
+		if got.outDegree(txgraph.Node(v)) != want.outDegree(txgraph.Node(v)) {
+			t.Fatalf("node %d: out-degree %d, want %d", v, got.outDegree(txgraph.Node(v)), want.outDegree(txgraph.Node(v)))
 		}
 	}
 	gt, gr := got.Retired()
@@ -103,8 +103,8 @@ func TestChunkedSlabDenseVectors(t *testing.T) {
 		t.Fatalf("%d of %d committed entries still held", held, idx.Committed())
 	}
 	reused := map[uint32]bool{}
-	for v := range idx.nodes {
-		if nd := idx.nodes[v]; nd.n != 0 {
+	for v := range idx.words {
+		if nd := idx.node(txgraph.Node(v)); nd.n != 0 {
 			reused[nd.off>>idx.chunkBits] = true
 		}
 	}
@@ -158,12 +158,13 @@ func TestChunkBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		lens = append(lens, n)
-		return idx.nodes[len(lens)-1].off
+		return idx.node(txgraph.Node(len(lens) - 1)).off
 	}
 	retire := func(v int) uint32 {
-		idx.retire(&idx.nodes[v])
+		off := idx.node(txgraph.Node(v)).off
+		idx.retire(txgraph.Node(v), idx.words[v], 1)
 		lens[v] = 0
-		return idx.nodes[v].off
+		return off
 	}
 	for i := 0; i < 63; i++ {
 		add(k) // 4032 entries
@@ -228,7 +229,7 @@ func TestChunkBoundaries(t *testing.T) {
 	if idx.SlabLen() != total {
 		t.Fatalf("SlabLen %d counts padding or free slots: %d entries are live", idx.SlabLen(), total)
 	}
-	if want := int64(3*size*10 + 12*cap(idx.nodes) + 4*(k+1)); idx.Bytes() != want {
+	if want := int64(3*size*10 + 4*cap(idx.words) + 12*recChunk + 4*(k+1)); idx.Bytes() != want {
 		t.Fatalf("Bytes %d, want %d", idx.Bytes(), want)
 	}
 }
@@ -250,7 +251,7 @@ func TestOutputCountBeyondTheRecord(t *testing.T) {
 		t.Fatalf("scores %v, want %g for shard 1", scores, want)
 	}
 	idx.Commit(1, 1)
-	if txs, _ := idx.Retired(); txs != 0 || len(idx.Vector(0)) != 1 {
+	if txs, _ := idx.Retired(); txs != 0 || len(idx.vector(0)) != 1 {
 		t.Fatalf("%d retired after 1 of 2^20 outputs was spent", txs)
 	}
 }
@@ -270,10 +271,10 @@ func TestRetireThenReuseInOnePlacement(t *testing.T) {
 	}
 	place(0, 1)
 	place(1, 1)
-	parent := idx.nodes[0].off
+	parent := idx.node(0).off
 	place(2, 1, 0) // spends 0's only output and has 0's vector length
-	if len(idx.Vector(0)) != 0 || idx.nodes[2].off != parent {
-		t.Fatalf("child at %d, want the retired parent's slot %d (parent now %v)", idx.nodes[2].off, parent, idx.Vector(0))
+	if len(idx.vector(0)) != 0 || idx.node(2).off != parent {
+		t.Fatalf("child at %d, want the retired parent's slot %d (parent now %v)", idx.node(2).off, parent, idx.vector(0))
 	}
 	if len(idx.slabS[0]) != 2 || idx.SlabLen() != 2 || idx.Committed() != 3 {
 		t.Fatalf("arena holds %d entries, %d live, %d ever: want 2, 2, 3", len(idx.slabS[0]), idx.SlabLen(), idx.Committed())
@@ -281,12 +282,12 @@ func TestRetireThenReuseInOnePlacement(t *testing.T) {
 	// 1 has two outputs: its first spender leaves it live, the second
 	// retires it, and a third is a counted reference that moves nothing.
 	place(3, 2, 1)
-	if len(idx.Vector(1)) == 0 {
+	if len(idx.vector(1)) == 0 {
 		t.Fatal("transaction 1 retired with an output unspent")
 	}
 	place(4, 2, 1, 2)
-	if txs, refs := idx.Retired(); txs != 2 || refs != 0 || len(idx.Vector(1)) != 0 {
-		t.Fatalf("retired %d txs, %d late refs, vector %v: want 2, 0, empty", txs, refs, idx.Vector(1))
+	if txs, refs := idx.Retired(); txs != 2 || refs != 0 || len(idx.vector(1)) != 0 {
+		t.Fatalf("retired %d txs, %d late refs, vector %v: want 2, 0, empty", txs, refs, idx.vector(1))
 	}
 	scores := idx.Prepare(5, []txgraph.Node{1})
 	for s, v := range scores {
@@ -294,12 +295,12 @@ func TestRetireThenReuseInOnePlacement(t *testing.T) {
 			t.Fatalf("a retired parent gave shard %d score %g", s, v)
 		}
 	}
-	if txs, refs := idx.Retired(); txs != 2 || refs != 1 || idx.OutDegree(1) != 3 {
-		t.Fatalf("retired %d txs, %d late refs, out-degree %d: want 2, 1, 3", txs, refs, idx.OutDegree(1))
+	if txs, refs := idx.Retired(); txs != 2 || refs != 1 || idx.outDegree(1) != 3 {
+		t.Fatalf("retired %d txs, %d late refs, out-degree %d: want 2, 1, 3", txs, refs, idx.outDegree(1))
 	}
 	// 2 declared no output count: it is never retired, however often spent.
-	if idx.OutDegree(2) != 1 || len(idx.Vector(2)) == 0 {
-		t.Fatalf("transaction 2: out-degree %d, vector %v", idx.OutDegree(2), idx.Vector(2))
+	if idx.outDegree(2) != 1 || len(idx.vector(2)) == 0 {
+		t.Fatalf("transaction 2: out-degree %d, vector %v", idx.outDegree(2), idx.vector(2))
 	}
 }
 
@@ -316,8 +317,8 @@ func TestEmptyIndexState(t *testing.T) {
 	if err := fresh.RestoreState(placement.NewStateReader(blob)); err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.idx.nodes) != 0 || fresh.Scores().SlabLen() != 0 {
-		t.Fatalf("restored %d nodes, %d entries from an empty state", len(fresh.idx.nodes), fresh.idx.SlabLen())
+	if len(fresh.idx.words) != 0 || fresh.Scores().SlabLen() != 0 {
+		t.Fatalf("restored %d nodes, %d entries from an empty state", len(fresh.idx.words), fresh.idx.SlabLen())
 	}
 	if s := fresh.Place(0, nil); s < 0 || s >= 4 {
 		t.Fatalf("first placement after an empty restore chose shard %d", s)
@@ -346,8 +347,8 @@ func TestSlabOffsetLimit(t *testing.T) {
 		}()
 		p.Place(10, nil)
 	}()
-	if len(p.idx.nodes) != 10 || p.idx.SlabLen() != 10 || len(p.idx.slabS[0]) != 10 {
-		t.Fatalf("failed commit changed the index: %d nodes, %d entries, %d in the chunk", len(p.idx.nodes), p.idx.SlabLen(), len(p.idx.slabS[0]))
+	if len(p.idx.words) != 10 || p.idx.SlabLen() != 10 || len(p.idx.slabS[0]) != 10 {
+		t.Fatalf("failed commit changed the index: %d nodes, %d entries, %d in the chunk", len(p.idx.words), p.idx.SlabLen(), len(p.idx.slabS[0]))
 	}
 
 	slabLimit = 9

@@ -182,8 +182,8 @@ func TestT2SScoresFollowPlacedInputs(t *testing.T) {
 	idx.Commit(2, 1)
 	asn.Place(2, 1)
 	// Out-degree of node 0 must now be 1 (one spender).
-	if idx.OutDegree(0) != 1 {
-		t.Fatalf("OutDegree(0) = %d", idx.OutDegree(0))
+	if idx.outDegree(0) != 1 {
+		t.Fatalf("OutDegree(0) = %d", idx.outDegree(0))
 	}
 }
 
@@ -198,7 +198,7 @@ func TestT2SCoinbaseHasEmptyScores(t *testing.T) {
 	}
 	idx.Commit(0, 0)
 	asn.Place(0, 0)
-	if v := idx.Vector(0); v[0] != 0.5 || len(v) != 1 {
+	if v := idx.vector(0); v[0] != 0.5 || len(v) != 1 {
 		t.Fatalf("p'(coinbase) = %v, want {0: 0.5}", v)
 	}
 }

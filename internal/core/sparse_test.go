@@ -19,7 +19,7 @@ func TestCommitInsertsAlphaSorted(t *testing.T) {
 	idx.Prepare(0, nil)
 	idx.Commit(0, 5)
 	asn.Place(0, 5)
-	if v := idx.Vector(0); len(v) != 1 || v[5] != 0.5 {
+	if v := idx.vector(0); len(v) != 1 || v[5] != 0.5 {
 		t.Fatalf("coinbase vector = %v", v)
 	}
 	// Child spending node 0, committed to shard 2 (< 5): α entry must land
@@ -36,7 +36,7 @@ func TestCommitInsertsAlphaSorted(t *testing.T) {
 	idx.Prepare(2, []int32{1})
 	idx.Commit(2, 5)
 	asn.Place(2, 5)
-	v := idx.Vector(2)
+	v := idx.vector(2)
 	if len(v) != 2 {
 		t.Fatalf("vector = %v", v)
 	}

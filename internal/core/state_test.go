@@ -316,3 +316,58 @@ func TestSnapshotBetweenPrepareAndCommit(t *testing.T) {
 	idx.Prepare(0, nil)
 	mustPanic(t, func() { idx.writeState(placement.NewStateWriter(&bytes.Buffer{})) })
 }
+
+// TestOverspentAcrossRestore: transaction 0 declares two outputs. Its two
+// spenders leave it spent out (its word holds the count, no record), later
+// ones name it anyway. Snapshots cut while it is spent out and after the
+// first late reference (it has a record again, with no vector) restore to
+// indexes that count the same late references and retired transactions,
+// decide the same and write the same section bytes as the uninterrupted
+// index, transaction by transaction.
+func TestOverspentAcrossRestore(t *testing.T) {
+	const k = 4
+	outs := []int{2, 1, 1, 1, 1, 1, 1, 1}
+	inputs := [][]txgraph.Node{nil, {0}, {0, 1}, {0}, {0, 3}, {2}, {4, 0}, {5}}
+	mk := func() *OptChainPlacer {
+		p := NewOptChain(OptChainConfig{K: k, N: len(outs)})
+		p.idx.SetOutCounts(func(v txgraph.Node) int { return outs[v] })
+		return p
+	}
+	for _, cut := range []int{3, 4} {
+		whole, before := mk(), mk()
+		for u := 0; u < cut; u++ {
+			whole.Place(txgraph.Node(u), inputs[u])
+			before.Place(txgraph.Node(u), inputs[u])
+		}
+		if spent := whole.idx.words[0]&spentOut != 0; spent != (cut == 3) {
+			t.Fatalf("cut %d: transaction 0 spent out %v", cut, spent)
+		}
+		blob := stateOf(t, before)
+		restored := mk()
+		if err := restored.RestoreState(placement.NewStateReader(blob)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stateOf(t, restored), blob) {
+			t.Fatalf("cut %d: the restored index writes other bytes than it read", cut)
+		}
+		for u := cut; u < len(inputs); u++ {
+			a, b := whole.Place(txgraph.Node(u), inputs[u]), restored.Place(txgraph.Node(u), inputs[u])
+			wt, wr := whole.idx.Retired()
+			rt, rr := restored.idx.Retired()
+			if a != b || wt != rt || wr != rr {
+				t.Fatalf("cut %d, tx %d: shard %d, %d retired, %d late references; uninterrupted %d, %d, %d", cut, u, b, rt, rr, a, wt, wr)
+			}
+			if !bytes.Equal(stateOf(t, restored), stateOf(t, whole)) {
+				t.Fatalf("cut %d, tx %d: the sections differ", cut, u)
+			}
+		}
+		// 0 was named by five spenders of its two outputs; 1 to 5 were
+		// spent once, as declared, and 6 and 7 not at all.
+		if txs, refs := restored.idx.Retired(); txs != 6 || refs != 3 {
+			t.Fatalf("cut %d: %d retired, %d late references; want 6 and 3", cut, txs, refs)
+		}
+		if nd := restored.idx.node(0); nd != (logical{deg: 5, outs: 2}) {
+			t.Fatalf("cut %d: transaction 0 holds %+v", cut, nd)
+		}
+	}
+}

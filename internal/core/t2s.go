@@ -201,28 +201,41 @@ func (t *t2sTally) seal(shard uint16, alphaQ, truncQ uint64) ([]uint16, []uint64
 // so accumulation is exact and the per-entry divide is a reciprocal
 // multiply. The arena is held in fixed-size chunks; a vector never straddles
 // a chunk (one that does not fit the current chunk starts the next), and
-// each node records where its vector starts and how long it is. Growing the
-// arena is allocating one more chunk: nothing is copied and there is no
+// each node record says where its vector starts and how long it is. Growing
+// the arena is allocating one more chunk: nothing is copied and there is no
 // doubling slack.
 //
 // Retirement: in the UTXO model a transaction whose outputs are all spent
 // can never be named again, so its vector is dead weight. When the
 // spenders of v reach its known output count, Prepare retires v: the slot
-// goes on a free list for its length, the span becomes empty, and the next
-// vector of that length reuses the slot before the arena is extended. The
-// arena therefore grows with the live set, not with the stream. A node
-// whose output count is unknown (0) is never retired. A reference to a
-// retired node — legal only in a stream that spends more outputs than a
-// transaction declared — contributes no score mass and is counted
-// (Retired). Liveness is a function of the out-degree and output count
-// alone, so a restored index (which re-derives it) decides as the
-// uninterrupted one does.
+// goes on a free list for its length, and the next vector of that length
+// reuses the slot before the arena is extended. The arena therefore grows
+// with the live set, not with the stream. A node whose output count is
+// unknown (0) is never retired. A reference to a retired node — legal only
+// in a stream that spends more outputs than a transaction declared —
+// contributes no score mass and is counted (Retired). Liveness is a
+// function of the out-degree and output count alone, so a restored index
+// (which re-derives it) decides as the uninterrupted one does.
 //
-// A placed transaction holds one 12-byte node record here plus 10 bytes per
-// entry of its vector while it is live (and 8 bytes more if it declared
-// manyOuts outputs or more). Steady state, Prepare and Commit
-// allocate nothing between chunk boundaries, and Reserve can pre-allocate
-// chunks so even that never happens on the hot path.
+// Per transaction the index keeps one 4-byte word. Once v is spent out —
+// exactly, 0 < outputs == spenders — its output count is all there is to
+// know of it, and the word holds that count behind the spentOut flag. Any
+// other transaction (one with an unspent output, one whose count is
+// unknown, one spent past its count) has a 12-byte node record in a record
+// table, and its word is the record's index. Retiring v frees its record
+// onto a LIFO list the next node takes it from, so the table, like the
+// arena, grows with the live set and is allocated in chunks. A reference
+// past the last output gives v a record again, with no vector, so the
+// out-degree and the late references stay exact.
+//
+// A placed transaction therefore holds 4 bytes here for good, and while it
+// is live 12 bytes of record plus 10 bytes per entry of its vector (and 8
+// bytes more for good if it declared manyOuts outputs or more). A stream
+// that declares no output counts retires nothing, so each of its
+// transactions keeps word and record: 16 bytes, 4 more than one record.
+// Steady state, Prepare and Commit allocate nothing between chunk
+// boundaries, and Reserve can pre-allocate chunks so even that never
+// happens on the hot path.
 type T2SIndex struct {
 	alpha    float64
 	alphaQ   uint64  // α restart mass in Q32.32
@@ -245,11 +258,13 @@ type T2SIndex struct {
 	// shard. When nil, the divisor is the number of distinct spenders seen
 	// so far (including the one being scored). It is asked only about the
 	// node being committed, once, and the count kept from then on: in the
-	// node record (t2sNode.outs), or in bigOuts when it does not fit there.
+	// node record (t2sNode.outs), or in bigOuts when it does not fit there,
+	// and in the word once the node is spent out.
 	outCounts func(txgraph.Node) int
 
-	// bigOuts holds, ascending by node, the counts whose record says
-	// manyOuts; a snapshot writes every count, so it never shrinks.
+	// bigOuts holds, ascending by node, every count of manyOuts or more a
+	// node was committed with; a snapshot writes every count and a spent-out
+	// node can be named again, so it never shrinks.
 	bigOuts []bigOut
 
 	// The arena: chunk c backs slab offsets [c<<chunkBits, (c+1)<<chunkBits)
@@ -262,7 +277,16 @@ type T2SIndex struct {
 	cur       int        // chunk a vector with no free slot to reuse is tried in first
 	entries   int        // entries of live vectors (free slots and chunk-end padding excluded)
 	committed int        // entries of every vector ever added, retired ones included
-	nodes     []t2sNode
+
+	// words holds one word per committed transaction: spentOut plus the
+	// output count, or the index of the node's record in recs.
+	words []uint32
+	// recs is the record table, in chunks of recChunk records; records
+	// [0, nrecs) have been handed out, and freeRec heads the list of those
+	// freed since (noSlot: none), each freed record's off naming the next.
+	recs    []*[recChunk]t2sNode
+	nrecs   int
+	freeRec uint32
 
 	// free[n] is the offset of the most recently retired n-entry slot, or
 	// noSlot; a free slot's first value holds the offset of the next one.
@@ -283,15 +307,28 @@ type T2SIndex struct {
 	tally t2sTally
 }
 
-// t2sNode is what the index holds per transaction: where p'(v) is, how many
-// distinct spenders v has had, and how many it can have. One record is one
-// cache line touched per input.
+// t2sNode is the record of a transaction that is not spent out: where p'(v)
+// is, how many distinct spenders v has had, and how many it can have. An
+// input costs its word and, unless it is spent out, its record: one load
+// each, the record read whole.
 type t2sNode struct {
-	off  uint32 // slab offset of the first entry of p'(v)
+	off  uint32 // slab offset of the first entry of p'(v); on the free list, the next free record
 	deg  int32  // |Nout(v)| so far: distinct spenders seen
 	n    uint16 // entries of p'(v); 0 once v is retired
 	outs uint16 // output count of v: 0 unknown, manyOuts "see bigOuts"
 }
+
+// spentOut flags a word that holds the output count of a spent-out node
+// rather than the index of its record. Counts are at most math.MaxInt32
+// and records fewer than there are nodes, so neither reaches the flag.
+const spentOut = 1 << 31
+
+// recChunk is how many records one chunk of the record table holds: 48
+// KiB, six pages.
+const (
+	recBits  = 12
+	recChunk = 1 << recBits
+)
 
 // manyOuts marks an output count too large for the node record.
 const manyOuts = 1<<16 - 1
@@ -319,9 +356,10 @@ var slabLimit uint64 = 1<<32 - 1
 // NewT2SIndex creates an index over the given assignment with damping
 // factor alpha (paper: 0.5) and relative truncation threshold truncate
 // (0 keeps vectors exact; ~1e-4 keeps them small with no measurable effect
-// on decisions). n is a capacity hint for the per-node column. The
-// assignment holds at most placement.MaxShards shards, which is what the
-// index's 2-byte shard entries can name.
+// on decisions). n is a capacity hint for the per-transaction words; the
+// record table grows with the live set whatever n is. The assignment holds
+// at most placement.MaxShards shards, which is what the index's 2-byte
+// shard entries can name.
 func NewT2SIndex(alpha, truncate float64, asn *placement.Assignment, n int) *T2SIndex {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.5
@@ -342,7 +380,8 @@ func NewT2SIndex(alpha, truncate float64, asn *placement.Assignment, n int) *T2S
 		asn:       asn,
 		normalize: true,
 		chunkBits: max(minChunkBits, uint(bits.Len(uint(asn.K()-1)))),
-		nodes:     make([]t2sNode, 0, n),
+		words:     make([]uint32, 0, n),
+		freeRec:   noSlot,
 		free:      make([]uint32, asn.K()+1),
 	}
 	for i := range t.free {
@@ -359,9 +398,10 @@ func (t *T2SIndex) SetNormalize(on bool) { t.normalize = on }
 // divisor and as the point at which v is retired (see the outCounts field).
 // The index asks it only about the transaction being committed, so a source
 // that knows only the current transaction's count is enough. Passing nil
-// restores the spenders-so-far divisor, under which nothing is retired.
-// Install it before the first Prepare: nodes committed earlier keep the
-// counts they were committed with.
+// restores the spenders-so-far divisor, under which nothing is retired and
+// every transaction keeps a 12-byte record beside its 4-byte word (see
+// T2SIndex). Install it before the first Prepare: nodes committed earlier
+// keep the counts they were committed with.
 func (t *T2SIndex) SetOutCounts(fn func(txgraph.Node) int) { t.outCounts = fn }
 
 // Alpha returns the damping factor.
@@ -369,13 +409,18 @@ func (t *T2SIndex) Alpha() float64 { return t.alpha }
 
 // Reserve pre-sizes the index for at least `nodes` more transactions whose
 // committed vectors total at most `entries` more slab entries, so the
-// following Prepare/Commit calls allocate nothing at all. It is optional —
-// without it a chunk is allocated whenever the last one fills — and exists
-// for callers that need a hard zero-allocation guarantee (latency-critical
-// loops, allocation budget tests).
+// following Prepare/Commit calls allocate nothing at all, as long as none
+// names a transaction past its declared outputs (that gives a spent-out
+// node its record back). It is optional — without it a chunk is allocated
+// whenever the last one fills — and exists for callers that need a hard
+// zero-allocation guarantee (latency-critical loops, allocation budget
+// tests).
 func (t *T2SIndex) Reserve(nodes, entries int) {
-	if need := len(t.nodes) + nodes; need > cap(t.nodes) {
-		t.nodes = append(make([]t2sNode, 0, need), t.nodes...)
+	if need := len(t.words) + nodes; need > cap(t.words) {
+		t.words = append(make([]uint32, 0, need), t.words...)
+	}
+	for len(t.recs)<<recBits < t.nrecs+nodes {
+		t.recs = append(t.recs, new([recChunk]t2sNode))
 	}
 	// A chunk is left for the next one with fewer than k entries of it
 	// unfilled, so each is good for at least size-k+1 entries.
@@ -398,14 +443,29 @@ func (t *T2SIndex) slot(off uint32, n int) ([]uint16, []uint64) {
 	return t.slabS[c][o : o+n], t.slabV[c][o : o+n]
 }
 
-// vec returns the committed p'(v) columns (views into the slab; read-only),
-// empty once v is retired.
-func (t *T2SIndex) vec(v txgraph.Node) ([]uint16, []uint64) {
-	nd := &t.nodes[v]
-	if nd.n == 0 {
-		return nil, nil
+// rec returns record w of the record table.
+//
+//optchain:hotpath one call per input of every stream transaction.
+func (t *T2SIndex) rec(w uint32) *t2sNode { return &t.recs[w>>recBits][w&(recChunk-1)] }
+
+// newRecord stores nd in a record, the most recently freed one or else the
+// next of the table (a chunk of them allocated when the last is handed
+// out), and returns its index.
+//
+//optchain:hotpath one call per stream transaction; a chunk is allocated once per recChunk records.
+func (t *T2SIndex) newRecord(nd t2sNode) uint32 {
+	w := t.freeRec
+	if w != noSlot {
+		t.freeRec = t.rec(w).off
+	} else {
+		if t.nrecs == len(t.recs)<<recBits {
+			t.recs = append(t.recs, new([recChunk]t2sNode))
+		}
+		w = uint32(t.nrecs)
+		t.nrecs++
 	}
-	return t.slot(nd.off, int(nd.n))
+	*t.rec(w) = nd
+	return w
 }
 
 // outCount returns the output count the node record of v stands for: 0
@@ -451,47 +511,53 @@ func (t *T2SIndex) widenDeg(deg int32) {
 	t.wideDegs += placement.UvarintLen(uint64(deg)) - placement.UvarintLen(uint64(deg-1))
 }
 
-// retire drops the vector of v, whose last output has just been spent: its
-// slot heads the free list for its length and its span becomes empty.
+// retire drops v, whose last output (of outs) has just been spent: the slot
+// of its vector heads the free list for its length, its record (index w)
+// heads the record free list, and its word becomes the output count.
 //
 //optchain:hotpath once per transaction whose outputs are all spent.
-func (t *T2SIndex) retire(nd *t2sNode) {
+func (t *T2SIndex) retire(v txgraph.Node, w uint32, outs int32) {
 	t.retiredTxs++
-	n := nd.n
-	if n == 0 {
-		return
+	nd := t.rec(w)
+	if n := nd.n; n != 0 {
+		_, vals := t.slot(nd.off, 1)
+		vals[0] = uint64(t.free[n])
+		t.free[n] = nd.off
+		t.entries -= int(n)
 	}
-	_, vals := t.slot(nd.off, 1)
-	vals[0] = uint64(t.free[n])
-	t.free[n] = nd.off
-	t.entries -= int(n)
-	nd.n = 0
+	nd.off, t.freeRec = t.freeRec, w
+	t.words[v] = spentOut | uint32(outs)
+}
+
+// revive gives the spent-out node v, whose word is word, a record again —
+// its output count as out-degree and count, no vector — for a reference
+// past its last output, and returns the record's index. A count of
+// manyOuts or more is still in bigOuts.
+func (t *T2SIndex) revive(v txgraph.Node, word uint32) uint32 {
+	count := int32(word &^ spentOut)
+	w := t.newRecord(t2sNode{deg: count, outs: uint16(min(count, manyOuts))})
+	t.words[v] = w
+	return w
 }
 
 // extend makes room for the next node's vector of n entries and returns the
 // columns to fill: the most recently retired slot of that length when there
 // is one, else the current chunk, or the next one when n entries do not fit
-// what is left of it. It appends the node's record. Commit adds every vector
-// through here; the snapshot restore reproduces the layout this gives when
-// no slot is free (RestoreState). It fails, changing nothing, when the
-// vector would end past the offsets a record can store.
+// what is left of it. It adds the node's word and record. Commit adds every
+// vector through here; the snapshot restore reproduces the layout this
+// gives when no slot is free (restoreState). It fails, changing nothing,
+// when the vector would end past the offsets a record can store.
 //
 //optchain:hotpath one call per stream transaction; a chunk is allocated once per 1<<chunkBits entries.
 func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
-	nd := t2sNode{n: uint16(n)}
-	if t.outCounts != nil {
-		v := txgraph.Node(len(t.nodes))
-		nd.outs = t.keepOuts(v, t.outCounts(v))
-	}
 	if n == 0 {
-		t.nodes = append(t.nodes, nd)
+		t.addNode(t2sNode{})
 		return nil, nil, nil
 	}
 	if off := t.free[n]; off != noSlot {
 		shards, vals := t.slot(off, n)
 		t.free[n] = uint32(vals[0])
-		nd.off = off
-		t.nodes = append(t.nodes, nd)
+		t.addNode(t2sNode{off: off, n: uint16(n)})
 		t.entries += n
 		t.committed += n
 		return shards, vals, nil
@@ -506,7 +572,7 @@ func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
 	start := uint64(c)<<t.chunkBits + uint64(filled)
 	if start+uint64(n) > slabLimit {
 		//optchain:alloc-ok cold path: the error ends the stream
-		return nil, nil, fmt.Errorf("core: T2S slab is full: transaction %d would end at entry offset %d, past the limit of %d", len(t.nodes), start+uint64(n), slabLimit)
+		return nil, nil, fmt.Errorf("core: T2S slab is full: transaction %d would end at entry offset %d, past the limit of %d", len(t.words), start+uint64(n), slabLimit)
 	}
 	if c == len(t.slabS) {
 		t.addChunk()
@@ -514,11 +580,22 @@ func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
 	t.cur = c
 	t.slabS[c] = t.slabS[c][:filled+n]
 	t.slabV[c] = t.slabV[c][:filled+n]
-	nd.off = uint32(start)
-	t.nodes = append(t.nodes, nd)
+	t.addNode(t2sNode{off: uint32(start), n: uint16(n)})
 	t.entries += n
 	t.committed += n
 	return t.slabS[c][filled:], t.slabV[c][filled:], nil
+}
+
+// addNode adds the next node's word and record, the record holding the
+// node's output count when there is a source to ask.
+//
+//optchain:hotpath one call per stream transaction.
+func (t *T2SIndex) addNode(nd t2sNode) {
+	if t.outCounts != nil {
+		v := txgraph.Node(len(t.words))
+		nd.outs = t.keepOuts(v, t.outCounts(v))
+	}
+	t.words = append(t.words, t.newRecord(nd))
 }
 
 // appendVec adds one finished vector as the next node's.
@@ -557,14 +634,18 @@ func (t *T2SIndex) prepareVector(u txgraph.Node, inputs []txgraph.Node) {
 	if t.tally.hasPending {
 		panic(fmt.Sprintf("core: Prepare(%d) before Commit(%d)", u, t.tally.pendingNode))
 	}
-	if int(u) != len(t.nodes) {
-		panic(fmt.Sprintf("core: out-of-order Prepare(%d), expected %d", u, len(t.nodes)))
+	if int(u) != len(t.words) {
+		panic(fmt.Sprintf("core: out-of-order Prepare(%d), expected %d", u, len(t.words)))
 	}
 
 	// Accumulate (1−α) Σ p'(v)/|Nout(v)| into the dense merge buffer,
 	// tracking which shards were touched.
 	for _, v := range inputs {
-		nd := &t.nodes[v]
+		w := t.words[v]
+		if w&spentOut != 0 {
+			w = t.revive(v, w)
+		}
+		nd := t.rec(w)
 		nd.deg++ // u is now a spender of v
 		if nd.deg&(1<<7-1) == 0 {
 			t.widenDeg(nd.deg)
@@ -583,14 +664,14 @@ func (t *T2SIndex) prepareVector(u txgraph.Node, inputs []txgraph.Node) {
 			if len(inputs) == 1 {
 				t.tally.single(u, shards, vals, int64(div), t.scaleQ)
 				if nd.deg == outs {
-					t.retire(nd)
+					t.retire(v, w, outs)
 				}
 				return
 			}
 			t.tally.accumulate(shards, vals, int64(div))
 		}
 		if nd.deg == outs {
-			t.retire(nd)
+			t.retire(v, w, outs)
 		}
 	}
 	t.tally.finish(u, t.scaleQ)
@@ -611,20 +692,6 @@ func (t *T2SIndex) Commit(u txgraph.Node, shard int) {
 	}
 }
 
-// Vector returns a copy of p'(v) for inspection, converted to float64;
-// empty once v is retired.
-func (t *T2SIndex) Vector(v txgraph.Node) map[int]float64 {
-	shards, vals := t.vec(v)
-	out := make(map[int]float64, len(shards))
-	for i, s := range shards {
-		out[int(s)] = qToFloat(vals[i])
-	}
-	return out
-}
-
-// OutDegree returns the current online out-degree of v.
-func (t *T2SIndex) OutDegree(v txgraph.Node) int { return int(t.nodes[v].deg) }
-
 // SlabLen reports how many sparse entries the live vectors hold now
 // (diagnostics, memory accounting, the snapshot's slab columns); retired
 // vectors, free slots and chunk-end padding are not counted.
@@ -643,8 +710,10 @@ func (t *T2SIndex) Retired() (txs, refs int64) { return t.retiredTxs, t.retiredR
 
 // Bytes reports the heap the index's columns hold, from their capacities:
 // 10 bytes per slab entry of every allocated chunk (live vectors, free
-// slots and unfilled tails alike), the node records, the large output
-// counts and the free-list heads.
+// slots and unfilled tails alike), the words, 12 bytes per record of every
+// allocated chunk of the record table, the large output counts and the
+// free-list heads.
 func (t *T2SIndex) Bytes() int64 {
-	return int64(len(t.slabS))*10<<t.chunkBits + 12*int64(cap(t.nodes)) + 8*int64(cap(t.bigOuts)) + 4*int64(cap(t.free))
+	return int64(len(t.slabS))*10<<t.chunkBits + 4*int64(cap(t.words)) + 12*recChunk*int64(len(t.recs)) +
+		8*int64(cap(t.bigOuts)) + 4*int64(cap(t.free))
 }

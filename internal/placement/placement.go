@@ -187,19 +187,6 @@ func (a *Assignment) IsCrossShard(inputs []txgraph.Node, s int) bool {
 	return false
 }
 
-// InvolvedShards returns |Sin(u) ∪ {S(u)}| — the number of shard committees
-// that must participate in committing the transaction.
-func (a *Assignment) InvolvedShards(inputs []txgraph.Node, s int) int {
-	var buf [8]int
-	shards := a.InputShards(inputs, buf[:0])
-	for _, x := range shards {
-		if x == s {
-			return len(shards)
-		}
-	}
-	return len(shards) + 1
-}
-
 // CrossCounter tallies cross-shard statistics as transactions stream
 // through a placer.
 type CrossCounter struct {

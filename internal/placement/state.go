@@ -91,13 +91,6 @@ func NewStateWriter(w io.Writer) *StateWriter {
 // Len reports how many bytes have been written (staged bytes included).
 func (w *StateWriter) Len() int64 { return w.n }
 
-// Fail records err as the writer's error unless one is already recorded.
-func (w *StateWriter) Fail(err error) {
-	if w.err == nil {
-		w.err = err
-	}
-}
-
 // emit checksums p and hands it to the underlying writer.
 func (w *StateWriter) emit(p []byte) {
 	if w.err != nil || len(p) == 0 {

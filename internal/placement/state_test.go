@@ -196,11 +196,13 @@ func TestStateWriterStreams(t *testing.T) {
 	if err := w.Finish(); err != boom || w.Flush() != boom {
 		t.Fatalf("write error not kept: Finish %v, then Flush %v", err, w.Flush())
 	}
-	w = NewStateWriter(&bytes.Buffer{})
-	w.Fail(boom)
-	w.Fail(errors.New("later"))
+	w = NewStateWriter(failingWriter{boom})
+	w.String("x")
+	w.Flush()
+	w.w = failingWriter{errors.New("later")}
+	w.String("y")
 	if w.Flush() != boom {
-		t.Fatalf("Fail did not stick: %v", w.Flush())
+		t.Fatalf("the first write error did not stick: %v", w.Flush())
 	}
 }
 

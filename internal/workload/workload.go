@@ -233,6 +233,37 @@ func StandaloneNames() []string {
 // knobs. name is a registered spelling.
 func composite(name string) bool { return name == "mix" || name == "replay" }
 
+// ShardAware reports whether the stream a spec names depends on
+// Params.Shards, so that a caller keeping one stream per spec must keep one
+// per shard count too. adversarial aims its inputs at the shards; a mix is
+// shard-aware when one of its components with a non-zero weight is (the
+// default composition has adversarial); bitcoin, hotspot, burst, drift and
+// replay never read the count. A scenario registered outside this package
+// is taken to be shard-aware, since its factory is handed the count, and so
+// is a spec that does not parse (New refuses it anyway).
+func ShardAware(spec string) bool {
+	s, err := Parse(spec)
+	if err != nil {
+		return true
+	}
+	switch s.Name {
+	case "bitcoin", "hotspot", "burst", "drift", "replay":
+		return false
+	case "mix":
+		specs, weights, err := mixComponents(Params{Knobs: s.Knobs, Args: s.Args})
+		if err != nil {
+			return true
+		}
+		for c, spec := range specs {
+			if weights[c] != 0 && ShardAware(spec) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
 // New builds a scenario from a spec — either a bare registered name
 // ("hotspot") or a full spec string with arguments
 // ("mix:bitcoin=0.7,hotspot=0.3"); see Parse for the grammar. Spec-inline

@@ -429,3 +429,45 @@ func TestCheckKnobsDeterministicError(t *testing.T) {
 		t.Fatalf("error %q should name the alphabetically first unknown knob", want)
 	}
 }
+
+// TestShardAware: a spec is shard-aware exactly when a stream it names
+// changes with Params.Shards, which a drain at two shard counts shows (long
+// enough for an unobserved adversarial component to pass its 1024-transaction
+// observation lag and fall back to hash placement over the shards).
+func TestShardAware(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want bool
+	}{
+		{"bitcoin", false}, {"hotspot:exp=1.5", false}, {"burst", false}, {"drift", false},
+		{"adversarial", true}, {"mix", true}, {"mix:bitcoin=0.7,hotspot=0.3", false},
+		{"mix:bitcoin=0.7,adversarial=0.3", true}, {"mix:bitcoin=0.7,adversarial=0", false},
+		{"mix:bitcoin=0.5,(mix:hotspot=0.5,adversarial=0.5)=0.5", true},
+		{"no-such-scenario", true},
+	} {
+		if got := ShardAware(tc.spec); got != tc.want {
+			t.Errorf("ShardAware(%q) = %v, want %v", tc.spec, got, tc.want)
+		}
+		if tc.spec == "no-such-scenario" {
+			continue
+		}
+		at := func(k int) []int {
+			src, err := New(tc.spec, Params{N: 20_000, Seed: 1, Shards: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer Close(src)
+			var refs []int
+			var tx Tx
+			for src.Next(&tx) {
+				for _, in := range tx.Inputs {
+					refs = append(refs, in.Tx)
+				}
+			}
+			return refs
+		}
+		if differs := !slices.Equal(at(4), at(16)); differs != tc.want {
+			t.Errorf("%s: the streams at 4 and 16 shards differ: %v, but ShardAware says %v", tc.spec, differs, tc.want)
+		}
+	}
+}

@@ -332,6 +332,8 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	checks := map[string]float64{
 		"optchain_engine_placed_total":                           50,
+		"optchain_engine_retired_total":                          0,
+		"optchain_engine_retired_refs_total":                     0,
 		`optchain_serve_lines_total{outcome="placed"}`:           50,
 		`optchain_serve_lines_total{outcome="rejected"}`:         0,
 		`optchain_serve_lines_total{outcome="invalid"}`:          0,
@@ -376,7 +378,7 @@ func TestMetricsExposition(t *testing.T) {
 	for series, want := range map[string]float64{
 		"optchain_engine_placed_total":       53,
 		"optchain_engine_slab_entries":       52,
-		"optchain_engine_retired_txs":        1,
+		"optchain_engine_retired_total":      1,
 		"optchain_engine_retired_refs_total": 1,
 		// Four requests on an idle server: each window placed by its caller.
 		`optchain_serve_units_total{path="caller"}`: 4,

@@ -183,9 +183,9 @@ func (m *metrics) writeTo(w io.Writer, eng *optchain.Engine, queueDepth, queueCa
 	line("# HELP optchain_engine_state_bytes Heap held by the engine's per-transaction columns (computed from their capacities).\n")
 	line("# TYPE optchain_engine_state_bytes gauge\n")
 	line("optchain_engine_state_bytes %d\n", st.StateBytes)
-	line("# HELP optchain_engine_retired_txs Transactions whose declared outputs are all spent and whose score vector was dropped.\n")
-	line("# TYPE optchain_engine_retired_txs gauge\n")
-	line("optchain_engine_retired_txs %d\n", st.RetiredTxs)
+	line("# HELP optchain_engine_retired_total Transactions whose declared outputs are all spent and whose score vector was dropped; optchain_engine_placed_total minus this is the transactions the index still holds live.\n")
+	line("# TYPE optchain_engine_retired_total counter\n")
+	line("optchain_engine_retired_total %d\n", st.RetiredTxs)
 	line("# HELP optchain_engine_retired_refs_total Input references that named a retired transaction (more spenders than declared outputs); each was placed with no score mass from that parent.\n")
 	line("# TYPE optchain_engine_retired_refs_total counter\n")
 	line("optchain_engine_retired_refs_total %d\n", st.RetiredRefs)
