@@ -70,7 +70,8 @@ quality-ledger:
 	rm -rf "$$tmp"; exit $$rc
 
 # Every workload scenario must run end-to-end through a small simulation —
-# including a composed mix and a recorded-trace replay.
+# including a composed mix and a recorded-trace replay — and Metis must
+# stream a gap-shaped and a feedback-aware spec like every other strategy.
 scenario-smoke:
 	$(GO) run ./cmd/optchain-sim -workload hotspot -txs 5000 -validators 8
 	$(GO) run ./cmd/optchain-sim -workload burst -txs 5000 -validators 8
@@ -78,6 +79,8 @@ scenario-smoke:
 	$(GO) run ./cmd/optchain-sim -workload drift -txs 5000 -validators 8
 	$(GO) run ./cmd/optchain-sim -workload bitcoin -txs 5000 -validators 8
 	$(GO) run ./cmd/optchain-sim -workload "mix:bitcoin=0.6,hotspot=0.25,adversarial=0.15" -txs 5000 -validators 8
+	$(GO) run ./cmd/optchain-sim -strategy Metis -workload burst -txs 5000 -validators 8
+	$(GO) run ./cmd/optchain-sim -strategy Metis -workload "mix:bitcoin=0.6,hotspot=0.25,adversarial=0.15" -txs 5000 -validators 8
 	$(GO) run ./cmd/tangen -n 3000 -o smoke-replay.tan
 	$(GO) run ./cmd/optchain-sim -workload "replay:smoke-replay.tan,mod=(burst:boost=4)" -txs 3000 -validators 8
 	rm -f smoke-replay.tan

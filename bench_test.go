@@ -300,17 +300,22 @@ func BenchmarkDESThroughput(b *testing.B) {
 }
 
 // BenchmarkSimEndToEnd measures one full small simulation — the unit of
-// cost behind every figure sweep cell.
+// cost behind every figure sweep cell — streaming the bitcoin scenario as
+// every sim cell does.
 func BenchmarkSimEndToEnd(b *testing.B) {
-	d := benchDataset(b, 10_000)
+	const n = 10_000
 	var events uint64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		src, err := workload.New("bitcoin", workload.Params{N: n, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
 		res, err := sim.Run(sim.Config{
-			Source:     workload.FromDataset(d),
-			Txs:        d.Len(),
+			Source:     src,
+			Txs:        n,
 			Shards:     8,
 			Validators: 32,
 			Rate:       2000,
@@ -319,15 +324,15 @@ func BenchmarkSimEndToEnd(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Committed != d.Len() {
-			b.Fatalf("committed %d of %d", res.Committed, d.Len())
+		if res.Committed != n {
+			b.Fatalf("committed %d of %d", res.Committed, n)
 		}
 		events += res.Events
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	txs := float64(b.N * d.Len())
-	b.ReportMetric(float64(d.Len()), "tx/op")
+	txs := float64(b.N * n)
+	b.ReportMetric(n, "tx/op")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/txs, "allocs/tx")
 	b.ReportMetric(float64(events)/txs, "events/tx")
 }

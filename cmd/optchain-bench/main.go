@@ -48,9 +48,10 @@
 // any workload spec (see SCENARIOS.md for the grammar). Simulation cells
 // pull it one transaction per issue event, so `mix:`/`replay:` arrival
 // modulation (burst, drift Gap shaping) and adversarial feedback bend the
-// rows too. Metis cells and the offline tables materialize it at the
-// cell's stream length (the offline partition needs the full graph), and
-// a Metis cell replays it at nominal spacing. -workloads
+// rows too; a Metis cell streams it as well, but takes its offline
+// partition from the spec materialized at the cell's stream length, and
+// its source gets no placement feedback. The offline tables place the
+// materialized stream. -workloads
 // (plural) instead picks the scenario SET of -sweep scenarios, and is
 // refused with any other sweep; entries are ','-separated, or
 // ';'-separated when a spec itself contains commas (separators inside

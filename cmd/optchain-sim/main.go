@@ -21,8 +21,9 @@
 // -workload selects a workload spec (see -list for the registered scenarios
 // and SCENARIOS.md for the full grammar: knobs, mix composition, trace
 // replay with arrival modulators) instead of the default calibrated
-// Bitcoin-like dataset; scenario runs stream one transaction per issue
-// event and never materialize a dataset. The -cpuprofile, -memprofile, and
+// Bitcoin-like "bitcoin" scenario. Every run streams one transaction per
+// issue event; a Metis run also materializes the spec once, for its
+// offline partition. The -cpuprofile, -memprofile, and
 // -trace flags capture runtime profiles of a run without a rebuild (see
 // PERFORMANCE.md).
 package main

@@ -123,7 +123,8 @@
 // via -workload, and is swept by the "scenarios" experiment, whose rows
 // (each recording its workload spec) are pinned by golden fixtures.
 // MaterializeWorkload converts any scenario into a Dataset when a
-// full stream is genuinely needed.
+// full stream is genuinely needed (offline tables and partitions, or
+// placing it through DatasetStream); Engine.Run and PlaceWorkload stream.
 //
 // # Experiments: declarative sweeps
 //
@@ -144,10 +145,12 @@
 //
 // Rows arrive in canonical cell order with stable identity regardless of
 // worker scheduling; cancelling the context stops the sweep promptly with
-// partial rows flushed. Every simulation cell but Metis's pulls its
-// workload one transaction per issue event, so `mix:` and `replay:` arrival
-// modulation and adversarial feedback bend the figure grids (Metis cells
-// replay a materialized stream for their offline partition). The paper's
+// partial rows flushed. Every simulation cell pulls its workload one
+// transaction per issue event, so `mix:` and `replay:` arrival modulation
+// and adversarial feedback bend the figure grids (a Metis cell takes its
+// offline partition from a materialization of the same spec, and its
+// source sees no placements: an offline partition cannot answer an
+// adaptive attacker). The paper's
 // own figures, tables, and ablations are sweep definitions over this API,
 // registered by name (experiment.RegisterSweep) and runnable from
 // cmd/optchain-bench via -sweep/-reporter/-list-sweeps; its `fidelity`

@@ -123,7 +123,6 @@ type Engine struct {
 	strategy      string
 	protocol      string
 	shards        int
-	dataset       *Dataset
 	workloadName  string
 	workloadKnobs map[string]float64
 	txs           int
@@ -198,29 +197,11 @@ func WithProtocol(name string) Option {
 	}
 }
 
-// WithDataset supplies the transaction stream for Run (and the offline
-// partition a Metis Run computes from it), and sizes the streaming
-// placer's capacity when WithStreamCapacity does not. Place and PlaceBatch
-// take each output count from the StreamTx they place, never from
-// the dataset; DatasetStream carries the dataset's counts. Run with
-// neither a dataset nor a workload streams the calibrated "bitcoin"
-// scenario, which reproduces GenerateDataset(DatasetDefaults())
-// transaction for transaction.
-func WithDataset(d *Dataset) Option {
-	return func(e *Engine) error {
-		if d == nil {
-			return fmt.Errorf("%w: WithDataset(nil)", ErrBadOption)
-		}
-		e.dataset = d
-		return nil
-	}
-}
-
 // WithWorkload selects a workload scenario (see Workloads) as the engine's
-// transaction stream, with optional generator-specific knobs — instead of a
-// materialized dataset. The name may be a full workload spec, passed
-// unchanged, so composite scenarios work everywhere the Engine does (the
-// grammar is documented in SCENARIOS.md):
+// transaction stream, with optional generator-specific knobs (default: the
+// calibrated "bitcoin" scenario). The name may be a full workload spec,
+// passed unchanged, so composite scenarios work everywhere the Engine does
+// (the grammar is documented in SCENARIOS.md):
 //
 //	optchain.WithWorkload("hotspot", map[string]float64{"exp": 1.5})
 //	optchain.WithWorkload("mix:bitcoin=0.7,hotspot=0.2,adversarial=0.1", nil)
@@ -230,8 +211,9 @@ func WithDataset(d *Dataset) Option {
 // and PlaceWorkload batches through PlaceBatch, so million-user-scale
 // streams never pre-build a Dataset. WithTxs sizes the stream (default
 // 20000); feedback-aware scenarios (adversarial, mixes containing one)
-// receive every placement decision back. WithWorkload and WithDataset are
-// mutually exclusive.
+// receive every placement decision back, except in a Metis Run, whose
+// placements come from an offline partition of the stream and so cannot
+// answer them. A recorded stream runs through "replay:trace.tan".
 func WithWorkload(name string, knobs map[string]float64) Option {
 	return func(e *Engine) error {
 		if strings.TrimSpace(name) == "" {
@@ -250,8 +232,8 @@ func WithWorkload(name string, knobs map[string]float64) Option {
 	}
 }
 
-// WithTxs limits Run to the first n transactions of the dataset (0 = the
-// whole stream). Without a dataset it also sizes the generated one.
+// WithTxs sets the length of the stream Run simulates and PlaceWorkload
+// places (0 = the default 20000).
 func WithTxs(n int) Option {
 	return func(e *Engine) error {
 		if n < 0 {
@@ -366,7 +348,8 @@ func WithMetisPartition(part []int32) Option {
 }
 
 // WithStreamCapacity hints the expected stream length for streaming-mode
-// placement without a dataset. Columns are sized from it, and
+// placement (Place, PlaceBatch, PlaceStream; PlaceWorkload defaults it to
+// the length of the stream it places). Columns are sized from it, and
 // capacity-bounded strategies (T2S, Greedy) take their per-shard budget
 // from it while the stream is within it; past it, or without it, the
 // budget grows with the transactions placed.
@@ -444,10 +427,6 @@ func New(opts ...Option) (*Engine, error) {
 	if err := CheckProtocol(e.protocol); err != nil {
 		return nil, err
 	}
-	if e.txs != 0 && e.dataset != nil && e.txs > e.dataset.Len() {
-		return nil, fmt.Errorf("%w: WithTxs(%d) exceeds dataset length %d",
-			ErrBadOption, e.txs, e.dataset.Len())
-	}
 	if e.progressEvery != 0 && e.progress == nil {
 		// A cadence with no callback would be silently inert; fail loudly so
 		// the missing WithProgress is caught at construction.
@@ -455,9 +434,6 @@ func New(opts ...Option) (*Engine, error) {
 			ErrBadOption, e.progressEvery)
 	}
 	if e.workloadName != "" {
-		if e.dataset != nil {
-			return nil, fmt.Errorf("%w: WithWorkload and WithDataset are mutually exclusive", ErrBadOption)
-		}
 		// Eager validation: building a throwaway source surfaces unknown
 		// scenario names and bad knobs at New instead of at Run. The probe
 		// is closed, not drained, so replay sources release their trace
@@ -496,12 +472,8 @@ func (e *Engine) ensurePlacerLocked() error {
 		return nil
 	}
 	n := e.streamCap
-	if n == 0 && e.dataset != nil {
-		n = e.dataset.Len()
-	}
-	// Every engine, dataset-backed or not, takes a count from the
-	// StreamTx it places: the source answers for the transaction being
-	// placed, and the T2S index keeps each count from there.
+	// The count source answers for the transaction being placed, with the
+	// Outputs of its StreamTx; the T2S index keeps each count from there.
 	outCounts := func(v txgraph.Node) int {
 		if int(v) == e.placed {
 			return e.txOuts
@@ -729,7 +701,7 @@ func (e *Engine) PlaceWorkload(n int) (PlacementStats, error) {
 	// Capacity-bounded strategies size per-shard budgets from the stream
 	// hint; default it to this stream's length if nothing was configured.
 	e.mu.Lock()
-	if e.placer == nil && e.streamCap == 0 && e.dataset == nil {
+	if e.placer == nil && e.streamCap == 0 {
 		e.streamCap = base + n
 	}
 	e.mu.Unlock()
@@ -811,8 +783,8 @@ func (e *Engine) MetricsSnapshot() MetricsSnapshot {
 	return e.snap
 }
 
-// defaultRunTxs sizes the stream when Run is called on an engine with
-// neither WithDataset nor WithTxs.
+// defaultRunTxs sizes the stream of Run and PlaceWorkload on an engine
+// without WithTxs.
 const defaultRunTxs = 20_000
 
 // Run drives one full sharded-blockchain simulation (§V): committees on a
@@ -839,52 +811,37 @@ func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 		e.mu.Unlock()
 	}()
 
-	// Exactly one Source feeds the simulation: the dataset replayed in
-	// memory, or the configured (default: bitcoin) scenario pulled one
-	// transaction per issue event, so nothing is materialized.
-	d := e.dataset
 	runTxs := e.txs
-	var src workload.Source
-	if d != nil {
-		if runTxs == 0 {
-			runTxs = d.Len()
-		}
-		src = workload.FromDataset(d)
-	} else {
-		if runTxs == 0 {
-			runTxs = defaultRunTxs
-		}
-		var err error
-		src, err = e.newWorkloadSource(runTxs)
-		if err != nil {
-			return nil, err
-		}
-		// Released on every exit path: a cancelled or failed run must not
-		// leave a replay component's trace file open.
-		defer workload.Close(src)
+	if runTxs == 0 {
+		runTxs = defaultRunTxs
 	}
-
 	part := e.metisPart
 	if part == nil && strings.EqualFold(e.strategy, "Metis") {
-		// Metis alone needs the whole stream up front, for its offline
-		// partition.
-		if d == nil {
-			if e.workloadName != "" {
-				return nil, fmt.Errorf("%w: the Metis strategy replays an offline partition and needs a materialized dataset, not a streaming workload", ErrBadOption)
-			}
-			var err error
-			d, err = workload.Materialize(src, runTxs)
-			if err != nil {
-				return nil, err
-			}
-			src = workload.FromDataset(d)
-		}
-		var err error
-		part, err = PartitionTaN(d.Slice(runTxs), e.shards, e.seed)
+		// Metis replays an offline partition of the whole stream: a probe
+		// source of the same spec is materialized to compute it, and the
+		// run then streams the spec like any other.
+		probe, err := e.newWorkloadSource(runTxs)
 		if err != nil {
 			return nil, err
 		}
+		d, err := workload.Materialize(probe, runTxs)
+		workload.Close(probe)
+		if err != nil {
+			return nil, err
+		}
+		if part, err = PartitionTaN(d, e.shards, e.seed); err != nil {
+			return nil, err
+		}
 	}
+	// The configured (default: bitcoin) scenario is pulled one transaction
+	// per issue event, so nothing is materialized.
+	src, err := e.newWorkloadSource(runTxs)
+	if err != nil {
+		return nil, err
+	}
+	// Released on every exit path: a cancelled or failed run must not leave
+	// a replay component's trace file open.
+	defer workload.Close(src)
 
 	return sim.RunContext(ctx, sim.Config{
 		Source:        src,

@@ -36,7 +36,7 @@ func TestPlaceBatchMatchesPlaceDecisions(t *testing.T) {
 			eng, err := optchain.New(
 				optchain.WithStrategy(strategy),
 				optchain.WithShards(k),
-				optchain.WithDataset(d),
+				optchain.WithStreamCapacity(d.Len()),
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -274,7 +274,7 @@ func TestEnginePlaceWideInputsZeroAllocs(t *testing.T) {
 func TestParallelPlaceBatchRaceStress(t *testing.T) {
 	d := smallData(t)
 	txs := collectStream(d)
-	eng, err := optchain.New(optchain.WithShards(8), optchain.WithDataset(d))
+	eng, err := optchain.New(optchain.WithShards(8), optchain.WithStreamCapacity(d.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestBatchSizeDoesNotChangeSerialDecisions(t *testing.T) {
 	d := smallDataset(t, 2000)
 	txs := collectStream(d)
 	newEngine := func() *optchain.Engine {
-		eng, err := optchain.New(optchain.WithShards(8), optchain.WithDataset(d))
+		eng, err := optchain.New(optchain.WithShards(8), optchain.WithStreamCapacity(d.Len()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func TestParallelismOneMatchesSerial(t *testing.T) {
 			eng, err := optchain.New(append([]optchain.Option{
 				optchain.WithStrategy(strategy),
 				optchain.WithShards(k),
-				optchain.WithDataset(d),
+				optchain.WithStreamCapacity(d.Len()),
 			}, opts...)...)
 			if err != nil {
 				t.Fatal(err)
@@ -59,7 +59,7 @@ func TestParallelQualityDriftBounded(t *testing.T) {
 	d := smallData(t)
 	const k = 8
 
-	serial, err := optchain.New(optchain.WithShards(k), optchain.WithDataset(d))
+	serial, err := optchain.New(optchain.WithShards(k), optchain.WithStreamCapacity(d.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestParallelQualityDriftBounded(t *testing.T) {
 	newPar := func() (*optchain.Engine, optchain.PlacementStats) {
 		eng, err := optchain.New(
 			optchain.WithShards(k),
-			optchain.WithDataset(d),
+			optchain.WithStreamCapacity(d.Len()),
 			optchain.WithParallelism(4),
 		)
 		if err != nil {

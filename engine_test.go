@@ -17,11 +17,12 @@ import (
 	"optchain/internal/registry"
 )
 
-// fastEngineOpts shrinks the simulation for test speed: tiny committees and
-// blocks, high verify cost so consensus stays realistic.
-func fastEngineOpts(d *optchain.Dataset, strategy string, shards int, rate float64) []optchain.Option {
+// fastEngineOpts shrinks the simulation of an n-transaction bitcoin stream
+// for test speed: tiny committees and blocks, high verify cost so consensus
+// stays realistic.
+func fastEngineOpts(n int, strategy string, shards int, rate float64) []optchain.Option {
 	return []optchain.Option{
-		optchain.WithDataset(d),
+		optchain.WithTxs(n),
 		optchain.WithStrategy(strategy),
 		optchain.WithShards(shards),
 		optchain.WithValidators(8),
@@ -49,7 +50,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"negative weight", []optchain.Option{optchain.WithL2SWeight(-1)}, optchain.ErrBadOption},
 		{"NaN weight", []optchain.Option{optchain.WithL2SWeight(math.NaN())}, optchain.ErrBadOption},
 		{"infinite weight", []optchain.Option{optchain.WithL2SWeight(math.Inf(1))}, optchain.ErrBadOption},
-		{"nil dataset", []optchain.Option{optchain.WithDataset(nil)}, optchain.ErrBadOption},
 		{"negative txs", []optchain.Option{optchain.WithTxs(-1)}, optchain.ErrBadOption},
 		{"zero progress cadence", []optchain.Option{optchain.WithProgressEvery(0)}, optchain.ErrBadOption},
 		{"progress cadence without callback", []optchain.Option{
@@ -147,7 +147,7 @@ func TestCustomStrategySelectableByName(t *testing.T) {
 	eng, err := optchain.New(
 		optchain.WithStrategy("test-affinity"),
 		optchain.WithShards(4),
-		optchain.WithDataset(d),
+		optchain.WithStreamCapacity(d.Len()),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +165,7 @@ func TestCustomStrategySelectableByName(t *testing.T) {
 
 	// The full simulation resolves it by the same name — the path
 	// cmd/optchain-sim -strategy takes.
-	small := smallDataset(t, 1500)
-	eng2, err := optchain.New(fastEngineOpts(small, "test-affinity", 4, 500)...)
+	eng2, err := optchain.New(fastEngineOpts(1500, "test-affinity", 4, 500)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,19 +173,19 @@ func TestCustomStrategySelectableByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed != small.Len() {
-		t.Fatalf("committed %d of %d", res.Committed, small.Len())
+	if res.Committed != 1500 {
+		t.Fatalf("committed %d of 1500", res.Committed)
 	}
 	if res.Placer != "test-affinity" {
 		t.Fatalf("result placer = %q", res.Placer)
 	}
 }
 
+// smallDataset materializes the first n transactions of the calibrated
+// bitcoin stream at seed 1.
 func smallDataset(t *testing.T, n int) *optchain.Dataset {
 	t.Helper()
-	cfg := optchain.DatasetDefaults()
-	cfg.N = n
-	d, err := optchain.GenerateDataset(cfg)
+	d, err := optchain.MaterializeWorkload("bitcoin", optchain.WorkloadParams{N: n, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +193,8 @@ func smallDataset(t *testing.T, n int) *optchain.Dataset {
 }
 
 func TestEngineRunEndToEnd(t *testing.T) {
-	d := smallDataset(t, 3000)
-	eng, err := optchain.New(fastEngineOpts(d, "OptChain", 4, 500)...)
+	const n = 3000
+	eng, err := optchain.New(fastEngineOpts(n, "OptChain", 4, 500)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,22 +202,22 @@ func TestEngineRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed != d.Len() {
-		t.Fatalf("committed %d of %d", res.Committed, d.Len())
+	if res.Committed != n {
+		t.Fatalf("committed %d of %d", res.Committed, n)
 	}
 	snap := eng.MetricsSnapshot()
-	if !snap.Done || snap.Committed != d.Len() {
+	if !snap.Done || snap.Committed != n {
 		t.Fatalf("final snapshot = %+v", snap)
 	}
 }
 
 func TestEngineRunCancellationMidRun(t *testing.T) {
-	d := smallDataset(t, 4000)
+	const n = 4000
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	var ticks atomic.Int64
-	opts := append(fastEngineOpts(d, "OptChain", 4, 200),
+	opts := append(fastEngineOpts(n, "OptChain", 4, 200),
 		optchain.WithProgressEvery(time.Second),
 		optchain.WithProgress(func(s optchain.MetricsSnapshot) {
 			// Cancel from inside the run, once it is demonstrably mid-flight.
@@ -239,7 +238,7 @@ func TestEngineRunCancellationMidRun(t *testing.T) {
 	if snap.SimTime <= 0 {
 		t.Fatalf("no progress observed before cancellation: %+v", snap)
 	}
-	if snap.Committed >= d.Len() {
+	if snap.Committed >= n {
 		t.Fatalf("run finished despite mid-run cancel (committed %d)", snap.Committed)
 	}
 
@@ -248,14 +247,13 @@ func TestEngineRunCancellationMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed != d.Len() {
-		t.Fatalf("rerun committed %d of %d", res.Committed, d.Len())
+	if res.Committed != n {
+		t.Fatalf("rerun committed %d of %d", res.Committed, n)
 	}
 }
 
 func TestEngineRunDeadline(t *testing.T) {
-	d := smallDataset(t, 3000)
-	eng, err := optchain.New(fastEngineOpts(d, "OptChain", 4, 300)...)
+	eng, err := optchain.New(fastEngineOpts(3000, "OptChain", 4, 300)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +266,9 @@ func TestEngineRunDeadline(t *testing.T) {
 }
 
 func TestEngineRejectsConcurrentRuns(t *testing.T) {
-	d := smallDataset(t, 1500)
 	var second atomic.Value
 	var eng *optchain.Engine
-	opts := append(fastEngineOpts(d, "OptChain", 2, 500),
+	opts := append(fastEngineOpts(1500, "OptChain", 2, 500),
 		optchain.WithProgressEvery(time.Second),
 		optchain.WithProgress(func(s optchain.MetricsSnapshot) {
 			if second.Load() == nil {
@@ -300,7 +297,7 @@ func TestPlaceStreamMatchesBatchCrossFraction(t *testing.T) {
 		eng, err := optchain.New(
 			optchain.WithStrategy(strategy),
 			optchain.WithShards(k),
-			optchain.WithDataset(d),
+			optchain.WithStreamCapacity(d.Len()),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -436,41 +433,6 @@ func TestEngineRefusesImpossibleOutputCounts(t *testing.T) {
 	}
 }
 
-// A WithDataset engine takes each output count from the StreamTx it places,
-// as a streaming engine does, also past the dataset's end: ten dataset
-// transactions and a chain of 100 one-output children retire and snapshot
-// alike on both.
-func TestDatasetEngineTakesCountsFromTheStream(t *testing.T) {
-	d := smallDataset(t, 10)
-	txs := collectStream(d)
-	for i := range 100 {
-		txs = append(txs, optchain.StreamTx{Inputs: []int{d.Len() - 1 + i}, Outputs: 1})
-	}
-	place := func(opt optchain.Option) (optchain.PlacementStats, []byte) {
-		eng, err := optchain.New(optchain.WithShards(4), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.PlaceBatch(txs, nil); err != nil {
-			t.Fatal(err)
-		}
-		var snap bytes.Buffer
-		if err := eng.WriteSnapshot(&snap); err != nil {
-			t.Fatal(err)
-		}
-		return eng.Stats(), snap.Bytes()
-	}
-	got, gotSnap := place(optchain.WithDataset(d))
-	want, wantSnap := place(optchain.WithStreamCapacity(d.Len()))
-	if got.SlabEntries != want.SlabEntries || got.RetiredTxs != want.RetiredTxs {
-		t.Fatalf("dataset engine holds %d entries and retired %d; a streaming engine %d and %d",
-			got.SlabEntries, got.RetiredTxs, want.SlabEntries, want.RetiredTxs)
-	}
-	if !bytes.Equal(gotSnap, wantSnap) {
-		t.Fatal("the dataset engine's snapshot differs from the streaming engine's")
-	}
-}
-
 // badShardPlacer returns an out-of-range shard without recording it —
 // the worst-behaved custom strategy the Engine must survive.
 type badShardPlacer struct{ a *optchain.Assignment }
@@ -541,8 +503,8 @@ func TestEngineRunGeneratesDefaultDataset(t *testing.T) {
 }
 
 func TestEngineRunMetisAutoPartition(t *testing.T) {
-	d := smallDataset(t, 1500)
-	eng, err := optchain.New(fastEngineOpts(d, "Metis", 4, 500)...)
+	const n = 1500
+	eng, err := optchain.New(fastEngineOpts(n, "Metis", 4, 500)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,14 +512,13 @@ func TestEngineRunMetisAutoPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed != d.Len() {
-		t.Fatalf("committed %d of %d", res.Committed, d.Len())
+	if res.Committed != n {
+		t.Fatalf("committed %d of %d", res.Committed, n)
 	}
 }
 
 func TestEngineRunPreCancelled(t *testing.T) {
-	d := smallDataset(t, 2000)
-	eng, err := optchain.New(fastEngineOpts(d, "OptChain", 4, 500)...)
+	eng, err := optchain.New(fastEngineOpts(2000, "OptChain", 4, 500)...)
 	if err != nil {
 		t.Fatal(err)
 	}

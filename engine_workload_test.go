@@ -3,6 +3,7 @@ package optchain_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -20,16 +21,6 @@ func TestWithWorkloadValidation(t *testing.T) {
 	}
 	if _, err := optchain.New(optchain.WithWorkload("hotspot", map[string]float64{"bogus": 1})); err == nil {
 		t.Fatal("unknown knob accepted")
-	}
-	d, err := optchain.GenerateDataset(optchain.DatasetConfig{N: 100, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := optchain.New(
-		optchain.WithDataset(d),
-		optchain.WithWorkload("hotspot", nil),
-	); !errors.Is(err, optchain.ErrBadOption) {
-		t.Fatalf("dataset+workload conflict error = %v", err)
 	}
 }
 
@@ -155,19 +146,30 @@ func TestRunWorkloadEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadMetisRejected: the Metis replay strategy needs a
-// materialized dataset; streaming scenarios must be rejected clearly.
-func TestRunWorkloadMetisRejected(t *testing.T) {
-	eng, err := optchain.New(
-		optchain.WithWorkload("hotspot", nil),
-		optchain.WithStrategy("Metis"),
-		optchain.WithTxs(500),
-	)
-	if err != nil {
-		t.Fatal(err)
+// TestRunWorkloadMetisMatchesDefault: a Metis Run streams its workload like
+// every other strategy, so naming the default "bitcoin" scenario is the
+// same run, field for field, as naming none.
+func TestRunWorkloadMetisMatchesDefault(t *testing.T) {
+	run := func(opts ...optchain.Option) *optchain.SimResult {
+		eng, err := optchain.New(append([]optchain.Option{
+			optchain.WithStrategy("Metis"),
+			optchain.WithShards(4),
+			optchain.WithTxs(1500),
+			optchain.WithRate(500),
+			optchain.WithValidators(8),
+		}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if _, err := eng.Run(context.Background()); !errors.Is(err, optchain.ErrBadOption) {
-		t.Fatalf("Metis-over-workload error = %v, want ErrBadOption", err)
+	named, unnamed := run(optchain.WithWorkload("bitcoin", nil)), run()
+	if named.Committed != 1500 || !reflect.DeepEqual(named, unnamed) {
+		t.Fatalf("Metis over WithWorkload(\"bitcoin\"): %+v\nwithout a workload: %+v", named, unnamed)
 	}
 }
 

@@ -17,9 +17,7 @@ import (
 // Bitcoin-like workload through OptChain and through OmniLedger's
 // hash-random placement, and compare cross-shard fractions at 16 shards.
 func Example() {
-	cfg := optchain.DatasetDefaults()
-	cfg.N = 20_000
-	data, err := optchain.GenerateDataset(cfg)
+	data, err := optchain.MaterializeWorkload("bitcoin", optchain.WorkloadParams{N: 20_000, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +26,7 @@ func Example() {
 		eng, err := optchain.New(
 			optchain.WithStrategy(strategy),
 			optchain.WithShards(16),
-			optchain.WithDataset(data),
+			optchain.WithStreamCapacity(data.Len()),
 		)
 		if err != nil {
 			log.Fatal(err)
@@ -99,9 +97,7 @@ func ExampleEngine_Run() {
 // telemetry, so nothing holds its shards level: it cuts even fewer edges
 // than Metis and is the most unbalanced strategy of all.
 func ExamplePartitionTaN() {
-	cfg := optchain.DatasetDefaults()
-	cfg.N = 20_000
-	data, err := optchain.GenerateDataset(cfg)
+	data, err := optchain.MaterializeWorkload("bitcoin", optchain.WorkloadParams{N: 20_000, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,7 +127,7 @@ func ExamplePartitionTaN() {
 		eng, err := optchain.New(
 			optchain.WithStrategy(strategy),
 			optchain.WithShards(shards),
-			optchain.WithDataset(data),
+			optchain.WithStreamCapacity(data.Len()),
 			optchain.WithMetisPartition(part), // read by Metis alone
 		)
 		if err != nil {
@@ -172,9 +168,7 @@ func ExamplePartitionTaN() {
 // the shard telemetry the wallet observes. T2S pulls a transaction toward
 // the shards holding its inputs; L2S pushes it away from a congested one.
 func ExampleWithTelemetry() {
-	cfg := optchain.DatasetDefaults()
-	cfg.N = 20_000
-	data, err := optchain.GenerateDataset(cfg)
+	data, err := optchain.MaterializeWorkload("bitcoin", optchain.WorkloadParams{N: 20_000, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -183,7 +177,7 @@ func ExampleWithTelemetry() {
 		eng, err := optchain.New(
 			optchain.WithStrategy("OptChain"),
 			optchain.WithShards(4),
-			optchain.WithDataset(data),
+			optchain.WithStreamCapacity(data.Len()),
 			optchain.WithTelemetry(tel),
 		)
 		if err != nil {

@@ -22,7 +22,12 @@ import (
 // generated for the cell's shard count when its workload is shard-aware
 // (adversarial, or a mix with an adversarial component). A v1 or v2 file
 // may hold such a row computed on the 16-shard stream, so it is refused.
-const CacheSchema = "optchain-rowcache/v3"
+//
+// v4: a Metis sim cell streams its workload, as every other sim cell does,
+// and takes only its partition from the materialized stream. Under a
+// gap-shaped spec (burst, drift, a mix with one) its row changes under the
+// same ID, so a v1-v3 file is refused.
+const CacheSchema = "optchain-rowcache/v4"
 
 // cacheFileName is the row file inside Params.CacheDir.
 const cacheFileName = "rows.jsonl"

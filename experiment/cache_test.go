@@ -265,6 +265,12 @@ func TestCachePoisoning(t *testing.T) {
 			content: strings.Replace(valid, experiment.CacheSchema, "optchain-rowcache/v2", 1),
 			needle:  `"optchain-rowcache/v2"`,
 		},
+		"v3 cache": {
+			// A v3 file may hold a Metis row of a burst stream replayed at
+			// nominal spacing: refused, never served.
+			content: strings.Replace(valid, experiment.CacheSchema, "optchain-rowcache/v3", 1),
+			needle:  `"optchain-rowcache/v3"`,
+		},
 		"not a header": {
 			content: "garbage first line\n",
 			needle:  "not a cache header",

@@ -303,7 +303,7 @@ func TestDecodeRowsForms(t *testing.T) {
 	jsonl := `{"id":"a","kind":"sim","strategy":"OptChain","shards":2,"workload":"w","txs":10,"cross_fraction":0.5,"steady_tps":100,"wall_seconds":1}
 {"id":"b","kind":"sim","strategy":"OptChain","shards":4,"workload":"w","txs":10,"cross_fraction":0.4,"steady_tps":200,"wall_seconds":1}
 `
-	cacheFile := `{"schema":"optchain-rowcache/v3","seed":1,"validators":4,"n":1200,"table_n":3000,"protocol":"omniledger"}
+	cacheFile := `{"schema":"optchain-rowcache/v4","seed":1,"validators":4,"n":1200,"table_n":3000,"protocol":"omniledger"}
 {"id":"a","kind":"sim","strategy":"OptChain","shards":2,"workload":"w","txs":10,"cross_fraction":0.5,"steady_tps":100,"wall_seconds":0}
 `
 	for name, tc := range map[string]struct {
@@ -347,6 +347,7 @@ func TestDecodeRowsRejectsMalformed(t *testing.T) {
 		"old cache schema":       `{"schema":"optchain-rowcache/v0"}`,
 		"v1 cache schema":        "{\"schema\":\"optchain-rowcache/v1\",\"seed\":1,\"validators\":4}\n{\"id\":\"a\"}",
 		"v2 cache schema":        "{\"schema\":\"optchain-rowcache/v2\",\"seed\":1,\"validators\":4}\n{\"id\":\"a\"}",
+		"v3 cache schema":        "{\"schema\":\"optchain-rowcache/v3\",\"seed\":1,\"validators\":4}\n{\"id\":\"a\"}",
 		"old baseline schema":    `{"schema":"optchain-bench-baseline/v3"}`,
 		"baseline record v6":     baselineV6,
 		"trailing after record":  baselineV6 + "\n" + `{"id":"b"}`,
@@ -361,11 +362,10 @@ func TestDecodeRowsRejectsMalformed(t *testing.T) {
 			if strings.HasPrefix(in, `{"schema":"optchain-bench-baseline/`) && !strings.Contains(err.Error(), "unknown schema") {
 				t.Fatalf("retired baseline record refused for the wrong reason: %v", err)
 			}
-			if name == "v1 cache schema" && !strings.Contains(err.Error(), `"optchain-rowcache/v1"`) {
-				t.Fatalf("v1 cache refused without naming its schema: %v", err)
-			}
-			if name == "v2 cache schema" && !strings.Contains(err.Error(), `"optchain-rowcache/v2"`) {
-				t.Fatalf("v2 cache refused without naming its schema: %v", err)
+			for _, v := range []string{"v1", "v2", "v3"} {
+				if name == v+" cache schema" && !strings.Contains(err.Error(), `"optchain-rowcache/`+v+`"`) {
+					t.Fatalf("%s cache refused without naming its schema: %v", v, err)
+				}
 			}
 		})
 	}

@@ -52,9 +52,12 @@
 // A sim cell pulls its workload from workload.New one transaction per
 // issue event, so arrival modulation (burst, drift Gap shaping) and
 // placement feedback (adversarial sources) reach the simulator as they do
-// in optchain-sim. Metis cells are the exception: the offline partition
-// needs the whole graph, so they replay a materialized stream at nominal
-// spacing. Placement cells place a materialized stream offline. Materialized
+// in optchain-sim. A Metis cell streams its workload too, but its offline
+// partition needs the whole graph, so it takes the partition from a
+// materialization of the same spec, and the simulator feeds its source no
+// placements (an adaptive attacker answering the replay would attack a
+// graph other than the one partitioned). Placement cells place a
+// materialized stream offline. Materialized
 // streams and Metis partitions are built once per (length, spec) behind a
 // singleflight cache inside the Runner, so concurrent cells needing the
 // same one block on one computation.

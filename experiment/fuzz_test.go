@@ -17,18 +17,19 @@ func FuzzDiffRows(f *testing.F) {
 	f.Add([]byte("{\"id\":\"a\",\"kind\":\"sim\",\"steady_tps\":100,\"cross_fraction\":0.5,\"wall_seconds\":1}\n"))
 	f.Add([]byte("{\"id\":\"a\"}\n{\"id\":\"b\"}\n"))
 	f.Add([]byte("{\"id\":\"a\"}\n{\"id\":\"a\"}\n")) // duplicate cell IDs
-	f.Add([]byte("{\"schema\":\"optchain-rowcache/v3\",\"seed\":1,\"validators\":4}\n{\"id\":\"a\",\"wall_seconds\":0}\n"))
+	f.Add([]byte("{\"schema\":\"optchain-rowcache/v4\",\"seed\":1,\"validators\":4}\n{\"id\":\"a\",\"wall_seconds\":0}\n"))
 	f.Add([]byte("{\"schema\":\"optchain-rowcache/v0\"}\n"))                                                    // stale cache schema
 	f.Add([]byte("{\"schema\":\"optchain-bench-baseline/v6\",\"sim\":[{\"cell_id\":\"a\",\"steady_tps\":1}]}")) // retired baseline record: refused
 	f.Add([]byte("{\"schema\":\"optchain-bench-baseline/v3\",\"sim\":[]}"))                                     // older baseline record: refused
 	f.Add([]byte("{\"id\":\"a\",\"steady_tps\":"))                                                              // truncated mid-value
 	f.Add([]byte("{\"id\":\"a\"}\ngarbage"))
 	f.Add([]byte("null\n{\"id\":\"a\"}"))
-	f.Add([]byte("{\"schema\":\"optchain-rowcache/v3\",\"seed\":2,\"validators\":4}\n{\"id\":\"a\"}\n")) // header of another seed
-	f.Add([]byte("{\"schema\":\"optchain-rowcache/v3\",\"seed\":\"x\"}\n"))                              // malformed header
-	f.Add([]byte("{\"schema\":\"optchain-rowcache/v3\",\"seed\":1,\"validators\":5}\n"))                 // header of another committee size
+	f.Add([]byte("{\"schema\":\"optchain-rowcache/v4\",\"seed\":2,\"validators\":4}\n{\"id\":\"a\"}\n")) // header of another seed
+	f.Add([]byte("{\"schema\":\"optchain-rowcache/v4\",\"seed\":\"x\"}\n"))                              // malformed header
+	f.Add([]byte("{\"schema\":\"optchain-rowcache/v4\",\"seed\":1,\"validators\":5}\n"))                 // header of another committee size
 	f.Add([]byte("{\"schema\":\"optchain-rowcache/v1\",\"seed\":1,\"validators\":4}\n{\"id\":\"a\"}\n")) // v1 cache: refused
 	f.Add([]byte("{\"schema\":\"optchain-rowcache/v2\",\"seed\":1,\"validators\":4}\n{\"id\":\"a\"}\n")) // v2 cache: refused
+	f.Add([]byte("{\"schema\":\"optchain-rowcache/v3\",\"seed\":1,\"validators\":4}\n{\"id\":\"a\"}\n")) // v3 cache: refused
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, rows, err := decodeRows(bytes.NewReader(data))

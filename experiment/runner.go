@@ -312,37 +312,31 @@ func (r *Runner) runSimCell(ctx context.Context, c Cell) (Row, error) {
 		cfg.QueueSampleEvery = r.queueSampleEvery(txs, c.Rate)
 	}
 
-	// One Source per cell. A Metis cell replays an offline partition of the
-	// whole graph, so it materializes the stream and replays it at nominal
-	// spacing (Gap 1, no placement feedback). Every other cell pulls its
-	// workload live, one transaction per issue event, with the source's
-	// arrival spacing and feedback.
+	// Every cell pulls its workload live, one transaction per issue event,
+	// with the source's arrival spacing. A Metis cell takes only its offline
+	// partition from a materialization of the same spec; the simulator gives
+	// its source no placement feedback, so the live stream is the one that
+	// was partitioned.
 	spec := r.p.workloadOf(c.Workload)
 	if c.Strategy == "Metis" {
-		d, err := r.dataset(txs, c.Shards, spec)
-		if err != nil {
-			return Row{}, err
-		}
 		part, err := r.partition(txs, c.Shards, spec)
 		if err != nil {
 			return Row{}, err
 		}
-		cfg.Source = workload.FromDataset(d)
 		cfg.MetisPart = part
-	} else {
-		src, err := workload.New(spec, workload.Params{
-			N:      txs,
-			Seed:   r.p.Seed,
-			Shards: c.Shards,
-		})
-		if err != nil {
-			return Row{}, err
-		}
-		// Released on every exit path: a cancelled or failed cell must not
-		// leave a replay component's trace file open.
-		defer workload.Close(src)
-		cfg.Source = src
 	}
+	src, err := workload.New(spec, workload.Params{
+		N:      txs,
+		Seed:   r.p.Seed,
+		Shards: c.Shards,
+	})
+	if err != nil {
+		return Row{}, err
+	}
+	// Released on every exit path: a cancelled or failed cell must not
+	// leave a replay component's trace file open.
+	defer workload.Close(src)
+	cfg.Source = src
 	cfg.Txs = txs
 
 	res, err := sim.RunContext(ctx, cfg)

@@ -123,9 +123,11 @@ func scenarioNames(p Params) []string {
 }
 
 // scenarioPlacers is the strategy set compared per scenario. Metis is
-// excluded even when configured: it replays an offline partition of a
-// materialized graph at nominal spacing, so a scenario's arrival shaping
-// and feedback never reach it.
+// excluded even when configured: it streams the scenario's arrivals like
+// the others, but it replays an offline partition, so a feedback-aware
+// scenario runs blind against it (an offline partition cannot answer an
+// adaptive attacker) and its row would measure a different stream from
+// the online placers' rows beside it.
 func scenarioPlacers(p Params) []string {
 	var out []string
 	for _, s := range placers(p) {

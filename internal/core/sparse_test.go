@@ -135,8 +135,29 @@ func TestT2SOutCountsDivisorDilutesFanout(t *testing.T) {
 	asn.Place(2, 1)
 }
 
+// reserve pre-sizes the index for at least `nodes` more transactions whose
+// committed vectors total at most `entries` more slab entries, so the
+// following Prepare/Commit calls allocate nothing at all, as long as none
+// names a transaction past its declared outputs (that gives a spent-out
+// node its record back); without it a chunk is allocated whenever the last
+// one fills.
+func reserve(t *T2SIndex, nodes, entries int) {
+	if need := len(t.words) + nodes; need > cap(t.words) {
+		t.words = append(make([]uint32, 0, need), t.words...)
+	}
+	for len(t.recs)<<recBits < t.nrecs+nodes {
+		t.recs = append(t.recs, new([recChunk]t2sNode))
+	}
+	// A chunk is left for the next one with fewer than k entries of it
+	// unfilled, so each is good for at least size-k+1 entries.
+	size := 1 << t.chunkBits
+	for spare := entries/(size-t.asn.K()+1) + 1; len(t.slabS) <= t.cur+spare; {
+		t.addChunk()
+	}
+}
+
 // Steady-state Prepare+Commit must not allocate: the slab arena, the
-// pending buffer, and the dense score buffers are all reused. Reserve
+// pending buffer, and the dense score buffers are all reused. reserve
 // pre-sizes the arena so even amortized growth is off the table. Every
 // transaction declares two outputs and is named by up to three later ones,
 // so the measured calls retire vectors, reuse their slots and count late
@@ -161,7 +182,7 @@ func TestT2SPrepareCommitZeroAllocs(t *testing.T) {
 		asn.Place(next, int(next)%k)
 	}
 	const runs = 400
-	idx.Reserve(runs+8, (runs+8)*(k+1))
+	reserve(idx, runs+8, (runs+8)*(k+1))
 	allocs := testing.AllocsPerRun(runs, func() {
 		u := next
 		next++

@@ -234,8 +234,7 @@ func (t *t2sTally) seal(shard uint16, alphaQ, truncQ uint64) ([]uint16, []uint64
 // that declares no output counts retires nothing, so each of its
 // transactions keeps word and record: 16 bytes, 4 more than one record.
 // Steady state, Prepare and Commit allocate nothing between chunk
-// boundaries, and Reserve can pre-allocate chunks so even that never
-// happens on the hot path.
+// boundaries.
 type T2SIndex struct {
 	alpha    float64
 	alphaQ   uint64  // α restart mass in Q32.32
@@ -406,29 +405,6 @@ func (t *T2SIndex) SetOutCounts(fn func(txgraph.Node) int) { t.outCounts = fn }
 
 // Alpha returns the damping factor.
 func (t *T2SIndex) Alpha() float64 { return t.alpha }
-
-// Reserve pre-sizes the index for at least `nodes` more transactions whose
-// committed vectors total at most `entries` more slab entries, so the
-// following Prepare/Commit calls allocate nothing at all, as long as none
-// names a transaction past its declared outputs (that gives a spent-out
-// node its record back). It is optional — without it a chunk is allocated
-// whenever the last one fills — and exists for callers that need a hard
-// zero-allocation guarantee (latency-critical loops, allocation budget
-// tests).
-func (t *T2SIndex) Reserve(nodes, entries int) {
-	if need := len(t.words) + nodes; need > cap(t.words) {
-		t.words = append(make([]uint32, 0, need), t.words...)
-	}
-	for len(t.recs)<<recBits < t.nrecs+nodes {
-		t.recs = append(t.recs, new([recChunk]t2sNode))
-	}
-	// A chunk is left for the next one with fewer than k entries of it
-	// unfilled, so each is good for at least size-k+1 entries.
-	size := 1 << t.chunkBits
-	for spare := entries/(size-t.asn.K()+1) + 1; len(t.slabS) <= t.cur+spare; {
-		t.addChunk()
-	}
-}
 
 func (t *T2SIndex) addChunk() {
 	t.slabS = append(t.slabS, make([]uint16, 0, 1<<t.chunkBits))

@@ -172,6 +172,11 @@ func newGenerator(cfg Config) *generator {
 }
 
 // Generate produces a synthetic dataset: a Stream drained through AppendTx.
+// Programs reach the generator through the "bitcoin" workload (which
+// materializes to the same dataset); only tests call Generate. It stays
+// exported because the tests of the root package, core, registry, sim and
+// workload build their fixtures with it (a _test.go helper cannot cross
+// packages), and TestBitcoinMatchesGenerate pins the workload to it.
 func Generate(cfg Config) (*Dataset, error) {
 	s, err := NewStream(cfg)
 	if err != nil {

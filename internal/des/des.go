@@ -108,10 +108,6 @@ func (s *Simulator) Now() time.Duration { return s.now }
 // Executed reports how many events have fired so far.
 func (s *Simulator) Executed() uint64 { return s.executed }
 
-// Pending reports how many events are queued (including cancelled ones not
-// yet dequeued).
-func (s *Simulator) Pending() int { return len(s.heap) }
-
 // Schedule enqueues fn to run after delay. A negative delay is treated as
 // zero (the event fires at the current time, after events already queued for
 // that time). It returns a Handle that can cancel the event.

@@ -94,8 +94,8 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	if len(fired) != 2 {
 		t.Fatalf("fired %d events before deadline, want 2", len(fired))
 	}
-	if sim.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", sim.Pending())
+	if n := len(sim.heap); n != 2 {
+		t.Fatalf("%d events queued, want 2", n)
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

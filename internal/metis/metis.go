@@ -172,20 +172,6 @@ func ones(n int) []int32 {
 	return s
 }
 
-// EdgeCut returns the number of edges whose endpoints are in different
-// parts (each undirected edge counted once).
-func EdgeCut(xadj []int64, adjncy []int32, part []int32) int64 {
-	var cut int64
-	for u := 0; u < len(xadj)-1; u++ {
-		for _, v := range adjncy[xadj[u]:xadj[u+1]] {
-			if part[u] != part[v] {
-				cut++
-			}
-		}
-	}
-	return cut / 2
-}
-
 // PartWeights returns the total vertex count per part.
 func PartWeights(part []int32, k int) []int64 {
 	w := make([]int64, k)

@@ -6,6 +6,20 @@ import (
 	"testing/quick"
 )
 
+// edgeCut returns the number of edges whose endpoints are in different
+// parts (each undirected edge counted once).
+func edgeCut(xadj []int64, adjncy []int32, part []int32) int64 {
+	var cut int64
+	for u := 0; u < len(xadj)-1; u++ {
+		for _, v := range adjncy[xadj[u]:xadj[u+1]] {
+			if part[u] != part[v] {
+				cut++
+			}
+		}
+	}
+	return cut / 2
+}
+
 // buildCSR converts an edge list into symmetric CSR form.
 func buildCSR(n int, edges [][2]int32) ([]int64, []int32) {
 	deg := make([]int64, n)
@@ -123,7 +137,7 @@ func TestPartitionClustersFindsNaturalCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	validatePartition(t, part, n, 4)
-	cut := EdgeCut(xadj, adj, part)
+	cut := edgeCut(xadj, adj, part)
 	// The natural cut is 3 bridge edges; allow some slack but demand far
 	// below random (~75% of edges).
 	if cut > int64(len(edges))/10 {
@@ -142,7 +156,7 @@ func TestPartitionRingBalanced(t *testing.T) {
 			t.Fatal(err)
 		}
 		validatePartition(t, part, 1000, k)
-		cut := EdgeCut(xadj, adj, part)
+		cut := edgeCut(xadj, adj, part)
 		// A ring cut into k arcs needs exactly k cut edges; allow 4x.
 		if cut > int64(4*k) {
 			t.Fatalf("k=%d ring cut = %d, want <= %d", k, cut, 4*k)
@@ -174,13 +188,13 @@ func TestPartitionBeatsRandomOnRandomGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	validatePartition(t, part, n, 8)
-	cut := EdgeCut(xadj, adj, part)
+	cut := edgeCut(xadj, adj, part)
 
 	randPart := make([]int32, n)
 	for i := range randPart {
 		randPart[i] = int32(rng.Intn(8))
 	}
-	randCut := EdgeCut(xadj, adj, randPart)
+	randCut := edgeCut(xadj, adj, randPart)
 	if cut*2 > randCut {
 		t.Fatalf("metis cut %d not well below random cut %d", cut, randCut)
 	}
@@ -208,7 +222,7 @@ func TestPartitionDeterministicForSeed(t *testing.T) {
 func TestEdgeCutAndWeights(t *testing.T) {
 	xadj, adj := buildCSR(4, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
 	part := []int32{0, 0, 1, 1}
-	if cut := EdgeCut(xadj, adj, part); cut != 1 {
+	if cut := edgeCut(xadj, adj, part); cut != 1 {
 		t.Fatalf("cut = %d, want 1", cut)
 	}
 	w := PartWeights(part, 2)

@@ -52,9 +52,6 @@ func (r *LatencyRecorder) FractionWithin(d time.Duration) float64 {
 	return stats.FractionBelow(r.samples, d.Seconds())
 }
 
-// Samples returns the raw latencies in seconds (read-only view).
-func (r *LatencyRecorder) Samples() []float64 { return r.samples }
-
 // QueueTracker samples per-shard queue lengths over time.
 type QueueTracker struct {
 	Times  []time.Duration

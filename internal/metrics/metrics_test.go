@@ -39,12 +39,12 @@ func TestLatencyPercentileTracksObserve(t *testing.T) {
 	for i, d := range []time.Duration{9, 3, 7, 1, 8, 2} {
 		r.Observe(d * time.Second)
 		for _, p := range []float64{0, 50, 99, 100} {
-			if got, want := r.Percentile(p), stats.Percentile(r.Samples(), p); got != want {
+			if got, want := r.Percentile(p), stats.Percentile(r.samples, p); got != want {
 				t.Fatalf("after %d samples P%v = %v, want %v", i+1, p, got, want)
 			}
 		}
 	}
-	if got := r.Samples(); got[0] != 9 || got[5] != 2 {
+	if got := r.samples; got[0] != 9 || got[5] != 2 {
 		t.Fatalf("samples reordered: %v", got)
 	}
 }

@@ -52,10 +52,10 @@ type StrategyContext struct {
 	// (the number of outputs transaction v created). A strategy may ask
 	// it only for the transaction being placed, while its Place runs; an
 	// answer for any other transaction is unspecified, and an Engine
-	// answers 0 (unknown). Every Engine, with or without WithDataset,
-	// answers with the Outputs of the StreamTx it is placing, so a
-	// strategy that needs a count later records it when asked, as the
-	// T2S index does.
+	// answers 0 (unknown). An Engine answers with the Outputs of the
+	// StreamTx it is placing, and the simulator with those of the source
+	// transaction it is issuing, so a strategy that needs a count later
+	// records it when asked, as the T2S index does.
 	OutCounts func(v txgraph.Node) int
 	// Alpha is the PageRank damping factor (0 = paper default 0.5).
 	Alpha float64

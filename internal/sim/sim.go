@@ -38,8 +38,11 @@ type Config struct {
 	// required. The run pulls one transaction per issue event (nothing is
 	// pre-built), honors each transaction's Gap so Markov-modulated scenarios
 	// shape real arrival processes, and feeds every placement decision back
-	// to feedback-aware sources (workload.Observer). A materialized Dataset
-	// is one more Source (workload.FromDataset).
+	// to feedback-aware sources (workload.Observer) — except when the placer
+	// replays an offline partition (Metis): that partition was computed
+	// from a materialization of the same stream, which saw no placements,
+	// and an adaptive source answering the replay would no longer be the
+	// stream that was partitioned. A recorded stream is a replay: Source.
 	Source workload.Source
 	Txs    int
 
@@ -381,7 +384,9 @@ func (r *runner) run() (*Result, error) {
 	r.scheduledAt = make([]time.Duration, n)
 	r.commitAt = make([]time.Duration, n)
 	r.perTx = time.Duration(float64(time.Second) / cfg.Rate)
-	r.srcObs, _ = cfg.Source.(workload.Observer)
+	if _, offline := placer.(*placement.MetisReplay); !offline {
+		r.srcObs, _ = cfg.Source.(workload.Observer)
+	}
 	if r.pullSource(0) {
 		r.scheduleSourceIssue(0, 0)
 	}

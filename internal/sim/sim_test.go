@@ -6,7 +6,6 @@ import (
 
 	"optchain/internal/dataset"
 	"optchain/internal/metis"
-	"optchain/internal/shard"
 	"optchain/internal/workload"
 )
 
@@ -23,29 +22,20 @@ func smallDataset(t *testing.T, n int) *dataset.Dataset {
 	return d
 }
 
-// fastConfig scales the simulation down for test speed: small committees
-// and blocks, high verify cost so consensus stays realistic.
-func fastConfig(d *dataset.Dataset, placer string, shards int, rate float64) Config {
-	return Config{
-		Source:     workload.FromDataset(d),
-		Txs:        d.Len(),
-		Shards:     shards,
-		Validators: 8,
-		Rate:       rate,
-		Placer:     placer,
-		Clients:    8,
-		Shard: shard.Config{
-			BlockTxs:     100,
-			MaxBlockWait: 500 * time.Millisecond,
-		},
-		QueueSampleEvery: 2 * time.Second,
-		Seed:             7,
+// fastConfig is fastSourceConfig over the first n transactions of the
+// calibrated bitcoin stream at seed 1 (smallDataset's, transaction for
+// transaction).
+func fastConfig(t *testing.T, n int, placer string, shards int, rate float64) Config {
+	t.Helper()
+	src, err := workload.New("bitcoin", workload.Params{N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return fastSourceConfig(src, n, placer, shards, rate)
 }
 
 func TestRunCommitsEverythingOptChain(t *testing.T) {
-	d := smallDataset(t, 3000)
-	res, err := Run(fastConfig(d, "OptChain", 4, 500))
+	res, err := Run(fastConfig(t, 3000, "OptChain", 4, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +71,7 @@ func TestRunAllPlacersCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{"OptChain", "T2S", "OmniLedger", "Greedy", "Metis"} {
-		cfg := fastConfig(d, kind, 4, 400)
+		cfg := fastConfig(t, d.Len(), kind, 4, 400)
 		cfg.MetisPart = part
 		res, err := Run(cfg)
 		if err != nil {
@@ -97,12 +87,12 @@ func TestRunAllPlacersCommit(t *testing.T) {
 }
 
 func TestOptChainBeatsRandomOnCrossAndLatency(t *testing.T) {
-	d := smallDataset(t, 4000)
-	oc, err := Run(fastConfig(d, "OptChain", 4, 600))
+	const n = 4000
+	oc, err := Run(fastConfig(t, n, "OptChain", 4, 600))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := Run(fastConfig(d, "OmniLedger", 4, 600))
+	rnd, err := Run(fastConfig(t, n, "OmniLedger", 4, 600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +108,7 @@ func TestOptChainBeatsRandomOnCrossAndLatency(t *testing.T) {
 }
 
 func TestRapidChainBackendWorks(t *testing.T) {
-	d := smallDataset(t, 1500)
-	cfg := fastConfig(d, "OptChain", 4, 400)
+	cfg := fastConfig(t, 1500, "OptChain", 4, 400)
 	cfg.Protocol = "rapidchain"
 	res, err := Run(cfg)
 	if err != nil {
@@ -136,8 +125,7 @@ func TestRapidChainBackendWorks(t *testing.T) {
 func TestOverloadBacklogsButCapStops(t *testing.T) {
 	// A rate far above the system's capacity with a short cap: the sim
 	// must stop at the cap and report partial commitment.
-	d := smallDataset(t, 4000)
-	cfg := fastConfig(d, "OmniLedger", 2, 100000)
+	cfg := fastConfig(t, 4000, "OmniLedger", 2, 100000)
 	cfg.MaxSimTime = 20 * time.Second
 	res, err := Run(cfg)
 	if err != nil {
@@ -152,12 +140,12 @@ func TestOverloadBacklogsButCapStops(t *testing.T) {
 }
 
 func TestHigherRateDoesNotLowerThroughputOptChain(t *testing.T) {
-	d := smallDataset(t, 3000)
-	lo, err := Run(fastConfig(d, "OptChain", 4, 200))
+	const n = 3000
+	lo, err := Run(fastConfig(t, n, "OptChain", 4, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Run(fastConfig(d, "OptChain", 4, 500))
+	hi, err := Run(fastConfig(t, n, "OptChain", 4, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +155,12 @@ func TestHigherRateDoesNotLowerThroughputOptChain(t *testing.T) {
 }
 
 func TestMoreShardsReduceLatencyUnderLoad(t *testing.T) {
-	d := smallDataset(t, 3000)
-	few, err := Run(fastConfig(d, "OptChain", 2, 500))
+	const n = 3000
+	few, err := Run(fastConfig(t, n, "OptChain", 2, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Run(fastConfig(d, "OptChain", 8, 500))
+	many, err := Run(fastConfig(t, n, "OptChain", 8, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +171,7 @@ func TestMoreShardsReduceLatencyUnderLoad(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	src := func() workload.Source { return workload.FromDataset(smallDataset(t, 100)) }
+	src := func() workload.Source { return fastConfig(t, 100, "OptChain", 2, 100).Source }
 	if _, err := Run(Config{Txs: 100, Shards: 2, Rate: 100}); err == nil {
 		t.Fatal("nil source accepted")
 	}
@@ -205,12 +193,12 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDeterministicForSeed(t *testing.T) {
-	d := smallDataset(t, 800)
-	a, err := Run(fastConfig(d, "OptChain", 4, 300))
+	const n = 800
+	a, err := Run(fastConfig(t, n, "OptChain", 4, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(fastConfig(d, "OptChain", 4, 300))
+	b, err := Run(fastConfig(t, n, "OptChain", 4, 300))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"optchain/internal/chain"
 	"optchain/internal/dataset"
+	"optchain/internal/registry"
 	"optchain/internal/shard"
 	"optchain/internal/workload"
 )
@@ -135,39 +135,46 @@ func TestSourceZeroOutputsRejected(t *testing.T) {
 	}
 }
 
-// TestFromDatasetLossless pins the dataset adapter: replaying a
-// materialized stream through workload.FromDataset is the same run as
-// streaming the scenario itself — every latency sample, queue series and
-// window count — under both protocols.
-func TestFromDatasetLossless(t *testing.T) {
-	const n, k = 1500, 4
-	for _, name := range []string{"bitcoin", "hotspot", "drift"} {
-		d, err := workload.Materialize(buildSource(t, name, n, k), n)
-		if err != nil {
-			t.Fatal(err)
+// observedSource counts the placement decisions fed back to it.
+type observedSource struct {
+	workload.Source
+	seen int
+}
+
+func (o *observedSource) Observe(i, shard int) { o.seen++ }
+
+// TestMetisRunIsBlind: the simulator feeds every placement back to a
+// feedback-aware source, except when the placer replays an offline
+// partition (Metis). That partition was computed from a materialization of
+// the stream, which saw no placements; an adversary answering the replay
+// would attack a graph other than the one partitioned.
+func TestMetisRunIsBlind(t *testing.T) {
+	const n, k = 600, 4
+	d, err := workload.Materialize(buildSource(t, "adversarial", n, k), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := registry.MetisPartition(d, k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for placer, want := range map[string]int{"OptChain": n, "Metis": 0} {
+		src := &observedSource{Source: buildSource(t, "adversarial", n, k)}
+		cfg := fastSourceConfig(src, n, placer, k, 500)
+		cfg.MetisPart = part
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("%s: %v", placer, err)
 		}
-		for _, proto := range []string{"omniledger", "rapidchain"} {
-			run := func(src workload.Source) *Result {
-				cfg := fastSourceConfig(src, n, "OptChain", k, 500)
-				cfg.Protocol = proto
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", name, proto, err)
-				}
-				return res
-			}
-			live, replayed := run(buildSource(t, name, n, k)), run(workload.FromDataset(d))
-			if !reflect.DeepEqual(live, replayed) {
-				t.Errorf("%s/%s: replayed dataset diverges from the live source:\n live     %+v\n replayed %+v", name, proto, live, replayed)
-			}
+		if src.seen != want {
+			t.Errorf("%s: the source observed %d placements, want %d", placer, src.seen, want)
 		}
 	}
 }
 
 // TestLedgerKeepsRecordedValues: a converted trace whose values are not an
 // even split (SCENARIOS.md's excerpt: 4900000000 as 3000000000|1900000000)
-// reaches the simulator's ledger with its recorded values, whether it
-// arrives as a Dataset (workload.FromDataset) or as a .tan trace (replay:).
+// reaches the simulator's ledger with its recorded values through a .tan
+// trace (replay:).
 func TestLedgerKeepsRecordedValues(t *testing.T) {
 	d, _, err := dataset.ConvertCSV(strings.NewReader(
 		"txid,inputs,outputs\naa01,,5000000000\nbb02,aa01:0,3000000000|1900000000\n"), dataset.ConvertConfig{})
@@ -182,29 +189,24 @@ func TestLedgerKeepsRecordedValues(t *testing.T) {
 	if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, src := range map[string]workload.Source{
-		"FromDataset": workload.FromDataset(d),
-		"replay":      buildSource(t, "replay:"+path, 2, 2),
-	} {
-		cfg := fastSourceConfig(src, 2, "OptChain", 2, 500)
-		if err := cfg.fillDefaults(); err != nil {
-			t.Fatal(err)
-		}
-		r := newRunner(cfg)
-		if _, err := r.run(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for idx, want := range []int64{3000000000, 1900000000} {
-			op := chain.Outpoint{Tx: d.TxID(1), Index: uint32(idx)}
-			var got []int64
-			for _, sh := range r.shards {
-				if v, ok := sh.Ledger().OutputValue(op); ok {
-					got = append(got, v)
-				}
+	cfg := fastSourceConfig(buildSource(t, "replay:"+path, 2, 2), 2, "OptChain", 2, 500)
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner(cfg)
+	if _, err := r.run(); err != nil {
+		t.Fatal(err)
+	}
+	for idx, want := range []int64{3000000000, 1900000000} {
+		op := chain.Outpoint{Tx: d.TxID(1), Index: uint32(idx)}
+		var got []int64
+		for _, sh := range r.shards {
+			if v, ok := sh.Ledger().OutputValue(op); ok {
+				got = append(got, v)
 			}
-			if len(got) != 1 || got[0] != want {
-				t.Errorf("%s: ledger holds output %d at %v, want %d", name, idx, got, want)
-			}
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("ledger holds output %d at %v, want %d", idx, got, want)
 		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 // as a shard's queue deepens — the signal that makes OptChain's L2S term
 // self-balancing in the closed loop.
 func TestLiveTelemetryTracksQueues(t *testing.T) {
-	d := smallDataset(t, 2000)
-	cfg := fastConfig(d, "OptChain", 2, 300)
+	cfg := fastConfig(t, 2000, "OptChain", 2, 300)
 	if err := cfg.fillDefaults(); err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +32,7 @@ func TestLiveTelemetryTracksQueues(t *testing.T) {
 }
 
 func TestResultSteadyTPSBounded(t *testing.T) {
-	d := smallDataset(t, 3000)
-	res, err := Run(fastConfig(d, "OptChain", 4, 500))
+	res, err := Run(fastConfig(t, 3000, "OptChain", 4, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +51,7 @@ func TestResultSteadyTPSBounded(t *testing.T) {
 func TestValidateUTXOModeCommits(t *testing.T) {
 	// Strict mode at a gentle rate: defer/retry machinery must still
 	// deliver every transaction.
-	d := smallDataset(t, 800)
-	cfg := fastConfig(d, "OptChain", 2, 100)
+	cfg := fastConfig(t, 800, "OptChain", 2, 100)
 	cfg.ValidateUTXO = true
 	cfg.MaxSimTime = 10 * time.Minute
 	res, err := Run(cfg)
@@ -68,8 +65,7 @@ func TestValidateUTXOModeCommits(t *testing.T) {
 }
 
 func TestCrossFractionConsistentWithProtocolCounters(t *testing.T) {
-	d := smallDataset(t, 2000)
-	res, err := Run(fastConfig(d, "OmniLedger", 4, 400))
+	res, err := Run(fastConfig(t, 2000, "OmniLedger", 4, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +80,12 @@ func TestCrossFractionConsistentWithProtocolCounters(t *testing.T) {
 func TestOptChainQueueBalanceBeatsNoL2SUnderSkewedLoad(t *testing.T) {
 	// T2S-only concentrates lineage-heavy load; full OptChain must keep the
 	// peak queue in the same ballpark or better at high rate.
-	d := smallDataset(t, 4000)
-	t2s, err := Run(fastConfig(d, "T2S", 4, 1500))
+	const n = 4000
+	t2s, err := Run(fastConfig(t, n, "T2S", 4, 1500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, err := Run(fastConfig(d, "OptChain", 4, 1500))
+	oc, err := Run(fastConfig(t, n, "OptChain", 4, 1500))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,10 @@ func (n *Network) Occupy(from NodeID, at time.Duration, size, count int) time.Du
 	return sender.busyUntil
 }
 
-// BusyUntil returns when from's outbound link frees up.
+// BusyUntil returns when from's outbound link frees up. The simulator never
+// asks; it stays exported because internal/shard's per-message consensus
+// oracle (a test) reads each node's link to check the closed-form round
+// against it, and a _test.go helper cannot cross packages.
 func (n *Network) BusyUntil(from NodeID) time.Duration { return n.nodes[from].busyUntil }
 
 // CountTraffic accounts count messages of size bytes that occupy no

@@ -46,9 +46,6 @@ func (e *EWMA) Value(def float64) float64 {
 	return e.value
 }
 
-// Seen reports whether at least one sample has been observed.
-func (e *EWMA) Seen() bool { return e.seen }
-
 // RateFromMean converts an observed mean delay (in seconds) into an
 // exponential rate λ = 1/mean, guarding degenerate inputs.
 func RateFromMean(meanSeconds float64) float64 {

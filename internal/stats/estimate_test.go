@@ -7,7 +7,7 @@ import (
 
 func TestEWMAFirstObservationDominates(t *testing.T) {
 	e := NewEWMA(0.5)
-	if e.Seen() {
+	if e.seen {
 		t.Fatal("fresh EWMA claims to have seen samples")
 	}
 	if got := e.Value(7); got != 7 {

@@ -54,8 +54,13 @@ type advPending struct {
 }
 
 // observeLag bounds how many transactions may stay unobserved before the
-// adversary resolves them with the hash-placement assumption. It comfortably
-// covers the Engine's 256-transaction placement chunks.
+// adversary resolves them with the hash-placement assumption. It covers
+// exactly one of Engine.PlaceWorkload's DefaultBatchSize (1024)
+// transaction chunks, whose decisions are observed after the chunk is
+// placed; the simulator observes every placement as it is made. A Metis
+// run observes none (its placements replay an offline partition, which
+// cannot answer an adaptive attacker), so its adversary resolves every
+// output with the hash assumption, as a materialized stream does.
 const observeLag = 1024
 
 // advShardRing bounds the per-shard recent-output belief.

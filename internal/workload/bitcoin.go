@@ -8,8 +8,11 @@ import (
 
 // bitcoin wraps the calibrated Bitcoin-like generator (internal/dataset) —
 // the paper's evaluation workload, with TaN degree statistics matching
-// Fig. 2 — behind the streaming Source interface. Draining it reproduces
-// dataset.Generate for the same parameters, transaction for transaction.
+// Fig. 2 — behind the streaming Source interface, and the stream Engine.Run
+// simulates when no workload is named. Draining it reproduces
+// dataset.Generate for the same parameters, transaction for transaction, so
+// a materialized "bitcoin" (the one optchain.MaterializeWorkload returns)
+// is the same stream a live one is.
 //
 // Knobs (defaults are the calibration in dataset.DefaultConfig):
 //

@@ -28,9 +28,9 @@
 // Sources are streaming: one transaction at a time, memory proportional to
 // live state (never the stream length), so million-user-scale runs do not
 // pre-build a Dataset. Materialize converts any source into a Dataset when
-// a full stream is genuinely needed (tangen, offline tables, Metis), and
-// FromDataset streams one back, so the simulator consumes nothing but a
-// Source. The full spec
+// a full stream is genuinely needed (tangen, offline tables, the partition
+// a Metis run replays); the simulator consumes nothing but a live Source,
+// and a recorded stream comes back through replay. The full spec
 // grammar, every knob, and the determinism guarantees are documented in
 // SCENARIOS.md at the repository root.
 package workload

@@ -278,47 +278,6 @@ func TestBitcoinMatchesGenerate(t *testing.T) {
 	}
 }
 
-// TestFromDatasetReplaysExactly: the dataset adapter streams a materialized
-// dataset back unchanged — re-materializing it re-encodes byte-for-byte —
-// and each transaction carries its recorded per-output values, so values
-// that do not follow the SplitValue convention (a converted real trace)
-// survive.
-func TestFromDatasetReplaysExactly(t *testing.T) {
-	const n = 2000
-	d, err := Materialize(build(t, "hotspot", Params{N: n, Seed: 3}), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Materialize(FromDataset(d), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := d.Encode(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("Materialize(FromDataset(d)) diverges from d")
-	}
-
-	uneven := convertExcerpt(t)
-	txs := drain(t, FromDataset(uneven), uneven.Len()+1)
-	if len(txs) != uneven.Len() {
-		t.Fatalf("streamed %d of %d transactions", len(txs), uneven.Len())
-	}
-	for i, tx := range txs {
-		if tx.Outputs != uneven.NumOutputs(i) || len(tx.Inputs) != uneven.NumInputs(i) || tx.Gap != 1 {
-			t.Fatalf("tx %d: streamed %+v", i, tx)
-		}
-	}
-	if got := txs[1]; !slices.Equal(got.OutVals, []int64{3000000000, 1900000000}) || got.Value != 4900000000 {
-		t.Fatalf("tx 1: OutVals %v, Value %d; recorded 3000000000|1900000000", got.OutVals, got.Value)
-	}
-}
-
 // convertExcerpt converts SCENARIOS.md's two-transaction excerpt, whose
 // second transaction splits 4900000000 as 3000000000|1900000000, not
 // evenly.

@@ -18,8 +18,6 @@ import (
 type (
 	// Dataset is a generated or loaded Bitcoin-like transaction stream.
 	Dataset = dataset.Dataset
-	// DatasetConfig parameterizes synthetic stream generation.
-	DatasetConfig = dataset.Config
 	// Placer decides which shard each transaction is submitted to.
 	Placer = placement.Placer
 	// Assignment records placement decisions.
@@ -60,9 +58,6 @@ type (
 	WorkloadArg = workload.Arg
 	// WorkloadFactory builds a scenario source from parameters.
 	WorkloadFactory = workload.Factory
-	// WorkloadModulator shapes a stream's arrival process (burst on/off
-	// phases, diurnal drift); replay superimposes one on recorded traces.
-	WorkloadModulator = workload.Modulator
 )
 
 // RegisterWorkload adds a workload scenario to the open registry under the
@@ -113,16 +108,11 @@ func SplitWorkloadList(list string) ([]string, error) {
 	return workload.SplitList(list)
 }
 
-// NewWorkloadModulator builds an arrival modulator ("burst:boost=4",
-// "drift:period=20000,amp=0.5") — the shape replay's mod= argument
-// superimposes on recorded traces.
-func NewWorkloadModulator(spec string, seed int64) (WorkloadModulator, error) {
-	return workload.NewModulator(spec, seed)
-}
-
 // MaterializeWorkload drains a scenario (bare name or full spec) into a
-// Dataset — for tangen and offline tables; streaming consumers never need
-// it.
+// Dataset — for tangen, offline tables and partitions, and streaming
+// placement through DatasetStream; Engine.Run never needs it.
+// MaterializeWorkload("bitcoin", WorkloadParams{N: n, Seed: s}) is the
+// calibrated Bitcoin-like stream of n transactions (Fig. 2).
 func MaterializeWorkload(spec string, p WorkloadParams) (*Dataset, error) {
 	src, err := workload.New(spec, p)
 	if err != nil {
@@ -137,8 +127,8 @@ type (
 	// StrategyContext carries what a placement strategy may need at
 	// construction time (shard count, stream-length hint, telemetry, …).
 	// Its OutCounts source answers only for the transaction being placed,
-	// with that StreamTx's Outputs on every Engine, WithDataset or not: a
-	// strategy that needs a count later records it when asked.
+	// with that StreamTx's Outputs: a strategy that needs a count later
+	// records it when asked.
 	StrategyContext = registry.StrategyContext
 	// StrategyFactory builds a placement strategy from a context.
 	StrategyFactory = registry.StrategyFactory
@@ -183,13 +173,6 @@ func CheckStrategy(name string) error { _, err := registry.StrategyName(name); r
 // and otherwise an error wrapping ErrUnknownProtocol that lists the
 // registered set.
 func CheckProtocol(name string) error { _, err := registry.ProtocolName(name); return err }
-
-// DatasetDefaults returns the generator calibration used throughout the
-// benchmarks (TaN degree statistics matching the paper's Fig. 2).
-func DatasetDefaults() DatasetConfig { return dataset.DefaultConfig() }
-
-// GenerateDataset produces a synthetic Bitcoin-like transaction stream.
-func GenerateDataset(cfg DatasetConfig) (*Dataset, error) { return dataset.Generate(cfg) }
 
 // LoadDataset decodes a stream written by (*Dataset).Encode.
 func LoadDataset(r io.Reader) (*Dataset, error) { return dataset.Decode(r) }

@@ -9,16 +9,7 @@ import (
 	"optchain"
 )
 
-func smallData(t *testing.T) *optchain.Dataset {
-	t.Helper()
-	cfg := optchain.DatasetDefaults()
-	cfg.N = 8000
-	d, err := optchain.GenerateDataset(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
+func smallData(t *testing.T) *optchain.Dataset { return smallDataset(t, 8000) }
 
 // placeAll streams the whole dataset through a fresh engine running the
 // named strategy over k shards and returns its statistics.
@@ -27,7 +18,7 @@ func placeAll(t *testing.T, strategy string, k int, d *optchain.Dataset, opts ..
 	eng, err := optchain.New(append([]optchain.Option{
 		optchain.WithStrategy(strategy),
 		optchain.WithShards(k),
-		optchain.WithDataset(d),
+		optchain.WithStreamCapacity(d.Len()),
 	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -63,19 +54,18 @@ func TestFacadeAllStrategiesConstruct(t *testing.T) {
 }
 
 func TestFacadeNewPlacerErrors(t *testing.T) {
-	d := smallData(t)
-	if _, err := optchain.New(optchain.WithStrategy("nope"), optchain.WithDataset(d)); !errors.Is(err, optchain.ErrUnknownStrategy) {
+	if _, err := optchain.New(optchain.WithStrategy("nope"), optchain.WithStreamCapacity(100)); !errors.Is(err, optchain.ErrUnknownStrategy) {
 		t.Fatalf("unknown strategy error = %v", err)
 	}
-	if _, err := optchain.New(optchain.WithShards(0), optchain.WithDataset(d)); !errors.Is(err, optchain.ErrBadOption) {
+	if _, err := optchain.New(optchain.WithShards(0), optchain.WithStreamCapacity(100)); !errors.Is(err, optchain.ErrBadOption) {
 		t.Fatalf("k=0 error = %v", err)
 	}
-	if _, err := optchain.New(optchain.WithDataset(nil)); !errors.Is(err, optchain.ErrBadOption) {
-		t.Fatalf("nil dataset error = %v", err)
+	if _, err := optchain.New(optchain.WithStreamCapacity(-1)); !errors.Is(err, optchain.ErrBadOption) {
+		t.Fatalf("negative capacity error = %v", err)
 	}
 	// Metis without a partition is runnable only through Engine.Run (which
 	// computes one) — streaming placement must error, not panic.
-	eng, err := optchain.New(optchain.WithStrategy("Metis"), optchain.WithShards(4), optchain.WithDataset(d))
+	eng, err := optchain.New(optchain.WithStrategy("Metis"), optchain.WithShards(4), optchain.WithStreamCapacity(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +100,9 @@ func TestFacadeMetisPlacerRejectsBadPartition(t *testing.T) {
 }
 
 func TestFacadeSimulate(t *testing.T) {
-	d := smallData(t)
+	const n = 8000
 	eng, err := optchain.New(
-		optchain.WithDataset(d),
+		optchain.WithTxs(n),
 		optchain.WithShards(4),
 		optchain.WithValidators(8),
 		optchain.WithRate(1000),
@@ -124,8 +114,8 @@ func TestFacadeSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed != d.Len() {
-		t.Fatalf("committed %d of %d", res.Committed, d.Len())
+	if res.Committed != n {
+		t.Fatalf("committed %d of %d", res.Committed, n)
 	}
 }
 

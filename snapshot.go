@@ -270,22 +270,16 @@ func (e *Engine) readSnapshot(data []byte) error {
 		// Every strategy's section takes at least a byte per transaction.
 		return fmt.Errorf("%w: %d placed transactions in %d bytes of strategy state", ErrBadSnapshot, placed, sr.Len())
 	}
-	if e.dataset != nil {
-		if n := e.dataset.Len(); uint64(n) != capN {
-			return fmt.Errorf("%w: snapshot capacity hint %d, engine dataset length %d", ErrBadSnapshot, capN, n)
-		}
-	} else {
-		// The capacity hint sizes per-shard budgets (T2S/Greedy); rebuild
-		// the placer with the producer's value so the bounds agree. It
-		// also sizes the per-transaction columns, so nothing larger is
-		// taken from the stream than this engine's own capacity or the
-		// transactions the stream demonstrably holds.
-		if capN > max(uint64(e.streamCap), placed) {
-			return fmt.Errorf("%w: snapshot capacity hint %d exceeds this engine's stream capacity %d and the %d placed transactions",
-				ErrBadSnapshot, capN, e.streamCap, placed)
-		}
-		e.streamCap = int(capN)
+	// The capacity hint sizes per-shard budgets (T2S/Greedy); rebuild the
+	// placer with the producer's value so the bounds agree. It also sizes
+	// the per-transaction columns, so nothing larger is taken from the
+	// stream than this engine's own capacity or the transactions the stream
+	// demonstrably holds.
+	if capN > max(uint64(e.streamCap), placed) {
+		return fmt.Errorf("%w: snapshot capacity hint %d exceeds this engine's stream capacity %d and the %d placed transactions",
+			ErrBadSnapshot, capN, e.streamCap, placed)
 	}
+	e.streamCap = int(capN)
 	if err := e.ensurePlacerLocked(); err != nil {
 		return err
 	}
