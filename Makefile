@@ -72,6 +72,7 @@ quality-ledger:
 # Every workload scenario must run end-to-end through a small simulation —
 # including a composed mix and a recorded-trace replay — and Metis must
 # stream a gap-shaped and a feedback-aware spec like every other strategy.
+# A trace shorter than -txs must fail the run, not wait for what never comes.
 scenario-smoke:
 	$(GO) run ./cmd/optchain-sim -workload hotspot -txs 5000 -validators 8
 	$(GO) run ./cmd/optchain-sim -workload burst -txs 5000 -validators 8
@@ -83,6 +84,7 @@ scenario-smoke:
 	$(GO) run ./cmd/optchain-sim -strategy Metis -workload "mix:bitcoin=0.6,hotspot=0.25,adversarial=0.15" -txs 5000 -validators 8
 	$(GO) run ./cmd/tangen -n 3000 -o smoke-replay.tan
 	$(GO) run ./cmd/optchain-sim -workload "replay:smoke-replay.tan,mod=(burst:boost=4)" -txs 3000 -validators 8
+	! $(GO) run ./cmd/optchain-sim -workload replay:smoke-replay.tan -txs 4000 -validators 8
 	rm -f smoke-replay.tan
 
 # Short fuzz passes: the dataset decoder (panic-safety + round-trip), the

@@ -88,14 +88,15 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("optchain-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	defTol := experiment.DefaultTolerances()
 	var (
 		sweep      = fs.String("sweep", "", "registered sweep to stream through -reporter (see -list-sweeps)")
 		reporter   = fs.String("reporter", "", "reporter for -sweep (text, jsonl, csv, fidelity; default text)")
 		out        = fs.String("out", "", "output file for -sweep (default stdout)")
 		cacheDir   = fs.String("cache", "", "row-cache directory for -sweep: completed rows persist keyed by cell ID and re-runs resume instead of re-simulating")
 		diffMode   = fs.Bool("diff", false, "compare two row files (OLD NEW as positional args; jsonl sweep output or a row cache) and exit non-zero on quality regression or a cell only one file holds")
-		tolTPS     = fs.Float64("tol-tps", 0.05, "-diff relative tolerance on steady_tps (regresses downward)")
-		tolCross   = fs.Float64("tol-cross", 0.05, "-diff relative tolerance on cross_fraction (regresses upward)")
+		tolTPS     = fs.Float64("tol-tps", defTol.SteadyTPS, "-diff relative tolerance on steady_tps (regresses downward)")
+		tolCross   = fs.Float64("tol-cross", defTol.CrossFraction, "-diff relative tolerance on cross_fraction (regresses upward)")
 		tolNsTx    = fs.Float64("tol-nstx", 0, "-diff relative tolerance on wall ns/tx (0 = not compared; host noise)")
 		allowMiss  = fs.Bool("allow-missing", false, "-diff: accept cells present in OLD but absent from NEW (gating a subset run against a fuller row set)")
 		listSweeps = fs.Bool("list-sweeps", false, "list registered sweeps and reporters, then exit")

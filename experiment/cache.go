@@ -152,7 +152,7 @@ func (c *rowCache) get(id string) (Row, bool) {
 // are zeroed so the same cell caches to identical bytes regardless of
 // which sweep produced it first, making an interrupted-then-resumed cache
 // file byte-identical to an uninterrupted one. Re-putting a present ID is
-// a no-op (an Uncached cell must not append duplicates).
+// a no-op, so the file never holds an ID twice.
 func (c *rowCache) put(row Row) error {
 	row.Sweep = ""
 	row.Index = 0

@@ -17,6 +17,11 @@
 //	}
 //	for row, err := range r.Stream(ctx, sweep) { ... }
 //
+// A sweep's axes expand as a cross product, outermost first: workloads,
+// protocols, strategies, shards, rates, alphas, L2S weights. A sweep whose
+// cells are no such product (Fig. 11's rate and length grow with k) lists
+// them in Cells instead, in the order they run.
+//
 // Two registries sit beside optchain.RegisterStrategy / RegisterProtocol /
 // RegisterWorkload, and all five are the same name table (internal/names):
 // names match case-insensitively and are drawn from [A-Za-z0-9._-], a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -163,7 +164,6 @@ func TestStreamCancellationMidSweep(t *testing.T) {
 		Strategies: []string{"OptChain", "OmniLedger", "Greedy", "T2S"},
 		Shards:     []int{2, 3, 4, 5},
 		Rates:      []float64{700, 900},
-		Uncached:   true,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var rows []experiment.Row
@@ -239,7 +239,6 @@ func TestStreamReraisesCellPanic(t *testing.T) {
 		Strategies: []string{"test-panics"},
 		Shards:     []int{2},
 		Rates:      []float64{800},
-		Uncached:   true,
 	}
 	got := func() (p any) {
 		defer func() { p = recover() }()
@@ -305,7 +304,6 @@ func TestReportFlushesPartialRowsOnCancel(t *testing.T) {
 		Strategies: []string{"OptChain", "OmniLedger", "Greedy", "T2S"},
 		Shards:     []int{2, 3, 4},
 		Rates:      []float64{700},
-		Uncached:   true,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -558,17 +556,39 @@ func TestPlacementSweep(t *testing.T) {
 	}
 }
 
-// TestExpandDoesNotMutateCallerCells: running an Uncached sweep over an
-// explicit cell list must not write the sticky flags back into the
-// caller's slice (a later cached sweep over the same cells would silently
-// re-execute everything).
+// TestExpandOrdersProtocolsOutsideStrategies: the canonical order nests
+// the strategy axis inside the protocol axis, the order the quality ledger
+// and the backend ablation were written in.
+func TestExpandOrdersProtocolsOutsideStrategies(t *testing.T) {
+	cells, err := experiment.Sweep{
+		Name:       "order",
+		Protocols:  []string{"omniledger", "rapidchain"},
+		Strategies: []string{"OptChain", "OmniLedger"},
+		Shards:     []int{2},
+		Rates:      []float64{800},
+	}.Expand(quickParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range cells {
+		got = append(got, c.Protocol+"/"+c.Strategy)
+	}
+	want := []string{"omniledger/OptChain", "omniledger/OmniLedger", "rapidchain/OptChain", "rapidchain/OmniLedger"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("expanded %v, want %v", got, want)
+	}
+}
+
+// TestExpandDoesNotMutateCallerCells: running a sweep over an explicit
+// cell list must not write the resolved Kind back into the caller's slice.
 func TestExpandDoesNotMutateCallerCells(t *testing.T) {
 	r := experiment.NewRunner(quickParams())
 	cells := []experiment.Cell{{Strategy: "OptChain", Shards: 2, Rate: 800}}
-	if _, err := r.Collect(context.Background(), experiment.Sweep{Name: "wall", Cells: cells, Uncached: true}); err != nil {
+	if _, err := r.Collect(context.Background(), experiment.Sweep{Name: "wall", Cells: cells}); err != nil {
 		t.Fatal(err)
 	}
-	if cells[0].NoCache || cells[0].Kind != "" {
+	if cells[0].Kind != "" {
 		t.Fatalf("expand mutated the caller's cells: %+v", cells[0])
 	}
 }

@@ -160,9 +160,6 @@ func (r *Runner) Cell(ctx context.Context, c Cell) (Row, error) {
 		return Row{}, err
 	}
 	id := c.id(r.p)
-	if c.NoCache {
-		return r.executeCell(ctx, c, id)
-	}
 	for {
 		r.mu.Lock()
 		e, ok := r.rows[id]
@@ -227,8 +224,9 @@ func (r *Runner) Close() error {
 }
 
 // cachedExecute serves one cell from the persistent row cache when
-// enabled, executing and persisting it otherwise. Served rows are flat
-// data: WallSeconds is zero and Result is nil (see Params.CacheDir).
+// enabled, and otherwise runs it, stamps its identity and persists it.
+// Served rows are flat data: WallSeconds is zero and Result is nil (see
+// Params.CacheDir).
 func (r *Runner) cachedExecute(ctx context.Context, c Cell, id string) (Row, error) {
 	cache, err := r.rowCacheHandle()
 	if err != nil {
@@ -240,22 +238,6 @@ func (r *Runner) cachedExecute(ctx context.Context, c Cell, id string) (Row, err
 			return row, nil
 		}
 	}
-	row, err := r.executeCell(ctx, c, id)
-	if err != nil {
-		return Row{}, err
-	}
-	if cache != nil {
-		// A row the cache cannot persist would silently vanish from the
-		// resume set; fail the cell instead.
-		if err := cache.put(row); err != nil {
-			return Row{}, err
-		}
-	}
-	return row, nil
-}
-
-// executeCell runs one cell for real and stamps its identity.
-func (r *Runner) executeCell(ctx context.Context, c Cell, id string) (Row, error) {
 	start := time.Now() // telemetry: WallSeconds reports cost, never feeds a decision
 	row, err := r.runCell(ctx, c)
 	if err != nil {
@@ -264,7 +246,13 @@ func (r *Runner) executeCell(ctx context.Context, c Cell, id string) (Row, error
 	row.ID = id
 	row.Cell = c
 	row.WallSeconds = time.Since(start).Seconds() // telemetry only
-
+	if cache != nil {
+		// A row the cache cannot persist would silently vanish from the
+		// resume set; fail the cell instead.
+		if err := cache.put(row); err != nil {
+			return Row{}, err
+		}
+	}
 	return row, nil
 }
 

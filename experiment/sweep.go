@@ -61,9 +61,6 @@ type Cell struct {
 	L2SWeight float64 `json:"l2s_weight,omitempty"`
 	// Tag distinguishes otherwise-identical variants in cell IDs.
 	Tag string `json:"tag,omitempty"`
-	// NoCache forces the cell to execute even when an identical cell is
-	// cached — for wall-clock measurements.
-	NoCache bool `json:"-"`
 }
 
 // ID returns the cell's stable identity string — a pure function of the
@@ -119,9 +116,9 @@ func (c Cell) id(p Params) string {
 }
 
 // Sweep is a declarative experiment grid: either axis lists expanded as a
-// cross product in canonical order (workloads, strategies, protocols,
-// shards, rates, alphas, weights — outermost first), or an
-// explicit Cells list. The zero value of every axis inherits the runner's Params default.
+// cross product in canonical order (workloads, protocols, strategies,
+// shards, rates, alphas, weights — outermost first), or an explicit Cells
+// list. The zero value of every axis inherits the runner's Params default.
 type Sweep struct {
 	// Name labels the sweep in reports and row identity.
 	Name string `json:"name"`
@@ -165,10 +162,6 @@ type Sweep struct {
 	// silently did nothing would be a misconfiguration trap, so Expand
 	// rejects the combination.
 	Cells []Cell `json:"cells,omitempty"`
-
-	// Uncached forces every cell to execute even when cached — for
-	// wall-clock measurements.
-	Uncached bool `json:"-"`
 }
 
 // placementStrategies is the offline placement vocabulary of Tables I-II,
@@ -251,9 +244,9 @@ func (s Sweep) Expand(p Params) ([]Cell, error) {
 			return nil, fmt.Errorf("%w: sweep %q sets cell defaults (Kind/Txs/Warm/Tag) alongside explicit Cells; put them on the cells", ErrBadSweep, s.Name)
 		}
 	}
-	// Copy the explicit cell list before normalizing: Expand fills Kind and
-	// applies the sticky Uncached flag, and writing those through to the
-	// caller's backing array would be a hidden side effect of a public API.
+	// Copy the explicit cell list before normalizing: Expand fills Kind,
+	// and writing it through to the caller's backing array would be a
+	// hidden side effect of a public API.
 	cells := append([]Cell(nil), s.Cells...)
 	if len(cells) == 0 {
 		kind := s.Kind
@@ -295,8 +288,8 @@ func (s Sweep) Expand(p Params) ([]Cell, error) {
 			weights = []float64{0}
 		}
 		for _, wl := range workloads {
-			for _, strat := range strategies {
-				for _, proto := range protocols {
+			for _, proto := range protocols {
+				for _, strat := range strategies {
 					for _, k := range shards {
 						for _, r := range rates {
 							for _, a := range alphas {
@@ -313,7 +306,6 @@ func (s Sweep) Expand(p Params) ([]Cell, error) {
 										Alpha:     a,
 										L2SWeight: w,
 										Tag:       s.Tag,
-										NoCache:   s.Uncached,
 									})
 								}
 							}
@@ -324,9 +316,6 @@ func (s Sweep) Expand(p Params) ([]Cell, error) {
 		}
 	}
 	for i := range cells {
-		if s.Uncached {
-			cells[i].NoCache = true
-		}
 		c, err := resolveCell(cells[i], p)
 		if err != nil {
 			return nil, fmt.Errorf("sweep %q cell %d: %w", s.Name, i, err)

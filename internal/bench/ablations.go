@@ -46,21 +46,12 @@ func WeightSweep(p Params) experiment.Sweep {
 // the paper's closing prediction that the benefit transfers to RapidChain.
 func BackendSweep(p Params) experiment.Sweep {
 	k, r := maxGrid(p)
-	var cells []experiment.Cell
-	for _, proto := range []string{"omniledger", "rapidchain"} {
-		for _, placer := range []string{"OptChain", "OmniLedger"} {
-			cells = append(cells, experiment.Cell{
-				Kind:     experiment.KindSim,
-				Strategy: placer,
-				Protocol: proto,
-				Shards:   k,
-				Rate:     r,
-			})
-		}
-	}
 	return experiment.Sweep{
 		Name:        "backend",
 		Description: "protocol backend x placement on/off (ablation A4)",
-		Cells:       cells,
+		Protocols:   []string{"omniledger", "rapidchain"},
+		Strategies:  []string{"OptChain", "OmniLedger"},
+		Shards:      []int{k},
+		Rates:       []float64{r},
 	}
 }

@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 
 	"optchain/experiment"
@@ -147,27 +148,26 @@ func scenarioGrid(p Params) (int, float64) {
 	return 8, 2000
 }
 
+const scenariosDescription = "strategy set against every workload scenario, streamed (skew, bursts, drift, attack)"
+
 // ScenariosSweep compares the placement strategies across every workload
-// scenario — the dimension the paper's single-trace evaluation lacks.
-func ScenariosSweep(p Params) experiment.Sweep {
-	shards, rate := scenarioGrid(p)
-	var cells []experiment.Cell
-	for _, name := range scenarioNames(p) {
-		for _, s := range scenarioPlacers(p) {
-			cells = append(cells, experiment.Cell{
-				Kind:     experiment.KindSim,
-				Strategy: s,
-				Shards:   shards,
-				Rate:     rate,
-				Workload: name,
-			})
-		}
+// scenario — the dimension the paper's single-trace evaluation lacks. A
+// strategy set with no online placer (-strategies Metis) is refused: the
+// empty axis would fall back to the default set, Metis included.
+func ScenariosSweep(p Params) (experiment.Sweep, error) {
+	strategies := scenarioPlacers(p)
+	if len(strategies) == 0 {
+		return experiment.Sweep{}, fmt.Errorf("%w: the scenarios sweep compares online placers, and strategy set %v has none", experiment.ErrBadSweep, placers(p))
 	}
+	shards, rate := scenarioGrid(p)
 	return experiment.Sweep{
 		Name:        "scenarios",
-		Description: "strategy set against every workload scenario, streamed (skew, bursts, drift, attack)",
-		Cells:       cells,
-	}
+		Description: scenariosDescription,
+		Workloads:   scenarioNames(p),
+		Strategies:  strategies,
+		Shards:      []int{shards},
+		Rates:       []float64{rate},
+	}, nil
 }
 
 // SmokeSweep is the tiny sweep CI pushes through the JSONL reporter
@@ -184,29 +184,19 @@ func SmokeSweep(p Params) experiment.Sweep {
 }
 
 // QualitySweep is the cell set `make quality-gate` runs and the committed
-// BENCH_quality.jsonl ledger pins: one cell per strategy x protocol at 8
-// shards / 2000 tps on the harness's default workload, canonical order
-// (protocol outer, strategy inner). The gate compares deterministic
-// quality metrics (steady_tps, cross_fraction), not wall clocks, so the
-// cells cache and run in parallel; the gate's second run is the
-// resumed-from-cache proof.
+// BENCH_quality.jsonl ledger pins: one cell per protocol x strategy at 8
+// shards / 2000 tps on the harness's default workload. The gate compares
+// deterministic quality metrics (steady_tps, cross_fraction), not wall
+// clocks, so the cells cache and run in parallel; the gate's second run is
+// the resumed-from-cache proof.
 func QualitySweep(p Params) experiment.Sweep {
-	var cells []experiment.Cell
-	for _, proto := range []string{"omniledger", "rapidchain"} {
-		for _, s := range placers(p) {
-			cells = append(cells, experiment.Cell{
-				Kind:     experiment.KindSim,
-				Strategy: s,
-				Protocol: proto,
-				Shards:   8,
-				Rate:     2000,
-			})
-		}
-	}
 	return experiment.Sweep{
 		Name:        "quality",
 		Description: "strategy x protocol cells for the placement-quality gate and its BENCH_quality.jsonl ledger (make quality-gate)",
-		Cells:       cells,
+		Protocols:   []string{"omniledger", "rapidchain"},
+		Strategies:  placers(p),
+		Shards:      []int{8},
+		Rates:       []float64{2000},
 	}
 }
 
@@ -218,7 +208,6 @@ func init() {
 		{"grid", GridSweep},
 		{"peak", PeakSweep},
 		{"saturation", SaturationSweep},
-		{"scenarios", ScenariosSweep},
 		{"smoke", SmokeSweep},
 		{"table1", TableISweep},
 		{"table2", TableIISweep},
@@ -234,4 +223,5 @@ func init() {
 			return build(p), nil
 		})
 	}
+	experiment.MustRegisterSweep("scenarios", scenariosDescription, ScenariosSweep)
 }

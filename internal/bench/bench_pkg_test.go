@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -60,7 +61,11 @@ func TestPaperSweepsQuick(t *testing.T) {
 
 func TestScenariosQuick(t *testing.T) {
 	r := experiment.NewRunner(Params{Quick: true, N: 2000, Seed: 1, Workloads: []string{"hotspot", "adversarial"}})
-	rows, err := r.Collect(context.Background(), ScenariosSweep(r.Params()))
+	s, err := ScenariosSweep(r.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := r.Collect(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +88,16 @@ func TestScenariosQuick(t *testing.T) {
 		if !slices.Contains(strategies, want) {
 			t.Fatalf("scenario rows lack %s (have %v)", want, strategies)
 		}
+	}
+}
+
+// TestScenariosRefuseMetisOnly: a strategy set with no online placer is
+// refused when the sweep is built, naming why, rather than left to an
+// empty strategy axis that would fall back to the default set.
+func TestScenariosRefuseMetisOnly(t *testing.T) {
+	_, err := experiment.BuildSweep("scenarios", Params{Quick: true, Strategies: []string{"Metis"}})
+	if !errors.Is(err, experiment.ErrBadSweep) || !strings.Contains(err.Error(), "online placer") {
+		t.Fatalf("err = %v, want ErrBadSweep naming the missing online placer", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -204,6 +205,32 @@ func TestInputTxNodesDedup(t *testing.T) {
 			seen[v] = true
 		}
 	}
+
+	// A transaction wider than the deduper's scan spending two outputs of
+	// two parents keeps each parent once, where it first appears.
+	w := New(11)
+	for range 10 {
+		if err := w.AppendTx(&Tx{Outputs: 2, Value: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wide := &Tx{Outputs: 1, Value: 1, Inputs: []Input{
+		{3, 0}, {0, 0}, {9, 0}, {3, 1}, {1, 0}, {2, 0}, {4, 0}, {5, 0}, {6, 0}, {0, 1}, {7, 0}, {8, 0},
+	}}
+	if err := w.AppendTx(wide); err != nil {
+		t.Fatal(err)
+	}
+	want := []txgraph.Node{3, 0, 9, 1, 2, 4, 5, 6, 7, 8}
+	if got := w.InputTxNodes(10, buf); !slices.Equal(got, want) {
+		t.Fatalf("wide tx inputs = %v, want %v", got, want)
+	}
+	g, err := w.BuildGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.InDegree(10); got != len(want) {
+		t.Fatalf("wide tx graph in-degree %d, want %d", got, len(want))
+	}
 }
 
 func TestBuildGraphConsistency(t *testing.T) {
@@ -221,22 +248,6 @@ func TestBuildGraphConsistency(t *testing.T) {
 		if g.InDegree(txgraph.Node(i)) != len(buf) {
 			t.Fatalf("tx %d graph in-degree %d, dataset %d", i, g.InDegree(txgraph.Node(i)), len(buf))
 		}
-	}
-}
-
-func TestSlice(t *testing.T) {
-	d := genSmall(t, 1000, 4)
-	s := d.Slice(100)
-	if s.Len() != 100 {
-		t.Fatalf("slice len = %d", s.Len())
-	}
-	for i := 0; i < 100; i++ {
-		if s.NumInputs(i) != d.NumInputs(i) || s.NumOutputs(i) != d.NumOutputs(i) {
-			t.Fatalf("slice diverges at %d", i)
-		}
-	}
-	if got := d.Slice(5000).Len(); got != 1000 {
-		t.Fatalf("over-long slice len = %d", got)
 	}
 }
 

@@ -684,50 +684,21 @@ func (d *Dataset) NumOutputs(i int) int { return int(d.outOff[i+1] - d.outOff[i]
 // IsCoinbase reports whether transaction i has no inputs.
 func (d *Dataset) IsCoinbase(i int) bool { return d.NumInputs(i) == 0 }
 
-// InputTxNodes appends the deduplicated input transaction indices of
-// transaction i to buf and returns it. The order is first-appearance.
+// InputTxNodes overwrites buf with the deduplicated input transaction
+// indices of transaction i and returns it. The order is first-appearance.
 func (d *Dataset) InputTxNodes(i int, buf []txgraph.Node) []txgraph.Node {
-	buf = buf[:0]
-	for _, t := range d.inTx[d.inOff[i]:d.inOff[i+1]] {
-		dup := false
-		for _, seen := range buf {
-			if seen == t {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			buf = append(buf, t)
-		}
-	}
-	return buf
+	var dedupe txgraph.Deduper
+	return dedupe.Compact(append(buf[:0], d.inTx[d.inOff[i]:d.inOff[i+1]]...), 0)
 }
 
-// BuildGraph constructs the TaN network of the whole dataset.
+// BuildGraph constructs the TaN network of the whole dataset. AddNode
+// deduplicates each input list itself.
 func (d *Dataset) BuildGraph() (*txgraph.Graph, error) {
 	g := txgraph.New(d.Len(), len(d.inTx))
-	var buf []txgraph.Node
 	for i := 0; i < d.Len(); i++ {
-		buf = d.InputTxNodes(i, buf)
-		if _, err := g.AddNode(buf); err != nil {
+		if _, err := g.AddNode(d.inTx[d.inOff[i]:d.inOff[i+1]]); err != nil {
 			return nil, fmt.Errorf("dataset: tx %d: %w", i, err)
 		}
 	}
 	return g, nil
-}
-
-// Slice returns a view-like copy of transactions [0, n). It copies the
-// column prefixes so the two datasets are independent.
-func (d *Dataset) Slice(n int) *Dataset {
-	if n > d.Len() {
-		n = d.Len()
-	}
-	s := &Dataset{
-		inOff:  append([]int64(nil), d.inOff[:n+1]...),
-		inTx:   append([]int32(nil), d.inTx[:d.inOff[n]]...),
-		inIdx:  append([]uint32(nil), d.inIdx[:d.inOff[n]]...),
-		outOff: append([]int64(nil), d.outOff[:n+1]...),
-		outVal: append([]int64(nil), d.outVal[:d.outOff[n]]...),
-	}
-	return s
 }

@@ -79,20 +79,19 @@ type Simulator struct {
 	// many events. It guards against runaway simulations.
 	MaxEvents uint64
 
-	// Interrupt, when non-nil, is polled every InterruptEvery executed
+	// Interrupt, when non-nil, is polled every interruptEvery executed
 	// events; a non-nil return aborts Run with that error. It is the bridge
 	// between the virtual clock and wall-clock control (context
 	// cancellation, deadlines) — the poll cadence bounds how much virtual
 	// work can run after an external stop request.
 	Interrupt func() error
-	// InterruptEvery sets the Interrupt poll cadence in events (0 = the
-	// default of 1024).
-	InterruptEvery uint64
 }
 
-// defaultInterruptEvery bounds cancellation latency to ~a thousand events
-// while keeping the poll off the per-event hot path cost profile.
-const defaultInterruptEvery = 1024
+// interruptEvery is the Interrupt poll cadence in events. It is a constant
+// because every caller wants the same trade: cancellation within about a
+// thousand events (well under a millisecond of wall time), with the poll
+// kept off the per-event cost profile.
+const interruptEvery = 1024
 
 // ErrEventBudget is returned by Run when MaxEvents is exceeded.
 var ErrEventBudget = errors.New("des: event budget exceeded")
@@ -261,15 +260,9 @@ func (s *Simulator) RunUntil(deadline time.Duration) error {
 			//optchain:alloc-ok cold path: the budget error ends the run
 			return fmt.Errorf("%w (%d events)", ErrEventBudget, s.MaxEvents)
 		}
-		if s.Interrupt != nil {
-			every := s.InterruptEvery
-			if every == 0 {
-				every = defaultInterruptEvery
-			}
-			if s.executed%every == 0 {
-				if err := s.Interrupt(); err != nil {
-					return err
-				}
+		if s.Interrupt != nil && s.executed%interruptEvery == 0 {
+			if err := s.Interrupt(); err != nil {
+				return err
 			}
 		}
 		if fn != nil {

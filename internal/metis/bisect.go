@@ -4,19 +4,19 @@ import "math/rand"
 
 // initialPartition k-way partitions the coarsest graph by recursive
 // bisection with greedy graph growing and FM-style refinement of each cut.
-func initialPartition(g *csr, k int, cfg Options, rng *rand.Rand) []int32 {
+func initialPartition(g *csr, k int, imbalance float64, rng *rand.Rand) []int32 {
 	part := make([]int32, g.n())
 	vids := make([]int32, g.n())
 	for i := range vids {
 		vids[i] = int32(i)
 	}
-	recursiveBisect(g, vids, k, 0, part, cfg, rng)
+	recursiveBisect(g, vids, k, 0, part, imbalance, rng)
 	return part
 }
 
 // recursiveBisect assigns parts [base, base+k) to the vertices of g; vids
 // maps g's vertices to positions in out.
-func recursiveBisect(g *csr, vids []int32, k int, base int32, out []int32, cfg Options, rng *rand.Rand) {
+func recursiveBisect(g *csr, vids []int32, k int, base int32, out []int32, imbalance float64, rng *rand.Rand) {
 	if k == 1 || g.n() == 0 {
 		for _, ov := range vids {
 			out[ov] = base
@@ -27,18 +27,18 @@ func recursiveBisect(g *csr, vids []int32, k int, base int32, out []int32, cfg O
 	kR := k - kL
 	ratio := float64(kL) / float64(k)
 
-	inA := bisect(g, ratio, cfg, rng)
+	inA := bisect(g, ratio, imbalance, rng)
 
 	gA, vidsA := subgraph(g, inA, vids, true)
 	gB, vidsB := subgraph(g, inA, vids, false)
-	recursiveBisect(gA, vidsA, kL, base, out, cfg, rng)
-	recursiveBisect(gB, vidsB, kR, base+int32(kL), out, cfg, rng)
+	recursiveBisect(gA, vidsA, kL, base, out, imbalance, rng)
+	recursiveBisect(gB, vidsB, kR, base+int32(kL), out, imbalance, rng)
 }
 
 // bisect splits g into side A (true) with target weight ratio·total using
 // greedy graph growing over several trials, each polished with FM passes.
 // The best-cut trial wins.
-func bisect(g *csr, ratio float64, cfg Options, rng *rand.Rand) []bool {
+func bisect(g *csr, ratio, imbalance float64, rng *rand.Rand) []bool {
 	total := g.totalVWgt()
 	target := int64(float64(total) * ratio)
 	if target < 1 {
@@ -47,9 +47,9 @@ func bisect(g *csr, ratio float64, cfg Options, rng *rand.Rand) []bool {
 
 	var best []bool
 	var bestCut int64 = -1
-	for trial := 0; trial < cfg.Trials; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		inA := growRegion(g, target, rng)
-		refineBisection(g, inA, target, total, cfg)
+		refineBisection(g, inA, target, total, imbalance)
 		cut := bisectionCut(g, inA)
 		if bestCut == -1 || cut < bestCut {
 			bestCut = cut
@@ -136,7 +136,7 @@ func growRegion(g *csr, target int64, rng *rand.Rand) []bool {
 // refineBisection runs greedy FM-style passes: move vertices across the cut
 // when the move reduces the cut (or preserves it while improving balance),
 // within the balance envelope.
-func refineBisection(g *csr, inA []bool, target, total int64, cfg Options) {
+func refineBisection(g *csr, inA []bool, target, total int64, imbalance float64) {
 	n := g.n()
 	var weightA int64
 	for v := 0; v < n; v++ {
@@ -144,13 +144,13 @@ func refineBisection(g *csr, inA []bool, target, total int64, cfg Options) {
 			weightA += int64(g.vwgt[v])
 		}
 	}
-	slack := int64(float64(total) * cfg.Imbalance / 2)
+	slack := int64(float64(total) * imbalance / 2)
 	if slack < 1 {
 		slack = 1
 	}
 	minA, maxA := target-slack, target+slack
 
-	for pass := 0; pass < cfg.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		for v := int32(0); v < int32(n); v++ {
 			var internal, external int64

@@ -7,7 +7,7 @@ import "math/rand"
 // vertex to the part it is most connected to when that reduces the cut
 // (subject to the balance bound), or when its current part is overweight
 // and the move helps balance without increasing the cut too much.
-func refineKWay(g *csr, part []int32, k int, passes int, maxPart int64, rng *rand.Rand) {
+func refineKWay(g *csr, part []int32, k int, maxPart int64, rng *rand.Rand) {
 	n := g.n()
 	pw := make([]int64, k)
 	for v := 0; v < n; v++ {
@@ -22,7 +22,7 @@ func refineKWay(g *csr, part []int32, k int, passes int, maxPart int64, rng *ran
 	touched := make([]int32, 0, 8)
 
 	order := rng.Perm(n)
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		for _, vi := range order {
 			v := int32(vi)

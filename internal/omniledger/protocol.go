@@ -102,7 +102,7 @@ type sameTx struct {
 
 //optchain:hotpath
 func (t *sameTx) arrive(*des.Simulator) {
-	t.sh.Enqueue(shard.Item{Tx: t.tx.ID, Bytes: t.tx.SizeBytes(), Kind: "same", MaxDefers: 8, Work: t})
+	t.sh.Enqueue(shard.Item{Tx: t.tx.ID, Bytes: t.tx.SizeBytes(), MaxDefers: 8, Work: t})
 }
 
 // Execute implements shard.Work.
@@ -169,7 +169,7 @@ func (p *Protocol) submitCross(client simnet.NodeID, tx *chain.Transaction, outS
 }
 
 func (l *lockReq) arrive(*des.Simulator) {
-	l.x.p.shards[l.Shard].Enqueue(shard.Item{Tx: l.x.tx.ID, Bytes: l.x.size, Kind: "lock", MaxDefers: 8, Work: l})
+	l.x.p.shards[l.Shard].Enqueue(shard.Item{Tx: l.x.tx.ID, Bytes: l.x.size, MaxDefers: 8, Work: l})
 }
 
 // Execute implements shard.Work.
@@ -223,7 +223,7 @@ func (l *lockReq) finalize(*des.Simulator) {
 }
 
 func (x *crossTx) arrive(*des.Simulator) {
-	x.p.shards[x.outShard].Enqueue(shard.Item{Tx: x.tx.ID, Bytes: x.commitSize(), Kind: "commit", Work: x})
+	x.p.shards[x.outShard].Enqueue(shard.Item{Tx: x.tx.ID, Bytes: x.commitSize(), Work: x})
 }
 
 // Execute implements shard.Work for the unlock-to-commit item.

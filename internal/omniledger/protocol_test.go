@@ -27,7 +27,7 @@ func newHarness(t *testing.T, numShards int) *harness {
 		sim:    des.New(),
 		placed: make(map[chain.TxID]int),
 	}
-	h.net = simnet.New(h.sim, simnet.DefaultConfig())
+	h.net = simnet.New(h.sim)
 	rng := rand.New(rand.NewSource(11))
 	cfg := shard.Config{BlockTxs: 4, MaxBlockWait: 200 * time.Millisecond}
 	for i := 0; i < numShards; i++ {

@@ -155,26 +155,6 @@ func (a *Assignment) Counts() []int64 {
 	return out
 }
 
-// InputShards appends the distinct shards of the given input transactions
-// to buf and returns it.
-func (a *Assignment) InputShards(inputs []txgraph.Node, buf []int) []int {
-	buf = buf[:0]
-	for _, v := range inputs {
-		s := int(a.shards[v])
-		dup := false
-		for _, seen := range buf {
-			if seen == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			buf = append(buf, s)
-		}
-	}
-	return buf
-}
-
 // IsCrossShard reports whether transaction u placed in shard s with the
 // given inputs is a cross-shard transaction: Sin(u) ≠ {S(u)} (§IV-A).
 // Coinbase transactions (no inputs) are never cross-shard.

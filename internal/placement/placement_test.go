@@ -75,46 +75,6 @@ func TestCrossShardDetection(t *testing.T) {
 	}
 }
 
-// involvedShards returns |Sin(u) ∪ {S(u)}| — the number of shard committees
-// that must participate in committing the transaction.
-func involvedShards(a *Assignment, inputs []txgraph.Node, s int) int {
-	var buf [8]int
-	shards := a.InputShards(inputs, buf[:0])
-	for _, x := range shards {
-		if x == s {
-			return len(shards)
-		}
-	}
-	return len(shards) + 1
-}
-
-func TestInvolvedShards(t *testing.T) {
-	a := NewAssignment(4, 8)
-	a.Place(0, 0)
-	a.Place(1, 1)
-	a.Place(2, 1)
-	if got := involvedShards(a, []txgraph.Node{0, 1, 2}, 0); got != 2 {
-		t.Fatalf("involved = %d, want 2", got)
-	}
-	if got := involvedShards(a, []txgraph.Node{0, 1, 2}, 3); got != 3 {
-		t.Fatalf("involved = %d, want 3", got)
-	}
-	if got := involvedShards(a, nil, 3); got != 1 {
-		t.Fatalf("coinbase involved = %d, want 1", got)
-	}
-}
-
-func TestInputShardsDedup(t *testing.T) {
-	a := NewAssignment(4, 8)
-	a.Place(0, 2)
-	a.Place(1, 2)
-	a.Place(2, 3)
-	got := a.InputShards([]txgraph.Node{0, 1, 2}, nil)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("InputShards = %v", got)
-	}
-}
-
 // The §III-C analytic claim: with random placement and k shards, a 2-input
 // 1-output transaction (distinct input txs, random independent shards) is
 // cross-shard with probability 1 − 1/k². Paper quotes ~94% at k=4.

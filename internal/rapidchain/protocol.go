@@ -130,7 +130,7 @@ func (x *yankTx) coordinate(*des.Simulator) {
 
 func (x *yankTx) finalCommit() {
 	x.p.shards[x.outShard].Enqueue(shard.Item{
-		Tx: x.tx.ID, Bytes: x.size + YankAckBytes*len(x.yanks), Kind: "commit", MaxDefers: 4, Work: x,
+		Tx: x.tx.ID, Bytes: x.size + YankAckBytes*len(x.yanks), MaxDefers: 4, Work: x,
 	})
 }
 
@@ -156,7 +156,7 @@ func (x *yankTx) Done(_ *des.Simulator, err error) {
 func (x *yankTx) acked(sim *des.Simulator) { x.done(sim, x.ok) }
 
 func (y *yank) arrive(*des.Simulator) {
-	y.x.p.shards[y.Shard].Enqueue(shard.Item{Tx: y.x.tx.ID, Bytes: y.x.size, Kind: "yank", MaxDefers: 8, Work: y})
+	y.x.p.shards[y.Shard].Enqueue(shard.Item{Tx: y.x.tx.ID, Bytes: y.x.size, MaxDefers: 8, Work: y})
 }
 
 // Execute implements shard.Work: capture values so an abort can restore

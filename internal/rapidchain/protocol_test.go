@@ -23,7 +23,7 @@ type harness struct {
 func newHarness(t *testing.T, numShards int) *harness {
 	t.Helper()
 	h := &harness{sim: des.New(), placed: make(map[chain.TxID]int)}
-	h.net = simnet.New(h.sim, simnet.DefaultConfig())
+	h.net = simnet.New(h.sim)
 	rng := rand.New(rand.NewSource(13))
 	cfg := shard.Config{BlockTxs: 4, MaxBlockWait: 200 * time.Millisecond}
 	for i := 0; i < numShards; i++ {

@@ -113,7 +113,7 @@ func TestBuiltinProtocolsBuild(t *testing.T) {
 		sim := des.New()
 		b, err := NewProtocol(name, ProtocolContext{
 			Sim:    sim,
-			Net:    simnet.New(sim, simnet.Config{}),
+			Net:    simnet.New(sim),
 			Locate: func(chain.TxID) int { return 0 },
 		})
 		if err != nil {

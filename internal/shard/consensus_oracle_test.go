@@ -142,7 +142,7 @@ type roundTrace struct {
 func (sc roundScenario) play(t *testing.T, useOracle bool) roundTrace {
 	t.Helper()
 	sim := des.New()
-	net := simnet.New(sim, simnet.DefaultConfig())
+	net := simnet.New(sim)
 	rng := rand.New(rand.NewSource(sc.seed))
 	leader := net.AddNode(rng.Float64(), rng.Float64())
 	validators := net.AddRandomNodes(sc.validators, rng)
@@ -336,7 +336,7 @@ func TestRoundMatchesOracleRandom(t *testing.T) {
 // (see consensus.go): a relay hop costs less than three link latencies, so
 // a validator's votes for consecutive blocks never reorder on its link.
 func TestRoundDomain(t *testing.T) {
-	net := simnet.New(des.New(), simnet.DefaultConfig())
+	net := simnet.New(des.New())
 	a := net.AddNode(0.3, 0.3)
 	if hop, lmin := 2*net.TransferTime(chunkBytes), net.Latency(a, a); hop > 3*lmin {
 		t.Fatalf("2·T(chunk) = %v exceeds 3·Lmin = %v on the default network", hop, 3*lmin)

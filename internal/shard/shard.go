@@ -47,8 +47,6 @@ type Item struct {
 	Tx chain.TxID
 	// Bytes is the block space the item occupies.
 	Bytes int
-	// Kind labels the item for metrics ("same", "lock", "commit", "yank").
-	Kind string
 	// Work is the item's effect; nil occupies block space and does nothing.
 	Work Work
 
@@ -94,10 +92,6 @@ func DefaultConfig() Config {
 		BlockOverheadBytes: 512,
 	}
 }
-
-// DebugRejections, when non-nil, is invoked on every final rejection
-// (diagnostic hook used by tools; not part of the stable API).
-var DebugRejections func(shard int, kind string, tx int64, err error)
 
 // Shard is one committee with its mempool, ledger, and consensus loop.
 type Shard struct {
@@ -321,9 +315,6 @@ func (s *Shard) finalizeBlock() {
 		}
 		if err != nil {
 			s.RejectedItems++
-			if DebugRejections != nil {
-				DebugRejections(s.ID, it.Kind, int64(it.Tx), err)
-			}
 		} else {
 			s.CommittedItems++
 		}

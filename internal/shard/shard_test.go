@@ -15,7 +15,7 @@ import (
 func testShard(t *testing.T, v int, cfg Config) (*des.Simulator, *simnet.Network, *Shard) {
 	t.Helper()
 	sim := des.New()
-	net := simnet.New(sim, simnet.DefaultConfig())
+	net := simnet.New(sim)
 	rng := rand.New(rand.NewSource(7))
 	leader := net.AddNode(rng.Float64(), rng.Float64())
 	validators := net.AddRandomNodes(v, rng)
@@ -29,7 +29,6 @@ func TestBlockCommitsAfterTimer(t *testing.T) {
 	s.Enqueue(Item{
 		Tx:    1,
 		Bytes: 500,
-		Kind:  "same",
 		Work: work{execute: func() error {
 			executed = true
 			return nil

@@ -32,13 +32,17 @@ import (
 // per attempt up to 16×.
 const retryDelay = 2 * time.Second
 
+// clients is the number of client nodes issuing transactions.
+const clients = 32
+
 // Config parameterizes one simulation run.
 type Config struct {
 	// Source supplies the transaction stream and Txs its length; both are
-	// required. The run pulls one transaction per issue event (nothing is
-	// pre-built), honors each transaction's Gap so Markov-modulated scenarios
-	// shape real arrival processes, and feeds every placement decision back
-	// to feedback-aware sources (workload.Observer) — except when the placer
+	// required, and a source that ends before Txs fails the run. The run
+	// pulls one transaction per issue event (nothing is pre-built), honors
+	// each transaction's Gap so Markov-modulated scenarios shape real
+	// arrival processes, and feeds every placement decision back to
+	// feedback-aware sources (workload.Observer) — except when the placer
 	// replays an offline partition (Metis): that partition was computed
 	// from a materialization of the same stream, which saw no placements,
 	// and an adaptive source answering the replay would no longer be the
@@ -63,9 +67,6 @@ type Config struct {
 	// Protocol names the cross-shard backend in the open registry (default
 	// "omniledger").
 	Protocol string
-
-	// Clients is the number of client nodes issuing transactions.
-	Clients int
 
 	// Shard exposes the committee constants.
 	Shard shard.Config
@@ -124,9 +125,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Protocol == "" {
 		c.Protocol = "omniledger"
-	}
-	if c.Clients <= 0 {
-		c.Clients = 32
 	}
 	if c.QueueSampleEvery <= 0 {
 		c.QueueSampleEvery = 10 * time.Second
@@ -322,7 +320,7 @@ func (r *runner) run() (*Result, error) {
 	n := cfg.Txs
 
 	r.sim = des.New()
-	r.net = simnet.New(r.sim, simnet.Config{})
+	r.net = simnet.New(r.sim)
 
 	// Committees.
 	for i := 0; i < cfg.Shards; i++ {
@@ -330,7 +328,7 @@ func (r *runner) run() (*Result, error) {
 		validators := r.net.AddRandomNodes(cfg.Validators, r.rng)
 		r.shards = append(r.shards, shard.New(i, r.sim, r.net, leader, validators, cfg.Shard))
 	}
-	r.clients = r.net.AddRandomNodes(cfg.Clients, r.rng)
+	r.clients = r.net.AddRandomNodes(clients, r.rng)
 
 	// Placement strategy, resolved through the open registry so externally
 	// registered strategies are selectable by name exactly like the
@@ -428,13 +426,14 @@ func (r *runner) run() (*Result, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if r.srcErr != nil {
-		// A first-transaction validation failure leaves the event loop
-		// empty, so RunUntil returns clean; surface the source error.
+		// A first-transaction failure leaves the event loop empty, so
+		// RunUntil returns clean; surface the source error.
 		return nil, fmt.Errorf("sim: %w", r.srcErr)
 	}
-	// Sources that can fail mid-stream (replay of a corrupt trace) report it
-	// through the Failer interface: surface it instead of passing the
-	// truncation off as a short run.
+	// A mix whose replay component fails can still deliver Txs
+	// transactions from its other components; it reports the failure
+	// through Failer, and the run surfaces it instead of passing the
+	// truncated component off as a short one.
 	if f, ok := cfg.Source.(workload.Failer); ok {
 		if err := f.Err(); err != nil {
 			return nil, fmt.Errorf("sim: workload %s: %w", cfg.Source.Name(), err)
@@ -472,9 +471,18 @@ func (r *runner) snapshot(done bool) Snapshot {
 // input spending an earlier stream transaction; and OutVals either empty or
 // one value per output, as sourceTx needs. A malformed transaction (a
 // custom Source) records srcErr, which aborts the run via the event-loop
-// interrupt instead of panicking inside the kernel or the placer.
+// interrupt instead of panicking inside the kernel or the placer. So does a
+// stream that ends before Txs transactions: the run would otherwise wait
+// until MaxSimTime for transactions that never come. A source that fails
+// mid-stream (replay of a corrupt trace) reports why through
+// workload.Failer.
 func (r *runner) pullSource(i int) bool {
 	if !r.cfg.Source.Next(&r.srcPending) {
+		name := r.cfg.Source.Name()
+		r.srcErr = fmt.Errorf("workload %s ended after %d of %d transactions", name, i, r.cfg.Txs)
+		if f, ok := r.cfg.Source.(workload.Failer); ok && f.Err() != nil {
+			r.srcErr = fmt.Errorf("workload %s: %w", name, f.Err())
+		}
 		return false
 	}
 	if r.srcPending.Outputs < 1 {

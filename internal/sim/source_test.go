@@ -25,7 +25,6 @@ func fastSourceConfig(src workload.Source, txs int, placer string, shards int, r
 		Validators: 8,
 		Rate:       rate,
 		Placer:     placer,
-		Clients:    8,
 		Shard: shard.Config{
 			BlockTxs:     100,
 			MaxBlockWait: 500 * time.Millisecond,
@@ -208,6 +207,29 @@ func TestLedgerKeepsRecordedValues(t *testing.T) {
 		if len(got) != 1 || got[0] != want {
 			t.Errorf("ledger holds output %d at %v, want %d", idx, got, want)
 		}
+	}
+}
+
+// TestShortStreamFailsTheRun: a replay trace shorter than Txs fails the
+// run naming both counts, instead of waiting until MaxSimTime for
+// transactions that never come and reporting a partial commit count.
+func TestShortStreamFailsTheRun(t *testing.T) {
+	d, err := dataset.Generate(dataset.Config{N: 1000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := d.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "short.tan")
+	if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastSourceConfig(buildSource(t, "replay:"+path, 3000, 4), 3000, "OptChain", 4, 500)
+	res, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "ended after 1000 of 3000 transactions") {
+		t.Fatalf("Run = %+v, %v; want the short stream refused", res, err)
 	}
 }
 

@@ -4,7 +4,10 @@
 // outbound transfers. It plays the role OverSim's underlay plays in the
 // paper: message delivery is scheduled on the discrete-event kernel with
 // delay = serialization (size/bandwidth, queued per sender) + propagation
-// (BaseLatency × (0.5 + torus distance)).
+// (baseLatency × (0.5 + torus distance)).
+//
+// The latency scale and the bandwidth are constants: §V-A fixes the network
+// at 100 ms and 20 Mbps for every experiment, and no run varies them.
 package simnet
 
 import (
@@ -19,22 +22,14 @@ import (
 // NodeID identifies a network node.
 type NodeID int32
 
-// Config holds the physical constants of the network.
-type Config struct {
-	// BaseLatency scales propagation delay; the paper imposes 100 ms.
-	BaseLatency time.Duration
-	// BandwidthBps is each node's outbound bandwidth in bytes/second; the
-	// paper sets 20 Mbps.
-	BandwidthBps float64
-}
-
-// DefaultConfig returns the paper's network constants.
-func DefaultConfig() Config {
-	return Config{
-		BaseLatency:  100 * time.Millisecond,
-		BandwidthBps: 20e6 / 8, // 20 Mbps
-	}
-}
+// The paper's network constants (§V-A).
+const (
+	// baseLatency scales propagation delay; the paper imposes 100 ms.
+	baseLatency = 100 * time.Millisecond
+	// bandwidthBps is each node's outbound bandwidth in bytes/second: the
+	// paper's 20 Mbps.
+	bandwidthBps = 20e6 / 8
+)
 
 type nodeState struct {
 	x, y float64
@@ -46,7 +41,6 @@ type nodeState struct {
 // Network simulates message passing between positioned nodes.
 type Network struct {
 	sim   *des.Simulator
-	cfg   Config
 	nodes []nodeState
 
 	// Sent counts messages; Bytes counts payload volume.
@@ -55,14 +49,8 @@ type Network struct {
 }
 
 // New creates an empty network on the given simulator.
-func New(sim *des.Simulator, cfg Config) *Network {
-	if cfg.BaseLatency <= 0 {
-		cfg.BaseLatency = DefaultConfig().BaseLatency
-	}
-	if cfg.BandwidthBps <= 0 {
-		cfg.BandwidthBps = DefaultConfig().BandwidthBps
-	}
-	return &Network{sim: sim, cfg: cfg}
+func New(sim *des.Simulator) *Network {
+	return &Network{sim: sim}
 }
 
 // AddNode places a node at (x, y) on the unit torus.
@@ -106,11 +94,11 @@ func torusDist(a, b nodeState) float64 {
 }
 
 // Latency returns the propagation delay between two nodes:
-// BaseLatency × (0.5 + distance). The mean over random pairs is close to
+// baseLatency × (0.5 + distance). The mean over random pairs is close to
 // the paper's 100 ms setting.
 func (n *Network) Latency(from, to NodeID) time.Duration {
 	d := torusDist(n.nodes[from], n.nodes[to])
-	return time.Duration(float64(n.cfg.BaseLatency) * (0.5 + d))
+	return time.Duration(float64(baseLatency) * (0.5 + d))
 }
 
 // TransferTime returns the serialization delay of size bytes at the
@@ -119,7 +107,7 @@ func (n *Network) TransferTime(size int) time.Duration {
 	if size <= 0 {
 		return 0
 	}
-	return time.Duration(float64(size) / n.cfg.BandwidthBps * float64(time.Second))
+	return time.Duration(float64(size) / bandwidthBps * float64(time.Second))
 }
 
 // Send schedules delivery of a size-byte message from one node to another.

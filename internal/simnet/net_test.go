@@ -11,7 +11,7 @@ import (
 
 func TestLatencySymmetricAndBounded(t *testing.T) {
 	sim := des.New()
-	net := New(sim, DefaultConfig())
+	net := New(sim)
 	rng := rand.New(rand.NewSource(1))
 	ids := net.AddRandomNodes(50, rng)
 	for i := 0; i < 20; i++ {
@@ -21,8 +21,8 @@ func TestLatencySymmetricAndBounded(t *testing.T) {
 		if lab != lba {
 			t.Fatalf("latency asymmetric: %v vs %v", lab, lba)
 		}
-		min := time.Duration(float64(DefaultConfig().BaseLatency) * 0.5)
-		max := time.Duration(float64(DefaultConfig().BaseLatency) * 1.21)
+		min := time.Duration(float64(baseLatency) * 0.5)
+		max := time.Duration(float64(baseLatency) * 1.21)
 		if lab < min || lab > max {
 			t.Fatalf("latency %v outside [%v, %v]", lab, min, max)
 		}
@@ -31,7 +31,7 @@ func TestLatencySymmetricAndBounded(t *testing.T) {
 
 func TestLatencyMeanNearBase(t *testing.T) {
 	sim := des.New()
-	net := New(sim, DefaultConfig())
+	net := New(sim)
 	rng := rand.New(rand.NewSource(2))
 	ids := net.AddRandomNodes(200, rng)
 	var total time.Duration
@@ -49,7 +49,7 @@ func TestLatencyMeanNearBase(t *testing.T) {
 
 func TestTorusWrapsDistance(t *testing.T) {
 	sim := des.New()
-	net := New(sim, DefaultConfig())
+	net := New(sim)
 	a := net.AddNode(0.05, 0.5)
 	b := net.AddNode(0.95, 0.5) // 0.1 apart across the seam
 	c := net.AddNode(0.55, 0.5) // 0.5 apart
@@ -60,7 +60,7 @@ func TestTorusWrapsDistance(t *testing.T) {
 
 func TestTransferTime(t *testing.T) {
 	sim := des.New()
-	net := New(sim, DefaultConfig())
+	net := New(sim)
 	// 1 MB at 2.5 MB/s = 0.4 s.
 	got := net.TransferTime(1 << 20)
 	want := time.Duration(float64(1<<20) / 2.5e6 * float64(time.Second))
@@ -74,7 +74,7 @@ func TestTransferTime(t *testing.T) {
 
 func TestSendDeliversAfterTransferAndLatency(t *testing.T) {
 	sim := des.New()
-	net := New(sim, DefaultConfig())
+	net := New(sim)
 	a := net.AddNode(0.1, 0.1)
 	b := net.AddNode(0.1, 0.1) // same spot: latency = 0.5×base
 	var arrived time.Duration
@@ -90,7 +90,7 @@ func TestSendDeliversAfterTransferAndLatency(t *testing.T) {
 
 func TestSendSerializesOutbound(t *testing.T) {
 	sim := des.New()
-	net := New(sim, DefaultConfig())
+	net := New(sim)
 	a := net.AddNode(0.2, 0.2)
 	b := net.AddNode(0.2, 0.2)
 	c := net.AddNode(0.2, 0.2)
@@ -109,7 +109,7 @@ func TestSendSerializesOutbound(t *testing.T) {
 
 func TestSendPanicsOnUnknownNodes(t *testing.T) {
 	sim := des.New()
-	net := New(sim, DefaultConfig())
+	net := New(sim)
 	a := net.AddNode(0, 0)
 	defer func() {
 		if recover() == nil {
@@ -121,7 +121,7 @@ func TestSendPanicsOnUnknownNodes(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	sim := des.New()
-	net := New(sim, DefaultConfig())
+	net := New(sim)
 	rng := rand.New(rand.NewSource(3))
 	ids := net.AddRandomNodes(10, rng)
 	net.Send(ids[0], ids[1], 100, "m", nil)
@@ -140,7 +140,7 @@ func TestCounters(t *testing.T) {
 // queues behind them.
 func TestOccupyQueuesLikeSend(t *testing.T) {
 	sim := des.New()
-	net := New(sim, DefaultConfig())
+	net := New(sim)
 	a, b := net.AddNode(0.1, 0.1), net.AddNode(0.2, 0.2)
 	one := net.TransferTime(1000)
 	if got := net.Occupy(a, time.Second, 1000, 3); got != time.Second+3*one {
@@ -170,7 +170,7 @@ func TestPropertyFIFOPerLink(t *testing.T) {
 			return true
 		}
 		sim := des.New()
-		net := New(sim, DefaultConfig())
+		net := New(sim)
 		rng := rand.New(rand.NewSource(seed))
 		a := net.AddNode(rng.Float64(), rng.Float64())
 		b := net.AddNode(rng.Float64(), rng.Float64())
