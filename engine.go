@@ -86,7 +86,8 @@ type PlacementStats struct {
 	// (0 for strategies without an index).
 	SlabEntries int64
 	// StateBytes is the heap the engine's per-transaction state holds now,
-	// computed from the capacities of its columns (the shard assignment, and
+	// computed from the capacities of its columns (the shard assignment,
+	// each decision in the power-of-two bits k needs, 4 at 16 shards, and
 	// for T2S/OptChain the slab chunks with their free slots, a 4-byte word
 	// per transaction, the chunks of 12-byte records of the transactions
 	// that are not spent out, the counts too large for a record and the
@@ -158,7 +159,7 @@ type Option func(*Engine) error
 
 // WithShards sets the number of shards (required to be >= 1; default 16,
 // the paper's largest configuration). Placer state and snapshots store a
-// shard id in 2 bytes, so more than 65535 shards are rejected.
+// shard id in at most 2 bytes, so more than 65535 shards are rejected.
 func WithShards(k int) Option {
 	return func(e *Engine) error {
 		if k < 1 {

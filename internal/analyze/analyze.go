@@ -118,10 +118,10 @@ func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	return out, nil
 }
 
-// Verbs lists every recognized //optchain:<verb> annotation, in stable
+// verbs lists every recognized //optchain:<verb> annotation, in stable
 // order — the grammar the package doc and PERFORMANCE.md document. The docs
 // test keeps PERFORMANCE.md honest against this list.
-func Verbs() []string {
+func verbs() []string {
 	return []string{
 		"alloc-ok",
 		"detached",

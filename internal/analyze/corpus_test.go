@@ -47,7 +47,7 @@ func corpusWants(pkg *Package) map[wantKey][]string {
 // diagnostics against the want comments.
 func runCorpus(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
-	pkg, err := LoadDir(filepath.Join("testdata", dir))
+	pkg, err := loadDir(filepath.Join("testdata", dir))
 	if err != nil {
 		t.Fatalf("loading corpus %s: %v", dir, err)
 	}

@@ -22,7 +22,7 @@ func TestAnalyzerDocs(t *testing.T) {
 			t.Errorf("analyzer %q is not documented in PERFORMANCE.md", a.Name)
 		}
 	}
-	for _, v := range Verbs() {
+	for _, v := range verbs() {
 		marker := fmt.Sprintf("//optchain:%s", v)
 		if !strings.Contains(doc, marker) {
 			t.Errorf("annotation %s is not documented in PERFORMANCE.md", marker)

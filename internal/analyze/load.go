@@ -268,10 +268,10 @@ func newInfo() *types.Info {
 	}
 }
 
-// LoadDir parses and type-checks a single directory of Go files as one
+// loadDir parses and type-checks a single directory of Go files as one
 // package outside any module — the analysistest corpus loader. Corpus files
 // may import only the standard library.
-func LoadDir(dir string) (*Package, error) {
+func loadDir(dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err

@@ -228,7 +228,8 @@ func (t *t2sTally) seal(shard uint16, alphaQ, truncQ uint64) ([]uint16, []uint64
 // past the last output gives v a record again, with no vector, so the
 // out-degree and the late references stay exact.
 //
-// A placed transaction therefore holds 4 bytes here for good, and while it
+// A placed transaction therefore holds 4 bytes here for good (beside the
+// assignment's packed decision, half a byte at k = 16), and while it
 // is live 12 bytes of record plus 10 bytes per entry of its vector (and 8
 // bytes more for good if it declared manyOuts outputs or more). A stream
 // that declares no output counts retires nothing, so each of its

@@ -7,6 +7,7 @@ package placement
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"optchain/internal/chain"
@@ -27,20 +28,27 @@ type Placer interface {
 	Name() string
 }
 
-// Assignment records which shard each transaction was placed into, 2 bytes
-// a decision.
+// Assignment records which shard each transaction was placed into. Each
+// decision takes the fewest power-of-two bits that name every shard below
+// k (1, 2, 4, 8 or 16; 4 at the paper's k = 16), packed into 64-bit words:
+// decision v sits at bit (v&low)<<lw of words[v>>shift].
 type Assignment struct {
 	k      int
-	shards []uint16
+	n      int    // decisions placed
+	lw     uint   // a decision takes 1<<lw bits
+	shift  uint   // a word holds 1<<shift decisions: 6-lw
+	low    uint   // 1<<shift - 1
+	mask   uint64 // 1<<(1<<lw) - 1
+	words  []uint64
 	counts []int64
 }
 
 // NewAssignment creates an empty assignment over k shards with a capacity
-// hint of n transactions. More than MaxShards shards do not fit the 2-byte
-// shard column; callers reject such a count before building one.
+// hint of n transactions. More than MaxShards shards do not fit a 16-bit
+// decision; callers reject such a count before building one.
 func NewAssignment(k, n int) *Assignment {
 	if k > MaxShards {
-		panic(fmt.Sprintf("placement: %d shards exceed the 2-byte shard column's limit of %d", k, MaxShards))
+		panic(fmt.Sprintf("placement: %d shards exceed the 16-bit decision's limit of %d", k, MaxShards))
 	}
 	if k < 1 {
 		k = 1
@@ -48,9 +56,15 @@ func NewAssignment(k, n int) *Assignment {
 	if n < 0 {
 		n = 0
 	}
+	lw := uint(bits.Len(uint(max(1, bits.Len(uint(k-1))) - 1)))
+	shift := 6 - lw
 	return &Assignment{
 		k:      k,
-		shards: make([]uint16, 0, n),
+		lw:     lw,
+		shift:  shift,
+		low:    1<<shift - 1,
+		mask:   1<<(1<<lw) - 1,
+		words:  make([]uint64, 0, (n+1<<shift-1)>>shift),
 		counts: make([]int64, k),
 	}
 }
@@ -59,32 +73,40 @@ func NewAssignment(k, n int) *Assignment {
 func (a *Assignment) K() int { return a.k }
 
 // Len returns the number of placed transactions.
-func (a *Assignment) Len() int { return len(a.shards) }
+func (a *Assignment) Len() int { return a.n }
 
 // Bytes reports the heap the assignment's columns hold, from their
 // capacities.
-func (a *Assignment) Bytes() int64 { return 2*int64(cap(a.shards)) + 8*int64(cap(a.counts)) }
+func (a *Assignment) Bytes() int64 { return 8*int64(cap(a.words)) + 8*int64(cap(a.counts)) }
 
 // Place records transaction u in shard s. Transactions must be placed in
 // order (u equal to Len()); this catches protocol misuse early.
 //
 //optchain:hotpath one call per stream transaction; growth is amortized.
 func (a *Assignment) Place(u txgraph.Node, s int) {
-	if int(u) != len(a.shards) {
-		panic(fmt.Sprintf("placement: out-of-order placement of %d (have %d)", u, len(a.shards)))
+	if int(u) != a.n {
+		panic(fmt.Sprintf("placement: out-of-order placement of %d (have %d)", u, a.n))
 	}
 	if s < 0 || s >= a.k {
 		panic(fmt.Sprintf("placement: shard %d out of range [0,%d)", s, a.k))
 	}
-	a.shards = append(a.shards, uint16(s))
+	i := uint(a.n) & a.low
+	if i == 0 {
+		a.words = append(a.words, 0)
+	}
+	a.words[len(a.words)-1] |= uint64(s) << (i << a.lw)
+	a.n++
 	a.counts[s]++
 }
 
 // ShardOf returns the shard of a placed transaction.
-func (a *Assignment) ShardOf(v txgraph.Node) int { return int(a.shards[v]) }
-
-// Placed reports whether v has been placed.
-func (a *Assignment) Placed(v txgraph.Node) bool { return int(v) < len(a.shards) }
+//
+//optchain:hotpath one call per input of every placed transaction.
+func (a *Assignment) ShardOf(v txgraph.Node) int {
+	i := uint(v)
+	// Every shift count is below 64; the &63s tell the compiler so.
+	return int(a.words[i>>(a.shift&63)] >> (i & a.low << (a.lw & 63) & 63) & a.mask)
+}
 
 // Count returns the number of transactions in shard s.
 func (a *Assignment) Count(s int) int64 { return a.counts[s] }
@@ -142,10 +164,10 @@ func (c Capacity) Bound(placed int) int64 {
 // MaxShare returns the largest shard's tally over the mean tally: 1 is
 // perfectly balanced, k is everything in one shard, 0 is nothing placed.
 func (a *Assignment) MaxShare() float64 {
-	if len(a.shards) == 0 {
+	if a.n == 0 {
 		return 0
 	}
-	return float64(slices.Max(a.counts)) * float64(a.k) / float64(len(a.shards))
+	return float64(slices.Max(a.counts)) * float64(a.k) / float64(a.n)
 }
 
 // Counts returns a copy of all shard sizes.
@@ -160,7 +182,7 @@ func (a *Assignment) Counts() []int64 {
 // Coinbase transactions (no inputs) are never cross-shard.
 func (a *Assignment) IsCrossShard(inputs []txgraph.Node, s int) bool {
 	for _, v := range inputs {
-		if int(a.shards[v]) != s {
+		if a.ShardOf(v) != s {
 			return true
 		}
 	}
@@ -248,9 +270,9 @@ func (g *Greedy) Place(u txgraph.Node, inputs []txgraph.Node) int {
 		g.coverage[j] = 0
 	}
 	for _, v := range inputs {
-		g.coverage[g.a.shards[v]]++
+		g.coverage[g.a.ShardOf(v)]++
 	}
-	bound := g.cap.Bound(len(g.a.shards))
+	bound := g.cap.Bound(g.a.n)
 	best := -1
 	bestCov := 0
 	var bestCount int64

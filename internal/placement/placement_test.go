@@ -21,9 +21,6 @@ func TestAssignmentBasics(t *testing.T) {
 	if a.Count(2) != 2 || a.Count(0) != 1 || a.Count(1) != 0 {
 		t.Fatalf("counts = %v", a.Counts())
 	}
-	if !a.Placed(2) || a.Placed(3) {
-		t.Fatal("Placed wrong")
-	}
 	// Shard 2 holds 2 of 3 transactions against a mean of 3/4.
 	if got, want := a.MaxShare(), 2*4/3.0; got != want {
 		t.Fatalf("MaxShare = %v, want %v", got, want)

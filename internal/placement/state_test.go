@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -67,13 +68,14 @@ func TestStateReaderColumns(t *testing.T) {
 	w.Uvarint(4)
 	w.Uint16s([]uint16{7, 65535})
 	w.Shards([]uint16{0, 513}, 2)
-	w.Uvarint(3)
-	w.Shards([]uint16{0, 7, 255}, 1)
+	narrowed := []uint16{0, 7, 255, 1, 2, 3, 4, 5, 6, 8, 9} // past eight at a time
+	w.Uvarint(uint64(len(narrowed)))
+	w.Shards(narrowed, 1)
 	w.String("raw")
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := UvarintLen(300) + CountsSize(len(counts), 12) + ColumnSize(3, 8) + ColumnSize(4, 2) + ColumnSize(3, 1) + 3
+	want := UvarintLen(300) + CountsSize(len(counts), 12) + ColumnSize(3, 8) + ColumnSize(4, 2) + ColumnSize(len(narrowed), 1) + 3
 	if w.Len() != want || int64(out.Len()) != want {
 		t.Fatalf("wrote %d bytes (writer counted %d), sizes add up to %d", out.Len(), w.Len(), want)
 	}
@@ -107,7 +109,10 @@ func TestStateReaderColumns(t *testing.T) {
 	if !bytes.Equal(u16, []byte{7, 0, 0xff, 0xff, 0, 0, 1, 2}) {
 		t.Fatalf("uint16 column % x", u16)
 	}
-	if u8 := r.Column(1); !bytes.Equal(u8, []byte{0, 7, 0xff}) || Shard(u8, 2, 1) != 255 || Shard(u16, 1, 2) != 65535 {
+	u8 := r.Column(1)
+	widened := make([]uint16, len(u8))
+	Widen(widened, u8)
+	if !slices.Equal(widened, narrowed) || Shard(u8, 2, 1) != 255 || Shard(u16, 1, 2) != 65535 {
 		t.Fatalf("1-byte shard column % x", u8)
 	}
 	if b := r.Bytes(3); string(b) != "raw" {
@@ -423,7 +428,7 @@ func TestAssignmentRestoreDefects(t *testing.T) {
 	})
 	t.Run("too many shards to write", func(t *testing.T) {
 		defer func() {
-			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "2-byte shard column") {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "16-bit decision") {
 				t.Fatalf("assignment over %d shards built: %v", MaxShards+1, r)
 			}
 		}()
@@ -547,12 +552,134 @@ func TestColumnsOnEitherByteOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(b.shards, a.shards) || !slices.Equal(b.counts, a.counts) {
+		if b.n != a.n || !slices.Equal(b.words, a.words) || !slices.Equal(b.counts, a.counts) {
 			t.Fatalf("littleEndian=%v: restored assignment differs", le)
 		}
 		bad := shardColumn(2, 3, 65535, 1)
 		if _, err := restore(bad); err == nil || !strings.Contains(err.Error(), "transaction 1 in shard 65535") {
 			t.Fatalf("littleEndian=%v: out-of-range shard: %v", le, err)
 		}
+	}
+}
+
+// TestPackedAssignment: at every decision width (1 bit at k <= 2 up to 16
+// bits above k = 256) the packed assignment answers as a plain []int of its
+// decisions does, writes the format-4 section that column gives
+// (ShardWidth(k) bytes a decision), restores from it on either byte order,
+// and refuses a section value of k, naming its transaction. The stream
+// crosses the staging buffer's block of decisions and, at 1 bit, many
+// 64-decision words.
+func TestPackedAssignment(t *testing.T) {
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	const n = stageBytes + 1000
+	for _, k := range []int{1, 2, 3, 4, 5, 16, 17, 255, 256, 257, 65535} {
+		t.Run(fmt.Sprint("k=", k), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(uint64(k), 1))
+			a := NewAssignment(k, n)
+			ref, col := make([]int, n), make([]uint16, n)
+			for i := range n {
+				ref[i] = rng.IntN(k)
+				if i%7 == 0 {
+					ref[i] = k - 1
+				}
+				col[i] = uint16(ref[i])
+				a.Place(txgraph.Node(i), ref[i])
+			}
+			same := func(t *testing.T, b *Assignment) {
+				t.Helper()
+				if b.Len() != n {
+					t.Fatalf("Len %d, want %d", b.Len(), n)
+				}
+				counts := make([]int64, k)
+				for i, s := range ref {
+					if got := b.ShardOf(txgraph.Node(i)); got != s {
+						t.Fatalf("ShardOf(%d) = %d, want %d", i, got, s)
+					}
+					counts[s]++
+				}
+				if !slices.Equal(b.Counts(), counts) {
+					t.Fatal("Counts differ from the decisions'")
+				}
+				if want := float64(slices.Max(counts)) * float64(k) / n; b.MaxShare() != want {
+					t.Fatalf("MaxShare %v, want %v", b.MaxShare(), want)
+				}
+			}
+			same(t, a)
+			for range 1000 {
+				ins := []txgraph.Node{txgraph.Node(rng.IntN(n)), txgraph.Node(rng.IntN(n))}
+				s := rng.IntN(k)
+				want := ref[ins[0]] != s || ref[ins[1]] != s
+				if a.IsCrossShard(ins, s) != want {
+					t.Fatalf("IsCrossShard(%v, %d) = %v", ins, s, !want)
+				}
+			}
+			width := ShardWidth(k)
+			section := shardColumn(width, col...)
+			bad := slices.Clone(section)
+			at := len(section) - (n-n/2)*width // transaction n/2
+			bad[at] = byte(k)
+			if width == 2 {
+				bad[at+1] = byte(k >> 8)
+			}
+			for _, le := range []bool{true, false} {
+				littleEndian = le
+				if got := stateOf(t, a); !bytes.Equal(got, section) {
+					t.Fatalf("littleEndian=%v: the section differs from the decisions' format-4 column", le)
+				}
+				for _, hint := range []int{0, n} {
+					b := NewAssignment(k, hint)
+					r := NewStateReader(section)
+					if err := b.RestoreState(r); err != nil || r.Len() != 0 {
+						t.Fatalf("littleEndian=%v: restore: %v, %d bytes left", le, err, r.Len())
+					}
+					same(t, b)
+				}
+				err := NewAssignment(k, 0).RestoreState(NewStateReader(bad))
+				if want := fmt.Sprintf("transaction %d in shard %d of %d", n/2, k, k); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("littleEndian=%v: a section value of k: %v, want %q", le, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestAssignmentBytes: a million decisions at k = 16 hold half a byte each,
+// plus the counts.
+func TestAssignmentBytes(t *testing.T) {
+	const k, n = 16, 1_000_000
+	a := NewAssignment(k, n)
+	for i := range n {
+		a.Place(txgraph.Node(i), i%k)
+	}
+	if got, want := a.Bytes(), int64(n/2+8*k); got != want {
+		t.Fatalf("Bytes() = %d, want %d", got, want)
+	}
+}
+
+// BenchmarkAssignmentState prices writing and restoring a million-decision
+// assignment section: at k = 16 the decisions are unpacked from 4 bits and
+// packed back, at k = 62 the words' memory is the column.
+func BenchmarkAssignmentState(b *testing.B) {
+	const n = 1_000_000
+	for _, k := range []int{16, 62} {
+		a := NewAssignment(k, n)
+		for i := range n {
+			a.Place(txgraph.Node(i), i*7919%k)
+		}
+		var buf bytes.Buffer
+		b.Run(fmt.Sprint("k=", k), func(b *testing.B) {
+			for range b.N {
+				buf.Reset()
+				w := NewStateWriter(&buf)
+				a.WriteState(w)
+				if err := w.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				if err := NewAssignment(k, n).RestoreState(NewStateReader(buf.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/decision")
+		})
 	}
 }
