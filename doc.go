@@ -166,14 +166,16 @@
 // freshly constructed engine of identical configuration, after which
 // every subsequent decision is bit-identical to the uninterrupted run's
 // (ErrBadSnapshot / ErrSnapshotUnsupported report damage and
-// non-snapshottable strategies). The stream (format version 4, laid out
+// non-snapshottable strategies). The stream (format version 5, laid out
 // in snapshot.go) is the engine's columns written once through a small
-// buffer, counts as uvarints and shard ids a byte wide up to 255 shards;
-// SnapshotSize gives its exact length beforehand, it may not exceed
-// 1 GiB, and a stream of versions 1 to 3 is refused, not converted. The
-// sibling package optchain/serve
-// builds the placement-router deployment on top: an HTTP gateway
-// (cmd/optchain-serve) that places a request body a window at a time —
+// buffer, as memory holds them: the packed decisions, a bitmap of the
+// transactions that keep a node record, counts as uvarints, per-record
+// columns only for those transactions, and slab shard ids a byte wide up
+// to 255 shards; SnapshotSize gives its exact length beforehand, it may
+// not exceed 1 GiB, and a stream of versions 1 to 4 is refused, not
+// converted. The sibling package optchain/serve builds the
+// placement-router deployment on top: an HTTP gateway (cmd/optchain-serve)
+// that places a request body a window at a time —
 // on the caller's goroutine when idle, else coalesced across clients into
 // PlaceBatch calls through a bounded queue — with line-counted admission
 // (429 + Retry-After), Prometheus /metrics, and periodic atomic

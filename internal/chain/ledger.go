@@ -12,7 +12,6 @@ var (
 	ErrNotLocked     = errors.New("chain: UTXO is not locked by this transaction")
 	ErrValueCreated  = errors.New("chain: outputs exceed inputs")
 	ErrDuplicateTx   = errors.New("chain: transaction already committed")
-	ErrWrongShard    = errors.New("chain: UTXO not managed by this shard")
 	ErrDoubleLock    = errors.New("chain: UTXO locked by a different transaction")
 	ErrEmptyOutputs  = errors.New("chain: transaction has no outputs")
 	ErrNegativeValue = errors.New("chain: negative output value")

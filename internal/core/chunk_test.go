@@ -310,8 +310,8 @@ func TestRetireThenReuseInOnePlacement(t *testing.T) {
 func TestEmptyIndexState(t *testing.T) {
 	p := NewOptChain(OptChainConfig{K: 4})
 	blob := stateOf(t, p)
-	if !bytes.Equal(blob, make([]byte, 8)) {
-		t.Fatalf("empty state is % x, want 8 zero bytes", blob)
+	if !bytes.Equal(blob, make([]byte, 9)) {
+		t.Fatalf("empty state is % x, want 9 zero bytes", blob)
 	}
 	fresh := NewOptChain(OptChainConfig{K: 4})
 	if err := fresh.RestoreState(placement.NewStateReader(blob)); err != nil {

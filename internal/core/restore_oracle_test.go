@@ -14,20 +14,21 @@ import (
 	"optchain/internal/workload"
 )
 
-// restoreStateOracle is the restore as it was before it became one pass:
-// every vector is re-added through extend, the routine Commit lays vectors
-// out with, and its out-degree is then folded in by addSpenders, which
-// retires the node when that spends its last output (and gives it its
-// record back when the spenders go past it). Each count is read
-// from the section's output-count column as extend reads a source. It
-// slices the columns off with the section reader but decodes their elements
-// itself, a node at a time, the counts through oracleCount. It is the
-// reference restoreState is held to.
+// restoreStateOracle is the plain format-5 reader: one pass over the
+// nodes, each restored on its own. A node whose bit is clear is added
+// through extend and given as many spenders as its count, which retires
+// it; a held node's vector is re-added through extend, the routine Commit
+// lays vectors out with, and its out-degree is then folded in by
+// addSpenders, which retires the node when that spends its last output
+// (and gives it its record back when the spenders go past it). Each count
+// is read from the section's output-count column as extend reads a source.
+// It slices the columns off with the section reader but decodes their
+// elements itself, a node at a time, the bitmap a byte at a time and the
+// counts through oracleCount. It is the reference restoreState is held to.
 func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
 	if len(t.words) != 0 || t.tally.hasPending {
 		return fmt.Errorf("core: restore into a non-empty T2S index (%d committed)", len(t.words))
 	}
-	outs := r.Counts()
 	if err := t.asn.RestoreState(r); err != nil {
 		return err
 	}
@@ -42,33 +43,67 @@ func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
 		}
 		return int(binary.LittleEndian.Uint16(col[2*i:]))
 	}
-	lens := r.Column(width)
+	bitmap := r.Column(8)
+	outs := r.Counts()
 	degs := r.Counts()
+	lens := r.Column(width)
 	slabShards := r.Column(width)
 	slabVals := r.Column(8)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	nodes, entries := len(lens)/width, len(slabShards)/width
-	if len(slabVals)/8 != entries {
-		return fmt.Errorf("core: slab columns disagree: %d shards, %d values", entries, len(slabVals)/8)
+	// Bit v of a bitmap of little-endian words is bit v%8 of byte v/8.
+	isHeld := func(v int) bool { return bitmap[v/8]>>(v%8)&1 != 0 }
+	nodes, entries := t.asn.Len(), len(slabShards)/width
+	if len(bitmap)/8 != (nodes+63)/64 {
+		return fmt.Errorf("core: held bitmap of %d words for %d transactions", len(bitmap)/8, nodes)
 	}
-	if degs.N != nodes {
-		return fmt.Errorf("core: per-node columns disagree: %d spans, %d out-degrees", nodes, degs.N)
+	heldTxs := 0
+	for v := range 8 * len(bitmap) {
+		if isHeld(v) {
+			heldTxs++
+		}
 	}
-	if placed := t.asn.Len(); placed != nodes {
-		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, nodes)
+	for v := nodes; v < 8*len(bitmap); v++ {
+		if isHeld(v) {
+			return fmt.Errorf("core: held bitmap marks node %d, past the %d transactions", v, nodes)
+		}
 	}
 	if outs.N != nodes {
 		return fmt.Errorf("core: %d output counts for %d transactions", outs.N, nodes)
+	}
+	if degs.N != heldTxs {
+		return fmt.Errorf("core: %d out-degrees for %d held transactions", degs.N, heldTxs)
+	}
+	if len(lens)/width != heldTxs {
+		return fmt.Errorf("core: %d span lengths for %d held transactions", len(lens)/width, heldTxs)
+	}
+	if len(slabVals)/8 != entries {
+		return fmt.Errorf("core: slab columns disagree: %d shards, %d values", entries, len(slabVals)/8)
 	}
 	src := t.outCounts
 	defer func() { t.outCounts = src }()
 	var count uint64
 	t.outCounts = func(txgraph.Node) int { return int(count) }
-	off, dp, op := 0, 0, 0
+	off, h, dp, op := 0, 0, 0, 0
 	for v := 0; v < nodes; v++ {
-		n := elem(lens, v)
+		c, next, why := oracleCount(outs.Data, op)
+		if why != "" {
+			return fmt.Errorf("core: output count of node %d: %s", v, why)
+		}
+		count, op = c, next
+		if !isHeld(v) {
+			if count == 0 {
+				return fmt.Errorf("core: node %d has no record but an output count of 0", v)
+			}
+			if _, _, err := t.extend(0); err != nil {
+				return err
+			}
+			t.addSpenders(txgraph.Node(v), int32(count))
+			continue
+		}
+		n := elem(lens, h)
+		h++
 		if n > k {
 			return fmt.Errorf("core: span %d has %d entries, more than the %d shards", v, n, k)
 		}
@@ -80,11 +115,10 @@ func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
 			return fmt.Errorf("core: out-degree of node %d: %s", v, why)
 		}
 		dp = next
-		if count, next, why = oracleCount(outs.Data, op); why != "" {
-			return fmt.Errorf("core: output count of node %d: %s", v, why)
+		if count > 0 && d == count {
+			return fmt.Errorf("core: node %d has had %d spenders of its %d outputs but keeps a record", v, d, count)
 		}
-		op = next
-		if count > 0 && count <= d && n > 0 {
+		if count > 0 && d > count && n > 0 {
 			return fmt.Errorf("core: node %d has had %d spenders of its %d outputs but keeps a span of %d entries", v, d, count, n)
 		}
 		shards, vals, err := t.extend(n)
@@ -106,7 +140,7 @@ func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
 		t.addSpenders(txgraph.Node(v), int32(d))
 	}
 	if dp != len(degs.Data) {
-		return fmt.Errorf("core: out-degree column holds %d bytes past its %d values", len(degs.Data)-dp, nodes)
+		return fmt.Errorf("core: out-degree column holds %d bytes past its %d values", len(degs.Data)-dp, heldTxs)
 	}
 	if op != len(outs.Data) {
 		return fmt.Errorf("core: output-count column holds %d bytes past its %d values", len(outs.Data)-op, nodes)
@@ -162,7 +196,8 @@ func (t *T2SIndex) addSpenders(v txgraph.Node, d int32) {
 
 // sameLogical fails unless both indexes hold the same node count, live
 // vectors, out-degrees and output counts (the large ones included), entry
-// counters, retired counters, uvarint byte totals and assignment; where
+// counters, retired counters, spent-out count, uvarint byte totals and
+// assignment; where
 // each laid its slab and its records out is free to differ, and so is
 // which nodes keep a record.
 func sameLogical(t testing.TB, got, want *T2SIndex) {
@@ -171,9 +206,9 @@ func sameLogical(t testing.TB, got, want *T2SIndex) {
 		t.Fatalf("%d nodes, %d entries held, %d committed; want %d, %d, %d",
 			len(got.words), got.entries, got.committed, len(want.words), want.entries, want.committed)
 	}
-	if got.wideOuts != want.wideOuts || got.wideDegs != want.wideDegs {
-		t.Fatalf("output counts and out-degrees take %d and %d bytes past one a node, want %d and %d",
-			got.wideOuts, got.wideDegs, want.wideOuts, want.wideDegs)
+	if got.spent != want.spent || got.wideOuts != want.wideOuts || got.wideDegs != want.wideDegs {
+		t.Fatalf("%d spent out; output counts and held out-degrees take %d and %d bytes past one a node; want %d, %d and %d",
+			got.spent, got.wideOuts, got.wideDegs, want.spent, want.wideOuts, want.wideDegs)
 	}
 	if got.retiredTxs != want.retiredTxs || got.retiredRefs != want.retiredRefs {
 		t.Fatalf("retired %d txs / %d refs, want %d / %d", got.retiredTxs, got.retiredRefs, want.retiredTxs, want.retiredRefs)
@@ -292,6 +327,10 @@ func outsOf(t testing.TB, idx *T2SIndex) []byte {
 		t.Fatalf("stateSize %d, writeState wrote %d", idx.stateSize(), buf.Len())
 	}
 	r := placement.NewStateReader(buf.Bytes())
+	if err := placement.NewAssignment(idx.asn.K(), 0).RestoreState(r); err != nil {
+		t.Fatal(err)
+	}
+	r.Column(8) // the held bitmap
 	col := r.Counts()
 	if r.Err() != nil || col.N != len(idx.words) {
 		t.Fatalf("an output-count column of %d values for %d nodes (%v)", col.N, len(idx.words), r.Err())
@@ -338,9 +377,9 @@ func TestRestoreMatchesOracle(t *testing.T) {
 					t.Fatalf("%s: %v", id, err)
 				}
 				sameState(t, got, want)
-				if got.entries != p.idx.entries || got.retiredTxs != p.idx.retiredTxs || got.wideOuts != p.idx.wideOuts || got.wideDegs != p.idx.wideDegs {
-					t.Fatalf("%s: restored %d entries, %d retired, %d and %d wide count bytes; the placer holds %d, %d, %d, %d", id,
-						got.entries, got.retiredTxs, got.wideOuts, got.wideDegs, p.idx.entries, p.idx.retiredTxs, p.idx.wideOuts, p.idx.wideDegs)
+				if got.entries != p.idx.entries || got.retiredTxs != p.idx.retiredTxs || got.spent != p.idx.spent || got.wideOuts != p.idx.wideOuts || got.wideDegs != p.idx.wideDegs {
+					t.Fatalf("%s: restored %d entries, %d retired, %d spent out, %d and %d wide count bytes; the placer holds %d, %d, %d, %d, %d", id,
+						got.entries, got.retiredTxs, got.spent, got.wideOuts, got.wideDegs, p.idx.entries, p.idx.retiredTxs, p.idx.spent, p.idx.wideOuts, p.idx.wideDegs)
 				}
 				if got.cur > 0 && len(got.slabS[got.cur]) < 1<<got.chunkBits {
 					midChunk = true
@@ -357,7 +396,8 @@ func TestRestoreMatchesOracle(t *testing.T) {
 // stream here produces: output counts and out-degrees of several uvarint
 // bytes, counts past what the node record holds (kept beside it, and never
 // confused with their low 16 bits), nodes spent out exactly and past their
-// count, and a span kept for a spent-out node, which both refuse.
+// count, and a record kept for a node spent out exactly or a span for one
+// spent past its count, which both refuse.
 func TestRestoreOracleSections(t *testing.T) {
 	const k = 4
 	outs := []int{70_000, 300, manyOuts, 1 << 20, 2, 0, 2, 3}
@@ -365,17 +405,16 @@ func TestRestoreOracleSections(t *testing.T) {
 	mk := func() *T2SIndex { return NewT2SPlacer(k, 16, DefaultAlpha, 0.1).idx }
 	asn := []uint16{0, 1, 2, 3, 0, 1, 2, 3}
 	// 0 has had 4464 = 70000 mod 2^16 spenders and 3 as many as a record
-	// can count, both live; 2, 4 and 7 are spent out exactly (their spans
-	// gone), 6 past its count.
-	degs := counts(4464, 9, manyOuts, manyOuts, 2, 5, 4, 3)
-	got, want, err := restoreBoth(t, mk, corruptSection(col, asn,
-		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, degs, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}))
+	// can count, both live; 2, 4 and 7 are spent out exactly (their bits
+	// clear), 6 past its count, and 5 has no count.
+	got, want, err := restoreBoth(t, mk, corruptSection(k, asn, []uint64{0b0110_1011}, col,
+		counts(4464, 9, manyOuts, 5, 4), []uint16{1, 2, 1, 1, 0}, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameState(t, got, want)
-	if txs, refs := got.Retired(); txs != 4 || refs != 2 || got.entries != 5 || got.node(0).n != 1 || got.node(3).n != 1 {
-		t.Fatalf("%d retired, %d late references, %d entries held, spans %+v and %+v", txs, refs, got.entries, got.node(0), got.node(3))
+	if txs, refs := got.Retired(); txs != 4 || refs != 2 || got.spent != 3 || got.entries != 5 || got.node(0).n != 1 || got.node(3).n != 1 {
+		t.Fatalf("%d retired, %d late references, %d spent out, %d entries held, spans %+v and %+v", txs, refs, got.spent, got.entries, got.node(0), got.node(3))
 	}
 	if back := outsOf(t, got); !bytes.Equal(back, countColumn(outs)) {
 		t.Fatalf("output counts written back as % x, want % x", back, countColumn(outs))
@@ -383,18 +422,25 @@ func TestRestoreOracleSections(t *testing.T) {
 	if len(got.bigOuts) != 3 || got.node(0).outs != 70_000 || got.node(2).outs != manyOuts {
 		t.Fatalf("large output counts %v", got.bigOuts)
 	}
-	// 70000, 2^20 and 65535 take 3 bytes, 300 two; 4464 two, 65535 three.
-	if got.wideOuts != 2+2+2+1 || got.wideDegs != 1+2+2 {
-		t.Fatalf("output counts take %d bytes past one a node, out-degrees %d: want 7 and 5", got.wideOuts, got.wideDegs)
+	// 70000, 2^20 and 65535 take 3 bytes, 300 two; of the held nodes'
+	// out-degrees 4464 takes two and 65535 three.
+	if got.wideOuts != 2+2+2+1 || got.wideDegs != 1+2 {
+		t.Fatalf("output counts take %d bytes past one a node, held out-degrees %d: want 7 and 3", got.wideOuts, got.wideDegs)
 	}
 
-	// The same nodes with every span still in the section: the first spent-out
-	// node that keeps one is named.
-	section := corruptSection(col, asn,
-		[]uint16{1, 2, 1, 1, 2, 1, 1, 3}, degs,
-		[]uint16{0, 0, 1, 2, 3, 0, 3, 1, 2, 0, 1, 2}, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	if _, _, err = restoreBoth(t, mk, section); err == nil || !strings.Contains(err.Error(), "node 2 has had 65535 spenders of its 65535 outputs but keeps a span of 1 entries") {
-		t.Fatalf("a span of a spent-out node: %v", err)
+	// The same nodes with 2 marked held, its out-degree and a span of its
+	// own in the section: named, though its span is sound.
+	section := corruptSection(k, asn, []uint64{0b0110_1111}, col,
+		counts(4464, 9, manyOuts, manyOuts, 5, 4), []uint16{1, 2, 1, 1, 1, 0},
+		[]uint16{0, 0, 1, 2, 3, 0}, []uint64{1, 2, 3, 4, 5, 6})
+	if _, _, err = restoreBoth(t, mk, section); err == nil || !strings.Contains(err.Error(), "node 2 has had 65535 spenders of its 65535 outputs but keeps a record") {
+		t.Fatalf("a record of a spent-out node: %v", err)
+	}
+	// And with a span kept for 6, spent past its count.
+	section = corruptSection(k, asn, []uint64{0b0110_1011}, col,
+		counts(4464, 9, manyOuts, 5, 4), []uint16{1, 2, 1, 1, 1}, []uint16{0, 0, 1, 2, 3, 0}, []uint64{1, 2, 3, 4, 5, 6})
+	if _, _, err = restoreBoth(t, mk, section); err == nil || !strings.Contains(err.Error(), "node 6 has had 4 spenders of its 2 outputs but keeps a span of 1 entries") {
+		t.Fatalf("a span of an overspent node: %v", err)
 	}
 }
 
@@ -457,13 +503,37 @@ func FuzzRestoreState(f *testing.F) {
 	}
 	seed(wideStream(txs))
 	seed(overspentStream(txs))
-	f.Add(corruptSection(counts(70_000, 300, 2), []uint16{0, 1, 2},
-		[]uint16{1, 2, 1}, counts(4464, 9, 2), []uint16{0, 0, 1, 2}, []uint64{1, 2, 3, 4}))
-	// Two defects, the first one a second-pass one: refused naming the first.
-	f.Add(corruptSection(counts(0, 0), []uint16{0, 0},
-		[]uint16{2, 3}, counts(0, 0), []uint16{1, 1}, []uint64{1, 1}))
-	f.Add(corruptSection(counts(70_000, 300, manyOuts, 1<<20, 2, 0, 2, 3), []uint16{0, 1, 2, 3, 0, 1, 2, 3},
-		[]uint16{1, 2, 0, 1, 0, 1, 0, 0}, counts(4464, 9, manyOuts, manyOuts, 2, 5, 4, 3), []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}))
+	// Hand-built sections: a sound one with wide counts and spent-out
+	// nodes, then one planted case of each rule the restore keeps.
+	asn := []uint16{0, 1, 2, 3, 0, 1, 2, 3}
+	outs := counts(70_000, 300, manyOuts, 1<<20, 2, 0, 2, 3)
+	degs := counts(4464, 9, manyOuts, 5, 4)
+	lens, slabS, slabV := []uint16{1, 2, 1, 1, 0}, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}
+	const heldBits = 0b0110_1011
+	f.Add(corruptSection(k, asn, []uint64{heldBits}, outs, degs, lens, slabS, slabV))
+	for _, planted := range [][]byte{
+		// A padding bit in the assignment: one decision, and its word's top bit.
+		binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 1), 1<<63),
+		// A bitmap of two words for eight nodes, and a bitmap bit past them.
+		corruptSection(k, asn, []uint64{heldBits, 0}, outs, degs, lens, slabS, slabV),
+		corruptSection(k, asn, []uint64{heldBits | 1<<9}, outs, degs, lens, slabS, slabV),
+		// 5's bit cleared: spent out of a count of 0.
+		corruptSection(k, asn, []uint64{heldBits &^ (1 << 5)}, outs, counts(4464, 9, manyOuts, 4), []uint16{1, 2, 1, 0}, slabS[:4], slabV[:4]),
+		// 2 marked held, spent out exactly.
+		corruptSection(k, asn, []uint64{heldBits | 1<<2}, outs, counts(4464, 9, manyOuts, manyOuts, 5, 4), []uint16{1, 2, 0, 1, 1, 0}, slabS, slabV),
+		// Held columns one value short of the bitmap's popcount.
+		corruptSection(k, asn, []uint64{heldBits}, outs, counts(4464, 9, manyOuts, 5), lens, slabS, slabV),
+		corruptSection(k, asn, []uint64{heldBits}, outs, degs, lens[:4], slabS, slabV),
+		// A span kept for 6, spent past its count.
+		corruptSection(k, asn, []uint64{heldBits}, outs, degs, []uint16{1, 2, 1, 1, 1}, append(slabS, 0), append(slabV, 6)),
+		// Spans that do not tile the slab: one entry short, one too many.
+		corruptSection(k, asn, []uint64{heldBits}, outs, degs, lens, slabS[:4], slabV[:4]),
+		corruptSection(k, asn, []uint64{heldBits}, outs, degs, lens, append(slabS, 0), append(slabV, 6)),
+		// Two defects, the first one a second-pass one: refused naming the first.
+		corruptSection(k, []uint16{0, 0}, []uint64{0b11}, counts(0, 0), counts(0, 0), []uint16{2, 3}, []uint16{1, 1}, []uint64{1, 1}),
+	} {
+		f.Add(planted)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mk := func() *T2SIndex { return NewT2SPlacer(k, txs, DefaultAlpha, 0.1).idx }

@@ -3,25 +3,31 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"optchain/internal/placement"
 	"optchain/internal/txgraph"
 )
 
-// The T2S state section is the index's output-count column, the
-// assignment's shard column, then the index's other four columns. Shard ids
-// and span lengths take placement.ShardWidth(k) bytes each (1 when k <= 255,
-// else 2); a fixed-width column is a uvarint count and that many
-// little-endian elements, a count column a uvarint count, a uvarint byte
-// length and that many uvarints:
+// The T2S state section is the assignment's section, then the index's
+// columns, one per-node value only where memory holds one. A node is held
+// when its word indexes a record (it is not spent out); a spent-out node
+// has only its output count. Shard ids and span lengths take
+// placement.ShardWidth(k) bytes each (1 when k <= 255, else 2); a
+// fixed-width column is a uvarint count and that many little-endian
+// elements, a count column a uvarint count, a uvarint byte length and that
+// many uvarints:
 //
+//	assignment     the decision count and the packed words: half a byte a
+//	               transaction at k = 16
+//	held bitmap    ⌈n/64⌉ 8-byte words, bit v%64 of word v/64 set when
+//	               node v is held; the bits past the last node are zero
 //	output counts  a count column, one uvarint per transaction (1 B below
 //	               128; 0 for a count the source did not know)
-//	shards         the assignment: 1 or 2 B per transaction
-//	span lengths   1 or 2 B per transaction (entries of its p'(v), at most
-//	               k; 0 for a retired transaction)
-//	out-degrees    a count column, one uvarint per transaction (1 B below
-//	               128)
+//	out-degrees    a count column, one uvarint per held transaction (1 B
+//	               below 128)
+//	span lengths   1 or 2 B per held transaction (entries of its p'(v), at
+//	               most k; 0 for one spent past its count)
 //	slab shard ids 1 or 2 B per entry, live vectors back to back in
 //	               transaction order: no free slots, no chunk padding
 //	slab values    8 B per entry (Q32.32)
@@ -30,21 +36,22 @@ import (
 // is construction input, not state — the restore target must be built with
 // the same parameters. Which slots and records are free is not state
 // either, nor which record a node has: a restored index is packed. The
-// output counts are state: Alg. 1 divides p'(v) by them, and they tell
-// which transactions are spent out, so the restore takes them from the
-// section and never asks the source. The byte lengths of both count
-// columns are kept as running totals (wideOuts, wideDegs), so a section's
-// size takes no pass over the state.
+// output counts are state: Alg. 1 divides p'(v) by them, and a spent-out
+// node's count is its out-degree, so the restore takes them from the
+// section and never asks the source. The count of spent-out nodes and the
+// byte lengths of both count columns are kept as running totals (spent,
+// wideOuts, wideDegs), so a section's size takes no pass over the state.
 
 // stateSize returns how many bytes writeState emits.
 func (t *T2SIndex) stateSize() int64 {
 	n, width := len(t.words), placement.ShardWidth(t.asn.K())
-	return placement.CountsSize(n, int64(n)+t.wideOuts) + t.asn.StateSize() +
-		placement.ColumnSize(n, width) + placement.CountsSize(n, int64(n)+t.wideDegs) +
-		placement.ColumnSize(t.entries, width) + placement.ColumnSize(t.entries, 8)
+	h := n - t.spent
+	return t.asn.StateSize() + placement.ColumnSize((n+63)/64, 8) +
+		placement.CountsSize(n, int64(n)+t.wideOuts) + placement.CountsSize(h, int64(h)+t.wideDegs) +
+		placement.ColumnSize(h, width) + placement.ColumnSize(t.entries, width) + placement.ColumnSize(t.entries, 8)
 }
 
-// wordBlock is how many words a per-node column is encoded from at a time,
+// wordBlock is how many values of a per-node column are encoded at a time,
 // straight into the writer's staging space: at 5 bytes a count at most, 20
 // KiB of it.
 const wordBlock = 4096
@@ -56,54 +63,67 @@ type held struct {
 	nd t2sNode
 }
 
-// heldNodes returns the nodes that have a record, in node order, with a
-// copy of each record: 16 bytes a record the table has handed out, for the
-// length of one writeState. Every per-node column reads those copies alone,
-// in order: a spent-out word costs neither a record read nor a branch, and
-// each record, which sits where the free list put it, is read from the
-// table once a snapshot instead of once a column.
-func (t *T2SIndex) heldNodes() []held {
-	hs := make([]held, t.nrecs+1) // a word with a record has its own, and one spare
+// heldNodes returns the held nodes, in node order, with a copy of each
+// record, and the held bitmap: 16 bytes a held node and a bit a node, for
+// the length of one writeState. Every per-node column reads those copies
+// alone, in order: a spent-out word costs neither a record read nor a
+// branch, and each record, which sits where the free list put it, is read
+// from the table once a snapshot instead of once a column.
+func (t *T2SIndex) heldNodes() ([]held, []uint64) {
+	hs := make([]held, len(t.words)-t.spent+1) // one spare
+	bitmap := make([]uint64, (len(t.words)+63)/64)
 	m := 0
 	for v, x := range t.words {
+		h := ^x >> 31
 		hs[m].v = uint32(v)
-		m += int(^x >> 31)
+		m += int(h)
+		bitmap[v>>6] |= uint64(h) << (v & 63)
 	}
 	hs = hs[:m]
 	for i := range hs {
 		hs[i].nd = *t.rec(t.words[hs[i].v])
 	}
-	return hs
+	return hs, bitmap
 }
 
 // writeState serializes the index's complete incremental state and the
-// assignment. Each per-node column is encoded from the words a block at a
-// time, the values of the nodes with a record taken from copies of their
-// records, and the slab columns are gathered through those copies: five
-// walks over the words or the copies, none over the arena's free slots or
-// the record table's free records.
+// assignment. The output counts are encoded from the words a block at a
+// time, those of the held nodes taken from copies of their records, the
+// held nodes' columns from those copies alone, and the slab columns are
+// gathered through them: no walk over the arena's free slots or the record
+// table's free records.
 func (t *T2SIndex) writeState(w *placement.StateWriter) {
 	if t.tally.hasPending {
 		panic(fmt.Sprintf("core: snapshot between Prepare(%d) and Commit", t.tally.pendingNode))
 	}
-	hs := t.heldNodes()
-	t.writeCounts(w, hs, t.wideOuts, func(h *held) uint32 { return uint32(t.outCount(txgraph.Node(h.v), h.nd.outs)) })
+	hs, bitmap := t.heldNodes()
 	t.asn.WriteState(w)
-	width := placement.ShardWidth(t.asn.K())
-	w.Uvarint(uint64(len(t.words)))
-	t.eachBlock(hs, func(base int, words []uint32, hs []held) {
-		b := w.Stage(width * len(words))
-		clear(b) // a spent-out node has no span
-		for _, h := range hs {
-			if i := int(h.v) - base; width == 1 {
-				b[i] = byte(h.nd.n)
-			} else {
-				binary.LittleEndian.PutUint16(b[2*i:], h.nd.n)
-			}
+	w.Uvarint(uint64(len(bitmap)))
+	w.Uint64s(bitmap)
+	j := 0 // hs[j] is the first held node of the block
+	writeCounts(w, len(t.words), t.wideOuts, func(vals []uint32, lo int) {
+		for i, x := range t.words[lo : lo+len(vals)] {
+			vals[i] = x &^ spentOut
 		}
-		w.Commit(len(b))
+		for ; j < len(hs) && int(hs[j].v) < lo+len(vals); j++ {
+			vals[int(hs[j].v)-lo] = uint32(t.outCount(txgraph.Node(hs[j].v), hs[j].nd.outs))
+		}
 	})
-	t.writeCounts(w, hs, t.wideDegs, func(h *held) uint32 { return uint32(h.nd.deg) })
+	writeCounts(w, len(hs), t.wideDegs, func(vals []uint32, lo int) {
+		for i := range vals {
+			vals[i] = uint32(hs[lo+i].nd.deg)
+		}
+	})
+	width := placement.ShardWidth(t.asn.K())
+	w.Uvarint(uint64(len(hs)))
+	var lens [wordBlock]uint16
+	for lo := 0; lo < len(hs); lo += wordBlock {
+		part := hs[lo:min(lo+wordBlock, len(hs))]
+		for i := range part {
+			lens[i] = part[i].nd.n
+		}
+		w.Shards(lens[:len(part)], width)
+	}
 	blockS, blockV := [2048]uint16{}, [1024]uint64{}
 	w.Uvarint(uint64(t.entries))
 	gather(t, hs, t.slabS, blockS[:], func(s []uint16) { w.Shards(s, width) })
@@ -111,37 +131,18 @@ func (t *T2SIndex) writeState(w *placement.StateWriter) {
 	gather(t, hs, t.slabV, blockV[:], w.Uint64s)
 }
 
-// eachBlock calls f for each block of up to wordBlock words, in order, with
-// the block's first node, its words and the nodes of hs that fall in it.
-func (t *T2SIndex) eachBlock(hs []held, f func(base int, words []uint32, hs []held)) {
-	for base := 0; base < len(t.words); base += wordBlock {
-		end := min(base+wordBlock, len(t.words))
-		j := 0
-		for j < len(hs) && int(hs[j].v) < end {
-			j++
-		}
-		f(base, t.words[base:end], hs[:j])
-		hs = hs[j:]
-	}
-}
-
-// writeCounts writes a per-node count column of uvarints that take wide
-// bytes past one each, encoded a block at a time straight into the
-// writer's staging space: a spent-out node's value is its word's count
-// (its out-degree equals it), a held node's is field of its record copy.
-func (t *T2SIndex) writeCounts(w *placement.StateWriter, hs []held, wide int64, field func(*held) uint32) {
-	w.Uvarint(uint64(len(t.words)))
-	w.Uvarint(uint64(int64(len(t.words)) + wide))
-	var vals [wordBlock]uint32
-	t.eachBlock(hs, func(base int, words []uint32, hs []held) {
-		for i, x := range words {
-			vals[i] = x &^ spentOut
-		}
-		for i := range hs {
-			vals[int(hs[i].v)-base] = field(&hs[i])
-		}
-		b, at := w.Stage(binary.MaxVarintLen32*len(words)), 0
-		for _, v := range vals[:len(words)] {
+// writeCounts writes a count column of n values that take wide bytes past
+// one each, a block at a time: fill stores values lo, lo+1, ... in vals,
+// which are encoded straight into the writer's staging space.
+func writeCounts(w *placement.StateWriter, n int, wide int64, fill func(vals []uint32, lo int)) {
+	w.Uvarint(uint64(n))
+	w.Uvarint(uint64(int64(n) + wide))
+	var block [wordBlock]uint32
+	for lo := 0; lo < n; lo += wordBlock {
+		vals := block[:min(wordBlock, n-lo)]
+		fill(vals, lo)
+		b, at := w.Stage(binary.MaxVarintLen32*len(vals)), 0
+		for _, v := range vals {
 			if v < 0x80 {
 				b[at] = byte(v)
 				at++
@@ -150,7 +151,7 @@ func (t *T2SIndex) writeCounts(w *placement.StateWriter, hs []held, wide int64, 
 			}
 		}
 		w.Commit(at)
-	})
+	}
 }
 
 // gather writes one slab column of every live vector, in node order, a
@@ -190,145 +191,161 @@ func gather[T uint16 | uint64](t *T2SIndex, hs []held, column [][]T, block []T, 
 // writeState section.
 //
 // It validates the section's internal consistency as it restores it: the
-// per-node columns must agree with each other, with the output counts and
-// with the assignment on the transaction count, every count must be a
-// minimal uvarint of at most math.MaxInt32 and the count columns must hold
-// nothing past their values, span lengths must be at most k and tile the
-// slab exactly, every vector's shards must ascend inside the assignment's
-// range, and a node whose out-degree already covers its output count
-// (restored retired) must have no span. Vectors are laid out as extend
-// lays them out with no free slot, back to back, one that does not fit
-// its chunk starting the next; a run of them in a chunk is one copy. The
-// record table is packed: the nodes that are not spent out take records
-// 0, 1, ... in node order, and no record is free.
+// held bitmap must have a word per 64 transactions and no bit past the
+// last, the per-node columns must agree with it and with the assignment on
+// their lengths, every count must be a minimal uvarint of at most
+// math.MaxInt32 and the count columns must hold nothing past their values,
+// a spent-out node must have a count, a held node must not be spent out
+// exactly and must have no span once spent past its count, span lengths
+// must be at most k and tile the slab exactly, and every vector's shards
+// must ascend inside the assignment's range. Vectors are laid out as
+// extend lays them out with no free slot, back to back, one that does not
+// fit its chunk starting the next; a run of them in a chunk is one copy.
+// The record table is packed: the held nodes take records 0, 1, ... in
+// node order, and no record is free.
 //
 // It runs over blocks of spanBlock nodes, in two passes each, once the
-// block's counts are decoded. The first builds every word and record from
-// the per-node columns, with nothing that depends on whether the node is
-// live but the retired counters, added arithmetically, and the word and
-// the next record's index, selected by mask (every node's record is
-// written, and a spent-out node's is overwritten by the next), and
-// collects the nodes that have a span. The second validates and lays out
-// those spans alone, in node order. A defect the first pass finds ends it,
-// and is reported only once the second has checked the spans before it, so
-// a section is refused naming the node or entry a single pass over the
-// nodes would name.
+// block's counts are decoded. The first sets every node's word to its
+// output count behind spentOut, with no branch on whether it is held, and
+// collects the spent-out nodes whose count is 0. The second walks the held
+// nodes by the bitmap's set bits, gives each its record and lays out its
+// span. A defect the first pass finds ends it, and is reported only once
+// the second has checked the held nodes before it, so a section is refused
+// naming the node or entry a single pass over the nodes would name.
 func (t *T2SIndex) restoreState(r *placement.StateReader) error {
 	if len(t.words) != 0 || t.tally.hasPending {
 		return fmt.Errorf("core: restore into a non-empty T2S index (%d committed)", len(t.words))
 	}
-	outs := r.Counts()
 	if err := t.asn.RestoreState(r); err != nil {
 		return err
 	}
 	k, width := t.asn.K(), placement.ShardWidth(t.asn.K())
-	lens, degs, slabShards, slabVals := r.Column(width), r.Counts(), r.Column(width), r.Column(8)
+	bitmap, outs, degs, lens, slabShards, slabVals := r.Column(8), r.Counts(), r.Counts(), r.Column(width), r.Column(width), r.Column(8)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	nodes, entries := len(lens)/width, len(slabShards)/width
-	if len(slabVals)/8 != entries {
-		return fmt.Errorf("core: slab columns disagree: %d shards, %d values", entries, len(slabVals)/8)
+	nodes, entries := t.asn.Len(), len(slabShards)/width
+	hm := func(i int) uint64 { return binary.LittleEndian.Uint64(bitmap[8*i:]) }
+	if len(bitmap)/8 != (nodes+63)/64 {
+		return fmt.Errorf("core: held bitmap of %d words for %d transactions", len(bitmap)/8, nodes)
 	}
-	if degs.N != nodes {
-		return fmt.Errorf("core: per-node columns disagree: %d spans, %d out-degrees", nodes, degs.N)
+	heldTxs := 0
+	for i := range len(bitmap) / 8 {
+		heldTxs += bits.OnesCount64(hm(i))
 	}
-	if placed := t.asn.Len(); placed != nodes {
-		return fmt.Errorf("core: assignment has %d placements but the T2S index %d", placed, nodes)
+	if tail := nodes & 63; tail != 0 {
+		if x := hm(nodes>>6) >> tail; x != 0 {
+			return fmt.Errorf("core: held bitmap marks node %d, past the %d transactions", nodes+bits.TrailingZeros64(x), nodes)
+		}
 	}
-	if outs.N != nodes {
+	switch {
+	case outs.N != nodes:
 		return fmt.Errorf("core: %d output counts for %d transactions", outs.N, nodes)
+	case degs.N != heldTxs:
+		return fmt.Errorf("core: %d out-degrees for %d held transactions", degs.N, heldTxs)
+	case len(lens)/width != heldTxs:
+		return fmt.Errorf("core: %d span lengths for %d held transactions", len(lens)/width, heldTxs)
+	case len(slabVals)/8 != entries:
+		return fmt.Errorf("core: slab columns disagree: %d shards, %d values", entries, len(slabVals)/8)
 	}
 	if nodes > cap(t.words) {
 		t.words = make([]uint32, 0, nodes)
 	}
 	t.words = t.words[:nodes]
 	size := 1 << t.chunkBits
-	c, filled, run := 0, 0, 0    // section entries [run, at) are laid out in chunk c and end at filled
-	off, at := 0, 0              // section offset of the next span: in the first pass, in the second
-	dp, op := 0, 0               // offsets of the next out-degree and output count
-	nrecs := 0                   // records handed out
-	var chunk *[recChunk]t2sNode // the chunk of record nrecs
-	var retiredTxs, retiredRefs int64
-	defer func() {
-		t.retiredTxs, t.retiredRefs = t.retiredTxs+retiredTxs, t.retiredRefs+retiredRefs
-		// A chunk the last spent-out nodes' records were written to and no
-		// live node took is dropped.
-		used := (nrecs + recChunk - 1) >> recBits
-		clear(t.recs[used:])
-		t.recs, t.nrecs = t.recs[:used], nrecs
-	}()
-	var spans [spanBlock]int32
+	c, filled, run := 0, 0, 0     // section entries [run, off) are laid out in chunk c and end at filled
+	off, hp, dp, op := 0, 0, 0, 0 // offsets of the next slab entry, span length, out-degree and output count
+	nrecs := 0                    // records handed out
+	var chunk *[recChunk]t2sNode  // the chunk of record nrecs
+	var overTxs, overRefs int64   // held nodes spent past their count, and the references past it
 	var bDegs, bOuts [spanBlock]uint32
 	for base := 0; base < nodes; base += spanBlock {
 		words := t.words[base:min(base+spanBlock, nodes)]
-		m := 0 // spans[:m]: the block's nodes that have a span
-		var defect error
-		// The block's counts first, as far as they decode: the out-degrees
-		// of its first nDeg nodes and the output counts of its first nOut.
-		nDeg := placement.DecodeCounts(bDegs[:len(words)], degs.Data, &dp)
 		nOut := placement.DecodeCounts(bOuts[:len(words)], outs.Data, &op)
-		for i := range words {
-			n := int(placement.Shard(lens, base+i, width))
-			d, o := int32(bDegs[i]), int32(bOuts[i])
-			// dead is 1 when 0 < o <= d and spent 1 when 0 < o == d, read off
-			// sign bits: as branches they would mispredict on about every
-			// other node.
-			dead := int32(uint32(-o)>>31) &^ int32(uint32(d-o)>>31)
-			spent := dead & int32(^uint32((d-o)|(o-d))>>31)
-			if n > k || off+n > entries || i >= nDeg || i >= nOut || dead != 0 && n != 0 {
-				defect = nodeDefect(base+i, n, k, off, entries, d, o, i >= nDeg, i >= nOut, degs.Data, dp, outs.Data, op)
+		var zero [spanBlock / 64]uint64 // bit i: node base+i has a count of 0
+		for i, o := range bOuts[:nOut] {
+			words[i] = spentOut | o
+			zero[i>>6] |= uint64((o-1)>>31) << (i & 63)
+			if o >= 1<<7 {
+				t.keepOuts(txgraph.Node(base+i), int(o))
+			}
+		}
+		// The first pass ends at the first node whose count does not decode
+		// or is 0 with its bit clear: the held nodes before it are restored.
+		stop, nw := nOut, (len(words)+63)>>6
+		for j := range nw {
+			if bad := zero[j] &^ hm(base>>6+j); bad != 0 {
+				stop = j<<6 | bits.TrailingZeros64(bad)
 				break
 			}
-			retiredTxs += int64(dead)
-			retiredRefs += int64(dead * (d - o))
-			// The record holds the section's span length until the second
-			// pass lays the span out.
-			if nrecs&(recChunk-1) == 0 {
-				if nrecs == len(t.recs)<<recBits {
-					t.recs = append(t.recs, new([recChunk]t2sNode))
-				}
-				chunk = t.recs[nrecs>>recBits]
-			}
-			chunk[nrecs&(recChunk-1)] = t2sNode{deg: d, n: uint16(n), outs: t.keepOuts(txgraph.Node(base+i), int(o))}
-			mask := uint32(-spent)
-			words[i] = (spentOut|uint32(o))&mask | uint32(nrecs)&^mask
-			nrecs += int(1 - spent)
-			spans[m] = int32(i)
-			m += min(n, 1)
-			off += n
 		}
-		for _, i := range spans[:m] {
-			v, nd := base+int(i), t.rec(words[i])
-			n := int(nd.n)
-			if filled+n > size {
-				t.fillChunk(c, filled, width, slabShards[width*run:width*at], slabVals[8*run:8*at])
-				c, filled, run = c+1, 0, at
-			}
-			start := uint64(c)<<t.chunkBits + uint64(filled)
-			if start+uint64(n) > slabLimit {
-				return fmt.Errorf("core: T2S slab is full: transaction %d would end at entry offset %d, past the limit of %d", v, start+uint64(n), slabLimit)
-			}
-			nd.off = uint32(start)
-			filled += n
-			for j, prev := at, -1; j < at+n; j++ {
-				s := int(placement.Shard(slabShards, j, width))
-				if s >= k {
-					return fmt.Errorf("core: slab entry %d names shard %d of %d", j, s, k)
-				}
-				if s <= prev {
-					return fmt.Errorf("core: slab entry %d names shard %d after shard %d of the same vector", j, s, prev)
-				}
-				prev = s
-			}
-			at += n
+		nHeld := 0
+		for j := range nw {
+			nHeld += bits.OnesCount64(hm(base>>6 + j))
 		}
-		if defect != nil {
-			return defect
+		nDeg := placement.DecodeCounts(bDegs[:nHeld], degs.Data, &dp)
+		hi := 0 // the block's held nodes restored
+		for j := 0; j<<6 < stop; j++ {
+			x := hm(base>>6 + j)
+			if rest := stop - j<<6; rest < 64 {
+				x &= 1<<rest - 1
+			}
+			for ; x != 0; x &= x - 1 {
+				i := j<<6 | bits.TrailingZeros64(x)
+				v, o, n := base+i, int32(bOuts[i]), int(placement.Shard(lens, hp, width))
+				d := int32(bDegs[hi])
+				if n > k || off+n > entries || hi >= nDeg || o > 0 && d >= o && (d == o || n != 0) {
+					return heldDefect(v, n, k, off, entries, d, o, hi >= nDeg, degs.Data, dp)
+				}
+				if o > 0 && d > o {
+					overTxs++
+					overRefs += int64(d - o)
+				}
+				if nrecs&(recChunk-1) == 0 {
+					if nrecs == len(t.recs)<<recBits {
+						t.recs = append(t.recs, new([recChunk]t2sNode))
+					}
+					chunk = t.recs[nrecs>>recBits]
+				}
+				nd := &chunk[nrecs&(recChunk-1)]
+				*nd = t2sNode{deg: d, n: uint16(n), outs: uint16(min(o, manyOuts))}
+				words[i] = uint32(nrecs)
+				nrecs, hp, hi = nrecs+1, hp+1, hi+1
+				if n == 0 {
+					continue
+				}
+				if filled+n > size {
+					t.fillChunk(c, filled, width, slabShards[width*run:width*off], slabVals[8*run:8*off])
+					c, filled, run = c+1, 0, off
+				}
+				start := uint64(c)<<t.chunkBits + uint64(filled)
+				if start+uint64(n) > slabLimit {
+					return fmt.Errorf("core: T2S slab is full: transaction %d would end at entry offset %d, past the limit of %d", v, start+uint64(n), slabLimit)
+				}
+				nd.off = uint32(start)
+				filled += n
+				for e, prev := off, -1; e < off+n; e++ {
+					s := int(placement.Shard(slabShards, e, width))
+					if s >= k {
+						return fmt.Errorf("core: slab entry %d names shard %d of %d", e, s, k)
+					}
+					if s <= prev {
+						return fmt.Errorf("core: slab entry %d names shard %d after shard %d of the same vector", e, s, prev)
+					}
+					prev = s
+				}
+				off += n
+			}
+		}
+		if stop < nOut {
+			return fmt.Errorf("core: node %d has no record but an output count of 0", base+stop)
+		}
+		if nOut < len(words) {
+			return fmt.Errorf("core: output count of node %d: %s", base+nOut, placement.CountDefect(outs.Data, op))
 		}
 	}
 	if dp != len(degs.Data) {
-		return fmt.Errorf("core: out-degree column holds %d bytes past its %d values", len(degs.Data)-dp, nodes)
+		return fmt.Errorf("core: out-degree column holds %d bytes past its %d values", len(degs.Data)-dp, heldTxs)
 	}
 	if op != len(outs.Data) {
 		return fmt.Errorf("core: output-count column holds %d bytes past its %d values", len(outs.Data)-op, nodes)
@@ -337,20 +354,23 @@ func (t *T2SIndex) restoreState(r *placement.StateReader) error {
 		return fmt.Errorf("core: spans cover %d of %d slab entries", off, entries)
 	}
 	if filled > 0 {
-		t.fillChunk(c, filled, width, slabShards[width*run:width*at], slabVals[8*run:8*at])
+		t.fillChunk(c, filled, width, slabShards[width*run:width*off], slabVals[8*run:8*off])
 	}
-	t.cur = c
+	t.cur, t.nrecs = c, nrecs
 	t.entries = entries
 	t.committed += entries
-	t.wideDegs = int64(len(degs.Data) - nodes)
+	t.spent = nodes - heldTxs
+	t.retiredTxs += int64(t.spent) + overTxs
+	t.retiredRefs += overRefs
+	t.wideDegs = int64(len(degs.Data) - heldTxs)
 	return nil
 }
 
-// nodeDefect names the first defect of node v's per-node columns: a span
-// longer than k or past the slab's end, an out-degree or output count that
-// is no count (badDeg, badOut: the one at degs[dp] or outs[op] is not), or
-// a span kept for a node whose outputs are all spent.
-func nodeDefect(v, n, k, off, entries int, deg, count int32, badDeg, badOut bool, degs []byte, dp int, outs []byte, op int) error {
+// heldDefect names the first defect of held node v's columns: a span longer
+// than k or past the slab's end, an out-degree that is no count (badDeg:
+// the one at degs[dp] is not), a record kept for a node spent out exactly,
+// or a span kept for one spent past its count.
+func heldDefect(v, n, k, off, entries int, deg, count int32, badDeg bool, degs []byte, dp int) error {
 	switch {
 	case n > k:
 		return fmt.Errorf("core: span %d has %d entries, more than the %d shards", v, n, k)
@@ -358,16 +378,16 @@ func nodeDefect(v, n, k, off, entries int, deg, count int32, badDeg, badOut bool
 		return fmt.Errorf("core: span %d (len %d at offset %d) exceeds slab length %d", v, n, off, entries)
 	case badDeg:
 		return fmt.Errorf("core: out-degree of node %d: %s", v, placement.CountDefect(degs, dp))
-	case badOut:
-		return fmt.Errorf("core: output count of node %d: %s", v, placement.CountDefect(outs, op))
+	case deg == count:
+		return fmt.Errorf("core: node %d has had %d spenders of its %d outputs but keeps a record", v, deg, count)
 	default:
 		return fmt.Errorf("core: node %d has had %d spenders of its %d outputs but keeps a span of %d entries", v, deg, count, n)
 	}
 }
 
 // spanBlock is how many nodes each pass of the restore covers before the
-// other runs: small enough that the second pass finds the block's records
-// and column bytes still in cache.
+// other runs: small enough that the second pass finds the block's words
+// and counts still in cache.
 const spanBlock = 256
 
 // fillChunk decodes a run of section entries, shard ids width bytes each,

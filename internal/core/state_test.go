@@ -120,122 +120,178 @@ func rawCounts(n int, data ...byte) []byte {
 	return append(b, data...)
 }
 
-// corruptSection builds a T2S state section over at most 255 shards
-// (output counts, assignment column, index columns) from raw parts, the
-// output counts and out-degrees encoded count columns, for defect
-// injection.
-func corruptSection(outs []byte, asnShards, lens []uint16, degs []byte, slabShards []uint16, slabVals []uint64) []byte {
-	b := column(outs, asnShards)
-	b = column(b, lens)
+// packed encodes the format-5 assignment section of the given decisions
+// over k shards by hand: the decision count, then 64-bit little-endian
+// words of decisions the fewest power-of-two bits wide that name k-1.
+func packed(k int, shards []uint16) []byte {
+	bits := 1
+	for 1<<bits < k {
+		bits *= 2
+	}
+	per := 64 / bits
+	words := make([]uint64, (len(shards)+per-1)/per)
+	for i, s := range shards {
+		words[i/per] |= uint64(s) << (i % per * bits)
+	}
+	b := binary.AppendUvarint(nil, uint64(len(shards)))
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// corruptSection builds a T2S state section over k <= 255 shards
+// (assignment, held bitmap, output counts, then the held nodes' columns
+// and the slab's) from raw parts, the output counts and out-degrees
+// encoded count columns, for defect injection.
+func corruptSection(k int, asnShards []uint16, bitmap []uint64, outs, degs []byte, lens, slabShards []uint16, slabVals []uint64) []byte {
+	b := column(packed(k, asnShards), bitmap)
+	b = append(b, outs...)
 	b = append(b, degs...)
+	b = column(b, lens)
 	b = column(b, slabShards)
 	return column(b, slabVals)
 }
 
+// TestCoreRestoreDefects: the restore refuses every defect a format-5
+// section can carry, naming the node, entry or column.
 func TestCoreRestoreDefects(t *testing.T) {
-	const k, n = 4, 16
-	one := []uint16{0} // one transaction, placed in shard 0
+	const k, n = 3, 16                    // 2-bit decisions, so one of k can be planted
+	one, held := []uint16{0}, []uint64{1} // one transaction, placed in shard 0 and held
 	cases := map[string]struct {
 		blob []byte
 		want string
 	}{
 		"slab columns disagree": {
-			blob: corruptSection(counts(), nil, nil, counts(), []uint16{0}, nil),
+			blob: corruptSection(k, nil, nil, counts(), counts(), nil, []uint16{0}, nil),
 			want: "slab columns disagree",
 		},
+		"assignment and index disagree": {
+			blob: corruptSection(k, one, nil, counts(1), counts(), nil, nil, nil),
+			want: "held bitmap of 0 words for 1 transactions",
+		},
+		"a bitmap word too many": {
+			blob: corruptSection(k, one, []uint64{1, 0}, counts(0), counts(0), []uint16{0}, nil, nil),
+			want: "held bitmap of 2 words for 1 transactions",
+		},
+		"bitmap padding": {
+			blob: corruptSection(k, one, []uint64{1 | 1<<40}, counts(0), counts(0, 0), []uint16{0, 0}, nil, nil),
+			want: "held bitmap marks node 40, past the 1 transactions",
+		},
 		"per-node columns disagree": {
-			blob: corruptSection(counts(0), one, []uint16{0}, counts(), nil, nil),
-			want: "per-node columns disagree",
+			blob: corruptSection(k, one, held, counts(0), counts(), []uint16{0}, nil, nil),
+			want: "0 out-degrees for 1 held transactions",
+		},
+		"more span lengths than held nodes": {
+			blob: corruptSection(k, one, held, counts(0), counts(0), []uint16{0, 0}, nil, nil),
+			want: "2 span lengths for 1 held transactions",
 		},
 		"slab shard out of range": {
-			blob: corruptSection(counts(0), one, []uint16{1}, counts(0), []uint16{9}, []uint64{1}),
+			blob: corruptSection(k, one, held, counts(0), counts(0), []uint16{1}, []uint16{9}, []uint64{1}),
 			want: "names shard 9",
 		},
 		"span longer than k": {
-			blob: corruptSection(counts(0), one, []uint16{k + 1}, counts(0), []uint16{0, 1, 2, 3, 0}, []uint64{1, 1, 1, 1, 1}),
-			want: "more than the 4 shards",
+			blob: corruptSection(k, one, held, counts(0), counts(0), []uint16{k + 1}, []uint16{0, 1, 2, 0}, []uint64{1, 1, 1, 1}),
+			want: "span 0 has 4 entries, more than the 3 shards",
 		},
 		"span exceeds slab": {
-			blob: corruptSection(counts(0), one, []uint16{3}, counts(0), []uint16{0, 0}, []uint64{1, 1}),
-			want: "exceeds slab length",
+			blob: corruptSection(k, one, held, counts(0), counts(0), []uint16{3}, []uint16{0, 0}, []uint64{1, 1}),
+			want: "span 0 (len 3 at offset 0) exceeds slab length 2",
 		},
 		"spans undercover slab": {
-			blob: corruptSection(counts(0), one, []uint16{1}, counts(0), []uint16{0, 0}, []uint64{1, 1}),
+			blob: corruptSection(k, one, held, counts(0), counts(0), []uint16{1}, []uint16{0, 0}, []uint64{1, 1}),
 			want: "cover 1 of 2",
 		},
 		"vector shards out of order": {
-			blob: corruptSection(counts(0), one, []uint16{2}, counts(0), []uint16{1, 1}, []uint64{1, 1}),
-			want: "after shard 1 of the same vector",
+			blob: corruptSection(k, one, held, counts(0), counts(0), []uint16{2}, []uint16{1, 1}, []uint64{1, 1}),
+			want: "slab entry 1 names shard 1 after shard 1 of the same vector",
 		},
 		"out-degree above MaxInt32": {
-			blob: corruptSection(counts(0), one, []uint16{2}, counts(math.MaxInt32+1), []uint16{0, 1}, []uint64{1, 1}),
+			blob: corruptSection(k, one, held, counts(0), counts(math.MaxInt32+1), []uint16{2}, []uint16{0, 1}, []uint64{1, 1}),
 			want: "out-degree of node 0: 2147483648 exceeds 2147483647",
 		},
 		"negative out-degree": {
 			// What a writer that cast a negative int64 to uint64 would emit.
-			blob: corruptSection(counts(0), one, []uint16{2}, counts(math.MaxUint64), []uint16{0, 1}, []uint64{1, 1}),
+			blob: corruptSection(k, one, held, counts(0), counts(math.MaxUint64), []uint16{2}, []uint16{0, 1}, []uint64{1, 1}),
 			want: "out-degree of node 0: 18446744073709551615 exceeds 2147483647",
 		},
 		"truncated out-degree": {
-			blob: corruptSection(counts(0, 0), []uint16{0, 0}, []uint16{0, 0}, rawCounts(2, 5, 0x80), nil, nil),
+			blob: corruptSection(k, []uint16{0, 0}, []uint64{3}, counts(0, 0), rawCounts(2, 5, 0x80), []uint16{0, 0}, nil, nil),
 			want: "out-degree of node 1: truncated uvarint",
 		},
 		"out-degree over 10 bytes": {
-			blob: corruptSection(counts(0), one, []uint16{0}, rawCounts(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), nil, nil),
+			blob: corruptSection(k, one, held, counts(0), rawCounts(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), []uint16{0}, nil, nil),
 			want: "out-degree of node 0: uvarint overflows 64 bits",
 		},
 		"out-degree overflows 64 bits": {
-			blob: corruptSection(counts(0), one, []uint16{0}, rawCounts(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02), nil, nil),
+			blob: corruptSection(k, one, held, counts(0), rawCounts(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02), []uint16{0}, nil, nil),
 			want: "out-degree of node 0: uvarint overflows 64 bits",
 		},
 		"non-minimal out-degree": {
-			blob: corruptSection(counts(0), one, []uint16{0}, rawCounts(1, 0x83, 0x00), nil, nil),
+			blob: corruptSection(k, one, held, counts(0), rawCounts(1, 0x83, 0x00), []uint16{0}, nil, nil),
 			want: "out-degree of node 0: non-minimal uvarint",
 		},
 		"more out-degrees than bytes": {
-			blob: corruptSection(counts(0), one, []uint16{0}, rawCounts(2, 0), nil, nil),
+			blob: corruptSection(k, one, held, counts(0), rawCounts(2, 0), []uint16{0}, nil, nil),
 			want: "count column of 2 values in 1 bytes",
 		},
 		"out-degree column longer than its values": {
-			blob: corruptSection(counts(0), one, []uint16{0}, rawCounts(1, 0, 0), nil, nil),
+			blob: corruptSection(k, one, held, counts(0), rawCounts(1, 0, 0), []uint16{0}, nil, nil),
 			want: "out-degree column holds 1 bytes past its 1 values",
 		},
 		"output count above MaxInt32": {
-			blob: corruptSection(counts(3, 1<<40), []uint16{0, 0}, []uint16{0, 0}, counts(0, 0), nil, nil),
+			blob: corruptSection(k, []uint16{0, 0}, []uint64{3}, counts(3, 1<<40), counts(0, 0), []uint16{0, 0}, nil, nil),
 			want: "output count of node 1: 1099511627776 exceeds 2147483647",
 		},
 		"truncated output count": {
-			blob: corruptSection(rawCounts(1, 0xff), one, []uint16{0}, counts(0), nil, nil),
+			blob: corruptSection(k, one, held, rawCounts(1, 0xff), counts(0), []uint16{0}, nil, nil),
 			want: "output count of node 0: truncated uvarint",
 		},
 		"non-minimal output count": {
-			blob: corruptSection(rawCounts(1, 0x80, 0x80, 0x00), one, []uint16{0}, counts(0), nil, nil),
+			blob: corruptSection(k, one, held, rawCounts(1, 0x80, 0x80, 0x00), counts(0), []uint16{0}, nil, nil),
 			want: "output count of node 0: non-minimal uvarint",
 		},
 		"output counts for another transaction count": {
-			blob: corruptSection(counts(1, 1), one, []uint16{0}, counts(0), nil, nil),
+			blob: corruptSection(k, one, held, counts(1, 1), counts(0), []uint16{0}, nil, nil),
 			want: "2 output counts for 1 transactions",
 		},
 		"output-count column longer than its values": {
-			blob: corruptSection(rawCounts(1, 1, 7), one, []uint16{0}, counts(0), nil, nil),
+			blob: corruptSection(k, one, held, rawCounts(1, 1, 7), counts(0), []uint16{0}, nil, nil),
 			want: "output-count column holds 1 bytes past its 1 values",
 		},
-		"span of a spent-out node": {
-			// 1 has had both its spenders and still carries a vector: a writer
-			// that retires never leaves one.
-			blob: corruptSection(counts(2, 2), []uint16{0, 0}, []uint16{1, 1}, counts(0, 2), []uint16{0, 3}, []uint64{5, 6}),
-			want: "node 1 has had 2 spenders of its 2 outputs but keeps a span of 1 entries",
+		"spent out of no outputs": {
+			// 1's bit is clear, so it is spent out, but of a count of 0.
+			blob: corruptSection(k, []uint16{0, 0}, held, counts(1, 0), counts(0), []uint16{0}, nil, nil),
+			want: "node 1 has no record but an output count of 0",
 		},
-		"assignment and index disagree": {
-			blob: corruptSection(counts(0), one, nil, counts(), nil, nil),
-			want: "assignment has 1 placements but the T2S index 0",
+		"record of a node spent out exactly": {
+			// 1 has had both its spenders and is still marked held: memory
+			// never holds such a node.
+			blob: corruptSection(k, []uint16{0, 0}, []uint64{3}, counts(2, 2), counts(0, 2), []uint16{1, 0}, []uint16{0}, []uint64{5}),
+			want: "node 1 has had 2 spenders of its 2 outputs but keeps a record",
+		},
+		"span of a spent-out node": {
+			// The same with the span a writer that retires never leaves.
+			blob: corruptSection(k, []uint16{0, 0}, []uint64{3}, counts(2, 2), counts(0, 2), []uint16{1, 1}, []uint16{0, 2}, []uint64{5, 6}),
+			want: "node 1 has had 2 spenders of its 2 outputs but keeps a record",
+		},
+		"span of an overspent node": {
+			// 1 has had three spenders of its two outputs and still carries a
+			// vector: a writer that retires never leaves one.
+			blob: corruptSection(k, []uint16{0, 0}, []uint64{3}, counts(2, 2), counts(0, 3), []uint16{1, 1}, []uint16{0, 2}, []uint64{5, 6}),
+			want: "node 1 has had 3 spenders of its 2 outputs but keeps a span of 1 entries",
 		},
 		"assignment shard out of range": {
-			blob: corruptSection(counts(0), []uint16{k}, nil, counts(), nil, nil),
-			want: "in shard 4 of 4",
+			blob: corruptSection(k, []uint16{k}, nil, nil, nil, nil, nil, nil),
+			want: "in shard 3 of 3",
+		},
+		"assignment padding": {
+			// One decision, and the word's last two bits set.
+			blob: binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 1), 3<<62),
+			want: "the assignment's last word sets bits past transaction 0",
 		},
 		"truncated": {
-			blob: corruptSection(counts(), nil, nil, counts(), nil, nil)[:2],
+			blob: corruptSection(k, nil, nil, counts(), counts(), nil, nil, nil)[:2],
 			want: "truncated",
 		},
 	}
@@ -250,31 +306,40 @@ func TestCoreRestoreDefects(t *testing.T) {
 	}
 
 	t.Run("spent out on an empty span", func(t *testing.T) {
-		// What an index that retires writes: three transactions in shard 0
-		// declaring 1, 2 and 0 (unknown) outputs; no span for the spent-out
-		// 0, and its third spender counted as two late references.
+		// What an index that retires writes: four transactions in shard 0
+		// declaring 1, 2, 0 (unknown) and 1 outputs. 0 has had three
+		// spenders, so it holds a record with no span and its last two are
+		// counted as late references; 3 was spent once, so it is spent out
+		// and has only its count.
 		p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
-		section := corruptSection(counts(1, 2, 0), []uint16{0, 0, 0}, []uint16{0, 1, 1}, counts(3, 1, 7), []uint16{0, 0}, []uint64{5, 6})
+		section := corruptSection(k, []uint16{0, 0, 0, 0}, []uint64{0b0111}, counts(1, 2, 0, 1), counts(3, 1, 7), []uint16{0, 1, 1}, []uint16{0, 0}, []uint64{5, 6})
 		if err := p.RestoreState(placement.NewStateReader(section)); err != nil {
 			t.Fatal(err)
 		}
-		if txs, refs := p.idx.Retired(); txs != 1 || refs != 2 || p.idx.SlabLen() != 2 || freeSlots(p.idx) != 0 {
-			t.Fatalf("%d retired, %d late references, %d entries, %d free slots: want 1, 2, 2, 0", txs, refs, p.idx.SlabLen(), freeSlots(p.idx))
+		if txs, refs := p.idx.Retired(); txs != 2 || refs != 2 || p.idx.spent != 1 || p.idx.SlabLen() != 2 || freeSlots(p.idx) != 0 {
+			t.Fatalf("%d retired, %d late references, %d spent out, %d entries, %d free slots: want 2, 2, 1, 2, 0",
+				txs, refs, p.idx.spent, p.idx.SlabLen(), freeSlots(p.idx))
+		}
+		if nd := p.idx.node(3); nd != (logical{deg: 1, outs: 1}) || p.idx.words[3] != spentOut|1 {
+			t.Fatalf("transaction 3 holds %+v in word %#x", nd, p.idx.words[3])
+		}
+		if !bytes.Equal(stateOf(t, p), section) {
+			t.Fatal("the restored index writes other bytes than it read")
 		}
 	})
 
 	t.Run("non-empty receiver", func(t *testing.T) {
 		p := NewOptChain(OptChainConfig{K: k, N: n})
 		p.Place(0, nil)
-		err := p.RestoreState(placement.NewStateReader(corruptSection(counts(), nil, nil, counts(), nil, nil)))
+		err := p.RestoreState(placement.NewStateReader(corruptSection(k, nil, nil, counts(), counts(), nil, nil, nil)))
 		if err == nil || !strings.Contains(err.Error(), "non-empty") {
 			t.Fatalf("restore into placed-into placer: %v", err)
 		}
 	})
 }
 
-// TestShardWidthBoundary: over 255 shards a section stores shard ids and
-// span lengths a byte each, over 256 two bytes each; at both a vector over
+// TestShardWidthBoundary: over 255 shards a section stores slab shard ids
+// and span lengths a byte each, over 256 two bytes each; at both a vector over
 // every shard (span length k, shard id k-1) survives the round trip, and
 // the section is the size the widths make it.
 func TestShardWidthBoundary(t *testing.T) {
@@ -290,10 +355,11 @@ func TestShardWidthBoundary(t *testing.T) {
 		p.idx.asn.Place(0, k-1)
 		section := stateOf(t, p)
 		width := int64(placement.ShardWidth(k))
-		// Assignment and span lengths: a count and one element each; one
-		// 1-byte output count and one 1-byte out-degree; k shard ids and k
-		// values, each behind a 2-byte count.
-		if want := 2*(1+width) + 2*3 + (2 + width*int64(k)) + (2 + 8*int64(k)); int64(len(section)) != want {
+		// The assignment and the held bitmap: a count and one 8-byte word
+		// each (8-bit decisions at both k); one 1-byte output count and one
+		// 1-byte out-degree; one span length; k shard ids and k values,
+		// each behind a 2-byte count.
+		if want := 2*(1+8) + 2*3 + (1 + width) + (2 + width*int64(k)) + (2 + 8*int64(k)); int64(len(section)) != want {
 			t.Fatalf("k=%d: a %d-byte section, want %d", k, len(section), want)
 		}
 		fresh := NewT2SPlacer(k, 0, DefaultAlpha, 0.1)

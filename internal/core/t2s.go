@@ -297,11 +297,14 @@ type T2SIndex struct {
 
 	retiredTxs, retiredRefs int64
 
-	// wideOuts and wideDegs are the bytes the output counts and the
-	// out-degrees of all nodes take as uvarints beyond one a node, so that
+	// spent is how many words hold a spent-out node's count, and wideOuts
+	// and wideDegs are the bytes the output counts of all nodes and the
+	// out-degrees of the others take as uvarints beyond one a node, so that
 	// a snapshot's size is known without a pass over the records: a count
-	// is fixed when its node is committed, and an out-degree takes a byte
-	// more only when it reaches 2^7, 2^14, and so on.
+	// is fixed when its node is committed, an out-degree takes a byte more
+	// only when it reaches 2^7, 2^14, and so on, and retire and revive move
+	// a node's out-degree out of the total and back.
+	spent              int
 	wideOuts, wideDegs int64
 
 	tally t2sTally
@@ -504,6 +507,8 @@ func (t *T2SIndex) retire(v txgraph.Node, w uint32, outs int32) {
 	}
 	nd.off, t.freeRec = t.freeRec, w
 	t.words[v] = spentOut | uint32(outs)
+	t.spent++
+	t.wideDegs -= placement.UvarintLen(uint64(outs)) - 1
 }
 
 // revive gives the spent-out node v, whose word is word, a record again —
@@ -514,6 +519,8 @@ func (t *T2SIndex) revive(v txgraph.Node, word uint32) uint32 {
 	count := int32(word &^ spentOut)
 	w := t.newRecord(t2sNode{deg: count, outs: uint16(min(count, manyOuts))})
 	t.words[v] = w
+	t.spent--
+	t.wideDegs += placement.UvarintLen(uint64(count)) - 1
 	return w
 }
 

@@ -8,8 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"unsafe"
-
-	"optchain/internal/txgraph"
 )
 
 // MaxShards is the largest shard count whose state the snapshot format, the
@@ -19,8 +17,8 @@ import (
 const MaxShards = 1<<16 - 1
 
 // ShardWidth returns how many bytes a snapshot of k shards stores each
-// shard id and span length in: 1 when k <= 255 (ids below k and lengths up
-// to k fit a byte), else 2.
+// slab shard id and span length in: 1 when k <= 255 (ids below k and
+// lengths up to k fit a byte), else 2.
 func ShardWidth(k int) int {
 	if k <= 255 {
 		return 1
@@ -434,167 +432,62 @@ func countAt(b []byte, at int) (v uint64, n int, why string) {
 	return v, n, why
 }
 
-// StateSize implements Snapshotter for the assignment: the
-// per-transaction shard column, ShardWidth(k) bytes a decision.
-func (a *Assignment) StateSize() int64 { return ColumnSize(a.n, ShardWidth(a.k)) }
-
-// wordsAreColumn reports whether the memory of the assignment's words is
-// its section's shard column: decisions a byte or two wide in memory as in
-// the section, on a little-endian host.
-func (a *Assignment) wordsAreColumn(width int) bool {
-	return littleEndian && 8*width == 1<<a.lw
+// StateSize implements Snapshotter for the assignment: the decision
+// count and the packed words, 8 bytes each.
+func (a *Assignment) StateSize() int64 {
+	return UvarintLen(uint64(a.n)) + 8*int64(len(a.words))
 }
 
-// WriteState serializes the assignment: the per-transaction shard column
-// (counts are derived on restore), ShardWidth(k) bytes a decision whatever
-// the width in memory. Decisions narrower in memory than in the section
-// are unpacked a block at a time into the writer's staging space.
+// WriteState serializes the assignment as memory holds it: the decision
+// count, then the packed words, little-endian, the unused bits of the last
+// one zero (counts are derived on restore).
 func (a *Assignment) WriteState(w *StateWriter) {
-	width := ShardWidth(a.k)
 	w.Uvarint(uint64(a.n))
-	if a.wordsAreColumn(width) {
-		w.Write(bytesOf(a.words)[:a.n*width])
-		return
-	}
-	for lo := 0; lo < a.n; {
-		m := min(a.n-lo, stageBytes/width) // a whole number of words but for the last block
-		a.unpack(w.Stage(m*width), lo, width)
-		w.Commit(m * width)
-		lo += m
-	}
-}
-
-// unpack stores decisions lo, lo+1, ... in dst, width bytes each
-// little-endian, until dst is full; lo is the first decision of a word.
-// Below a byte, whole words' decisions are spread to bytes eight at a time.
-func (a *Assignment) unpack(dst []byte, lo, width int) {
-	i, v := 0, lo
-	if width == 1 && a.lw < 3 {
-		m := len(dst) >> a.shift // whole words
-		spread(dst, a.words[lo>>a.shift:][:m], a.lw)
-		i, v = m<<a.shift, lo+m<<a.shift
-	}
-	for ; i < len(dst); i, v = i+width, v+1 {
-		s := a.ShardOf(txgraph.Node(v))
-		dst[i] = byte(s)
-		if width == 2 {
-			dst[i+1] = byte(s >> 8)
-		}
-	}
-}
-
-// spread stores the decisions of words, 1<<lw bits each with lw below 3,
-// in dst, a byte each; gather is its inverse. Each width has its own case,
-// so that every shift is a constant.
-func spread(dst []byte, words []uint64, lw uint) {
-	for w, x := range words {
-		d := dst[w<<(6-lw):]
-		switch lw {
-		case 0:
-			for j := 0; j < 64; j, x = j+8, x>>8 {
-				binary.LittleEndian.PutUint64(d[j:], spreadBits(x, 1))
-			}
-		case 1:
-			for j := 0; j < 32; j, x = j+8, x>>16 {
-				binary.LittleEndian.PutUint64(d[j:], spreadBits(x, 2))
-			}
-		case 2:
-			binary.LittleEndian.PutUint64(d, spreadBits(x, 4))
-			binary.LittleEndian.PutUint64(d[8:], spreadBits(x>>32, 4))
-		}
-	}
-}
-
-// spreadBits moves the eight fields of b bits at the bottom of x to the
-// bottoms of its eight bytes, in order, halving the groups of fields three
-// times.
-func spreadBits(x uint64, b uint) uint64 {
-	x &= 1<<(8*b) - 1
-	x = (x | x<<(32-4*b)) & ((1<<(4*b) - 1) * 0x0000000100000001)
-	x = (x | x<<(16-2*b)) & ((1<<(2*b) - 1) * 0x0001000100010001)
-	return (x | x<<(8-b)) & ((1<<b - 1) * 0x0101010101010101)
-}
-
-// gather stores the decisions of col, a byte each, in words, 1<<lw bits
-// each with lw below 3.
-func gather(words []uint64, col []byte, lw uint) {
-	for w := range words {
-		c, x := col[w<<(6-lw):], uint64(0)
-		switch lw {
-		case 0:
-			for j := 56; j >= 0; j -= 8 {
-				x = x<<8 | gatherBits(binary.LittleEndian.Uint64(c[j:]), 1)
-			}
-		case 1:
-			for j := 24; j >= 0; j -= 8 {
-				x = x<<16 | gatherBits(binary.LittleEndian.Uint64(c[j:]), 2)
-			}
-		case 2:
-			x = gatherBits(binary.LittleEndian.Uint64(c[8:]), 4)<<32 | gatherBits(binary.LittleEndian.Uint64(c), 4)
-		}
-		words[w] = x
-	}
-}
-
-// gatherBits is spreadBits backwards.
-func gatherBits(x uint64, b uint) uint64 {
-	x = (x | x>>(8-b)) & ((1<<(2*b) - 1) * 0x0001000100010001)
-	x = (x | x>>(16-2*b)) & ((1<<(4*b) - 1) * 0x0000000100000001)
-	return (x | x>>(32-4*b)) & (1<<(8*b) - 1)
+	w.Uint64s(a.words)
 }
 
 // RestoreState replaces the assignment's decisions with a section produced
-// by WriteState. The receiver must be empty and keep its shard count; the
-// per-shard tallies are rebuilt, and any out-of-range shard fails: each
-// decision is range-checked as the section stores it, before it is packed.
+// by WriteState. The receiver must be empty and keep its shard count. One
+// pass over the words copies them (a big-endian host swaps each), refuses
+// a decision of k or more before it is tallied and padding bits that are
+// not zero, and rebuilds the per-shard tallies.
 func (a *Assignment) RestoreState(r *StateReader) error {
-	width := ShardWidth(a.k)
-	col := r.Column(width)
+	n := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if a.n != 0 {
 		return fmt.Errorf("placement: restore into a non-empty assignment (%d placed)", a.n)
 	}
-	n := len(col) / width
-	counts := make([]int64, a.k)
-	for i := range n {
-		s := int(Shard(col, i, width))
-		if s >= len(counts) {
-			return fmt.Errorf("placement: snapshot places transaction %d in shard %d of %d", i, s, a.k)
-		}
-		counts[s]++
+	if n > uint64(r.Len()/8)<<a.shift {
+		return fmt.Errorf("placement: %d decisions exceed the %d remaining bytes", n, r.Len())
 	}
-	words, nw := a.words, (n+int(a.low))>>a.shift
+	nw := int(n+uint64(a.low)) >> a.shift
+	col := r.Bytes(8 * nw)
+	words := a.words
 	if cap(words) < nw {
 		words = make([]uint64, nw)
 	}
 	words = words[:nw]
-	if a.wordsAreColumn(width) {
-		copy(bytesOf(words), col) // an empty assignment's words are all zero
-	} else {
-		a.pack(words, col, width)
-	}
-	a.words, a.n, a.counts = words, n, counts
-	return nil
-}
-
-// pack stores the decisions of col, a column of width-byte shard ids below
-// k, in words. Below a byte, whole words' decisions are gathered from
-// bytes eight at a time.
-func (a *Assignment) pack(words []uint64, col []byte, width int) {
-	n, w := len(col)/width, 0
-	if width == 1 && a.lw < 3 {
-		w = n >> a.shift // whole words
-		gather(words[:w], col, a.lw)
-	}
-	for ; w < len(words); w++ {
-		var x uint64
-		for i := w << a.shift; i < min((w+1)<<a.shift, n); i++ {
-			x |= uint64(Shard(col, i, width)) << (uint(i) & a.low << a.lw & 63)
+	counts := make([]int64, a.k)
+	per, size, mask := 1<<a.shift, uint(1)<<a.lw, a.mask
+	for i := range words {
+		x := binary.LittleEndian.Uint64(col[8*i:])
+		words[i] = x
+		for j := range min(per, int(n)-i<<a.shift) {
+			s := x & mask
+			if s >= uint64(len(counts)) {
+				return fmt.Errorf("placement: snapshot places transaction %d in shard %d of %d", i<<a.shift+j, s, a.k)
+			}
+			counts[s]++
+			x >>= size
 		}
-		words[w] = x
+		if x != 0 { // what is left of a word past its last decision
+			return fmt.Errorf("placement: the assignment's last word sets bits past transaction %d", int(n)-1)
+		}
 	}
+	a.words, a.n, a.counts = words, int(n), counts
+	return nil
 }
 
 // Shard returns element i of a column of width-byte shard ids or span

@@ -31,13 +31,25 @@ func stateOf(t *testing.T, s Snapshotter) []byte {
 	return buf.Bytes()
 }
 
-// shardColumn encodes a shard column of width-byte elements by hand.
-func shardColumn(width int, shards ...uint16) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(shards)))
-	for _, s := range shards {
-		b = binary.LittleEndian.AppendUint16(b, s)[:len(b)+width]
+// packedSection encodes the format-5 assignment section of the given
+// decisions over k shards by hand: the decision count, then 64-bit
+// little-endian words of decisions the fewest power-of-two bits wide that
+// name k-1, the first in the lowest bits.
+func packedSection(k int, shards ...uint16) []byte {
+	b := 1
+	for 1<<b < k {
+		b *= 2
 	}
-	return b
+	per := 64 / b
+	words := make([]uint64, (len(shards)+per-1)/per)
+	for i, s := range shards {
+		words[i/per] |= uint64(s) << (i % per * b)
+	}
+	out := binary.AppendUvarint(nil, uint64(len(shards)))
+	for _, w := range words {
+		out = binary.LittleEndian.AppendUint64(out, w)
+	}
+	return out
 }
 
 // putCounts writes vals as the values of a count column, a block at a
@@ -255,6 +267,12 @@ func TestStateReaderDefects(t *testing.T) {
 			t.Fatal("negative Bytes accepted")
 		}
 	})
+	t.Run("varint past 64 bits", func(t *testing.T) {
+		r := NewStateReader(append(bytes.Repeat([]byte{0xff}, 10), 0x01))
+		if r.Uvarint() != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), "overflows 64 bits") {
+			t.Fatalf("11-byte varint: err=%v", r.Err())
+		}
+	})
 	t.Run("non-minimal varint", func(t *testing.T) {
 		// 1 in two bytes: a value the writer never encodes so.
 		r := NewStateReader([]byte{0x81, 0x00})
@@ -408,22 +426,46 @@ func TestAssignmentRestoreDefects(t *testing.T) {
 	t.Run("non-empty receiver", func(t *testing.T) {
 		a := NewAssignment(2, 4)
 		a.Place(0, 1)
-		err := a.RestoreState(NewStateReader(shardColumn(1, 0)))
+		err := a.RestoreState(NewStateReader(packedSection(2, 0)))
 		if err == nil || !strings.Contains(err.Error(), "non-empty") {
 			t.Fatalf("restore into non-empty assignment: %v", err)
 		}
 	})
 	t.Run("shard out of range", func(t *testing.T) {
 		a := NewAssignment(3, 4)
-		err := a.RestoreState(NewStateReader(shardColumn(1, 0, 7)))
-		if err == nil || !strings.Contains(err.Error(), "shard 7") {
+		err := a.RestoreState(NewStateReader(packedSection(3, 0, 3)))
+		if err == nil || !strings.Contains(err.Error(), "transaction 1 in shard 3 of 3") {
 			t.Fatalf("out-of-range shard: %v", err)
 		}
 	})
+	t.Run("padding bits set", func(t *testing.T) {
+		blob := packedSection(3, 0, 2)
+		blob[len(blob)-1] = 0x80 // the last of the word's 32 decisions
+		err := NewAssignment(3, 4).RestoreState(NewStateReader(blob))
+		if err == nil || !strings.Contains(err.Error(), "sets bits past transaction 1") {
+			t.Fatalf("padding bits set: %v", err)
+		}
+	})
+	t.Run("empty section", func(t *testing.T) {
+		err := NewAssignment(2, 4).RestoreState(NewStateReader(nil))
+		if err == nil || !strings.Contains(err.Error(), "truncated varint") {
+			t.Fatalf("empty section: %v", err)
+		}
+	})
 	t.Run("truncated section", func(t *testing.T) {
-		blob := shardColumn(1, 0, 1)
-		if err := NewAssignment(2, 4).RestoreState(NewStateReader(blob[:len(blob)-1])); err == nil {
-			t.Fatal("truncated section accepted")
+		blob := packedSection(2, 0, 1)
+		err := NewAssignment(2, 4).RestoreState(NewStateReader(blob[:len(blob)-1]))
+		if err == nil || !strings.Contains(err.Error(), "2 decisions exceed the 7 remaining bytes") {
+			t.Fatalf("truncated section: %v", err)
+		}
+	})
+	t.Run("more decisions than words", func(t *testing.T) {
+		// 65 one-bit decisions need two words.
+		blob := binary.AppendUvarint(nil, 65)
+		blob = append(blob, make([]byte, 8)...)
+		err := NewAssignment(2, 4).RestoreState(NewStateReader(blob))
+		if err == nil || !strings.Contains(err.Error(), "65 decisions exceed the 8 remaining bytes") {
+			t.Fatalf("65 decisions in one word: %v", err)
 		}
 	})
 	t.Run("too many shards to write", func(t *testing.T) {
@@ -555,23 +597,35 @@ func TestColumnsOnEitherByteOrder(t *testing.T) {
 		if b.n != a.n || !slices.Equal(b.words, a.words) || !slices.Equal(b.counts, a.counts) {
 			t.Fatalf("littleEndian=%v: restored assignment differs", le)
 		}
-		bad := shardColumn(2, 3, 65535, 1)
+		bad := packedSection(65535, 3, 65535, 1)
 		if _, err := restore(bad); err == nil || !strings.Contains(err.Error(), "transaction 1 in shard 65535") {
 			t.Fatalf("littleEndian=%v: out-of-range shard: %v", le, err)
 		}
 	}
 }
 
+// TestShardWidth: slab shard ids and span lengths take a byte up to 255
+// shards, where every id below k and every length up to k fits one, and
+// two bytes past it.
+func TestShardWidth(t *testing.T) {
+	for k, want := range map[int]int{1: 1, 16: 1, 255: 1, 256: 2, MaxShards: 2} {
+		if got := ShardWidth(k); got != want {
+			t.Errorf("ShardWidth(%d) = %d, want %d", k, got, want)
+		}
+	}
+}
+
 // TestPackedAssignment: at every decision width (1 bit at k <= 2 up to 16
 // bits above k = 256) the packed assignment answers as a plain []int of its
-// decisions does, writes the format-4 section that column gives
-// (ShardWidth(k) bytes a decision), restores from it on either byte order,
-// and refuses a section value of k, naming its transaction. The stream
-// crosses the staging buffer's block of decisions and, at 1 bit, many
-// 64-decision words.
+// decisions does, writes the format-5 section a hand encoder gives those
+// decisions (the count, then the packed words), restores from it on either
+// byte order, and refuses a section that holds a decision of k where the
+// width can hold one, naming its transaction, or sets a bit past the last
+// decision. The stream crosses the staging buffer's size and leaves the
+// last word part filled at every width.
 func TestPackedAssignment(t *testing.T) {
 	defer func(le bool) { littleEndian = le }(littleEndian)
-	const n = stageBytes + 1000
+	const n = stageBytes + 1001
 	for _, k := range []int{1, 2, 3, 4, 5, 16, 17, 255, 256, 257, 65535} {
 		t.Run(fmt.Sprint("k=", k), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(k), 1))
@@ -613,18 +667,19 @@ func TestPackedAssignment(t *testing.T) {
 					t.Fatalf("IsCrossShard(%v, %d) = %v", ins, s, !want)
 				}
 			}
-			width := ShardWidth(k)
-			section := shardColumn(width, col...)
-			bad := slices.Clone(section)
-			at := len(section) - (n-n/2)*width // transaction n/2
-			bad[at] = byte(k)
-			if width == 2 {
-				bad[at+1] = byte(k >> 8)
+			section := packedSection(k, col...)
+			var bad []byte // transaction n/2 in shard k, when its width can say so
+			if bits := 1 << a.lw; k < 1<<bits {
+				planted := slices.Clone(col)
+				planted[n/2] = uint16(k)
+				bad = packedSection(k, planted...)
 			}
+			padded := slices.Clone(section)
+			padded[len(padded)-1] |= 0x80 // the last word's top bit, past decision n-1
 			for _, le := range []bool{true, false} {
 				littleEndian = le
 				if got := stateOf(t, a); !bytes.Equal(got, section) {
-					t.Fatalf("littleEndian=%v: the section differs from the decisions' format-4 column", le)
+					t.Fatalf("littleEndian=%v: the section differs from the hand-encoded format-5 one", le)
 				}
 				for _, hint := range []int{0, n} {
 					b := NewAssignment(k, hint)
@@ -634,9 +689,15 @@ func TestPackedAssignment(t *testing.T) {
 					}
 					same(t, b)
 				}
-				err := NewAssignment(k, 0).RestoreState(NewStateReader(bad))
-				if want := fmt.Sprintf("transaction %d in shard %d of %d", n/2, k, k); err == nil || !strings.Contains(err.Error(), want) {
-					t.Fatalf("littleEndian=%v: a section value of k: %v, want %q", le, err, want)
+				if bad != nil {
+					err := NewAssignment(k, 0).RestoreState(NewStateReader(bad))
+					if want := fmt.Sprintf("transaction %d in shard %d of %d", n/2, k, k); err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("littleEndian=%v: a decision of k: %v, want %q", le, err, want)
+					}
+				}
+				err := NewAssignment(k, 0).RestoreState(NewStateReader(padded))
+				if want := fmt.Sprintf("sets bits past transaction %d", n-1); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("littleEndian=%v: a padding bit: %v, want %q", le, err, want)
 				}
 			}
 		})
@@ -657,8 +718,8 @@ func TestAssignmentBytes(t *testing.T) {
 }
 
 // BenchmarkAssignmentState prices writing and restoring a million-decision
-// assignment section: at k = 16 the decisions are unpacked from 4 bits and
-// packed back, at k = 62 the words' memory is the column.
+// assignment section: the words' memory is the section, and the restore
+// checks and tallies each decision, 4 bits wide at k = 16 and 8 at k = 62.
 func BenchmarkAssignmentState(b *testing.B) {
 	const n = 1_000_000
 	for _, k := range []int{16, 62} {

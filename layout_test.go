@@ -36,9 +36,10 @@ func t2sIndex(t *testing.T, e *Engine) *core.T2SIndex {
 // snap= is the FNV-64 of the engine's snapshot, re-recorded when format 3
 // replaced format 2 (uvarint counts and out-degrees, 1-byte shard ids and
 // span lengths at these 16 shards) with every other field unchanged, and
-// again when format 4 moved the output counts into the T2S section: only
-// the version byte changed, and with it set back to 3 each stream hashes
-// to its format-3 value. An engine restored from that snapshot must write
+// again when format 4 moved the output counts into the T2S section (only
+// the version byte changed), and again when format 5 wrote the assignment
+// as its packed words and the out-degrees and span lengths of held nodes
+// alone, behind a bitmap of them. An engine restored from that snapshot must write
 // the same bytes back, and hold no more state bytes than the engine it was
 // read from.
 func TestPlacementFingerprint(t *testing.T) {
@@ -47,12 +48,12 @@ func TestPlacementFingerprint(t *testing.T) {
 	}
 	const txs, shards = 200_000, 16
 	want := map[string]string{
-		"bitcoin/OptChain": "0xc60cb6482dd76c03 cross=13688 slab=310576 held=74983 snap=0x13d466b8d7fe451b",
-		"bitcoin/T2S":      "0xf8f94be27a496985 cross=30296 slab=584284 held=145530 snap=0x7a0e2cd18444b114",
-		"hotspot/OptChain": "0xe5fc7f2249a0f1fa cross=10582 slab=511278 held=109879 snap=0x96e726e795e6b028",
-		"hotspot/T2S":      "0xecf876d1070986aa cross=92758 slab=2208402 held=468918 snap=0x2f62dd1d8a4de113",
-		"mix-ids/OptChain": "0x664d4d853b87bf6 cross=41962 slab=513200 held=89617 snap=0x3208bffbb7beb9a7",
-		"mix-ids/T2S":      "0x4d7436f181105547 cross=64399 slab=786609 held=174458 snap=0x807dbe050804f956",
+		"bitcoin/OptChain": "0xc60cb6482dd76c03 cross=13688 slab=310576 held=74983 snap=0xd59a0213129f54b5",
+		"bitcoin/T2S":      "0xf8f94be27a496985 cross=30296 slab=584284 held=145530 snap=0x542abf6891288c5d",
+		"hotspot/OptChain": "0xe5fc7f2249a0f1fa cross=10582 slab=511278 held=109879 snap=0xde45021eae48ae48",
+		"hotspot/T2S":      "0xecf876d1070986aa cross=92758 slab=2208402 held=468918 snap=0x57a8efb2dfcb0570",
+		"mix-ids/OptChain": "0x664d4d853b87bf6 cross=41962 slab=513200 held=89617 snap=0xa7c56778725ce3f4",
+		"mix-ids/T2S":      "0x4d7436f181105547 cross=64399 slab=786609 held=174458 snap=0x7da77a2280a390e4",
 	}
 	for _, w := range []struct{ name, spec string }{
 		{"bitcoin", "bitcoin"}, {"hotspot", "hotspot"}, {"mix-ids", mixIDsSpec},

@@ -29,50 +29,51 @@ var (
 // layout that follows it. The whole stream (magic through payload) is
 // covered by a trailing CRC-32 so truncation and corruption fail loudly.
 //
-// Format version 4, every integer a minimal uvarint unless a width is
+// Format version 5, every integer a minimal uvarint unless a width is
 // given. A fixed-width column is a uvarint count followed by that many
 // little-endian elements; a count column is a uvarint count, a uvarint
 // byte length, then that many uvarints, each at most math.MaxInt32, so a
-// reader can slice it off without decoding it. Shard ids and span lengths
-// take 1 byte when the shard count is at most 255, else 2:
+// reader can slice it off without decoding it. The assignment is its
+// packed words, each decision the fewest power-of-two bits that name every
+// shard (4 at 16 shards); slab shard ids and span lengths take 1 byte when
+// the shard count is at most 255, else 2:
 //
-//	magic "OPTCHSNP", version (4)
+//	magic "OPTCHSNP", version (5)
 //	fingerprint: len(strategy), strategy (lower case), shards, alpha bits,
 //	    L2S weight bits, capacity hint
 //	placed, cross total, cross count
 //	strategy state, the placer's placement.Snapshotter section: for
-//	    Greedy and OmniLedger the shard of each transaction, 1 or 2 B each;
-//	    for T2S and OptChain the index's section (see
-//	    internal/core/state.go): output counts and out-degrees as count
-//	    columns, one per transaction, shards and span lengths 1 or 2 B per
-//	    transaction, slab shard ids 1 or 2 B and values 8 B per entry of the
-//	    vectors still held (a retired transaction has span length 0 and no
-//	    entries)
+//	    Greedy and OmniLedger the assignment, the decision count and the
+//	    packed 8-byte words; for T2S and OptChain the assignment and the
+//	    index's section (see internal/core/state.go): a bitmap of the
+//	    transactions that hold a node record, the output count of every
+//	    transaction, the out-degree and span length of each held one, and
+//	    slab shard ids 1 or 2 B and values 8 B per entry of the vectors
+//	    still held
 //	CRC-32 (IEEE) of all preceding bytes, 4 B little-endian
 //
-// These are the state's columns, each handed to the writer a block at a
+// Every column is what memory holds, handed to the writer a block at a
 // time through one small staging buffer (on a little-endian host a block
-// of 2- or 8-byte elements is the column's own memory, and a large one is
-// passed through whole), so a snapshot costs no memory proportional to the
-// state. The section's size comes from column lengths and the running byte
-// totals the T2S index keeps of its count columns, so SnapshotSize is
-// exact without a pass over the state.
-// For T2S and OptChain every byte after the version is what version 3
-// wrote; version 3 carried an output-count column in the header for every
-// strategy (zeros for Greedy and OmniLedger). Versions 1 to 3 are not
-// read: such a stream fails with ErrBadSnapshot naming its version, and
-// its owner starts cold or places the stream again.
+// of 2- or 8-byte elements, the assignment's words among them, is the
+// column's own memory, and a large one is passed through whole), so a
+// snapshot costs no memory proportional to the state beyond a bit a
+// transaction and a copy of each held record. The section's size comes
+// from column lengths and the running totals the T2S index keeps
+// (spent-out nodes, the byte lengths of its count columns), so
+// SnapshotSize is exact without a pass over the state. Versions 1 to 4
+// are not read: such a stream fails with ErrBadSnapshot naming its
+// version, and its owner starts cold or places the stream again.
 const (
 	snapMagic   = "OPTCHSNP"
-	snapVersion = 4
+	snapVersion = 5
 )
 
 // snapMaxBytes bounds how much ReadSnapshot will buffer — a corrupt length
 // field must not translate into an unbounded allocation — and therefore how
-// much WriteSnapshot will write: 1 GiB of snapshot is some 130 million
-// placed transactions at the 7-8 bytes each the benchmark's streams take
-// at 16 shards. (A variable only so that a test can reach the bound with a
-// small stream.)
+// much WriteSnapshot will write: 1 GiB of snapshot is some 170 to 230
+// million placed transactions at the 4.7-6.4 bytes each the benchmark's
+// streams take at 16 shards. (A variable only so that a test can reach
+// the bound with a small stream.)
 var snapMaxBytes int64 = 1 << 30
 
 // snapshotPlanLocked prepares a snapshot of the engine as it is now: the
@@ -163,7 +164,7 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 // subsequent decisions are bit-identical to the uninterrupted engine's.
 //
 // Any defect — truncation, checksum mismatch, another format version (a
-// stream of versions 1 to 3 included), a configuration fingerprint that
+// stream of versions 1 to 4 included), a configuration fingerprint that
 // does not match this engine — fails with ErrBadSnapshot naming the disagreement;
 // the engine is left unused only on fingerprint errors detected before
 // state adoption, and must be discarded after a mid-restore failure.
@@ -266,8 +267,8 @@ func (e *Engine) readSnapshot(data []byte) error {
 		return fmt.Errorf("%w: snapshot L2S weight %v, engine %v", ErrBadSnapshot, math.Float64frombits(weightBits), e.l2sWeight)
 	case crossCross > crossTotal:
 		return fmt.Errorf("%w: cross count %d exceeds total %d", ErrBadSnapshot, crossCross, crossTotal)
-	case placed > uint64(sr.Len()):
-		// Every strategy's section takes at least a byte per transaction.
+	case placed > 8*uint64(sr.Len()):
+		// Every strategy's section takes at least a bit per transaction.
 		return fmt.Errorf("%w: %d placed transactions in %d bytes of strategy state", ErrBadSnapshot, placed, sr.Len())
 	}
 	// The capacity hint sizes per-shard budgets (T2S/Greedy); rebuild the

@@ -113,6 +113,53 @@ func TestSnapshotSizeIsExact(t *testing.T) {
 			t.Fatalf("%d placed: the restored engine's SnapshotSize is %d (%v), want %d", placed, again, err, size)
 		}
 	}
+
+	// Every running total the size is made of, moved both ways: 0 declares
+	// 65,536 outputs (past what a node record counts) and 1 declares 200.
+	// Every later transaction spends 0 until it is spent out, and the next
+	// 200 spend 1 too, so 1's out-degree crosses 128 while it is held, and
+	// both then leave the held columns, as spent-out counts of 3 and 2
+	// uvarint bytes. The last two transactions name them again past their
+	// counts, which gives each its record back.
+	const many = 65_536
+	txs = make([]StreamTx, many+3)
+	txs[0].Outputs, txs[1].Outputs = many, 200
+	for u := 1; u < len(txs); u++ {
+		txs[u].Inputs = []int{0}
+		if u >= 2 && u <= 201 || u == many+1 {
+			txs[u].Inputs = append(txs[u].Inputs, 1)
+		}
+		if u > 1 {
+			txs[u].Outputs = 1
+		}
+	}
+	e = formatEngine(t, len(txs))
+	for _, placed := range []int{1, 2, 129, 130, 201, 202, many, many + 1, many + 2, many + 3} {
+		if _, err := e.PlaceBatch(txs[e.Stats().Placed:placed], nil); err != nil {
+			t.Fatal(err)
+		}
+		size, err := e.SnapshotSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := e.WriteSnapshot(&snap); err != nil {
+			t.Fatalf("%d placed: %v", placed, err)
+		}
+		if int64(snap.Len()) != size {
+			t.Fatalf("%d placed: SnapshotSize %d, WriteSnapshot wrote %d", placed, size, snap.Len())
+		}
+		fresh := formatEngine(t, len(txs))
+		if err := fresh.ReadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatalf("%d placed: %v", placed, err)
+		}
+		if again, err := fresh.SnapshotSize(); err != nil || again != size {
+			t.Fatalf("%d placed: the restored engine's SnapshotSize is %d (%v), want %d", placed, again, err, size)
+		}
+	}
+	if st := e.Stats(); st.RetiredTxs != 2 || st.RetiredRefs != 3 {
+		t.Fatalf("%d retired, %d late references: want 2 and 3", st.RetiredTxs, st.RetiredRefs)
+	}
 }
 
 // TestSnapshotWriterHonoursReaderLimit: a state whose stream ReadSnapshot
@@ -163,9 +210,9 @@ func seal(body []byte) []byte {
 
 // TestSnapshotVersion1Rejected: a well-formed stream of the first format
 // (4-byte shard ids and span lengths) fails with ErrBadSnapshot naming its
-// version; there is no second reader. (The committed format-2 streams and
-// format-3 ones are refused the same way: TestFormat2SnapshotsRefused,
-// TestSnapshotVersion3Rejected.)
+// version; there is no second reader. (The committed format-2 and format-4
+// streams and format-3 ones are refused the same way:
+// TestFormat2SnapshotsRefused, TestSnapshotVersion3Rejected.)
 func TestSnapshotVersion1Rejected(t *testing.T) {
 	// An empty OptChain engine over 8 shards, exactly as version 1 wrote it.
 	v1 := []byte(snapMagic)
@@ -182,7 +229,7 @@ func TestSnapshotVersion1Rejected(t *testing.T) {
 	v1 = append(v1, 0, 0, 0, 0, 0)   // cross and epoch counters
 	v1 = append(v1, 0, 0, 0, 0, 0)   // assignment, slab shards, slab values, span lengths, out-degrees
 	err := formatEngine(t, 0).ReadSnapshot(bytes.NewReader(seal(v1)))
-	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1, want 4") {
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1, want 5") {
 		t.Fatalf("version 1 stream: %v", err)
 	}
 }
@@ -208,7 +255,31 @@ func byteCol(vals ...byte) []byte {
 	return append(binary.AppendUvarint(nil, uint64(len(vals))), vals...)
 }
 
-// handSnapshot assembles a format-4 stream for an engine configured as e,
+// wordCol encodes a column of 8-byte words.
+func wordCol(words ...uint64) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(words)))
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// packedAsn encodes the format-5 assignment section of the given decisions
+// over 8 shards: their count, then 16 4-bit decisions a word, the first in
+// the lowest bits.
+func packedAsn(shards ...byte) []byte {
+	words := make([]uint64, (len(shards)+15)/16)
+	for i, s := range shards {
+		words[i/16] |= uint64(s) << (4 * (i % 16))
+	}
+	b := binary.AppendUvarint(nil, uint64(len(shards)))
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// handSnapshot assembles a format-5 stream for an engine configured as e,
 // holding the given placed transactions, around the strategy's state
 // section.
 func handSnapshot(e *Engine, placed int, section []byte) []byte {
@@ -227,23 +298,30 @@ func handSnapshot(e *Engine, placed int, section []byte) []byte {
 }
 
 // TestSnapshotColumnDefects: ReadSnapshot refuses, with ErrBadSnapshot
-// naming the node or entry, every defect of the count columns and the
-// narrow shard columns a format-4 stream can carry. The base stream is two
+// naming the node, entry or column, every defect of the packed
+// assignment, the held bitmap, the count columns and the narrow shard
+// columns a format-5 stream can carry. The base stream is two
 // transactions in shard 0 of 8, each declaring 2 outputs, the second
-// spending the first; each case changes one part of it.
+// spending the first: both are held, 0 with one spender; each case changes
+// one part of it.
 func TestSnapshotColumnDefects(t *testing.T) {
 	const q1 = 1 << 32 // 1.0 in Q32.32
-	vals := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 2), q1), q1)
-	type parts struct{ outs, asn, lens, degs, slab []byte }
+	type parts struct{ asn, bitmap, outs, degs, lens, slab []byte }
 	base := parts{
-		outs: countCol(2, 2),
-		asn:  byteCol(0, 0),
-		lens: byteCol(1, 1),
-		degs: countCol(1, 0),
-		slab: byteCol(0, 0),
+		asn:    packedAsn(0, 0),
+		bitmap: wordCol(0b11),
+		outs:   countCol(2, 2),
+		degs:   countCol(1, 0),
+		lens:   byteCol(1, 1),
+		slab:   byteCol(0, 0),
 	}
 	build := func(p parts) []byte {
-		section := slices.Concat(p.outs, p.asn, p.lens, p.degs, p.slab, vals)
+		entries := int(p.slab[0]) // every slab here is shorter than 128 entries
+		vals := binary.AppendUvarint(nil, uint64(entries))
+		for range entries {
+			vals = binary.LittleEndian.AppendUint64(vals, q1)
+		}
+		section := slices.Concat(p.asn, p.bitmap, p.outs, p.degs, p.lens, p.slab, vals)
 		return handSnapshot(formatEngine(t, 2), 2, section)
 	}
 	if err := formatEngine(t, 2).ReadSnapshot(bytes.NewReader(build(base))); err != nil {
@@ -267,10 +345,23 @@ func TestSnapshotColumnDefects(t *testing.T) {
 		"fewer counts than bytes":    {func(p *parts) { p.outs = rawCountCol(2, 2, 2, 2) }, "output-count column holds 1 bytes past its 2 values"},
 		"more counts than bytes":     {func(p *parts) { p.outs = rawCountCol(2, 2) }, "count column of 2 values in 1 bytes"},
 		"out-degrees past the nodes": {func(p *parts) { p.degs = rawCountCol(2, 1, 0, 0) }, "out-degree column holds 1 bytes past its 2 values"},
-		"assignment shard of k":      {func(p *parts) { p.asn = byteCol(0, 8) }, "transaction 1 in shard 8 of 8"},
-		"slab shard of k":            {func(p *parts) { p.slab = byteCol(0, 200) }, "slab entry 1 names shard 200 of 8"},
-		"span longer than k":         {func(p *parts) { p.lens = byteCol(9, 1) }, "span 0 has 9 entries, more than the 8 shards"},
-		"span on a spent-out node":   {func(p *parts) { p.degs = countCol(2, 0) }, "node 0 has had 2 spenders of its 2 outputs but keeps a span of 1 entries"},
+		"assignment shard of k":      {func(p *parts) { p.asn = packedAsn(0, 8) }, "transaction 1 in shard 8 of 8"},
+		"assignment padding": {func(p *parts) { p.asn = binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 2), 1<<63) },
+			"the assignment's last word sets bits past transaction 1"},
+		"slab shard of k":                   {func(p *parts) { p.slab = byteCol(0, 200) }, "slab entry 1 names shard 200 of 8"},
+		"span longer than k":                {func(p *parts) { p.lens = byteCol(9, 1) }, "span 0 has 9 entries, more than the 8 shards"},
+		"bitmap of another word count":      {func(p *parts) { p.bitmap = wordCol(0b11, 0) }, "held bitmap of 2 words for 2 transactions"},
+		"bitmap padding":                    {func(p *parts) { p.bitmap = wordCol(0b111) }, "held bitmap marks node 2, past the 2 transactions"},
+		"fewer out-degrees than held nodes": {func(p *parts) { p.degs = countCol(1) }, "1 out-degrees for 2 held transactions"},
+		"more span lengths than held nodes": {func(p *parts) { p.lens = byteCol(1, 1, 0) }, "3 span lengths for 2 held transactions"},
+		"spent out of no outputs": {func(p *parts) {
+			p.bitmap, p.outs, p.degs, p.lens, p.slab = wordCol(0b01), countCol(2, 0), countCol(1), byteCol(1), byteCol(0)
+		}, "node 1 has no record but an output count of 0"},
+		"record of a node spent out exactly": {func(p *parts) { p.degs, p.lens, p.slab = countCol(2, 0), byteCol(0, 1), byteCol(0) },
+			"node 0 has had 2 spenders of its 2 outputs but keeps a record"},
+		"span on an overspent node": {func(p *parts) { p.degs = countCol(3, 0) }, "node 0 has had 3 spenders of its 2 outputs but keeps a span of 1 entries"},
+		"spans short of the slab":   {func(p *parts) { p.slab = byteCol(0, 0, 1) }, "spans cover 2 of 3 slab entries"},
+		"spans past the slab's end": {func(p *parts) { p.slab = byteCol(0) }, "span 1 (len 1 at offset 1) exceeds slab length 1"},
 	} {
 		p := base
 		tc.edit(&p)
@@ -280,17 +371,17 @@ func TestSnapshotColumnDefects(t *testing.T) {
 		}
 	}
 
-	// A header that claims more transactions than the state has bytes
+	// A header that claims more transactions than the state has bits
 	// for is refused before anything is sized from it.
-	huge := handSnapshot(formatEngine(t, 2), 1<<40, slices.Concat(base.outs, base.asn, base.lens, base.degs, base.slab, vals))
+	huge := handSnapshot(formatEngine(t, 2), 1<<40, slices.Concat(base.asn, base.bitmap, base.outs, base.degs, base.lens, base.slab, []byte{0}))
 	if err := formatEngine(t, 2).ReadSnapshot(bytes.NewReader(huge)); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "1099511627776 placed transactions in") {
 		t.Errorf("a header claiming 2^40 placed transactions: %v", err)
 	}
 }
 
 // TestSnapshotVersion3Rejected: a format-3 stream, here a T2S engine's
-// format-4 stream with its version rewritten to 3 (every later byte is
-// what format 3 wrote), is refused naming its version.
+// stream with its version rewritten to 3 (the version is read first, so
+// the bytes after it are not), is refused naming its version.
 func TestSnapshotVersion3Rejected(t *testing.T) {
 	const n = 200
 	e, err := New(WithShards(8), WithStrategy("T2S"), WithStreamCapacity(n))
@@ -311,16 +402,16 @@ func TestSnapshotVersion3Rejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = fresh.ReadSnapshot(bytes.NewReader(seal(v3[:len(v3)-4])))
-	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 3, want 4") {
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 3, want 5") {
 		t.Fatalf("format-3 stream: %v", err)
 	}
 }
 
-// TestAssignmentOnlySnapshots: a Greedy or OmniLedger engine's format-4
-// stream is the header, the shard column and the checksum, nothing else;
-// it restores an engine that writes the same bytes back and continues the
-// stream as the uninterrupted engine does. The same stream with format 3's
-// zero count column ahead of the shard column is refused.
+// TestAssignmentOnlySnapshots: a Greedy or OmniLedger engine's format-5
+// stream is the header, the packed assignment and the checksum, nothing
+// else; it restores an engine that writes the same bytes back and
+// continues the stream as the uninterrupted engine does. The same stream
+// with format 3's zero count column ahead of the assignment is refused.
 func TestAssignmentOnlySnapshots(t *testing.T) {
 	const n, cut = 400, 250
 	txs := chainStream(n)
@@ -345,9 +436,9 @@ func TestAssignmentOnlySnapshots(t *testing.T) {
 		for i, s := range placed {
 			shards[i] = byte(s)
 		}
-		col := byteCol(shards...)
+		col := packedAsn(shards...)
 		if body := snap.Bytes()[:snap.Len()-4]; !bytes.HasSuffix(body, col) {
-			t.Fatalf("%s: the stream does not end in its shard column", strategy)
+			t.Fatalf("%s: the stream does not end in its packed assignment", strategy)
 		}
 		head := snap.Len() - 4 - len(col)
 		if size, err := e.SnapshotSize(); err != nil || size != int64(snap.Len()) || head > 64 {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,23 +64,28 @@ type continuation struct {
 	want []int
 }
 
-// format2Files are the format-2 streams committed before format 3: the
-// bitcoin stream's first fuzzCut transactions as snapshotted before
-// transactions were retired, its first 300 as an engine with parallel
-// placement wrote them (reserved header counters non-zero), and a serve
-// state file wrapping the hotspot stream's first 200 lines.
+// format2Files are the streams of earlier formats committed before their
+// successors: in format 2, the bitcoin stream's first fuzzCut transactions
+// as snapshotted before transactions were retired, its first 300 as an
+// engine with parallel placement wrote them (reserved header counters
+// non-zero), and a serve state file wrapping the hotspot stream's first
+// 200 lines; in format 4, the bitcoin stream's first fuzzCut transactions
+// as fuzzEngine snapshots them, an assignment a byte a decision and an
+// out-degree and span length for every transaction.
 var format2Files = []struct {
 	name, path string
+	version    int
 	serve      bool
 }{
-	{"all_live_bitcoin_250", "testdata/snapshot_pr21_bitcoin_250.bin", false},
-	{"parallel_bitcoin_300", "testdata/snapshot_pr24_parallel_bitcoin_300.bin", false},
-	{"serve_hotspot_200", "serve/testdata/state_pr21_hotspot_200.bin", true},
+	{"all_live_bitcoin_250", "testdata/snapshot_pr21_bitcoin_250.bin", 2, false},
+	{"parallel_bitcoin_300", "testdata/snapshot_pr24_parallel_bitcoin_300.bin", 2, false},
+	{"serve_hotspot_200", "serve/testdata/state_pr21_hotspot_200.bin", 2, true},
+	{"format4_bitcoin_250", "testdata/snapshot_pr50_bitcoin_250.bin", 4, false},
 }
 
-// TestFormat2SnapshotsRefused: each committed format-2 stream is refused
-// naming its version, ReadSnapshot with ErrBadSnapshot and a serve state
-// file with ErrBadState; there is no second reader.
+// TestFormat2SnapshotsRefused: each committed stream of an earlier format
+// is refused naming its version, ReadSnapshot with ErrBadSnapshot and a
+// serve state file with ErrBadState; there is no second reader.
 func TestFormat2SnapshotsRefused(t *testing.T) {
 	for _, f := range format2Files {
 		t.Run(f.name, func(t *testing.T) {
@@ -92,11 +100,32 @@ func TestFormat2SnapshotsRefused(t *testing.T) {
 			} else {
 				err = fuzzEngine(t, "OptChain").ReadSnapshot(bytes.NewReader(data))
 			}
-			if !errors.Is(err, want) || !strings.Contains(err.Error(), "version 2, want 4") {
-				t.Errorf("%s: %v, want %v naming version 2", f.path, err, want)
+			if v := fmt.Sprintf("version %d, want 5", f.version); !errors.Is(err, want) || !strings.Contains(err.Error(), v) {
+				t.Errorf("%s: %v, want %v naming %q", f.path, err, want, v)
 			}
 		})
 	}
+}
+
+// bitmapAt returns where the held bitmap's word count sits in a snapshot
+// of a fuzzEngine's T2S section: past the header and the packed
+// assignment, 4 bits a decision at fuzzShards shards.
+func bitmapAt(t testing.TB, snap []byte) int {
+	r := bytes.NewReader(snap[len("OPTCHSNP"):])
+	next := func() uint64 {
+		v, err := binary.ReadUvarint(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	next()                                // version
+	r.Seek(int64(next()), io.SeekCurrent) // strategy name
+	for range 7 {                         // shards, alpha, L2S weight, capacity hint, placed, cross total and count
+		next()
+	}
+	n := int(next())
+	return len(snap) - r.Len() + 8*((n+15)/16)
 }
 
 // FuzzReadSnapshot feeds ReadSnapshot arbitrary bytes, as given and with
@@ -111,7 +140,7 @@ func TestFormat2SnapshotsRefused(t *testing.T) {
 // room for 400 transactions, so a claim that got through would be felt.
 func FuzzReadSnapshot(f *testing.F) {
 	known := map[string]continuation{}
-	seed := func(strategy string, txs []optchain.StreamTx) {
+	seed := func(strategy string, txs []optchain.StreamTx) []byte {
 		e := fuzzEngine(f, strategy)
 		if _, err := e.PlaceBatch(txs[:fuzzCut], nil); err != nil {
 			f.Fatal(err)
@@ -126,8 +155,10 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		known[snap.String()] = continuation{txs[fuzzCut:], want}
 		f.Add(snap.Bytes())
+		return snap.Bytes()
 	}
-	for _, spec := range benchmarkSpecs {
+	bitcoin := seed("OptChain", fuzzStream(f, benchmarkSpecs[0]))
+	for _, spec := range benchmarkSpecs[1:] {
 		seed("OptChain", fuzzStream(f, spec))
 	}
 	// A transaction with more outputs than a node record counts, half spent:
@@ -146,14 +177,40 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	f.Add(empty.Bytes())
 	f.Add([]byte("OPTCHSNP"))
-	// Format-2 streams: refused as they are, and, their version byte mutated,
-	// columns of the old widths under the new rules.
-	for _, old := range format2Files[:2] {
+	// Streams of earlier formats: refused as they are, and, their version
+	// byte mutated, columns of the old widths under the new rules.
+	for _, old := range format2Files {
+		if old.serve {
+			continue
+		}
 		data, err := os.ReadFile(old.path)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
+	}
+	// The bitcoin seed with one rule broken each: a padding bit of the
+	// assignment's last word, a bitmap bit past the last node, a bitmap
+	// word too many, and a held bit cleared, which leaves the held columns
+	// longer than the bitmap's popcount.
+	at := bitmapAt(f, bitcoin)
+	end := at + 1 + 4*8 // 250 nodes take four words
+	for _, plant := range []func([]byte) []byte{
+		func(b []byte) []byte { b[at-1] |= 0x80; return b },
+		func(b []byte) []byte { b[end-1] |= 0x80; return b },
+		func(b []byte) []byte { b[at]++; return slices.Concat(b[:end], make([]byte, 8), b[end:]) },
+		func(b []byte) []byte {
+			i := at + 1
+			for b[i] == 0 {
+				i++
+			}
+			b[i] &= b[i] - 1
+			return b
+		},
+	} {
+		planted := plant(bytes.Clone(bitcoin))
+		body := planted[:len(planted)-4]
+		f.Add(binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
 	}
 
 	check := func(t *testing.T, strategy string, data []byte) {
