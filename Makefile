@@ -97,8 +97,10 @@ scenario-smoke:
 # takes uvarints by the snapshot's rules, is refused with its typed error
 # or restores a working engine; the seeds are kilobytes long, so minimising
 # every new input would eat the whole pass), the T2S restore against its
-# vector-by-vector oracle (both reading the output counts from the
-# section), the generators' log-uniform age draw against int(math.Pow),
+# vector-by-vector oracle (both reading from the section the output counts
+# of live transactions alone and the count of late references; a clear bit
+# is a retired transaction, with nothing else kept of it), the generators'
+# log-uniform age draw against int(math.Pow),
 # and the placers' support select against Alg. 1's dense select.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/dataset

@@ -36,8 +36,9 @@
 // forgets it: once as many distinct transactions have spent from it as it
 // declared outputs, nothing in a valid UTXO stream can name it again, so
 // its score vector is dropped and its slot reused (state and snapshots then
-// follow the unspent set, not the stream's length). The count itself is
-// kept once, in the T2S index's record of the transaction. Outputs: 0 means
+// follow the unspent set, not the stream's length; what stays of a retired
+// transaction is its decision and a clear bit). The count itself is kept
+// once, in the T2S index's record of the transaction. Outputs: 0 means
 // unknown and opts the transaction out: it is scored by spenders seen so
 // far and never retired; a negative count, or one above math.MaxInt32, is
 // refused with ErrBadInput. A later reference to a retired transaction — a
@@ -166,14 +167,13 @@
 // freshly constructed engine of identical configuration, after which
 // every subsequent decision is bit-identical to the uninterrupted run's
 // (ErrBadSnapshot / ErrSnapshotUnsupported report damage and
-// non-snapshottable strategies). The stream (format version 5, laid out
+// non-snapshottable strategies). The stream (format version 6, laid out
 // in snapshot.go) is the engine's columns written once through a small
-// buffer, as memory holds them: the packed decisions, a bitmap of the
-// transactions that keep a node record, counts as uvarints, per-record
-// columns only for those transactions, and slab shard ids a byte wide up
-// to 255 shards; SnapshotSize gives its exact length beforehand, it may
-// not exceed 1 GiB, and a stream of versions 1 to 4 is refused, not
-// converted. The sibling package optchain/serve builds the
+// buffer: the packed decisions, a bitmap of the transactions still live
+// (not retired), counts as uvarints, per-record columns only for the live
+// transactions, and slab shard ids a byte wide up to 255 shards;
+// SnapshotSize gives its exact length beforehand, it may not exceed 1 GiB,
+// and a stream of versions 1 to 5 is refused, not converted. The sibling package optchain/serve builds the
 // placement-router deployment on top: an HTTP gateway (cmd/optchain-serve)
 // that places a request body a window at a time —
 // on the caller's goroutine when idle, else coalesced across clients into

@@ -88,9 +88,10 @@ type PlacementStats struct {
 	// StateBytes is the heap the engine's per-transaction state holds now,
 	// computed from the capacities of its columns (the shard assignment,
 	// each decision in the power-of-two bits k needs, 4 at 16 shards, and
-	// for T2S/OptChain the slab chunks with their free slots, a 4-byte word
-	// per transaction, the chunks of 12-byte records of the transactions
-	// that are not spent out, the counts too large for a record and the
+	// for T2S/OptChain the slab chunks with their free slots, a segment per
+	// 4096 transactions (a held bit each and a rank prefix per 64), the
+	// segments' 12-byte records of live transactions and of spent ones not
+	// yet compacted away, the counts too large for a record and the
 	// free-list heads), not from the runtime's memory statistics. The
 	// engine keeps no per-transaction column of its own.
 	StateBytes int64
@@ -350,10 +351,13 @@ func WithMetisPartition(part []int32) Option {
 
 // WithStreamCapacity hints the expected stream length for streaming-mode
 // placement (Place, PlaceBatch, PlaceStream; PlaceWorkload defaults it to
-// the length of the stream it places). Columns are sized from it, and
-// capacity-bounded strategies (T2S, Greedy) take their per-shard budget
-// from it while the stream is within it; past it, or without it, the
-// budget grows with the transactions placed.
+// the length of the stream it places). The assignment's packed decisions
+// and the T2S index's segment directory (an entry per 4096 transactions)
+// are sized from it; the index's records and vectors are not, as they grow
+// with the transactions still live. Capacity-bounded strategies (T2S,
+// Greedy) take their per-shard budget from it while the stream is within
+// it; past it, or without it, the budget grows with the transactions
+// placed.
 func WithStreamCapacity(n int) Option {
 	return func(e *Engine) error {
 		if n < 0 {

@@ -1,24 +1,37 @@
 package core
 
-import "optchain/internal/txgraph"
+import (
+	"math/bits"
 
-// logical is what the index holds of one transaction, whichever way it
-// holds it: a spent-out node's word stands for as many spenders as outputs
-// and no span. off is where the span starts, 0 without one.
+	"optchain/internal/txgraph"
+)
+
+// logical is what the index holds of one transaction: nothing once it is
+// spent out or past its count, whether its record still stands or its
+// segment has compacted it away. off is where the span starts, 0 without
+// one.
 type logical struct {
 	deg, outs int32
 	n         uint16
 	off       uint32
 }
 
+// record returns the record of v, or nil when its bit is clear.
+func (t *T2SIndex) record(v txgraph.Node) *t2sNode {
+	sg := &t.segs[v>>segBits]
+	b, bit := v>>6&(segBlocks-1), uint64(1)<<(v&63)
+	if sg.held[b]&bit == 0 {
+		return nil
+	}
+	return &sg.recs[int(sg.prefix[b])+bits.OnesCount64(sg.held[b]&(bit-1))]
+}
+
 // node returns the logical record of v.
 func (t *T2SIndex) node(v txgraph.Node) logical {
-	w := t.words[v]
-	if w&spentOut != 0 {
-		count := int32(w &^ spentOut)
-		return logical{deg: count, outs: count}
+	nd := t.record(v)
+	if nd == nil || nd.spent(t.outCount(v, nd.outs)) {
+		return logical{}
 	}
-	nd := t.rec(w)
 	l := logical{deg: nd.deg, outs: t.outCount(v, nd.outs), n: nd.n}
 	if nd.n != 0 {
 		l.off = nd.off
@@ -47,5 +60,16 @@ func (t *T2SIndex) vector(v txgraph.Node) map[int]float64 {
 	return out
 }
 
-// outDegree returns the current online out-degree of v.
+// outDegree returns the current online out-degree of v, 0 once it is
+// retired.
 func (t *T2SIndex) outDegree(v txgraph.Node) int { return int(t.node(v).deg) }
+
+// spentRecords counts the spent records the segments have not compacted
+// away yet.
+func (t *T2SIndex) spentRecords() int {
+	n := 0
+	for i := range t.segs {
+		n += int(t.segs[i].spent)
+	}
+	return n
+}

@@ -14,20 +14,20 @@ import (
 	"optchain/internal/workload"
 )
 
-// restoreStateOracle is the plain format-5 reader: one pass over the
+// restoreStateOracle is the plain format-6 reader: one pass over the
 // nodes, each restored on its own. A node whose bit is clear is added
-// through extend and given as many spenders as its count, which retires
-// it; a held node's vector is re-added through extend, the routine Commit
-// lays vectors out with, and its out-degree is then folded in by
-// addSpenders, which retires the node when that spends its last output
-// (and gives it its record back when the spenders go past it). Each count
-// is read from the section's output-count column as extend reads a source.
-// It slices the columns off with the section reader but decodes their
-// elements itself, a node at a time, the bitmap a byte at a time and the
-// counts through oracleCount. It is the reference restoreState is held to.
+// through extend with a count of 1 and given its one spender, which
+// retires it; a held node's vector is re-added through extend, the routine
+// Commit lays vectors out with, its count read from the section's
+// output-count column as extend reads a source, and its out-degree is then
+// folded in by addSpenders. Every segment is compacted at the end, and the
+// late references are the section's. It slices the columns off with the
+// section reader but decodes their elements itself, a node at a time, the
+// bitmap a byte at a time and the counts through oracleCount. It is the
+// reference restoreState is held to.
 func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
-	if len(t.words) != 0 || t.tally.hasPending {
-		return fmt.Errorf("core: restore into a non-empty T2S index (%d committed)", len(t.words))
+	if t.nodes != 0 || t.tally.hasPending {
+		return fmt.Errorf("core: restore into a non-empty T2S index (%d committed)", t.nodes)
 	}
 	if err := t.asn.RestoreState(r); err != nil {
 		return err
@@ -44,6 +44,7 @@ func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
 		return int(binary.LittleEndian.Uint16(col[2*i:]))
 	}
 	bitmap := r.Column(8)
+	refs := r.Uvarint()
 	outs := r.Counts()
 	degs := r.Counts()
 	lens := r.Column(width)
@@ -69,8 +70,11 @@ func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
 			return fmt.Errorf("core: held bitmap marks node %d, past the %d transactions", v, nodes)
 		}
 	}
-	if outs.N != nodes {
-		return fmt.Errorf("core: %d output counts for %d transactions", outs.N, nodes)
+	if refs > math.MaxInt64 {
+		return fmt.Errorf("core: %d late references", refs)
+	}
+	if outs.N != heldTxs {
+		return fmt.Errorf("core: %d output counts for %d held transactions", outs.N, heldTxs)
 	}
 	if degs.N != heldTxs {
 		return fmt.Errorf("core: %d out-degrees for %d held transactions", degs.N, heldTxs)
@@ -87,21 +91,24 @@ func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
 	t.outCounts = func(txgraph.Node) int { return int(count) }
 	off, h, dp, op := 0, 0, 0, 0
 	for v := 0; v < nodes; v++ {
+		if !isHeld(v) {
+			count = 1
+			if _, _, err := t.extend(0); err != nil {
+				return err
+			}
+			t.addSpenders(txgraph.Node(v), 1)
+			continue
+		}
 		c, next, why := oracleCount(outs.Data, op)
 		if why != "" {
 			return fmt.Errorf("core: output count of node %d: %s", v, why)
 		}
 		count, op = c, next
-		if !isHeld(v) {
-			if count == 0 {
-				return fmt.Errorf("core: node %d has no record but an output count of 0", v)
-			}
-			if _, _, err := t.extend(0); err != nil {
-				return err
-			}
-			t.addSpenders(txgraph.Node(v), int32(count))
-			continue
+		d, next, why := oracleCount(degs.Data, dp)
+		if why != "" {
+			return fmt.Errorf("core: out-degree of node %d: %s", v, why)
 		}
+		dp = next
 		n := elem(lens, h)
 		h++
 		if n > k {
@@ -110,16 +117,8 @@ func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
 		if off+n > entries {
 			return fmt.Errorf("core: span %d (len %d at offset %d) exceeds slab length %d", v, n, off, entries)
 		}
-		d, next, why := oracleCount(degs.Data, dp)
-		if why != "" {
-			return fmt.Errorf("core: out-degree of node %d: %s", v, why)
-		}
-		dp = next
-		if count > 0 && d == count {
-			return fmt.Errorf("core: node %d has had %d spenders of its %d outputs but keeps a record", v, d, count)
-		}
-		if count > 0 && d > count && n > 0 {
-			return fmt.Errorf("core: node %d has had %d spenders of its %d outputs but keeps a span of %d entries", v, d, count, n)
+		if count > 0 && d >= count {
+			return fmt.Errorf("core: node %d has had %d spenders of its %d outputs but is held", v, d, count)
 		}
 		shards, vals, err := t.extend(n)
 		if err != nil {
@@ -143,11 +142,15 @@ func (t *T2SIndex) restoreStateOracle(r *placement.StateReader) error {
 		return fmt.Errorf("core: out-degree column holds %d bytes past its %d values", len(degs.Data)-dp, heldTxs)
 	}
 	if op != len(outs.Data) {
-		return fmt.Errorf("core: output-count column holds %d bytes past its %d values", len(outs.Data)-op, nodes)
+		return fmt.Errorf("core: output-count column holds %d bytes past its %d values", len(outs.Data)-op, heldTxs)
 	}
 	if off != entries {
 		return fmt.Errorf("core: spans cover %d of %d slab entries", off, entries)
 	}
+	for s := range t.segs {
+		t.compact(s)
+	}
+	t.retiredRefs += int64(refs)
 	return nil
 }
 
@@ -170,58 +173,49 @@ func oracleCount(b []byte, at int) (uint64, int, string) {
 }
 
 // addSpenders folds d more spenders of v, which has a record, into its
-// degree in one step: v is retired if that spends its last output, and
-// spenders past the last output give it its record back and are counted as
-// Prepare counts them.
+// degree in one step, no more than its count: v is retired if that spends
+// its last output.
 func (t *T2SIndex) addSpenders(v txgraph.Node, d int32) {
-	w := t.words[v]
-	nd := t.rec(w)
-	before := nd.deg
-	deg := before + d
-	t.wideDegs += placement.UvarintLen(uint64(deg)) - placement.UvarintLen(uint64(before))
-	outs := t.outCount(v, nd.outs)
+	nd := t.record(v)
+	deg := nd.deg + d
+	t.wideDegs += placement.UvarintLen(uint64(deg)) - placement.UvarintLen(uint64(nd.deg))
 	nd.deg = deg
-	if outs == 0 || deg < outs {
-		return
-	}
-	if before < outs {
-		t.retire(v, w, outs)
-		before = outs
-	}
-	if deg > outs {
-		t.rec(t.revive(v, t.words[v])).deg = deg
-		t.retiredRefs += int64(deg - before)
+	if outs := t.outCount(v, nd.outs); outs > 0 && deg == outs {
+		t.retire(int(v>>segBits), nd, outs)
 	}
 }
 
-// sameLogical fails unless both indexes hold the same node count, live
-// vectors, out-degrees and output counts (the large ones included), entry
-// counters, retired counters, spent-out count, uvarint byte totals and
-// assignment; where
-// each laid its slab and its records out is free to differ, and so is
-// which nodes keep a record.
+// holds reports whether v is held: it has a record, and is neither spent
+// out nor past its count.
+func (t *T2SIndex) holds(v txgraph.Node) bool {
+	nd := t.record(v)
+	return nd != nil && !nd.spent(t.outCount(v, nd.outs))
+}
+
+// sameLogical fails unless both indexes hold the same node count, held
+// nodes, live vectors, out-degrees and output counts (the large ones
+// included), held entries, retired counters, uvarint byte totals and
+// assignment; where each laid its slab out is free to differ, and so are
+// the spent records a segment has not compacted away yet and the entries
+// committed before a restore.
 func sameLogical(t testing.TB, got, want *T2SIndex) {
 	t.Helper()
-	if len(got.words) != len(want.words) || got.entries != want.entries || got.committed != want.committed {
-		t.Fatalf("%d nodes, %d entries held, %d committed; want %d, %d, %d",
-			len(got.words), got.entries, got.committed, len(want.words), want.entries, want.committed)
+	if got.nodes != want.nodes || got.entries != want.entries {
+		t.Fatalf("%d nodes, %d entries held; want %d, %d", got.nodes, got.entries, want.nodes, want.entries)
 	}
-	if got.spent != want.spent || got.wideOuts != want.wideOuts || got.wideDegs != want.wideDegs {
-		t.Fatalf("%d spent out; output counts and held out-degrees take %d and %d bytes past one a node; want %d, %d and %d",
-			got.spent, got.wideOuts, got.wideDegs, want.spent, want.wideOuts, want.wideDegs)
+	if got.live != want.live || got.wideOuts != want.wideOuts || got.wideDegs != want.wideDegs {
+		t.Fatalf("%d held; their output counts and out-degrees take %d and %d bytes past one a node; want %d, %d and %d",
+			got.live, got.wideOuts, got.wideDegs, want.live, want.wideOuts, want.wideDegs)
 	}
 	if got.retiredTxs != want.retiredTxs || got.retiredRefs != want.retiredRefs {
 		t.Fatalf("retired %d txs / %d refs, want %d / %d", got.retiredTxs, got.retiredRefs, want.retiredTxs, want.retiredRefs)
 	}
-	if !slices.Equal(got.bigOuts, want.bigOuts) {
-		t.Fatalf("large output counts %v, want %v", got.bigOuts, want.bigOuts)
-	}
-	for v := range want.words {
+	for v := range want.nodes {
 		g, w := got.node(txgraph.Node(v)), want.node(txgraph.Node(v))
 		gs, gv := got.vec(txgraph.Node(v))
 		ws, wv := want.vec(txgraph.Node(v))
-		if g.deg != w.deg || g.outs != w.outs || !slices.Equal(gs, ws) || !slices.Equal(gv, wv) {
-			t.Fatalf("node %d: %+v %v %v, want %+v %v %v", v, g, gs, gv, w, ws, wv)
+		if got.holds(txgraph.Node(v)) != want.holds(txgraph.Node(v)) || g.deg != w.deg || g.outs != w.outs || !slices.Equal(gs, ws) || !slices.Equal(gv, wv) {
+			t.Fatalf("node %d: held %v, %+v %v %v; want held %v, %+v %v %v", v, got.holds(txgraph.Node(v)), g, gs, gv, want.holds(txgraph.Node(v)), w, ws, wv)
 		}
 	}
 	if got.asn.Len() != want.asn.Len() || !slices.Equal(got.asn.CountsView(), want.asn.CountsView()) {
@@ -234,13 +228,18 @@ func sameLogical(t testing.TB, got, want *T2SIndex) {
 	}
 }
 
-// sameState is sameLogical plus the slab's layout: every span at the same
-// offset, the same chunk count, chunk lengths and contents, current chunk
-// and free-list heads. Which record each node has is not compared.
+// sameState is sameLogical plus the entries committed and the layout:
+// every span at the same offset,
+// the same chunk count, chunk lengths and contents, current chunk and
+// free-list heads, and every segment's bitmap, prefix and records, with
+// the large output counts beside them.
 func sameState(t testing.TB, got, want *T2SIndex) {
 	t.Helper()
 	sameLogical(t, got, want)
-	for v := range want.words {
+	if got.committed != want.committed {
+		t.Fatalf("%d entries committed, want %d", got.committed, want.committed)
+	}
+	for v := range want.nodes {
 		if g, w := got.node(txgraph.Node(v)), want.node(txgraph.Node(v)); g != w {
 			t.Fatalf("node %d: %+v, want %+v", v, g, w)
 		}
@@ -252,6 +251,20 @@ func sameState(t testing.TB, got, want *T2SIndex) {
 	for c := range want.slabS {
 		if !slices.Equal(got.slabS[c], want.slabS[c]) || !slices.Equal(got.slabV[c], want.slabV[c]) {
 			t.Fatalf("chunk %d: %d entries, want %d, or their contents differ", c, len(got.slabS[c]), len(want.slabS[c]))
+		}
+	}
+	if len(got.segs) != len(want.segs) || !slices.Equal(got.bigOuts, want.bigOuts) {
+		t.Fatalf("%d segments, large output counts %v; want %d, %v", len(got.segs), got.bigOuts, len(want.segs), want.bigOuts)
+	}
+	for s := range want.segs {
+		g, w := &got.segs[s], &want.segs[s]
+		if g.held != w.held || g.spent != w.spent || !slices.Equal(g.recs, w.recs) {
+			t.Fatalf("segment %d: %d records, %d spent; want %d, %d, or their bitmaps or records differ", s, len(g.recs), g.spent, len(w.recs), w.spent)
+		}
+		for b, word := range w.held {
+			if word != 0 && g.prefix[b] != w.prefix[b] {
+				t.Fatalf("segment %d, block %d: prefix %d, want %d", s, b, g.prefix[b], w.prefix[b])
+			}
 		}
 	}
 }
@@ -331,24 +344,36 @@ func outsOf(t testing.TB, idx *T2SIndex) []byte {
 		t.Fatal(err)
 	}
 	r.Column(8) // the held bitmap
+	r.Uvarint() // the late references
 	col := r.Counts()
-	if r.Err() != nil || col.N != len(idx.words) {
-		t.Fatalf("an output-count column of %d values for %d nodes (%v)", col.N, len(idx.words), r.Err())
+	if r.Err() != nil || col.N != idx.live {
+		t.Fatalf("an output-count column of %d values for %d held nodes (%v)", col.N, idx.live, r.Err())
 	}
 	return col.Data
+}
+
+// heldOuts is the declared counts of the nodes idx holds.
+func heldOuts(idx *T2SIndex, outs []int) []int {
+	var held []int
+	for v := range idx.nodes {
+		if idx.holds(txgraph.Node(v)) {
+			held = append(held, outs[v])
+		}
+	}
+	return held
 }
 
 const mixIDsSpec = "mix:bitcoin=0.6,hotspot=0.25,adversarial=0.05,adversarial=0.05,adversarial=0.05"
 
 // TestRestoreMatchesOracle: on snapshots of the benchmark's three streams,
 // at k = 16 and 64, cut before the first transaction, after it, with the
-// current chunk part filled, and at 200k, the two-pass restore builds
-// exactly the index the vector-by-vector one builds: node records, chunks,
-// current chunk, free lists, counters and assignment. The output counts
-// come from the section's own count column, which holds the stream's. A writer that retires
-// leaves no span on a spent-out node, so there the oracle frees nothing and
-// the layouts agree to the slot. Sections only an older writer or a corrupt
-// file holds are below.
+// current chunk part filled, and at 200k, the segment-at-a-time restore
+// builds exactly the index the node-by-node one builds: segments, node
+// records, chunks, current chunk, free lists, counters and assignment.
+// The output counts come from the section's own count column, which holds
+// the stream's counts of the held nodes. A writer that retires leaves no
+// span on a spent-out node, so the layouts agree to the slot. Sections
+// only a corrupt file holds are below.
 func TestRestoreMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("6 placement passes of 200k transactions")
@@ -369,17 +394,17 @@ func TestRestoreMatchesOracle(t *testing.T) {
 					p.Place(txgraph.Node(u), inputs(u))
 				}
 				id := fmt.Sprintf("%s k=%d cut=%d", w.name, k, cut)
-				if !bytes.Equal(outsOf(t, p.idx), countColumn(outs[:cut])) {
-					t.Fatalf("%s: the placer's output-count column is not the stream's counts", id)
+				if !bytes.Equal(outsOf(t, p.idx), countColumn(heldOuts(p.idx, outs))) {
+					t.Fatalf("%s: the placer's output-count column is not the stream's counts of its held nodes", id)
 				}
 				got, want, err := restoreBoth(t, mk, stateOf(t, p))
 				if err != nil {
 					t.Fatalf("%s: %v", id, err)
 				}
 				sameState(t, got, want)
-				if got.entries != p.idx.entries || got.retiredTxs != p.idx.retiredTxs || got.spent != p.idx.spent || got.wideOuts != p.idx.wideOuts || got.wideDegs != p.idx.wideDegs {
-					t.Fatalf("%s: restored %d entries, %d retired, %d spent out, %d and %d wide count bytes; the placer holds %d, %d, %d, %d, %d", id,
-						got.entries, got.retiredTxs, got.spent, got.wideOuts, got.wideDegs, p.idx.entries, p.idx.retiredTxs, p.idx.spent, p.idx.wideOuts, p.idx.wideDegs)
+				sameLogical(t, got, p.idx)
+				if got.spentRecords() != 0 {
+					t.Fatalf("%s: the restored index keeps %d spent records", id, got.spentRecords())
 				}
 				if got.cur > 0 && len(got.slabS[got.cur]) < 1<<got.chunkBits {
 					midChunk = true
@@ -395,52 +420,51 @@ func TestRestoreMatchesOracle(t *testing.T) {
 // TestRestoreOracleSections holds the two restores together on sections no
 // stream here produces: output counts and out-degrees of several uvarint
 // bytes, counts past what the node record holds (kept beside it, and never
-// confused with their low 16 bits), nodes spent out exactly and past their
-// count, and a record kept for a node spent out exactly or a span for one
-// spent past its count, which both refuse.
+// confused with their low 16 bits), retired nodes and late references, and
+// a node held though spent out exactly or past its count, which both
+// refuse.
 func TestRestoreOracleSections(t *testing.T) {
 	const k = 4
-	outs := []int{70_000, 300, manyOuts, 1 << 20, 2, 0, 2, 3}
-	col := counts(70_000, 300, manyOuts, 1<<20, 2, 0, 2, 3)
 	mk := func() *T2SIndex { return NewT2SPlacer(k, 16, DefaultAlpha, 0.1).idx }
 	asn := []uint16{0, 1, 2, 3, 0, 1, 2, 3}
-	// 0 has had 4464 = 70000 mod 2^16 spenders and 3 as many as a record
-	// can count, both live; 2, 4 and 7 are spent out exactly (their bits
-	// clear), 6 past its count, and 5 has no count.
-	got, want, err := restoreBoth(t, mk, corruptSection(k, asn, []uint64{0b0110_1011}, col,
-		counts(4464, 9, manyOuts, 5, 4), []uint16{1, 2, 1, 1, 0}, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}))
+	// 0, 1, 3 and 5 are held: 0 has had 4464 = 70000 mod 2^16 spenders of
+	// its 70000 outputs, 3 as many as a record can count of its 2^20, and
+	// 5 has no count. 2, 4, 6 and 7 are retired, and two references named
+	// them past their counts.
+	outs := []int{70_000, 300, 1 << 20, 0}
+	got, want, err := restoreBoth(t, mk, corruptSectionRefs(2, k, asn, []uint64{0b0010_1011}, counts(70_000, 300, 1<<20, 0),
+		counts(4464, 9, manyOuts, 5), []uint16{1, 2, 1, 1}, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameState(t, got, want)
-	if txs, refs := got.Retired(); txs != 4 || refs != 2 || got.spent != 3 || got.entries != 5 || got.node(0).n != 1 || got.node(3).n != 1 {
-		t.Fatalf("%d retired, %d late references, %d spent out, %d entries held, spans %+v and %+v", txs, refs, got.spent, got.entries, got.node(0), got.node(3))
+	if txs, refs := got.Retired(); txs != 4 || refs != 2 || got.live != 4 || got.entries != 5 || got.node(0).n != 1 || got.node(3).n != 1 {
+		t.Fatalf("%d retired, %d late references, %d held, %d entries held, spans %+v and %+v", txs, refs, got.live, got.entries, got.node(0), got.node(3))
 	}
 	if back := outsOf(t, got); !bytes.Equal(back, countColumn(outs)) {
 		t.Fatalf("output counts written back as % x, want % x", back, countColumn(outs))
 	}
-	if len(got.bigOuts) != 3 || got.node(0).outs != 70_000 || got.node(2).outs != manyOuts {
+	if len(got.bigOuts) != 2 || got.node(0).outs != 70_000 || got.node(3).outs != 1<<20 || got.record(2) != nil {
 		t.Fatalf("large output counts %v", got.bigOuts)
 	}
-	// 70000, 2^20 and 65535 take 3 bytes, 300 two; of the held nodes'
-	// out-degrees 4464 takes two and 65535 three.
-	if got.wideOuts != 2+2+2+1 || got.wideDegs != 1+2 {
-		t.Fatalf("output counts take %d bytes past one a node, held out-degrees %d: want 7 and 3", got.wideOuts, got.wideDegs)
+	// 70000 and 2^20 take 3 bytes, 300 two; of the out-degrees 4464 takes
+	// two and 65535 three.
+	if got.wideOuts != 2+1+2 || got.wideDegs != 1+2 {
+		t.Fatalf("output counts take %d bytes past one a node, out-degrees %d: want 5 and 3", got.wideOuts, got.wideDegs)
 	}
 
-	// The same nodes with 2 marked held, its out-degree and a span of its
-	// own in the section: named, though its span is sound.
-	section := corruptSection(k, asn, []uint64{0b0110_1111}, col,
-		counts(4464, 9, manyOuts, manyOuts, 5, 4), []uint16{1, 2, 1, 1, 1, 0},
-		[]uint16{0, 0, 1, 2, 3, 0}, []uint64{1, 2, 3, 4, 5, 6})
-	if _, _, err = restoreBoth(t, mk, section); err == nil || !strings.Contains(err.Error(), "node 2 has had 65535 spenders of its 65535 outputs but keeps a record") {
-		t.Fatalf("a record of a spent-out node: %v", err)
+	// 2 marked held, its 65535 outputs all spent: named, though its span
+	// is sound.
+	section := corruptSection(k, asn, []uint64{0b0010_1111}, counts(70_000, 300, manyOuts, 1<<20, 0),
+		counts(4464, 9, manyOuts, manyOuts, 5), []uint16{1, 2, 1, 1, 1}, []uint16{0, 0, 1, 2, 3, 0}, []uint64{1, 2, 3, 4, 5, 6})
+	if _, _, err = restoreBoth(t, mk, section); err == nil || !strings.Contains(err.Error(), "node 2 has had 65535 spenders of its 65535 outputs but is held") {
+		t.Fatalf("a spent-out node held: %v", err)
 	}
-	// And with a span kept for 6, spent past its count.
-	section = corruptSection(k, asn, []uint64{0b0110_1011}, col,
-		counts(4464, 9, manyOuts, 5, 4), []uint16{1, 2, 1, 1, 1}, []uint16{0, 0, 1, 2, 3, 0}, []uint64{1, 2, 3, 4, 5, 6})
-	if _, _, err = restoreBoth(t, mk, section); err == nil || !strings.Contains(err.Error(), "node 6 has had 4 spenders of its 2 outputs but keeps a span of 1 entries") {
-		t.Fatalf("a span of an overspent node: %v", err)
+	// And 6 marked held with no span, spent past its count.
+	section = corruptSection(k, asn, []uint64{0b0110_1011}, counts(70_000, 300, 1<<20, 0, 2),
+		counts(4464, 9, manyOuts, 5, 4), []uint16{1, 2, 1, 1, 0}, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5})
+	if _, _, err = restoreBoth(t, mk, section); err == nil || !strings.Contains(err.Error(), "node 6 has had 4 spenders of its 2 outputs but is held") {
+		t.Fatalf("an overspent node held: %v", err)
 	}
 }
 
@@ -467,8 +491,7 @@ func wideStream(n int) (inputs func(u int) []txgraph.Node, outs []int) {
 // overspentStream is n transactions that each declare one output and spend
 // their predecessor, every third one the transaction before that as well:
 // that one is spent out by its first spender and named again past its
-// count, so a placer's section holds nodes spent out exactly and nodes
-// spent past their count, both with no span.
+// count, so a placer retires every node and counts late references.
 func overspentStream(n int) (inputs func(u int) []txgraph.Node, outs []int) {
 	outs = make([]int, n)
 	for u := range outs {
@@ -503,33 +526,35 @@ func FuzzRestoreState(f *testing.F) {
 	}
 	seed(wideStream(txs))
 	seed(overspentStream(txs))
-	// Hand-built sections: a sound one with wide counts and spent-out
-	// nodes, then one planted case of each rule the restore keeps.
+	// Hand-built sections: a sound one with wide counts, retired nodes and
+	// late references, then one planted case of each rule the restore
+	// keeps.
 	asn := []uint16{0, 1, 2, 3, 0, 1, 2, 3}
-	outs := counts(70_000, 300, manyOuts, 1<<20, 2, 0, 2, 3)
-	degs := counts(4464, 9, manyOuts, 5, 4)
-	lens, slabS, slabV := []uint16{1, 2, 1, 1, 0}, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}
-	const heldBits = 0b0110_1011
-	f.Add(corruptSection(k, asn, []uint64{heldBits}, outs, degs, lens, slabS, slabV))
+	outs := counts(70_000, 300, 1<<20, 0)
+	degs := counts(4464, 9, manyOuts, 5)
+	lens, slabS, slabV := []uint16{1, 2, 1, 1}, []uint16{0, 0, 1, 2, 3}, []uint64{1, 2, 3, 4, 5}
+	const heldBits = 0b0010_1011
+	f.Add(corruptSectionRefs(2, k, asn, []uint64{heldBits}, outs, degs, lens, slabS, slabV))
 	for _, planted := range [][]byte{
 		// A padding bit in the assignment: one decision, and its word's top bit.
 		binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 1), 1<<63),
 		// A bitmap of two words for eight nodes, and a bitmap bit past them.
 		corruptSection(k, asn, []uint64{heldBits, 0}, outs, degs, lens, slabS, slabV),
 		corruptSection(k, asn, []uint64{heldBits | 1<<9}, outs, degs, lens, slabS, slabV),
-		// 5's bit cleared: spent out of a count of 0.
-		corruptSection(k, asn, []uint64{heldBits &^ (1 << 5)}, outs, counts(4464, 9, manyOuts, 4), []uint16{1, 2, 1, 0}, slabS[:4], slabV[:4]),
+		// Late references past what an int64 counts.
+		corruptSectionRefs(1<<63, k, asn, []uint64{heldBits}, outs, degs, lens, slabS, slabV),
 		// 2 marked held, spent out exactly.
-		corruptSection(k, asn, []uint64{heldBits | 1<<2}, outs, counts(4464, 9, manyOuts, manyOuts, 5, 4), []uint16{1, 2, 0, 1, 1, 0}, slabS, slabV),
+		corruptSection(k, asn, []uint64{heldBits | 1<<2}, counts(70_000, 300, manyOuts, 1<<20, 0), counts(4464, 9, manyOuts, manyOuts, 5), []uint16{1, 2, 0, 1, 1}, slabS, slabV),
+		// 6 marked held, spent past its count.
+		corruptSection(k, asn, []uint64{heldBits | 1<<6}, counts(70_000, 300, 1<<20, 0, 2), counts(4464, 9, manyOuts, 5, 4), []uint16{1, 2, 1, 1, 0}, slabS, slabV),
 		// Held columns one value short of the bitmap's popcount.
-		corruptSection(k, asn, []uint64{heldBits}, outs, counts(4464, 9, manyOuts, 5), lens, slabS, slabV),
-		corruptSection(k, asn, []uint64{heldBits}, outs, degs, lens[:4], slabS, slabV),
-		// A span kept for 6, spent past its count.
-		corruptSection(k, asn, []uint64{heldBits}, outs, degs, []uint16{1, 2, 1, 1, 1}, append(slabS, 0), append(slabV, 6)),
+		corruptSection(k, asn, []uint64{heldBits}, outs, counts(4464, 9, manyOuts), lens, slabS, slabV),
+		corruptSection(k, asn, []uint64{heldBits}, counts(70_000, 300, 1<<20), degs, lens, slabS, slabV),
+		corruptSection(k, asn, []uint64{heldBits}, outs, degs, lens[:3], slabS, slabV),
 		// Spans that do not tile the slab: one entry short, one too many.
 		corruptSection(k, asn, []uint64{heldBits}, outs, degs, lens, slabS[:4], slabV[:4]),
 		corruptSection(k, asn, []uint64{heldBits}, outs, degs, lens, append(slabS, 0), append(slabV, 6)),
-		// Two defects, the first one a second-pass one: refused naming the first.
+		// Two defects, the first one a span's: refused naming the first.
 		corruptSection(k, []uint16{0, 0}, []uint64{0b11}, counts(0, 0), counts(0, 0), []uint16{2, 3}, []uint16{1, 1}, []uint64{1, 1}),
 	} {
 		f.Add(planted)
@@ -545,9 +570,9 @@ func FuzzRestoreState(f *testing.F) {
 	})
 }
 
-// BenchmarkRestoreState prices the T2S restore alone, two-pass against the
-// oracle, on a 200k-transaction mix-ids section at k = 16 (ns/tx is per
-// restored transaction).
+// BenchmarkRestoreState prices the T2S restore alone, a segment at a time
+// against the node-by-node oracle, on a 200k-transaction mix-ids section
+// at k = 16 (ns/tx is per restored transaction).
 func BenchmarkRestoreState(b *testing.B) {
 	const k, txs = 16, 200_000
 	inputs, outs := streamOf(b, mixIDsSpec, txs, k)
@@ -566,7 +591,7 @@ func BenchmarkRestoreState(b *testing.B) {
 	for _, r := range []struct {
 		name    string
 		restore func(*T2SIndex, *placement.StateReader) error
-	}{{"two-pass", (*T2SIndex).restoreState}, {"oracle", (*T2SIndex).restoreStateOracle}} {
+	}{{"segments", (*T2SIndex).restoreState}, {"oracle", (*T2SIndex).restoreStateOracle}} {
 		b.Run(r.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				idx := NewT2SIndex(DefaultAlpha, 0, placement.NewAssignment(k, txs), txs)

@@ -135,18 +135,15 @@ func TestT2SOutCountsDivisorDilutesFanout(t *testing.T) {
 	asn.Place(2, 1)
 }
 
-// reserve pre-sizes the index for at least `nodes` more transactions whose
-// committed vectors total at most `entries` more slab entries, so the
-// following Prepare/Commit calls allocate nothing at all, as long as none
-// names a transaction past its declared outputs (that gives a spent-out
-// node its record back); without it a chunk is allocated whenever the last
-// one fills.
+// reserve pre-sizes the index for at least `nodes` more transactions, all
+// in the open segment, whose committed vectors total at most `entries`
+// more slab entries, so the following Prepare/Commit calls allocate
+// nothing at all; without it a chunk is allocated whenever the last one
+// fills. The open segment's records are allocated whole, and only opening
+// the next one (which closes this one, compacting it) allocates.
 func reserve(t *T2SIndex, nodes, entries int) {
-	if need := len(t.words) + nodes; need > cap(t.words) {
-		t.words = append(make([]uint32, 0, need), t.words...)
-	}
-	for len(t.recs)<<recBits < t.nrecs+nodes {
-		t.recs = append(t.recs, new([recChunk]t2sNode))
+	if t.nodes == 0 || (t.nodes-1)>>segBits != (t.nodes+nodes-1)>>segBits {
+		panic("reserve: the nodes would open a segment")
 	}
 	// A chunk is left for the next one with fewer than k entries of it
 	// unfilled, so each is good for at least size-k+1 entries.

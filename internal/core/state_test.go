@@ -141,11 +141,17 @@ func packed(k int, shards []uint16) []byte {
 }
 
 // corruptSection builds a T2S state section over k <= 255 shards
-// (assignment, held bitmap, output counts, then the held nodes' columns
-// and the slab's) from raw parts, the output counts and out-degrees
-// encoded count columns, for defect injection.
+// (assignment, held bitmap, no late references, then the held nodes'
+// columns and the slab's) from raw parts, the output counts and
+// out-degrees encoded count columns, for defect injection.
 func corruptSection(k int, asnShards []uint16, bitmap []uint64, outs, degs []byte, lens, slabShards []uint16, slabVals []uint64) []byte {
+	return corruptSectionRefs(0, k, asnShards, bitmap, outs, degs, lens, slabShards, slabVals)
+}
+
+// corruptSectionRefs is corruptSection with refs late references.
+func corruptSectionRefs(refs uint64, k int, asnShards []uint16, bitmap []uint64, outs, degs []byte, lens, slabShards []uint16, slabVals []uint64) []byte {
 	b := column(packed(k, asnShards), bitmap)
+	b = binary.AppendUvarint(b, refs)
 	b = append(b, outs...)
 	b = append(b, degs...)
 	b = column(b, lens)
@@ -153,7 +159,7 @@ func corruptSection(k int, asnShards []uint16, bitmap []uint64, outs, degs []byt
 	return column(b, slabVals)
 }
 
-// TestCoreRestoreDefects: the restore refuses every defect a format-5
+// TestCoreRestoreDefects: the restore refuses every defect a format-6
 // section can carry, naming the node, entry or column.
 func TestCoreRestoreDefects(t *testing.T) {
 	const k, n = 3, 16                    // 2-bit decisions, so one of k can be planted
@@ -253,33 +259,32 @@ func TestCoreRestoreDefects(t *testing.T) {
 		},
 		"output counts for another transaction count": {
 			blob: corruptSection(k, one, held, counts(1, 1), counts(0), []uint16{0}, nil, nil),
-			want: "2 output counts for 1 transactions",
+			want: "2 output counts for 1 held transactions",
 		},
 		"output-count column longer than its values": {
 			blob: corruptSection(k, one, held, rawCounts(1, 1, 7), counts(0), []uint16{0}, nil, nil),
 			want: "output-count column holds 1 bytes past its 1 values",
 		},
-		"spent out of no outputs": {
-			// 1's bit is clear, so it is spent out, but of a count of 0.
-			blob: corruptSection(k, []uint16{0, 0}, held, counts(1, 0), counts(0), []uint16{0}, nil, nil),
-			want: "node 1 has no record but an output count of 0",
+		"late references past an int64": {
+			blob: corruptSectionRefs(1<<63, k, one, held, counts(0), counts(0), []uint16{0}, nil, nil),
+			want: "9223372036854775808 late references",
 		},
 		"record of a node spent out exactly": {
-			// 1 has had both its spenders and is still marked held: memory
-			// never holds such a node.
+			// 1 has had both its spenders and is still marked held: a writer
+			// writes such a node's bit clear.
 			blob: corruptSection(k, []uint16{0, 0}, []uint64{3}, counts(2, 2), counts(0, 2), []uint16{1, 0}, []uint16{0}, []uint64{5}),
-			want: "node 1 has had 2 spenders of its 2 outputs but keeps a record",
+			want: "node 1 has had 2 spenders of its 2 outputs but is held",
 		},
 		"span of a spent-out node": {
 			// The same with the span a writer that retires never leaves.
 			blob: corruptSection(k, []uint16{0, 0}, []uint64{3}, counts(2, 2), counts(0, 2), []uint16{1, 1}, []uint16{0, 2}, []uint64{5, 6}),
-			want: "node 1 has had 2 spenders of its 2 outputs but keeps a record",
+			want: "node 1 has had 2 spenders of its 2 outputs but is held",
 		},
 		"span of an overspent node": {
 			// 1 has had three spenders of its two outputs and still carries a
 			// vector: a writer that retires never leaves one.
 			blob: corruptSection(k, []uint16{0, 0}, []uint64{3}, counts(2, 2), counts(0, 3), []uint16{1, 1}, []uint16{0, 2}, []uint64{5, 6}),
-			want: "node 1 has had 3 spenders of its 2 outputs but keeps a span of 1 entries",
+			want: "node 1 has had 3 spenders of its 2 outputs but is held",
 		},
 		"assignment shard out of range": {
 			blob: corruptSection(k, []uint16{k}, nil, nil, nil, nil, nil, nil),
@@ -308,20 +313,20 @@ func TestCoreRestoreDefects(t *testing.T) {
 	t.Run("spent out on an empty span", func(t *testing.T) {
 		// What an index that retires writes: four transactions in shard 0
 		// declaring 1, 2, 0 (unknown) and 1 outputs. 0 has had three
-		// spenders, so it holds a record with no span and its last two are
-		// counted as late references; 3 was spent once, so it is spent out
-		// and has only its count.
+		// spenders, so it is retired and its last two are counted as late
+		// references; 3 was spent once, so it is retired too. 1 and 2 are
+		// held.
 		p := NewT2SPlacer(k, n, DefaultAlpha, 0.1)
-		section := corruptSection(k, []uint16{0, 0, 0, 0}, []uint64{0b0111}, counts(1, 2, 0, 1), counts(3, 1, 7), []uint16{0, 1, 1}, []uint16{0, 0}, []uint64{5, 6})
+		section := corruptSectionRefs(2, k, []uint16{0, 0, 0, 0}, []uint64{0b0110}, counts(2, 0), counts(1, 7), []uint16{1, 1}, []uint16{0, 0}, []uint64{5, 6})
 		if err := p.RestoreState(placement.NewStateReader(section)); err != nil {
 			t.Fatal(err)
 		}
-		if txs, refs := p.idx.Retired(); txs != 2 || refs != 2 || p.idx.spent != 1 || p.idx.SlabLen() != 2 || freeSlots(p.idx) != 0 {
-			t.Fatalf("%d retired, %d late references, %d spent out, %d entries, %d free slots: want 2, 2, 1, 2, 0",
-				txs, refs, p.idx.spent, p.idx.SlabLen(), freeSlots(p.idx))
+		if txs, refs := p.idx.Retired(); txs != 2 || refs != 2 || p.idx.live != 2 || p.idx.SlabLen() != 2 || freeSlots(p.idx) != 0 {
+			t.Fatalf("%d retired, %d late references, %d held, %d entries, %d free slots: want 2, 2, 2, 2, 0",
+				txs, refs, p.idx.live, p.idx.SlabLen(), freeSlots(p.idx))
 		}
-		if nd := p.idx.node(3); nd != (logical{deg: 1, outs: 1}) || p.idx.words[3] != spentOut|1 {
-			t.Fatalf("transaction 3 holds %+v in word %#x", nd, p.idx.words[3])
+		if p.idx.record(0) != nil || p.idx.record(3) != nil || p.idx.node(2) != (logical{deg: 7, n: 1, off: 1}) {
+			t.Fatalf("transactions 0 and 3 keep records %v and %v, 2 holds %+v", p.idx.record(0), p.idx.record(3), p.idx.node(2))
 		}
 		if !bytes.Equal(stateOf(t, p), section) {
 			t.Fatal("the restored index writes other bytes than it read")
@@ -356,10 +361,10 @@ func TestShardWidthBoundary(t *testing.T) {
 		section := stateOf(t, p)
 		width := int64(placement.ShardWidth(k))
 		// The assignment and the held bitmap: a count and one 8-byte word
-		// each (8-bit decisions at both k); one 1-byte output count and one
-		// 1-byte out-degree; one span length; k shard ids and k values,
-		// each behind a 2-byte count.
-		if want := 2*(1+8) + 2*3 + (1 + width) + (2 + width*int64(k)) + (2 + 8*int64(k)); int64(len(section)) != want {
+		// each (8-bit decisions at both k); no late references; one 1-byte
+		// output count and one 1-byte out-degree; one span length; k shard
+		// ids and k values, each behind a 2-byte count.
+		if want := 2*(1+8) + 1 + 2*3 + (1 + width) + (2 + width*int64(k)) + (2 + 8*int64(k)); int64(len(section)) != want {
 			t.Fatalf("k=%d: a %d-byte section, want %d", k, len(section), want)
 		}
 		fresh := NewT2SPlacer(k, 0, DefaultAlpha, 0.1)
@@ -384,12 +389,13 @@ func TestSnapshotBetweenPrepareAndCommit(t *testing.T) {
 }
 
 // TestOverspentAcrossRestore: transaction 0 declares two outputs. Its two
-// spenders leave it spent out (its word holds the count, no record), later
-// ones name it anyway. Snapshots cut while it is spent out and after the
-// first late reference (it has a record again, with no vector) restore to
-// indexes that count the same late references and retired transactions,
-// decide the same and write the same section bytes as the uninterrupted
-// index, transaction by transaction.
+// spenders leave it spent out (its record stays, spent, in the open
+// segment), later ones name it anyway and take the record's out-degree
+// past its count. Snapshots cut while it is spent out and after the first
+// late reference restore to indexes that hold no record of it, count the
+// same late references and retired transactions, decide the same and
+// write the same section bytes as the uninterrupted index, transaction by
+// transaction.
 func TestOverspentAcrossRestore(t *testing.T) {
 	const k = 4
 	outs := []int{2, 1, 1, 1, 1, 1, 1, 1}
@@ -405,8 +411,8 @@ func TestOverspentAcrossRestore(t *testing.T) {
 			whole.Place(txgraph.Node(u), inputs[u])
 			before.Place(txgraph.Node(u), inputs[u])
 		}
-		if spent := whole.idx.words[0]&spentOut != 0; spent != (cut == 3) {
-			t.Fatalf("cut %d: transaction 0 spent out %v", cut, spent)
+		if nd := whole.idx.record(0); nd == nil || nd.deg != int32(cut-1) || whole.idx.holds(0) {
+			t.Fatalf("cut %d: transaction 0 holds %+v", cut, nd)
 		}
 		blob := stateOf(t, before)
 		restored := mk()
@@ -432,8 +438,8 @@ func TestOverspentAcrossRestore(t *testing.T) {
 		if txs, refs := restored.idx.Retired(); txs != 6 || refs != 3 {
 			t.Fatalf("cut %d: %d retired, %d late references; want 6 and 3", cut, txs, refs)
 		}
-		if nd := restored.idx.node(0); nd != (logical{deg: 5, outs: 2}) {
-			t.Fatalf("cut %d: transaction 0 holds %+v", cut, nd)
+		if restored.idx.record(0) != nil || restored.idx.node(0) != (logical{}) {
+			t.Fatalf("cut %d: the restored transaction 0 holds %+v", cut, restored.idx.record(0))
 		}
 	}
 }

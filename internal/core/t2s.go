@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"optchain/internal/placement"
 	"optchain/internal/txgraph"
@@ -208,34 +209,37 @@ func (t *t2sTally) seal(shard uint16, alphaQ, truncQ uint64) ([]uint16, []uint64
 // Retirement: in the UTXO model a transaction whose outputs are all spent
 // can never be named again, so its vector is dead weight. When the
 // spenders of v reach its known output count, Prepare retires v: the slot
-// goes on a free list for its length, and the next vector of that length
-// reuses the slot before the arena is extended. The arena therefore grows
-// with the live set, not with the stream. A node whose output count is
-// unknown (0) is never retired. A reference to a retired node — legal only
+// goes on a free list for its length, and the next vector reuses the
+// shortest free slot that holds it before the arena is extended, what it
+// leaves of a longer one going on the list for that length. The arena
+// therefore grows with the live set, not with the stream. A node whose
+// output count is unknown (0) is never retired. A reference to a retired node — legal only
 // in a stream that spends more outputs than a transaction declared —
 // contributes no score mass and is counted (Retired). Liveness is a
 // function of the out-degree and output count alone, so a restored index
 // (which re-derives it) decides as the uninterrupted one does.
 //
-// Per transaction the index keeps one 4-byte word. Once v is spent out —
-// exactly, 0 < outputs == spenders — its output count is all there is to
-// know of it, and the word holds that count behind the spentOut flag. Any
-// other transaction (one with an unspent output, one whose count is
-// unknown, one spent past its count) has a 12-byte node record in a record
-// table, and its word is the record's index. Retiring v frees its record
-// onto a LIFO list the next node takes it from, so the table, like the
-// arena, grows with the live set and is allocated in chunks. A reference
-// past the last output gives v a record again, with no vector, so the
-// out-degree and the late references stay exact.
+// Records: every run of segSize consecutive nodes has a segment, which
+// holds a held bitmap (a bit a node: it has a 12-byte record), a 16-bit
+// rank prefix per 64 nodes, and the records packed in node order, so node
+// v's record is recs[prefix[b] + popcount(held[b] & below(v))]. Retiring
+// v leaves its record in place, spent (its out-degree equal to its count),
+// and a later reference takes the out-degree past the count and is counted
+// as late. A segment drops its spent records, clears their bits and
+// rebuilds its prefix when they pass a fixed share of its live ones
+// (compact), one segment at a time; from then on a reference to such a
+// node finds its bit clear and is counted as late alone. The open
+// segment, the last, has its records allocated whole, and is compacted
+// once, when the next one opens.
 //
-// A placed transaction therefore holds 4 bytes here for good (beside the
-// assignment's packed decision, half a byte at k = 16), and while it
-// is live 12 bytes of record plus 10 bytes per entry of its vector (and 8
-// bytes more for good if it declared manyOuts outputs or more). A stream
-// that declares no output counts retires nothing, so each of its
-// transactions keeps word and record: 16 bytes, 4 more than one record.
-// Steady state, Prepare and Commit allocate nothing between chunk
-// boundaries.
+// A placed transaction therefore holds the segment's 672 bytes over 4096
+// nodes, about 0.16 bytes, here for good (beside the assignment's packed
+// decision, half a byte at k = 16), and while it is live 12 bytes of
+// record plus 10 bytes per entry of its vector (and 8 bytes more while its
+// record stands, if it declared manyOuts outputs or more). A stream that
+// declares no output counts retires nothing, so each of its transactions
+// keeps its record: about 12.16 bytes. Steady state, Prepare and Commit
+// allocate nothing between chunk and segment boundaries.
 type T2SIndex struct {
 	alpha    float64
 	alphaQ   uint64  // α restart mass in Q32.32
@@ -257,14 +261,12 @@ type T2SIndex struct {
 	// whose thousands of recipients should not all follow the payer's
 	// shard. When nil, the divisor is the number of distinct spenders seen
 	// so far (including the one being scored). It is asked only about the
-	// node being committed, once, and the count kept from then on: in the
-	// node record (t2sNode.outs), or in bigOuts when it does not fit there,
-	// and in the word once the node is spent out.
+	// node being committed, once, and the count kept from then on in the
+	// node record (t2sNode.outs), or in bigOuts when it does not fit there.
 	outCounts func(txgraph.Node) int
 
-	// bigOuts holds, ascending by node, every count of manyOuts or more a
-	// node was committed with; a snapshot writes every count and a spent-out
-	// node can be named again, so it never shrinks.
+	// bigOuts holds, ascending by node, the count of every record that
+	// says manyOuts; compact drops the entry with the record.
 	bigOuts []bigOut
 
 	// The arena: chunk c backs slab offsets [c<<chunkBits, (c+1)<<chunkBits)
@@ -278,60 +280,77 @@ type T2SIndex struct {
 	entries   int        // entries of live vectors (free slots and chunk-end padding excluded)
 	committed int        // entries of every vector ever added, retired ones included
 
-	// words holds one word per committed transaction: spentOut plus the
-	// output count, or the index of the node's record in recs.
-	words []uint32
-	// recs is the record table, in chunks of recChunk records; records
-	// [0, nrecs) have been handed out, and freeRec heads the list of those
-	// freed since (noSlot: none), each freed record's off naming the next.
-	recs    []*[recChunk]t2sNode
-	nrecs   int
-	freeRec uint32
+	// segs holds the records, segment s those of nodes [s<<segBits,
+	// (s+1)<<segBits); nodes is how many have been committed and live how
+	// many of them are neither spent out nor spent past their count.
+	segs  []segment
+	nodes int
+	live  int
 
-	// free[n] is the offset of the most recently retired n-entry slot, or
+	// free[n] is the offset of the most recently freed n-entry slot, or
 	// noSlot; a free slot's first value holds the offset of the next one.
 	// The lists live inside the arena, so retiring and reusing allocate
 	// nothing, and reuse is LIFO: the slot Commit takes is most often the
-	// one Prepare just read.
-	free []uint32
+	// one Prepare just read. Bit n of freeLens is set while free[n] holds
+	// a slot; it has a word more than k needs, so that fitFree reads two.
+	free     []uint32
+	freeLens []uint64
 
 	retiredTxs, retiredRefs int64
 
-	// spent is how many words hold a spent-out node's count, and wideOuts
-	// and wideDegs are the bytes the output counts of all nodes and the
-	// out-degrees of the others take as uvarints beyond one a node, so that
-	// a snapshot's size is known without a pass over the records: a count
-	// is fixed when its node is committed, an out-degree takes a byte more
-	// only when it reaches 2^7, 2^14, and so on, and retire and revive move
-	// a node's out-degree out of the total and back.
-	spent              int
+	// wideOuts and wideDegs are the bytes the output counts and out-degrees
+	// of the live nodes take as uvarints beyond one a node, so that a
+	// snapshot's size is known without a pass over the records: a count is
+	// fixed when its node is committed, an out-degree takes a byte more
+	// only when it reaches 2^7, 2^14, and so on, and retire takes both out.
 	wideOuts, wideDegs int64
 
 	tally t2sTally
 }
 
-// t2sNode is the record of a transaction that is not spent out: where p'(v)
-// is, how many distinct spenders v has had, and how many it can have. An
-// input costs its word and, unless it is spent out, its record: one load
-// each, the record read whole.
+// t2sNode is the record of a transaction: where p'(v) is, how many
+// distinct spenders v has had, and how many it can have. An input costs
+// its segment's bitmap word and prefix, and its record, read whole.
 type t2sNode struct {
-	off  uint32 // slab offset of the first entry of p'(v); on the free list, the next free record
+	off  uint32 // slab offset of the first entry of p'(v)
 	deg  int32  // |Nout(v)| so far: distinct spenders seen
 	n    uint16 // entries of p'(v); 0 once v is retired
 	outs uint16 // output count of v: 0 unknown, manyOuts "see bigOuts"
 }
 
-// spentOut flags a word that holds the output count of a spent-out node
-// rather than the index of its record. Counts are at most math.MaxInt32
-// and records fewer than there are nodes, so neither reaches the flag.
-const spentOut = 1 << 31
+// spent reports whether a record with output count outs is spent out or
+// past its count.
+func (nd *t2sNode) spent(outs int32) bool { return outs > 0 && nd.deg >= outs }
 
-// recChunk is how many records one chunk of the record table holds: 48
-// KiB, six pages.
+// A segment covers segSize consecutive nodes, segBlocks blocks of 64.
+// 4096 nodes' records are 48 KiB, six pages: the open segment's
+// allocation.
 const (
-	recBits  = 12
-	recChunk = 1 << recBits
+	segBits   = 12
+	segSize   = 1 << segBits
+	segBlocks = segSize / 64
 )
+
+// segment holds the records of segSize consecutive nodes.
+type segment struct {
+	held   [segBlocks]uint64 // bit v%64 of word v/64 (within the segment): v has a record
+	prefix [segBlocks]uint16 // records of the segment's nodes before block b
+	spent  int32             // records of spent-out nodes, not yet compacted away
+	recs   []t2sNode         // the records, in node order
+}
+
+// segBytes is what a segment takes beside its records.
+const segBytes = int64(unsafe.Sizeof(segment{}))
+
+// compactShift sets the share of a closed segment's live records its
+// spent ones may reach before it is compacted: 1/2^compactShift. On the
+// benchmark's three streams (1M transactions, k = 16) the index keeps
+// 0.12-0.16 B/tx of spent records at 1/8, 0.24-0.32 at 1/4 and 0.46-0.61
+// at 1/2, and its compactions pass over 3.6-4.9, 2.4-3.1 and 1.8-2.2
+// records per transaction. Placed in lockstep with the index before
+// segments, 1/8 took 2-5% longer than 1/4, and 1/2 was no faster than
+// 1/4: a quarter buys the smallest state that costs no time.
+const compactShift = 2
 
 // manyOuts marks an output count too large for the node record.
 const manyOuts = 1<<16 - 1
@@ -359,10 +378,10 @@ var slabLimit uint64 = 1<<32 - 1
 // NewT2SIndex creates an index over the given assignment with damping
 // factor alpha (paper: 0.5) and relative truncation threshold truncate
 // (0 keeps vectors exact; ~1e-4 keeps them small with no measurable effect
-// on decisions). n is a capacity hint for the per-transaction words; the
-// record table grows with the live set whatever n is. The assignment holds
-// at most placement.MaxShards shards, which is what the index's 2-byte
-// shard entries can name.
+// on decisions). n is a capacity hint for the segment directory; the
+// records grow with the live set whatever n is. The assignment holds at
+// most placement.MaxShards shards, which is what the index's 2-byte shard
+// entries can name.
 func NewT2SIndex(alpha, truncate float64, asn *placement.Assignment, n int) *T2SIndex {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.5
@@ -383,9 +402,9 @@ func NewT2SIndex(alpha, truncate float64, asn *placement.Assignment, n int) *T2S
 		asn:       asn,
 		normalize: true,
 		chunkBits: max(minChunkBits, uint(bits.Len(uint(asn.K()-1)))),
-		words:     make([]uint32, 0, n),
-		freeRec:   noSlot,
+		segs:      make([]segment, 0, (n+segSize-1)/segSize),
 		free:      make([]uint32, asn.K()+1),
+		freeLens:  make([]uint64, asn.K()/64+2),
 	}
 	for i := range t.free {
 		t.free[i] = noSlot
@@ -402,9 +421,9 @@ func (t *T2SIndex) SetNormalize(on bool) { t.normalize = on }
 // The index asks it only about the transaction being committed, so a source
 // that knows only the current transaction's count is enough. Passing nil
 // restores the spenders-so-far divisor, under which nothing is retired and
-// every transaction keeps a 12-byte record beside its 4-byte word (see
-// T2SIndex). Install it before the first Prepare: nodes committed earlier
-// keep the counts they were committed with.
+// every transaction keeps its 12-byte record for good (see T2SIndex).
+// Install it before the first Prepare: nodes committed earlier keep the
+// counts they were committed with.
 func (t *T2SIndex) SetOutCounts(fn func(txgraph.Node) int) { t.outCounts = fn }
 
 // Alpha returns the damping factor.
@@ -423,31 +442,6 @@ func (t *T2SIndex) slot(off uint32, n int) ([]uint16, []uint64) {
 	return t.slabS[c][o : o+n], t.slabV[c][o : o+n]
 }
 
-// rec returns record w of the record table.
-//
-//optchain:hotpath one call per input of every stream transaction.
-func (t *T2SIndex) rec(w uint32) *t2sNode { return &t.recs[w>>recBits][w&(recChunk-1)] }
-
-// newRecord stores nd in a record, the most recently freed one or else the
-// next of the table (a chunk of them allocated when the last is handed
-// out), and returns its index.
-//
-//optchain:hotpath one call per stream transaction; a chunk is allocated once per recChunk records.
-func (t *T2SIndex) newRecord(nd t2sNode) uint32 {
-	w := t.freeRec
-	if w != noSlot {
-		t.freeRec = t.rec(w).off
-	} else {
-		if t.nrecs == len(t.recs)<<recBits {
-			t.recs = append(t.recs, new([recChunk]t2sNode))
-		}
-		w = uint32(t.nrecs)
-		t.nrecs++
-	}
-	*t.rec(w) = nd
-	return w
-}
-
 // outCount returns the output count the node record of v stands for: 0
 // when unknown.
 //
@@ -459,12 +453,15 @@ func (t *T2SIndex) outCount(v txgraph.Node, outs uint16) int32 {
 	return int32(outs)
 }
 
+// bigOutAt returns where v's entry is, or would be, in bigOuts.
+func (t *T2SIndex) bigOutAt(v txgraph.Node) int {
+	i, _ := slices.BinarySearchFunc(t.bigOuts, v, func(b bigOut, v txgraph.Node) int { return cmp.Compare(b.v, v) })
+	return i
+}
+
 // bigOut looks up the output count of v in bigOuts, where its record sent
 // the reader.
-func (t *T2SIndex) bigOut(v txgraph.Node) int32 {
-	i, _ := slices.BinarySearchFunc(t.bigOuts, v, func(b bigOut, v txgraph.Node) int { return cmp.Compare(b.v, v) })
-	return t.bigOuts[i].outs
-}
+func (t *T2SIndex) bigOut(v txgraph.Node) int32 { return t.bigOuts[t.bigOutAt(v)].outs }
 
 // keepOuts returns the node record's form of the output count of v, keeps a
 // count too large for it in bigOuts, and adds the bytes the count takes as
@@ -491,46 +488,115 @@ func (t *T2SIndex) widenDeg(deg int32) {
 	t.wideDegs += placement.UvarintLen(uint64(deg)) - placement.UvarintLen(uint64(deg-1))
 }
 
-// retire drops v, whose last output (of outs) has just been spent: the slot
-// of its vector heads the free list for its length, its record (index w)
-// heads the record free list, and its word becomes the output count.
+// pushFree puts the n-entry slot at off at the head of its free list.
 //
-//optchain:hotpath once per transaction whose outputs are all spent.
-func (t *T2SIndex) retire(v txgraph.Node, w uint32, outs int32) {
-	t.retiredTxs++
-	nd := t.rec(w)
-	if n := nd.n; n != 0 {
-		_, vals := t.slot(nd.off, 1)
-		vals[0] = uint64(t.free[n])
-		t.free[n] = nd.off
-		t.entries -= int(n)
-	}
-	nd.off, t.freeRec = t.freeRec, w
-	t.words[v] = spentOut | uint32(outs)
-	t.spent++
-	t.wideDegs -= placement.UvarintLen(uint64(outs)) - 1
+//optchain:hotpath once per retired vector, and per slot a vector takes the front of.
+func (t *T2SIndex) pushFree(n int, off uint32) {
+	_, vals := t.slot(off, 1)
+	vals[0] = uint64(t.free[n])
+	t.free[n] = off
+	t.freeLens[n>>6] |= 1 << (n & 63)
 }
 
-// revive gives the spent-out node v, whose word is word, a record again —
-// its output count as out-degree and count, no vector — for a reference
-// past its last output, and returns the record's index. A count of
-// manyOuts or more is still in bigOuts.
-func (t *T2SIndex) revive(v txgraph.Node, word uint32) uint32 {
-	count := int32(word &^ spentOut)
-	w := t.newRecord(t2sNode{deg: count, outs: uint16(min(count, manyOuts))})
-	t.words[v] = w
-	t.spent--
-	t.wideDegs += placement.UvarintLen(uint64(count)) - 1
-	return w
+// popFree takes the slot at the head of the free list for n entries.
+//
+//optchain:hotpath once per vector stored in a free slot.
+func (t *T2SIndex) popFree(n int) uint32 {
+	off := t.free[n]
+	_, vals := t.slot(off, 1)
+	if t.free[n] = uint32(vals[0]); t.free[n] == noSlot {
+		t.freeLens[n>>6] &^= 1 << (n & 63)
+	}
+	return off
+}
+
+// fitFree returns the length of the shortest free slot that holds n > 0
+// entries and is at most 63 longer, or 0 when there is none.
+//
+//optchain:hotpath one call per stream transaction.
+func (t *T2SIndex) fitFree(n int) int {
+	w, b := n>>6, uint(n&63)
+	if m := t.freeLens[w]>>b | t.freeLens[w+1]<<(64-b); m != 0 {
+		return n + bits.TrailingZeros64(m)
+	}
+	return 0
+}
+
+// retire drops the vector of v, whose record nd in segment s has just had
+// the last of its outs outputs spent: the slot heads the free list for its
+// length, the record stays, spent, and the segment is compacted once its
+// spent records pass its share of live ones, unless it is the open one.
+//
+//optchain:hotpath once per transaction whose outputs are all spent.
+func (t *T2SIndex) retire(s int, nd *t2sNode, outs int32) {
+	t.retiredTxs++
+	if n := nd.n; n != 0 {
+		t.pushFree(int(n), nd.off)
+		t.entries -= int(n)
+		nd.n = 0
+	}
+	t.live--
+	wide := placement.UvarintLen(uint64(outs)) - 1
+	t.wideOuts -= wide
+	t.wideDegs -= wide
+	sg := &t.segs[s]
+	sg.spent++
+	if s < len(t.segs)-1 && int(sg.spent)<<compactShift > len(sg.recs)-int(sg.spent) {
+		t.compact(s)
+	}
+}
+
+// compact drops the spent records of segment s, with their bigOuts
+// entries, clears their bits and rebuilds the prefix, the live records
+// moved into an allocation their size (and one more, rounded to the
+// allocator's size class). A segment whose records fill their allocation
+// and are all live is left as it is.
+func (t *T2SIndex) compact(s int) {
+	sg := &t.segs[s]
+	if sg.spent == 0 && len(sg.recs) == cap(sg.recs) {
+		return
+	}
+	// One pass with no branch on whether a record is spent, which is close
+	// to a coin toss: every record is written at the next free place and
+	// only a kept one moves that place on, so the allocation has room for
+	// one more than the kept records.
+	n := len(sg.recs) - int(sg.spent)
+	//optchain:alloc-ok once per segment as it closes, then once its spent records pass 1/2^compactShift of its live ones
+	recs := slices.Grow([]t2sNode(nil), n+1)[:n+1]
+	r, w := 0, 0
+	for b, word := range sg.held {
+		sg.prefix[b] = uint16(w)
+		var drop uint64
+		for m := word; m != 0; m &= m - 1 {
+			nd := &sg.recs[r]
+			r++
+			outs := int32(nd.outs)
+			if outs == manyOuts {
+				i := t.bigOutAt(txgraph.Node(s<<segBits | b<<6 | bits.TrailingZeros64(m)))
+				if outs = t.bigOuts[i].outs; nd.deg >= outs {
+					t.bigOuts = slices.Delete(t.bigOuts, i, i+1)
+				}
+			}
+			// Spent when 0 < outs <= deg: outs-deg-1 and -outs are then
+			// both negative.
+			spent := uint64((outs-nd.deg-1)&-outs) >> 31 & 1
+			recs[w] = *nd
+			w += int(1 - spent)
+			drop |= spent << bits.TrailingZeros64(m)
+		}
+		sg.held[b] = word &^ drop
+	}
+	sg.recs, sg.spent = recs[:w], 0
 }
 
 // extend makes room for the next node's vector of n entries and returns the
-// columns to fill: the most recently retired slot of that length when there
-// is one, else the current chunk, or the next one when n entries do not fit
-// what is left of it. It adds the node's word and record. Commit adds every
-// vector through here; the snapshot restore reproduces the layout this
-// gives when no slot is free (restoreState). It fails, changing nothing,
-// when the vector would end past the offsets a record can store.
+// columns to fill: the front of the most recently freed slot of the
+// shortest length that holds it when there is one (fitFree; the rest of
+// the slot goes on the free list for its length), else the current chunk,
+// or the next one when n entries do not fit what is left of it. It adds the node's record. Commit adds every vector
+// through here; the snapshot restore reproduces the layout this gives when
+// no slot is free (restoreState). It fails, changing nothing, when the
+// vector would end past the offsets a record can store.
 //
 //optchain:hotpath one call per stream transaction; a chunk is allocated once per 1<<chunkBits entries.
 func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
@@ -538,9 +604,12 @@ func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
 		t.addNode(t2sNode{})
 		return nil, nil, nil
 	}
-	if off := t.free[n]; off != noSlot {
+	if m := t.fitFree(n); m != 0 {
+		off := t.popFree(m)
+		if m > n {
+			t.pushFree(m-n, off+uint32(n))
+		}
 		shards, vals := t.slot(off, n)
-		t.free[n] = uint32(vals[0])
 		t.addNode(t2sNode{off: off, n: uint16(n)})
 		t.entries += n
 		t.committed += n
@@ -556,7 +625,7 @@ func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
 	start := uint64(c)<<t.chunkBits + uint64(filled)
 	if start+uint64(n) > slabLimit {
 		//optchain:alloc-ok cold path: the error ends the stream
-		return nil, nil, fmt.Errorf("core: T2S slab is full: transaction %d would end at entry offset %d, past the limit of %d", len(t.words), start+uint64(n), slabLimit)
+		return nil, nil, fmt.Errorf("core: T2S slab is full: transaction %d would end at entry offset %d, past the limit of %d", t.nodes, start+uint64(n), slabLimit)
 	}
 	if c == len(t.slabS) {
 		t.addChunk()
@@ -570,16 +639,32 @@ func (t *T2SIndex) extend(n int) ([]uint16, []uint64, error) {
 	return t.slabS[c][filled:], t.slabV[c][filled:], nil
 }
 
-// addNode adds the next node's word and record, the record holding the
-// node's output count when there is a source to ask.
+// addNode adds the next node's record to the open segment, the record
+// holding the node's output count when there is a source to ask. The
+// first node of a segment opens it, and closes the one before (compact).
 //
-//optchain:hotpath one call per stream transaction.
+//optchain:hotpath one call per stream transaction; a segment is opened once per segSize nodes.
 func (t *T2SIndex) addNode(nd t2sNode) {
-	if t.outCounts != nil {
-		v := txgraph.Node(len(t.words))
-		nd.outs = t.keepOuts(v, t.outCounts(v))
+	v := t.nodes
+	if v&(segSize-1) == 0 {
+		//optchain:alloc-ok once per segSize nodes
+		t.segs = append(t.segs, segment{recs: make([]t2sNode, 0, segSize)})
+		if len(t.segs) > 1 {
+			t.compact(len(t.segs) - 2)
+		}
 	}
-	t.words = append(t.words, t.newRecord(nd))
+	sg := &t.segs[len(t.segs)-1]
+	b := v >> 6 & (segBlocks - 1)
+	if v&63 == 0 {
+		sg.prefix[b] = uint16(len(sg.recs))
+	}
+	sg.held[b] |= 1 << (v & 63)
+	if t.outCounts != nil {
+		nd.outs = t.keepOuts(txgraph.Node(v), t.outCounts(txgraph.Node(v)))
+	}
+	sg.recs = append(sg.recs, nd)
+	t.nodes++
+	t.live++
 }
 
 // appendVec adds one finished vector as the next node's.
@@ -618,22 +703,26 @@ func (t *T2SIndex) prepareVector(u txgraph.Node, inputs []txgraph.Node) {
 	if t.tally.hasPending {
 		panic(fmt.Sprintf("core: Prepare(%d) before Commit(%d)", u, t.tally.pendingNode))
 	}
-	if int(u) != len(t.words) {
-		panic(fmt.Sprintf("core: out-of-order Prepare(%d), expected %d", u, len(t.words)))
+	if int(u) != t.nodes {
+		panic(fmt.Sprintf("core: out-of-order Prepare(%d), expected %d", u, t.nodes))
 	}
 
 	// Accumulate (1−α) Σ p'(v)/|Nout(v)| into the dense merge buffer,
 	// tracking which shards were touched.
 	for _, v := range inputs {
-		w := t.words[v]
-		if w&spentOut != 0 {
-			w = t.revive(v, w)
+		if int(v) >= t.nodes {
+			panic(fmt.Sprintf("core: Prepare(%d) names transaction %d, not yet committed", u, v))
 		}
-		nd := t.rec(w)
+		s := int(v >> segBits)
+		sg := &t.segs[s]
+		b, bit := v>>6&(segBlocks-1), uint64(1)<<(v&63)
+		held := sg.held[b]
+		if held&bit == 0 {
+			t.retiredRefs++ // spent out, its record compacted away
+			continue
+		}
+		nd := &sg.recs[int(sg.prefix[b])+bits.OnesCount64(held&(bit-1))]
 		nd.deg++ // u is now a spender of v
-		if nd.deg&(1<<7-1) == 0 {
-			t.widenDeg(nd.deg)
-		}
 		div := nd.deg
 		outs := t.outCount(v, nd.outs)
 		if outs > 0 {
@@ -643,19 +732,22 @@ func (t *T2SIndex) prepareVector(u txgraph.Node, inputs []txgraph.Node) {
 			}
 			div = outs
 		}
+		if nd.deg&(1<<7-1) == 0 {
+			t.widenDeg(nd.deg)
+		}
 		if nd.n != 0 {
 			shards, vals := t.slot(nd.off, int(nd.n))
 			if len(inputs) == 1 {
 				t.tally.single(u, shards, vals, int64(div), t.scaleQ)
 				if nd.deg == outs {
-					t.retire(v, w, outs)
+					t.retire(s, nd, outs)
 				}
 				return
 			}
 			t.tally.accumulate(shards, vals, int64(div))
 		}
 		if nd.deg == outs {
-			t.retire(v, w, outs)
+			t.retire(s, nd, outs)
 		}
 	}
 	t.tally.finish(u, t.scaleQ)
@@ -692,12 +784,37 @@ func (t *T2SIndex) Committed() int { return t.committed }
 // declared); those references contributed no score mass.
 func (t *T2SIndex) Retired() (txs, refs int64) { return t.retiredTxs, t.retiredRefs }
 
-// Bytes reports the heap the index's columns hold, from their capacities:
-// 10 bytes per slab entry of every allocated chunk (live vectors, free
-// slots and unfilled tails alike), the words, 12 bytes per record of every
-// allocated chunk of the record table, the large output counts and the
-// free-list heads.
+// Bytes reports the heap the index's columns hold, from their capacities
+// (the sum of Columns).
 func (t *T2SIndex) Bytes() int64 {
-	return int64(len(t.slabS))*10<<t.chunkBits + 4*int64(cap(t.words)) + 12*recChunk*int64(len(t.recs)) +
-		8*int64(cap(t.bigOuts)) + 4*int64(cap(t.free))
+	c := t.Columns()
+	return c.Bitmaps + c.Prefixes + c.Records + c.Spent + c.RecordSlack + c.Slab + c.Other
+}
+
+// ColumnBytes is the heap the index's columns hold, column by column.
+type ColumnBytes struct {
+	Bitmaps, Prefixes int64 // the segments' held bitmaps and rank prefixes, over the directory's capacity
+	Records           int64 // the records of live nodes, 12 bytes each
+	Spent             int64 // the spent records no compaction has dropped yet
+	RecordSlack       int64 // room for records the segments hold unused: the open one's tail, size-class rounding
+	Slab              int64 // 10 bytes per entry of every allocated chunk: live vectors, free slots and unfilled tails
+	Other             int64 // the segments' headers, the large output counts, the free-list heads and their bitmap
+}
+
+// Columns reports what Bytes is made of.
+func (t *T2SIndex) Columns() ColumnBytes {
+	segs, recs, spent := int64(cap(t.segs)), 0, 0
+	for i := range t.segs {
+		recs += cap(t.segs[i].recs)
+		spent += int(t.segs[i].spent)
+	}
+	return ColumnBytes{
+		Bitmaps:     8 * segBlocks * segs,
+		Prefixes:    2 * segBlocks * segs,
+		Records:     12 * int64(t.live),
+		Spent:       12 * int64(spent),
+		RecordSlack: 12 * int64(recs-t.live-spent),
+		Slab:        int64(len(t.slabS)) * 10 << t.chunkBits,
+		Other:       (segBytes-10*segBlocks)*segs + 8*int64(cap(t.bigOuts)) + 4*int64(cap(t.free)) + 8*int64(cap(t.freeLens)),
+	}
 }

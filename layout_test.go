@@ -39,21 +39,22 @@ func t2sIndex(t *testing.T, e *Engine) *core.T2SIndex {
 // again when format 4 moved the output counts into the T2S section (only
 // the version byte changed), and again when format 5 wrote the assignment
 // as its packed words and the out-degrees and span lengths of held nodes
-// alone, behind a bitmap of them. An engine restored from that snapshot must write
-// the same bytes back, and hold no more state bytes than the engine it was
-// read from.
+// alone, behind a bitmap of them, and again when format 6 wrote the output
+// counts of held nodes alone too, behind the count of late references. An
+// engine restored from that snapshot must write the same bytes back, and
+// hold no more state bytes than the engine it was read from.
 func TestPlacementFingerprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("6 placement passes of 200k transactions")
 	}
 	const txs, shards = 200_000, 16
 	want := map[string]string{
-		"bitcoin/OptChain": "0xc60cb6482dd76c03 cross=13688 slab=310576 held=74983 snap=0xd59a0213129f54b5",
-		"bitcoin/T2S":      "0xf8f94be27a496985 cross=30296 slab=584284 held=145530 snap=0x542abf6891288c5d",
-		"hotspot/OptChain": "0xe5fc7f2249a0f1fa cross=10582 slab=511278 held=109879 snap=0xde45021eae48ae48",
-		"hotspot/T2S":      "0xecf876d1070986aa cross=92758 slab=2208402 held=468918 snap=0x57a8efb2dfcb0570",
-		"mix-ids/OptChain": "0x664d4d853b87bf6 cross=41962 slab=513200 held=89617 snap=0xa7c56778725ce3f4",
-		"mix-ids/T2S":      "0x4d7436f181105547 cross=64399 slab=786609 held=174458 snap=0x7da77a2280a390e4",
+		"bitcoin/OptChain": "0xc60cb6482dd76c03 cross=13688 slab=310576 held=74983 snap=0x5610a0cd453187a",
+		"bitcoin/T2S":      "0xf8f94be27a496985 cross=30296 slab=584284 held=145530 snap=0x23ecaf82023632d0",
+		"hotspot/OptChain": "0xe5fc7f2249a0f1fa cross=10582 slab=511278 held=109879 snap=0x3c5350f0226e97e9",
+		"hotspot/T2S":      "0xecf876d1070986aa cross=92758 slab=2208402 held=468918 snap=0x31c11f94823b061c",
+		"mix-ids/OptChain": "0x664d4d853b87bf6 cross=41962 slab=513200 held=89617 snap=0x64595e5cfb965fda",
+		"mix-ids/T2S":      "0x4d7436f181105547 cross=64399 slab=786609 held=174458 snap=0x8a4aa2ceba40a904",
 	}
 	for _, w := range []struct{ name, spec string }{
 		{"bitcoin", "bitcoin"}, {"hotspot", "hotspot"}, {"mix-ids", mixIDsSpec},
@@ -105,8 +106,8 @@ func TestPlacementFingerprint(t *testing.T) {
 			if !bytes.Equal(again.Bytes(), snap.Bytes()) {
 				t.Errorf("%s: the restored engine writes a %d-byte snapshot that differs from the %d bytes it was read from", id, again.Len(), snap.Len())
 			}
-			// The restore packs the slab and the record table: it never holds
-			// more than the engine it was read from.
+			// The restore packs the slab and compacts the segments: it never
+			// holds more than the engine it was read from.
 			if got, want := fresh.Stats().StateBytes, e.Stats().StateBytes; got > want {
 				t.Errorf("%s: the restored engine holds %d state bytes, the uninterrupted one %d", id, got, want)
 			}
@@ -117,30 +118,36 @@ func TestPlacementFingerprint(t *testing.T) {
 // TestStateBudgets holds the heap a filled engine retains per placed
 // transaction, measured as the benchmark measures state_bytes_per_tx, to
 // what its columns cost: half a byte of shard (a 4-bit decision at these
-// 16 shards) and the T2S index's 4-byte word per transaction, a 12-byte
-// node record per transaction that is not spent out (on these valid
+// 16 shards) and the T2S index's segments, a 4096-bit held bitmap and 64
+// 16-bit rank prefixes per 4096 transactions, about 0.16 B each for good;
+// a 12-byte node record per transaction that is live (on these valid
 // streams every retired transaction is spent out exactly, so placed −
 // retired of them), and 10 bytes per slab entry the index holds a chunk
 // for — the vectors of transactions that still have an unspent output,
-// and what slack retirement leaves behind (free slots no vector has reused
-// yet, the unfilled tails of the last slab chunk and the last chunk of
-// records). While the assignment kept a 2-byte shard column, the same
-// streams cost 12.8 / 14.7 / 14.3 B/tx here against budgets of 13.5 / 15.5
-// / 15; while every transaction kept a 12-byte record, 17.9 / 19.7 / 19.3
-// against 20 / 22 / 23; while the engine kept its own 4-byte output-count
-// column beside the index, 21.9 / 23.7 / 23.3; before retirement, 33 /
-// 41 / 42 B/tx (every vector ever committed kept); before the index went
-// to offsets, 2-byte shard ids and a chunked slab, 52 / 52 / 76 B/tx at
-// the benchmark's million. The budget is held against the columns' own account
+// and what slack retirement leaves behind (spent records no compaction
+// has dropped yet, free slots no vector has reused yet, the unfilled
+// tails of the last slab chunk and of the open segment's records). The
+// three streams cost 7.66 / 9.87 / 8.82 B/tx here, against budgets of 8.3
+// / 10.7 / 9.6 (0.64 / 0.83 / 0.78 B/tx of headroom), and their slack
+// takes 0.54 / 0.82 / 0.83 of the 1 B/tx allowed. While every
+// transaction kept a 4-byte word beside the decision, they cost 11.34 /
+// 13.18 / 12.77 against budgets of 12 / 14 / 13.5, and the budgets fell
+// by what the word's removal saved; while the assignment kept a 2-byte shard column, 12.8 / 14.7 /
+// 14.3; while every transaction kept a 12-byte record, 17.9 / 19.7 / 19.3;
+// while the engine kept its own 4-byte output-count column beside the
+// index, 21.9 / 23.7 / 23.3; before retirement, 33 / 41 / 42 B/tx (every
+// vector ever committed kept); before the index went to offsets, 2-byte
+// shard ids and a chunked slab, 52 / 52 / 76 B/tx at the benchmark's
+// million. The budget is held against the columns' own account
 // (Stats().StateBytes, exact run to run) and the heap reading must agree
 // with that account to half a byte: at 200k transactions whatever else the
 // process frees or keeps between the two readings moves the heap figure by
-// a fifth of a byte.
+// a fifth of a byte. Under -v it logs what each column takes.
 //
 // The last case is the bitcoin stream with every output count withheld
-// (Outputs 0): nothing is retired, every transaction keeps its word and its
-// record, and the columns hold the 4 B/tx more than one record each that
-// T2SIndex documents, plus at most the two chunk tails.
+// (Outputs 0): nothing is retired, every transaction keeps its record, and
+// the columns hold the segments' bitmap and prefixes more than one record
+// each, plus at most half a byte of chunk and segment tails.
 //
 // The budgets and the baselines are in bytes a transaction at 16 shards,
 // where the assignment takes shardBytes of each.
@@ -149,11 +156,14 @@ func TestStateBudgets(t *testing.T) {
 		t.Skip("four placement passes of 200k transactions")
 	}
 	const txs, shards, shardBytes = 200_000, 16, 4.0 / 8
+	// The segments of 4096 transactions the index's directory holds for
+	// txs, each a bitmap and the prefixes.
+	segments := float64((txs+4095)/4096*(4096/8+2*64)) / txs
 	for _, w := range []struct {
 		spec      string
 		budget    float64 // B/tx
 		countFree bool
-	}{{"bitcoin", 12, false}, {"hotspot", 14, false}, {mixIDsSpec, 13.5, false}, {"bitcoin", 0, true}} {
+	}{{"bitcoin", 8.3, false}, {"hotspot", 10.7, false}, {mixIDsSpec, 9.6, false}, {"bitcoin", 0, true}} {
 		name := w.spec
 		// The generators build one-time tables on first use (the age draw's
 		// 512 KiB of logarithms, 2.6 B/tx here): build them before the
@@ -202,29 +212,73 @@ func TestStateBudgets(t *testing.T) {
 		retained := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / txs
 		account := float64(st.StateBytes) / txs
 		entries := float64(st.SlabEntries) / txs
-		live := 4 + shardBytes + 12*float64(st.Placed-int(st.RetiredTxs))/txs + 10*entries
-		t.Logf("%s: %.2f B/tx retained, %.2f B/tx by the columns' own account, %.2f entries/tx held (%.0f%% of transactions retired), words, records and live vectors alone %.2f B/tx",
-			name, retained, account, entries, 100*float64(st.RetiredTxs)/txs, live)
+		live := segments + shardBytes + 12*float64(st.Placed-int(st.RetiredTxs))/txs + 10*entries
+		c := t2sIndex(t, e).Columns()
+		per := func(b int64) float64 { return float64(b) / txs }
+		t.Logf("%s: %.2f B/tx retained, %.2f B/tx by the columns' own account (decisions %.2f, bitmaps %.2f, prefixes %.2f, live records %.2f, spent records %.2f, record slack %.2f, slab %.2f, other %.2f), %.2f entries/tx held (%.0f%% of transactions retired), segments, decisions, live records and vectors alone %.2f B/tx",
+			name, retained, account, per(st.StateBytes)-per(t2sIndex(t, e).Bytes()), per(c.Bitmaps), per(c.Prefixes), per(c.Records), per(c.Spent), per(c.RecordSlack), per(c.Slab), per(c.Other),
+			entries, 100*float64(st.RetiredTxs)/txs, live)
 		if retained > account+0.5 || retained < account-0.5 {
 			t.Errorf("%s: Stats().StateBytes says %.2f B/tx, the heap %.2f", name, account, retained)
 		}
 		if account > live+1 {
-			t.Errorf("%s: the columns hold %.2f B/tx where the words, records and live vectors take %.2f: more than 1 B/tx of free slots and slack", name, account, live)
+			t.Errorf("%s: the columns hold %.2f B/tx where the segments, decisions, live records and vectors take %.2f: more than 1 B/tx of spent records, free slots and slack", name, account, live)
 		}
 		if st.RetiredRefs != 0 {
 			t.Errorf("%s: %d references to retired transactions on a valid stream", name, st.RetiredRefs)
 		}
 		if w.countFree {
-			// One 12-byte record a transaction and the shard column, as
-			// before words: the word is the extra.
+			// One 12-byte record a transaction and the shard column: the
+			// segments' bitmaps and prefixes are the extra.
 			extra := account - (shardBytes + 12 + 10*entries)
-			if st.RetiredTxs != 0 || extra < 4 || extra > 4.5 {
-				t.Errorf("%s: %d retired, and the columns hold %.2f B/tx more than a record a transaction: want none, and 4 to 4.5", name, st.RetiredTxs, extra)
+			if st.RetiredTxs != 0 || extra < segments || extra > segments+0.5 {
+				t.Errorf("%s: %d retired, and the columns hold %.2f B/tx more than a record a transaction: want none, and %.2f to %.2f", name, st.RetiredTxs, extra, segments, segments+0.5)
 			}
 		} else if account > w.budget {
 			t.Errorf("%s: the columns hold %.2f B/tx, budget %.1f", name, account, w.budget)
 		}
 		runtime.KeepAlive(e)
 		runtime.KeepAlive(stream)
+	}
+}
+
+// TestSpentOutKeepsABit: on a chain of a million transactions, each
+// spending its predecessor's one output, every transaction but the last is
+// spent out, and what the engine keeps of it for good is its packed
+// decision (half a byte at 16 shards) and its bit, rank prefix and share
+// of its segment's header: under a byte a transaction in all. (While a
+// spent-out transaction kept a 4-byte word, the chain took 4.5 B/tx.)
+func TestSpentOutKeepsABit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a placement pass of 1M transactions")
+	}
+	const txs, shards = 1_000_000, 16
+	e, err := New(WithShards(shards), WithStreamCapacity(txs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]StreamTx, DefaultBatchSize)
+	parents := make([]int, DefaultBatchSize)
+	var dst []int
+	for lo := 0; lo < txs; lo += len(batch) {
+		for i := range batch {
+			batch[i] = StreamTx{Outputs: 1}
+			if u := lo + i; u > 0 {
+				parents[i] = u - 1
+				batch[i].Inputs = parents[i : i+1]
+			}
+		}
+		if dst, err = e.PlaceBatch(batch[:min(len(batch), txs-lo)], dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.Stats()
+	perTx := float64(st.StateBytes) / txs
+	t.Logf("%d transactions, %d retired: %.3f B/tx", st.Placed, st.RetiredTxs, perTx)
+	if st.Placed != txs || st.RetiredTxs != txs-1 || st.RetiredRefs != 0 {
+		t.Fatalf("placed %d, retired %d with %d late references: want %d, %d and 0", st.Placed, st.RetiredTxs, st.RetiredRefs, txs, txs-1)
+	}
+	if perTx >= 1 {
+		t.Fatalf("a chain of spent-out transactions keeps %.3f B/tx, want under 1", perTx)
 	}
 }

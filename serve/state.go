@@ -22,13 +22,13 @@ import (
 //	uvarint id count, then per id (sorted by stream index):
 //	    uvarint len(id), id bytes, uvarint stream index
 //	uvarint engine snapshot length, engine snapshot bytes (see
-//	    optchain.Engine.WriteSnapshot; snapshot format version 5)
+//	    optchain.Engine.WriteSnapshot; snapshot format version 6)
 //	4-byte little-endian CRC-32 (IEEE) of all preceding bytes
 //
 // Every uvarint, the envelope's and the engine section's, is read through
 // placement.StateReader, so one encoded longer than its value needs is a
 // defect. The envelope is unchanged since its first version, but the
-// engine section inside it is not: a file written before snapshot format 5
+// engine section inside it is not: a file written before snapshot format 6
 // fails to load with ErrBadState naming the engine snapshot's version.
 // Remove it to start cold, or place the stream again.
 const (

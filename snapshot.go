@@ -29,7 +29,7 @@ var (
 // layout that follows it. The whole stream (magic through payload) is
 // covered by a trailing CRC-32 so truncation and corruption fail loudly.
 //
-// Format version 5, every integer a minimal uvarint unless a width is
+// Format version 6, every integer a minimal uvarint unless a width is
 // given. A fixed-width column is a uvarint count followed by that many
 // little-endian elements; a count column is a uvarint count, a uvarint
 // byte length, then that many uvarints, each at most math.MaxInt32, so a
@@ -38,7 +38,7 @@ var (
 // shard (4 at 16 shards); slab shard ids and span lengths take 1 byte when
 // the shard count is at most 255, else 2:
 //
-//	magic "OPTCHSNP", version (5)
+//	magic "OPTCHSNP", version (6)
 //	fingerprint: len(strategy), strategy (lower case), shards, alpha bits,
 //	    L2S weight bits, capacity hint
 //	placed, cross total, cross count
@@ -46,32 +46,33 @@ var (
 //	    Greedy and OmniLedger the assignment, the decision count and the
 //	    packed 8-byte words; for T2S and OptChain the assignment and the
 //	    index's section (see internal/core/state.go): a bitmap of the
-//	    transactions that hold a node record, the output count of every
-//	    transaction, the out-degree and span length of each held one, and
-//	    slab shard ids 1 or 2 B and values 8 B per entry of the vectors
-//	    still held
+//	    transactions still live (not retired), the count of references
+//	    that named a retired one, the output count, out-degree and span
+//	    length of each live one, and slab shard ids 1 or 2 B and values
+//	    8 B per entry of the live vectors
 //	CRC-32 (IEEE) of all preceding bytes, 4 B little-endian
 //
-// Every column is what memory holds, handed to the writer a block at a
-// time through one small staging buffer (on a little-endian host a block
+// Every column is what memory holds of the live transactions, handed to
+// the writer a segment or a block at a time through one small staging
+// buffer (on a little-endian host a block
 // of 2- or 8-byte elements, the assignment's words among them, is the
 // column's own memory, and a large one is passed through whole), so a
-// snapshot costs no memory proportional to the state beyond a bit a
-// transaction and a copy of each held record. The section's size comes
-// from column lengths and the running totals the T2S index keeps
-// (spent-out nodes, the byte lengths of its count columns), so
-// SnapshotSize is exact without a pass over the state. Versions 1 to 4
+// snapshot costs no memory proportional to the state beyond one segment's
+// scratch (4096 transactions' records and counts, 84 KiB). The section's
+// size comes from column lengths and the running totals the T2S index
+// keeps (live nodes, the byte lengths of their count columns), so
+// SnapshotSize is exact without a pass over the state. Versions 1 to 5
 // are not read: such a stream fails with ErrBadSnapshot naming its
 // version, and its owner starts cold or places the stream again.
 const (
 	snapMagic   = "OPTCHSNP"
-	snapVersion = 5
+	snapVersion = 6
 )
 
 // snapMaxBytes bounds how much ReadSnapshot will buffer — a corrupt length
 // field must not translate into an unbounded allocation — and therefore how
-// much WriteSnapshot will write: 1 GiB of snapshot is some 170 to 230
-// million placed transactions at the 4.7-6.4 bytes each the benchmark's
+// much WriteSnapshot will write: 1 GiB of snapshot is some 195 to 275
+// million placed transactions at the 3.9-5.5 bytes each the benchmark's
 // streams take at 16 shards. (A variable only so that a test can reach
 // the bound with a small stream.)
 var snapMaxBytes int64 = 1 << 30
@@ -164,7 +165,7 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 // subsequent decisions are bit-identical to the uninterrupted engine's.
 //
 // Any defect — truncation, checksum mismatch, another format version (a
-// stream of versions 1 to 4 included), a configuration fingerprint that
+// stream of versions 1 to 5 included), a configuration fingerprint that
 // does not match this engine — fails with ErrBadSnapshot naming the disagreement;
 // the engine is left unused only on fingerprint errors detected before
 // state adoption, and must be discarded after a mid-restore failure.

@@ -118,9 +118,10 @@ func TestSnapshotSizeIsExact(t *testing.T) {
 	// 65,536 outputs (past what a node record counts) and 1 declares 200.
 	// Every later transaction spends 0 until it is spent out, and the next
 	// 200 spend 1 too, so 1's out-degree crosses 128 while it is held, and
-	// both then leave the held columns, as spent-out counts of 3 and 2
-	// uvarint bytes. The last two transactions name them again past their
-	// counts, which gives each its record back.
+	// both then leave the held columns, their counts of 3 and 2 uvarint
+	// bytes with them (0's segment is compacted, so its large count goes
+	// too). The last two transactions name them again past their counts:
+	// late references, which the section counts.
 	const many = 65_536
 	txs = make([]StreamTx, many+3)
 	txs[0].Outputs, txs[1].Outputs = many, 200
@@ -229,7 +230,7 @@ func TestSnapshotVersion1Rejected(t *testing.T) {
 	v1 = append(v1, 0, 0, 0, 0, 0)   // cross and epoch counters
 	v1 = append(v1, 0, 0, 0, 0, 0)   // assignment, slab shards, slab values, span lengths, out-degrees
 	err := formatEngine(t, 0).ReadSnapshot(bytes.NewReader(seal(v1)))
-	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1, want 5") {
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1, want 6") {
 		t.Fatalf("version 1 stream: %v", err)
 	}
 }
@@ -279,7 +280,7 @@ func packedAsn(shards ...byte) []byte {
 	return b
 }
 
-// handSnapshot assembles a format-5 stream for an engine configured as e,
+// handSnapshot assembles a format-6 stream for an engine configured as e,
 // holding the given placed transactions, around the strategy's state
 // section.
 func handSnapshot(e *Engine, placed int, section []byte) []byte {
@@ -299,17 +300,18 @@ func handSnapshot(e *Engine, placed int, section []byte) []byte {
 
 // TestSnapshotColumnDefects: ReadSnapshot refuses, with ErrBadSnapshot
 // naming the node, entry or column, every defect of the packed
-// assignment, the held bitmap, the count columns and the narrow shard
-// columns a format-5 stream can carry. The base stream is two
-// transactions in shard 0 of 8, each declaring 2 outputs, the second
+// assignment, the held bitmap, the late references, the count columns and
+// the narrow shard columns a format-6 stream can carry. The base stream is
+// two transactions in shard 0 of 8, each declaring 2 outputs, the second
 // spending the first: both are held, 0 with one spender; each case changes
 // one part of it.
 func TestSnapshotColumnDefects(t *testing.T) {
 	const q1 = 1 << 32 // 1.0 in Q32.32
-	type parts struct{ asn, bitmap, outs, degs, lens, slab []byte }
+	type parts struct{ asn, bitmap, refs, outs, degs, lens, slab []byte }
 	base := parts{
 		asn:    packedAsn(0, 0),
 		bitmap: wordCol(0b11),
+		refs:   []byte{0},
 		outs:   countCol(2, 2),
 		degs:   countCol(1, 0),
 		lens:   byteCol(1, 1),
@@ -321,7 +323,7 @@ func TestSnapshotColumnDefects(t *testing.T) {
 		for range entries {
 			vals = binary.LittleEndian.AppendUint64(vals, q1)
 		}
-		section := slices.Concat(p.asn, p.bitmap, p.outs, p.degs, p.lens, p.slab, vals)
+		section := slices.Concat(p.asn, p.bitmap, p.refs, p.outs, p.degs, p.lens, p.slab, vals)
 		return handSnapshot(formatEngine(t, 2), 2, section)
 	}
 	if err := formatEngine(t, 2).ReadSnapshot(bytes.NewReader(build(base))); err != nil {
@@ -354,12 +356,11 @@ func TestSnapshotColumnDefects(t *testing.T) {
 		"bitmap padding":                    {func(p *parts) { p.bitmap = wordCol(0b111) }, "held bitmap marks node 2, past the 2 transactions"},
 		"fewer out-degrees than held nodes": {func(p *parts) { p.degs = countCol(1) }, "1 out-degrees for 2 held transactions"},
 		"more span lengths than held nodes": {func(p *parts) { p.lens = byteCol(1, 1, 0) }, "3 span lengths for 2 held transactions"},
-		"spent out of no outputs": {func(p *parts) {
-			p.bitmap, p.outs, p.degs, p.lens, p.slab = wordCol(0b01), countCol(2, 0), countCol(1), byteCol(1), byteCol(0)
-		}, "node 1 has no record but an output count of 0"},
-		"record of a node spent out exactly": {func(p *parts) { p.degs, p.lens, p.slab = countCol(2, 0), byteCol(0, 1), byteCol(0) },
-			"node 0 has had 2 spenders of its 2 outputs but keeps a record"},
-		"span on an overspent node": {func(p *parts) { p.degs = countCol(3, 0) }, "node 0 has had 3 spenders of its 2 outputs but keeps a span of 1 entries"},
+		"late references past an int64":     {func(p *parts) { p.refs = binary.AppendUvarint(nil, 1<<63) }, "9223372036854775808 late references"},
+		"non-minimal late references":       {func(p *parts) { p.refs = []byte{0x80, 0x00} }, "non-minimal varint"},
+		"held node spent out exactly": {func(p *parts) { p.degs, p.lens, p.slab = countCol(2, 0), byteCol(0, 1), byteCol(0) },
+			"node 0 has had 2 spenders of its 2 outputs but is held"},
+		"held node past its count":  {func(p *parts) { p.degs = countCol(3, 0) }, "node 0 has had 3 spenders of its 2 outputs but is held"},
 		"spans short of the slab":   {func(p *parts) { p.slab = byteCol(0, 0, 1) }, "spans cover 2 of 3 slab entries"},
 		"spans past the slab's end": {func(p *parts) { p.slab = byteCol(0) }, "span 1 (len 1 at offset 1) exceeds slab length 1"},
 	} {
@@ -373,7 +374,7 @@ func TestSnapshotColumnDefects(t *testing.T) {
 
 	// A header that claims more transactions than the state has bits
 	// for is refused before anything is sized from it.
-	huge := handSnapshot(formatEngine(t, 2), 1<<40, slices.Concat(base.asn, base.bitmap, base.outs, base.degs, base.lens, base.slab, []byte{0}))
+	huge := handSnapshot(formatEngine(t, 2), 1<<40, slices.Concat(base.asn, base.bitmap, base.refs, base.outs, base.degs, base.lens, base.slab, []byte{0}))
 	if err := formatEngine(t, 2).ReadSnapshot(bytes.NewReader(huge)); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "1099511627776 placed transactions in") {
 		t.Errorf("a header claiming 2^40 placed transactions: %v", err)
 	}
@@ -402,12 +403,12 @@ func TestSnapshotVersion3Rejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = fresh.ReadSnapshot(bytes.NewReader(seal(v3[:len(v3)-4])))
-	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 3, want 5") {
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 3, want 6") {
 		t.Fatalf("format-3 stream: %v", err)
 	}
 }
 
-// TestAssignmentOnlySnapshots: a Greedy or OmniLedger engine's format-5
+// TestAssignmentOnlySnapshots: a Greedy or OmniLedger engine's format-6
 // stream is the header, the packed assignment and the checksum, nothing
 // else; it restores an engine that writes the same bytes back and
 // continues the stream as the uninterrupted engine does. The same stream

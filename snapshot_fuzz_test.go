@@ -71,7 +71,10 @@ type continuation struct {
 // non-zero), and a serve state file wrapping the hotspot stream's first
 // 200 lines; in format 4, the bitcoin stream's first fuzzCut transactions
 // as fuzzEngine snapshots them, an assignment a byte a decision and an
-// out-degree and span length for every transaction.
+// out-degree and span length for every transaction; in format 5, the same
+// transactions with the assignment's packed words, a held bitmap, an
+// output count for every transaction and the held ones' out-degrees and
+// span lengths.
 var format2Files = []struct {
 	name, path string
 	version    int
@@ -81,6 +84,7 @@ var format2Files = []struct {
 	{"parallel_bitcoin_300", "testdata/snapshot_pr24_parallel_bitcoin_300.bin", 2, false},
 	{"serve_hotspot_200", "serve/testdata/state_pr21_hotspot_200.bin", 2, true},
 	{"format4_bitcoin_250", "testdata/snapshot_pr50_bitcoin_250.bin", 4, false},
+	{"format5_bitcoin_250", "testdata/snapshot_format5_bitcoin_250.bin", 5, false},
 }
 
 // TestFormat2SnapshotsRefused: each committed stream of an earlier format
@@ -100,7 +104,7 @@ func TestFormat2SnapshotsRefused(t *testing.T) {
 			} else {
 				err = fuzzEngine(t, "OptChain").ReadSnapshot(bytes.NewReader(data))
 			}
-			if v := fmt.Sprintf("version %d, want 5", f.version); !errors.Is(err, want) || !strings.Contains(err.Error(), v) {
+			if v := fmt.Sprintf("version %d, want 6", f.version); !errors.Is(err, want) || !strings.Contains(err.Error(), v) {
 				t.Errorf("%s: %v, want %v naming %q", f.path, err, want, v)
 			}
 		})
